@@ -1,5 +1,6 @@
 //! Microbenchmarks over the hot paths of the simulation stack: the CMB
-//! ingest path, the fast write path, the flash channel scheduler, FTL
+//! ingest path, the fast write path (fresh and with a wrapped destage
+//! ring), an NTB mirror burst, the flash channel scheduler, FTL
 //! allocation, WAL record encode/decode, TPC-C transactions, and the sim
 //! kernel itself. These guard the simulator's own performance (a slow
 //! simulator caps experiment scale).
@@ -98,6 +99,62 @@ fn bench_fast_write_path() {
         |(mut cl, mut f)| {
             let t = f.x_pwrite(&mut cl, SimTime::ZERO, &[0u8; 16 << 10]).unwrap();
             f.x_fsync(&mut cl, t).unwrap()
+        },
+    );
+}
+
+/// One 16 KiB fast write + fsync — one destaged flash page — on a device
+/// whose 4096-LBA destage ring has already wrapped once, so every page
+/// reuses a slot and the readable window is full: the steady state of any
+/// run longer than 64 MiB of log. (`fast_side/x_pwrite_fsync_16k` above
+/// starts from a fresh device each iteration and never wraps.)
+fn bench_destage_wrapped_ring() {
+    use pcie::MmioMode;
+    use xssd_core::{Cluster, VillarsConfig, XLogFile};
+    let mut cl = Cluster::new();
+    let dev = cl.add_device(VillarsConfig::villars_sram());
+    let mut f = XLogFile::open_lane(dev, 0, MmioMode::WriteCombining);
+    let ring = cl.device(dev).config().destage.ring_lbas;
+    let page = [0x5Au8; 16 << 10];
+    let mut t = SimTime::ZERO;
+    let mut cycle = |cl: &mut Cluster, t: &mut SimTime| {
+        let issued = f.x_pwrite(cl, *t, &page).unwrap();
+        *t = f.x_fsync(cl, issued).unwrap();
+    };
+    while cl.device(dev).destage_stats(0).full_pages < ring + 64 {
+        cycle(&mut cl, &mut t);
+    }
+    bench(
+        "core/destage_page_wrapped_ring",
+        Some(16 << 10),
+        || (),
+        |()| {
+            cycle(&mut cl, &mut t);
+            t
+        },
+    );
+}
+
+/// The primary's mirror of one 16 KiB chunk to one secondary: 256 64-byte
+/// TLPs forwarded over the NTB wire as one burst.
+fn bench_ntb_mirror_burst() {
+    use pcie::{HostId, NtbConfig, NtbPort, TranslationWindow};
+    let mut port = NtbPort::new(NtbConfig::default(), HostId(1));
+    port.add_window(TranslationWindow {
+        local_base: 0x8000_0000,
+        len: 1 << 32,
+        remote_host: HostId(1),
+        remote_base: 0,
+    });
+    let mut t = SimTime::ZERO;
+    bench(
+        "pcie/ntb_mirror_burst_16k",
+        Some(16 << 10),
+        || (),
+        |()| {
+            let grant = port.forward_burst(t, 0x8000_0000, 64, 256).unwrap();
+            t = grant.start + SimDuration::from_micros(5);
+            grant.end
         },
     );
 }
@@ -333,6 +390,8 @@ fn main() {
     println!("{:<40} {:>12}", "benchmark", "time");
     bench_cmb_ingest();
     bench_fast_write_path();
+    bench_destage_wrapped_ring();
+    bench_ntb_mirror_burst();
     bench_flash_scheduler();
     bench_ftl();
     bench_log_codec();

@@ -39,12 +39,12 @@ use nvme::{
 };
 use pcie::MmioMode;
 use simkit::{
-    Domain, DomainScheduler, EventQueue, FaultPlan, Routed, SimDuration, SimError, SimTime,
+    Bytes, Domain, DomainScheduler, EventQueue, FaultPlan, Routed, SimDuration, SimError, SimTime,
 };
 
 #[derive(Debug, Clone)]
 enum ClusterEvent {
-    Mirror { dst: DeviceIndex, offset: u64, data: Vec<u8> },
+    Mirror { dst: DeviceIndex, offset: u64, data: Bytes },
     Shadow { dst: DeviceIndex, src: DeviceIndex, value: u64 },
 }
 

@@ -9,7 +9,7 @@
 //! so destaging, replication, and crash recovery are verifiable end to end.
 
 use crate::config::CmbConfig;
-use simkit::{DiagnosticSnapshot, Grant, SimError, SimTime};
+use simkit::{Bytes, DiagnosticSnapshot, Grant, SimError, SimTime};
 use std::collections::BTreeMap;
 
 /// Errors from CMB ingest.
@@ -283,6 +283,22 @@ impl CmbModule {
     /// the ring's full state (head/tail/credit, pending drains, held
     /// chunks) instead of unwinding.
     pub fn try_content(&self, offset: u64, len: usize) -> Result<Vec<u8>, Box<SimError>> {
+        let (first, rest) = self.try_slices(offset, len)?;
+        Ok([first, rest].concat())
+    }
+
+    /// Live ring content `[offset, offset + len)` as one shared buffer of
+    /// `padded_len` bytes, zero-filled past `len` — a destage page with its
+    /// filler, copied out of the ring exactly once. Panics like
+    /// [`CmbModule::content`] on an out-of-window read.
+    pub fn content_padded(&self, offset: u64, len: usize, padded_len: usize) -> Bytes {
+        let (first, rest) = self.try_slices(offset, len).unwrap_or_else(|e| panic!("{e}"));
+        Bytes::concat_zero_padded(&[first, rest], padded_len)
+    }
+
+    /// Borrow live ring content `[offset, offset + len)`: two slices, the
+    /// second non-empty only when the range wraps the end of the ring.
+    fn try_slices(&self, offset: u64, len: usize) -> Result<(&[u8], &[u8]), Box<SimError>> {
         if offset < self.head || offset + len as u64 > self.tail {
             let snapshot = DiagnosticSnapshot::new(
                 self.pending.iter().map(|(at, _)| *at).max().unwrap_or(SimTime::ZERO),
@@ -302,10 +318,7 @@ impl CmbModule {
         let size = self.config.size as usize;
         let start = (offset % size as u64) as usize;
         let first = len.min(size - start);
-        let mut out = Vec::with_capacity(len);
-        out.extend_from_slice(&self.ring[start..start + first]);
-        out.extend_from_slice(&self.ring[..len - first]);
-        Ok(out)
+        Ok((&self.ring[start..start + first], &self.ring[..len - first]))
     }
 
     /// Advance the destage head: bytes below `new_head` are freed for
@@ -551,6 +564,25 @@ mod tests {
         cmb.ingest(t, 1000, &[9u8; 100], |t2, b| port.acquire(t2, b))
             .expect("in-window CMB write rejected");
         assert_eq!(cmb.content(1000, 100), vec![9u8; 100]);
+    }
+
+    #[test]
+    fn padded_content_wraps_the_ring_and_zero_fills() {
+        let size = 256u64;
+        let mut cmb = CmbModule::new(cfg(4096, size));
+        let mut port = Port::new();
+        cmb.ingest(SimTime::ZERO, 0, &[1u8; 200], |t, b| port.acquire(t, b))
+            .expect("in-window CMB write rejected");
+        cmb.credit_at(SimTime::from_micros(10));
+        cmb.advance_head(200);
+        // [200, 300) wraps the 256-byte ring after 56 bytes.
+        let payload: Vec<u8> = (0..100u8).collect();
+        cmb.ingest(SimTime::from_micros(10), 200, &payload, |t, b| port.acquire(t, b))
+            .expect("in-window CMB write rejected");
+        let page = cmb.content_padded(200, 100, 128);
+        assert_eq!(&page[..100], &payload[..]);
+        assert_eq!(&page[100..], &[0u8; 28][..]);
+        assert_eq!(cmb.content_padded(210, 20, 20), cmb.content(210, 20));
     }
 
     #[test]

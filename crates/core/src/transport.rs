@@ -10,7 +10,7 @@
 use crate::config::{ReplicationPolicy, TransportConfig};
 use pcie::{HostId, NtbConfig, NtbFaultStats, NtbPort, Tlp, TranslationWindow};
 use simkit::faults::{LinkDownWindow, TransportFaultConfig};
-use simkit::{DetRng, SimDuration, SimTime};
+use simkit::{Bytes, DetRng, SimDuration, SimTime};
 use std::collections::HashMap;
 
 /// Index of a device within a [`crate::cluster::Cluster`].
@@ -55,8 +55,8 @@ pub enum Outbound {
         dst: DeviceIndex,
         /// Monotonic log offset of the chunk.
         offset: u64,
-        /// The chunk content.
-        data: Vec<u8>,
+        /// The chunk content (one buffer shared by every secondary's copy).
+        data: Bytes,
         /// When it lands in the destination's CMB intake.
         deliver_at: SimTime,
     },
@@ -286,21 +286,22 @@ impl TransportModule {
     /// independent ("allows each secondary to receive traffic at an
     /// independent pace"). Returns the deliveries for the cluster.
     pub fn mirror(&mut self, now: SimTime, offset: u64, data: &[u8]) -> Vec<Outbound> {
-        let Role::Primary { ref secondaries } = self.role else {
+        let Role::Primary { secondaries } = &self.role else {
             return Vec::new();
         };
-        let secondaries = secondaries.clone();
+        let shared = Bytes::copy_from_slice(data);
+        let len = data.len() as u64;
+        // Forward as 64-byte (WC-sized) TLP bursts.
+        let tlps = len.div_ceil(pcie::WC_BUFFER_BYTES).max(1);
+        let payload = (len / tlps).max(1) as u32;
         let mut out = Vec::with_capacity(secondaries.len());
-        for dst in secondaries {
+        for &dst in secondaries {
             let port = self.flows.get_mut(&dst).expect("flow exists for secondary");
             let addr = Self::window_for(dst).local_base + offset % MIRROR_WINDOW_SIZE;
-            // Forward as 64-byte (WC-sized) TLP bursts.
-            let tlps = (data.len() as u64).div_ceil(pcie::WC_BUFFER_BYTES).max(1);
-            let payload = (data.len() as u64 / tlps).max(1) as u32;
             let grant = port.forward_burst(now, addr, payload, tlps).expect("mirror window mapped");
-            self.stats.mirrored_bytes += data.len() as u64;
+            self.stats.mirrored_bytes += len;
             self.stats.mirror_messages += 1;
-            out.push(Outbound::Mirror { dst, offset, data: data.to_vec(), deliver_at: grant.end });
+            out.push(Outbound::Mirror { dst, offset, data: shared.clone(), deliver_at: grant.end });
         }
         out
     }

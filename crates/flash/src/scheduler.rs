@@ -293,7 +293,12 @@ impl ChannelScheduler {
         channel: u32,
         window: usize,
     ) -> Option<(usize, SimTime)> {
+        if q.is_empty() {
+            return None;
+        }
         let bus_free = array.bus_busy_until(channel);
+        // The same for every program in the window.
+        let xfer = array.timing().page_transfer(array.geometry().page_bytes);
         let mut best: Option<(usize, SimTime)> = None;
         for (idx, req) in q.iter().take(window).enumerate() {
             // Queues are arrival-ordered, so once the best found start is at
@@ -306,7 +311,6 @@ impl ChannelScheduler {
             }
             let start = match req.kind {
                 OpKind::Program(p) => {
-                    let xfer = array.timing().page_transfer(array.geometry().page_bytes);
                     let die_gate = array.die_busy_until(p.die()) - xfer;
                     req.arrival.max(bus_free).max(die_gate)
                 }

@@ -120,20 +120,15 @@ impl PcieLink {
     }
 
     /// Transmit a burst of `n` identical write TLPs of `payload` bytes each,
-    /// back to back. Returns the arrival instant of the last packet. This is
-    /// the fast path used by the DMA and WC models to avoid allocating one
-    /// `Tlp` per packet.
+    /// back to back. Returns the arrival instant of the last packet. The
+    /// DMA, WC and NTB-mirror models send whole transfers through here: the
+    /// wire is charged for all `n` packets at once, so the cost to the
+    /// simulator does not grow with the TLP count.
     pub fn send_write_burst(&mut self, now: SimTime, payload: u32, n: u64) -> Grant {
         assert!(n > 0, "burst must contain at least one TLP");
         let per_tlp = self.config.overhead.per_tlp_bytes();
-        let mut first_start = None;
-        let mut last_end = now;
-        for _ in 0..n {
-            let g = self.wire.transmit_with_overhead(last_end, payload as u64, per_tlp);
-            first_start.get_or_insert(g.start);
-            last_end = g.end;
-        }
-        Grant { start: first_start.unwrap_or(now), end: last_end + self.config.propagation }
+        let g = self.wire.transmit_burst_with_overhead(now, payload as u64, per_tlp, n);
+        Grant { start: g.start, end: g.end + self.config.propagation }
     }
 
     /// Round-trip read: a read-request TLP travels out, the completion with
@@ -224,17 +219,43 @@ mod tests {
 
     #[test]
     fn burst_matches_individual_sends() {
-        let mut a = PcieLink::new(LinkConfig::villars_host());
-        let mut b = PcieLink::new(LinkConfig::villars_host());
-        let burst = a.send_write_burst(SimTime::ZERO, 64, 10);
-        let mut end = SimTime::ZERO;
-        for _ in 0..10 {
-            // Individual sends chained serially (next starts when wire frees).
-            let g = b.send(end, &Tlp::write(0, 64));
-            end = g.end - b.config.propagation;
+        // Random (now, wire busy-until, payload, n): one burst call and n
+        // sends chained on the wire-free instant leave the same grant,
+        // statistics and wire horizon.
+        let mut rng = simkit::DetRng::new(0x7195);
+        for case in 0..500 {
+            let mut a = PcieLink::new(LinkConfig::villars_host());
+            if rng.chance(0.5) {
+                a.send(SimTime::from_nanos(rng.uniform(0, 2_000)), &Tlp::write(0, 512));
+            }
+            let mut b = a.clone();
+            let now = SimTime::from_nanos(rng.uniform(0, 4_000));
+            let payload = rng.uniform(1, 512) as u32;
+            let n = rng.uniform(1, 300);
+
+            let burst = a.send_write_burst(now, payload, n);
+
+            let mut first_start = None;
+            let mut wire_free = now;
+            for _ in 0..n {
+                let g = b.send(wire_free, &Tlp::write(0, payload));
+                first_start.get_or_insert(g.start);
+                wire_free = g.end - b.config.propagation;
+            }
+            let want = Grant {
+                start: first_start.expect("n >= 1"),
+                end: wire_free + b.config.propagation,
+            };
+            assert_eq!(burst, want, "case {case}: now {now}, payload {payload}, n {n}");
+            assert_eq!(a.busy_until(), b.busy_until(), "case {case}");
+            assert_eq!(a.wire.busy_time(), b.wire.busy_time(), "case {case}");
+            let (sa, sb) = (a.stats(), b.stats());
+            assert_eq!(
+                (sa.payload_bytes, sa.overhead_bytes, sa.messages),
+                (sb.payload_bytes, sb.overhead_bytes, sb.messages),
+                "case {case}"
+            );
         }
-        assert_eq!(burst.end, end + b.config.propagation);
-        assert_eq!(a.stats().payload_bytes, b.stats().payload_bytes);
     }
 
     #[test]

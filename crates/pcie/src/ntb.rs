@@ -366,6 +366,63 @@ mod tests {
         }
     }
 
+    /// A burst is one fault decision followed by `n` back-to-back TLPs on
+    /// the wire: with drops and a link-down window armed, the closed-form
+    /// burst must make the same draws, the same deliveries and leave the
+    /// same counters as that definition spelled out packet by packet.
+    #[test]
+    fn burst_draws_one_fault_and_charges_every_tlp() {
+        let arm = |p: &mut NtbPort| {
+            p.arm_faults(
+                TransportFaultConfig { tlp_drop: 0.4, replay_timeout: SimDuration::from_micros(7) },
+                DetRng::new(21),
+            );
+            p.schedule_link_down(LinkDownWindow {
+                from: SimTime::from_micros(30),
+                until: SimTime::from_micros(55),
+            });
+        };
+        let (mut burst, mut single) = (port(), port());
+        arm(&mut burst);
+        arm(&mut single);
+        let mut rng = DetRng::new(0xB5_7E57);
+        let mut now = SimTime::ZERO;
+        for step in 0..400 {
+            now += SimDuration::from_nanos(rng.uniform(0, 900));
+            let payload = rng.uniform(1, 64) as u32;
+            let n = rng.uniform(1, 256);
+
+            let got = burst.forward_burst(now, 0x8000_0000, payload, n).unwrap();
+
+            let fault = single.fault_delay(now);
+            let mut first_start = None;
+            let mut wire_free = now + fault;
+            for _ in 0..n {
+                let g = single.wire.send(wire_free, &Tlp::write(0x4000_0000, payload));
+                first_start.get_or_insert(g.start);
+                wire_free = g.end - single.config.link.propagation;
+            }
+            single.forwarded_tlps += n;
+            let want = Grant {
+                start: first_start.expect("n >= 1"),
+                end: wire_free + single.config.link.propagation + single.config.hop_latency,
+            };
+
+            assert_eq!(got, want, "step {step}: now {now}, payload {payload}, n {n}");
+            assert_eq!(burst.wire.busy_until(), single.wire.busy_until(), "step {step}");
+        }
+        assert_eq!(burst.forwarded_tlps(), single.forwarded_tlps());
+        assert_eq!(burst.fault_stats(), single.fault_stats());
+        assert!(burst.fault_stats().replays > 0 && burst.fault_stats().deferrals > 0);
+        let (a, b) = (burst.stats(), single.stats());
+        assert_eq!(
+            (a.payload_bytes, a.overhead_bytes, a.messages),
+            (b.payload_bytes, b.overhead_bytes, b.messages)
+        );
+        let horizon = now + SimDuration::from_millis(1);
+        assert_eq!(burst.utilization(horizon), single.utilization(horizon));
+    }
+
     #[test]
     fn tlp_drop_pays_replay_timer_not_loss() {
         let mut clean = port();

@@ -37,6 +37,20 @@ impl Bytes {
         Bytes { data: Arc::from(src) }
     }
 
+    /// A buffer of `len` bytes holding `parts` back to back and zeros after
+    /// them: one allocation, each source byte copied once. Panics if the
+    /// parts are longer than `len`.
+    pub fn concat_zero_padded(parts: &[&[u8]], len: usize) -> Self {
+        let mut data: Arc<[u8]> = std::iter::repeat_n(0u8, len).collect();
+        let buf = Arc::get_mut(&mut data).expect("freshly built, not yet shared");
+        let mut at = 0;
+        for part in parts {
+            buf[at..at + part.len()].copy_from_slice(part);
+            at += part.len();
+        }
+        Bytes { data }
+    }
+
     /// Length in bytes.
     pub fn len(&self) -> usize {
         self.data.len()
@@ -129,6 +143,20 @@ mod tests {
         let b = Bytes::copy_from_slice(&v);
         assert_eq!(b.len(), 16);
         assert_eq!(&b[..4], &[9, 9, 9, 9]);
+    }
+
+    #[test]
+    fn concat_zero_padded_places_parts_then_zeros() {
+        let b = Bytes::concat_zero_padded(&[&[1, 2], &[], &[3]], 6);
+        assert_eq!(b.as_slice(), &[1, 2, 3, 0, 0, 0]);
+        assert_eq!(Bytes::concat_zero_padded(&[&[9; 4]], 4).as_slice(), &[9; 4]);
+        assert!(Bytes::concat_zero_padded(&[], 0).is_empty());
+    }
+
+    #[test]
+    #[should_panic]
+    fn concat_zero_padded_rejects_parts_longer_than_the_buffer() {
+        let _ = Bytes::concat_zero_padded(&[&[1, 2, 3]], 2);
     }
 
     #[test]

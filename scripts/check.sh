@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# The full local gate: formatting, lints as errors, and the test suite.
+# The full local gate: formatting, lints as errors, the test suite, and the
+# benchmark's correctness checks.
 # Run from anywhere inside the repository; CI runs exactly this.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -35,4 +36,12 @@ trap 'rm -rf "$smoke_dir"' EXIT
 # (mid-rotation and mid-checkpoint power cuts).
 XSSD_RESULTS_DIR="$smoke_dir" ./target/release/chaos_tpcc 7 1234 99991 31415 27182 > /dev/null
 
-echo "ok: fmt, clippy, tests, recovery smoke, chaos smoke all clean"
+echo "== benchmark: its own tests, then every workload and check at 1/50 horizons"
+# benchmark/ is a package of its own (not a workspace member), so nothing
+# above builds it. Its quick suite runs all four workloads against this
+# tree and fails on a digest that does not repeat, a durable window that
+# does not match, or a workload that reaches garbage collection.
+(cd benchmark && cargo test --offline --quiet)
+benchmark/run.sh --quick > /dev/null
+
+echo "ok: fmt, clippy, tests, recovery smoke, chaos smoke, benchmark checks all clean"
