@@ -64,8 +64,6 @@ impl Cli {
         let _ = writeln!(s);
         let _ = writeln!(s, "environment (docs/HARNESSES.md):");
         let _ = writeln!(s, "  XSSD_BENCH_THREADS sweep worker count (1 = sequential oracle)");
-        let _ = writeln!(s, "  XSSD_SIM_THREADS   parallel cluster core executors (default 1)");
-        let _ = writeln!(s, "  XSSD_SIM_METRICS   opt into sim.* scheduler telemetry");
         let _ = writeln!(s, "  XSSD_RESULTS_DIR   where results/<name>.json is written");
         s
     }

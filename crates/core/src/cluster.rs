@@ -5,29 +5,13 @@
 //! primary). It is the entry point replication experiments and the host
 //! API use.
 //!
-//! # Execution modes
+//! # One advance loop
 //!
-//! Two interchangeable execution modes drive [`Cluster::advance`], chosen
-//! once at construction by the `XSSD_SIM_THREADS` environment knob (or
-//! [`Cluster::with_sim_threads`]):
-//!
-//! - **Sequential oracle** (unset or `1`, the default): one global,
-//!   time-ordered [`EventQueue`] interleaves every cross-device delivery —
-//!   the reference schedule every other mode must reproduce exactly.
-//! - **Conservative parallel** (`N >= 2`): each device becomes an event
-//!   *domain* with its own mailbox queue, and a
-//!   [`simkit::DomainScheduler`] advances all domains concurrently up to a
-//!   barrier at `min(next cross-domain send) + min(NTB hop latency)`.
-//!   Devices only interact through the NTB bridge, whose hop latency
-//!   lower-bounds every cross-domain delivery, so within one lookahead
-//!   window the domains are provably independent; at each barrier the
-//!   pending sends are exchanged in `(timestamp, sender, sequence)` order,
-//!   making execution event-for-event identical to the sequential oracle.
-//!
-//! `scripts/check_results.sh` runs the golden harnesses in both modes and
-//! diffs the results byte-for-byte; `core/tests/parallel_equivalence.rs`
-//! property-tests the same invariant over random topologies and fault
-//! plans.
+//! [`Cluster::advance`] is a single sequential loop over one global,
+//! time-ordered [`EventQueue`] that interleaves every cross-device
+//! delivery with the devices' shadow-update emissions, then advances every
+//! device to the target instant. Host parallelism lives one level up, in
+//! the sweep over independent simulation cells (`bench::sweep`).
 
 use crate::cmb::CmbError;
 use crate::config::VillarsConfig;
@@ -38,9 +22,7 @@ use nvme::{
     VendorCommand,
 };
 use pcie::MmioMode;
-use simkit::{
-    Bytes, Domain, DomainScheduler, EventQueue, FaultPlan, Routed, SimDuration, SimError, SimTime,
-};
+use simkit::{Bytes, EventQueue, FaultPlan, SimDuration, SimError, SimTime};
 
 #[derive(Debug, Clone)]
 enum ClusterEvent {
@@ -67,40 +49,6 @@ impl ClusterEvent {
     }
 }
 
-/// Environment knob selecting the execution mode (read once per
-/// [`Cluster::new`]): unset or `1` = sequential oracle, `N >= 2` =
-/// conservative parallel with `N` executors per cluster.
-pub const SIM_THREADS_ENV: &str = "XSSD_SIM_THREADS";
-
-/// Environment knob opting into `sim.*` scheduler telemetry (set to
-/// anything but `0`/empty). Off by default so golden telemetry snapshots
-/// stay byte-frozen across execution modes.
-pub const SIM_METRICS_ENV: &str = "XSSD_SIM_METRICS";
-
-/// Parse an `XSSD_SIM_THREADS` value. Unset/empty means sequential.
-fn sim_threads_from(val: Option<&str>) -> usize {
-    match val {
-        None => 1,
-        Some(s) if s.trim().is_empty() => 1,
-        Some(s) => match s.trim().parse::<usize>() {
-            Ok(0) => panic!("{SIM_THREADS_ENV} must be >= 1, got 0"),
-            Ok(n) => n,
-            Err(_) => panic!("{SIM_THREADS_ENV} must be a positive integer, got {s:?}"),
-        },
-    }
-}
-
-/// How cross-device traffic is routed and the simulation is advanced.
-enum Routing {
-    /// Sequential oracle: one global time-ordered calendar.
-    Global(EventQueue<ClusterEvent>),
-    /// Conservative parallel: per-device mailboxes plus the domain
-    /// scheduler. The scheduler is (re)built lazily on the first `advance`
-    /// after the device set changes, because the lookahead horizon is the
-    /// minimum NTB hop latency over the *current* devices.
-    Domains { mailboxes: Vec<EventQueue<ClusterEvent>>, scheduler: Option<DomainScheduler> },
-}
-
 /// The device cluster.
 ///
 /// Command I/O goes through each device's [`IoPort`] (CIDs are allocated
@@ -110,14 +58,8 @@ enum Routing {
 /// [`Cluster::submit`], then the shared [`drive_to_completion`] wait.
 pub struct Cluster {
     devices: Vec<VillarsDevice>,
-    routing: Routing,
-    /// The executor count the cluster was built with (1 = sequential).
-    sim_threads: usize,
-    /// Cross-device deliveries applied per device, identical in both
-    /// execution modes (`sim.domain.<i>.events` when metrics are on).
-    domain_events: Vec<u64>,
-    /// Whether to emit the `sim.*` telemetry scope (see [`SIM_METRICS_ENV`]).
-    sim_metrics: bool,
+    /// Cross-device traffic in flight, in delivery-time order.
+    events: EventQueue<ClusterEvent>,
     /// Devices currently powered off: traffic to them is dropped on the
     /// floor (their PCIe fabric is gone).
     dead: std::collections::HashSet<DeviceIndex>,
@@ -129,10 +71,7 @@ pub struct Cluster {
 
 impl std::fmt::Debug for Cluster {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Cluster")
-            .field("devices", &self.devices.len())
-            .field("sim_threads", &self.sim_threads)
-            .finish()
+        f.debug_struct("Cluster").field("devices", &self.devices.len()).finish()
     }
 }
 
@@ -143,69 +82,19 @@ impl Default for Cluster {
 }
 
 impl Cluster {
-    /// An empty cluster in the execution mode selected by
-    /// [`SIM_THREADS_ENV`] (sequential when unset).
+    /// An empty cluster.
     pub fn new() -> Self {
-        let threads = sim_threads_from(std::env::var(SIM_THREADS_ENV).ok().as_deref());
-        Self::with_sim_threads(threads)
-    }
-
-    /// An empty cluster with an explicit executor count (`1` = the
-    /// sequential oracle, `N >= 2` = conservative parallel mode) —
-    /// the programmatic form of [`SIM_THREADS_ENV`], used by the
-    /// equivalence tests to pin both modes in one process.
-    pub fn with_sim_threads(sim_threads: usize) -> Self {
-        assert!(sim_threads >= 1, "sim_threads must be >= 1");
-        let routing = if sim_threads == 1 {
-            Routing::Global(EventQueue::new())
-        } else {
-            Routing::Domains { mailboxes: Vec::new(), scheduler: None }
-        };
-        let sim_metrics = std::env::var(SIM_METRICS_ENV)
-            .map(|v| !v.trim().is_empty() && v.trim() != "0")
-            .unwrap_or(false);
         Cluster {
             devices: Vec::new(),
-            routing,
-            sim_threads,
-            domain_events: Vec::new(),
-            sim_metrics,
+            events: EventQueue::new(),
             dead: std::collections::HashSet::new(),
             drain_buf: Vec::new(),
-        }
-    }
-
-    /// The executor count this cluster advances with (1 = sequential
-    /// oracle).
-    pub fn sim_threads(&self) -> usize {
-        self.sim_threads
-    }
-
-    /// Cross-device deliveries applied per device — identical in both
-    /// execution modes (the `sim.domain.<i>.events` counters).
-    pub fn domain_event_counts(&self) -> &[u64] {
-        &self.domain_events
-    }
-
-    /// Lookahead windows executed by the domain scheduler (0 in sequential
-    /// mode — the oracle has no barriers).
-    pub fn barrier_count(&self) -> u64 {
-        match &self.routing {
-            Routing::Domains { scheduler: Some(s), .. } => s.stats().windows,
-            _ => 0,
         }
     }
 
     /// Add a device; returns its index.
     pub fn add_device(&mut self, config: VillarsConfig) -> DeviceIndex {
         self.devices.push(VillarsDevice::new(config));
-        self.domain_events.push(0);
-        if let Routing::Domains { mailboxes, scheduler } = &mut self.routing {
-            mailboxes.push(EventQueue::new());
-            // The lookahead horizon depends on the device set; rebuild on
-            // the next advance.
-            *scheduler = None;
-        }
         self.devices.len() - 1
     }
 
@@ -394,67 +283,36 @@ impl Cluster {
             return; // the wire to a dead fabric drops traffic
         }
         let (at, ev) = ClusterEvent::from_outbound(o);
-        match &mut self.routing {
-            Routing::Global(events) => events.schedule(at, ev),
-            Routing::Domains { mailboxes, .. } => mailboxes[ev.dst()].schedule(at, ev),
-        };
-    }
-
-    /// The earliest cross-device delivery still in flight (either mode).
-    fn next_delivery(&self) -> Option<SimTime> {
-        match &self.routing {
-            Routing::Global(events) => events.next_time(),
-            Routing::Domains { mailboxes, .. } => {
-                mailboxes.iter().filter_map(|m| m.next_time()).min()
-            }
-        }
+        self.events.schedule(at, ev);
     }
 
     /// Drive the whole cluster to `t`: generates secondary shadow updates,
     /// delivers cross-device traffic in time order, and advances every
-    /// device — sequentially or via the domain scheduler, with an
-    /// event-for-event identical schedule either way.
+    /// device.
     pub fn advance(&mut self, t: SimTime) {
         // Bound the shadow-update catch-up work once per horizon, before
-        // any emission, with the same bound in both modes (the first
-        // pending delivery, i.e. the sequential oracle's first emission
-        // barrier) — the skip decision must not depend on how the horizon
-        // is carved into windows.
-        let b0 = self.next_delivery().map_or(t, |p| p.min(t));
+        // any emission, at the first pending delivery (the loop's first
+        // emission barrier).
+        let b0 = self.events.next_time().map_or(t, |p| p.min(t));
         for d in &mut self.devices {
             d.catch_up_shadow_clock(b0);
-        }
-        match self.routing {
-            Routing::Global(_) => self.advance_sequential(t),
-            Routing::Domains { .. } => self.advance_windowed(t),
-        }
-    }
-
-    /// The sequential oracle: one global calendar popped in time order.
-    fn advance_sequential(&mut self, t: SimTime) {
-        fn global(routing: &mut Routing) -> &mut EventQueue<ClusterEvent> {
-            match routing {
-                Routing::Global(events) => events,
-                Routing::Domains { .. } => unreachable!("sequential advance in parallel mode"),
-            }
         }
         loop {
             // Generate shadow updates only up to the next pending delivery
             // (a mirror arriving at t_m changes the credit timeline the
             // updates report).
-            let barrier = global(&mut self.routing).next_time().map_or(t, |e| e.min(t));
+            let barrier = self.events.next_time().map_or(t, |e| e.min(t));
             for i in 0..self.devices.len() {
                 let outs = self.devices[i].take_shadow_updates(barrier, i);
                 for o in outs {
                     self.schedule_outbound(o);
                 }
             }
-            match global(&mut self.routing).pop_due(t) {
+            match self.events.pop_due(t) {
                 Some((at, ClusterEvent::Mirror { dst, offset, data })) => {
                     if self.dead.contains(&dst) {
                         continue;
                     }
-                    self.domain_events[dst] += 1;
                     match self.devices[dst].receive_mirror(at, offset, &data) {
                         Ok(()) => {}
                         Err(CmbError::Overlap { .. }) => {
@@ -466,7 +324,7 @@ impl Cluster {
                             // this is the transport inserting itself into
                             // the back-pressure path (paper §4.2).
                             self.devices[dst].advance(at);
-                            global(&mut self.routing).schedule(
+                            self.events.schedule(
                                 at + SimDuration::from_micros(1),
                                 ClusterEvent::Mirror { dst, offset, data },
                             );
@@ -475,7 +333,6 @@ impl Cluster {
                 }
                 Some((at, ClusterEvent::Shadow { dst, src, value })) => {
                     if !self.dead.contains(&dst) {
-                        self.domain_events[dst] += 1;
                         self.devices[dst].apply_shadow(src, value, at);
                     }
                 }
@@ -487,53 +344,10 @@ impl Cluster {
         }
     }
 
-    /// Conservative parallel mode: per-device domains advanced concurrently
-    /// inside NTB-lookahead windows by the [`DomainScheduler`].
-    fn advance_windowed(&mut self, t: SimTime) {
-        if self.devices.is_empty() {
-            return;
-        }
-        let Routing::Domains { mailboxes, scheduler } = &mut self.routing else {
-            unreachable!("windowed advance in sequential mode");
-        };
-        let scheduler = scheduler.get_or_insert_with(|| {
-            // The lookahead horizon: no cross-device message can arrive
-            // sooner than the slowest-case *minimum* NTB hop over the
-            // current device set (`NtbPort::forward*` adds `hop_latency`
-            // to every delivery, and faults only delay further).
-            let lookahead = self
-                .devices
-                .iter()
-                .map(|d| d.config().ntb.hop_latency)
-                .min()
-                .expect("non-empty device set");
-            assert!(
-                !lookahead.is_zero(),
-                "conservative parallel mode requires a positive NTB hop latency"
-            );
-            DomainScheduler::new(lookahead, self.sim_threads.min(self.devices.len()))
-        });
-        let mut domains: Vec<ClusterDomain<'_>> = self
-            .devices
-            .iter_mut()
-            .zip(mailboxes.iter_mut())
-            .zip(self.domain_events.iter_mut())
-            .enumerate()
-            .map(|(index, ((device, mailbox), delivered))| ClusterDomain {
-                index,
-                device,
-                mailbox,
-                dead: self.dead.contains(&index),
-                delivered,
-            })
-            .collect();
-        scheduler.advance(&mut domains, t);
-    }
-
     /// The earliest pending instant across devices and in-flight traffic —
     /// lets blocking host calls jump virtual time.
     pub fn next_event_after(&self, t: SimTime) -> Option<SimTime> {
-        let mut next: Option<SimTime> = self.next_delivery();
+        let mut next: Option<SimTime> = self.events.next_time();
         for d in &self.devices {
             if let Some(e) = d.next_event() {
                 next = Some(next.map_or(e, |n| n.min(e)));
@@ -551,23 +365,14 @@ impl Cluster {
         self.advance(now);
         // Drop traffic addressed to the dead device (its PCIe fabric is
         // gone); keep everything else.
-        match &mut self.routing {
-            Routing::Global(events) => {
-                let mut keep = Vec::new();
-                while let Some((at, ev)) = events.pop() {
-                    if ev.dst() != dev {
-                        keep.push((at, ev));
-                    }
-                }
-                for (at, ev) in keep {
-                    events.schedule(at, ev);
-                }
+        let mut keep = Vec::new();
+        while let Some((at, ev)) = self.events.pop() {
+            if ev.dst() != dev {
+                keep.push((at, ev));
             }
-            Routing::Domains { mailboxes, .. } => {
-                // Traffic to `dev` sits in its own mailbox; other
-                // mailboxes are untouched.
-                while mailboxes[dev].pop().is_some() {}
-            }
+        }
+        for (at, ev) in keep {
+            self.events.schedule(at, ev);
         }
         self.dead.insert(dev);
         self.devices[dev].power_fail(now)
@@ -747,9 +552,9 @@ impl Cluster {
         self.dead.contains(&dev)
     }
 
-    /// Attach the per-domain next-event frontiers to a failure's
+    /// Attach each device's next-event frontier to a failure's
     /// [`simkit::DiagnosticSnapshot`] — the global frontier alone cannot
-    /// tell an idle cluster from a cross-domain deadlock.
+    /// tell an idle cluster from a cross-device deadlock.
     fn enrich_with_domain_frontiers(&self, mut e: Box<SimError>) -> Box<SimError> {
         let (SimError::Stall { snapshot, .. } | SimError::Invariant { snapshot, .. }) = e.as_mut();
         for (i, d) in self.devices.iter().enumerate() {
@@ -757,102 +562,13 @@ impl Cluster {
             if let Some(u) = d.transport().next_update_at() {
                 frontier = Some(frontier.map_or(u, |n| n.min(u)));
             }
-            let mailbox = match &self.routing {
-                Routing::Global(_) => None,
-                Routing::Domains { mailboxes, .. } => mailboxes[i].next_time(),
-            };
-            if let Some(m) = mailbox {
-                frontier = Some(frontier.map_or(m, |n| n.min(m)));
-            }
             *snapshot = std::mem::take(snapshot).domain_frontier(i, frontier);
         }
-        if let Some(pending) = self.next_delivery() {
+        if let Some(pending) = self.events.next_time() {
             *snapshot = std::mem::take(snapshot)
                 .detail_suffix(format!("next cross-device delivery at {pending}"));
         }
         e
-    }
-}
-
-/// One device's view as an event domain for the [`DomainScheduler`]: the
-/// device, its mailbox of inbound cross-device deliveries, and its
-/// delivery counter. Built fresh per `advance` call (the borrows tie each
-/// domain to the cluster for exactly one scheduler run).
-struct ClusterDomain<'a> {
-    index: DeviceIndex,
-    device: &'a mut VillarsDevice,
-    mailbox: &'a mut EventQueue<ClusterEvent>,
-    dead: bool,
-    delivered: &'a mut u64,
-}
-
-impl Domain for ClusterDomain<'_> {
-    type Msg = ClusterEvent;
-
-    fn next_send_at(&self) -> Option<SimTime> {
-        // The only cross-domain emission that happens *inside* an advance
-        // is the secondary's periodic shadow update; mirrors are
-        // host-driven (`Cluster::fast_write`) and enter the mailboxes
-        // before the scheduler runs. Dead devices are stand-alone and
-        // return None.
-        self.device.transport().next_update_at()
-    }
-
-    fn next_mailbox_at(&self) -> Option<SimTime> {
-        self.mailbox.next_time()
-    }
-
-    fn post(&mut self, at: SimTime, msg: ClusterEvent) {
-        if !self.dead {
-            self.mailbox.schedule(at, msg);
-        }
-    }
-
-    fn run_window(&mut self, upto: SimTime, outbox: &mut Vec<Routed<ClusterEvent>>) {
-        loop {
-            // Generate shadow updates only up to the next pending local
-            // delivery (a mirror arriving at t_m changes the credit
-            // timeline the updates report) — the same emission barrier the
-            // sequential oracle uses, restricted to this domain.
-            let barrier = self.mailbox.next_time().map_or(upto, |e| e.min(upto));
-            for o in self.device.take_shadow_updates(barrier, self.index) {
-                let (at, ev) = ClusterEvent::from_outbound(o);
-                outbox.push(Routed { dst: ev.dst(), at, msg: ev });
-            }
-            match self.mailbox.pop_due(upto) {
-                Some((at, ClusterEvent::Mirror { dst, offset, data })) => {
-                    debug_assert_eq!(dst, self.index, "mirror routed to the wrong mailbox");
-                    *self.delivered += 1;
-                    match self.device.receive_mirror(at, offset, &data) {
-                        Ok(()) => {}
-                        Err(CmbError::Overlap { .. }) => {
-                            // Duplicate delivery (retry raced a success);
-                            // drop it.
-                        }
-                        Err(_) => {
-                            // Secondary intake saturated: retry shortly —
-                            // the retry stays in this domain, so it needs
-                            // no lookahead slack.
-                            self.device.advance(at);
-                            self.mailbox.schedule(
-                                at + SimDuration::from_micros(1),
-                                ClusterEvent::Mirror { dst, offset, data },
-                            );
-                        }
-                    }
-                }
-                Some((at, ClusterEvent::Shadow { dst, src, value })) => {
-                    debug_assert_eq!(dst, self.index, "shadow routed to the wrong mailbox");
-                    *self.delivered += 1;
-                    self.device.apply_shadow(src, value, at);
-                }
-                None => break,
-            }
-        }
-    }
-
-    fn finish(&mut self, t: SimTime) {
-        self.device.advance(t);
     }
 }
 
@@ -867,22 +583,6 @@ impl simkit::Instrument for Cluster {
             for (i, dev) in self.devices.iter().enumerate() {
                 out.collect(&format!("dev{i}"), dev);
             }
-        }
-        // Scheduler telemetry is opt-in (XSSD_SIM_METRICS): the golden
-        // snapshots must stay byte-frozen across execution modes, and
-        // `barrier.*` is inherently mode-specific (0 in sequential mode;
-        // `stall_ns` is wall-clock, diagnostic only).
-        if self.sim_metrics {
-            let mut sim = out.scope("sim");
-            for (i, n) in self.domain_events.iter().enumerate() {
-                sim.counter(&format!("domain.{i}.events"), *n);
-            }
-            let stats = match &self.routing {
-                Routing::Domains { scheduler: Some(s), .. } => s.stats(),
-                _ => simkit::DomainStats::default(),
-            };
-            sim.counter("barrier.count", stats.windows);
-            sim.counter("barrier.stall_ns", stats.stall_ns_max);
         }
     }
 }
@@ -997,6 +697,7 @@ mod tests {
         cl.advance(settle);
         let credit = cl.device_mut(1).local_credit(settle, 0);
         assert_eq!(credit, 768, "secondary persisted the full resynced log");
+        assert_eq!(cl.device(1).log_tail(0), cl.device(0).log_tail(0), "tails after settle");
         // Roles can now be restored.
         let t3 = cl.configure_replication(settle, 0, &[1]);
         assert!(cl.device(0).is_primary());
@@ -1012,85 +713,6 @@ mod tests {
             .try_wait_for_completion(0, SimTime::ZERO, tag)
             .expect("flush completes on an idle device");
         assert!(done.entry.status.is_ok());
-    }
-
-    /// Run one closed-loop replicated write workload and return its full
-    /// observable trace: every credit read, the final log tails, and the
-    /// per-domain delivery counters.
-    fn replication_trace(mut cl: Cluster) -> (Vec<(SimTime, u64)>, Vec<u64>, Vec<u64>) {
-        let t0 = cl.configure_replication(SimTime::ZERO, 0, &[1]);
-        let mut trace = Vec::new();
-        let mut now = t0;
-        for i in 0..40u64 {
-            let data = vec![i as u8; 192 + (i % 5) as usize * 64];
-            let off = cl.device(0).log_tail(0);
-            let (_, t1) =
-                cl.fast_write(0, now, 0, off, &data, MmioMode::WriteCombining).expect("fast write");
-            now = t1;
-            for _ in 0..4 {
-                cl.advance(now);
-                let (t2, c) = cl.read_credit(0, now, 0);
-                trace.push((t2, c));
-                now = cl.next_event_after(t2).unwrap_or(t2 + SimDuration::from_micros(1));
-            }
-        }
-        cl.advance(now + SimDuration::from_millis(1));
-        let tails = vec![cl.device(0).log_tail(0), cl.device(1).log_tail(0)];
-        let events = cl.domain_event_counts().to_vec();
-        (trace, tails, events)
-    }
-
-    #[test]
-    fn parallel_mode_matches_sequential_oracle_on_replicated_writes() {
-        let build = |threads: usize| {
-            let mut cl = Cluster::with_sim_threads(threads);
-            cl.add_device(VillarsConfig::small());
-            cl.add_device(VillarsConfig::small());
-            cl
-        };
-        let seq = replication_trace(build(1));
-        let par = replication_trace(build(4));
-        assert_eq!(seq.0, par.0, "credit-read timeline diverged");
-        assert_eq!(seq.1, par.1, "log tails diverged");
-        assert_eq!(seq.2, par.2, "per-domain delivery counts diverged");
-        // The workload actually exercised cross-device traffic.
-        assert!(par.2.iter().sum::<u64>() > 0, "no cross-device deliveries");
-    }
-
-    #[test]
-    fn parallel_mode_counts_barriers() {
-        let mut cl = Cluster::with_sim_threads(2);
-        cl.add_device(VillarsConfig::small());
-        cl.add_device(VillarsConfig::small());
-        let t0 = cl.configure_replication(SimTime::ZERO, 0, &[1]);
-        cl.advance(t0 + SimDuration::from_micros(200));
-        assert!(cl.barrier_count() > 0, "windowed advance executed no windows");
-        assert_eq!(cl.sim_threads(), 2);
-    }
-
-    #[test]
-    fn parallel_mode_survives_power_fail_and_resync() {
-        let run = |threads: usize| {
-            let mut cl = Cluster::with_sim_threads(threads);
-            cl.add_device(VillarsConfig::small());
-            cl.add_device(VillarsConfig::small());
-            let t0 = cl.configure_replication(SimTime::ZERO, 0, &[1]);
-            let (_, t1) =
-                cl.fast_write(0, t0, 0, 0, &[0xA1; 256], MmioMode::WriteCombining).expect("write");
-            cl.advance(t1 + SimDuration::from_micros(50));
-            let crash_at = t1 + SimDuration::from_micros(50);
-            cl.power_fail(1, crash_at);
-            let (_, t2) = cl
-                .fast_write(0, crash_at, 0, 256, &[0xB2; 512], MmioMode::WriteCombining)
-                .expect("write");
-            cl.advance(t2 + SimDuration::from_micros(50));
-            cl.reboot_device(1);
-            let done = cl.resync_secondary(t2 + SimDuration::from_micros(50), 0, 1);
-            let settle = done + SimDuration::from_millis(2);
-            cl.advance(settle);
-            (cl.device(0).log_tail(0), cl.device(1).log_tail(0), done)
-        };
-        assert_eq!(run(1), run(4), "crash/resync timeline diverged between modes");
     }
 
     #[test]

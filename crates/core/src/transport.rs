@@ -312,10 +312,9 @@ impl TransportModule {
     /// the cycle phase, and leave only the recent window for
     /// [`TransportModule::take_shadow_updates`] to emit.
     ///
-    /// The cluster calls this once per `advance` horizon (sequential and
-    /// parallel modes alike, with the same `bound`) so the skip decision is
-    /// independent of how finely the horizon is carved into delivery
-    /// barriers or lookahead windows.
+    /// The cluster calls this once per `advance` horizon so the skip
+    /// decision is independent of how finely the horizon is carved into
+    /// delivery barriers.
     pub fn catch_up_shadow_clock(&mut self, bound: SimTime) {
         if !matches!(self.role, Role::Secondary { .. }) {
             return;

@@ -1,20 +1,17 @@
-//! Parallel == sequential equivalence property test.
+//! Randomised multi-device cluster scenarios.
 //!
-//! The conservative parallel execution mode (`XSSD_SIM_THREADS >= 2`,
-//! `Cluster::with_sim_threads`) must be **event-for-event identical** to
-//! the sequential oracle — not statistically close, identical. This test
-//! sweeps random scenarios (2–8 devices, random shadow-update periods and
+//! Sweeps random scenarios (2–8 devices, random shadow-update periods and
 //! replication policies, random fault plans with TLP drops, flash faults,
-//! link outages, and mid-run crash/reboot/resync arcs) and asserts that
-//! the full observable trace — every policy-combined credit read with its
-//! timestamp, every device's final log tail, the per-domain delivery
-//! counters, and the complete telemetry snapshot — is equal at
-//! `sim_threads = 1` and `4`.
+//! link outages, and mid-run crash/reboot/resync arcs) and asserts two
+//! properties that need no referee:
 //!
-//! Any divergence is a lookahead-contract violation (a cross-domain
-//! message arrived inside the window that emitted it) or a barrier
-//! exchange-order bug, so the assertion messages carry the scenario seed
-//! for replay.
+//! - **determinism** — the same seed twice yields the same observable
+//!   trace: every policy-combined credit read with its timestamp, every
+//!   device's final log tail, and the complete telemetry snapshot;
+//! - **convergence** — after the final 1 ms settle every device's log tail
+//!   equals the primary's, crash arcs and link outages included.
+//!
+//! Assertion messages carry the scenario seed for replay.
 
 use pcie::MmioMode;
 use simkit::faults::{FlashFaultConfig, LinkDownWindow, TransportFaultConfig};
@@ -27,11 +24,10 @@ use xssd_core::{Cluster, ReplicationPolicy, VillarsConfig};
 struct Trace {
     credit_reads: Vec<(SimTime, u64)>,
     log_tails: Vec<u64>,
-    domain_events: Vec<u64>,
     telemetry_json: String,
 }
 
-fn run_scenario(seed: u64, sim_threads: usize) -> Trace {
+fn run_scenario(seed: u64) -> Trace {
     let mut rng = DetRng::new(seed);
     let n = 2 + rng.uniform(0, 6) as usize; // 2..=8 devices
     let policy = match rng.uniform(0, 3) {
@@ -41,12 +37,12 @@ fn run_scenario(seed: u64, sim_threads: usize) -> Trace {
         _ => ReplicationPolicy::Quorum(2),
     };
 
-    let mut cl = Cluster::with_sim_threads(sim_threads);
+    let mut cl = Cluster::new();
     for i in 0..n {
         let mut cfg = VillarsConfig::small();
         cfg.replication = policy;
         // Heterogeneous shadow periods: each secondary reports on its own
-        // cycle (0.4–1.6 us), so barrier instants never align trivially.
+        // cycle (0.4–1.6 us), so emission instants never align trivially.
         cfg.transport.shadow_update_period =
             SimDuration::from_nanos(400 + 200 * rng.uniform(0, 6) * (1 + i as u64 % 2));
         cl.add_device(cfg);
@@ -79,12 +75,7 @@ fn run_scenario(seed: u64, sim_threads: usize) -> Trace {
         );
     }
 
-    let mut trace = Trace {
-        credit_reads: Vec::new(),
-        log_tails: Vec::new(),
-        domain_events: Vec::new(),
-        telemetry_json: String::new(),
-    };
+    let mut credit_reads = Vec::new();
 
     // Closed-loop workload: append to the primary's log, advance, observe
     // the policy-combined credit. A crash arc fires once, mid-run.
@@ -116,54 +107,30 @@ fn run_scenario(seed: u64, sim_threads: usize) -> Trace {
         for _ in 0..3 {
             cl.advance(now);
             let (t2, credit) = cl.read_credit(0, now, 0);
-            trace.credit_reads.push((t2, credit));
+            credit_reads.push((t2, credit));
             now = cl.next_event_after(t2).unwrap_or(t2 + SimDuration::from_micros(1));
         }
     }
     cl.advance(now + SimDuration::from_millis(1));
 
-    trace.log_tails = (0..n).map(|i| cl.device(i).log_tail(0)).collect();
-    trace.domain_events = cl.domain_event_counts().to_vec();
+    let log_tails = (0..n).map(|i| cl.device(i).log_tail(0)).collect();
     let mut reg = MetricsRegistry::new();
     reg.collect("cluster", &cl);
-    trace.telemetry_json = reg.snapshot().metrics_json().to_string();
-    trace
+    Trace { credit_reads, log_tails, telemetry_json: reg.snapshot().metrics_json().to_string() }
 }
 
 #[test]
-fn random_topologies_match_the_sequential_oracle() {
-    for seed in [0xA11CE_u64, 0xB0B, 0xCAFE, 0xD00D, 0xE66, 0xF00D, 7, 42] {
-        let seq = run_scenario(seed, 1);
-        let par = run_scenario(seed, 4);
-        assert_eq!(
-            seq.credit_reads, par.credit_reads,
-            "seed {seed:#x}: credit-read timeline diverged"
-        );
-        assert_eq!(seq.log_tails, par.log_tails, "seed {seed:#x}: log tails diverged");
-        assert_eq!(
-            seq.domain_events, par.domain_events,
-            "seed {seed:#x}: per-domain delivery counts diverged"
-        );
-        assert_eq!(
-            seq.telemetry_json, par.telemetry_json,
-            "seed {seed:#x}: telemetry snapshots diverged"
-        );
-        // The scenario must actually exercise cross-device traffic,
-        // otherwise the equivalence is vacuous.
-        assert!(
-            par.domain_events.iter().sum::<u64>() > 0,
-            "seed {seed:#x}: no cross-device deliveries"
-        );
-    }
-}
-
-#[test]
-fn executor_count_does_not_change_the_schedule() {
-    // 2, 4, and 8 executors must all produce the oracle schedule — the
-    // executor count only changes who runs a window, never the windows.
-    let seq = run_scenario(0x5EED, 1);
-    for threads in [2, 4, 8] {
-        let par = run_scenario(0x5EED, threads);
-        assert_eq!(seq, par, "sim_threads={threads} diverged from the oracle");
+fn random_topologies_are_deterministic_and_converge() {
+    for seed in [0xA11CE_u64, 0xB0B, 0xCAFE, 0xD00D, 0xE66, 0xF00D, 0x5EED, 7, 42] {
+        let first = run_scenario(seed);
+        assert_eq!(first, run_scenario(seed), "seed {seed:#x}: trace not reproducible");
+        // The scenario must actually have written a log to replicate.
+        assert!(first.log_tails[0] > 0, "seed {seed:#x}: primary log is empty");
+        for (dev, tail) in first.log_tails.iter().enumerate() {
+            assert_eq!(
+                *tail, first.log_tails[0],
+                "seed {seed:#x}: device {dev} did not converge on the primary's tail"
+            );
+        }
     }
 }

@@ -350,53 +350,4 @@ mod tests {
         recover(&mut recovered, &prefix);
         assert_eq!(recovered.fingerprint(), db.fingerprint());
     }
-
-    /// The same failover arc must be timestep-for-timestep identical under
-    /// the conservative parallel cluster core (`XSSD_SIM_THREADS`): crash
-    /// detection instants, reconfiguration times, resynced tails, and the
-    /// recovered fingerprint all come out of the cross-device event
-    /// schedule, which the parallel mode must reproduce exactly.
-    #[test]
-    fn failover_timeline_is_execution_mode_invariant() {
-        let run = |threads: usize| -> (SimTime, SimTime, u64, u64, u64) {
-            let mut cluster = Cluster::with_sim_threads(threads);
-            let p = cluster.add_device(VillarsConfig::small());
-            let s1 = cluster.add_device(VillarsConfig::small());
-            let s2 = cluster.add_device(VillarsConfig::small());
-            let t0 = cluster.configure_replication(SimTime::ZERO, p, &[s1, s2]);
-
-            let mut db = Database::new();
-            let tab = db.create_table("t");
-            let mut file = XLogFile::open(p);
-            let mut now = t0;
-            for i in 0..8u32 {
-                let mut ctx = db.begin();
-                db.insert(&mut ctx, tab, crate::storage::keys::composite(&[i]), vec![i as u8; 48]);
-                let recs = db.commit(ctx).expect("commit");
-                let t = file.x_pwrite(&mut cluster, now, &encode_txn(&recs)).expect("x_pwrite");
-                now = file.x_fsync(&mut cluster, t).expect("x_fsync");
-            }
-            cluster.power_fail(s2, now);
-            let report = fail_over(&mut cluster, now, p, &[s1]);
-            now = report.reconfigured_at;
-            for i in 8..12u32 {
-                let mut ctx = db.begin();
-                db.insert(&mut ctx, tab, crate::storage::keys::composite(&[i]), vec![i as u8; 48]);
-                let recs = db.commit(ctx).expect("commit");
-                let t = file.x_pwrite(&mut cluster, now, &encode_txn(&recs)).expect("x_pwrite");
-                now = file.x_fsync(&mut cluster, t).expect("x_fsync");
-            }
-            now = rejoin_secondary(&mut cluster, now, p, s2, &[s1, s2]);
-            let settle = now + SimDuration::from_millis(2);
-            cluster.advance(settle);
-            (
-                report.detected_at,
-                now,
-                cluster.device(p).log_tail(0),
-                cluster.device(s2).log_tail(0),
-                db.fingerprint(),
-            )
-        };
-        assert_eq!(run(1), run(4), "failover arc diverged between execution modes");
-    }
 }

@@ -209,45 +209,6 @@ mod tests {
         assert_eq!(replica.db.fingerprint(), primary.fingerprint());
     }
 
-    /// Replica convergence under the conservative parallel cluster core:
-    /// the shipped log bytes, the commit timeline, and the replica
-    /// fingerprint must be identical to the sequential oracle's.
-    #[test]
-    fn replica_convergence_is_execution_mode_invariant() {
-        let run = |threads: usize| -> (SimTime, u64, u64) {
-            let mut cluster = Cluster::with_sim_threads(threads);
-            let p = cluster.add_device(VillarsConfig::small());
-            let s = cluster.add_device(VillarsConfig::small());
-            let t0 = cluster.configure_replication(SimTime::ZERO, p, &[s]);
-
-            let mut primary = Database::new();
-            let tab = primary.create_table("accounts");
-            let mut file = XLogFile::open(p);
-            let mut replica = Replica::new(s, &["accounts"]);
-
-            let mut now = t0;
-            for i in 0..20u32 {
-                let mut ctx = primary.begin();
-                primary.insert(
-                    &mut ctx,
-                    tab,
-                    crate::storage::keys::composite(&[i]),
-                    vec![i as u8; 64],
-                );
-                let recs = primary.commit(ctx).unwrap();
-                now = file.x_pwrite(&mut cluster, now, &encode_txn(&recs)).unwrap();
-            }
-            now = file.x_fsync(&mut cluster, now).unwrap();
-            let settle = now + SimDuration::from_millis(2);
-            cluster.advance(settle);
-            let applied = replica.catch_up(&mut cluster, settle);
-            (now, applied, replica.db.fingerprint())
-        };
-        let seq = run(1);
-        assert_eq!(seq, run(4), "replica convergence diverged between execution modes");
-        assert_eq!(seq.1, 20, "all transactions shipped and applied");
-    }
-
     /// A standby bootstrapped from a snapshot converges by consuming the
     /// sealed-segment archive alone — no live device needed for ranges
     /// the destage ring has recycled.

@@ -337,7 +337,6 @@ where
     let mut waiting: Vec<(SimTime, crate::wal::Lsn, usize)> = Vec::new();
     let mut observer = Observer::new(&obs);
     let end = SimTime::ZERO + cfg.duration;
-    let mut last_flush_at = SimTime::ZERO;
     let mut horizon = SimTime::ZERO;
 
     loop {
@@ -351,7 +350,6 @@ where
         if let Some(deadline) = wal.flush_deadline() {
             if deadline < t0 {
                 let report = wal.flush(deadline);
-                last_flush_at = report.at;
                 horizon = horizon.max(report.at);
                 resolve(&report, &mut waiting, &mut observer);
             }
@@ -372,7 +370,6 @@ where
                 if let Some(report) = maybe_flush {
                     // The dedicated log writer performs the flush; the
                     // filling worker moves straight on.
-                    last_flush_at = report.at;
                     horizon = horizon.max(report.at);
                     resolve(&report, &mut waiting, &mut observer);
                 }
@@ -382,7 +379,6 @@ where
                 if wal.log_writer_free() > t1 + cfg.max_log_deficit {
                     available[w] = available[w].max(wal.log_writer_free());
                 }
-                let _ = last_flush_at;
             }
             Err(_) => {
                 observer.on_abort(t0, kind);

@@ -330,14 +330,11 @@ mod tests {
         assert_eq!(p.forwarded_tlps(), 200);
     }
 
-    /// The conservative-PDES lookahead contract (`simkit::DomainScheduler`,
-    /// `xssd_core::Cluster` parallel mode): every cross-device delivery
-    /// arrives at least `hop_latency` after its emission instant, no matter
-    /// what faults or outages are armed — faults only ever *add* delay.
-    /// This lower bound is what makes `hop_latency` a safe lookahead
-    /// horizon.
+    /// A property of the link model: every cross-device delivery arrives
+    /// at least `hop_latency` after its emission instant, no matter what
+    /// faults or outages are armed — faults only ever *add* delay.
     #[test]
-    fn every_delivery_respects_the_hop_latency_lookahead() {
+    fn every_delivery_takes_at_least_the_hop_latency() {
         let mut rng = DetRng::new(0x10C4_AEAD);
         let mut p = port();
         p.arm_faults(
@@ -359,7 +356,7 @@ mod tests {
             };
             assert!(
                 g.end >= now + hop,
-                "delivery at {} beat the lookahead bound {} (sent {now}, step {i})",
+                "delivery at {} beat the hop-latency bound {} (sent {now}, step {i})",
                 g.end,
                 now + hop,
             );

@@ -234,195 +234,6 @@ impl<E> std::fmt::Debug for EventQueue<E> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Conservative parallel discrete-event execution: domains + lookahead windows
-// ---------------------------------------------------------------------------
-
-/// A cross-domain message emitted during a window, addressed by domain
-/// index, awaiting the barrier exchange.
-#[derive(Debug, Clone)]
-pub struct Routed<M> {
-    /// Destination domain index.
-    pub dst: usize,
-    /// Delivery instant. Must satisfy the lookahead contract: at least the
-    /// emitting window's upper bound (emission instant + lookahead).
-    pub at: SimTime,
-    /// The message payload.
-    pub msg: M,
-}
-
-/// One event domain of a conservative parallel simulation: a partition of
-/// the event space (e.g. one device plus its private fabric) that owns its
-/// own calendar and only interacts with other domains through timestamped
-/// messages subject to a minimum latency — the *lookahead*.
-///
-/// The contract [`DomainScheduler`] relies on:
-///
-/// - **Lookahead.** Every message a domain emits during
-///   [`Domain::run_window`]`(upto, ..)` has `at >= emission instant +
-///   lookahead >= `the window bound the scheduler computed — so no message
-///   generated inside a window can be due inside that same window.
-/// - **Send horizon.** [`Domain::next_send_at`] is a lower bound on the
-///   instant of the domain's next message emission; the scheduler sizes
-///   windows as `min(next_send_at) + lookahead`.
-/// - **Isolation.** `run_window` touches only domain-local state (plus its
-///   own mailbox); domains are advanced concurrently.
-pub trait Domain: Send {
-    /// The cross-domain message type.
-    type Msg: Send;
-
-    /// Lower bound on the instant of this domain's next cross-domain
-    /// message emission (`None`: the domain will not emit on its own).
-    fn next_send_at(&self) -> Option<SimTime>;
-
-    /// The earliest undelivered message in this domain's mailbox.
-    fn next_mailbox_at(&self) -> Option<SimTime>;
-
-    /// Deliver a message into this domain's mailbox (called by the
-    /// scheduler during the barrier exchange, never concurrently with
-    /// [`Domain::run_window`]). A domain may drop the message (e.g. the
-    /// device is powered off).
-    fn post(&mut self, at: SimTime, msg: Self::Msg);
-
-    /// Process this domain up to `upto`: drain mailbox events due in the
-    /// window and generate outgoing messages, pushing them onto `outbox`
-    /// in emission order. Must not deliver anything later than `upto`.
-    fn run_window(&mut self, upto: SimTime, outbox: &mut Vec<Routed<Self::Msg>>);
-
-    /// Settle the domain at the advance target `t` after the last window
-    /// (the heavyweight per-domain work — e.g. `device.advance(t)`).
-    fn finish(&mut self, t: SimTime);
-}
-
-/// Counters describing a windowed advance (deterministic except for
-/// [`DomainStats::stall_ns_max`], which measures host wall-clock).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DomainStats {
-    /// Lookahead windows executed (== barrier synchronizations).
-    pub windows: u64,
-    /// Cross-domain messages exchanged at barriers.
-    pub messages: u64,
-    /// High-water wall-clock nanoseconds the coordinating thread waited
-    /// for the slowest domain at a barrier. Diagnostic only — this is
-    /// host time, not virtual time, and varies run to run.
-    pub stall_ns_max: u64,
-}
-
-/// The conservative parallel scheduler: advances a set of [`Domain`]s to a
-/// common target by repeatedly (1) computing the next safe window bound
-/// `min(next_send_at) + lookahead`, (2) running every domain's window
-/// concurrently on a [`WorkerPool`], and (3) exchanging the emitted
-/// messages at the barrier in a deterministic order — sorted by
-/// `(timestamp, sender, per-sender sequence)` — so the delivered schedule
-/// is event-for-event identical to a sequential execution.
-#[derive(Debug)]
-pub struct DomainScheduler {
-    lookahead: crate::time::SimDuration,
-    executors: usize,
-    pool: Option<crate::pool::WorkerPool>,
-    stats: DomainStats,
-}
-
-impl DomainScheduler {
-    /// A scheduler synchronizing on `lookahead` (must be positive: a
-    /// zero-latency message could be due inside its own emission window)
-    /// and executing windows at `executors`-way parallelism (`1` runs
-    /// every window inline on the calling thread — same schedule, no
-    /// threads).
-    pub fn new(lookahead: crate::time::SimDuration, executors: usize) -> Self {
-        assert!(!lookahead.is_zero(), "conservative lookahead must be positive");
-        assert!(executors >= 1, "need at least the calling thread");
-        DomainScheduler { lookahead, executors, pool: None, stats: DomainStats::default() }
-    }
-
-    /// The synchronization horizon.
-    pub fn lookahead(&self) -> crate::time::SimDuration {
-        self.lookahead
-    }
-
-    /// Cumulative counters across every `advance` call.
-    pub fn stats(&self) -> DomainStats {
-        self.stats
-    }
-
-    /// Advance every domain to `t`.
-    ///
-    /// Window loop: while any domain has an undelivered mailbox message
-    /// due by `t`, or will emit at or before `t`, run one window up to
-    /// `min(t, min(next_send_at) + lookahead)` and exchange the emissions.
-    /// The lookahead contract guarantees nothing emitted inside a window
-    /// is due inside it, so domains are independent within each window;
-    /// the deterministic exchange order makes the overall schedule
-    /// independent of executor count and thread timing. A final `finish`
-    /// phase settles every domain at `t`.
-    pub fn advance<D: Domain>(&mut self, domains: &mut [D], t: SimTime) {
-        if domains.is_empty() {
-            return;
-        }
-        let mut exchange: Vec<(SimTime, usize, usize, Routed<D::Msg>)> = Vec::new();
-        let mut outboxes: Vec<Vec<Routed<D::Msg>>> = Vec::new();
-        outboxes.resize_with(domains.len(), Vec::new);
-        loop {
-            let next_send = domains.iter().filter_map(|d| d.next_send_at()).min();
-            let pending =
-                domains.iter().filter_map(|d| d.next_mailbox_at()).min().is_some_and(|m| m <= t);
-            if !pending && next_send.is_none_or(|s| s > t) {
-                break;
-            }
-            let upto = next_send.map_or(t, |s| (s + self.lookahead).min(t));
-            self.run_phase(domains, &mut outboxes, |d, ob| d.run_window(upto, ob));
-            self.stats.windows += 1;
-            // Barrier exchange, sorted by (timestamp, sender, sequence):
-            // the sequence index makes the order total and preserves each
-            // sender's emission order at equal timestamps.
-            exchange.clear();
-            for (src, ob) in outboxes.iter_mut().enumerate() {
-                for (seq, r) in ob.drain(..).enumerate() {
-                    debug_assert!(
-                        r.at >= upto,
-                        "lookahead violated: message for domain {} due at {} inside window \
-                         ending {upto}",
-                        r.dst,
-                        r.at,
-                    );
-                    exchange.push((r.at, src, seq, r));
-                }
-            }
-            exchange.sort_by_key(|(at, src, seq, _)| (*at, *src, *seq));
-            self.stats.messages += exchange.len() as u64;
-            for (_, _, _, r) in exchange.drain(..) {
-                domains[r.dst].post(r.at, r.msg);
-            }
-        }
-        self.run_phase(domains, &mut outboxes, |d, _| d.finish(t));
-    }
-
-    /// Run one phase (`f` once per domain) — concurrently when the
-    /// scheduler has executors to spend and more than one domain, inline
-    /// in index order otherwise. Phase results are identical either way:
-    /// domains are independent within a phase, and each writes only its
-    /// own outbox slot.
-    fn run_phase<D: Domain>(
-        &mut self,
-        domains: &mut [D],
-        outboxes: &mut [Vec<Routed<D::Msg>>],
-        f: impl Fn(&mut D, &mut Vec<Routed<D::Msg>>) + Sync,
-    ) {
-        if self.executors <= 1 || domains.len() <= 1 {
-            for (d, ob) in domains.iter_mut().zip(outboxes.iter_mut()) {
-                f(d, ob);
-            }
-            return;
-        }
-        let workers = self.executors - 1;
-        let pool = self.pool.get_or_insert_with(|| crate::pool::WorkerPool::new(workers));
-        let mut jobs: Vec<(&mut D, &mut Vec<Routed<D::Msg>>)> =
-            domains.iter_mut().zip(outboxes.iter_mut()).collect();
-        let stall = pool.run_mut(&mut jobs, |_, (d, ob)| f(d, ob));
-        self.stats.stall_ns_max = self.stats.stall_ns_max.max(stall);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -509,134 +320,6 @@ mod tests {
         assert_eq!(q.len(), 1);
         assert!(q.cancel(b));
         assert!(q.is_empty());
-    }
-
-    /// A toy ring of domains: domain `i` emits a numbered message to
-    /// domain `(i + 1) % n` every `period`, delivered after `hop` (the
-    /// lookahead). Every delivery is logged as `(at, payload)`.
-    struct ToyDomain {
-        index: usize,
-        n: usize,
-        period: crate::time::SimDuration,
-        hop: crate::time::SimDuration,
-        next_emit: SimTime,
-        counter: u64,
-        mailbox: EventQueue<u64>,
-        log: Vec<(SimTime, u64)>,
-        finished_at: SimTime,
-    }
-
-    impl ToyDomain {
-        fn ring(n: usize, period_ns: u64, hop_ns: u64) -> Vec<ToyDomain> {
-            (0..n)
-                .map(|index| ToyDomain {
-                    index,
-                    n,
-                    period: crate::time::SimDuration::from_nanos(period_ns),
-                    hop: crate::time::SimDuration::from_nanos(hop_ns),
-                    next_emit: SimTime::from_nanos(period_ns * (index as u64 + 1)),
-                    counter: (index as u64) << 32,
-                    mailbox: EventQueue::new(),
-                    log: Vec::new(),
-                    finished_at: SimTime::ZERO,
-                })
-                .collect()
-        }
-    }
-
-    impl Domain for ToyDomain {
-        type Msg = u64;
-
-        fn next_send_at(&self) -> Option<SimTime> {
-            Some(self.next_emit)
-        }
-
-        fn next_mailbox_at(&self) -> Option<SimTime> {
-            self.mailbox.next_time()
-        }
-
-        fn post(&mut self, at: SimTime, msg: u64) {
-            self.mailbox.schedule(at, msg);
-        }
-
-        fn run_window(&mut self, upto: SimTime, outbox: &mut Vec<Routed<u64>>) {
-            loop {
-                // Interleave emissions and deliveries in local time order,
-                // like a real device's advance loop.
-                let deliver = self.mailbox.next_time().filter(|&m| m <= upto);
-                if self.next_emit <= upto && deliver.is_none_or(|m| self.next_emit <= m) {
-                    let v = self.counter;
-                    self.counter += 1;
-                    outbox.push(Routed {
-                        dst: (self.index + 1) % self.n,
-                        at: self.next_emit + self.hop,
-                        msg: v,
-                    });
-                    self.next_emit += self.period;
-                } else if let Some((at, v)) = self.mailbox.pop_due(upto) {
-                    self.log.push((at, v));
-                } else {
-                    break;
-                }
-            }
-        }
-
-        fn finish(&mut self, t: SimTime) {
-            self.finished_at = t;
-        }
-    }
-
-    fn toy_logs(executors: usize, n: usize, steps: &[u64]) -> Vec<Vec<(SimTime, u64)>> {
-        let hop = 700;
-        let mut domains = ToyDomain::ring(n, 500, hop);
-        let mut sched = DomainScheduler::new(crate::time::SimDuration::from_nanos(hop), executors);
-        for &s in steps {
-            sched.advance(&mut domains, SimTime::from_nanos(s));
-        }
-        assert!(sched.stats().windows > 0);
-        for d in &domains {
-            assert_eq!(d.finished_at, SimTime::from_nanos(*steps.last().unwrap()));
-        }
-        domains.into_iter().map(|d| d.log).collect()
-    }
-
-    #[test]
-    fn scheduler_is_executor_count_invariant() {
-        let steps = [40_000u64];
-        let base = toy_logs(1, 5, &steps);
-        assert!(base.iter().map(Vec::len).sum::<usize>() > 100, "toy ring must exchange");
-        for executors in [2, 4, 8] {
-            assert_eq!(toy_logs(executors, 5, &steps), base, "{executors} executors diverged");
-        }
-    }
-
-    #[test]
-    fn incremental_advances_match_one_big_advance() {
-        let big = toy_logs(4, 3, &[30_000]);
-        let stepped = toy_logs(4, 3, &[1_000, 1_700, 9_999, 10_000, 29_999, 30_000]);
-        assert_eq!(big, stepped);
-    }
-
-    #[test]
-    fn deliveries_arrive_in_time_order_with_nothing_lost() {
-        let logs = toy_logs(4, 4, &[25_000]);
-        for (i, log) in logs.iter().enumerate() {
-            for w in log.windows(2) {
-                assert!(w[0].0 <= w[1].0, "domain {i}: out-of-order delivery {w:?}");
-            }
-            // Messages from the ring predecessor arrive gap-free in
-            // emission order: payloads are consecutive from its counter.
-            let src = (i + logs.len() - 1) % logs.len();
-            for (k, (_, v)) in log.iter().enumerate() {
-                assert_eq!(*v, ((src as u64) << 32) + k as u64, "domain {i} lost a message");
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "lookahead must be positive")]
-    fn zero_lookahead_is_rejected() {
-        DomainScheduler::new(crate::time::SimDuration::from_nanos(0), 2);
     }
 
     #[test]

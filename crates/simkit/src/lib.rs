@@ -5,12 +5,7 @@
 //! - [`time`] — virtual nanosecond clock ([`SimTime`], [`SimDuration`]);
 //! - [`events`] — deterministic per-device event calendars ([`EventQueue`]):
 //!   indexed binary heaps with O(1) frontier peek, O(log n) in-place
-//!   cancellation, and generation-tagged [`EventId`] handles; plus the
-//!   conservative parallel-discrete-event layer ([`Domain`],
-//!   [`DomainScheduler`]) that advances independent event domains
-//!   concurrently inside a shared lookahead window;
-//! - [`pool`] — the persistent parked-worker pool ([`WorkerPool`]) the
-//!   domain scheduler executes windows on;
+//!   cancellation, and generation-tagged [`EventId`] handles;
 //! - [`resource`] — contention primitives ([`SerialResource`],
 //!   [`BankedResource`], [`Link`]) where interference *emerges* from queueing;
 //! - [`bandwidth`] — rate arithmetic in the units hardware specs use;
@@ -28,12 +23,8 @@
 //! Design note: there is intentionally no global scheduler or actor runtime.
 //! Each device owns its own calendar and exposes `advance_to(t)`; a
 //! higher-level coordinator (e.g. `xssd_core::Cluster`) interleaves device
-//! calendars in global time order — or, in parallel mode, carves them into
-//! [`Domain`]s and lets a [`DomainScheduler`] run them concurrently up to a
-//! lookahead barrier, with a deterministic mailbox exchange keeping the
-//! schedule event-for-event identical to the sequential interleaving. This
-//! keeps ownership simple (no `Rc<RefCell>` graphs) and the simulation
-//! fully deterministic.
+//! calendars in global time order on one thread. This keeps ownership
+//! simple (no `Rc<RefCell>` graphs) and the simulation fully deterministic.
 
 #![warn(missing_docs)]
 
@@ -42,7 +33,6 @@ pub mod bytes;
 pub mod error;
 pub mod events;
 pub mod faults;
-pub mod pool;
 pub mod resource;
 pub mod rng;
 pub mod stats;
@@ -52,9 +42,8 @@ pub mod time;
 pub use bandwidth::Bandwidth;
 pub use bytes::Bytes;
 pub use error::{DiagnosticSnapshot, SimError};
-pub use events::{Domain, DomainScheduler, DomainStats, EventId, EventQueue, Routed};
+pub use events::{EventId, EventQueue};
 pub use faults::{FaultHook, FaultPlan};
-pub use pool::WorkerPool;
 pub use resource::{BankedResource, Grant, Link, LinkStats, SerialResource};
 pub use rng::{DetRng, Zipfian};
 pub use stats::{Candlestick, Histogram, OnlineStats, SampleSeries, SeriesPoint, ThroughputMeter};

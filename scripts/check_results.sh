@@ -8,27 +8,19 @@
 # must be an intentional, reviewed regeneration (commit the new goldens in
 # the same change that explains them).
 #
-# Usage: check_results.sh [sweep_threads] [sim_threads]
-#   With no arguments the harnesses sweep their grids at the ambient
-#   XSSD_BENCH_THREADS (default: all host cores) and advance each
-#   simulation cell at the ambient XSSD_SIM_THREADS (default: the
-#   sequential oracle). Pass `1` as the first argument to force the
-#   sequential sweep path, and `4` (say) as the second to advance every
-#   multi-device cluster on the conservative parallel core. CI runs both
-#   sweep modes and both simulation modes and the goldens must be
-#   byte-identical in all of them — that equality IS the determinism
-#   contract (docs/HARNESSES.md, docs/ARCHITECTURE.md).
+# Usage: check_results.sh [sweep_threads]
+#   With no argument the harnesses sweep their grids at the ambient
+#   XSSD_BENCH_THREADS (default: all host cores). Pass `1` to force the
+#   sequential sweep path. CI runs both sweep modes and the goldens must be
+#   byte-identical in both — that equality IS the determinism contract
+#   (docs/HARNESSES.md).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 if [ "$#" -ge 1 ]; then
   export XSSD_BENCH_THREADS="$1"
 fi
-if [ "$#" -ge 2 ]; then
-  export XSSD_SIM_THREADS="$2"
-fi
-echo "== thread mode: XSSD_BENCH_THREADS=${XSSD_BENCH_THREADS:-<unset: all host cores>}" \
-     "XSSD_SIM_THREADS=${XSSD_SIM_THREADS:-<unset: sequential oracle>}"
+echo "== thread mode: XSSD_BENCH_THREADS=${XSSD_BENCH_THREADS:-<unset: all host cores>}"
 
 HARNESSES=(
   fig09_local_logging
