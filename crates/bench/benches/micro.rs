@@ -289,6 +289,62 @@ fn bench_db_hot_path() {
         },
     );
 
+    // What the tpcc_local profile found under `Workload::execute`: the key
+    // compare a B-tree descent makes ~40 times, a point read and a commit
+    // on a table too large for the cache (the 1 024-row table above is not).
+    // They say where a cost sits; the evidence is benchmark/run.sh.
+    let order_line =
+        |n: u32| keys::composite(&[1 + n / 30_000, 1 + n / 3000 % 10, n / 15 % 200, n % 15]);
+    let pairs: Vec<_> =
+        (0..1000u32).map(|n| (order_line(n.wrapping_mul(7919) % 400_000), order_line(n))).collect();
+    bench(
+        "memdb/key_cmp_inline_16b",
+        None,
+        || (),
+        |()| {
+            // 1000 compares per iteration (one is below the timer's reach).
+            pairs.iter().filter(|(a, b)| black_box(a) < black_box(b)).count()
+        },
+    );
+    let mut big = Database::new();
+    let bt = big.create_table("big");
+    for n in 0..400_000u32 {
+        big.install_row(bt, order_line(n), vec![(n % 251) as u8; 100]);
+    }
+    // Installing rows moves the mutation stamp; transactions begun after
+    // this point see a quiet database, as the workloads do.
+    let mut n = 0u32;
+    let mut next = move || {
+        n = n.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+        order_line(n % 400_000)
+    };
+    bench(
+        "memdb/get_hit_400k_rows",
+        None,
+        || (),
+        |()| {
+            let mut ctx = big.begin();
+            let len = big.get(&mut ctx, bt, &next()).map(<[u8]>::len);
+            big.rollback(ctx);
+            len
+        },
+    );
+    bench(
+        "memdb/commit_8r4w_400k_rows",
+        None,
+        || (),
+        |()| {
+            let mut ctx = big.begin();
+            for _ in 0..8 {
+                let _ = big.get(&mut ctx, bt, &next());
+            }
+            for _ in 0..4 {
+                big.update(&mut ctx, bt, next(), simkit::Bytes::copy_from_slice(&[7u8; 100]));
+            }
+            big.commit(ctx).map(|recs| recs.len()).unwrap_or(0)
+        },
+    );
+
     use xssd_bench::driver::Workload;
     use xssd_bench::ycsb::{setup as ycsb_setup, YcsbConfig, YcsbMix};
     let cfg = YcsbConfig { mix: YcsbMix::C, theta: 0.99, ..YcsbConfig::default() };

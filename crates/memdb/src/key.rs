@@ -6,10 +6,16 @@
 //! probe. [`SmallKey`] keeps up to [`SmallKey::INLINE`] bytes inline and
 //! spills to a boxed slice only beyond that, while comparing and hashing
 //! exactly like the underlying byte slice — so `BTreeMap<SmallKey, _>`
-//! keeps its order-preserving semantics and can still be probed with a
-//! plain `&[u8]` via `Borrow<[u8]>`.
+//! keeps its order-preserving semantics.
+//!
+//! Two inline keys compare as three big-endian `u64` words over the whole
+//! buffer plus a tie-break on length, not through `memcmp`. That equals
+//! slice order **because the inline bytes beyond `len` are always zero**:
+//! every constructor and mutator keeps that invariant and
+//! `debug_assert`s it. Ordered maps are therefore probed with a
+//! `SmallKey` (a 24-byte stack copy of the caller's slice), never with a
+//! borrowed `&[u8]`, so every comparison of a descent takes the word path.
 
-use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -41,7 +47,9 @@ impl SmallKey {
         if src.len() <= Self::INLINE {
             let mut buf = [0u8; Self::INLINE];
             buf[..src.len()].copy_from_slice(src);
-            SmallKey(Repr::Inline { len: src.len() as u8, buf })
+            let key = SmallKey(Repr::Inline { len: src.len() as u8, buf });
+            key.debug_assert_zero_tail();
+            key
         } else {
             SmallKey(Repr::Spill(src.into()))
         }
@@ -90,6 +98,7 @@ impl SmallKey {
                 self.0 = Repr::Spill(v.into_boxed_slice());
             }
         }
+        self.debug_assert_zero_tail();
     }
 
     /// Append a `u32` big-endian component.
@@ -112,12 +121,33 @@ impl SmallKey {
         }
     }
 
+    /// The stored bytes, mutable in place. The inline tail beyond `len` is
+    /// out of the returned slice's reach, so it stays zero.
     pub(crate) fn as_mut_slice(&mut self) -> &mut [u8] {
+        self.debug_assert_zero_tail();
         match &mut self.0 {
             Repr::Inline { len, buf } => &mut buf[..*len as usize],
             Repr::Spill(b) => b,
         }
     }
+
+    /// The invariant the word compare in `Ord`/`Eq` rests on: inline bytes
+    /// beyond `len` are zero.
+    fn debug_assert_zero_tail(&self) {
+        if let Repr::Inline { len, buf } = &self.0 {
+            debug_assert!(
+                buf[*len as usize..].iter().all(|b| *b == 0),
+                "inline key tail beyond len must stay zero: {buf:?} (len {len})"
+            );
+        }
+    }
+}
+
+/// Word `i` (of three) of an inline buffer, big-endian, so integer order is
+/// byte-lexicographic order.
+#[inline(always)]
+fn be_word(buf: &[u8; SmallKey::INLINE], i: usize) -> u64 {
+    u64::from_be_bytes(buf[i * 8..i * 8 + 8].try_into().expect("8-byte window of 24"))
 }
 
 impl Default for SmallKey {
@@ -135,12 +165,6 @@ impl Deref for SmallKey {
 
 impl AsRef<[u8]> for SmallKey {
     fn as_ref(&self) -> &[u8] {
-        self.as_slice()
-    }
-}
-
-impl Borrow<[u8]> for SmallKey {
-    fn borrow(&self) -> &[u8] {
         self.as_slice()
     }
 }
@@ -175,11 +199,20 @@ impl<const N: usize> From<&[u8; N]> for SmallKey {
     }
 }
 
-// `Borrow<[u8]>` requires Eq/Ord/Hash to agree with the slice's, so all
-// of them delegate to `as_slice()`.
+// Eq/Ord/Hash agree with the byte slice's. Two inline keys take the word
+// path, which is slice order given the zero tail (see the module doc): the
+// first differing byte decides in both, and when one key is a prefix of the
+// other the longer one's extra bytes are either non-zero (it is greater in
+// the padded compare too) or all zero (padded buffers tie, length decides).
 impl PartialEq for SmallKey {
+    #[inline]
     fn eq(&self, other: &Self) -> bool {
-        self.as_slice() == other.as_slice()
+        match (&self.0, &other.0) {
+            (Repr::Inline { len: la, buf: a }, Repr::Inline { len: lb, buf: b }) => {
+                la == lb && a == b
+            }
+            _ => self.as_slice() == other.as_slice(),
+        }
     }
 }
 
@@ -192,8 +225,20 @@ impl PartialOrd for SmallKey {
 }
 
 impl Ord for SmallKey {
+    #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
-        self.as_slice().cmp(other.as_slice())
+        match (&self.0, &other.0) {
+            (Repr::Inline { len: la, buf: a }, Repr::Inline { len: lb, buf: b }) => {
+                for i in 0..3 {
+                    let (x, y) = (be_word(a, i), be_word(b, i));
+                    if x != y {
+                        return x.cmp(&y);
+                    }
+                }
+                la.cmp(lb)
+            }
+            _ => self.as_slice().cmp(other.as_slice()),
+        }
     }
 }
 
@@ -242,6 +287,7 @@ impl fmt::Debug for SmallKey {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::hash_map::DefaultHasher;
     use std::collections::BTreeMap;
 
     #[test]
@@ -255,35 +301,106 @@ mod tests {
         }
     }
 
+    fn slice_hash<T: Hash + ?Sized>(v: &T) -> u64 {
+        let mut h = DefaultHasher::new();
+        v.hash(&mut h);
+        h.finish()
+    }
+
+    fn zero_tail(k: &SmallKey) -> bool {
+        match &k.0 {
+            Repr::Inline { len, buf } => buf[*len as usize..].iter().all(|b| *b == 0),
+            Repr::Spill(_) => true,
+        }
+    }
+
+    /// Every byte string of length 0–3 over the bytes where signed/unsigned
+    /// and zero-padding mistakes show, plus seeded random strings of 0–40
+    /// bytes with their zero-extended and truncated relatives, so the
+    /// 24/25-byte inline/spill boundary and pairs like `[1]` vs `[1, 0]`
+    /// are crossed.
+    fn ordering_samples() -> Vec<Vec<u8>> {
+        const ALPHABET: [u8; 5] = [0x00, 0x01, 0x7F, 0x80, 0xFF];
+        let mut samples: Vec<Vec<u8>> = vec![vec![]];
+        let mut last: Vec<Vec<u8>> = vec![vec![]];
+        for _ in 0..3 {
+            last = last
+                .iter()
+                .flat_map(|p| ALPHABET.iter().map(move |b| [p.as_slice(), &[*b]].concat()))
+                .collect();
+            samples.extend(last.iter().cloned());
+        }
+        samples.extend([vec![0xFF; 24], vec![0xFF; 25], (0..30).collect()]);
+        let mut rng = simkit::DetRng::new(0x5EED_4B65);
+        for _ in 0..60 {
+            let len = rng.uniform(0, 40) as usize;
+            let base: Vec<u8> = (0..len).map(|_| *rng.pick(&ALPHABET)).collect();
+            let cut = rng.uniform(0, len as u64) as usize;
+            let zeros = rng.uniform(1, 3) as usize;
+            samples.push(base[..cut].to_vec());
+            samples.push([&base[..cut], &vec![0u8; zeros][..]].concat());
+            samples.push([base.as_slice(), &vec![0u8; zeros][..]].concat());
+            samples.push(base);
+        }
+        samples
+    }
+
     #[test]
     fn ordering_matches_slices() {
-        let samples: Vec<Vec<u8>> = vec![
-            vec![],
-            vec![0],
-            vec![0, 0],
-            vec![1],
-            vec![1, 2, 3],
-            vec![0xFF; 24],
-            vec![0xFF; 25],
-            (0..30).collect(),
-        ];
-        for a in &samples {
-            for b in &samples {
-                let (ka, kb) = (SmallKey::from_slice(a), SmallKey::from_slice(b));
-                assert_eq!(ka.cmp(&kb), a.as_slice().cmp(b.as_slice()), "{a:?} vs {b:?}");
-                assert_eq!(ka == kb, a == b);
+        let samples = ordering_samples();
+        let keys: Vec<SmallKey> = samples.iter().map(|s| SmallKey::from_slice(s)).collect();
+        for (a, ka) in samples.iter().zip(&keys) {
+            assert!(zero_tail(ka));
+            assert_eq!(slice_hash(ka), slice_hash(a.as_slice()), "{a:?}");
+            for (b, kb) in samples.iter().zip(&keys) {
+                assert_eq!(ka.cmp(kb), a.as_slice().cmp(b.as_slice()), "{a:?} vs {b:?}");
+                assert_eq!(ka == kb, a == b, "{a:?} vs {b:?}");
             }
+        }
+
+        // After every mutator the inline tail beyond `len` is still zero.
+        use crate::storage::keys::successor;
+        let mut rng = simkit::DetRng::new(0x7A11);
+        for s in samples {
+            // The same bytes pushed in pieces: equal to the one-shot key in
+            // every way the word compare can see.
+            let mut pushed = SmallKey::new();
+            let mut rest = s.as_slice();
+            while !rest.is_empty() {
+                let (head, tail) = rest.split_at(rng.uniform(1, rest.len() as u64) as usize);
+                pushed.push_bytes(head);
+                assert!(zero_tail(&pushed));
+                rest = tail;
+            }
+            let whole = SmallKey::from_slice(&s);
+            assert_eq!(pushed.as_slice(), s.as_slice());
+            assert_eq!(pushed.cmp(&whole), Ordering::Equal);
+            assert!(pushed == whole);
+
+            let mut k = whole.clone();
+            k.push_u32(rng.next_u64() as u32);
+            assert!(zero_tail(&k));
+            k.push_u64(rng.next_u64());
+            assert!(zero_tail(&k));
+            let mut k = whole.clone();
+            k.push_str("ab", rng.uniform(0, 6) as usize);
+            assert!(zero_tail(&k));
+
+            let succ = successor(&s);
+            assert!(zero_tail(&succ));
+            assert!(succ > whole, "successor({s:?}) = {succ:?}");
+            assert_eq!(succ.cmp(&whole), succ.as_slice().cmp(s.as_slice()));
         }
     }
 
     #[test]
-    fn btreemap_probe_by_slice() {
+    fn btreemap_probe_by_key() {
         let mut m: BTreeMap<SmallKey, u32> = BTreeMap::new();
         m.insert(SmallKey::from_slice(b"abc"), 1);
         m.insert(SmallKey::from_slice(&[9u8; 30]), 2);
-        assert_eq!(m.get(b"abc".as_slice()), Some(&1));
-        assert_eq!(m.get([9u8; 30].as_slice()), Some(&2));
-        assert_eq!(m.get(b"zzz".as_slice()), None);
+        assert_eq!(m.get(&SmallKey::from_slice(b"abc")), Some(&1));
+        assert_eq!(m.get(&SmallKey::from_slice(&[9u8; 30])), Some(&2));
+        assert_eq!(m.get(&SmallKey::from_slice(b"zzz")), None);
     }
 
     #[test]

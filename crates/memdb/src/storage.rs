@@ -15,10 +15,15 @@
 //! buffers are reused across transactions. Row images are refcounted
 //! [`simkit::Bytes`], shared between the stored table image and the
 //! emitted [`LogRecord`]s.
+//!
+//! Every index probe goes through a [`Key`] — a stack copy of the caller's
+//! slice — so a descent compares words, not `memcmp` calls (see
+//! [`crate::key`]). A commit re-finds the rows it read only when the
+//! database-wide mutation stamp moved since the transaction began.
 
 use crate::key::SmallKey;
 use crate::log::{LogOp, LogRecord, TableId};
-use std::collections::BTreeMap;
+use std::collections::{btree_map, BTreeMap};
 use std::ops::Bound;
 
 /// A row image (refcounted; cloning shares the allocation).
@@ -47,6 +52,12 @@ impl Table {
     /// True when the table is empty.
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
+    }
+
+    /// Rows with keys in `[from, to)`, in key order.
+    fn range(&self, from: &[u8], to: &[u8]) -> btree_map::Range<'_, Key, Versioned> {
+        self.rows
+            .range((Bound::Included(&Key::from_slice(from)), Bound::Excluded(&Key::from_slice(to))))
     }
 }
 
@@ -111,6 +122,8 @@ pub struct TxnCtx {
     reads: Vec<ReadEntry>,
     writes: Vec<(TableId, PendingWrite)>,
     arena: Vec<u8>,
+    /// The database's mutation stamp as of `begin`.
+    begin_stamp: u64,
 }
 
 impl TxnCtx {
@@ -140,8 +153,9 @@ impl TxnCtx {
         &self.arena[e.start as usize..e.start as usize + e.len as usize]
     }
 
-    fn reset(&mut self, id: u64) {
+    fn reset(&mut self, id: u64, begin_stamp: u64) {
         self.id = id;
+        self.begin_stamp = begin_stamp;
         self.reads.clear();
         self.writes.clear();
         self.arena.clear();
@@ -160,6 +174,16 @@ pub struct Database {
     next_txn: u64,
     commits: u64,
     aborts: u64,
+    /// Mutation stamp: bumped by every route that changes a row (a commit
+    /// that applies at least one write, `apply_record`, `install_row`). A
+    /// transaction whose `begin_stamp` still equals it read nothing that
+    /// can have changed, so its commit skips the by-key validation.
+    mutations: u64,
+    validation_probes: u64,
+    /// Reference model for the tests: validate by key on every commit, as
+    /// if the stamp did not exist.
+    #[cfg(test)]
+    always_validate_by_key: bool,
     ctx_pool: Vec<TxnCtx>,
 }
 
@@ -197,20 +221,30 @@ impl Database {
         self.aborts
     }
 
+    /// Reads re-probed by key at commit so far: 0 as long as no row
+    /// changed between any transaction's `begin` and its `commit`.
+    pub fn validation_probes(&self) -> u64 {
+        self.validation_probes
+    }
+
     /// Begin a transaction (reusing a pooled context when available).
     pub fn begin(&mut self) -> TxnCtx {
         let id = self.next_txn;
         self.next_txn += 1;
         let mut ctx = self.ctx_pool.pop().unwrap_or_default();
-        ctx.reset(id);
+        ctx.reset(id, self.mutations);
         ctx
     }
 
     /// Return a context's buffers to the pool without committing (explicit
     /// application-level rollback; does not count as an abort).
-    pub fn rollback(&mut self, mut ctx: TxnCtx) {
+    pub fn rollback(&mut self, ctx: TxnCtx) {
+        self.recycle(ctx);
+    }
+
+    fn recycle(&mut self, mut ctx: TxnCtx) {
         if self.ctx_pool.len() < CTX_POOL_CAP {
-            ctx.reset(0);
+            ctx.reset(0, 0);
             self.ctx_pool.push(ctx);
         }
     }
@@ -249,7 +283,7 @@ impl Database {
             Some(None) => return None,
             None => {}
         }
-        let slot = self.tables.get(table as usize)?.rows.get(key);
+        let slot = self.tables.get(table as usize)?.rows.get(&Key::from_slice(key));
         ctx.record_read(table, key, slot.map(|s| s.version));
         slot.map(|s| s.row.as_slice())
     }
@@ -272,7 +306,7 @@ impl Database {
     {
         let Some(t) = self.tables.get(table as usize) else { return 0 };
         let mut n = 0;
-        for (k, v) in t.rows.range::<[u8], _>((Bound::Included(from), Bound::Excluded(to))) {
+        for (k, v) in t.range(from, to) {
             if n >= limit {
                 break;
             }
@@ -293,15 +327,10 @@ impl Database {
         to: &[u8],
         limit: usize,
     ) -> Vec<(Key, Row)> {
-        let Some(t) = self.tables.get(table as usize) else { return Vec::new() };
         let mut out = Vec::new();
-        for (k, v) in t.rows.range::<[u8], _>((Bound::Included(from), Bound::Excluded(to))) {
-            if out.len() >= limit {
-                break;
-            }
-            ctx.record_read(table, k.as_slice(), Some(v.version));
-            out.push((k.clone(), v.row.clone()));
-        }
+        self.scan_visit(ctx, table, from, to, limit, |k, row| {
+            out.push((Key::from_slice(k), Row::copy_from_slice(row)))
+        });
         out
     }
 
@@ -315,8 +344,7 @@ impl Database {
         to: &[u8],
     ) -> Option<(&'a [u8], &'a [u8])> {
         let t = self.tables.get(table as usize)?;
-        let (k, v) =
-            t.rows.range::<[u8], _>((Bound::Included(from), Bound::Excluded(to))).next()?;
+        let (k, v) = t.range(from, to).next()?;
         ctx.record_read(table, k.as_slice(), Some(v.version));
         Some((k.as_slice(), v.row.as_slice()))
     }
@@ -331,8 +359,7 @@ impl Database {
         to: &[u8],
     ) -> Option<(&'a [u8], &'a [u8])> {
         let t = self.tables.get(table as usize)?;
-        let (k, v) =
-            t.rows.range::<[u8], _>((Bound::Included(from), Bound::Excluded(to))).next_back()?;
+        let (k, v) = t.range(from, to).next_back()?;
         ctx.record_read(table, k.as_slice(), Some(v.version));
         Some((k.as_slice(), v.row.as_slice()))
     }
@@ -370,22 +397,29 @@ impl Database {
     /// the records share their allocation with the installed table rows.
     pub fn commit(&mut self, mut ctx: TxnCtx) -> Result<Vec<LogRecord>, TxnError> {
         let result = self.commit_inner(&mut ctx);
-        if self.ctx_pool.len() < CTX_POOL_CAP {
-            ctx.reset(0);
-            self.ctx_pool.push(ctx);
+        if result.is_err() {
+            self.aborts += 1;
         }
+        self.recycle(ctx);
         result
     }
 
     fn commit_inner(&mut self, ctx: &mut TxnCtx) -> Result<Vec<LogRecord>, TxnError> {
-        // Validation: every read version unchanged.
-        for e in &ctx.reads {
-            let t = self.tables.get(e.table as usize).ok_or(TxnError::NoSuchTable(e.table))?;
-            let key = ctx.read_key(e);
-            let current = t.rows.get(key).map(|s| s.version);
-            if current != e.version {
-                self.aborts += 1;
-                return Err(TxnError::Conflict { table: e.table, key: Key::from_slice(key) });
+        // Validation: every read version unchanged. Nothing was installed
+        // since this transaction began when the stamps agree, so nothing it
+        // read has a different version and the rows need no re-finding.
+        let unchanged = ctx.begin_stamp == self.mutations;
+        #[cfg(test)]
+        let unchanged = unchanged && !self.always_validate_by_key;
+        if !unchanged {
+            for e in &ctx.reads {
+                let t = self.tables.get(e.table as usize).ok_or(TxnError::NoSuchTable(e.table))?;
+                let key = Key::from_slice(ctx.read_key(e));
+                self.validation_probes += 1;
+                let current = t.rows.get(&key).map(|s| s.version);
+                if current != e.version {
+                    return Err(TxnError::Conflict { table: e.table, key });
+                }
             }
         }
         // Pre-check writes for structural errors (atomicity: reject before
@@ -395,7 +429,6 @@ impl Database {
             match w {
                 PendingWrite::Insert(k, _) => {
                     if t.rows.contains_key(k) {
-                        self.aborts += 1;
                         return Err(TxnError::DuplicateKey(k.clone()));
                     }
                 }
@@ -406,7 +439,6 @@ impl Database {
                             *t2 == *table && matches!(w2, PendingWrite::Insert(k2, _) if k2 == k)
                         });
                         if !own_insert {
-                            self.aborts += 1;
                             return Err(TxnError::NotFound(k.clone()));
                         }
                     }
@@ -417,6 +449,9 @@ impl Database {
         // and logged as the same refcounted buffer.
         let mut records = Vec::with_capacity(ctx.writes.len() + 1);
         let txn_id = ctx.id;
+        if !ctx.writes.is_empty() {
+            self.mutations += 1;
+        }
         for (table, w) in ctx.writes.drain(..) {
             let t = &mut self.tables[table as usize];
             match w {
@@ -464,6 +499,7 @@ impl Database {
         match rec.op {
             LogOp::Commit => {}
             LogOp::Insert | LogOp::Update => {
+                self.mutations += 1;
                 let table = rec.table as usize;
                 while self.tables.len() <= table {
                     self.create_table(&format!("recovered_{}", self.tables.len()));
@@ -474,8 +510,9 @@ impl Database {
                 );
             }
             LogOp::Delete => {
+                self.mutations += 1;
                 if let Some(t) = self.tables.get_mut(rec.table as usize) {
-                    t.rows.remove(rec.key.as_slice());
+                    t.rows.remove(&rec.key);
                 }
             }
         }
@@ -483,7 +520,7 @@ impl Database {
 
     /// Raw (non-transactional) read, e.g. for verification.
     pub fn peek(&self, table: TableId, key: &[u8]) -> Option<&[u8]> {
-        self.tables.get(table as usize)?.rows.get(key).map(|v| v.row.as_slice())
+        self.tables.get(table as usize)?.rows.get(&Key::from_slice(key)).map(|v| v.row.as_slice())
     }
 
     /// The catalog's table names in id order (checkpoint encoding).
@@ -507,6 +544,7 @@ impl Database {
     /// Install a row directly (checkpoint restore); bypasses transactions.
     pub fn install_row(&mut self, table: TableId, key: impl Into<Key>, row: impl Into<Row>) {
         let t = self.tables.get_mut(table as usize).expect("install_row into missing table");
+        self.mutations += 1;
         t.rows.insert(key.into(), Versioned { row: row.into(), version: 0 });
     }
 
@@ -631,10 +669,23 @@ mod tests {
         db.update(&mut t2, t, b"k".to_vec(), b"from-t2".to_vec());
         db.commit(t2).unwrap();
 
+        assert_eq!(db.validation_probes(), 0, "nothing interleaved so far");
         let err = db.commit(t1).unwrap_err();
         assert!(matches!(err, TxnError::Conflict { .. }));
+        assert!(db.validation_probes() > 0, "an interleaved commit validates by key");
         assert_eq!(db.peek(t, b"k").unwrap(), b"from-t2");
         assert_eq!(db.aborts(), 1);
+    }
+
+    #[test]
+    fn write_to_missing_table_counts_an_abort() {
+        let (mut db, t) = db_with_table();
+        let mut ctx = db.begin();
+        db.insert(&mut ctx, t, b"k".to_vec(), b"v".to_vec());
+        db.insert(&mut ctx, t + 1, b"k".to_vec(), b"v".to_vec());
+        assert_eq!(db.commit(ctx), Err(TxnError::NoSuchTable(t + 1)));
+        assert_eq!((db.commits(), db.aborts()), (0, 1));
+        assert!(db.peek(t, b"k").is_none(), "nothing applied");
     }
 
     #[test]
@@ -797,5 +848,218 @@ mod tests {
         let logged = recs[0].value.as_slice().as_ptr();
         let stored = db.peek(t, b"k").unwrap().as_ptr();
         assert_eq!(logged, stored, "log record and table row share one buffer");
+    }
+
+    // ---- validation against the reference model -------------------------
+    //
+    // The reference is the same engine with `always_validate_by_key` set:
+    // every commit re-finds every row it read, as before the mutation
+    // stamp existed. Both run the same schedule of overlapping
+    // transactions and foreign installs; every observable result must
+    // agree. A mutating route that forgets to bump the stamp lets the
+    // stamped side skip a validation the reference fails.
+
+    #[derive(Debug, Clone)]
+    enum Step {
+        Begin(usize),
+        Get(usize, TableId, Vec<u8>),
+        Scan(usize, TableId, Vec<u8>, Vec<u8>, usize),
+        First(usize, TableId, Vec<u8>, Vec<u8>),
+        Last(usize, TableId, Vec<u8>, Vec<u8>),
+        Insert(usize, TableId, Vec<u8>, u8),
+        Update(usize, TableId, Vec<u8>, u8),
+        Delete(usize, TableId, Vec<u8>),
+        Commit(usize),
+        Rollback(usize),
+        /// A foreign committed record (replica redo) with its own txn id.
+        Apply(LogOp, TableId, Vec<u8>, u8, u64),
+        Install(TableId, Vec<u8>, u8),
+    }
+
+    const MODEL_TABLES: TableId = 2;
+
+    /// Run `steps` and return every observable result in order, then the
+    /// database for the end-state comparison.
+    fn run_steps(steps: &[Step], reference: bool) -> (Vec<String>, Database) {
+        let mut db = Database::new();
+        db.always_validate_by_key = reference;
+        for i in 0..MODEL_TABLES {
+            db.create_table(&format!("t{i}"));
+        }
+        let mut open: Vec<Option<TxnCtx>> = (0..4).map(|_| None).collect();
+        let mut trace = Vec::new();
+        for step in steps {
+            match step.clone() {
+                Step::Begin(i) => open[i] = Some(db.begin()),
+                Step::Get(i, t, k) => {
+                    let ctx = open[i].as_mut().expect("open");
+                    trace.push(format!("get {:?}", db.get(ctx, t, &k)));
+                }
+                Step::Scan(i, t, from, to, limit) => {
+                    let ctx = open[i].as_mut().expect("open");
+                    trace.push(format!("scan {:?}", db.scan(ctx, t, &from, &to, limit)));
+                }
+                Step::First(i, t, from, to) => {
+                    let ctx = open[i].as_mut().expect("open");
+                    trace.push(format!("first {:?}", db.first_in_range(ctx, t, &from, &to)));
+                }
+                Step::Last(i, t, from, to) => {
+                    let ctx = open[i].as_mut().expect("open");
+                    trace.push(format!("last {:?}", db.last_in_range(ctx, t, &from, &to)));
+                }
+                Step::Insert(i, t, k, v) => db.insert(open[i].as_mut().expect("open"), t, k, [v]),
+                Step::Update(i, t, k, v) => db.update(open[i].as_mut().expect("open"), t, k, [v]),
+                Step::Delete(i, t, k) => db.delete(open[i].as_mut().expect("open"), t, k),
+                Step::Commit(i) => {
+                    let ctx = open[i].take().expect("open");
+                    trace.push(format!("commit {:?}", db.commit(ctx)));
+                }
+                Step::Rollback(i) => {
+                    let ctx = open[i].take().expect("open");
+                    db.rollback(ctx);
+                }
+                Step::Apply(op, table, k, v, txn_id) => {
+                    let value = if op == LogOp::Delete { Row::new() } else { Row::from([v]) };
+                    db.apply_record(&LogRecord { txn_id, op, table, key: Key::from(k), value });
+                }
+                Step::Install(t, k, v) => db.install_row(t, k, [v]),
+            }
+        }
+        (trace, db)
+    }
+
+    /// Run on both sides, compare everything observable, return the trace.
+    fn check_against_reference(steps: &[Step]) -> Vec<String> {
+        let (trace, db) = run_steps(steps, false);
+        let (ref_trace, ref_db) = run_steps(steps, true);
+        assert_eq!(trace, ref_trace, "schedule: {steps:#?}");
+        assert_eq!(db.fingerprint(), ref_db.fingerprint());
+        assert_eq!((db.commits(), db.aborts()), (ref_db.commits(), ref_db.aborts()));
+        assert!(db.validation_probes() <= ref_db.validation_probes());
+        trace
+    }
+
+    /// The 16-key space: `[n]` and `[n, 0]` for n < 8, so neighbours differ
+    /// only in a trailing zero and ranges cut between them.
+    fn model_key(i: u64) -> Vec<u8> {
+        let n = (i / 2) as u8;
+        if i & 1 == 0 {
+            vec![n]
+        } else {
+            vec![n, 0]
+        }
+    }
+
+    /// A seeded schedule of 2–4 overlapping transactions with foreign
+    /// `apply_record` / `install_row` calls landing between their `begin`s
+    /// and `commit`s.
+    fn random_schedule(seed: u64) -> Vec<Step> {
+        let mut rng = simkit::DetRng::new(seed);
+        let slots = rng.uniform(2, 4) as usize;
+        let mut is_open = vec![false; slots];
+        let mut steps = Vec::new();
+        for i in 0..8 {
+            steps.push(Step::Install(rng.uniform(0, 1) as TableId, model_key(2 * i + 1), 0));
+        }
+        for n in 0..rng.uniform(40, 160) {
+            let t = rng.uniform(0, MODEL_TABLES as u64 - 1) as TableId;
+            let k = model_key(rng.uniform(0, 15));
+            let v = rng.uniform(1, 255) as u8;
+            if rng.chance(0.08) {
+                let op = *rng.pick(&[LogOp::Insert, LogOp::Update, LogOp::Delete, LogOp::Commit]);
+                steps.push(Step::Apply(op, t, k, v, 1_000_000 + n));
+                continue;
+            }
+            if rng.chance(0.03) {
+                steps.push(Step::Install(t, k, v));
+                continue;
+            }
+            let i = rng.uniform(0, slots as u64 - 1) as usize;
+            if !is_open[i] {
+                is_open[i] = true;
+                steps.push(Step::Begin(i));
+                continue;
+            }
+            let (a, b) = (rng.uniform(0, 15), rng.uniform(0, 15));
+            let (from, to) = (model_key(a.min(b)), model_key(a.max(b)));
+            steps.push(match rng.uniform(0, 11) {
+                0..=2 => Step::Get(i, t, k),
+                3 => Step::Scan(i, t, from, to, rng.uniform(0, 5) as usize),
+                4 => Step::First(i, t, from, to),
+                5 => Step::Last(i, t, from, to),
+                6 => Step::Insert(i, t, k, v),
+                7 => Step::Update(i, t, k, v),
+                8 => Step::Delete(i, t, k),
+                9 | 10 => {
+                    is_open[i] = false;
+                    Step::Commit(i)
+                }
+                _ => {
+                    is_open[i] = false;
+                    Step::Rollback(i)
+                }
+            });
+        }
+        // Whatever is still open commits at the end, after everyone else.
+        steps.extend((0..slots).filter(|i| is_open[*i]).map(Step::Commit));
+        steps
+    }
+
+    #[test]
+    fn stamped_validation_matches_the_reference_on_random_schedules() {
+        let mut conflicts = 0;
+        let mut commits = 0;
+        for seed in 0..400u64 {
+            let trace = check_against_reference(&random_schedule(0xC0FFEE + seed));
+            conflicts += trace.iter().filter(|l| l.starts_with("commit Err(Conflict")).count();
+            commits += trace.iter().filter(|l| l.starts_with("commit Ok")).count();
+        }
+        // The schedules must actually exercise both outcomes.
+        assert!(conflicts > 100 && commits > 1000, "{conflicts} conflicts, {commits} commits");
+    }
+
+    /// `steps`, then slot 0's commit, must end in a conflict on `key` — on
+    /// both sides.
+    fn assert_reader_conflicts(mut steps: Vec<Step>, key: &[u8]) {
+        steps.push(Step::Commit(0));
+        let trace = check_against_reference(&steps);
+        let expect = format!(
+            "commit {:?}",
+            Err::<Vec<LogRecord>, _>(TxnError::Conflict { table: 0, key: Key::from_slice(key) })
+        );
+        assert_eq!(trace.last(), Some(&expect), "{trace:#?}");
+    }
+
+    #[test]
+    fn foreign_changes_between_begin_and_commit_conflict() {
+        let k = model_key(3);
+        let seeded =
+            vec![Step::Install(0, k.clone(), 1), Step::Begin(0), Step::Get(0, 0, k.clone())];
+        // read k -> foreign apply_record(update k) -> commit conflicts
+        let mut steps = seeded.clone();
+        steps.push(Step::Apply(LogOp::Update, 0, k.clone(), 2, 77));
+        assert_reader_conflicts(steps, &k);
+        // read k -> foreign apply_record(delete k) -> commit conflicts
+        let mut steps = seeded.clone();
+        steps.push(Step::Apply(LogOp::Delete, 0, k.clone(), 0, 77));
+        assert_reader_conflicts(steps, &k);
+        // read-miss k -> foreign insert k (another transaction) -> conflicts
+        let miss = vec![Step::Begin(0), Step::Get(0, 0, k.clone())];
+        let mut steps = miss.clone();
+        steps.extend([Step::Begin(1), Step::Insert(1, 0, k.clone(), 5), Step::Commit(1)]);
+        assert_reader_conflicts(steps, &k);
+        // read-miss k -> install_row(k) / apply_record(insert k) -> conflicts
+        let mut steps = miss.clone();
+        steps.push(Step::Install(0, k.clone(), 5));
+        assert_reader_conflicts(steps, &k);
+        let mut steps = miss;
+        steps.push(Step::Apply(LogOp::Insert, 0, k.clone(), 5, 77));
+        assert_reader_conflicts(steps, &k);
+        // read k -> a second transaction deletes k, a third re-inserts it
+        // with the same image -> the first reader still conflicts
+        let mut steps = seeded;
+        steps.extend([Step::Begin(1), Step::Delete(1, 0, k.clone()), Step::Commit(1)]);
+        steps.extend([Step::Begin(2), Step::Insert(2, 0, k.clone(), 1), Step::Commit(2)]);
+        assert_reader_conflicts(steps, &k);
     }
 }
