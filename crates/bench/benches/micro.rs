@@ -1,6 +1,7 @@
 //! Microbenchmarks over the hot paths of the simulation stack: the CMB
 //! ingest path, the fast write path (fresh and with a wrapped destage
-//! ring), an NTB mirror burst, the flash channel scheduler, FTL
+//! ring), the replicated cluster's advance loop and fsync cycle, an NTB
+//! mirror burst, the flash channel scheduler (busy and idle), FTL
 //! allocation, WAL record encode/decode, TPC-C transactions, and the sim
 //! kernel itself. These guard the simulator's own performance (a slow
 //! simulator caps experiment scale).
@@ -135,6 +136,52 @@ fn bench_destage_wrapped_ring() {
     );
 }
 
+/// A primary with two eager secondaries over NTB, replication configured.
+fn replicated_cluster() -> (xssd_core::Cluster, SimTime) {
+    use xssd_core::{Cluster, VillarsConfig};
+    let mut cl = Cluster::new();
+    for _ in 0..3 {
+        cl.add_device(VillarsConfig::villars_sram());
+    }
+    let t = cl.configure_replication(SimTime::ZERO, 0, &[1, 2]);
+    (cl, t)
+}
+
+/// `Cluster::advance` over 10 µs of nothing: two secondaries report their
+/// unchanged counters every 0.8 µs (25 updates sent, carried and applied),
+/// three devices poll their idle flash schedulers.
+fn bench_cluster_advance_idle() {
+    let (mut cl, mut t) = replicated_cluster();
+    bench(
+        "core/cluster_advance_10us_two_idle_secondaries",
+        None,
+        || (),
+        |()| {
+            t += SimDuration::from_micros(10);
+            cl.advance(t);
+            t
+        },
+    );
+}
+
+/// One 4 KiB `x_pwrite` + `x_fsync` acknowledged by two eager secondaries:
+/// the `log_replicated` cycle at one size.
+fn bench_replicated_fsync() {
+    let (mut cl, mut t) = replicated_cluster();
+    let mut f = xssd_core::XLogFile::open(0);
+    let payload = [0xC3u8; 4 << 10];
+    bench(
+        "core/replicated_pwrite_fsync_4k",
+        Some(4 << 10),
+        || (),
+        |()| {
+            let issued = f.x_pwrite(&mut cl, t, &payload).unwrap();
+            t = f.x_fsync(&mut cl, issued).unwrap();
+            t
+        },
+    );
+}
+
 /// The primary's mirror of one 16 KiB chunk to one secondary: 256 64-byte
 /// TLPs forwarded over the NTB wire as one burst.
 fn bench_ntb_mirror_burst() {
@@ -189,6 +236,29 @@ fn bench_flash_scheduler() {
             (array, sched)
         },
         |(mut array, mut sched)| sched.pump(&mut array, SimTime::MAX).len(),
+    );
+}
+
+/// What every device step asks an idle scheduler: anything to start by
+/// now, and when could something start.
+fn bench_flash_scheduler_idle() {
+    use flash::{
+        ChannelScheduler, FlashArray, FlashGeometry, FlashTiming, ReliabilityConfig, SchedulingMode,
+    };
+    let geometry = FlashGeometry::default();
+    assert_eq!(geometry.channels, 8);
+    let mut array =
+        FlashArray::new(geometry, FlashTiming::default(), ReliabilityConfig::perfect(), 1);
+    let mut sched = ChannelScheduler::new(geometry.channels, SchedulingMode::Neutral);
+    let mut t = SimTime::ZERO;
+    bench(
+        "flash/pump_idle_8_channels",
+        None,
+        || (),
+        |()| {
+            t += SimDuration::from_micros(1);
+            (sched.pump(&mut array, t).len(), sched.next_start_hint(&array))
+        },
     );
 }
 
@@ -447,8 +517,11 @@ fn main() {
     bench_cmb_ingest();
     bench_fast_write_path();
     bench_destage_wrapped_ring();
+    bench_cluster_advance_idle();
+    bench_replicated_fsync();
     bench_ntb_mirror_burst();
     bench_flash_scheduler();
+    bench_flash_scheduler_idle();
     bench_ftl();
     bench_log_codec();
     bench_tpcc_txn();

@@ -319,7 +319,7 @@ where
             committed: k.committed,
             aborted: k.aborted,
             mean_us: k.latency_us.mean(),
-            p99_us: k.latency_us.percentile(99.0),
+            p99_us: k.latency_us.percentile_once(99.0),
         })
         .collect();
     let series = observed
@@ -328,7 +328,7 @@ where
         .map(|mut b| TimeBucket {
             committed: b.committed,
             mean_us: b.latency_us.mean(),
-            p99_us: b.latency_us.percentile(99.0),
+            p99_us: b.latency_us.percentile_once(99.0),
         })
         .collect();
     DriverReport {

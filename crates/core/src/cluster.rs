@@ -5,13 +5,23 @@
 //! primary). It is the entry point replication experiments and the host
 //! API use.
 //!
-//! # One advance loop
+//! # One advance loop, two queues
 //!
-//! [`Cluster::advance`] is a single sequential loop over one global,
-//! time-ordered [`EventQueue`] that interleaves every cross-device
-//! delivery with the devices' shadow-update emissions, then advances every
-//! device to the target instant. Host parallelism lives one level up, in
-//! the sweep over independent simulation cells (`bench::sweep`).
+//! [`Cluster::advance`] is a single sequential loop. Mirror chunks sit in
+//! one time-ordered [`EventQueue`]; each is a barrier: the secondaries emit
+//! their shadow-counter updates up to its delivery instant, then it is
+//! ingested (a mirror changes the credit timeline the updates report).
+//! Shadow updates travel as *runs* — `count` updates of one value, `period`
+//! apart, see [`crate::transport`] — in a second queue, each run keyed at
+//! its next undelivered update. A shadow update landing on the primary
+//! cannot change any secondary's credit, so runs are no barrier: after the
+//! mirror loop every update due by the horizon is applied at once (`max`
+//! on the counter, a sum on the applied count, `max` on the report time —
+//! order between sources is immaterial) and a run that straddles the
+//! horizon goes back with what is left. One `advance` costs what changed
+//! within its horizon, not the number of update cycles it spans. Then every
+//! device advances to the target instant. Host parallelism lives one level
+//! up, in the sweep over independent simulation cells (`bench::sweep`).
 
 use crate::cmb::CmbError;
 use crate::config::VillarsConfig;
@@ -24,28 +34,39 @@ use nvme::{
 use pcie::MmioMode;
 use simkit::{Bytes, EventQueue, FaultPlan, SimDuration, SimError, SimTime};
 
+/// A mirrored chunk in flight to a secondary.
 #[derive(Debug, Clone)]
-enum ClusterEvent {
-    Mirror { dst: DeviceIndex, offset: u64, data: Bytes },
-    Shadow { dst: DeviceIndex, src: DeviceIndex, value: u64 },
+struct Mirror {
+    dst: DeviceIndex,
+    offset: u64,
+    data: Bytes,
 }
 
-impl ClusterEvent {
-    fn dst(&self) -> DeviceIndex {
-        match self {
-            ClusterEvent::Mirror { dst, .. } | ClusterEvent::Shadow { dst, .. } => *dst,
+/// Shadow-counter updates in flight to the primary: `count` updates of
+/// `value`, `period` apart, queued at the delivery instant of the first.
+#[derive(Debug, Clone, Copy)]
+struct ShadowRun {
+    dst: DeviceIndex,
+    src: DeviceIndex,
+    value: u64,
+    count: u64,
+    period: SimDuration,
+}
+
+/// Drop every queued delivery addressed to `dev`, keeping the rest in order.
+fn drop_addressed_to<E>(
+    queue: &mut EventQueue<E>,
+    dev: DeviceIndex,
+    dst: impl Fn(&E) -> DeviceIndex,
+) {
+    let mut keep = Vec::new();
+    while let Some((at, ev)) = queue.pop() {
+        if dst(&ev) != dev {
+            keep.push((at, ev));
         }
     }
-
-    fn from_outbound(o: Outbound) -> (SimTime, ClusterEvent) {
-        match o {
-            Outbound::Mirror { dst, offset, data, deliver_at } => {
-                (deliver_at, ClusterEvent::Mirror { dst, offset, data })
-            }
-            Outbound::Shadow { dst, src, value, deliver_at } => {
-                (deliver_at, ClusterEvent::Shadow { dst, src, value })
-            }
-        }
+    for (at, ev) in keep {
+        queue.schedule(at, ev);
     }
 }
 
@@ -58,11 +79,21 @@ impl ClusterEvent {
 /// [`Cluster::submit`], then the shared [`drive_to_completion`] wait.
 pub struct Cluster {
     devices: Vec<VillarsDevice>,
-    /// Cross-device traffic in flight, in delivery-time order.
-    events: EventQueue<ClusterEvent>,
-    /// Devices currently powered off: traffic to them is dropped on the
-    /// floor (their PCIe fabric is gone).
-    dead: std::collections::HashSet<DeviceIndex>,
+    /// Mirror chunks in flight, in delivery-time order.
+    mirrors: EventQueue<Mirror>,
+    /// Shadow-update runs in flight, each keyed at its next undelivered
+    /// update.
+    shadows: EventQueue<ShadowRun>,
+    /// Insertions into `shadows` so far (see
+    /// [`Cluster::shadow_runs_queued`]).
+    shadow_runs_queued: u64,
+    /// Per device: currently powered off. Traffic to a dead device is
+    /// dropped on the floor (its PCIe fabric is gone).
+    dead: Vec<bool>,
+    /// Reference model for the tests: one queue entry per update cycle and
+    /// every delivery a barrier, as if runs did not exist.
+    #[cfg(test)]
+    per_cycle_reference: bool,
     /// Reusable completion-drain buffer for the blocking waits (one
     /// allocation for the cluster's lifetime instead of one per horizon
     /// step).
@@ -86,8 +117,12 @@ impl Cluster {
     pub fn new() -> Self {
         Cluster {
             devices: Vec::new(),
-            events: EventQueue::new(),
-            dead: std::collections::HashSet::new(),
+            mirrors: EventQueue::new(),
+            shadows: EventQueue::new(),
+            shadow_runs_queued: 0,
+            dead: Vec::new(),
+            #[cfg(test)]
+            per_cycle_reference: false,
             drain_buf: Vec::new(),
         }
     }
@@ -95,6 +130,12 @@ impl Cluster {
     /// Add a device; returns its index.
     pub fn add_device(&mut self, config: VillarsConfig) -> DeviceIndex {
         self.devices.push(VillarsDevice::new(config));
+        #[cfg(test)]
+        {
+            let transport = self.devices.last_mut().expect("just pushed").transport_mut();
+            transport.per_cycle_reference = self.per_cycle_reference;
+        }
+        self.dead.push(false);
         self.devices.len() - 1
     }
 
@@ -279,11 +320,51 @@ impl Cluster {
     }
 
     fn schedule_outbound(&mut self, o: Outbound) {
-        if self.dead.contains(&o.dst()) {
+        if self.dead[o.dst()] {
             return; // the wire to a dead fabric drops traffic
         }
-        let (at, ev) = ClusterEvent::from_outbound(o);
-        self.events.schedule(at, ev);
+        match o {
+            Outbound::Mirror { dst, offset, data, deliver_at } => {
+                self.mirrors.schedule(deliver_at, Mirror { dst, offset, data });
+            }
+            Outbound::Shadow { dst, src, value, deliver_at, count, period } => {
+                self.queue_shadow_run(deliver_at, ShadowRun { dst, src, value, count, period });
+            }
+        }
+    }
+
+    fn queue_shadow_run(&mut self, at: SimTime, run: ShadowRun) {
+        self.shadows.schedule(at, run);
+        self.shadow_runs_queued += 1;
+    }
+
+    /// How many shadow-update runs have entered the delivery queue so far
+    /// (a run re-queued because it straddled an `advance` horizon counts
+    /// again). The secondaries' `shadow_updates_sent` counts the updates
+    /// those runs stand for; the gap between the two is the per-cycle
+    /// queue work the runs replace. A plain accessor, not a telemetry
+    /// path: snapshots and digests do not see it.
+    pub fn shadow_runs_queued(&self) -> u64 {
+        self.shadow_runs_queued
+    }
+
+    /// The earliest cross-device delivery in flight.
+    fn next_delivery(&self) -> Option<SimTime> {
+        match (self.mirrors.next_time(), self.shadows.next_time()) {
+            (Some(m), Some(s)) => Some(m.min(s)),
+            (m, s) => m.or(s),
+        }
+    }
+
+    /// How far the secondaries may emit shadow updates before the loop in
+    /// [`Cluster::advance`] must look at the queues again: the next mirror
+    /// delivery (a mirror arriving at `t_m` changes the credit timeline the
+    /// updates report), capped at the horizon `t`.
+    fn emission_barrier(&self, t: SimTime) -> SimTime {
+        let next = self.mirrors.next_time();
+        #[cfg(test)]
+        let next = if self.per_cycle_reference { self.next_delivery() } else { next };
+        next.map_or(t, |e| e.min(t))
     }
 
     /// Drive the whole cluster to `t`: generates secondary shadow updates,
@@ -291,63 +372,77 @@ impl Cluster {
     /// device.
     pub fn advance(&mut self, t: SimTime) {
         // Bound the shadow-update catch-up work once per horizon, before
-        // any emission, at the first pending delivery (the loop's first
-        // emission barrier).
-        let b0 = self.events.next_time().map_or(t, |p| p.min(t));
+        // any emission, at the first pending delivery of either kind.
+        let b0 = self.next_delivery().map_or(t, |p| p.min(t));
         for d in &mut self.devices {
             d.catch_up_shadow_clock(b0);
         }
         loop {
-            // Generate shadow updates only up to the next pending delivery
-            // (a mirror arriving at t_m changes the credit timeline the
-            // updates report).
-            let barrier = self.events.next_time().map_or(t, |e| e.min(t));
+            let barrier = self.emission_barrier(t);
             for i in 0..self.devices.len() {
                 let outs = self.devices[i].take_shadow_updates(barrier, i);
                 for o in outs {
                     self.schedule_outbound(o);
                 }
             }
-            match self.events.pop_due(t) {
-                Some((at, ClusterEvent::Mirror { dst, offset, data })) => {
-                    if self.dead.contains(&dst) {
-                        continue;
-                    }
-                    match self.devices[dst].receive_mirror(at, offset, &data) {
-                        Ok(()) => {}
-                        Err(CmbError::Overlap { .. }) => {
-                            // Duplicate delivery (retry raced a success);
-                            // drop it.
-                        }
-                        Err(_) => {
-                            // Secondary intake saturated: retry shortly —
-                            // this is the transport inserting itself into
-                            // the back-pressure path (paper §4.2).
-                            self.devices[dst].advance(at);
-                            self.events.schedule(
-                                at + SimDuration::from_micros(1),
-                                ClusterEvent::Mirror { dst, offset, data },
-                            );
-                        }
-                    }
-                }
-                Some((at, ClusterEvent::Shadow { dst, src, value })) => {
-                    if !self.dead.contains(&dst) {
-                        self.devices[dst].apply_shadow(src, value, at);
-                    }
-                }
-                None => break,
+            #[cfg(test)]
+            if self.per_cycle_reference {
+                self.land_shadow_updates(barrier);
+            }
+            match self.mirrors.pop_due(barrier) {
+                Some((at, m)) => self.deliver_mirror(at, m),
+                // Nothing due at the barrier: it was the horizon (or, for
+                // the per-cycle reference, a shadow delivery on the way).
+                None if barrier >= t => break,
+                None => {}
             }
         }
+        self.land_shadow_updates(t);
         for d in &mut self.devices {
             d.advance(t);
+        }
+    }
+
+    fn deliver_mirror(&mut self, at: SimTime, m: Mirror) {
+        if self.dead[m.dst] {
+            return;
+        }
+        match self.devices[m.dst].receive_mirror(at, m.offset, &m.data) {
+            Ok(()) => {}
+            Err(CmbError::Overlap { .. }) => {
+                // Duplicate delivery (retry raced a success); drop it.
+            }
+            Err(_) => {
+                // Secondary intake saturated: retry shortly — this is the
+                // transport inserting itself into the back-pressure path
+                // (paper §4.2).
+                self.devices[m.dst].advance(at);
+                self.mirrors.schedule(at + SimDuration::from_micros(1), m);
+            }
+        }
+    }
+
+    /// Apply every shadow update whose delivery instant is at or before
+    /// `t`. A run that straddles `t` is split: the updates due are applied
+    /// and the rest go back, keyed at the first of them.
+    fn land_shadow_updates(&mut self, t: SimTime) {
+        while let Some((at, run)) = self.shadows.pop_due(t) {
+            let due = run.count.min(1 + (t - at).as_nanos() / run.period.as_nanos());
+            if !self.dead[run.dst] {
+                let last_at = at + run.period * (due - 1);
+                self.devices[run.dst].apply_shadow(run.src, run.value, last_at, due);
+            }
+            if due < run.count {
+                let rest = ShadowRun { count: run.count - due, ..run };
+                self.queue_shadow_run(at + run.period * due, rest);
+            }
         }
     }
 
     /// The earliest pending instant across devices and in-flight traffic —
     /// lets blocking host calls jump virtual time.
     pub fn next_event_after(&self, t: SimTime) -> Option<SimTime> {
-        let mut next: Option<SimTime> = self.events.next_time();
+        let mut next: Option<SimTime> = self.next_delivery();
         for d in &self.devices {
             if let Some(e) = d.next_event() {
                 next = Some(next.map_or(e, |n| n.min(e)));
@@ -365,16 +460,9 @@ impl Cluster {
         self.advance(now);
         // Drop traffic addressed to the dead device (its PCIe fabric is
         // gone); keep everything else.
-        let mut keep = Vec::new();
-        while let Some((at, ev)) = self.events.pop() {
-            if ev.dst() != dev {
-                keep.push((at, ev));
-            }
-        }
-        for (at, ev) in keep {
-            self.events.schedule(at, ev);
-        }
-        self.dead.insert(dev);
+        drop_addressed_to(&mut self.mirrors, dev, |m| m.dst);
+        drop_addressed_to(&mut self.shadows, dev, |r| r.dst);
+        self.dead[dev] = true;
         self.devices[dev].power_fail(now)
     }
 
@@ -382,7 +470,7 @@ impl Cluster {
     /// durable state survived; roles must be reconfigured via vendor
     /// commands.
     pub fn reboot_device(&mut self, dev: DeviceIndex) {
-        self.dead.remove(&dev);
+        self.dead[dev] = false;
     }
 
     /// Arm the whole cluster from a [`FaultPlan`]: each device gets
@@ -425,7 +513,7 @@ impl Cluster {
         target: DeviceIndex,
     ) -> SimTime {
         assert_ne!(primary, target, "cannot resync a device from itself");
-        assert!(!self.dead.contains(&target), "reboot the target before resync");
+        assert!(!self.dead[target], "reboot the target before resync");
         self.advance(now);
         let mut t = now;
         let upto = self.devices[primary].log_tail(0);
@@ -511,7 +599,7 @@ impl Cluster {
         base: u64,
         bytes: &[u8],
     ) -> SimTime {
-        assert!(!self.dead.contains(&target), "reboot the target before archive delivery");
+        assert!(!self.dead[target], "reboot the target before archive delivery");
         self.advance(now);
         let mut t = now;
         let end = base + bytes.len() as u64;
@@ -549,7 +637,7 @@ impl Cluster {
 
     /// Whether a device is currently powered off.
     pub fn is_dead(&self, dev: DeviceIndex) -> bool {
-        self.dead.contains(&dev)
+        self.dead[dev]
     }
 
     /// Attach each device's next-event frontier to a failure's
@@ -564,7 +652,7 @@ impl Cluster {
             }
             *snapshot = std::mem::take(snapshot).domain_frontier(i, frontier);
         }
-        if let Some(pending) = self.events.next_time() {
+        if let Some(pending) = self.next_delivery() {
             *snapshot = std::mem::take(snapshot)
                 .detail_suffix(format!("next cross-device delivery at {pending}"));
         }
@@ -727,5 +815,351 @@ mod tests {
         assert_eq!(report.durable_upto, vec![0]);
         // The cluster keeps running for the primary.
         cl.advance(t1 + SimDuration::from_micros(100));
+    }
+
+    // ---- shadow runs against the per-cycle reference ---------------------
+    //
+    // The reference is the same cluster with `per_cycle_reference` set: one
+    // queue entry per update cycle through `NtbPort::forward`, every
+    // delivery an emission barrier and landed in time order — the loop as
+    // it was before updates travelled as runs. Each script below drives a
+    // cluster through the public calls and records what a host can see
+    // after every step; both clusters must produce the same record.
+
+    use crate::config::ReplicationPolicy;
+    use crate::transport::TransportStatus;
+    use simkit::faults::{FlashFaultConfig, LinkDownWindow, TransportFaultConfig};
+    use simkit::{DetRng, MetricsRegistry};
+
+    /// One observation: label, instant, the policy-combined credit read,
+    /// the cluster's next event, the primary's transport status.
+    type Obs = (&'static str, SimTime, (SimTime, u64), Option<SimTime>, TransportStatus);
+
+    struct Script<'a> {
+        cl: &'a mut Cluster,
+        primary: DeviceIndex,
+        log: Vec<Obs>,
+        offset: u64,
+    }
+
+    /// Advance `cl` to `now`, record everything observable there, and
+    /// return the cluster's next event (1 us on if it has none).
+    fn observe_into(
+        log: &mut Vec<Obs>,
+        cl: &mut Cluster,
+        primary: DeviceIndex,
+        label: &'static str,
+        now: SimTime,
+    ) -> SimTime {
+        cl.advance(now);
+        let read = cl.read_credit(primary, now, 0);
+        let next = cl.next_event_after(read.0);
+        let status = cl.device(primary).transport().status_at(now);
+        log.push((label, now, read, next, status));
+        next.unwrap_or(read.0 + SimDuration::from_micros(1))
+    }
+
+    impl Script<'_> {
+        fn observe(&mut self, label: &'static str, now: SimTime) -> SimTime {
+            observe_into(&mut self.log, self.cl, self.primary, label, now)
+        }
+
+        /// `steps` observations, each at the cluster's own next event: the
+        /// horizons land exactly on deliveries, drain completions and
+        /// update cycles.
+        fn follow_events(
+            &mut self,
+            label: &'static str,
+            mut now: SimTime,
+            steps: usize,
+        ) -> SimTime {
+            for _ in 0..steps {
+                now = self.observe(label, now);
+            }
+            now
+        }
+
+        /// Observations at fixed strides, so horizons cut runs anywhere.
+        fn stride(&mut self, label: &'static str, mut now: SimTime, strides_ns: &[u64]) -> SimTime {
+            for &ns in strides_ns {
+                now += SimDuration::from_nanos(ns);
+                self.observe(label, now);
+            }
+            now
+        }
+
+        fn write(&mut self, now: SimTime, len: usize) -> SimTime {
+            let data = vec![(self.offset % 251) as u8; len];
+            match self.cl.fast_write(
+                self.primary,
+                now,
+                0,
+                self.offset,
+                &data,
+                MmioMode::WriteCombining,
+            ) {
+                Ok((_, arrived)) => {
+                    self.offset += len as u64;
+                    arrived
+                }
+                // Intake saturated / ring full: drain and retry later.
+                Err(_) => now + SimDuration::from_micros(2),
+            }
+        }
+    }
+
+    /// Run `script` on a cluster and on its per-cycle reference; both must
+    /// leave the same observations and the same telemetry. Returns the
+    /// (runs, reference) queue-insertion counts.
+    fn assert_matches_reference(
+        name: &str,
+        script: impl Fn(&mut Cluster) -> Vec<Obs>,
+    ) -> (u64, u64) {
+        let telemetry = |cl: &Cluster| {
+            let mut reg = MetricsRegistry::new();
+            reg.collect("cluster", cl);
+            reg.snapshot().metrics_json().to_string()
+        };
+        let mut runs = Cluster::new();
+        let mut reference = Cluster { per_cycle_reference: true, ..Cluster::new() };
+        let (got, want) = (script(&mut runs), script(&mut reference));
+        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(g, w, "{name}: observation {i} differs from the per-cycle reference");
+        }
+        assert_eq!(got.len(), want.len(), "{name}: observation counts differ");
+        assert_eq!(telemetry(&runs), telemetry(&reference), "{name}: telemetry differs");
+        assert_eq!(runs.next_delivery(), reference.next_delivery(), "{name}: queue frontier");
+        (runs.shadow_runs_queued(), reference.shadow_runs_queued())
+    }
+
+    fn replicated(cl: &mut Cluster, secondaries: usize) -> (Script<'_>, SimTime) {
+        for _ in 0..=secondaries {
+            cl.add_device(VillarsConfig::small());
+        }
+        let secs: Vec<usize> = (1..=secondaries).collect();
+        let t = cl.configure_replication(SimTime::ZERO, 0, &secs);
+        (Script { cl, primary: 0, log: Vec::new(), offset: 0 }, t)
+    }
+
+    /// Writes of mixed sizes, each followed by event-following and strided
+    /// horizons.
+    fn steady_traffic(s: &mut Script<'_>, mut now: SimTime, writes: usize) -> SimTime {
+        for i in 0..writes {
+            now = s.write(now, 64 + 448 * (i % 5));
+            now = s.follow_events("follow", now, 6);
+            now = s.stride("stride", now, &[1, 333, 799, 800, 801, 2_900, 17_000]);
+        }
+        now
+    }
+
+    #[test]
+    fn runs_match_the_reference_on_steady_traffic() {
+        let (runs, reference) = assert_matches_reference("steady", |cl| {
+            let (mut s, t) = replicated(cl, 2);
+            let now = steady_traffic(&mut s, t, 12);
+            s.observe("settle", now + SimDuration::from_millis(1));
+            s.log
+        });
+        assert!(runs * 4 < reference, "{runs} runs queued for {reference} updates");
+    }
+
+    #[test]
+    fn runs_match_the_reference_on_exact_delivery_and_drain_horizons() {
+        assert_matches_reference("exact horizons", |cl| {
+            let (mut s, t) = replicated(cl, 1);
+            let mut now = t;
+            for round in 0..6 {
+                // A full intake queue: its drain on the secondary (1 us)
+                // outlasts an update period, so a cycle falls inside it.
+                let arrived = s.write(now, 4 << 10);
+                let mirror_at = s.cl.mirrors.next_time().expect("a mirror is in flight");
+                assert!(mirror_at > arrived);
+                s.observe("before mirror", mirror_at - SimDuration::from_nanos(1));
+                s.observe("at mirror", mirror_at);
+                let credit_before = s.cl.device_mut(1).local_credit(mirror_at, 0);
+                let drain_at = s.cl.device(1).next_event().expect("drain pending");
+                // Re-time the secondary so its cycle after next falls
+                // exactly on the drain completion: that cycle must already
+                // report the new credit.
+                let cycle = s.cl.device(1).transport().next_update_at().expect("secondary");
+                assert!(cycle > mirror_at && cycle < drain_at);
+                s.cl.device_mut(1).transport_mut().set_shadow_period(drain_at - cycle);
+                // (On odd rounds one horizon spans both cycles.)
+                if round % 2 == 0 {
+                    s.observe("before drain", drain_at - SimDuration::from_nanos(1));
+                }
+                s.observe("at drain", drain_at);
+                assert!(s.cl.device_mut(1).local_credit(drain_at, 0) > credit_before);
+                let shadow_at = s.cl.shadows.next_time().expect("updates in flight");
+                s.observe("at shadow", shadow_at);
+                s.observe("after shadow", shadow_at + SimDuration::from_nanos(1));
+                now = s.follow_events("follow", shadow_at + SimDuration::from_nanos(2), 8);
+                s.cl.device_mut(1).transport_mut().set_shadow_period(SimDuration::from_nanos(800));
+                now = s.stride("stride", now, &[30_000]);
+            }
+            s.log
+        });
+    }
+
+    #[test]
+    fn runs_match_the_reference_with_faults_and_link_outages() {
+        let (runs, reference) = assert_matches_reference("tlp_drop 0.3", |cl| {
+            let (mut s, t) = replicated(cl, 2);
+            s.cl.arm_faults(&FaultPlan {
+                seed: 0xD80F,
+                transport: TransportFaultConfig {
+                    tlp_drop: 0.3,
+                    replay_timeout: SimDuration::from_micros(10),
+                },
+                ..FaultPlan::disabled()
+            });
+            let now = steady_traffic(&mut s, t, 8);
+            s.observe("settle", now + SimDuration::from_millis(1));
+            s.log
+        });
+        assert_eq!(runs, reference, "an armed wire takes one update at a time");
+
+        // An outage on one secondary's flows, scheduled while earlier runs
+        // are still in flight: the window cuts across them.
+        assert_matches_reference("link-down", |cl| {
+            let (mut s, t) = replicated(cl, 2);
+            let now = steady_traffic(&mut s, t, 3);
+            assert!(!s.cl.shadows.is_empty(), "runs in flight");
+            let from = now + SimDuration::from_micros(3);
+            let window = LinkDownWindow { from, until: from + SimDuration::from_micros(40) };
+            s.cl.schedule_link_down(1, window);
+            s.cl.schedule_link_down(0, window);
+            let now = steady_traffic(&mut s, now, 6);
+            s.observe("settle", now + SimDuration::from_millis(1));
+            s.log
+        });
+    }
+
+    #[test]
+    fn runs_match_the_reference_when_the_wire_refuses_them() {
+        // A 5 ns update period is below one counter TLP's 9 ns on the wire:
+        // updates queue behind each other and `acquire_periodic` refuses.
+        let (runs, reference) = assert_matches_reference("5 ns period", |cl| {
+            let (mut s, t) = replicated(cl, 1);
+            let (t, e) = s.cl.vendor_blocking(
+                1,
+                t,
+                VendorCommand::new(vendor::SET_SHADOW_PERIOD, [5, 0, 0, 0, 0, 0]),
+            );
+            assert_eq!(e.status, Status::Success);
+            let mut now = t;
+            for _ in 0..3 {
+                now = s.write(now, 256);
+                now = s.follow_events("follow", now, 4);
+                now = s.stride("stride", now, &[7, 50, 1_300]);
+            }
+            // Back to a period the wire can take, with the backlog draining.
+            let (t, _) = s.cl.vendor_blocking(
+                1,
+                now,
+                VendorCommand::new(vendor::SET_SHADOW_PERIOD, [400, 0, 0, 0, 0, 0]),
+            );
+            let now = steady_traffic(&mut s, t, 3);
+            s.observe("settle", now + SimDuration::from_micros(200));
+            s.log
+        });
+        assert!(runs < reference);
+    }
+
+    #[test]
+    fn runs_match_the_reference_across_a_long_idle_gap() {
+        // 20 ms is 25 000 update periods. `catch_up_shadow_clock` skips all
+        // but the last 10 000 of an idle stretch, measured up to the first
+        // pending delivery of either kind, not up to the horizon: with
+        // anything in flight — and a live secondary always has updates in
+        // flight — every cycle is emitted.
+        let gap = SimDuration::from_millis(20);
+        let (runs, reference) = assert_matches_reference("idle gap", |cl| {
+            let (mut s, t) = replicated(cl, 2);
+            let sent = |s: &Script<'_>| s.cl.device(1).transport().stats().shadow_updates_sent;
+            // (The jump starts up to two cycles past the last horizon.)
+            let every_cycle = 25_000..=25_002;
+            let now = steady_traffic(&mut s, t, 2);
+            // A mirror and runs in flight, then jump.
+            let now = s.write(now, 1024);
+            assert!(s.cl.mirrors.next_time().is_some() && s.cl.shadows.next_time().is_some());
+            let before = sent(&s);
+            let now = s.observe("jump", now + gap);
+            assert!(every_cycle.contains(&(sent(&s) - before)), "{}", sent(&s) - before);
+            // Only runs in flight.
+            let now = s.follow_events("follow", now, 4);
+            assert!(s.cl.mirrors.is_empty() && s.cl.shadows.next_time().is_some());
+            let before = sent(&s);
+            let now = s.observe("jump", now + gap);
+            assert!(every_cycle.contains(&(sent(&s) - before)), "{}", sent(&s) - before);
+            let now = steady_traffic(&mut s, now, 2);
+            // Nothing in flight (the primary is gone, its traffic dropped):
+            // the secondaries skip ahead.
+            s.cl.power_fail(0, now);
+            assert_eq!(s.cl.next_delivery(), None);
+            let before = sent(&s);
+            s.cl.advance(now + gap);
+            assert!((10_000..=10_001).contains(&(sent(&s) - before)), "{}", sent(&s) - before);
+            s.log
+        });
+        assert!(reference > 100_000 && runs < 1_000, "{runs} runs, {reference} updates");
+    }
+
+    #[test]
+    fn runs_match_the_reference_across_power_failures() {
+        assert_matches_reference("secondary dies, rejoins", |cl| {
+            let (mut s, t) = replicated(cl, 2);
+            let now = steady_traffic(&mut s, t, 3);
+            let now = s.write(now, 768);
+            assert!(!s.cl.shadows.is_empty(), "runs in flight at the crash");
+            s.cl.power_fail(2, now + SimDuration::from_nanos(700));
+            let now = steady_traffic(&mut s, now + SimDuration::from_micros(1), 3);
+            s.cl.reboot_device(2);
+            let now = s.cl.resync_secondary(now, 0, 2);
+            let now = s.cl.configure_replication(now, 0, &[1, 2]);
+            let now = steady_traffic(&mut s, now, 3);
+            s.observe("settle", now + SimDuration::from_millis(1));
+            s.log
+        });
+        assert_matches_reference("primary dies", |cl| {
+            let (mut s, t) = replicated(cl, 2);
+            let now = steady_traffic(&mut s, t, 3);
+            let now = s.write(now, 768);
+            assert!(!s.cl.shadows.is_empty(), "runs in flight at the crash");
+            s.cl.power_fail(0, now + SimDuration::from_nanos(700));
+            // The secondaries keep reporting into a dead fabric.
+            let mut now = now;
+            for stride in [900, 5_000, 40_000] {
+                now += SimDuration::from_nanos(stride);
+                s.cl.advance(now);
+                assert!(s.cl.shadows.is_empty(), "updates for a dead primary are dropped");
+            }
+            // Promote the first secondary.
+            s.primary = 1;
+            s.offset = s.cl.device(1).log_tail(0);
+            let now = s.cl.configure_replication(now, 1, &[2]);
+            let now = steady_traffic(&mut s, now, 3);
+            s.observe("settle", now + SimDuration::from_millis(1));
+            s.log
+        });
+    }
+
+    // `drive_random_scenario`: the `core/tests/cluster_scenarios.rs`
+    // generator (2–8 devices, random periods and policies, random fault
+    // plans, link outages, crash / reboot / resync arcs).
+    include!("../tests/common/random_scenario.rs");
+
+    #[test]
+    fn runs_match_the_reference_on_random_topologies() {
+        for seed in [0xA11CE_u64, 0xB0B, 0xCAFE, 0xD00D, 0xE66, 0xF00D, 0x5EED, 7, 42] {
+            assert_matches_reference(&format!("seed {seed:#x}"), |cl| {
+                let mut log = Vec::new();
+                let (_, now) = drive_random_scenario(cl, seed, |cl, now| {
+                    observe_into(&mut log, cl, 0, "follow", now)
+                });
+                observe_into(&mut log, cl, 0, "settle", now + SimDuration::from_millis(1));
+                log
+            });
+        }
     }
 }

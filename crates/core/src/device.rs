@@ -334,17 +334,16 @@ impl VillarsDevice {
         self.transport.catch_up_shadow_clock(bound);
     }
 
-    /// Secondary: emit shadow-counter updates up to `now` for the cluster.
+    /// Secondary: emit the shadow-counter updates due up to `now`, as
+    /// runs, for the cluster.
     pub fn take_shadow_updates(&mut self, now: SimTime, me: DeviceIndex) -> Vec<Outbound> {
-        let lane = &mut self.lanes[0];
-        let cmb = &mut lane.cmb;
-        self.transport.take_shadow_updates(now, me, |at| cmb.credit_at(at))
+        self.transport.take_shadow_updates(now, me, &mut self.lanes[0].cmb)
     }
 
-    /// Primary: apply a shadow-counter update from secondary `src`,
-    /// arriving at `at`.
-    pub fn apply_shadow(&mut self, src: DeviceIndex, value: u64, at: SimTime) {
-        self.transport.apply_shadow(src, value, at);
+    /// Primary: apply `count` shadow-counter updates of `value` from
+    /// secondary `src`, the last arriving at `last_at`.
+    pub fn apply_shadow(&mut self, src: DeviceIndex, value: u64, last_at: SimTime, count: u64) {
+        self.transport.apply_shadow(src, value, last_at, count);
     }
 
     /// Drive the device to `t`, stepping through internal event times so

@@ -6,12 +6,25 @@
 //! forwards its credit counter back; the primary keeps these as *shadow
 //! counters* and combines them per the configured replication policy when
 //! the database reads the credit counter.
+//!
+//! # Counter updates travel as runs
+//!
+//! A secondary reports on a fixed cycle, but its credit only changes when a
+//! drain completes on its CMB, so consecutive cycles carry the same value.
+//! [`TransportModule::take_shadow_updates`] therefore emits *runs*: one
+//! [`Outbound::Shadow`] stands for `count` updates of one value, `period`
+//! apart, the upstream wire charged for all of them in closed form
+//! ([`pcie::NtbPort::forward_periodic`]). Every counter — updates sent and
+//! applied, TLPs forwarded, wire time — is what the per-cycle emission
+//! produces; only the simulator's work per cycle is gone. Where the wire
+//! cannot take a run (faults armed: drops and link-down windows are drawn
+//! per TLP; a period below one TLP's wire time) the run has length one.
 
+use crate::cmb::CmbModule;
 use crate::config::{ReplicationPolicy, TransportConfig};
 use pcie::{HostId, NtbConfig, NtbFaultStats, NtbPort, Tlp, TranslationWindow};
 use simkit::faults::{LinkDownWindow, TransportFaultConfig};
 use simkit::{Bytes, DetRng, SimDuration, SimTime};
-use std::collections::HashMap;
 
 /// Index of a device within a [`crate::cluster::Cluster`].
 pub type DeviceIndex = usize;
@@ -60,7 +73,9 @@ pub enum Outbound {
         /// When it lands in the destination's CMB intake.
         deliver_at: SimTime,
     },
-    /// A shadow-counter update for the primary.
+    /// A run of shadow-counter updates for the primary: `count` updates
+    /// reporting the same `value`, the first landing at `deliver_at` and
+    /// each next one `period` later.
     Shadow {
         /// Destination (primary) device.
         dst: DeviceIndex,
@@ -68,8 +83,12 @@ pub enum Outbound {
         src: DeviceIndex,
         /// The secondary's credit value.
         value: u64,
-        /// When the primary's shadow copy updates.
+        /// When the primary's shadow copy first updates.
         deliver_at: SimTime,
+        /// Updates in the run (at least one).
+        count: u64,
+        /// Spacing of the run's updates (the secondary's update period).
+        period: SimDuration,
     },
 }
 
@@ -95,17 +114,26 @@ pub struct TransportStats {
     pub shadow_updates_applied: u64,
 }
 
+/// Primary-side state for one secondary.
+#[derive(Debug)]
+struct Peer {
+    dev: DeviceIndex,
+    /// The NTB mirror flow to this secondary.
+    port: NtbPort,
+    /// Its shadow counter.
+    shadow: u64,
+    /// When it last reported (staleness detection).
+    last_update_at: SimTime,
+}
+
 /// The Transport module of one device.
 #[derive(Debug)]
 pub struct TransportModule {
     config: TransportConfig,
     role: Role,
-    /// Primary: one NTB mirror flow per secondary.
-    flows: HashMap<DeviceIndex, NtbPort>,
-    /// Primary: shadow counters by secondary.
-    shadows: HashMap<DeviceIndex, u64>,
-    /// Primary: when each secondary last reported (staleness detection).
-    last_update_at: HashMap<DeviceIndex, SimTime>,
+    /// Primary: one entry per secondary, in chain order (at most five, so
+    /// lookups are a linear scan).
+    peers: Vec<Peer>,
     /// Secondary: the NTB flow back to the primary for counter updates.
     upstream: Option<NtbPort>,
     /// Secondary: next scheduled counter update.
@@ -117,6 +145,10 @@ pub struct TransportModule {
     /// role change — each new flow forks its own child stream from this.
     flow_faults: Option<(TransportFaultConfig, DetRng)>,
     stats: TransportStats,
+    /// Reference model for the tests: emit one update per cycle through
+    /// [`NtbPort::forward`], as if runs did not exist.
+    #[cfg(test)]
+    pub(crate) per_cycle_reference: bool,
 }
 
 /// The synthetic window base used for mirror flows: each device maps its
@@ -130,14 +162,14 @@ impl TransportModule {
         TransportModule {
             config,
             role: Role::StandAlone,
-            flows: HashMap::new(),
-            shadows: HashMap::new(),
-            last_update_at: HashMap::new(),
+            peers: Vec::new(),
             upstream: None,
             next_update_at: SimTime::ZERO,
             last_reported: 0,
             flow_faults: None,
             stats: TransportStats::default(),
+            #[cfg(test)]
+            per_cycle_reference: false,
         }
     }
 
@@ -164,11 +196,11 @@ impl TransportModule {
         match &self.role {
             Role::StandAlone => TransportStatus::Inactive,
             Role::Secondary { .. } => TransportStatus::Ok,
-            Role::Primary { secondaries } => {
-                let stale = secondaries.iter().any(|s| {
-                    let last = self.last_update_at.get(s).copied().unwrap_or(SimTime::ZERO);
-                    now.saturating_since(last) > self.config.staleness_window
-                });
+            Role::Primary { .. } => {
+                let stale = self
+                    .peers
+                    .iter()
+                    .any(|p| now.saturating_since(p.last_update_at) > self.config.staleness_window);
                 if stale {
                     TransportStatus::Degraded
                 } else {
@@ -191,18 +223,19 @@ impl TransportModule {
     /// `SetRolePrimary`). Resets previous flows; the staleness clock for
     /// each secondary starts at `now`.
     pub fn set_primary(&mut self, secondaries: Vec<DeviceIndex>, ntb: NtbConfig, now: SimTime) {
-        self.flows.clear();
-        self.shadows.clear();
-        self.last_update_at.clear();
+        self.peers.clear();
         for &s in &secondaries {
             let mut port = NtbPort::new(ntb, HostId(s as u16));
             port.add_window(Self::window_for(s));
             if let Some((cfg, rng)) = &mut self.flow_faults {
                 port.arm_faults(*cfg, rng.fork(s as u64));
             }
-            self.flows.insert(s, port);
-            self.shadows.insert(s, 0);
-            self.last_update_at.insert(s, now);
+            let peer = Peer { dev: s, port, shadow: 0, last_update_at: now };
+            // A secondary listed twice keeps one flow (its latest).
+            match self.peers.iter_mut().find(|p| p.dev == s) {
+                Some(p) => *p = peer,
+                None => self.peers.push(peer),
+            }
         }
         self.upstream = None;
         self.role = Role::Primary { secondaries };
@@ -216,8 +249,7 @@ impl TransportModule {
             port.arm_faults(*cfg, rng.fork(u64::from(u32::MAX) + 1 + primary as u64));
         }
         self.upstream = Some(port);
-        self.flows.clear();
-        self.shadows.clear();
+        self.peers.clear();
         self.next_update_at = now + self.config.shadow_update_period;
         self.last_reported = 0;
         self.role = Role::Secondary { primary };
@@ -226,8 +258,7 @@ impl TransportModule {
     /// Return to stand-alone mode (vendor command `SetRoleStandAlone`).
     pub fn set_stand_alone(&mut self) {
         self.role = Role::StandAlone;
-        self.flows.clear();
-        self.shadows.clear();
+        self.peers.clear();
         self.upstream = None;
     }
 
@@ -241,14 +272,12 @@ impl TransportModule {
     /// windows) on every NTB flow this module owns, now and across future
     /// role changes: flows are rebuilt on reconfiguration, so the config
     /// and parent RNG stream live here and each flow forks a child stream
-    /// salted by its peer index.
+    /// salted by its peer index (mirror flows in chain order, then the
+    /// upstream flow).
     pub fn arm_flow_faults(&mut self, cfg: TransportFaultConfig, rng: DetRng) {
-        self.flow_faults = Some((cfg, rng));
-        let mut peers: Vec<DeviceIndex> = self.flows.keys().copied().collect();
-        peers.sort_unstable();
-        let (cfg, rng) = self.flow_faults.as_mut().expect("just set");
-        for p in peers {
-            self.flows.get_mut(&p).expect("just listed").arm_faults(*cfg, rng.fork(p as u64));
+        let (cfg, rng) = self.flow_faults.insert((cfg, rng));
+        for p in &mut self.peers {
+            p.port.arm_faults(*cfg, rng.fork(p.dev as u64));
         }
         if let Some(up) = self.upstream.as_mut() {
             up.arm_faults(*cfg, rng.fork(u64::MAX));
@@ -260,10 +289,8 @@ impl TransportModule {
     /// accepts them. Applies to current flows only — schedule outages
     /// after roles are configured.
     pub fn schedule_link_down(&mut self, window: LinkDownWindow) {
-        let mut peers: Vec<DeviceIndex> = self.flows.keys().copied().collect();
-        peers.sort_unstable();
-        for p in peers {
-            self.flows.get_mut(&p).expect("just listed").schedule_link_down(window);
+        for p in &mut self.peers {
+            p.port.schedule_link_down(window);
         }
         if let Some(up) = self.upstream.as_mut() {
             up.schedule_link_down(window);
@@ -274,7 +301,7 @@ impl TransportModule {
     /// the upstream counter flow).
     pub fn flow_fault_stats(&self) -> NtbFaultStats {
         let mut total = NtbFaultStats::default();
-        for f in self.flows.values().chain(self.upstream.iter()) {
+        for f in self.peers.iter().map(|p| &p.port).chain(self.upstream.iter()) {
             let s = f.fault_stats();
             total.replays += s.replays;
             total.deferrals += s.deferrals;
@@ -296,7 +323,12 @@ impl TransportModule {
         let payload = (len / tlps).max(1) as u32;
         let mut out = Vec::with_capacity(secondaries.len());
         for &dst in secondaries {
-            let port = self.flows.get_mut(&dst).expect("flow exists for secondary");
+            let port = &mut self
+                .peers
+                .iter_mut()
+                .find(|p| p.dev == dst)
+                .expect("flow exists for secondary")
+                .port;
             let addr = Self::window_for(dst).local_base + offset % MIRROR_WINDOW_SIZE;
             let grant = port.forward_burst(now, addr, payload, tlps).expect("mirror window mapped");
             self.stats.mirrored_bytes += len;
@@ -328,33 +360,59 @@ impl TransportModule {
         }
     }
 
-    /// Secondary: emit periodic shadow-counter updates up to `now`.
-    /// `credit_at` queries the local CMB credit at a given instant.
+    /// Secondary: emit the periodic shadow-counter updates due up to `now`
+    /// as runs. `cmb` is the lane whose credit is reported. Between two
+    /// drain completions the credit cannot change, so every cycle up to
+    /// `now` and strictly before the next pending completion reports the
+    /// value read at the run's first cycle (a cycle *at* a completion
+    /// instant already sees the new credit, and starts the next run).
     /// Callers spanning a large idle gap should bound the work first via
     /// [`TransportModule::catch_up_shadow_clock`].
     pub fn take_shadow_updates(
         &mut self,
         now: SimTime,
         me: DeviceIndex,
-        mut credit_at: impl FnMut(SimTime) -> u64,
+        cmb: &mut CmbModule,
     ) -> Vec<Outbound> {
         let Role::Secondary { primary } = self.role else {
             return Vec::new();
         };
+        let period = self.config.shadow_update_period;
+        let port = self.upstream.as_mut().expect("secondary has upstream flow");
+        let tlp =
+            Tlp::write(Self::window_for(primary).local_base, self.config.counter_payload_bytes);
         let mut out = Vec::new();
         while self.next_update_at <= now {
             let at = self.next_update_at;
-            self.next_update_at = at + self.config.shadow_update_period;
-            let value = credit_at(at);
+            let value = cmb.credit_at(at);
             // Skip no-change updates? The paper's device sends on a fixed
             // cycle; we do too — the bandwidth cost is the point of Fig. 13.
-            let port = self.upstream.as_mut().expect("secondary has upstream flow");
-            let addr = Self::window_for(primary).local_base;
-            let tlp = Tlp::write(addr, self.config.counter_payload_bytes);
-            let (_fwd, grant) = port.forward(at, &tlp).expect("upstream window mapped");
+            let last = match cmb.next_pending() {
+                Some(change) => now.min(change - SimDuration::from_nanos(1)),
+                None => now,
+            };
+            let cycles = 1 + (last - at).as_nanos() / period.as_nanos();
+            #[cfg(test)]
+            let cycles = if self.per_cycle_reference { 1 } else { cycles };
+            // The wire takes the whole run, or (faults armed, or a period
+            // shorter than one TLP on the wire) one update at a time.
+            let run =
+                if cycles > 1 { port.forward_periodic(at, &tlp, period, cycles) } else { None };
+            let (count, grant) = match run {
+                Some(grant) => (cycles, grant),
+                None => (1, port.forward(at, &tlp).expect("upstream window mapped").1),
+            };
+            self.next_update_at = at + period * count;
             self.last_reported = value;
-            self.stats.shadow_updates_sent += 1;
-            out.push(Outbound::Shadow { dst: primary, src: me, value, deliver_at: grant.end });
+            self.stats.shadow_updates_sent += count;
+            out.push(Outbound::Shadow {
+                dst: primary,
+                src: me,
+                value,
+                deliver_at: grant.end,
+                count,
+                period,
+            });
         }
         out
     }
@@ -367,20 +425,19 @@ impl TransportModule {
         }
     }
 
-    /// Primary: apply a shadow-counter update that arrived from `src` at
-    /// instant `at`.
-    pub fn apply_shadow(&mut self, src: DeviceIndex, value: u64, at: SimTime) {
-        if let Some(v) = self.shadows.get_mut(&src) {
-            *v = (*v).max(value);
-            self.stats.shadow_updates_applied += 1;
-            let t = self.last_update_at.entry(src).or_insert(at);
-            *t = (*t).max(at);
+    /// Primary: apply `count` shadow-counter updates from `src`, all
+    /// reporting `value`, the last of which arrived at `last_at`.
+    pub fn apply_shadow(&mut self, src: DeviceIndex, value: u64, last_at: SimTime, count: u64) {
+        if let Some(p) = self.peers.iter_mut().find(|p| p.dev == src) {
+            p.shadow = p.shadow.max(value);
+            p.last_update_at = p.last_update_at.max(last_at);
+            self.stats.shadow_updates_applied += count;
         }
     }
 
     /// A secondary's shadow counter as the primary sees it.
     pub fn shadow_of(&self, src: DeviceIndex) -> Option<u64> {
-        self.shadows.get(&src).copied()
+        self.peers.iter().find(|p| p.dev == src).map(|p| p.shadow)
     }
 
     /// Combine the local credit with the shadow counters per `policy` —
@@ -435,8 +492,8 @@ impl simkit::Instrument for TransportModule {
         out.counter("mirror_messages", self.stats.mirror_messages);
         out.counter("shadow_updates_sent", self.stats.shadow_updates_sent);
         out.counter("shadow_updates_applied", self.stats.shadow_updates_applied);
-        for (dst, flow) in &self.flows {
-            out.collect(&format!("flow{dst}"), flow);
+        for p in &self.peers {
+            out.collect(&format!("flow{}", p.dev), &p.port);
         }
         if let Some(up) = &self.upstream {
             out.collect("upstream", up);
@@ -447,7 +504,33 @@ impl simkit::Instrument for TransportModule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::TransportConfig;
+    use crate::config::{CmbConfig, TransportConfig};
+    use simkit::Grant;
+
+    /// A lane whose credit reaches `bytes` at `at`: one chunk ingested at
+    /// `at`, drained in zero time.
+    fn cmb_with_credit(steps: &[(SimTime, u64)]) -> CmbModule {
+        let mut cmb = CmbModule::new(CmbConfig::sram());
+        let mut tail = 0;
+        for &(at, upto) in steps {
+            let chunk = vec![0u8; (upto - tail) as usize];
+            cmb.ingest(at, tail, &chunk, |t, _| Grant { start: t, end: t }).expect("ingest");
+            tail = upto;
+        }
+        cmb
+    }
+
+    /// The updates a list of runs stands for, one `(deliver_at, value)` each.
+    fn expand(runs: &[Outbound]) -> Vec<(SimTime, u64)> {
+        let mut out = Vec::new();
+        for r in runs {
+            let Outbound::Shadow { value, deliver_at, count, period, .. } = *r else {
+                panic!("expected shadow")
+            };
+            out.extend((0..count).map(|k| (deliver_at + period * k, value)));
+        }
+        out
+    }
 
     fn primary_of(secs: Vec<DeviceIndex>) -> TransportModule {
         let mut t = TransportModule::new(TransportConfig::default());
@@ -459,7 +542,8 @@ mod tests {
     fn stand_alone_does_nothing() {
         let mut t = TransportModule::new(TransportConfig::default());
         assert!(t.mirror(SimTime::ZERO, 0, &[1, 2, 3]).is_empty());
-        assert!(t.take_shadow_updates(SimTime::from_secs(1), 0, |_| 42).is_empty());
+        let mut cmb = cmb_with_credit(&[]);
+        assert!(t.take_shadow_updates(SimTime::from_secs(1), 0, &mut cmb).is_empty());
         assert_eq!(t.status_at(SimTime::ZERO), TransportStatus::Inactive);
         assert_eq!(t.combined_credit(99, ReplicationPolicy::Eager), 99);
     }
@@ -489,19 +573,68 @@ mod tests {
             staleness_window: SimDuration::from_micros(100),
         });
         t.set_secondary(0, NtbConfig::default(), SimTime::ZERO);
-        // Credit grows 100 bytes per microsecond.
-        let updates = t.take_shadow_updates(SimTime::from_micros(5), 1, |at| at.as_nanos() / 10);
-        assert_eq!(updates.len(), 5);
-        match updates[0] {
-            Outbound::Shadow { dst, src, value, deliver_at } => {
-                assert_eq!((dst, src), (0, 1));
-                assert_eq!(value, 100);
+        // Credit reaches 100 at 1 us — exactly the first cycle, which
+        // already sees it — and 300 at 3.5 us, between two cycles.
+        let mut cmb =
+            cmb_with_credit(&[(SimTime::from_micros(1), 100), (SimTime::from_nanos(3_500), 300)]);
+        let runs = t.take_shadow_updates(SimTime::from_micros(5), 1, &mut cmb);
+        // Five cycles (1..=5 us) in two runs: 100 x3, then 300 x2.
+        let updates = expand(&runs);
+        assert_eq!(updates.iter().map(|u| u.1).collect::<Vec<_>>(), [100, 100, 100, 300, 300]);
+        assert_eq!(runs.len(), 2);
+        match runs[0] {
+            Outbound::Shadow { dst, src, value, deliver_at, count, period } => {
+                assert_eq!((dst, src, value, count), (0, 1, 100, 3));
+                assert_eq!(period, SimDuration::from_micros(1));
                 assert!(deliver_at > SimTime::from_micros(1));
             }
             _ => panic!("expected shadow"),
         }
+        assert_eq!(t.stats().shadow_updates_sent, 5);
+        assert_eq!(t.upstream_stats().expect("secondary").messages, 5);
         // No double emission.
-        assert!(t.take_shadow_updates(SimTime::from_micros(5), 1, |_| 0).is_empty());
+        assert!(t.take_shadow_updates(SimTime::from_micros(5), 1, &mut cmb).is_empty());
+    }
+
+    #[test]
+    fn runs_stand_for_the_per_cycle_updates() {
+        // The same credit timeline through the run emitter and the
+        // per-cycle reference, horizons carved differently: same updates,
+        // same wire and counters.
+        let steps: Vec<(SimTime, u64)> =
+            (1..=40u64).map(|i| (SimTime::from_nanos(i * 2_300), i * 64)).collect();
+        let horizons = [800u64, 2_300, 2_400, 9_999, 10_000, 46_000, 46_001, 120_000];
+        let emit = |reference: bool, period_ns: u64| {
+            let mut t = TransportModule::new(TransportConfig {
+                shadow_update_period: SimDuration::from_nanos(period_ns),
+                ..TransportConfig::default()
+            });
+            t.per_cycle_reference = reference;
+            t.set_secondary(0, NtbConfig::default(), SimTime::ZERO);
+            let mut cmb = cmb_with_credit(&steps);
+            let mut updates = Vec::new();
+            let mut runs = 0;
+            for h in horizons {
+                let out = t.take_shadow_updates(SimTime::from_nanos(h), 1, &mut cmb);
+                runs += out.len();
+                updates.extend(expand(&out));
+            }
+            let wire = t.upstream_stats().expect("secondary");
+            (updates, t.stats().shadow_updates_sent, wire.messages, t.next_update_at(), runs)
+        };
+        // 800 ns: the default cycle. 5 ns: below one TLP's wire time, so the
+        // wire refuses runs and every update goes out alone.
+        for period_ns in [800, 5] {
+            let (run, reference) = (emit(false, period_ns), emit(true, period_ns));
+            assert_eq!(run.0, reference.0, "period {period_ns}: updates differ");
+            assert_eq!((run.1, run.2, run.3), (reference.1, reference.2, reference.3));
+            assert_eq!(reference.4 as u64, reference.1, "the reference emits one per cycle");
+            if period_ns == 800 {
+                assert!(run.4 < 100, "{} runs for {} updates", run.4, run.1);
+            } else {
+                assert_eq!(run.4 as u64, run.1, "a refusing wire forces runs of one");
+            }
+        }
     }
 
     #[test]
@@ -516,14 +649,16 @@ mod tests {
         // the last ~10k cycles to replay, keeping the cycle phase.
         let far = SimTime::from_millis(100);
         t.catch_up_shadow_clock(far);
-        let updates = t.take_shadow_updates(far, 1, |_| 0);
-        assert_eq!(updates.len(), 10_001);
+        let mut cmb = cmb_with_credit(&[]);
+        let updates = t.take_shadow_updates(far, 1, &mut cmb);
+        assert_eq!(expand(&updates).len(), 10_001);
+        assert_eq!(updates.len(), 1, "an idle secondary's catch-up is one run");
         // Phase preserved: next update is one period past the horizon grid.
         assert_eq!(t.next_update_at(), Some(far + SimDuration::from_micros(1)));
         // A short gap is untouched by the clamp.
         let near = far + SimDuration::from_micros(5);
         t.catch_up_shadow_clock(near);
-        assert_eq!(t.take_shadow_updates(near, 1, |_| 0).len(), 5);
+        assert_eq!(expand(&t.take_shadow_updates(near, 1, &mut cmb)).len(), 5);
     }
 
     #[test]
@@ -536,8 +671,8 @@ mod tests {
     #[test]
     fn eager_policy_reports_most_delayed_counter() {
         let mut t = primary_of(vec![1, 2]);
-        t.apply_shadow(1, 500, SimTime::ZERO);
-        t.apply_shadow(2, 300, SimTime::ZERO);
+        t.apply_shadow(1, 500, SimTime::ZERO, 1);
+        t.apply_shadow(2, 300, SimTime::ZERO, 1);
         assert_eq!(t.combined_credit(1000, ReplicationPolicy::Eager), 300);
         // Local can be the laggard too (it never is in practice, but the
         // combination is defensive).
@@ -547,25 +682,25 @@ mod tests {
     #[test]
     fn lazy_policy_reports_local() {
         let mut t = primary_of(vec![1]);
-        t.apply_shadow(1, 10, SimTime::ZERO);
+        t.apply_shadow(1, 10, SimTime::ZERO, 1);
         assert_eq!(t.combined_credit(1000, ReplicationPolicy::Lazy), 1000);
     }
 
     #[test]
     fn chain_policy_reports_last_in_chain() {
         let mut t = primary_of(vec![1, 2, 3]);
-        t.apply_shadow(1, 900, SimTime::ZERO);
-        t.apply_shadow(2, 800, SimTime::ZERO);
-        t.apply_shadow(3, 700, SimTime::ZERO);
+        t.apply_shadow(1, 900, SimTime::ZERO, 1);
+        t.apply_shadow(2, 800, SimTime::ZERO, 1);
+        t.apply_shadow(3, 700, SimTime::ZERO, 1);
         assert_eq!(t.combined_credit(1000, ReplicationPolicy::Chain), 700);
     }
 
     #[test]
     fn quorum_policy_takes_kth_highest() {
         let mut t = primary_of(vec![1, 2, 3]);
-        t.apply_shadow(1, 900, SimTime::ZERO);
-        t.apply_shadow(2, 500, SimTime::ZERO);
-        t.apply_shadow(3, 100, SimTime::ZERO);
+        t.apply_shadow(1, 900, SimTime::ZERO, 1);
+        t.apply_shadow(2, 500, SimTime::ZERO, 1);
+        t.apply_shadow(3, 100, SimTime::ZERO, 1);
         // Counters: [1000(local), 900, 500, 100]; quorum of 2 -> 900.
         assert_eq!(t.combined_credit(1000, ReplicationPolicy::Quorum(2)), 900);
         assert_eq!(t.combined_credit(1000, ReplicationPolicy::Quorum(1)), 1000);
@@ -577,8 +712,8 @@ mod tests {
     #[test]
     fn shadow_updates_are_monotonic() {
         let mut t = primary_of(vec![1]);
-        t.apply_shadow(1, 500, SimTime::ZERO);
-        t.apply_shadow(1, 400, SimTime::ZERO); // late/reordered update must not regress
+        t.apply_shadow(1, 500, SimTime::ZERO, 1);
+        t.apply_shadow(1, 400, SimTime::ZERO, 1); // late/reordered update must not regress
         assert_eq!(t.shadow_of(1), Some(500));
     }
 

@@ -104,6 +104,10 @@ impl ChannelQueues {
             Priority::Destage => &mut self.destage,
         }
     }
+
+    fn len(&self) -> usize {
+        self.conventional.len() + self.destage.len()
+    }
 }
 
 /// Per-class service accounting (drives the Fig. 12 bandwidth series).
@@ -122,6 +126,9 @@ pub struct ClassStats {
 pub struct ChannelScheduler {
     mode: SchedulingMode,
     channels: Vec<ChannelQueues>,
+    /// Requests queued across all channels: lets an idle scheduler answer
+    /// `pump` / `next_start_hint` / `pending` without visiting a channel.
+    queued: usize,
     conventional_stats: ClassStats,
     destage_stats: ClassStats,
 }
@@ -132,6 +139,7 @@ impl ChannelScheduler {
         ChannelScheduler {
             mode,
             channels: (0..channels).map(|_| ChannelQueues::default()).collect(),
+            queued: 0,
             conventional_stats: ClassStats::default(),
             destage_stats: ClassStats::default(),
         }
@@ -157,6 +165,7 @@ impl ChannelScheduler {
         // Stable insert: after all entries with arrival <= req.arrival.
         let pos = q.partition_point(|r| r.arrival <= req.arrival);
         q.insert(pos, req);
+        self.queued += 1;
     }
 
     /// Drop every queued (not yet started) request. Used on power failure:
@@ -166,6 +175,7 @@ impl ChannelScheduler {
             ch.conventional.clear();
             ch.destage.clear();
         }
+        self.queued = 0;
     }
 
     /// Drop queued requests of one class (power failure with supercap
@@ -174,11 +184,12 @@ impl ChannelScheduler {
         for ch in &mut self.channels {
             ch.queue(class).clear();
         }
+        self.queued = self.channels.iter().map(ChannelQueues::len).sum();
     }
 
     /// Number of queued requests across all channels.
     pub fn pending(&self) -> usize {
-        self.channels.iter().map(|c| c.conventional.len() + c.destage.len()).sum()
+        self.queued
     }
 
     /// Service accounting for one class.
@@ -194,9 +205,15 @@ impl ChannelScheduler {
     /// this instant guarantees pumping makes progress. Lets a device event
     /// loop jump virtual time.
     pub fn next_start_hint(&self, array: &FlashArray) -> Option<SimTime> {
+        if self.queued == 0 {
+            return None;
+        }
         let window = (4 * array.geometry().dies_per_channel as usize).max(8);
         let mut best: Option<SimTime> = None;
         for (ch, q) in self.channels.iter().enumerate() {
+            if q.len() == 0 {
+                continue;
+            }
             for queue in [&q.conventional, &q.destage] {
                 if let Some((_, start)) = Self::best_in_window(queue, array, ch as u32, window) {
                     best = Some(best.map_or(start, |b: SimTime| b.min(start)));
@@ -219,9 +236,15 @@ impl ChannelScheduler {
     /// Destaging).
     pub fn pump(&mut self, array: &mut FlashArray, until: SimTime) -> Vec<Completion> {
         let mut done = Vec::new();
+        if self.queued == 0 {
+            return done;
+        }
         let page_bytes = array.geometry().page_bytes as u64;
         let window = (4 * array.geometry().dies_per_channel as usize).max(8);
         for ch in 0..self.channels.len() {
+            if self.channels[ch].len() == 0 {
+                continue;
+            }
             loop {
                 let conv =
                     Self::best_in_window(&self.channels[ch].conventional, array, ch as u32, window);
@@ -257,6 +280,7 @@ impl ChannelScheduler {
                 }
                 let req =
                     self.channels[ch].queue(class).remove(idx).expect("candidate index valid");
+                self.queued -= 1;
                 let result = match req.kind {
                     OpKind::Program(p) => array.program(start, p),
                     OpKind::Read(p) => array.read(start, p),
@@ -531,6 +555,59 @@ mod tests {
         let done = s.pump(&mut a, SimTime::MAX);
         assert_eq!(done[0].id, 1);
         assert!(done.iter().all(|c| c.result.is_ok()));
+    }
+
+    #[test]
+    fn pending_count_tracks_the_queues() {
+        // Random submit / pump / drop_class / drop_all: the running count
+        // equals a recount of the queues after every step, and an empty
+        // scheduler has no start hint and pumps nothing.
+        let recount = |s: &ChannelScheduler| -> usize {
+            s.channels.iter().map(|c| c.conventional.len() + c.destage.len()).sum()
+        };
+        let g = FlashGeometry::tiny();
+        let mut rng = simkit::DetRng::new(0x9EED);
+        for _ in 0..20 {
+            let mut a = array();
+            let mut s = ChannelScheduler::new(2, SchedulingMode::Neutral);
+            let mut next_page = vec![0u32; (2 * g.dies_per_channel) as usize];
+            let mut now = SimTime::ZERO;
+            for id in 0..300u64 {
+                now += SimDuration::from_micros(rng.uniform(0, 40));
+                match rng.uniform(0, 9) {
+                    0..=5 => {
+                        let (ch, die) = (rng.uniform(0, 1) as u32, rng.uniform(0, 1) as u32);
+                        let slot = &mut next_page[(ch * g.dies_per_channel + die) as usize];
+                        if *slot < g.pages_per_block {
+                            let class = if rng.chance(0.5) {
+                                Priority::Conventional
+                            } else {
+                                Priority::Destage
+                            };
+                            let kind = OpKind::Program(Ppa::new(ch, die, 0, *slot));
+                            *slot += 1;
+                            s.submit(OpRequest { id, kind, arrival: now, class });
+                        }
+                    }
+                    6..=7 => {
+                        let before = s.pending();
+                        let done = s.pump(&mut a, now);
+                        assert_eq!(s.pending(), before - done.len());
+                    }
+                    8 => s.drop_class(if rng.chance(0.5) {
+                        Priority::Conventional
+                    } else {
+                        Priority::Destage
+                    }),
+                    _ => s.drop_all(),
+                }
+                assert_eq!(s.pending(), recount(&s));
+                if s.pending() == 0 {
+                    assert_eq!(s.next_start_hint(&a), None);
+                    assert!(s.pump(&mut a, SimTime::MAX).is_empty());
+                }
+            }
+        }
     }
 
     #[test]

@@ -131,6 +131,30 @@ impl PcieLink {
         Grant { start: g.start, end: g.end + self.config.propagation }
     }
 
+    /// Transmit `n` copies of `tlp`, one every `period` starting at `first`
+    /// — a fixed-cycle reporter's traffic over a horizon, charged at once.
+    /// Granted only when the wire is idle by `first` and one TLP serializes
+    /// within `period`, so packet `k` arrives `k·period` after the first;
+    /// returns the first packet's window as [`PcieLink::send`] would, or
+    /// `None` with the link untouched.
+    pub fn send_periodic(
+        &mut self,
+        first: SimTime,
+        tlp: &Tlp,
+        period: SimDuration,
+        n: u64,
+    ) -> Option<Grant> {
+        let overhead = tlp.wire_bytes(&self.config.overhead) - tlp.payload_data_bytes();
+        let g = self.wire.transmit_periodic_with_overhead(
+            first,
+            period,
+            tlp.payload_data_bytes(),
+            overhead,
+            n,
+        )?;
+        Some(Grant { start: g.start, end: g.end + self.config.propagation })
+    }
+
     /// Round-trip read: a read-request TLP travels out, the completion with
     /// `len` payload travels back. Returns when the completion data is fully
     /// received.
@@ -256,6 +280,48 @@ mod tests {
                 "case {case}"
             );
         }
+    }
+
+    #[test]
+    fn periodic_matches_individual_sends() {
+        // Random (wire busy-until, first, period, payload, n): a granted
+        // run leaves the grants, statistics and wire horizon of n sends on
+        // the cycle instants; a refused one leaves the link untouched.
+        let mut rng = simkit::DetRng::new(0x9E21);
+        let (mut granted, mut refused) = (0, 0);
+        for case in 0..1_000 {
+            let mut a = PcieLink::new(LinkConfig::villars_host());
+            if rng.chance(0.5) {
+                a.send(SimTime::from_nanos(rng.uniform(0, 2_000)), &Tlp::write(0, 512));
+            }
+            let mut b = a.clone();
+            let first = SimTime::from_nanos(rng.uniform(0, 4_000));
+            let period = SimDuration::from_nanos(rng.uniform(1, 400));
+            let tlp = Tlp::write(0, rng.uniform(1, 512) as u32);
+            let n = rng.uniform(1, 300);
+            let state = |l: &PcieLink| {
+                let s = l.stats();
+                (l.busy_until(), l.wire.busy_time(), s.payload_bytes, s.overhead_bytes, s.messages)
+            };
+            let before = state(&a);
+            match a.send_periodic(first, &tlp, period, n) {
+                Some(got) => {
+                    granted += 1;
+                    for k in 0..n {
+                        let g = b.send(first + period * k, &tlp);
+                        let want =
+                            Grant { start: got.start + period * k, end: got.end + period * k };
+                        assert_eq!(g, want, "case {case}: packet {k} of {n}, period {period}");
+                    }
+                    assert_eq!(state(&a), state(&b), "case {case}");
+                }
+                None => {
+                    refused += 1;
+                    assert_eq!(state(&a), before, "case {case}: refused run touched the link");
+                }
+            }
+        }
+        assert!(granted > 100 && refused > 100, "{granted} granted, {refused} refused");
     }
 
     #[test]

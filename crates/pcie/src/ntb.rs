@@ -214,6 +214,32 @@ impl NtbPort {
         Some((Tlp { addr: remote_addr, ..*tlp }, Grant { start: g.start, end: arrive }))
     }
 
+    /// Forward `n` copies of `tlp`, one every `period` starting at `first`
+    /// (the shadow-counter flow over a horizon). Returns the first copy's
+    /// window as [`NtbPort::forward`] would; copy `k` arrives `k·period`
+    /// later. `None`, with the port untouched and no fault draw made, when
+    /// a fault layer is armed (drops and link-down windows are decided per
+    /// TLP), when no window covers the address, or when the wire cannot
+    /// take the run without queueing ([`PcieLink::send_periodic`]) — the
+    /// caller then forwards one TLP at a time.
+    pub fn forward_periodic(
+        &mut self,
+        first: SimTime,
+        tlp: &Tlp,
+        period: SimDuration,
+        n: u64,
+    ) -> Option<Grant> {
+        if self.faults.is_some() {
+            return None;
+        }
+        let remote_addr = self.translate(tlp.addr)?;
+        let g = self.wire.send_periodic(first, &Tlp { addr: remote_addr, ..*tlp }, period, n)?;
+        self.forwarded_tlps += n;
+        let extra =
+            self.config.link.bandwidth().transfer_time(self.config.translation_overhead_bytes);
+        Some(Grant { start: g.start, end: g.end + self.config.hop_latency + extra })
+    }
+
     /// Forward a burst of `n` write TLPs of `payload` bytes each into the
     /// window containing `addr`. Used by the transport module's mirror flow.
     pub fn forward_burst(
@@ -418,6 +444,95 @@ mod tests {
         );
         let horizon = now + SimDuration::from_millis(1);
         assert_eq!(burst.utilization(horizon), single.utilization(horizon));
+    }
+
+    /// A periodic run is `n` forwards on the cycle instants: same grants,
+    /// same wire and port counters — or a refusal that touches nothing.
+    #[test]
+    fn periodic_run_equals_per_cycle_forwards() {
+        let mut rng = DetRng::new(0x5AD0);
+        let tlp = Tlp::write(0x8000_0000, 8);
+        let (mut granted, mut refused) = (0, 0);
+        let (mut run, mut single) = (port(), port());
+        let mut now = SimTime::ZERO;
+        for step in 0..600 {
+            // Gaps from "inside the previous run's tail" to long idle.
+            now += SimDuration::from_nanos(rng.uniform(0, 2_000));
+            // A third of the periods undercut the 9 ns wire time of one TLP.
+            let period = if rng.chance(0.3) { rng.uniform(1, 12) } else { rng.uniform(12, 1_600) };
+            let period = SimDuration::from_nanos(period);
+            let n = rng.uniform(1, 400);
+            let before = (run.wire.busy_until(), run.forwarded_tlps(), run.stats().messages);
+            match run.forward_periodic(now, &tlp, period, n) {
+                Some(got) => {
+                    granted += 1;
+                    for k in 0..n {
+                        let (_, g) = single.forward(now + period * k, &tlp).unwrap();
+                        let want =
+                            Grant { start: got.start + period * k, end: got.end + period * k };
+                        assert_eq!(g, want, "step {step}: copy {k} of {n}, period {period}");
+                    }
+                    now += period * (n - 1);
+                }
+                None => {
+                    refused += 1;
+                    let after = (run.wire.busy_until(), run.forwarded_tlps(), run.stats().messages);
+                    assert_eq!(after, before, "step {step}: refused run touched the port");
+                    // The caller's fallback: one TLP.
+                    let (_, a) = run.forward(now, &tlp).unwrap();
+                    let (_, b) = single.forward(now, &tlp).unwrap();
+                    assert_eq!(a, b, "step {step}");
+                }
+            }
+            assert_eq!(run.wire.busy_until(), single.wire.busy_until(), "step {step}");
+        }
+        assert!(granted > 100 && refused > 20, "{granted} granted, {refused} refused");
+        assert_eq!(run.forwarded_tlps(), single.forwarded_tlps());
+        let (a, b) = (run.stats(), single.stats());
+        assert_eq!(
+            (a.payload_bytes, a.overhead_bytes, a.messages),
+            (b.payload_bytes, b.overhead_bytes, b.messages)
+        );
+        let horizon = now + SimDuration::from_millis(1);
+        assert_eq!(run.utilization(horizon), single.utilization(horizon));
+        // Unmapped traffic is refused like `forward` refuses it.
+        let cycle = SimDuration::from_nanos(800);
+        assert!(run.forward_periodic(now, &Tlp::write(0x1234, 8), cycle, 4).is_none());
+    }
+
+    /// Drops and link-down windows are decided per TLP, so an armed port
+    /// never batches — and refusing must not consume a fault draw.
+    #[test]
+    fn armed_port_refuses_periodic_runs_without_drawing() {
+        let tlp = Tlp::write(0x8000_0000, 8);
+        let cycle = SimDuration::from_nanos(800);
+        let arm = |p: &mut NtbPort| {
+            p.arm_faults(
+                TransportFaultConfig {
+                    tlp_drop: 0.3,
+                    replay_timeout: SimDuration::from_micros(10),
+                },
+                DetRng::new(5),
+            )
+        };
+        let (mut probed, mut plain) = (port(), port());
+        arm(&mut probed);
+        arm(&mut plain);
+        for i in 0..200u64 {
+            let at = SimTime::from_micros(i * 20);
+            assert!(probed.forward_periodic(at, &tlp, cycle, 10).is_none());
+            assert_eq!(probed.forward(at, &tlp), plain.forward(at, &tlp), "update {i}");
+        }
+        assert_eq!(probed.fault_stats(), plain.fault_stats());
+        assert!(probed.fault_stats().replays > 0);
+        // A link-down window alone (zero drop rate) arms the layer too.
+        let mut parked = port();
+        parked.schedule_link_down(LinkDownWindow {
+            from: SimTime::from_micros(10),
+            until: SimTime::from_micros(50),
+        });
+        assert!(parked.forward_periodic(SimTime::ZERO, &tlp, cycle, 100).is_none());
+        assert_eq!(parked.forwarded_tlps(), 0);
     }
 
     #[test]

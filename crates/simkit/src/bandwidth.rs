@@ -45,8 +45,13 @@ impl Bandwidth {
         if bytes == 0 {
             return SimDuration::ZERO;
         }
-        let ns = (bytes as f64 * self.ns_per_byte).ceil().max(1.0);
-        SimDuration::from_nanos(ns as u64)
+        // Integer ceiling (`f64::ceil` is a libm call on baseline x86-64,
+        // twice per TLP): truncate, then add one iff a fraction was dropped.
+        // Exact wherever `t as f64` is, i.e. for every product below 2^53;
+        // above that an f64 has no fraction and the cast already saturates.
+        let x = bytes as f64 * self.ns_per_byte;
+        let t = x as u64;
+        SimDuration::from_nanos(t.saturating_add(u64::from((t as f64) < x)).max(1))
     }
 
     /// The rate in decimal gigabytes per second.
@@ -111,6 +116,57 @@ mod tests {
         let bw = Bandwidth::gbytes_per_sec(100.0);
         assert_eq!(bw.transfer_time(0), SimDuration::ZERO);
         assert!(bw.transfer_time(1).as_nanos() >= 1);
+    }
+
+    /// The integer ceiling in `transfer_time` against `f64::ceil`, the
+    /// definition it replaced.
+    #[test]
+    fn transfer_time_is_the_ceiling_of_the_product() {
+        let by_ceil = |bw: &Bandwidth, bytes: u64| -> u64 {
+            if bytes == 0 {
+                0
+            } else {
+                (bytes as f64 * bw.ns_per_byte).ceil().max(1.0) as u64
+            }
+        };
+        // Every bandwidth the device configs construct.
+        let configured = [
+            Bandwidth::gbytes_per_sec(0.5 * 4.0), // host link, x4 Gen2
+            Bandwidth::gbytes_per_sec(0.5 * 8.0), // Cosmos+ native, x8 Gen2
+            Bandwidth::gbytes_per_sec(8.0 * (128.0 / 130.0) / 8.0 * 4.0), // NTB, x4 Gen3
+            Bandwidth::bus(128, 250.0),           // SRAM-backed CMB
+            Bandwidth::bus(64, 250.0).scaled(0.4), // DRAM-backed CMB (shared port)
+            Bandwidth::bus(64, 250.0).scaled(2.0), // data-buffer DRAM
+            Bandwidth::mbytes_per_sec(400.0),     // flash channel bus
+            Bandwidth::gbytes_per_sec(1.0),       // flash channel bus, fast timing
+        ];
+        for bw in &configured {
+            for bytes in 0..=70_000u64 {
+                assert_eq!(
+                    bw.transfer_time(bytes).as_nanos(),
+                    by_ceil(bw, bytes),
+                    "{bw} x {bytes}"
+                );
+            }
+        }
+        let mut rng = crate::DetRng::new(0xCE11);
+        for _ in 0..200_000 {
+            let bw = Bandwidth { ns_per_byte: 1e-3 + rng.unit() * 64.0 };
+            let magnitude = rng.uniform(1, 40);
+            let bytes = rng.uniform(1, 1 << magnitude);
+            assert_eq!(bw.transfer_time(bytes).as_nanos(), by_ceil(&bw, bytes), "{bw:?} x {bytes}");
+        }
+        // Products that are an exact integer, and their nearest neighbours
+        // on either side.
+        for whole in [1u64, 2, 3, 1_000, 65_536, (1 << 52) - 1, 1 << 53, u64::MAX >> 1] {
+            for x in [(whole as f64).next_down(), whole as f64, (whole as f64).next_up()] {
+                let bw = Bandwidth { ns_per_byte: x };
+                assert_eq!(bw.transfer_time(1).as_nanos(), by_ceil(&bw, 1), "product {x:e}");
+            }
+        }
+        // Beyond u64 both forms saturate.
+        let huge = Bandwidth { ns_per_byte: 1e300 };
+        assert_eq!(huge.transfer_time(7).as_nanos(), u64::MAX);
     }
 
     #[test]

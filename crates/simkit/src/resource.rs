@@ -73,6 +73,30 @@ impl SerialResource {
         Grant { start, end }
     }
 
+    /// `n` requests of `service` each, arriving at `first`, `first +
+    /// period`, …: the state that `n` single [`SerialResource::acquire`]
+    /// calls at those instants leave, in constant time. Granted only when
+    /// no request would queue — the resource is idle by `first` and
+    /// `service <= period` — so request `k` is served over `[first +
+    /// k·period, first + k·period + service)`; the first window is
+    /// returned. Otherwise `None`, and nothing changed.
+    pub fn acquire_periodic(
+        &mut self,
+        first: SimTime,
+        period: SimDuration,
+        service: SimDuration,
+        n: u64,
+    ) -> Option<Grant> {
+        assert!(n > 0, "a periodic run contains at least one request");
+        if self.busy_until > first || service > period {
+            return None;
+        }
+        self.busy_until = first + period * (n - 1) + service;
+        self.busy_accum += service * n;
+        self.requests += n;
+        Some(Grant { start: first, end: first + service })
+    }
+
     /// The instant the resource next becomes idle.
     pub fn busy_until(&self) -> SimTime {
         self.busy_until
@@ -262,6 +286,28 @@ impl Link {
         self.wire.acquire_burst(now, service, n)
     }
 
+    /// Transmit `n` identical messages, one every `period` starting at
+    /// `first` (each as [`Link::transmit_with_overhead`] would). Granted
+    /// only when none of them would queue — see
+    /// [`SerialResource::acquire_periodic`]; returns the first message's
+    /// window, or `None` with the link untouched.
+    pub fn transmit_periodic_with_overhead(
+        &mut self,
+        first: SimTime,
+        period: SimDuration,
+        payload: u64,
+        extra_overhead: u64,
+        n: u64,
+    ) -> Option<Grant> {
+        let overhead = self.per_message_overhead_bytes + extra_overhead;
+        let service = self.bandwidth.transfer_time(payload + overhead);
+        let g = self.wire.acquire_periodic(first, period, service, n)?;
+        self.stats.payload_bytes += n * payload;
+        self.stats.overhead_bytes += n * overhead;
+        self.stats.messages += n;
+        Some(g)
+    }
+
     /// The instant the wire next goes idle.
     pub fn busy_until(&self) -> SimTime {
         self.wire.busy_until()
@@ -435,6 +481,63 @@ mod tests {
             assert_eq!(got, want, "case {case}: now {now}, payload {payload}+{extra}, n {n}");
             assert_eq!(link_state(&burst), link_state(&single), "case {case}");
         }
+    }
+
+    #[test]
+    fn periodic_equals_n_single_acquires_or_refuses_untouched() {
+        // Random (busy_until, first, period, service, n), refusing cases
+        // included: a granted run leaves the state of the per-request loop
+        // and every request starts on its own instant; a refused one leaves
+        // the resource as it was.
+        let mut rng = crate::DetRng::new(0x9E210D);
+        let (mut granted, mut refused) = (0, 0);
+        for case in 0..4_000 {
+            let mut run = SerialResource::new();
+            if rng.chance(0.7) {
+                run.acquire(t(rng.uniform(0, 4_000)), d(rng.uniform(1, 2_000)));
+            }
+            let mut single = run.clone();
+            let first = t(rng.uniform(0, 8_000));
+            let period = d(rng.uniform(1, 1_000));
+            let service = d(rng.uniform(0, 1_200));
+            let n = match rng.uniform(0, 2) {
+                0 => 1,
+                1 => rng.uniform(1, 8),
+                _ => rng.uniform(1, 2_000),
+            };
+            let before = (run.busy_until(), run.busy_time(), run.request_count());
+            match run.acquire_periodic(first, period, service, n) {
+                Some(got) => {
+                    granted += 1;
+                    for k in 0..n {
+                        let at = first + period * k;
+                        let g = single.acquire(at, service);
+                        assert_eq!(g.start, at, "case {case}: request {k} queued");
+                        if k == 0 {
+                            assert_eq!(got, g, "case {case}");
+                        }
+                    }
+                    assert_eq!(
+                        (run.busy_until(), run.busy_time(), run.request_count()),
+                        (single.busy_until(), single.busy_time(), single.request_count()),
+                        "case {case}: first {first}, period {period}, service {service}, n {n}"
+                    );
+                }
+                None => {
+                    refused += 1;
+                    assert!(
+                        before.0 > first || service > period,
+                        "case {case}: refused for nothing"
+                    );
+                    assert_eq!(
+                        (run.busy_until(), run.busy_time(), run.request_count()),
+                        before,
+                        "case {case}: a refused run must not touch the resource"
+                    );
+                }
+            }
+        }
+        assert!(granted > 500 && refused > 500, "{granted} granted, {refused} refused");
     }
 
     #[test]

@@ -157,6 +157,32 @@ impl SampleSeries {
         }
     }
 
+    /// [`SampleSeries::percentile`] for a series queried once: the same
+    /// value bit for bit, found by selection (`O(n)`, no scratch buffer)
+    /// instead of a full sort. The samples are left partitioned, not
+    /// ascending; callers that read [`SampleSeries::samples`] afterwards or
+    /// query repeatedly want `percentile`.
+    pub fn percentile_once(&mut self, p: f64) -> f64 {
+        if self.sorted || self.samples.is_empty() {
+            return self.percentile(p);
+        }
+        assert!((0.0..=100.0).contains(&p), "percentile must be in [0,100]");
+        let rank = p / 100.0 * (self.samples.len() - 1) as f64;
+        let lo = rank.floor() as usize;
+        let hi = rank.ceil() as usize;
+        let (_, at_lo, above) =
+            self.samples.select_nth_unstable_by(lo, |a, b| a.partial_cmp(b).expect("NaN sample"));
+        let at_lo = *at_lo;
+        if lo == hi {
+            at_lo
+        } else {
+            // Rank `lo + 1` is the smallest sample of the upper partition.
+            let at_hi = above.iter().copied().fold(f64::INFINITY, f64::min);
+            let frac = rank - lo as f64;
+            at_lo * (1.0 - frac) + at_hi * frac
+        }
+    }
+
     /// Five-number candlestick summary.
     pub fn candlestick(&mut self) -> Candlestick {
         Candlestick {
@@ -378,6 +404,40 @@ mod tests {
         assert!((s.percentile(50.0) - 50.5).abs() < 1e-9);
         let c = s.candlestick();
         assert!(c.min <= c.p25 && c.p25 <= c.p50 && c.p50 <= c.p75 && c.p75 <= c.max);
+    }
+
+    #[test]
+    fn percentile_once_equals_percentile_bit_for_bit() {
+        let mut rng = crate::DetRng::new(0x5E1EC7);
+        let lens = [0usize, 1, 2, 3, 4, 7, 100, 101, 1_000, 4_097];
+        for &len in &lens {
+            for round in 0..6 {
+                // Few distinct values on even rounds: duplicates at the rank.
+                let distinct = if round % 2 == 0 { 5 } else { 1 << 30 };
+                let mut sorted = SampleSeries::new();
+                for _ in 0..len {
+                    sorted.record(rng.uniform(0, distinct) as f64 * 0.37 + 1.0);
+                }
+                for p in [0.0, 50.0, 99.0, 99.9, 100.0] {
+                    let mut once = SampleSeries { samples: sorted.samples.clone(), sorted: false };
+                    let want = sorted.clone().percentile(p);
+                    assert_eq!(
+                        once.percentile_once(p).to_bits(),
+                        want.to_bits(),
+                        "len {len}, p {p}"
+                    );
+                    assert_eq!(once.len(), len);
+                }
+            }
+        }
+        // Already sorted: answered from the sorted samples, which stay so.
+        let mut s = SampleSeries::new();
+        for x in [3.0, 1.0, 2.0] {
+            s.record(x);
+        }
+        assert_eq!(s.percentile(50.0), 2.0);
+        assert_eq!(s.percentile_once(100.0), 3.0);
+        assert_eq!(s.samples(), [1.0, 2.0, 3.0]);
     }
 
     #[test]

@@ -1,0 +1,103 @@
+#!/usr/bin/env python3
+"""Resolve sigprof_preload.c sample files against `nm` symbol tables.
+
+usage: report.py [--top N] samples.out [samples.out ...]
+
+Prints self and inclusive time per symbol as a percentage of all samples.
+Addresses are mapped to files through the "map" lines (a file's load base is
+the start of its offset-0 mapping), then to the nearest preceding symbol of
+`nm -C --defined-only`. A frame inside a library built without frame
+pointers or with local symbols stripped resolves to the nearest exported
+symbol before it, so libc-internal memcpy/malloc variants can carry a
+neighbour's name.
+"""
+import bisect
+import collections
+import re
+import subprocess
+import sys
+
+
+def symbols(path):
+    """Sorted (address, name) pairs of the text symbols defined in `path`."""
+    syms = []
+    for flags in (["-C", "--defined-only"], ["-C", "-D", "--defined-only"]):
+        try:
+            out = subprocess.run(["nm", *flags, path], capture_output=True, text=True).stdout
+        except OSError:
+            continue
+        for line in out.splitlines():
+            parts = line.split(None, 2)
+            if len(parts) == 3 and parts[1] in "tTwWiu":
+                syms.append((int(parts[0], 16), parts[2]))
+    syms = sorted(set(syms))
+    return [a for a, _ in syms], [n for _, n in syms]
+
+
+def load(path):
+    """One sample file: per-file load bases, executable ranges, stacks."""
+    bases, ranges, stacks, dropped = {}, [], [], 0
+    with open(path) as f:
+        for line in f:
+            if line.startswith("map "):
+                span, perms, off, _dev, _inode, file = line[4:].split(None, 5)
+                lo, hi = (int(x, 16) for x in span.split("-"))
+                file = file.strip()
+                # The mapping of file offset 0 is where the ELF image starts;
+                # symbol addresses are relative to it.
+                if int(off, 16) == 0:
+                    bases[file] = min(lo, bases.get(file, lo))
+                if "x" in perms:
+                    ranges.append((lo, hi, file))
+            elif line.startswith("dropped "):
+                dropped += int(line.split()[1])
+            elif line.startswith("s "):
+                stacks.append([int(x, 16) for x in line.split()[1:]])
+    return bases, ranges, stacks, dropped
+
+
+def main(argv):
+    top = 30
+    if argv[:1] == ["--top"]:
+        top, argv = int(argv[1]), argv[2:]
+    if not argv:
+        sys.exit(__doc__)
+    # Address-space layout differs per process: resolve each file's samples
+    # against its own maps.
+    self_t, incl_t, total, dropped = collections.Counter(), collections.Counter(), 0, 0
+    tables = {}
+    strip_hash = re.compile(r"::h[0-9a-f]{16}$")
+    for path in argv:
+        bases, ranges, stacks, d = load(path)
+        dropped += d
+
+        def resolve(addr, is_return):
+            probe = addr - 1 if is_return else addr  # a return address may sit past the call's symbol
+            for lo, hi, file in ranges:
+                if lo <= probe < hi:
+                    if file not in tables:
+                        tables[file] = symbols(file)
+                    addrs, names = tables[file]
+                    i = bisect.bisect_right(addrs, probe - bases.get(file, lo)) - 1
+                    if i < 0:
+                        return f"[{file.rsplit('/', 1)[-1]}]"
+                    return strip_hash.sub("", names[i])
+            return "[unmapped]"
+
+        for stack in stacks:
+            total += 1
+            names = [resolve(a, i > 0) for i, a in enumerate(stack)]
+            self_t[names[0]] += 1
+            for name in set(names):
+                incl_t[name] += 1
+    if total == 0:
+        sys.exit("no samples")
+    print(f"{total} samples from {len(argv)} run(s), {dropped} dropped (buffer full)")
+    for title, table in (("self", self_t), ("inclusive", incl_t)):
+        print(f"\n-- {title} --")
+        for name, n in table.most_common(top):
+            print(f"{100.0 * n / total:6.2f}%  {n:7d}  {name}")
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])
