@@ -180,11 +180,6 @@ impl DriverReport {
         self.run.throughput_tps()
     }
 
-    /// Committed transactions per minute of measured time.
-    pub fn tpm(&self) -> f64 {
-        self.run.throughput_tps() * 60.0
-    }
-
     /// Mean commit-to-durable latency, µs.
     pub fn mean_latency_us(&self) -> f64 {
         self.run.mean_latency_us()

@@ -11,7 +11,7 @@ use crate::destage::DestageModule;
 use crate::transport::{DeviceIndex, Outbound, Role, TransportModule, TransportStatus};
 use nvme::{
     AdminCommand, BackingClass, CmdTag, Command, CommandKind, Completion, CompletionEntry, IoPort,
-    Namespace, NvmeController, PortAccounting, QueueError, Status, VendorCommand,
+    Namespace, NvmeController, PortAccounting, Status, VendorCommand,
 };
 use pcie::{MmioMode, StoreIssueModel};
 use simkit::{Bandwidth, Grant, SerialResource, SimDuration, SimTime};
@@ -725,13 +725,12 @@ impl NvmeController for VillarsDevice {
 }
 
 impl IoPort for VillarsDevice {
-    /// The device-level port is unbounded (NVMe back-pressure is modelled
-    /// by the device internals, not by submission failure): this never
-    /// returns an error.
-    fn try_submit(&mut self, now: SimTime, kind: CommandKind) -> Result<CmdTag, QueueError> {
+    /// The device-level port is unbounded: NVMe back-pressure is modelled
+    /// by the device internals, not by refusing a submission.
+    fn submit(&mut self, now: SimTime, kind: CommandKind) -> CmdTag {
         let cid = self.port.begin();
         NvmeController::submit(self, now, Command { cid, kind });
-        Ok(CmdTag(cid))
+        CmdTag(cid)
     }
 
     fn poll(&mut self, now: SimTime) {

@@ -33,7 +33,6 @@ pub mod config;
 pub mod destage;
 pub mod device;
 pub mod port;
-pub mod tenancy;
 pub mod transport;
 
 pub use api::{XAllocator, XApiError, XLogFile, XRegion};
@@ -45,5 +44,4 @@ pub use device::{vendor, CrashReport, FastWrite, VillarsDevice};
 pub use port::{
     drive_to_completion, try_drive_to_completion, CmdTag, Completion, IoPort, PortAccounting,
 };
-pub use tenancy::{TenancyError, TenantId, TenantManager, TenantUsage};
 pub use transport::{DeviceIndex, Outbound, Role, TransportModule, TransportStatus};

@@ -6,8 +6,8 @@
 //! - [`VillarsDevice`](crate::VillarsDevice) (fast side + conventional
 //!   side behind one NVMe interface),
 //! - `ssd::ConventionalSsd` (the conventional SSD on its own),
-//! - the `nvme` host drivers (`NvmeDriver`, `QueuedDriver`), which add
-//!   syscall/interrupt costs on top of a wrapped controller.
+//! - the `nvme` host driver (`NvmeDriver`), which adds syscall/interrupt
+//!   costs on top of a wrapped controller.
 //!
 //! The contract itself — [`IoPort`], [`CmdTag`], [`Completion`], the
 //! shared [`PortAccounting`] bookkeeping and the closed-loop

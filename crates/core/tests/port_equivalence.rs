@@ -44,7 +44,7 @@ fn op_kind(op: Op) -> CommandKind {
 
 /// Run the workload through the blocking helpers; returns each op's
 /// completion instant.
-fn run_blocking(ops: &[(SimDuration, Op)]) -> Vec<SimTime> {
+fn run_closed_loop_helpers(ops: &[(SimDuration, Op)]) -> Vec<SimTime> {
     let mut cl = Cluster::new();
     let dev = cl.add_device(VillarsConfig::small());
     let mut now = SimTime::ZERO;
@@ -107,7 +107,7 @@ fn wait_raw(
 fn blocking_helpers_equal_raw_port_timestamps() {
     for seed in [1u64, 0xBEEF, 0x5EED_CAFE] {
         let ops = workload(seed, 120);
-        let blocking = run_blocking(&ops);
+        let blocking = run_closed_loop_helpers(&ops);
         let raw = run_raw_port(&ops);
         assert_eq!(blocking, raw, "timelines diverged for seed {seed:#x}");
         // Completion instants never run backwards under a closed loop.

@@ -168,11 +168,6 @@ impl FlashArray {
         });
     }
 
-    /// Whether fault injection is armed.
-    pub fn faults_armed(&self) -> bool {
-        self.faults.is_some()
-    }
-
     /// The geometry.
     pub fn geometry(&self) -> &FlashGeometry {
         &self.geometry

@@ -29,6 +29,17 @@ pub struct AppendTag(pub u64);
 ///   durability arrives later through
 ///   [`drain_completions`](LogBackend::drain_completions). This is what
 ///   lets the WAL group-commit loop keep several groups in flight.
+///
+/// The pairs are not two spellings of one operation, so `append`/`sync`
+/// are not provided methods over submit/drain. Only [`NoLog`] and
+/// [`PmLog`] time a single group identically on both. [`NvmeLog::sync`]
+/// waits for the write before issuing the flush (queue depth 1 — the
+/// Fig. 9 "NVMe saturates" line) where `append_submit` queues both at
+/// once; [`XssdLog::sync`] is `x_fsync` with its MMIO credit reads and an
+/// exact completion instant where `drain_completions` reads the
+/// host-cached credit and stamps the poll instant. Measured in PR 17 by
+/// forcing depth 1 through the asynchronous path: fig09's NVMe cell at
+/// 8 workers goes 40.4 → 246.2 ktxn/s (`crate::runner` docs, ROADMAP.md).
 pub trait LogBackend {
     /// Hand `data` to the device; returns when the append call returns to
     /// the caller (durability NOT implied).
@@ -464,11 +475,6 @@ impl XssdLog {
     /// Mutable cluster access.
     pub fn cluster_mut(&mut self) -> &mut Cluster {
         &mut self.cluster
-    }
-
-    /// The log handle.
-    pub fn file_mut(&mut self) -> &mut XLogFile {
-        &mut self.file
     }
 }
 

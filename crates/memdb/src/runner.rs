@@ -2,15 +2,38 @@
 //!
 //! Workers are simulated cores pinned to log writers (the paper: "ERMIA
 //! pins each of its log writers to a core, therefore the experiments can
-//! scale to up to 8 threads"). Commits are pipelined: a transaction's
-//! records join the open group-commit batch and its latency runs until the
-//! batch's sync completes — which is why transaction latency *drops* as
-//! workers increase (the 16 KiB threshold fills sooner, §6.1).
+//! scale to up to 8 threads"). A transaction's records join the open
+//! group-commit batch and its latency runs until the batch is durable —
+//! which is why transaction latency *drops* as workers increase (the
+//! 16 KiB threshold fills sooner, §6.1).
+//!
+//! There is one worker loop ([`run_observed`]). What the *log writer* does
+//! with a full or stale batch is the WAL's decision
+//! ([`WalManager::commit_group`]), and
+//! [`RunnerConfig::log_pipeline_depth`] picks between two writer
+//! **models**, not two code paths for one model:
+//!
+//! 1. *Group boundaries.* The serialized writer (depth 1) seals every
+//!    group at the threshold and queues it behind the writer; workers are
+//!    held back only by [`RunnerConfig::max_log_deficit`]. A pipelined
+//!    writer with no free slot leaves the batch open — it keeps growing —
+//!    and parks the filling worker. Group sizes differ.
+//! 2. *Device protocol.* `NvmeLog::sync` is write → wait → flush → wait
+//!    at queue depth 1, which *is* Fig. 9's "NVMe saturates" line;
+//!    `append_submit` queues the write and the flush together.
+//! 3. *Durability instant.* `XssdLog::sync` is `x_fsync` — MMIO credit
+//!    reads and an exact completion instant; `drain_completions` reads
+//!    the host-cached credit and stamps the poll instant.
+//!
+//! Forcing depth 1 through the pipelined path therefore moves the goldens
+//! (fig09 NVMe at 8 workers: 40.4 → 246.2 ktxn/s; measured in PR 17, table
+//! in ROADMAP.md). Do not merge the two without a model proposal;
+//! `tests/runner_schedule.rs` pins both schedules.
 
 use crate::backend::LogBackend;
 use crate::log::LogRecord;
 use crate::storage::{Database, TxnError};
-use crate::wal::{FlushReport, WalManager};
+use crate::wal::{FlushReport, Lsn, WalManager};
 use simkit::{DetRng, SampleSeries, SimDuration, SimTime};
 
 /// Runner configuration.
@@ -202,7 +225,7 @@ pub fn run_observed<B, F>(
     wal: &mut WalManager<B>,
     cfg: RunnerConfig,
     obs: ObserveConfig,
-    txn_fn: F,
+    mut txn_fn: F,
 ) -> ObservedRun
 where
     B: LogBackend,
@@ -212,14 +235,98 @@ where
     assert!(cfg.log_pipeline_depth >= 1, "the log writer needs at least one slot");
     assert!(obs.kinds >= 1, "a workload has at least one transaction kind");
     assert!(obs.ramp_up <= cfg.duration, "ramp-up cannot exceed the run duration");
-    if cfg.log_pipeline_depth == 1 {
-        run_blocking(db, wal, cfg, obs, txn_fn)
-    } else {
-        run_pipelined(db, wal, cfg, obs, txn_fn)
+    let depth = cfg.log_pipeline_depth;
+    let mut rng = DetRng::new(cfg.seed);
+    let mut worker_rngs: Vec<DetRng> = (0..cfg.workers).map(|i| rng.fork(i as u64)).collect();
+    let mut available: Vec<SimTime> = vec![SimTime::ZERO; cfg.workers];
+    // Transactions whose batch is not yet durable: (start, lsn, kind).
+    let mut waiting: Vec<(SimTime, Lsn, usize)> = Vec::new();
+    let mut observer = Observer::new(&obs);
+    let mut reports: Vec<FlushReport> = Vec::new();
+    let mut max_inflight = 0usize;
+    let end = SimTime::ZERO + cfg.duration;
+    let mut horizon = SimTime::ZERO;
+
+    loop {
+        // Pick the earliest-free worker.
+        let (w, &t0) =
+            available.iter().enumerate().min_by_key(|(_, t)| **t).expect("at least one worker");
+        if t0 >= end {
+            break;
+        }
+        // Collect durability completions the device reached by t0 (none
+        // are ever outstanding behind the serialized writer).
+        wal.poll_flushes(t0, &mut reports);
+        // Group-commit timeout: a stale batch goes to the writer before
+        // running on (a pipelined writer with no free slot keeps it open
+        // until the next submission window).
+        if let Some(deadline) = wal.flush_deadline() {
+            if deadline < t0 {
+                wal.commit_group(deadline, depth, &mut reports);
+            }
+        }
+        // Resolved before this transaction joins `waiting`: a read-only
+        // transaction's LSN equals the frontier a stale flush reports.
+        resolve(&mut reports, &mut waiting, &mut observer, &mut horizon);
+        // Execute one transaction (the jitter draw precedes `txn_fn` on
+        // the worker's RNG stream).
+        let jitter = 1.0 + cfg.cpu_jitter * (worker_rngs[w].unit() * 2.0 - 1.0);
+        let cpu =
+            SimDuration::from_nanos((cfg.cpu_per_txn.as_nanos() as f64 * jitter).round() as u64);
+        let t1 = t0 + cpu;
+        horizon = horizon.max(t1);
+        let (kind, outcome) = txn_fn(db, &mut worker_rngs[w], w, t0);
+        available[w] = t1;
+        match outcome {
+            Ok(records) => {
+                observer.on_commit(t0, kind);
+                let lsn = wal.append_records(t1, &records);
+                waiting.push((t0, lsn, kind));
+                // The dedicated log writer takes a full group and the
+                // filling worker moves straight on — unless every pipeline
+                // slot is occupied: then the log buffer is full, and this
+                // worker parks until the earliest in-flight group can
+                // complete (nudge when the backend cannot bound it).
+                if wal.threshold_reached() && !wal.commit_group(t1, depth, &mut reports) {
+                    let next =
+                        wal.next_flush_completion_at().unwrap_or(t1 + SimDuration::from_micros(1));
+                    available[w] = next.max(t1);
+                }
+                // Bounded run-ahead: when the log writer's horizon runs
+                // too far ahead of the clock, the log buffer is full —
+                // park this worker until the device drains.
+                if wal.log_writer_free() > t1 + cfg.max_log_deficit {
+                    available[w] = available[w].max(wal.log_writer_free());
+                }
+            }
+            Err(_) => observer.on_abort(t0, kind),
+        }
+        // Nothing retires between the poll above and here, so this is the
+        // iteration's high-water mark.
+        max_inflight = max_inflight.max(wal.flushes_in_flight());
+        resolve(&mut reports, &mut waiting, &mut observer, &mut horizon);
     }
+
+    // Drain the tail so every committed txn gets a latency sample. The
+    // tail group goes to the writer even when every pipeline slot is
+    // taken, so `max_log_inflight` can read `depth + 1` (the benchmark's
+    // `memdb.log.max_inflight` reports it).
+    if !wal.commit_group(horizon, depth, &mut reports) {
+        wal.flush_submit(horizon);
+    }
+    max_inflight = max_inflight.max(wal.flushes_in_flight());
+    let drained = wal.drain_all(horizon, &mut reports);
+    horizon = horizon.max(drained);
+    resolve(&mut reports, &mut waiting, &mut observer, &mut horizon);
+    debug_assert!(waiting.is_empty(), "all transactions must resolve");
+
+    // The serialized writer never overlaps groups: one in flight once it
+    // has flushed anything.
+    let max_log_inflight = (max_inflight as u64).max(wal.flushes().min(1));
+    observer.finish(wal, horizon, max_log_inflight)
 }
 
-/// Measured-window accounting shared by both runner paths.
+/// Measured-window accounting.
 struct Observer {
     ramp_start: SimTime,
     bucket: Option<SimDuration>,
@@ -301,203 +408,25 @@ impl Observer {
     }
 }
 
-/// Record latency samples for every waiting transaction a flush covered.
+/// Record latency samples for every waiting transaction the flushes in
+/// `reports` covered, in the order the reports were produced, and empty it.
 fn resolve(
-    report: &FlushReport,
-    waiting: &mut Vec<(SimTime, crate::wal::Lsn, usize)>,
+    reports: &mut Vec<FlushReport>,
+    waiting: &mut Vec<(SimTime, Lsn, usize)>,
     observer: &mut Observer,
+    horizon: &mut SimTime,
 ) {
-    waiting.retain(|(start, lsn, kind)| {
-        if *lsn <= report.durable_upto {
-            observer.on_durable(*start, *kind, report.at);
-            false
-        } else {
-            true
-        }
-    });
-}
-
-/// The serialized path (`log_pipeline_depth == 1`): each group flush
-/// blocks the log writer until durable — today's Fig. 9 pipeline.
-fn run_blocking<B, F>(
-    db: &mut Database,
-    wal: &mut WalManager<B>,
-    cfg: RunnerConfig,
-    obs: ObserveConfig,
-    mut txn_fn: F,
-) -> ObservedRun
-where
-    B: LogBackend,
-    F: FnMut(&mut Database, &mut DetRng, usize, SimTime) -> (usize, TxnOutcome),
-{
-    let mut rng = DetRng::new(cfg.seed);
-    let mut worker_rngs: Vec<DetRng> = (0..cfg.workers).map(|i| rng.fork(i as u64)).collect();
-    let mut available: Vec<SimTime> = vec![SimTime::ZERO; cfg.workers];
-    // Transactions whose batch has not yet synced: (start, lsn, kind).
-    let mut waiting: Vec<(SimTime, crate::wal::Lsn, usize)> = Vec::new();
-    let mut observer = Observer::new(&obs);
-    let end = SimTime::ZERO + cfg.duration;
-    let mut horizon = SimTime::ZERO;
-
-    loop {
-        // Pick the earliest-free worker.
-        let (w, &t0) =
-            available.iter().enumerate().min_by_key(|(_, t)| **t).expect("at least one worker");
-        if t0 >= end {
-            break;
-        }
-        // Group-commit timeout: flush a stale batch before running on.
-        if let Some(deadline) = wal.flush_deadline() {
-            if deadline < t0 {
-                let report = wal.flush(deadline);
-                horizon = horizon.max(report.at);
-                resolve(&report, &mut waiting, &mut observer);
+    for report in reports.drain(..) {
+        *horizon = (*horizon).max(report.at);
+        waiting.retain(|(start, lsn, kind)| {
+            if *lsn <= report.durable_upto {
+                observer.on_durable(*start, *kind, report.at);
+                false
+            } else {
+                true
             }
-        }
-        // Execute one transaction.
-        let jitter = 1.0 + cfg.cpu_jitter * (worker_rngs[w].unit() * 2.0 - 1.0);
-        let cpu =
-            SimDuration::from_nanos((cfg.cpu_per_txn.as_nanos() as f64 * jitter).round() as u64);
-        let t1 = t0 + cpu;
-        horizon = horizon.max(t1);
-        let (kind, outcome) = txn_fn(db, &mut worker_rngs[w], w, t0);
-        match outcome {
-            Ok(records) => {
-                observer.on_commit(t0, kind);
-                let (lsn, maybe_flush) = wal.append_txn(t1, &records);
-                waiting.push((t0, lsn, kind));
-                available[w] = t1;
-                if let Some(report) = maybe_flush {
-                    // The dedicated log writer performs the flush; the
-                    // filling worker moves straight on.
-                    horizon = horizon.max(report.at);
-                    resolve(&report, &mut waiting, &mut observer);
-                }
-                // Bounded run-ahead: when the log writer's completion
-                // horizon runs too far ahead of the clock, the log buffer
-                // is full — park this worker until the device drains.
-                if wal.log_writer_free() > t1 + cfg.max_log_deficit {
-                    available[w] = available[w].max(wal.log_writer_free());
-                }
-            }
-            Err(_) => {
-                observer.on_abort(t0, kind);
-                available[w] = t1;
-            }
-        }
+        });
     }
-
-    // Drain the tail batch so every committed txn gets a latency sample.
-    let report = wal.flush(horizon);
-    horizon = horizon.max(report.at);
-    resolve(&report, &mut waiting, &mut observer);
-    debug_assert!(waiting.is_empty(), "all transactions must resolve");
-
-    let max_log_inflight = wal.flushes().min(1);
-    observer.finish(wal, horizon, max_log_inflight)
-}
-
-/// The pipelined path (`log_pipeline_depth > 1`): groups are handed to
-/// the backend's asynchronous append path and up to `depth` of them ride
-/// the device concurrently; durability arrives via completion polling.
-fn run_pipelined<B, F>(
-    db: &mut Database,
-    wal: &mut WalManager<B>,
-    cfg: RunnerConfig,
-    obs: ObserveConfig,
-    mut txn_fn: F,
-) -> ObservedRun
-where
-    B: LogBackend,
-    F: FnMut(&mut Database, &mut DetRng, usize, SimTime) -> (usize, TxnOutcome),
-{
-    let depth = cfg.log_pipeline_depth;
-    let mut rng = DetRng::new(cfg.seed);
-    let mut worker_rngs: Vec<DetRng> = (0..cfg.workers).map(|i| rng.fork(i as u64)).collect();
-    let mut available: Vec<SimTime> = vec![SimTime::ZERO; cfg.workers];
-    let mut waiting: Vec<(SimTime, crate::wal::Lsn, usize)> = Vec::new();
-    let mut observer = Observer::new(&obs);
-    let mut reports: Vec<FlushReport> = Vec::new();
-    let mut max_inflight = 0usize;
-    let end = SimTime::ZERO + cfg.duration;
-    let mut horizon = SimTime::ZERO;
-
-    loop {
-        // Pick the earliest-free worker.
-        let (w, &t0) =
-            available.iter().enumerate().min_by_key(|(_, t)| **t).expect("at least one worker");
-        if t0 >= end {
-            break;
-        }
-        // Collect durability completions the device reached by t0.
-        reports.clear();
-        wal.poll_flushes(t0, &mut reports);
-        for r in &reports {
-            horizon = horizon.max(r.at);
-            resolve(r, &mut waiting, &mut observer);
-        }
-        // Group-commit timeout: submit a stale batch (when a slot is
-        // free; otherwise it goes out with the next submission window).
-        if let Some(deadline) = wal.flush_deadline() {
-            if deadline < t0 && wal.flushes_in_flight() < depth {
-                wal.flush_submit(deadline);
-                max_inflight = max_inflight.max(wal.flushes_in_flight());
-            }
-        }
-        // Execute one transaction.
-        let jitter = 1.0 + cfg.cpu_jitter * (worker_rngs[w].unit() * 2.0 - 1.0);
-        let cpu =
-            SimDuration::from_nanos((cfg.cpu_per_txn.as_nanos() as f64 * jitter).round() as u64);
-        let t1 = t0 + cpu;
-        horizon = horizon.max(t1);
-        let (kind, outcome) = txn_fn(db, &mut worker_rngs[w], w, t0);
-        match outcome {
-            Ok(records) => {
-                observer.on_commit(t0, kind);
-                let lsn = wal.append_records(t1, &records);
-                waiting.push((t0, lsn, kind));
-                available[w] = t1;
-                if wal.threshold_reached() {
-                    if wal.flushes_in_flight() < depth {
-                        wal.flush_submit(t1);
-                        max_inflight = max_inflight.max(wal.flushes_in_flight());
-                    } else {
-                        // Every pipeline slot occupied: the log buffer is
-                        // full. Park this worker until the earliest
-                        // in-flight group can complete (nudge when the
-                        // backend cannot bound it).
-                        let next = wal
-                            .next_flush_completion_at()
-                            .unwrap_or(t1 + SimDuration::from_micros(1));
-                        available[w] = available[w].max(next.max(t1));
-                    }
-                }
-                // Bounded run-ahead on the hand-off path, as in the
-                // blocking loop.
-                if wal.log_writer_free() > t1 + cfg.max_log_deficit {
-                    available[w] = available[w].max(wal.log_writer_free());
-                }
-            }
-            Err(_) => {
-                observer.on_abort(t0, kind);
-                available[w] = t1;
-            }
-        }
-    }
-
-    // Drain the tail: submit the remainder and drive every in-flight
-    // group durable so each committed txn gets a latency sample.
-    wal.flush_submit(horizon);
-    max_inflight = max_inflight.max(wal.flushes_in_flight());
-    reports.clear();
-    let t = wal.drain_all(horizon, &mut reports);
-    horizon = horizon.max(t);
-    for r in &reports {
-        resolve(r, &mut waiting, &mut observer);
-    }
-    debug_assert!(waiting.is_empty(), "all transactions must resolve");
-
-    observer.finish(wal, horizon, max_inflight as u64)
 }
 
 #[cfg(test)]
@@ -594,7 +523,7 @@ mod tests {
         assert_eq!(a.latency_us.samples(), b.latency_us.samples());
     }
 
-    fn run_pipelined_pm(depth: usize) -> RunReport {
+    fn run_deep_pm(depth: usize) -> RunReport {
         let mut db = Database::new();
         db.create_table("counters");
         // A long fence makes each group's durability lag its hand-off, so
@@ -615,7 +544,7 @@ mod tests {
 
     #[test]
     fn pipelined_runner_sustains_multiple_inflight_groups() {
-        let r = run_pipelined_pm(4);
+        let r = run_deep_pm(4);
         assert!(r.max_log_inflight >= 2, "only {} group(s) in flight", r.max_log_inflight);
         assert!(r.committed > 100);
         // Every committed transaction still resolves to a latency sample.
@@ -628,8 +557,8 @@ mod tests {
 
     #[test]
     fn pipelined_runner_is_deterministic() {
-        let a = run_pipelined_pm(4);
-        let b = run_pipelined_pm(4);
+        let a = run_deep_pm(4);
+        let b = run_deep_pm(4);
         assert_eq!(a.committed, b.committed);
         assert_eq!(a.latency_us.samples(), b.latency_us.samples());
     }

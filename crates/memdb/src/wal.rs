@@ -5,6 +5,17 @@
 //! transactions execute and buffer their records; a batch flushes when the
 //! group threshold fills (or a timeout expires), and every transaction in
 //! the batch becomes durable at the batch's sync completion.
+//!
+//! The manager carries both log-writer models and
+//! [`WalManager::commit_group`] is the one switch between them: the
+//! serialized writer of §6.1 ([`WalManager::flush`]: `append` + `sync`,
+//! one group on the device at a time, later groups queue behind
+//! `log_writer_free`) and the pipelined writer
+//! ([`WalManager::flush_submit`] / [`WalManager::poll_flushes`]: several
+//! groups in flight, a full pipeline leaves the batch open). They seal
+//! different groups and time durability differently — see the
+//! `crate::runner` module docs before trying to express one through the
+//! other.
 
 use crate::backend::{AppendTag, LogBackend};
 use crate::log::LogRecord;
@@ -158,25 +169,10 @@ impl<B: LogBackend> WalManager<B> {
         self.pending.len() as u64
     }
 
-    /// Enqueue a committed transaction's records. Returns the transaction's
-    /// LSN and, if the group threshold filled, the flush report (the caller
-    /// — the committing worker — performs the flush inline, like a log
-    /// writer pinned to its core).
-    pub fn append_txn(
-        &mut self,
-        now: SimTime,
-        records: &[LogRecord],
-    ) -> (Lsn, Option<FlushReport>) {
-        let lsn = self.append_records(now, records);
-        let report = if self.threshold_reached() { Some(self.flush(now)) } else { None };
-        (lsn, report)
-    }
-
-    /// Enqueue a committed transaction's records WITHOUT the inline
-    /// blocking flush — the pipelined path checks
-    /// [`threshold_reached`](WalManager::threshold_reached) and submits
-    /// via [`flush_submit`](WalManager::flush_submit) instead. Returns
-    /// the transaction's LSN.
+    /// Enqueue a committed transaction's records into the open batch and
+    /// return the transaction's LSN. Nothing is flushed: the caller checks
+    /// [`threshold_reached`](WalManager::threshold_reached) and hands the
+    /// batch to the writer with [`commit_group`](WalManager::commit_group).
     pub fn append_records(&mut self, now: SimTime, records: &[LogRecord]) -> Lsn {
         if self.batch_opened.is_none() {
             self.batch_opened = Some(now);
@@ -192,6 +188,27 @@ impl<B: LogBackend> WalManager<B> {
         }
         self.enqueued += records.iter().map(|r| r.encoded_len() as u64).sum::<u64>();
         Lsn(self.enqueued)
+    }
+
+    /// Hand the open batch to the log writer — the one place the two
+    /// writer models differ. With `depth == 1` this is the serialized
+    /// writer of paper §6.1: the group is sealed and queued behind the
+    /// previous one ([`flush`](WalManager::flush)), its report is pushed
+    /// to `out`, and the answer is always `true`. With a deeper pipeline
+    /// the group is submitted ([`flush_submit`](WalManager::flush_submit))
+    /// when fewer than `depth` groups are in flight; otherwise the batch
+    /// stays open and the answer is `false`. Returns whether the writer
+    /// took the batch.
+    pub fn commit_group(&mut self, now: SimTime, depth: usize, out: &mut Vec<FlushReport>) -> bool {
+        if depth == 1 {
+            out.push(self.flush(now));
+            true
+        } else if self.in_flight.len() < depth {
+            self.flush_submit(now);
+            true
+        } else {
+            false
+        }
     }
 
     /// Whether the open batch has filled the group threshold.
@@ -348,14 +365,17 @@ mod tests {
             NoLog::new(),
             WalConfig { group_threshold: 1000, group_timeout: SimDuration::from_millis(1) },
         );
-        let (lsn1, fl1) = wal.append_txn(SimTime::ZERO, &[rec(1, 100)]);
-        assert!(fl1.is_none());
+        let lsn1 = wal.append_records(SimTime::ZERO, &[rec(1, 100)]);
+        assert!(!wal.threshold_reached());
         assert!(lsn1 > Lsn(0));
         assert!(wal.pending_bytes() > 0);
         // Push past the threshold.
-        let (_lsn2, fl2) = wal.append_txn(SimTime::ZERO, &[rec(2, 2000)]);
-        let report = fl2.expect("threshold crossed");
-        assert_eq!(report.durable_upto, wal.durable_upto());
+        wal.append_records(SimTime::ZERO, &[rec(2, 2000)]);
+        assert!(wal.threshold_reached(), "threshold crossed");
+        let mut reports = Vec::new();
+        assert!(wal.commit_group(SimTime::ZERO, 1, &mut reports));
+        assert_eq!(reports.len(), 1);
+        assert_eq!(reports[0].durable_upto, wal.durable_upto());
         assert_eq!(wal.pending_bytes(), 0);
         assert_eq!(wal.flushes(), 1);
     }
@@ -365,7 +385,7 @@ mod tests {
         let mut wal = WalManager::new(NoLog::new(), WalConfig::default());
         assert!(wal.flush_deadline().is_none());
         let t0 = SimTime::from_micros(7);
-        wal.append_txn(t0, &[rec(1, 10)]);
+        wal.append_records(t0, &[rec(1, 10)]);
         assert_eq!(wal.flush_deadline(), Some(t0 + WalConfig::default().group_timeout));
         wal.flush(t0 + SimDuration::from_millis(10));
         assert!(wal.flush_deadline().is_none());
@@ -376,9 +396,12 @@ mod tests {
         let mut wal = WalManager::new(PmLog::new(PmConfig::default()), WalConfig::default());
         let mut now = SimTime::ZERO;
         let mut last = Lsn(0);
+        let mut reports = Vec::new();
         for i in 0..50 {
-            let (_lsn, fl) = wal.append_txn(now, &[rec(i, 400)]);
-            if let Some(r) = fl {
+            wal.append_records(now, &[rec(i, 400)]);
+            if wal.threshold_reached() {
+                wal.commit_group(now, 1, &mut reports);
+                let r = reports.pop().expect("the serialized writer always reports");
                 assert!(r.durable_upto >= last);
                 last = r.durable_upto;
                 now = r.at;
@@ -449,10 +472,12 @@ mod tests {
         let mut wal = WalManager::new(NoLog::new(), WalConfig::default());
         wal.enable_segments(crate::segment::SegmentConfig { segment_bytes: 1 << 10 });
         let mut now = SimTime::ZERO;
+        let mut reports = Vec::new();
         for i in 0..40 {
-            let (_lsn, fl) = wal.append_txn(now, &[rec(i, 100)]);
-            if let Some(r) = fl {
-                now = r.at;
+            wal.append_records(now, &[rec(i, 100)]);
+            if wal.threshold_reached() {
+                wal.commit_group(now, 1, &mut reports);
+                now = reports.pop().expect("the serialized writer always reports").at;
             }
         }
         wal.flush(now);
@@ -499,7 +524,7 @@ mod tests {
     fn lsn_reflects_encoded_bytes() {
         let mut wal = WalManager::new(NoLog::new(), WalConfig::default());
         let record = rec(1, 100);
-        let (lsn, _) = wal.append_txn(SimTime::ZERO, std::slice::from_ref(&record));
+        let lsn = wal.append_records(SimTime::ZERO, std::slice::from_ref(&record));
         assert_eq!(lsn, Lsn(record.encoded_len() as u64));
     }
 }

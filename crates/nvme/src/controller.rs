@@ -232,7 +232,7 @@ impl<C: NvmeController> NvmeDriver<C> {
 }
 
 impl<C: NvmeController> IoPort for NvmeDriver<C> {
-    fn try_submit(&mut self, now: SimTime, kind: CommandKind) -> Result<CmdTag, QueueError> {
+    fn submit(&mut self, now: SimTime, kind: CommandKind) -> CmdTag {
         let cid = self.port.begin();
         self.commands += 1;
         let issue_at = now + self.costs.syscall;
@@ -250,7 +250,7 @@ impl<C: NvmeController> IoPort for NvmeDriver<C> {
         }
         // The device sees the command after the kernel round trip.
         self.controller.submit(issue_at, Command { cid, kind });
-        Ok(CmdTag(cid))
+        CmdTag(cid)
     }
 
     fn poll(&mut self, now: SimTime) {
@@ -354,8 +354,6 @@ impl<C: NvmeController> IoPort for NvmeDriver<C> {
         self.port.in_flight()
     }
 }
-
-use crate::queue::QueueError;
 
 impl<C: NvmeController + simkit::Instrument> simkit::Instrument for NvmeDriver<C> {
     fn instrument(&self, out: &mut simkit::Scope<'_>) {
@@ -538,235 +536,5 @@ mod tests {
         assert_eq!(t1, t2, "zero-rate fault layer adds no latency");
         assert_eq!(plain.port_stats().retries(), 0);
         assert_eq!(armed.port_stats().retries(), 0);
-    }
-}
-
-/// A driver that drives a controller through real submission/completion
-/// rings with a bounded queue depth — the asynchronous path the OS block
-/// layer uses, complementing the synchronous [`NvmeDriver`]. Submission
-/// fails with [`crate::queue::QueueError::Full`] when the ring is full; the
-/// caller reaps completions to free slots (back-pressure by ring depth,
-/// paper §2.1).
-#[derive(Debug)]
-pub struct QueuedDriver<C: NvmeController> {
-    controller: C,
-    qp: crate::queue::QueuePair,
-    costs: HostCosts,
-    port: PortAccounting,
-    /// Completion instants (including interrupt cost) for entries posted
-    /// to the CQ but not yet reaped, keyed by CID.
-    done_at: std::collections::HashMap<CommandId, SimTime>,
-    /// Reusable completion-drain buffer for [`QueuedDriver::poll`].
-    drain_buf: Vec<(SimTime, CompletionEntry)>,
-}
-
-use crate::command::CommandId;
-
-impl<C: NvmeController> QueuedDriver<C> {
-    /// Wrap `controller` with an I/O queue pair of `depth` entries.
-    pub fn new(controller: C, depth: usize) -> Self {
-        QueuedDriver {
-            controller,
-            qp: crate::queue::QueuePair::new(crate::queue::QueueId(1), depth),
-            costs: HostCosts::default(),
-            port: PortAccounting::new(),
-            done_at: std::collections::HashMap::new(),
-            drain_buf: Vec::new(),
-        }
-    }
-
-    /// Access the wrapped controller.
-    pub fn controller(&self) -> &C {
-        &self.controller
-    }
-
-    /// Mutable access to the wrapped controller.
-    pub fn controller_mut(&mut self) -> &mut C {
-        &mut self.controller
-    }
-
-    /// Commands submitted and not yet reaped.
-    pub fn inflight(&self) -> usize {
-        self.port.in_flight()
-    }
-
-    /// Per-port accounting (CID liveness, depth telemetry). Collected
-    /// explicitly by callers that want port metrics.
-    pub fn port_stats(&self) -> &PortAccounting {
-        &self.port
-    }
-
-    /// Submit a command asynchronously. Returns its CID, or `QueueError::Full`
-    /// when the ring has no free slot.
-    pub fn submit(
-        &mut self,
-        now: SimTime,
-        kind: CommandKind,
-    ) -> Result<CommandId, crate::queue::QueueError> {
-        if self.port.in_flight() >= self.qp.sq.depth() {
-            return Err(crate::queue::QueueError::Full);
-        }
-        let cid = self.port.begin();
-        if let Err(e) = self.qp.sq.push(Command { cid, kind }) {
-            self.port.finish(cid);
-            return Err(e);
-        }
-        // The device fetches immediately after the doorbell (fetch cost is
-        // modelled device-side).
-        let cmd = self
-            .qp
-            .sq
-            .fetch()
-            .unwrap_or_else(|| panic!("submission ring empty after pushing cid {cid}"));
-        self.controller.submit(now + self.costs.syscall, cmd);
-        Ok(cid)
-    }
-
-    /// Advance the device and post any due completions into the completion
-    /// ring. Returns how many were posted.
-    pub fn poll(&mut self, now: SimTime) -> usize {
-        self.controller.advance_to(now);
-        self.drain_buf.clear();
-        self.controller.drain_completions_into(now, &mut self.drain_buf);
-        let mut posted = 0;
-        for &(at, entry) in &self.drain_buf {
-            if self.qp.cq.post(entry).is_err() {
-                // CQ full: in real hardware this is fatal; here the caller
-                // must reap faster. Drop back into the device queue is not
-                // possible, so surface loudly.
-                panic!(
-                    "completion queue overflow posting cid {}: reap completions faster",
-                    entry.cid
-                );
-            }
-            self.done_at.insert(entry.cid, at + self.costs.interrupt);
-            posted += 1;
-        }
-        posted
-    }
-
-    /// Reap one completion from the ring, if any.
-    pub fn reap(&mut self) -> Option<CompletionEntry> {
-        let entry = self.qp.cq.reap()?;
-        self.port.finish(entry.cid);
-        self.done_at.remove(&entry.cid);
-        Some(entry)
-    }
-
-    /// The earliest pending device event (to jump virtual time between
-    /// polls).
-    pub fn next_event_at(&self) -> Option<SimTime> {
-        self.controller.next_event_at()
-    }
-
-    /// The queue pair backing this driver (doorbell/occupancy telemetry).
-    pub fn queue_pair(&self) -> &crate::queue::QueuePair {
-        &self.qp
-    }
-}
-
-impl<C: NvmeController> IoPort for QueuedDriver<C> {
-    fn try_submit(&mut self, now: SimTime, kind: CommandKind) -> Result<CmdTag, QueueError> {
-        QueuedDriver::submit(self, now, kind).map(CmdTag)
-    }
-
-    fn poll(&mut self, now: SimTime) {
-        QueuedDriver::poll(self, now);
-    }
-
-    fn completions_into(&mut self, _now: SimTime, out: &mut Vec<Completion>) {
-        // Everything already posted to the CQ by `poll` is due; reap it
-        // all, in posting order.
-        while let Some(entry) = self.qp.cq.reap() {
-            self.port.finish(entry.cid);
-            let at = self.done_at.remove(&entry.cid).unwrap_or_else(|| {
-                panic!("no completion instant recorded for reaped cid {}", entry.cid)
-            });
-            out.push(Completion { at, entry });
-        }
-    }
-
-    fn next_port_event_at(&self) -> Option<SimTime> {
-        self.controller.next_event_at()
-    }
-
-    fn in_flight(&self) -> usize {
-        self.port.in_flight()
-    }
-}
-
-impl<C: NvmeController> simkit::Instrument for QueuedDriver<C> {
-    fn instrument(&self, out: &mut simkit::Scope<'_>) {
-        self.qp.instrument(out);
-        out.gauge("inflight", self.port.in_flight() as f64);
-    }
-}
-
-#[cfg(test)]
-mod queued_tests {
-    use super::tests_support::FixedDelay;
-    use super::*;
-    use crate::command::IoCommand;
-    use crate::queue::QueueError;
-
-    #[test]
-    fn pipelined_submission_up_to_depth() {
-        let mut drv = QueuedDriver::new(FixedDelay::new(100), 4);
-        let mut cids = Vec::new();
-        for i in 0..4 {
-            cids.push(
-                drv.submit(SimTime::ZERO, CommandKind::Io(IoCommand::Write { lba: i, blocks: 1 }))
-                    .unwrap(),
-            );
-        }
-        assert_eq!(drv.inflight(), 4);
-        // Fifth submission back-pressures.
-        assert_eq!(
-            drv.submit(SimTime::ZERO, CommandKind::Io(IoCommand::Flush)),
-            Err(QueueError::Full)
-        );
-        // All four complete at the same device delay and pipeline (they do
-        // NOT serialize: wall time ~102us, not 4x).
-        let done_at = drv.next_event_at().expect("pending completions");
-        assert_eq!(done_at.as_micros_f64(), 102.0);
-        let posted = drv.poll(done_at);
-        assert_eq!(posted, 4);
-        let mut reaped = Vec::new();
-        while let Some(e) = drv.reap() {
-            assert!(e.status.is_ok());
-            reaped.push(e.cid);
-        }
-        assert_eq!(reaped, cids);
-        assert_eq!(drv.inflight(), 0);
-        // A slot is free again.
-        drv.submit(done_at, CommandKind::Io(IoCommand::Flush)).unwrap();
-    }
-
-    #[test]
-    fn queue_depth_one_serializes() {
-        let mut drv = QueuedDriver::new(FixedDelay::new(10), 1);
-        let mut now = SimTime::ZERO;
-        for i in 0..3 {
-            drv.submit(now, CommandKind::Io(IoCommand::Write { lba: i, blocks: 1 })).unwrap();
-            now = drv.next_event_at().unwrap();
-            drv.poll(now);
-            assert!(drv.reap().is_some());
-        }
-        // Three serialized 10us commands (+2us syscall each).
-        assert_eq!(now.as_micros_f64(), 36.0);
-    }
-
-    #[test]
-    fn against_a_real_ssd() {
-        // The queued driver also works over the full conventional-SSD model
-        // (smoke test via the trait object boundary the bench crates use).
-        // Uses only the nvme-crate contract.
-        let mut drv = QueuedDriver::new(FixedDelay::new(5), 8);
-        for i in 0..8 {
-            drv.submit(SimTime::ZERO, CommandKind::Io(IoCommand::Read { lba: i, blocks: 1 }))
-                .unwrap();
-        }
-        let t = drv.next_event_at().unwrap();
-        assert_eq!(drv.poll(t), 8);
     }
 }

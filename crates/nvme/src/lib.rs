@@ -5,15 +5,18 @@
 //!
 //! - [`command`] — the I/O, admin, and vendor-specific command set (the
 //!   X-SSD control plane rides on vendor commands, §4.2);
-//! - [`queue`] — submission/completion rings and doorbells;
 //! - [`namespace`] — the logical-block address space;
 //! - [`regions`] — CMB/PMR descriptors (§2.3);
-//! - [`controller`] — the [`NvmeController`] device contract and the
-//!   blocking host [`NvmeDriver`] with explicit syscall/interrupt costs;
+//! - [`controller`] — the [`NvmeController`] device contract and the one
+//!   host driver, [`NvmeDriver`], with explicit syscall/interrupt costs
+//!   and the fault-retry path;
 //! - [`port`] — the unified asynchronous [`IoPort`]
 //!   submission/completion contract every device type implements, plus
 //!   the closed-loop [`drive_to_completion`] adapter blocking helpers
 //!   route through.
+//!
+//! Host-side submission/completion rings are not modelled: every port is
+//! unbounded and queueing delay comes from the device models behind it.
 
 #![warn(missing_docs)]
 
@@ -21,17 +24,15 @@ pub mod command;
 pub mod controller;
 pub mod namespace;
 pub mod port;
-pub mod queue;
 pub mod regions;
 
 pub use command::{
     AdminCommand, Command, CommandId, CommandKind, CompletionEntry, IoCommand, Lba, Status,
     VendorCommand,
 };
-pub use controller::{HostCosts, IoResult, NvmeController, NvmeDriver, QueuedDriver};
+pub use controller::{HostCosts, IoResult, NvmeController, NvmeDriver};
 pub use namespace::Namespace;
 pub use port::{
     drive_to_completion, try_drive_to_completion, CmdTag, Completion, IoPort, PortAccounting,
 };
-pub use queue::{CompletionQueue, QueueError, QueueId, QueuePair, SubmissionQueue};
 pub use regions::{BackingClass, CmbDescriptor};

@@ -1,7 +1,7 @@
 //! The unified asynchronous submission/completion port.
 //!
 //! Every host-visible device in the stack — the Villars device, the
-//! conventional SSD, and the NVMe host drivers — speaks the same
+//! conventional SSD, and the NVMe host driver — speaks the same
 //! command-lifecycle contract: tagged submissions go in, event-driven
 //! completions come out, and the caller decides how many commands to keep
 //! in flight. This is the shape the paper's host interface requires
@@ -13,11 +13,13 @@
 //!
 //! The port contract is deliberately small:
 //!
-//! 1. [`IoPort::try_submit`] hands a [`CommandKind`] to the device at a
+//! 1. [`IoPort::submit`] hands a [`CommandKind`] to the device at a
 //!    virtual instant and returns a [`CmdTag`] identifying the in-flight
 //!    command (the port allocates the NVMe CID — callers never mint
 //!    their own, which is what makes per-port collision checking
-//!    possible).
+//!    possible). Every port is unbounded, so submission cannot fail:
+//!    back-pressure is modelled inside the device (HIC fetch, channel
+//!    queues, CMB intake), not by a host-side ring.
 //! 2. [`IoPort::poll`] runs device work up to an instant so due
 //!    completions become visible.
 //! 3. [`IoPort::completions_into`] delivers every completion due by an
@@ -36,7 +38,6 @@
 //! want it (see `docs/OBSERVABILITY.md`).
 
 use crate::command::{CommandId, CommandKind, CompletionEntry};
-use crate::queue::QueueError;
 use simkit::{DiagnosticSnapshot, Histogram, SimError, SimTime};
 use std::collections::HashSet;
 
@@ -62,29 +63,13 @@ pub struct Completion {
 /// The unified asynchronous submission/completion contract.
 ///
 /// Implemented by `VillarsDevice`, `ssd::ConventionalSsd`, and the NVMe
-/// host drivers ([`crate::NvmeDriver`], [`crate::QueuedDriver`]), so all
-/// device types share one command lifecycle: submit → queue → device
-/// event → completion. Blocking callers layer [`drive_to_completion`] on
-/// top; pipelined callers keep several tags in flight and drain
-/// completions as virtual time advances.
+/// host driver ([`crate::NvmeDriver`]), so all device types share one
+/// command lifecycle: submit → queue → device event → completion. Blocking
+/// callers layer [`drive_to_completion`] on top; pipelined callers keep
+/// several tags in flight and drain completions as virtual time advances.
 pub trait IoPort {
-    /// Submit `kind` at `now`. Returns the tag of the in-flight command,
-    /// or [`QueueError::Full`] when the port has bounded depth and no
-    /// free slot (device-level ports are unbounded and never fail).
-    fn try_submit(&mut self, now: SimTime, kind: CommandKind) -> Result<CmdTag, QueueError>;
-
-    /// Infallible submit for unbounded ports. Panics with port context if
-    /// the port rejects the submission.
-    fn submit(&mut self, now: SimTime, kind: CommandKind) -> CmdTag {
-        match self.try_submit(now, kind) {
-            Ok(tag) => tag,
-            Err(e) => panic!(
-                "I/O port rejected submission at t={}us ({} in flight): {e:?}",
-                now.as_micros_f64(),
-                self.in_flight()
-            ),
-        }
-    }
+    /// Submit `kind` at `now` and return the tag of the in-flight command.
+    fn submit(&mut self, now: SimTime, kind: CommandKind) -> CmdTag;
 
     /// Run device-internal work up to and including instant `now`, so
     /// completions due by `now` become visible to
@@ -176,11 +161,6 @@ impl PortAccounting {
             self.completed += 1;
         }
         was_live
-    }
-
-    /// Whether `cid` is currently in flight on this port.
-    pub fn is_live(&self, cid: CommandId) -> bool {
-        self.live.contains(&cid)
     }
 
     /// Commands currently in flight.

@@ -1,4 +1,4 @@
-//! # pcie — PCIe transaction-layer, MMIO, and interconnect models
+//! # pcie — PCIe transaction-layer, store-issue, and interconnect models
 //!
 //! "PCI may have been a bus, but PCIe is a full-fledged networking system"
 //! (paper §2.1). This crate models the parts of that networking system the
@@ -7,7 +7,6 @@
 //! - [`tlp`] — Transaction Layer Packets and their fixed per-packet costs;
 //! - [`link`] — generation/lane-width bandwidth arithmetic and a serializing
 //!   [`PcieLink`];
-//! - [`mmio`] — BAR windows and address routing (how CMB reaches userspace);
 //! - [`wc`] — the CPU Write-Combining vs. Uncached store-issue model behind
 //!   paper Fig. 10;
 //! - [`dma`] — the device DMA engine (NVMe data phases);
@@ -19,7 +18,6 @@
 
 pub mod dma;
 pub mod link;
-pub mod mmio;
 pub mod ntb;
 pub mod rdma;
 pub mod tlp;
@@ -27,7 +25,6 @@ pub mod wc;
 
 pub use dma::{DmaConfig, DmaDirection, DmaEngine};
 pub use link::{Generation, LaneWidth, LinkConfig, PcieLink};
-pub use mmio::{AddressMap, DeviceId, MmioError, Region, RegionKind};
 pub use ntb::{HostId, NtbConfig, NtbFaultStats, NtbPort, TranslationWindow};
 pub use rdma::{RdmaConfig, RdmaTransport};
 pub use tlp::{BusAddr, MaxPayloadSize, Tlp, TlpKind, TlpOverhead};
@@ -43,13 +40,13 @@ mod crate_tests {
     /// than the equivalent RDMA-persistent path (the paper's §2.3 claim).
     #[test]
     fn ntb_beats_rdma_for_persistent_small_writes() {
-        let mut map = AddressMap::new();
-        let cmb = map.allocate(DeviceId(0), RegionKind::Cmb, 128 << 10);
+        // The CMB's BAR window on the local bus.
+        let (cmb_base, cmb_len) = (0x8000_0000u64, 128u64 << 10);
 
         let mut port = NtbPort::new(NtbConfig::default(), HostId(1));
         port.add_window(TranslationWindow {
-            local_base: cmb.base,
-            len: cmb.len,
+            local_base: cmb_base,
+            len: cmb_len,
             remote_host: HostId(1),
             remote_base: 0x9000_0000,
         });
@@ -59,7 +56,7 @@ mod crate_tests {
         let payloads = issue.tlp_payloads(64);
         assert_eq!(payloads.len(), 1);
         let (_fwd, ntb_grant) = port
-            .forward(SimTime::ZERO, &Tlp::write(cmb.base, payloads[0]))
+            .forward(SimTime::ZERO, &Tlp::write(cmb_base, payloads[0]))
             .expect("window covers the CMB");
 
         let mut rdma = RdmaTransport::new(RdmaConfig::default());

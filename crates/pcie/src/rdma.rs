@@ -43,7 +43,6 @@ impl Default for RdmaConfig {
 pub struct RdmaTransport {
     config: RdmaConfig,
     wire: Link,
-    writes: u64,
 }
 
 impl RdmaTransport {
@@ -53,13 +52,12 @@ impl RdmaTransport {
             Bandwidth::gbytes_per_sec(config.bandwidth_gbps / 8.0),
             config.per_message_overhead,
         );
-        RdmaTransport { config, wire, writes: 0 }
+        RdmaTransport { config, wire }
     }
 
     /// Post an RDMA write of `len` bytes. Returns the instant the data is
     /// **visible** at the responder.
     pub fn write_visible(&mut self, now: SimTime, len: u64) -> Grant {
-        self.writes += 1;
         let g = self.wire.transmit(now, len);
         Grant { start: g.start, end: g.end + self.config.one_way_latency }
     }
@@ -76,11 +74,6 @@ impl RdmaTransport {
         let flush_out = self.wire.transmit(vis.end, 0);
         let done = flush_out.end + self.config.one_way_latency + self.config.one_way_latency;
         Grant { start: vis.start, end: done }
-    }
-
-    /// Number of write verbs posted.
-    pub fn writes_posted(&self) -> u64 {
-        self.writes
     }
 
     /// Wire utilization over `[0, horizon]`.

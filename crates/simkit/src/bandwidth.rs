@@ -59,11 +59,6 @@ impl Bandwidth {
         1.0 / self.ns_per_byte
     }
 
-    /// The rate in bytes per nanosecond.
-    pub fn as_bytes_per_ns(&self) -> f64 {
-        1.0 / self.ns_per_byte
-    }
-
     /// A rate scaled by `factor` (e.g. contention derating of a shared
     /// DRAM port).
     pub fn scaled(&self, factor: f64) -> Bandwidth {

@@ -6,10 +6,10 @@
 //! - [`events`] — deterministic per-device event calendars ([`EventQueue`]):
 //!   indexed binary heaps with O(1) frontier peek, O(log n) in-place
 //!   cancellation, and generation-tagged [`EventId`] handles;
-//! - [`resource`] — contention primitives ([`SerialResource`],
-//!   [`BankedResource`], [`Link`]) where interference *emerges* from queueing;
+//! - [`resource`] — contention primitives ([`SerialResource`], [`Link`])
+//!   where interference *emerges* from queueing;
 //! - [`bandwidth`] — rate arithmetic in the units hardware specs use;
-//! - [`stats`] — exact sample series, candlesticks, throughput meters;
+//! - [`stats`] — exact sample series, candlesticks, power-of-two histograms;
 //! - [`rng`] — explicitly seeded randomness for replayable workloads;
 //! - [`bytes`] — cheaply cloneable immutable payload buffers;
 //! - [`telemetry`] — the cross-stack metrics registry every device model
@@ -44,9 +44,9 @@ pub use bytes::Bytes;
 pub use error::{DiagnosticSnapshot, SimError};
 pub use events::{EventId, EventQueue};
 pub use faults::{FaultHook, FaultPlan};
-pub use resource::{BankedResource, Grant, Link, LinkStats, SerialResource};
+pub use resource::{Grant, Link, LinkStats, SerialResource};
 pub use rng::{DetRng, Zipfian};
-pub use stats::{Candlestick, Histogram, OnlineStats, SampleSeries, SeriesPoint, ThroughputMeter};
+pub use stats::{Candlestick, Histogram, SampleSeries};
 pub use telemetry::{Instrument, MetricValue, MetricsRegistry, Scope, Snapshot};
 pub use time::{SimDuration, SimTime};
 

@@ -102,11 +102,6 @@ impl SerialResource {
         self.busy_until
     }
 
-    /// Whether the resource would be idle at `now`.
-    pub fn is_idle_at(&self, now: SimTime) -> bool {
-        self.busy_until <= now
-    }
-
     /// Total service time ever granted.
     pub fn busy_time(&self) -> SimDuration {
         self.busy_accum
@@ -123,67 +118,6 @@ impl SerialResource {
             return 0.0;
         }
         self.busy_accum.as_nanos() as f64 / horizon.as_nanos() as f64
-    }
-}
-
-/// A pool of identical servers (e.g. the dies of one flash channel viewed
-/// from the channel scheduler, or the lanes of a multi-queue DMA engine).
-/// Requests go to the server that frees up first.
-#[derive(Debug, Clone)]
-pub struct BankedResource {
-    banks: Vec<SerialResource>,
-}
-
-impl BankedResource {
-    /// Create a pool with `n` servers. Panics if `n == 0`.
-    pub fn new(n: usize) -> Self {
-        assert!(n > 0, "a banked resource needs at least one bank");
-        BankedResource { banks: vec![SerialResource::new(); n] }
-    }
-
-    /// Number of servers.
-    pub fn banks(&self) -> usize {
-        self.banks.len()
-    }
-
-    /// Request `service` time on the earliest-free server.
-    pub fn acquire(&mut self, now: SimTime, service: SimDuration) -> Grant {
-        let idx = self.earliest_free();
-        self.banks[idx].acquire(now, service)
-    }
-
-    /// Request `service` time on a specific server (e.g. a die addressed by
-    /// the FTL's physical mapping).
-    pub fn acquire_bank(&mut self, bank: usize, now: SimTime, service: SimDuration) -> Grant {
-        self.banks[bank].acquire(now, service)
-    }
-
-    /// The instant bank `bank` next becomes idle.
-    pub fn bank_busy_until(&self, bank: usize) -> SimTime {
-        self.banks[bank].busy_until()
-    }
-
-    /// The earliest instant any bank becomes idle.
-    pub fn earliest_idle(&self) -> SimTime {
-        self.banks.iter().map(|b| b.busy_until()).min().unwrap_or(SimTime::ZERO)
-    }
-
-    fn earliest_free(&self) -> usize {
-        let mut best = 0;
-        for (i, b) in self.banks.iter().enumerate().skip(1) {
-            if b.busy_until() < self.banks[best].busy_until() {
-                best = i;
-            }
-        }
-        best
-    }
-
-    /// Mean utilization across banks over `[0, horizon]`.
-    pub fn utilization(&self, horizon: SimTime) -> f64 {
-        if self.banks.is_empty() {
-            return 0.0;
-        }
-        self.banks.iter().map(|b| b.utilization(horizon)).sum::<f64>() / self.banks.len() as f64
     }
 }
 
@@ -365,36 +299,6 @@ mod tests {
         r.acquire(t(0), d(250));
         assert!((r.utilization(t(1000)) - 0.25).abs() < 1e-9);
         assert_eq!(r.utilization(SimTime::ZERO), 0.0);
-    }
-
-    #[test]
-    fn banked_resource_parallelism() {
-        let mut b = BankedResource::new(2);
-        let g1 = b.acquire(t(0), d(100));
-        let g2 = b.acquire(t(0), d(100));
-        // Two banks: both run in parallel.
-        assert_eq!(g1.start, t(0));
-        assert_eq!(g2.start, t(0));
-        // Third request queues behind the earliest-free bank.
-        let g3 = b.acquire(t(0), d(100));
-        assert_eq!(g3.start, t(100));
-        assert_eq!(b.earliest_idle(), t(100));
-    }
-
-    #[test]
-    fn banked_resource_explicit_bank() {
-        let mut b = BankedResource::new(4);
-        b.acquire_bank(2, t(0), d(100));
-        assert_eq!(b.bank_busy_until(2), t(100));
-        assert_eq!(b.bank_busy_until(0), t(0));
-        let g = b.acquire_bank(2, t(0), d(10));
-        assert_eq!(g.start, t(100));
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one bank")]
-    fn banked_resource_rejects_zero() {
-        let _ = BankedResource::new(0);
     }
 
     #[test]

@@ -1,84 +1,11 @@
 //! Measurement collection for experiments.
 //!
-//! The paper reports means, log-scale latency curves, throughput series, and
-//! candlestick (min/quartile/max) summaries (Fig. 13). Experiments here are
+//! The paper reports means, log-scale latency curves, and candlestick
+//! (min/quartile/max) summaries (Fig. 13). Experiments here are
 //! small enough that we keep exact samples and compute summaries directly —
 //! no sketches, no reservoir sampling, fully reproducible.
 
-use crate::time::{SimDuration, SimTime};
-
-/// Online mean/variance accumulator (Welford's algorithm).
-#[derive(Debug, Clone, Default)]
-pub struct OnlineStats {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl OnlineStats {
-    /// Empty accumulator.
-    pub fn new() -> Self {
-        OnlineStats { n: 0, mean: 0.0, m2: 0.0, min: f64::INFINITY, max: f64::NEG_INFINITY }
-    }
-
-    /// Record one observation.
-    pub fn record(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Sample mean (0 if empty).
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance (0 if fewer than 2 samples).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
-    /// Standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest observation (0 if empty).
-    pub fn min(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.min
-        }
-    }
-
-    /// Largest observation (0 if empty).
-    pub fn max(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.max
-        }
-    }
-}
+use crate::time::SimDuration;
 
 /// Five-number summary used for candlestick plots (paper Fig. 13).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -208,60 +135,6 @@ impl SampleSeries {
     }
 }
 
-/// Events-and-bytes throughput accounting over a simulated window.
-#[derive(Debug, Clone, Default)]
-pub struct ThroughputMeter {
-    events: u64,
-    bytes: u64,
-}
-
-impl ThroughputMeter {
-    /// Empty meter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record one event carrying `bytes` of payload.
-    pub fn record(&mut self, bytes: u64) {
-        self.events += 1;
-        self.bytes += bytes;
-    }
-
-    /// Record `n` events carrying `bytes` total.
-    pub fn record_many(&mut self, n: u64, bytes: u64) {
-        self.events += n;
-        self.bytes += bytes;
-    }
-
-    /// Total events recorded.
-    pub fn events(&self) -> u64 {
-        self.events
-    }
-
-    /// Total bytes recorded.
-    pub fn bytes(&self) -> u64 {
-        self.bytes
-    }
-
-    /// Events per second over the window ending at `elapsed`.
-    pub fn events_per_sec(&self, elapsed: SimDuration) -> f64 {
-        if elapsed.is_zero() {
-            0.0
-        } else {
-            self.events as f64 / elapsed.as_secs_f64()
-        }
-    }
-
-    /// Decimal megabytes per second over the window.
-    pub fn mbytes_per_sec(&self, elapsed: SimDuration) -> f64 {
-        if elapsed.is_zero() {
-            0.0
-        } else {
-            self.bytes as f64 / 1e6 / elapsed.as_secs_f64()
-        }
-    }
-}
-
 /// A power-of-two-bucketed histogram for latency-class quantities: bucket
 /// `i` counts samples in `[2^i, 2^(i+1))` of the base unit. Cheap to
 /// record, compact to print, adequate when the exact-sample
@@ -349,49 +222,9 @@ impl Histogram {
     }
 }
 
-/// A labelled series point for figure output: `(x, value)` plus an optional
-/// candlestick. This is the row format the figure harnesses print.
-#[derive(Debug, Clone)]
-pub struct SeriesPoint {
-    /// X-axis value (worker count, write size, period in µs, ...).
-    pub x: f64,
-    /// Primary Y value (mean latency, throughput, ...).
-    pub y: f64,
-    /// Optional distribution summary.
-    pub candle: Option<Candlestick>,
-}
-
-/// Convert a time window to a human-readable observation horizon.
-pub fn window(start: SimTime, end: SimTime) -> SimDuration {
-    end.saturating_since(start)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn online_stats_mean_var() {
-        let mut s = OnlineStats::new();
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            s.record(x);
-        }
-        assert_eq!(s.count(), 8);
-        assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.variance() - 4.0).abs() < 1e-12);
-        assert!((s.std_dev() - 2.0).abs() < 1e-12);
-        assert_eq!(s.min(), 2.0);
-        assert_eq!(s.max(), 9.0);
-    }
-
-    #[test]
-    fn online_stats_empty() {
-        let s = OnlineStats::new();
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.variance(), 0.0);
-        assert_eq!(s.min(), 0.0);
-        assert_eq!(s.max(), 0.0);
-    }
 
     #[test]
     fn percentiles_interpolate() {
@@ -464,19 +297,6 @@ mod tests {
     }
 
     #[test]
-    fn throughput_meter() {
-        let mut m = ThroughputMeter::new();
-        m.record(1000);
-        m.record_many(9, 9000);
-        assert_eq!(m.events(), 10);
-        assert_eq!(m.bytes(), 10_000);
-        let w = SimDuration::from_millis(1);
-        assert!((m.events_per_sec(w) - 10_000.0).abs() < 1e-6);
-        assert!((m.mbytes_per_sec(w) - 10.0).abs() < 1e-9);
-        assert_eq!(m.events_per_sec(SimDuration::ZERO), 0.0);
-    }
-
-    #[test]
     fn histogram_buckets_and_percentiles() {
         let mut h = Histogram::new();
         for x in [0.5, 1.0, 3.0, 3.9, 8.0, 9.0, 100.0] {
@@ -499,11 +319,5 @@ mod tests {
         h.record_duration(SimDuration::from_micros(33));
         assert_eq!(h.count(), 1);
         assert_eq!(h.percentile_lower_bound(50.0), 32.0);
-    }
-
-    #[test]
-    fn window_helper() {
-        let w = window(SimTime::from_nanos(10), SimTime::from_nanos(110));
-        assert_eq!(w.as_nanos(), 100);
     }
 }

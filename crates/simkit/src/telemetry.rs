@@ -38,7 +38,6 @@
 
 use crate::stats::Histogram;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 pub mod json;
 
@@ -319,36 +318,6 @@ impl Snapshot {
         }
         fields.push((String::from("metrics"), metrics));
         Json::Object(fields)
-    }
-
-    /// Render [`Snapshot::to_json`] pretty-printed, trailing newline
-    /// included, ready to write to a `results/*.json` file.
-    pub fn to_json_string(&self, meta: &[(&str, Json)]) -> String {
-        let mut s = self.to_json(meta).pretty();
-        s.push('\n');
-        s
-    }
-
-    /// A short human-readable listing (debugging aid).
-    pub fn render_table(&self) -> String {
-        let mut out = String::new();
-        for (path, v) in &self.metrics {
-            match v {
-                MetricValue::Counter(c) => {
-                    let _ = writeln!(out, "{path:<48} {c}");
-                }
-                MetricValue::Gauge(g) => {
-                    let _ = writeln!(out, "{path:<48} {g:.3}");
-                }
-                MetricValue::Latency { count, mean_us, p50_us, p99_us } => {
-                    let _ = writeln!(
-                        out,
-                        "{path:<48} n={count} mean={mean_us:.2}us p50>={p50_us}us p99>={p99_us}us"
-                    );
-                }
-            }
-        }
-        out
     }
 }
 

@@ -96,11 +96,6 @@ impl DataBuffer {
         self.port.acquire(now, duration)
     }
 
-    /// Utilization of the DRAM port over `[0, horizon]`.
-    pub fn port_utilization(&self, horizon: SimTime) -> f64 {
-        self.port.utilization(horizon)
-    }
-
     /// Write a page into the buffer (dirty). Returns the port grant; the
     /// write is visible at `grant.end`. Evicts clean LRU pages over
     /// capacity; dirty pages never evict, so the buffer may exceed capacity

@@ -16,7 +16,7 @@ use flash::{
 };
 use nvme::{
     AdminCommand, CmdTag, Command, CommandId, CommandKind, Completion, CompletionEntry, IoCommand,
-    IoPort, Namespace, NvmeController, PortAccounting, QueueError, Status,
+    IoPort, Namespace, NvmeController, PortAccounting, Status,
 };
 use pcie::{DmaConfig, LinkConfig};
 use simkit::bytes::Bytes;
@@ -271,16 +271,6 @@ impl ConventionalSsd {
         self.sched.class_stats(class)
     }
 
-    /// Page bytes whose flash programs have *completed* within advanced
-    /// time, per traffic class — the achieved-bandwidth observable behind
-    /// Fig. 12. (Grant-time stats over-count under backlog.)
-    pub fn served_bytes(&self, class: Priority) -> u64 {
-        match class {
-            Priority::Conventional => self.served_conventional_bytes,
-            Priority::Destage => self.served_destage_bytes,
-        }
-    }
-
     /// FTL statistics.
     pub fn ftl_stats(&self) -> crate::ftl::FtlStats {
         self.ftl.stats()
@@ -316,11 +306,6 @@ impl ConventionalSsd {
             "staged data exceeds page size"
         );
         self.staged.insert(lpn, data);
-    }
-
-    /// Access the DRAM data-buffer port (shared by a DRAM-backed CMB).
-    pub fn dram_access(&mut self, now: SimTime, bytes: u64) -> simkit::Grant {
-        self.buffer.port_access(now, bytes)
     }
 
     /// Hold the DRAM port for an explicit duration (the CMB path's derated
@@ -979,13 +964,12 @@ impl NvmeController for ConventionalSsd {
 }
 
 impl IoPort for ConventionalSsd {
-    /// The device-level port is unbounded (back-pressure is modelled by
-    /// the HIC/scheduler, not by submission failure): this never returns
-    /// an error.
-    fn try_submit(&mut self, now: SimTime, kind: CommandKind) -> Result<CmdTag, QueueError> {
+    /// The device-level port is unbounded: back-pressure is modelled by
+    /// the HIC/scheduler, not by refusing a submission.
+    fn submit(&mut self, now: SimTime, kind: CommandKind) -> CmdTag {
         let cid = self.port.begin();
         NvmeController::submit(self, now, Command { cid, kind });
-        Ok(CmdTag(cid))
+        CmdTag(cid)
     }
 
     fn poll(&mut self, now: SimTime) {

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# The full local gate: formatting, lints as errors, the test suite, and the
-# benchmark's correctness checks.
+# The full local gate: formatting, lints as errors, module reachability, the
+# test suite, and the benchmark's correctness checks.
 # Run from anywhere inside the repository; CI runs exactly this.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -10,6 +10,10 @@ cargo fmt --all --check
 
 echo "== cargo clippy (warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== reachability (no pub mod that only its own file and tests mention)"
+# Its reading-aid list is long; show the output only when the step fails.
+reach=$(python3 scripts/reachability.py) || { echo "$reach"; exit 1; }
 
 echo "== cargo test"
 cargo test --workspace --quiet
@@ -44,4 +48,4 @@ echo "== benchmark: its own tests, then every workload and check at 1/50 horizon
 (cd benchmark && cargo test --offline --quiet)
 benchmark/run.sh --quick > /dev/null
 
-echo "ok: fmt, clippy, tests, recovery smoke, chaos smoke, benchmark checks all clean"
+echo "ok: fmt, clippy, reachability, tests, recovery smoke, chaos smoke, benchmark checks all clean"
