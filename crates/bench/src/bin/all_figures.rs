@@ -1,7 +1,7 @@
 //! Run every figure harness and print a combined report.
 //!
 //! `cargo run --release -p xssd-bench --bin all_figures` regenerates the
-//! full evaluation in one go. The twelve harness binaries are independent
+//! full evaluation in one go. The harness binaries (`BINS`) are independent
 //! processes, so they run *concurrently* — up to `XSSD_BENCH_THREADS` at a
 //! time (default: all host cores) on the same [`sweep`] pool the harnesses
 //! use internally for their own grids. Each child's stdout/stderr is

@@ -560,23 +560,34 @@ impl Cluster {
                 self.advance(t);
                 continue;
             };
-            loop {
-                match self.devices[target].receive_mirror(t, cursor, &chunk) {
-                    Ok(()) => break,
-                    Err(CmbError::Overlap { .. }) => break, // already delivered
-                    Err(_) => {
-                        // Intake saturated or ring full: let the target
-                        // destage, then retry — the transport's normal
-                        // back-pressure path.
-                        t += SimDuration::from_micros(1);
-                        self.advance(t);
-                    }
-                }
-            }
+            t = self.deliver_chunk(target, t, cursor, &chunk);
             cursor += chunk.len() as u64;
         }
         self.advance(t);
         t
+    }
+
+    /// Offer `chunk` to `target`'s lane-0 intake at log `offset`, starting
+    /// at `t`. While the intake is saturated or the ring full, let the
+    /// target destage for a microsecond and retry — the transport's normal
+    /// back-pressure path; an overlap means the bytes were already
+    /// delivered. Returns the instant the chunk was accepted.
+    fn deliver_chunk(
+        &mut self,
+        target: DeviceIndex,
+        mut t: SimTime,
+        offset: u64,
+        chunk: &[u8],
+    ) -> SimTime {
+        loop {
+            match self.devices[target].receive_mirror(t, offset, chunk) {
+                Ok(()) | Err(CmbError::Overlap { .. }) => return t,
+                Err(_) => {
+                    t += SimDuration::from_micros(1);
+                    self.advance(t);
+                }
+            }
+        }
     }
 
     /// Stream a host-retained archived log range `[base, base +
@@ -616,19 +627,7 @@ impl Cluster {
         while cursor < end {
             let want = chunk_cap.min(end - cursor) as usize;
             let off = (cursor - base) as usize;
-            let chunk = &bytes[off..off + want];
-            loop {
-                match self.devices[target].receive_mirror(t, cursor, chunk) {
-                    Ok(()) => break,
-                    Err(CmbError::Overlap { .. }) => break, // already delivered
-                    Err(_) => {
-                        // Intake saturated or ring full: let the target
-                        // destage, then retry.
-                        t += SimDuration::from_micros(1);
-                        self.advance(t);
-                    }
-                }
-            }
+            t = self.deliver_chunk(target, t, cursor, &bytes[off..off + want]);
             cursor += want as u64;
         }
         self.advance(t);

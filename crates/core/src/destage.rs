@@ -392,7 +392,9 @@ mod tests {
                 };
                 self.conv.advance_to(step);
                 let mut progressed = false;
-                for (_at, token) in self.conv.drain_destage_completions(step) {
+                let mut done = Vec::new();
+                self.conv.drain_destage_completions_into(step, &mut done);
+                for (_at, token) in done {
                     progressed |= self.destage.complete(token);
                 }
                 progressed |= self.destage.pump(step, &mut self.cmb, &mut self.conv);
@@ -547,7 +549,8 @@ mod tests {
             let gap = if self.rng.chance(0.05) { 400_000 } else { self.rng.uniform(2_000, 30_000) };
             self.now += SimDuration::from_nanos(gap);
             self.rig.conv.advance_to(self.now);
-            let drained = self.rig.conv.drain_destage_completions(self.now);
+            let mut drained = Vec::new();
+            self.rig.conv.drain_destage_completions_into(self.now, &mut drained);
             self.held.extend(drained.into_iter().map(|(_, token)| token));
             let deliver = match self.rng.uniform(0, 3) {
                 0 => 0,

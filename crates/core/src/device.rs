@@ -14,7 +14,7 @@ use nvme::{
     Namespace, NvmeController, PortAccounting, Status, VendorCommand,
 };
 use pcie::{MmioMode, StoreIssueModel};
-use simkit::{Bandwidth, Grant, SerialResource, SimDuration, SimTime};
+use simkit::{Bandwidth, EventQueue, Grant, SerialResource, SimDuration, SimTime};
 use ssd::ConventionalSsd;
 
 /// Vendor-specific opcodes (paper §4.2: role changes are NVMe
@@ -82,7 +82,7 @@ pub struct VillarsDevice {
     sram_port: Option<SerialResource>,
     backing_bw: Bandwidth,
     /// Completions for vendor commands handled by the fast side.
-    vendor_out: Vec<(SimTime, CompletionEntry)>,
+    vendor_out: EventQueue<CompletionEntry>,
     /// Total bytes accepted via the fast interface.
     fast_bytes_in: u64,
     /// TLPs issued by fast-side writes (one per WC-flush payload).
@@ -95,8 +95,6 @@ pub struct VillarsDevice {
     /// Per-port CID allocation + queue-depth accounting for commands
     /// submitted through the [`IoPort`] contract.
     port: PortAccounting,
-    /// Reusable drain scratch for [`IoPort::completions_into`].
-    port_drain: Vec<(SimTime, CompletionEntry)>,
 }
 
 impl std::fmt::Debug for VillarsDevice {
@@ -143,13 +141,12 @@ impl VillarsDevice {
             lanes,
             sram_port,
             backing_bw,
-            vendor_out: Vec::new(),
+            vendor_out: EventQueue::new(),
             fast_bytes_in: 0,
             fast_tlps: 0,
             credit_reads: 0,
             destage_drain: Vec::new(),
             port: PortAccounting::new(),
-            port_drain: Vec::new(),
         }
     }
 
@@ -402,38 +399,28 @@ impl VillarsDevice {
         self.conventional.advance_to(t);
     }
 
+    /// Earliest fast-side trigger on any lane: a destage latency deadline
+    /// or a CMB chunk settling.
+    fn next_lane_event(&self) -> Option<SimTime> {
+        self.lanes.iter().fold(None, |next, l| {
+            let lane = SimTime::earliest(l.destage.next_deadline(), l.cmb.next_pending());
+            SimTime::earliest(next, lane)
+        })
+    }
+
     /// Earliest device-internal event for the advance stepper (excludes
     /// vendor completions and host-facing outbound completions, which only
     /// the host consumes).
     fn next_internal_event(&self) -> Option<SimTime> {
-        let mut next = self.conventional.next_device_event();
-        for lane in &self.lanes {
-            if let Some(d) = lane.destage.next_deadline() {
-                next = Some(next.map_or(d, |n: SimTime| n.min(d)));
-            }
-            if let Some(d) = lane.cmb.next_pending() {
-                next = Some(next.map_or(d, |n: SimTime| n.min(d)));
-            }
-        }
-        next
+        SimTime::earliest(self.next_lane_event(), self.conventional.next_device_event())
     }
 
-    /// The earliest pending device event (conventional work or a destage
-    /// latency deadline).
+    /// The earliest pending device event (conventional work, a fast-side
+    /// trigger, or a completion waiting for the host).
     pub fn next_event(&self) -> Option<SimTime> {
-        let mut next = self.conventional.next_event_at();
-        for lane in &self.lanes {
-            if let Some(d) = lane.destage.next_deadline() {
-                next = Some(next.map_or(d, |n: SimTime| n.min(d)));
-            }
-            if let Some(d) = lane.cmb.next_pending() {
-                next = Some(next.map_or(d, |n: SimTime| n.min(d)));
-            }
-        }
-        if let Some(t) = self.vendor_out.iter().map(|(at, _)| *at).min() {
-            next = Some(next.map_or(t, |n: SimTime| n.min(t)));
-        }
-        next
+        let host_facing =
+            SimTime::earliest(self.conventional.next_event_at(), self.vendor_out.next_time());
+        SimTime::earliest(self.next_lane_event(), host_facing)
     }
 
     /// Log offset durable on the conventional side for `lane` (x_pread
@@ -509,6 +496,7 @@ impl VillarsDevice {
         len: usize,
     ) -> Option<(SimTime, Vec<u8>)> {
         let mut out = Vec::with_capacity(len);
+        let mut reads = Vec::new();
         let mut ready = now;
         let mut cursor = offset;
         let end = offset + len as u64;
@@ -528,13 +516,13 @@ impl VillarsDevice {
                 // the device advance loop routes), and breaking out early
                 // would orphan this read's completion, pinning the event
                 // frontier in turn.
-                'drive: loop {
+                loop {
                     self.conventional.advance_to(ready);
-                    for (at, tok) in self.conventional.drain_internal_reads(ready) {
-                        if tok == token {
-                            ready = at;
-                            break 'drive;
-                        }
+                    reads.clear();
+                    self.conventional.drain_internal_reads_into(ready, &mut reads);
+                    if let Some(&(at, _)) = reads.iter().find(|(_, tok)| *tok == token) {
+                        ready = at;
+                        break;
                     }
                     match self.conventional.next_flash_event() {
                         Some(t) if t > ready => ready = t,
@@ -582,7 +570,7 @@ impl VillarsDevice {
     fn vendor_complete(&mut self, now: SimTime, cid: u16, status: Status, result: u32) {
         // Vendor commands cost one admin round: fetch + decode.
         let at = now + SimDuration::from_micros(2);
-        self.vendor_out.push((at, CompletionEntry { cid, status, result }));
+        self.vendor_out.schedule(at, CompletionEntry { cid, status, result });
     }
 
     fn handle_vendor(&mut self, now: SimTime, cid: u16, v: VendorCommand) {
@@ -695,24 +683,17 @@ impl NvmeController for VillarsDevice {
         self.advance(t);
     }
 
-    fn drain_completions(&mut self, t: SimTime) -> Vec<(SimTime, CompletionEntry)> {
-        let mut out = Vec::new();
-        self.drain_completions_into(t, &mut out);
-        out
-    }
-
-    fn drain_completions_into(&mut self, t: SimTime, out: &mut Vec<(SimTime, CompletionEntry)>) {
+    fn drain_completions_into(&mut self, t: SimTime, out: &mut Vec<Completion>) {
         let start = out.len();
         self.conventional.drain_completions_into(t, out);
-        self.vendor_out.retain(|&item| {
-            if item.0 <= t {
-                out.push(item);
-                false
-            } else {
-                true
-            }
-        });
-        out[start..].sort_by_key(|(at, _)| *at);
+        let vendor = out.len();
+        while let Some((at, entry)) = self.vendor_out.pop_due(t) {
+            out.push(Completion { at, entry });
+        }
+        if out.len() > vendor {
+            // Stable merge: at one instant the conventional side goes first.
+            out[start..].sort_by_key(|c| c.at);
+        }
     }
 
     fn next_event_at(&self) -> Option<SimTime> {
@@ -738,14 +719,11 @@ impl IoPort for VillarsDevice {
     }
 
     fn completions_into(&mut self, now: SimTime, out: &mut Vec<Completion>) {
-        let mut drained = std::mem::take(&mut self.port_drain);
-        drained.clear();
-        self.drain_completions_into(now, &mut drained);
-        for &(at, entry) in &drained {
-            self.port.finish(entry.cid);
-            out.push(Completion { at, entry });
+        let start = out.len();
+        self.drain_completions_into(now, out);
+        for c in &out[start..] {
+            self.port.finish(c.entry.cid);
         }
-        self.port_drain = drained;
     }
 
     fn next_port_event_at(&self) -> Option<SimTime> {

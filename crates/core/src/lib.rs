@@ -16,10 +16,11 @@
 //!   conformant NVMe interface with vendor-command setup;
 //! - [`cluster`] — [`Cluster`]: devices interconnected by NTB, routing
 //!   mirror and shadow-counter traffic deterministically;
-//! - [`port`] — the unified asynchronous [`IoPort`] command-lifecycle
-//!   contract (tagged submissions, event-driven completions) all device
-//!   types share, with the closed-loop [`drive_to_completion`] adapter
-//!   the `*_blocking` helpers route through;
+//! - [`port`] — the asynchronous [`IoPort`] command-lifecycle contract
+//!   (tagged submissions, event-driven completions) the Villars device
+//!   shares with the NVMe host driver, with the closed-loop
+//!   [`drive_to_completion`] adapter the `*_blocking` helpers route
+//!   through;
 //! - [`api`] — the drop-in host API: [`XLogFile`] (`x_pwrite`/`x_fsync`/
 //!   `x_pread`) and the advanced [`XAllocator`] (`x_alloc`/`x_free`)
 //!   (paper §5).

@@ -1,13 +1,14 @@
 //! The unified asynchronous I/O port, re-exported at the `core` layer.
 //!
-//! Every device type in the stack implements the same command-lifecycle
+//! The host side of both command paths speaks the same command-lifecycle
 //! contract — submit → queue → device event → completion:
 //!
 //! - [`VillarsDevice`](crate::VillarsDevice) (fast side + conventional
-//!   side behind one NVMe interface),
-//! - `ssd::ConventionalSsd` (the conventional SSD on its own),
+//!   side behind one NVMe interface), whose host is the
+//!   [`Cluster`](crate::Cluster);
 //! - the `nvme` host driver (`NvmeDriver`), which adds syscall/interrupt
-//!   costs on top of a wrapped controller.
+//!   costs on top of a wrapped controller such as a bare
+//!   `ssd::ConventionalSsd` (itself device side only).
 //!
 //! The contract itself — [`IoPort`], [`CmdTag`], [`Completion`], the
 //! shared [`PortAccounting`] bookkeeping and the closed-loop

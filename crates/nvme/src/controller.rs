@@ -1,13 +1,15 @@
 //! The controller abstraction and the host-side driver.
 //!
-//! A device model implements [`NvmeController`]; the host wraps it in an
-//! [`NvmeDriver`] which provides the blocking submit-and-wait pattern the
+//! A device model implements [`NvmeController`] — accept a command, run
+//! to an instant, post [`Completion`]s — and nothing else; the host wraps
+//! it in an [`NvmeDriver`], which mints the CIDs, speaks [`IoPort`] to its
+//! caller and provides the blocking submit-and-wait pattern the
 //! OS path exhibits ("the application interacts with the OS via calls such
 //! as pread() and pwrite()", paper §2.1), including the syscall overhead a
 //! kernel round trip costs — the overhead the Villars user-level API
 //! deliberately avoids (§5.1).
 
-use crate::command::{Command, CommandKind, CompletionEntry, Status};
+use crate::command::{Command, CommandId, CommandKind, Status};
 use crate::namespace::Namespace;
 use crate::port::{drive_to_completion, CmdTag, Completion, IoPort, PortAccounting};
 use simkit::faults::NvmeFaultConfig;
@@ -22,17 +24,10 @@ pub trait NvmeController {
     /// Run device-internal work up to and including instant `t`.
     fn advance_to(&mut self, t: SimTime);
 
-    /// Take all completions posted at or before `t`, in completion order.
-    fn drain_completions(&mut self, t: SimTime) -> Vec<(SimTime, CompletionEntry)>;
-
     /// Append all completions posted at or before `t` to `out`, in
-    /// completion order, without allocating a fresh vector. Hot blocking
-    /// loops call this once per horizon jump with a reusable buffer;
-    /// controllers should override the default (which delegates to
-    /// [`NvmeController::drain_completions`]) when they can drain in place.
-    fn drain_completions_into(&mut self, t: SimTime, out: &mut Vec<(SimTime, CompletionEntry)>) {
-        out.extend(self.drain_completions(t));
-    }
+    /// completion order. Callers pass a buffer they reuse, so a drain
+    /// allocates nothing once the buffer has grown.
+    fn drain_completions_into(&mut self, t: SimTime, out: &mut Vec<Completion>);
 
     /// The earliest instant device work (a pending completion or internal
     /// event) is scheduled, if any — lets the driver jump virtual time
@@ -79,9 +74,6 @@ pub struct NvmeDriver<C: NvmeController> {
     costs: HostCosts,
     port: PortAccounting,
     commands: u64,
-    /// Reusable completion-drain buffer for [`IoPort::completions_into`]
-    /// (one allocation for the driver's lifetime instead of one per poll).
-    drain_buf: Vec<(SimTime, CompletionEntry)>,
     /// Reusable scratch for the blocking wait adapter.
     wait_buf: Vec<Completion>,
     /// Command-level fault injection (None = inert, the default).
@@ -96,7 +88,7 @@ struct CmdFaults {
     rng: DetRng,
     /// Fate bookkeeping per live CID. BTreeMap so deadline processing
     /// iterates in a deterministic order.
-    cmds: BTreeMap<crate::command::CommandId, CmdFate>,
+    cmds: BTreeMap<CommandId, CmdFate>,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -137,6 +129,50 @@ impl CmdFaults {
     fn backoff(&self, attempt: u32) -> SimDuration {
         self.cfg.backoff_base.saturating_mul(1u64 << (attempt - 1).min(16))
     }
+
+    /// Apply `cid`'s rolled fate to the completion the device posted at
+    /// `at`. Returns true when the host must not see it: it is stale, lost,
+    /// or an injected error the driver retries here. A clean completion
+    /// retires the fate and returns false.
+    fn swallows<C: NvmeController>(
+        &mut self,
+        at: SimTime,
+        cid: CommandId,
+        syscall: SimDuration,
+        port: &mut PortAccounting,
+        controller: &mut C,
+    ) -> bool {
+        let Some(fate) = self.cmds.get_mut(&cid) else { return false };
+        if fate.swallow > 0 {
+            // Stale completion of an attempt the driver already aborted
+            // and resubmitted.
+            fate.swallow -= 1;
+            return true;
+        }
+        if fate.drop_next {
+            // The CQE for this attempt is lost; the abort deadline in
+            // `poll` drives recovery.
+            fate.drop_next = false;
+            return true;
+        }
+        if fate.error_next {
+            // Injected error completion: swallow it and retry the same CID
+            // with exponential backoff (the caller's tag stays valid
+            // across the retry).
+            fate.error_next = false;
+            fate.attempts += 1;
+            port.record_error_completion();
+            port.record_retry();
+            let mut next = *fate;
+            let issue_at = at + self.backoff(next.attempts) + syscall;
+            self.roll(&mut next, issue_at);
+            self.cmds.insert(cid, next);
+            controller.submit(issue_at, Command { cid, kind: next.kind });
+            return true;
+        }
+        self.cmds.remove(&cid);
+        false
+    }
 }
 
 impl<C: NvmeController> NvmeDriver<C> {
@@ -152,7 +188,6 @@ impl<C: NvmeController> NvmeDriver<C> {
             costs,
             port: PortAccounting::new(),
             commands: 0,
-            drain_buf: Vec::new(),
             wait_buf: Vec::new(),
             faults: None,
         }
@@ -289,53 +324,30 @@ impl<C: NvmeController> IoPort for NvmeDriver<C> {
     }
 
     fn completions_into(&mut self, now: SimTime, out: &mut Vec<Completion>) {
-        self.drain_buf.clear();
-        self.controller.drain_completions_into(now, &mut self.drain_buf);
-        let Some(f) = self.faults.as_mut() else {
-            for &(at, entry) in &self.drain_buf {
-                self.port.finish(entry.cid);
-                // Delivery to the application pays the interrupt cost.
-                out.push(Completion { at: at + self.costs.interrupt, entry });
+        let start = out.len();
+        self.controller.drain_completions_into(now, out);
+        // Filter what the device posted in place: `kept` trails `i`, so a
+        // completion the fault layer swallows leaves no hole.
+        let mut kept = start;
+        for i in start..out.len() {
+            let Completion { at, entry } = out[i];
+            if let Some(f) = self.faults.as_mut() {
+                if f.swallows(
+                    at,
+                    entry.cid,
+                    self.costs.syscall,
+                    &mut self.port,
+                    &mut self.controller,
+                ) {
+                    continue;
+                }
             }
-            return;
-        };
-        for &(at, entry) in &self.drain_buf {
-            let Some(fate) = f.cmds.get_mut(&entry.cid) else {
-                self.port.finish(entry.cid);
-                out.push(Completion { at: at + self.costs.interrupt, entry });
-                continue;
-            };
-            if fate.swallow > 0 {
-                // Stale completion of an attempt the driver already
-                // aborted and resubmitted.
-                fate.swallow -= 1;
-                continue;
-            }
-            if fate.drop_next {
-                // The CQE for this attempt is lost; the abort deadline in
-                // `poll` drives recovery.
-                fate.drop_next = false;
-                continue;
-            }
-            if fate.error_next {
-                // Injected error completion: swallow it and retry the
-                // same CID with exponential backoff (the caller's tag
-                // stays valid across the retry).
-                fate.error_next = false;
-                fate.attempts += 1;
-                self.port.record_error_completion();
-                self.port.record_retry();
-                let mut next = *fate;
-                let issue_at = at + f.backoff(next.attempts) + self.costs.syscall;
-                f.roll(&mut next, issue_at);
-                f.cmds.insert(entry.cid, next);
-                self.controller.submit(issue_at, Command { cid: entry.cid, kind: next.kind });
-                continue;
-            }
-            f.cmds.remove(&entry.cid);
             self.port.finish(entry.cid);
-            out.push(Completion { at: at + self.costs.interrupt, entry });
+            // Delivery to the application pays the interrupt cost.
+            out[kept] = Completion { at: at + self.costs.interrupt, entry };
+            kept += 1;
         }
+        out.truncate(kept);
     }
 
     fn next_port_event_at(&self) -> Option<SimTime> {
@@ -344,10 +356,7 @@ impl<C: NvmeController> IoPort for NvmeDriver<C> {
             .faults
             .as_ref()
             .and_then(|f| f.cmds.values().filter_map(|fate| fate.deadline).min());
-        match (device, deadline) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
+        SimTime::earliest(device, deadline)
     }
 
     fn in_flight(&self) -> usize {
@@ -370,7 +379,7 @@ pub(crate) mod tests_support {
     /// A controller that completes every command after a fixed delay.
     pub(crate) struct FixedDelay {
         delay: SimDuration,
-        pending: Vec<(SimTime, CompletionEntry)>,
+        pending: Vec<Completion>,
         ns: Namespace,
     }
 
@@ -395,21 +404,26 @@ pub(crate) mod tests_support {
                 }
                 _ => Status::Success,
             };
-            self.pending
-                .push((now + self.delay, CompletionEntry { cid: cmd.cid, status, result: 0 }));
+            self.pending.push(Completion {
+                at: now + self.delay,
+                entry: CompletionEntry { cid: cmd.cid, status, result: 0 },
+            });
         }
 
         fn advance_to(&mut self, _t: SimTime) {}
 
-        fn drain_completions(&mut self, t: SimTime) -> Vec<(SimTime, CompletionEntry)> {
-            let (ready, rest): (Vec<_>, Vec<_>) =
-                self.pending.drain(..).partition(|(at, _)| *at <= t);
-            self.pending = rest;
-            ready
+        fn drain_completions_into(&mut self, t: SimTime, out: &mut Vec<Completion>) {
+            self.pending.retain(|&c| {
+                let due = c.at <= t;
+                if due {
+                    out.push(c);
+                }
+                !due
+            });
         }
 
         fn next_event_at(&self) -> Option<SimTime> {
-            self.pending.iter().map(|(at, _)| *at).min()
+            self.pending.iter().map(|c| c.at).min()
         }
 
         fn namespace(&self) -> Namespace {

@@ -10,10 +10,10 @@
 //! - [`controller`] — the [`NvmeController`] device contract and the one
 //!   host driver, [`NvmeDriver`], with explicit syscall/interrupt costs
 //!   and the fault-retry path;
-//! - [`port`] — the unified asynchronous [`IoPort`]
-//!   submission/completion contract every device type implements, plus
-//!   the closed-loop [`drive_to_completion`] adapter blocking helpers
-//!   route through.
+//! - [`port`] — the asynchronous host-side [`IoPort`]
+//!   submission/completion contract ([`NvmeDriver`] and the Villars device
+//!   implement it), plus the closed-loop [`drive_to_completion`] adapter
+//!   blocking helpers route through.
 //!
 //! Host-side submission/completion rings are not modelled: every port is
 //! unbounded and queueing delay comes from the device models behind it.

@@ -1,10 +1,11 @@
 //! The unified asynchronous submission/completion port.
 //!
-//! Every host-visible device in the stack — the Villars device, the
-//! conventional SSD, and the NVMe host driver — speaks the same
-//! command-lifecycle contract: tagged submissions go in, event-driven
+//! The host side of every command path — the NVMe host driver in front of
+//! a bare SSD, and the Villars device, whose host is the `Cluster` — speaks
+//! one command-lifecycle contract: tagged submissions go in, event-driven
 //! completions come out, and the caller decides how many commands to keep
-//! in flight. This is the shape the paper's host interface requires
+//! in flight. (A device model behind a driver speaks only the device side,
+//! [`crate::NvmeController`].) This is the shape the paper's host interface requires
 //! (NVMe queue pairs keep many commands outstanding per device, §2.1;
 //! CMB fast-writes race destage and replication mirrors overlap local
 //! I/O, §4, §6.2): the *port* is asynchronous, and blocking is a policy
@@ -49,12 +50,13 @@ use std::collections::HashSet;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CmdTag(pub CommandId);
 
-/// One completed command, as delivered by [`IoPort::completions_into`].
+/// One completed command: the shape a device posts and a port delivers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Completion {
-    /// When the host observes the completion. For device-level ports this
-    /// is the instant the device posted it; host drivers that model
-    /// interrupt cost fold it in here.
+    /// When the completion is observed. Out of a device
+    /// ([`crate::NvmeController::drain_completions_into`]) this is the
+    /// instant the device posted it; host drivers that model interrupt
+    /// cost fold it in before delivering.
     pub at: SimTime,
     /// The NVMe completion-queue entry (CID, status, result).
     pub entry: CompletionEntry,
@@ -62,9 +64,9 @@ pub struct Completion {
 
 /// The unified asynchronous submission/completion contract.
 ///
-/// Implemented by `VillarsDevice`, `ssd::ConventionalSsd`, and the NVMe
-/// host driver ([`crate::NvmeDriver`]), so all device types share one
-/// command lifecycle: submit → queue → device event → completion. Blocking
+/// Implemented by the NVMe host driver ([`crate::NvmeDriver`]) and by
+/// `VillarsDevice`, so both command paths share one lifecycle: submit →
+/// queue → device event → completion. Blocking
 /// callers layer [`drive_to_completion`] on top; pipelined callers keep
 /// several tags in flight and drain completions as virtual time advances.
 pub trait IoPort {
@@ -154,7 +156,7 @@ impl PortAccounting {
 
     /// Retire `cid` after its completion is delivered. Returns whether it
     /// was live on this port (completions for CIDs submitted around the
-    /// port — e.g. raw `NvmeController::submit` callers — are ignored).
+    /// port are ignored).
     pub fn finish(&mut self, cid: CommandId) -> bool {
         let was_live = self.live.remove(&cid);
         if was_live {

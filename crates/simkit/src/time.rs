@@ -45,6 +45,16 @@ impl SimTime {
         SimTime(s * 1_000_000_000)
     }
 
+    /// The earlier of two optional instants, `None` meaning "nothing
+    /// pending" — how a component folds its calendars into one frontier.
+    #[inline]
+    pub fn earliest(a: Option<SimTime>, b: Option<SimTime>) -> Option<SimTime> {
+        match (a, b) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        }
+    }
+
     /// Raw nanoseconds since simulation start.
     pub const fn as_nanos(self) -> u64 {
         self.0

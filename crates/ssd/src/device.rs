@@ -15,13 +15,13 @@ use flash::{
     Priority, ReliabilityConfig, SchedulingMode,
 };
 use nvme::{
-    AdminCommand, CmdTag, Command, CommandId, CommandKind, Completion, CompletionEntry, IoCommand,
-    IoPort, Namespace, NvmeController, PortAccounting, Status,
+    AdminCommand, Command, CommandId, CommandKind, Completion, CompletionEntry, IoCommand,
+    Namespace, NvmeController, Status,
 };
 use pcie::{DmaConfig, LinkConfig};
 use simkit::bytes::Bytes;
 use simkit::{Bandwidth, EventQueue, SimTime};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Device-wide configuration.
 #[derive(Debug, Clone)]
@@ -101,6 +101,20 @@ enum PendingOp {
     InternalRead { token: u64 },
 }
 
+/// One in-flight flash op: what it does for the device and, for a
+/// program, the block it targets (GC must not collect a block that is
+/// still being written).
+#[derive(Debug)]
+struct OpRecord {
+    op: PendingOp,
+    block: Option<flash::BlockAddr>,
+}
+
+/// Whether the supercapacitor rescue keeps this op (paper §4.1).
+fn is_destage(r: &OpRecord) -> bool {
+    matches!(r.op, PendingOp::DestageWrite { .. })
+}
+
 #[derive(Debug)]
 struct ReadState {
     remaining: usize,
@@ -116,10 +130,15 @@ struct WriteState {
     status: Status,
 }
 
+/// A pending flush is a barrier: it waits for every host program whose op
+/// id is below `barrier` (the next id at issue). A retried program keeps
+/// its first attempt's id, so it still counts.
 #[derive(Debug)]
 struct FlushState {
     cid: CommandId,
-    waiting_on: HashSet<u64>,
+    barrier: u64,
+    /// Host programs below the barrier still outstanding.
+    waiting: usize,
     last_at: SimTime,
 }
 
@@ -145,43 +164,38 @@ pub struct ConventionalSsd {
     media: HashMap<Lpn, Bytes>,
     /// Host-staged write payloads awaiting the next write command.
     staged: HashMap<Lpn, Bytes>,
-    pending: HashMap<u64, PendingOp>,
-    /// Program ops host-flush semantics wait on.
-    outstanding_host_programs: HashSet<u64>,
+    /// Every queued or in-flight flash op, by op id.
+    ops: HashMap<u64, OpRecord>,
+    /// Host-write programs not yet on media (what a flush waits on).
+    outstanding_host_programs: usize,
     reads: HashMap<CommandId, ReadState>,
     writes_waiting: HashMap<CommandId, WriteState>,
     flushes: Vec<FlushState>,
     next_op: u64,
     next_token: u64,
-    /// Per-class monotonic arrival clamps (retries keep order legal).
-    last_arrival: HashMap<Priority, SimTime>,
+    /// Per-class monotonic arrival clamps (retries keep order legal),
+    /// indexed by `Priority`.
+    last_arrival: [SimTime; 2],
     /// Queued/in-flight program counts per block: GC must not collect a
     /// block that is still being written.
     inflight_programs: HashMap<flash::BlockAddr, u32>,
-    /// Program op id -> target block, to settle `inflight_programs`.
-    program_blocks: HashMap<u64, flash::BlockAddr>,
     events: EventQueue<SsdEvent>,
-    out: Vec<(SimTime, CompletionEntry)>,
-    destage_done: Vec<(SimTime, u64)>,
-    internal_reads_done: Vec<(SimTime, u64)>,
+    /// Posted host completions, destage tokens and internal-read tokens,
+    /// each waiting for its owner to drain it.
+    out: EventQueue<CompletionEntry>,
+    destage_done: EventQueue<u64>,
+    internal_reads_done: EventQueue<u64>,
     /// Host-write page bytes whose programs have completed (served
     /// conventional bandwidth, counted at completion time).
     served_conventional_bytes: u64,
     /// Destage page bytes whose programs have completed.
     served_destage_bytes: u64,
-    /// Per-port CID allocation + queue-depth accounting for commands
-    /// submitted through the [`IoPort`] contract (raw
-    /// [`NvmeController::submit`] callers bypass it and mint their own
-    /// CIDs).
-    port: PortAccounting,
-    /// Reusable drain scratch for [`IoPort::completions_into`].
-    port_drain: Vec<(SimTime, CompletionEntry)>,
 }
 
 impl std::fmt::Debug for ConventionalSsd {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ConventionalSsd")
-            .field("pending_ops", &self.pending.len())
+            .field("pending_ops", &self.ops.len())
             .field("dirty_pages", &self.buffer.dirty_count())
             .field("media_pages", &self.media.len())
             .finish()
@@ -211,38 +225,27 @@ impl ConventionalSsd {
             hic,
             media: HashMap::new(),
             staged: HashMap::new(),
-            pending: HashMap::new(),
-            outstanding_host_programs: HashSet::new(),
+            ops: HashMap::new(),
+            outstanding_host_programs: 0,
             reads: HashMap::new(),
             writes_waiting: HashMap::new(),
             flushes: Vec::new(),
             next_op: 0,
             next_token: 0,
-            last_arrival: HashMap::new(),
+            last_arrival: [SimTime::ZERO; 2],
             inflight_programs: HashMap::new(),
-            program_blocks: HashMap::new(),
             events: EventQueue::new(),
-            out: Vec::new(),
-            destage_done: Vec::new(),
-            internal_reads_done: Vec::new(),
+            out: EventQueue::new(),
+            destage_done: EventQueue::new(),
+            internal_reads_done: EventQueue::new(),
             served_conventional_bytes: 0,
             served_destage_bytes: 0,
-            port: PortAccounting::new(),
-            port_drain: Vec::new(),
         }
     }
 
     /// The configuration.
     pub fn config(&self) -> &SsdConfig {
         &self.config
-    }
-
-    /// Per-port accounting for [`IoPort`] submissions (CID liveness,
-    /// in-flight depth, queue-depth histogram). Collected explicitly —
-    /// not part of [`simkit::Instrument`] for this device, whose snapshot
-    /// layout is byte-frozen by the results gate.
-    pub fn port_stats(&self) -> &PortAccounting {
-        &self.port
     }
 
     /// Arm the flash fault layer (see [`FlashArray::arm_faults`]):
@@ -324,43 +327,35 @@ impl ConventionalSsd {
         self.hic.link_busy_until()
     }
 
-    fn alloc_op(&mut self) -> u64 {
+    /// Submit a new flash op under a fresh id.
+    fn submit_op(&mut self, arrival: SimTime, kind: OpKind, class: Priority, op: PendingOp) {
         let id = self.next_op;
         self.next_op += 1;
-        id
+        self.submit_op_as(id, arrival, kind, class, op);
     }
 
-    /// Submit a flash op keeping per-class arrivals monotonic.
-    fn submit_op(
+    /// Submit a flash op under `id`, keeping per-class arrivals monotonic.
+    /// A retried program comes back here under the id of its first attempt.
+    fn submit_op_as(
         &mut self,
-        mut arrival: SimTime,
+        id: u64,
+        arrival: SimTime,
         kind: OpKind,
         class: Priority,
         op: PendingOp,
-    ) -> u64 {
-        let clamp = self.last_arrival.entry(class).or_insert(SimTime::ZERO);
-        arrival = arrival.max(*clamp);
-        *clamp = arrival;
-        let id = self.alloc_op();
-        if let OpKind::Program(p) = kind {
-            *self.inflight_programs.entry(p.block).or_insert(0) += 1;
-            self.program_blocks.insert(id, p.block);
-        }
-        self.pending.insert(id, op);
-        self.sched.submit(OpRequest { id, kind, arrival, class });
-        id
-    }
-
-    /// Settle the in-flight program accounting for a finished op.
-    fn settle_program_block(&mut self, id: u64) {
-        if let Some(block) = self.program_blocks.remove(&id) {
-            if let Some(n) = self.inflight_programs.get_mut(&block) {
-                *n -= 1;
-                if *n == 0 {
-                    self.inflight_programs.remove(&block);
-                }
+    ) {
+        let clamp = &mut self.last_arrival[class as usize];
+        *clamp = arrival.max(*clamp);
+        let arrival = *clamp;
+        let block = match kind {
+            OpKind::Program(p) => {
+                *self.inflight_programs.entry(p.block).or_insert(0) += 1;
+                Some(p.block)
             }
-        }
+            _ => None,
+        };
+        self.ops.insert(id, OpRecord { op, block });
+        self.sched.submit(OpRequest { id, kind, arrival, class });
     }
 
     /// Fast-side entry point: program one page of destage data. The data
@@ -380,7 +375,8 @@ impl ConventionalSsd {
     }
 
     /// Fast-side/recovery entry point: read one page from media. Returns a
-    /// token; completion arrives via [`ConventionalSsd::drain_internal_reads`].
+    /// token; completion arrives via
+    /// [`ConventionalSsd::drain_internal_reads_into`].
     pub fn submit_internal_read(&mut self, now: SimTime, lpn: Lpn) -> Option<u64> {
         let ppa = self.ftl.lookup(lpn)?;
         let token = self.next_token;
@@ -394,46 +390,21 @@ impl ConventionalSsd {
         Some(token)
     }
 
-    /// Take destage completions at or before `t`: `(time, token)`.
-    pub fn drain_destage_completions(&mut self, t: SimTime) -> Vec<(SimTime, u64)> {
-        let mut ready = Vec::new();
-        self.drain_destage_completions_into(t, &mut ready);
-        ready
-    }
-
-    /// Append destage completions at or before `t` to `out` without
-    /// allocating — the Villars advance loop drains once per event step
-    /// with a reusable buffer.
+    /// Append destage completions at or before `t` to `out` as `(time,
+    /// token)`, in completion order, without allocating — the Villars
+    /// advance loop drains once per event step with a reusable buffer.
     pub fn drain_destage_completions_into(&mut self, t: SimTime, out: &mut Vec<(SimTime, u64)>) {
-        Self::drain_tokens_into(&mut self.destage_done, t, out);
+        while let Some(done) = self.destage_done.pop_due(t) {
+            out.push(done);
+        }
     }
 
-    /// Take internal-read completions at or before `t`.
-    pub fn drain_internal_reads(&mut self, t: SimTime) -> Vec<(SimTime, u64)> {
-        let mut ready = Vec::new();
-        self.drain_internal_reads_into(t, &mut ready);
-        ready
-    }
-
-    /// Append internal-read completions at or before `t` to `out` without
-    /// allocating.
+    /// Append internal-read completions at or before `t` to `out`, in
+    /// completion order, without allocating.
     pub fn drain_internal_reads_into(&mut self, t: SimTime, out: &mut Vec<(SimTime, u64)>) {
-        Self::drain_tokens_into(&mut self.internal_reads_done, t, out);
-    }
-
-    /// Stable in-place split of a `(time, token)` queue: due entries append
-    /// to `out` sorted by time, the rest compact down in place.
-    fn drain_tokens_into(src: &mut Vec<(SimTime, u64)>, t: SimTime, out: &mut Vec<(SimTime, u64)>) {
-        let start = out.len();
-        src.retain(|&item| {
-            if item.0 <= t {
-                out.push(item);
-                false
-            } else {
-                true
-            }
-        });
-        out[start..].sort_by_key(|(at, _)| *at);
+        while let Some(done) = self.internal_reads_done.pop_due(t) {
+            out.push(done);
+        }
     }
 
     /// Allocate a physical page, running GC first if the pools are low.
@@ -544,13 +515,13 @@ impl ConventionalSsd {
                     let g = self.buffer.write(dma.end, lpn, data.clone());
                     last = last.max(g.end);
                     let ppa = self.allocate_or_gc(g.end, lpn, AllocStream::Host);
-                    let id = self.submit_op(
+                    self.submit_op(
                         g.end,
                         OpKind::Program(ppa),
                         Priority::Conventional,
                         PendingOp::HostWrite { lpn, data, wait_cid },
                     );
-                    self.outstanding_host_programs.insert(id);
+                    self.outstanding_host_programs += 1;
                     programs += 1;
                 }
                 if self.config.write_cache {
@@ -601,13 +572,14 @@ impl ConventionalSsd {
                 }
             }
             IoCommand::Flush => {
-                if self.outstanding_host_programs.is_empty() {
+                if self.outstanding_host_programs == 0 {
                     let at = fetch.end + self.hic.completion_post();
                     self.events.schedule(at, SsdEvent::Complete { cid, status: Status::Success });
                 } else {
                     self.flushes.push(FlushState {
                         cid,
-                        waiting_on: self.outstanding_host_programs.clone(),
+                        barrier: self.next_op,
+                        waiting: self.outstanding_host_programs,
                         last_at: fetch.end,
                     });
                 }
@@ -630,8 +602,14 @@ impl ConventionalSsd {
     }
 
     fn handle_flash(&mut self, c: flash::Completion) {
-        self.settle_program_block(c.id);
-        let Some(op) = self.pending.remove(&c.id) else { return };
+        let Some(OpRecord { op, block }) = self.ops.remove(&c.id) else { return };
+        if let Some(block) = block {
+            let n = self.inflight_programs.get_mut(&block).expect("program was counted at submit");
+            *n -= 1;
+            if *n == 0 {
+                self.inflight_programs.remove(&block);
+            }
+        }
         match op {
             PendingOp::HostWrite { lpn, data, wait_cid } => match c.result {
                 Ok(_) => {
@@ -646,22 +624,22 @@ impl ConventionalSsd {
                 Err(FlashError::ProgramFailed(b)) | Err(FlashError::BadBlock(b)) => {
                     self.ftl.retire_block(b);
                     let ppa = self.allocate_or_gc(c.at, lpn, AllocStream::Host);
-                    let new_id = self.submit_op(
+                    self.submit_op_as(
+                        c.id,
                         c.at,
                         OpKind::Program(ppa),
                         Priority::Conventional,
                         PendingOp::HostWrite { lpn, data, wait_cid },
                     );
-                    self.replace_outstanding(c.id, new_id);
                 }
                 Err(e) => panic!(
                     "{}",
                     simkit::SimError::invariant(
                         "ssd host-write path",
-                        simkit::DiagnosticSnapshot::new(c.at, self.pending.len())
+                        simkit::DiagnosticSnapshot::new(c.at, self.ops.len())
                             .queue(
                                 "outstanding_host_programs",
-                                self.outstanding_host_programs.len() as u64
+                                self.outstanding_host_programs as u64
                             )
                             .detail(format!("flash op {} (lpn {lpn}) failed: {e}", c.id)),
                     )
@@ -692,12 +670,13 @@ impl ConventionalSsd {
                 Ok(_) => {
                     self.served_destage_bytes += self.config.geometry.page_bytes as u64;
                     self.media.insert(lpn, data);
-                    self.destage_done.push((c.at, token));
+                    self.destage_done.schedule(c.at, token);
                 }
                 Err(FlashError::ProgramFailed(b)) | Err(FlashError::BadBlock(b)) => {
                     self.ftl.retire_block(b);
                     let ppa = self.allocate_or_gc(c.at, lpn, AllocStream::Destage);
-                    self.submit_op(
+                    self.submit_op_as(
+                        c.id,
                         c.at,
                         OpKind::Program(ppa),
                         Priority::Destage,
@@ -708,7 +687,7 @@ impl ConventionalSsd {
                     "{}",
                     simkit::SimError::invariant(
                         "ssd destage path",
-                        simkit::DiagnosticSnapshot::new(c.at, self.pending.len())
+                        simkit::DiagnosticSnapshot::new(c.at, self.ops.len())
                             .queue("destage_done", self.destage_done.len() as u64)
                             .detail(format!(
                                 "flash op {} (lpn {lpn}, token {token}) failed: {e}",
@@ -718,7 +697,7 @@ impl ConventionalSsd {
                 ),
             },
             PendingOp::InternalRead { token } => {
-                self.internal_reads_done.push((c.at, token));
+                self.internal_reads_done.schedule(c.at, token);
             }
         }
     }
@@ -742,31 +721,19 @@ impl ConventionalSsd {
     }
 
     fn settle_host_program(&mut self, id: u64, at: SimTime) {
-        self.outstanding_host_programs.remove(&id);
-        // Flushes.
+        self.outstanding_host_programs -= 1;
         let mut i = 0;
         while i < self.flushes.len() {
             let f = &mut self.flushes[i];
-            f.waiting_on.remove(&id);
+            f.waiting -= usize::from(id < f.barrier);
             f.last_at = f.last_at.max(at);
-            if f.waiting_on.is_empty() {
+            if f.waiting == 0 {
                 let f = self.flushes.remove(i);
                 let when = f.last_at + self.hic.completion_post();
                 self.events
                     .schedule(when, SsdEvent::Complete { cid: f.cid, status: Status::Success });
             } else {
                 i += 1;
-            }
-        }
-    }
-
-    fn replace_outstanding(&mut self, old: u64, new: u64) {
-        if self.outstanding_host_programs.remove(&old) {
-            self.outstanding_host_programs.insert(new);
-        }
-        for f in &mut self.flushes {
-            if f.waiting_on.remove(&old) {
-                f.waiting_on.insert(new);
             }
         }
     }
@@ -778,15 +745,14 @@ impl ConventionalSsd {
         self.advance_to(now);
         self.buffer.crash();
         self.sched.drop_all();
-        self.pending.clear();
+        self.ops.clear();
         self.inflight_programs.clear();
-        self.program_blocks.clear();
-        self.outstanding_host_programs.clear();
+        self.outstanding_host_programs = 0;
         self.reads.clear();
         self.writes_waiting.clear();
         self.flushes.clear();
         self.events = EventQueue::new();
-        self.out.clear();
+        self.out = EventQueue::new();
         self.staged.clear();
     }
 
@@ -803,19 +769,19 @@ impl ConventionalSsd {
         let mut rescued = Vec::new();
         while let Some((_, ev)) = self.events.pop() {
             if let SsdEvent::Flash(c) = ev {
-                if matches!(self.pending.get(&c.id), Some(PendingOp::DestageWrite { .. })) {
+                if self.ops.get(&c.id).is_some_and(is_destage) {
                     rescued.push(c);
                 }
             }
         }
         self.buffer.crash();
-        self.outstanding_host_programs.clear();
+        self.outstanding_host_programs = 0;
         self.reads.clear();
         self.writes_waiting.clear();
         self.flushes.clear();
-        self.out.clear();
+        self.out = EventQueue::new();
         self.staged.clear();
-        self.pending.retain(|_, op| matches!(op, PendingOp::DestageWrite { .. }));
+        self.ops.retain(|_, r| is_destage(r));
         // Burn residual energy: finish in-flight destage ops, then run the
         // destage queue dry.
         let mut last = now;
@@ -850,14 +816,11 @@ impl ConventionalSsd {
     /// which only the host can consume. Event-loop steppers use this;
     /// drivers use [`NvmeController::next_event_at`].
     pub fn next_device_event(&self) -> Option<SimTime> {
-        let mut next = self.next_flash_event();
         // Undelivered fast-side completions are pending work for the upper
         // layer (the destage module / recovery reader).
-        for t in self.destage_done.iter().chain(self.internal_reads_done.iter()).map(|(at, _)| *at)
-        {
-            next = Some(next.map_or(t, |e: SimTime| e.min(t)));
-        }
-        next
+        let fast_side =
+            SimTime::earliest(self.destage_done.next_time(), self.internal_reads_done.next_time());
+        SimTime::earliest(self.next_flash_event(), fast_side)
     }
 
     /// Earliest instant the flash pipeline itself moves (a scheduled
@@ -867,11 +830,7 @@ impl ConventionalSsd {
     /// this: the global [`ConventionalSsd::next_device_event`] can be
     /// pinned below their op by a completion a *different* loop owns.
     pub fn next_flash_event(&self) -> Option<SimTime> {
-        let mut next = self.events.next_time();
-        if let Some(t) = self.sched.next_start_hint(&self.array) {
-            next = Some(next.map_or(t, |e: SimTime| e.min(t)));
-        }
-        next
+        SimTime::earliest(self.events.next_time(), self.sched.next_start_hint(&self.array))
     }
 }
 
@@ -890,7 +849,7 @@ impl simkit::Instrument for ConventionalSsd {
             ssd.counter("served_conventional_bytes", self.served_conventional_bytes);
             ssd.counter("served_destage_bytes", self.served_destage_bytes);
             ssd.gauge("media_pages", self.media.len() as f64);
-            ssd.gauge("pending_ops", self.pending.len() as f64);
+            ssd.gauge("pending_ops", self.ops.len() as f64);
         }
         out.collect("flash.array", &self.array);
         out.collect("flash.sched", &self.sched);
@@ -918,7 +877,7 @@ impl NvmeController for ConventionalSsd {
                 progressed = true;
                 match ev {
                     SsdEvent::Complete { cid, status } => {
-                        self.out.push((at, CompletionEntry { cid, status, result: 0 }));
+                        self.out.schedule(at, CompletionEntry { cid, status, result: 0 });
                     }
                     SsdEvent::Flash(c) => self.handle_flash(c),
                 }
@@ -929,69 +888,17 @@ impl NvmeController for ConventionalSsd {
         }
     }
 
-    fn drain_completions(&mut self, t: SimTime) -> Vec<(SimTime, CompletionEntry)> {
-        let mut ready = Vec::new();
-        self.drain_completions_into(t, &mut ready);
-        ready
-    }
-
-    fn drain_completions_into(&mut self, t: SimTime, out: &mut Vec<(SimTime, CompletionEntry)>) {
-        let start = out.len();
-        // Stable in-place split: due entries move to `out` in posting order,
-        // the rest compact down without reallocating.
-        self.out.retain(|&item| {
-            if item.0 <= t {
-                out.push(item);
-                false
-            } else {
-                true
-            }
-        });
-        out[start..].sort_by_key(|(at, _)| *at);
+    fn drain_completions_into(&mut self, t: SimTime, out: &mut Vec<Completion>) {
+        while let Some((at, entry)) = self.out.pop_due(t) {
+            out.push(Completion { at, entry });
+        }
     }
 
     fn next_event_at(&self) -> Option<SimTime> {
-        let mut events = self.next_device_event();
-        if let Some(t) = self.out.iter().map(|(at, _)| *at).min() {
-            events = Some(events.map_or(t, |e: SimTime| e.min(t)));
-        }
-        events
+        SimTime::earliest(self.next_device_event(), self.out.next_time())
     }
 
     fn namespace(&self) -> Namespace {
         self.ns
-    }
-}
-
-impl IoPort for ConventionalSsd {
-    /// The device-level port is unbounded: back-pressure is modelled by
-    /// the HIC/scheduler, not by refusing a submission.
-    fn submit(&mut self, now: SimTime, kind: CommandKind) -> CmdTag {
-        let cid = self.port.begin();
-        NvmeController::submit(self, now, Command { cid, kind });
-        CmdTag(cid)
-    }
-
-    fn poll(&mut self, now: SimTime) {
-        self.advance_to(now);
-    }
-
-    fn completions_into(&mut self, now: SimTime, out: &mut Vec<Completion>) {
-        let mut drained = std::mem::take(&mut self.port_drain);
-        drained.clear();
-        self.drain_completions_into(now, &mut drained);
-        for &(at, entry) in &drained {
-            self.port.finish(entry.cid);
-            out.push(Completion { at, entry });
-        }
-        self.port_drain = drained;
-    }
-
-    fn next_port_event_at(&self) -> Option<SimTime> {
-        self.next_event_at()
-    }
-
-    fn in_flight(&self) -> usize {
-        self.port.in_flight()
     }
 }

@@ -314,13 +314,12 @@ impl Ftl {
             }
         }
         let (victim, _) = victim?;
-        // Collect live pages of the victim.
+        // Collect live pages of the victim, in page order: the order fixes
+        // each page's destination, so it must not depend on the hasher.
         let vi = self.block_index(victim);
-        let live: Vec<(Lpn, Ppa)> = self
-            .reverse
-            .iter()
-            .filter(|(ppa, _)| ppa.block == victim)
-            .map(|(ppa, lpn)| (*lpn, *ppa))
+        let live: Vec<(Lpn, Ppa)> = (0..self.geometry.pages_per_block)
+            .map(|page| Ppa { block: victim, page })
+            .filter_map(|ppa| self.reverse.get(&ppa).map(|lpn| (*lpn, ppa)))
             .collect();
         let mut moves = Vec::with_capacity(live.len());
         for (lpn, old) in live {

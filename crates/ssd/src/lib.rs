@@ -123,7 +123,8 @@ mod crate_tests {
         let data = Bytes::from(vec![0xDD; 4096]);
         let token = ssd.submit_destage_write(SimTime::ZERO, 100, data.clone());
         ssd.advance_to(SimTime::from_millis(10));
-        let done = ssd.drain_destage_completions(SimTime::from_millis(10));
+        let mut done = Vec::new();
+        ssd.drain_destage_completions_into(SimTime::from_millis(10), &mut done);
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].1, token);
         assert_eq!(ssd.media_content(100).unwrap(), data);
@@ -153,7 +154,8 @@ mod crate_tests {
         ssd.advance_to(SimTime::from_millis(1));
         let token = ssd.submit_internal_read(SimTime::from_millis(1), 50).expect("page mapped");
         ssd.advance_to(SimTime::from_millis(2));
-        let done = ssd.drain_internal_reads(SimTime::from_millis(2));
+        let mut done = Vec::new();
+        ssd.drain_internal_reads_into(SimTime::from_millis(2), &mut done);
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].1, token);
         // Unmapped page: no read possible.
@@ -162,19 +164,34 @@ mod crate_tests {
 
     #[test]
     fn sustained_overwrites_trigger_gc() {
-        let mut drv = NvmeDriver::new(ConventionalSsd::new(SsdConfig::small()));
-        // Overwrite a small working set far beyond raw capacity.
-        let total_pages = SsdConfig::small().geometry.total_pages();
-        let mut now = SimTime::ZERO;
-        for i in 0..total_pages * 2 {
-            let w = drv.write_blocking(now, i % 8, 1);
-            assert!(w.status.is_ok(), "write {i} failed");
-            now = w.completed_at;
+        /// Returns the FTL's counters and every write's completion instant.
+        fn run(write_cache: bool) -> (String, Vec<SimTime>) {
+            let cfg = SsdConfig { write_cache, ..SsdConfig::small() };
+            let total_pages = cfg.geometry.total_pages();
+            let mut drv = NvmeDriver::new(ConventionalSsd::new(cfg));
+            // Overwrite half the raw capacity at random, far beyond it in
+            // volume: victims still hold live pages GC must relocate.
+            let mut rng = simkit::DetRng::new(5);
+            let mut now = SimTime::ZERO;
+            let mut done = Vec::new();
+            for i in 0..total_pages * 2 {
+                let w = drv.write_blocking(now, rng.uniform(0, total_pages / 2 - 1), 1);
+                assert!(w.status.is_ok(), "write {i} failed");
+                now = w.completed_at;
+                done.push(now);
+            }
+            // Let background flushing/GC settle.
+            drv.controller_mut().advance_to(now + simkit::SimDuration::from_secs(1));
+            let stats = drv.controller().ftl_stats();
+            assert!(stats.gc_erases > 0, "GC must have reclaimed blocks: {stats:?}");
+            assert!(stats.gc_writes > 0, "GC must have relocated live pages: {stats:?}");
+            (format!("{stats:?}"), done)
         }
-        // Let background flushing/GC settle.
-        drv.controller_mut().advance_to(now + simkit::SimDuration::from_secs(1));
-        let stats = drv.controller().ftl_stats();
-        assert!(stats.gc_erases > 0, "GC must have reclaimed blocks: {stats:?}");
+        // Same script, same device: GC must not depend on hasher state, in
+        // what it moves (the counters) or when (write-through instants).
+        for write_cache in [true, false] {
+            assert_eq!(run(write_cache), run(write_cache), "write_cache {write_cache}");
+        }
     }
 
     #[test]

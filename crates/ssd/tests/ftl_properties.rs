@@ -147,3 +147,32 @@ fn wear_penalty_steers_victim_selection() {
         .expect("other victims exist");
     assert_ne!(alternative.victim, avoided, "penalty must steer selection");
 }
+
+#[test]
+fn gc_plan_repeats_for_the_same_script() {
+    // Two FTLs given the same script must relocate the victim's live pages
+    // in the same order: the order decides each page's destination and so
+    // the die timing of every relocation program.
+    fn plan() -> ssd::GcPlan {
+        let (_g, mut ftl) = fresh();
+        for lpn in 0..200 {
+            ftl.allocate(lpn, AllocStream::Host).unwrap();
+        }
+        for lpn in (0..200).step_by(3) {
+            ftl.allocate(lpn, AllocStream::Host).unwrap();
+        }
+        ftl.plan_gc().expect("a fully allocated block exists")
+    }
+    let first = plan();
+    assert!(first.moves.len() > 1, "the victim must hold several live pages");
+    assert!(
+        first.moves.windows(2).all(|w| w[0].1.page < w[1].1.page),
+        "live pages move in the victim's page order: {:?}",
+        first.moves
+    );
+    for _ in 0..8 {
+        let again = plan();
+        assert_eq!(again.victim, first.victim);
+        assert_eq!(again.moves, first.moves);
+    }
+}
