@@ -1,9 +1,9 @@
 //! Microbenchmarks over the hot paths of the simulation stack: the CMB
-//! ingest path, the fast write path (fresh and with a wrapped destage
-//! ring), the replicated cluster's advance loop and fsync cycle, an NTB
-//! mirror burst, the flash channel scheduler (busy and idle), FTL
-//! allocation, WAL record encode/decode, TPC-C transactions, and the sim
-//! kernel itself. These guard the simulator's own performance (a slow
+//! ingest path, the fast write path (fresh, per CMB backing, and with a
+//! wrapped destage ring), the replicated cluster's advance loop and fsync
+//! cycle, an NTB mirror burst, the flash channel scheduler (busy and
+//! idle), FTL allocation, WAL record encode/decode, TPC-C transactions, and
+//! the sim kernel itself. These guard the simulator's own performance (a slow
 //! simulator caps experiment scale).
 //!
 //! The harness is hand-rolled (`harness = false`; no crates.io access for
@@ -102,6 +102,38 @@ fn bench_fast_write_path() {
             f.x_fsync(&mut cl, t).unwrap()
         },
     );
+}
+
+/// One 16 KiB `VillarsDevice::fast_write` (256 write-combined TLPs) plus the
+/// advance that destages its page, in steady state, on both backings: the
+/// SRAM-backed lane takes the TLPs as one run (`CmbModule::ingest_run`), the
+/// DRAM-backed lane drains slower than they arrive and walks them one
+/// `ingest` at a time.
+fn bench_fast_write_regimes() {
+    use pcie::MmioMode;
+    use xssd_core::{VillarsConfig, VillarsDevice};
+    let page = [0x5Au8; 16 << 10];
+    for (name, config) in [
+        ("fast_side/fast_write_16k_sram", VillarsConfig::villars_sram()),
+        ("fast_side/fast_write_16k_dram", VillarsConfig::villars_dram()),
+    ] {
+        let mut dev = VillarsDevice::new(config);
+        let (mut t, mut offset) = (SimTime::ZERO, 0u64);
+        bench(
+            name,
+            Some(16 << 10),
+            || (),
+            |()| {
+                let fw = dev.fast_write(t, 0, offset, &page, MmioMode::WriteCombining).unwrap();
+                offset += page.len() as u64;
+                // Long enough for the DRAM backlog to drain and the page to
+                // leave the ring.
+                t = fw.arrived_at + SimDuration::from_micros(50);
+                dev.advance(t);
+                t
+            },
+        );
+    }
 }
 
 /// One 16 KiB fast write + fsync — one destaged flash page — on a device
@@ -516,6 +548,7 @@ fn main() {
     println!("{:<40} {:>12}", "benchmark", "time");
     bench_cmb_ingest();
     bench_fast_write_path();
+    bench_fast_write_regimes();
     bench_destage_wrapped_ring();
     bench_cluster_advance_idle();
     bench_replicated_fsync();

@@ -9,8 +9,8 @@
 //! so destaging, replication, and crash recovery are verifiable end to end.
 
 use crate::config::CmbConfig;
-use simkit::{Bytes, DiagnosticSnapshot, Grant, SimError, SimTime};
-use std::collections::BTreeMap;
+use simkit::{Bytes, DiagnosticSnapshot, Grant, SimDuration, SimError, SimTime};
+use std::collections::{BTreeMap, VecDeque};
 
 /// Errors from CMB ingest.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -80,6 +80,12 @@ pub struct CmbStats {
     pub held_chunks: u64,
     /// High-water mark of in-flight (queued, not yet persisted) bytes.
     pub queue_high_water: u64,
+    /// Of `chunks`, those [`CmbModule::ingest_run`] took in closed form.
+    /// Simulator bookkeeping, not a device counter: not exported through
+    /// [`simkit::Instrument`].
+    pub run_chunks: u64,
+    /// Runs [`CmbModule::ingest_run`] refused (left to the per-chunk walk).
+    pub runs_refused: u64,
 }
 
 /// One lane of the CMB module: an intake queue + persistent ring + credit
@@ -97,8 +103,11 @@ pub struct CmbModule {
     /// Monotonic byte offset: contiguously received up to here (includes
     /// bytes still in the intake queue).
     tail: u64,
-    /// Pending credit increments: (drain completion time, new credit value).
-    pending: Vec<(SimTime, u64)>,
+    /// Pending credit increments: (drain completion time, new credit value),
+    /// in push order. Every entry is the end of a grant on one serial
+    /// backing port, so times are non-decreasing and values strictly
+    /// increasing: drains settle from the front.
+    pending: VecDeque<(SimTime, u64)>,
     /// Out-of-order chunks held until the gap below them fills.
     held: BTreeMap<u64, Vec<u8>>,
     stats: CmbStats,
@@ -114,7 +123,7 @@ impl CmbModule {
             head: 0,
             credit: 0,
             tail: 0,
-            pending: Vec::new(),
+            pending: VecDeque::new(),
             held: BTreeMap::new(),
             stats: CmbStats::default(),
         }
@@ -150,14 +159,12 @@ impl CmbModule {
     /// Settle drain completions up to `now` and return the credit counter —
     /// what a control-interface read observes (paper Fig. 5 step 4).
     pub fn credit_at(&mut self, now: SimTime) -> u64 {
-        let mut i = 0;
-        while i < self.pending.len() {
-            if self.pending[i].0 <= now {
-                self.credit = self.credit.max(self.pending[i].1);
-                self.pending.swap_remove(i);
-            } else {
-                i += 1;
+        while let Some(&(at, credit)) = self.pending.front() {
+            if at > now {
+                break;
             }
+            self.credit = self.credit.max(credit);
+            self.pending.pop_front();
         }
         self.credit
     }
@@ -174,7 +181,7 @@ impl CmbModule {
     /// The earliest pending drain completion, if any — an event-loop hint
     /// so waiters on the credit counter can jump virtual time.
     pub fn next_pending(&self) -> Option<SimTime> {
-        self.pending.iter().map(|(at, _)| *at).min()
+        self.pending.front().map(|&(at, _)| at)
     }
 
     /// Bytes currently in flight (received but not yet persisted) at `now`.
@@ -191,7 +198,8 @@ impl CmbModule {
 
     /// Ingest one chunk arriving fully at `arrival` (the end of its TLP's
     /// service window) at monotonic ring `offset`. `acquire` grants backing
-    /// memory time (dedicated SRAM or the shared DRAM port).
+    /// memory time (dedicated SRAM or the shared DRAM port) — one serial
+    /// port per lane, so successive grants never end earlier.
     ///
     /// In-order chunks drain immediately; bounded out-of-order chunks are
     /// held and drain when the gap below them fills. Credits only advance
@@ -248,6 +256,81 @@ impl CmbModule {
         Ok(())
     }
 
+    /// Ingest a *run*: `data` as `data.len() / unit` in-order chunks of
+    /// `unit` bytes each, chunk `k` arriving at `first + k·period` — a
+    /// burst of identical TLPs off one wire. `acquire_run(first, period,
+    /// unit, n)` asks the backing port for `n` drains of `unit` bytes on
+    /// those instants and refuses (touching nothing) if any would queue:
+    /// [`simkit::SerialResource::acquire_periodic`].
+    ///
+    /// Taken only in the regime where every chunk finds the intake queue
+    /// empty: the run starts at the contiguous tail with nothing held, no
+    /// older drain is still pending at `first`, one chunk fits the queue,
+    /// the whole run fits the ring, and each drain ends before the next
+    /// chunk arrives. Then the lane is left exactly as `n`
+    /// [`CmbModule::ingest`] calls leave it — chunk `k` saw `unit` bytes in
+    /// flight and its predecessor's credit granted, and only the last
+    /// chunk's drain is still pending — at the cost of one ring copy.
+    ///
+    /// Returns whether the run was taken. A refused run has charged nothing
+    /// and written nothing (it may have settled drains due by `first`,
+    /// which the first chunk's `ingest` does anyway); the caller walks it
+    /// through `ingest`, which also produces the partial state and the
+    /// error of a run that overruns the queue or the ring part-way.
+    pub fn ingest_run(
+        &mut self,
+        first: SimTime,
+        period: SimDuration,
+        offset: u64,
+        data: &[u8],
+        unit: u64,
+        acquire_run: impl FnOnce(SimTime, SimDuration, u64, u64) -> Option<Grant>,
+    ) -> bool {
+        let len = data.len() as u64;
+        assert!(len > 0 && len.is_multiple_of(unit), "a run is whole chunks, at least one");
+        let n = len / unit;
+        let queue_empty_throughout = offset == self.tail
+            && self.held.is_empty()
+            && unit <= self.config.intake_queue_bytes
+            && self.has_room(offset, len)
+            && self.credit_at(first) == self.tail;
+        // The port comes last: it is the only check that charges on success.
+        let drain = if queue_empty_throughout { acquire_run(first, period, unit, n) } else { None };
+        let Some(drain) = drain else {
+            self.stats.runs_refused += 1;
+            return false;
+        };
+        self.stats.queue_high_water = self.stats.queue_high_water.max(unit);
+        self.append_to_ring(data);
+        self.stats.chunks += n;
+        self.stats.run_chunks += n;
+        // Every drain but the last had ended by the next chunk's arrival,
+        // whose flow-control check settled it.
+        self.credit = self.tail - unit;
+        self.push_pending(drain.end + period * (n - 1), self.tail);
+        true
+    }
+
+    /// The per-chunk walk [`CmbModule::ingest_run`] stands for, and what its
+    /// caller does with a refused run: one [`CmbModule::ingest`] per chunk
+    /// on the chunk's own arrival instant. The test oracle.
+    #[cfg(test)]
+    fn walk_run(
+        &mut self,
+        first: SimTime,
+        period: SimDuration,
+        offset: u64,
+        data: &[u8],
+        unit: u64,
+        mut acquire: impl FnMut(SimTime, u64) -> Grant,
+    ) -> Result<(), CmbError> {
+        for (k, chunk) in data.chunks(unit as usize).enumerate() {
+            let k = k as u64;
+            self.ingest(first + period * k, offset + k * unit, chunk, &mut acquire)?;
+        }
+        Ok(())
+    }
+
     /// Copy a contiguous chunk into the ring at the tail and schedule its
     /// credit increment at the backing-drain completion.
     fn accept(
@@ -256,8 +339,16 @@ impl CmbModule {
         data: &[u8],
         acquire: &mut impl FnMut(SimTime, u64) -> Grant,
     ) {
-        // Two-segment ring copy (ingest guarantees `data.len() <= size`, so
-        // the write wraps at most once).
+        self.append_to_ring(data);
+        self.stats.chunks += 1;
+        let g = acquire(arrival, data.len() as u64);
+        self.push_pending(g.end, self.tail);
+    }
+
+    /// Copy `data` into the ring at the tail and advance the tail past it.
+    fn append_to_ring(&mut self, data: &[u8]) {
+        // Two-segment ring copy (the ring-capacity check guarantees
+        // `data.len() <= size`, so the write wraps at most once).
         let size = self.config.size as usize;
         let start = (self.tail % size as u64) as usize;
         let first = data.len().min(size - start);
@@ -265,9 +356,16 @@ impl CmbModule {
         self.ring[..data.len() - first].copy_from_slice(&data[first..]);
         self.tail += data.len() as u64;
         self.stats.bytes_in += data.len() as u64;
-        self.stats.chunks += 1;
-        let g = acquire(arrival, data.len() as u64);
-        self.pending.push((g.end, self.tail));
+    }
+
+    /// Queue the credit increment to `credit` at drain completion `at`.
+    fn push_pending(&mut self, at: SimTime, credit: u64) {
+        debug_assert!(
+            self.pending.back().is_none_or(|&(t, c)| t <= at && c < credit),
+            "drains complete in push order: {:?} then ({at}, {credit})",
+            self.pending.back()
+        );
+        self.pending.push_back((at, credit));
     }
 
     /// Read `len` bytes of ring content starting at monotonic `offset`
@@ -293,6 +391,10 @@ impl CmbModule {
     /// [`CmbModule::content`] on an out-of-window read.
     pub fn content_padded(&self, offset: u64, len: usize, padded_len: usize) -> Bytes {
         let (first, rest) = self.try_slices(offset, len).unwrap_or_else(|e| panic!("{e}"));
+        if rest.is_empty() && len == padded_len {
+            // A full page in one piece: nothing to zero, nothing to join.
+            return Bytes::copy_from_slice(first);
+        }
         Bytes::concat_zero_padded(&[first, rest], padded_len)
     }
 
@@ -301,7 +403,7 @@ impl CmbModule {
     fn try_slices(&self, offset: u64, len: usize) -> Result<(&[u8], &[u8]), Box<SimError>> {
         if offset < self.head || offset + len as u64 > self.tail {
             let snapshot = DiagnosticSnapshot::new(
-                self.pending.iter().map(|(at, _)| *at).max().unwrap_or(SimTime::ZERO),
+                self.pending.back().map_or(SimTime::ZERO, |&(at, _)| at),
                 0,
             )
             .queue("head", self.head)
@@ -405,6 +507,15 @@ mod tests {
         }
         fn acquire(&mut self, now: SimTime, bytes: u64) -> Grant {
             self.res.acquire(now, self.bw.transfer_time(bytes))
+        }
+        fn acquire_run(
+            &mut self,
+            first: SimTime,
+            period: SimDuration,
+            bytes: u64,
+            n: u64,
+        ) -> Option<Grant> {
+            self.res.acquire_periodic(first, period, self.bw.transfer_time(bytes), n)
         }
     }
 
@@ -614,5 +725,191 @@ mod tests {
         assert_eq!(cmb.tail(), 0);
         assert_eq!(cmb.head(), 0);
         assert_eq!(cmb.credit_at(SimTime::from_secs(1)), 0);
+    }
+
+    /// One seeded situation a run can arrive in.
+    #[derive(Debug, Clone, Copy)]
+    struct RunCase {
+        unit: u64,
+        n: u64,
+        queue: u64,
+        size: u64,
+        /// Bytes ingested (and then destaged) before the run, so the run
+        /// starts somewhere inside the ring.
+        pre: u64,
+        /// An out-of-order chunk parked above the tail before the run.
+        held: bool,
+        /// The run starts this far above the tail.
+        gap: u64,
+        /// Port bandwidth in bytes per microsecond (1000 = 1 GB/s).
+        port_bytes_per_us: u64,
+        /// The port is taken from t = 0 for this long before the run.
+        port_busy_ns: u64,
+        first_ns: u64,
+        period_ns: u64,
+    }
+
+    /// Build the lane and port of `case`, up to the instant the run arrives.
+    fn stage(case: &RunCase) -> (CmbModule, Port) {
+        let mut cmb = CmbModule::new(cfg(case.queue, case.size));
+        let mut port = Port {
+            res: SerialResource::new(),
+            bw: Bandwidth::gbytes_per_sec(case.port_bytes_per_us as f64 / 1000.0),
+        };
+        if case.held {
+            // Parked first (it counts against nothing yet), right above
+            // where the run will end: the run's last chunk releases it.
+            let above = case.pre + case.gap + case.unit * case.n;
+            cmb.ingest(SimTime::ZERO, above, &[0xEE; 24], |t, b| port.acquire(t, b))
+                .expect("staged held chunk rejected");
+        }
+        if case.pre > 0 {
+            let pattern: Vec<u8> = (0..case.pre).map(|i| (i % 251) as u8 ^ 0xA5).collect();
+            cmb.ingest(SimTime::ZERO, 0, &pattern, |t, b| port.acquire(t, b))
+                .expect("staged prefix rejected");
+            cmb.advance_head(case.pre);
+        }
+        if case.port_busy_ns > 0 {
+            port.res.acquire(SimTime::ZERO, SimDuration::from_nanos(case.port_busy_ns));
+        }
+        (cmb, port)
+    }
+
+    /// Everything a caller, the destage module, the telemetry or a later
+    /// ingest can observe of a lane and its port.
+    fn observe(cmb: &CmbModule, port: &Port) -> impl PartialEq + std::fmt::Debug {
+        (
+            (cmb.ring.clone(), cmb.head, cmb.credit, cmb.tail),
+            cmb.pending.iter().copied().collect::<Vec<_>>(),
+            cmb.held.clone(),
+            (
+                cmb.stats.bytes_in,
+                cmb.stats.chunks,
+                cmb.stats.held_chunks,
+                cmb.stats.queue_high_water,
+            ),
+            (port.res.busy_until(), port.res.busy_time(), port.res.request_count()),
+        )
+    }
+
+    #[test]
+    fn run_intake_leaves_what_the_chunk_walk_leaves() {
+        // Seeded situations on both sides of every eligibility condition:
+        // unit 8 and 64, 1..=300 chunks, drains shorter and longer than the
+        // arrival period, an idle and a busy port, older drains settled and
+        // not, a held chunk, a gap, a queue that overruns part-way, a ring
+        // that wraps part-way and one that fills part-way. A taken run must
+        // leave the lane and the port exactly as the per-chunk walk does; a
+        // refused one must leave them so that the walk then does.
+        let mut rng = simkit::DetRng::new(0x19C3B);
+        let (mut taken, mut refused, mut errors, mut wrapped) = (0, 0, 0, 0);
+        for index in 0..6_000 {
+            let unit = *rng.pick(&[8u64, 64]);
+            let n = match rng.uniform(0, 3) {
+                0 => 1,
+                1 => rng.uniform(2, 5),
+                _ => rng.uniform(2, 300),
+            };
+            let len = unit * n;
+            let pre = if rng.chance(0.7) { rng.uniform(1, 700) } else { 0 };
+            // Mostly the run's own regime; each departure drawn rarely enough
+            // that all of them absent stays the common case.
+            let port_bytes_per_us = *rng.pick(&[4000u64, 4000, 4000, 800, 250]);
+            let period_ns = match rng.uniform(0, 5) {
+                0 => rng.uniform(1, 80),
+                _ => *rng.pick(&[44u64, 16]),
+            };
+            let gap = if rng.chance(0.08) { rng.uniform(1, 512) } else { 0 };
+            let size = match rng.uniform(0, 5) {
+                0 => rng.uniform(unit, len + unit),
+                1 | 2 => len + rng.uniform(0, 256),
+                _ => 64 << 10,
+            }
+            .max(pre + 64);
+            let case = RunCase {
+                unit,
+                n,
+                queue: match rng.uniform(0, 7) {
+                    0 => rng.uniform(1, 3 * unit),
+                    _ => 32 << 10,
+                }
+                .max(pre)
+                .max(24),
+                size,
+                pre,
+                held: rng.chance(0.1) && pre + gap + len + 24 <= size,
+                gap,
+                port_bytes_per_us,
+                port_busy_ns: if rng.chance(0.15) { rng.uniform(1, 4_000) } else { 0 },
+                // The staged prefix drains by 2.8 us at the slowest port.
+                first_ns: if rng.chance(0.2) { rng.uniform(0, 3_000) } else { 3_000 },
+                period_ns,
+            };
+            let first = SimTime::from_nanos(case.first_ns);
+            let period = SimDuration::from_nanos(case.period_ns);
+            let offset = case.pre + case.gap;
+            let data: Vec<u8> = (0..len).map(|i| (i * 31 + index) as u8).collect();
+
+            let (mut want_cmb, mut want_port) = stage(&case);
+            let want = want_cmb
+                .walk_run(first, period, offset, &data, unit, |t, b| want_port.acquire(t, b));
+
+            let (mut cmb, mut port) = stage(&case);
+            let before = (cmb.tail, cmb.stats.bytes_in, port.res.request_count());
+            let got = if cmb.ingest_run(first, period, offset, &data, unit, |at, p, b, n| {
+                port.acquire_run(at, p, b, n)
+            }) {
+                taken += 1;
+                assert_eq!(cmb.stats.run_chunks, n, "case {index}: {case:?}");
+                wrapped += u64::from(offset % case.size + len > case.size);
+                Ok(())
+            } else {
+                refused += 1;
+                assert_eq!(
+                    (cmb.tail, cmb.stats.bytes_in, port.res.request_count()),
+                    before,
+                    "case {index}: a refused run wrote or charged: {case:?}"
+                );
+                assert_eq!((cmb.stats.run_chunks, cmb.stats.runs_refused), (0, 1));
+                cmb.walk_run(first, period, offset, &data, unit, |t, b| port.acquire(t, b))
+            };
+            errors += u64::from(want.is_err());
+            assert_eq!(got, want, "case {index}: {case:?}");
+            assert_eq!(
+                observe(&cmb, &port),
+                observe(&want_cmb, &want_port),
+                "case {index}: {case:?}"
+            );
+            // And the lanes stay interchangeable afterwards: same credit at
+            // every later instant, same next drain.
+            for later in [0, 1, 15, 16, 17, 44, 80, 5_000] {
+                let at = first + period * (n - 1) + SimDuration::from_nanos(later);
+                assert_eq!(cmb.credit_at(at), want_cmb.credit_at(at), "case {index} at +{later}");
+                assert_eq!(cmb.next_pending(), want_cmb.next_pending(), "case {index}");
+            }
+        }
+        assert!(
+            taken > 1_000 && refused > 1_000 && errors > 200 && wrapped > 100,
+            "{taken} taken, {refused} refused, {errors} walks ended in an error, {wrapped} wrapped"
+        );
+    }
+
+    #[test]
+    fn pending_drains_settle_from_the_front() {
+        // Many chunks behind a slow port: credit_at pops exactly the due
+        // prefix, next_pending is the front.
+        let mut cmb = CmbModule::new(cfg(64 << 10, 64 << 10));
+        let mut port = Port::new();
+        for k in 0..100u64 {
+            cmb.ingest(SimTime::ZERO, k * 100, &[k as u8; 100], |t, b| port.acquire(t, b))
+                .expect("in-window CMB write rejected");
+        }
+        // 100 bytes at 1 GB/s: drain k ends at 100·(k+1) ns.
+        assert_eq!(cmb.next_pending(), Some(SimTime::from_nanos(100)));
+        assert_eq!(cmb.credit_at(SimTime::from_nanos(4_250)), 4_200);
+        assert_eq!(cmb.next_pending(), Some(SimTime::from_nanos(4_300)));
+        assert_eq!(cmb.pending.len(), 58);
+        assert_eq!(cmb.credit_at(SimTime::from_nanos(10_000)), 10_000);
+        assert_eq!(cmb.next_pending(), None);
     }
 }

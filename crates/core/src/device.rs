@@ -231,6 +231,10 @@ impl VillarsDevice {
     /// Host fast-side write: `data` stored to the CMB window at monotonic
     /// ring `offset` on `lane`, issued under `mode` (WC or UC). The TLPs
     /// ride the shared host PCIe link. Mirrors to secondaries when primary.
+    ///
+    /// The full-size TLPs of the write go to the lane as one run; what the
+    /// run form does not take — a refused run, a lone TLP, the trailing
+    /// partial — is walked TLP by TLP.
     pub fn fast_write(
         &mut self,
         now: SimTime,
@@ -239,37 +243,95 @@ impl VillarsDevice {
         data: &[u8],
         mode: MmioMode,
     ) -> Result<FastWrite, CmbError> {
-        let issue = StoreIssueModel { mode };
+        let shape = StoreIssueModel { mode }.shape(data.len() as u64);
         // Capacity pre-check: a full ring must stall the writer *before*
         // any TLP is issued, so a retry re-sends the same offsets.
         if !self.lanes[lane].cmb.has_room(offset, data.len() as u64) {
             return Err(CmbError::RingFull);
         }
-        let payloads = issue.tlp_payloads(data.len() as u64);
-        let mut cursor = 0usize;
         let mut arrived = now;
-        let sram_port = &mut self.sram_port;
-        let conv = &mut self.conventional;
-        let bw = self.backing_bw;
-        let lane_ref = &mut self.lanes[lane];
-        let mut tlps = 0u64;
-        for p in payloads {
-            let chunk = &data[cursor..cursor + p as usize];
-            let grant = conv.host_link_mut().send_write_burst(now, p, 1);
-            arrived = grant.end;
-            lane_ref.cmb.ingest(grant.end, offset + cursor as u64, chunk, |t, b| {
-                Self::backing_acquire(sram_port, conv, bw, t, b)
-            })?;
-            cursor += p as usize;
-            tlps += 1;
+        let mut taken = 0;
+        if shape.full_count >= 2 {
+            let full = &data[..(shape.unit * shape.full_count) as usize];
+            if let Some(last) = self.send_run(now, lane, offset, full, shape.unit) {
+                arrived = last;
+                taken = full.len();
+            }
         }
-        self.fast_bytes_in += data.len() as u64;
-        self.fast_tlps += tlps;
+        if taken < data.len() {
+            arrived =
+                self.send_chunks(now, lane, offset + taken as u64, &data[taken..], shape.unit)?;
+        }
         let issued_at = self.conventional.host_link_busy_until();
         // Mirror the chunk to secondaries (lane 0 carries replication).
         let outbound =
             if lane == 0 { self.transport.mirror(arrived, offset, data) } else { Vec::new() };
         Ok(FastWrite { issued_at, arrived_at: arrived, outbound })
+    }
+
+    /// Send `data` — whole TLPs of `unit` bytes — as one burst the lane takes
+    /// as one run ([`CmbModule::ingest_run`]). The lane decides on the
+    /// link's quote before anything is charged, so on `None` wire, backing
+    /// port and ring are as [`VillarsDevice::send_chunks`] expects them.
+    /// Returns the last TLP's arrival.
+    fn send_run(
+        &mut self,
+        now: SimTime,
+        lane: usize,
+        offset: u64,
+        data: &[u8],
+        unit: u64,
+    ) -> Option<SimTime> {
+        let (first, per_tlp) = self.conventional.host_link_mut().peek_write_burst(now, unit as u32);
+        let (sram_port, bw) = (&mut self.sram_port, self.backing_bw);
+        // Only the dedicated SRAM port takes a run: on the DRAM-backed lane
+        // a drain outlasts a TLP's wire time, so chunks queue.
+        let taken = self.lanes[lane].cmb.ingest_run(
+            first,
+            per_tlp,
+            offset,
+            data,
+            unit,
+            |at, period, bytes, n| {
+                sram_port.as_mut()?.acquire_periodic(at, period, bw.transfer_time(bytes), n)
+            },
+        );
+        if !taken {
+            return None;
+        }
+        let tlps = data.len() as u64 / unit;
+        let burst = self.conventional.host_link_mut().send_write_burst(now, unit as u32, tlps);
+        debug_assert_eq!(burst.end, first + per_tlp * (tlps - 1));
+        self.fast_tlps += tlps;
+        self.fast_bytes_in += data.len() as u64;
+        Some(burst.end)
+    }
+
+    /// Send `data` one TLP of at most `unit` bytes at a time, each through
+    /// [`CmbModule::ingest`] as it arrives. Returns the last TLP's arrival.
+    /// On an error the counters have what was sent and what was accepted.
+    fn send_chunks(
+        &mut self,
+        now: SimTime,
+        lane: usize,
+        offset: u64,
+        data: &[u8],
+        unit: u64,
+    ) -> Result<SimTime, CmbError> {
+        let (sram_port, conv, bw) = (&mut self.sram_port, &mut self.conventional, self.backing_bw);
+        let cmb = &mut self.lanes[lane].cmb;
+        let mut at = offset;
+        let mut arrived = now;
+        for chunk in data.chunks(unit as usize) {
+            arrived = conv.host_link_mut().send_write_burst(now, chunk.len() as u32, 1).end;
+            self.fast_tlps += 1;
+            cmb.ingest(arrived, at, chunk, |t, b| {
+                Self::backing_acquire(sram_port, conv, bw, t, b)
+            })?;
+            self.fast_bytes_in += chunk.len() as u64;
+            at += chunk.len() as u64;
+        }
+        Ok(arrived)
     }
 
     /// Deliver a mirrored chunk from the primary into this (secondary)

@@ -28,7 +28,7 @@ pub use link::{Generation, LaneWidth, LinkConfig, PcieLink};
 pub use ntb::{HostId, NtbConfig, NtbFaultStats, NtbPort, TranslationWindow};
 pub use rdma::{RdmaConfig, RdmaTransport};
 pub use tlp::{BusAddr, MaxPayloadSize, Tlp, TlpKind, TlpOverhead};
-pub use wc::{MmioMode, StoreIssueModel, UC_STORE_BYTES, WC_BUFFER_BYTES};
+pub use wc::{MmioMode, StoreIssueModel, WriteShape, UC_STORE_BYTES, WC_BUFFER_BYTES};
 
 #[cfg(test)]
 mod crate_tests {
@@ -53,10 +53,10 @@ mod crate_tests {
 
         // A 64-byte log record: one WC-combined TLP.
         let issue = StoreIssueModel::wc();
-        let payloads = issue.tlp_payloads(64);
-        assert_eq!(payloads.len(), 1);
+        let shape = issue.shape(64);
+        assert_eq!((shape.full_count, shape.trailing_bytes), (1, 0));
         let (_fwd, ntb_grant) = port
-            .forward(SimTime::ZERO, &Tlp::write(cmb_base, payloads[0]))
+            .forward(SimTime::ZERO, &Tlp::write(cmb_base, shape.unit as u32))
             .expect("window covers the CMB");
 
         let mut rdma = RdmaTransport::new(RdmaConfig::default());

@@ -131,6 +131,17 @@ impl PcieLink {
         Grant { start: g.start, end: g.end + self.config.propagation }
     }
 
+    /// What [`PcieLink::send_write_burst`]`(now, payload, n)` would do,
+    /// without charging the wire: `(first, per_tlp)` — packet `k` of the
+    /// burst arrives at `first + k·per_tlp`, so the burst's grant ends at
+    /// `first + (n−1)·per_tlp`. Lets a receiver that takes a whole burst at
+    /// once decide whether it can before anything is sent.
+    pub fn peek_write_burst(&self, now: SimTime, payload: u32) -> (SimTime, SimDuration) {
+        let per_tlp_bytes = self.wire.overhead_bytes() + self.config.overhead.per_tlp_bytes();
+        let per_tlp = self.wire.bandwidth().transfer_time(payload as u64 + per_tlp_bytes);
+        (now.max(self.wire.busy_until()) + per_tlp + self.config.propagation, per_tlp)
+    }
+
     /// Transmit `n` copies of `tlp`, one every `period` starting at `first`
     /// — a fixed-cycle reporter's traffic over a horizon, charged at once.
     /// Granted only when the wire is idle by `first` and one TLP serializes
@@ -245,7 +256,8 @@ mod tests {
     fn burst_matches_individual_sends() {
         // Random (now, wire busy-until, payload, n): one burst call and n
         // sends chained on the wire-free instant leave the same grant,
-        // statistics and wire horizon.
+        // statistics and wire horizon, and every packet arrives where
+        // `peek_write_burst` said it would.
         let mut rng = simkit::DetRng::new(0x7195);
         for case in 0..500 {
             let mut a = PcieLink::new(LinkConfig::villars_host());
@@ -257,12 +269,16 @@ mod tests {
             let payload = rng.uniform(1, 512) as u32;
             let n = rng.uniform(1, 300);
 
+            // The peek names every packet's arrival and charges nothing.
+            let (first, per_tlp) = a.peek_write_burst(now, payload);
+            assert_eq!(a.busy_until(), b.busy_until(), "case {case}: peek touched the wire");
             let burst = a.send_write_burst(now, payload, n);
 
             let mut first_start = None;
             let mut wire_free = now;
-            for _ in 0..n {
+            for k in 0..n {
                 let g = b.send(wire_free, &Tlp::write(0, payload));
+                assert_eq!(g.end, first + per_tlp * k, "case {case}: packet {k} of {n}");
                 first_start.get_or_insert(g.start);
                 wire_free = g.end - b.config.propagation;
             }

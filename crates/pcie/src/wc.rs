@@ -31,6 +31,18 @@ pub struct StoreIssueModel {
     pub mode: MmioMode,
 }
 
+/// The TLPs one contiguous write is cut into: `full_count` payloads of
+/// `unit` bytes, then one of `trailing_bytes` if that is non-zero.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WriteShape {
+    /// Payload bytes of a full-size TLP.
+    pub unit: u64,
+    /// Number of full-size TLPs.
+    pub full_count: u64,
+    /// Payload of the trailing partial TLP; zero when there is none.
+    pub trailing_bytes: u64,
+}
+
 impl StoreIssueModel {
     /// A write-combining mapping.
     pub fn wc() -> Self {
@@ -42,34 +54,27 @@ impl StoreIssueModel {
         StoreIssueModel { mode: MmioMode::Uncached }
     }
 
-    /// The TLP payload sizes emitted when the application writes `len`
-    /// contiguous bytes and then makes them globally visible (sfence /
-    /// credit check), which flushes any partial WC buffer.
-    ///
-    /// WC: `len` splits into 64-byte TLPs plus one trailing partial.
-    /// UC: `len` splits into 8-byte (word) TLPs plus one trailing partial.
-    pub fn tlp_payloads(&self, len: u64) -> Vec<u32> {
-        let unit = match self.mode {
+    /// The widest payload one TLP carries under this mapping: a full WC
+    /// buffer, or one uncached machine word.
+    pub fn unit(&self) -> u64 {
+        match self.mode {
             MmioMode::WriteCombining => WC_BUFFER_BYTES,
             MmioMode::Uncached => UC_STORE_BYTES,
-        };
-        let mut out = Vec::with_capacity(len.div_ceil(unit) as usize);
-        let mut rem = len;
-        while rem > 0 {
-            let chunk = rem.min(unit);
-            out.push(chunk as u32);
-            rem -= chunk;
         }
-        out
     }
 
-    /// Number of TLPs for a `len`-byte write (without materializing them).
+    /// The TLPs emitted when the application writes `len` contiguous bytes
+    /// and then makes them globally visible (sfence / credit check), which
+    /// flushes any partial WC buffer: `len` splits into full-size TLPs
+    /// (64 bytes WC, 8 bytes UC) plus one trailing partial.
+    pub fn shape(&self, len: u64) -> WriteShape {
+        let unit = self.unit();
+        WriteShape { unit, full_count: len / unit, trailing_bytes: len % unit }
+    }
+
+    /// Number of TLPs for a `len`-byte write.
     pub fn tlp_count(&self, len: u64) -> u64 {
-        let unit = match self.mode {
-            MmioMode::WriteCombining => WC_BUFFER_BYTES,
-            MmioMode::Uncached => UC_STORE_BYTES,
-        };
-        len.div_ceil(unit)
+        len.div_ceil(self.unit())
     }
 
     /// Wire bytes (payload + per-TLP overhead) for a `len`-byte write.
@@ -93,24 +98,25 @@ mod tests {
     #[test]
     fn wc_combines_to_64() {
         let m = StoreIssueModel::wc();
-        assert_eq!(m.tlp_payloads(64), vec![64]);
-        assert_eq!(m.tlp_payloads(128), vec![64, 64]);
-        assert_eq!(m.tlp_payloads(100), vec![64, 36]);
-        assert_eq!(m.tlp_payloads(16), vec![16]);
+        assert_eq!(m.shape(64), WriteShape { unit: 64, full_count: 1, trailing_bytes: 0 });
+        assert_eq!(m.shape(128), WriteShape { unit: 64, full_count: 2, trailing_bytes: 0 });
+        assert_eq!(m.shape(100), WriteShape { unit: 64, full_count: 1, trailing_bytes: 36 });
+        assert_eq!(m.shape(16), WriteShape { unit: 64, full_count: 0, trailing_bytes: 16 });
         assert_eq!(m.tlp_count(129), 3);
     }
 
     #[test]
     fn uc_issues_words() {
         let m = StoreIssueModel::uc();
-        assert_eq!(m.tlp_payloads(64), vec![8; 8]);
-        assert_eq!(m.tlp_payloads(12), vec![8, 4]);
+        assert_eq!(m.shape(64), WriteShape { unit: 8, full_count: 8, trailing_bytes: 0 });
+        assert_eq!(m.shape(12), WriteShape { unit: 8, full_count: 1, trailing_bytes: 4 });
         assert_eq!(m.tlp_count(64), 8);
     }
 
     #[test]
     fn zero_length_write_is_empty() {
-        assert!(StoreIssueModel::wc().tlp_payloads(0).is_empty());
+        let none = WriteShape { unit: 64, full_count: 0, trailing_bytes: 0 };
+        assert_eq!(StoreIssueModel::wc().shape(0), none);
         assert_eq!(StoreIssueModel::uc().tlp_count(0), 0);
         assert_eq!(StoreIssueModel::wc().efficiency(0, 24), 0.0);
     }

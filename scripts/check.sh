@@ -24,6 +24,13 @@ echo "== allocation budget (release hot path)"
 # averages match the configuration the wall-clock gate times.
 cargo test --release -p xssd-bench --test alloc_budget --quiet
 
+echo "== fast-side run intake (release: per-TLP equivalence, run-share pin)"
+# crates/core/tests/fast_write_runs.rs: fast_write against the per-TLP walk
+# on both backings, and the exact count of chunks a replicated log hands to
+# the CMB lane as runs — in release, where the debug assertions that also
+# guard the closed form are compiled out.
+cargo test --release -p xssd-core --test fast_write_runs --quiet
+
 echo "== segment recovery smoke (release, torn-tail property)"
 # Three seeds of the torn-tail committed-prefix property from
 # crates/memdb/tests/segment_recovery.rs, in release mode (the same
