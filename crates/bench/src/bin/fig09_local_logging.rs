@@ -12,16 +12,12 @@
 //! after each run — the same snapshot the `results/fig09_local_logging.json`
 //! file embeds — so the table and the export cannot drift apart.
 
-use memdb::{
-    Database, LogBackend, NoLog, NvmeLog, PmConfig, PmLog, WalConfig, WalManager, XssdLog,
-};
-use simkit::{MetricValue, MetricsRegistry, SimDuration, Snapshot};
-use ssd::{ConventionalSsd, SsdConfig};
-use tpcc::{setup, TpccConfig, TpccWorkload};
+use memdb::{NoLog, NvmeLog, PmConfig, PmLog, WalConfig, XssdLog};
+use simkit::{MetricValue, SimDuration, Snapshot};
+use tpcc::{setup, TpccConfig};
 use xssd_bench::driver::{self, DriverConfig};
 use xssd_bench::table::{Cell, Col, Table};
 use xssd_bench::{cli, section, sweep, Measurement, Report};
-use xssd_core::{Cluster, VillarsConfig};
 
 /// The five Fig. 9 logging setups.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,48 +41,8 @@ impl Setup {
     }
 }
 
-/// The conventional device used for log storage in the NVMe setup: same
-/// platform, with the log region running in fast-page (SLC-cached) mode as
-/// log-dedicated regions commonly do.
-fn log_ssd() -> ConventionalSsd {
-    let mut cfg = SsdConfig::default();
-    cfg.timing.t_prog = SimDuration::from_micros(200);
-    ConventionalSsd::new(cfg)
-}
-
-fn villars_cluster(sram: bool) -> Cluster {
-    let mut config =
-        if sram { VillarsConfig::villars_sram() } else { VillarsConfig::villars_dram() };
-    // Keep the CMB window at the paper's 32 KiB flow-control queue.
-    config.cmb.intake_queue_bytes = 32 << 10;
-    let mut cl = Cluster::new();
-    cl.add_device(config);
-    cl
-}
-
-/// Run one (setup, workers) cell and collect the full cross-stack telemetry
-/// snapshot: DB-level run counters, WAL counters, the backend's device stack
-/// (PCIe / SSD / flash / core groups where the backend has one), and the
-/// TPC-C mix.
-fn run_one<B: LogBackend + simkit::Instrument>(
-    db: &mut Database,
-    workload: &mut TpccWorkload,
-    backend: B,
-    cfg: &DriverConfig,
-) -> Snapshot {
-    let mut wal = WalManager::new(backend, WalConfig::default()); // 16 KiB group threshold
-    let mut report = driver::run(db, &mut wal, workload, cfg);
-    let exact_p99 = report.exact_p99_us();
-    let mut reg = MetricsRegistry::new();
-    reg.collect("", &report);
-    reg.collect("", &wal);
-    reg.collect("", &*workload);
-    // The bucketed `db.commit_latency_us` p99 is a power-of-two lower bound;
-    // keep the exact-sample value alongside it for the printed table.
-    reg.gauge("db.commit_latency_p99_us_exact", exact_p99);
-    reg.snapshot()
-}
-
+/// Run one (setup, workers) cell: [`driver::run_cell`] over the setup's
+/// backend with the paper's 16 KiB group threshold.
 fn run(setup_kind: Setup, workers: usize) -> Snapshot {
     let (mut db, mut workload, _rng) = setup(TpccConfig::bench(), 0x716 + workers as u64);
     let cfg = DriverConfig {
@@ -95,22 +51,20 @@ fn run(setup_kind: Setup, workers: usize) -> Snapshot {
         seed: 0xF160_9000 + workers as u64,
         ..DriverConfig::default()
     };
+    let (db, workload, wal) = (&mut db, &mut workload, WalConfig::default());
+    let villars = |sram, label| XssdLog::new(driver::villars_cluster(sram), 0, label);
     match setup_kind {
-        Setup::NoLog => run_one(&mut db, &mut workload, NoLog::new(), &cfg),
-        Setup::Memory => run_one(&mut db, &mut workload, PmLog::new(PmConfig::default()), &cfg),
-        Setup::Nvme => run_one(&mut db, &mut workload, NvmeLog::new(log_ssd(), 0, 8192), &cfg),
-        Setup::VillarsSram => run_one(
-            &mut db,
-            &mut workload,
-            XssdLog::new(villars_cluster(true), 0, "villars-sram"),
-            &cfg,
-        ),
-        Setup::VillarsDram => run_one(
-            &mut db,
-            &mut workload,
-            XssdLog::new(villars_cluster(false), 0, "villars-dram"),
-            &cfg,
-        ),
+        Setup::NoLog => driver::run_cell(db, workload, NoLog::new(), wal, &cfg),
+        Setup::Memory => driver::run_cell(db, workload, PmLog::new(PmConfig::default()), wal, &cfg),
+        Setup::Nvme => {
+            driver::run_cell(db, workload, NvmeLog::new(driver::log_ssd(), 0, 8192), wal, &cfg)
+        }
+        Setup::VillarsSram => {
+            driver::run_cell(db, workload, villars(true, "villars-sram"), wal, &cfg)
+        }
+        Setup::VillarsDram => {
+            driver::run_cell(db, workload, villars(false, "villars-dram"), wal, &cfg)
+        }
     }
 }
 

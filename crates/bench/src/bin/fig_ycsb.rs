@@ -7,21 +7,18 @@
 //! Villars-SRAM) with a 4 KiB group threshold so group commits form from
 //! single-row records rather than one transaction's worth of pages.
 //!
-//! Unlike the legacy harnesses this one uses the driver's full measured
-//! surface: a 50 ms ramp-up excluded from every statistic, and 50 ms
-//! time-series buckets across the 250 ms measured window. Each cell's
-//! telemetry carries the legacy `db.*` aggregates plus the extended
-//! `db.mix.<kind>.*`, `db.series.t NNNN.*`, `db.ramp_excluded`, and the
-//! workload's own `db.ycsb.*` counters (docs/OBSERVABILITY.md).
+//! This one uses the driver's full measured surface: a 50 ms ramp-up
+//! excluded from every statistic, and 50 ms time-series buckets across the
+//! 250 ms measured window, so each cell's telemetry carries
+//! `db.series.tNNNN.*` beside the `db.*` aggregates, `db.mix.<kind>.*`
+//! and the workload's own `db.ycsb.*` counters (docs/OBSERVABILITY.md).
 
-use memdb::{Database, LogBackend, NvmeLog, PmConfig, PmLog, WalConfig, WalManager, XssdLog};
-use simkit::{MetricValue, MetricsRegistry, SimDuration, Snapshot};
-use ssd::{ConventionalSsd, SsdConfig};
+use memdb::{NvmeLog, PmConfig, PmLog, WalConfig, XssdLog};
+use simkit::{MetricValue, SimDuration, Snapshot};
 use xssd_bench::driver::{self, DriverConfig};
 use xssd_bench::table::{Cell, Col, Table};
 use xssd_bench::ycsb::{self, YcsbConfig, YcsbMix};
 use xssd_bench::{cli, section, sweep, Measurement, Report};
-use xssd_core::{Cluster, VillarsConfig};
 
 /// The three log backends each mix runs against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,47 +40,9 @@ impl Backend {
     }
 }
 
-/// The log-dedicated conventional device (fast-page program, as in Fig. 9).
-fn log_ssd() -> ConventionalSsd {
-    let mut cfg = SsdConfig::default();
-    cfg.timing.t_prog = SimDuration::from_micros(200);
-    ConventionalSsd::new(cfg)
-}
-
-fn villars_cluster() -> Cluster {
-    let mut config = VillarsConfig::villars_sram();
-    config.cmb.intake_queue_bytes = 32 << 10;
-    let mut cl = Cluster::new();
-    cl.add_device(config);
-    cl
-}
-
-/// Small-append group commit: 4 KiB threshold instead of the TPC-C 16 KiB,
-/// so single-row YCSB records still form multi-record groups.
-fn wal_config() -> WalConfig {
-    WalConfig { group_threshold: 4 << 10, ..WalConfig::default() }
-}
-
-/// One (mix, backend) cell: drive the mix through the backend and collect
-/// the aggregate + extended + WAL + workload telemetry.
-fn run_one<B: LogBackend + simkit::Instrument>(
-    db: &mut Database,
-    workload: &mut ycsb::YcsbWorkload,
-    backend: B,
-    cfg: &DriverConfig,
-) -> Snapshot {
-    let mut wal = WalManager::new(backend, wal_config());
-    let mut report = driver::run(db, &mut wal, workload, cfg);
-    let exact_p99 = report.exact_p99_us();
-    let mut reg = MetricsRegistry::new();
-    reg.collect("", &report);
-    reg.collect("", &report.extended());
-    reg.collect("", &wal);
-    reg.collect("", &*workload);
-    reg.gauge("db.commit_latency_p99_us_exact", exact_p99);
-    reg.snapshot()
-}
-
+/// One (mix, backend) cell: [`driver::run_cell`] with a 4 KiB group
+/// threshold instead of the TPC-C 16 KiB, so single-row YCSB records still
+/// form multi-record groups.
 fn run(mix: YcsbMix, backend: Backend, cell: usize) -> Snapshot {
     let (mut db, mut workload, _rng) =
         ycsb::setup(YcsbConfig { mix, ..YcsbConfig::default() }, 0x7C5B + cell as u64);
@@ -95,15 +54,19 @@ fn run(mix: YcsbMix, backend: Backend, cell: usize) -> Snapshot {
         series_bucket: Some(SimDuration::from_millis(50)),
         ..DriverConfig::default()
     };
+    let wal = WalConfig { group_threshold: 4 << 10, ..WalConfig::default() };
+    let (db, workload) = (&mut db, &mut workload);
     match backend {
-        Backend::Memory => run_one(&mut db, &mut workload, PmLog::new(PmConfig::default()), &cfg),
-        Backend::Nvme => run_one(&mut db, &mut workload, NvmeLog::new(log_ssd(), 0, 8192), &cfg),
-        Backend::VillarsSram => run_one(
-            &mut db,
-            &mut workload,
-            XssdLog::new(villars_cluster(), 0, "villars-sram"),
-            &cfg,
-        ),
+        Backend::Memory => {
+            driver::run_cell(db, workload, PmLog::new(PmConfig::default()), wal, &cfg)
+        }
+        Backend::Nvme => {
+            driver::run_cell(db, workload, NvmeLog::new(driver::log_ssd(), 0, 8192), wal, &cfg)
+        }
+        Backend::VillarsSram => {
+            let backend = XssdLog::new(driver::villars_cluster(true), 0, "villars-sram");
+            driver::run_cell(db, workload, backend, wal, &cfg)
+        }
     }
 }
 

@@ -11,16 +11,18 @@
 //!
 //! Determinism contract: for a zero ramp and a workload whose mix totals
 //! 100, the driver's weighted pick draws `rng.uniform(1, total)` — the
-//! exact draw `TpccWorkload::pick` made — so refactoring a harness onto
-//! the driver must keep its `results/*.json` golden byte-identical
-//! (`crates/bench/tests/driver.rs` pins this; `scripts/check_results.sh`
-//! enforces it against the committed goldens).
+//! exact draw `TpccWorkload::pick` made — so a harness on the driver
+//! reproduces every `rows` entry and every telemetry value of its
+//! `results/*.json` golden (`crates/bench/tests/driver.rs` pins the draw;
+//! `scripts/check_results.sh` gates rows exactly and telemetry additively).
 
 use memdb::{
     run_observed, Database, LogBackend, ObserveConfig, RunReport, RunnerConfig, TxnOutcome,
-    WalManager,
+    WalConfig, WalManager,
 };
-use simkit::{DetRng, SimDuration};
+use simkit::{DetRng, Instrument, MetricsRegistry, SimDuration, Snapshot};
+use ssd::{ConventionalSsd, SsdConfig};
+use xssd_core::{Cluster, VillarsConfig};
 
 /// A deterministic per-seed transaction stream with weighted kinds.
 ///
@@ -155,14 +157,13 @@ pub struct TimeBucket {
 
 /// What one driver run measured.
 ///
-/// Collecting the report itself into a [`simkit::MetricsRegistry`] emits
-/// exactly the legacy `db.*` aggregate metrics (what `run_workload`'s
-/// [`RunReport`] emitted — golden-compatible); the per-kind and
-/// time-series breakdowns are a separate opt-in via
-/// [`DriverReport::extended`].
+/// Collecting the report into a [`simkit::MetricsRegistry`] emits the
+/// `db.*` aggregates of its [`RunReport`] plus `db.ramp_excluded`, the
+/// per-kind `db.mix.<kind>.*` and — when `series_bucket` was set — the
+/// `db.series.*` time series.
 #[derive(Debug)]
 pub struct DriverReport {
-    /// The aggregate measured-window report (legacy shape).
+    /// The aggregate measured-window report.
     pub run: RunReport,
     /// Per-kind breakdown, in [`Workload::kinds`] order.
     pub per_kind: Vec<KindReport>,
@@ -189,43 +190,23 @@ impl DriverReport {
     ///
     /// Like any [`simkit::SampleSeries`] percentile query this sorts the
     /// series in place, which perturbs the float-summation order of a
-    /// later `mean()`. The driver never queries it on its own: a harness
-    /// that printed the exact p99 before this refactor queried (and
-    /// sorted) before collecting, and one that did not never sorted —
-    /// call this in the same place the legacy code did and the collected
-    /// `db.commit_latency_us.mean_us` stays bit-identical either way.
+    /// later `mean()` — so a collected `db.commit_latency_us.mean_us`
+    /// differs by an ulp between a harness that queries before collecting
+    /// ([`run_cell`]) and one that never queries. The driver never queries
+    /// it on its own.
     pub fn exact_p99_us(&mut self) -> f64 {
         self.run.latency_us.percentile(99.0)
     }
-
-    /// The per-kind / time-series metrics as a collectable component
-    /// (`db.mix.*`, `db.series.*`, `db.ramp_excluded`). Kept out of the
-    /// default [`simkit::Instrument`] impl so refactored legacy harnesses
-    /// serialize byte-identical snapshots.
-    pub fn extended(&self) -> Extended<'_> {
-        Extended(self)
-    }
 }
 
-impl simkit::Instrument for DriverReport {
+impl Instrument for DriverReport {
     fn instrument(&self, out: &mut simkit::Scope<'_>) {
         self.run.instrument(out);
-    }
-}
-
-/// Opt-in view of [`DriverReport`]'s per-kind and time-series metrics
-/// (see [`DriverReport::extended`]).
-#[derive(Debug)]
-pub struct Extended<'a>(&'a DriverReport);
-
-impl simkit::Instrument for Extended<'_> {
-    fn instrument(&self, out: &mut simkit::Scope<'_>) {
-        let r = self.0;
         let mut db = out.scope("db");
-        db.counter("ramp_excluded", r.ramp_excluded);
+        db.counter("ramp_excluded", self.ramp_excluded);
         {
             let mut mix = db.scope("mix");
-            for k in &r.per_kind {
+            for k in &self.per_kind {
                 let mut s = mix.scope(k.label);
                 s.counter("committed", k.committed);
                 s.counter("aborted", k.aborted);
@@ -233,10 +214,10 @@ impl simkit::Instrument for Extended<'_> {
                 s.gauge("p99_us", k.p99_us);
             }
         }
-        if let Some(width) = r.series_bucket {
+        if let Some(width) = self.series_bucket {
             let mut series = db.scope("series");
             series.counter("bucket_ns", width.as_nanos());
-            for (i, b) in r.series.iter().enumerate() {
+            for (i, b) in self.series.iter().enumerate() {
                 // Zero-padded so the BTreeMap-sorted JSON keeps buckets
                 // in time order.
                 let mut s = series.scope(&format!("t{i:04}"));
@@ -333,4 +314,52 @@ where
         series_bucket: cfg.series_bucket,
         ramp_excluded: observed.ramp_excluded,
     }
+}
+
+/// The conventional device the NVMe setups log to: the stock platform with
+/// the log region in fast-page (SLC-cached) mode, as log-dedicated regions
+/// commonly run.
+pub fn log_ssd() -> ConventionalSsd {
+    let mut cfg = SsdConfig::default();
+    cfg.timing.t_prog = SimDuration::from_micros(200);
+    ConventionalSsd::new(cfg)
+}
+
+/// A single Villars device (SRAM- or DRAM-backed CMB) with the paper's
+/// 32 KiB flow-control queue.
+pub fn villars_cluster(sram: bool) -> Cluster {
+    let mut config =
+        if sram { VillarsConfig::villars_sram() } else { VillarsConfig::villars_dram() };
+    config.cmb.intake_queue_bytes = 32 << 10;
+    let mut cl = Cluster::new();
+    cl.add_device(config);
+    cl
+}
+
+/// One database cell: drive `workload` through a WAL over `backend` and
+/// collect the full cross-stack snapshot — the run's `db.*` metrics, the WAL
+/// counters, the backend's device stack (PCIe / SSD / flash / core groups
+/// where it has one) and the workload's own counters. The bucketed
+/// `db.commit_latency_us` p99 is a power-of-two lower bound, so the
+/// exact-sample value rides alongside as `db.commit_latency_p99_us_exact`.
+pub fn run_cell<B, W>(
+    db: &mut Database,
+    workload: &mut W,
+    backend: B,
+    wal: WalConfig,
+    cfg: &DriverConfig,
+) -> Snapshot
+where
+    B: LogBackend + Instrument,
+    W: Workload + Instrument,
+{
+    let mut wal = WalManager::new(backend, wal);
+    let mut report = run(db, &mut wal, workload, cfg);
+    let exact_p99 = report.exact_p99_us();
+    let mut reg = MetricsRegistry::new();
+    reg.collect("", &report);
+    reg.collect("", &wal);
+    reg.collect("", &*workload);
+    reg.gauge("db.commit_latency_p99_us_exact", exact_p99);
+    reg.snapshot()
 }

@@ -8,12 +8,9 @@
 //!   (not just isolated components), and
 //! - the determinism regression test can run the same cell twice with the
 //!   same seed and assert bit-identical telemetry and completion times.
-//!
-//! The figure binaries themselves are intentionally untouched: their
-//! `results/*.json` output is the byte-identical baseline the event-loop
-//! work is gated on.
 
-use memdb::{run_workload, RunnerConfig, WalConfig, WalManager, XssdLog};
+use crate::driver::{self, DriverConfig};
+use memdb::{WalConfig, XssdLog};
 use simkit::{Histogram, MetricsRegistry, SampleSeries, SimDuration, SimTime, Snapshot};
 use tpcc::{setup, TpccConfig};
 use xssd_core::{Cluster, VillarsConfig, XLogFile};
@@ -24,27 +21,14 @@ use xssd_core::{Cluster, VillarsConfig, XLogFile};
 /// figure harness. Returns the full cross-stack telemetry snapshot.
 pub fn tpcc_villars_sram_cell(workers: usize, duration: SimDuration) -> Snapshot {
     let (mut db, mut workload, _rng) = setup(TpccConfig::bench(), 0x716 + workers as u64);
-    let runner = RunnerConfig {
+    let cfg = DriverConfig {
         workers,
-        duration,
+        measure: duration,
         seed: 0xF160_9000 + workers as u64,
-        ..RunnerConfig::default()
+        ..DriverConfig::default()
     };
-    let mut config = VillarsConfig::villars_sram();
-    config.cmb.intake_queue_bytes = 32 << 10;
-    let mut cl = Cluster::new();
-    cl.add_device(config);
-    let backend = XssdLog::new(cl, 0, "villars-sram");
-    let mut wal = WalManager::new(backend, WalConfig::default());
-    let mut report =
-        run_workload(&mut db, &mut wal, runner, |db, rng, _| workload.execute(db, rng, 0));
-    let exact_p99 = report.latency_us.percentile(99.0);
-    let mut reg = MetricsRegistry::new();
-    reg.collect("", &report);
-    reg.collect("", &wal);
-    reg.collect("", &workload);
-    reg.gauge("db.commit_latency_p99_us_exact", exact_p99);
-    reg.snapshot()
+    let backend = XssdLog::new(driver::villars_cluster(true), 0, "villars-sram");
+    driver::run_cell(&mut db, &mut workload, backend, WalConfig::default(), &cfg)
 }
 
 /// One Fig. 11 cell: `count` `x_pwrite`+`x_fsync` cycles of `write_size`

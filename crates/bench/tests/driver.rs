@@ -1,5 +1,5 @@
-//! Driver-layer contract tests: golden parity with the legacy closed
-//! loop, and ramp-up exclusion.
+//! Driver-layer contract tests: draw-for-draw parity with the
+//! `run_workload` closed loop, and ramp-up exclusion.
 
 use memdb::{run_workload, PmConfig, PmLog, RunnerConfig, WalConfig, WalManager};
 use simkit::{MetricsRegistry, SimDuration};
@@ -7,12 +7,12 @@ use tpcc::{setup, TpccConfig};
 use xssd_bench::driver::{self, DriverConfig, Workload};
 use xssd_bench::ycsb::{self, YcsbConfig, YcsbMix};
 
-/// The refactor's load-bearing invariant: driving TPC-C through
-/// `bench::driver` with the default mix replays the legacy
+/// The driver's load-bearing invariant: driving TPC-C through
+/// `bench::driver` with the default mix replays the
 /// `run_workload(|db, rng, _| workload.execute(db, rng, 0))` loop
-/// draw-for-draw — same commit count, same latency samples, same
-/// telemetry — which is why the eleven `results/*.json` goldens survive
-/// the harness refactor byte-identical.
+/// draw-for-draw — same commit count, same latency samples, and every
+/// metric the plain loop reports unchanged — which is why harnesses moved
+/// onto the driver reproduced their `results/*.json` values.
 #[test]
 fn tpcc_driver_replays_the_legacy_closed_loop() {
     let dur = SimDuration::from_millis(30);
@@ -40,8 +40,8 @@ fn tpcc_driver_replays_the_legacy_closed_loop() {
     assert_eq!(legacy.log_bytes, driven.run.log_bytes);
     assert_eq!(legacy.flushes, driven.run.flushes);
 
-    // Collected snapshots are identical: the DriverReport's default
-    // Instrument impl is the legacy metric set, nothing more.
+    // Every path `RunReport` emits appears unchanged in `DriverReport`'s
+    // snapshot, which adds only the per-kind breakdown.
     let mut reg_a = MetricsRegistry::new();
     reg_a.collect("", &legacy);
     reg_a.collect("", &wal_a);
@@ -50,7 +50,17 @@ fn tpcc_driver_replays_the_legacy_closed_loop() {
     reg_b.collect("", &driven);
     reg_b.collect("", &wal_b);
     reg_b.collect("", &wl_b);
-    assert_eq!(reg_a.snapshot(), reg_b.snapshot());
+    let (snap_a, snap_b) = (reg_a.snapshot(), reg_b.snapshot());
+    for (path, value) in snap_a.iter() {
+        assert_eq!(snap_b.get(path), Some(value), "{path} differs under the driver");
+    }
+    let added: Vec<&str> =
+        snap_b.iter().map(|(p, _)| p).filter(|p| snap_a.get(p).is_none()).collect();
+    assert!(!added.is_empty(), "the driver reports its per-kind breakdown");
+    assert!(
+        added.iter().all(|p| p.starts_with("db.mix.") || *p == "db.ramp_excluded"),
+        "unexpected driver-only paths: {added:?}"
+    );
 
     // Exact-sample percentiles agree too (what fig09 prints).
     assert_eq!(legacy.latency_us.percentile(99.0), driven.exact_p99_us());
@@ -120,9 +130,9 @@ fn time_series_buckets_partition_measured_commits() {
     assert!(r.series.len() >= 6, "expected ~6 buckets of 5 ms, got {}", r.series.len());
     let bucketed: u64 = r.series.iter().map(|b| b.committed).sum();
     assert_eq!(bucketed, r.run.committed);
-    // The extended metrics expose them in sorted, zero-padded order.
+    // The report exposes them in sorted, zero-padded order.
     let mut reg = MetricsRegistry::new();
-    reg.collect("", &r.extended());
+    reg.collect("", &r);
     let snap = reg.snapshot();
     assert_eq!(snap.counter("db.series.t0000.committed"), r.series[0].committed);
     assert_eq!(snap.counter("db.ramp_excluded"), r.ramp_excluded);

@@ -1,11 +1,12 @@
 //! Zero-perturbation regression for the fault layer.
 //!
 //! The contract (see `simkit::faults`): a cluster armed with a *disabled*
-//! [`FaultPlan`] makes no RNG draws, adds no latency, and emits no
-//! telemetry — it is bit-identical to a cluster that was never armed at
-//! all. This is what keeps the byte-frozen `results/*.json` goldens valid
-//! with the fault layer compiled in (`scripts/check_results.sh` enforces
-//! the golden side; this test pins the mechanism).
+//! [`FaultPlan`] makes no RNG draws and adds no latency, and its fault
+//! counters read 0 — its snapshot is equal, path for path, to a cluster
+//! that was never armed at all. This is what keeps the `results/*.json`
+//! golden values valid with the fault layer compiled in
+//! (`scripts/check_results.sh` enforces the golden side; this test pins
+//! the mechanism).
 
 use simkit::{FaultPlan, MetricsRegistry, SimTime, Snapshot};
 use xssd_core::{Cluster, VillarsConfig, XLogFile};

@@ -151,9 +151,7 @@ impl VillarsDevice {
     }
 
     /// Per-port accounting for [`IoPort`] submissions (CID liveness,
-    /// in-flight depth, queue-depth histogram). Collected explicitly —
-    /// not part of [`simkit::Instrument`] for this device, whose snapshot
-    /// layout is byte-frozen by the results gate.
+    /// in-flight depth, queue-depth histogram); reported under `core.port`.
     pub fn port_stats(&self) -> &PortAccounting {
         &self.port
     }
@@ -717,6 +715,7 @@ impl simkit::Instrument for VillarsDevice {
             out.collect(&format!("core.destage.lane{i}"), &lane.destage);
         }
         out.collect("core.transport", &self.transport);
+        out.collect("core.port", &self.port);
         let mut fast = out.scope("core.fast");
         fast.counter("bytes_in", self.fast_bytes_in);
         fast.counter("tlps", self.fast_tlps);

@@ -373,13 +373,9 @@ impl simkit::Instrument for FlashArray {
         out.counter("program_failures", self.stats.program_failures);
         out.counter("uncorrectable_reads", self.stats.uncorrectable_reads);
         out.counter("corrected_bits", self.stats.corrected_bits);
-        // Fault metrics exist only when injection is armed — fault-free
-        // snapshots keep their byte-frozen layout.
-        if self.faults.is_some() {
-            out.counter("retry.read_transient", self.stats.transient_read_retries);
-            out.counter("retry.program_transient", self.stats.transient_program_retries);
-            out.counter("fault.program_permanent", self.stats.injected_program_failures);
-        }
+        out.counter("retry.read_transient", self.stats.transient_read_retries);
+        out.counter("retry.program_transient", self.stats.transient_program_retries);
+        out.counter("fault.program_permanent", self.stats.injected_program_failures);
         // Aggregate die occupancy (tPROG/tR/tBERS residency) plus
         // per-channel bus serialization time.
         let die_busy: u64 = self.dies.iter().map(|d| d.busy_time().as_nanos()).sum();

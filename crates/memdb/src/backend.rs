@@ -555,10 +555,8 @@ impl LogBackend for XssdLog {
 impl simkit::Instrument for NoLog {
     fn instrument(&self, out: &mut simkit::Scope<'_>) {
         out.counter("db.log.bytes_appended", self.bytes);
-        if self.next_tag > 0 {
-            out.counter("db.log.async_appends", self.next_tag);
-            out.gauge("db.log.appends_in_flight", self.pending.len() as f64);
-        }
+        out.counter("db.log.async_appends", self.next_tag);
+        out.gauge("db.log.appends_in_flight", self.pending.len() as f64);
     }
 }
 
@@ -567,28 +565,21 @@ impl simkit::Instrument for PmLog {
         out.counter("db.log.bytes_appended", self.bytes);
         out.counter("db.log.dimm_busy_ns", self.dimm.busy_time().as_nanos());
         out.counter("db.log.dimm_stores", self.dimm.request_count());
-        if self.next_tag > 0 {
-            out.counter("db.log.async_appends", self.next_tag);
-            out.gauge("db.log.appends_in_flight", self.pending.len() as f64);
-        }
+        out.counter("db.log.async_appends", self.next_tag);
+        out.gauge("db.log.appends_in_flight", self.pending.len() as f64);
     }
 }
 
 impl simkit::Instrument for NvmeLog {
     /// Reports the whole device stack under the wrapped SSD, plus the
-    /// host-side NVMe command count under `nvme.driver`. The async-path
-    /// metrics (including the driver's port accounting) appear only once
-    /// `append_submit` has been used, so blocking-only runs serialize
-    /// exactly as before.
+    /// host-side NVMe command count under `nvme.driver` and the driver's
+    /// port accounting under `db.log.port` (its one home in the tree).
     fn instrument(&self, out: &mut simkit::Scope<'_>) {
         out.counter("db.log.bytes_appended", self.bytes);
         out.counter("nvme.driver.commands", self.driver.commands_issued());
-        if self.next_tag > 0 {
-            out.counter("db.log.async_appends", self.next_tag);
-            out.gauge("db.log.appends_in_flight", self.pending.len() as f64);
-            let mut port = out.scope("db.log.port");
-            self.driver.port_stats().instrument(&mut port);
-        }
+        out.counter("db.log.async_appends", self.next_tag);
+        out.gauge("db.log.appends_in_flight", self.pending.len() as f64);
+        out.collect("db.log.port", self.driver.port_stats());
         self.driver.controller().instrument(out);
     }
 }
@@ -596,10 +587,8 @@ impl simkit::Instrument for NvmeLog {
 impl simkit::Instrument for XssdLog {
     fn instrument(&self, out: &mut simkit::Scope<'_>) {
         out.counter("db.log.bytes_appended", self.file.written());
-        if self.next_tag > 0 {
-            out.counter("db.log.async_appends", self.next_tag);
-            out.gauge("db.log.appends_in_flight", self.pending.len() as f64);
-        }
+        out.counter("db.log.async_appends", self.next_tag);
+        out.gauge("db.log.appends_in_flight", self.pending.len() as f64);
         self.cluster.instrument(out);
     }
 }

@@ -8,7 +8,6 @@
 //! re-ship the missed log suffix from the primary's surviving copy before
 //! restoring it to the secondary set.
 
-use crate::log::fnv1a;
 use crate::segment::SegmentView;
 use nvme::{Status, VendorCommand};
 use simkit::{SimDuration, SimTime};
@@ -75,6 +74,11 @@ pub fn fail_over(
 /// primary's surviving copy ([`Cluster::resync_secondary`]), then
 /// reconfigure replication to `secondaries` (the full set including
 /// `target`). Returns the instant the new replica set is active.
+///
+/// This is [`rejoin_secondary_from_archive`] with an empty archive: with
+/// nothing to stream it goes straight to the live resync (the `advance(now)`
+/// it makes first is the call `resync_secondary` begins with, so the
+/// schedule is the same).
 pub fn rejoin_secondary(
     cluster: &mut Cluster,
     now: SimTime,
@@ -82,10 +86,7 @@ pub fn rejoin_secondary(
     target: usize,
     secondaries: &[usize],
 ) -> SimTime {
-    assert!(secondaries.contains(&target), "the rejoined device must be in the new replica set");
-    cluster.reboot_device(target);
-    let resynced = cluster.resync_secondary(now, primary, target);
-    cluster.configure_replication(resynced, primary, secondaries)
+    rejoin_secondary_from_archive(cluster, now, primary, target, secondaries, &[]).active_at
 }
 
 /// What a rejoin-from-archive round did: how much of the catch-up came
@@ -133,14 +134,11 @@ pub fn rejoin_secondary_from_archive(
         if seg.base_lsn + seg.bytes.len() as u64 <= tail_at_reboot {
             continue; // the target already holds this segment
         }
-        if let Some(crc) = seg.crc {
-            assert_eq!(
-                fnv1a(seg.bytes),
-                crc,
-                "archived segment at LSN {} failed its seal CRC during rejoin",
-                seg.base_lsn
-            );
-        }
+        assert!(
+            seg.verify(),
+            "archived segment at LSN {} failed its seal CRC during rejoin",
+            seg.base_lsn
+        );
         t = cluster.deliver_archived(t, target, seg.base_lsn, seg.bytes);
     }
     let archived_bytes = cluster.device(target).log_tail(0) - tail_at_reboot;

@@ -16,7 +16,7 @@
 //! is therefore a function of the checkpoint interval, never of total
 //! history.
 
-use crate::log::{decode_stream, fnv1a, LogOp, LogRecord};
+use crate::log::{decode_stream, LogOp, LogRecord};
 use crate::segment::SegmentView;
 use crate::storage::Database;
 use std::collections::HashSet;
@@ -34,6 +34,23 @@ pub struct RecoveryReport {
     pub bytes_consumed: usize,
 }
 
+/// The analysis + redo pass both entry points share: find the transactions
+/// whose commit marker is among `records`, apply exactly their records in log
+/// order, and return `(transactions committed, records dropped)`.
+fn redo_committed(db: &mut Database, records: &[LogRecord]) -> (usize, usize) {
+    let committed: HashSet<u64> =
+        records.iter().filter(|r| r.op == LogOp::Commit).map(|r| r.txn_id).collect();
+    let mut dropped = 0usize;
+    for rec in records.iter().filter(|r| r.op != LogOp::Commit) {
+        if committed.contains(&rec.txn_id) {
+            db.apply_record(rec);
+        } else {
+            dropped += 1;
+        }
+    }
+    (committed.len(), dropped)
+}
+
 /// Replay a durable log byte stream into `db`.
 ///
 /// Two passes: (1) analysis — find transactions whose commit marker made it
@@ -41,23 +58,11 @@ pub struct RecoveryReport {
 /// in log order.
 pub fn recover(db: &mut Database, log_stream: &[u8]) -> RecoveryReport {
     let (records, bytes_consumed) = decode_stream(log_stream);
-    let committed: HashSet<u64> =
-        records.iter().filter(|r| r.op == LogOp::Commit).map(|r| r.txn_id).collect();
-    let mut dropped = 0usize;
-    for rec in &records {
-        if rec.op == LogOp::Commit {
-            continue;
-        }
-        if committed.contains(&rec.txn_id) {
-            db.apply_record(rec);
-        } else {
-            dropped += 1;
-        }
-    }
+    let (txns_committed, records_uncommitted) = redo_committed(db, &records);
     RecoveryReport {
         records_scanned: records.len(),
-        txns_committed: committed.len(),
-        records_uncommitted: dropped,
+        txns_committed,
+        records_uncommitted,
         bytes_consumed,
     }
 }
@@ -142,12 +147,10 @@ pub fn replay_segments(
             continue;
         }
         let fully_durable = seg.base_lsn + len <= durable_upto;
-        if let Some(crc) = seg.crc {
-            if fully_durable && fnv1a(seg.bytes) != crc {
-                report.torn_bytes += end - start;
-                stopped = true;
-                continue;
-            }
+        if fully_durable && !seg.verify() {
+            report.torn_bytes += end - start;
+            stopped = true;
+            continue;
         }
         let region = &seg.bytes[start as usize..end as usize];
         let (mut recs, consumed) = decode_stream(region);
@@ -162,20 +165,8 @@ pub fn replay_segments(
         }
     }
 
-    let committed: HashSet<u64> =
-        records.iter().filter(|r| r.op == LogOp::Commit).map(|r| r.txn_id).collect();
-    for rec in &records {
-        if rec.op == LogOp::Commit {
-            continue;
-        }
-        if committed.contains(&rec.txn_id) {
-            db.apply_record(rec);
-        } else {
-            report.records_uncommitted += 1;
-        }
-    }
+    (report.txns_committed, report.records_uncommitted) = redo_committed(db, &records);
     report.records_scanned = records.len();
-    report.txns_committed = committed.len();
     report
 }
 

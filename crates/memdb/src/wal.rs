@@ -73,9 +73,9 @@ pub struct WalManager<B: LogBackend> {
     in_flight: Vec<PendingFlush>,
     /// Scratch for draining backend completions.
     scratch: Vec<(AppendTag, SimTime)>,
-    /// Opt-in segmented retention over the LSN byte stream
+    /// Segmented retention over the LSN byte stream
     /// ([`enable_segments`](WalManager::enable_segments)). `None` keeps the
-    /// legacy unbounded log and emits no segment telemetry.
+    /// unbounded log and reports no segment telemetry.
     segments: Option<SegmentedLog>,
 }
 
@@ -330,8 +330,8 @@ impl<B: LogBackend + simkit::Instrument> simkit::Instrument for WalManager<B> {
         out.counter("db.wal.flushes", self.flushes);
         out.counter("db.wal.bytes_enqueued", self.enqueued);
         out.gauge("db.wal.pending_bytes", self.pending.len() as f64);
-        // Segment lifecycle telemetry only exists when segmentation is
-        // enabled, so legacy harness snapshots stay byte-identical.
+        // Configuration, not history: no segment lifecycle without
+        // `enable_segments`.
         if let Some(seg) = &self.segments {
             out.gauge("db.wal.segments", seg.segment_count() as f64);
             out.gauge("db.wal.archived_bytes", seg.archived_bytes() as f64);

@@ -224,9 +224,8 @@ impl<C: NvmeController> NvmeDriver<C> {
     }
 
     /// Per-port accounting: in-flight depth, CID liveness, and queue-depth
-    /// telemetry. Collect it explicitly when port metrics are wanted — it
-    /// is not part of the default instrument tree (snapshot layouts are
-    /// byte-frozen by the results gate).
+    /// telemetry. The driver's owner reports it (`NvmeLog`, under
+    /// `db.log.port`).
     pub fn port_stats(&self) -> &PortAccounting {
         &self.port
     }

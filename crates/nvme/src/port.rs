@@ -32,11 +32,9 @@
 //! per-port CID allocation that skips live CIDs (a wrapped 16-bit CID
 //! must never collide with a still-in-flight command), plus queue-depth
 //! telemetry (submitted/completed counters, an in-flight gauge and
-//! high-water mark, and an in-flight-depth histogram). It implements
-//! [`simkit::Instrument`] but is *not* folded into the device instrument
-//! trees by default — snapshot layouts embedded in `results/*.json` are
-//! byte-frozen, so port telemetry is collected explicitly by callers who
-//! want it (see `docs/OBSERVABILITY.md`).
+//! high-water mark, an in-flight-depth histogram, and the driver's retry
+//! and fault counters). Its owner reports it: `VillarsDevice` under
+//! `core.port`, `NvmeLog` under `db.log.port` (`docs/OBSERVABILITY.md`).
 
 use crate::command::{CommandId, CommandKind, CompletionEntry};
 use simkit::{DiagnosticSnapshot, Histogram, SimError, SimTime};
@@ -244,20 +242,10 @@ impl simkit::Instrument for PortAccounting {
         out.gauge("inflight", self.live.len() as f64);
         out.gauge("max_inflight", self.max_in_flight as f64);
         out.latency("depth", &self.depth);
-        // Fault-path counters appear only once a fault has actually been
-        // injected, so fault-free snapshots keep their frozen layout.
-        if self.retries > 0 {
-            out.counter("retry.resubmits", self.retries);
-        }
-        if self.timeouts > 0 {
-            out.counter("fault.timeouts", self.timeouts);
-        }
-        if self.error_completions > 0 {
-            out.counter("fault.error_completions", self.error_completions);
-        }
-        if self.dropped_completions > 0 {
-            out.counter("fault.dropped_completions", self.dropped_completions);
-        }
+        out.counter("retry.resubmits", self.retries);
+        out.counter("fault.timeouts", self.timeouts);
+        out.counter("fault.error_completions", self.error_completions);
+        out.counter("fault.dropped_completions", self.dropped_completions);
     }
 }
 

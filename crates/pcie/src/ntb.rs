@@ -280,12 +280,9 @@ impl NtbPort {
 impl simkit::Instrument for NtbPort {
     fn instrument(&self, out: &mut simkit::Scope<'_>) {
         out.counter("forwarded_tlps", self.forwarded_tlps);
-        // Fault metrics exist only when injection is armed — fault-free
-        // snapshots keep their byte-frozen layout.
-        if let Some(f) = &self.faults {
-            out.counter("retry.tlp_replays", f.replays);
-            out.counter("fault.link_down_deferrals", f.deferrals);
-        }
+        let faults = self.fault_stats();
+        out.counter("retry.tlp_replays", faults.replays);
+        out.counter("fault.link_down_deferrals", faults.deferrals);
         self.wire.instrument(out);
     }
 }

@@ -16,9 +16,10 @@
 //!    same faults at the same virtual instants, bit for bit — a failing
 //!    chaos run is replayable from its seed alone.
 //! 2. **Zero perturbation when disabled.** A disarmed [`FaultHook`] makes
-//!    *no* RNG draws, adds *no* latency, and emits *no* telemetry. The ten
-//!    byte-frozen `results/*.json` goldens stay identical with the fault
-//!    layer compiled in but disabled (enforced by `scripts/check_results.sh`).
+//!    *no* RNG draws and adds *no* latency; the fault counters every site
+//!    reports read 0. Every value in the `results/*.json` goldens is
+//!    reproduced with the fault layer compiled in but disabled (enforced by
+//!    `scripts/check_results.sh`).
 //!
 //! Layer wiring (each site documents its own semantics):
 //!

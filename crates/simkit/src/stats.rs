@@ -65,8 +65,8 @@ impl SampleSeries {
         }
     }
 
-    /// Percentile in `[0, 100]` by nearest-rank interpolation. Returns 0 for
-    /// an empty series.
+    /// Percentile in `[0, 100]` by linear interpolation between the two
+    /// closest ranks. Returns 0 for an empty series.
     pub fn percentile(&mut self, p: f64) -> f64 {
         assert!((0.0..=100.0).contains(&p), "percentile must be in [0,100]");
         if self.samples.is_empty() {

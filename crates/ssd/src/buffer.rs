@@ -198,10 +198,9 @@ impl simkit::Instrument for DataBuffer {
         out.counter("read_misses", self.stats.read_misses);
         out.counter("writes", self.stats.writes);
         out.counter("evictions", self.stats.evictions);
-        let lookups = self.stats.read_hits + self.stats.read_misses;
-        if lookups > 0 {
-            out.gauge("hit_rate_pct", 100.0 * self.stats.read_hits as f64 / lookups as f64);
-        }
+        // 0 % before the first lookup.
+        let lookups = (self.stats.read_hits + self.stats.read_misses).max(1);
+        out.gauge("hit_rate_pct", 100.0 * self.stats.read_hits as f64 / lookups as f64);
         out.gauge("occupancy_pages", self.slots.len() as f64);
         out.gauge("dirty_pages", self.dirty_count() as f64);
         out.counter("port_busy_ns", self.port.busy_time().as_nanos());

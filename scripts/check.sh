@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # The full local gate: formatting, lints as errors, module reachability, the
-# test suite, and the benchmark's correctness checks.
+# results gate's self-test, the test suite, and the benchmark's correctness checks.
 # Run from anywhere inside the repository; CI runs exactly this.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -14,6 +14,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== reachability (no pub mod that only its own file and tests mention)"
 # Its reading-aid list is long; show the output only when the step fails.
 reach=$(python3 scripts/reachability.py) || { echo "$reach"; exit 1; }
+
+echo "== results gate self-test (added path passes; changed value, removed path, changed row fail)"
+python3 scripts/results_diff.py --self-test
 
 echo "== cargo test"
 cargo test --workspace --quiet
@@ -55,4 +58,4 @@ echo "== benchmark: its own tests, then every workload and check at 1/50 horizon
 (cd benchmark && cargo test --offline --quiet)
 benchmark/run.sh --quick > /dev/null
 
-echo "ok: fmt, clippy, reachability, tests, recovery smoke, chaos smoke, benchmark checks all clean"
+echo "ok: fmt, clippy, reachability, gate self-test, tests, recovery smoke, chaos smoke, benchmark checks all clean"
