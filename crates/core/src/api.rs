@@ -11,7 +11,7 @@ use crate::cluster::Cluster;
 use crate::cmb::CmbError;
 use crate::transport::DeviceIndex;
 use pcie::MmioMode;
-use simkit::{SimDuration, SimTime};
+use simkit::SimTime;
 
 /// A handle to the fast side of one Villars device — the moral equivalent
 /// of an open file descriptor on the log.
@@ -115,7 +115,12 @@ impl XLogFile {
                     continue;
                 }
                 if self.written - self.credit_seen >= q {
-                    now = self.wait_for_progress(cl, now)?;
+                    cl.advance(now);
+                    now = self.wait_for_progress(
+                        cl,
+                        now,
+                        "credits to reopen the flow-control window",
+                    )?;
                 }
                 continue;
             }
@@ -137,7 +142,7 @@ impl XLogFile {
                     // Destaging is behind: the device stops granting
                     // credits, so the writer stalls until it catches up.
                     cl.advance(now);
-                    now = self.wait_for_progress(cl, now)?;
+                    now = self.wait_for_progress(cl, now, "destaging to free CMB ring space")?;
                 }
                 Err(e) => return Err(e.into()),
             }
@@ -148,16 +153,27 @@ impl XLogFile {
     /// `fsync()` replacement (paper §5.1): block until the credit counter
     /// covers every byte this handle wrote. Under eager replication that
     /// means persisted locally *and* on every secondary.
+    ///
+    /// One MMIO read of the counter at the call; if it falls short the
+    /// caller sleeps — no further reads — until the device-side counter
+    /// covers the log ([`Cluster::sleep_until_credit`]), and one read then
+    /// confirms it: the return instant is that read's completion, one round
+    /// trip after the counter crossed.
     pub fn x_fsync(&mut self, cl: &mut Cluster, now: SimTime) -> Result<SimTime, XApiError> {
-        let mut now = now;
+        cl.advance(now);
+        let (mut t, mut credit) = cl.read_credit(self.dev, now, self.lane);
+        // Where the cluster stands.
+        let mut at = now;
         loop {
-            cl.advance(now);
-            let (t, credit) = cl.read_credit(self.dev, now, self.lane);
             self.credit_seen = self.credit_seen.max(credit);
             if credit >= self.written {
                 return Ok(t);
             }
-            now = self.wait_for_progress(cl, t)?;
+            at = cl
+                .sleep_until_credit(self.dev, self.lane, self.written, at)
+                .ok_or(XApiError::Stalled { waiting_for: "the credit counter to cover the log" })?;
+            // The host is back from the previous read at `t`.
+            (t, credit) = cl.read_credit(self.dev, at.max(t), self.lane);
         }
     }
 
@@ -177,7 +193,7 @@ impl XLogFile {
             if cl.device(self.dev).destaged_upto(self.lane) >= self.read_cursor + len as u64 {
                 break;
             }
-            now = self.wait_for_progress(cl, now)?;
+            now = self.wait_for_progress(cl, now, "destaging to reach the requested range")?;
         }
         let (t, bytes) = cl
             .device_mut(self.dev)
@@ -187,21 +203,15 @@ impl XLogFile {
         Ok((t, bytes))
     }
 
-    /// Jump virtual time to the next instant the cluster can make progress.
-    fn wait_for_progress(&self, cl: &mut Cluster, now: SimTime) -> Result<SimTime, XApiError> {
-        match cl.next_event_after(now) {
-            Some(t) => Ok(t),
-            None => {
-                // Nothing pending anywhere: give destage deadlines a nudge;
-                // if still nothing, the wait can never finish.
-                let nudged = now + SimDuration::from_micros(10);
-                cl.advance(nudged);
-                match cl.next_event_after(now) {
-                    Some(t) => Ok(t),
-                    None => Err(XApiError::Stalled { waiting_for: "device progress" }),
-                }
-            }
-        }
+    /// The next instant a cluster standing at `now` can make progress.
+    /// Nothing pending means the wait can never end.
+    fn wait_for_progress(
+        &self,
+        cl: &Cluster,
+        now: SimTime,
+        waiting_for: &'static str,
+    ) -> Result<SimTime, XApiError> {
+        cl.next_event_after(now).ok_or(XApiError::Stalled { waiting_for })
     }
 }
 

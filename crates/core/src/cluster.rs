@@ -33,6 +33,7 @@ use nvme::{
 };
 use pcie::MmioMode;
 use simkit::{Bytes, EventQueue, FaultPlan, SimDuration, SimError, SimTime};
+use std::cmp::Reverse;
 
 /// A mirrored chunk in flight to a secondary.
 #[derive(Debug, Clone)]
@@ -439,19 +440,110 @@ impl Cluster {
         }
     }
 
-    /// The earliest pending instant across devices and in-flight traffic —
-    /// lets blocking host calls jump virtual time.
+    /// The earliest pending instant strictly after `t` across devices and
+    /// in-flight traffic — lets blocking host calls jump virtual time. Every
+    /// calendar is filtered on its own, so one that its owner has not
+    /// drained to `t` hides nothing but its own later entries: call after
+    /// [`Cluster::advance`]`(t)`, which drains all but the host-facing
+    /// completion queues.
     pub fn next_event_after(&self, t: SimTime) -> Option<SimTime> {
-        let mut next: Option<SimTime> = self.next_delivery();
-        for d in &self.devices {
-            if let Some(e) = d.next_event() {
-                next = Some(next.map_or(e, |n| n.min(e)));
-            }
-            if let Some(u) = d.transport().next_update_at() {
-                next = Some(next.map_or(u, |n| n.min(u)));
-            }
+        let deliveries =
+            SimTime::earliest_after(t, self.mirrors.next_time(), self.shadows.next_time());
+        self.devices.iter().fold(deliveries, |next, d| {
+            let device =
+                SimTime::earliest_after(t, d.next_event_after(t), d.transport().next_update_at());
+            SimTime::earliest(next, device)
+        })
+    }
+
+    /// A lower bound on the instant device `dev`'s policy-combined credit on
+    /// `lane` can first cover `target`, for a cluster advanced to `t` where
+    /// it does not yet: each credit source's own bound — already there
+    /// counts as `t` — combined by the rule that combines the counters
+    /// ([`crate::transport::TransportModule::combine`]). Strictly after `t`;
+    /// `None` when a source the policy waits for has nothing in flight that
+    /// could get it there.
+    pub fn next_credit_event_after(
+        &self,
+        dev: DeviceIndex,
+        lane: usize,
+        target: u64,
+        t: SimTime,
+    ) -> Option<SimTime> {
+        // `Reverse`: a source is further along the *sooner* it gets there,
+        // and `None` (never) is behind every instant.
+        let sooner = |at: Option<SimTime>| at.map(|at| Reverse(at.max(t)));
+        let d = &self.devices[dev];
+        let local = sooner(d.credit_reaches(lane, target));
+        let bound = if lane == 0 {
+            d.transport().combine(d.config().replication, local, |src| {
+                sooner(self.shadow_reaches(dev, src, target, t))
+            })
+        } else {
+            local
+        };
+        let Reverse(at) = bound?;
+        debug_assert!(at > t, "credit wait at {t}: bound {at} — not advanced, or already covered");
+        Some(at)
+    }
+
+    /// A lower bound on when `primary`'s shadow of secondary `src` reaches
+    /// `target`, in the order the update travels backwards: it is there; a
+    /// queued run already carries it (its delivery); the secondary's own
+    /// counter has a drain scheduled to reach it (the first update cycle at
+    /// or after that drain); a mirror or a mirror retry is still on its way
+    /// to the secondary (its delivery). Otherwise never.
+    fn shadow_reaches(
+        &self,
+        primary: DeviceIndex,
+        src: DeviceIndex,
+        target: u64,
+        t: SimTime,
+    ) -> Option<SimTime> {
+        if self.devices[primary].transport().shadow_of(src) >= Some(target) {
+            return Some(t);
         }
-        next.filter(|n| *n > t)
+        if self.dead[src] {
+            return None;
+        }
+        // Walks of both queues: a handful of entries each (a few runs per
+        // secondary, a mirror per secondary per write in flight —
+        // docs/perf-log/PR-21.md has the measured lengths).
+        let carried = self
+            .shadows
+            .iter()
+            .filter(|(_, run)| run.src == src && run.dst == primary && run.value >= target)
+            .map(|(at, _)| at)
+            .min();
+        if carried.is_some() {
+            return carried;
+        }
+        let secondary = &self.devices[src];
+        match secondary.credit_reaches(0, target) {
+            Some(drained) => secondary.transport().next_update_at_or_after(drained),
+            None => self.mirrors.iter().filter(|(_, m)| m.dst == src).map(|(at, _)| at).min(),
+        }
+    }
+
+    /// Put a caller blocked on `dev`'s credit counter to sleep: from a
+    /// cluster standing at `at`, drive it to each instant the counter could
+    /// first cover `target` ([`Cluster::next_credit_event_after`] — a lower
+    /// bound, so no wake overshoots) until it does, and return that instant.
+    /// The sleeper issues no MMIO; each wake counts in
+    /// `core.fast.fsync_wakes`. `None` when the counter can never get there.
+    pub fn sleep_until_credit(
+        &mut self,
+        dev: DeviceIndex,
+        lane: usize,
+        target: u64,
+        mut at: SimTime,
+    ) -> Option<SimTime> {
+        while self.devices[dev].observed_credit(at, lane) < target {
+            at = self.next_credit_event_after(dev, lane, target, at)?;
+            self.advance(at);
+            self.devices[dev].fsync_wakes += 1;
+        }
+        Some(at)
     }
 
     /// Crash device `dev` (sudden power loss). Other devices keep running;
@@ -553,10 +645,14 @@ impl Cluster {
                     "resync stuck waiting for the primary's destage: cursor {cursor}, \
                      persisted {persisted}, cmb head {ring_from}, tail {upto}, at {t}"
                 );
-                t = match self.next_event_after(t) {
-                    Some(e) => e,
-                    None => t + SimDuration::from_micros(1),
+                self.advance(t);
+                let Some(next) = self.next_event_after(t) else {
+                    panic!(
+                        "resync stalled: nothing pending at {t} while [{persisted}, {ring_from}) \
+                         of the primary's log rides in-flight destage writes"
+                    )
                 };
+                t = next;
                 self.advance(t);
                 continue;
             };
@@ -736,12 +832,12 @@ mod tests {
         let mut final_credit = 0;
         for _ in 0..200 {
             cl.advance(now);
-            let (t3, c) = cl.read_credit(0, now, 0);
+            let (_, c) = cl.read_credit(0, now, 0);
             final_credit = c;
             if c >= 512 {
                 break;
             }
-            now = cl.next_event_after(t3).unwrap_or(t3 + SimDuration::from_micros(1));
+            now = cl.next_event_after(now).expect("the secondary's next update cycle is pending");
         }
         assert_eq!(final_credit, 512);
     }
@@ -842,7 +938,7 @@ mod tests {
     }
 
     /// Advance `cl` to `now`, record everything observable there, and
-    /// return the cluster's next event (1 us on if it has none).
+    /// return the cluster's next event.
     fn observe_into(
         log: &mut Vec<Obs>,
         cl: &mut Cluster,
@@ -852,10 +948,10 @@ mod tests {
     ) -> SimTime {
         cl.advance(now);
         let read = cl.read_credit(primary, now, 0);
-        let next = cl.next_event_after(read.0);
+        let next = cl.next_event_after(now);
         let status = cl.device(primary).transport().status_at(now);
         log.push((label, now, read, next, status));
-        next.unwrap_or(read.0 + SimDuration::from_micros(1))
+        next.expect("a replicated cluster has an event pending")
     }
 
     impl Script<'_> {
@@ -1141,6 +1237,40 @@ mod tests {
             s.observe("settle", now + SimDuration::from_millis(1));
             s.log
         });
+    }
+
+    #[test]
+    fn commits_are_durable_at_the_reference_instants() {
+        // `x_pwrite` + `x_fsync` cycles, think times over every phase of the
+        // update period: the credit-aware sleep must find the same wakes
+        // whether updates wait in the queue as runs or one entry per cycle.
+        let commits = |cl: &mut Cluster, secondaries: usize, tlp_drop: f64| {
+            let (mut s, mut now) = replicated(cl, secondaries);
+            if tlp_drop > 0.0 {
+                s.cl.arm_faults(&FaultPlan {
+                    seed: 0xF5C,
+                    transport: TransportFaultConfig {
+                        tlp_drop,
+                        replay_timeout: SimDuration::from_micros(10),
+                    },
+                    ..FaultPlan::disabled()
+                });
+            }
+            let mut file = crate::api::XLogFile::open(0);
+            for i in 0..40u64 {
+                // Up to 9 KiB: some writes exceed the 4 KiB window.
+                let data = vec![i as u8; 64 + 1_500 * (i as usize % 7)];
+                let t0 = now + SimDuration::from_nanos(i * 137 % 1_600);
+                let t1 = file.x_pwrite(s.cl, t0, &data).expect("x_pwrite");
+                now = file.x_fsync(s.cl, t1).expect("x_fsync");
+                let status = s.cl.device(0).transport().status_at(now);
+                s.log.push(("durable", now, (t1, file.written()), None, status));
+            }
+            s.log
+        };
+        assert_matches_reference("x_fsync, 2 secondaries", |cl| commits(cl, 2, 0.0));
+        assert_matches_reference("x_fsync, 3 secondaries", |cl| commits(cl, 3, 0.0));
+        assert_matches_reference("x_fsync, tlp_drop 0.2", |cl| commits(cl, 2, 0.2));
     }
 
     // `drive_random_scenario`: the `core/tests/cluster_scenarios.rs`

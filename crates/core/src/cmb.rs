@@ -184,6 +184,20 @@ impl CmbModule {
         self.pending.front().map(|&(at, _)| at)
     }
 
+    /// The instant the credit counter reaches `target`, from the drains
+    /// already scheduled: `pending` is ordered in time and in credit, so it
+    /// is the first entry at or above `target`. An instant at or before the
+    /// last settle if the counter is already there; `None` while the bytes
+    /// below `target` have not all been accepted (not written yet, or held
+    /// above a gap).
+    pub fn credit_reaches(&self, target: u64) -> Option<SimTime> {
+        if self.credit >= target {
+            return Some(SimTime::ZERO);
+        }
+        let i = self.pending.partition_point(|&(_, credit)| credit < target);
+        self.pending.get(i).map(|&(at, _)| at)
+    }
+
     /// Bytes currently in flight (received but not yet persisted) at `now`.
     pub fn inflight_at(&mut self, now: SimTime) -> u64 {
         let credit = self.credit_at(now);
@@ -625,6 +639,32 @@ mod tests {
             .expect("in-window CMB write rejected");
         let frontier = cmb.crash_drain();
         assert_eq!(frontier, 500, "destage stops at the gap");
+    }
+
+    #[test]
+    fn credit_reaches_names_the_drain_that_covers_the_target() {
+        let mut cmb = CmbModule::new(cfg(8192, 64 << 10));
+        let mut port = Port::new();
+        // Drains end at 1000 ns (credit 1000) and 1500 ns (credit 1500).
+        cmb.ingest(SimTime::ZERO, 0, &[1u8; 1000], |t, b| port.acquire(t, b))
+            .expect("in-window CMB write rejected");
+        cmb.ingest(SimTime::ZERO, 1000, &[1u8; 500], |t, b| port.acquire(t, b))
+            .expect("in-window CMB write rejected");
+        // A chunk above a gap is held: its bytes have no drain yet.
+        cmb.ingest(SimTime::ZERO, 1600, &[1u8; 100], |t, b| port.acquire(t, b))
+            .expect("in-window CMB write rejected");
+        assert_eq!(cmb.credit_reaches(1), Some(SimTime::from_nanos(1000)));
+        assert_eq!(cmb.credit_reaches(1000), Some(SimTime::from_nanos(1000)));
+        assert_eq!(cmb.credit_reaches(1001), Some(SimTime::from_nanos(1500)));
+        assert_eq!(cmb.credit_reaches(1501), None);
+        assert_eq!(cmb.credit_reaches(1700), None);
+        // Agrees with the settling read on both sides of each drain.
+        for (ns, target) in [(999, 1000), (1000, 1000), (1499, 1500), (1500, 1500)] {
+            let reached = cmb.credit_reaches(target).expect("drain scheduled");
+            let now = SimTime::from_nanos(ns);
+            assert_eq!(reached <= now, cmb.credit_at(now) >= target, "{ns} ns, target {target}");
+        }
+        assert_eq!(cmb.credit_reaches(1500), Some(SimTime::ZERO), "already there");
     }
 
     #[test]

@@ -89,6 +89,9 @@ pub struct VillarsDevice {
     fast_tlps: u64,
     /// Control-interface credit-counter reads (MMIO round trips).
     credit_reads: u64,
+    /// Times a blocked `x_fsync` on this device was woken to look at the
+    /// counter ([`crate::cluster::Cluster::sleep_until_credit`]: no MMIO).
+    pub(crate) fsync_wakes: u64,
     /// Reusable destage-completion drain buffer for the advance loop (one
     /// allocation for the device's lifetime instead of one per event step).
     destage_drain: Vec<(SimTime, u64)>,
@@ -145,6 +148,7 @@ impl VillarsDevice {
             fast_bytes_in: 0,
             fast_tlps: 0,
             credit_reads: 0,
+            fsync_wakes: 0,
             destage_drain: Vec::new(),
             port: PortAccounting::new(),
         }
@@ -483,6 +487,27 @@ impl VillarsDevice {
         SimTime::earliest(self.next_lane_event(), host_facing)
     }
 
+    /// The earliest pending device event strictly after `t`, each calendar
+    /// filtered on its own (see [`ConventionalSsd::next_event_after`]).
+    pub fn next_event_after(&self, t: SimTime) -> Option<SimTime> {
+        let lanes = self.lanes.iter().fold(None, |next, l| {
+            let lane = SimTime::earliest_after(t, l.destage.next_deadline(), l.cmb.next_pending());
+            SimTime::earliest(next, lane)
+        });
+        let host_facing = SimTime::earliest_after(
+            t,
+            self.conventional.next_event_after(t),
+            self.vendor_out.next_time(),
+        );
+        SimTime::earliest(lanes, host_facing)
+    }
+
+    /// When `lane`'s local credit counter reaches `target`
+    /// ([`CmbModule::credit_reaches`]).
+    pub fn credit_reaches(&self, lane: usize, target: u64) -> Option<SimTime> {
+        self.lanes[lane].cmb.credit_reaches(target)
+    }
+
     /// Log offset durable on the conventional side for `lane` (x_pread
     /// horizon).
     pub fn destaged_upto(&self, lane: usize) -> u64 {
@@ -720,6 +745,7 @@ impl simkit::Instrument for VillarsDevice {
         fast.counter("bytes_in", self.fast_bytes_in);
         fast.counter("tlps", self.fast_tlps);
         fast.counter("credit_reads", self.credit_reads);
+        fast.counter("fsync_wakes", self.fsync_wakes);
         if let Some(port) = &self.sram_port {
             fast.collect("sram_port", port);
         }

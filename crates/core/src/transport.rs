@@ -425,6 +425,15 @@ impl TransportModule {
         }
     }
 
+    /// Secondary: the first update cycle at or after `at` that has not been
+    /// emitted yet — the cycle that first reports a credit reached at `at`.
+    pub fn next_update_at_or_after(&self, at: SimTime) -> Option<SimTime> {
+        let next = self.next_update_at()?;
+        let period = self.config.shadow_update_period;
+        let cycles = at.saturating_since(next).as_nanos().div_ceil(period.as_nanos());
+        Some(next + period * cycles)
+    }
+
     /// Primary: apply `count` shadow-counter updates from `src`, all
     /// reporting `value`, the last of which arrived at `last_at`.
     pub fn apply_shadow(&mut self, src: DeviceIndex, value: u64, last_at: SimTime, count: u64) {
@@ -440,32 +449,42 @@ impl TransportModule {
         self.peers.iter().find(|p| p.dev == src).map(|p| p.shadow)
     }
 
-    /// Combine the local credit with the shadow counters per `policy` —
-    /// the value the database sees when it reads the credit counter.
-    pub fn combined_credit(&self, local: u64, policy: ReplicationPolicy) -> u64 {
+    /// The policy's pick among one value per credit source — `local` for
+    /// this device, `of(s)` for each secondary — where a larger value means
+    /// the source is further along. Eager waits for the furthest behind of
+    /// all, Chain for local and the last in the chain, Lazy for nobody,
+    /// Quorum(k) for the k-th furthest along. The credit counter is this
+    /// pick over counter values ([`TransportModule::combined_credit`]); the
+    /// instant it can cover an offset is the same pick over "how soon does
+    /// this source get there" ([`crate::cluster::Cluster`]'s credit wait),
+    /// so the two cannot disagree about whom a commit waits for.
+    pub fn combine<T: Ord + Copy>(
+        &self,
+        policy: ReplicationPolicy,
+        local: T,
+        mut of: impl FnMut(DeviceIndex) -> T,
+    ) -> T {
         match &self.role {
             Role::Primary { secondaries } if !secondaries.is_empty() => match policy {
-                ReplicationPolicy::Eager => {
-                    let min_shadow =
-                        secondaries.iter().filter_map(|s| self.shadow_of(*s)).min().unwrap_or(0);
-                    local.min(min_shadow)
-                }
+                ReplicationPolicy::Eager => secondaries.iter().map(|s| of(*s)).fold(local, T::min),
                 ReplicationPolicy::Lazy => local,
-                ReplicationPolicy::Chain => {
-                    let last = *secondaries.last().expect("non-empty");
-                    self.shadow_of(last).unwrap_or(0).min(local)
-                }
+                ReplicationPolicy::Chain => local.min(of(*secondaries.last().expect("non-empty"))),
                 ReplicationPolicy::Quorum(k) => {
-                    let mut counters: Vec<u64> = std::iter::once(local)
-                        .chain(secondaries.iter().filter_map(|s| self.shadow_of(*s)))
-                        .collect();
-                    counters.sort_unstable_by(|a, b| b.cmp(a));
-                    let k = (k as usize).clamp(1, counters.len());
-                    counters[k - 1]
+                    let mut all: Vec<T> =
+                        std::iter::once(local).chain(secondaries.iter().map(|s| of(*s))).collect();
+                    all.sort_unstable_by(|a, b| b.cmp(a));
+                    let k = (k as usize).clamp(1, all.len());
+                    all[k - 1]
                 }
             },
             _ => local,
         }
+    }
+
+    /// Combine the local credit with the shadow counters per `policy` —
+    /// the value the database sees when it reads the credit counter.
+    pub fn combined_credit(&self, local: u64, policy: ReplicationPolicy) -> u64 {
+        self.combine(policy, local, |s| self.shadow_of(s).expect("flow exists for secondary"))
     }
 
     /// NTB wire statistics of the upstream (secondary → primary) flow, for

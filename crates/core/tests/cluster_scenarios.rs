@@ -37,7 +37,7 @@ fn run_scenario(seed: u64) -> Trace {
         cl.advance(now);
         let (t2, credit) = cl.read_credit(0, now, 0);
         credit_reads.push((t2, credit));
-        cl.next_event_after(t2).unwrap_or(t2 + SimDuration::from_micros(1))
+        cl.next_event_after(now).expect("a replicated cluster has an event pending")
     });
     cl.advance(now + SimDuration::from_millis(1));
 

@@ -63,8 +63,13 @@ fn a_replicated_fsync_cycle_queues_a_few_runs_not_every_update() {
     }
     let updates = sent(&cl, 1) + sent(&cl, 2) - sent_before;
     let runs = cl.shadow_runs_queued() - queued_before;
-    // The per-cycle queue carried every update (tens per cycle).
+    // The per-cycle queue carried every update (a dozen per commit).
     assert!(updates > 10 * CYCLES, "only {updates} updates in {CYCLES} cycles");
-    assert!(runs < 20 * CYCLES, "{runs} runs queued in {CYCLES} cycles ({updates} updates)");
-    assert!(runs * 2 < updates, "{runs} runs for {updates} updates");
+    // A commit is four horizons — the fsync's advance and its three wakes
+    // (mirror landed, update cycle, shadow landed) — and each cuts every
+    // secondary's run. With the commit itself only ~6 update periods long
+    // that leaves runs short here (they were long while a blocked x_fsync
+    // overslept on a 10 us grid); the long stretches are the idle ones, above.
+    assert!(runs < 14 * CYCLES, "{runs} runs queued in {CYCLES} cycles ({updates} updates)");
+    assert!(runs < updates, "{runs} runs for {updates} updates");
 }

@@ -147,6 +147,16 @@ impl<E> EventQueue<E> {
         }
     }
 
+    /// Every pending event with its delivery time, in heap order (not time
+    /// order) — for a question about the queue's content, not its frontier.
+    /// O(n).
+    pub fn iter(&self) -> impl Iterator<Item = (SimTime, &E)> {
+        self.heap.iter().map(|e| {
+            let payload = self.slots[e.slot as usize].payload.as_ref();
+            (e.at, payload.expect("a heap entry's slot is occupied"))
+        })
+    }
+
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -297,6 +307,20 @@ mod tests {
         q.schedule(t(20), "b");
         assert_eq!(q.pop(), Some((t(20), "b")));
         assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    fn iter_visits_exactly_the_pending_events() {
+        let mut q = EventQueue::new();
+        let a = q.schedule(t(30), "a");
+        q.schedule(t(10), "b");
+        q.schedule(t(20), "c");
+        assert_eq!(q.pop(), Some((t(10), "b")));
+        q.schedule(t(5), "d"); // reuses b's slot
+        assert!(q.cancel(a));
+        let mut seen: Vec<_> = q.iter().map(|(at, e)| (at, *e)).collect();
+        seen.sort();
+        assert_eq!(seen, [(t(5), "d"), (t(20), "c")]);
     }
 
     #[test]

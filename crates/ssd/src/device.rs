@@ -823,6 +823,24 @@ impl ConventionalSsd {
         SimTime::earliest(self.next_flash_event(), fast_side)
     }
 
+    /// Earliest pending instant strictly after `t`, host-facing completions
+    /// included. Each calendar is filtered on its own: a completion the host
+    /// has not reaped sits at its posting time and must not hide the flash
+    /// work behind it.
+    pub fn next_event_after(&self, t: SimTime) -> Option<SimTime> {
+        let flash = SimTime::earliest_after(
+            t,
+            self.events.next_time(),
+            self.sched.next_start_hint(&self.array),
+        );
+        let fast_side = SimTime::earliest_after(
+            t,
+            self.destage_done.next_time(),
+            self.internal_reads_done.next_time(),
+        );
+        SimTime::earliest_after(t, SimTime::earliest(flash, fast_side), self.out.next_time())
+    }
+
     /// Earliest instant the flash pipeline itself moves (a scheduled
     /// event fires or queued flash work can start) — excluding the
     /// fast-side completion queues, which sit at their posting time until

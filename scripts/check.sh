@@ -34,6 +34,21 @@ echo "== fast-side run intake (release: per-TLP equivalence, run-share pin)"
 # guard the closed form are compiled out.
 cargo test --release -p xssd-core --test fast_write_runs --quiet
 
+echo "== credit-aware fsync (release: bound vs brute force, reads and wakes per commit)"
+# crates/core/tests/fsync_wake.rs: the bound-based wait against the
+# every-event oracle, and the count gate its debug run skips — 10 000
+# log_replicated-shaped commits cost exactly 2.00 credit reads and at most
+# 3.00 wakes each, the same counts on a second run.
+cargo test --release -p xssd-core --test fsync_wake --quiet
+
+echo "== no clock nudges (a wait with nothing pending is an error, not +N us)"
+# PERFORMANCE.md rule 2. `next_event_after(..)` answering `None` must end the
+# wait; falling back to a made-up instant is how the 10 us poll grid got in.
+if grep -rnE 'next_event_after\([^;]*(unwrap_or|from_micros)' crates/*/src; then
+  echo "FAIL: a next_event_after(..) result is replaced by a fallback instant (lines above)."
+  exit 1
+fi
+
 echo "== segment recovery smoke (release, torn-tail property)"
 # Three seeds of the torn-tail committed-prefix property from
 # crates/memdb/tests/segment_recovery.rs, in release mode (the same
@@ -58,4 +73,4 @@ echo "== benchmark: its own tests, then every workload and check at 1/50 horizon
 (cd benchmark && cargo test --offline --quiet)
 benchmark/run.sh --quick > /dev/null
 
-echo "ok: fmt, clippy, reachability, gate self-test, tests, recovery smoke, chaos smoke, benchmark checks all clean"
+echo "ok: fmt, clippy, reachability, gate self-test, tests, count and nudge gates, recovery smoke, chaos smoke, benchmark checks all clean"
