@@ -318,9 +318,6 @@ impl TransportModule {
         };
         let shared = Bytes::copy_from_slice(data);
         let len = data.len() as u64;
-        // Forward as 64-byte (WC-sized) TLP bursts.
-        let tlps = len.div_ceil(pcie::WC_BUFFER_BYTES).max(1);
-        let payload = (len / tlps).max(1) as u32;
         let mut out = Vec::with_capacity(secondaries.len());
         for &dst in secondaries {
             let port = &mut self
@@ -330,7 +327,9 @@ impl TransportModule {
                 .expect("flow exists for secondary")
                 .port;
             let addr = Self::window_for(dst).local_base + offset % MIRROR_WINDOW_SIZE;
-            let grant = port.forward_burst(now, addr, payload, tlps).expect("mirror window mapped");
+            // Forwarded as the TLPs it arrived in: full WC buffers, then the
+            // trailing partial.
+            let grant = port.forward_write(now, addr, len).expect("mirror window mapped");
             self.stats.mirrored_bytes += len;
             self.stats.mirror_messages += 1;
             out.push(Outbound::Mirror { dst, offset, data: shared.clone(), deliver_at: grant.end });
@@ -582,6 +581,31 @@ mod tests {
             }
         }
         assert_eq!(t.stats().mirrored_bytes, 256);
+    }
+
+    #[test]
+    fn mirror_charges_full_tlps_plus_the_trailing_partial() {
+        let mut t = primary_of(vec![1]);
+        // 136 B = 64 + 64 + 8, not three TLPs of 45.
+        t.mirror(SimTime::ZERO, 0, &[0u8; 136]);
+        assert_eq!(t.stats().mirrored_bytes, 136);
+        let mut reg = simkit::MetricsRegistry::new();
+        reg.collect("t", &t);
+        let flow = reg.snapshot();
+        assert_eq!(flow.counter("t.flow1.payload_bytes"), 136);
+        assert_eq!(flow.counter("t.flow1.messages"), 3);
+        assert_eq!(flow.counter("t.flow1.forwarded_tlps"), 3);
+        // The wire carried exactly what three single TLPs of 64, 64 and 8
+        // bytes carry.
+        let mut one_by_one = NtbPort::new(NtbConfig::default(), HostId(1));
+        one_by_one.add_window(TransportModule::window_for(1));
+        let base = TransportModule::window_for(1).local_base;
+        for payload in [64, 64, 8] {
+            one_by_one.forward(SimTime::ZERO, &Tlp::write(base, payload)).expect("mapped");
+        }
+        let wire = one_by_one.stats();
+        assert_eq!(flow.counter("t.flow1.overhead_bytes"), wire.overhead_bytes);
+        assert_eq!((wire.payload_bytes, wire.messages), (136, 3));
     }
 
     #[test]

@@ -10,6 +10,7 @@
 
 use crate::link::{LinkConfig, PcieLink};
 use crate::tlp::{BusAddr, Tlp};
+use crate::wc::StoreIssueModel;
 use simkit::faults::{FaultHook, LinkDownWindow, TransportFaultConfig};
 use simkit::{DetRng, Grant, LinkStats, SimDuration, SimTime};
 
@@ -241,7 +242,7 @@ impl NtbPort {
     }
 
     /// Forward a burst of `n` write TLPs of `payload` bytes each into the
-    /// window containing `addr`. Used by the transport module's mirror flow.
+    /// window containing `addr`.
     pub fn forward_burst(
         &mut self,
         now: SimTime,
@@ -249,11 +250,42 @@ impl NtbPort {
         payload: u32,
         n: u64,
     ) -> Option<Grant> {
+        self.forward_bursts(now, addr, [(payload, n)])
+    }
+
+    /// Forward a `len`-byte write into the window containing `addr`, cut
+    /// into TLPs as the write-combining CPU cut it on the way in
+    /// ([`StoreIssueModel::shape`]): full 64-byte TLPs, then the trailing
+    /// partial. One transfer for the fault layer. Used by the transport
+    /// module's mirror flow.
+    pub fn forward_write(&mut self, now: SimTime, addr: BusAddr, len: u64) -> Option<Grant> {
+        let shape = StoreIssueModel::wc().shape(len);
+        let partial = u64::from(shape.trailing_bytes > 0);
+        self.forward_bursts(
+            now,
+            addr,
+            [(shape.unit as u32, shape.full_count), (shape.trailing_bytes as u32, partial)],
+        )
+    }
+
+    /// Back-to-back bursts `(payload, n)` as one transfer: one translation,
+    /// one fault draw, the wire charged per burst. Empty bursts are skipped.
+    fn forward_bursts<const N: usize>(
+        &mut self,
+        now: SimTime,
+        addr: BusAddr,
+        bursts: [(u32, u64); N],
+    ) -> Option<Grant> {
         let _remote = self.translate(addr)?;
-        let fault = self.fault_delay(now);
-        let g = self.wire.send_write_burst(now + fault, payload, n);
-        self.forwarded_tlps += n;
-        Some(Grant { start: g.start, end: g.end + self.config.hop_latency })
+        let at = now + self.fault_delay(now);
+        let mut whole: Option<Grant> = None;
+        for (payload, n) in bursts.into_iter().filter(|&(_, n)| n > 0) {
+            let g = self.wire.send_write_burst(at, payload, n);
+            self.forwarded_tlps += n;
+            whole = Some(Grant { start: whole.map_or(g.start, |w| w.start), end: g.end });
+        }
+        let whole = whole.unwrap_or(Grant { start: at, end: at });
+        Some(Grant { start: whole.start, end: whole.end + self.config.hop_latency })
     }
 
     /// Number of TLPs forwarded so far.
