@@ -116,11 +116,9 @@ impl XLogFile {
                 }
                 if self.written - self.credit_seen >= q {
                     cl.advance(now);
-                    now = self.wait_for_progress(
-                        cl,
-                        now,
-                        "credits to reopen the flow-control window",
-                    )?;
+                    now = cl.next_event_after(now).ok_or(XApiError::Stalled {
+                        waiting_for: "credits to reopen the flow-control window",
+                    })?;
                 }
                 continue;
             }
@@ -142,7 +140,9 @@ impl XLogFile {
                     // Destaging is behind: the device stops granting
                     // credits, so the writer stalls until it catches up.
                     cl.advance(now);
-                    now = self.wait_for_progress(cl, now, "destaging to free CMB ring space")?;
+                    now = cl.next_event_after(now).ok_or(XApiError::Stalled {
+                        waiting_for: "destaging to free CMB ring space",
+                    })?;
                 }
                 Err(e) => return Err(e.into()),
             }
@@ -193,7 +193,9 @@ impl XLogFile {
             if cl.device(self.dev).destaged_upto(self.lane) >= self.read_cursor + len as u64 {
                 break;
             }
-            now = self.wait_for_progress(cl, now, "destaging to reach the requested range")?;
+            now = cl.next_event_after(now).ok_or(XApiError::Stalled {
+                waiting_for: "destaging to reach the requested range",
+            })?;
         }
         let (t, bytes) = cl
             .device_mut(self.dev)
@@ -201,17 +203,6 @@ impl XLogFile {
             .ok_or(XApiError::Stalled { waiting_for: "log range aged off the destage ring" })?;
         self.read_cursor += len as u64;
         Ok((t, bytes))
-    }
-
-    /// The next instant a cluster standing at `now` can make progress.
-    /// Nothing pending means the wait can never end.
-    fn wait_for_progress(
-        &self,
-        cl: &Cluster,
-        now: SimTime,
-        waiting_for: &'static str,
-    ) -> Result<SimTime, XApiError> {
-        cl.next_event_after(now).ok_or(XApiError::Stalled { waiting_for })
     }
 }
 

@@ -250,7 +250,7 @@ impl NtbPort {
         payload: u32,
         n: u64,
     ) -> Option<Grant> {
-        self.forward_bursts(now, addr, [(payload, n)])
+        self.forward_bursts(now, addr, &[(payload, n)])
     }
 
     /// Forward a `len`-byte write into the window containing `addr`, cut
@@ -264,22 +264,22 @@ impl NtbPort {
         self.forward_bursts(
             now,
             addr,
-            [(shape.unit as u32, shape.full_count), (shape.trailing_bytes as u32, partial)],
+            &[(shape.unit as u32, shape.full_count), (shape.trailing_bytes as u32, partial)],
         )
     }
 
     /// Back-to-back bursts `(payload, n)` as one transfer: one translation,
     /// one fault draw, the wire charged per burst. Empty bursts are skipped.
-    fn forward_bursts<const N: usize>(
+    fn forward_bursts(
         &mut self,
         now: SimTime,
         addr: BusAddr,
-        bursts: [(u32, u64); N],
+        bursts: &[(u32, u64)],
     ) -> Option<Grant> {
         let _remote = self.translate(addr)?;
         let at = now + self.fault_delay(now);
         let mut whole: Option<Grant> = None;
-        for (payload, n) in bursts.into_iter().filter(|&(_, n)| n > 0) {
+        for &(payload, n) in bursts.iter().filter(|(_, n)| *n > 0) {
             let g = self.wire.send_write_burst(at, payload, n);
             self.forwarded_tlps += n;
             whole = Some(Grant { start: whole.map_or(g.start, |w| w.start), end: g.end });
