@@ -231,7 +231,7 @@ fn bench_ntb_mirror_burst() {
         Some(16 << 10),
         || (),
         |()| {
-            let grant = port.forward_burst(t, 0x8000_0000, 64, 256).unwrap();
+            let grant = port.forward_write(t, 0x8000_0000, 16 << 10).unwrap();
             t = grant.start + SimDuration::from_micros(5);
             grant.end
         },

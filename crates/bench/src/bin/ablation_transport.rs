@@ -21,9 +21,8 @@ fn ntb_one_way(chunk: u64) -> (f64, NtbPort) {
         remote_host: pcie::HostId(1),
         remote_base: 0,
     });
-    // Ship the chunk as 64-byte (WC-sized) TLPs.
-    let tlps = chunk.div_ceil(64).max(1);
-    let g = port.forward_burst(SimTime::ZERO, 0, 64, tlps).expect("mapped");
+    // Shipped as the mirror flow ships it: 64-byte (WC-sized) TLPs.
+    let g = port.forward_write(SimTime::ZERO, 0, chunk).expect("mapped");
     (g.end.as_micros_f64(), port)
 }
 

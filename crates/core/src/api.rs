@@ -119,6 +119,8 @@ impl XLogFile {
                     now = cl.next_event_after(now).ok_or(XApiError::Stalled {
                         waiting_for: "credits to reopen the flow-control window",
                     })?;
+                    // The next read is issued at that event and sees it.
+                    cl.advance(now);
                 }
                 continue;
             }

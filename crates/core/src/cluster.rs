@@ -447,13 +447,10 @@ impl Cluster {
     /// [`Cluster::advance`]`(t)`, which drains all but the host-facing
     /// completion queues.
     pub fn next_event_after(&self, t: SimTime) -> Option<SimTime> {
-        let deliveries =
-            SimTime::earliest_after(t, self.mirrors.next_time(), self.shadows.next_time());
-        self.devices.iter().fold(deliveries, |next, d| {
-            let device =
-                SimTime::earliest_after(t, d.next_event_after(t), d.transport().next_update_at());
-            SimTime::earliest(next, device)
-        })
+        let deliveries = [self.mirrors.next_time(), self.shadows.next_time()];
+        let updates = self.devices.iter().map(|d| d.transport().next_update_at());
+        let traffic = deliveries.into_iter().chain(updates).flatten().filter(|at| *at > t).min();
+        self.devices.iter().fold(traffic, |next, d| SimTime::earliest(next, d.next_event_after(t)))
     }
 
     /// A lower bound on the instant device `dev`'s policy-combined credit on

@@ -463,43 +463,37 @@ impl VillarsDevice {
         self.conventional.advance_to(t);
     }
 
-    /// Earliest fast-side trigger on any lane: a destage latency deadline
-    /// or a CMB chunk settling.
-    fn next_lane_event(&self) -> Option<SimTime> {
-        self.lanes.iter().fold(None, |next, l| {
-            let lane = SimTime::earliest(l.destage.next_deadline(), l.cmb.next_pending());
-            SimTime::earliest(next, lane)
-        })
+    /// The earliest head `keep` admits among the device's calendars — the
+    /// one list of them: every lane's fast-side triggers (a destage latency
+    /// deadline, a CMB chunk settling), the conventional side's
+    /// ([`ConventionalSsd::frontier`]) and, if `host_facing`, the vendor
+    /// completions waiting for the host.
+    fn frontier(&self, host_facing: bool, keep: impl Fn(SimTime) -> bool) -> Option<SimTime> {
+        let lanes =
+            self.lanes.iter().flat_map(|l| [l.destage.next_deadline(), l.cmb.next_pending()]);
+        let vendor = self.vendor_out.next_time().filter(|_| host_facing);
+        let fast_side = lanes.chain([vendor]).flatten().filter(|at| keep(*at)).min();
+        SimTime::earliest(fast_side, self.conventional.frontier(host_facing, keep))
     }
 
     /// Earliest device-internal event for the advance stepper (excludes
     /// vendor completions and host-facing outbound completions, which only
     /// the host consumes).
     fn next_internal_event(&self) -> Option<SimTime> {
-        SimTime::earliest(self.next_lane_event(), self.conventional.next_device_event())
+        self.frontier(false, |_| true)
     }
 
     /// The earliest pending device event (conventional work, a fast-side
     /// trigger, or a completion waiting for the host).
     pub fn next_event(&self) -> Option<SimTime> {
-        let host_facing =
-            SimTime::earliest(self.conventional.next_event_at(), self.vendor_out.next_time());
-        SimTime::earliest(self.next_lane_event(), host_facing)
+        self.frontier(true, |_| true)
     }
 
-    /// The earliest pending device event strictly after `t`, each calendar
-    /// filtered on its own (see [`ConventionalSsd::next_event_after`]).
+    /// The earliest pending device event strictly after `t`. A completion
+    /// the host has not reaped sits at its posting time, at or before `t`,
+    /// and hides nothing: every calendar is filtered on its own.
     pub fn next_event_after(&self, t: SimTime) -> Option<SimTime> {
-        let lanes = self.lanes.iter().fold(None, |next, l| {
-            let lane = SimTime::earliest_after(t, l.destage.next_deadline(), l.cmb.next_pending());
-            SimTime::earliest(next, lane)
-        });
-        let host_facing = SimTime::earliest_after(
-            t,
-            self.conventional.next_event_after(t),
-            self.vendor_out.next_time(),
-        );
-        SimTime::earliest(lanes, host_facing)
+        self.frontier(true, |at| at > t)
     }
 
     /// When `lane`'s local credit counter reaches `target`

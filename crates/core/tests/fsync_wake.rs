@@ -313,6 +313,85 @@ fn stand_alone_lanes_sleep_until_their_own_drain() {
     }
 }
 
+/// `x_pwrite` by the book for a synced handle at `offset`: fill the
+/// flow-control window, and while it is shut poll the counter at every
+/// cluster event the host is free for — the cluster driven to the event
+/// before the read is issued there, so a shadow update landing at that
+/// instant is in the value read. Returns the instant the last byte was
+/// issued and the reads it took.
+fn pwrite_by_the_book(cl: &mut Cluster, offset: u64, t0: SimTime, data: &[u8]) -> (SimTime, u64) {
+    let window = cl.device(0).intake_queue_bytes(0);
+    let (mut written, mut credit_seen) = (offset, offset);
+    let (mut now, mut reads) = (t0, 0);
+    while written < offset + data.len() as u64 {
+        let room = window - (written - credit_seen);
+        if room == 0 {
+            let (read_done, credit) = cl.read_credit(0, now, 0);
+            reads += 1;
+            credit_seen = credit_seen.max(credit);
+            now = read_done;
+            if written - credit_seen == window {
+                cl.advance(now);
+                now = cl.next_event_after(now).expect("a live secondary's update cycle is pending");
+                cl.advance(now);
+            }
+            continue;
+        }
+        let from = (written - offset) as usize;
+        let chunk = &data[from..data.len().min(from + room as usize)];
+        let wc = MmioMode::WriteCombining;
+        (now, _) = cl.fast_write(0, now, 0, written, chunk, wc).expect("fast_write");
+        written += chunk.len() as u64;
+    }
+    (now, reads)
+}
+
+/// A replicated write larger than the flow-control window waits for credits
+/// inside `x_pwrite`: the read issued at the event that moves the shadow
+/// counter is the one that reopens the window, not the one after it.
+#[test]
+fn a_write_larger_than_the_window_resumes_on_the_read_that_sees_the_credit() {
+    let window = VillarsConfig::small().cmb.intake_queue_bytes as usize;
+    let mut waited = 0;
+    for (policy, secondaries) in [
+        (ReplicationPolicy::Eager, 1),
+        (ReplicationPolicy::Eager, 2),
+        (ReplicationPolicy::Chain, 2),
+        (ReplicationPolicy::Quorum(2), 2),
+    ] {
+        let case = Case {
+            policy,
+            secondaries,
+            faults: Faults::None,
+            config: VillarsConfig::small,
+            seed: 0x91D0 + secondaries as u64,
+        };
+        let (mut product, start) = build(&case);
+        let (mut book, _) = build(&case);
+        let mut rng = DetRng::new(case.seed);
+        let mut file = XLogFile::open(0);
+        let mut now = start;
+        for (i, size) in
+            [window + 64, 2 * window, 3 * window + 136, 16 << 10].into_iter().enumerate()
+        {
+            let data = vec![i as u8; size];
+            let t0 = now + SimDuration::from_nanos(rng.uniform(0, 1_599));
+            let what = format!("{case:?} write {i} ({size} B at {t0})");
+            let offset = file.written();
+            let (reads_before, _) = counters(&product);
+            let t1 = file.x_pwrite(&mut product, t0, &data).expect("x_pwrite");
+            let reads = counters(&product).0 - reads_before;
+            assert_eq!((t1, reads), pwrite_by_the_book(&mut book, offset, t0, &data), "{what}");
+            waited += reads;
+            // Both commit the same way, so the two clusters stay in step.
+            now = file.x_fsync(&mut product, t1).expect("x_fsync");
+            let mut twin = XLogFile::open_lane_at(0, 0, MmioMode::WriteCombining, file.written());
+            assert_eq!(twin.x_fsync(&mut book, t1).expect("x_fsync"), now, "{what}: x_fsync");
+        }
+    }
+    assert!(waited >= 16, "only {waited} credit reads inside x_pwrite: the window never shut");
+}
+
 /// The benchmark's `log_replicated` cycle (two eager secondaries, its size
 /// classes, its 0–1.6 us think time) for `commits` commits; returns the
 /// primary's `(credit_reads, fsync_wakes)` and the final instant.

@@ -49,9 +49,9 @@ fn a_quiet_millisecond_is_a_handful_of_runs() {
     assert_eq!(credit, 64, "both secondaries acknowledged the write");
 }
 
-#[test]
-fn a_replicated_fsync_cycle_queues_a_few_runs_not_every_update() {
-    const CYCLES: u64 = 2_000;
+/// `CYCLES` write + fsync commits on the primary, `think` apart; returns the
+/// updates the two secondaries sent and the runs queued for them.
+fn fsync_cycles(think: SimDuration) -> (u64, u64) {
     let (mut cl, mut now) = two_eager_secondaries();
     let mut file = XLogFile::open(0);
     let payload = [0xA5u8; 2048];
@@ -59,17 +59,31 @@ fn a_replicated_fsync_cycle_queues_a_few_runs_not_every_update() {
     for i in 0..CYCLES {
         let len = 64 + (i as usize * 200) % 1985;
         let t1 = file.x_pwrite(&mut cl, now, &payload[..len]).expect("x_pwrite");
-        now = file.x_fsync(&mut cl, t1).expect("x_fsync");
+        now = file.x_fsync(&mut cl, t1).expect("x_fsync") + think;
     }
-    let updates = sent(&cl, 1) + sent(&cl, 2) - sent_before;
-    let runs = cl.shadow_runs_queued() - queued_before;
-    // The per-cycle queue carried every update (a dozen per commit).
+    (sent(&cl, 1) + sent(&cl, 2) - sent_before, cl.shadow_runs_queued() - queued_before)
+}
+
+const CYCLES: u64 = 2_000;
+
+#[test]
+fn a_replicated_fsync_cycle_queues_a_few_runs_not_every_update() {
+    // Back to back a commit is ~6.5 update periods on each secondary (13.1
+    // updates), cut by the commit's horizons — the fsync's advance and its
+    // three wakes (mirror landed, update cycle, shadow landed) — and by the
+    // credit changing once per secondary: 11.75 runs, so the bound sits
+    // between the two. A per-cycle queue carries all 13.1 and fails it.
+    let (updates, runs) = fsync_cycles(SimDuration::ZERO);
     assert!(updates > 10 * CYCLES, "only {updates} updates in {CYCLES} cycles");
-    // A commit is four horizons — the fsync's advance and its three wakes
-    // (mirror landed, update cycle, shadow landed) — and each cuts every
-    // secondary's run. With the commit itself only ~6 update periods long
-    // that leaves runs short here (they were long while a blocked x_fsync
-    // overslept on a 10 us grid); the long stretches are the idle ones, above.
-    assert!(runs < 14 * CYCLES, "{runs} runs queued in {CYCLES} cycles ({updates} updates)");
-    assert!(runs < updates, "{runs} runs for {updates} updates");
+    assert!(runs <= 12 * CYCLES, "{runs} runs queued in {CYCLES} cycles ({updates} updates)");
+    // Those cuts are per commit, not per cycle: 10 us of think time (what a
+    // blocked x_fsync used to oversleep on its poll grid) triples the updates
+    // (38.1 per commit) and adds the one run per secondary that spans it
+    // (13.2), and no longer think time adds another.
+    let (updates, runs) = fsync_cycles(SimDuration::from_micros(10));
+    assert!(updates > 35 * CYCLES, "only {updates} updates in {CYCLES} cycles");
+    assert!(runs <= 14 * CYCLES, "{runs} runs queued in {CYCLES} cycles ({updates} updates)");
+    assert!(runs * 2 < updates, "{runs} runs for {updates} updates");
+    let (_, runs_long) = fsync_cycles(SimDuration::from_micros(50));
+    assert!(runs_long <= runs + CYCLES / 10, "{runs_long} runs at 50 us think, {runs} at 10 us");
 }

@@ -241,48 +241,24 @@ impl NtbPort {
         Some(Grant { start: g.start, end: g.end + self.config.hop_latency + extra })
     }
 
-    /// Forward a burst of `n` write TLPs of `payload` bytes each into the
-    /// window containing `addr`.
-    pub fn forward_burst(
-        &mut self,
-        now: SimTime,
-        addr: BusAddr,
-        payload: u32,
-        n: u64,
-    ) -> Option<Grant> {
-        self.forward_bursts(now, addr, &[(payload, n)])
-    }
-
     /// Forward a `len`-byte write into the window containing `addr`, cut
     /// into TLPs as the write-combining CPU cut it on the way in
     /// ([`StoreIssueModel::shape`]): full 64-byte TLPs, then the trailing
-    /// partial. One transfer for the fault layer. Used by the transport
-    /// module's mirror flow.
+    /// partial, back to back. One transfer: one translation, one fault
+    /// draw, the wire charged per TLP. Used by the transport module's
+    /// mirror flow.
     pub fn forward_write(&mut self, now: SimTime, addr: BusAddr, len: u64) -> Option<Grant> {
-        let shape = StoreIssueModel::wc().shape(len);
-        let partial = u64::from(shape.trailing_bytes > 0);
-        self.forward_bursts(
-            now,
-            addr,
-            &[(shape.unit as u32, shape.full_count), (shape.trailing_bytes as u32, partial)],
-        )
-    }
-
-    /// Back-to-back bursts `(payload, n)` as one transfer: one translation,
-    /// one fault draw, the wire charged per burst. Empty bursts are skipped.
-    fn forward_bursts(
-        &mut self,
-        now: SimTime,
-        addr: BusAddr,
-        bursts: &[(u32, u64)],
-    ) -> Option<Grant> {
         let _remote = self.translate(addr)?;
         let at = now + self.fault_delay(now);
+        let shape = StoreIssueModel::wc().shape(len);
+        let partial = u64::from(shape.trailing_bytes > 0);
         let mut whole: Option<Grant> = None;
-        for &(payload, n) in bursts.iter().filter(|(_, n)| *n > 0) {
-            let g = self.wire.send_write_burst(at, payload, n);
-            self.forwarded_tlps += n;
-            whole = Some(Grant { start: whole.map_or(g.start, |w| w.start), end: g.end });
+        for (payload, n) in [(shape.unit, shape.full_count), (shape.trailing_bytes, partial)] {
+            if n > 0 {
+                let g = self.wire.send_write_burst(at, payload as u32, n);
+                self.forwarded_tlps += n;
+                whole = Some(Grant { start: whole.map_or(g.start, |w| w.start), end: g.end });
+            }
         }
         let whole = whole.unwrap_or(Grant { start: at, end: at });
         Some(Grant { start: whole.start, end: whole.end + self.config.hop_latency })
@@ -379,8 +355,8 @@ mod tests {
     #[test]
     fn burst_forwarding_queues_on_wire() {
         let mut p = port();
-        let g1 = p.forward_burst(SimTime::ZERO, 0x8000_0000, 64, 100).unwrap();
-        let g2 = p.forward_burst(SimTime::ZERO, 0x8000_0000, 64, 100).unwrap();
+        let g1 = p.forward_write(SimTime::ZERO, 0x8000_0000, 6400).unwrap();
+        let g2 = p.forward_write(SimTime::ZERO, 0x8000_0000, 6400).unwrap();
         assert!(g2.end > g1.end, "second burst must queue behind the first");
         assert_eq!(p.forwarded_tlps(), 200);
     }
@@ -405,7 +381,7 @@ mod tests {
         for i in 0..500u64 {
             now += SimDuration::from_nanos(rng.uniform(0, 300));
             let g = if i % 3 == 0 {
-                p.forward_burst(now, 0x8000_0000, 64, 1 + rng.uniform(0, 4)).unwrap()
+                p.forward_write(now, 0x8000_0000, rng.uniform(1, 320)).unwrap()
             } else {
                 p.forward(now, &Tlp::write(0x8000_0040, 64)).unwrap().1
             };
@@ -418,10 +394,11 @@ mod tests {
         }
     }
 
-    /// A burst is one fault decision followed by `n` back-to-back TLPs on
-    /// the wire: with drops and a link-down window armed, the closed-form
-    /// burst must make the same draws, the same deliveries and leave the
-    /// same counters as that definition spelled out packet by packet.
+    /// A write is one fault decision followed by its TLPs back to back on
+    /// the wire — full 64-byte ones, then the trailing partial: with drops
+    /// and a link-down window armed, the closed-form bursts must make the
+    /// same draws, the same deliveries and leave the same counters as that
+    /// definition spelled out packet by packet.
     #[test]
     fn burst_draws_one_fault_and_charges_every_tlp() {
         let arm = |p: &mut NtbPort| {
@@ -441,26 +418,33 @@ mod tests {
         let mut now = SimTime::ZERO;
         for step in 0..400 {
             now += SimDuration::from_nanos(rng.uniform(0, 900));
-            let payload = rng.uniform(1, 64) as u32;
-            let n = rng.uniform(1, 256);
+            // Whole TLPs only, a lone partial, and both.
+            let len = match step % 3 {
+                0 => 64 * rng.uniform(1, 256),
+                1 => rng.uniform(1, 63),
+                _ => rng.uniform(65, 16 << 10),
+            };
 
-            let got = burst.forward_burst(now, 0x8000_0000, payload, n).unwrap();
+            let got = burst.forward_write(now, 0x8000_0000, len).unwrap();
 
             let fault = single.fault_delay(now);
             let mut first_start = None;
             let mut wire_free = now + fault;
-            for _ in 0..n {
-                let g = single.wire.send(wire_free, &Tlp::write(0x4000_0000, payload));
+            let mut left = len;
+            while left > 0 {
+                let payload = left.min(64);
+                let g = single.wire.send(wire_free, &Tlp::write(0x4000_0000, payload as u32));
                 first_start.get_or_insert(g.start);
                 wire_free = g.end - single.config.link.propagation;
+                single.forwarded_tlps += 1;
+                left -= payload;
             }
-            single.forwarded_tlps += n;
             let want = Grant {
-                start: first_start.expect("n >= 1"),
+                start: first_start.expect("len >= 1"),
                 end: wire_free + single.config.link.propagation + single.config.hop_latency,
             };
 
-            assert_eq!(got, want, "step {step}: now {now}, payload {payload}, n {n}");
+            assert_eq!(got, want, "step {step}: now {now}, len {len}");
             assert_eq!(burst.wire.busy_until(), single.wire.busy_until(), "step {step}");
         }
         assert_eq!(burst.forwarded_tlps(), single.forwarded_tlps());
@@ -591,13 +575,13 @@ mod tests {
             until: SimTime::from_micros(50),
         });
         // Before the outage: normal latency.
-        let g0 = p.forward_burst(SimTime::ZERO, 0x8000_0000, 64, 1).unwrap();
+        let g0 = p.forward_write(SimTime::ZERO, 0x8000_0000, 64).unwrap();
         assert!(g0.end < SimTime::from_micros(10));
         // Inside the outage: parked until retrain at 50us.
-        let g1 = p.forward_burst(SimTime::from_micros(20), 0x8000_0000, 64, 1).unwrap();
+        let g1 = p.forward_write(SimTime::from_micros(20), 0x8000_0000, 64).unwrap();
         assert!(g1.end >= SimTime::from_micros(50), "parked until retrain: {:?}", g1.end);
         // After the outage: normal again.
-        let g2 = p.forward_burst(SimTime::from_micros(60), 0x8000_0000, 64, 1).unwrap();
+        let g2 = p.forward_write(SimTime::from_micros(60), 0x8000_0000, 64).unwrap();
         assert!(g2.end < SimTime::from_micros(62));
         assert_eq!(p.fault_stats().deferrals, 1);
     }
@@ -612,7 +596,7 @@ mod tests {
             );
             (0..50)
                 .map(|i| {
-                    p.forward_burst(SimTime::from_micros(i * 10), 0x8000_0000, 64, 4)
+                    p.forward_write(SimTime::from_micros(i * 10), 0x8000_0000, 256)
                         .unwrap()
                         .end
                         .as_nanos()

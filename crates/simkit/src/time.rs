@@ -55,14 +55,6 @@ impl SimTime {
         }
     }
 
-    /// [`SimTime::earliest`] over the instants strictly after `t`: an entry
-    /// at or before `t` (a calendar head its owner has not drained) is
-    /// treated as absent instead of hiding the other.
-    #[inline]
-    pub fn earliest_after(t: SimTime, a: Option<SimTime>, b: Option<SimTime>) -> Option<SimTime> {
-        Self::earliest(a.filter(|a| *a > t), b.filter(|b| *b > t))
-    }
-
     /// Raw nanoseconds since simulation start.
     pub const fn as_nanos(self) -> u64 {
         self.0

@@ -810,35 +810,33 @@ impl ConventionalSsd {
 }
 
 impl ConventionalSsd {
-    /// Earliest *device-internal* pending instant: scheduled events (flash
-    /// completions, command completions not yet fired) and queued flash
-    /// work — excluding completions already sitting in the outbound queue,
-    /// which only the host can consume. Event-loop steppers use this;
-    /// drivers use [`NvmeController::next_event_at`].
-    pub fn next_device_event(&self) -> Option<SimTime> {
-        // Undelivered fast-side completions are pending work for the upper
-        // layer (the destage module / recovery reader).
-        let fast_side =
-            SimTime::earliest(self.destage_done.next_time(), self.internal_reads_done.next_time());
-        SimTime::earliest(self.next_flash_event(), fast_side)
-    }
-
-    /// Earliest pending instant strictly after `t`, host-facing completions
-    /// included. Each calendar is filtered on its own: a completion the host
-    /// has not reaped sits at its posting time and must not hide the flash
-    /// work behind it.
-    pub fn next_event_after(&self, t: SimTime) -> Option<SimTime> {
-        let flash = SimTime::earliest_after(
-            t,
+    /// The earliest head `keep` admits among the device's calendars — the
+    /// one list of them: scheduled events (flash completions, command
+    /// completions not yet fired), queued flash work, the undelivered
+    /// fast-side completions (pending work for the destage module / the
+    /// recovery reader) and, if `host_facing`, the completions in the
+    /// outbound queue, which only the host can consume. `keep` sees each
+    /// head on its own, so a head it rejects (a completion still sitting at
+    /// its posting time) hides nothing behind another calendar's.
+    pub fn frontier(&self, host_facing: bool, keep: impl Fn(SimTime) -> bool) -> Option<SimTime> {
+        [
             self.events.next_time(),
             self.sched.next_start_hint(&self.array),
-        );
-        let fast_side = SimTime::earliest_after(
-            t,
             self.destage_done.next_time(),
             self.internal_reads_done.next_time(),
-        );
-        SimTime::earliest_after(t, SimTime::earliest(flash, fast_side), self.out.next_time())
+            self.out.next_time().filter(|_| host_facing),
+        ]
+        .into_iter()
+        .flatten()
+        .filter(|at| keep(*at))
+        .min()
+    }
+
+    /// Earliest *device-internal* pending instant (no host-facing
+    /// completions). Event-loop steppers use this; drivers use
+    /// [`NvmeController::next_event_at`].
+    pub fn next_device_event(&self) -> Option<SimTime> {
+        self.frontier(false, |_| true)
     }
 
     /// Earliest instant the flash pipeline itself moves (a scheduled
@@ -913,7 +911,7 @@ impl NvmeController for ConventionalSsd {
     }
 
     fn next_event_at(&self) -> Option<SimTime> {
-        SimTime::earliest(self.next_device_event(), self.out.next_time())
+        self.frontier(true, |_| true)
     }
 
     fn namespace(&self) -> Namespace {
