@@ -11,7 +11,7 @@
 //! CMB, destage, and transport counters.
 
 use memdb::{WalConfig, WalManager, XssdLog};
-use simkit::{MetricValue, MetricsRegistry, SimDuration, SimTime, Snapshot};
+use simkit::{MetricsRegistry, SimDuration, SimTime, Snapshot};
 use tpcc::{setup, TpccConfig};
 use xssd_bench::driver::{self, DriverConfig};
 use xssd_bench::table::{Cell, Col, Table};
@@ -51,11 +51,7 @@ fn derive(snap: &Snapshot) -> (f64, f64) {
     let commits = snap.counter("db.commits") as f64;
     let elapsed_s = snap.counter("db.elapsed_ns") as f64 / 1e9;
     let tps = if elapsed_s > 0.0 { commits / elapsed_s } else { 0.0 };
-    let lat = match snap.get("db.commit_latency_us") {
-        Some(MetricValue::Latency { mean_us, .. }) => *mean_us,
-        _ => 0.0,
-    };
-    (tps, lat)
+    (tps, snap.latency("db.commit_latency_us").mean)
 }
 
 fn main() {

@@ -9,9 +9,7 @@
 //! Each (policy, secondaries) run snapshots the whole cluster; the mean
 //! latency is read back out of the snapshot's `bench.commit_us` summary.
 
-use simkit::{
-    Histogram, MetricValue, MetricsRegistry, SampleSeries, SimDuration, SimTime, Snapshot,
-};
+use simkit::{MetricsRegistry, SampleSeries, SimDuration, SimTime, Snapshot};
 use xssd_bench::table::{Cell, Col, Table};
 use xssd_bench::{cli, section, sweep, Measurement, Report};
 use xssd_core::{Cluster, ReplicationPolicy, VillarsConfig, XLogFile};
@@ -55,20 +53,12 @@ fn run(policy: ReplicationPolicy, secondaries: usize) -> Snapshot {
     }
     let mut reg = MetricsRegistry::new();
     reg.collect("", &cl);
-    reg.gauge("bench.mean_commit_us", lat.mean());
-    let mut hist = Histogram::new();
-    for &s in lat.samples() {
-        hist.record(s);
-    }
-    reg.scope("bench").latency("commit_us", &hist);
+    reg.scope("bench").latency("commit_us", lat.summary());
     reg.snapshot()
 }
 
 fn mean_us(snap: &Snapshot) -> f64 {
-    match snap.get("bench.commit_us") {
-        Some(MetricValue::Latency { .. }) => snap.gauge("bench.mean_commit_us"),
-        _ => 0.0,
-    }
+    snap.latency("bench.commit_us").mean
 }
 
 fn main() {

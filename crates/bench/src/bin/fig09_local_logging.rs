@@ -13,7 +13,7 @@
 //! file embeds — so the table and the export cannot drift apart.
 
 use memdb::{NoLog, NvmeLog, PmConfig, PmLog, WalConfig, XssdLog};
-use simkit::{MetricValue, SimDuration, Snapshot};
+use simkit::{SimDuration, Snapshot};
 use tpcc::{setup, TpccConfig};
 use xssd_bench::driver::{self, DriverConfig};
 use xssd_bench::table::{Cell, Col, Table};
@@ -73,12 +73,8 @@ fn derive(snap: &Snapshot) -> (f64, f64, f64) {
     let commits = snap.counter("db.commits") as f64;
     let elapsed_s = snap.counter("db.elapsed_ns") as f64 / 1e9;
     let tps = if elapsed_s > 0.0 { commits / elapsed_s } else { 0.0 };
-    let mean_us = match snap.get("db.commit_latency_us") {
-        Some(MetricValue::Latency { mean_us, .. }) => *mean_us,
-        _ => 0.0,
-    };
-    let p99_us = snap.gauge("db.commit_latency_p99_us_exact");
-    (tps, mean_us, p99_us)
+    let latency = snap.latency("db.commit_latency_us");
+    (tps, latency.mean, latency.p99)
 }
 
 fn main() {

@@ -11,44 +11,13 @@
 //! the snapshots, including `core.fast.credit_reads` — the round trips the
 //! paper's queue-size effect is made of.
 
-use simkit::{Histogram, MetricsRegistry, SampleSeries, SimTime, Snapshot};
+use simkit::Snapshot;
 use xssd_bench::table::{Cell, Col, Table};
-use xssd_bench::{cli, section, sweep, Measurement, Report};
-use xssd_core::{Cluster, VillarsConfig, XLogFile};
-
-/// Run `count` write+fsync cycles of `write_size` with an intake queue of
-/// `queue_size`, and snapshot the device stack afterwards.
-fn run(queue_size: u64, write_size: usize, count: usize) -> Snapshot {
-    let mut config = VillarsConfig::villars_sram();
-    config.cmb.intake_queue_bytes = queue_size;
-    let mut cl = Cluster::new();
-    let dev = cl.add_device(config);
-    let mut f = XLogFile::open(dev);
-    let data = vec![0x5Au8; write_size];
-    let mut lat = SampleSeries::new();
-    let mut now = SimTime::ZERO;
-    for _ in 0..count {
-        let t0 = now;
-        now = f.x_pwrite(&mut cl, now, &data).expect("write");
-        now = f.x_fsync(&mut cl, now).expect("fsync");
-        lat.record(now.saturating_since(t0).as_micros_f64());
-    }
-    let mut reg = MetricsRegistry::new();
-    reg.collect("", &cl);
-    reg.counter("bench.elapsed_ns", now.saturating_since(SimTime::ZERO).as_nanos());
-    reg.counter("bench.payload_bytes", (count * write_size) as u64);
-    reg.gauge("bench.mean_commit_us", lat.mean());
-    let mut hist = Histogram::new();
-    for &s in lat.samples() {
-        hist.record(s);
-    }
-    reg.scope("bench").latency("commit_us", &hist);
-    reg.snapshot()
-}
+use xssd_bench::{cli, kernels, section, sweep, Measurement, Report};
 
 /// (mean latency µs, MB/s) derived from the snapshot.
 fn derive(snap: &Snapshot) -> (f64, f64) {
-    let lat_us = snap.gauge("bench.mean_commit_us");
+    let lat_us = snap.latency("bench.commit_us").mean;
     let bytes = snap.counter("bench.payload_bytes") as f64;
     let secs = snap.counter("bench.elapsed_ns") as f64 / 1e9;
     let mbps = if secs > 0.0 { bytes / secs / 1e6 } else { 0.0 };
@@ -67,7 +36,7 @@ fn main() {
     let writes = [1usize << 10, 4 << 10, 16 << 10, 32 << 10, 64 << 10];
     let grid: Vec<(u64, usize)> =
         queues.iter().flat_map(|&q| writes.iter().map(move |&w| (q, w))).collect();
-    let snaps = sweep::map(&grid, |&(q, wsize)| run(q, wsize, 300));
+    let snaps = sweep::map(&grid, |&(q, wsize)| kernels::queue_size_cycles(q, wsize, 300).0);
     section("latency (us) and throughput (MB/s) per (queue, write) pair");
     let table = Table::new(&[
         Col::left("queue_KiB", 12),

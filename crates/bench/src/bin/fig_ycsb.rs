@@ -14,7 +14,7 @@
 //! and the workload's own `db.ycsb.*` counters (docs/OBSERVABILITY.md).
 
 use memdb::{NvmeLog, PmConfig, PmLog, WalConfig, XssdLog};
-use simkit::{MetricValue, SimDuration, Snapshot};
+use simkit::{SimDuration, Snapshot};
 use xssd_bench::driver::{self, DriverConfig};
 use xssd_bench::table::{Cell, Col, Table};
 use xssd_bench::ycsb::{self, YcsbConfig, YcsbMix};
@@ -70,16 +70,13 @@ fn run(mix: YcsbMix, backend: Backend, cell: usize) -> Snapshot {
     }
 }
 
-/// (ktxn/s, mean µs, exact p99 µs) from a cell's snapshot.
+/// (ktxn/s, mean µs, p99 µs) from a cell's snapshot.
 fn derive(snap: &Snapshot) -> (f64, f64, f64) {
     let commits = snap.counter("db.commits") as f64;
     let elapsed_s = snap.counter("db.elapsed_ns") as f64 / 1e9;
     let tps = if elapsed_s > 0.0 { commits / elapsed_s } else { 0.0 };
-    let mean_us = match snap.get("db.commit_latency_us") {
-        Some(MetricValue::Latency { mean_us, .. }) => *mean_us,
-        _ => 0.0,
-    };
-    (tps / 1e3, mean_us, snap.gauge("db.commit_latency_p99_us_exact"))
+    let latency = snap.latency("db.commit_latency_us");
+    (tps / 1e3, latency.mean, latency.p99)
 }
 
 fn main() {

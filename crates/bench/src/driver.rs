@@ -185,18 +185,6 @@ impl DriverReport {
     pub fn mean_latency_us(&self) -> f64 {
         self.run.mean_latency_us()
     }
-
-    /// Exact-sample p99 latency over the measured window, µs.
-    ///
-    /// Like any [`simkit::SampleSeries`] percentile query this sorts the
-    /// series in place, which perturbs the float-summation order of a
-    /// later `mean()` — so a collected `db.commit_latency_us.mean_us`
-    /// differs by an ulp between a harness that queries before collecting
-    /// ([`run_cell`]) and one that never queries. The driver never queries
-    /// it on its own.
-    pub fn exact_p99_us(&mut self) -> f64 {
-        self.run.latency_us.percentile(99.0)
-    }
 }
 
 impl Instrument for DriverReport {
@@ -339,9 +327,7 @@ pub fn villars_cluster(sram: bool) -> Cluster {
 /// One database cell: drive `workload` through a WAL over `backend` and
 /// collect the full cross-stack snapshot — the run's `db.*` metrics, the WAL
 /// counters, the backend's device stack (PCIe / SSD / flash / core groups
-/// where it has one) and the workload's own counters. The bucketed
-/// `db.commit_latency_us` p99 is a power-of-two lower bound, so the
-/// exact-sample value rides alongside as `db.commit_latency_p99_us_exact`.
+/// where it has one) and the workload's own counters.
 pub fn run_cell<B, W>(
     db: &mut Database,
     workload: &mut W,
@@ -354,12 +340,10 @@ where
     W: Workload + Instrument,
 {
     let mut wal = WalManager::new(backend, wal);
-    let mut report = run(db, &mut wal, workload, cfg);
-    let exact_p99 = report.exact_p99_us();
+    let report = run(db, &mut wal, workload, cfg);
     let mut reg = MetricsRegistry::new();
     reg.collect("", &report);
     reg.collect("", &wal);
     reg.collect("", &*workload);
-    reg.gauge("db.commit_latency_p99_us_exact", exact_p99);
     reg.snapshot()
 }

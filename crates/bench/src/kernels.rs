@@ -11,7 +11,7 @@
 
 use crate::driver::{self, DriverConfig};
 use memdb::{WalConfig, XssdLog};
-use simkit::{Histogram, MetricsRegistry, SampleSeries, SimDuration, SimTime, Snapshot};
+use simkit::{MetricsRegistry, SampleSeries, SimDuration, SimTime, Snapshot};
 use tpcc::{setup, TpccConfig};
 use xssd_core::{Cluster, VillarsConfig, XLogFile};
 
@@ -61,11 +61,6 @@ pub fn queue_size_cycles(
     reg.collect("", &cl);
     reg.counter("bench.elapsed_ns", now.saturating_since(SimTime::ZERO).as_nanos());
     reg.counter("bench.payload_bytes", (count * write_size) as u64);
-    reg.gauge("bench.mean_commit_us", lat.mean());
-    let mut hist = Histogram::new();
-    for &s in lat.samples() {
-        hist.record(s);
-    }
-    reg.scope("bench").latency("commit_us", &hist);
+    reg.scope("bench").latency("commit_us", lat.summary());
     (reg.snapshot(), completions)
 }

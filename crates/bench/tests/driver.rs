@@ -27,15 +27,13 @@ fn tpcc_driver_replays_the_legacy_closed_loop() {
     let (mut db_b, mut wl_b, _) = setup(TpccConfig::bench(), 0x716);
     let mut wal_b = WalManager::new(PmLog::new(PmConfig::default()), WalConfig::default());
     let cfg = DriverConfig { workers: 4, measure: dur, seed: 0xF00D, ..DriverConfig::default() };
-    let mut driven = driver::run(&mut db_b, &mut wal_b, &mut wl_b, &cfg);
+    let driven = driver::run(&mut db_b, &mut wal_b, &mut wl_b, &cfg);
 
     assert_eq!(legacy.committed, driven.run.committed);
     assert_eq!(legacy.aborted, driven.run.aborted);
     assert_eq!(legacy.elapsed, driven.run.elapsed);
-    // Samples match in INSERTION order: the driver never sorts the
-    // aggregate series on its own (a percentile query would perturb the
-    // float-summation order of the collected mean — see
-    // `DriverReport::exact_p99_us`).
+    // Samples match in INSERTION order: neither the driver nor collecting
+    // a report sorts the aggregate series.
     assert_eq!(legacy.latency_us.samples(), driven.run.latency_us.samples());
     assert_eq!(legacy.log_bytes, driven.run.log_bytes);
     assert_eq!(legacy.flushes, driven.run.flushes);
@@ -62,8 +60,16 @@ fn tpcc_driver_replays_the_legacy_closed_loop() {
         "unexpected driver-only paths: {added:?}"
     );
 
-    // Exact-sample percentiles agree too (what fig09 prints).
-    assert_eq!(legacy.latency_us.percentile(99.0), driven.exact_p99_us());
+    // The published percentiles agree too (what fig09 prints), collecting
+    // left both series in recording order, and the published values are the
+    // samples' own.
+    let published = snap_b.latency("db.commit_latency_us");
+    assert_eq!(snap_a.latency("db.commit_latency_us"), published);
+    assert_eq!(legacy.latency_us.samples(), driven.run.latency_us.samples());
+    assert_eq!(published.count, legacy.committed);
+    assert_eq!(published.mean, legacy.mean_latency_us());
+    assert_eq!(published.p50, legacy.latency_us.percentile(50.0));
+    assert_eq!(published.p99, legacy.latency_us.percentile(99.0));
 
     // The per-kind breakdown covers every commit and matches the
     // workload's own mix counters.

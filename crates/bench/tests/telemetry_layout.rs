@@ -10,6 +10,7 @@ use simkit::faults::{site, FlashFaultConfig, TransportFaultConfig};
 use simkit::{FaultPlan, Instrument, MetricsRegistry, SimDuration, SimTime};
 use ssd::{ConventionalSsd, SsdConfig};
 use xssd_bench::driver::{self, DriverConfig};
+use xssd_bench::kernels;
 use xssd_bench::ycsb::{self, YcsbConfig, YcsbMix};
 use xssd_core::{Cluster, VillarsConfig};
 
@@ -122,4 +123,21 @@ fn xssd_log_paths_are_history_free() {
 #[test]
 fn replicated_xssd_log_paths_are_history_free() {
     assert_history_free("villars + 1 secondary", |plan| villars(1, plan));
+}
+
+/// A latency is published once, as its `Latency` entry: no gauge beside it
+/// repeats the mean or carries a second p99.
+#[test]
+fn a_latency_is_one_entry() {
+    let (cycles, _) = kernels::queue_size_cycles(4 << 10, 4 << 10, 8);
+    let bench: Vec<&str> =
+        cycles.iter().map(|(path, _)| path).filter(|path| path.starts_with("bench.")).collect();
+    assert_eq!(bench, ["bench.commit_us", "bench.elapsed_ns", "bench.payload_bytes"]);
+    assert_eq!(cycles.latency("bench.commit_us").count, 8);
+
+    let cell = kernels::tpcc_villars_sram_cell(2, SimDuration::from_millis(2));
+    let latency: Vec<&str> =
+        cell.iter().map(|(path, _)| path).filter(|path| path.contains("latency")).collect();
+    assert_eq!(latency, ["db.commit_latency_us"]);
+    assert_eq!(cell.latency("db.commit_latency_us").count, cell.counter("db.commits"));
 }

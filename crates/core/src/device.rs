@@ -155,7 +155,8 @@ impl VillarsDevice {
     }
 
     /// Per-port accounting for [`IoPort`] submissions (CID liveness,
-    /// in-flight depth, queue-depth histogram); reported under `core.port`.
+    /// in-flight depth, submissions per queue depth); reported under
+    /// `core.port`.
     pub fn port_stats(&self) -> &PortAccounting {
         &self.port
     }

@@ -66,8 +66,10 @@ pub trait LogBackend {
     fn appends_in_flight(&self) -> usize;
 
     /// Earliest instant at which an in-flight unit could become durable —
-    /// a virtual-time jump target for pollers. `None` when nothing is in
-    /// flight or the backend cannot bound it (pollers should nudge).
+    /// a virtual-time jump target for pollers. `None` only when nothing is
+    /// in flight: a backend with a unit in flight must bound it, and a
+    /// poller that gets `None` while it waits reports a stall instead of
+    /// stepping the clock (`docs/PERFORMANCE.md` rule 2).
     fn next_completion_at(&self) -> Option<SimTime>;
 
     /// Total bytes appended.

@@ -119,11 +119,7 @@ impl simkit::Instrument for RunReport {
         db.counter("log_bytes", self.log_bytes);
         db.counter("flushes", self.flushes);
         db.counter("elapsed_ns", self.elapsed.as_nanos());
-        let mut hist = simkit::Histogram::new();
-        for &s in self.latency_us.samples() {
-            hist.record(s);
-        }
-        db.latency("commit_latency_us", &hist);
+        db.latency("commit_latency_us", self.latency_us.summary());
         db.gauge("max_log_inflight", self.max_log_inflight as f64);
     }
 }
@@ -282,10 +278,16 @@ where
                 // filling worker moves straight on — unless every pipeline
                 // slot is occupied: then the log buffer is full, and this
                 // worker parks until the earliest in-flight group can
-                // complete (nudge when the backend cannot bound it).
+                // complete.
                 if wal.threshold_reached() && !wal.commit_group(t1, depth, &mut reports) {
-                    let next =
-                        wal.next_flush_completion_at().unwrap_or(t1 + SimDuration::from_micros(1));
+                    let Some(next) = wal.next_flush_completion_at() else {
+                        panic!(
+                            "log writer stalled: nothing pending at {t1} while {} group(s) \
+                             ride in-flight appends on `{}`",
+                            wal.flushes_in_flight(),
+                            wal.backend().name(),
+                        )
+                    };
                     available[w] = next.max(t1);
                 }
                 // Bounded run-ahead: when the log writer's horizon runs

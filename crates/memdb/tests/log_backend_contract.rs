@@ -58,7 +58,7 @@ fn check_blocking_contract<B: LogBackend>(b: &mut B) {
 }
 
 /// Drive the asynchronous path dry, jumping virtual time to each next
-/// completion bound (with a nudge when the backend cannot bound it).
+/// completion bound — which every backend with a unit in flight must give.
 fn drain_until_dry<B: LogBackend>(b: &mut B, mut now: SimTime) -> Vec<(AppendTag, SimTime)> {
     let mut out = Vec::new();
     let mut rounds = 0u32;
@@ -67,7 +67,9 @@ fn drain_until_dry<B: LogBackend>(b: &mut B, mut now: SimTime) -> Vec<(AppendTag
         if b.appends_in_flight() == 0 {
             break;
         }
-        let hint = b.next_completion_at().unwrap_or(now + SimDuration::from_micros(1));
+        let hint = b
+            .next_completion_at()
+            .unwrap_or_else(|| panic!("{}: a unit in flight but no completion bound", b.name()));
         now = hint.max(now + SimDuration::from_nanos(100));
         rounds += 1;
         assert!(rounds < 100_000, "{}: appends never completed", b.name());

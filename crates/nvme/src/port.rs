@@ -32,12 +32,13 @@
 //! per-port CID allocation that skips live CIDs (a wrapped 16-bit CID
 //! must never collide with a still-in-flight command), plus queue-depth
 //! telemetry (submitted/completed counters, an in-flight gauge and
-//! high-water mark, an in-flight-depth histogram, and the driver's retry
-//! and fault counters). Its owner reports it: `VillarsDevice` under
-//! `core.port`, `NvmeLog` under `db.log.port` (`docs/OBSERVABILITY.md`).
+//! high-water mark, an exact count of submissions per in-flight depth, and
+//! the driver's retry and fault counters). Its owner reports it:
+//! `VillarsDevice` under `core.port`, `NvmeLog` under `db.log.port`
+//! (`docs/OBSERVABILITY.md`).
 
 use crate::command::{CommandId, CommandKind, CompletionEntry};
-use simkit::{DiagnosticSnapshot, Histogram, SimError, SimTime};
+use simkit::{DiagnosticSnapshot, SimError, SimTime, Summary};
 use std::collections::HashSet;
 
 /// Identifies one in-flight submission on the port that issued it.
@@ -99,8 +100,9 @@ pub struct PortAccounting {
     live: HashSet<CommandId>,
     submitted: u64,
     completed: u64,
-    max_in_flight: usize,
-    depth: Histogram,
+    /// `depth[d]` submissions found `d` commands in flight, their own
+    /// included; `d` is bounded by the deepest the port has been.
+    depth: Vec<u64>,
     /// Driver retries (error-completion resubmits + timeout resubmits).
     retries: u64,
     /// Commands whose completion deadline expired (timeout → abort).
@@ -119,8 +121,7 @@ impl PortAccounting {
             live: HashSet::new(),
             submitted: 0,
             completed: 0,
-            max_in_flight: 0,
-            depth: Histogram::new(),
+            depth: Vec::new(),
             retries: 0,
             timeouts: 0,
             error_completions: 0,
@@ -147,8 +148,11 @@ impl PortAccounting {
         let fresh = self.live.insert(cid);
         debug_assert!(fresh, "cid {cid} allocated while still in flight");
         self.submitted += 1;
-        self.max_in_flight = self.max_in_flight.max(self.live.len());
-        self.depth.record(self.live.len() as f64);
+        let depth = self.live.len();
+        if self.depth.len() <= depth {
+            self.depth.resize(depth + 1, 0);
+        }
+        self.depth[depth] += 1;
         cid
     }
 
@@ -180,12 +184,22 @@ impl PortAccounting {
 
     /// High-water mark of the in-flight depth.
     pub fn max_in_flight(&self) -> usize {
-        self.max_in_flight
+        self.depth.len().saturating_sub(1)
     }
 
     /// Distribution of in-flight depth sampled at each submission.
-    pub fn depth_histogram(&self) -> &Histogram {
-        &self.depth
+    fn depth_summary(&self) -> Summary {
+        let n = self.submitted as usize;
+        let sum: u64 = self.depth.iter().zip(0..).map(|(&count, depth)| count * depth).sum();
+        let mean = if n == 0 { 0.0 } else { sum as f64 / n as f64 };
+        Summary::of_ranked(n, mean, |k| {
+            let mut seen = 0;
+            let depth = self.depth.iter().position(|&count| {
+                seen += count;
+                seen > k as u64
+            });
+            depth.expect("a rank below the submission count") as f64
+        })
     }
 
     /// Count one driver retry (resubmission of an existing CID).
@@ -240,8 +254,8 @@ impl simkit::Instrument for PortAccounting {
         out.counter("submitted", self.submitted);
         out.counter("completed", self.completed);
         out.gauge("inflight", self.live.len() as f64);
-        out.gauge("max_inflight", self.max_in_flight as f64);
-        out.latency("depth", &self.depth);
+        out.gauge("max_inflight", self.max_in_flight() as f64);
+        out.latency("depth", self.depth_summary());
         out.counter("retry.resubmits", self.retries);
         out.counter("fault.timeouts", self.timeouts);
         out.counter("fault.error_completions", self.error_completions);
@@ -348,7 +362,7 @@ mod tests {
         acct.finish(a);
         assert_eq!(acct.max_in_flight(), 3);
         assert_eq!(acct.in_flight(), 1);
-        assert_eq!(acct.depth_histogram().count(), 3);
+        assert_eq!(acct.depth_summary().count, 3);
         acct.finish(c);
         let mut reg = simkit::MetricsRegistry::new();
         reg.collect("port", &acct);
@@ -357,5 +371,38 @@ mod tests {
         assert_eq!(snap.counter("port.completed"), 3);
         assert_eq!(snap.gauge("port.max_inflight"), 3.0);
         assert_eq!(snap.gauge("port.inflight"), 0.0);
+    }
+
+    #[test]
+    fn a_port_held_at_depth_one_reports_depth_one() {
+        let mut acct = PortAccounting::new();
+        for _ in 0..50 {
+            let cid = acct.begin();
+            acct.finish(cid);
+        }
+        let d = acct.depth_summary();
+        assert_eq!((d.count, d.mean, d.p50, d.p99), (50, 1.0, 1.0, 1.0));
+        assert_eq!(PortAccounting::new().depth_summary(), simkit::SampleSeries::new().summary());
+    }
+
+    #[test]
+    fn depth_summary_matches_a_sample_series_of_the_same_depths() {
+        let mut rng = simkit::DetRng::new(0xDE97);
+        let mut acct = PortAccounting::new();
+        let mut brute = simkit::SampleSeries::new();
+        let mut live = Vec::new();
+        for step in 0..2_000 {
+            // Mostly shallow with bursts, so p50 and p99 land on different
+            // depths and the interpolated rank falls between two of them.
+            let target = if step % 97 < 30 { 24 } else { rng.uniform(1, 4) as usize };
+            while live.len() >= target {
+                let cid = live.swap_remove(rng.uniform(0, live.len() as u64 - 1) as usize);
+                acct.finish(cid);
+            }
+            live.push(acct.begin());
+            brute.record(live.len() as f64);
+            assert_eq!(acct.depth_summary(), brute.summary(), "after {} submissions", step + 1);
+        }
+        assert_eq!(acct.max_in_flight(), 24);
     }
 }

@@ -9,7 +9,7 @@
 //! - [`resource`] — contention primitives ([`SerialResource`], [`Link`])
 //!   where interference *emerges* from queueing;
 //! - [`bandwidth`] — rate arithmetic in the units hardware specs use;
-//! - [`stats`] — exact sample series, candlesticks, power-of-two histograms;
+//! - [`stats`] — exact sample series, their summaries, candlesticks;
 //! - [`rng`] — explicitly seeded randomness for replayable workloads;
 //! - [`bytes`] — cheaply cloneable immutable payload buffers;
 //! - [`telemetry`] — the cross-stack metrics registry every device model
@@ -46,7 +46,7 @@ pub use events::{EventId, EventQueue};
 pub use faults::{FaultHook, FaultPlan};
 pub use resource::{Grant, Link, LinkStats, SerialResource};
 pub use rng::{DetRng, Zipfian};
-pub use stats::{Candlestick, Histogram, SampleSeries};
+pub use stats::{Candlestick, SampleSeries, Summary};
 pub use telemetry::{Instrument, MetricValue, MetricsRegistry, Scope, Snapshot};
 pub use time::{SimDuration, SimTime};
 

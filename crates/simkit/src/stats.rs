@@ -3,7 +3,8 @@
 //! The paper reports means, log-scale latency curves, and candlestick
 //! (min/quartile/max) summaries (Fig. 13). Experiments here are
 //! small enough that we keep exact samples and compute summaries directly —
-//! no sketches, no reservoir sampling, fully reproducible.
+//! no sketches, no reservoir sampling, fully reproducible. The telemetry
+//! `Latency` kind publishes a [`Summary`] of the same samples.
 
 use crate::time::SimDuration;
 
@@ -22,10 +23,64 @@ pub struct Candlestick {
     pub max: f64,
 }
 
+/// What telemetry publishes of a distribution: how many samples, their
+/// mean, and the median and 99th percentile by the interpolated ranks of
+/// [`SampleSeries::percentile`].
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct Summary {
+    /// Number of samples.
+    pub count: u64,
+    /// Arithmetic mean (0 if empty).
+    pub mean: f64,
+    /// Median.
+    pub p50: f64,
+    /// 99th percentile.
+    pub p99: f64,
+}
+
+impl Summary {
+    /// Summary of `count` samples with mean `mean` whose `k`-th smallest
+    /// (from 0) is `at(k)` — for a collector that holds its samples in some
+    /// other form than a [`SampleSeries`] (a count per value, say).
+    pub fn of_ranked(count: usize, mean: f64, at: impl Fn(usize) -> f64) -> Self {
+        Summary {
+            count: count as u64,
+            mean,
+            p50: interpolate(count, 50.0, &at),
+            p99: interpolate(count, 99.0, &at),
+        }
+    }
+}
+
+/// Percentile `p` of `n` samples whose `k`-th smallest is `at(k)`, by linear
+/// interpolation between the two closest ranks; 0 when `n` is 0.
+fn interpolate(n: usize, p: f64, at: impl Fn(usize) -> f64) -> f64 {
+    assert!((0.0..=100.0).contains(&p), "percentile must be in [0,100]");
+    if n == 0 {
+        return 0.0;
+    }
+    let rank = p / 100.0 * (n - 1) as f64;
+    let lo = rank.floor() as usize;
+    let hi = rank.ceil() as usize;
+    if lo == hi {
+        at(lo)
+    } else {
+        let frac = rank - lo as f64;
+        at(lo) * (1.0 - frac) + at(hi) * frac
+    }
+}
+
+fn sort(samples: &mut [f64]) {
+    samples.sort_by(|a, b| a.partial_cmp(b).expect("NaN sample"));
+}
+
 /// An exact sample collection with percentile queries.
 #[derive(Debug, Clone, Default)]
 pub struct SampleSeries {
     samples: Vec<f64>,
+    /// Summed as recorded, so the mean does not depend on whether a
+    /// percentile query has sorted the samples since.
+    sum: f64,
     sorted: bool,
 }
 
@@ -38,6 +93,7 @@ impl SampleSeries {
     /// Record one sample.
     pub fn record(&mut self, x: f64) {
         self.samples.push(x);
+        self.sum += x;
         self.sorted = false;
     }
 
@@ -61,27 +117,31 @@ impl SampleSeries {
         if self.samples.is_empty() {
             0.0
         } else {
-            self.samples.iter().sum::<f64>() / self.samples.len() as f64
+            self.sum / self.samples.len() as f64
         }
     }
 
     /// Percentile in `[0, 100]` by linear interpolation between the two
     /// closest ranks. Returns 0 for an empty series.
     pub fn percentile(&mut self, p: f64) -> f64 {
-        assert!((0.0..=100.0).contains(&p), "percentile must be in [0,100]");
-        if self.samples.is_empty() {
-            return 0.0;
-        }
         self.ensure_sorted();
-        let rank = p / 100.0 * (self.samples.len() - 1) as f64;
-        let lo = rank.floor() as usize;
-        let hi = rank.ceil() as usize;
-        if lo == hi {
-            self.samples[lo]
+        interpolate(self.samples.len(), p, |k| self.samples[k])
+    }
+
+    /// Count, mean, p50 and p99 — the same values [`SampleSeries::mean`] and
+    /// [`SampleSeries::percentile`] give — without touching the series: a
+    /// sorted series is read in place, an unsorted one stays in recording
+    /// order and a scratch copy is sorted instead.
+    pub fn summary(&self) -> Summary {
+        let mut scratch = Vec::new();
+        let sorted = if self.sorted {
+            &self.samples
         } else {
-            let frac = rank - lo as f64;
-            self.samples[lo] * (1.0 - frac) + self.samples[hi] * frac
-        }
+            scratch.clone_from(&self.samples);
+            sort(&mut scratch);
+            &scratch
+        };
+        Summary::of_ranked(sorted.len(), self.mean(), |k| sorted[k])
     }
 
     /// [`SampleSeries::percentile`] for a series queried once: the same
@@ -129,96 +189,9 @@ impl SampleSeries {
 
     fn ensure_sorted(&mut self) {
         if !self.sorted {
-            self.samples.sort_by(|a, b| a.partial_cmp(b).expect("NaN sample"));
+            sort(&mut self.samples);
             self.sorted = true;
         }
-    }
-}
-
-/// A power-of-two-bucketed histogram for latency-class quantities: bucket
-/// `i` counts samples in `[2^i, 2^(i+1))` of the base unit. Cheap to
-/// record, compact to print, adequate when the exact-sample
-/// [`SampleSeries`] would grow too large.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    buckets: Vec<u64>,
-    count: u64,
-    sum: f64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Histogram {
-    /// An empty histogram covering `[1, 2^48)` of the base unit.
-    pub fn new() -> Self {
-        Histogram { buckets: vec![0; 48], count: 0, sum: 0.0 }
-    }
-
-    fn bucket_of(x: f64) -> usize {
-        if x < 1.0 {
-            0
-        } else {
-            (x.log2() as usize).min(47)
-        }
-    }
-
-    /// Record one observation (non-negative).
-    pub fn record(&mut self, x: f64) {
-        debug_assert!(x >= 0.0);
-        self.buckets[Self::bucket_of(x)] += 1;
-        self.count += 1;
-        self.sum += x;
-    }
-
-    /// Record a duration in microseconds.
-    pub fn record_duration(&mut self, d: SimDuration) {
-        self.record(d.as_micros_f64());
-    }
-
-    /// Observations recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Arithmetic mean (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
-    /// Approximate percentile: the lower bound of the bucket where the
-    /// p-quantile falls (a guaranteed under-estimate within 2x).
-    pub fn percentile_lower_bound(&self, p: f64) -> f64 {
-        assert!((0.0..=100.0).contains(&p));
-        if self.count == 0 {
-            return 0.0;
-        }
-        let target = (p / 100.0 * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (i, c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return if i == 0 { 0.0 } else { (1u64 << i) as f64 };
-            }
-        }
-        (1u64 << 47) as f64
-    }
-
-    /// Non-empty buckets as `(lower_bound, count)` pairs, ascending.
-    pub fn non_empty(&self) -> Vec<(f64, u64)> {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| **c > 0)
-            .map(|(i, c)| (if i == 0 { 0.0 } else { (1u64 << i) as f64 }, *c))
-            .collect()
     }
 }
 
@@ -252,7 +225,7 @@ mod tests {
                     sorted.record(rng.uniform(0, distinct) as f64 * 0.37 + 1.0);
                 }
                 for p in [0.0, 50.0, 99.0, 99.9, 100.0] {
-                    let mut once = SampleSeries { samples: sorted.samples.clone(), sorted: false };
+                    let mut once = SampleSeries { sorted: false, ..sorted.clone() };
                     let want = sorted.clone().percentile(p);
                     assert_eq!(
                         once.percentile_once(p).to_bits(),
@@ -271,6 +244,33 @@ mod tests {
         assert_eq!(s.percentile(50.0), 2.0);
         assert_eq!(s.percentile_once(100.0), 3.0);
         assert_eq!(s.samples(), [1.0, 2.0, 3.0]);
+    }
+
+    #[test]
+    fn summary_is_mean_and_percentile_bit_for_bit() {
+        let mut rng = crate::DetRng::new(0x5077ED);
+        for len in [0usize, 1, 2, 3, 4, 7, 100, 101, 1_000] {
+            for round in 0..4 {
+                // Few distinct values on even rounds: duplicates at the rank.
+                let distinct = if round % 2 == 0 { 5 } else { 1 << 30 };
+                let mut s = SampleSeries::new();
+                for _ in 0..len {
+                    s.record(rng.uniform(0, distinct) as f64 * 0.37 + 1.0);
+                }
+                let recorded = s.samples().to_vec();
+                let mean = s.mean();
+                let unsorted = s.summary();
+                assert_eq!(s.samples(), recorded, "summary reordered an unsorted series");
+                let (p50, p99) = (s.percentile(50.0), s.percentile(99.0));
+                assert_eq!(s.mean().to_bits(), mean.to_bits(), "len {len}: sorting moved the mean");
+                for got in [unsorted, s.summary()] {
+                    assert_eq!(got.count, len as u64);
+                    assert_eq!(got.mean.to_bits(), mean.to_bits(), "len {len}");
+                    assert_eq!(got.p50.to_bits(), p50.to_bits(), "len {len}");
+                    assert_eq!(got.p99.to_bits(), p99.to_bits(), "len {len}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -294,30 +294,5 @@ mod tests {
         let mut s = SampleSeries::new();
         s.record_duration(SimDuration::from_micros(5));
         assert_eq!(s.samples()[0], 5.0);
-    }
-
-    #[test]
-    fn histogram_buckets_and_percentiles() {
-        let mut h = Histogram::new();
-        for x in [0.5, 1.0, 3.0, 3.9, 8.0, 9.0, 100.0] {
-            h.record(x);
-        }
-        assert_eq!(h.count(), 7);
-        assert!((h.mean() - 125.4 / 7.0).abs() < 1e-9);
-        let buckets = h.non_empty();
-        // 0.5 -> [0,2); 1.0 -> [1,2); 3.0,3.9 -> [2,4); 8,9 -> [8,16); 100 -> [64,128)
-        assert_eq!(buckets.iter().map(|(_, c)| *c).sum::<u64>(), 7);
-        // Median falls in the [2,4) bucket -> lower bound 2.
-        assert_eq!(h.percentile_lower_bound(50.0), 2.0);
-        assert_eq!(h.percentile_lower_bound(100.0), 64.0);
-        assert_eq!(Histogram::new().percentile_lower_bound(50.0), 0.0);
-    }
-
-    #[test]
-    fn histogram_duration_recording() {
-        let mut h = Histogram::new();
-        h.record_duration(SimDuration::from_micros(33));
-        assert_eq!(h.count(), 1);
-        assert_eq!(h.percentile_lower_bound(50.0), 32.0);
     }
 }

@@ -36,7 +36,7 @@
 //! (`ssd.ftl` and `ssd.ftl.gc_moves` can both exist): the export is flat, so
 //! hierarchical prefixes never collide with leaves.
 
-use crate::stats::Histogram;
+use crate::stats::Summary;
 use std::collections::BTreeMap;
 
 pub mod json;
@@ -50,17 +50,9 @@ pub enum MetricValue {
     Counter(u64),
     /// Point-in-time level (queue depth, hit rate, utilization).
     Gauge(f64),
-    /// Summary of a latency distribution, in microseconds.
-    Latency {
-        /// Number of recorded observations.
-        count: u64,
-        /// Arithmetic mean, µs.
-        mean_us: f64,
-        /// Median lower bound (power-of-two bucket), µs.
-        p50_us: f64,
-        /// 99th-percentile lower bound (power-of-two bucket), µs.
-        p99_us: f64,
-    },
+    /// Summary of a latency distribution, in microseconds: count, mean,
+    /// median and 99th percentile of the exact samples.
+    Latency(Summary),
 }
 
 impl MetricValue {
@@ -68,7 +60,7 @@ impl MetricValue {
         match self {
             MetricValue::Counter(_) => "counter",
             MetricValue::Gauge(_) => "gauge",
-            MetricValue::Latency { .. } => "latency",
+            MetricValue::Latency(_) => "latency",
         }
     }
 
@@ -76,11 +68,11 @@ impl MetricValue {
         match self {
             MetricValue::Counter(v) => Json::U64(*v),
             MetricValue::Gauge(v) => Json::F64(*v),
-            MetricValue::Latency { count, mean_us, p50_us, p99_us } => Json::object([
-                ("count", Json::U64(*count)),
-                ("mean_us", Json::F64(*mean_us)),
-                ("p50_us", Json::F64(*p50_us)),
-                ("p99_us", Json::F64(*p99_us)),
+            MetricValue::Latency(s) => Json::object([
+                ("count", Json::U64(s.count)),
+                ("mean_us", Json::F64(s.mean)),
+                ("p50_us", Json::F64(s.p50)),
+                ("p99_us", Json::F64(s.p99)),
             ]),
         }
     }
@@ -160,9 +152,7 @@ impl MetricsRegistry {
             Entry::Occupied(mut e) => match (e.get_mut(), value) {
                 (MetricValue::Counter(a), MetricValue::Counter(b)) => *a += b,
                 (slot @ MetricValue::Gauge(_), v @ MetricValue::Gauge(_)) => *slot = v,
-                (slot @ MetricValue::Latency { .. }, v @ MetricValue::Latency { .. }) => {
-                    *slot = v;
-                }
+                (slot @ MetricValue::Latency(_), v @ MetricValue::Latency(_)) => *slot = v,
                 (old, new) => {
                     let (old_kind, new_kind) = (old.kind(), new.kind());
                     panic!(
@@ -219,19 +209,11 @@ impl Scope<'_> {
         self.registry.record(path, MetricValue::Gauge(value));
     }
 
-    /// Record (overwrite) a latency summary from a [`Histogram`] of
-    /// microsecond samples.
-    pub fn latency(&mut self, name: &str, hist: &Histogram) {
+    /// Record (overwrite) a latency summary — of microsecond samples,
+    /// usually [`crate::SampleSeries::summary`].
+    pub fn latency(&mut self, name: &str, summary: Summary) {
         let path = self.join(name);
-        self.registry.record(
-            path,
-            MetricValue::Latency {
-                count: hist.count(),
-                mean_us: hist.mean(),
-                p50_us: hist.percentile_lower_bound(50.0),
-                p99_us: hist.percentile_lower_bound(99.0),
-            },
-        );
+        self.registry.record(path, MetricValue::Latency(summary));
     }
 }
 
@@ -260,6 +242,14 @@ impl Snapshot {
         match self.metrics.get(path) {
             Some(MetricValue::Gauge(v)) => *v,
             _ => 0.0,
+        }
+    }
+
+    /// Latency summary at `path`, or all zeros if absent or not a latency.
+    pub fn latency(&self, path: &str) -> Summary {
+        match self.metrics.get(path) {
+            Some(MetricValue::Latency(s)) => *s,
+            _ => Summary::default(),
         }
     }
 
@@ -362,22 +352,17 @@ mod tests {
     }
 
     #[test]
-    fn latency_summarizes_histogram() {
+    fn latency_publishes_the_series_summary() {
         let mut reg = MetricsRegistry::new();
-        let mut h = Histogram::new();
+        let mut s = crate::SampleSeries::new();
         for _ in 0..99 {
-            h.record(4.0);
+            s.record(4.0);
         }
-        h.record(1000.0);
-        reg.scope("core.destage").latency("write_us", &h);
-        match reg.snapshot().get("core.destage.write_us") {
-            Some(MetricValue::Latency { count, p50_us, p99_us, .. }) => {
-                assert_eq!(*count, 100);
-                assert_eq!(*p50_us, 4.0);
-                assert!(*p99_us <= 1000.0);
-            }
-            other => panic!("wrong kind: {other:?}"),
-        }
+        s.record(1000.0);
+        reg.scope("core.destage").latency("write_us", s.summary());
+        let got = reg.snapshot().latency("core.destage.write_us");
+        assert_eq!(got, Summary { count: 100, mean: s.mean(), p50: 4.0, p99: s.percentile(99.0) });
+        assert_eq!(reg.snapshot().latency("absent.path"), Summary::default());
     }
 
     #[test]
@@ -480,9 +465,9 @@ mod tests {
     #[test]
     fn json_export_latency_shape() {
         let mut reg = MetricsRegistry::new();
-        let mut h = Histogram::new();
-        h.record(8.0);
-        reg.scope("flash").latency("t_prog_us", &h);
+        let mut s = crate::SampleSeries::new();
+        s.record(8.0);
+        reg.scope("flash").latency("t_prog_us", s.summary());
         let out = reg.snapshot().to_json(&[]).to_string();
         assert!(
             out.contains("\"flash.t_prog_us\":{\"count\":1,\"mean_us\":8"),

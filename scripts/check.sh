@@ -44,8 +44,19 @@ cargo test --release -p xssd-core --test fsync_wake --quiet
 echo "== no clock nudges (a wait with nothing pending is an error, not +N us)"
 # PERFORMANCE.md rule 2. `next_event_after(..)` answering `None` must end the
 # wait; falling back to a made-up instant is how the 10 us poll grid got in.
-if grep -rnE 'next_event_after\([^;]*(unwrap_or|from_micros)' crates/*/src; then
-  echo "FAIL: a next_event_after(..) result is replaced by a fallback instant (lines above)."
+# The same holds for a log backend's completion bound: with a unit in flight
+# `next_completion_at()` / `next_flush_completion_at()` must answer.
+if grep -rnE 'next_(event_after|(flush_)?completion_at)\([^;]*(unwrap_or|from_micros)' crates/*/src; then
+  echo "FAIL: a next_event_after(..) / next_(flush_)completion_at(..) result is replaced by a fallback instant (lines above)."
+  exit 1
+fi
+
+echo "== one latency collector (telemetry percentiles are the exact samples')"
+# A `Latency` entry is the `simkit::Summary` of samples its publisher holds.
+# A bucketed collector, or a gauge smuggling the exact value out beside an
+# entry, does not come back without a consumer that needs it and a review.
+if grep -rnE 'Histogram|percentile_lower_bound|p99_us_exact' crates/; then
+  echo "FAIL: a second latency collector or an _exact side channel is back under crates/ (lines above)."
   exit 1
 fi
 
@@ -73,4 +84,4 @@ echo "== benchmark: its own tests, then every workload and check at 1/50 horizon
 (cd benchmark && cargo test --offline --quiet)
 benchmark/run.sh --quick > /dev/null
 
-echo "ok: fmt, clippy, reachability, gate self-test, tests, count and nudge gates, recovery smoke, chaos smoke, benchmark checks all clean"
+echo "ok: fmt, clippy, reachability, gate self-test, tests, count, nudge and one-collector gates, recovery smoke, chaos smoke, benchmark checks all clean"
