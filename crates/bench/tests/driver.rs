@@ -60,12 +60,10 @@ fn tpcc_driver_replays_the_legacy_closed_loop() {
         "unexpected driver-only paths: {added:?}"
     );
 
-    // The published percentiles agree too (what fig09 prints), collecting
-    // left both series in recording order, and the published values are the
-    // samples' own.
+    // The published percentiles agree too (what fig09 prints), and they
+    // are the samples' own.
     let published = snap_b.latency("db.commit_latency_us");
     assert_eq!(snap_a.latency("db.commit_latency_us"), published);
-    assert_eq!(legacy.latency_us.samples(), driven.run.latency_us.samples());
     assert_eq!(published.count, legacy.committed);
     assert_eq!(published.mean, legacy.mean_latency_us());
     assert_eq!(published.p50, legacy.latency_us.percentile(50.0));
