@@ -214,8 +214,8 @@ fn bench_replicated_fsync() {
     );
 }
 
-/// The primary's mirror of one 16 KiB chunk to one secondary: 256 64-byte
-/// TLPs forwarded over the NTB wire as one burst.
+/// The primary's mirror of one 16 KiB write to one secondary: 256 64-byte
+/// TLPs forwarded over the NTB wire as one stream on the host link's period.
 fn bench_ntb_mirror_burst() {
     use pcie::{HostId, NtbConfig, NtbPort, TranslationWindow};
     let mut port = NtbPort::new(NtbConfig::default(), HostId(1));
@@ -231,9 +231,10 @@ fn bench_ntb_mirror_burst() {
         Some(16 << 10),
         || (),
         |()| {
-            let grant = port.forward_write(t, 0x8000_0000, 16 << 10).unwrap();
-            t = grant.start + SimDuration::from_micros(5);
-            grant.end
+            let period = SimDuration::from_nanos(44);
+            let (first, spacing) = port.forward_stream(t, 0x8000_0000, 64, period, 256).unwrap();
+            t = first.start + SimDuration::from_micros(17);
+            first.end + spacing * 255
         },
     );
 }

@@ -9,7 +9,7 @@
 //! go to `results/ablation_transport.json`; the table prints from them.
 
 use pcie::{NtbConfig, NtbPort, RdmaConfig, RdmaTransport, TranslationWindow};
-use simkit::{MetricsRegistry, SimTime, Snapshot};
+use simkit::{MetricsRegistry, SimDuration, SimTime, Snapshot};
 use xssd_bench::table::{Cell, Col, Table};
 use xssd_bench::{cli, section, sweep, Measurement, Report};
 
@@ -21,9 +21,13 @@ fn ntb_one_way(chunk: u64) -> (f64, NtbPort) {
         remote_host: pcie::HostId(1),
         remote_base: 0,
     });
-    // Shipped as the mirror flow ships it: 64-byte (WC-sized) TLPs.
-    let g = port.forward_write(SimTime::ZERO, 0, chunk).expect("mapped");
-    (g.end.as_micros_f64(), port)
+    // Shipped through the mirror flow's forwarding function as 64-byte
+    // (WC-sized) TLPs, the whole chunk back to back (a zero period).
+    let tlps = chunk / pcie::WC_BUFFER_BYTES;
+    let (first, spacing) = port
+        .forward_stream(SimTime::ZERO, 0, pcie::WC_BUFFER_BYTES as u32, SimDuration::ZERO, tlps)
+        .expect("mapped");
+    ((first.end + spacing * (tlps - 1)).as_micros_f64(), port)
 }
 
 fn rdma_persistent(chunk: u64) -> f64 {

@@ -7,10 +7,12 @@
 //!
 //! # One advance loop, two queues
 //!
-//! [`Cluster::advance`] is a single sequential loop. Mirror chunks sit in
-//! one time-ordered [`EventQueue`]; each is a barrier: the secondaries emit
+//! [`Cluster::advance`] is a single sequential loop. Mirrored writes sit in
+//! one time-ordered [`EventQueue`], one entry per write per secondary keyed
+//! at its *last* TLP's landing; each is a barrier: the secondaries emit
 //! their shadow-counter updates up to its delivery instant, then it is
-//! ingested (a mirror changes the credit timeline the updates report).
+//! ingested on its TLPs' own landing instants (a mirror changes the credit
+//! timeline the updates report) — never a byte before its TLP has landed.
 //! Shadow updates travel as *runs* — `count` updates of one value, `period`
 //! apart, see [`crate::transport`] — in a second queue, each run keyed at
 //! its next undelivered update. A shadow update landing on the primary
@@ -26,22 +28,14 @@
 use crate::cmb::CmbError;
 use crate::config::VillarsConfig;
 use crate::device::{vendor, CrashReport, VillarsDevice};
-use crate::transport::{DeviceIndex, Outbound};
+use crate::transport::{DeviceIndex, MirrorWrite, Outbound, TlpRun};
 use nvme::{
     try_drive_to_completion, AdminCommand, CmdTag, CommandKind, Completion, IoPort, Status,
     VendorCommand,
 };
 use pcie::MmioMode;
-use simkit::{Bytes, EventQueue, FaultPlan, SimDuration, SimError, SimTime};
+use simkit::{DiagnosticSnapshot, EventQueue, FaultPlan, SimDuration, SimError, SimTime};
 use std::cmp::Reverse;
-
-/// A mirrored chunk in flight to a secondary.
-#[derive(Debug, Clone)]
-struct Mirror {
-    dst: DeviceIndex,
-    offset: u64,
-    data: Bytes,
-}
 
 /// Shadow-counter updates in flight to the primary: `count` updates of
 /// `value`, `period` apart, queued at the delivery instant of the first.
@@ -81,12 +75,12 @@ fn drop_addressed_to<E>(
 pub struct Cluster {
     devices: Vec<VillarsDevice>,
     /// Mirror chunks in flight, in delivery-time order.
-    mirrors: EventQueue<Mirror>,
+    mirrors: EventQueue<MirrorWrite>,
     /// Shadow-update runs in flight, each keyed at its next undelivered
     /// update.
     shadows: EventQueue<ShadowRun>,
-    /// Insertions into `shadows` so far (see
-    /// [`Cluster::shadow_runs_queued`]).
+    /// Insertions into `mirrors` and `shadows` so far (the two accessors).
+    mirrors_queued: u64,
     shadow_runs_queued: u64,
     /// Per device: currently powered off. Traffic to a dead device is
     /// dropped on the floor (its PCIe fabric is gone).
@@ -120,6 +114,7 @@ impl Cluster {
             devices: Vec::new(),
             mirrors: EventQueue::new(),
             shadows: EventQueue::new(),
+            mirrors_queued: 0,
             shadow_runs_queued: 0,
             dead: Vec::new(),
             #[cfg(test)]
@@ -325,8 +320,12 @@ impl Cluster {
             return; // the wire to a dead fabric drops traffic
         }
         match o {
-            Outbound::Mirror { dst, offset, data, deliver_at } => {
-                self.mirrors.schedule(deliver_at, Mirror { dst, offset, data });
+            Outbound::Mirror(m) => {
+                // Keyed at the last TLP's landing (an empty write has none).
+                if let Some(at) = m.landings.last().map(TlpRun::last) {
+                    self.mirrors.schedule(at, m);
+                    self.mirrors_queued += 1;
+                }
             }
             Outbound::Shadow { dst, src, value, deliver_at, count, period } => {
                 self.queue_shadow_run(deliver_at, ShadowRun { dst, src, value, count, period });
@@ -337,6 +336,12 @@ impl Cluster {
     fn queue_shadow_run(&mut self, at: SimTime, run: ShadowRun) {
         self.shadows.schedule(at, run);
         self.shadow_runs_queued += 1;
+    }
+
+    /// How many mirror entries have entered the delivery queue so far: one
+    /// per write per live secondary, plus one per retry of a refused one.
+    pub fn mirrors_queued(&self) -> u64 {
+        self.mirrors_queued
     }
 
     /// How many shadow-update runs have entered the delivery queue so far
@@ -404,21 +409,31 @@ impl Cluster {
         }
     }
 
-    fn deliver_mirror(&mut self, at: SimTime, m: Mirror) {
+    fn deliver_mirror(&mut self, at: SimTime, mut m: MirrorWrite) {
         if self.dead[m.dst] {
             return;
         }
-        match self.devices[m.dst].receive_mirror(at, m.offset, &m.data) {
-            Ok(()) => {}
-            Err(CmbError::Overlap { .. }) => {
-                // Duplicate delivery (retry raced a success); drop it.
-            }
-            Err(_) => {
-                // Secondary intake saturated: retry shortly — this is the
-                // transport inserting itself into the back-pressure path
-                // (paper §4.2).
-                self.devices[m.dst].advance(at);
-                self.mirrors.schedule(at + SimDuration::from_micros(1), m);
+        let dev = &mut self.devices[m.dst];
+        match dev.receive_mirror(m.offset, &m.data, m.unit, &m.landings) {
+            // (An overlap straddles the tail: a duplicate the lane half holds.)
+            Ok(()) | Err(CmbError::Overlap { .. }) => {}
+            Err(refusal) => {
+                // Intake saturated part-way, or waiting for the rest of an
+                // earlier write: the transport inserts itself into the
+                // back-pressure path (paper §4.2) and offers what was not
+                // taken again at the event that can reopen the lane.
+                dev.advance(at);
+                let Some(retry) = dev.next_event_after(at) else {
+                    let what =
+                        format!("to {}: [{}, +{}): {refusal}", m.dst, m.offset, m.data.len());
+                    let snapshot = DiagnosticSnapshot::new(at, 1).detail(what);
+                    panic!("{}", SimError::stall("mirror flow", at, snapshot))
+                };
+                for run in &mut m.landings {
+                    *run = TlpRun { first: retry, period: SimDuration::ZERO, ..*run };
+                }
+                self.mirrors.schedule(retry, m);
+                self.mirrors_queued += 1;
             }
         }
     }
@@ -661,8 +676,8 @@ impl Cluster {
     }
 
     /// Offer `chunk` to `target`'s lane-0 intake at log `offset`, starting
-    /// at `t`. While the intake is saturated or the ring full, let the
-    /// target destage for a microsecond and retry — the transport's normal
+    /// at `t`. While the intake is saturated or the ring full, sleep until
+    /// the cluster's next event and offer it again — the transport's normal
     /// back-pressure path; an overlap means the bytes were already
     /// delivered. Returns the instant the chunk was accepted.
     fn deliver_chunk(
@@ -673,10 +688,16 @@ impl Cluster {
         chunk: &[u8],
     ) -> SimTime {
         loop {
-            match self.devices[target].receive_mirror(t, offset, chunk) {
+            // (One arrival the size of the chunk: a resync models no wire.)
+            let whole = [TlpRun { first: t, period: SimDuration::ZERO, count: 1 }];
+            match self.devices[target].receive_mirror(offset, chunk, chunk.len() as u64, &whole) {
                 Ok(()) | Err(CmbError::Overlap { .. }) => return t,
                 Err(_) => {
-                    t += SimDuration::from_micros(1);
+                    self.advance(t);
+                    let Some(next) = self.next_event_after(t) else {
+                        panic!("delivery of [{offset}, +{}) stalled at {t}", chunk.len())
+                    };
+                    t = next;
                     self.advance(t);
                 }
             }
@@ -770,7 +791,7 @@ impl simkit::Instrument for Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::VillarsConfig;
+    use crate::config::{CmbConfig, VillarsConfig};
 
     fn two_node_cluster() -> (Cluster, SimTime) {
         let mut cl = Cluster::new();
@@ -1025,8 +1046,20 @@ mod tests {
     }
 
     fn replicated(cl: &mut Cluster, secondaries: usize) -> (Script<'_>, SimTime) {
-        for _ in 0..=secondaries {
-            cl.add_device(VillarsConfig::small());
+        replicated_on(cl, secondaries, CmbConfig::sram())
+    }
+
+    /// A primary on SRAM and `secondaries` secondaries on `backing`.
+    fn replicated_on(
+        cl: &mut Cluster,
+        secondaries: usize,
+        backing: CmbConfig,
+    ) -> (Script<'_>, SimTime) {
+        let small = VillarsConfig::small();
+        cl.add_device(small.clone());
+        for _ in 0..secondaries {
+            let cmb = CmbConfig { backing: backing.backing, ..small.cmb };
+            cl.add_device(VillarsConfig { cmb, ..small.clone() });
         }
         let secs: Vec<usize> = (1..=secondaries).collect();
         let t = cl.configure_replication(SimTime::ZERO, 0, &secs);
@@ -1058,21 +1091,24 @@ mod tests {
     #[test]
     fn runs_match_the_reference_on_exact_delivery_and_drain_horizons() {
         assert_matches_reference("exact horizons", |cl| {
-            let (mut s, t) = replicated(cl, 1);
+            // A DRAM-backed secondary: an 80 ns drain per TLP against 44 ns
+            // landings, so the drains queue, the lane refuses the run form
+            // (both clusters walk it) and the last drain ends some 2 us
+            // after the last TLP landed — update cycles fall inside it.
+            let (mut s, t) = replicated_on(cl, 1, CmbConfig::dram());
             let mut now = t;
             for round in 0..6 {
-                // A full intake queue: its drain on the secondary (1 us)
-                // outlasts an update period, so a cycle falls inside it.
                 let arrived = s.write(now, 4 << 10);
                 let mirror_at = s.cl.mirrors.next_time().expect("a mirror is in flight");
                 assert!(mirror_at > arrived);
                 s.observe("before mirror", mirror_at - SimDuration::from_nanos(1));
                 s.observe("at mirror", mirror_at);
                 let credit_before = s.cl.device_mut(1).local_credit(mirror_at, 0);
-                let drain_at = s.cl.device(1).next_event().expect("drain pending");
+                assert!(credit_before < s.offset, "drains still queued behind the last TLP");
+                let drain_at = s.cl.device(1).credit_reaches(0, s.offset).expect("drains pending");
                 // Re-time the secondary so its cycle after next falls
-                // exactly on the drain completion: that cycle must already
-                // report the new credit.
+                // exactly on the last drain's completion: that cycle must
+                // already report the whole write.
                 let cycle = s.cl.device(1).transport().next_update_at().expect("secondary");
                 assert!(cycle > mirror_at && cycle < drain_at);
                 s.cl.device_mut(1).transport_mut().set_shadow_period(drain_at - cycle);
@@ -1081,7 +1117,7 @@ mod tests {
                     s.observe("before drain", drain_at - SimDuration::from_nanos(1));
                 }
                 s.observe("at drain", drain_at);
-                assert!(s.cl.device_mut(1).local_credit(drain_at, 0) > credit_before);
+                assert_eq!(s.cl.device_mut(1).local_credit(drain_at, 0), s.offset);
                 let shadow_at = s.cl.shadows.next_time().expect("updates in flight");
                 s.observe("at shadow", shadow_at);
                 s.observe("after shadow", shadow_at + SimDuration::from_nanos(1));
@@ -1089,6 +1125,8 @@ mod tests {
                 s.cl.device_mut(1).transport_mut().set_shadow_period(SimDuration::from_nanos(800));
                 now = s.stride("stride", now, &[30_000]);
             }
+            let refused = s.cl.device(1).cmb_stats(0).runs_refused;
+            assert_eq!(refused > 0, !s.cl.per_cycle_reference, "the DRAM lane refuses runs");
             s.log
         });
     }
@@ -1234,6 +1272,153 @@ mod tests {
             s.observe("settle", now + SimDuration::from_millis(1));
             s.log
         });
+    }
+
+    // ---- the mirror flow against the per-TLP walk --------------------------
+    //
+    // The same reference flag makes a primary forward every TLP of a write
+    // on its own (`NtbPort::forward_stream` with one TLP) and a secondary
+    // take every TLP in through `CmbModule::ingest` — so every script above
+    // also holds the cut-through runs against that walk, by what a host can
+    // see. This one compares what it cannot: where each TLP lands.
+
+    /// Each TLP's landing instant, from a queued mirror's runs.
+    fn landings_of(m: &MirrorWrite) -> Vec<SimTime> {
+        m.landings.iter().flat_map(|r| (0..r.count).map(|k| r.first + r.period * k)).collect()
+    }
+
+    #[test]
+    fn mirror_runs_land_every_tlp_where_the_walk_does() {
+        let (mut as_runs, mut walked) = (0, 0);
+        for (armed, busy) in [(false, false), (false, true), (true, false), (true, true)] {
+            let what = format!("faults {armed}, busy flow {busy}");
+            let build = |reference: bool| {
+                let mut cl = Cluster { per_cycle_reference: reference, ..Cluster::new() };
+                let mut config = VillarsConfig::small();
+                // One fast_write takes 16 KiB; no script fills the ring.
+                config.cmb =
+                    CmbConfig { size: 256 << 10, intake_queue_bytes: 32 << 10, ..config.cmb };
+                for _ in 0..3 {
+                    cl.add_device(config.clone());
+                }
+                let t = cl.configure_replication(SimTime::ZERO, 0, &[1, 2]);
+                if armed {
+                    cl.arm_faults(&FaultPlan {
+                        seed: 0x3A11,
+                        transport: TransportFaultConfig {
+                            tlp_drop: 0.15,
+                            replay_timeout: SimDuration::from_micros(10),
+                        },
+                        ..FaultPlan::disabled()
+                    });
+                }
+                (cl, t)
+            };
+            let ((mut runs, t), (mut walk, _)) = (build(false), build(true));
+            let mut rng = DetRng::new(0x7195 + u64::from(armed) * 2 + u64::from(busy));
+            let (mut now, mut offset) = (t, 0u64);
+            for i in 0..120 {
+                // 8 B – 16 KiB in 8 B steps: lone partials, whole TLPs, both.
+                let len = 8 * match rng.uniform(0, 3) {
+                    0 => rng.uniform(1, 16),
+                    1 => 8 * rng.uniform(1, 256),
+                    _ => rng.uniform(1, 2048),
+                };
+                let mode = if len <= 256 && rng.chance(0.3) {
+                    MmioMode::Uncached
+                } else {
+                    MmioMode::WriteCombining
+                };
+                let data: Vec<u8> = (0..len).map(|b| (b * 7 + i) as u8).collect();
+                let mut issued = now;
+                for cl in [&mut runs, &mut walk] {
+                    cl.advance(now);
+                    (issued, _) =
+                        cl.fast_write(0, now, 0, offset, &data, mode).expect("fast_write");
+                }
+                let mut delivered = now;
+                for dst in [1, 2] {
+                    let queued = |cl: &Cluster| {
+                        let mut at =
+                            cl.mirrors.iter().filter(|(_, m)| m.dst == dst && m.offset == offset);
+                        let (key, m) = at.next().expect("one entry per write per secondary");
+                        assert!(at.next().is_none(), "{what}: a second entry for write {i}");
+                        (key, m.landings.len(), landings_of(m))
+                    };
+                    let (got, want) = (queued(&runs), queued(&walk));
+                    assert_eq!(
+                        (got.0, &got.2),
+                        (want.0, &want.2),
+                        "{what}: write {i} ({len} B) to {dst}"
+                    );
+                    assert_eq!(
+                        got.0,
+                        *got.2.last().expect("non-empty"),
+                        "keyed at the last landing"
+                    );
+                    let unit = if mode == MmioMode::Uncached { 8 } else { 64 };
+                    assert_eq!(want.1 as u64, len.div_ceil(unit), "the walk forwards TLP by TLP");
+                    as_runs += u64::from(got.1 < want.1);
+                    walked += u64::from(got.1 > 2);
+                    delivered = delivered.max(got.0);
+                }
+                offset += len;
+                // Back to back on the host link, or from the delivery up to
+                // 30 us later — there the drains it scheduled are still
+                // pending: the same instants, to the nanosecond.
+                now = issued;
+                if !busy {
+                    let scheduled = |cl: &mut Cluster| {
+                        cl.advance(delivered);
+                        [1, 2].map(|d| {
+                            [offset, offset - len.min(64), offset - len / 2]
+                                .map(|target| cl.device(d).credit_reaches(0, target))
+                        })
+                    };
+                    let drains = scheduled(&mut runs);
+                    assert_eq!(drains, scheduled(&mut walk), "{what}: drains of write {i}");
+                    assert!(drains.iter().any(|d| d[0] > Some(delivered)), "{what}: all settled");
+                    now = delivered + SimDuration::from_nanos(rng.uniform(0, 30_000));
+                }
+                // Where the secondaries stand mid-stream (a target whose
+                // write has not been delivered has no instant in either).
+                let target = rng.uniform(offset.saturating_sub(40_000), offset);
+                let mid_stream = |cl: &mut Cluster| {
+                    cl.advance(now);
+                    [1, 2].map(|d| {
+                        let credit = cl.device_mut(d).local_credit(now, 0);
+                        (credit, cl.device(d).credit_reaches(0, target), cl.device(d).log_tail(0))
+                    })
+                };
+                assert_eq!(mid_stream(&mut runs), mid_stream(&mut walk), "{what}: after write {i}");
+            }
+            let end = now + SimDuration::from_millis(1);
+            let state = |cl: &mut Cluster| {
+                cl.advance(end);
+                let mut reg = MetricsRegistry::new();
+                reg.collect("cluster", &*cl);
+                let lanes: Vec<_> = [1, 2]
+                    .map(|d| {
+                        let dev = cl.device_mut(d);
+                        let credit = dev.local_credit(end, 0);
+                        let stats = dev.cmb_stats(0);
+                        let head = dev.log_head(0);
+                        let live = dev.log_content(0, head, (dev.log_tail(0) - head) as usize);
+                        (credit, dev.log_tail(0), stats.chunks, stats.queue_high_water, live)
+                    })
+                    .into_iter()
+                    .collect();
+                (lanes, reg.snapshot().metrics_json().to_string())
+            };
+            let (got, want) = (state(&mut runs), state(&mut walk));
+            assert_eq!(got.0, want.0, "{what}: secondary lanes");
+            assert_eq!(got.1, want.1, "{what}: telemetry (NTB busy_ns, forwarded_tlps, ...)");
+            assert_eq!(got.0[0].0, offset, "{what}: the secondary holds the whole log");
+        }
+        assert!(
+            as_runs > 300 && walked > 10,
+            "{as_runs} writes forwarded as runs, {walked} walked"
+        );
     }
 
     #[test]

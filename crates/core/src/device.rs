@@ -8,7 +8,7 @@
 use crate::cmb::{CmbError, CmbModule};
 use crate::config::VillarsConfig;
 use crate::destage::DestageModule;
-use crate::transport::{DeviceIndex, Outbound, Role, TransportModule, TransportStatus};
+use crate::transport::{DeviceIndex, Outbound, Role, TlpRun, TransportModule, TransportStatus};
 use nvme::{
     AdminCommand, BackingClass, CmdTag, Command, CommandKind, Completion, CompletionEntry, IoPort,
     Namespace, NvmeController, PortAccounting, Status, VendorCommand,
@@ -237,7 +237,7 @@ impl VillarsDevice {
     ///
     /// The full-size TLPs of the write go to the lane as one run; what the
     /// run form does not take — a refused run, a lone TLP, the trailing
-    /// partial — is walked TLP by TLP.
+    /// partial — is walked TLP by TLP. The mirror flow gets the arrivals.
     pub fn fast_write(
         &mut self,
         now: SimTime,
@@ -252,11 +252,15 @@ impl VillarsDevice {
         if !self.lanes[lane].cmb.has_room(offset, data.len() as u64) {
             return Err(CmbError::RingFull);
         }
+        // The link's quote for the full-size TLPs: first arrival, period.
+        let (first, period) =
+            self.conventional.host_link_mut().peek_write_burst(now, shape.unit as u32);
+        let burst = TlpRun { first, period, count: shape.full_count };
         let mut arrived = now;
         let mut taken = 0;
         if shape.full_count >= 2 {
             let full = &data[..(shape.unit * shape.full_count) as usize];
-            if let Some(last) = self.send_run(now, lane, offset, full, shape.unit) {
+            if let Some(last) = self.send_run(now, burst, lane, offset, full, shape.unit) {
                 arrived = last;
                 taken = full.len();
             }
@@ -266,48 +270,49 @@ impl VillarsDevice {
                 self.send_chunks(now, lane, offset + taken as u64, &data[taken..], shape.unit)?;
         }
         let issued_at = self.conventional.host_link_busy_until();
-        // Mirror the chunk to secondaries (lane 0 carries replication).
-        let outbound =
-            if lane == 0 { self.transport.mirror(arrived, offset, data) } else { Vec::new() };
+        // Mirror the write to secondaries (lane 0 carries replication).
+        let outbound = if lane == 0 {
+            self.transport.mirror(offset, data, shape, burst, arrived)
+        } else {
+            Vec::new()
+        };
         Ok(FastWrite { issued_at, arrived_at: arrived, outbound })
     }
 
     /// Send `data` — whole TLPs of `unit` bytes — as one burst the lane takes
-    /// as one run ([`CmbModule::ingest_run`]). The lane decides on the
+    /// as one run ([`VillarsDevice::take_run`]). The lane decides on the
     /// link's quote before anything is charged, so on `None` wire, backing
     /// port and ring are as [`VillarsDevice::send_chunks`] expects them.
     /// Returns the last TLP's arrival.
     fn send_run(
         &mut self,
         now: SimTime,
+        quote: TlpRun,
         lane: usize,
         offset: u64,
         data: &[u8],
         unit: u64,
     ) -> Option<SimTime> {
-        let (first, per_tlp) = self.conventional.host_link_mut().peek_write_burst(now, unit as u32);
-        let (sram_port, bw) = (&mut self.sram_port, self.backing_bw);
-        // Only the dedicated SRAM port takes a run: on the DRAM-backed lane
-        // a drain outlasts a TLP's wire time, so chunks queue.
-        let taken = self.lanes[lane].cmb.ingest_run(
-            first,
-            per_tlp,
-            offset,
-            data,
-            unit,
-            |at, period, bytes, n| {
-                sram_port.as_mut()?.acquire_periodic(at, period, bw.transfer_time(bytes), n)
-            },
-        );
-        if !taken {
+        if !self.take_run(lane, quote, offset, data, unit) {
             return None;
         }
-        let tlps = data.len() as u64 / unit;
-        let burst = self.conventional.host_link_mut().send_write_burst(now, unit as u32, tlps);
-        debug_assert_eq!(burst.end, first + per_tlp * (tlps - 1));
-        self.fast_tlps += tlps;
+        let burst =
+            self.conventional.host_link_mut().send_write_burst(now, unit as u32, quote.count);
+        debug_assert_eq!(burst.end, quote.last());
+        self.fast_tlps += quote.count;
         self.fast_bytes_in += data.len() as u64;
         Some(burst.end)
+    }
+
+    /// Offer `lane` a run of whole TLPs off the host link or a mirror flow
+    /// ([`CmbModule::ingest_run`]). Only the dedicated SRAM port takes a run:
+    /// on the DRAM-backed lane a drain outlasts a TLP's wire time.
+    fn take_run(&mut self, lane: usize, run: TlpRun, offset: u64, data: &[u8], unit: u64) -> bool {
+        let (sram_port, bw) = (&mut self.sram_port, self.backing_bw);
+        let port = |at, period, bytes, n| {
+            sram_port.as_mut()?.acquire_periodic(at, period, bw.transfer_time(bytes), n)
+        };
+        self.lanes[lane].cmb.ingest_run(run.first, run.period, offset, data, unit, port)
     }
 
     /// Send `data` one TLP of at most `unit` bytes at a time, each through
@@ -337,21 +342,43 @@ impl VillarsDevice {
         Ok(arrived)
     }
 
-    /// Deliver a mirrored chunk from the primary into this (secondary)
-    /// device's CMB intake.
+    /// Deliver a mirrored write into this (secondary) device's CMB intake:
+    /// `data` at log `offset`, cut into TLPs of `unit` bytes that land as
+    /// `landings` say — each run as the host side's, TLP by TLP where the run
+    /// form refuses. TLPs below the lane's tail are skipped: a delivery
+    /// refused part-way resumes where it stopped, a duplicate is a no-op.
     pub fn receive_mirror(
         &mut self,
-        at: SimTime,
         offset: u64,
         data: &[u8],
+        unit: u64,
+        landings: &[TlpRun],
     ) -> Result<(), CmbError> {
-        let sram_port = &mut self.sram_port;
-        let conv = &mut self.conventional;
-        let bw = self.backing_bw;
-        let lane = &mut self.lanes[0];
-        lane.cmb
-            .ingest(at, offset, data, |t, b| Self::backing_acquire(sram_port, conv, bw, t, b))?;
-        self.fast_bytes_in += data.len() as u64;
+        let resume = self.lanes[0].cmb.tail();
+        let (mut at, mut rest) = (offset, data);
+        for run in landings {
+            let (tlps, after) = rest.split_at(rest.len().min((run.count * unit) as usize));
+            if run.count >= 2 && self.take_run(0, *run, at, tlps, unit) {
+                self.fast_bytes_in += tlps.len() as u64;
+                at += tlps.len() as u64;
+            } else {
+                let (sram_port, conv, bw) =
+                    (&mut self.sram_port, &mut self.conventional, self.backing_bw);
+                let mut arrival = run.first;
+                for tlp in tlps.chunks(unit as usize) {
+                    if at + tlp.len() as u64 > resume {
+                        self.lanes[0].cmb.ingest(arrival, at, tlp, |t, b| {
+                            Self::backing_acquire(sram_port, conv, bw, t, b)
+                        })?;
+                        self.fast_bytes_in += tlp.len() as u64;
+                    }
+                    at += tlp.len() as u64;
+                    arrival += run.period;
+                }
+            }
+            rest = after;
+        }
+        debug_assert!(rest.is_empty(), "{} bytes without a landing", rest.len());
         Ok(())
     }
 
@@ -418,30 +445,29 @@ impl VillarsDevice {
         loop {
             // Jump straight to the next internal event at or below the
             // horizon — never step in fixed quanta.
-            let step = match self.next_internal_event() {
+            let conventional = self.conventional.next_device_event();
+            let step = match SimTime::earliest(self.fast_frontier(false, |_| true), conventional) {
                 Some(e) if e <= t => e,
                 _ => t,
             };
-            self.conventional.advance_to(step);
             let mut progressed = false;
-            // Route destage completions to their owning lanes (tokens are
-            // device-global).
-            drained.clear();
-            self.conventional.drain_destage_completions_into(step, &mut drained);
-            for &(_at, token) in &drained {
-                for lane in &mut self.lanes {
-                    if lane.destage.complete(token) {
-                        progressed = true;
-                        break;
-                    }
+            // (Ahead of the conventional side's frontier nothing is due there.)
+            if conventional.is_some_and(|at| at <= step) {
+                self.conventional.advance_to(step);
+                // Route destage completions to their owning lanes (tokens
+                // are device-global).
+                drained.clear();
+                self.conventional.drain_destage_completions_into(step, &mut drained);
+                for &(_at, token) in &drained {
+                    progressed |= self.lanes.iter_mut().any(|lane| lane.destage.complete(token));
                 }
+                // Discard orphaned internal-read completions (an interrupted
+                // recovery read): left in place they would pin the event
+                // frontier below real work and stall the loop for good.
+                drained.clear();
+                self.conventional.drain_internal_reads_into(step, &mut drained);
+                progressed |= !drained.is_empty();
             }
-            // Discard orphaned internal-read completions (an interrupted
-            // recovery read): left in place they would pin the event
-            // frontier below real work and stall the loop for good.
-            drained.clear();
-            self.conventional.drain_internal_reads_into(step, &mut drained);
-            progressed |= !drained.is_empty();
             for lane in &mut self.lanes {
                 progressed |= lane.destage.pump(step, &mut lane.cmb, &mut self.conventional);
             }
@@ -465,23 +491,21 @@ impl VillarsDevice {
     }
 
     /// The earliest head `keep` admits among the device's calendars — the
-    /// one list of them: every lane's fast-side triggers (a destage latency
-    /// deadline, a CMB chunk settling), the conventional side's
-    /// ([`ConventionalSsd::frontier`]) and, if `host_facing`, the vendor
-    /// completions waiting for the host.
+    /// one list of them: the fast side's and the conventional side's
+    /// ([`ConventionalSsd::frontier`]).
     fn frontier(&self, host_facing: bool, keep: impl Fn(SimTime) -> bool) -> Option<SimTime> {
-        let lanes =
-            self.lanes.iter().flat_map(|l| [l.destage.next_deadline(), l.cmb.next_pending()]);
-        let vendor = self.vendor_out.next_time().filter(|_| host_facing);
-        let fast_side = lanes.chain([vendor]).flatten().filter(|at| keep(*at)).min();
+        let fast_side = self.fast_frontier(host_facing, &keep);
         SimTime::earliest(fast_side, self.conventional.frontier(host_facing, keep))
     }
 
-    /// Earliest device-internal event for the advance stepper (excludes
-    /// vendor completions and host-facing outbound completions, which only
-    /// the host consumes).
-    fn next_internal_event(&self) -> Option<SimTime> {
-        self.frontier(false, |_| true)
+    /// The fast side's calendars: every lane's triggers (a destage latency
+    /// deadline, a CMB chunk settling) and, if `host_facing`, the vendor
+    /// completions waiting for the host.
+    fn fast_frontier(&self, host_facing: bool, keep: impl Fn(SimTime) -> bool) -> Option<SimTime> {
+        let lanes =
+            self.lanes.iter().flat_map(|l| [l.destage.next_deadline(), l.cmb.next_pending()]);
+        let vendor = self.vendor_out.next_time().filter(|_| host_facing);
+        lanes.chain([vendor]).flatten().filter(|at| keep(*at)).min()
     }
 
     /// The earliest pending device event (conventional work, a fast-side

@@ -45,4 +45,6 @@ pub use device::{vendor, CrashReport, FastWrite, VillarsDevice};
 pub use port::{
     drive_to_completion, try_drive_to_completion, CmdTag, Completion, IoPort, PortAccounting,
 };
-pub use transport::{DeviceIndex, Outbound, Role, TransportModule, TransportStatus};
+pub use transport::{
+    DeviceIndex, MirrorWrite, Outbound, Role, TlpRun, TransportModule, TransportStatus,
+};

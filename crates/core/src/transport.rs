@@ -22,7 +22,7 @@
 
 use crate::cmb::CmbModule;
 use crate::config::{ReplicationPolicy, TransportConfig};
-use pcie::{HostId, NtbConfig, NtbFaultStats, NtbPort, Tlp, TranslationWindow};
+use pcie::{HostId, NtbConfig, NtbFaultStats, NtbPort, Tlp, TranslationWindow, WriteShape};
 use simkit::faults::{LinkDownWindow, TransportFaultConfig};
 use simkit::{Bytes, DetRng, SimDuration, SimTime};
 
@@ -59,20 +59,45 @@ pub enum TransportStatus {
     Inactive,
 }
 
+/// Consecutive TLPs of one write arriving at a CMB intake — the primary's
+/// off the host link, a secondary's off its mirror flow.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TlpRun {
+    /// When the first one arrives.
+    pub first: SimTime,
+    /// Spacing of the arrivals.
+    pub period: SimDuration,
+    /// TLPs in the run (at least one).
+    pub count: u64,
+}
+
+impl TlpRun {
+    /// When the last one arrives.
+    pub fn last(&self) -> SimTime {
+        self.first + self.period * (self.count - 1)
+    }
+}
+
+/// A mirrored CMB write on its way to a secondary.
+#[derive(Debug, Clone)]
+pub struct MirrorWrite {
+    /// Destination device.
+    pub dst: DeviceIndex,
+    /// Monotonic log offset of the write.
+    pub offset: u64,
+    /// The write's content (one buffer shared by every secondary's copy).
+    pub data: Bytes,
+    /// `data` is cut into TLPs of `unit` bytes, the last holding the rest.
+    pub unit: u64,
+    /// When those TLPs land, in order.
+    pub landings: Vec<TlpRun>,
+}
+
 /// A message handed to the cluster for cross-device delivery.
 #[derive(Debug, Clone)]
 pub enum Outbound {
     /// Mirrored CMB data for a secondary.
-    Mirror {
-        /// Destination device.
-        dst: DeviceIndex,
-        /// Monotonic log offset of the chunk.
-        offset: u64,
-        /// The chunk content (one buffer shared by every secondary's copy).
-        data: Bytes,
-        /// When it lands in the destination's CMB intake.
-        deliver_at: SimTime,
-    },
+    Mirror(MirrorWrite),
     /// A run of shadow-counter updates for the primary: `count` updates
     /// reporting the same `value`, the first landing at `deliver_at` and
     /// each next one `period` later.
@@ -96,7 +121,7 @@ impl Outbound {
     /// Destination device of the delivery.
     pub fn dst(&self) -> DeviceIndex {
         match self {
-            Outbound::Mirror { dst, .. } | Outbound::Shadow { dst, .. } => *dst,
+            Outbound::Mirror(MirrorWrite { dst, .. }) | Outbound::Shadow { dst, .. } => *dst,
         }
     }
 }
@@ -309,15 +334,29 @@ impl TransportModule {
         total
     }
 
-    /// Primary: mirror one CMB chunk to every secondary. Each flow is
-    /// independent ("allows each secondary to receive traffic at an
-    /// independent pace"). Returns the deliveries for the cluster.
-    pub fn mirror(&mut self, now: SimTime, offset: u64, data: &[u8]) -> Vec<Outbound> {
+    /// Primary: mirror one CMB write to every secondary as its TLPs arrive:
+    /// the full-size ones as `full` says (the host link's quote), the
+    /// trailing partial at `last`. Each flow is independent ("allows each
+    /// secondary to receive traffic at an independent pace") and makes one
+    /// fault decision per write that shifts all of it. Returns the
+    /// deliveries for the cluster.
+    pub fn mirror(
+        &mut self,
+        offset: u64,
+        data: &[u8],
+        shape: WriteShape,
+        full: TlpRun,
+        last: SimTime,
+    ) -> Vec<Outbound> {
         let Role::Primary { secondaries } = &self.role else {
             return Vec::new();
         };
         let shared = Bytes::copy_from_slice(data);
-        let len = data.len() as u64;
+        let (len, every) = (data.len() as u64, full.period);
+        #[cfg(test)]
+        let walk = self.per_cycle_reference;
+        #[cfg(not(test))]
+        let walk = false;
         let mut out = Vec::with_capacity(secondaries.len());
         for &dst in secondaries {
             let port = &mut self
@@ -327,12 +366,32 @@ impl TransportModule {
                 .expect("flow exists for secondary")
                 .port;
             let addr = Self::window_for(dst).local_base + offset % MIRROR_WINDOW_SIZE;
-            // Forwarded as the TLPs it arrived in: full WC buffers, then the
-            // trailing partial.
-            let grant = port.forward_write(now, addr, len).expect("mirror window mapped");
+            let shift = port.fault_delay(if full.count > 0 { full.first } else { last });
+            let mut landings = Vec::with_capacity(2);
+            for (at, payload, n) in
+                [(full.first, shape.unit, full.count), (last, shape.trailing_bytes, 1)]
+            {
+                if payload == 0 || n == 0 {
+                    continue;
+                }
+                let (at, payload) = (at + shift, payload as u32);
+                let stream =
+                    if walk { None } else { port.forward_stream(at, addr, payload, every, n) };
+                match stream {
+                    Some((g, period)) => landings.push(TlpRun { first: g.end, period, count: n }),
+                    // Still busy with a replayed write (or the reference).
+                    None => landings.extend((0..n).map(|k| {
+                        let (g, period) = port
+                            .forward_stream(at + every * k, addr, payload, every, 1)
+                            .expect("mirror window mapped");
+                        TlpRun { first: g.end, period, count: 1 }
+                    })),
+                }
+            }
             self.stats.mirrored_bytes += len;
             self.stats.mirror_messages += 1;
-            out.push(Outbound::Mirror { dst, offset, data: shared.clone(), deliver_at: grant.end });
+            let (data, unit) = (shared.clone(), shape.unit);
+            out.push(Outbound::Mirror(MirrorWrite { dst, offset, data, unit, landings }));
         }
         out
     }
@@ -550,6 +609,15 @@ mod tests {
         out
     }
 
+    /// Mirror `data` as a write-combined write whose first TLP arrives at
+    /// `now` off a 44 ns-per-TLP host link.
+    fn mirror_wc(t: &mut TransportModule, now: SimTime, data: &[u8]) -> Vec<Outbound> {
+        let shape = pcie::StoreIssueModel::wc().shape(data.len() as u64);
+        let period = SimDuration::from_nanos(44);
+        let full = TlpRun { first: now, period, count: shape.full_count };
+        t.mirror(0, data, shape, full, now + period * shape.full_count)
+    }
+
     fn primary_of(secs: Vec<DeviceIndex>) -> TransportModule {
         let mut t = TransportModule::new(TransportConfig::default());
         t.set_primary(secs, NtbConfig::default(), SimTime::ZERO);
@@ -559,7 +627,7 @@ mod tests {
     #[test]
     fn stand_alone_does_nothing() {
         let mut t = TransportModule::new(TransportConfig::default());
-        assert!(t.mirror(SimTime::ZERO, 0, &[1, 2, 3]).is_empty());
+        assert!(mirror_wc(&mut t, SimTime::ZERO, &[1, 2, 3]).is_empty());
         let mut cmb = cmb_with_credit(&[]);
         assert!(t.take_shadow_updates(SimTime::from_secs(1), 0, &mut cmb).is_empty());
         assert_eq!(t.status_at(SimTime::ZERO), TransportStatus::Inactive);
@@ -569,12 +637,16 @@ mod tests {
     #[test]
     fn primary_mirrors_to_every_secondary() {
         let mut t = primary_of(vec![1, 2]);
-        let out = t.mirror(SimTime::ZERO, 0, &[0u8; 128]);
+        let out = mirror_wc(&mut t, SimTime::ZERO, &[0u8; 128]);
         assert_eq!(out.len(), 2);
         for o in &out {
             match o {
-                Outbound::Mirror { deliver_at, data, .. } => {
-                    assert!(deliver_at.as_nanos() > 900, "includes NTB hop");
+                Outbound::Mirror(MirrorWrite { landings, data, unit, .. }) => {
+                    // Two full TLPs, forwarded as they arrive: one run on
+                    // the host link's 44 ns period.
+                    let [run] = landings[..] else { panic!("one run, got {landings:?}") };
+                    assert!(run.first.as_nanos() > 900, "includes NTB hop");
+                    assert_eq!((run.period.as_nanos(), run.count, *unit), (44, 2, 64));
                     assert_eq!(data.len(), 128);
                 }
                 _ => panic!("expected mirror"),
@@ -587,7 +659,7 @@ mod tests {
     fn mirror_charges_full_tlps_plus_the_trailing_partial() {
         let mut t = primary_of(vec![1]);
         // 136 B = 64 + 64 + 8, not three TLPs of 45.
-        t.mirror(SimTime::ZERO, 0, &[0u8; 136]);
+        mirror_wc(&mut t, SimTime::ZERO, &[0u8; 136]);
         assert_eq!(t.stats().mirrored_bytes, 136);
         let mut reg = simkit::MetricsRegistry::new();
         reg.collect("t", &t);
@@ -768,19 +840,19 @@ mod tests {
             DetRng::new(7),
         );
         t.set_primary(vec![1], NtbConfig::default(), SimTime::ZERO);
-        t.mirror(SimTime::ZERO, 0, &[0u8; 64]);
+        mirror_wc(&mut t, SimTime::ZERO, &[0u8; 64]);
         let first = t.flow_fault_stats().replays;
         assert!(first >= 1, "certain drop must replay");
         // Reconfigure: the rebuilt flow stays armed from the stored stream.
         t.set_primary(vec![1, 2], NtbConfig::default(), SimTime::from_micros(50));
-        t.mirror(SimTime::from_micros(50), 0, &[0u8; 64]);
+        mirror_wc(&mut t, SimTime::from_micros(50), &[0u8; 64]);
         assert!(t.flow_fault_stats().replays >= 2, "new flows re-armed");
     }
 
     #[test]
     fn unarmed_flows_report_zero_fault_stats() {
         let mut t = primary_of(vec![1]);
-        t.mirror(SimTime::ZERO, 0, &[0u8; 64]);
+        mirror_wc(&mut t, SimTime::ZERO, &[0u8; 64]);
         assert_eq!(t.flow_fault_stats(), NtbFaultStats::default());
     }
 

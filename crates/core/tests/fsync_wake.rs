@@ -191,7 +191,15 @@ fn run_case(case: &Case, commits: usize) -> (Outcome, u64) {
     let mut now = start;
     let mut most_wakes = 0;
     for i in 0..commits {
-        let data = vec![i as u8; SIZES[rng.uniform(0, SIZES.len() as u64 - 1) as usize]];
+        // Every case commits a 4 KiB and a 16 KiB write — 64 and 256 TLPs the
+        // mirror flow forwards while the host is still sending, delivered on
+        // the secondaries at the last one's landing — then seeded sizes.
+        let size = match i {
+            0 => 4 << 10,
+            1 => 16 << 10,
+            _ => SIZES[rng.uniform(0, SIZES.len() as u64 - 1) as usize],
+        };
+        let data = vec![i as u8; size];
         // Think times cover every phase of the 0.8 us update period.
         let t0 = now + SimDuration::from_nanos(rng.uniform(0, 1_599));
         let what = format!("{case:?} commit {i} ({} B at {t0})", data.len());

@@ -10,7 +10,6 @@
 
 use crate::link::{LinkConfig, PcieLink};
 use crate::tlp::{BusAddr, Tlp};
-use crate::wc::StoreIssueModel;
 use simkit::faults::{FaultHook, LinkDownWindow, TransportFaultConfig};
 use simkit::{DetRng, Grant, LinkStats, SimDuration, SimTime};
 
@@ -166,7 +165,7 @@ impl NtbPort {
     /// Extra delivery delay the fault layer imposes on traffic entering at
     /// `now`: time parked in a link-down window, plus the replay timer if
     /// the drop hook fires. Zero (and zero draws) when unarmed.
-    fn fault_delay(&mut self, now: SimTime) -> SimDuration {
+    pub fn fault_delay(&mut self, now: SimTime) -> SimDuration {
         let Some(f) = self.faults.as_mut() else {
             return SimDuration::ZERO;
         };
@@ -199,20 +198,25 @@ impl NtbPort {
         self.windows.iter().find_map(|w| w.translate(addr).map(|(_, a)| a))
     }
 
+    /// Where a TLP lands on the peer fabric, given its window on the wire:
+    /// the hop latency plus the translation prefix, charged here for all.
+    fn landed(&self, g: Grant) -> Grant {
+        let prefix =
+            self.config.link.bandwidth().transfer_time(self.config.translation_overhead_bytes);
+        Grant { start: g.start, end: g.end + self.config.hop_latency + prefix }
+    }
+
     /// Forward one TLP to the peer. Returns the translated packet and the
     /// window whose `end` is when it has fully arrived on the peer fabric.
     ///
     /// Returns `None` if no window covers the address (the bridge drops it,
     /// as real NTBs do for unmapped traffic).
     pub fn forward(&mut self, now: SimTime, tlp: &Tlp) -> Option<(Tlp, Grant)> {
-        let remote_addr = self.translate(tlp.addr)?;
+        let remote = Tlp { addr: self.translate(tlp.addr)?, ..*tlp };
         let fault = self.fault_delay(now);
-        let g = self.wire.send(now + fault, &Tlp { addr: remote_addr, ..*tlp });
+        let g = self.wire.send(now + fault, &remote);
         self.forwarded_tlps += 1;
-        let extra =
-            self.config.link.bandwidth().transfer_time(self.config.translation_overhead_bytes);
-        let arrive = g.end + self.config.hop_latency + extra;
-        Some((Tlp { addr: remote_addr, ..*tlp }, Grant { start: g.start, end: arrive }))
+        Some((remote, self.landed(g)))
     }
 
     /// Forward `n` copies of `tlp`, one every `period` starting at `first`
@@ -233,35 +237,41 @@ impl NtbPort {
         if self.faults.is_some() {
             return None;
         }
-        let remote_addr = self.translate(tlp.addr)?;
-        let g = self.wire.send_periodic(first, &Tlp { addr: remote_addr, ..*tlp }, period, n)?;
+        let remote = Tlp { addr: self.translate(tlp.addr)?, ..*tlp };
+        let g = self.wire.send_periodic(first, &remote, period, n)?;
         self.forwarded_tlps += n;
-        let extra =
-            self.config.link.bandwidth().transfer_time(self.config.translation_overhead_bytes);
-        Some(Grant { start: g.start, end: g.end + self.config.hop_latency + extra })
+        Some(self.landed(g))
     }
 
-    /// Forward a `len`-byte write into the window containing `addr`, cut
-    /// into TLPs as the write-combining CPU cut it on the way in
-    /// ([`StoreIssueModel::shape`]): full 64-byte TLPs, then the trailing
-    /// partial, back to back. One transfer: one translation, one fault
-    /// draw, the wire charged per TLP. Used by the transport module's
-    /// mirror flow.
-    pub fn forward_write(&mut self, now: SimTime, addr: BusAddr, len: u64) -> Option<Grant> {
-        let _remote = self.translate(addr)?;
-        let at = now + self.fault_delay(now);
-        let shape = StoreIssueModel::wc().shape(len);
-        let partial = u64::from(shape.trailing_bytes > 0);
-        let mut whole: Option<Grant> = None;
-        for (payload, n) in [(shape.unit, shape.full_count), (shape.trailing_bytes, partial)] {
-            if n > 0 {
-                let g = self.wire.send_write_burst(at, payload as u32, n);
-                self.forwarded_tlps += n;
-                whole = Some(Grant { start: whole.map_or(g.start, |w| w.start), end: g.end });
-            }
-        }
-        let whole = whole.unwrap_or(Grant { start: at, end: at });
-        Some(Grant { start: whole.start, end: whole.end + self.config.hop_latency })
+    /// Forward a stream of `n` write TLPs of `payload` bytes into the window
+    /// containing `addr`, TLP `k` entering the bridge at `first + k·period`
+    /// — a write mirrored as its TLPs arrive off the host link, or, with a
+    /// zero period, a buffer shipped back to back. No fault decision here:
+    /// the sender makes one per write ([`NtbPort::fault_delay`]) and shifts
+    /// `first`. Returns the first TLP's window and the spacing of the
+    /// landings: `period` on a wire idle by `first`, one TLP's wire time
+    /// when they enter faster than it drains. `None`, the port untouched,
+    /// for an unmapped address or when the wire is still busy at `first` and
+    /// the arrivals catch up with it mid-stream (uneven landings): the
+    /// sender forwards one TLP at a time — `n == 1` always goes through.
+    pub fn forward_stream(
+        &mut self,
+        first: SimTime,
+        addr: BusAddr,
+        payload: u32,
+        period: SimDuration,
+        n: u64,
+    ) -> Option<(Grant, SimDuration)> {
+        let remote = Tlp::write(self.translate(addr)?, payload);
+        let (arrival, service) = self.wire.peek_write_burst(first, payload);
+        let (g, spacing) = if n == 1 || period <= service {
+            let burst = self.wire.send_write_burst(first, payload, n);
+            (Grant { start: burst.start, end: arrival }, service)
+        } else {
+            (self.wire.send_periodic(first, &remote, period, n)?, period)
+        };
+        self.forwarded_tlps += n;
+        Some((self.landed(g), spacing))
     }
 
     /// Number of TLPs forwarded so far.
@@ -310,6 +320,15 @@ mod tests {
         p
     }
 
+    /// `tlps` full WC buffers shipped back to back under one fault decision,
+    /// as the mirror flow sends a write. Returns the last one's landing.
+    fn ship(p: &mut NtbPort, now: SimTime, tlps: u64) -> SimTime {
+        let at = now + p.fault_delay(now);
+        let (g, spacing) =
+            p.forward_stream(at, 0x8000_0000, 64, SimDuration::ZERO, tlps).expect("mapped");
+        g.end + spacing * (tlps - 1)
+    }
+
     #[test]
     fn translation_maps_offsets() {
         let w = TranslationWindow {
@@ -355,9 +374,9 @@ mod tests {
     #[test]
     fn burst_forwarding_queues_on_wire() {
         let mut p = port();
-        let g1 = p.forward_write(SimTime::ZERO, 0x8000_0000, 6400).unwrap();
-        let g2 = p.forward_write(SimTime::ZERO, 0x8000_0000, 6400).unwrap();
-        assert!(g2.end > g1.end, "second burst must queue behind the first");
+        let last1 = ship(&mut p, SimTime::ZERO, 100);
+        let last2 = ship(&mut p, SimTime::ZERO, 100);
+        assert!(last2 > last1, "second burst must queue behind the first");
         assert_eq!(p.forwarded_tlps(), 200);
     }
 
@@ -380,30 +399,36 @@ mod tests {
         let mut now = SimTime::ZERO;
         for i in 0..500u64 {
             now += SimDuration::from_nanos(rng.uniform(0, 300));
-            let g = if i % 3 == 0 {
-                p.forward_write(now, 0x8000_0000, rng.uniform(1, 320)).unwrap()
+            let landed = if i % 3 == 0 {
+                let at = now + p.fault_delay(now);
+                let period = SimDuration::from_nanos(rng.uniform(0, 60));
+                match p.forward_stream(at, 0x8000_0000, 64, period, rng.uniform(1, 5)) {
+                    Some((g, _)) => g.end,
+                    None => p.forward_stream(at, 0x8000_0000, 64, period, 1).unwrap().0.end,
+                }
             } else {
-                p.forward(now, &Tlp::write(0x8000_0040, 64)).unwrap().1
+                p.forward(now, &Tlp::write(0x8000_0040, 64)).unwrap().1.end
             };
             assert!(
-                g.end >= now + hop,
-                "delivery at {} beat the hop-latency bound {} (sent {now}, step {i})",
-                g.end,
+                landed >= now + hop,
+                "delivery at {landed} beat the hop-latency bound {} (sent {now}, step {i})",
                 now + hop,
             );
         }
     }
 
-    /// A write is one fault decision followed by its TLPs back to back on
-    /// the wire — full 64-byte ones, then the trailing partial: with drops
-    /// and a link-down window armed, the closed-form bursts must make the
-    /// same draws, the same deliveries and leave the same counters as that
-    /// definition spelled out packet by packet.
+    /// A write is one fault decision followed by its TLPs, each entering the
+    /// wire at its own instant: with drops and a link-down window armed, the
+    /// wire idle or busy at the first TLP, periods of zero (a buffer back to
+    /// back), below and above one TLP's wire time, the closed form must make
+    /// the same draws, land every TLP where the packet-by-packet walk does
+    /// and leave the same counters — or refuse and touch nothing, which it
+    /// may only do when the landings are not evenly spaced.
     #[test]
     fn burst_draws_one_fault_and_charges_every_tlp() {
         let arm = |p: &mut NtbPort| {
             p.arm_faults(
-                TransportFaultConfig { tlp_drop: 0.4, replay_timeout: SimDuration::from_micros(7) },
+                TransportFaultConfig { tlp_drop: 0.2, replay_timeout: SimDuration::from_micros(7) },
                 DetRng::new(21),
             );
             p.schedule_link_down(LinkDownWindow {
@@ -411,52 +436,83 @@ mod tests {
                 until: SimTime::from_micros(55),
             });
         };
-        let (mut burst, mut single) = (port(), port());
-        arm(&mut burst);
+        let (mut stream, mut single) = (port(), port());
+        arm(&mut stream);
         arm(&mut single);
         let mut rng = DetRng::new(0xB5_7E57);
         let mut now = SimTime::ZERO;
-        for step in 0..400 {
-            now += SimDuration::from_nanos(rng.uniform(0, 900));
-            // Whole TLPs only, a lone partial, and both.
-            let len = match step % 3 {
-                0 => 64 * rng.uniform(1, 256),
-                1 => rng.uniform(1, 63),
-                _ => rng.uniform(65, 16 << 10),
+        let (mut periodic, mut back_to_back, mut refused) = (0, 0, 0);
+        const WRITES: u64 = 2_000;
+        for step in 0..WRITES {
+            // From inside the previous write's tail to long idle.
+            now += SimDuration::from_nanos(rng.uniform(0, 3_000));
+            let payload = *rng.pick(&[8u32, 64, 64, 64, 36]);
+            let period = SimDuration::from_nanos(*rng.pick(&[0, 5, 16, 44, 44, 44, 100]));
+            let n = match rng.uniform(0, 2) {
+                0 => 1,
+                _ => rng.uniform(2, 256),
             };
-
-            let got = burst.forward_write(now, 0x8000_0000, len).unwrap();
-
-            let fault = single.fault_delay(now);
-            let mut first_start = None;
-            let mut wire_free = now + fault;
-            let mut left = len;
-            while left > 0 {
-                let payload = left.min(64);
-                let g = single.wire.send(wire_free, &Tlp::write(0x4000_0000, payload as u32));
-                first_start.get_or_insert(g.start);
-                wire_free = g.end - single.config.link.propagation;
-                single.forwarded_tlps += 1;
-                left -= payload;
-            }
-            let want = Grant {
-                start: first_start.expect("len >= 1"),
-                end: wire_free + single.config.link.propagation + single.config.hop_latency,
-            };
-
-            assert_eq!(got, want, "step {step}: now {now}, len {len}");
-            assert_eq!(burst.wire.busy_until(), single.wire.busy_until(), "step {step}");
+            let first = now + stream.fault_delay(now);
+            assert_eq!(first, now + single.fault_delay(now), "step {step}: the write's one draw");
+            let busy = stream.wire.busy_until() > first;
+            let state = |p: &NtbPort| (p.wire.busy_until(), p.forwarded_tlps(), p.stats().messages);
+            let before = state(&stream);
+            let walk: Vec<SimTime> = (0..n)
+                .map(|k| {
+                    let tlp = Tlp::write(0x4000_0000, payload);
+                    let g = single.wire.send(first + period * k, &tlp);
+                    single.forwarded_tlps += 1;
+                    single.landed(g).end
+                })
+                .collect();
+            let got: Vec<SimTime> =
+                match stream.forward_stream(first, 0x8000_0000, payload, period, n) {
+                    Some((g, spacing)) => {
+                        if spacing == period && n > 1 {
+                            periodic += 1;
+                        } else {
+                            back_to_back += 1;
+                        }
+                        (0..n).map(|k| g.end + spacing * k).collect()
+                    }
+                    None => {
+                        refused += 1;
+                        assert_eq!(
+                            state(&stream),
+                            before,
+                            "step {step}: a refusal touched the port"
+                        );
+                        assert!(busy && n > 1, "step {step}: refused an evenly spaced stream");
+                        // The sender's fallback: one TLP at a time.
+                        (0..n)
+                            .map(|k| {
+                                let at = first + period * k;
+                                let one =
+                                    stream.forward_stream(at, 0x8000_0000, payload, period, 1);
+                                one.expect("a lone TLP always goes through").0.end
+                            })
+                            .collect()
+                    }
+                };
+            assert_eq!(got, walk, "step {step}: {n} x {payload} B every {period} from {first}");
+            assert_eq!(state(&stream), state(&single), "step {step}");
+            now += period * (n - 1);
         }
-        assert_eq!(burst.forwarded_tlps(), single.forwarded_tlps());
-        assert_eq!(burst.fault_stats(), single.fault_stats());
-        assert!(burst.fault_stats().replays > 0 && burst.fault_stats().deferrals > 0);
-        let (a, b) = (burst.stats(), single.stats());
+        assert!(
+            periodic > 200 && back_to_back > 200 && refused > 20,
+            "{periodic} periodic, {back_to_back} back to back, {refused} refused"
+        );
+        let faults = stream.fault_stats();
+        assert_eq!(faults, single.fault_stats());
+        assert!(faults.deferrals > 0 && faults.replays > 100 && faults.replays < WRITES / 2);
+        let (a, b) = (stream.stats(), single.stats());
         assert_eq!(
             (a.payload_bytes, a.overhead_bytes, a.messages),
             (b.payload_bytes, b.overhead_bytes, b.messages)
         );
         let horizon = now + SimDuration::from_millis(1);
-        assert_eq!(burst.utilization(horizon), single.utilization(horizon));
+        assert_eq!(stream.utilization(horizon), single.utilization(horizon));
+        assert!(stream.forward_stream(now, 0x1234, 64, SimDuration::ZERO, 4).is_none(), "unmapped");
     }
 
     /// A periodic run is `n` forwards on the cycle instants: same grants,
@@ -575,14 +631,14 @@ mod tests {
             until: SimTime::from_micros(50),
         });
         // Before the outage: normal latency.
-        let g0 = p.forward_write(SimTime::ZERO, 0x8000_0000, 64).unwrap();
-        assert!(g0.end < SimTime::from_micros(10));
+        let l0 = ship(&mut p, SimTime::ZERO, 1);
+        assert!(l0 < SimTime::from_micros(10));
         // Inside the outage: parked until retrain at 50us.
-        let g1 = p.forward_write(SimTime::from_micros(20), 0x8000_0000, 64).unwrap();
-        assert!(g1.end >= SimTime::from_micros(50), "parked until retrain: {:?}", g1.end);
+        let l1 = ship(&mut p, SimTime::from_micros(20), 1);
+        assert!(l1 >= SimTime::from_micros(50), "parked until retrain: {l1:?}");
         // After the outage: normal again.
-        let g2 = p.forward_write(SimTime::from_micros(60), 0x8000_0000, 64).unwrap();
-        assert!(g2.end < SimTime::from_micros(62));
+        let l2 = ship(&mut p, SimTime::from_micros(60), 1);
+        assert!(l2 < SimTime::from_micros(62));
         assert_eq!(p.fault_stats().deferrals, 1);
     }
 
@@ -594,14 +650,7 @@ mod tests {
                 TransportFaultConfig { tlp_drop: 0.3, replay_timeout: SimDuration::from_micros(5) },
                 DetRng::new(seed),
             );
-            (0..50)
-                .map(|i| {
-                    p.forward_write(SimTime::from_micros(i * 10), 0x8000_0000, 256)
-                        .unwrap()
-                        .end
-                        .as_nanos()
-                })
-                .collect()
+            (0..50).map(|i| ship(&mut p, SimTime::from_micros(i * 10), 4).as_nanos()).collect()
         }
         assert_eq!(run(8), run(8));
         assert_ne!(run(8), run(9));

@@ -41,13 +41,23 @@ echo "== credit-aware fsync (release: bound vs brute force, reads and wakes per 
 # 3.00 wakes each, the same counts on a second run.
 cargo test --release -p xssd-core --test fsync_wake --quiet
 
+echo "== cut-through mirror flow (release: one queue entry and one run per write per secondary)"
+# crates/core/tests/mirror_runs.rs: on the log_replicated size mix exactly
+# one mirror queue entry per write per secondary and the secondaries' lanes
+# fed chunk for chunk like the primary's (>= 95 % as runs), shadow runs per
+# commit within shadow_runs.rs's pin; no update cycle reports a byte whose
+# TLP has not landed; a delivery refused part-way resumes where it stopped.
+cargo test --release -p xssd-core --test mirror_runs --quiet
+
 echo "== no clock nudges (a wait with nothing pending is an error, not +N us)"
 # PERFORMANCE.md rule 2. `next_event_after(..)` answering `None` must end the
 # wait; falling back to a made-up instant is how the 10 us poll grid got in.
 # The same holds for a log backend's completion bound: with a unit in flight
-# `next_completion_at()` / `next_flush_completion_at()` must answer.
-if grep -rnE 'next_(event_after|(flush_)?completion_at)\([^;]*(unwrap_or|from_micros)' crates/*/src; then
-  echo "FAIL: a next_event_after(..) / next_(flush_)completion_at(..) result is replaced by a fallback instant (lines above)."
+# `next_completion_at()` / `next_flush_completion_at()` must answer. Nor is a
+# retry scheduled a fixed quantum ahead: it goes to the event that can change
+# the outcome (the mirror flow's retry was the last `schedule(at + 1 us, ..)`).
+if grep -rnE 'next_(event_after|(flush_)?completion_at)\([^;]*(unwrap_or|from_micros)|schedule\([^;]*from_micros' crates/*/src; then
+  echo "FAIL: a next_event_after(..) / next_(flush_)completion_at(..) result is replaced by a fallback instant, or an event is scheduled a fixed quantum ahead (lines above)."
   exit 1
 fi
 
