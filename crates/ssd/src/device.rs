@@ -164,6 +164,9 @@ pub struct ConventionalSsd {
     media: HashMap<Lpn, Bytes>,
     /// Host-staged write payloads awaiting the next write command.
     staged: HashMap<Lpn, Bytes>,
+    /// What a write without staged data stores: one page of zeros, shared
+    /// by every such page in the buffer and on media.
+    zero_page: Bytes,
     /// Every queued or in-flight flash op, by op id.
     ops: HashMap<u64, OpRecord>,
     /// Host-write programs not yet on media (what a flush waits on).
@@ -215,6 +218,7 @@ impl ConventionalSsd {
         // Export 7/8 of raw capacity (over-provisioning for GC headroom).
         let capacity = config.geometry.total_pages() * 7 / 8;
         let ns = Namespace::new(1, config.geometry.page_bytes, capacity);
+        let zero_page = Bytes::from(vec![0u8; config.geometry.page_bytes as usize]);
         ConventionalSsd {
             config,
             ns,
@@ -225,6 +229,7 @@ impl ConventionalSsd {
             hic,
             media: HashMap::new(),
             staged: HashMap::new(),
+            zero_page,
             ops: HashMap::new(),
             outstanding_host_programs: 0,
             reads: HashMap::new(),
@@ -486,10 +491,6 @@ impl ConventionalSsd {
         true
     }
 
-    fn page_bytes(&self) -> u64 {
-        self.config.geometry.page_bytes as u64
-    }
-
     fn handle_io(&mut self, now: SimTime, cid: CommandId, io: IoCommand) {
         let fetch = self.hic.fetch(now);
         match io {
@@ -508,10 +509,7 @@ impl ConventionalSsd {
                 let mut programs = 0usize;
                 for i in 0..blocks as u64 {
                     let lpn = lba + i;
-                    let data = self
-                        .staged
-                        .remove(&lpn)
-                        .unwrap_or_else(|| Bytes::from(vec![0u8; self.page_bytes() as usize]));
+                    let data = self.staged.remove(&lpn).unwrap_or_else(|| self.zero_page.clone());
                     let g = self.buffer.write(dma.end, lpn, data.clone());
                     last = last.max(g.end);
                     let ppa = self.allocate_or_gc(g.end, lpn, AllocStream::Host);
