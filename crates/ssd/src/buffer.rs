@@ -8,7 +8,7 @@
 
 use simkit::bytes::Bytes;
 use simkit::{Bandwidth, Grant, SerialResource, SimTime};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 
 /// Logical page number (buffer key).
 pub type Lpn = u64;
@@ -18,6 +18,8 @@ pub type Lpn = u64;
 struct Slot {
     data: Bytes,
     dirty: bool,
+    /// When the page was last written or hit, on the buffer's touch counter.
+    touched: u64,
 }
 
 /// Buffer statistics.
@@ -39,9 +41,12 @@ pub struct DataBuffer {
     capacity_pages: usize,
     page_bytes: u32,
     slots: HashMap<Lpn, Slot>,
-    /// LRU order of clean pages (dirty pages are never evicted — they are
-    /// pinned until flushed).
-    lru: VecDeque<Lpn>,
+    /// The clean pages by last touch, least recent first: eviction order.
+    /// Dirty pages are pinned until flushed and are not in here; a page
+    /// cleaned later takes the place its last touch gave it, which may be
+    /// ahead of pages cleaned before it.
+    clean: BTreeMap<u64, Lpn>,
+    touches: u64,
     port: SerialResource,
     port_bw: Bandwidth,
     stats: BufferStats,
@@ -56,7 +61,8 @@ impl DataBuffer {
             capacity_pages,
             page_bytes,
             slots: HashMap::new(),
-            lru: VecDeque::new(),
+            clean: BTreeMap::new(),
+            touches: 0,
             port: SerialResource::new(),
             port_bw,
             stats: BufferStats::default(),
@@ -75,7 +81,7 @@ impl DataBuffer {
 
     /// Number of dirty (unflushed) pages.
     pub fn dirty_count(&self) -> usize {
-        self.slots.values().filter(|s| s.dirty).count()
+        self.slots.len() - self.clean.len()
     }
 
     /// Statistics.
@@ -102,8 +108,13 @@ impl DataBuffer {
     /// under flush backlog (the flash scheduler is then the back-pressure).
     pub fn write(&mut self, now: SimTime, lpn: Lpn, data: Bytes) -> Grant {
         let g = self.port_access(now, data.len() as u64);
-        self.touch_lru(lpn);
-        self.slots.insert(lpn, Slot { data, dirty: true });
+        self.touches += 1;
+        let slot = Slot { data, dirty: true, touched: self.touches };
+        if let Some(old) = self.slots.insert(lpn, slot) {
+            if !old.dirty {
+                self.clean.remove(&old.touched);
+            }
+        }
         self.stats.writes += 1;
         self.evict_if_needed();
         g
@@ -111,43 +122,20 @@ impl DataBuffer {
 
     /// Look up a page. A hit pays a port access and refreshes LRU.
     pub fn read(&mut self, now: SimTime, lpn: Lpn) -> Option<(Bytes, Grant)> {
-        if let Some(slot) = self.slots.get(&lpn) {
-            let data = slot.data.clone();
-            let g = self.port_access(now, data.len() as u64);
-            self.touch_lru(lpn);
-            self.stats.read_hits += 1;
-            Some((data, g))
-        } else {
+        let Some(slot) = self.slots.get_mut(&lpn) else {
             self.stats.read_misses += 1;
-            None
+            return None;
+        };
+        self.touches += 1;
+        if !slot.dirty {
+            self.clean.remove(&slot.touched);
+            self.clean.insert(self.touches, lpn);
         }
-    }
-
-    /// Install a page fetched from flash as a clean cache entry.
-    pub fn fill(&mut self, now: SimTime, lpn: Lpn, data: Bytes) -> Grant {
+        slot.touched = self.touches;
+        let data = slot.data.clone();
+        self.stats.read_hits += 1;
         let g = self.port_access(now, data.len() as u64);
-        self.touch_lru(lpn);
-        self.slots.insert(lpn, Slot { data, dirty: false });
-        self.evict_if_needed();
-        g
-    }
-
-    /// The dirty page set, oldest-written first (flush candidates).
-    pub fn dirty_pages(&self) -> Vec<Lpn> {
-        // LRU front is oldest; filter to dirty.
-        let mut out: Vec<Lpn> = self
-            .lru
-            .iter()
-            .filter(|l| self.slots.get(l).is_some_and(|s| s.dirty))
-            .copied()
-            .collect();
-        // Dirty pages not in LRU (shouldn't happen, but be safe).
-        for (lpn, s) in &self.slots {
-            if s.dirty && !out.contains(lpn) {
-                out.push(*lpn);
-            }
-        }
-        out
+        Some((data, g))
     }
 
     /// Fetch page content (no timing), e.g. for a flush's program data.
@@ -158,7 +146,9 @@ impl DataBuffer {
     /// Mark a page clean once its flash program completed.
     pub fn mark_clean(&mut self, lpn: Lpn) {
         if let Some(s) = self.slots.get_mut(&lpn) {
-            s.dirty = false;
+            if std::mem::take(&mut s.dirty) {
+                self.clean.insert(s.touched, lpn);
+            }
         }
         self.evict_if_needed();
     }
@@ -166,28 +156,15 @@ impl DataBuffer {
     /// Drop every entry (power loss: device DRAM is volatile).
     pub fn crash(&mut self) {
         self.slots.clear();
-        self.lru.clear();
-    }
-
-    fn touch_lru(&mut self, lpn: Lpn) {
-        if let Some(pos) = self.lru.iter().position(|l| *l == lpn) {
-            self.lru.remove(pos);
-        }
-        self.lru.push_back(lpn);
+        self.clean.clear();
     }
 
     fn evict_if_needed(&mut self) {
         while self.slots.len() > self.capacity_pages {
-            // Find the oldest clean page.
-            let victim = self.lru.iter().position(|l| self.slots.get(l).is_some_and(|s| !s.dirty));
-            match victim {
-                Some(pos) => {
-                    let lpn = self.lru.remove(pos).expect("position valid");
-                    self.slots.remove(&lpn);
-                    self.stats.evictions += 1;
-                }
-                None => break, // all dirty: allow overflow, flusher will drain
-            }
+            // All dirty: allow overflow, the flusher will drain.
+            let Some((_, lpn)) = self.clean.pop_first() else { break };
+            self.slots.remove(&lpn);
+            self.stats.evictions += 1;
         }
     }
 }
@@ -258,28 +235,107 @@ mod tests {
     }
 
     #[test]
-    fn clean_fill_evicts_lru_first() {
-        let mut buf = buffer(2);
-        buf.fill(SimTime::ZERO, 1, page(1));
-        buf.fill(SimTime::ZERO, 2, page(2));
-        // Touch 1 so 2 becomes LRU.
-        buf.read(SimTime::ZERO, 1);
-        buf.fill(SimTime::ZERO, 3, page(3));
-        assert!(buf.peek(2).is_none(), "LRU page 2 evicted");
-        assert!(buf.peek(1).is_some());
-        assert_eq!(buf.stats().evictions, 1);
+    fn cleaned_pages_evict_lru_first() {
+        let mut buf = buffer(4);
+        for lpn in 1..=4 {
+            buf.write(SimTime::ZERO, lpn, page(lpn as u8));
+        }
+        assert_eq!(buf.dirty_count(), 4);
+        // Flushed out of write order: a page's place is its last touch's,
+        // not its flush's.
+        buf.mark_clean(3);
+        buf.mark_clean(2);
+        buf.mark_clean(1);
+        assert_eq!(buf.dirty_count(), 1);
+        buf.write(SimTime::ZERO, 5, page(5));
+        assert!(buf.peek(1).is_none(), "page 1 is the oldest clean page");
+        // Touch 2 so 3 becomes the least recently used.
+        buf.read(SimTime::ZERO, 2);
+        buf.write(SimTime::ZERO, 6, page(6));
+        assert!(buf.peek(3).is_none() && buf.peek(2).is_some(), "then page 3");
+        buf.write(SimTime::ZERO, 7, page(7));
+        assert!(buf.peek(2).is_none(), "then page 2");
+        // 4 to 7 are dirty: pinned, over capacity or not.
+        buf.write(SimTime::ZERO, 8, page(8));
+        assert_eq!(buf.occupancy(), 5);
+        assert_eq!(buf.stats().evictions, 3);
+    }
+
+    /// The scanning buffer the ordered set replaced: one queue of every
+    /// resident page by last touch, searched for the page on each touch and
+    /// for the oldest clean page on each eviction.
+    #[derive(Default)]
+    struct ScanningLru {
+        dirty: HashMap<Lpn, bool>,
+        lru: Vec<Lpn>,
+        evictions: u64,
+    }
+
+    impl ScanningLru {
+        fn touch(&mut self, lpn: Lpn) {
+            self.lru.retain(|l| *l != lpn);
+            self.lru.push(lpn);
+        }
+
+        fn evict(&mut self, capacity: usize) {
+            while self.dirty.len() > capacity {
+                let Some(victim) = self.lru.iter().copied().find(|l| !self.dirty[l]) else { break };
+                self.lru.retain(|l| *l != victim);
+                self.dirty.remove(&victim);
+                self.evictions += 1;
+            }
+        }
     }
 
     #[test]
-    fn dirty_list_is_oldest_first() {
-        let mut buf = buffer(8);
-        buf.write(SimTime::ZERO, 5, page(5));
-        buf.write(SimTime::ZERO, 6, page(6));
-        buf.write(SimTime::ZERO, 7, page(7));
-        assert_eq!(buf.dirty_pages(), vec![5, 6, 7]);
-        buf.mark_clean(6);
-        assert_eq!(buf.dirty_pages(), vec![5, 7]);
-        assert_eq!(buf.dirty_count(), 2);
+    fn eviction_order_matches_the_scanning_reference() {
+        // Random writes, hits, misses, flush completions in any order and
+        // crashes on small buffers: after every step the same pages are
+        // resident, the same are dirty, and as many were evicted.
+        let mut rng = simkit::DetRng::new(0x1B0F);
+        for case in 0..200 {
+            let capacity = rng.uniform(1, 8) as usize;
+            let lpns = rng.uniform(2, 24);
+            let mut buf = buffer(capacity);
+            let mut want = ScanningLru::default();
+            for step in 0..400 {
+                let lpn = rng.uniform(0, lpns - 1);
+                match rng.uniform(0, 9) {
+                    0..=3 => {
+                        buf.write(SimTime::ZERO, lpn, page(lpn as u8));
+                        want.touch(lpn);
+                        want.dirty.insert(lpn, true);
+                    }
+                    4..=5 => {
+                        let hit = buf.read(SimTime::ZERO, lpn).is_some();
+                        assert_eq!(hit, want.dirty.contains_key(&lpn), "case {case} step {step}");
+                        if hit {
+                            want.touch(lpn);
+                        }
+                    }
+                    6..=8 => {
+                        buf.mark_clean(lpn);
+                        if let Some(d) = want.dirty.get_mut(&lpn) {
+                            *d = false;
+                        }
+                    }
+                    _ if rng.chance(0.1) => {
+                        buf.crash();
+                        want.dirty.clear();
+                        want.lru.clear();
+                    }
+                    _ => {}
+                }
+                want.evict(capacity);
+                for l in 0..lpns {
+                    let resident = buf.peek(l).is_some();
+                    assert_eq!(resident, want.dirty.contains_key(&l), "case {case} step {step}");
+                }
+                let dirty = want.dirty.values().filter(|d| **d).count();
+                assert_eq!(buf.dirty_count(), dirty, "case {case} step {step}");
+                assert_eq!(buf.stats().evictions, want.evictions, "case {case} step {step}");
+            }
+        }
     }
 
     #[test]

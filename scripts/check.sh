@@ -70,6 +70,15 @@ if grep -rnE 'Histogram|percentile_lower_bound|p99_us_exact' crates/; then
   exit 1
 fi
 
+echo "== no scan in the data buffer (rule 7: eviction order is kept, not searched for)"
+# The buffer holds its clean pages ordered by last touch; finding a page or a
+# victim by walking a queue (`.position(`) is the scanning version, which
+# lives on only as the reference model in its tests.
+if grep -n '\.position(' crates/ssd/src/buffer.rs; then
+  echo "FAIL: crates/ssd/src/buffer.rs searches a queue by position (lines above)."
+  exit 1
+fi
+
 echo "== segment recovery smoke (release, torn-tail property)"
 # Three seeds of the torn-tail committed-prefix property from
 # crates/memdb/tests/segment_recovery.rs, in release mode (the same
