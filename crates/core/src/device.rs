@@ -233,7 +233,7 @@ impl VillarsDevice {
 
     /// Host fast-side write: `data` stored to the CMB window at monotonic
     /// ring `offset` on `lane`, issued under `mode` (WC or UC). The TLPs
-    /// ride the shared host PCIe link. Mirrors to secondaries when primary.
+    /// ride the host link's downstream wire. Mirrors to secondaries when primary.
     ///
     /// The full-size TLPs of the write go to the lane as one run; what the
     /// run form does not take — a refused run, a lone TLP, the trailing
@@ -254,7 +254,7 @@ impl VillarsDevice {
         }
         // The link's quote for the full-size TLPs: first arrival, period.
         let (first, period) =
-            self.conventional.host_link_mut().peek_write_burst(now, shape.unit as u32);
+            self.conventional.host_downstream_mut().peek_write_burst(now, shape.unit as u32);
         let burst = TlpRun { first, period, count: shape.full_count };
         let mut arrived = now;
         let mut taken = 0;
@@ -269,7 +269,7 @@ impl VillarsDevice {
             arrived =
                 self.send_chunks(now, lane, offset + taken as u64, &data[taken..], shape.unit)?;
         }
-        let issued_at = self.conventional.host_link_busy_until();
+        let issued_at = self.conventional.host_downstream_busy_until();
         // Mirror the write to secondaries (lane 0 carries replication).
         let outbound = if lane == 0 {
             self.transport.mirror(offset, data, shape, burst, arrived)
@@ -297,7 +297,7 @@ impl VillarsDevice {
             return None;
         }
         let burst =
-            self.conventional.host_link_mut().send_write_burst(now, unit as u32, quote.count);
+            self.conventional.host_downstream_mut().send_write_burst(now, unit as u32, quote.count);
         debug_assert_eq!(burst.end, quote.last());
         self.fast_tlps += quote.count;
         self.fast_bytes_in += data.len() as u64;
@@ -331,7 +331,7 @@ impl VillarsDevice {
         let mut at = offset;
         let mut arrived = now;
         for chunk in data.chunks(unit as usize) {
-            arrived = conv.host_link_mut().send_write_burst(now, chunk.len() as u32, 1).end;
+            arrived = conv.host_downstream_mut().send_write_burst(now, chunk.len() as u32, 1).end;
             self.fast_tlps += 1;
             cmb.ingest(arrived, at, chunk, |t, b| {
                 Self::backing_acquire(sram_port, conv, bw, t, b)
@@ -383,11 +383,12 @@ impl VillarsDevice {
     }
 
     /// Host control-interface read of the credit counter: an MMIO read
-    /// round trip on the host link, returning the policy-combined value
-    /// (paper §4.2). Returns `(completion instant, counter)`.
+    /// round trip on the host link (request down, completion up), returning
+    /// the policy-combined value (paper §4.2). Returns `(completion instant,
+    /// counter)`.
     pub fn read_credit(&mut self, now: SimTime, lane: usize) -> (SimTime, u64) {
         self.credit_reads += 1;
-        let g = self.conventional.host_link_mut().read_round_trip(now, 0, 8);
+        let g = self.conventional.host_read_round_trip(now, 0, 8);
         let local = self.lanes[lane].cmb.credit_at(g.end);
         let value = if lane == 0 {
             self.transport.combined_credit(local, self.config.replication)

@@ -2,8 +2,8 @@
 //!
 //! The SSD's Host Interface Controller "uses a Direct Memory Access (DMA)
 //! engine to bring the data into the device" (paper §2.2). A DMA transfer is
-//! a train of Max-Payload-Size TLPs on the host link plus a fixed
-//! setup/descriptor-fetch cost.
+//! a train of Max-Payload-Size TLPs on one direction of the host link plus a
+//! fixed setup/descriptor-fetch cost.
 
 use crate::link::PcieLink;
 use crate::tlp::MaxPayloadSize;
@@ -33,9 +33,11 @@ pub enum DmaDirection {
     DeviceToHost,
 }
 
-/// The DMA engine. It shares the device's host link, so DMA traffic and CMB
-/// MMIO traffic contend for the same wire — the reason the paper constrains
-/// the CMB experiments to a ×4 link.
+/// The DMA engine. It shares the device's host link: data brought into the
+/// device contends with CMB MMIO stores for the downstream wire — the reason
+/// the paper constrains the CMB experiments to a ×4 link — and data sent to
+/// the host has the upstream wire, which carries nothing else but MMIO-read
+/// completions.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DmaEngine {
     config: DmaConfig,
@@ -49,19 +51,25 @@ impl DmaEngine {
         DmaEngine { config, transfers: 0, bytes: 0 }
     }
 
-    /// Execute a transfer of `len` bytes over `link`. Returns the window
-    /// whose `end` is when the last byte has landed.
+    /// Execute a transfer of `len` bytes on the wire of the host link that
+    /// runs in `dir`: `downstream` toward the device, `upstream` toward the
+    /// host. Returns the window whose `end` is when the last byte has landed.
     ///
     /// Both directions serialize the same number of data-bearing TLPs: for
     /// device-to-host the data rides completions/writes toward the host; the
     /// wire cost is symmetric at this abstraction level.
     pub fn transfer(
         &mut self,
-        link: &mut PcieLink,
+        downstream: &mut PcieLink,
+        upstream: &mut PcieLink,
         now: SimTime,
         len: u64,
-        _dir: DmaDirection,
+        dir: DmaDirection,
     ) -> Grant {
+        let link = match dir {
+            DmaDirection::HostToDevice => downstream,
+            DmaDirection::DeviceToHost => upstream,
+        };
         self.transfers += 1;
         self.bytes += len;
         let start = now + self.config.setup;
@@ -105,42 +113,51 @@ mod tests {
     use super::*;
     use crate::link::LinkConfig;
 
+    /// A host link's two wires, downstream first, and an engine.
+    fn rig() -> (PcieLink, PcieLink, DmaEngine) {
+        let wire = || PcieLink::new(LinkConfig::villars_host());
+        (wire(), wire(), DmaEngine::new(DmaConfig::default()))
+    }
+
     #[test]
     fn transfer_splits_into_mps_tlps() {
-        let mut link = PcieLink::new(LinkConfig::villars_host());
-        let mut dma = DmaEngine::new(DmaConfig::default());
-        let g = dma.transfer(&mut link, SimTime::ZERO, 4096, DmaDirection::HostToDevice);
+        let (mut down, mut up, mut dma) = rig();
+        let g = dma.transfer(&mut down, &mut up, SimTime::ZERO, 4096, DmaDirection::HostToDevice);
         // 16 TLPs of 256B payload + 24B overhead = 4480 wire bytes at 2 B/ns
-        // = 2240ns + 300ns setup + 150ns propagation.
+        // = 2240ns + 300ns setup + 150ns propagation, all of it downstream.
         assert_eq!(g.end.as_nanos(), 300 + 2240 + 150);
-        assert_eq!(link.stats().messages, 16);
+        assert_eq!(down.stats().messages, 16);
+        assert_eq!(up.stats().messages, 0);
         assert_eq!(dma.bytes_moved(), 4096);
     }
 
     #[test]
     fn tail_packet_handled() {
-        let mut link = PcieLink::new(LinkConfig::villars_host());
-        let mut dma = DmaEngine::new(DmaConfig::default());
-        dma.transfer(&mut link, SimTime::ZERO, 300, DmaDirection::DeviceToHost);
-        assert_eq!(link.stats().messages, 2);
-        assert_eq!(link.stats().payload_bytes, 300);
+        let (mut down, mut up, mut dma) = rig();
+        dma.transfer(&mut down, &mut up, SimTime::ZERO, 300, DmaDirection::DeviceToHost);
+        // Toward the host: the upstream wire carries both packets.
+        assert_eq!(up.stats().messages, 2);
+        assert_eq!(up.stats().payload_bytes, 300);
+        assert_eq!(down.stats().messages, 0);
     }
 
     #[test]
     fn zero_length_transfer_costs_only_setup() {
-        let mut link = PcieLink::new(LinkConfig::villars_host());
-        let mut dma = DmaEngine::new(DmaConfig::default());
-        let g = dma.transfer(&mut link, SimTime::ZERO, 0, DmaDirection::HostToDevice);
+        let (mut down, mut up, mut dma) = rig();
+        let g = dma.transfer(&mut down, &mut up, SimTime::ZERO, 0, DmaDirection::HostToDevice);
         assert_eq!(g.end.as_nanos(), 300);
-        assert_eq!(link.stats().messages, 0);
+        assert_eq!(down.stats().messages + up.stats().messages, 0);
     }
 
     #[test]
     fn dma_contends_with_other_link_traffic() {
-        let mut link = PcieLink::new(LinkConfig::villars_host());
-        let mut dma = DmaEngine::new(DmaConfig::default());
-        let a = dma.transfer(&mut link, SimTime::ZERO, 4096, DmaDirection::HostToDevice);
-        let b = dma.transfer(&mut link, SimTime::ZERO, 4096, DmaDirection::HostToDevice);
-        assert!(b.end > a.end, "second transfer must queue on the shared wire");
+        let (mut down, mut up, mut dma) = rig();
+        let at = SimTime::ZERO;
+        let a = dma.transfer(&mut down, &mut up, at, 4096, DmaDirection::HostToDevice);
+        let b = dma.transfer(&mut down, &mut up, at, 4096, DmaDirection::HostToDevice);
+        assert!(b.end > a.end, "second transfer must queue on the downstream wire");
+        // The other direction has a wire of its own.
+        let c = dma.transfer(&mut down, &mut up, at, 4096, DmaDirection::DeviceToHost);
+        assert_eq!(c.end, a.end, "a transfer toward the host queues behind neither");
     }
 }

@@ -86,7 +86,9 @@ impl LinkConfig {
     }
 }
 
-/// A serializing PCIe link carrying TLPs.
+/// One direction of a PCIe link: a serializing wire carrying TLPs one way.
+/// A link is dual-simplex — a full-duplex port owns two of these, and a
+/// read's completion returns on the other one.
 ///
 /// Latency of a packet = queueing (FIFO behind in-flight TLPs)
 /// + serialization (wire bytes / bandwidth) + propagation.
@@ -166,15 +168,6 @@ impl PcieLink {
         Some(Grant { start: g.start, end: g.end + self.config.propagation })
     }
 
-    /// Round-trip read: a read-request TLP travels out, the completion with
-    /// `len` payload travels back. Returns when the completion data is fully
-    /// received.
-    pub fn read_round_trip(&mut self, now: SimTime, addr: u64, len: u32) -> Grant {
-        let req = self.send(now, &Tlp::read(addr, len));
-        let comp = self.send(req.end, &Tlp::completion(addr, len));
-        Grant { start: req.start, end: comp.end }
-    }
-
     /// The instant the wire next goes idle.
     pub fn busy_until(&self) -> SimTime {
         self.wire.busy_until()
@@ -183,6 +176,11 @@ impl PcieLink {
     /// Cumulative traffic statistics.
     pub fn stats(&self) -> LinkStats {
         self.wire.stats()
+    }
+
+    /// Total time the wire has been occupied.
+    pub fn busy_time(&self) -> SimDuration {
+        self.wire.busy_time()
     }
 
     /// Wire utilization over `[0, horizon]`.
@@ -338,20 +336,6 @@ mod tests {
             }
         }
         assert!(granted > 100 && refused > 100, "{granted} granted, {refused} refused");
-    }
-
-    #[test]
-    fn read_round_trip_includes_completion_payload() {
-        let mut link = PcieLink::new(LinkConfig {
-            generation: Generation::Gen2,
-            lanes: LaneWidth::X4,
-            overhead: TlpOverhead::default(),
-            propagation: SimDuration::from_nanos(0),
-        });
-        let g = link.read_round_trip(SimTime::ZERO, 0x0, 8);
-        // Request: 24B -> 12ns. Completion: 32B -> 16ns. Total 28ns.
-        assert_eq!(g.end.as_nanos(), 28);
-        assert_eq!(link.stats().messages, 2);
     }
 
     #[test]

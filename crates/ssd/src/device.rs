@@ -289,7 +289,7 @@ impl ConventionalSsd {
         self.buffer.stats()
     }
 
-    /// Host-link statistics.
+    /// Host-link statistics, both directions together.
     pub fn link_stats(&self) -> simkit::LinkStats {
         self.hic.link_stats()
     }
@@ -322,14 +322,20 @@ impl ConventionalSsd {
         self.buffer.port_hold(now, duration)
     }
 
-    /// Borrow the host PCIe link (shared by CMB MMIO traffic).
-    pub fn host_link_mut(&mut self) -> &mut pcie::PcieLink {
-        self.hic.link_mut()
+    /// Borrow the host link's downstream wire, which the host's stores ride
+    /// (CMB MMIO traffic shares it with DMA-in).
+    pub fn host_downstream_mut(&mut self) -> &mut pcie::PcieLink {
+        self.hic.downstream_mut()
     }
 
-    /// When the host link wire next goes idle (store-issue pipelining).
-    pub fn host_link_busy_until(&self) -> SimTime {
-        self.hic.link_busy_until()
+    /// When the downstream wire next goes idle (store-issue pipelining).
+    pub fn host_downstream_busy_until(&self) -> SimTime {
+        self.hic.downstream_busy_until()
+    }
+
+    /// Host MMIO read over the host link (see [`Hic::read_round_trip`]).
+    pub fn host_read_round_trip(&mut self, now: SimTime, addr: u64, len: u32) -> simkit::Grant {
+        self.hic.read_round_trip(now, addr, len)
     }
 
     /// Submit a new flash op under a fresh id.
@@ -853,7 +859,7 @@ impl simkit::Instrument for ConventionalSsd {
     /// (`pcie.*`, `ssd.*`, `flash.*`), so collecting at the registry root
     /// yields the cross-stack paths of the naming convention.
     fn instrument(&self, out: &mut simkit::Scope<'_>) {
-        out.collect("pcie.host_link", self.hic.link());
+        self.hic.instrument_link(&mut out.scope("pcie.host_link"));
         out.collect("pcie.host_dma", self.hic.dma());
         out.collect("ssd.hic", &self.hic);
         out.collect("ssd.buffer", &self.buffer);

@@ -6,7 +6,7 @@
 //! device's host-facing PCIe link and its DMA engine; CMB MMIO traffic (on a
 //! Villars device) shares the same link.
 
-use pcie::{DmaConfig, DmaDirection, DmaEngine, LinkConfig, PcieLink};
+use pcie::{DmaConfig, DmaDirection, DmaEngine, LinkConfig, PcieLink, Tlp};
 use simkit::{Grant, SerialResource, SimDuration, SimTime};
 
 /// HIC timing parameters.
@@ -29,10 +29,15 @@ impl Default for HicConfig {
 }
 
 /// The host interface controller: command fetch engine + host link + DMA.
+///
+/// The link is dual-simplex, one wire per direction. MMIO stores, DMA-in
+/// data and read *requests* ride the downstream wire (host → device);
+/// DMA-out data and MMIO-read *completions* the upstream one.
 #[derive(Debug)]
 pub struct Hic {
     config: HicConfig,
-    link: PcieLink,
+    downstream: PcieLink,
+    upstream: PcieLink,
     dma: DmaEngine,
     fetch_engine: SerialResource,
 }
@@ -42,7 +47,8 @@ impl Hic {
     pub fn new(config: HicConfig, link: LinkConfig, dma: DmaConfig) -> Self {
         Hic {
             config,
-            link: PcieLink::new(link),
+            downstream: PcieLink::new(link),
+            upstream: PcieLink::new(link),
             dma: DmaEngine::new(dma),
             fetch_engine: SerialResource::new(),
         }
@@ -54,14 +60,27 @@ impl Hic {
         self.fetch_engine.acquire(now, self.config.fetch)
     }
 
-    /// DMA `bytes` from host memory into the device.
+    /// DMA `bytes` from host memory into the device, on the downstream wire.
     pub fn dma_in(&mut self, now: SimTime, bytes: u64) -> Grant {
-        self.dma.transfer(&mut self.link, now, bytes, DmaDirection::HostToDevice)
+        self.dma_transfer(now, bytes, DmaDirection::HostToDevice)
     }
 
-    /// DMA `bytes` from the device to host memory.
+    /// DMA `bytes` from the device to host memory, on the upstream wire.
     pub fn dma_out(&mut self, now: SimTime, bytes: u64) -> Grant {
-        self.dma.transfer(&mut self.link, now, bytes, DmaDirection::DeviceToHost)
+        self.dma_transfer(now, bytes, DmaDirection::DeviceToHost)
+    }
+
+    fn dma_transfer(&mut self, now: SimTime, bytes: u64, dir: DmaDirection) -> Grant {
+        self.dma.transfer(&mut self.downstream, &mut self.upstream, now, bytes, dir)
+    }
+
+    /// Host MMIO read of `len` bytes at `addr`: the request travels
+    /// downstream, the completion carrying the data comes back upstream.
+    /// Returns when the completion is fully received.
+    pub fn read_round_trip(&mut self, now: SimTime, addr: u64, len: u32) -> Grant {
+        let req = self.downstream.send(now, &Tlp::read(addr, len));
+        let comp = self.upstream.send(req.end, &Tlp::completion(addr, len));
+        Grant { start: req.start, end: comp.end }
     }
 
     /// Cost of posting a completion entry.
@@ -69,19 +88,25 @@ impl Hic {
         self.config.completion_post
     }
 
-    /// Borrow the host link (shared with CMB MMIO traffic on a Villars).
-    pub fn link_mut(&mut self) -> &mut PcieLink {
-        &mut self.link
+    /// Borrow the downstream wire: what the host's stores ride (CMB MMIO
+    /// traffic on a Villars shares it with DMA-in).
+    pub fn downstream_mut(&mut self) -> &mut PcieLink {
+        &mut self.downstream
     }
 
-    /// When the host link wire next goes idle.
-    pub fn link_busy_until(&self) -> SimTime {
-        self.link.busy_until()
+    /// When the downstream wire next goes idle.
+    pub fn downstream_busy_until(&self) -> SimTime {
+        self.downstream.busy_until()
     }
 
-    /// Host-link statistics.
+    /// Host-link statistics, both wires together.
     pub fn link_stats(&self) -> simkit::LinkStats {
-        self.link.stats()
+        let (down, up) = (self.downstream.stats(), self.upstream.stats());
+        simkit::LinkStats {
+            payload_bytes: down.payload_bytes + up.payload_bytes,
+            overhead_bytes: down.overhead_bytes + up.overhead_bytes,
+            messages: down.messages + up.messages,
+        }
     }
 
     /// Bytes moved by DMA so far.
@@ -89,9 +114,17 @@ impl Hic {
         self.dma.bytes_moved()
     }
 
-    /// Borrow the host link read-only (telemetry).
-    pub fn link(&self) -> &PcieLink {
-        &self.link
+    /// Report the host link under `out`: the totals over both wires, then
+    /// each wire under `downstream` / `upstream`.
+    pub fn instrument_link(&self, out: &mut simkit::Scope<'_>) {
+        let total = self.link_stats();
+        let busy = self.downstream.busy_time() + self.upstream.busy_time();
+        out.counter("payload_bytes", total.payload_bytes);
+        out.counter("overhead_bytes", total.overhead_bytes);
+        out.counter("messages", total.messages);
+        out.counter("busy_ns", busy.as_nanos());
+        out.collect("downstream", &self.downstream);
+        out.collect("upstream", &self.upstream);
     }
 
     /// Borrow the DMA engine read-only (telemetry).
@@ -132,19 +165,36 @@ mod tests {
         let g = h.dma_in(SimTime::ZERO, 16 << 10);
         assert!(g.end > SimTime::ZERO);
         assert_eq!(h.dma_bytes(), 16 << 10);
-        assert!(h.link_stats().messages > 0);
+        // Into the device: 64 TLPs downstream, nothing upstream.
+        assert_eq!((h.downstream.stats().messages, h.upstream.stats().messages), (64, 0));
+        h.dma_out(SimTime::ZERO, 16 << 10);
+        assert_eq!(h.upstream.stats().messages, 64);
+        assert_eq!(h.link_stats().messages, 128);
     }
 
     #[test]
     fn dma_and_mmio_share_the_wire() {
         let mut h = hic();
         let dma = h.dma_in(SimTime::ZERO, 64 << 10);
-        // An MMIO burst issued concurrently queues behind DMA TLPs.
-        let mmio = h.link_mut().send_write_burst(SimTime::ZERO, 64, 1);
-        assert!(mmio.end > SimTime::ZERO);
-        // Total wire time reflects both.
-        assert!(
-            h.link_mut().busy_until() >= dma.end - pcie::LinkConfig::villars_host().propagation
-        );
+        // An MMIO burst issued concurrently queues behind the DMA-in TLPs:
+        // both ride the downstream wire.
+        let mmio = h.downstream_mut().send_write_burst(SimTime::ZERO, 64, 1);
+        assert!(mmio.start >= dma.end - pcie::LinkConfig::villars_host().propagation);
+        // Data leaving for the host does not: it has the upstream wire.
+        let out = h.dma_out(SimTime::ZERO, 16 << 10);
+        assert!(out.end < dma.end);
+    }
+
+    #[test]
+    fn read_round_trip_goes_down_and_comes_back_up() {
+        let link = LinkConfig { propagation: SimDuration::ZERO, ..LinkConfig::villars_host() };
+        let mut h = Hic::new(HicConfig::default(), link, DmaConfig::default());
+        let g = h.read_round_trip(SimTime::ZERO, 0x0, 8);
+        // Request: 24B -> 12ns downstream. Completion: 32B -> 16ns upstream.
+        assert_eq!(g.end.as_nanos(), 28);
+        assert_eq!((h.downstream.stats().messages, h.upstream.stats().messages), (1, 1));
+        assert_eq!(h.upstream.stats().payload_bytes, 8);
+        // The completion never held the wire the host's stores ride.
+        assert_eq!(h.downstream_busy_until().as_nanos(), 12);
     }
 }
