@@ -7,7 +7,7 @@
 
 use crate::link::PcieLink;
 use crate::tlp::MaxPayloadSize;
-use simkit::{Grant, SimDuration, SimTime};
+use simkit::{SimDuration, SimTime};
 
 /// DMA engine parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -33,6 +33,37 @@ pub enum DmaDirection {
     DeviceToHost,
 }
 
+/// One transfer on the wire: the engine's window and when its data lands,
+/// TLP by TLP — what a receiver that takes the data as it arrives needs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DmaTransfer {
+    /// When the engine started moving data (request + setup).
+    pub start: SimTime,
+    /// When the last byte has landed.
+    pub end: SimTime,
+    /// Arrival of the first TLP.
+    pub first: SimTime,
+    /// Spacing of the full-size TLPs' arrivals: one TLP's wire time.
+    pub period: SimDuration,
+    /// Payload bytes of a full-size TLP.
+    pub unit: u64,
+    /// Full-size TLPs in the transfer (a shorter one may follow).
+    full: u64,
+}
+
+impl DmaTransfer {
+    /// When the first `bytes` bytes of the transfer (at least one) have all
+    /// landed: the arrival of the TLP that carries the last of them.
+    pub fn landed(&self, bytes: u64) -> SimTime {
+        let tlp = (bytes - 1) / self.unit;
+        if tlp < self.full {
+            self.first + self.period * tlp
+        } else {
+            self.end
+        }
+    }
+}
+
 /// The DMA engine. It shares the device's host link: data brought into the
 /// device contends with CMB MMIO stores for the downstream wire — the reason
 /// the paper constrains the CMB experiments to a ×4 link — and data sent to
@@ -53,7 +84,7 @@ impl DmaEngine {
 
     /// Execute a transfer of `len` bytes on the wire of the host link that
     /// runs in `dir`: `downstream` toward the device, `upstream` toward the
-    /// host. Returns the window whose `end` is when the last byte has landed.
+    /// host. The result's `end` is when the last byte has landed.
     ///
     /// Both directions serialize the same number of data-bearing TLPs: for
     /// device-to-host the data rides completions/writes toward the host; the
@@ -65,7 +96,7 @@ impl DmaEngine {
         now: SimTime,
         len: u64,
         dir: DmaDirection,
-    ) -> Grant {
+    ) -> DmaTransfer {
         let link = match dir {
             DmaDirection::HostToDevice => downstream,
             DmaDirection::DeviceToHost => upstream,
@@ -73,21 +104,29 @@ impl DmaEngine {
         self.transfers += 1;
         self.bytes += len;
         let start = now + self.config.setup;
-        if len == 0 {
-            return Grant { start, end: start };
-        }
-        let mps = self.config.mps.0 as u64;
-        let full = len / mps;
-        let tail = (len % mps) as u32;
-        let mut g = Grant { start, end: start };
+        let unit = self.config.mps.0 as u64;
+        let (full, tail) = (len / unit, (len % unit) as u32);
+        let (first, period) = link.peek_write_burst(start, self.config.mps.0);
+        let mut end = start;
         if full > 0 {
-            g = link.send_write_burst(start, self.config.mps.0, full);
+            end = link.send_write_burst(start, self.config.mps.0, full).end;
         }
         if tail > 0 {
-            let t = link.send_write_burst(g.end.max(start), tail, 1);
-            g = Grant { start: g.start.min(t.start), end: t.end };
+            end = link.send_write_burst(end, tail, 1).end;
         }
-        Grant { start, end: g.end }
+        // Without a full-size TLP the quote is for a packet never sent.
+        DmaTransfer { start, end, first: first.min(end), period, unit, full }
+    }
+
+    /// Payload bytes of a full-size TLP.
+    pub fn unit_bytes(&self) -> u64 {
+        self.config.mps.0 as u64
+    }
+
+    /// Wire time of one full-size TLP on `link`: the spacing a transfer's
+    /// data arrives at.
+    pub fn unit_time(&self, link: &PcieLink) -> SimDuration {
+        link.peek_write_burst(SimTime::ZERO, self.config.mps.0).1
     }
 
     /// Transfers executed.
@@ -129,6 +168,26 @@ mod tests {
         assert_eq!(down.stats().messages, 16);
         assert_eq!(up.stats().messages, 0);
         assert_eq!(dma.bytes_moved(), 4096);
+    }
+
+    #[test]
+    fn every_tlp_lands_one_wire_time_after_the_last() {
+        let (mut down, mut up, mut dma) = rig();
+        // 2 full TLPs and a 44-byte one, toward the device.
+        let t = dma.transfer(&mut down, &mut up, SimTime::ZERO, 556, DmaDirection::HostToDevice);
+        // (256 + 24) / 2 B/ns = 140ns each, the first after setup and flight.
+        assert_eq!((t.first.as_nanos(), t.period.as_nanos()), (300 + 140 + 150, 140));
+        assert_eq!(t.landed(1), t.first);
+        assert_eq!(t.landed(256), t.first);
+        assert_eq!(t.landed(257), t.first + t.period);
+        assert_eq!(t.landed(512), t.first + t.period);
+        assert_eq!(t.landed(513), t.end);
+        assert_eq!(t.landed(556), t.end);
+        assert_eq!(dma.unit_time(&down), t.period);
+        // A whole number of TLPs: the last byte lands with the last of them.
+        let t = dma.transfer(&mut down, &mut up, SimTime::ZERO, 4096, DmaDirection::DeviceToHost);
+        assert_eq!(t.landed(4096), t.end);
+        assert_eq!(t.end, t.first + t.period * 15);
     }
 
     #[test]

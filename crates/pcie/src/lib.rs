@@ -23,7 +23,7 @@ pub mod rdma;
 pub mod tlp;
 pub mod wc;
 
-pub use dma::{DmaConfig, DmaDirection, DmaEngine};
+pub use dma::{DmaConfig, DmaDirection, DmaEngine, DmaTransfer};
 pub use link::{Generation, LaneWidth, LinkConfig, PcieLink};
 pub use ntb::{HostId, NtbConfig, NtbFaultStats, NtbPort, TranslationWindow};
 pub use rdma::{RdmaConfig, RdmaTransport};

@@ -7,7 +7,7 @@
 //! injects `Destage`-class writes directly into the storage controller via
 //! [`ConventionalSsd::submit_destage_write`], bypassing the host data path.
 
-use crate::buffer::DataBuffer;
+use crate::buffer::{cut_through, DataBuffer};
 use crate::ftl::{AllocStream, Ftl, Lpn};
 use crate::hic::{Hic, HicConfig};
 use flash::{
@@ -509,6 +509,7 @@ impl ConventionalSsd {
                     return;
                 }
                 let bytes = self.ns.bytes_of(blocks);
+                let page = self.ns.bytes_of(1);
                 let dma = self.hic.dma_in(fetch.end, bytes);
                 let mut last = dma.end;
                 let wait_cid = if self.config.write_cache { None } else { Some(cid) };
@@ -516,7 +517,11 @@ impl ConventionalSsd {
                 for i in 0..blocks as u64 {
                     let lpn = lba + i;
                     let data = self.staged.remove(&lpn).unwrap_or_else(|| self.zero_page.clone());
-                    let g = self.buffer.write(dma.end, lpn, data.clone());
+                    // The DMA's target is the buffer: page i is in it one
+                    // piece after its own last TLP lands, and its program
+                    // does not wait for the pages behind it.
+                    let first = dma.landed(i * page + 1);
+                    let g = self.buffer.write(first, dma.period, dma.unit, lpn, data.clone());
                     last = last.max(g.end);
                     let ppa = self.allocate_or_gc(g.end, lpn, AllocStream::Host);
                     self.submit_op(
@@ -548,11 +553,13 @@ impl ConventionalSsd {
                 }
                 let bytes = self.ns.bytes_of(blocks);
                 let mut remaining = 0usize;
-                let mut ready_at = fetch.end;
+                // Buffered pages are read back to back: one port window.
+                let mut hits: Option<(SimTime, u32)> = None;
                 for i in 0..blocks as u64 {
                     let lpn = lba + i;
                     if let Some((_data, g)) = self.buffer.read(fetch.end, lpn) {
-                        ready_at = ready_at.max(g.end);
+                        let (from, pages) = hits.unwrap_or((g.start, 0));
+                        hits = Some((from, pages + 1));
                     } else if let Some(ppa) = self.ftl.lookup(lpn) {
                         self.submit_op(
                             fetch.end,
@@ -564,6 +571,13 @@ impl ConventionalSsd {
                     }
                     // Never-written pages read as zeros instantly.
                 }
+                let ready_at = hits.map_or(fetch.end, |(from, pages)| {
+                    // The DMA leaves one piece behind the port, not a page.
+                    let (unit, wire) = self.hic.dma_unit();
+                    let port = self.buffer.port_time(unit);
+                    let pieces = self.ns.bytes_of(pages).div_ceil(unit);
+                    cut_through(from + port, port, wire, pieces)
+                });
                 if remaining == 0 {
                     let dma = self.hic.dma_out(ready_at, bytes);
                     let at = dma.end + self.hic.completion_post();

@@ -6,7 +6,7 @@
 //! device's host-facing PCIe link and its DMA engine; CMB MMIO traffic (on a
 //! Villars device) shares the same link.
 
-use pcie::{DmaConfig, DmaDirection, DmaEngine, LinkConfig, PcieLink, Tlp};
+use pcie::{DmaConfig, DmaDirection, DmaEngine, DmaTransfer, LinkConfig, PcieLink, Tlp};
 use simkit::{Grant, SerialResource, SimDuration, SimTime};
 
 /// HIC timing parameters.
@@ -61,17 +61,23 @@ impl Hic {
     }
 
     /// DMA `bytes` from host memory into the device, on the downstream wire.
-    pub fn dma_in(&mut self, now: SimTime, bytes: u64) -> Grant {
+    pub fn dma_in(&mut self, now: SimTime, bytes: u64) -> DmaTransfer {
         self.dma_transfer(now, bytes, DmaDirection::HostToDevice)
     }
 
     /// DMA `bytes` from the device to host memory, on the upstream wire.
-    pub fn dma_out(&mut self, now: SimTime, bytes: u64) -> Grant {
+    pub fn dma_out(&mut self, now: SimTime, bytes: u64) -> DmaTransfer {
         self.dma_transfer(now, bytes, DmaDirection::DeviceToHost)
     }
 
-    fn dma_transfer(&mut self, now: SimTime, bytes: u64, dir: DmaDirection) -> Grant {
+    fn dma_transfer(&mut self, now: SimTime, bytes: u64, dir: DmaDirection) -> DmaTransfer {
         self.dma.transfer(&mut self.downstream, &mut self.upstream, now, bytes, dir)
+    }
+
+    /// The piece a DMA moves data in — one full-size TLP's payload bytes —
+    /// and its wire time (the same on both wires).
+    pub fn dma_unit(&self) -> (u64, SimDuration) {
+        (self.dma.unit_bytes(), self.dma.unit_time(&self.upstream))
     }
 
     /// Host MMIO read of `len` bytes at `addr`: the request travels
