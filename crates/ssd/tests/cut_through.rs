@@ -84,7 +84,9 @@ fn dma_out_and_dma_in_overlap_two_dma_ins_serialize() {
 
     // A read and a write submitted together: the fetches serialize, the
     // data phases do not — each has its own wire, so the write completes as
-    // on an idle device though the read's DMA is still running.
+    // on an idle device though the read's DMA is still running. (Read first:
+    // the DRAM port grants in call order, so a buffer hit fetched behind a
+    // write would queue for that write's later port hold, as it always has.)
     let t = 100_000;
     submit(&mut ssd, t, 2, IoCommand::Read { lba: 7, blocks: 1 });
     submit(&mut ssd, t, 3, IoCommand::Write { lba: 8, blocks: 1 });

@@ -49,6 +49,15 @@ echo "== cut-through mirror flow (release: one queue entry and one run per write
 # TLP has not landed; a delivery refused part-way resumes where it stopped.
 cargo test --release -p xssd-core --test mirror_runs --quiet
 
+echo "== cut-through conventional data path (release: idle-device instants, port hold vs the per-piece walk)"
+# crates/ssd/tests/cut_through.rs: a cached write and a buffered read complete
+# at fetch + DMA + one TLP's port time + completion post, a DMA-out overlaps a
+# DMA-in while two DMA-ins serialize, a 4-block write programs each page as
+# it lands. The buffer's unit tests hold the closed-form port hold against the
+# piece-by-piece FIFO walk and the ordered clean set against the scanning LRU.
+cargo test --release -p ssd --test cut_through --quiet
+cargo test --release -p ssd --lib buffer --quiet
+
 echo "== no clock nudges (a wait with nothing pending is an error, not +N us)"
 # PERFORMANCE.md rule 2. `next_event_after(..)` answering `None` must end the
 # wait; falling back to a made-up instant is how the 10 us poll grid got in.
@@ -103,4 +112,4 @@ echo "== benchmark: its own tests, then every workload and check at 1/50 horizon
 (cd benchmark && cargo test --offline --quiet)
 benchmark/run.sh --quick > /dev/null
 
-echo "ok: fmt, clippy, reachability, gate self-test, tests, count, nudge and one-collector gates, recovery smoke, chaos smoke, benchmark checks all clean"
+echo "ok: fmt, clippy, reachability, gate self-test, tests, count, nudge, one-collector and buffer-scan gates, recovery smoke, chaos smoke, benchmark checks all clean"
