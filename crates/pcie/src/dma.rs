@@ -33,15 +33,13 @@ pub enum DmaDirection {
     DeviceToHost,
 }
 
-/// One transfer on the wire: the engine's window and when its data lands,
-/// TLP by TLP — what a receiver that takes the data as it arrives needs.
+/// One transfer on the wire: when its data lands, TLP by TLP — what a
+/// receiver that takes the data as it arrives needs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DmaTransfer {
-    /// When the engine started moving data (request + setup).
-    pub start: SimTime,
     /// When the last byte has landed.
     pub end: SimTime,
-    /// Arrival of the first TLP.
+    /// Arrival of the first TLP (`end` when there is none).
     pub first: SimTime,
     /// Spacing of the full-size TLPs' arrivals: one TLP's wire time.
     pub period: SimDuration,
@@ -115,7 +113,8 @@ impl DmaEngine {
             end = link.send_write_burst(end, tail, 1).end;
         }
         // Without a full-size TLP the quote is for a packet never sent.
-        DmaTransfer { start, end, first: first.min(end), period, unit, full }
+        let first = if full > 0 { first } else { end };
+        DmaTransfer { end, first, period, unit, full }
     }
 
     /// Payload bytes of a full-size TLP.
