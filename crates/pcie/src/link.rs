@@ -121,6 +121,22 @@ impl PcieLink {
         Grant { start: g.start, end: g.end + self.config.propagation }
     }
 
+    /// Transmit one TLP that does not wait out the traffic ahead of it: the
+    /// link arbitrates packet by packet, so a lone TLP from another source
+    /// slots in between a burst's packets instead of queueing behind the
+    /// whole train. It is on the wire from `now`; the wire is charged what
+    /// [`PcieLink::send`] charges — statistics, busy time, and the horizon
+    /// moves out by the packet's wire time: the traffic it displaced ends
+    /// that much later. Windows already granted are not revised, so a burst
+    /// it cut into lands early by that wire time (12 ns for a read request),
+    /// and the packet itself is early by its wait for the TLP on the wire
+    /// (at most one, 140 ns at full size) — against the whole burst it
+    /// would wait for as a `send`. On an idle wire it is `send`.
+    pub fn send_interleaved(&mut self, now: SimTime, tlp: &Tlp) -> Grant {
+        let fifo = self.send(now, tlp);
+        Grant { start: now, end: fifo.end - fifo.queueing_delay(now) }
+    }
+
     /// Transmit a burst of `n` identical write TLPs of `payload` bytes each,
     /// back to back. Returns the arrival instant of the last packet. The
     /// DMA, WC and NTB-mirror models send whole transfers through here: the
@@ -336,6 +352,31 @@ mod tests {
             }
         }
         assert!(granted > 100 && refused > 100, "{granted} granted, {refused} refused");
+    }
+
+    #[test]
+    fn a_lone_tlp_slots_into_a_burst() {
+        let mut a = PcieLink::new(LinkConfig::villars_host());
+        // 64 TLPs of 256 B: the wire is taken until 64 × 140 = 8960 ns.
+        let burst = a.send_write_burst(SimTime::ZERO, 256, 64);
+        let mut b = a.clone();
+        let at = SimTime::from_nanos(1_000);
+        // A 24 B read request: 12 ns of wire from `at`, then the flight.
+        let g = a.send_interleaved(at, &Tlp::read(0, 8));
+        assert_eq!((g.start, g.end.as_nanos()), (at, 1_000 + 12 + 150));
+        // As a `send` it waits the burst out; the wire is charged the same.
+        let fifo = b.send(at, &Tlp::read(0, 8));
+        assert_eq!(fifo.end, burst.end + SimDuration::from_nanos(12));
+        assert_eq!(a.busy_until(), b.busy_until());
+        assert_eq!(a.busy_until().as_nanos(), 8_960 + 12);
+        assert_eq!(a.busy_time(), b.busy_time());
+        assert_eq!(a.stats().messages, 65);
+        // On an idle wire the two are one.
+        let later = SimTime::from_nanos(20_000);
+        assert_eq!(
+            a.send_interleaved(later, &Tlp::completion(0, 8)),
+            b.send(later, &Tlp::completion(0, 8))
+        );
     }
 
     #[test]

@@ -83,9 +83,15 @@ impl Hic {
     /// Host MMIO read of `len` bytes at `addr`: the request travels
     /// downstream, the completion carrying the data comes back upstream.
     /// Returns when the completion is fully received.
+    ///
+    /// Each is a lone TLP and is arbitrated as one
+    /// ([`PcieLink::send_interleaved`]): it does not wait out a DMA's 64
+    /// packets on either wire. Queued behind them a credit read took up to
+    /// two transfer times, and the `x_pwrite` that issued it ran past its
+    /// slot whenever a flash read's DMA-out happened to be leaving.
     pub fn read_round_trip(&mut self, now: SimTime, addr: u64, len: u32) -> Grant {
-        let req = self.downstream.send(now, &Tlp::read(addr, len));
-        let comp = self.upstream.send(req.end, &Tlp::completion(addr, len));
+        let req = self.downstream.send_interleaved(now, &Tlp::read(addr, len));
+        let comp = self.upstream.send_interleaved(req.end, &Tlp::completion(addr, len));
         Grant { start: req.start, end: comp.end }
     }
 
@@ -189,6 +195,22 @@ mod tests {
         // Data leaving for the host does not: it has the upstream wire.
         let out = h.dma_out(SimTime::ZERO, 16 << 10);
         assert!(out.end < dma.end);
+    }
+
+    #[test]
+    fn a_read_round_trip_does_not_wait_out_a_dma() {
+        let mut h = hic();
+        // A page each way holds both wires until 300 + 64 × 140 = 9260 ns.
+        h.dma_in(SimTime::ZERO, 16 << 10);
+        h.dma_out(SimTime::ZERO, 16 << 10);
+        let at = SimTime::from_nanos(1_000);
+        let g = h.read_round_trip(at, 0x0, 8);
+        // Request 12 ns + completion 16 ns of wire, 150 ns of flight each.
+        assert_eq!(g.end.as_nanos(), 1_000 + 12 + 150 + 16 + 150);
+        // Both wires are charged: what the read displaced ends later.
+        assert_eq!(h.downstream_busy_until().as_nanos(), 9_260 + 12);
+        assert_eq!(h.upstream.busy_until().as_nanos(), 9_260 + 16);
+        assert_eq!((h.downstream.stats().messages, h.upstream.stats().messages), (65, 65));
     }
 
     #[test]

@@ -108,6 +108,33 @@ fn dma_out_and_dma_in_overlap_two_dma_ins_serialize() {
 }
 
 #[test]
+fn a_host_read_is_one_round_trip_while_a_page_moves_each_way() {
+    let mut ssd = device();
+    submit(&mut ssd, 0, 1, IoCommand::Write { lba: 7, blocks: 1 });
+    completions(&mut ssd, 50_000);
+    // A buffered read and a write: a page's DMA on each wire.
+    let t = 100_000;
+    submit(&mut ssd, t, 2, IoCommand::Read { lba: 7, blocks: 1 });
+    submit(&mut ssd, t, 3, IoCommand::Write { lba: 8, blocks: 1 });
+    // A credit read issued with both in flight: its request and its
+    // completion are lone TLPs (24 B and 32 B at 2 B/ns) that slot in
+    // between the DMAs' packets; neither waits for a transfer to end.
+    let mid = t + 2 * FETCH + DMA_SETUP + PAGE_WIRE / 2;
+    let g = ssd.host_read_round_trip(at(mid), 0, 8);
+    assert_eq!(g.end.as_nanos(), mid + 12 + FLIGHT + 16 + FLIGHT);
+    // The commands complete when they would have without it.
+    let read_done = t + FETCH + UNIT + DMA + COMPLETION_POST;
+    let write_done = t + 2 * FETCH + DMA + UNIT + COMPLETION_POST;
+    assert_eq!(completions(&mut ssd, 150_000), [(2, read_done), (3, write_done)]);
+    // What it displaced is charged: the next transfer finds the downstream
+    // wire taken 12 ns longer than the page held it.
+    assert_eq!(
+        ssd.host_downstream_busy_until().as_nanos(),
+        t + 2 * FETCH + DMA_SETUP + PAGE_WIRE + 12
+    );
+}
+
+#[test]
 fn a_multi_block_write_programs_each_page_as_it_lands() {
     // One die per channel: consecutive pages go to different channels, so
     // each program can start the instant it is submitted for.
