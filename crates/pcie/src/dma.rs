@@ -110,7 +110,9 @@ impl DmaEngine {
             end = link.send_write_burst(start, self.config.mps.0, full).end;
         }
         if tail > 0 {
-            end = link.send_write_burst(end, tail, 1).end;
+            // Queued on the wire behind the full TLPs: `end` already counts
+            // their flight.
+            end = link.send_write_burst(start, tail, 1).end;
         }
         // Without a full-size TLP the quote is for a packet never sent.
         let first = if full > 0 { first } else { end };
@@ -182,6 +184,10 @@ mod tests {
         assert_eq!(t.landed(512), t.first + t.period);
         assert_eq!(t.landed(513), t.end);
         assert_eq!(t.landed(556), t.end);
+        // The 44-byte TLP follows the last full one on the wire by its own
+        // (44 + 24) / 2 = 34 ns, not by a second flight.
+        assert_eq!(t.end, t.first + t.period + SimDuration::from_nanos(34));
+        assert_eq!(t.end.as_nanos(), 300 + 2 * 140 + 34 + 150);
         assert_eq!(dma.unit_time(&down), t.period);
         // A whole number of TLPs: the last byte lands with the last of them.
         let t = dma.transfer(&mut down, &mut up, SimTime::ZERO, 4096, DmaDirection::DeviceToHost);
