@@ -105,10 +105,9 @@ fn bench_fast_write_path() {
 }
 
 /// One 16 KiB `VillarsDevice::fast_write` (256 write-combined TLPs) plus the
-/// advance that destages its page, in steady state, on both backings: the
-/// SRAM-backed lane takes the TLPs as one run (`CmbModule::ingest_run`), the
-/// DRAM-backed lane drains slower than they arrive and walks them one
-/// `ingest` at a time.
+/// advance that destages its page, in steady state, on both backings: each
+/// lane takes the TLPs as one run (`CmbModule::ingest_run`); the DRAM-backed
+/// one drains slower than they arrive, so its drains queue back to back.
 fn bench_fast_write_regimes() {
     use pcie::MmioMode;
     use xssd_core::{VillarsConfig, VillarsDevice};

@@ -9,7 +9,10 @@
 //! so destaging, replication, and crash recovery are verifiable end to end.
 
 use crate::config::CmbConfig;
-use simkit::{Bytes, DiagnosticSnapshot, Grant, SimDuration, SimError, SimTime};
+use simkit::{
+    Bandwidth, Bytes, DiagnosticSnapshot, Ends, Grant, SerialResource, SimDuration, SimError,
+    SimTime,
+};
 use std::collections::{BTreeMap, VecDeque};
 
 /// Errors from CMB ingest.
@@ -80,12 +83,15 @@ pub struct CmbStats {
     pub held_chunks: u64,
     /// High-water mark of in-flight (queued, not yet persisted) bytes.
     pub queue_high_water: u64,
-    /// Of `chunks`, those [`CmbModule::ingest_run`] took in closed form.
-    /// Simulator bookkeeping, not a device counter: not exported through
-    /// [`simkit::Instrument`].
-    pub run_chunks: u64,
-    /// Runs [`CmbModule::ingest_run`] refused (left to the per-chunk walk).
-    pub runs_refused: u64,
+}
+
+/// Drains of whole chunks on the backing port: each of `ends` is a chunk of
+/// `unit` bytes leaving the intake queue, and lifts the credit counter by
+/// `unit`.
+#[derive(Debug, Clone, Copy)]
+struct Drains {
+    ends: Ends,
+    unit: u64,
 }
 
 /// One lane of the CMB module: an intake queue + persistent ring + credit
@@ -103,13 +109,14 @@ pub struct CmbModule {
     /// Monotonic byte offset: contiguously received up to here (includes
     /// bytes still in the intake queue).
     tail: u64,
-    /// Pending credit increments: (drain completion time, new credit value),
-    /// in push order. Every entry is the end of a grant on one serial
-    /// backing port, so times are non-decreasing and values strictly
-    /// increasing: drains settle from the front.
-    pending: VecDeque<(SimTime, u64)>,
-    /// Out-of-order chunks held until the gap below them fills.
-    held: BTreeMap<u64, Vec<u8>>,
+    /// Drains not yet settled, in push order: the credit climbs from
+    /// `credit` through them to `tail`. Every one is a grant on the lane's
+    /// one serial backing port, so they end in order: they settle from the
+    /// front, a run part-way.
+    pending: VecDeque<Drains>,
+    /// Out-of-order runs, by offset, held until the gap below them fills:
+    /// `(unit, bytes)`, whole chunks of `unit` bytes.
+    held: BTreeMap<u64, (u64, Vec<u8>)>,
     stats: CmbStats,
 }
 
@@ -159,14 +166,23 @@ impl CmbModule {
     /// Settle drain completions up to `now` and return the credit counter —
     /// what a control-interface read observes (paper Fig. 5 step 4).
     pub fn credit_at(&mut self, now: SimTime) -> u64 {
-        while let Some(&(at, credit)) = self.pending.front() {
-            if at > now {
+        self.settle(now, u64::MAX);
+        self.check();
+        self.credit
+    }
+
+    /// Settle the drains ended by `now` that lift the credit no higher than
+    /// `upto`.
+    fn settle(&mut self, now: SimTime, upto: u64) {
+        while let Some(front) = self.pending.front_mut() {
+            let due = front.ends.by(now).min(upto.saturating_sub(self.credit) / front.unit);
+            self.credit += due * front.unit;
+            if due < front.ends.count {
+                front.ends = front.ends.skip(due);
                 break;
             }
-            self.credit = self.credit.max(credit);
             self.pending.pop_front();
         }
-        self.credit
     }
 
     /// Whether a write of `len` bytes at monotonic `offset` fits the ring
@@ -181,44 +197,35 @@ impl CmbModule {
     /// The earliest pending drain completion, if any — an event-loop hint
     /// so waiters on the credit counter can jump virtual time.
     pub fn next_pending(&self) -> Option<SimTime> {
-        self.pending.front().map(|&(at, _)| at)
+        self.pending.front().map(|d| d.ends.first)
     }
 
     /// The instant the credit counter reaches `target`, from the drains
-    /// already scheduled: `pending` is ordered in time and in credit, so it
-    /// is the first entry at or above `target`. An instant at or before the
-    /// last settle if the counter is already there; `None` while the bytes
-    /// below `target` have not all been accepted (not written yet, or held
-    /// above a gap).
+    /// already scheduled: the drain that lifts it to `target` or past. An
+    /// instant at or before the last settle if the counter is already
+    /// there; `None` while the bytes below `target` have not all been
+    /// accepted (not written yet, or held above a gap).
     pub fn credit_reaches(&self, target: u64) -> Option<SimTime> {
         if self.credit >= target {
             return Some(SimTime::ZERO);
         }
-        let i = self.pending.partition_point(|&(_, credit)| credit < target);
-        self.pending.get(i).map(|&(at, _)| at)
-    }
-
-    /// Bytes currently in flight (received but not yet persisted) at `now`.
-    pub fn inflight_at(&mut self, now: SimTime) -> u64 {
-        let credit = self.credit_at(now);
-        self.tail - credit
-    }
-
-    /// Bytes persisted but not yet destaged, at `now`: `[head, credit)`.
-    pub fn undestaged_at(&mut self, now: SimTime) -> u64 {
-        let credit = self.credit_at(now);
-        credit - self.head
+        let mut below = self.credit;
+        for d in &self.pending {
+            let top = below + d.ends.count * d.unit;
+            if target <= top {
+                return Some(
+                    d.ends.first + d.ends.period * ((target - below).div_ceil(d.unit) - 1),
+                );
+            }
+            below = top;
+        }
+        None
     }
 
     /// Ingest one chunk arriving fully at `arrival` (the end of its TLP's
-    /// service window) at monotonic ring `offset`. `acquire` grants backing
-    /// memory time (dedicated SRAM or the shared DRAM port) — one serial
-    /// port per lane, so successive grants never end earlier.
-    ///
-    /// In-order chunks drain immediately; bounded out-of-order chunks are
-    /// held and drain when the gap below them fills. Credits only advance
-    /// with the contiguous frontier — "the counter can only be incremented
-    /// when contiguous chunks of data are formed" (§4.1).
+    /// service window) at monotonic ring `offset`: the one-chunk run of
+    /// [`CmbModule::ingest_run`], on a port that `acquire` grants one drain
+    /// at a time — one serial port per lane, so grants never end earlier.
     pub fn ingest(
         &mut self,
         arrival: SimTime,
@@ -229,134 +236,236 @@ impl CmbModule {
         if data.is_empty() {
             return Ok(());
         }
-        if offset < self.tail {
-            return Err(CmbError::Overlap { offset, tail: self.tail });
-        }
-        if offset > self.tail + self.config.reorder_window_bytes {
-            return Err(CmbError::BeyondReorderWindow {
-                offset,
-                tail: self.tail,
-                window: self.config.reorder_window_bytes,
-            });
-        }
-        // Flow-control accounting is advisory; a compliant writer keeps
-        // in-flight bytes within the queue.
-        let credit_now = self.credit_at(arrival);
-        let inflight = (self.tail - credit_now) + data.len() as u64;
-        if inflight > self.config.intake_queue_bytes {
-            return Err(CmbError::QueueOverrun { inflight, queue: self.config.intake_queue_bytes });
-        }
-        // Ring capacity: the write must not overrun undestaged data.
-        if offset + data.len() as u64 - self.head > self.config.size {
-            return Err(CmbError::RingFull);
-        }
-        self.stats.queue_high_water = self.stats.queue_high_water.max(inflight);
-
-        if offset > self.tail {
-            // Gap below: hold until filled.
-            self.stats.held_chunks += 1;
-            self.held.insert(offset, data.to_vec());
-            return Ok(());
-        }
-        self.accept(arrival, data, &mut acquire);
-        // Drain any held chunks that are now contiguous.
-        while let Some((&o, _)) = self.held.first_key_value() {
-            if o != self.tail {
-                break;
+        let one = Ends { first: arrival, period: SimDuration::ZERO, count: 1 };
+        let drain = |at, _, bytes, n| {
+            // One chunk, or a held run released at once: back to back.
+            let g = acquire(at, bytes);
+            for _ in 1..n {
+                acquire(at, bytes);
             }
-            let (_, chunk) = self.held.pop_first().expect("just peeked");
-            self.accept(arrival, &chunk, &mut acquire);
-        }
-        Ok(())
+            [Ends { first: g.end, period: g.end - g.start, count: n }, Ends::default()]
+        };
+        self.intake(one, offset, data, [Ends::default(); 2], drain).map_err(|(_, e)| e)
     }
 
-    /// Ingest a *run*: `data` as `data.len() / unit` in-order chunks of
-    /// `unit` bytes each, chunk `k` arriving at `first + k·period` — a
-    /// burst of identical TLPs off one wire. `acquire_run(first, period,
-    /// unit, n)` asks the backing port for `n` drains of `unit` bytes on
-    /// those instants and refuses (touching nothing) if any would queue:
-    /// [`simkit::SerialResource::acquire_periodic`].
+    /// Ingest a *run*: `data` as `arrivals.count` equal chunks at monotonic
+    /// `offset` on, chunk `k` arriving at `arrivals.first + k·period` — a
+    /// burst of TLPs off one wire. The chunks drain through `port` at
+    /// `bandwidth`, FIFO behind whatever holds it
+    /// ([`SerialResource::acquire_run`]).
     ///
-    /// Taken only in the regime where every chunk finds the intake queue
-    /// empty: the run starts at the contiguous tail with nothing held, no
-    /// older drain is still pending at `first`, one chunk fits the queue,
-    /// the whole run fits the ring, and each drain ends before the next
-    /// chunk arrives. Then the lane is left exactly as `n`
-    /// [`CmbModule::ingest`] calls leave it — chunk `k` saw `unit` bytes in
-    /// flight and its predecessor's credit granted, and only the last
-    /// chunk's drain is still pending — at the cost of one ring copy.
-    ///
-    /// Returns whether the run was taken. A refused run has charged nothing
-    /// and written nothing (it may have settled drains due by `first`,
-    /// which the first chunk's `ingest` does anyway); the caller walks it
-    /// through `ingest`, which also produces the partial state and the
-    /// error of a run that overruns the queue or the ring part-way.
+    /// The lane is left exactly as one [`CmbModule::ingest`] per chunk
+    /// leaves it: in-order chunks drain as they come, bounded out-of-order
+    /// ones are held and drain back to back when the gap below them fills,
+    /// and credits only advance with the contiguous frontier — "the counter
+    /// can only be incremented when contiguous chunks of data are formed"
+    /// (§4.1). A run that overruns the intake queue, the ring or the reorder
+    /// window part-way takes the chunks before the first that does; the
+    /// error carries how many that is.
     pub fn ingest_run(
         &mut self,
-        first: SimTime,
-        period: SimDuration,
+        arrivals: Ends,
         offset: u64,
         data: &[u8],
-        unit: u64,
-        acquire_run: impl FnOnce(SimTime, SimDuration, u64, u64) -> Option<Grant>,
-    ) -> bool {
-        let len = data.len() as u64;
-        assert!(len > 0 && len.is_multiple_of(unit), "a run is whole chunks, at least one");
-        let n = len / unit;
-        let queue_empty_throughout = offset == self.tail
-            && self.held.is_empty()
-            && unit <= self.config.intake_queue_bytes
-            && self.has_room(offset, len)
-            && self.credit_at(first) == self.tail;
-        // The port comes last: it is the only check that charges on success.
-        let drain = if queue_empty_throughout { acquire_run(first, period, unit, n) } else { None };
-        let Some(drain) = drain else {
-            self.stats.runs_refused += 1;
-            return false;
+        port: &mut SerialResource,
+        bandwidth: Bandwidth,
+    ) -> Result<(), (u64, CmbError)> {
+        let unit = data.len() as u64 / arrivals.count;
+        // The drains the whole run would get: the cut reads them (a lone
+        // chunk has none ahead of it); the port is charged for the chunks
+        // taken, whose drains are their prefix.
+        let (Ends { first, period, count }, each) = (arrivals, bandwidth.transfer_time(unit));
+        let quote = match count {
+            1 => [Ends::default(); 2],
+            _ => port.clone().acquire_run(first, period, each, count),
         };
-        self.stats.queue_high_water = self.stats.queue_high_water.max(unit);
-        self.append_to_ring(data);
-        self.stats.chunks += n;
-        self.stats.run_chunks += n;
-        // Every drain but the last had ended by the next chunk's arrival,
-        // whose flow-control check settled it.
-        self.credit = self.tail - unit;
-        self.push_pending(drain.end + period * (n - 1), self.tail);
-        true
+        let drain = |at, every, bytes, n| {
+            let service = if bytes == unit { each } else { bandwidth.transfer_time(bytes) };
+            port.acquire_run(at, every, service, n)
+        };
+        self.intake(arrivals, offset, data, quote, drain)
     }
 
-    /// The per-chunk walk [`CmbModule::ingest_run`] stands for, and what its
-    /// caller does with a refused run: one [`CmbModule::ingest`] per chunk
-    /// on the chunk's own arrival instant. The test oracle.
-    #[cfg(test)]
-    fn walk_run(
+    /// [`CmbModule::ingest_run`] on a port that `drain(at, period, bytes,
+    /// n)` charges, `quote` the drains the whole run would get.
+    fn intake(
         &mut self,
-        first: SimTime,
-        period: SimDuration,
+        arrivals: Ends,
         offset: u64,
         data: &[u8],
-        unit: u64,
-        mut acquire: impl FnMut(SimTime, u64) -> Grant,
-    ) -> Result<(), CmbError> {
-        for (k, chunk) in data.chunks(unit as usize).enumerate() {
-            let k = k as u64;
-            self.ingest(first + period * k, offset + k * unit, chunk, &mut acquire)?;
+        quote: [Ends; 2],
+        mut drain: impl FnMut(SimTime, SimDuration, u64, u64) -> [Ends; 2],
+    ) -> Result<(), (u64, CmbError)> {
+        let Ends { first, period, count: n } = arrivals;
+        let unit = data.len() as u64 / n;
+        assert!(unit > 0 && unit * n == data.len() as u64, "a run is whole chunks, at least one");
+        let arrival = |k: u64| first + period * k;
+        // Each chunk meets the walk's checks in its order — overlap, reorder
+        // window, intake queue, ring — and the run stops at the first chunk
+        // that fails one.
+        if offset < self.tail {
+            return Err((0, CmbError::Overlap { offset, tail: self.tail }));
         }
-        Ok(())
+        let window = self.config.reorder_window_bytes;
+        let in_window = match (self.tail + window).checked_sub(offset) {
+            _ if offset == self.tail => n, // each lands at the tail it finds
+            Some(room) => room / unit + 1,
+            None => 0,
+        };
+        if in_window == 0 {
+            let tail = self.tail;
+            return Err((0, CmbError::BeyondReorderWindow { offset, tail, window }));
+        }
+        self.settle(first, u64::MAX);
+        // In order, the tail grows with every chunk and the chunks drain;
+        // above a gap both wait.
+        let (grow, own) = match offset == self.tail {
+            true => (unit, quote),
+            false => (0, [Ends::default(); 2]),
+        };
+        let queue = self.config.intake_queue_bytes;
+        // Bytes in flight at chunk `k`, itself counted: what the walk reads.
+        let inflight = |k: u64| {
+            let tail = self.tail + k * grow;
+            tail + unit - self.credit_by(arrival(k), &own, unit, tail)
+        };
+        // The first chunk to find more than `limit` bytes in flight, itself
+        // counted; `n` if none does. Chunk `k` does iff the drain that lifts
+        // the credit to `tail + k·grow + unit − limit` has not ended by its
+        // arrival: within one run of drains a floor-linear condition on `k`
+        // that [`first_above`] solves without visiting the chunks. With
+        // nothing older pending and each drain ending before the next chunk
+        // arrives, every chunk finds only itself in flight.
+        let paced = grow > 0 && self.pending.is_empty() && own[0].count == 0;
+        let over = |limit: u64| {
+            // Each counts itself; none can if the last would not at the
+            // settled credit.
+            let last = self.tail + (n - 1) * grow + unit - self.credit;
+            if limit < unit || paced || last <= limit {
+                return if limit < unit { 0 } else { n };
+            }
+            let wide = |v: u64| i128::from(v);
+            let target = wide(self.tail + unit) - wide(limit);
+            let mut below = wide(self.credit);
+            let own = own.iter().map(|&ends| Drains { ends, unit });
+            for d in self.pending.iter().copied().chain(own) {
+                if below >= target + wide((n - 1) * grow) {
+                    break; // every target is reached below this run
+                }
+                let top = below + wide(d.ends.count * d.unit);
+                // The chunks whose target lies in (below, top].
+                let (lo, hi) = match wide(grow) {
+                    0 if target > below && target <= top => (0, wide(n)),
+                    0 => (0, 0),
+                    g => ((below - target).div_euclid(g) + 1, (top - target).div_euclid(g) + 1),
+                };
+                // Drain ⌈(target_k − below)/u⌉ − 1 of the run lifts it there.
+                let (u, p) = (wide(d.unit), wide(d.ends.period.as_nanos()));
+                let h = [-wide(period.as_nanos()), p, wide(grow), target - below + u - 1, u];
+                let late = wide(first.as_nanos()) - wide(d.ends.first.as_nanos()) + p;
+                if let Some(k) = first_above(h, late, lo.max(0), hi.min(wide(n))) {
+                    return k as u64;
+                }
+                below = top;
+            }
+            n
+        };
+        let overrun = over(queue);
+        let in_ring = (self.head + self.config.size).saturating_sub(offset) / unit;
+        let taken = n.min(in_window).min(overrun).min(in_ring);
+        // The most bytes in flight a taken chunk found, counting itself: the
+        // first one's (against the credit just settled), the last one's or,
+        // between them, at most `queue` — found by bisection on the count.
+        let mut high = self.stats.queue_high_water;
+        if taken > 0 {
+            high = high.max(self.tail + unit - self.credit);
+        }
+        if taken > 1 && !paced {
+            high = high.max(inflight(taken - 1));
+            if taken > 2 && over(high) < taken {
+                let mut low = high;
+                high = queue;
+                while high - low > 1 {
+                    let mid = low + (high - low) / 2;
+                    if over(mid) < taken {
+                        low = mid;
+                    } else {
+                        high = mid;
+                    }
+                }
+            }
+        }
+        self.stats.queue_high_water = high;
+
+        let bytes = &data[..(taken * unit) as usize];
+        if taken > 0 && grow == 0 {
+            self.stats.held_chunks += taken;
+            self.held.insert(offset, (unit, bytes.to_vec()));
+        } else if taken > 0 {
+            self.append_to_ring(bytes);
+            self.stats.chunks += taken;
+            self.push(drain(first, period, unit, taken), unit);
+        }
+        // The walk last read the counter at the last chunk it checked past
+        // the reorder window, before that chunk's own drain was queued.
+        let beyond = taken >= in_window && taken < n;
+        let seen = if taken == n || beyond { taken - 1 } else { taken };
+        self.settle(arrival(seen), if grow == 0 { u64::MAX } else { offset + seen * unit });
+        let error = if taken == n {
+            // The last chunk may close the gap below held runs: they drain
+            // now, back to back.
+            while self.held.first_key_value().is_some_and(|(&at, _)| at == self.tail) {
+                let (_, (unit, bytes)) = self.held.pop_first().expect("just peeked");
+                let count = bytes.len() as u64 / unit;
+                self.append_to_ring(&bytes);
+                self.stats.chunks += count;
+                self.push(drain(arrival(n - 1), SimDuration::ZERO, unit, count), unit);
+            }
+            None
+        } else if beyond {
+            let (offset, tail) = (offset + taken * unit, self.tail);
+            Some(CmbError::BeyondReorderWindow { offset, tail, window })
+        } else if taken == overrun {
+            Some(CmbError::QueueOverrun { inflight: self.tail - self.credit + unit, queue })
+        } else {
+            Some(CmbError::RingFull)
+        };
+        self.check();
+        error.map_or(Ok(()), |e| Err((taken, e)))
     }
 
-    /// Copy a contiguous chunk into the ring at the tail and schedule its
-    /// credit increment at the backing-drain completion.
-    fn accept(
-        &mut self,
-        arrival: SimTime,
-        data: &[u8],
-        acquire: &mut impl FnMut(SimTime, u64) -> Grant,
-    ) {
-        self.append_to_ring(data);
-        self.stats.chunks += 1;
-        let g = acquire(arrival, data.len() as u64);
-        self.push_pending(g.end, self.tail);
+    /// The credit a read at `at` finds — `own` drains of `unit`-byte chunks
+    /// after the pending ones — counting none that would lift it past
+    /// `upto`.
+    fn credit_by(&self, at: SimTime, own: &[Ends; 2], unit: u64, upto: u64) -> u64 {
+        let own = own.iter().map(|&ends| Drains { ends, unit });
+        let mut credit = self.credit;
+        for d in self.pending.iter().copied().chain(own) {
+            let due = d.ends.by(at).min(upto.saturating_sub(credit) / d.unit);
+            credit += due * d.unit;
+            if due < d.ends.count {
+                break;
+            }
+        }
+        credit
+    }
+
+    /// Queue the drains of a run of `unit`-byte chunks.
+    fn push(&mut self, runs: [Ends; 2], unit: u64) {
+        for ends in runs.into_iter().filter(|e| e.count > 0) {
+            match self.pending.back_mut() {
+                // Drains queued behind the last ones on the same cadence
+                // extend their run: a backlog stays one entry.
+                Some(last)
+                    if last.unit == unit
+                        && last.ends.period == ends.period
+                        && ends.first == last.ends.last() + ends.period =>
+                {
+                    last.ends.count += ends.count
+                }
+                _ => self.pending.push_back(Drains { ends, unit }),
+            }
+        }
     }
 
     /// Copy `data` into the ring at the tail and advance the tail past it.
@@ -372,16 +481,29 @@ impl CmbModule {
         self.stats.bytes_in += data.len() as u64;
     }
 
-    /// Queue the credit increment to `credit` at drain completion `at`.
-    fn push_pending(&mut self, at: SimTime, credit: u64) {
-        debug_assert!(
-            self.pending.back().is_none_or(|&(t, c)| t <= at && c < credit),
-            "drains complete in push order: {:?} then ({at}, {credit})",
-            self.pending.back()
-        );
-        self.pending.push_back((at, credit));
+    /// The lane's invariants, checked in debug builds after every call that
+    /// moves a counter: `head ≤ credit ≤ tail`; pending drains non-empty and
+    /// ordered, climbing no higher than the tail; held runs above the tail,
+    /// inside the reorder window.
+    fn check(&self) {
+        if cfg!(debug_assertions) {
+            let (head, credit, tail) = (self.head, self.credit, self.tail);
+            let mut climb = (credit, SimTime::ZERO);
+            let drains = self.pending.iter().all(|d| {
+                let ordered = d.ends.count > 0 && d.ends.first >= climb.1;
+                climb = (climb.0 + d.ends.count * d.unit, d.ends.last());
+                ordered
+            });
+            let window = tail + self.config.reorder_window_bytes;
+            let held = self.held.keys().all(|&at| at > tail && at <= window);
+            assert!(
+                head <= credit && credit <= tail && drains && climb.0 <= tail && held,
+                "CMB lane: head {head}, credit {credit}, tail {tail}, drains {:?}, held at {:?}",
+                self.pending,
+                self.held.keys().collect::<Vec<_>>()
+            );
+        }
     }
-
     /// Read `len` bytes of ring content starting at monotonic `offset`
     /// (destage module / verification). Panics with the structured
     /// [`SimError`] report on an out-of-window read; fallible callers use
@@ -417,14 +539,14 @@ impl CmbModule {
     fn try_slices(&self, offset: u64, len: usize) -> Result<(&[u8], &[u8]), Box<SimError>> {
         if offset < self.head || offset + len as u64 > self.tail {
             let snapshot = DiagnosticSnapshot::new(
-                self.pending.back().map_or(SimTime::ZERO, |&(at, _)| at),
+                self.pending.back().map_or(SimTime::ZERO, |d| d.ends.last()),
                 0,
             )
             .queue("head", self.head)
             .queue("credit", self.credit)
             .queue("tail", self.tail)
             .queue("pending_drains", self.pending.len() as u64)
-            .queue("held_chunks", self.held.len() as u64)
+            .queue("held_chunks", self.held.values().map(|(u, b)| b.len() as u64 / u).sum())
             .detail(format!(
                 "content read outside live ring: [{offset}, +{len}) vs [{}, {})",
                 self.head, self.tail
@@ -443,6 +565,7 @@ impl CmbModule {
         assert!(new_head >= self.head, "head must not move backwards");
         assert!(new_head <= self.tail, "head cannot pass the write tail");
         self.head = new_head;
+        self.check();
     }
 
     /// Crash protocol (paper §4.1): drain the intake queue on residual
@@ -451,12 +574,11 @@ impl CmbModule {
     /// a gap are abandoned.
     pub fn crash_drain(&mut self) -> u64 {
         // All pending drains complete on supercap power.
-        for (_, v) in self.pending.drain(..) {
-            self.credit = self.credit.max(v);
-        }
-        self.credit = self.credit.max(self.tail);
+        self.pending.clear();
+        self.credit = self.tail;
         // Held chunks above the frontier are lost (the gap never filled).
         self.held.clear();
+        self.check();
         self.tail
     }
 
@@ -471,11 +593,13 @@ impl CmbModule {
         self.tail = offset;
         self.pending.clear();
         self.held.clear();
+        self.check();
     }
 
-    /// [`CmbModule::reset_to`] offset zero (fresh device).
-    pub fn reset(&mut self) {
-        self.reset_to(0);
+    /// Entries in the pending-drain queue (each a run of drains).
+    #[cfg(test)]
+    pub(crate) fn pending_runs(&self) -> usize {
+        self.pending.len()
     }
 
     /// The credit counter as settled so far, without advancing drains (a
@@ -500,10 +624,41 @@ impl simkit::Instrument for CmbModule {
     }
 }
 
+/// The least `x` in `lo..hi` with `a·x + b·⌊(c·x + d)/e⌋ > t` (`c ≥ 0`,
+/// `e > 0`). Whole multiples of `e` come out of `c` first, so the floor
+/// rises by at most one a step. Where the rest falls inside a level of the
+/// floor only a level's first point can be the answer, where it rises only
+/// a level's last point can be the first above `t` — the same question on
+/// the levels, with `c` and `e` swapped as in Euclid's algorithm: O(log)
+/// steps, none per `x`.
+fn first_above([a, b, c, d, e]: [i128; 5], t: i128, lo: i128, hi: i128) -> Option<i128> {
+    let (a, c) = (a + b * c.div_euclid(e), c.rem_euclid(e));
+    let level = |x: i128| (c * x + d).div_euclid(e);
+    if lo >= hi || a * lo + b * level(lo) > t {
+        return (lo < hi).then_some(lo);
+    }
+    if c == 0 || b == 0 {
+        // A straight line.
+        let x = (a > 0).then(|| (t - b * level(lo)).div_euclid(a) + 1)?;
+        return (x < hi).then_some(x);
+    }
+    // The first `x` of level `j`.
+    let start = |j: i128| (e * j - d + c - 1).div_euclid(c);
+    if a <= 0 {
+        let j = first_above([b, a, e, c - 1 - d, c], t, level(lo) + 1, level(hi - 1) + 1);
+        return j.filter(|_| b > 0).map(start);
+    }
+    // The first level whose last point is above `t` (else the last level),
+    // then its first point above `t`.
+    let last = level(hi - 1);
+    let j = first_above([b, a, e, e + c - 1 - d, c], t + a, level(lo), last).unwrap_or(last);
+    let x = start(j).max(lo).max((t - b * j).div_euclid(a) + 1);
+    (x < hi).then_some(x)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simkit::{Bandwidth, SerialResource, SimDuration};
 
     fn cfg(queue: u64, size: u64) -> CmbConfig {
         CmbConfig { intake_queue_bytes: queue, size, ..CmbConfig::sram() }
@@ -521,15 +676,6 @@ mod tests {
         }
         fn acquire(&mut self, now: SimTime, bytes: u64) -> Grant {
             self.res.acquire(now, self.bw.transfer_time(bytes))
-        }
-        fn acquire_run(
-            &mut self,
-            first: SimTime,
-            period: SimDuration,
-            bytes: u64,
-            n: u64,
-        ) -> Option<Grant> {
-            self.res.acquire_periodic(first, period, self.bw.transfer_time(bytes), n)
         }
     }
 
@@ -673,6 +819,7 @@ mod tests {
         let mut port = Port::new();
         cmb.ingest(SimTime::ZERO, 0, &[0u8; 100], |t, b| port.acquire(t, b))
             .expect("in-window CMB write rejected");
+        cmb.credit_at(SimTime::from_micros(1));
         cmb.advance_head(50);
         let r1 = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let mut c = CmbModule::new(cfg(4096, 8192));
@@ -687,12 +834,13 @@ mod tests {
         let mut port = Port::new();
         cmb.ingest(SimTime::ZERO, 0, &[0u8; 2000], |t, b| port.acquire(t, b))
             .expect("in-window CMB write rejected");
-        assert_eq!(cmb.inflight_at(SimTime::ZERO), 2000);
+        // In flight: received, not yet persisted; undestaged: [head, credit).
+        assert_eq!(cmb.tail() - cmb.credit_at(SimTime::ZERO), 2000);
         let after = SimTime::from_micros(10);
-        assert_eq!(cmb.inflight_at(after), 0);
-        assert_eq!(cmb.undestaged_at(after), 2000);
+        assert_eq!(cmb.tail() - cmb.credit_at(after), 0);
+        assert_eq!(cmb.credit_at(after) - cmb.head(), 2000);
         cmb.advance_head(1500);
-        assert_eq!(cmb.undestaged_at(after), 500);
+        assert_eq!(cmb.credit_at(after) - cmb.head(), 500);
     }
 
     #[test]
@@ -742,6 +890,7 @@ mod tests {
         let mut port = Port::new();
         cmb.ingest(SimTime::ZERO, 0, &[1u8; 100], |t, b| port.acquire(t, b))
             .expect("in-window CMB write rejected");
+        cmb.credit_at(SimTime::from_micros(1));
         cmb.advance_head(50);
         // Below the head: freed bytes.
         let err = cmb.try_content(0, 10).unwrap_err();
@@ -761,10 +910,85 @@ mod tests {
         let mut port = Port::new();
         cmb.ingest(SimTime::ZERO, 0, &[1u8; 100], |t, b| port.acquire(t, b))
             .expect("in-window CMB write rejected");
-        cmb.reset();
+        cmb.reset_to(0);
         assert_eq!(cmb.tail(), 0);
         assert_eq!(cmb.head(), 0);
         assert_eq!(cmb.credit_at(SimTime::from_secs(1)), 0);
+    }
+
+    /// The intake as it was before runs, kept as the reference: one chunk
+    /// at a time, checked, held or accepted, each drained by its own grant.
+    impl CmbModule {
+        /// One [`CmbModule::ingest_walk`] per chunk of a run, on the chunk's
+        /// own arrival instant: what [`CmbModule::ingest_run`] stands for.
+        fn walk_run(
+            &mut self,
+            first: SimTime,
+            period: SimDuration,
+            offset: u64,
+            data: &[u8],
+            unit: u64,
+            mut acquire: impl FnMut(SimTime, u64) -> Grant,
+        ) -> Result<(), (u64, CmbError)> {
+            for (k, chunk) in data.chunks(unit as usize).enumerate() {
+                let k = k as u64;
+                self.ingest_walk(first + period * k, offset + k * unit, chunk, &mut acquire)
+                    .map_err(|e| (k, e))?;
+            }
+            Ok(())
+        }
+
+        fn ingest_walk(
+            &mut self,
+            arrival: SimTime,
+            offset: u64,
+            data: &[u8],
+            acquire: &mut impl FnMut(SimTime, u64) -> Grant,
+        ) -> Result<(), CmbError> {
+            let len = data.len() as u64;
+            if offset < self.tail {
+                return Err(CmbError::Overlap { offset, tail: self.tail });
+            }
+            let window = self.config.reorder_window_bytes;
+            if offset > self.tail + window {
+                return Err(CmbError::BeyondReorderWindow { offset, tail: self.tail, window });
+            }
+            let inflight = (self.tail - self.credit_at(arrival)) + len;
+            let queue = self.config.intake_queue_bytes;
+            if inflight > queue {
+                return Err(CmbError::QueueOverrun { inflight, queue });
+            }
+            if offset + len - self.head > self.config.size {
+                return Err(CmbError::RingFull);
+            }
+            self.stats.queue_high_water = self.stats.queue_high_water.max(inflight);
+            if offset > self.tail {
+                self.stats.held_chunks += 1;
+                self.held.insert(offset, (len, data.to_vec()));
+                return Ok(());
+            }
+            self.accept_one(arrival, data, acquire);
+            while self.held.first_key_value().is_some_and(|(&at, _)| at == self.tail) {
+                let (_, (unit, bytes)) = self.held.pop_first().expect("just peeked");
+                for chunk in bytes.chunks(unit as usize) {
+                    self.accept_one(arrival, chunk, acquire);
+                }
+            }
+            Ok(())
+        }
+
+        fn accept_one(
+            &mut self,
+            arrival: SimTime,
+            data: &[u8],
+            acquire: &mut impl FnMut(SimTime, u64) -> Grant,
+        ) {
+            self.append_to_ring(data);
+            self.stats.chunks += 1;
+            let g = acquire(arrival, data.len() as u64);
+            let ends = Ends { first: g.end, period: SimDuration::ZERO, count: 1 };
+            self.push([ends, Ends::default()], data.len() as u64);
+        }
     }
 
     /// One seeded situation a run can arrive in.
@@ -777,10 +1001,16 @@ mod tests {
         /// Bytes ingested (and then destaged) before the run, so the run
         /// starts somewhere inside the ring.
         pre: u64,
-        /// An out-of-order chunk parked above the tail before the run.
-        held: bool,
+        /// A run of `(unit, chunks, period ns)` ingested after them, its
+        /// drains possibly still pending when this one arrives.
+        prior: Option<(u64, u64, u64)>,
+        prior_first_ns: u64,
+        /// A 24-byte chunk parked this far above where the run will end.
+        held: Option<u64>,
         /// The run starts this far above the tail.
         gap: u64,
+        /// The lane's reorder window.
+        window: u64,
         /// Port bandwidth in bytes per microsecond (1000 = 1 GB/s).
         port_bytes_per_us: u64,
         /// The port is taken from t = 0 for this long before the run.
@@ -789,39 +1019,84 @@ mod tests {
         period_ns: u64,
     }
 
-    /// Build the lane and port of `case`, up to the instant the run arrives.
-    fn stage(case: &RunCase) -> (CmbModule, Port) {
-        let mut cmb = CmbModule::new(cfg(case.queue, case.size));
+    impl RunCase {
+        fn prior_len(&self) -> u64 {
+            self.prior.map_or(0, |(unit, n, _)| unit * n)
+        }
+
+        fn offset(&self) -> u64 {
+            self.pre + self.prior_len() + self.gap
+        }
+    }
+
+    /// Build the lane and port of `case`, up to the instant the run
+    /// arrives; its prior run taken as a run or walked.
+    fn stage(case: &RunCase, as_run: bool) -> (CmbModule, Port) {
+        let config = CmbConfig { reorder_window_bytes: case.window, ..cfg(case.queue, case.size) };
+        let mut cmb = CmbModule::new(config);
         let mut port = Port {
             res: SerialResource::new(),
             bw: Bandwidth::gbytes_per_sec(case.port_bytes_per_us as f64 / 1000.0),
         };
-        if case.held {
-            // Parked first (it counts against nothing yet), right above
-            // where the run will end: the run's last chunk releases it.
-            let above = case.pre + case.gap + case.unit * case.n;
-            cmb.ingest(SimTime::ZERO, above, &[0xEE; 24], |t, b| port.acquire(t, b))
+        if let Some(above) = case.held {
+            // Parked first (it counts against nothing yet).
+            let at = case.offset() + case.unit * case.n + above;
+            cmb.ingest(SimTime::ZERO, at, &[0xEE; 24], |t, b| port.acquire(t, b))
                 .expect("staged held chunk rejected");
         }
         if case.pre > 0 {
             let pattern: Vec<u8> = (0..case.pre).map(|i| (i % 251) as u8 ^ 0xA5).collect();
             cmb.ingest(SimTime::ZERO, 0, &pattern, |t, b| port.acquire(t, b))
                 .expect("staged prefix rejected");
+            // Drained (700 bytes at the slowest port by 2.8 us) and destaged.
+            cmb.credit_at(SimTime::from_nanos(2_800));
             cmb.advance_head(case.pre);
         }
         if case.port_busy_ns > 0 {
             port.res.acquire(SimTime::ZERO, SimDuration::from_nanos(case.port_busy_ns));
         }
+        if let Some((unit, n, period)) = case.prior {
+            let (first, period) =
+                (SimTime::from_nanos(case.prior_first_ns), SimDuration::from_nanos(period));
+            let data = vec![0x3C; (unit * n) as usize];
+            let _ = if as_run {
+                cmb.ingest_run(
+                    Ends { first, period, count: n },
+                    case.pre,
+                    &data,
+                    &mut port.res,
+                    port.bw,
+                )
+            } else {
+                cmb.walk_run(first, period, case.pre, &data, unit, |t, b| port.acquire(t, b))
+            };
+        }
         (cmb, port)
     }
 
     /// Everything a caller, the destage module, the telemetry or a later
-    /// ingest can observe of a lane and its port.
+    /// ingest can observe of a lane and its port: pending drains one by one,
+    /// held bytes by offset, however either is stored.
     fn observe(cmb: &CmbModule, port: &Port) -> impl PartialEq + std::fmt::Debug {
+        let mut credit = cmb.credit;
+        let mut pending = Vec::new();
+        for d in &cmb.pending {
+            for k in 0..d.ends.count {
+                credit += d.unit;
+                pending.push((d.ends.first + d.ends.period * k, credit));
+            }
+        }
+        let held: BTreeMap<u64, u8> = cmb
+            .held
+            .iter()
+            .flat_map(|(&at, (_, bytes))| {
+                bytes.iter().enumerate().map(move |(i, &b)| (at + i as u64, b))
+            })
+            .collect();
         (
             (cmb.ring.clone(), cmb.head, cmb.credit, cmb.tail),
-            cmb.pending.iter().copied().collect::<Vec<_>>(),
-            cmb.held.clone(),
+            pending,
+            held,
             (
                 cmb.stats.bytes_in,
                 cmb.stats.chunks,
@@ -832,19 +1107,46 @@ mod tests {
         )
     }
 
+    /// Ingest `data` as a run into `run` and walk it through `walk`, and
+    /// hold the two lanes against each other.
+    #[allow(clippy::too_many_arguments)]
+    fn run_against_walk(
+        run: &mut (CmbModule, Port),
+        walk: &mut (CmbModule, Port),
+        first: SimTime,
+        period: SimDuration,
+        offset: u64,
+        data: &[u8],
+        unit: u64,
+        what: &str,
+    ) -> Result<(), (u64, CmbError)> {
+        let (cmb, port) = run;
+        let arrivals = Ends { first, period, count: data.len() as u64 / unit };
+        let got = cmb.ingest_run(arrivals, offset, data, &mut port.res, port.bw);
+        let (wcmb, wport) = walk;
+        let want = wcmb.walk_run(first, period, offset, data, unit, |t, b| wport.acquire(t, b));
+        // The same chunks taken, the same error on the first one refused.
+        assert_eq!(got, want, "{what}");
+        assert_eq!(observe(&run.0, &run.1), observe(&walk.0, &walk.1), "{what}");
+        got
+    }
+
     #[test]
     fn run_intake_leaves_what_the_chunk_walk_leaves() {
-        // Seeded situations on both sides of every eligibility condition:
-        // unit 8 and 64, 1..=300 chunks, drains shorter and longer than the
-        // arrival period, an idle and a busy port, older drains settled and
-        // not, a held chunk, a gap, a queue that overruns part-way, a ring
-        // that wraps part-way and one that fills part-way. A taken run must
-        // leave the lane and the port exactly as the per-chunk walk does; a
-        // refused one must leave them so that the walk then does.
+        // Seeded situations on both sides of every regime: units 8, 44 and
+        // 64, 1..=300 chunks, drains faster and slower than the arrivals
+        // (16 and 80 ns a 64-byte drain against 44 ns, random periods, all
+        // at once), an idle and a busy port, older drains of another unit
+        // still pending, a held chunk the run meets or does not, a run above
+        // the tail and the run that later fills the gap below it, an intake
+        // queue, a ring and a reorder window that overrun part-way. A run is
+        // never refused: it leaves the lane and the port exactly as the
+        // per-chunk walk does, error and partial state included.
         let mut rng = simkit::DetRng::new(0x19C3B);
-        let (mut taken, mut refused, mut errors, mut wrapped) = (0, 0, 0, 0);
-        for index in 0..6_000 {
-            let unit = *rng.pick(&[8u64, 64]);
+        let (mut clean, mut errors, mut wrapped, mut behind, mut released) = (0, 0, 0, 0, 0);
+        let mut overrun_part_way = 0;
+        for index in 0..6_000u64 {
+            let unit = *rng.pick(&[8u64, 64, 64, 44]);
             let n = match rng.uniform(0, 3) {
                 0 => 1,
                 1 => rng.uniform(2, 5),
@@ -852,92 +1154,155 @@ mod tests {
             };
             let len = unit * n;
             let pre = if rng.chance(0.7) { rng.uniform(1, 700) } else { 0 };
-            // Mostly the run's own regime; each departure drawn rarely enough
-            // that all of them absent stays the common case.
-            let port_bytes_per_us = *rng.pick(&[4000u64, 4000, 4000, 800, 250]);
-            let period_ns = match rng.uniform(0, 5) {
-                0 => rng.uniform(1, 80),
-                _ => *rng.pick(&[44u64, 16]),
-            };
-            let gap = if rng.chance(0.08) { rng.uniform(1, 512) } else { 0 };
+            let prior = rng
+                .chance(0.3)
+                .then(|| (*rng.pick(&[8u64, 24, 64]), rng.uniform(1, 40), rng.uniform(0, 60)));
+            let prior_len = prior.map_or(0, |(u, k, _)| u * k);
+            let gap = if rng.chance(0.12) { rng.uniform(1, 512) } else { 0 };
             let size = match rng.uniform(0, 5) {
                 0 => rng.uniform(unit, len + unit),
-                1 | 2 => len + rng.uniform(0, 256),
+                1 | 2 => prior_len + gap + len + rng.uniform(0, 256),
                 _ => 64 << 10,
             }
             .max(pre + 64);
+            let held =
+                rng.chance(0.15).then(|| if rng.chance(0.5) { 0 } else { rng.uniform(1, 64) });
+            // Mostly wide; sometimes shorter than the run or than its gap.
+            let window = if rng.chance(0.1) { rng.uniform(0, 2 * len) } else { 64 << 10 };
+            let first_ns = if rng.chance(0.2) { rng.uniform(0, 3_000) } else { 3_000 };
             let case = RunCase {
                 unit,
                 n,
                 queue: match rng.uniform(0, 7) {
                     0 => rng.uniform(1, 3 * unit),
+                    1 | 2 => rng.uniform(unit, len + 2 * unit),
                     _ => 32 << 10,
                 }
                 .max(pre)
                 .max(24),
                 size,
                 pre,
-                held: rng.chance(0.1) && pre + gap + len + 24 <= size,
+                prior,
+                prior_first_ns: first_ns.saturating_sub(rng.uniform(0, 2_500)),
+                held: held.filter(|d| pre + prior_len + gap + len + d + 24 <= size.min(window)),
                 gap,
-                port_bytes_per_us,
-                port_busy_ns: if rng.chance(0.15) { rng.uniform(1, 4_000) } else { 0 },
-                // The staged prefix drains by 2.8 us at the slowest port.
-                first_ns: if rng.chance(0.2) { rng.uniform(0, 3_000) } else { 3_000 },
-                period_ns,
+                window,
+                port_bytes_per_us: *rng.pick(&[4000u64, 4000, 800, 800, 250]),
+                port_busy_ns: if rng.chance(0.2) { rng.uniform(1, 4_000) } else { 0 },
+                first_ns,
+                period_ns: match rng.uniform(0, 6) {
+                    0 => rng.uniform(0, 80),
+                    1 => 0,
+                    _ => *rng.pick(&[44u64, 16]),
+                },
             };
+            let what = format!("case {index}: {case:?}");
             let first = SimTime::from_nanos(case.first_ns);
             let period = SimDuration::from_nanos(case.period_ns);
-            let offset = case.pre + case.gap;
             let data: Vec<u8> = (0..len).map(|i| (i * 31 + index) as u8).collect();
 
-            let (mut want_cmb, mut want_port) = stage(&case);
-            let want = want_cmb
-                .walk_run(first, period, offset, &data, unit, |t, b| want_port.acquire(t, b));
-
-            let (mut cmb, mut port) = stage(&case);
-            let before = (cmb.tail, cmb.stats.bytes_in, port.res.request_count());
-            let got = if cmb.ingest_run(first, period, offset, &data, unit, |at, p, b, n| {
-                port.acquire_run(at, p, b, n)
-            }) {
-                taken += 1;
-                assert_eq!(cmb.stats.run_chunks, n, "case {index}: {case:?}");
-                wrapped += u64::from(offset % case.size + len > case.size);
-                Ok(())
-            } else {
-                refused += 1;
-                assert_eq!(
-                    (cmb.tail, cmb.stats.bytes_in, port.res.request_count()),
-                    before,
-                    "case {index}: a refused run wrote or charged: {case:?}"
-                );
-                assert_eq!((cmb.stats.run_chunks, cmb.stats.runs_refused), (0, 1));
-                cmb.walk_run(first, period, offset, &data, unit, |t, b| port.acquire(t, b))
-            };
-            errors += u64::from(want.is_err());
-            assert_eq!(got, want, "case {index}: {case:?}");
-            assert_eq!(
-                observe(&cmb, &port),
-                observe(&want_cmb, &want_port),
-                "case {index}: {case:?}"
-            );
+            let (mut run, mut walk) = (stage(&case, true), stage(&case, false));
+            assert_eq!(observe(&run.0, &run.1), observe(&walk.0, &walk.1), "{what}: staged");
+            let offset = case.offset();
+            let got =
+                run_against_walk(&mut run, &mut walk, first, period, offset, &data, unit, &what);
+            errors += u64::from(got.is_err());
+            overrun_part_way +=
+                u64::from(matches!(got, Err((k, CmbError::QueueOverrun { .. })) if k > 0));
+            clean += u64::from(got.is_ok() && gap == 0);
+            wrapped += u64::from(got.is_ok() && offset % size + len > size);
+            behind +=
+                u64::from(got.is_ok() && case.port_bytes_per_us * case.period_ns < 1000 * unit);
             // And the lanes stay interchangeable afterwards: same credit at
             // every later instant, same next drain.
             for later in [0, 1, 15, 16, 17, 44, 80, 5_000] {
                 let at = first + period * (n - 1) + SimDuration::from_nanos(later);
-                assert_eq!(cmb.credit_at(at), want_cmb.credit_at(at), "case {index} at +{later}");
-                assert_eq!(cmb.next_pending(), want_cmb.next_pending(), "case {index}");
+                assert_eq!(run.0.credit_at(at), walk.0.credit_at(at), "{what} at +{later}");
+                assert_eq!(run.0.next_pending(), walk.0.next_pending(), "{what}");
+            }
+            if gap > 0 {
+                // The run that fills the gap releases what was held above it.
+                let fill = vec![0x77; gap as usize];
+                let unit = if gap % 8 == 0 { 8 } else { gap };
+                let at = first + period * n + SimDuration::from_nanos(rng.uniform(0, 300));
+                let (tail, held) = (walk.0.tail, walk.0.held.len());
+                let _ = run_against_walk(&mut run, &mut walk, at, period, tail, &fill, unit, &what);
+                released += u64::from(walk.0.held.len() < held);
             }
         }
         assert!(
-            taken > 1_000 && refused > 1_000 && errors > 200 && wrapped > 100,
-            "{taken} taken, {refused} refused, {errors} walks ended in an error, {wrapped} wrapped"
+            clean > 2_000
+                && errors > 500
+                && overrun_part_way > 100
+                && wrapped > 100
+                && behind > 500
+                && released > 200,
+            "{clean} clean, {errors} errors ({overrun_part_way} overruns part-way), \
+             {wrapped} wrapped, {behind} behind, {released} released"
         );
     }
 
     #[test]
+    fn first_above_matches_a_scan() {
+        // Random floor-linear functions on both sides of every branch: rising,
+        // falling, saw-toothed either way, straight.
+        let mut rng = simkit::DetRng::new(0xF1_0012);
+        let signed = |rng: &mut simkit::DetRng, m: u64| rng.uniform(0, 2 * m) as i128 - m as i128;
+        let mut found = 0;
+        for case in 0..20_000 {
+            let (a, b) = (signed(&mut rng, 90), signed(&mut rng, 90));
+            let (c, e) = (rng.uniform(0, 200) as i128, rng.uniform(1, 120) as i128);
+            let (d, t) = (signed(&mut rng, 500), signed(&mut rng, 3_000));
+            let lo = rng.uniform(0, 40) as i128;
+            let hi = lo + rng.uniform(0, 400) as i128;
+            let scan = (lo..hi).find(|&x| a * x + b * (c * x + d).div_euclid(e) > t);
+            let got = first_above([a, b, c, d, e], t, lo, hi);
+            assert_eq!(got, scan, "case {case}: {a}x + {b}⌊({c}x + {d})/{e}⌋ > {t} on {lo}..{hi}");
+            found += u64::from(scan.is_some_and(|x| x > lo));
+        }
+        assert!(found > 2_000, "{found}");
+    }
+
+    #[test]
+    fn a_dram_lane_queues_a_run_as_two_pieces_at_most() {
+        // 64-byte chunks every 44 ns against 80 ns drains: all back to back.
+        let mut cmb = CmbModule::new(cfg(32 << 10, 64 << 10));
+        let (mut res, bw) = (SerialResource::new(), Bandwidth::gbytes_per_sec(0.8));
+        let first = SimTime::from_nanos(1_000);
+        let every = SimDuration::from_nanos(44);
+        let arrivals = Ends { first, period: every, count: 256 };
+        cmb.ingest_run(arrivals, 0, &[1; 16 << 10], &mut res, bw).expect("fits");
+        let drained = |k: u64| first + SimDuration::from_nanos(80 * k);
+        // As the walk left it: read at the last arrival, 255 · 44 = 11 220 ns
+        // in, when 140 drains had ended; the other 116 are one run.
+        assert_eq!((cmb.credit_settled(), cmb.pending.len()), (64 * 140, 1));
+        assert_eq!(cmb.stats().queue_high_water, 64 * (256 - 140));
+        assert_eq!(cmb.credit_reaches(64 * 141), Some(drained(141)));
+        assert_eq!(cmb.credit_reaches(16 << 10), Some(drained(256)));
+        // Settled part-way: the run keeps what has not drained.
+        assert_eq!(cmb.credit_at(drained(150) + SimDuration::from_nanos(79)), 64 * 150);
+        assert_eq!((cmb.next_pending(), cmb.pending.len()), (Some(drained(151)), 1));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "CMB lane: head")]
+    fn an_empty_pending_run_breaks_the_lane_invariant() {
+        let mut cmb = CmbModule::new(cfg(4096, 8192));
+        let mut port = Port::new();
+        cmb.ingest(SimTime::ZERO, 0, &[1u8; 100], |t, b| port.acquire(t, b)).expect("fits");
+        cmb.credit_at(SimTime::from_micros(1));
+        // A test-only corruption: a drain run of nothing, after the last.
+        let ends = Ends { first: SimTime::from_micros(1), period: SimDuration::ZERO, count: 0 };
+        cmb.pending.push_back(Drains { ends, unit: 8 });
+        cmb.advance_head(10);
+    }
+
+    #[test]
     fn pending_drains_settle_from_the_front() {
-        // Many chunks behind a slow port: credit_at pops exactly the due
-        // prefix, next_pending is the front.
+        // Many chunks behind a slow port: their drains queue back to back,
+        // one run; credit_at settles exactly the due prefix of it,
+        // next_pending is the next drain.
         let mut cmb = CmbModule::new(cfg(64 << 10, 64 << 10));
         let mut port = Port::new();
         for k in 0..100u64 {
@@ -948,7 +1313,8 @@ mod tests {
         assert_eq!(cmb.next_pending(), Some(SimTime::from_nanos(100)));
         assert_eq!(cmb.credit_at(SimTime::from_nanos(4_250)), 4_200);
         assert_eq!(cmb.next_pending(), Some(SimTime::from_nanos(4_300)));
-        assert_eq!(cmb.pending.len(), 58);
+        assert_eq!(cmb.pending.len(), 1);
+        assert_eq!(cmb.pending[0].ends.count, 58);
         assert_eq!(cmb.credit_at(SimTime::from_nanos(10_000)), 10_000);
         assert_eq!(cmb.next_pending(), None);
     }

@@ -571,8 +571,8 @@ mod tests {
             };
             let tail = self.rig.cmb.tail();
             let queue = self.rig.cmb.config().intake_queue_bytes;
-            if self.rig.cmb.has_room(tail, len) && self.rig.cmb.inflight_at(self.now) + len <= queue
-            {
+            let inflight = tail - self.rig.cmb.credit_at(self.now);
+            if self.rig.cmb.has_room(tail, len) && inflight + len <= queue {
                 let data: Vec<u8> = (tail..tail + len).map(|o| (o % 251) as u8).collect();
                 self.rig.write(self.now, tail, &data);
             }

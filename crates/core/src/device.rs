@@ -14,7 +14,7 @@ use nvme::{
     Namespace, NvmeController, PortAccounting, Status, VendorCommand,
 };
 use pcie::{MmioMode, StoreIssueModel};
-use simkit::{Bandwidth, EventQueue, Grant, SerialResource, SimDuration, SimTime};
+use simkit::{Bandwidth, EventQueue, SerialResource, SimDuration, SimTime};
 use ssd::ConventionalSsd;
 
 /// Vendor-specific opcodes (paper §4.2: role changes are NVMe
@@ -212,32 +212,12 @@ impl VillarsDevice {
         self.lanes[lane].destage.stats()
     }
 
-    /// Grant backing-memory time: dedicated SRAM, or the shared DRAM port
-    /// (the derated transfer time models the 64-bit CMB path on the shared
-    /// controller, paper §6).
-    fn backing_acquire(
-        sram_port: &mut Option<SerialResource>,
-        conv: &mut ConventionalSsd,
-        bw: Bandwidth,
-        now: SimTime,
-        bytes: u64,
-    ) -> Grant {
-        match sram_port {
-            Some(port) => port.acquire(now, bw.transfer_time(bytes)),
-            None => {
-                // Hold the shared DRAM port for the CMB-path duration.
-                conv.dram_hold(now, bw.transfer_time(bytes))
-            }
-        }
-    }
-
     /// Host fast-side write: `data` stored to the CMB window at monotonic
     /// ring `offset` on `lane`, issued under `mode` (WC or UC). The TLPs
     /// ride the host link's downstream wire. Mirrors to secondaries when primary.
     ///
-    /// The full-size TLPs of the write go to the lane as one run; what the
-    /// run form does not take — a refused run, a lone TLP, the trailing
-    /// partial — is walked TLP by TLP. The mirror flow gets the arrivals.
+    /// The full-size TLPs of the write reach the lane as one run, the
+    /// trailing partial as a run of one. The mirror flow gets the arrivals.
     pub fn fast_write(
         &mut self,
         now: SimTime,
@@ -252,22 +232,14 @@ impl VillarsDevice {
         if !self.lanes[lane].cmb.has_room(offset, data.len() as u64) {
             return Err(CmbError::RingFull);
         }
-        // The link's quote for the full-size TLPs: first arrival, period.
-        let (first, period) =
-            self.conventional.host_downstream_mut().peek_write_burst(now, shape.unit as u32);
-        let burst = TlpRun { first, period, count: shape.full_count };
-        let mut arrived = now;
-        let mut taken = 0;
-        if shape.full_count >= 2 {
-            let full = &data[..(shape.unit * shape.full_count) as usize];
-            if let Some(last) = self.send_run(now, burst, lane, offset, full, shape.unit) {
-                arrived = last;
-                taken = full.len();
-            }
+        let full = (shape.unit * shape.full_count) as usize;
+        let (mut burst, mut arrived) = (TlpRun::default(), now);
+        if full > 0 {
+            burst = self.send(now, lane, offset, &data[..full], shape.full_count)?;
+            arrived = burst.last();
         }
-        if taken < data.len() {
-            arrived =
-                self.send_chunks(now, lane, offset + taken as u64, &data[taken..], shape.unit)?;
+        if full < data.len() {
+            arrived = self.send(now, lane, offset + full as u64, &data[full..], 1)?.first;
         }
         let issued_at = self.conventional.host_downstream_busy_until();
         // Mirror the write to secondaries (lane 0 carries replication).
@@ -279,74 +251,61 @@ impl VillarsDevice {
         Ok(FastWrite { issued_at, arrived_at: arrived, outbound })
     }
 
-    /// Send `data` — whole TLPs of `unit` bytes — as one burst the lane takes
-    /// as one run ([`VillarsDevice::take_run`]). The lane decides on the
-    /// link's quote before anything is charged, so on `None` wire, backing
-    /// port and ring are as [`VillarsDevice::send_chunks`] expects them.
-    /// Returns the last TLP's arrival.
-    fn send_run(
+    /// Send `data` — `count` equal TLPs, back to back on the downstream
+    /// wire from `now` — to `lane` as one run. Returns how they landed. A
+    /// lone TLP lands where the wire puts it; a burst is quoted first
+    /// (`peek_write_burst`) and charged once the lane has answered: a TLP it
+    /// refuses has crossed the wire too, the ones after it are not sent.
+    fn send(
         &mut self,
         now: SimTime,
-        quote: TlpRun,
         lane: usize,
         offset: u64,
         data: &[u8],
-        unit: u64,
-    ) -> Option<SimTime> {
-        if !self.take_run(lane, quote, offset, data, unit) {
-            return None;
-        }
-        let burst =
-            self.conventional.host_downstream_mut().send_write_burst(now, unit as u32, quote.count);
-        debug_assert_eq!(burst.end, quote.last());
-        self.fast_tlps += quote.count;
-        self.fast_bytes_in += data.len() as u64;
-        Some(burst.end)
-    }
-
-    /// Offer `lane` a run of whole TLPs off the host link or a mirror flow
-    /// ([`CmbModule::ingest_run`]). Only the dedicated SRAM port takes a run:
-    /// on the DRAM-backed lane a drain outlasts a TLP's wire time.
-    fn take_run(&mut self, lane: usize, run: TlpRun, offset: u64, data: &[u8], unit: u64) -> bool {
-        let (sram_port, bw) = (&mut self.sram_port, self.backing_bw);
-        let port = |at, period, bytes, n| {
-            sram_port.as_mut()?.acquire_periodic(at, period, bw.transfer_time(bytes), n)
+        count: u64,
+    ) -> Result<TlpRun, CmbError> {
+        let unit = (data.len() as u64 / count) as u32;
+        let link = self.conventional.host_downstream_mut();
+        let (first, period) = match count {
+            1 => (link.send_write_burst(now, unit, 1).end, SimDuration::ZERO),
+            _ => link.peek_write_burst(now, unit),
         };
-        self.lanes[lane].cmb.ingest_run(run.first, run.period, offset, data, unit, port)
+        let run = TlpRun { first, period, count };
+        let taken = self.intake(lane, run, offset, data);
+        let sent = taken.as_ref().map_or_else(|(k, _)| k + 1, |()| count);
+        if count > 1 {
+            self.conventional.host_downstream_mut().send_write_burst(now, unit, sent);
+        }
+        self.fast_tlps += sent;
+        taken.map(|()| run).map_err(|(_, e)| e)
     }
 
-    /// Send `data` one TLP of at most `unit` bytes at a time, each through
-    /// [`CmbModule::ingest`] as it arrives. Returns the last TLP's arrival.
-    /// On an error the counters have what was sent and what was accepted.
-    fn send_chunks(
+    /// Hand `lane` the equal TLPs of `data`, landing as `run` says
+    /// ([`CmbModule::ingest_run`]). They drain through the dedicated SRAM
+    /// port or the shared DRAM port, whose derated transfer time models the
+    /// 64-bit CMB path on the shared controller (paper §6).
+    fn intake(
         &mut self,
-        now: SimTime,
         lane: usize,
+        run: TlpRun,
         offset: u64,
         data: &[u8],
-        unit: u64,
-    ) -> Result<SimTime, CmbError> {
-        let (sram_port, conv, bw) = (&mut self.sram_port, &mut self.conventional, self.backing_bw);
-        let cmb = &mut self.lanes[lane].cmb;
-        let mut at = offset;
-        let mut arrived = now;
-        for chunk in data.chunks(unit as usize) {
-            arrived = conv.host_downstream_mut().send_write_burst(now, chunk.len() as u32, 1).end;
-            self.fast_tlps += 1;
-            cmb.ingest(arrived, at, chunk, |t, b| {
-                Self::backing_acquire(sram_port, conv, bw, t, b)
-            })?;
-            self.fast_bytes_in += chunk.len() as u64;
-            at += chunk.len() as u64;
-        }
-        Ok(arrived)
+    ) -> Result<(), (u64, CmbError)> {
+        let port = match &mut self.sram_port {
+            Some(port) => port,
+            None => self.conventional.dram_port(),
+        };
+        let taken = self.lanes[lane].cmb.ingest_run(run, offset, data, port, self.backing_bw);
+        let unit = data.len() as u64 / run.count;
+        self.fast_bytes_in += taken.as_ref().map_or_else(|(k, _)| k * unit, |()| data.len() as u64);
+        taken
     }
 
     /// Deliver a mirrored write into this (secondary) device's CMB intake:
     /// `data` at log `offset`, cut into TLPs of `unit` bytes that land as
-    /// `landings` say — each run as the host side's, TLP by TLP where the run
-    /// form refuses. TLPs below the lane's tail are skipped: a delivery
-    /// refused part-way resumes where it stopped, a duplicate is a no-op.
+    /// `landings` say, each run through the intake the primary uses. TLPs
+    /// below the lane's tail are skipped: a delivery refused part-way
+    /// resumes where it stopped, a duplicate is a no-op.
     pub fn receive_mirror(
         &mut self,
         offset: u64,
@@ -358,24 +317,14 @@ impl VillarsDevice {
         let (mut at, mut rest) = (offset, data);
         for run in landings {
             let (tlps, after) = rest.split_at(rest.len().min((run.count * unit) as usize));
-            if run.count >= 2 && self.take_run(0, *run, at, tlps, unit) {
-                self.fast_bytes_in += tlps.len() as u64;
-                at += tlps.len() as u64;
-            } else {
-                let (sram_port, conv, bw) =
-                    (&mut self.sram_port, &mut self.conventional, self.backing_bw);
-                let mut arrival = run.first;
-                for tlp in tlps.chunks(unit as usize) {
-                    if at + tlp.len() as u64 > resume {
-                        self.lanes[0].cmb.ingest(arrival, at, tlp, |t, b| {
-                            Self::backing_acquire(sram_port, conv, bw, t, b)
-                        })?;
-                        self.fast_bytes_in += tlp.len() as u64;
-                    }
-                    at += tlp.len() as u64;
-                    arrival += run.period;
-                }
+            // A run of one may be the trailing partial.
+            let unit = unit.min(tlps.len() as u64);
+            let skip = (resume.saturating_sub(at) / unit).min(run.count);
+            if skip < run.count {
+                let tlps = &tlps[(skip * unit) as usize..];
+                self.intake(0, run.skip(skip), at + skip * unit, tlps).map_err(|(_, e)| e)?;
             }
+            at += tlps.len() as u64;
             rest = after;
         }
         debug_assert!(rest.is_empty(), "{} bytes without a landing", rest.len());
@@ -839,5 +788,25 @@ impl IoPort for VillarsDevice {
 
     fn in_flight(&self) -> usize {
         self.port.in_flight()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_16k_write_on_the_dram_lane_is_two_pending_runs_at_most() {
+        // 256 TLPs landing every 44 ns, each draining for 80 ns on the
+        // shared port: one run of drains (and one more for a partial), not
+        // an entry per TLP.
+        let mut dev = VillarsDevice::new(VillarsConfig::villars_dram());
+        let data = vec![0xD5; 16 << 10];
+        dev.fast_write(SimTime::from_micros(1), 0, 0, &data, MmioMode::WriteCombining)
+            .expect("fits the window");
+        let cmb = &dev.lanes[0].cmb;
+        assert!(cmb.pending_runs() <= 2, "{} pending entries", cmb.pending_runs());
+        assert!(cmb.credit_reaches(16 << 10).is_some());
+        assert_eq!(cmb.stats().chunks, 256);
     }
 }

@@ -60,23 +60,9 @@ pub enum TransportStatus {
 }
 
 /// Consecutive TLPs of one write arriving at a CMB intake — the primary's
-/// off the host link, a secondary's off its mirror flow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TlpRun {
-    /// When the first one arrives.
-    pub first: SimTime,
-    /// Spacing of the arrivals.
-    pub period: SimDuration,
-    /// TLPs in the run (at least one).
-    pub count: u64,
-}
-
-impl TlpRun {
-    /// When the last one arrives.
-    pub fn last(&self) -> SimTime {
-        self.first + self.period * (self.count - 1)
-    }
-}
+/// off the host link, a secondary's off its mirror flow: `count` arrivals,
+/// `period` apart from `first`, the shape of the drains they become.
+pub type TlpRun = simkit::Ends;
 
 /// A mirrored CMB write on its way to a secondary.
 #[derive(Debug, Clone)]

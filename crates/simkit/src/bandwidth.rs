@@ -41,6 +41,7 @@ impl Bandwidth {
 
     /// Nanoseconds needed to move `bytes` at this rate (rounded up, minimum
     /// 1 ns for a non-empty transfer so no transfer is free).
+    #[inline]
     pub fn transfer_time(&self, bytes: u64) -> SimDuration {
         if bytes == 0 {
             return SimDuration::ZERO;

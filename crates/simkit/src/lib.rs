@@ -44,7 +44,7 @@ pub use bytes::Bytes;
 pub use error::{DiagnosticSnapshot, SimError};
 pub use events::{EventId, EventQueue};
 pub use faults::{FaultHook, FaultPlan};
-pub use resource::{Grant, Link, LinkStats, SerialResource};
+pub use resource::{Ends, Grant, Link, LinkStats, SerialResource};
 pub use rng::{DetRng, Zipfian};
 pub use stats::{Candlestick, SampleSeries, Summary};
 pub use telemetry::{Instrument, MetricValue, MetricsRegistry, Scope, Snapshot};

@@ -31,6 +31,41 @@ impl Grant {
     }
 }
 
+/// `count` instants `period` apart from `first` — where a run of requests
+/// on a [`SerialResource`] ends ([`SerialResource::acquire_run`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Ends {
+    /// The first instant.
+    pub first: SimTime,
+    /// Spacing of the instants.
+    pub period: SimDuration,
+    /// How many there are (zero for an empty piece).
+    pub count: u64,
+}
+
+impl Ends {
+    /// The last instant (`first` when there is none).
+    pub fn last(&self) -> SimTime {
+        self.first + self.period * self.count.saturating_sub(1)
+    }
+
+    /// How many of the instants are at or before `t`.
+    pub fn by(&self, t: SimTime) -> u64 {
+        if self.count == 0 || t < self.first {
+            0
+        } else if self.period.is_zero() {
+            self.count
+        } else {
+            self.count.min((t - self.first).as_nanos() / self.period.as_nanos() + 1)
+        }
+    }
+
+    /// The run without its first `k` instants.
+    pub fn skip(&self, k: u64) -> Ends {
+        Ends { first: self.first + self.period * k, count: self.count - k, ..*self }
+    }
+}
+
 /// A single-server FIFO resource (e.g. one flash die, a DMA engine).
 ///
 /// Work requested at `now` begins at `max(now, busy_until)` and holds the
@@ -58,43 +93,39 @@ impl SerialResource {
         Grant { start, end }
     }
 
-    /// `n` back-to-back requests of `service` each, the first starting no
-    /// earlier than `now`: exactly the state and the overall window that
-    /// `n` single [`SerialResource::acquire`] calls chained on each
-    /// other's `end` produce, in constant time (`n × service` is integer
-    /// arithmetic on nanoseconds).
-    pub fn acquire_burst(&mut self, now: SimTime, service: SimDuration, n: u64) -> Grant {
-        let start = now.max(self.busy_until);
-        let total = service * n;
-        let end = start + total;
-        self.busy_until = end;
-        self.busy_accum += total;
-        self.requests += n;
-        Grant { start, end }
-    }
-
     /// `n` requests of `service` each, arriving at `first`, `first +
-    /// period`, …: the state that `n` single [`SerialResource::acquire`]
-    /// calls at those instants leave, in constant time. Granted only when
-    /// no request would queue — the resource is idle by `first` and
-    /// `service <= period` — so request `k` is served over `[first +
-    /// k·period, first + k·period + service)`; the first window is
-    /// returned. Otherwise `None`, and nothing changed.
-    pub fn acquire_periodic(
+    /// period`, …, each served FIFO as it comes: the state `n` single
+    /// [`SerialResource::acquire`] calls at those instants leave, in constant
+    /// time, and where each request ends — back to back while they queue
+    /// behind the resource, then on the arrivals' period once it has caught
+    /// up (when `service < period`). Either piece may be empty.
+    pub fn acquire_run(
         &mut self,
         first: SimTime,
         period: SimDuration,
         service: SimDuration,
         n: u64,
-    ) -> Option<Grant> {
-        assert!(n > 0, "a periodic run contains at least one request");
-        if self.busy_until > first || service > period {
-            return None;
+    ) -> [Ends; 2] {
+        let busy = self.busy_until;
+        // Request k queues while busy + k·service > first + k·period.
+        let queued = if busy <= first && service <= period {
+            0
+        } else if service < period {
+            n.min((busy - first).as_nanos().div_ceil((period - service).as_nanos()))
+        } else {
+            n
+        };
+        let start = busy.max(first);
+        let runs = [
+            Ends { first: start + service, period: service, count: queued },
+            Ends { first: first + period * queued + service, period, count: n - queued },
+        ];
+        if n > 0 {
+            self.busy_until = runs[usize::from(queued < n)].last();
         }
-        self.busy_until = first + period * (n - 1) + service;
         self.busy_accum += service * n;
         self.requests += n;
-        Some(Grant { start: first, end: first + service })
+        runs
     }
 
     /// The instant the resource next becomes idle.
@@ -181,12 +212,7 @@ impl Link {
     /// traffic. Returns the service window (ends when the last bit leaves
     /// the wire).
     pub fn transmit(&mut self, now: SimTime, payload: u64) -> Grant {
-        let wire_bytes = payload + self.per_message_overhead_bytes;
-        let service = self.bandwidth.transfer_time(wire_bytes);
-        self.stats.payload_bytes += payload;
-        self.stats.overhead_bytes += self.per_message_overhead_bytes;
-        self.stats.messages += 1;
-        self.wire.acquire(now, service)
+        self.transmit_with_overhead(now, payload, 0)
     }
 
     /// Transmit with extra per-message overhead bytes on top of the link's
@@ -217,13 +243,16 @@ impl Link {
         self.stats.payload_bytes += n * payload;
         self.stats.overhead_bytes += n * overhead;
         self.stats.messages += n;
-        self.wire.acquire_burst(now, service, n)
+        let start = now.max(self.wire.busy_until());
+        self.wire.acquire_run(now, SimDuration::ZERO, service, n);
+        Grant { start, end: self.wire.busy_until() }
     }
 
     /// Transmit `n` identical messages, one every `period` starting at
     /// `first` (each as [`Link::transmit_with_overhead`] would). Granted
-    /// only when none of them would queue — see
-    /// [`SerialResource::acquire_periodic`]; returns the first message's
+    /// only when none of them would queue — the wire is idle by `first` and
+    /// a message serializes within `period` — so message `k` is on the wire
+    /// over the first one's window shifted by `k·period`; returns that
     /// window, or `None` with the link untouched.
     pub fn transmit_periodic_with_overhead(
         &mut self,
@@ -235,11 +264,14 @@ impl Link {
     ) -> Option<Grant> {
         let overhead = self.per_message_overhead_bytes + extra_overhead;
         let service = self.bandwidth.transfer_time(payload + overhead);
-        let g = self.wire.acquire_periodic(first, period, service, n)?;
+        if self.wire.busy_until() > first || service > period {
+            return None;
+        }
+        self.wire.acquire_run(first, period, service, n);
         self.stats.payload_bytes += n * payload;
         self.stats.overhead_bytes += n * overhead;
         self.stats.messages += n;
-        Some(g)
+        Some(Grant { start: first, end: first + service })
     }
 
     /// The instant the wire next goes idle.
@@ -389,59 +421,118 @@ mod tests {
 
     #[test]
     fn periodic_equals_n_single_acquires_or_refuses_untouched() {
-        // Random (busy_until, first, period, service, n), refusing cases
-        // included: a granted run leaves the state of the per-request loop
-        // and every request starts on its own instant; a refused one leaves
-        // the resource as it was.
+        // Random (busy_until, first, period, service, n) on a 1 B/ns wire,
+        // refusing cases included: a granted run leaves the state of the
+        // per-message loop and every message starts on its own instant; a
+        // refused one leaves the link as it was.
         let mut rng = crate::DetRng::new(0x9E210D);
         let (mut granted, mut refused) = (0, 0);
         for case in 0..4_000 {
-            let mut run = SerialResource::new();
+            let mut run = Link::new(Bandwidth::bytes_per_ns(1.0), 0);
             if rng.chance(0.7) {
-                run.acquire(t(rng.uniform(0, 4_000)), d(rng.uniform(1, 2_000)));
+                run.transmit(t(rng.uniform(0, 4_000)), rng.uniform(1, 2_000));
             }
             let mut single = run.clone();
             let first = t(rng.uniform(0, 8_000));
             let period = d(rng.uniform(1, 1_000));
-            let service = d(rng.uniform(0, 1_200));
+            let bytes = rng.uniform(0, 1_200);
             let n = match rng.uniform(0, 2) {
                 0 => 1,
                 1 => rng.uniform(1, 8),
                 _ => rng.uniform(1, 2_000),
             };
-            let before = (run.busy_until(), run.busy_time(), run.request_count());
-            match run.acquire_periodic(first, period, service, n) {
+            let before = link_state(&run);
+            match run.transmit_periodic_with_overhead(first, period, bytes, 0, n) {
                 Some(got) => {
                     granted += 1;
                     for k in 0..n {
                         let at = first + period * k;
-                        let g = single.acquire(at, service);
-                        assert_eq!(g.start, at, "case {case}: request {k} queued");
+                        let g = single.transmit_with_overhead(at, bytes, 0);
+                        assert_eq!(g.start, at, "case {case}: message {k} queued");
                         if k == 0 {
                             assert_eq!(got, g, "case {case}");
                         }
                     }
                     assert_eq!(
-                        (run.busy_until(), run.busy_time(), run.request_count()),
-                        (single.busy_until(), single.busy_time(), single.request_count()),
-                        "case {case}: first {first}, period {period}, service {service}, n {n}"
+                        link_state(&run),
+                        link_state(&single),
+                        "case {case}: first {first}, period {period}, {bytes} B, n {n}"
                     );
                 }
                 None => {
                     refused += 1;
                     assert!(
-                        before.0 > first || service > period,
+                        before.0 > first || d(bytes) > period,
                         "case {case}: refused for nothing"
                     );
-                    assert_eq!(
-                        (run.busy_until(), run.busy_time(), run.request_count()),
-                        before,
-                        "case {case}: a refused run must not touch the resource"
-                    );
+                    assert_eq!(link_state(&run), before, "case {case}: a refused run touched it");
                 }
             }
         }
         assert!(granted > 500 && refused > 500, "{granted} granted, {refused} refused");
+    }
+
+    #[test]
+    fn a_run_ends_where_n_single_acquires_end() {
+        // Random (busy_until, first, period, service, n) on both sides of
+        // service = period, idle and busy: every request ends where its own
+        // `acquire` does, and the resource is left as the n calls leave it.
+        let mut rng = crate::DetRng::new(0xAC0_12E5);
+        let (mut catches_up, mut falls_behind, mut two_pieces) = (0, 0, 0);
+        for case in 0..4_000 {
+            let mut run = SerialResource::new();
+            if rng.chance(0.7) {
+                run.acquire(t(rng.uniform(0, 6_000)), d(rng.uniform(1, 3_000)));
+            }
+            let mut single = run.clone();
+            let first = t(rng.uniform(0, 8_000));
+            let service = rng.uniform(0, 200);
+            let period = d(match rng.uniform(0, 3) {
+                0 => service,
+                1 => rng.uniform(0, service),
+                _ => rng.uniform(service, 400),
+            });
+            let service = d(service);
+            let n = match rng.uniform(0, 3) {
+                0 => rng.uniform(0, 1),
+                1 => rng.uniform(2, 8),
+                _ => rng.uniform(2, 600),
+            };
+            let pieces = run.acquire_run(first, period, service, n);
+            let got: Vec<SimTime> = pieces
+                .iter()
+                .flat_map(|p| (0..p.count).map(move |k| p.first + p.period * k))
+                .collect();
+            let want: Vec<SimTime> =
+                (0..n).map(|k| single.acquire(first + period * k, service).end).collect();
+            assert_eq!(got, want, "case {case}: first {first}, period {period}, {n} x {service}");
+            assert_eq!(pieces[0].period, service, "case {case}: queued requests end back to back");
+            assert_eq!(
+                (run.busy_until(), run.busy_time(), run.request_count()),
+                (single.busy_until(), single.busy_time(), single.request_count()),
+                "case {case}"
+            );
+            two_pieces += u64::from(pieces.iter().all(|p| p.count > 0));
+            if service < period {
+                catches_up += 1;
+            } else {
+                falls_behind += 1;
+            }
+        }
+        assert!(
+            catches_up > 1_000 && falls_behind > 1_000 && two_pieces > 300,
+            "{catches_up} / {falls_behind} / {two_pieces}"
+        );
+    }
+
+    #[test]
+    fn run_ends_answer_inside_the_run() {
+        let ends = Ends { first: t(100), period: d(40), count: 5 };
+        assert_eq!(ends.last(), t(260));
+        assert_eq!([99, 100, 139, 140, 260, 999].map(|ns| ends.by(t(ns))), [0, 1, 1, 2, 5, 5]);
+        assert_eq!(ends.skip(2), Ends { first: t(180), period: d(40), count: 3 });
+        let at_once = Ends { first: t(100), period: SimDuration::ZERO, count: 3 };
+        assert_eq!((at_once.by(t(99)), at_once.by(t(100))), (0, 3));
     }
 
     #[test]

@@ -118,11 +118,11 @@ impl DataBuffer {
         self.port.acquire(now, self.port_time(bytes))
     }
 
-    /// Hold the DRAM port for an explicit duration. The CMB path runs at
-    /// its own (narrower, derated) rate while still occupying the shared
+    /// The DRAM port itself, for a user that holds it at its own rate: the
+    /// CMB path runs narrower (derated) while still occupying the shared
     /// controller (paper §6: 64-bit CMB path on the shared DDR3 port).
-    pub fn port_hold(&mut self, now: SimTime, duration: SimDuration) -> Grant {
-        self.port.acquire(now, duration)
+    pub fn port_mut(&mut self) -> &mut SerialResource {
+        &mut self.port
     }
 
     /// Write a page into the buffer (dirty) as it arrives: in pieces of
@@ -330,7 +330,7 @@ mod tests {
             // 1 B/ns: `service` bytes a piece.
             let mut buf = DataBuffer::new(4, (n * service) as u32, Bandwidth::bytes_per_ns(1.0));
             if rng.chance(0.7) {
-                buf.port_hold(SimTime::ZERO, SimDuration::from_nanos(rng.uniform(1, 30_000)));
+                buf.port.acquire(SimTime::ZERO, SimDuration::from_nanos(rng.uniform(1, 30_000)));
             }
             let (free, busy, requests) =
                 (buf.port.busy_until(), buf.port.busy_time(), buf.port.request_count());

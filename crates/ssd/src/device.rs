@@ -316,10 +316,10 @@ impl ConventionalSsd {
         self.staged.insert(lpn, data);
     }
 
-    /// Hold the DRAM port for an explicit duration (the CMB path's derated
-    /// transfer time on the shared controller).
-    pub fn dram_hold(&mut self, now: SimTime, duration: simkit::SimDuration) -> simkit::Grant {
-        self.buffer.port_hold(now, duration)
+    /// The shared DRAM port, for the CMB path that holds it at its derated
+    /// rate — a run of drains at a time ([`simkit::SerialResource::acquire_run`]).
+    pub fn dram_port(&mut self) -> &mut simkit::SerialResource {
+        self.buffer.port_mut()
     }
 
     /// Borrow the host link's downstream wire, which the host's stores ride
