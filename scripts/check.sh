@@ -27,11 +27,11 @@ echo "== allocation budget (release hot path)"
 # averages match the configuration the wall-clock gate times.
 cargo test --release -p xssd-bench --test alloc_budget --quiet
 
-echo "== fast-side run intake (release: per-TLP equivalence, run-share pin)"
+echo "== fast-side run intake (release: per-TLP equivalence, chunk-count pin)"
 # crates/core/tests/fast_write_runs.rs: fast_write against the per-TLP walk
 # on both backings, and the exact count of chunks a replicated log hands to
-# the CMB lane as runs — in release, where the debug assertions that also
-# guard the closed form are compiled out.
+# the CMB lane — in release, where the debug assertions (the lane's
+# invariants among them) that also guard the closed form are compiled out.
 cargo test --release -p xssd-core --test fast_write_runs --quiet
 
 echo "== credit-aware fsync (release: bound vs brute force, reads and wakes per commit)"
@@ -79,6 +79,20 @@ if grep -rnE 'Histogram|percentile_lower_bound|p99_us_exact' crates/; then
   exit 1
 fi
 
+echo "== one CMB intake (every arrival is a run; the per-chunk walk lives in tests only)"
+# ROADMAP item 13: `CmbModule::ingest_run` takes every run a lane is handed —
+# either backing, a busy port, a run above the tail, a mirror retry — and
+# finds a part-way cut arithmetically. The refuse-then-walk fork
+# (`send_chunks`, `take_run`, the `run_chunks` / `runs_refused` share) and a
+# TLP-by-TLP `.chunks(` loop do not come back outside the `#[cfg(test)]`
+# module (where `walk_run`, the reference, keeps one).
+if awk 'FNR == 1 { live = 1 } /^#\[cfg\(test\)\]/ { live = 0 }
+        live && /send_chunks|take_run|runs_refused|run_chunks|\.chunks\(/ { print FILENAME ":" FNR ": " $0; hit = 1 }
+        END { exit !hit }' crates/core/src/*.rs; then
+  echo "FAIL: a second CMB intake path is back in crates/core/src (lines above)."
+  exit 1
+fi
+
 echo "== no scan in the data buffer (rule 7: eviction order is kept, not searched for)"
 # The buffer holds its clean pages ordered by last touch; finding a page or a
 # victim by walking a queue (`.position(`) is the scanning version, which
@@ -112,4 +126,4 @@ echo "== benchmark: its own tests, then every workload and check at 1/50 horizon
 (cd benchmark && cargo test --offline --quiet)
 benchmark/run.sh --quick > /dev/null
 
-echo "ok: fmt, clippy, reachability, gate self-test, tests, count, nudge, one-collector and buffer-scan gates, recovery smoke, chaos smoke, benchmark checks all clean"
+echo "ok: fmt, clippy, reachability, gate self-test, tests, count, nudge, one-collector, one-intake and buffer-scan gates, recovery smoke, chaos smoke, benchmark checks all clean"
