@@ -10,7 +10,10 @@
 //!   `core.fast.sram_port.requests` = Σ `core.cmb.laneN.chunks` — one port
 //!   request per chunk, however the drains were charged;
 //! - per lane, `head_offset ≤ credit_offset ≤ tail_offset` — nothing is
-//!   destaged before it is persisted, nothing persisted before it arrived.
+//!   destaged before it is persisted, nothing persisted before it arrived;
+//! - on a database cell, `db.log.bytes_appended` = each device's
+//!   `core.cmb.lane0.bytes_in`, primary and secondaries alike — the bytes the
+//!   log codec emitted are the bytes every device took in.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -127,4 +130,22 @@ fn the_fast_side_accounts_for_every_byte_chunk_and_offset() {
     }
     // Every device-cell of the goldens at the time this was written.
     assert!(checked >= 149 && with_sram_port > 0, "{checked} device-cells, {with_sram_port} SRAM");
+}
+
+#[test]
+fn every_log_byte_the_database_appends_reaches_every_device() {
+    let mut checked = 0;
+    for (where_, cell) in cells() {
+        let Some(appended) = cell.get("db.log.bytes_appended") else { continue };
+        // A database cell on a Villars backend: the primary and every
+        // secondary take in exactly the bytes the log codec emitted.
+        let devices = devices(&cell);
+        for device in &devices {
+            let bytes_in = cell[&format!("{device}core.cmb.lane0.bytes_in")];
+            assert_eq!(bytes_in, *appended, "{where_}: {device}core.cmb.lane0.bytes_in");
+        }
+        checked += usize::from(!devices.is_empty());
+    }
+    // Every database cell with a Villars backend at the time this was written.
+    assert!(checked >= 26, "{checked} database cells on Villars devices");
 }

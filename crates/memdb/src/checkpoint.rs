@@ -12,7 +12,7 @@
 //! Snapshots are written ping-pong into two slots so a crash mid-checkpoint
 //! always leaves the previous one intact.
 
-use crate::log::fnv1a;
+use crate::log::checksum;
 use crate::storage::Database;
 use simkit::SimTime;
 use xssd_core::{Cluster, DeviceIndex};
@@ -80,7 +80,7 @@ pub fn encode_snapshot(db: &Database, generation: u64, log_offset: u64) -> Vec<u
     }
     let total = (out.len() + 4) as u64;
     out[8..16].copy_from_slice(&total.to_le_bytes());
-    let sum = fnv1a(&out);
+    let sum = checksum(&out);
     out.extend_from_slice(&sum.to_le_bytes());
     out
 }
@@ -108,7 +108,7 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<(CheckpointMeta, Database), Snaps
     let bytes = &bytes[..total];
     let body = &bytes[..total - 4];
     let stored = u32::from_le_bytes(bytes[total - 4..].try_into().expect("4 bytes"));
-    if fnv1a(body) != stored {
+    if checksum(body) != stored {
         return Err(SnapshotError::BadChecksum);
     }
     let mut pos = 16usize;

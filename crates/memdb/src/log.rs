@@ -84,7 +84,7 @@ impl LogRecord {
         out.extend_from_slice(&(self.value.len() as u32).to_le_bytes());
         out.extend_from_slice(&self.key);
         out.extend_from_slice(&self.value);
-        let sum = fnv1a(&out[start..]);
+        let sum = checksum(&out[start..]);
         out.extend_from_slice(&sum.to_le_bytes());
     }
 
@@ -132,12 +132,12 @@ pub fn decode_one(buf: &[u8]) -> Result<(LogRecord, usize), DecodeError> {
     if buf.len() < total {
         return Err(DecodeError::Truncated);
     }
-    let key = SmallKey::from_slice(&buf[HEADER_LEN..HEADER_LEN + klen]);
-    let value = Bytes::copy_from_slice(&buf[HEADER_LEN + klen..HEADER_LEN + klen + vlen]);
     let stored = u32::from_le_bytes(buf[total - 4..total].try_into().expect("4 bytes"));
-    if fnv1a(&buf[..total - 4]) != stored {
+    if checksum(&buf[..total - 4]) != stored {
         return Err(DecodeError::BadChecksum);
     }
+    let key = SmallKey::from_slice(&buf[HEADER_LEN..HEADER_LEN + klen]);
+    let value = Bytes::copy_from_slice(&buf[HEADER_LEN + klen..HEADER_LEN + klen + vlen]);
     Ok((LogRecord { txn_id, op, table, key, value }, total))
 }
 
@@ -159,14 +159,34 @@ pub fn decode_stream(buf: &[u8]) -> (Vec<LogRecord>, usize) {
     (out, cursor)
 }
 
-/// FNV-1a over a byte slice (record checksums).
-pub fn fnv1a(data: &[u8]) -> u32 {
-    let mut hash: u32 = 0x811C_9DC5;
-    for b in data {
-        hash ^= *b as u32;
-        hash = hash.wrapping_mul(0x0100_0193);
+/// The log's one checksum: record framing, snapshot framing
+/// ([`crate::checkpoint`]) and segment seals ([`crate::segment`]).
+///
+/// Reads `data` as 8-byte little-endian words (the tail zero-padded) and
+/// folds each into a 64-bit state with an invertible step — xor, multiply
+/// by an odd constant, rotate — so a change confined to one word always
+/// changes the state; the length is folded in last, so zero bytes cut from
+/// the end are seen too. The state is then avalanched down to 32 bits.
+pub fn checksum(data: &[u8]) -> u32 {
+    const K: u64 = 0x9E37_79B9_7F4A_7C15;
+    let mix = |h: u64, word: u64| (h ^ word).wrapping_mul(K).rotate_left(29);
+    let mut words = data.chunks_exact(8);
+    let mut h = 0x243F_6A88_85A3_08D3;
+    for w in &mut words {
+        h = mix(h, u64::from_le_bytes(w.try_into().expect("8 bytes")));
     }
-    hash
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        let mut last = [0u8; 8];
+        last[..tail.len()].copy_from_slice(tail);
+        h = mix(h, u64::from_le_bytes(last));
+    }
+    h = mix(h, data.len() as u64);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xC4CE_B9FE_1A85_EC53);
+    (h ^ (h >> 33)) as u32
 }
 
 #[cfg(test)]
@@ -228,6 +248,25 @@ mod tests {
         let mid = buf.len() / 2;
         buf[mid] ^= 0xFF;
         assert!(matches!(decode_one(&buf), Err(DecodeError::BadChecksum)));
+    }
+
+    #[test]
+    fn checksum_sees_every_bit_and_the_length() {
+        let data: Vec<u8> = (0..37u8).map(|i| i.wrapping_mul(97)).collect();
+        let sum = checksum(&data);
+        for i in 0..data.len() * 8 {
+            let mut flipped = data.clone();
+            flipped[i / 8] ^= 1 << (i % 8);
+            assert_ne!(checksum(&flipped), sum, "bit {i}");
+        }
+        // Zero bytes appended at the end, and the empty input.
+        let mut seen = std::collections::HashSet::from([sum]);
+        let mut longer = data.clone();
+        for _ in 0..9 {
+            longer.push(0);
+            assert!(seen.insert(checksum(&longer)), "{} bytes", longer.len());
+        }
+        assert!(seen.insert(checksum(&[0; 8])) && seen.insert(checksum(&[])));
     }
 
     #[test]

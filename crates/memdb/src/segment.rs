@@ -14,7 +14,7 @@
 //! backend persists — enabling it changes nothing about what is written
 //! to the device, only what the host retains for replay and rejoin.
 
-use crate::log::fnv1a;
+use crate::log::checksum;
 use std::collections::VecDeque;
 
 /// Segmented-log configuration.
@@ -42,7 +42,7 @@ pub struct SealedSegment {
     pub base_lsn: u64,
     /// The segment's record bytes (whole records only).
     pub bytes: Vec<u8>,
-    /// FNV-1a over `bytes`, stamped at seal time.
+    /// The log's [`checksum`] over `bytes`, stamped at seal time.
     pub crc: u32,
 }
 
@@ -54,7 +54,7 @@ impl SealedSegment {
 
     /// Whether the stored CRC matches the bytes.
     pub fn verify(&self) -> bool {
-        fnv1a(&self.bytes) == self.crc
+        checksum(&self.bytes) == self.crc
     }
 }
 
@@ -75,7 +75,7 @@ impl SegmentView<'_> {
     /// Whether the bytes match the seal CRC (vacuously true for the
     /// unsealed tail, which carries none).
     pub fn verify(&self) -> bool {
-        self.crc.is_none_or(|crc| fnv1a(self.bytes) == crc)
+        self.crc.is_none_or(|crc| checksum(self.bytes) == crc)
     }
 }
 
@@ -141,7 +141,7 @@ impl SegmentedLog {
             return;
         }
         let bytes = std::mem::take(&mut self.active);
-        let crc = fnv1a(&bytes);
+        let crc = checksum(&bytes);
         let base_lsn = self.active_base;
         self.active_base += bytes.len() as u64;
         self.sealed.push_back(SealedSegment { seq: self.next_seq, base_lsn, bytes, crc });

@@ -19,7 +19,8 @@
 //! Every index probe goes through a [`Key`] — a stack copy of the caller's
 //! slice — so a descent compares words, not `memcmp` calls (see
 //! [`crate::key`]). A commit re-finds the rows it read only when the
-//! database-wide mutation stamp moved since the transaction began.
+//! database-wide mutation stamp moved since the transaction began, and
+//! finds each row it writes once, keeping an undo list for atomicity.
 
 use crate::key::SmallKey;
 use crate::log::{LogOp, LogRecord, TableId};
@@ -124,6 +125,10 @@ pub struct TxnCtx {
     arena: Vec<u8>,
     /// The database's mutation stamp as of `begin`.
     begin_stamp: u64,
+    /// Commit's undo list: entry `i` is the row the `i`-th installed write
+    /// replaced (`None`: the key was vacant). The table and key are the
+    /// `i`-th log record's.
+    undo: Vec<Option<Versioned>>,
 }
 
 impl TxnCtx {
@@ -159,6 +164,7 @@ impl TxnCtx {
         self.reads.clear();
         self.writes.clear();
         self.arena.clear();
+        self.undo.clear();
     }
 }
 
@@ -180,10 +186,15 @@ pub struct Database {
     /// can have changed, so its commit skips the by-key validation.
     mutations: u64,
     validation_probes: u64,
+    write_probes: u64,
     /// Reference model for the tests: validate by key on every commit, as
     /// if the stamp did not exist.
     #[cfg(test)]
     always_validate_by_key: bool,
+    /// Reference model for the tests: find every written row twice — a
+    /// pre-check pass, then the install — instead of once with an undo list.
+    #[cfg(test)]
+    two_pass_commit: bool,
     ctx_pool: Vec<TxnCtx>,
 }
 
@@ -225,6 +236,12 @@ impl Database {
     /// changed between any transaction's `begin` and its `commit`.
     pub fn validation_probes(&self) -> u64 {
         self.validation_probes
+    }
+
+    /// Index descents `commit` made for buffered writes so far: one per
+    /// written row, plus one per write it put back when a commit failed.
+    pub fn write_probes(&self) -> u64 {
+        self.write_probes
     }
 
     /// Begin a transaction (reusing a pooled context when available).
@@ -422,10 +439,116 @@ impl Database {
                 }
             }
         }
-        // Pre-check writes for structural errors (atomicity: reject before
-        // applying anything).
+        #[cfg(test)]
+        if self.two_pass_commit {
+            return self.commit_two_pass(ctx);
+        }
+        // Install + emit log records, one descent per written row. A
+        // structural error puts back what was installed, newest first, so
+        // the commit stays atomic.
+        let mut records = Vec::with_capacity(ctx.writes.len() + 1);
+        if let Err(e) = self.install_writes(ctx, &mut records) {
+            for (rec, old) in records.iter().zip(ctx.undo.drain(..)).rev() {
+                self.write_probes += 1;
+                let rows = &mut self.tables[rec.table as usize].rows;
+                match old {
+                    Some(old) => rows.insert(rec.key.clone(), old),
+                    None => rows.remove(&rec.key),
+                };
+            }
+            return Err(e);
+        }
+        ctx.undo.clear();
+        if !records.is_empty() {
+            self.mutations += 1;
+        }
+        records.push(LogRecord::commit(ctx.id));
+        self.commits += 1;
+        Ok(records)
+    }
+
+    /// Install `ctx`'s writes in order through one `entry` descent each,
+    /// pushing a log record and an undo entry per write. Fails at the first
+    /// write a two-pass commit would reject — an `Insert` of a key that
+    /// existed before the commit, an `Update`/`Delete` of a key that did
+    /// not and that the write set never inserts — leaving the installed
+    /// prefix for the caller to undo. Only a key the write set touches
+    /// twice can make the current entry disagree with the pre-commit state,
+    /// so the records are searched only in the branches where that matters.
+    /// Inserted/updated images are installed and logged as the same
+    /// refcounted buffer.
+    fn install_writes(
+        &mut self,
+        ctx: &mut TxnCtx,
+        records: &mut Vec<LogRecord>,
+    ) -> Result<(), TxnError> {
+        let txn_id = ctx.id;
+        let undo = &mut ctx.undo;
+        // Whether a delete of this commit removed a row: only then can a
+        // key that is vacant now have existed before the commit.
+        let mut removed = false;
+        let mut writes = ctx.writes.drain(..);
+        while let Some((table, w)) = writes.next() {
+            let t = self.tables.get_mut(table as usize).ok_or(TxnError::NoSuchTable(table))?;
+            let (op, k, value) = match w {
+                PendingWrite::Insert(k, v) => (LogOp::Insert, k, v),
+                PendingWrite::Update(k, v) => (LogOp::Update, k, v),
+                PendingWrite::Delete(k) => (LogOp::Delete, k, Row::new()),
+            };
+            self.write_probes += 1;
+            let entry = t.rows.entry(k);
+            // `Some(existed)` when an earlier write of this commit touched
+            // the key: whether it existed before the commit.
+            let before = || {
+                let key = entry.key();
+                records
+                    .iter()
+                    .position(|r| r.table == table && r.key == *key)
+                    .map(|i| undo[i].is_some())
+            };
+            let occupied = matches!(entry, btree_map::Entry::Occupied(_));
+            let rejected = match op {
+                LogOp::Insert if occupied => before() != Some(false),
+                LogOp::Insert => removed && before() == Some(true),
+                _ if occupied => false,
+                _ => before().is_none() && !inserts(writes.as_slice(), table, entry.key()),
+            };
+            if rejected {
+                let key = entry.key().clone();
+                return Err(match op {
+                    LogOp::Insert => TxnError::DuplicateKey(key),
+                    _ => TxnError::NotFound(key),
+                });
+            }
+            let new = || Versioned { row: value.clone(), version: txn_id };
+            let (key, old) = match entry {
+                btree_map::Entry::Occupied(e) if op == LogOp::Delete => {
+                    removed = true;
+                    let (key, old) = e.remove_entry();
+                    (key, Some(old))
+                }
+                btree_map::Entry::Occupied(mut e) => (e.key().clone(), Some(e.insert(new()))),
+                btree_map::Entry::Vacant(e) if op == LogOp::Delete => (e.into_key(), None),
+                btree_map::Entry::Vacant(e) => {
+                    let key = e.key().clone();
+                    e.insert(new());
+                    (key, None)
+                }
+            };
+            records.push(LogRecord { txn_id, op, table, key, value });
+            undo.push(old);
+        }
+        Ok(())
+    }
+
+    /// Reference model for the tests: the commit as it was before the undo
+    /// list — every write is found once to pre-check it for structural
+    /// errors and once more to install it.
+    #[cfg(test)]
+    fn commit_two_pass(&mut self, ctx: &mut TxnCtx) -> Result<Vec<LogRecord>, TxnError> {
         for (table, w) in &ctx.writes {
             let t = self.tables.get(*table as usize).ok_or(TxnError::NoSuchTable(*table))?;
+            self.write_probes += 1;
             match w {
                 PendingWrite::Insert(k, _) => {
                     if t.rows.contains_key(k) {
@@ -433,58 +556,30 @@ impl Database {
                     }
                 }
                 PendingWrite::Update(k, _) | PendingWrite::Delete(k) => {
-                    if !t.rows.contains_key(k) {
-                        // Updating a row this txn itself inserts is legal.
-                        let own_insert = ctx.writes.iter().any(|(t2, w2)| {
-                            *t2 == *table && matches!(w2, PendingWrite::Insert(k2, _) if k2 == k)
-                        });
-                        if !own_insert {
-                            return Err(TxnError::NotFound(k.clone()));
-                        }
+                    if !t.rows.contains_key(k) && !inserts(&ctx.writes, *table, k) {
+                        return Err(TxnError::NotFound(k.clone()));
                     }
                 }
             }
         }
-        // Apply + emit log records. Inserted/updated images are installed
-        // and logged as the same refcounted buffer.
         let mut records = Vec::with_capacity(ctx.writes.len() + 1);
         let txn_id = ctx.id;
         if !ctx.writes.is_empty() {
             self.mutations += 1;
         }
         for (table, w) in ctx.writes.drain(..) {
-            let t = &mut self.tables[table as usize];
-            match w {
-                PendingWrite::Insert(k, v) => {
-                    records.push(LogRecord {
-                        txn_id,
-                        op: LogOp::Insert,
-                        table,
-                        key: k.clone(),
-                        value: v.clone(),
-                    });
-                    t.rows.insert(k, Versioned { row: v, version: txn_id });
-                }
-                PendingWrite::Update(k, v) => {
-                    records.push(LogRecord {
-                        txn_id,
-                        op: LogOp::Update,
-                        table,
-                        key: k.clone(),
-                        value: v.clone(),
-                    });
-                    t.rows.insert(k, Versioned { row: v, version: txn_id });
-                }
-                PendingWrite::Delete(k) => {
-                    records.push(LogRecord {
-                        txn_id,
-                        op: LogOp::Delete,
-                        table,
-                        key: k.clone(),
-                        value: Row::new(),
-                    });
-                    t.rows.remove(&k);
-                }
+            let rows = &mut self.tables[table as usize].rows;
+            self.write_probes += 1;
+            let (op, k, value) = match w {
+                PendingWrite::Insert(k, v) => (LogOp::Insert, k, v),
+                PendingWrite::Update(k, v) => (LogOp::Update, k, v),
+                PendingWrite::Delete(k) => (LogOp::Delete, k, Row::new()),
+            };
+            records.push(LogRecord { txn_id, op, table, key: k.clone(), value: value.clone() });
+            if op == LogOp::Delete {
+                rows.remove(&k);
+            } else {
+                rows.insert(k, Versioned { row: value, version: txn_id });
             }
         }
         records.push(LogRecord::commit(txn_id));
@@ -567,6 +662,12 @@ impl Database {
         }
         h
     }
+}
+
+/// Whether `writes` insert `key` into `table`: updating or deleting a row
+/// the transaction itself inserts is legal.
+fn inserts(writes: &[(TableId, PendingWrite)], table: TableId, key: &Key) -> bool {
+    writes.iter().any(|(t, w)| *t == table && matches!(w, PendingWrite::Insert(k, _) if k == key))
 }
 
 /// Order-preserving key encoding helpers (big-endian fixed-width fields).
@@ -850,14 +951,15 @@ mod tests {
         assert_eq!(logged, stored, "log record and table row share one buffer");
     }
 
-    // ---- validation against the reference model -------------------------
+    // ---- validation and install against the reference model -------------
     //
-    // The reference is the same engine with `always_validate_by_key` set:
-    // every commit re-finds every row it read, as before the mutation
-    // stamp existed. Both run the same schedule of overlapping
-    // transactions and foreign installs; every observable result must
-    // agree. A mutating route that forgets to bump the stamp lets the
-    // stamped side skip a validation the reference fails.
+    // The reference is the same engine with `always_validate_by_key` and
+    // `two_pass_commit` set: every commit re-finds every row it read, as
+    // before the mutation stamp existed, and finds every row it writes
+    // twice, as before the undo list. Both run the same schedule of
+    // overlapping transactions and foreign installs; every observable
+    // result must agree. A mutating route that forgets to bump the stamp
+    // lets the stamped side skip a validation the reference fails.
 
     #[derive(Debug, Clone)]
     enum Step {
@@ -883,6 +985,7 @@ mod tests {
     fn run_steps(steps: &[Step], reference: bool) -> (Vec<String>, Database) {
         let mut db = Database::new();
         db.always_validate_by_key = reference;
+        db.two_pass_commit = reference;
         for i in 0..MODEL_TABLES {
             db.create_table(&format!("t{i}"));
         }
@@ -928,13 +1031,24 @@ mod tests {
         (trace, db)
     }
 
+    /// `(table, key, row, version)`.
+    type RowState = (usize, Vec<u8>, Vec<u8>, u64);
+
+    /// Every row of every table with its version, then the mutation stamp
+    /// and the commit and abort counts.
+    fn state(db: &Database) -> (Vec<RowState>, [u64; 3]) {
+        let rows = db.tables.iter().enumerate().flat_map(|(i, t)| {
+            t.rows.iter().map(move |(k, v)| (i, k.to_vec(), v.row.to_vec(), v.version))
+        });
+        (rows.collect(), [db.mutations, db.commits, db.aborts])
+    }
+
     /// Run on both sides, compare everything observable, return the trace.
     fn check_against_reference(steps: &[Step]) -> Vec<String> {
         let (trace, db) = run_steps(steps, false);
         let (ref_trace, ref_db) = run_steps(steps, true);
         assert_eq!(trace, ref_trace, "schedule: {steps:#?}");
-        assert_eq!(db.fingerprint(), ref_db.fingerprint());
-        assert_eq!((db.commits(), db.aborts()), (ref_db.commits(), ref_db.aborts()));
+        assert_eq!(state(&db), state(&ref_db), "schedule: {steps:#?}");
         assert!(db.validation_probes() <= ref_db.validation_probes());
         trace
     }
@@ -1061,5 +1175,134 @@ mod tests {
         steps.extend([Step::Begin(1), Step::Delete(1, 0, k.clone()), Step::Commit(1)]);
         steps.extend([Step::Begin(2), Step::Insert(2, 0, k.clone(), 1), Step::Commit(2)]);
         assert_reader_conflicts(steps, &k);
+    }
+
+    /// One transaction of `writes`, with rows `[0]` and `[1, 0]` in table 0
+    /// before it: its commit's outcome, and the write probes of the
+    /// one-descent commit and of the two-pass reference.
+    fn write_set_case(writes: Vec<Step>) -> (String, u64, u64) {
+        let mut steps = vec![Step::Install(0, model_key(0), 9), Step::Install(0, model_key(3), 9)];
+        steps.push(Step::Begin(0));
+        steps.extend(writes);
+        steps.push(Step::Commit(0));
+        let trace = check_against_reference(&steps);
+        let probes = |reference| run_steps(&steps, reference).1.write_probes();
+        (trace.last().expect("a commit").clone(), probes(false), probes(true))
+    }
+
+    #[test]
+    fn one_descent_commit_matches_the_two_pass_reference_on_named_write_sets() {
+        let (pre, pre2, absent) = (model_key(0), model_key(3), model_key(4));
+        let err = |e: TxnError| format!("commit {:?}", Err::<Vec<LogRecord>, _>(e));
+        let key = |k: &[u8]| Key::from_slice(k);
+        let cases = [
+            // Delete then Insert of a pre-existing key: the key existed
+            // before the commit, so the Insert is a duplicate.
+            (
+                vec![Step::Delete(0, 0, pre.clone()), Step::Insert(0, 0, pre.clone(), 1)],
+                Some(err(TxnError::DuplicateKey(key(&pre)))),
+            ),
+            // Insert twice of an absent key: both install, the second wins.
+            (
+                vec![Step::Insert(0, 0, absent.clone(), 1), Step::Insert(0, 0, absent.clone(), 2)],
+                None,
+            ),
+            // Insert of a pre-existing key after an unrelated install.
+            (
+                vec![Step::Insert(0, 1, absent.clone(), 1), Step::Insert(0, 0, pre2.clone(), 2)],
+                Some(err(TxnError::DuplicateKey(key(&pre2)))),
+            ),
+            // An Update whose own Insert comes later, then a Delete of it.
+            (
+                vec![
+                    Step::Update(0, 0, absent.clone(), 1),
+                    Step::Insert(0, 0, absent.clone(), 2),
+                    Step::Delete(0, 0, absent.clone()),
+                    Step::Update(0, 0, absent.clone(), 3),
+                ],
+                None,
+            ),
+            // An Update of a missing key, after writes that must be undone.
+            (
+                vec![
+                    Step::Update(0, 0, pre.clone(), 1),
+                    Step::Delete(0, 0, pre2.clone()),
+                    Step::Insert(0, 0, absent.clone(), 2),
+                    Step::Update(0, 1, absent.clone(), 3),
+                ],
+                Some(err(TxnError::NotFound(key(&absent)))),
+            ),
+            // A Delete of a key only the other table inserts.
+            (
+                vec![Step::Insert(0, 1, absent.clone(), 1), Step::Delete(0, 0, absent.clone())],
+                Some(err(TxnError::NotFound(key(&absent)))),
+            ),
+            // An unknown table after installed writes.
+            (
+                vec![
+                    Step::Delete(0, 0, pre.clone()),
+                    Step::Insert(0, MODEL_TABLES, pre.clone(), 1),
+                ],
+                Some(err(TxnError::NoSuchTable(MODEL_TABLES))),
+            ),
+        ];
+        for (writes, expect) in cases {
+            let n = writes.len() as u64;
+            let (outcome, probes, two_pass_probes) = write_set_case(writes.clone());
+            match expect {
+                Some(expect) => assert_eq!(outcome, expect, "{writes:?}"),
+                None => {
+                    assert!(outcome.starts_with("commit Ok"), "{writes:?}: {outcome}");
+                    assert_eq!(probes, n, "one descent per written row");
+                    assert_eq!(two_pass_probes, 2 * n, "the reference finds each row twice");
+                }
+            }
+        }
+    }
+
+    /// A seeded run of write-only transactions over a four-key space (so
+    /// keys repeat inside a write set), both tables and, now and then, an
+    /// unknown table id.
+    fn random_write_sets(seed: u64) -> Vec<Step> {
+        let mut rng = simkit::DetRng::new(seed);
+        let mut steps = Vec::new();
+        for i in 0..4 {
+            if rng.chance(0.5) {
+                steps.push(Step::Install(rng.uniform(0, 1) as TableId, model_key(i), 0));
+            }
+        }
+        for _ in 0..rng.uniform(2, 8) {
+            steps.push(Step::Begin(0));
+            for _ in 0..rng.uniform(1, 8) {
+                let t = if rng.chance(0.03) { MODEL_TABLES } else { rng.uniform(0, 1) as TableId };
+                let k = model_key(rng.uniform(0, 3));
+                let v = rng.uniform(1, 255) as u8;
+                steps.push(match rng.uniform(0, 2) {
+                    0 => Step::Insert(0, t, k, v),
+                    1 => Step::Update(0, t, k, v),
+                    _ => Step::Delete(0, t, k),
+                });
+            }
+            steps.push(Step::Commit(0));
+        }
+        steps
+    }
+
+    #[test]
+    fn one_descent_commit_matches_the_two_pass_reference_on_random_write_sets() {
+        let mut outcomes = BTreeMap::<String, usize>::new();
+        for seed in 0..1500u64 {
+            for line in check_against_reference(&random_write_sets(0x0DE5_CE00 + seed)) {
+                let kind = match line.strip_prefix("commit Err(") {
+                    Some(err) => err.split('(').next().unwrap_or(err),
+                    None => "Ok",
+                };
+                *outcomes.entry(kind.to_string()).or_default() += 1;
+            }
+        }
+        // Every outcome must actually occur, each many times.
+        for kind in ["Ok", "DuplicateKey", "NotFound", "NoSuchTable"] {
+            assert!(outcomes.get(kind).is_some_and(|n| *n > 100), "{outcomes:?}");
+        }
     }
 }

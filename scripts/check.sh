@@ -93,6 +93,14 @@ if awk 'FNR == 1 { live = 1 } /^#\[cfg\(test\)\]/ { live = 0 }
   exit 1
 fi
 
+echo "== one log checksum (records, snapshots and segment seals share memdb::log::checksum)"
+# The byte-at-a-time FNV-1a it replaced does not come back as a second
+# checksum for one of the three framings.
+if grep -rn 'fnv1a' crates/memdb/src; then
+  echo "FAIL: crates/memdb/src names fnv1a; frame with memdb::log::checksum (lines above)."
+  exit 1
+fi
+
 echo "== no scan in the data buffer (rule 7: eviction order is kept, not searched for)"
 # The buffer holds its clean pages ordered by last touch; finding a page or a
 # victim by walking a queue (`.position(`) is the scanning version, which
@@ -126,4 +134,4 @@ echo "== benchmark: its own tests, then every workload and check at 1/50 horizon
 (cd benchmark && cargo test --offline --quiet)
 benchmark/run.sh --quick > /dev/null
 
-echo "ok: fmt, clippy, reachability, gate self-test, tests, count, nudge, one-collector, one-intake and buffer-scan gates, recovery smoke, chaos smoke, benchmark checks all clean"
+echo "ok: fmt, clippy, reachability, gate self-test, tests, count, nudge, one-collector, one-intake, one-checksum and buffer-scan gates, recovery smoke, chaos smoke, benchmark checks all clean"
