@@ -472,7 +472,7 @@ mod tests {
 
         fn new(ring_lbas: u64, seed: u64) -> Self {
             // 64 Ki pages: even a one-slot ring rewritten thousands of times
-            // stays far from garbage collection.
+            // stays far from filling the device (nothing reclaims a page).
             let ssd = SsdConfig {
                 geometry: flash::FlashGeometry {
                     blocks_per_die: 1024,

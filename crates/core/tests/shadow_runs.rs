@@ -17,8 +17,13 @@ use xssd_core::{Cluster, VillarsConfig, XLogFile};
 
 fn two_eager_secondaries() -> (Cluster, SimTime) {
     let mut cl = Cluster::new();
+    // Eight times the tiny geometry's blocks (same channels, dies and
+    // pages): 2 000 destaged commits outgrow 512 pages, and a fresh device
+    // that runs out of pages stops with `device full`.
+    let mut cfg = VillarsConfig::small();
+    cfg.conventional.geometry.blocks_per_die = 64;
     for _ in 0..3 {
-        cl.add_device(VillarsConfig::small());
+        cl.add_device(cfg.clone());
     }
     let t = cl.configure_replication(SimTime::ZERO, 0, &[1, 2]);
     (cl, t)

@@ -4,8 +4,9 @@
 //! channel is a shared bus to several dies; a program moves the page over
 //! the bus and then occupies the die for `t_prog` (the bus is free to feed
 //! other dies meanwhile — the interleaving that gives NAND its aggregate
-//! bandwidth). Reliability (bad blocks, wear, ECC) is modelled so the error
-//! paths of paper §7.1 are exercisable.
+//! bandwidth). Reliability (bad blocks, program failures, ECC) is modelled
+//! so the error paths of paper §7.1 are exercisable. The device is fresh:
+//! no block is ever erased, so there is no wear either.
 
 use crate::geometry::{BlockAddr, DieAddr, FlashGeometry, Ppa};
 use crate::timing::{FlashTiming, ReliabilityConfig};
@@ -28,7 +29,7 @@ pub enum FlashError {
         /// Next programmable page in that block.
         expected: u32,
     },
-    /// Reading a page that was never programmed since the last erase.
+    /// Reading a page that was never programmed.
     ReadUnwritten(Ppa),
     /// Raw bit errors exceeded ECC correction capability.
     Uncorrectable(Ppa),
@@ -63,7 +64,6 @@ pub struct OpOutcome {
 #[derive(Debug, Clone, Copy, Default)]
 struct BlockState {
     bad: bool,
-    pe_cycles: u32,
     next_page: u32,
 }
 
@@ -74,8 +74,6 @@ pub struct FlashStats {
     pub programs: u64,
     /// Pages read.
     pub reads: u64,
-    /// Blocks erased.
-    pub erases: u64,
     /// Program failures (grown bad blocks).
     pub program_failures: u64,
     /// Reads with uncorrectable errors.
@@ -219,11 +217,6 @@ impl FlashArray {
         self.blocks[self.block_index(block)].bad
     }
 
-    /// P/E cycles consumed by `block`.
-    pub fn pe_cycles(&self, block: BlockAddr) -> u32 {
-        self.blocks[self.block_index(block)].pe_cycles
-    }
-
     /// Next programmable page of `block`.
     pub fn next_page(&self, block: BlockAddr) -> u32 {
         self.blocks[self.block_index(block)].next_page
@@ -310,7 +303,7 @@ impl FlashArray {
         let bus = self.buses[ppa.channel() as usize].acquire(die.end, xfer);
         self.stats.reads += 1;
 
-        let errors = self.sample_bit_errors(self.blocks[bi].pe_cycles);
+        let errors = self.sample_bit_errors();
         if errors > self.reliability.ecc_correctable_bits {
             self.stats.uncorrectable_reads += 1;
             return Err(FlashError::Uncorrectable(ppa));
@@ -319,33 +312,11 @@ impl FlashArray {
         Ok(OpOutcome { grant: Grant { start: die_start, end: bus.end }, corrected_bits: errors })
     }
 
-    /// Erase a block: resets the program pointer and consumes one P/E cycle.
-    /// A block past its cycle limit grows bad.
-    pub fn erase(&mut self, now: SimTime, block: BlockAddr) -> Result<OpOutcome, FlashError> {
-        let probe = Ppa { block, page: 0 };
-        if !probe.in_bounds(&self.geometry) {
-            return Err(FlashError::OutOfBounds(probe));
-        }
-        let bi = self.block_index(block);
-        if self.blocks[bi].bad {
-            return Err(FlashError::BadBlock(block));
-        }
-        let di = self.die_index(block.die);
-        let die = self.dies[di].acquire(now, self.timing.t_erase);
-        self.blocks[bi].pe_cycles += 1;
-        self.blocks[bi].next_page = 0;
-        self.stats.erases += 1;
-        if self.blocks[bi].pe_cycles >= self.reliability.pe_cycle_limit {
-            self.blocks[bi].bad = true;
-        }
-        Ok(OpOutcome { grant: die, corrected_bits: 0 })
-    }
-
     /// Sample raw bit errors for a page read (Poisson via Knuth's method —
     /// expected counts are tiny).
-    fn sample_bit_errors(&mut self, pe_cycles: u32) -> u32 {
+    fn sample_bit_errors(&mut self) -> u32 {
         let page_bits = (self.geometry.page_bytes as u64) * 8;
-        let lambda = self.reliability.expected_bit_errors(page_bits, pe_cycles);
+        let lambda = self.reliability.expected_bit_errors(page_bits);
         if lambda <= 0.0 {
             return 0;
         }
@@ -369,14 +340,16 @@ impl simkit::Instrument for FlashArray {
     fn instrument(&self, out: &mut simkit::Scope<'_>) {
         out.counter("programs", self.stats.programs);
         out.counter("reads", self.stats.reads);
-        out.counter("erases", self.stats.erases);
+        // A constant: nothing erases (a fresh device). The path stays for
+        // the goldens and the benchmark's layer metrics that read it.
+        out.counter("erases", 0);
         out.counter("program_failures", self.stats.program_failures);
         out.counter("uncorrectable_reads", self.stats.uncorrectable_reads);
         out.counter("corrected_bits", self.stats.corrected_bits);
         out.counter("retry.read_transient", self.stats.transient_read_retries);
         out.counter("retry.program_transient", self.stats.transient_program_retries);
         out.counter("fault.program_permanent", self.stats.injected_program_failures);
-        // Aggregate die occupancy (tPROG/tR/tBERS residency) plus
+        // Aggregate die occupancy (tPROG/tR residency) plus
         // per-channel bus serialization time.
         let die_busy: u64 = self.dies.iter().map(|d| d.busy_time().as_nanos()).sum();
         out.counter("die_busy_ns", die_busy);
@@ -420,31 +393,6 @@ mod tests {
         let mut a = array();
         let e = a.read(SimTime::ZERO, Ppa::new(0, 0, 0, 0)).unwrap_err();
         assert_eq!(e, FlashError::ReadUnwritten(Ppa::new(0, 0, 0, 0)));
-    }
-
-    #[test]
-    fn erase_resets_program_pointer_and_wears() {
-        let mut a = array();
-        let b = BlockAddr { die: DieAddr { channel: 0, die: 0 }, block: 0 };
-        a.program(SimTime::ZERO, Ppa { block: b, page: 0 }).unwrap();
-        assert_eq!(a.next_page(b), 1);
-        a.erase(SimTime::ZERO, b).unwrap();
-        assert_eq!(a.next_page(b), 0);
-        assert_eq!(a.pe_cycles(b), 1);
-        a.program(SimTime::ZERO, Ppa { block: b, page: 0 }).unwrap();
-    }
-
-    #[test]
-    fn pe_limit_grows_bad_block() {
-        let mut rel = ReliabilityConfig::perfect();
-        rel.pe_cycle_limit = 2;
-        let mut a = FlashArray::new(FlashGeometry::tiny(), FlashTiming::fast(), rel, 7);
-        let b = BlockAddr { die: DieAddr { channel: 0, die: 0 }, block: 0 };
-        a.erase(SimTime::ZERO, b).unwrap();
-        assert!(!a.is_bad(b));
-        a.erase(SimTime::ZERO, b).unwrap();
-        assert!(a.is_bad(b));
-        assert_eq!(a.erase(SimTime::ZERO, b).unwrap_err(), FlashError::BadBlock(b));
     }
 
     #[test]
@@ -495,9 +443,7 @@ mod tests {
             initial_bad_block_rate: 0.0,
             program_fail_rate: 0.0,
             base_bit_error_rate: 1e-3, // absurdly high to force failure
-            wear_ber_slope: 0.0,
             ecc_correctable_bits: 2,
-            pe_cycle_limit: u32::MAX,
         };
         let mut a = FlashArray::new(FlashGeometry::tiny(), FlashTiming::fast(), rel, 7);
         let ppa = Ppa::new(0, 0, 0, 0);
@@ -521,7 +467,7 @@ mod tests {
             Err(FlashError::OutOfBounds(_))
         ));
         assert!(matches!(
-            a.erase(SimTime::ZERO, BlockAddr { die: DieAddr { channel: 0, die: 0 }, block: 99 }),
+            a.read(SimTime::ZERO, Ppa::new(0, 0, 99, 0)),
             Err(FlashError::OutOfBounds(_))
         ));
     }

@@ -4,12 +4,16 @@
 //! Fig. 2 bottom):
 //!
 //! - [`geometry`] — channels/dies/blocks/pages and physical addressing;
-//! - [`timing`] — `tPROG`/`tR`/`tERASE` and channel-bus rates calibrated to
-//!   the Cosmos+ 2 GB/s envelope, plus reliability parameters;
+//! - [`timing`] — `tPROG`/`tR` and channel-bus rates calibrated to the
+//!   Cosmos+ 2 GB/s envelope, plus reliability parameters;
 //! - [`crate::array`] — the arrays themselves: bus/die contention, in-order page
-//!   programming, bad blocks, wear, ECC;
+//!   programming, bad blocks, program failures, ECC;
 //! - [`scheduler`] — the priority-aware channel scheduler, the one component
 //!   the paper modifies for Opportunistic Destaging (§4.3).
+//!
+//! Fresh device only: the FTL above never reclaims, so no block is erased
+//! and nothing wears; a run that writes more pages than the raw capacity
+//! stops with `device full` (in `ssd`).
 
 #![warn(missing_docs)]
 

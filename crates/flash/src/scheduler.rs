@@ -9,7 +9,7 @@
 //! Destaging").
 
 use crate::array::{FlashArray, FlashError, OpOutcome};
-use crate::geometry::{BlockAddr, Ppa};
+use crate::geometry::Ppa;
 use simkit::SimTime;
 use std::collections::VecDeque;
 
@@ -51,15 +51,12 @@ pub enum OpKind {
     Program(Ppa),
     /// Read the page at a specific PPA.
     Read(Ppa),
-    /// Erase a block.
-    Erase(BlockAddr),
 }
 
 impl OpKind {
     fn channel(&self) -> u32 {
         match self {
             OpKind::Program(p) | OpKind::Read(p) => p.channel(),
-            OpKind::Erase(b) => b.die.channel,
         }
     }
 }
@@ -156,8 +153,8 @@ impl ChannelScheduler {
     }
 
     /// Enqueue a request. Requests are kept in arrival order within their
-    /// class; a late submission with an early arrival (a firmware retry, a
-    /// GC op) is inserted at its time-correct position.
+    /// class; a late submission with an early arrival (a firmware retry) is
+    /// inserted at its time-correct position.
     pub fn submit(&mut self, req: OpRequest) {
         let ch = req.kind.channel() as usize;
         assert!(ch < self.channels.len(), "channel {ch} out of range");
@@ -284,7 +281,6 @@ impl ChannelScheduler {
                 let result = match req.kind {
                     OpKind::Program(p) => array.program(start, p),
                     OpKind::Read(p) => array.read(start, p),
-                    OpKind::Erase(b) => array.erase(start, b),
                 };
                 let at = match &result {
                     Ok(o) => o.grant.end,
@@ -296,9 +292,7 @@ impl ChannelScheduler {
                 };
                 if result.is_ok() {
                     stats.ops += 1;
-                    if !matches!(req.kind, OpKind::Erase(_)) {
-                        stats.bytes += page_bytes;
-                    }
+                    stats.bytes += page_bytes;
                 }
                 done.push(Completion { id: req.id, class: req.class, at, result });
             }
@@ -310,7 +304,7 @@ impl ChannelScheduler {
     /// The request within the first `window` entries of `q` that can start
     /// soonest, and that start instant. A program's start accounts for the
     /// channel bus and its die (the bus transfer may overlap the die's
-    /// previous operation tail); reads/erases gate on the die.
+    /// previous operation tail); reads gate on the die.
     fn best_in_window(
         q: &VecDeque<OpRequest>,
         array: &FlashArray,
@@ -339,7 +333,6 @@ impl ChannelScheduler {
                     req.arrival.max(bus_free).max(die_gate)
                 }
                 OpKind::Read(p) => req.arrival.max(array.die_busy_until(p.die())),
-                OpKind::Erase(b) => req.arrival.max(array.die_busy_until(b.die)),
             };
             match best {
                 Some((_, b)) if b <= start => {}

@@ -14,8 +14,6 @@ pub struct FlashTiming {
     pub t_prog: SimDuration,
     /// Page read time (cell array busy before data is available).
     pub t_read: SimDuration,
-    /// Block erase time.
-    pub t_erase: SimDuration,
     /// Channel bus rate for moving a page between controller and die
     /// (NV-DDR class).
     pub channel_bus: Bandwidth,
@@ -28,7 +26,6 @@ impl Default for FlashTiming {
         FlashTiming {
             t_prog: SimDuration::from_micros(500),
             t_read: SimDuration::from_micros(45),
-            t_erase: SimDuration::from_millis(3),
             channel_bus: Bandwidth::mbytes_per_sec(400.0),
             cmd_overhead: SimDuration::from_nanos(500),
         }
@@ -42,7 +39,6 @@ impl FlashTiming {
         FlashTiming {
             t_prog: SimDuration::from_micros(50),
             t_read: SimDuration::from_micros(5),
-            t_erase: SimDuration::from_micros(300),
             channel_bus: Bandwidth::gbytes_per_sec(1.0),
             cmd_overhead: SimDuration::from_nanos(100),
         }
@@ -65,22 +61,19 @@ impl FlashTiming {
     }
 }
 
-/// Reliability model parameters.
+/// Reliability model parameters. The device is fresh and never erases a
+/// block, so nothing here depends on wear.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReliabilityConfig {
     /// Fraction of blocks marked bad at manufacture.
     pub initial_bad_block_rate: f64,
     /// Probability a program operation fails and turns its block bad
-    /// (grown bad block), before wear scaling.
+    /// (grown bad block).
     pub program_fail_rate: f64,
-    /// Raw bit-error rate per read at zero wear.
+    /// Raw bit-error rate per read.
     pub base_bit_error_rate: f64,
-    /// Additional BER per program/erase cycle (wear-out slope).
-    pub wear_ber_slope: f64,
     /// Bit errors per page the ECC can correct.
     pub ecc_correctable_bits: u32,
-    /// Program/erase cycles before a block is considered worn out.
-    pub pe_cycle_limit: u32,
 }
 
 impl Default for ReliabilityConfig {
@@ -89,9 +82,7 @@ impl Default for ReliabilityConfig {
             initial_bad_block_rate: 0.002,
             program_fail_rate: 1e-7,
             base_bit_error_rate: 1e-8,
-            wear_ber_slope: 1e-11,
             ecc_correctable_bits: 72,
-            pe_cycle_limit: 3000,
         }
     }
 }
@@ -104,16 +95,13 @@ impl ReliabilityConfig {
             initial_bad_block_rate: 0.0,
             program_fail_rate: 0.0,
             base_bit_error_rate: 0.0,
-            wear_ber_slope: 0.0,
             ecc_correctable_bits: 72,
-            pe_cycle_limit: u32::MAX,
         }
     }
 
-    /// Expected raw bit errors in a page read at the given wear level.
-    pub fn expected_bit_errors(&self, page_bits: u64, pe_cycles: u32) -> f64 {
-        let ber = self.base_bit_error_rate + self.wear_ber_slope * pe_cycles as f64;
-        ber * page_bits as f64
+    /// Expected raw bit errors in a page read.
+    pub fn expected_bit_errors(&self, page_bits: u64) -> f64 {
+        self.base_bit_error_rate * page_bits as f64
     }
 }
 
@@ -142,24 +130,14 @@ mod tests {
     #[test]
     fn ordering_invariant() {
         for t in [FlashTiming::default(), FlashTiming::fast()] {
-            assert!(t.t_erase > t.t_prog);
             assert!(t.t_prog > t.t_read);
         }
     }
 
     #[test]
-    fn wear_increases_expected_errors() {
-        let r = ReliabilityConfig::default();
-        let bits = (16u64 << 10) * 8;
-        let fresh = r.expected_bit_errors(bits, 0);
-        let worn = r.expected_bit_errors(bits, 3000);
-        assert!(worn > fresh);
-    }
-
-    #[test]
     fn perfect_reliability_is_error_free() {
         let r = ReliabilityConfig::perfect();
-        assert_eq!(r.expected_bit_errors(1 << 20, 1000), 0.0);
+        assert_eq!(r.expected_bit_errors(1 << 20), 0.0);
         assert_eq!(r.initial_bad_block_rate, 0.0);
     }
 }

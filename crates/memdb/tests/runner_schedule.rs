@@ -16,6 +16,14 @@
 //! TLP after its DMA lands, not a page's port time later, so every log
 //! write is acked sooner and more groups fit the run); the `pm()` and
 //! `xssd()` pins did not move.
+//!
+//! `nvme()` runs on eight times the tiny geometry's blocks (same channels,
+//! dies and pages, so the same physical pages), since the conventional
+//! SSD has no garbage collector and the pipelined run writes more than 512
+//! pages. Its depth-4 pin was re-recorded then, measured on this roomier
+//! geometry at the commit before the collector was deleted: the old pin
+//! had the collector's relocations slowing the pipelined writer. The
+//! depth-1 pin did not move.
 
 use memdb::{
     keys, run_workload, Database, LogBackend, NvmeLog, PmConfig, PmLog, RunnerConfig, TxnOutcome,
@@ -95,7 +103,9 @@ fn pm() -> PmLog {
 }
 
 fn nvme() -> NvmeLog {
-    NvmeLog::new(ConventionalSsd::new(SsdConfig::small()), 0, 64)
+    let mut cfg = SsdConfig::small();
+    cfg.geometry.blocks_per_die = 64;
+    NvmeLog::new(ConventionalSsd::new(cfg), 0, 64)
 }
 
 fn xssd() -> XssdLog {
@@ -147,7 +157,7 @@ fn pipelined_writer_schedule_is_pinned() {
     );
     assert_eq!(
         schedule(nvme(), 4, 20),
-        pinned(5656, 538, 1_176_448, 5, 20_536_395, 16_533_460_676_385_582_378)
+        pinned(5929, 593, 1_233_232, 4, 20_090_489, 9_515_011_996_708_484_346)
     );
     assert_eq!(
         schedule(xssd(), 4, 20),

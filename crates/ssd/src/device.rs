@@ -45,8 +45,6 @@ pub struct SsdConfig {
     /// Whether writes complete from the volatile cache (true for consumer
     /// behaviour; an fsync/Flush is then required for durability).
     pub write_cache: bool,
-    /// Free-block low-water mark that triggers GC.
-    pub gc_threshold: usize,
     /// Initial channel-scheduler policy.
     pub scheduling: SchedulingMode,
     /// RNG seed for reliability sampling.
@@ -65,7 +63,6 @@ impl Default for SsdConfig {
             buffer_pages: 2048,
             dram_bandwidth: Bandwidth::bus(64, 250.0).scaled(2.0), // DDR3 ctrl: 4 GB/s
             write_cache: true,
-            gc_threshold: 8,
             scheduling: SchedulingMode::Neutral,
             seed: 0x55D,
         }
@@ -79,7 +76,6 @@ impl SsdConfig {
             geometry: FlashGeometry::tiny(),
             timing: FlashTiming::fast(),
             buffer_pages: 16,
-            gc_threshold: 2,
             ..SsdConfig::default()
         }
     }
@@ -93,26 +89,15 @@ enum PendingOp {
     HostWrite { lpn: Lpn, data: Bytes, wait_cid: Option<CommandId> },
     /// Read for a host read command page.
     HostReadPage { cid: CommandId },
-    /// GC relocation write (timing only: content stays keyed by lpn).
-    GcWrite,
     /// Fast-side destage program.
     DestageWrite { token: u64, lpn: Lpn, data: Bytes },
     /// Fast-side (or recovery) media read.
     InternalRead { token: u64 },
 }
 
-/// One in-flight flash op: what it does for the device and, for a
-/// program, the block it targets (GC must not collect a block that is
-/// still being written).
-#[derive(Debug)]
-struct OpRecord {
-    op: PendingOp,
-    block: Option<flash::BlockAddr>,
-}
-
 /// Whether the supercapacitor rescue keeps this op (paper §4.1).
-fn is_destage(r: &OpRecord) -> bool {
-    matches!(r.op, PendingOp::DestageWrite { .. })
+fn is_destage(op: &PendingOp) -> bool {
+    matches!(op, PendingOp::DestageWrite { .. })
 }
 
 #[derive(Debug)]
@@ -168,7 +153,7 @@ pub struct ConventionalSsd {
     /// by every such page in the buffer and on media.
     zero_page: Bytes,
     /// Every queued or in-flight flash op, by op id.
-    ops: HashMap<u64, OpRecord>,
+    ops: HashMap<u64, PendingOp>,
     /// Host-write programs not yet on media (what a flush waits on).
     outstanding_host_programs: usize,
     reads: HashMap<CommandId, ReadState>,
@@ -179,9 +164,6 @@ pub struct ConventionalSsd {
     /// Per-class monotonic arrival clamps (retries keep order legal),
     /// indexed by `Priority`.
     last_arrival: [SimTime; 2],
-    /// Queued/in-flight program counts per block: GC must not collect a
-    /// block that is still being written.
-    inflight_programs: HashMap<flash::BlockAddr, u32>,
     events: EventQueue<SsdEvent>,
     /// Posted host completions, destage tokens and internal-read tokens,
     /// each waiting for its owner to drain it.
@@ -210,12 +192,13 @@ impl ConventionalSsd {
     pub fn new(config: SsdConfig) -> Self {
         let array =
             FlashArray::new(config.geometry, config.timing, config.reliability, config.seed);
-        let ftl = Ftl::new(config.geometry, &array, config.gc_threshold);
+        let ftl = Ftl::new(config.geometry, &array, 0);
         let sched = ChannelScheduler::new(config.geometry.channels, config.scheduling);
         let buffer =
             DataBuffer::new(config.buffer_pages, config.geometry.page_bytes, config.dram_bandwidth);
         let hic = Hic::new(config.hic, config.link, config.dma);
-        // Export 7/8 of raw capacity (over-provisioning for GC headroom).
+        // Export 7/8 of raw capacity. The eighth was GC headroom; with no GC
+        // it is kept so that no namespace's LBA range moves.
         let capacity = config.geometry.total_pages() * 7 / 8;
         let ns = Namespace::new(1, config.geometry.page_bytes, capacity);
         let zero_page = Bytes::from(vec![0u8; config.geometry.page_bytes as usize]);
@@ -238,7 +221,6 @@ impl ConventionalSsd {
             next_op: 0,
             next_token: 0,
             last_arrival: [SimTime::ZERO; 2],
-            inflight_programs: HashMap::new(),
             events: EventQueue::new(),
             out: EventQueue::new(),
             destage_done: EventQueue::new(),
@@ -263,7 +245,7 @@ impl ConventionalSsd {
         self.array.arm_faults(cfg, rng);
     }
 
-    /// Raw flash-array statistics (programs/reads/erases plus the injected
+    /// Raw flash-array statistics (programs/reads plus the injected
     /// fault counters — retries, grown bad blocks).
     pub fn flash_stats(&self) -> flash::FlashStats {
         self.array.stats()
@@ -358,14 +340,7 @@ impl ConventionalSsd {
         let clamp = &mut self.last_arrival[class as usize];
         *clamp = arrival.max(*clamp);
         let arrival = *clamp;
-        let block = match kind {
-            OpKind::Program(p) => {
-                *self.inflight_programs.entry(p.block).or_insert(0) += 1;
-                Some(p.block)
-            }
-            _ => None,
-        };
-        self.ops.insert(id, OpRecord { op, block });
+        self.ops.insert(id, op);
         self.sched.submit(OpRequest { id, kind, arrival, class });
     }
 
@@ -375,7 +350,7 @@ impl ConventionalSsd {
     pub fn submit_destage_write(&mut self, now: SimTime, lpn: Lpn, data: Bytes) -> u64 {
         let token = self.next_token;
         self.next_token += 1;
-        let ppa = self.allocate_or_gc(now, lpn, AllocStream::Destage);
+        let ppa = self.allocate(now, lpn, AllocStream::Destage);
         self.submit_op(
             now,
             OpKind::Program(ppa),
@@ -418,83 +393,23 @@ impl ConventionalSsd {
         }
     }
 
-    /// Allocate a physical page, running GC first if the pools are low.
-    /// Space reclamation is synchronous (the FTL must not run dry); the
-    /// *time* GC costs still flows through the die resources and the
-    /// scheduler, so foreground traffic feels the interference.
-    fn allocate_or_gc(&mut self, now: SimTime, lpn: Lpn, stream: AllocStream) -> Ppa {
-        if self.ftl.needs_gc() {
-            self.run_gc(now);
-        }
-        loop {
-            if let Some(ppa) = self.ftl.allocate(lpn, stream) {
-                return ppa;
-            }
-            if self.run_gc(now) {
-                continue;
-            }
-            // Every reclaimable victim still has in-flight programs: force
-            // the backlog through the arrays and settle it, freeing blocks
-            // for collection. (This is the firmware throttling the host
-            // under GC pressure; completion *times* are unchanged — grants
-            // are fully determined by arrivals and resource horizons.)
-            assert!(self.force_settle_programs(), "device out of space: GC could not reclaim");
-        }
-    }
-
-    /// Pump all queued flash work and apply every resulting completion
-    /// immediately (regardless of its timestamp). Host-facing completion
-    /// events keep their scheduled times. Returns true if anything settled.
-    fn force_settle_programs(&mut self) -> bool {
-        let completions = self.sched.pump(&mut self.array, SimTime::MAX);
-        for c in completions {
-            self.events.schedule(c.at, SsdEvent::Flash(c));
-        }
-        let mut settled = false;
-        let mut keep = Vec::new();
-        while let Some((at, ev)) = self.events.pop() {
-            match ev {
-                SsdEvent::Flash(c) => {
-                    self.handle_flash(c);
-                    settled = true;
-                }
-                other => keep.push((at, other)),
-            }
-        }
-        for (at, ev) in keep {
-            self.events.schedule(at, ev);
-        }
-        settled
-    }
-
-    /// Run one GC round. Returns false when nothing is reclaimable.
-    /// Victim selection is wear-aware: a block's P/E count (relative to the
-    /// device average) raises its collection cost, spreading erases.
-    fn run_gc(&mut self, now: SimTime) -> bool {
-        let inflight = &self.inflight_programs;
-        let array = &self.array;
-        let pages_per_block = self.config.geometry.pages_per_block;
-        let Some(plan) = self.ftl.plan_gc_weighted(
-            |b| inflight.contains_key(&b),
-            // One page of penalty per 4 P/E cycles: wear only outweighs
-            // reclaim efficiency when blocks diverge substantially.
-            |b| (array.pe_cycles(b) / 4).min(pages_per_block),
-        ) else {
-            return false;
+    /// Allocate a physical page for `lpn`. The device is fresh and never
+    /// reclaims, so running out of pages ends the run.
+    fn allocate(&mut self, at: SimTime, lpn: Lpn, stream: AllocStream) -> Ppa {
+        let Some(ppa) = self.ftl.allocate(lpn, stream) else {
+            panic!(
+                "{}",
+                simkit::SimError::invariant(
+                    "ssd allocation",
+                    simkit::DiagnosticSnapshot::new(at, self.ops.len()).detail(format!(
+                        "device full: no free page for lpn {lpn} ({stream:?}) among {} raw \
+                         pages; the FTL never reclaims",
+                        self.config.geometry.total_pages()
+                    )),
+                )
+            )
         };
-        // Relocation programs: async timing ops; content stays keyed by lpn
-        // in `media`, so a relocation is a no-op for content.
-        for (_lpn, _old, new) in &plan.moves {
-            self.submit_op(now, OpKind::Program(*new), Priority::Conventional, PendingOp::GcWrite);
-        }
-        // The erase applies its array state immediately (die time is still
-        // charged through the die's serial resource), so the block is safe
-        // to reuse the moment the FTL returns it to the free pool.
-        match self.array.erase(now, plan.victim) {
-            Ok(_) => self.ftl.block_erased(plan.victim),
-            Err(_) => self.ftl.retire_block(plan.victim),
-        }
-        true
+        ppa
     }
 
     fn handle_io(&mut self, now: SimTime, cid: CommandId, io: IoCommand) {
@@ -523,7 +438,7 @@ impl ConventionalSsd {
                     let first = dma.landed(i * page + 1);
                     let g = self.buffer.write(first, dma.period, dma.unit, lpn, data.clone());
                     last = last.max(g.end);
-                    let ppa = self.allocate_or_gc(g.end, lpn, AllocStream::Host);
+                    let ppa = self.allocate(g.end, lpn, AllocStream::Host);
                     self.submit_op(
                         g.end,
                         OpKind::Program(ppa),
@@ -620,14 +535,7 @@ impl ConventionalSsd {
     }
 
     fn handle_flash(&mut self, c: flash::Completion) {
-        let Some(OpRecord { op, block }) = self.ops.remove(&c.id) else { return };
-        if let Some(block) = block {
-            let n = self.inflight_programs.get_mut(&block).expect("program was counted at submit");
-            *n -= 1;
-            if *n == 0 {
-                self.inflight_programs.remove(&block);
-            }
-        }
+        let Some(op) = self.ops.remove(&c.id) else { return };
         match op {
             PendingOp::HostWrite { lpn, data, wait_cid } => match c.result {
                 Ok(_) => {
@@ -641,7 +549,7 @@ impl ConventionalSsd {
                 }
                 Err(FlashError::ProgramFailed(b)) | Err(FlashError::BadBlock(b)) => {
                     self.ftl.retire_block(b);
-                    let ppa = self.allocate_or_gc(c.at, lpn, AllocStream::Host);
+                    let ppa = self.allocate(c.at, lpn, AllocStream::Host);
                     self.submit_op_as(
                         c.id,
                         c.at,
@@ -678,12 +586,6 @@ impl ConventionalSsd {
                     }
                 }
             }
-            PendingOp::GcWrite => {
-                // Timing-only relocation; tolerate a failed program (the
-                // mapping already points at the new page; a real device
-                // would re-relocate, which the next GC round effectively
-                // does).
-            }
             PendingOp::DestageWrite { token, lpn, data } => match c.result {
                 Ok(_) => {
                     self.served_destage_bytes += self.config.geometry.page_bytes as u64;
@@ -692,7 +594,7 @@ impl ConventionalSsd {
                 }
                 Err(FlashError::ProgramFailed(b)) | Err(FlashError::BadBlock(b)) => {
                     self.ftl.retire_block(b);
-                    let ppa = self.allocate_or_gc(c.at, lpn, AllocStream::Destage);
+                    let ppa = self.allocate(c.at, lpn, AllocStream::Destage);
                     self.submit_op_as(
                         c.id,
                         c.at,
@@ -764,7 +666,6 @@ impl ConventionalSsd {
         self.buffer.crash();
         self.sched.drop_all();
         self.ops.clear();
-        self.inflight_programs.clear();
         self.outstanding_host_programs = 0;
         self.reads.clear();
         self.writes_waiting.clear();
@@ -799,7 +700,7 @@ impl ConventionalSsd {
         self.flushes.clear();
         self.out = EventQueue::new();
         self.staged.clear();
-        self.ops.retain(|_, r| is_destage(r));
+        self.ops.retain(|_, op| is_destage(op));
         // Burn residual energy: finish in-flight destage ops, then run the
         // destage queue dry.
         let mut last = now;

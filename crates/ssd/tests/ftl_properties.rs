@@ -1,178 +1,105 @@
-//! Randomized FTL invariant tests: mapping uniqueness, capacity accounting,
-//! and GC state preservation under workloads drawn from [`DetRng`] across
-//! many fixed seeds (replayable by seed, no external framework).
+//! Seeded FTL properties of a fresh device, replayable by seed (no external
+//! framework): every good page is handed out exactly once, in page order
+//! within its block, striped round-robin over the dies that still have
+//! room, and then allocation fails; a retired block costs exactly the pages
+//! it had not handed out.
 
-use flash::{FlashArray, FlashGeometry, FlashTiming, ReliabilityConfig};
+use flash::{BlockAddr, DieAddr, FlashArray, FlashGeometry, FlashTiming, Ppa, ReliabilityConfig};
 use simkit::DetRng;
 use ssd::{AllocStream, Ftl};
 use std::collections::{HashMap, HashSet};
 
-#[derive(Debug, Clone)]
-enum Op {
-    /// Write (allocate a new version of) lpn % working-set.
-    Write(u64),
-    /// Trim lpn % working-set.
-    Trim(u64),
-    /// Run one GC round (plan + erase bookkeeping).
-    Gc,
-}
-
-fn random_ops(rng: &mut DetRng) -> Vec<Op> {
-    let len = rng.uniform(1, 400) as usize;
-    (0..len)
-        .map(|_| match rng.uniform(0, 8) {
-            0..=5 => Op::Write(rng.uniform(0, 64)),
-            6 => Op::Trim(rng.uniform(0, 64)),
-            _ => Op::Gc,
-        })
-        .collect()
-}
-
-fn fresh() -> (FlashGeometry, Ftl) {
+/// An FTL over the tiny geometry with `bad_rate` of its blocks bad from
+/// manufacture, plus its good-block count per die.
+fn fresh(bad_rate: f64, seed: u64) -> (FlashGeometry, Ftl, Vec<u64>) {
     let g = FlashGeometry::tiny();
-    let array = FlashArray::new(g, FlashTiming::fast(), ReliabilityConfig::perfect(), 99);
-    let ftl = Ftl::new(g, &array, 2);
-    (g, ftl)
+    let rel =
+        ReliabilityConfig { initial_bad_block_rate: bad_rate, ..ReliabilityConfig::perfect() };
+    let array = FlashArray::new(g, FlashTiming::fast(), rel, seed);
+    let good = (0..g.total_dies())
+        .map(|di| {
+            let (channel, die) = (di / g.dies_per_channel, di % g.dies_per_channel);
+            (0..g.blocks_per_die)
+                .filter(|&block| !array.is_bad(BlockAddr { die: DieAddr { channel, die }, block }))
+                .count() as u64
+        })
+        .collect();
+    let ftl = Ftl::new(g, &array, 0);
+    (g, ftl, good)
+}
+
+fn die_index(g: &FlashGeometry, ppa: Ppa) -> usize {
+    (ppa.channel() * g.dies_per_channel + ppa.die().die) as usize
+}
+
+/// The die a round-robin allocator serves next: the first from `cursor`
+/// on, cyclically, with pages left.
+fn next_die(left: &[u64], cursor: usize) -> Option<usize> {
+    (0..left.len()).map(|k| (cursor + k) % left.len()).find(|&di| left[di] > 0)
 }
 
 #[test]
 fn mapping_stays_unique_and_consistent() {
-    for seed in 0..64u64 {
-        let mut rng = DetRng::new(0xF71_0000 + seed);
-        let ops = random_ops(&mut rng);
-        let (g, mut ftl) = fresh();
-        let mut model: HashMap<u64, ()> = HashMap::new();
-        for op in ops {
-            match op {
-                Op::Write(lpn) => {
-                    // Allocation may legitimately fail when space is
-                    // exhausted and nothing is reclaimable without erases;
-                    // run GC rounds until it succeeds or truly stuck.
-                    let mut tries = 0;
-                    loop {
-                        if ftl.allocate(lpn, AllocStream::Host).is_some() {
-                            model.insert(lpn, ());
-                            break;
-                        }
-                        match ftl.plan_gc() {
-                            Some(plan) => ftl.block_erased(plan.victim),
-                            None => break, // genuinely full of live data
-                        }
-                        tries += 1;
-                        assert!(tries < 128, "seed {seed}: GC loop runaway");
-                    }
-                }
-                Op::Trim(lpn) => {
-                    ftl.invalidate(lpn);
-                    model.remove(&lpn);
-                }
-                Op::Gc => {
-                    if let Some(plan) = ftl.plan_gc() {
-                        // Moves must rebind exactly the live lpns of the victim.
-                        for (lpn, old, new) in &plan.moves {
-                            assert_ne!(old, new, "seed {seed}");
-                            assert_eq!(ftl.lookup(*lpn), Some(*new), "seed {seed}");
-                        }
-                        ftl.block_erased(plan.victim);
-                    }
-                }
-            }
-            // Invariant 1: the mapped set equals the model's live set.
-            assert_eq!(ftl.mapped_pages(), model.len(), "seed {seed}");
-            for lpn in model.keys() {
-                assert!(ftl.lookup(*lpn).is_some(), "seed {seed}: live lpn {lpn} unmapped");
-            }
-            // Invariant 2: physical addresses are unique across live lpns.
-            let mut seen = HashSet::new();
-            for lpn in model.keys() {
-                let ppa = ftl.lookup(*lpn).expect("checked above");
-                assert!(ppa.in_bounds(&g), "seed {seed}");
-                assert!(seen.insert(ppa), "seed {seed}: ppa {ppa:?} mapped twice");
-            }
-            // Invariant 3: free-block accounting bounded by geometry.
-            assert!(ftl.free_block_count() <= g.total_blocks() as usize, "seed {seed}");
+    for seed in 0..48u64 {
+        let bad_rate = [0.0, 0.1, 0.3][seed as usize % 3];
+        let stream = if seed % 2 == 0 { AllocStream::Host } else { AllocStream::Destage };
+        let (g, mut ftl, good) = fresh(bad_rate, 0xF71_0000 + seed);
+        let mut rng = DetRng::new(seed);
+        let per_block = g.pages_per_block as u64;
+        let mut left: Vec<u64> = good.iter().map(|b| b * per_block).collect();
+        let capacity: u64 = left.iter().sum();
+        let (mut cursor, mut handed) = (0, 0u64);
+        let mut seen = HashSet::new();
+        let mut next_page: HashMap<BlockAddr, u32> = HashMap::new();
+        let mut model = HashMap::new();
+        loop {
+            let lpn = rng.uniform(0, 63);
+            let Some(ppa) = ftl.allocate(lpn, stream) else { break };
+            handed += 1;
+            assert!(handed <= capacity, "seed {seed}: more pages than the good blocks hold");
+            assert!(ppa.in_bounds(&g), "seed {seed}");
+            assert!(seen.insert(ppa), "seed {seed}: {ppa:?} handed out twice");
+            let page = next_page.entry(ppa.block).or_insert(0);
+            assert_eq!(ppa.page, *page, "seed {seed}: out of page order in {:?}", ppa.block);
+            *page += 1;
+            let di = die_index(&g, ppa);
+            assert_eq!(Some(di), next_die(&left, cursor), "seed {seed}: not round-robin");
+            left[di] -= 1;
+            cursor = (di + 1) % left.len();
+            model.insert(lpn, ppa);
+        }
+        assert_eq!(handed, capacity, "seed {seed}: good blocks x pages per block");
+        assert_eq!(ftl.allocate(0, stream), None, "seed {seed}: full stays full");
+        assert_eq!(ftl.free_block_count(), 0, "seed {seed}");
+        assert_eq!(ftl.stats().host_writes, capacity, "seed {seed}");
+        // Each lpn maps to the page its last write was handed.
+        assert_eq!(ftl.mapped_pages(), model.len(), "seed {seed}");
+        for (lpn, ppa) in model {
+            assert_eq!(ftl.lookup(lpn), Some(ppa), "seed {seed}: lpn {lpn}");
         }
     }
 }
 
 #[test]
-fn write_amplification_grows_only_with_gc() {
-    for seed in 0..16u64 {
-        let mut rng = DetRng::new(0x3A_0000 + seed);
-        let overwrites = rng.uniform(1, 300) as usize;
-        let (_g, mut ftl) = fresh();
-        for i in 0..overwrites {
-            let lpn = (i % 8) as u64;
-            let mut tries = 0;
-            while ftl.allocate(lpn, AllocStream::Host).is_none() {
-                let plan = ftl.plan_gc().expect("overwritten blocks reclaimable");
-                ftl.block_erased(plan.victim);
-                tries += 1;
-                assert!(tries < 64);
-            }
+fn retiring_an_active_block_costs_its_unallocated_pages() {
+    for seed in 0..24u64 {
+        let (g, mut ftl, good) = fresh([0.0, 0.2][seed as usize % 2], 0x2E71_0000 + seed);
+        let capacity = good.iter().sum::<u64>() * g.pages_per_block as u64;
+        let mut rng = DetRng::new(seed);
+        // Part-way into the device, retire the block the last page came from.
+        let before = rng.uniform(1, capacity / 2);
+        let mut last = None;
+        for lpn in 0..before {
+            last = ftl.allocate(lpn, AllocStream::Host);
         }
-        let stats = ftl.stats();
-        // Overwriting a tiny working set produces (almost) empty victims:
-        // WA must stay close to 1.
-        assert!(
-            stats.write_amplification() < 1.5,
-            "seed {seed}: WA {}",
-            stats.write_amplification()
-        );
-    }
-}
-
-#[test]
-fn wear_penalty_steers_victim_selection() {
-    use flash::{FlashTiming, ReliabilityConfig};
-    let g = FlashGeometry::tiny();
-    let array = FlashArray::new(g, FlashTiming::fast(), ReliabilityConfig::perfect(), 7);
-    let mut ftl = Ftl::new(g, &array, 2);
-    // Fill two full blocks' worth of distinct lpns, then overwrite all of
-    // them so several blocks are fully invalid (equal valid counts).
-    let per_block = g.pages_per_block as u64;
-    let dies = g.total_dies() as u64;
-    for lpn in 0..per_block * dies {
-        ftl.allocate(lpn, AllocStream::Host).unwrap();
-    }
-    for lpn in 0..per_block * dies {
-        ftl.allocate(lpn, AllocStream::Host).unwrap();
-    }
-    // Without wear, greedy picks some victim V. With a huge penalty on V,
-    // the planner must pick a different one.
-    let baseline = ftl.plan_gc_weighted(|_| false, |_| 0).expect("victims exist");
-    let avoided = baseline.victim;
-    let alternative = ftl
-        .plan_gc_weighted(|_| false, |b| if b == avoided { 1_000 } else { 0 })
-        .expect("other victims exist");
-    assert_ne!(alternative.victim, avoided, "penalty must steer selection");
-}
-
-#[test]
-fn gc_plan_repeats_for_the_same_script() {
-    // Two FTLs given the same script must relocate the victim's live pages
-    // in the same order: the order decides each page's destination and so
-    // the die timing of every relocation program.
-    fn plan() -> ssd::GcPlan {
-        let (_g, mut ftl) = fresh();
-        for lpn in 0..200 {
-            ftl.allocate(lpn, AllocStream::Host).unwrap();
+        let victim = last.expect("room for the first half");
+        ftl.retire_block(victim.block);
+        let unallocated = (g.pages_per_block - victim.page - 1) as u64;
+        let mut after = 0;
+        while let Some(ppa) = ftl.allocate(after, AllocStream::Host) {
+            assert_ne!(ppa.block, victim.block, "seed {seed}: allocated from a retired block");
+            after += 1;
         }
-        for lpn in (0..200).step_by(3) {
-            ftl.allocate(lpn, AllocStream::Host).unwrap();
-        }
-        ftl.plan_gc().expect("a fully allocated block exists")
-    }
-    let first = plan();
-    assert!(first.moves.len() > 1, "the victim must hold several live pages");
-    assert!(
-        first.moves.windows(2).all(|w| w[0].1.page < w[1].1.page),
-        "live pages move in the victim's page order: {:?}",
-        first.moves
-    );
-    for _ in 0..8 {
-        let again = plan();
-        assert_eq!(again.victim, first.victim);
-        assert_eq!(again.moves, first.moves);
+        assert_eq!(before + after, capacity - unallocated, "seed {seed}");
     }
 }

@@ -18,9 +18,7 @@ fn flaky_config(seed: u64) -> VillarsConfig {
         initial_bad_block_rate: 0.05,
         program_fail_rate: 0.01, // 1% of programs grow a bad block
         base_bit_error_rate: 1e-9,
-        wear_ber_slope: 0.0,
         ecc_correctable_bits: 72,
-        pe_cycle_limit: u32::MAX,
     };
     cfg.conventional.seed = seed;
     cfg
