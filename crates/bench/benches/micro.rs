@@ -87,7 +87,6 @@ fn bench_cmb_ingest() {
 }
 
 fn bench_fast_write_path() {
-    use pcie::MmioMode;
     use xssd_core::{Cluster, VillarsConfig};
     bench(
         "fast_side/x_pwrite_fsync_16k",
@@ -95,7 +94,7 @@ fn bench_fast_write_path() {
         || {
             let mut cl = Cluster::new();
             let dev = cl.add_device(VillarsConfig::villars_sram());
-            (cl, xssd_core::XLogFile::open_lane(dev, 0, MmioMode::WriteCombining))
+            (cl, xssd_core::XLogFile::open(dev))
         },
         |(mut cl, mut f)| {
             let t = f.x_pwrite(&mut cl, SimTime::ZERO, &[0u8; 16 << 10]).unwrap();
@@ -106,7 +105,7 @@ fn bench_fast_write_path() {
 
 /// One 16 KiB `VillarsDevice::fast_write` (256 write-combined TLPs) plus the
 /// advance that destages its page, in steady state, on both backings: each
-/// lane takes the TLPs as one run (`CmbModule::ingest_run`); the DRAM-backed
+/// device takes the TLPs as one run (`CmbModule::ingest_run`); the DRAM-backed
 /// one drains slower than they arrive, so its drains queue back to back.
 fn bench_fast_write_regimes() {
     use pcie::MmioMode;
@@ -123,7 +122,7 @@ fn bench_fast_write_regimes() {
             Some(16 << 10),
             || (),
             |()| {
-                let fw = dev.fast_write(t, 0, offset, &page, MmioMode::WriteCombining).unwrap();
+                let fw = dev.fast_write(t, offset, &page, MmioMode::WriteCombining).unwrap();
                 offset += page.len() as u64;
                 // Long enough for the DRAM backlog to drain and the page to
                 // leave the ring.
@@ -141,11 +140,10 @@ fn bench_fast_write_regimes() {
 /// run longer than 64 MiB of log. (`fast_side/x_pwrite_fsync_16k` above
 /// starts from a fresh device each iteration and never wraps.)
 fn bench_destage_wrapped_ring() {
-    use pcie::MmioMode;
     use xssd_core::{Cluster, VillarsConfig, XLogFile};
     let mut cl = Cluster::new();
     let dev = cl.add_device(VillarsConfig::villars_sram());
-    let mut f = XLogFile::open_lane(dev, 0, MmioMode::WriteCombining);
+    let mut f = XLogFile::open(dev);
     let ring = cl.device(dev).config().destage.ring_lbas;
     let page = [0x5Au8; 16 << 10];
     let mut t = SimTime::ZERO;
@@ -153,7 +151,7 @@ fn bench_destage_wrapped_ring() {
         let issued = f.x_pwrite(cl, *t, &page).unwrap();
         *t = f.x_fsync(cl, issued).unwrap();
     };
-    while cl.device(dev).destage_stats(0).full_pages < ring + 64 {
+    while cl.device(dev).destage_stats().full_pages < ring + 64 {
         cycle(&mut cl, &mut t);
     }
     bench(

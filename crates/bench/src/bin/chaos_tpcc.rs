@@ -466,8 +466,8 @@ fn run_seed(seed: u64) -> ChaosOutcome {
     // --- Rejoin the crashed secondary via log re-sync ------------------
     now = rejoin_secondary(&mut cluster, now, p, s2, &[s1, s2]);
     assert_eq!(
-        cluster.device(s2).log_tail(0),
-        cluster.device(p).log_tail(0),
+        cluster.device(s2).log_tail(),
+        cluster.device(p).log_tail(),
         "re-sync caught the rejoined copy up to the primary's tail"
     );
     now = run_phase(
@@ -521,7 +521,7 @@ fn run_seed(seed: u64) -> ChaosOutcome {
     let live_fingerprint = db.fingerprint();
     let mut recovered = [0u64; 2];
     for (slot, dev) in [s1, s2].into_iter().enumerate() {
-        let stream = durable_log_stream(&mut cluster, settle, dev, 0);
+        let stream = durable_log_stream(&mut cluster, settle, dev);
         let (mut fresh, _, _) = setup(TpccConfig::small(), WORKLOAD_SEED);
         let rep = recover(&mut fresh, &stream);
         assert_eq!(

@@ -21,7 +21,7 @@ use xssd_core::{Cluster, VillarsConfig, XLogFile};
 fn run(config: VillarsConfig, write_size: usize, mode: MmioMode) -> Snapshot {
     let mut cl = Cluster::new();
     let dev = cl.add_device(config);
-    let mut f = XLogFile::open_lane(dev, 0, mode);
+    let mut f = XLogFile::open_at(dev, mode, 0);
     // Enough volume to reach steady state, in whole-write units.
     let total: usize = 256 << 10;
     let count = total / write_size;

@@ -45,7 +45,7 @@ fn run(period: SimDuration, writes: usize) -> (simkit::Candlestick, Snapshot) {
         // Space writes out so each measurement is independent.
         let issue_at = now + SimDuration::from_micros(20 + (i as u64 % 7));
         let (_iss, arr) = cl
-            .fast_write(p, issue_at, 0, offset, &chunk, MmioMode::WriteCombining)
+            .fast_write(p, issue_at, offset, &chunk, MmioMode::WriteCombining)
             .expect("primary fast write");
         offset += chunk.len() as u64;
         // Step the cluster event by event until the shadow counter on the

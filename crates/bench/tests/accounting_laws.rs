@@ -4,13 +4,16 @@
 //! regenerated on purpose must still satisfy every law.
 //!
 //! The laws guard the fast side's intake from outside:
-//! - `core.fast.bytes_in` = Σ `core.cmb.laneN.bytes_in` — every byte the
-//!   fast interface accepted reached a lane's ring;
-//! - where the lanes drain into a dedicated SRAM port,
-//!   `core.fast.sram_port.requests` = Σ `core.cmb.laneN.chunks` — one port
+//! - every device has exactly one `core.cmb.lane*` and one
+//!   `core.destage.lane*` group, `lane0` — a Villars device holds one log,
+//!   and `benchmark/` reads these paths;
+//! - `core.fast.bytes_in` = `core.cmb.lane0.bytes_in` — every byte the fast
+//!   interface accepted reached the ring;
+//! - where the CMB drains into a dedicated SRAM port,
+//!   `core.fast.sram_port.requests` = `core.cmb.lane0.chunks` — one port
 //!   request per chunk, however the drains were charged;
-//! - per lane, `head_offset ≤ credit_offset ≤ tail_offset` — nothing is
-//!   destaged before it is persisted, nothing persisted before it arrived;
+//! - `head_offset ≤ credit_offset ≤ tail_offset` — nothing is destaged
+//!   before it is persisted, nothing persisted before it arrived;
 //! - on a database cell, `db.log.bytes_appended` = each device's
 //!   `core.cmb.lane0.bytes_in`, primary and secondaries alike — the bytes the
 //!   log codec emitted are the bytes every device took in;
@@ -18,7 +21,7 @@
 //!   `flash.array.programs` + `flash.sched.pending_ops` — the device
 //!   programs no page it was not asked to, and loses none the FTL handed out.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 
 /// One cell's flat counters: `path → value`.
@@ -82,16 +85,13 @@ fn devices(cell: &Cell) -> Vec<String> {
     cell.keys().filter_map(|k| k.strip_suffix("core.fast.bytes_in")).map(str::to_string).collect()
 }
 
-/// `device`'s counters `core.cmb.laneN.<field>`, lane by lane.
-fn lanes(cell: &Cell, device: &str, field: &str) -> Vec<f64> {
-    let lane = format!("{device}core.cmb.lane");
-    cell.iter()
-        .filter(|(k, _)| {
-            k.strip_prefix(&lane)
-                .and_then(|rest| rest.split_once('.'))
-                .is_some_and(|(n, f)| n.bytes().all(|b| b.is_ascii_digit()) && f == field)
-        })
-        .map(|(_, v)| *v)
+/// The `lane*` segments under `device`'s `core.<module>.` paths.
+fn lane_groups<'a>(cell: &'a Cell, device: &str, module: &str) -> BTreeSet<&'a str> {
+    let prefix = format!("{device}core.{module}.");
+    cell.keys()
+        .filter_map(|k| k.strip_prefix(&prefix)?.split_once('.'))
+        .map(|(group, _)| group)
+        .filter(|group| group.starts_with("lane"))
         .collect()
 }
 
@@ -102,32 +102,22 @@ fn the_fast_side_accounts_for_every_byte_chunk_and_offset() {
         for device in devices(&cell) {
             let at = |path: &str| cell[&format!("{device}{path}")];
             let what = format!("{where_}: {device}");
-            let bytes_in = lanes(&cell, &device, "bytes_in");
-            assert!(!bytes_in.is_empty(), "{what}: no lane");
-            assert_eq!(at("core.fast.bytes_in"), bytes_in.iter().sum::<f64>(), "{what}: bytes");
+            for module in ["cmb", "destage"] {
+                let groups = lane_groups(&cell, &device, module);
+                assert_eq!(groups, BTreeSet::from(["lane0"]), "{what}: core.{module} groups");
+            }
+            let lane = |field: &str| at(&format!("core.cmb.lane0.{field}"));
+            assert_eq!(at("core.fast.bytes_in"), lane("bytes_in"), "{what}: bytes");
             if cell.contains_key(&format!("{device}core.fast.sram_port.requests")) {
-                let chunks: f64 = lanes(&cell, &device, "chunks").iter().sum();
-                assert_eq!(at("core.fast.sram_port.requests"), chunks, "{what}: port requests");
+                assert_eq!(at("core.fast.sram_port.requests"), lane("chunks"), "{what}: requests");
                 with_sram_port += 1;
             }
-            let (head, credit) =
-                (lanes(&cell, &device, "head_offset"), lanes(&cell, &device, "credit_offset"));
-            let tail = lanes(&cell, &device, "tail_offset");
+            let (head, credit, tail) =
+                (lane("head_offset"), lane("credit_offset"), lane("tail_offset"));
             assert!(
-                head.len() == bytes_in.len()
-                    && credit.len() == head.len()
-                    && tail.len() == head.len(),
-                "{what}"
+                head <= credit && credit <= tail,
+                "{what}: head {head}, credit {credit}, tail {tail}"
             );
-            for lane in 0..head.len() {
-                assert!(
-                    head[lane] <= credit[lane] && credit[lane] <= tail[lane],
-                    "{what} lane {lane}: head {}, credit {}, tail {}",
-                    head[lane],
-                    credit[lane],
-                    tail[lane]
-                );
-            }
             checked += 1;
         }
     }

@@ -18,7 +18,6 @@ use simkit::SimTime;
 #[derive(Debug)]
 pub struct XLogFile {
     dev: DeviceIndex,
-    lane: usize,
     mode: MmioMode,
     /// Monotonic log offset written so far.
     written: u64,
@@ -59,32 +58,22 @@ impl From<CmbError> for XApiError {
 }
 
 impl XLogFile {
-    /// Open the fast side of device `dev`, lane 0, in Write-Combining mode
-    /// (the fast configuration, paper §6.2).
+    /// Open the fast side of device `dev` from log offset 0 in
+    /// Write-Combining mode (the fast configuration, paper §6.2).
     pub fn open(dev: DeviceIndex) -> Self {
-        Self::open_lane(dev, 0, MmioMode::WriteCombining)
+        Self::open_at(dev, MmioMode::WriteCombining, 0)
     }
 
-    /// Open a specific lane/mode (UC mode exists to reproduce Fig. 10).
-    pub fn open_lane(dev: DeviceIndex, lane: usize, mode: MmioMode) -> Self {
-        Self::open_lane_at(dev, lane, mode, 0)
-    }
-
-    /// Open a lane whose log already extends to `offset` (reopening after a
-    /// reboot, or taking over a recycled multi-tenant lane): writes and tail
-    /// reads continue from there.
-    pub fn open_lane_at(dev: DeviceIndex, lane: usize, mode: MmioMode, offset: u64) -> Self {
-        XLogFile { dev, lane, mode, written: offset, credit_seen: offset, read_cursor: offset }
+    /// Open in `mode` (UC exists to reproduce Fig. 10) a log that already
+    /// extends to `offset` (0 for a fresh device; the durable frontier when
+    /// reopening after a reboot): writes and tail reads continue from there.
+    pub fn open_at(dev: DeviceIndex, mode: MmioMode, offset: u64) -> Self {
+        XLogFile { dev, mode, written: offset, credit_seen: offset, read_cursor: offset }
     }
 
     /// Bytes appended so far.
     pub fn written(&self) -> u64 {
         self.written
-    }
-
-    /// The lane this handle writes.
-    pub fn lane(&self) -> usize {
-        self.lane
     }
 
     /// `pwrite()` replacement (paper §5.1, Fig. 8): copy `data` into CMB in
@@ -99,7 +88,7 @@ impl XLogFile {
         now: SimTime,
         data: &[u8],
     ) -> Result<SimTime, XApiError> {
-        let q = cl.device(self.dev).intake_queue_bytes(self.lane);
+        let q = cl.device(self.dev).intake_queue_bytes();
         let mut now = now;
         let mut cursor = 0usize;
         while cursor < data.len() {
@@ -108,7 +97,7 @@ impl XLogFile {
             if room == 0 {
                 // Window exhausted: read the counter (one MMIO round trip);
                 // if still no room, wait for device progress.
-                let (t, credit) = cl.read_credit(self.dev, now, self.lane);
+                let (t, credit) = cl.read_credit(self.dev, now);
                 self.credit_seen = self.credit_seen.max(credit);
                 now = t;
                 if self.written - self.credit_seen == 0 {
@@ -128,7 +117,6 @@ impl XLogFile {
             match cl.fast_write(
                 self.dev,
                 now,
-                self.lane,
                 self.written,
                 &data[cursor..cursor + chunk],
                 self.mode,
@@ -163,7 +151,7 @@ impl XLogFile {
     /// trip after the counter crossed.
     pub fn x_fsync(&mut self, cl: &mut Cluster, now: SimTime) -> Result<SimTime, XApiError> {
         cl.advance(now);
-        let (mut t, mut credit) = cl.read_credit(self.dev, now, self.lane);
+        let (mut t, mut credit) = cl.read_credit(self.dev, now);
         // Where the cluster stands.
         let mut at = now;
         loop {
@@ -172,10 +160,10 @@ impl XLogFile {
                 return Ok(t);
             }
             at = cl
-                .sleep_until_credit(self.dev, self.lane, self.written, at)
+                .sleep_until_credit(self.dev, self.written, at)
                 .ok_or(XApiError::Stalled { waiting_for: "the credit counter to cover the log" })?;
             // The host is back from the previous read at `t`.
-            (t, credit) = cl.read_credit(self.dev, at.max(t), self.lane);
+            (t, credit) = cl.read_credit(self.dev, at.max(t));
         }
     }
 
@@ -192,7 +180,7 @@ impl XLogFile {
         // Wait until the destage ring holds the requested range.
         loop {
             cl.advance(now);
-            if cl.device(self.dev).destaged_upto(self.lane) >= self.read_cursor + len as u64 {
+            if cl.device(self.dev).destaged_upto() >= self.read_cursor + len as u64 {
                 break;
             }
             now = cl.next_event_after(now).ok_or(XApiError::Stalled {
@@ -201,7 +189,7 @@ impl XLogFile {
         }
         let (t, bytes) = cl
             .device_mut(self.dev)
-            .read_destaged(now, self.lane, self.read_cursor, len)
+            .read_destaged(now, 0, self.read_cursor, len)
             .ok_or(XApiError::Stalled { waiting_for: "log range aged off the destage ring" })?;
         self.read_cursor += len as u64;
         Ok((t, bytes))
@@ -224,15 +212,14 @@ pub struct XRegion {
 #[derive(Debug)]
 pub struct XAllocator {
     dev: DeviceIndex,
-    lane: usize,
     next_offset: u64,
     outstanding: Vec<XRegion>,
 }
 
 impl XAllocator {
-    /// An allocator over device `dev`, lane `lane`.
-    pub fn new(dev: DeviceIndex, lane: usize) -> Self {
-        XAllocator { dev, lane, next_offset: 0, outstanding: Vec::new() }
+    /// An allocator over device `dev`'s log.
+    pub fn new(dev: DeviceIndex) -> Self {
+        XAllocator { dev, next_offset: 0, outstanding: Vec::new() }
     }
 
     /// Reserve the next `len` bytes of the ring. Regions are adjacent: "the
@@ -258,14 +245,8 @@ impl XAllocator {
     ) -> Result<SimTime, XApiError> {
         assert!(within + data.len() as u64 <= region.len, "write exceeds the allocated region");
         assert!(self.outstanding.contains(&region), "region already freed or never allocated");
-        let (issued_at, _arrived_at) = cl.fast_write(
-            self.dev,
-            now,
-            self.lane,
-            region.offset + within,
-            data,
-            MmioMode::WriteCombining,
-        )?;
+        let (issued_at, _arrived_at) =
+            cl.fast_write(self.dev, now, region.offset + within, data, MmioMode::WriteCombining)?;
         Ok(issued_at)
     }
 
@@ -306,7 +287,7 @@ mod tests {
         assert_eq!(f.written(), 1000);
         let t2 = f.x_fsync(&mut cl, t1).expect("x_fsync stalled before the credit covered the log");
         assert!(t2 >= t1);
-        let (_t, credit) = cl.read_credit(0, t2, 0);
+        let (_t, credit) = cl.read_credit(0, t2);
         assert_eq!(credit, 1000);
     }
 
@@ -364,7 +345,7 @@ mod tests {
         }
         assert_eq!(f.written(), 500);
         now = f.x_fsync(&mut cl, now).expect("x_fsync stalled before the credit covered the log");
-        let (_t, credit) = cl.read_credit(0, now, 0);
+        let (_t, credit) = cl.read_credit(0, now);
         assert_eq!(credit, 500);
     }
 
@@ -382,7 +363,7 @@ mod tests {
         let fsync_cost = t2.saturating_since(t1);
         assert!(fsync_cost.as_micros_f64() > 1.0, "replicated fsync too fast: {fsync_cost}");
         // And the secondary really holds the bytes.
-        let sec = cl.device_mut(1).local_credit(t2, 0);
+        let sec = cl.device_mut(1).local_credit(t2);
         assert_eq!(sec, 2000);
     }
 
@@ -390,7 +371,7 @@ mod tests {
     fn allocator_parallel_fill_out_of_order() {
         let mut cl = Cluster::new();
         let dev = cl.add_device(VillarsConfig::small());
-        let mut alloc = XAllocator::new(dev, 0);
+        let mut alloc = XAllocator::new(dev);
         let r1 = alloc.x_alloc(256);
         let r2 = alloc.x_alloc(256);
         assert_eq!(r2.offset, 256);
@@ -406,7 +387,7 @@ mod tests {
         // Once both landed, credits cover both regions.
         let settle = t2 + simkit::SimDuration::from_micros(20);
         cl.advance(settle);
-        let (_t, credit) = cl.read_credit(dev, settle, 0);
+        let (_t, credit) = cl.read_credit(dev, settle);
         assert_eq!(credit, 512);
     }
 
@@ -415,30 +396,8 @@ mod tests {
     fn region_overflow_panics() {
         let mut cl = Cluster::new();
         let dev = cl.add_device(VillarsConfig::small());
-        let mut alloc = XAllocator::new(dev, 0);
+        let mut alloc = XAllocator::new(dev);
         let r = alloc.x_alloc(64);
         let _ = alloc.write_region(&mut cl, SimTime::ZERO, r, 32, &[0u8; 64]);
-    }
-
-    #[test]
-    fn multi_lane_handles_are_independent() {
-        let mut cl = Cluster::new();
-        let mut cfg = VillarsConfig::small();
-        cfg.cmb.writer_lanes = 2;
-        let dev = cl.add_device(cfg);
-        assert_eq!(cl.device(dev).lanes(), 2);
-        let mut f0 = XLogFile::open_lane(dev, 0, MmioMode::WriteCombining);
-        let mut f1 = XLogFile::open_lane(dev, 1, MmioMode::WriteCombining);
-        let t1 = f0
-            .x_pwrite(&mut cl, SimTime::ZERO, &[1u8; 500])
-            .expect("x_pwrite rejected by the fast side");
-        let t2 = f1.x_pwrite(&mut cl, t1, &[2u8; 700]).expect("x_pwrite rejected by the fast side");
-        let t3 =
-            f0.x_fsync(&mut cl, t2).expect("x_fsync stalled before the credit covered the log");
-        let t4 =
-            f1.x_fsync(&mut cl, t3).expect("x_fsync stalled before the credit covered the log");
-        let (_ta, c0) = cl.read_credit(dev, t4, 0);
-        let (_tb, c1) = cl.read_credit(dev, t4, 1);
-        assert_eq!((c0, c1), (500, 700));
     }
 }

@@ -258,12 +258,11 @@ impl Cluster {
         &mut self,
         dev: DeviceIndex,
         now: SimTime,
-        lane: usize,
         offset: u64,
         data: &[u8],
         mode: MmioMode,
     ) -> Result<(SimTime, SimTime), CmbError> {
-        let fw = self.devices[dev].fast_write(now, lane, offset, data, mode)?;
+        let fw = self.devices[dev].fast_write(now, offset, data, mode)?;
         for o in fw.outbound {
             self.schedule_outbound(o);
         }
@@ -311,8 +310,8 @@ impl Cluster {
     }
 
     /// Control-interface credit read on device `dev` (policy-combined).
-    pub fn read_credit(&mut self, dev: DeviceIndex, now: SimTime, lane: usize) -> (SimTime, u64) {
-        self.devices[dev].read_credit(now, lane)
+    pub fn read_credit(&mut self, dev: DeviceIndex, now: SimTime) -> (SimTime, u64) {
+        self.devices[dev].read_credit(now)
     }
 
     fn schedule_outbound(&mut self, o: Outbound) {
@@ -415,13 +414,13 @@ impl Cluster {
         }
         let dev = &mut self.devices[m.dst];
         match dev.receive_mirror(m.offset, &m.data, m.unit, &m.landings) {
-            // (An overlap straddles the tail: a duplicate the lane half holds.)
+            // (An overlap straddles the tail: a duplicate the CMB half holds.)
             Ok(()) | Err(CmbError::Overlap { .. }) => {}
             Err(refusal) => {
                 // Intake saturated part-way, or waiting for the rest of an
                 // earlier write: the transport inserts itself into the
                 // back-pressure path (paper §4.2) and offers what was not
-                // taken again at the event that can reopen the lane.
+                // taken again at the event that can reopen the intake.
                 dev.advance(at);
                 let Some(retry) = dev.next_event_after(at) else {
                     let what =
@@ -468,17 +467,16 @@ impl Cluster {
         self.devices.iter().fold(traffic, |next, d| SimTime::earliest(next, d.next_event_after(t)))
     }
 
-    /// A lower bound on the instant device `dev`'s policy-combined credit on
-    /// `lane` can first cover `target`, for a cluster advanced to `t` where
-    /// it does not yet: each credit source's own bound — already there
-    /// counts as `t` — combined by the rule that combines the counters
+    /// A lower bound on the instant device `dev`'s policy-combined credit
+    /// can first cover `target`, for a cluster advanced to `t` where it does
+    /// not yet: each credit source's own bound — already there counts as
+    /// `t` — combined by the rule that combines the counters
     /// ([`crate::transport::TransportModule::combine`]). Strictly after `t`;
     /// `None` when a source the policy waits for has nothing in flight that
     /// could get it there.
     pub fn next_credit_event_after(
         &self,
         dev: DeviceIndex,
-        lane: usize,
         target: u64,
         t: SimTime,
     ) -> Option<SimTime> {
@@ -486,14 +484,10 @@ impl Cluster {
         // and `None` (never) is behind every instant.
         let sooner = |at: Option<SimTime>| at.map(|at| Reverse(at.max(t)));
         let d = &self.devices[dev];
-        let local = sooner(d.credit_reaches(lane, target));
-        let bound = if lane == 0 {
-            d.transport().combine(d.config().replication, local, |src| {
-                sooner(self.shadow_reaches(dev, src, target, t))
-            })
-        } else {
-            local
-        };
+        let local = sooner(d.credit_reaches(target));
+        let bound = d.transport().combine(d.config().replication, local, |src| {
+            sooner(self.shadow_reaches(dev, src, target, t))
+        });
         let Reverse(at) = bound?;
         debug_assert!(at > t, "credit wait at {t}: bound {at} — not advanced, or already covered");
         Some(at)
@@ -531,7 +525,7 @@ impl Cluster {
             return carried;
         }
         let secondary = &self.devices[src];
-        match secondary.credit_reaches(0, target) {
+        match secondary.credit_reaches(target) {
             Some(drained) => secondary.transport().next_update_at_or_after(drained),
             None => self.mirrors.iter().filter(|(_, m)| m.dst == src).map(|(at, _)| at).min(),
         }
@@ -546,12 +540,11 @@ impl Cluster {
     pub fn sleep_until_credit(
         &mut self,
         dev: DeviceIndex,
-        lane: usize,
         target: u64,
         mut at: SimTime,
     ) -> Option<SimTime> {
-        while self.devices[dev].observed_credit(at, lane) < target {
-            at = self.next_credit_event_after(dev, lane, target, at)?;
+        while self.devices[dev].observed_credit(at) < target {
+            at = self.next_credit_event_after(dev, target, at)?;
             self.advance(at);
             self.devices[dev].fsync_wakes += 1;
         }
@@ -620,9 +613,9 @@ impl Cluster {
         assert!(!self.dead[target], "reboot the target before resync");
         self.advance(now);
         let mut t = now;
-        let upto = self.devices[primary].log_tail(0);
-        let mut cursor = self.devices[target].log_tail(0);
-        let chunk_cap = (self.devices[target].intake_queue_bytes(0) / 2).max(64);
+        let upto = self.devices[primary].log_tail();
+        let mut cursor = self.devices[target].log_tail();
+        let chunk_cap = (self.devices[target].intake_queue_bytes() / 2).max(64);
         let mut waits = 0u64;
         while cursor < upto {
             // Three zones on the primary: `[.., persisted)` is readable
@@ -631,8 +624,8 @@ impl Cluster {
             // in-flight destage writes (the CMB head advances at destage
             // *submission*, so those bytes are momentarily in neither) —
             // for that zone, advance the simulation until the writes land.
-            let persisted = self.devices[primary].destaged_upto(0);
-            let ring_from = self.devices[primary].log_head(0);
+            let persisted = self.devices[primary].destaged_upto();
+            let ring_from = self.devices[primary].log_head();
             let want = chunk_cap.min(upto - cursor) as usize;
             let chunk = if cursor < persisted {
                 let take = want.min((persisted - cursor) as usize);
@@ -647,7 +640,7 @@ impl Cluster {
                 t = t.max(ready);
                 bytes
             } else if cursor >= ring_from {
-                self.devices[primary].log_content(0, cursor, want)
+                self.devices[primary].log_content(cursor, want)
             } else {
                 // In-flight destage: wait for the conventional side to
                 // retire the write, then re-evaluate the zones.
@@ -675,7 +668,7 @@ impl Cluster {
         t
     }
 
-    /// Offer `chunk` to `target`'s lane-0 intake at log `offset`, starting
+    /// Offer `chunk` to `target`'s intake at log `offset`, starting
     /// at `t`. While the intake is saturated or the ring full, sleep until
     /// the cluster's next event and offer it again — the transport's normal
     /// back-pressure path; an overlap means the bytes were already
@@ -705,7 +698,7 @@ impl Cluster {
     }
 
     /// Stream a host-retained archived log range `[base, base +
-    /// bytes.len())` into `target`'s lane-0 intake, starting at the
+    /// bytes.len())` into `target`'s intake, starting at the
     /// target's current tail (bytes it already holds are skipped). This is
     /// the rejoin-from-archive leg: when the primary's destage ring has
     /// recycled past the range a rebooted secondary missed,
@@ -728,7 +721,7 @@ impl Cluster {
         self.advance(now);
         let mut t = now;
         let end = base + bytes.len() as u64;
-        let mut cursor = self.devices[target].log_tail(0);
+        let mut cursor = self.devices[target].log_tail();
         if cursor >= end {
             return t; // everything here is already on the target
         }
@@ -737,7 +730,7 @@ impl Cluster {
             "archived range starts at {base} but the target's tail is {cursor}: \
              the archive no longer reaches back to the rejoining copy"
         );
-        let chunk_cap = (self.devices[target].intake_queue_bytes(0) / 2).max(64);
+        let chunk_cap = (self.devices[target].intake_queue_bytes() / 2).max(64);
         while cursor < end {
             let want = chunk_cap.min(end - cursor) as usize;
             let off = (cursor - base) as usize;
@@ -826,11 +819,11 @@ mod tests {
         let (mut cl, t0) = two_node_cluster();
         let data = vec![0x5A; 256];
         let (_, t1) = cl
-            .fast_write(0, t0, 0, 0, &data, MmioMode::WriteCombining)
-            .expect("fast write rejected on device 0 lane 0");
+            .fast_write(0, t0, 0, &data, MmioMode::WriteCombining)
+            .expect("fast write rejected on device 0");
         // Let the mirror fly and the secondary drain.
         cl.advance(t1 + SimDuration::from_micros(50));
-        let sec_credit = cl.device_mut(1).local_credit(t1 + SimDuration::from_micros(50), 0);
+        let sec_credit = cl.device_mut(1).local_credit(t1 + SimDuration::from_micros(50));
         assert_eq!(sec_credit, 256, "secondary persisted the mirrored bytes");
     }
 
@@ -839,18 +832,18 @@ mod tests {
         let (mut cl, t0) = two_node_cluster();
         let data = vec![1u8; 512];
         let (_, t1) = cl
-            .fast_write(0, t0, 0, 0, &data, MmioMode::WriteCombining)
-            .expect("fast write rejected on device 0 lane 0");
+            .fast_write(0, t0, 0, &data, MmioMode::WriteCombining)
+            .expect("fast write rejected on device 0");
         // Immediately after the local write: primary has persisted locally
         // but no shadow update has arrived yet -> eager credit is 0.
-        let (t2, credit) = cl.read_credit(0, t1, 0);
+        let (t2, credit) = cl.read_credit(0, t1);
         assert_eq!(credit, 0, "eager counter lags until the secondary reports");
         // After mirror + drain + shadow update cycle, the counter catches up.
         let mut now = t2;
         let mut final_credit = 0;
         for _ in 0..200 {
             cl.advance(now);
-            let (_, c) = cl.read_credit(0, now, 0);
+            let (_, c) = cl.read_credit(0, now);
             final_credit = c;
             if c >= 512 {
                 break;
@@ -865,10 +858,10 @@ mod tests {
         let mut cl = Cluster::new();
         cl.add_device(VillarsConfig::small());
         let (_, t) = cl
-            .fast_write(0, SimTime::ZERO, 0, 0, &[9u8; 64], MmioMode::WriteCombining)
-            .expect("fast write rejected on device 0 lane 0");
+            .fast_write(0, SimTime::ZERO, 0, &[9u8; 64], MmioMode::WriteCombining)
+            .expect("fast write rejected on device 0");
         cl.advance(t + SimDuration::from_micros(10));
-        let (_t, c) = cl.read_credit(0, t + SimDuration::from_micros(10), 0);
+        let (_t, c) = cl.read_credit(0, t + SimDuration::from_micros(10));
         assert_eq!(c, 64);
     }
 
@@ -877,28 +870,28 @@ mod tests {
         let (mut cl, t0) = two_node_cluster();
         // Phase A: both copies receive the prefix.
         let (_, t1) = cl
-            .fast_write(0, t0, 0, 0, &[0xA1; 256], MmioMode::WriteCombining)
-            .expect("fast write rejected on device 0 lane 0");
+            .fast_write(0, t0, 0, &[0xA1; 256], MmioMode::WriteCombining)
+            .expect("fast write rejected on device 0");
         cl.advance(t1 + SimDuration::from_micros(50));
         // Crash the secondary, then keep writing on the (now degraded)
         // primary: these bytes exist only on device 0.
         let crash_at = t1 + SimDuration::from_micros(50);
         cl.power_fail(1, crash_at);
         let (_, t2) = cl
-            .fast_write(0, crash_at, 0, 256, &[0xB2; 512], MmioMode::WriteCombining)
-            .expect("fast write rejected on device 0 lane 0");
+            .fast_write(0, crash_at, 256, &[0xB2; 512], MmioMode::WriteCombining)
+            .expect("fast write rejected on device 0");
         cl.advance(t2 + SimDuration::from_micros(50));
         // Reboot and resync: the secondary's log catches up to the
         // primary's tail, byte for byte.
         cl.reboot_device(1);
         let done = cl.resync_secondary(t2 + SimDuration::from_micros(50), 0, 1);
-        assert_eq!(cl.device(1).log_tail(0), cl.device(0).log_tail(0));
+        assert_eq!(cl.device(1).log_tail(), cl.device(0).log_tail());
         // The re-shipped suffix is intact on the secondary.
         let settle = done + SimDuration::from_millis(2);
         cl.advance(settle);
-        let credit = cl.device_mut(1).local_credit(settle, 0);
+        let credit = cl.device_mut(1).local_credit(settle);
         assert_eq!(credit, 768, "secondary persisted the full resynced log");
-        assert_eq!(cl.device(1).log_tail(0), cl.device(0).log_tail(0), "tails after settle");
+        assert_eq!(cl.device(1).log_tail(), cl.device(0).log_tail(), "tails after settle");
         // Roles can now be restored.
         let t3 = cl.configure_replication(settle, 0, &[1]);
         assert!(cl.device(0).is_primary());
@@ -921,11 +914,11 @@ mod tests {
         let (mut cl, t0) = two_node_cluster();
         // Write, creating an in-flight mirror to device 1, then crash 1.
         let (_, t1) = cl
-            .fast_write(0, t0, 0, 0, &[7u8; 128], MmioMode::WriteCombining)
-            .expect("fast write rejected on device 0 lane 0");
+            .fast_write(0, t0, 0, &[7u8; 128], MmioMode::WriteCombining)
+            .expect("fast write rejected on device 0");
         let report = cl.power_fail(1, t1);
         // The secondary had nothing durable yet (mirror still in flight).
-        assert_eq!(report.durable_upto, vec![0]);
+        assert_eq!(report.durable_upto, [0]);
         // The cluster keeps running for the primary.
         cl.advance(t1 + SimDuration::from_micros(100));
     }
@@ -965,7 +958,7 @@ mod tests {
         now: SimTime,
     ) -> SimTime {
         cl.advance(now);
-        let read = cl.read_credit(primary, now, 0);
+        let read = cl.read_credit(primary, now);
         let next = cl.next_event_after(now);
         let status = cl.device(primary).transport().status_at(now);
         log.push((label, now, read, next, status));
@@ -1006,7 +999,6 @@ mod tests {
             match self.cl.fast_write(
                 self.primary,
                 now,
-                0,
                 self.offset,
                 &data,
                 MmioMode::WriteCombining,
@@ -1103,9 +1095,9 @@ mod tests {
                 assert!(mirror_at > arrived);
                 s.observe("before mirror", mirror_at - SimDuration::from_nanos(1));
                 s.observe("at mirror", mirror_at);
-                let credit_before = s.cl.device_mut(1).local_credit(mirror_at, 0);
+                let credit_before = s.cl.device_mut(1).local_credit(mirror_at);
                 assert!(credit_before < s.offset, "drains still queued behind the last TLP");
-                let drain_at = s.cl.device(1).credit_reaches(0, s.offset).expect("drains pending");
+                let drain_at = s.cl.device(1).credit_reaches(s.offset).expect("drains pending");
                 // Re-time the secondary so its cycle after next falls
                 // exactly on the last drain's completion: that cycle must
                 // already report the whole write.
@@ -1117,7 +1109,7 @@ mod tests {
                     s.observe("before drain", drain_at - SimDuration::from_nanos(1));
                 }
                 s.observe("at drain", drain_at);
-                assert_eq!(s.cl.device_mut(1).local_credit(drain_at, 0), s.offset);
+                assert_eq!(s.cl.device_mut(1).local_credit(drain_at), s.offset);
                 let shadow_at = s.cl.shadows.next_time().expect("updates in flight");
                 s.observe("at shadow", shadow_at);
                 s.observe("after shadow", shadow_at + SimDuration::from_nanos(1));
@@ -1125,7 +1117,7 @@ mod tests {
                 s.cl.device_mut(1).transport_mut().set_shadow_period(SimDuration::from_nanos(800));
                 now = s.stride("stride", now, &[30_000]);
             }
-            assert_eq!(s.cl.device(1).cmb_stats(0).bytes_in, s.offset, "every TLP taken once");
+            assert_eq!(s.cl.device(1).cmb_stats().bytes_in, s.offset, "every TLP taken once");
             s.log
         });
     }
@@ -1265,7 +1257,7 @@ mod tests {
             }
             // Promote the first secondary.
             s.primary = 1;
-            s.offset = s.cl.device(1).log_tail(0);
+            s.offset = s.cl.device(1).log_tail();
             let now = s.cl.configure_replication(now, 1, &[2]);
             let now = steady_traffic(&mut s, now, 3);
             s.observe("settle", now + SimDuration::from_millis(1));
@@ -1332,8 +1324,7 @@ mod tests {
                 let mut issued = now;
                 for cl in [&mut runs, &mut walk] {
                     cl.advance(now);
-                    (issued, _) =
-                        cl.fast_write(0, now, 0, offset, &data, mode).expect("fast_write");
+                    (issued, _) = cl.fast_write(0, now, offset, &data, mode).expect("fast_write");
                 }
                 let mut delivered = now;
                 for dst in [1, 2] {
@@ -1371,7 +1362,7 @@ mod tests {
                         cl.advance(delivered);
                         [1, 2].map(|d| {
                             [offset, offset - len.min(64), offset - len / 2]
-                                .map(|target| cl.device(d).credit_reaches(0, target))
+                                .map(|target| cl.device(d).credit_reaches(target))
                         })
                     };
                     let drains = scheduled(&mut runs);
@@ -1385,8 +1376,8 @@ mod tests {
                 let mid_stream = |cl: &mut Cluster| {
                     cl.advance(now);
                     [1, 2].map(|d| {
-                        let credit = cl.device_mut(d).local_credit(now, 0);
-                        (credit, cl.device(d).credit_reaches(0, target), cl.device(d).log_tail(0))
+                        let credit = cl.device_mut(d).local_credit(now);
+                        (credit, cl.device(d).credit_reaches(target), cl.device(d).log_tail())
                     })
                 };
                 assert_eq!(mid_stream(&mut runs), mid_stream(&mut walk), "{what}: after write {i}");
@@ -1396,21 +1387,21 @@ mod tests {
                 cl.advance(end);
                 let mut reg = MetricsRegistry::new();
                 reg.collect("cluster", &*cl);
-                let lanes: Vec<_> = [1, 2]
+                let secondaries: Vec<_> = [1, 2]
                     .map(|d| {
                         let dev = cl.device_mut(d);
-                        let credit = dev.local_credit(end, 0);
-                        let stats = dev.cmb_stats(0);
-                        let head = dev.log_head(0);
-                        let live = dev.log_content(0, head, (dev.log_tail(0) - head) as usize);
-                        (credit, dev.log_tail(0), stats.chunks, stats.queue_high_water, live)
+                        let credit = dev.local_credit(end);
+                        let stats = dev.cmb_stats();
+                        let head = dev.log_head();
+                        let live = dev.log_content(head, (dev.log_tail() - head) as usize);
+                        (credit, dev.log_tail(), stats.chunks, stats.queue_high_water, live)
                     })
                     .into_iter()
                     .collect();
-                (lanes, reg.snapshot().metrics_json().to_string())
+                (secondaries, reg.snapshot().metrics_json().to_string())
             };
             let (got, want) = (state(&mut runs), state(&mut walk));
-            assert_eq!(got.0, want.0, "{what}: secondary lanes");
+            assert_eq!(got.0, want.0, "{what}: secondary logs");
             assert_eq!(got.1, want.1, "{what}: telemetry (NTB busy_ns, forwarded_tlps, ...)");
             assert_eq!(got.0[0].0, offset, "{what}: the secondary holds the whole log");
         }

@@ -94,8 +94,8 @@ struct Drains {
     unit: u64,
 }
 
-/// One lane of the CMB module: an intake queue + persistent ring + credit
-/// counter. Multi-writer devices instantiate several lanes (paper §7.1).
+/// The CMB module: an intake queue + persistent ring + credit counter. A
+/// Villars device holds one.
 #[derive(Debug)]
 pub struct CmbModule {
     config: CmbConfig,

@@ -15,9 +15,6 @@ pub struct CmbConfig {
     /// Intake (SRAM) queue size in bytes — the flow-control window the
     /// database is told about. The paper evaluates 1–32 KiB (Fig. 11).
     pub intake_queue_bytes: u64,
-    /// Number of independent writer lanes, each with its own credit counter
-    /// (paper §7.1: "keep several counters, potentially one per core").
-    pub writer_lanes: u32,
     /// Derating of the shared DRAM port for CMB traffic: the fast side sees
     /// `dram_bandwidth × factor` because "the DRAM access is shared with the
     /// device's regular data buffering activity" (paper §6).
@@ -36,7 +33,6 @@ impl CmbConfig {
             backing: d.backing,
             size: d.size,
             intake_queue_bytes: 32 << 10,
-            writer_lanes: 1,
             dram_share_factor: 0.4,
             reorder_window_bytes: 64 << 10,
         }
@@ -49,7 +45,6 @@ impl CmbConfig {
             backing: d.backing,
             size: d.size,
             intake_queue_bytes: 32 << 10,
-            writer_lanes: 1,
             dram_share_factor: 0.4,
             reorder_window_bytes: 64 << 10,
         }

@@ -162,9 +162,8 @@ impl DestageModule {
     }
 
     /// Deliver one conventional-side destage completion. Returns true when
-    /// the token belongs to this lane (the device routes each completion to
-    /// the owning lane — tokens are device-global). The persisted frontier
-    /// (x_pread horizon) advances contiguously.
+    /// the token is one of this module's writes still in flight. The
+    /// persisted frontier (x_pread horizon) advances contiguously.
     pub fn complete(&mut self, token: u64) -> bool {
         let Some((seg, page)) = self.inflight.remove(&token) else { return false };
         self.done.insert(seg.log_from, (seg, page));
@@ -262,11 +261,26 @@ impl DestageModule {
         self.ring.readable_from()
     }
 
-    /// Crash protocol, phase 1: submit everything contiguous in the CMB
-    /// ring (`frontier` from [`CmbModule::crash_drain`]) as full/filler
-    /// pages. The device then runs the conventional side's supercap rescue
-    /// once for all lanes, and calls [`DestageModule::crash_finalize`].
-    pub fn crash_submit(
+    /// Crash protocol (paper §4.1) on residual power: submit everything
+    /// contiguous in the CMB ring (`frontier` from
+    /// [`CmbModule::crash_drain`]) as full/filler pages, run the
+    /// conventional side's supercap rescue, and account every page in
+    /// flight as persisted. Returns the log offset made durable.
+    pub fn crash_destage(
+        &mut self,
+        now: SimTime,
+        frontier: u64,
+        cmb: &mut CmbModule,
+        conv: &mut ConventionalSsd,
+    ) -> u64 {
+        self.crash_submit(now, frontier, cmb, conv);
+        conv.power_fail_rescue_destage(now);
+        self.crash_finalize()
+    }
+
+    /// Crash protocol, phase 1: submit `[scheduled, frontier)` as
+    /// full/filler pages.
+    fn crash_submit(
         &mut self,
         now: SimTime,
         frontier: u64,
@@ -284,26 +298,12 @@ impl DestageModule {
     /// Crash protocol, phase 2: after the conventional side's rescue ran
     /// the destage queue dry, account every in-flight page as persisted.
     /// Returns the log offset made durable.
-    pub fn crash_finalize(&mut self) -> u64 {
+    fn crash_finalize(&mut self) -> u64 {
         for (_tok, entry) in self.inflight.drain() {
             self.done.insert(entry.0.log_from, entry);
         }
         self.advance_persisted();
         self.persisted
-    }
-
-    /// Convenience: full single-lane crash protocol (phase 1 + rescue +
-    /// phase 2). Multi-lane devices orchestrate the phases themselves.
-    pub fn crash_destage(
-        &mut self,
-        now: SimTime,
-        frontier: u64,
-        cmb: &mut CmbModule,
-        conv: &mut ConventionalSsd,
-    ) -> u64 {
-        self.crash_submit(now, frontier, cmb, conv);
-        conv.power_fail_rescue_destage(now);
-        self.crash_finalize()
     }
 }
 
@@ -535,7 +535,7 @@ mod tests {
 
         fn complete(&mut self, token: u64) {
             let persisted = self.rig.destage.persisted();
-            assert!(self.rig.destage.complete(token), "token {token} unknown to the lane");
+            assert!(self.rig.destage.complete(token), "token {token} unknown to the module");
             self.out_of_order += u64::from(self.rig.destage.persisted() == persisted);
             self.saw_persisted();
         }

@@ -35,7 +35,7 @@ pub mod vendor {
     /// inactive.
     pub const GET_TRANSPORT_STATUS: u8 = 0xC5;
     /// Set the intake-queue (flow-control window) size; CDW10 = bytes,
-    /// CDW11 = lane.
+    /// CDW11 reserved (must be 0).
     pub const SET_INTAKE_QUEUE: u8 = 0xC6;
 }
 
@@ -52,30 +52,23 @@ pub struct FastWrite {
     pub outbound: Vec<Outbound>,
 }
 
-/// What the crash-destage protocol salvaged (paper §4.1).
+/// What the crash-destage protocol salvaged (paper §4.1). One-element
+/// arrays: the device holds one log, and `benchmark/` indexes `[0]`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CrashReport {
-    /// Per lane: the monotonic log offset made durable on the conventional
-    /// side.
-    pub durable_upto: Vec<u64>,
-    /// Per lane: bytes abandoned beyond a reordering gap.
-    pub lost_beyond_gap: Vec<u64>,
+    /// The monotonic log offset made durable on the conventional side.
+    pub durable_upto: [u64; 1],
+    /// Bytes abandoned beyond a reordering gap.
+    pub lost_beyond_gap: [u64; 1],
 }
 
-/// One fast-side lane: its own CMB ring, credit counter, and destage ring
-/// slice (paper §7.1's multi-writer extension; lane 0 is the classic
-/// single-counter device).
-#[derive(Debug)]
-struct Lane {
-    cmb: CmbModule,
-    destage: DestageModule,
-}
-
-/// The Villars device.
+/// The Villars device: one log — one CMB ring with its credit counter, one
+/// destage ring — beside the conventional side (paper §4.1).
 pub struct VillarsDevice {
     config: VillarsConfig,
     conventional: ConventionalSsd,
-    lanes: Vec<Lane>,
+    cmb: CmbModule,
+    destage: DestageModule,
     transport: TransportModule,
     /// Dedicated SRAM backing port (None when DRAM-backed: the shared data
     /// buffer port is used instead).
@@ -103,7 +96,6 @@ pub struct VillarsDevice {
 impl std::fmt::Debug for VillarsDevice {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("VillarsDevice")
-            .field("lanes", &self.lanes.len())
             .field("role", self.transport.role())
             .field("fast_bytes_in", &self.fast_bytes_in)
             .finish()
@@ -115,33 +107,17 @@ impl VillarsDevice {
     pub fn new(config: VillarsConfig) -> Self {
         let conventional = ConventionalSsd::new(config.conventional.clone());
         let page_bytes = config.conventional.geometry.page_bytes as u64;
-        let lanes_n = config.cmb.writer_lanes.max(1) as usize;
-        let mut lanes = Vec::with_capacity(lanes_n);
-        for i in 0..lanes_n {
-            let mut cmb_cfg = config.cmb;
-            cmb_cfg.size = config.cmb.size / lanes_n as u64;
-            cmb_cfg.intake_queue_bytes =
-                (config.cmb.intake_queue_bytes / lanes_n as u64).max(page_bytes.min(512));
-            let mut destage_cfg = config.destage;
-            let slice = config.destage.ring_lbas / lanes_n as u64;
-            assert!(slice > 0, "destage ring too small for {lanes_n} lanes");
-            destage_cfg.ring_base_lba = config.destage.ring_base_lba + i as u64 * slice;
-            destage_cfg.ring_lbas = slice;
-            lanes.push(Lane {
-                cmb: CmbModule::new(cmb_cfg),
-                destage: DestageModule::new(destage_cfg, page_bytes),
-            });
-        }
         let sram_port = match config.cmb.backing {
             BackingClass::Sram => Some(SerialResource::new()),
             BackingClass::Dram => None,
         };
         let backing_bw = config.cmb.backing_bandwidth();
         VillarsDevice {
+            cmb: CmbModule::new(config.cmb),
+            destage: DestageModule::new(config.destage, page_bytes),
             transport: TransportModule::new(config.transport),
             config,
             conventional,
-            lanes,
             sram_port,
             backing_bw,
             vendor_out: EventQueue::new(),
@@ -166,11 +142,6 @@ impl VillarsDevice {
         &self.config
     }
 
-    /// Number of writer lanes.
-    pub fn lanes(&self) -> usize {
-        self.lanes.len()
-    }
-
     /// The conventional side (block device, stats, media peeks).
     pub fn conventional(&self) -> &ConventionalSsd {
         &self.conventional
@@ -193,8 +164,8 @@ impl VillarsDevice {
 
     /// The intake-queue size the flow-control protocol negotiates with the
     /// database (paper §4.1).
-    pub fn intake_queue_bytes(&self, lane: usize) -> u64 {
-        self.lanes[lane].cmb.config().intake_queue_bytes
+    pub fn intake_queue_bytes(&self) -> u64 {
+        self.cmb.config().intake_queue_bytes
     }
 
     /// Total bytes accepted via the fast interface.
@@ -202,26 +173,25 @@ impl VillarsDevice {
         self.fast_bytes_in
     }
 
-    /// CMB statistics for a lane.
-    pub fn cmb_stats(&self, lane: usize) -> crate::cmb::CmbStats {
-        self.lanes[lane].cmb.stats()
+    /// CMB statistics.
+    pub fn cmb_stats(&self) -> crate::cmb::CmbStats {
+        self.cmb.stats()
     }
 
-    /// Destage statistics for a lane.
-    pub fn destage_stats(&self, lane: usize) -> crate::destage::DestageStats {
-        self.lanes[lane].destage.stats()
+    /// Destage statistics.
+    pub fn destage_stats(&self) -> crate::destage::DestageStats {
+        self.destage.stats()
     }
 
     /// Host fast-side write: `data` stored to the CMB window at monotonic
-    /// ring `offset` on `lane`, issued under `mode` (WC or UC). The TLPs
-    /// ride the host link's downstream wire. Mirrors to secondaries when primary.
+    /// ring `offset`, issued under `mode` (WC or UC). The TLPs ride the
+    /// host link's downstream wire. Mirrors to secondaries when primary.
     ///
-    /// The full-size TLPs of the write reach the lane as one run, the
+    /// The full-size TLPs of the write reach the CMB as one run, the
     /// trailing partial as a run of one. The mirror flow gets the arrivals.
     pub fn fast_write(
         &mut self,
         now: SimTime,
-        lane: usize,
         offset: u64,
         data: &[u8],
         mode: MmioMode,
@@ -229,37 +199,31 @@ impl VillarsDevice {
         let shape = StoreIssueModel { mode }.shape(data.len() as u64);
         // Capacity pre-check: a full ring must stall the writer *before*
         // any TLP is issued, so a retry re-sends the same offsets.
-        if !self.lanes[lane].cmb.has_room(offset, data.len() as u64) {
+        if !self.cmb.has_room(offset, data.len() as u64) {
             return Err(CmbError::RingFull);
         }
         let full = (shape.unit * shape.full_count) as usize;
         let (mut burst, mut arrived) = (TlpRun::default(), now);
         if full > 0 {
-            burst = self.send(now, lane, offset, &data[..full], shape.full_count)?;
+            burst = self.send(now, offset, &data[..full], shape.full_count)?;
             arrived = burst.last();
         }
         if full < data.len() {
-            arrived = self.send(now, lane, offset + full as u64, &data[full..], 1)?.first;
+            arrived = self.send(now, offset + full as u64, &data[full..], 1)?.first;
         }
         let issued_at = self.conventional.host_downstream_busy_until();
-        // Mirror the write to secondaries (lane 0 carries replication).
-        let outbound = if lane == 0 {
-            self.transport.mirror(offset, data, shape, burst, arrived)
-        } else {
-            Vec::new()
-        };
+        let outbound = self.transport.mirror(offset, data, shape, burst, arrived);
         Ok(FastWrite { issued_at, arrived_at: arrived, outbound })
     }
 
     /// Send `data` — `count` equal TLPs, back to back on the downstream
-    /// wire from `now` — to `lane` as one run. Returns how they landed. A
+    /// wire from `now` — to the CMB as one run. Returns how they landed. A
     /// lone TLP lands where the wire puts it; a burst is quoted first
-    /// (`peek_write_burst`) and charged once the lane has answered: a TLP it
+    /// (`peek_write_burst`) and charged once the CMB has answered: a TLP it
     /// refuses has crossed the wire too, the ones after it are not sent.
     fn send(
         &mut self,
         now: SimTime,
-        lane: usize,
         offset: u64,
         data: &[u8],
         count: u64,
@@ -271,7 +235,7 @@ impl VillarsDevice {
             _ => link.peek_write_burst(now, unit),
         };
         let run = TlpRun { first, period, count };
-        let taken = self.intake(lane, run, offset, data);
+        let taken = self.intake(run, offset, data);
         let sent = taken.as_ref().map_or_else(|(k, _)| k + 1, |()| count);
         if count > 1 {
             self.conventional.host_downstream_mut().send_write_burst(now, unit, sent);
@@ -280,22 +244,16 @@ impl VillarsDevice {
         taken.map(|()| run).map_err(|(_, e)| e)
     }
 
-    /// Hand `lane` the equal TLPs of `data`, landing as `run` says
+    /// Hand the CMB the equal TLPs of `data`, landing as `run` says
     /// ([`CmbModule::ingest_run`]). They drain through the dedicated SRAM
     /// port or the shared DRAM port, whose derated transfer time models the
     /// 64-bit CMB path on the shared controller (paper §6).
-    fn intake(
-        &mut self,
-        lane: usize,
-        run: TlpRun,
-        offset: u64,
-        data: &[u8],
-    ) -> Result<(), (u64, CmbError)> {
+    fn intake(&mut self, run: TlpRun, offset: u64, data: &[u8]) -> Result<(), (u64, CmbError)> {
         let port = match &mut self.sram_port {
             Some(port) => port,
             None => self.conventional.dram_port(),
         };
-        let taken = self.lanes[lane].cmb.ingest_run(run, offset, data, port, self.backing_bw);
+        let taken = self.cmb.ingest_run(run, offset, data, port, self.backing_bw);
         let unit = data.len() as u64 / run.count;
         self.fast_bytes_in += taken.as_ref().map_or_else(|(k, _)| k * unit, |()| data.len() as u64);
         taken
@@ -304,7 +262,7 @@ impl VillarsDevice {
     /// Deliver a mirrored write into this (secondary) device's CMB intake:
     /// `data` at log `offset`, cut into TLPs of `unit` bytes that land as
     /// `landings` say, each run through the intake the primary uses. TLPs
-    /// below the lane's tail are skipped: a delivery refused part-way
+    /// below the log's tail are skipped: a delivery refused part-way
     /// resumes where it stopped, a duplicate is a no-op.
     pub fn receive_mirror(
         &mut self,
@@ -313,7 +271,7 @@ impl VillarsDevice {
         unit: u64,
         landings: &[TlpRun],
     ) -> Result<(), CmbError> {
-        let resume = self.lanes[0].cmb.tail();
+        let resume = self.cmb.tail();
         let (mut at, mut rest) = (offset, data);
         for run in landings {
             let (tlps, after) = rest.split_at(rest.len().min((run.count * unit) as usize));
@@ -322,7 +280,7 @@ impl VillarsDevice {
             let skip = (resume.saturating_sub(at) / unit).min(run.count);
             if skip < run.count {
                 let tlps = &tlps[(skip * unit) as usize..];
-                self.intake(0, run.skip(skip), at + skip * unit, tlps).map_err(|(_, e)| e)?;
+                self.intake(run.skip(skip), at + skip * unit, tlps).map_err(|(_, e)| e)?;
             }
             at += tlps.len() as u64;
             rest = after;
@@ -335,21 +293,15 @@ impl VillarsDevice {
     /// round trip on the host link (request down, completion up), returning
     /// the policy-combined value (paper §4.2). Returns `(completion instant,
     /// counter)`.
-    pub fn read_credit(&mut self, now: SimTime, lane: usize) -> (SimTime, u64) {
+    pub fn read_credit(&mut self, now: SimTime) -> (SimTime, u64) {
         self.credit_reads += 1;
         let g = self.conventional.host_read_round_trip(now, 0, 8);
-        let local = self.lanes[lane].cmb.credit_at(g.end);
-        let value = if lane == 0 {
-            self.transport.combined_credit(local, self.config.replication)
-        } else {
-            local
-        };
-        (g.end, value)
+        (g.end, self.observed_credit(g.end))
     }
 
     /// Raw local credit (no PCIe round trip) — device-internal observers.
-    pub fn local_credit(&mut self, now: SimTime, lane: usize) -> u64 {
-        self.lanes[lane].cmb.credit_at(now)
+    pub fn local_credit(&mut self, now: SimTime) -> u64 {
+        self.cmb.credit_at(now)
     }
 
     /// Policy-combined credit (replication-aware, like
@@ -357,13 +309,9 @@ impl VillarsDevice {
     /// for host-side completion pollers that resolve already-issued
     /// appends against the durability frontier without perturbing the
     /// link timeline.
-    pub fn observed_credit(&mut self, now: SimTime, lane: usize) -> u64 {
-        let local = self.lanes[lane].cmb.credit_at(now);
-        if lane == 0 {
-            self.transport.combined_credit(local, self.config.replication)
-        } else {
-            local
-        }
+    pub fn observed_credit(&mut self, now: SimTime) -> u64 {
+        let local = self.cmb.credit_at(now);
+        self.transport.combined_credit(local, self.config.replication)
     }
 
     /// Secondary: bound shadow-update catch-up work at `bound` — see
@@ -376,7 +324,7 @@ impl VillarsDevice {
     /// Secondary: emit the shadow-counter updates due up to `now`, as
     /// runs, for the cluster.
     pub fn take_shadow_updates(&mut self, now: SimTime, me: DeviceIndex) -> Vec<Outbound> {
-        self.transport.take_shadow_updates(now, me, &mut self.lanes[0].cmb)
+        self.transport.take_shadow_updates(now, me, &mut self.cmb)
     }
 
     /// Primary: apply `count` shadow-counter updates of `value` from
@@ -404,12 +352,10 @@ impl VillarsDevice {
             // (Ahead of the conventional side's frontier nothing is due there.)
             if conventional.is_some_and(|at| at <= step) {
                 self.conventional.advance_to(step);
-                // Route destage completions to their owning lanes (tokens
-                // are device-global).
                 drained.clear();
                 self.conventional.drain_destage_completions_into(step, &mut drained);
                 for &(_at, token) in &drained {
-                    progressed |= self.lanes.iter_mut().any(|lane| lane.destage.complete(token));
+                    progressed |= self.destage.complete(token);
                 }
                 // Discard orphaned internal-read completions (an interrupted
                 // recovery read): left in place they would pin the event
@@ -418,9 +364,7 @@ impl VillarsDevice {
                 self.conventional.drain_internal_reads_into(step, &mut drained);
                 progressed |= !drained.is_empty();
             }
-            for lane in &mut self.lanes {
-                progressed |= lane.destage.pump(step, &mut lane.cmb, &mut self.conventional);
-            }
+            progressed |= self.destage.pump(step, &mut self.cmb, &mut self.conventional);
             if progressed {
                 stuck_at = None;
                 continue;
@@ -438,6 +382,26 @@ impl VillarsDevice {
         }
         self.destage_drain = drained;
         self.conventional.advance_to(t);
+        self.check();
+    }
+
+    /// The log's invariants across its two modules, checked in debug builds
+    /// after every [`VillarsDevice::advance`] and
+    /// [`VillarsDevice::power_fail`]: `persisted ≤ scheduled ≤ credit` (a
+    /// page is destaged only from credited bytes, and persists only once
+    /// scheduled) and `head ≤ scheduled` (ring space is freed only by a
+    /// destage submission). [`CmbModule`] checks its own `head ≤ credit ≤
+    /// tail`.
+    fn check(&self) {
+        if cfg!(debug_assertions) {
+            let (persisted, scheduled) = (self.destage.persisted(), self.destage.scheduled());
+            let (head, credit) = (self.cmb.head(), self.cmb.credit_settled());
+            assert!(
+                persisted <= scheduled && scheduled <= credit && head <= scheduled,
+                "Villars log: persisted {persisted}, scheduled {scheduled}, credit {credit}, \
+                 head {head}"
+            );
+        }
     }
 
     /// The earliest head `keep` admits among the device's calendars — the
@@ -448,14 +412,16 @@ impl VillarsDevice {
         SimTime::earliest(fast_side, self.conventional.frontier(host_facing, keep))
     }
 
-    /// The fast side's calendars: every lane's triggers (a destage latency
+    /// The fast side's calendars: the log's triggers (a destage latency
     /// deadline, a CMB chunk settling) and, if `host_facing`, the vendor
     /// completions waiting for the host.
     fn fast_frontier(&self, host_facing: bool, keep: impl Fn(SimTime) -> bool) -> Option<SimTime> {
-        let lanes =
-            self.lanes.iter().flat_map(|l| [l.destage.next_deadline(), l.cmb.next_pending()]);
         let vendor = self.vendor_out.next_time().filter(|_| host_facing);
-        lanes.chain([vendor]).flatten().filter(|at| keep(*at)).min()
+        [self.destage.next_deadline(), self.cmb.next_pending(), vendor]
+            .into_iter()
+            .flatten()
+            .filter(|at| keep(*at))
+            .min()
     }
 
     /// The earliest pending device event (conventional work, a fast-side
@@ -471,43 +437,46 @@ impl VillarsDevice {
         self.frontier(true, |at| at > t)
     }
 
-    /// When `lane`'s local credit counter reaches `target`
+    /// When the local credit counter reaches `target`
     /// ([`CmbModule::credit_reaches`]).
-    pub fn credit_reaches(&self, lane: usize, target: u64) -> Option<SimTime> {
-        self.lanes[lane].cmb.credit_reaches(target)
+    pub fn credit_reaches(&self, target: u64) -> Option<SimTime> {
+        self.cmb.credit_reaches(target)
     }
 
-    /// Log offset durable on the conventional side for `lane` (x_pread
-    /// horizon).
-    pub fn destaged_upto(&self, lane: usize) -> u64 {
-        self.lanes[lane].destage.persisted()
+    /// Log offset durable on the conventional side (x_pread horizon).
+    pub fn destaged_upto(&self) -> u64 {
+        self.destage.persisted()
     }
 
-    /// The lane's monotonic log tail: every byte below it has been
-    /// contiguously received into the CMB ring.
-    pub fn log_tail(&self, lane: usize) -> u64 {
-        self.lanes[lane].cmb.tail()
+    /// The monotonic log tail: every byte below it has been contiguously
+    /// received into the CMB ring.
+    pub fn log_tail(&self) -> u64 {
+        self.cmb.tail()
     }
 
-    /// The lane's destage head: bytes below it have left the CMB ring for
-    /// the conventional side (readable via [`VillarsDevice::read_destaged`]).
-    pub fn log_head(&self, lane: usize) -> u64 {
-        self.lanes[lane].cmb.head()
+    /// The destage head: bytes below it have left the CMB ring for the
+    /// conventional side (readable via [`VillarsDevice::read_destaged`]).
+    pub fn log_head(&self) -> u64 {
+        self.cmb.head()
     }
 
-    /// Oldest log offset still readable from the lane's destage ring —
-    /// the ring recycles, so offsets below this are gone from the device
-    /// and recoverable only from a host-side archive. `None` when nothing
-    /// has been destaged yet.
+    /// Oldest log offset still readable from the destage ring — the ring
+    /// recycles, so offsets below this are gone from the device and
+    /// recoverable only from a host-side archive. `None` when nothing has
+    /// been destaged yet.
+    ///
+    /// `lane` must be 0: the device holds one log, and the argument stays
+    /// only because `benchmark/` calls this with it.
     pub fn destage_readable_from(&self, lane: usize) -> Option<u64> {
-        self.lanes[lane].destage.readable_from()
+        assert_eq!(lane, 0, "a Villars device holds one log");
+        self.destage.readable_from()
     }
 
-    /// Copy live CMB ring content `[offset, offset+len)` for `lane`
-    /// (panics with the structured invariant report when the range falls
-    /// outside the live window `[head, tail]`).
-    pub fn log_content(&self, lane: usize, offset: u64, len: usize) -> Vec<u8> {
-        self.lanes[lane].cmb.content(offset, len)
+    /// Copy live CMB ring content `[offset, offset+len)` (panics with the
+    /// structured invariant report when the range falls outside the live
+    /// window `[head, tail]`).
+    pub fn log_content(&self, offset: u64, len: usize) -> Vec<u8> {
+        self.cmb.content(offset, len)
     }
 
     /// Raw flash-array statistics of the conventional side (including the
@@ -539,9 +508,12 @@ impl VillarsDevice {
         self.transport.schedule_link_down(window);
     }
 
-    /// Read destaged log content `[offset, offset+len)` from `lane`,
-    /// driving the device until the read completes. Returns `None` if the
-    /// range is not (or no longer) on the destage ring.
+    /// Read destaged log content `[offset, offset+len)`, driving the device
+    /// until the read completes. Returns `None` if the range is not (or no
+    /// longer) on the destage ring.
+    ///
+    /// `lane` must be 0: the device holds one log, and the argument stays
+    /// only because `benchmark/` calls this with it.
     pub fn read_destaged(
         &mut self,
         now: SimTime,
@@ -549,13 +521,14 @@ impl VillarsDevice {
         offset: u64,
         len: usize,
     ) -> Option<(SimTime, Vec<u8>)> {
+        assert_eq!(lane, 0, "a Villars device holds one log");
         let mut out = Vec::with_capacity(len);
         let mut reads = Vec::new();
         let mut ready = now;
         let mut cursor = offset;
         let end = offset + len as u64;
         while cursor < end {
-            let seg = self.lanes[lane].destage.segment_for(cursor)?;
+            let seg = self.destage.segment_for(cursor)?;
             // Host-visible content: the write cache may still hold a
             // destaged page the flash program has not retired yet.
             let media = self.conventional.read_content(seg.lba)?;
@@ -590,35 +563,26 @@ impl VillarsDevice {
     }
 
     /// Sudden power interruption (paper §4.1 crash consistency): the device
-    /// drains the intake queues (stopping at gaps), destages every lane's
-    /// ring residue on supercap power, and loses all host-volatile state.
+    /// drains the intake queue (stopping at a gap), destages the ring
+    /// residue on supercap power, and loses all host-volatile state.
     pub fn power_fail(&mut self, now: SimTime) -> CrashReport {
         self.advance(now);
-        let mut frontiers = Vec::with_capacity(self.lanes.len());
-        let mut lost = Vec::with_capacity(self.lanes.len());
-        for lane in &mut self.lanes {
-            let tail_before = lane.cmb.tail();
-            let frontier = lane.cmb.crash_drain();
-            lost.push(tail_before.saturating_sub(frontier));
-            frontiers.push(frontier);
-        }
-        for (lane, &frontier) in self.lanes.iter_mut().zip(&frontiers) {
-            lane.destage.crash_submit(now, frontier, &mut lane.cmb, &mut self.conventional);
-        }
-        self.conventional.power_fail_rescue_destage(now);
-        let durable_upto: Vec<u64> =
-            self.lanes.iter_mut().map(|l| l.destage.crash_finalize()).collect();
+        let tail_before = self.cmb.tail();
+        let frontier = self.cmb.crash_drain();
+        let durable =
+            self.destage.crash_destage(now, frontier, &mut self.cmb, &mut self.conventional);
         // Reboot: CMB content is reset but the log-offset space continues
         // from the durable frontier; destaged data is on the conventional
         // side, readable through the destage ring segments. The transport
         // role does not survive the crash — peers must be reconfigured via
         // vendor commands (paper §7.1).
-        for lane in &mut self.lanes {
-            let frontier = lane.destage.persisted();
-            lane.cmb.reset_to(frontier);
-        }
+        self.cmb.reset_to(durable);
         self.transport.set_stand_alone();
-        CrashReport { durable_upto, lost_beyond_gap: lost }
+        self.check();
+        CrashReport {
+            durable_upto: [durable],
+            lost_beyond_gap: [tail_before.saturating_sub(frontier)],
+        }
     }
 
     fn vendor_complete(&mut self, now: SimTime, cid: u16, status: Status, result: u32) {
@@ -679,13 +643,12 @@ impl VillarsDevice {
             }
             vendor::SET_INTAKE_QUEUE => {
                 let bytes = v.dwords[0] as u64;
-                let lane = v.dwords[1] as usize;
-                if bytes == 0 || lane >= self.lanes.len() {
+                if bytes == 0 || v.dwords[1] != 0 {
                     self.vendor_complete(now, cid, Status::InvalidField, 0);
                 } else {
-                    // Reconfiguration only applies to an idle lane: the
-                    // flow-control window is negotiated at setup time.
-                    self.lanes[lane].cmb.set_intake_queue(bytes);
+                    // The new window applies to later ingests; bytes
+                    // already in the intake queue are not re-checked.
+                    self.cmb.set_intake_queue(bytes);
                     self.vendor_complete(now, cid, Status::Success, 0);
                 }
             }
@@ -704,10 +667,10 @@ impl simkit::Instrument for VillarsDevice {
     /// side under `core.*` — the full PCIe-to-flash view of one device.
     fn instrument(&self, out: &mut simkit::Scope<'_>) {
         self.conventional.instrument(out);
-        for (i, lane) in self.lanes.iter().enumerate() {
-            out.collect(&format!("core.cmb.lane{i}"), &lane.cmb);
-            out.collect(&format!("core.destage.lane{i}"), &lane.destage);
-        }
+        // The `lane0` segment predates the one-log device; the paths stay
+        // because `benchmark/` and the committed goldens read them.
+        out.collect("core.cmb.lane0", &self.cmb);
+        out.collect("core.destage.lane0", &self.destage);
         out.collect("core.transport", &self.transport);
         out.collect("core.port", &self.port);
         let mut fast = out.scope("core.fast");
@@ -719,9 +682,9 @@ impl simkit::Instrument for VillarsDevice {
             fast.collect("sram_port", port);
         }
         // Replication lag: bytes the slowest secondary still trails the
-        // primary's settled credit frontier by (primary, lane 0).
+        // primary's settled credit frontier by.
         if let Some(min_shadow) = self.transport.min_shadow() {
-            let local = self.lanes[0].cmb.credit_settled();
+            let local = self.cmb.credit_settled();
             fast.gauge("replication_lag_bytes", local.saturating_sub(min_shadow) as f64);
         }
     }
@@ -802,11 +765,27 @@ mod tests {
         // an entry per TLP.
         let mut dev = VillarsDevice::new(VillarsConfig::villars_dram());
         let data = vec![0xD5; 16 << 10];
-        dev.fast_write(SimTime::from_micros(1), 0, 0, &data, MmioMode::WriteCombining)
+        dev.fast_write(SimTime::from_micros(1), 0, &data, MmioMode::WriteCombining)
             .expect("fits the window");
-        let cmb = &dev.lanes[0].cmb;
+        let cmb = &dev.cmb;
         assert!(cmb.pending_runs() <= 2, "{} pending entries", cmb.pending_runs());
         assert!(cmb.credit_reaches(16 << 10).is_some());
         assert_eq!(cmb.stats().chunks, 256);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "Villars log: persisted 0, scheduled 0, credit 100, head 50")]
+    fn a_head_past_the_destage_schedule_breaks_the_log_invariant() {
+        let mut dev = VillarsDevice::new(VillarsConfig::small());
+        dev.fast_write(SimTime::ZERO, 0, &[7u8; 100], MmioMode::WriteCombining)
+            .expect("fits the window");
+        // Credited, but below a page and before the deadline: not scheduled.
+        dev.advance(SimTime::from_micros(10));
+        assert_eq!((dev.destage.scheduled(), dev.local_credit(SimTime::from_micros(10))), (0, 100));
+        // A test-only corruption: ring space freed that no destage took.
+        // The CMB's own `head ≤ credit ≤ tail` still holds.
+        dev.cmb.advance_head(50);
+        dev.advance(SimTime::from_micros(20));
     }
 }

@@ -405,7 +405,7 @@ impl TransportModule {
     }
 
     /// Secondary: emit the periodic shadow-counter updates due up to `now`
-    /// as runs. `cmb` is the lane whose credit is reported. Between two
+    /// as runs. `cmb` is the CMB whose credit is reported. Between two
     /// drain completions the credit cannot change, so every cycle up to
     /// `now` and strictly before the next pending completion reports the
     /// value read at the run's first cycle (a cycle *at* a completion

@@ -35,13 +35,13 @@ fn run_scenario(seed: u64) -> Trace {
     // Observe the policy-combined credit, then jump to the next event.
     let (n, now) = drive_random_scenario(&mut cl, seed, |cl, now| {
         cl.advance(now);
-        let (t2, credit) = cl.read_credit(0, now, 0);
+        let (t2, credit) = cl.read_credit(0, now);
         credit_reads.push((t2, credit));
         cl.next_event_after(now).expect("a replicated cluster has an event pending")
     });
     cl.advance(now + SimDuration::from_millis(1));
 
-    let log_tails = (0..n).map(|i| cl.device(i).log_tail(0)).collect();
+    let log_tails = (0..n).map(|i| cl.device(i).log_tail()).collect();
     let mut reg = MetricsRegistry::new();
     reg.collect("cluster", &cl);
     Trace { credit_reads, log_tails, telemetry_json: reg.snapshot().metrics_json().to_string() }

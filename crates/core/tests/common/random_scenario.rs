@@ -79,7 +79,7 @@ fn drive_random_scenario(
         }
         let len = 64 + 64 * rng.uniform(0, 6) as usize;
         let data = vec![(i % 251) as u8; len];
-        match cl.fast_write(0, now, 0, offset, &data, MmioMode::WriteCombining) {
+        match cl.fast_write(0, now, offset, &data, MmioMode::WriteCombining) {
             Ok((_, t1)) => {
                 offset += len as u64;
                 now = t1;

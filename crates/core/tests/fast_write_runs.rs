@@ -31,7 +31,7 @@ fn fast_write_per_tlp(
     let mut last = None;
     for (k, tlp) in data.chunks(unit).enumerate() {
         let fw = dev
-            .fast_write(now, 0, offset + (k * unit) as u64, tlp, mode)
+            .fast_write(now, offset + (k * unit) as u64, tlp, mode)
             .expect("reference TLP rejected");
         last = Some((fw.issued_at, fw.arrived_at));
     }
@@ -80,7 +80,7 @@ fn compare_against_per_tlp(
     let mut offset = 0u64;
     for (i, &len) in script.iter().enumerate() {
         let data: Vec<u8> = (0..len).map(|b| (b as u64 * 131 + offset) as u8).collect();
-        let got = run.fast_write(now, 0, offset, &data, mode).expect("write rejected");
+        let got = run.fast_write(now, offset, &data, mode).expect("write rejected");
         let want = fast_write_per_tlp(&mut walk, now, offset, &data, mode);
         assert_eq!((got.issued_at, got.arrived_at), want, "{label}: write {i} of {len} bytes");
         assert_eq!(snapshot(&run), snapshot(&walk), "{label}: after write {i} of {len} bytes");
@@ -101,18 +101,14 @@ fn compare_against_per_tlp(
         }
     }
     assert_eq!(
-        run.log_content(0, run.log_head(0), (offset - run.log_head(0)) as usize),
-        walk.log_content(0, walk.log_head(0), (offset - walk.log_head(0)) as usize),
+        run.log_content(run.log_head(), (offset - run.log_head()) as usize),
+        walk.log_content(walk.log_head(), (offset - walk.log_head()) as usize),
         "{label}: ring content"
     );
     // The credit a host would read at a grid of later instants.
     for step in [0, 1, 10, 16, 44, 45, 100, 1_000, 50_000] {
         let at = now + SimDuration::from_nanos(step);
-        assert_eq!(
-            run.read_credit(at, 0),
-            walk.read_credit(at, 0),
-            "{label}: credit at +{step} ns"
-        );
+        assert_eq!(run.read_credit(at), walk.read_credit(at), "{label}: credit at +{step} ns");
         assert_eq!(run.next_event(), walk.next_event(), "{label}: next event at +{step} ns");
     }
     run.advance(now + SimDuration::from_millis(5));
@@ -142,7 +138,7 @@ fn a_mid_burst_overrun_keeps_its_own_accounting() {
     config.cmb.intake_queue_bytes = 512;
     let mut dev = VillarsDevice::new(config);
     let err = dev
-        .fast_write(SimTime::ZERO, 0, 0, &[0x5A; 4096], MmioMode::WriteCombining)
+        .fast_write(SimTime::ZERO, 0, &[0x5A; 4096], MmioMode::WriteCombining)
         .expect_err("the queue holds eight chunks");
     assert!(matches!(err, CmbError::QueueOverrun { queue: 512, .. }), "{err}");
     let snap = snapshot(&dev);
@@ -179,7 +175,7 @@ fn a_replicated_log_takes_nearly_every_chunk_as_a_run() {
         now = file.x_fsync(&mut cl, t1).expect("x_fsync")
             + SimDuration::from_nanos(rng.uniform(0, 1_600));
     }
-    let stats = cl.device(0).cmb_stats(0);
+    let stats = cl.device(0).cmb_stats();
     assert_eq!(stats.bytes_in, file.written());
     // Exact for this seed: a change of regime shows as a count, not a slow run.
     assert_eq!(stats.chunks, 165_492);

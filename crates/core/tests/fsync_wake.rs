@@ -118,15 +118,15 @@ fn commit_with_oracle(
     what: &str,
 ) -> (Outcome, Option<SimTime>) {
     cl.advance(t1);
-    let (read_done, credit) = cl.read_credit(0, t1, 0);
+    let (read_done, credit) = cl.read_credit(0, t1);
     if credit >= target {
         return (Ok(read_done), None);
     }
     let mut t = t1;
     let mut bounds: Vec<(SimTime, SimTime)> = Vec::new();
     let mut stalled_at = None;
-    while cl.device_mut(0).observed_credit(t, 0) < target {
-        match cl.next_credit_event_after(0, 0, target, t) {
+    while cl.device_mut(0).observed_credit(t) < target {
+        match cl.next_credit_event_after(0, target, t) {
             Some(bound) => {
                 assert!(bound > t, "{what}: at {t} the bound {bound} is not in the future");
                 assert_eq!(stalled_at, None, "{what}: a bound at {t} after `None`");
@@ -151,7 +151,7 @@ fn commit_with_oracle(
     for (at, bound) in bounds {
         assert!(bound <= t, "{what}: at {at} the bound {bound} overshoots the crossing {t}");
     }
-    let (confirmed, credit) = cl.read_credit(0, t.max(read_done), 0);
+    let (confirmed, credit) = cl.read_credit(0, t.max(read_done));
     assert!(credit >= target, "{what}: the confirming read fell short");
     (Ok(confirmed), Some(t))
 }
@@ -159,12 +159,12 @@ fn commit_with_oracle(
 /// Commit through `sleep_until_credit`; returns the last wake instant.
 fn commit_with_sleep(cl: &mut Cluster, target: u64, t1: SimTime) -> Option<SimTime> {
     cl.advance(t1);
-    let (read_done, credit) = cl.read_credit(0, t1, 0);
+    let (read_done, credit) = cl.read_credit(0, t1);
     if credit >= target {
         return None;
     }
-    let woke = cl.sleep_until_credit(0, 0, target, t1)?;
-    cl.read_credit(0, woke.max(read_done), 0);
+    let woke = cl.sleep_until_credit(0, target, t1)?;
+    cl.read_credit(0, woke.max(read_done));
     Some(woke)
 }
 
@@ -209,7 +209,7 @@ fn run_case(case: &Case, commits: usize) -> (Outcome, u64) {
         // A synced handle holds `credit_seen == written`: reopening at the
         // offset is the same handle.
         for other in [&mut oracle, &mut sleeper] {
-            let mut f = XLogFile::open_lane_at(0, 0, MmioMode::WriteCombining, offset);
+            let mut f = XLogFile::open_at(0, MmioMode::WriteCombining, offset);
             assert_eq!(f.x_pwrite(other, t0, &data).expect("x_pwrite"), t1, "{what}: x_pwrite");
         }
         let target = file.written();
@@ -328,13 +328,13 @@ fn stand_alone_lanes_sleep_until_their_own_drain() {
 /// instant is in the value read. Returns the instant the last byte was
 /// issued and the reads it took.
 fn pwrite_by_the_book(cl: &mut Cluster, offset: u64, t0: SimTime, data: &[u8]) -> (SimTime, u64) {
-    let window = cl.device(0).intake_queue_bytes(0);
+    let window = cl.device(0).intake_queue_bytes();
     let (mut written, mut credit_seen) = (offset, offset);
     let (mut now, mut reads) = (t0, 0);
     while written < offset + data.len() as u64 {
         let room = window - (written - credit_seen);
         if room == 0 {
-            let (read_done, credit) = cl.read_credit(0, now, 0);
+            let (read_done, credit) = cl.read_credit(0, now);
             reads += 1;
             credit_seen = credit_seen.max(credit);
             now = read_done;
@@ -348,7 +348,7 @@ fn pwrite_by_the_book(cl: &mut Cluster, offset: u64, t0: SimTime, data: &[u8]) -
         let from = (written - offset) as usize;
         let chunk = &data[from..data.len().min(from + room as usize)];
         let wc = MmioMode::WriteCombining;
-        (now, _) = cl.fast_write(0, now, 0, written, chunk, wc).expect("fast_write");
+        (now, _) = cl.fast_write(0, now, written, chunk, wc).expect("fast_write");
         written += chunk.len() as u64;
     }
     (now, reads)
@@ -393,7 +393,7 @@ fn a_write_larger_than_the_window_resumes_on_the_read_that_sees_the_credit() {
             waited += reads;
             // Both commit the same way, so the two clusters stay in step.
             now = file.x_fsync(&mut product, t1).expect("x_fsync");
-            let mut twin = XLogFile::open_lane_at(0, 0, MmioMode::WriteCombining, file.written());
+            let mut twin = XLogFile::open_at(0, MmioMode::WriteCombining, file.written());
             assert_eq!(twin.x_fsync(&mut book, t1).expect("x_fsync"), now, "{what}: x_fsync");
         }
     }

@@ -48,11 +48,11 @@ fn a_replicated_write_is_one_queue_entry_and_one_run_per_secondary() {
     // Every write fits the 32 KiB window, so it is one `fast_write`: exactly
     // one entry per write per secondary, none retried.
     assert_eq!(cl.mirrors_queued() - mirrors_before, 2 * CYCLES);
-    let primary = cl.device(0).cmb_stats(0);
+    let primary = cl.device(0).cmb_stats();
     for dev in [1, 2] {
         // The secondary's lane is fed like the primary's, through the same
         // run intake: chunk for chunk what the primary took.
-        let stats = cl.device(dev).cmb_stats(0);
+        let stats = cl.device(dev).cmb_stats();
         assert_eq!(stats.bytes_in, file.written(), "dev{dev}");
         assert_eq!((stats.chunks, primary.chunks), (165_492, 165_492), "dev{dev}");
     }
@@ -74,8 +74,8 @@ fn a_secondary_never_reports_a_byte_whose_tlp_has_not_landed() {
     let data = vec![0xC3u8; 16 << 10];
     let wc = MmioMode::WriteCombining;
     cl.advance(t0);
-    let (_, arrived) = cl.fast_write(0, t0, 0, 0, &data, wc).expect("fast_write");
-    let outbound = twin.device_mut(0).fast_write(t0, 0, 0, &data, wc).expect("twin").outbound;
+    let (_, arrived) = cl.fast_write(0, t0, 0, &data, wc).expect("fast_write");
+    let outbound = twin.device_mut(0).fast_write(t0, 0, &data, wc).expect("twin").outbound;
     let Some(Outbound::Mirror(mirror)) = outbound.iter().find(|o| o.dst() == 1) else {
         panic!("no mirror for device 1 in {outbound:?}");
     };
@@ -151,9 +151,9 @@ fn a_mirror_refused_part_way_resumes_at_the_first_byte_not_taken() {
     let end = file.x_fsync(&mut cl, t2).expect("x_fsync") + SimDuration::from_millis(2);
     cl.advance(end);
     for dev in [1, 2] {
-        assert_eq!(cl.device(dev).log_tail(0), file.written(), "dev{dev}");
-        assert_eq!(cl.device_mut(dev).local_credit(end, 0), file.written(), "dev{dev}");
-        assert_eq!(cl.device(dev).cmb_stats(0).bytes_in, file.written(), "dev{dev}: no byte twice");
+        assert_eq!(cl.device(dev).log_tail(), file.written(), "dev{dev}");
+        assert_eq!(cl.device_mut(dev).local_credit(end), file.written(), "dev{dev}");
+        assert_eq!(cl.device(dev).cmb_stats().bytes_in, file.written(), "dev{dev}: no byte twice");
         // Byte for byte, back from the destage ring.
         let (_, log) = cl.device_mut(dev).read_destaged(end, 0, 0, 16_384).expect("destaged");
         assert_eq!(log, data, "dev{dev}");
@@ -173,6 +173,6 @@ fn a_mirror_nothing_can_reopen_is_a_stall_not_a_retry_grid() {
     cl.add_device(tiny);
     let t0 = cl.configure_replication(SimTime::ZERO, 0, &[1]);
     let (_, arrived) =
-        cl.fast_write(0, t0, 0, 0, &[0x11; 64], MmioMode::WriteCombining).expect("fast_write");
+        cl.fast_write(0, t0, 0, &[0x11; 64], MmioMode::WriteCombining).expect("fast_write");
     cl.advance(arrived + SimDuration::from_micros(10));
 }

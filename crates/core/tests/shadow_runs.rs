@@ -39,7 +39,7 @@ fn a_quiet_millisecond_is_a_handful_of_runs() {
     cl.advance(t0);
     let (sent_before, queued_before) = ([sent(&cl, 1), sent(&cl, 2)], cl.shadow_runs_queued());
     let (_, t1) =
-        cl.fast_write(0, t0, 0, 0, &[0x5A; 64], MmioMode::WriteCombining).expect("fast write");
+        cl.fast_write(0, t0, 0, &[0x5A; 64], MmioMode::WriteCombining).expect("fast write");
     cl.advance(t1 + SimDuration::from_millis(1));
     // One update per 0.8 us cycle on each secondary, as the wire sees it...
     for (dev, before) in [(1, sent_before[0]), (2, sent_before[1])] {
@@ -50,7 +50,7 @@ fn a_quiet_millisecond_is_a_handful_of_runs() {
     // one up to the drain it triggers, one to the horizon.
     let runs = cl.shadow_runs_queued() - queued_before;
     assert!((2..=8).contains(&runs), "{runs} runs queued for ~2 500 updates");
-    let (_, credit) = cl.read_credit(0, t1 + SimDuration::from_millis(1), 0);
+    let (_, credit) = cl.read_credit(0, t1 + SimDuration::from_millis(1));
     assert_eq!(credit, 64, "both secondaries acknowledged the write");
 }
 

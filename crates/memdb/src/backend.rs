@@ -513,12 +513,11 @@ impl LogBackend for XssdLog {
             return;
         }
         self.cluster.advance(now);
-        let lane = self.file.lane();
         // Host-visible durability: the policy-combined credit counter (no
         // MMIO round trip — the poller reads the shadow state the host
         // would have cached). Completion instants are the poll instant,
         // exactly like `x_fsync` observes durability.
-        let credit = self.cluster.device_mut(self.dev).observed_credit(now, lane);
+        let credit = self.cluster.device_mut(self.dev).observed_credit(now);
         while let Some(&(tag, end)) = self.pending.first() {
             if end > credit {
                 break;

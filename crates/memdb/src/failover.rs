@@ -128,7 +128,7 @@ pub fn rejoin_secondary_from_archive(
     assert!(secondaries.contains(&target), "the rejoined device must be in the new replica set");
     cluster.reboot_device(target);
     cluster.advance(now);
-    let tail_at_reboot = cluster.device(target).log_tail(0);
+    let tail_at_reboot = cluster.device(target).log_tail();
     let mut t = now;
     for seg in archive {
         if seg.base_lsn + seg.bytes.len() as u64 <= tail_at_reboot {
@@ -141,26 +141,26 @@ pub fn rejoin_secondary_from_archive(
         );
         t = cluster.deliver_archived(t, target, seg.base_lsn, seg.bytes);
     }
-    let archived_bytes = cluster.device(target).log_tail(0) - tail_at_reboot;
+    let archived_bytes = cluster.device(target).log_tail() - tail_at_reboot;
     let archive_done = t;
     let resynced_at = cluster.resync_secondary(t, primary, target);
     let active_at = cluster.configure_replication(resynced_at, primary, secondaries);
     RejoinReport { tail_at_reboot, archived_bytes, archive_done, resynced_at, active_at }
 }
 
-/// Read the full durable log stream `[0, destaged frontier)` of `dev`'s
-/// lane `lane` — the input `recover` replays after a crash (the rescue
-/// destage of [`Cluster::power_fail`] pushes every contiguously received
-/// byte below the frontier onto the conventional side first).
-pub fn durable_log_stream(cluster: &mut Cluster, now: SimTime, dev: usize, lane: usize) -> Vec<u8> {
+/// Read the full durable log stream `[0, destaged frontier)` of `dev` —
+/// the input `recover` replays after a crash (the rescue destage of
+/// [`Cluster::power_fail`] pushes every contiguously received byte below
+/// the frontier onto the conventional side first).
+pub fn durable_log_stream(cluster: &mut Cluster, now: SimTime, dev: usize) -> Vec<u8> {
     cluster.advance(now);
-    let upto = cluster.device(dev).destaged_upto(lane);
+    let upto = cluster.device(dev).destaged_upto();
     if upto == 0 {
         return Vec::new();
     }
     cluster
         .device_mut(dev)
-        .read_destaged(now, lane, 0, upto as usize)
+        .read_destaged(now, 0, 0, upto as usize)
         .map(|(_ready, bytes)| bytes)
         .expect("durable log stream readable from offset 0 (destage ring not yet recycled)")
 }
@@ -222,8 +222,8 @@ mod tests {
         // Rejoin s2: reboot, re-sync the missed suffix, restore the set.
         now = rejoin_secondary(&mut cluster, now, p, s2, &[s1, s2]);
         assert_eq!(
-            cluster.device(s2).log_tail(0),
-            cluster.device(p).log_tail(0),
+            cluster.device(s2).log_tail(),
+            cluster.device(p).log_tail(),
             "re-sync caught the rejoined copy up to the primary's tail"
         );
         for i in 16..20u32 {
@@ -237,7 +237,7 @@ mod tests {
         cluster.power_fail(s2, settle);
         cluster.reboot_device(s2);
         // Recover from the *rejoined* copy: it must hold every commit.
-        let stream = durable_log_stream(&mut cluster, settle, s2, 0);
+        let stream = durable_log_stream(&mut cluster, settle, s2);
         let mut recovered = Database::new();
         recovered.create_table("t");
         let rep = recover(&mut recovered, &stream);
@@ -289,7 +289,7 @@ mod tests {
             now = commit(&mut db, &mut seg, &mut cluster, &mut file, now, i);
         }
         cluster.power_fail(s2, now);
-        let tail_at_crash = cluster.device(s2).log_tail(0);
+        let tail_at_crash = cluster.device(s2).log_tail();
         let report = fail_over(&mut cluster, now, p, &[s1]);
         now = report.reconfigured_at;
         // Write far more than the small destage ring (64 LBAs) retains.
@@ -311,8 +311,8 @@ mod tests {
         assert!(rejoin.archived_bytes > 0, "the archive leg must have shipped the gap");
         assert!(rejoin.archive_done <= rejoin.resynced_at);
         assert_eq!(
-            cluster.device(s2).log_tail(0),
-            cluster.device(p).log_tail(0),
+            cluster.device(s2).log_tail(),
+            cluster.device(p).log_tail(),
             "archive + live resync caught the rejoined copy up to the primary's tail"
         );
 
@@ -326,7 +326,7 @@ mod tests {
         cluster.power_fail(s2, end);
         cluster.reboot_device(s2);
         let from = cluster.device(s2).destage_readable_from(0).expect("rejoined copy destaged");
-        let upto = cluster.device(s2).destaged_upto(0);
+        let upto = cluster.device(s2).destaged_upto();
         let (_ready, bytes) = cluster
             .device_mut(s2)
             .read_destaged(end, 0, from, (upto - from) as usize)

@@ -16,7 +16,6 @@ pub struct Replica {
     /// The replica's in-memory state.
     pub db: Database,
     dev: usize,
-    lane: usize,
     /// Log byte offset consumed so far.
     cursor: u64,
     /// Carry buffer for a record split across reads.
@@ -44,15 +43,7 @@ impl Replica {
         for t in tables {
             db.create_table(t);
         }
-        Replica {
-            db,
-            dev,
-            lane: 0,
-            cursor: 0,
-            carry: Vec::new(),
-            txns_applied: 0,
-            staged: Vec::new(),
-        }
+        Replica { db, dev, cursor: 0, carry: Vec::new(), txns_applied: 0, staged: Vec::new() }
     }
 
     /// A replica resuming from a restored snapshot: `db` is the decoded
@@ -66,7 +57,6 @@ impl Replica {
         Replica {
             db,
             dev,
-            lane: 0,
             cursor: log_offset,
             carry: Vec::new(),
             txns_applied: 0,
@@ -117,13 +107,13 @@ impl Replica {
     /// applied in this pass.
     pub fn catch_up(&mut self, cluster: &mut Cluster, now: SimTime) -> u64 {
         cluster.advance(now);
-        let destaged = cluster.device(self.dev).destaged_upto(self.lane);
+        let destaged = cluster.device(self.dev).destaged_upto();
         if destaged <= self.cursor {
             return 0;
         }
         let want = (destaged - self.cursor) as usize;
         let Some((_ready, bytes)) =
-            cluster.device_mut(self.dev).read_destaged(now, self.lane, self.cursor, want)
+            cluster.device_mut(self.dev).read_destaged(now, 0, self.cursor, want)
         else {
             return 0;
         };

@@ -83,7 +83,7 @@ fn run_case(seed: u64) {
     cluster.power_fail(s, settle);
     for dev in [p, s] {
         cluster.reboot_device(dev);
-        let stream = durable_log_stream(&mut cluster, settle, dev, 0);
+        let stream = durable_log_stream(&mut cluster, settle, dev);
         let mut recovered = Database::new();
         recovered.create_table("t");
         let rep = recover(&mut recovered, &stream);

@@ -34,7 +34,7 @@ fn main() {
         // Checkpoint every 50 transactions (the final 50 stay in the log,
         // so recovery demonstrates the suffix replay).
         if i % 50 == 49 && i < 100 {
-            let (_t, durable) = cluster.read_credit(dev, now, 0);
+            let (_t, durable) = cluster.read_credit(dev, now);
             let (t, meta) = ck.checkpoint(&mut cluster, now, &db, durable);
             println!(
                 "checkpoint generation {} at txn {} (covers {} log bytes, {} KiB snapshot, done {t})",

@@ -1,63 +1,33 @@
-//! Multi-writer fast side: per-lane credit counters (paper §7.1) and the
-//! advanced x_alloc/x_free region API (paper §5.2).
+//! Many writers, one credit counter: the advanced x_alloc/x_free region API
+//! (paper §5.2).
 //!
 //! Run with: `cargo run --release --example multi_writer`
 //!
-//! A single credit counter cannot tell concurrent writers apart, so a
-//! multi-threaded database either pins writers to per-core lanes (each with
-//! its own counter) or allocates ring regions up front and fills them in
-//! parallel — both are shown here.
+//! A Villars device has one credit counter, and it reports the contiguous
+//! frontier of the log. Worker threads share it by allocating adjacent ring
+//! regions up front and filling them in parallel, in any order: the counter
+//! covers a region once every byte below it has landed.
 
-use xssd_suite::pcie::MmioMode;
 use xssd_suite::sim::{SimDuration, SimTime};
-use xssd_suite::xssd::{Cluster, VillarsConfig, XAllocator, XLogFile};
+use xssd_suite::xssd::{Cluster, VillarsConfig, XAllocator};
 
 fn main() {
-    println!("== multi-writer lanes & the x_alloc/x_free API ==");
+    println!("== many writers, one counter: the x_alloc/x_free API ==");
 
-    // Part 1: four writer lanes, each with its own CMB ring, credit
-    // counter, and destage-ring slice.
-    let mut cfg = VillarsConfig::villars_sram();
-    cfg.cmb.writer_lanes = 4;
+    // Allocate adjacent regions, fill them out of order (as parallel worker
+    // threads would), free them, and watch the contiguous credit frontier
+    // cover everything.
     let mut cluster = Cluster::new();
-    let dev = cluster.add_device(cfg);
-    println!("device exposes {} writer lanes", cluster.device(dev).lanes());
-
-    let mut handles: Vec<XLogFile> =
-        (0..4).map(|lane| XLogFile::open_lane(dev, lane, MmioMode::WriteCombining)).collect();
-
-    // Interleave appends from all lanes (simulated worker threads).
-    let mut now = SimTime::ZERO;
-    for round in 0u8..16 {
-        for (lane, h) in handles.iter_mut().enumerate() {
-            let record = vec![(lane as u8) << 4 | round; 256];
-            now = h.x_pwrite(&mut cluster, now, &record).expect("lane write");
-        }
-    }
-    for h in handles.iter_mut() {
-        now = h.x_fsync(&mut cluster, now).expect("lane fsync");
-    }
-    for lane in 0..4 {
-        let (_t, credit) = cluster.read_credit(dev, now, lane);
-        println!("lane {lane}: credit counter = {credit} bytes (16 x 256)");
-        assert_eq!(credit, 16 * 256);
-    }
-
-    // Part 2: the advanced API — allocate adjacent regions, fill them out
-    // of order (as parallel worker threads would), free them, and watch the
-    // contiguous credit frontier cover everything.
-    println!("\n-- x_alloc/x_free: parallel fill, contiguous destage --");
-    let mut cluster2 = Cluster::new();
-    let dev2 = cluster2.add_device(VillarsConfig::villars_sram());
-    let mut alloc = XAllocator::new(dev2, 0);
+    let dev = cluster.add_device(VillarsConfig::villars_sram());
+    let mut alloc = XAllocator::new(dev);
     let regions: Vec<_> = (0..4).map(|_| alloc.x_alloc(1024)).collect();
     // Fill in reverse order: region 3 first. The CMB holds out-of-order
     // data until the log below it becomes contiguous.
     let mut t = SimTime::ZERO;
     for (i, r) in regions.iter().enumerate().rev() {
         let payload = vec![i as u8 + 1; 1024];
-        t = alloc.write_region(&mut cluster2, t, *r, 0, &payload).expect("region fill");
-        let (_tc, credit) = cluster2.read_credit(dev2, t, 0);
+        t = alloc.write_region(&mut cluster, t, *r, 0, &payload).expect("region fill");
+        let (_tc, credit) = cluster.read_credit(dev, t);
         println!(
             "filled region {i} (offset {}): credit = {credit} (contiguous frontier)",
             r.offset
@@ -67,8 +37,8 @@ fn main() {
         alloc.x_free(*r);
     }
     let settle = t + SimDuration::from_micros(100);
-    cluster2.advance(settle);
-    let (_tc, credit) = cluster2.read_credit(dev2, settle, 0);
+    cluster.advance(settle);
+    let (_tc, credit) = cluster.read_credit(dev, settle);
     assert_eq!(credit, 4 * 1024, "all regions persistent once contiguous");
     println!("all regions freed; credit = {credit}; outstanding = {}", alloc.outstanding());
     println!("ok");

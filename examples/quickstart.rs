@@ -20,7 +20,7 @@ fn main() {
     println!("== X-SSD quickstart ==");
     println!(
         "device: SRAM-backed CMB, intake queue {} KiB",
-        cluster.device(dev).intake_queue_bytes(0) >> 10
+        cluster.device(dev).intake_queue_bytes() >> 10
     );
 
     // Append a few transaction-log-shaped records.
@@ -50,8 +50,8 @@ fn main() {
     assert_eq!(&bytes[..512], &[0u8; 512][..]);
     assert_eq!(&bytes[512..], &[1u8; 512][..]);
 
-    let stats = cluster.device(dev).cmb_stats(0);
-    let dstats = cluster.device(dev).destage_stats(0);
+    let stats = cluster.device(dev).cmb_stats();
+    let dstats = cluster.device(dev).destage_stats();
     println!(
         "CMB: {} bytes in, {} chunks; destage: {} full pages, {} partial ({} filler bytes)",
         stats.bytes_in, stats.chunks, dstats.full_pages, dstats.partial_pages, dstats.filler_bytes

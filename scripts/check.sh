@@ -93,6 +93,16 @@ if awk 'FNR == 1 { live = 1 } /^#\[cfg\(test\)\]/ { live = 0 }
   exit 1
 fi
 
+echo "== one log per device (one CMB module, one destage module, one credit counter)"
+# DESIGN.md: a Villars device has the paper's one counter (§4.1); the
+# per-core counters of §7.1 stay discussion. The writer-lane fan-out that no
+# harness ran does not come back as a config field, a handle or a device
+# accessor.
+if grep -rnE 'writer_lanes|open_lane|struct Lane\b|fn lanes\(' crates/*/src; then
+  echo "FAIL: crates/*/src names the writer-lane fan-out again (lines above)."
+  exit 1
+fi
+
 echo "== one log checksum (records, snapshots and segment seals share memdb::log::checksum)"
 # The byte-at-a-time FNV-1a it replaced does not come back as a second
 # checksum for one of the three framings.
@@ -144,4 +154,4 @@ echo "== benchmark: its own tests, then every workload and check at 1/50 horizon
 (cd benchmark && cargo test --offline --quiet)
 benchmark/run.sh --quick > /dev/null
 
-echo "ok: fmt, clippy, reachability, gate self-test, tests, count, nudge, one-collector, one-intake, one-checksum, no-GC and buffer-scan gates, recovery smoke, chaos smoke, benchmark checks all clean"
+echo "ok: fmt, clippy, reachability, gate self-test, tests, count, nudge, one-collector, one-intake, one-log, one-checksum, no-GC and buffer-scan gates, recovery smoke, chaos smoke, benchmark checks all clean"

@@ -90,7 +90,7 @@ fn three_node_chain_applies_in_order() {
     now = f.x_fsync(&mut cl, now).unwrap();
     // Eager fsync ⇒ both secondaries hold all 3000 bytes.
     for dev in [1usize, 2] {
-        let credit = cl.device_mut(dev).local_credit(now, 0);
+        let credit = cl.device_mut(dev).local_credit(now);
         assert_eq!(credit, 3000, "secondary {dev}");
     }
 }
@@ -260,7 +260,7 @@ fn secondary_failure_is_detected_and_survivable() {
     assert_eq!(e2.status, Status::Success);
     let t6 = f.x_fsync(&mut cl, t5).expect("local fsync after demotion");
     assert!(t6 >= t5);
-    let (_t7, credit) = cl.read_credit(0, t6, 0);
+    let (_t7, credit) = cl.read_credit(0, t6);
     assert_eq!(credit, 1024, "both writes locally persistent");
 }
 
@@ -317,7 +317,7 @@ fn checkpoint_bounds_recovery_after_ring_wrap() {
         now = f.x_fsync(&mut cl, now).unwrap();
         if i == 90 {
             // Checkpoint covering everything durable so far.
-            let (_t_credit, durable) = cl.read_credit(dev, now, 0);
+            let (_t_credit, durable) = cl.read_credit(dev, now);
             let (t, meta) = ck.checkpoint(&mut cl, now, &db, durable);
             now = t;
             checkpoint_meta = Some(meta);
@@ -359,16 +359,16 @@ fn intake_queue_reconfiguration_via_vendor_command() {
     use xssd_suite::nvme::{Status, VendorCommand};
     use xssd_suite::xssd::vendor;
     let mut cl = small_cluster(1);
-    assert_eq!(cl.device(0).intake_queue_bytes(0), 4 << 10);
-    // Renegotiate the flow-control window to 16 KiB on lane 0.
+    assert_eq!(cl.device(0).intake_queue_bytes(), 4 << 10);
+    // Renegotiate the flow-control window to 16 KiB.
     let (_t, e) = cl.vendor_blocking(
         0,
         SimTime::ZERO,
         VendorCommand::new(vendor::SET_INTAKE_QUEUE, [16 << 10, 0, 0, 0, 0, 0]),
     );
     assert_eq!(e.status, Status::Success);
-    assert_eq!(cl.device(0).intake_queue_bytes(0), 16 << 10);
-    // Zero bytes or a bad lane are rejected.
+    assert_eq!(cl.device(0).intake_queue_bytes(), 16 << 10);
+    // Zero bytes or a nonzero reserved CDW11 are rejected.
     let (_t, e2) = cl.vendor_blocking(
         0,
         SimTime::ZERO,
@@ -393,7 +393,7 @@ fn uncached_mode_is_slower_than_write_combining_end_to_end() {
     use xssd_suite::pcie::MmioMode;
     let run = |mode: MmioMode| {
         let mut cl = small_cluster(1);
-        let mut f = XLogFile::open_lane(0, 0, mode);
+        let mut f = XLogFile::open_at(0, mode, 0);
         let mut now = SimTime::ZERO;
         for _ in 0..16 {
             now = f.x_pwrite(&mut cl, now, &[1u8; 1024]).unwrap();

@@ -44,7 +44,7 @@ fn destage_retries_through_program_failures() {
     let settle = now + SimDuration::from_millis(5);
     cl.advance(settle);
     // Everything destaged despite failures; read a window back and compare.
-    let from = cl.device(dev).destaged_upto(0).saturating_sub(16 << 10).max(8 << 10); // stay inside the readable ring
+    let from = cl.device(dev).destaged_upto().saturating_sub(16 << 10).max(8 << 10); // stay inside the readable ring
     let (_t, bytes) =
         cl.device_mut(dev).read_destaged(settle, 0, from, 8 << 10).expect("window readable");
     assert_eq!(&bytes[..], &payload[from as usize..from as usize + (8 << 10)]);
@@ -93,7 +93,7 @@ fn replication_still_exact_with_flaky_secondary_nand() {
         now = f.x_fsync(&mut cl, now).unwrap();
     }
     // Eager fsync returned: the flaky secondary holds every byte in PM.
-    let sec_credit = cl.device_mut(s).local_credit(now, 0);
+    let sec_credit = cl.device_mut(s).local_credit(now);
     assert_eq!(sec_credit, total);
     // And the secondary's destage (with retries) still lands content.
     let settle = now + SimDuration::from_millis(10);
