@@ -264,7 +264,7 @@ where
         ramp_up: cfg.ramp_up,
         series_bucket: cfg.series_bucket,
     };
-    let observed = run_observed(db, wal, runner, obs, |db, rng, _w, t0| {
+    let mut observed = run_observed(db, wal, runner, obs, |db, rng, _w, t0| {
         // One debiased draw in [1, total], mapped through the cumulative
         // weights: for the TPC-C percentages this is bit-identical to the
         // workload's own `pick`.
@@ -274,26 +274,24 @@ where
     });
 
     let per_kind = observed
-        .per_kind
+        .kind_latency()
         .into_iter()
+        .zip(&observed.per_kind)
         .zip(labels.iter().zip(mix.iter()))
-        .map(|(mut k, (&label, &weight))| KindReport {
+        .map(|(((mean_us, p99_us), k), (&label, &weight))| KindReport {
             label,
             weight,
             committed: k.committed,
             aborted: k.aborted,
-            mean_us: k.latency_us.mean(),
-            p99_us: k.latency_us.percentile_once(99.0),
+            mean_us,
+            p99_us,
         })
         .collect();
     let series = observed
-        .series
+        .bucket_latency()
         .into_iter()
-        .map(|mut b| TimeBucket {
-            committed: b.committed,
-            mean_us: b.latency_us.mean(),
-            p99_us: b.latency_us.percentile_once(99.0),
-        })
+        .zip(&observed.series)
+        .map(|((mean_us, p99_us), b)| TimeBucket { committed: b.committed, mean_us, p99_us })
         .collect();
     DriverReport {
         run: observed.report,

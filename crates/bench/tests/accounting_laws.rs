@@ -1,9 +1,10 @@
-//! Accounting laws (ROADMAP item 12, first slice): identities the model's
-//! own bookkeeping must keep, checked on every device of every cell of the
+//! Accounting laws (ROADMAP item 12): identities the model's own
+//! bookkeeping must keep, checked on every device of every cell of the
 //! committed `results/*.json` telemetry. No simulation runs here — a golden
 //! regenerated on purpose must still satisfy every law.
 //!
-//! The laws guard the fast side's intake from outside:
+//! The laws guard the fast side's intake, the database's breakdowns and
+//! the counters from outside:
 //! - every device has exactly one `core.cmb.lane*` and one
 //!   `core.destage.lane*` group, `lane0` — a Villars device holds one log,
 //!   and `benchmark/` reads these paths;
@@ -19,7 +20,14 @@
 //!   log codec emitted are the bytes every device took in;
 //! - on every SSD with no failed program, `ssd.ftl.host_writes` =
 //!   `flash.array.programs` + `flash.sched.pending_ops` — the device
-//!   programs no page it was not asked to, and loses none the FTL handed out.
+//!   programs no page it was not asked to, and loses none the FTL handed out;
+//! - on a database cell with a kind breakdown, Σ `db.mix.<kind>.committed` =
+//!   `db.commits` and Σ `committed × mean_us` = `db.commits ×
+//!   db.commit_latency_us.mean_us` — every measured commit's latency is in
+//!   exactly one kind;
+//! - the counts balance: a cell's secondaries sent at least the shadow
+//!   updates its primary applied, and every port completed at most what was
+//!   submitted to it.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
@@ -30,8 +38,8 @@ type Cell = BTreeMap<String, f64>;
 /// Every cell of every results document, as `("document / label", cell)`.
 /// The documents are written by this workspace's own pretty-printer — one
 /// `"key": value` per line — so a line scanner reads them: a cell is an
-/// object two levels inside `"telemetry"`, nested objects (latency
-/// summaries) are skipped.
+/// object two levels inside `"telemetry"`, and a nested object (a latency
+/// summary) is read as `path.field`.
 fn cells() -> Vec<(String, Cell)> {
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
     let mut paths: Vec<_> = std::fs::read_dir(&dir)
@@ -46,9 +54,11 @@ fn cells() -> Vec<(String, Cell)> {
         let name = path.file_name().expect("a file name").to_string_lossy().into_owned();
         let (mut depth, mut telemetry) = (0, None);
         let mut cell: Option<(String, Cell)> = None;
+        let mut nested: Option<String> = None;
         for line in text.lines().map(str::trim) {
             if line.starts_with('}') || line.starts_with(']') {
                 depth -= 1;
+                nested = None;
                 if telemetry == Some(depth) {
                     telemetry = None;
                 }
@@ -65,13 +75,19 @@ fn cells() -> Vec<(String, Cell)> {
                     telemetry = Some(1);
                 } else if telemetry.is_some_and(|t| depth == t + 2) {
                     cell = Some((format!("{name} / {key}"), Cell::new()));
+                } else if telemetry.is_some_and(|t| depth == t + 3) {
+                    nested = Some(key.to_string());
                 }
                 continue;
             }
-            let in_cell = telemetry.is_some_and(|t| depth == t + 2);
-            if let Some((_, counters)) = cell.as_mut().filter(|_| in_cell) {
+            let path = match (telemetry.map(|t| depth - t), &nested) {
+                (Some(2), _) => key.to_string(),
+                (Some(3), Some(object)) => format!("{object}.{key}"),
+                _ => continue,
+            };
+            if let Some((_, counters)) = cell.as_mut() {
                 if let Ok(v) = value.trim_end_matches(',').parse::<f64>() {
-                    counters.insert(key.to_string(), v);
+                    counters.insert(path, v);
                 }
             }
         }
@@ -167,4 +183,69 @@ fn every_page_the_ftl_hands_out_is_programmed_or_queued() {
     // Every SSD-cell of the goldens without a program failure at the time
     // this was written (the others are chaos_tpcc's pre-crash cells).
     assert!(checked >= 156, "{checked} SSD-cells checked, {with_failures} with program failures");
+}
+
+#[test]
+fn every_measured_commit_is_in_exactly_one_kind() {
+    let mut checked = 0;
+    for (where_, cell) in cells() {
+        for db in cell.keys().filter_map(|k| k.strip_suffix("db.commits")) {
+            let mix = format!("{db}db.mix.");
+            let kinds: Vec<&str> = cell
+                .keys()
+                .filter_map(|k| k.strip_prefix(&mix)?.strip_suffix(".committed"))
+                .collect();
+            if kinds.is_empty() {
+                continue;
+            }
+            let at = |path: &str| cell[&format!("{db}{path}")];
+            let kind = |label: &str, field: &str| at(&format!("db.mix.{label}.{field}"));
+            let commits = at("db.commits");
+            let committed: f64 = kinds.iter().map(|k| kind(k, "committed")).sum();
+            assert_eq!(committed, commits, "{where_}: {db}db.mix.*.committed");
+            // The kinds' latency sums add up to the aggregate's: the same
+            // samples, each in one kind.
+            let by_kind: f64 =
+                kinds.iter().map(|k| kind(k, "committed") * kind(k, "mean_us")).sum();
+            let total = commits * at("db.commit_latency_us.mean_us");
+            assert!(
+                (by_kind - total).abs() <= 1e-9 * total.abs(),
+                "{where_}: {db} Σ committed × mean_us {by_kind} vs {total}"
+            );
+            checked += 1;
+        }
+    }
+    // Every database cell with a kind breakdown at the time this was written.
+    assert!(checked >= 41, "{checked} database cells with a kind breakdown");
+}
+
+#[test]
+fn counts_balance() {
+    let (mut shadow, mut ports) = (0, 0);
+    for (where_, cell) in cells() {
+        // A primary applies only shadow updates its secondaries sent (the
+        // secondaries count the sending, the primary the applying).
+        let total = |counter: &str| -> f64 {
+            let suffix = format!("core.transport.{counter}");
+            cell.iter().filter(|(k, _)| k.ends_with(&suffix)).map(|(_, v)| v).sum()
+        };
+        let (applied, sent) = (total("shadow_updates_applied"), total("shadow_updates_sent"));
+        assert!(applied <= sent, "{where_}: {applied} shadow updates applied, {sent} sent");
+        shadow += usize::from(sent > 0.0);
+        // A port completes only what was submitted to it.
+        for port in cell.keys().filter_map(|k| k.strip_suffix("port.submitted")) {
+            if !(port.is_empty() || port.ends_with('.')) {
+                continue;
+            }
+            let Some(&completed) = cell.get(&format!("{port}port.completed")) else { continue };
+            let submitted = cell[&format!("{port}port.submitted")];
+            assert!(
+                submitted >= completed,
+                "{where_}: {port}port submitted {submitted} < completed {completed}"
+            );
+            ports += 1;
+        }
+    }
+    // Every replicating cell and every port at the time this was written.
+    assert!(shadow >= 19 && ports >= 159, "{shadow} cells sending shadow updates, {ports} ports");
 }

@@ -12,41 +12,77 @@
 //!
 //! The averages are taken over enough transactions that test-harness noise
 //! (a few allocations from the runner itself) cannot tip the assertion.
+//!
+//! The allocator also tracks the bytes live on the heap and their peak, and
+//! one test holds the peak growth of a whole driver run per measured commit
+//! under a budget: what the run keeps per commit is its latency sample and
+//! the sample's tags, once.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+/// Bytes allocated and not yet freed, as requested (not as the system
+/// allocator rounds them).
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+/// The largest `LIVE` since it was last reset.
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+fn grow(bytes: usize) {
+    let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
+    PEAK.fetch_max(live, Ordering::Relaxed);
+}
+
+fn shrink(bytes: usize) {
+    LIVE.fetch_sub(bytes, Ordering::Relaxed);
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
+        let ptr = unsafe { System.alloc(layout) };
+        if !ptr.is_null() {
+            grow(layout.size());
+        }
+        ptr
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        shrink(layout.size());
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
+        let new = unsafe { System.realloc(ptr, layout, new_size) };
+        if !new.is_null() {
+            if new_size >= layout.size() {
+                grow(new_size - layout.size());
+            } else {
+                shrink(layout.size() - new_size);
+            }
+        }
+        new
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc_zeroed(layout) }
+        let ptr = unsafe { System.alloc_zeroed(layout) };
+        if !ptr.is_null() {
+            grow(layout.size());
+        }
+        ptr
     }
 }
 
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
-/// Serializes the measuring sections so the two tests never count each
-/// other's allocations.
+/// Serializes the tests, setup included, so none counts another's
+/// allocations or live bytes.
 static MEASURE: Mutex<()> = Mutex::new(());
 
 fn alloc_count() -> u64 {
@@ -129,5 +165,47 @@ fn ycsb_transactions_stay_within_allocation_budget() {
         avg <= BUDGET,
         "YCSB hot path regressed: {avg:.1} allocations per committed txn \
          (budget {BUDGET}, {allocs} over {committed} txns)"
+    );
+}
+
+#[test]
+fn a_measured_commit_keeps_one_latency_sample_on_the_heap() {
+    let _guard = MEASURE.lock().unwrap();
+    use memdb::{PmConfig, PmLog, WalConfig, WalManager};
+    use simkit::SimDuration;
+    use xssd_bench::driver::{self, DriverConfig};
+    use xssd_bench::ycsb::{self, YcsbConfig, YcsbMix};
+    // YCSB-A: its five kinds make every sample carry a kind tag, and the
+    // 50 ms series a bucket tag. Reads and updates replace rows in place,
+    // so the database itself does not grow.
+    let (mut db, mut workload, _) =
+        ycsb::setup(YcsbConfig { mix: YcsbMix::A, ..YcsbConfig::default() }, 17);
+    let mut wal = WalManager::new(PmLog::new(PmConfig::default()), WalConfig::default());
+    let cfg = DriverConfig {
+        workers: 4,
+        ramp_up: SimDuration::from_millis(20),
+        measure: SimDuration::from_millis(1_500),
+        seed: 17,
+        series_bucket: Some(SimDuration::from_millis(50)),
+        ..DriverConfig::default()
+    };
+    let before = LIVE.load(Ordering::Relaxed);
+    PEAK.store(before, Ordering::Relaxed);
+    let report = driver::run(&mut db, &mut wal, &mut workload, &cfg);
+    let growth = PEAK.load(Ordering::Relaxed) - before;
+    let committed = report.run.committed;
+    assert!(committed >= 200_000, "only {committed} measured commits");
+    assert!(report.per_kind.len() >= 4 && report.series.len() >= 25);
+    let per_commit = growth as f64 / committed as f64;
+    eprintln!(
+        "peak live heap growth: {growth} B over {committed} commits ({per_commit:.2} B each)"
+    );
+    // Measured 15.52 B (222 164 commits): an 8 B sample, a 1 B kind tag and
+    // a 4 B bucket tag, each in a vector of up to twice its length. With
+    // the sample stored again per kind and per bucket it was 27.92 B.
+    const BUDGET: f64 = 20.0;
+    assert!(
+        per_commit <= BUDGET,
+        "a measured commit holds {per_commit:.2} live heap bytes at the peak (budget {BUDGET})"
     );
 }

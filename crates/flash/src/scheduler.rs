@@ -163,6 +163,7 @@ impl ChannelScheduler {
         let pos = q.partition_point(|r| r.arrival <= req.arrival);
         q.insert(pos, req);
         self.queued += 1;
+        self.check();
     }
 
     /// Drop every queued (not yet started) request. Used on power failure:
@@ -173,6 +174,7 @@ impl ChannelScheduler {
             ch.destage.clear();
         }
         self.queued = 0;
+        self.check();
     }
 
     /// Drop queued requests of one class (power failure with supercap
@@ -182,6 +184,7 @@ impl ChannelScheduler {
             ch.queue(class).clear();
         }
         self.queued = self.channels.iter().map(ChannelQueues::len).sum();
+        self.check();
     }
 
     /// Number of queued requests across all channels.
@@ -234,6 +237,7 @@ impl ChannelScheduler {
     pub fn pump(&mut self, array: &mut FlashArray, until: SimTime) -> Vec<Completion> {
         let mut done = Vec::new();
         if self.queued == 0 {
+            self.check();
             return done;
         }
         let page_bytes = array.geometry().page_bytes as u64;
@@ -298,7 +302,18 @@ impl ChannelScheduler {
             }
         }
         done.sort_by_key(|c| c.at);
+        self.check();
         done
+    }
+
+    /// The queued count's invariant, checked in debug builds after every
+    /// call that can move it (`submit`, `pump`, `drop_class`, `drop_all`):
+    /// it equals a recount of the channel queues.
+    fn check(&self) {
+        if cfg!(debug_assertions) {
+            let recount: usize = self.channels.iter().map(ChannelQueues::len).sum();
+            assert_eq!(self.queued, recount, "flash scheduler: queued count vs the queues");
+        }
     }
 
     /// The request within the first `window` entries of `q` that can start
@@ -609,5 +624,19 @@ mod tests {
         assert_eq!(s.mode(), SchedulingMode::Neutral);
         s.set_mode(SchedulingMode::DestagePriority);
         assert_eq!(s.mode(), SchedulingMode::DestagePriority);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "flash scheduler: queued count vs the queues")]
+    fn a_queued_count_off_the_queues_breaks_the_invariant() {
+        let mut a = array();
+        let mut s = ChannelScheduler::new(2, SchedulingMode::Neutral);
+        for r in stripe_reqs(4, Priority::Conventional, SimDuration::ZERO, 0, 0) {
+            s.submit(r);
+        }
+        // A test-only corruption: a request counted that no queue holds.
+        s.queued += 1;
+        s.pump(&mut a, SimTime::MAX);
     }
 }

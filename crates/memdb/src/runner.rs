@@ -34,7 +34,9 @@ use crate::backend::LogBackend;
 use crate::log::LogRecord;
 use crate::storage::{Database, TxnError};
 use crate::wal::{FlushReport, Lsn, WalManager};
+use simkit::stats::percentile_once;
 use simkit::{DetRng, SampleSeries, SimDuration, SimTime};
+use std::ops::Range;
 
 /// Runner configuration.
 #[derive(Debug, Clone, Copy)]
@@ -76,7 +78,7 @@ impl Default for RunnerConfig {
 }
 
 /// What one run measured.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct RunReport {
     /// Committed transactions.
     pub committed: u64,
@@ -154,24 +156,27 @@ impl Default for ObserveConfig {
     }
 }
 
-/// Measured-window statistics for one transaction kind.
+/// Measured-window counts for one transaction kind. Its latencies are in
+/// the aggregate series; [`ObservedRun::kind_latency`] reads them.
 #[derive(Debug, Default)]
 pub struct KindCounts {
     /// Committed transactions of this kind (measured window only).
     pub committed: u64,
     /// Aborted transactions of this kind (measured window only).
     pub aborted: u64,
-    /// Commit-to-durable latency samples of this kind, µs.
-    pub latency_us: SampleSeries,
+    /// Its commit-to-durable latencies summed in recording order, µs.
+    latency_sum_us: f64,
 }
 
-/// One time-series bucket (see [`ObserveConfig::series_bucket`]).
+/// One time-series bucket (see [`ObserveConfig::series_bucket`]). Its
+/// latencies are in the aggregate series; [`ObservedRun::bucket_latency`]
+/// reads them.
 #[derive(Debug, Default)]
 pub struct SeriesBucket {
     /// Transactions that became durable inside this bucket.
     pub committed: u64,
-    /// Their commit-to-durable latency samples, µs.
-    pub latency_us: SampleSeries,
+    /// Their commit-to-durable latencies summed in recording order, µs.
+    latency_sum_us: f64,
 }
 
 /// What [`run_observed`] measured: the classic [`RunReport`] (counters
@@ -180,7 +185,9 @@ pub struct SeriesBucket {
 #[derive(Debug)]
 pub struct ObservedRun {
     /// Aggregate report over the measured window. With a zero ramp this
-    /// is byte-identical to what [`run_workload`] returns.
+    /// is byte-identical to what [`run_workload`] returns. Its latency
+    /// series holds every measured sample once, in recording order until a
+    /// per-kind or per-bucket query groups it.
     pub report: RunReport,
     /// Per-kind breakdown, indexed by the kind the closure returned.
     pub per_kind: Vec<KindCounts>,
@@ -188,6 +195,118 @@ pub struct ObservedRun {
     pub series: Vec<SeriesBucket>,
     /// Committed transactions excluded because they started in the ramp.
     pub ramp_excluded: u64,
+    /// What each sample of `report.latency_us` belongs to.
+    tags: Tags,
+    /// The per-kind and per-bucket series the tags replaced.
+    #[cfg(test)]
+    reference: Reference,
+}
+
+impl ObservedRun {
+    /// Mean and p99 commit-to-durable latency (µs) of each kind, in kind
+    /// order, `(0, 0)` for a kind with no measured commit — what a series
+    /// of the kind's own samples gives for [`SampleSeries::mean`] and
+    /// [`SampleSeries::percentile`], bit for bit. Groups the aggregate
+    /// series by kind in place.
+    pub fn kind_latency(&mut self) -> Vec<(f64, f64)> {
+        let sums: Vec<f64> = self.per_kind.iter().map(|k| k.latency_sum_us).collect();
+        self.latency_by(&sums, |tags, i| tags.kind.get(i).map_or(0, |&k| k as usize))
+    }
+
+    /// [`ObservedRun::kind_latency`] for each time-series bucket, in time
+    /// order. Groups the aggregate series by bucket in place.
+    pub fn bucket_latency(&mut self) -> Vec<(f64, f64)> {
+        let sums: Vec<f64> = self.series.iter().map(|b| b.latency_sum_us).collect();
+        self.latency_by(&sums, |tags, i| tags.bucket[i] as usize)
+    }
+
+    /// Group the aggregate samples by `group` (one group per entry of
+    /// `sums`) and read each group's mean and p99 off its own range. The
+    /// selection carries the tags along, so a later query by the other tag
+    /// still finds every sample's.
+    fn latency_by(
+        &mut self,
+        sums: &[f64],
+        group: impl Fn(&Tags, usize) -> usize,
+    ) -> Vec<(f64, f64)> {
+        if sums.is_empty() {
+            return Vec::new();
+        }
+        let samples = self.report.latency_us.samples_mut();
+        let tags = &mut self.tags;
+        let ranges = group_by(samples, tags, sums.len(), group);
+        ranges
+            .into_iter()
+            .zip(sums)
+            .map(|(range, &sum)| {
+                let n = range.len();
+                let mean = if n == 0 { 0.0 } else { sum / n as f64 };
+                let at = range.start;
+                let p99 = percentile_once(&mut samples[range], 99.0, |i, j| {
+                    tags.swap(at + i, at + j);
+                });
+                (mean, p99)
+            })
+            .collect()
+    }
+}
+
+/// What each sample of the aggregate series belongs to, index for index:
+/// its kind when a run has more than one, its time-series bucket when it
+/// has a series. An unused tag stays empty.
+#[derive(Debug, Default)]
+struct Tags {
+    kind: Vec<u8>,
+    bucket: Vec<u32>,
+}
+
+impl Tags {
+    fn swap(&mut self, i: usize, j: usize) {
+        if !self.kind.is_empty() {
+            self.kind.swap(i, j);
+        }
+        if !self.bucket.is_empty() {
+            self.bucket.swap(i, j);
+        }
+    }
+}
+
+/// Reorder `samples`, and `tags` with them, so that each of `groups`
+/// groups is contiguous and in group order; return the groups' ranges. A
+/// counting sort in place: one pass to count, then every sample not yet in
+/// its group's range is swapped straight into it.
+fn group_by(
+    samples: &mut [f64],
+    tags: &mut Tags,
+    groups: usize,
+    group: impl Fn(&Tags, usize) -> usize,
+) -> Vec<Range<usize>> {
+    let mut ranges = vec![0..0; groups];
+    for i in 0..samples.len() {
+        ranges[group(tags, i)].end += 1;
+    }
+    let mut start = 0;
+    for r in &mut ranges {
+        *r = start..start + r.end;
+        start = r.end;
+    }
+    // The first slot of each group not yet known to hold one of its own.
+    let mut next: Vec<usize> = ranges.iter().map(|r| r.start).collect();
+    for g in 0..groups {
+        while next[g] < ranges[g].end {
+            let i = next[g];
+            let h = group(tags, i);
+            if h == g {
+                next[g] += 1;
+            } else {
+                let j = next[h];
+                samples.swap(i, j);
+                tags.swap(i, j);
+                next[h] += 1;
+            }
+        }
+    }
+    ranges
 }
 
 /// Drive `workers` simulated cores over `txn_fn` for the configured
@@ -324,45 +443,50 @@ where
     observer.finish(wal, horizon, max_log_inflight)
 }
 
-/// Measured-window accounting.
+/// Measured-window accounting: the [`ObservedRun`] under construction.
+/// Each measured latency is stored once, in the report's series, with its
+/// tags beside it; per kind and per bucket only a count and a running sum
+/// are kept.
 struct Observer {
     ramp_start: SimTime,
     bucket: Option<SimDuration>,
-    latency: SampleSeries,
-    per_kind: Vec<KindCounts>,
-    series: Vec<SeriesBucket>,
-    committed: u64,
-    aborted: u64,
-    ramp_excluded: u64,
+    run: ObservedRun,
 }
 
 impl Observer {
     fn new(obs: &ObserveConfig) -> Self {
+        assert!(obs.kinds <= 1 << u8::BITS, "a kind tag is one byte: at most 256 kinds");
         Observer {
             ramp_start: SimTime::ZERO + obs.ramp_up,
             bucket: obs.series_bucket,
-            latency: SampleSeries::new(),
-            per_kind: (0..obs.kinds).map(|_| KindCounts::default()).collect(),
-            series: Vec::new(),
-            committed: 0,
-            aborted: 0,
-            ramp_excluded: 0,
+            run: ObservedRun {
+                report: RunReport::default(),
+                per_kind: (0..obs.kinds).map(|_| KindCounts::default()).collect(),
+                series: Vec::new(),
+                ramp_excluded: 0,
+                tags: Tags::default(),
+                #[cfg(test)]
+                reference: Reference {
+                    kinds: (0..obs.kinds).map(|_| SampleSeries::new()).collect(),
+                    buckets: Vec::new(),
+                },
+            },
         }
     }
 
     fn on_commit(&mut self, start: SimTime, kind: usize) {
         if start >= self.ramp_start {
-            self.committed += 1;
-            self.per_kind[kind].committed += 1;
+            self.run.report.committed += 1;
+            self.run.per_kind[kind].committed += 1;
         } else {
-            self.ramp_excluded += 1;
+            self.run.ramp_excluded += 1;
         }
     }
 
     fn on_abort(&mut self, start: SimTime, kind: usize) {
         if start >= self.ramp_start {
-            self.aborted += 1;
-            self.per_kind[kind].aborted += 1;
+            self.run.report.aborted += 1;
+            self.run.per_kind[kind].aborted += 1;
         }
     }
 
@@ -370,16 +494,26 @@ impl Observer {
         if start < self.ramp_start {
             return;
         }
+        let run = &mut self.run;
         let us = at.saturating_since(start).as_micros_f64();
-        self.latency.record(us);
-        self.per_kind[kind].latency_us.record(us);
+        run.report.latency_us.record(us);
+        if run.per_kind.len() > 1 {
+            run.tags.kind.push(kind as u8);
+        }
+        run.per_kind[kind].latency_sum_us += us;
+        #[cfg(test)]
+        run.reference.kinds[kind].record(us);
         if let Some(width) = self.bucket {
-            let idx = (at.saturating_since(self.ramp_start).as_nanos() / width.as_nanos()) as usize;
-            while self.series.len() <= idx {
-                self.series.push(SeriesBucket::default());
+            let idx = at.saturating_since(self.ramp_start).as_nanos() / width.as_nanos();
+            run.tags.bucket.push(u32::try_from(idx).expect("a bucket tag is four bytes"));
+            let idx = idx as usize;
+            if run.series.len() <= idx {
+                run.series.resize_with(idx + 1, SeriesBucket::default);
             }
-            self.series[idx].committed += 1;
-            self.series[idx].latency_us.record(us);
+            run.series[idx].committed += 1;
+            run.series[idx].latency_sum_us += us;
+            #[cfg(test)]
+            run.reference.bucket(idx).record(us);
         }
     }
 
@@ -389,20 +523,12 @@ impl Observer {
         horizon: SimTime,
         max_log_inflight: u64,
     ) -> ObservedRun {
-        ObservedRun {
-            report: RunReport {
-                committed: self.committed,
-                aborted: self.aborted,
-                elapsed: horizon.saturating_since(self.ramp_start),
-                latency_us: self.latency,
-                log_bytes: wal.backend().bytes_written(),
-                flushes: wal.flushes(),
-                max_log_inflight,
-            },
-            per_kind: self.per_kind,
-            series: self.series,
-            ramp_excluded: self.ramp_excluded,
-        }
+        let mut run = self.run;
+        run.report.elapsed = horizon.saturating_since(self.ramp_start);
+        run.report.log_bytes = wal.backend().bytes_written();
+        run.report.flushes = wal.flushes();
+        run.report.max_log_inflight = max_log_inflight;
+        run
     }
 }
 
@@ -424,6 +550,31 @@ fn resolve(
                 true
             }
         });
+    }
+}
+
+/// Reference model for the tests: the per-kind and per-bucket recording the
+/// tags replaced — every measured sample stored again in its kind's series
+/// and in its bucket's.
+#[cfg(test)]
+#[derive(Debug)]
+struct Reference {
+    kinds: Vec<SampleSeries>,
+    buckets: Vec<SampleSeries>,
+}
+
+#[cfg(test)]
+impl Reference {
+    fn bucket(&mut self, idx: usize) -> &mut SampleSeries {
+        if self.buckets.len() <= idx {
+            self.buckets.resize_with(idx + 1, SampleSeries::new);
+        }
+        &mut self.buckets[idx]
+    }
+
+    /// Each series' mean and p99, as the driver used to read them.
+    fn latency(series: &mut [SampleSeries]) -> Vec<(f64, f64)> {
+        series.iter_mut().map(|s| (s.mean(), s.percentile(99.0))).collect()
     }
 }
 
@@ -565,5 +716,109 @@ mod tests {
     fn blocking_report_never_claims_overlap() {
         let r = run(2, 20);
         assert_eq!(r.max_log_inflight, 1);
+    }
+
+    /// Query `run` by kind and by bucket (`kind_first` picks the order) and
+    /// hold both answers to the reference series, bit for bit; the
+    /// aggregate keeps every sample once.
+    fn assert_matches_reference(mut run: ObservedRun, kind_first: bool, what: &str) {
+        let mut recorded: Vec<u64> =
+            run.report.latency_us.samples().iter().map(|x| x.to_bits()).collect();
+        let (kinds, buckets) = if kind_first {
+            let kinds = run.kind_latency();
+            (kinds, run.bucket_latency())
+        } else {
+            let buckets = run.bucket_latency();
+            (run.kind_latency(), buckets)
+        };
+        let bits = |v: &[(f64, f64)]| -> Vec<(u64, u64)> {
+            v.iter().map(|(m, p)| (m.to_bits(), p.to_bits())).collect()
+        };
+        let reference = &mut run.reference;
+        assert_eq!(bits(&kinds), bits(&Reference::latency(&mut reference.kinds)), "{what}: kinds");
+        assert_eq!(
+            bits(&buckets),
+            bits(&Reference::latency(&mut reference.buckets)),
+            "{what}: buckets"
+        );
+        let mut grouped: Vec<u64> =
+            run.report.latency_us.samples().iter().map(|x| x.to_bits()).collect();
+        recorded.sort_unstable();
+        grouped.sort_unstable();
+        assert_eq!(grouped, recorded, "{what}: the queries lost or invented a sample");
+    }
+
+    /// The seeded property behind the one-copy recording: over random kind
+    /// and bucket patterns — empty kinds, a single-sample kind, empty
+    /// buckets, durability instants out of order, heavy ties — the
+    /// per-kind and per-bucket mean and p99 read off the tagged aggregate
+    /// equal the per-kind and per-bucket series', in either query order.
+    #[test]
+    fn kind_and_bucket_latency_equal_the_reference_series_bit_for_bit() {
+        let mut rng = DetRng::new(0x0B5E_77ED);
+        let wal = WalManager::new(NoLog::new(), WalConfig::default());
+        for case in 0..240 {
+            let kinds = [1usize, 2, 5, 256][case % 4];
+            let series_bucket = (case % 3 != 0)
+                .then(|| SimDuration::from_nanos(rng.uniform(1, 20) * 1_000 + rng.uniform(0, 999)));
+            let ramp_up = SimDuration::from_micros(rng.uniform(0, 20));
+            let mut observer = Observer::new(&ObserveConfig { kinds, ramp_up, series_bucket });
+            // Kinds below `drawn` are drawn at random; with three or more,
+            // kind `kinds - 2` is never drawn (empty) and the last kind gets
+            // exactly one sample.
+            let drawn = if kinds >= 3 { kinds as u64 - 2 } else { 1 };
+            let distinct = if case % 2 == 0 { 4 } else { 1 << 24 };
+            let n = [0u64, 1, 2, 40, 3_000][rng.uniform(0, 4) as usize];
+            for _ in 0..n {
+                let kind = rng.uniform(0, drawn - 1) as usize;
+                let start = SimTime::from_nanos(rng.uniform(0, 100_000));
+                let at = start + SimDuration::from_nanos(rng.uniform(0, distinct) * 37);
+                observer.on_commit(start, kind);
+                observer.on_durable(start, kind, at);
+            }
+            if kinds >= 2 {
+                // Measured whatever the ramp: it starts at the ramp's end.
+                let start = SimTime::ZERO + ramp_up;
+                observer.on_commit(start, kinds - 1);
+                observer.on_durable(start, kinds - 1, start + SimDuration::from_nanos(1_234));
+            }
+            let run = observer.finish(&wal, SimTime::from_micros(200), 1);
+            assert_matches_reference(run, case % 2 == 0, &format!("case {case}"));
+        }
+    }
+
+    /// The same on real runs: three kinds and 2 ms buckets over the
+    /// blocking and the pipelined writer.
+    #[test]
+    fn observed_runs_match_the_reference_series() {
+        for (depth, kind_first) in [(1, true), (4, false)] {
+            let mut db = Database::new();
+            db.create_table("counters");
+            let mut wal = WalManager::new(
+                PmLog::new(PmConfig {
+                    fence: SimDuration::from_micros(200),
+                    ..PmConfig::default()
+                }),
+                WalConfig { group_threshold: 2 << 10, ..WalConfig::default() },
+            );
+            let cfg = RunnerConfig {
+                workers: 4,
+                duration: SimDuration::from_millis(30),
+                log_pipeline_depth: depth,
+                ..RunnerConfig::default()
+            };
+            let obs = ObserveConfig {
+                kinds: 3,
+                ramp_up: SimDuration::from_millis(5),
+                series_bucket: Some(SimDuration::from_millis(2)),
+            };
+            let run = run_observed(&mut db, &mut wal, cfg, obs, |db, rng, w, _t0| {
+                let kind = rng.uniform(0, 1) as usize;
+                (kind, bump_workload(db, rng, w))
+            });
+            assert!(run.report.committed > 1_000 && run.series.len() >= 12);
+            assert_eq!(run.per_kind[2].committed, 0, "kind 2 is never drawn");
+            assert_matches_reference(run, kind_first, &format!("depth {depth}"));
+        }
     }
 }

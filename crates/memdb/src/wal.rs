@@ -232,6 +232,7 @@ impl<B: LogBackend> WalManager<B> {
         if self.pending.is_empty() {
             return FlushReport { durable_upto: self.durable, at: now, bytes: 0 };
         }
+        let before = self.durable;
         let bytes = self.pending.len() as u64;
         self.batch_opened = None;
         let start = now.max(self.log_writer_free);
@@ -243,6 +244,7 @@ impl<B: LogBackend> WalManager<B> {
         self.log_writer_free = t2;
         self.durable = Lsn(self.enqueued);
         self.flushes += 1;
+        self.check_durable(before);
         FlushReport { durable_upto: self.durable, at: t2, bytes }
     }
 
@@ -278,6 +280,7 @@ impl<B: LogBackend> WalManager<B> {
         if self.in_flight.is_empty() {
             return;
         }
+        let before = self.durable;
         let mut done = std::mem::take(&mut self.scratch);
         done.clear();
         self.backend.drain_completions(now, &mut done);
@@ -291,6 +294,7 @@ impl<B: LogBackend> WalManager<B> {
         }
         done.clear();
         self.scratch = done;
+        self.check_durable(before);
     }
 
     /// Groups submitted via [`flush_submit`](WalManager::flush_submit)
@@ -310,6 +314,7 @@ impl<B: LogBackend> WalManager<B> {
     /// them), and deliver the corresponding reports. Returns the instant
     /// everything is durable.
     pub fn drain_all(&mut self, now: SimTime, out: &mut Vec<FlushReport>) -> SimTime {
+        let before = self.durable;
         self.flush_submit(now);
         if self.in_flight.is_empty() {
             return now;
@@ -321,7 +326,25 @@ impl<B: LogBackend> WalManager<B> {
             "{} groups still in flight after a dominating sync",
             self.in_flight.len()
         );
+        self.check_durable(before);
         t
+    }
+
+    /// The durable frontier's invariant, checked in debug builds at the end
+    /// of every call that moves it ([`flush`](WalManager::flush),
+    /// [`poll_flushes`](WalManager::poll_flushes),
+    /// [`drain_all`](WalManager::drain_all)): it never falls below where
+    /// the call found it (`before`) and never passes the bytes enqueued.
+    fn check_durable(&self, before: Lsn) {
+        if cfg!(debug_assertions) {
+            assert!(
+                before <= self.durable && self.durable.0 <= self.enqueued,
+                "WAL durable_upto: {} -> {}, enqueued {}",
+                before.0,
+                self.durable.0,
+                self.enqueued
+            );
+        }
     }
 }
 
@@ -526,5 +549,29 @@ mod tests {
         let record = rec(1, 100);
         let lsn = wal.append_records(SimTime::ZERO, std::slice::from_ref(&record));
         assert_eq!(lsn, Lsn(record.encoded_len() as u64));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "WAL durable_upto: 1099511627776 -> 130, enqueued 130")]
+    fn a_flush_that_lowers_the_durable_frontier_breaks_the_invariant() {
+        let mut wal = WalManager::new(NoLog::new(), WalConfig::default());
+        // A test-only corruption: a frontier past anything enqueued, which
+        // the next flush then pulls back to the enqueued bytes.
+        wal.durable = Lsn(1 << 40);
+        wal.append_records(SimTime::ZERO, &[rec(1, 100)]);
+        wal.flush(SimTime::ZERO);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "WAL durable_upto: 0 -> 131, enqueued 130")]
+    fn a_group_durable_past_the_enqueued_bytes_breaks_the_invariant() {
+        let mut wal = WalManager::new(NoLog::new(), WalConfig::default());
+        wal.append_records(SimTime::ZERO, &[rec(1, 100)]);
+        wal.flush_submit(SimTime::ZERO);
+        // A test-only corruption: the group claims a byte never enqueued.
+        wal.in_flight[0].durable_upto = Lsn(wal.enqueued + 1);
+        wal.drain_all(SimTime::ZERO, &mut Vec::new());
     }
 }

@@ -70,8 +70,79 @@ fn interpolate(n: usize, p: f64, at: impl Fn(usize) -> f64) -> f64 {
     }
 }
 
+/// Ascending, in place and without a scratch buffer. Samples that compare
+/// equal have equal bits (no `-0.0` is recorded), so this is the stable
+/// sort's output bit for bit.
 fn sort(samples: &mut [f64]) {
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("NaN sample"));
+    samples.sort_unstable_by(|a, b| a.partial_cmp(b).expect("NaN sample"));
+}
+
+/// Percentile `p` of `samples` — the value [`SampleSeries::percentile`]
+/// gives for them, bit for bit — found by selection (`O(n)` expected, no
+/// scratch buffer) instead of a sort. The samples are left partitioned
+/// around the rank, not ascending. Every exchange of two samples is also
+/// reported to `follow(i, j)`, so data kept index for index beside them (a
+/// tag per sample) moves with them. 0 when `samples` is empty.
+pub fn percentile_once(samples: &mut [f64], p: f64, mut follow: impl FnMut(usize, usize)) -> f64 {
+    assert!((0.0..=100.0).contains(&p), "percentile must be in [0,100]");
+    let Some(last) = samples.len().checked_sub(1) else { return 0.0 };
+    let rank = p / 100.0 * last as f64;
+    let lo = rank.floor() as usize;
+    let hi = rank.ceil() as usize;
+    select(samples, lo, &mut follow);
+    let at_lo = samples[lo];
+    if lo == hi {
+        at_lo
+    } else {
+        // Rank `lo + 1` is the smallest sample above the selected one.
+        let at_hi = samples[lo + 1..].iter().copied().fold(f64::INFINITY, f64::min);
+        let frac = rank - lo as f64;
+        at_lo * (1.0 - frac) + at_hi * frac
+    }
+}
+
+/// Move the `k`-th smallest of `v` (from 0) to `v[k]`, nothing larger
+/// before it and nothing smaller after it, reporting every exchange to
+/// `follow`. Quickselect with three-way partitions, so a run of equal
+/// samples costs one pass; pivots come from a fixed xorshift stream, so the
+/// order left behind is a function of the input alone.
+fn select(v: &mut [f64], k: usize, follow: &mut impl FnMut(usize, usize)) {
+    let mut swap = |v: &mut [f64], i: usize, j: usize| {
+        v.swap(i, j);
+        follow(i, j);
+    };
+    let (mut lo, mut hi) = (0, v.len());
+    let mut draw = 0x9E37_79B9_7F4A_7C15u64;
+    while hi - lo > 1 {
+        draw ^= draw << 13;
+        draw ^= draw >> 7;
+        draw ^= draw << 17;
+        let pivot = v[lo + (draw % (hi - lo) as u64) as usize];
+        // [lo, lt) < pivot, [lt, i) == pivot, [gt, hi) > pivot.
+        let (mut lt, mut i, mut gt) = (lo, lo, hi);
+        while i < gt {
+            if v[i] < pivot {
+                if lt != i {
+                    swap(v, lt, i);
+                }
+                lt += 1;
+                i += 1;
+            } else if v[i] > pivot {
+                gt -= 1;
+                swap(v, i, gt);
+            } else {
+                assert!(v[i] == pivot, "NaN sample");
+                i += 1;
+            }
+        }
+        if k < lt {
+            hi = lt;
+        } else if k >= gt {
+            lo = gt;
+        } else {
+            return;
+        }
+    }
 }
 
 /// An exact sample collection with percentile queries.
@@ -92,6 +163,9 @@ impl SampleSeries {
 
     /// Record one sample.
     pub fn record(&mut self, x: f64) {
+        // The one value whose order between equal samples shows in the
+        // bits: `-0.0 == 0.0`, so an unstable sort may swap the two.
+        debug_assert!(x.to_bits() != (-0.0f64).to_bits(), "a -0.0 sample");
         self.samples.push(x);
         self.sum += x;
         self.sorted = false;
@@ -144,32 +218,6 @@ impl SampleSeries {
         Summary::of_ranked(sorted.len(), self.mean(), |k| sorted[k])
     }
 
-    /// [`SampleSeries::percentile`] for a series queried once: the same
-    /// value bit for bit, found by selection (`O(n)`, no scratch buffer)
-    /// instead of a full sort. The samples are left partitioned, not
-    /// ascending; callers that read [`SampleSeries::samples`] afterwards or
-    /// query repeatedly want `percentile`.
-    pub fn percentile_once(&mut self, p: f64) -> f64 {
-        if self.sorted || self.samples.is_empty() {
-            return self.percentile(p);
-        }
-        assert!((0.0..=100.0).contains(&p), "percentile must be in [0,100]");
-        let rank = p / 100.0 * (self.samples.len() - 1) as f64;
-        let lo = rank.floor() as usize;
-        let hi = rank.ceil() as usize;
-        let (_, at_lo, above) =
-            self.samples.select_nth_unstable_by(lo, |a, b| a.partial_cmp(b).expect("NaN sample"));
-        let at_lo = *at_lo;
-        if lo == hi {
-            at_lo
-        } else {
-            // Rank `lo + 1` is the smallest sample of the upper partition.
-            let at_hi = above.iter().copied().fold(f64::INFINITY, f64::min);
-            let frac = rank - lo as f64;
-            at_lo * (1.0 - frac) + at_hi * frac
-        }
-    }
-
     /// Five-number candlestick summary.
     pub fn candlestick(&mut self) -> Candlestick {
         Candlestick {
@@ -185,6 +233,14 @@ impl SampleSeries {
     /// after a percentile query).
     pub fn samples(&self) -> &[f64] {
         &self.samples
+    }
+
+    /// The samples, for a caller that reorders them in place (grouping them
+    /// by a tag it keeps beside the series, say). Count and mean do not
+    /// depend on the order; the series no longer counts as sorted.
+    pub fn samples_mut(&mut self) -> &mut [f64] {
+        self.sorted = false;
+        &mut self.samples
     }
 
     fn ensure_sorted(&mut self) {
@@ -220,30 +276,52 @@ mod tests {
             for round in 0..6 {
                 // Few distinct values on even rounds: duplicates at the rank.
                 let distinct = if round % 2 == 0 { 5 } else { 1 << 30 };
-                let mut sorted = SampleSeries::new();
+                let mut series = SampleSeries::new();
                 for _ in 0..len {
-                    sorted.record(rng.uniform(0, distinct) as f64 * 0.37 + 1.0);
+                    series.record(rng.uniform(0, distinct) as f64 * 0.37 + 1.0);
                 }
                 for p in [0.0, 50.0, 99.0, 99.9, 100.0] {
-                    let mut once = SampleSeries { sorted: false, ..sorted.clone() };
-                    let want = sorted.clone().percentile(p);
-                    assert_eq!(
-                        once.percentile_once(p).to_bits(),
-                        want.to_bits(),
-                        "len {len}, p {p}"
-                    );
-                    assert_eq!(once.len(), len);
+                    let want = series.clone().percentile(p);
+                    // A tag per sample (its recording index) follows every
+                    // exchange, so each tag still names its own sample.
+                    let mut once = series.samples().to_vec();
+                    let mut tags: Vec<usize> = (0..len).collect();
+                    let got = percentile_once(&mut once, p, |i, j| tags.swap(i, j));
+                    assert_eq!(got.to_bits(), want.to_bits(), "len {len}, p {p}");
+                    for (x, &tag) in once.iter().zip(&tags) {
+                        assert_eq!(x.to_bits(), series.samples()[tag].to_bits(), "len {len}");
+                    }
                 }
             }
         }
-        // Already sorted: answered from the sorted samples, which stay so.
-        let mut s = SampleSeries::new();
-        for x in [3.0, 1.0, 2.0] {
-            s.record(x);
+        // Already ascending: the selection needs no exchange to answer.
+        let mut ascending = [1.0, 2.0, 3.0];
+        assert_eq!(percentile_once(&mut ascending, 100.0, |_, _| {}), 3.0);
+        assert_eq!(percentile_once(&mut [], 50.0, |_, _| {}), 0.0);
+    }
+
+    #[test]
+    fn the_unstable_sort_gives_the_stable_sorts_bits() {
+        let mut rng = crate::DetRng::new(0x50E7);
+        for len in [0usize, 1, 2, 31, 1_000, 20_000] {
+            for distinct in [1u64, 3, 17, 1 << 30] {
+                let recorded: Vec<f64> =
+                    (0..len).map(|_| rng.uniform(0, distinct) as f64 * 0.37).collect();
+                let mut stable = recorded.clone();
+                stable.sort_by(|a, b| a.partial_cmp(b).expect("NaN sample"));
+                let mut unstable = recorded;
+                sort(&mut unstable);
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&unstable), bits(&stable), "len {len}, {distinct} distinct");
+            }
         }
-        assert_eq!(s.percentile(50.0), 2.0);
-        assert_eq!(s.percentile_once(100.0), 3.0);
-        assert_eq!(s.samples(), [1.0, 2.0, 3.0]);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "a -0.0 sample")]
+    fn a_negative_zero_sample_is_refused() {
+        SampleSeries::new().record(-0.0);
     }
 
     #[test]

@@ -21,10 +21,12 @@ python3 scripts/results_diff.py --self-test
 echo "== cargo test"
 cargo test --workspace --quiet
 
-echo "== allocation budget (release hot path)"
+echo "== allocation budget (release hot path, live heap per measured commit)"
 # The counting-allocator regression gate over the TPC-C / YCSB hot paths
-# (crates/bench/tests/alloc_budget.rs). Runs in release so the measured
-# averages match the configuration the wall-clock gate times.
+# (crates/bench/tests/alloc_budget.rs), and the peak live-heap growth of a
+# YCSB-A driver run per measured commit: one latency sample plus its kind
+# and bucket tags. Runs in release so the measured averages match the
+# configuration the wall-clock gate times.
 cargo test --release -p xssd-bench --test alloc_budget --quiet
 
 echo "== fast-side run intake (release: per-TLP equivalence, chunk-count pin)"
@@ -76,6 +78,22 @@ echo "== one latency collector (telemetry percentiles are the exact samples')"
 # entry, does not come back without a consumer that needs it and a review.
 if grep -rnE 'Histogram|percentile_lower_bound|p99_us_exact' crates/; then
   echo "FAIL: a second latency collector or an _exact side channel is back under crates/ (lines above)."
+  exit 1
+fi
+
+echo "== one latency copy (the runner stores each measured commit's latency once)"
+# PERFORMANCE.md rule 10. memdb::runner keeps one `SampleSeries`, the
+# aggregate in `RunReport`; kinds and buckets are tags beside it, and their
+# mean and p99 are read off it (`ObservedRun::kind_latency`,
+# `bucket_latency`). A per-kind or per-bucket series does not come back
+# outside the `#[cfg(test)]` reference that follows the first column-0
+# `#[cfg(test)]` of the file.
+series_fields=$(awk '/^#\[cfg\(test\)\]/ { exit }
+                     /^[[:space:]]+(pub )?[a-z_]+: [A-Za-z_:<]*SampleSeries>*,$/ { print FILENAME ":" FNR ": " $0 }' \
+                  crates/memdb/src/runner.rs)
+if [ "$(printf '%s' "$series_fields" | grep -c .)" -gt 1 ]; then
+  echo "$series_fields"
+  echo "FAIL: crates/memdb/src/runner.rs declares more than one SampleSeries field (lines above)."
   exit 1
 fi
 
@@ -154,4 +172,4 @@ echo "== benchmark: its own tests, then every workload and check at 1/50 horizon
 (cd benchmark && cargo test --offline --quiet)
 benchmark/run.sh --quick > /dev/null
 
-echo "ok: fmt, clippy, reachability, gate self-test, tests, count, nudge, one-collector, one-intake, one-log, one-checksum, no-GC and buffer-scan gates, recovery smoke, chaos smoke, benchmark checks all clean"
+echo "ok: fmt, clippy, reachability, gate self-test, tests, count, nudge, one-collector, one-latency-copy, one-intake, one-log, one-checksum, no-GC and buffer-scan gates, recovery smoke, chaos smoke, benchmark checks all clean"
