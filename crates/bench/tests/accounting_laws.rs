@@ -27,7 +27,7 @@
 //!   exactly one kind;
 //! - the counts balance: a cell's secondaries sent at least the shadow
 //!   updates its primary applied, and every port completed at most what was
-//!   submitted to it.
+//!   submitted to it, the difference being its `port.inflight` gauge.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
@@ -232,7 +232,8 @@ fn counts_balance() {
         let (applied, sent) = (total("shadow_updates_applied"), total("shadow_updates_sent"));
         assert!(applied <= sent, "{where_}: {applied} shadow updates applied, {sent} sent");
         shadow += usize::from(sent > 0.0);
-        // A port completes only what was submitted to it.
+        // A port completes only what was submitted to it, and what it has
+        // not completed is still in flight at the cut.
         for port in cell.keys().filter_map(|k| k.strip_suffix("port.submitted")) {
             if !(port.is_empty() || port.ends_with('.')) {
                 continue;
@@ -242,6 +243,12 @@ fn counts_balance() {
             assert!(
                 submitted >= completed,
                 "{where_}: {port}port submitted {submitted} < completed {completed}"
+            );
+            let inflight = cell[&format!("{port}port.inflight")];
+            assert_eq!(
+                submitted - completed,
+                inflight,
+                "{where_}: {port}port submitted {submitted} − completed {completed}"
             );
             ports += 1;
         }

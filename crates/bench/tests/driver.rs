@@ -1,50 +1,56 @@
-//! Driver-layer contract tests: draw-for-draw parity with the
-//! `run_workload` closed loop, and ramp-up exclusion.
+//! Runner contract tests: draw-for-draw parity between TPC-C's own pick
+//! and the runner's, and ramp-up exclusion.
 
-use memdb::{run_workload, PmConfig, PmLog, RunnerConfig, WalConfig, WalManager};
-use simkit::{MetricsRegistry, SimDuration};
+use memdb::{Database, PmConfig, PmLog, WalConfig, WalManager};
+use simkit::{DetRng, MetricsRegistry, SimDuration};
 use tpcc::{setup, TpccConfig};
 use xssd_bench::driver::{self, DriverConfig, Workload};
 use xssd_bench::ycsb::{self, YcsbConfig, YcsbMix};
 
-/// The driver's load-bearing invariant: driving TPC-C through
-/// `bench::driver` with the default mix replays the
-/// `run_workload(|db, rng, _| workload.execute(db, rng, 0))` loop
-/// draw-for-draw — same commit count, same latency samples, and every
-/// metric the plain loop reports unchanged — which is why harnesses moved
-/// onto the driver reproduced their `results/*.json` values.
+/// The runner's load-bearing invariant: TPC-C as a five-kind workload,
+/// picked by the runner, replays `|db, rng| workload.execute(db, rng, 0)`
+/// — a one-kind workload that picks with TPC-C's own `pick` — draw for
+/// draw: same commit count, same latency samples, and every metric the
+/// one-kind run reports unchanged but its one-kind breakdown. That is why
+/// harnesses moved onto the weighted pick reproduced their
+/// `results/*.json` values.
 #[test]
 fn tpcc_driver_replays_the_legacy_closed_loop() {
-    let dur = SimDuration::from_millis(30);
+    let cfg = DriverConfig {
+        workers: 4,
+        measure: SimDuration::from_millis(30),
+        seed: 0xF00D,
+        ..DriverConfig::default()
+    };
 
     let (mut db_a, mut wl_a, _) = setup(TpccConfig::bench(), 0x716);
     let mut wal_a = WalManager::new(PmLog::new(PmConfig::default()), WalConfig::default());
-    let runner =
-        RunnerConfig { workers: 4, duration: dur, seed: 0xF00D, ..RunnerConfig::default() };
-    let mut legacy =
-        run_workload(&mut db_a, &mut wal_a, runner, |db, rng, _| wl_a.execute(db, rng, 0));
+    let one_kind = &mut |db: &mut Database, rng: &mut DetRng| wl_a.execute(db, rng, 0);
+    let mut legacy = driver::run(&mut db_a, &mut wal_a, one_kind, &cfg);
+    assert_eq!(legacy.per_kind.len(), 1);
+    let legacy_kind = &legacy.per_kind[0];
+    let legacy_kind = (legacy_kind.committed, legacy_kind.mean_us, legacy_kind.p99_us);
+    let legacy_samples = legacy.run.latency_us.samples().to_vec();
 
     let (mut db_b, mut wl_b, _) = setup(TpccConfig::bench(), 0x716);
     let mut wal_b = WalManager::new(PmLog::new(PmConfig::default()), WalConfig::default());
-    let cfg = DriverConfig { workers: 4, measure: dur, seed: 0xF00D, ..DriverConfig::default() };
     let driven = driver::run(&mut db_b, &mut wal_b, &mut wl_b, &cfg);
 
-    assert_eq!(legacy.committed, driven.run.committed);
-    assert_eq!(legacy.aborted, driven.run.aborted);
-    assert_eq!(legacy.elapsed, driven.run.elapsed);
-    // The same samples: the driver's per-kind query leaves them grouped by
-    // kind, the legacy loop in recording order.
+    assert_eq!(legacy.run.committed, driven.run.committed);
+    assert_eq!(legacy.run.aborted, driven.run.aborted);
+    assert_eq!(legacy.run.elapsed, driven.run.elapsed);
+    // The same samples: the five-kind breakdown leaves them grouped by
+    // kind, the one-kind run in recording order.
     let ascending = |s: &[f64]| {
         let mut v = s.to_vec();
         v.sort_by(f64::total_cmp);
         v
     };
-    assert_eq!(ascending(legacy.latency_us.samples()), ascending(driven.run.latency_us.samples()));
-    assert_eq!(legacy.log_bytes, driven.run.log_bytes);
-    assert_eq!(legacy.flushes, driven.run.flushes);
+    assert_eq!(ascending(&legacy_samples), ascending(driven.run.latency_us.samples()));
+    assert_eq!(legacy.run.log_bytes, driven.run.log_bytes);
+    assert_eq!(legacy.run.flushes, driven.run.flushes);
 
-    // Every path `RunReport` emits appears unchanged in `DriverReport`'s
-    // snapshot, which adds only the per-kind breakdown.
+    // Every path but the kind breakdown is the same in both snapshots.
     let mut reg_a = MetricsRegistry::new();
     reg_a.collect("", &legacy);
     reg_a.collect("", &wal_a);
@@ -54,25 +60,24 @@ fn tpcc_driver_replays_the_legacy_closed_loop() {
     reg_b.collect("", &wal_b);
     reg_b.collect("", &wl_b);
     let (snap_a, snap_b) = (reg_a.snapshot(), reg_b.snapshot());
-    for (path, value) in snap_a.iter() {
-        assert_eq!(snap_b.get(path), Some(value), "{path} differs under the driver");
+    let paths = |snap: &simkit::Snapshot| -> Vec<String> {
+        snap.iter().map(|(p, _)| p.to_string()).filter(|p| !p.starts_with("db.mix.")).collect()
+    };
+    assert_eq!(paths(&snap_a), paths(&snap_b), "the two runs export different paths");
+    for path in paths(&snap_a) {
+        assert_eq!(snap_b.get(&path), snap_a.get(&path), "{path} differs between the picks");
     }
-    let added: Vec<&str> =
-        snap_b.iter().map(|(p, _)| p).filter(|p| snap_a.get(p).is_none()).collect();
-    assert!(!added.is_empty(), "the driver reports its per-kind breakdown");
-    assert!(
-        added.iter().all(|p| p.starts_with("db.mix.") || *p == "db.ramp_excluded"),
-        "unexpected driver-only paths: {added:?}"
-    );
 
     // The published percentiles agree too (what fig09 prints), and they
-    // are the samples' own.
+    // are the samples' own; so are the one kind's.
     let published = snap_b.latency("db.commit_latency_us");
     assert_eq!(snap_a.latency("db.commit_latency_us"), published);
-    assert_eq!(published.count, legacy.committed);
+    assert_eq!(published.count, legacy.run.committed);
     assert_eq!(published.mean, legacy.mean_latency_us());
-    assert_eq!(published.p50, legacy.latency_us.percentile(50.0));
-    assert_eq!(published.p99, legacy.latency_us.percentile(99.0));
+    assert_eq!(legacy.run.latency_us.samples(), legacy_samples, "the one kind reordered them");
+    assert_eq!(published.p50, legacy.run.latency_us.percentile(50.0));
+    assert_eq!(published.p99, legacy.run.latency_us.percentile(99.0));
+    assert_eq!(legacy_kind, (published.count, published.mean, published.p99));
 
     // The per-kind breakdown covers every commit and matches the
     // workload's own mix counters.

@@ -348,4 +348,80 @@ mod tests {
         recover(&mut recovered, &prefix);
         assert_eq!(recovered.fingerprint(), db.fingerprint());
     }
+
+    /// The log lifecycle's retention rule: a checkpoint retires the WAL's
+    /// archived segments below its offset whatever the secondaries hold.
+    /// A secondary that was down while the primary checkpointed past its
+    /// tail then finds the archive starting above that tail, and the rejoin
+    /// should still bring it level with the primary. Today it panics in
+    /// `Cluster::deliver_archived`: "archived range starts at 7488 but the
+    /// target's tail is 1664: the archive no longer reaches back to the
+    /// rejoining copy" — although the primary's destage ring still holds
+    /// the whole gap, which the live resync after the archive leg would
+    /// have served.
+    #[test]
+    #[ignore = "ROADMAP item 15: retention ignores the slowest secondary"]
+    fn rejoin_after_a_checkpoint_past_the_down_secondarys_tail() {
+        use crate::backend::XssdLog;
+        use crate::checkpoint::Checkpointer;
+        use crate::segment::{SegmentConfig, SegmentView};
+        use crate::wal::{Lsn, WalConfig, WalManager};
+
+        let mut cluster = Cluster::new();
+        let p = cluster.add_device(VillarsConfig::small());
+        let s1 = cluster.add_device(VillarsConfig::small());
+        let s2 = cluster.add_device(VillarsConfig::small());
+        let mut now = cluster.configure_replication(SimTime::ZERO, p, &[s1, s2]);
+        let mut wal = WalManager::new(XssdLog::new(cluster, p, "villars"), WalConfig::default());
+        wal.enable_segments(SegmentConfig { segment_bytes: 1 << 10 });
+        let mut db = Database::new();
+        let tab = db.create_table("t");
+        // One transaction per group, durable on every live copy.
+        let commit = |db: &mut Database, wal: &mut WalManager<XssdLog>, now, i: u32| {
+            let mut ctx = db.begin();
+            db.insert(&mut ctx, tab, crate::storage::keys::composite(&[i]), vec![i as u8; 160]);
+            wal.append_records(now, &db.commit(ctx).expect("commit"));
+            wal.flush(now).at
+        };
+
+        for i in 0..8u32 {
+            now = commit(&mut db, &mut wal, now, i);
+        }
+        let cluster = wal.backend_mut().cluster_mut();
+        cluster.power_fail(s2, now);
+        let tail_at_crash = cluster.device(s2).log_tail();
+        now = fail_over(cluster, now, p, &[s1]).reconfigured_at;
+        for i in 8..40u32 {
+            now = commit(&mut db, &mut wal, now, i);
+        }
+        // Checkpoint everything durable, past the down copy's tail, and
+        // retire the segments below it.
+        let durable = wal.durable_upto();
+        assert!(durable.0 > tail_at_crash, "test premise: the checkpoint passes s2's tail");
+        let mut ck = Checkpointer::new(p, 128, 16);
+        let (t, meta) = ck.checkpoint(wal.backend_mut().cluster_mut(), now, &db, durable.0);
+        now = t;
+        assert!(wal.truncate_below(Lsn(meta.log_offset)) > 0, "the checkpoint retired segments");
+
+        let archive: Vec<(u64, Vec<u8>, Option<u32>)> = wal
+            .segments()
+            .expect("segments on")
+            .views()
+            .iter()
+            .map(|v| (v.base_lsn, v.bytes.to_vec(), v.crc))
+            .collect();
+        let views: Vec<SegmentView<'_>> = archive
+            .iter()
+            .map(|(base_lsn, bytes, crc)| SegmentView { base_lsn: *base_lsn, bytes, crc: *crc })
+            .collect();
+        let cluster = wal.backend_mut().cluster_mut();
+        cluster.advance(now);
+        assert!(
+            cluster.device(p).destage_readable_from(0).is_some_and(|from| from <= tail_at_crash),
+            "test premise: the primary's ring still serves the range s2 missed"
+        );
+        let rejoin = rejoin_secondary_from_archive(cluster, now, p, s2, &[s1, s2], &views);
+        assert_eq!(rejoin.tail_at_reboot, tail_at_crash);
+        assert_eq!(cluster.device(s2).log_tail(), cluster.device(p).log_tail());
+    }
 }

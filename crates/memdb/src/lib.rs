@@ -10,7 +10,10 @@
 //! - [`backend`] — the pluggable log devices Fig. 9 compares ([`NoLog`],
 //!   [`PmLog`], [`NvmeLog`], [`XssdLog`]);
 //! - [`wal`] — group commit (16 KiB threshold + timeout);
-//! - [`runner`] — pinned-worker workload driver (latency/throughput);
+//! - [`runner`] — the one workload runner: [`runner::run`] drives a
+//!   [`Workload`]'s weighted kinds on pinned workers through a
+//!   [`WalManager`] and returns a [`DriverReport`] (throughput, latency per
+//!   kind and per time bucket);
 //! - [`recovery`] — analysis+redo from the destaged log, bounded to
 //!   latest snapshot + subsequent segments when segmentation is on;
 //! - [`segment`] — sealed-segment archive with checkpoint-anchored
@@ -45,8 +48,7 @@ pub use log::{decode_one, decode_stream, DecodeError, LogOp, LogRecord, TableId}
 pub use recovery::{encode_txn, recover, replay_segments, RecoveryReport, SegmentReplayReport};
 pub use replica::Replica;
 pub use runner::{
-    run_observed, run_workload, KindCounts, ObserveConfig, ObservedRun, RunReport, RunnerConfig,
-    SeriesBucket, TxnOutcome,
+    DriverConfig, DriverReport, KindReport, RunReport, TimeBucket, TxnOutcome, Workload,
 };
 pub use segment::{SealedSegment, SegmentConfig, SegmentView, SegmentedLog};
 pub use storage::{keys, Database, Key, Row, Table, TxnCtx, TxnError};

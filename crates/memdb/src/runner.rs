@@ -1,4 +1,5 @@
-//! The multi-worker workload runner behind the Fig. 9 experiment.
+//! The workload runner behind the Fig. 9 experiment: the one way to drive
+//! transactions through a [`WalManager`].
 //!
 //! Workers are simulated cores pinned to log writers (the paper: "ERMIA
 //! pins each of its log writers to a core, therefore the experiments can
@@ -7,15 +8,20 @@
 //! which is why transaction latency *drops* as workers increase (the
 //! 16 KiB threshold fills sooner, §6.1).
 //!
-//! There is one worker loop ([`run_observed`]). What the *log writer* does
-//! with a full or stale batch is the WAL's decision
-//! ([`WalManager::commit_group`]), and
-//! [`RunnerConfig::log_pipeline_depth`] picks between two writer
+//! [`run`] takes a [`Workload`] — named transaction kinds with mix weights
+//! — and a [`DriverConfig`], and returns a [`DriverReport`]. A closure
+//! `|db, rng| -> TxnOutcome` is a one-kind workload: it makes no kind
+//! draw, and without a series bucket its report keeps the aggregate's
+//! samples in recording order.
+//!
+//! What the *log writer* does with a full or stale batch is the WAL's
+//! decision ([`WalManager::commit_group`]), and
+//! [`DriverConfig::log_pipeline_depth`] picks between two writer
 //! **models**, not two code paths for one model:
 //!
 //! 1. *Group boundaries.* The serialized writer (depth 1) seals every
 //!    group at the threshold and queues it behind the writer; workers are
-//!    held back only by [`RunnerConfig::max_log_deficit`]. A pipelined
+//!    held back only by [`DriverConfig::max_log_deficit`]. A pipelined
 //!    writer with no free slot leaves the batch open — it keeps growing —
 //!    and parks the filling worker. Group sizes differ.
 //! 2. *Device protocol.* `NvmeLog::sync` is write → wait → flush → wait
@@ -35,27 +41,79 @@ use crate::log::LogRecord;
 use crate::storage::{Database, TxnError};
 use crate::wal::{FlushReport, Lsn, WalManager};
 use simkit::stats::percentile_once;
-use simkit::{DetRng, SampleSeries, SimDuration, SimTime};
+use simkit::{DetRng, Instrument, SampleSeries, SimDuration, SimTime};
 use std::ops::Range;
 
-/// Runner configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct RunnerConfig {
-    /// Number of worker threads (1–8 in the paper).
+/// One transaction produced by the workload: its WAL records (already
+/// applied to the database) or an abort.
+pub type TxnOutcome = Result<Vec<LogRecord>, TxnError>;
+
+/// A deterministic per-seed transaction stream with weighted kinds.
+///
+/// Implementations must be pure functions of `(db, rng, kind)`: every
+/// stochastic choice draws from `rng`, so equal seeds replay bit-for-bit.
+pub trait Workload {
+    /// The transaction kind labels, aligned with the mix weights.
+    fn kinds(&self) -> &'static [&'static str];
+
+    /// The workload's standard mix weights (overridable per run through
+    /// [`DriverConfig::mix`]). Same length as [`Workload::kinds`].
+    fn default_mix(&self) -> &'static [u32];
+
+    /// Execute one transaction of `kinds()[kind]` against `db`.
+    /// `now_ns` is the transaction's simulated start instant, for
+    /// workloads that stamp wall-clock-like fields into rows.
+    fn execute(
+        &mut self,
+        db: &mut Database,
+        rng: &mut DetRng,
+        kind: usize,
+        now_ns: u64,
+    ) -> TxnOutcome;
+}
+
+/// A closure over `(db, rng)` is a workload of one kind, `txn`.
+impl<F: FnMut(&mut Database, &mut DetRng) -> TxnOutcome> Workload for F {
+    fn kinds(&self) -> &'static [&'static str] {
+        &["txn"]
+    }
+
+    fn default_mix(&self) -> &'static [u32] {
+        &[1]
+    }
+
+    fn execute(&mut self, db: &mut Database, rng: &mut DetRng, _: usize, _: u64) -> TxnOutcome {
+        self(db, rng)
+    }
+}
+
+/// One run, declaratively.
+#[derive(Debug, Clone)]
+pub struct DriverConfig {
+    /// Simulated worker cores (1–8 in the paper).
     pub workers: usize,
+    /// Warm-up window: executed, logged, but excluded from every counter
+    /// and percentile in the report.
+    pub ramp_up: SimDuration,
+    /// Measured window; the run lasts `ramp_up + measure`.
+    pub measure: SimDuration,
+    /// Workload RNG seed.
+    pub seed: u64,
+    /// Mix weights per kind; `None` uses the workload's default mix.
+    pub mix: Option<Vec<u32>>,
+    /// When set, bucket committed transactions by durability instant
+    /// into windows of this width, offset from the end of the ramp (the
+    /// per-simulated-second series).
+    pub series_bucket: Option<SimDuration>,
     /// Mean CPU time to execute one transaction (ERMIA-class engines do
     /// ~37 ktxn/s/core on TPC-C ⇒ ~27 µs/txn).
     pub cpu_per_txn: SimDuration,
     /// ±fractional jitter applied to per-transaction CPU time.
     pub cpu_jitter: f64,
-    /// Simulated run length.
-    pub duration: SimDuration,
     /// Stall workers when the log writer's completion horizon runs this
     /// far ahead of the simulation clock (the log-buffer back-pressure: a
     /// full buffer parks workers until the device drains).
     pub max_log_deficit: SimDuration,
-    /// Workload RNG seed.
-    pub seed: u64,
     /// Maximum group commits the log writer may keep in flight at once.
     /// `1` (the default) is the serialized blocking path the paper's
     /// Fig. 9 measures; larger values pipeline groups through the
@@ -63,21 +121,25 @@ pub struct RunnerConfig {
     pub log_pipeline_depth: usize,
 }
 
-impl Default for RunnerConfig {
+impl Default for DriverConfig {
+    /// Four workers for 100 ms with no ramp and no series.
     fn default() -> Self {
-        RunnerConfig {
+        DriverConfig {
             workers: 4,
+            ramp_up: SimDuration::ZERO,
+            measure: SimDuration::from_millis(100),
+            seed: 0xE121A,
+            mix: None,
+            series_bucket: None,
             cpu_per_txn: SimDuration::from_micros_f64(27.0),
             cpu_jitter: 0.2,
-            duration: SimDuration::from_millis(100),
             max_log_deficit: SimDuration::from_micros(500),
-            seed: 0xE121A,
             log_pipeline_depth: 1,
         }
     }
 }
 
-/// What one run measured.
+/// The aggregate over the measured window.
 #[derive(Debug, Default)]
 pub struct RunReport {
     /// Committed transactions.
@@ -113,7 +175,7 @@ impl RunReport {
     }
 }
 
-impl simkit::Instrument for RunReport {
+impl Instrument for RunReport {
     fn instrument(&self, out: &mut simkit::Scope<'_>) {
         let mut db = out.scope("db");
         db.counter("commits", self.committed);
@@ -126,236 +188,166 @@ impl simkit::Instrument for RunReport {
     }
 }
 
-/// One transaction produced by the workload: its WAL records (already
-/// applied to the database) or an abort.
-pub type TxnOutcome = Result<Vec<LogRecord>, TxnError>;
-
-/// Extra observation settings for [`run_observed`] — everything the
-/// benchmark driver layer (`xssd-bench`'s `driver` module) needs beyond
-/// the plain [`RunnerConfig`]: transaction kinds, a ramp-up window
-/// excluded from statistics, and optional time-series bucketing.
-#[derive(Debug, Clone, Copy)]
-pub struct ObserveConfig {
-    /// Number of distinct transaction kinds the workload closure may
-    /// return; sizes [`ObservedRun::per_kind`].
-    pub kinds: usize,
-    /// Warm-up window at the start of the run: transactions *started*
-    /// before this offset are executed (they heat caches and fill the
-    /// log) but appear in no counter, latency series, or bucket — only
-    /// in [`ObservedRun::ramp_excluded`].
-    pub ramp_up: SimDuration,
-    /// When set, committed transactions are additionally bucketed by
-    /// durability instant into fixed windows of this width (offset from
-    /// the end of the ramp) — the per-simulated-second time-series.
-    pub series_bucket: Option<SimDuration>,
-}
-
-impl Default for ObserveConfig {
-    fn default() -> Self {
-        ObserveConfig { kinds: 1, ramp_up: SimDuration::ZERO, series_bucket: None }
-    }
-}
-
-/// Measured-window counts for one transaction kind. Its latencies are in
-/// the aggregate series; [`ObservedRun::kind_latency`] reads them.
+/// Measured-window statistics for one transaction kind.
 #[derive(Debug, Default)]
-pub struct KindCounts {
-    /// Committed transactions of this kind (measured window only).
+pub struct KindReport {
+    /// The kind's label (from [`Workload::kinds`]).
+    pub label: &'static str,
+    /// Its weight in the mix that ran.
+    pub weight: u32,
+    /// Committed transactions.
     pub committed: u64,
-    /// Aborted transactions of this kind (measured window only).
+    /// Aborted transactions.
     pub aborted: u64,
-    /// Its commit-to-durable latencies summed in recording order, µs.
-    latency_sum_us: f64,
+    /// Mean commit-to-durable latency, µs (0 when nothing committed).
+    pub mean_us: f64,
+    /// Exact-sample p99 latency, µs.
+    pub p99_us: f64,
 }
 
-/// One time-series bucket (see [`ObserveConfig::series_bucket`]). Its
-/// latencies are in the aggregate series; [`ObservedRun::bucket_latency`]
-/// reads them.
+/// One time-series bucket of the measured window.
 #[derive(Debug, Default)]
-pub struct SeriesBucket {
-    /// Transactions that became durable inside this bucket.
+pub struct TimeBucket {
+    /// Transactions that became durable inside the bucket.
     pub committed: u64,
-    /// Their commit-to-durable latencies summed in recording order, µs.
-    latency_sum_us: f64,
+    /// Their mean latency, µs.
+    pub mean_us: f64,
+    /// Their exact-sample p99 latency, µs.
+    pub p99_us: f64,
 }
 
-/// What [`run_observed`] measured: the classic [`RunReport`] (counters
-/// restricted to the measured window) plus the per-kind and time-series
-/// breakdowns.
+/// What one run measured.
+///
+/// Collecting the report into a [`simkit::MetricsRegistry`] emits the
+/// `db.*` aggregates of its [`RunReport`] plus `db.ramp_excluded`, the
+/// per-kind `db.mix.<kind>.*` and — when `series_bucket` was set — the
+/// `db.series.*` time series.
 #[derive(Debug)]
-pub struct ObservedRun {
-    /// Aggregate report over the measured window. With a zero ramp this
-    /// is byte-identical to what [`run_workload`] returns. Its latency
-    /// series holds every measured sample once, in recording order until a
-    /// per-kind or per-bucket query groups it.
-    pub report: RunReport,
-    /// Per-kind breakdown, indexed by the kind the closure returned.
-    pub per_kind: Vec<KindCounts>,
+pub struct DriverReport {
+    /// The aggregate measured-window report. Its latency series holds
+    /// every measured sample once: grouped by kind when the workload has
+    /// more than one, then by bucket when a series was asked for, and in
+    /// recording order otherwise.
+    pub run: RunReport,
+    /// Per-kind breakdown, in [`Workload::kinds`] order.
+    pub per_kind: Vec<KindReport>,
     /// Time-series buckets (empty unless `series_bucket` was set).
-    pub series: Vec<SeriesBucket>,
-    /// Committed transactions excluded because they started in the ramp.
+    pub series: Vec<TimeBucket>,
+    /// The bucket width the series was collected at.
+    pub series_bucket: Option<SimDuration>,
+    /// Committed transactions excluded by the ramp window.
     pub ramp_excluded: u64,
-    /// What each sample of `report.latency_us` belongs to.
-    tags: Tags,
-    /// The per-kind and per-bucket series the tags replaced.
-    #[cfg(test)]
-    reference: Reference,
 }
 
-impl ObservedRun {
-    /// Mean and p99 commit-to-durable latency (µs) of each kind, in kind
-    /// order, `(0, 0)` for a kind with no measured commit — what a series
-    /// of the kind's own samples gives for [`SampleSeries::mean`] and
-    /// [`SampleSeries::percentile`], bit for bit. Groups the aggregate
-    /// series by kind in place.
-    pub fn kind_latency(&mut self) -> Vec<(f64, f64)> {
-        let sums: Vec<f64> = self.per_kind.iter().map(|k| k.latency_sum_us).collect();
-        self.latency_by(&sums, |tags, i| tags.kind.get(i).map_or(0, |&k| k as usize))
+impl DriverReport {
+    /// Committed transactions per second of measured time.
+    pub fn throughput_tps(&self) -> f64 {
+        self.run.throughput_tps()
     }
 
-    /// [`ObservedRun::kind_latency`] for each time-series bucket, in time
-    /// order. Groups the aggregate series by bucket in place.
-    pub fn bucket_latency(&mut self) -> Vec<(f64, f64)> {
-        let sums: Vec<f64> = self.series.iter().map(|b| b.latency_sum_us).collect();
-        self.latency_by(&sums, |tags, i| tags.bucket[i] as usize)
+    /// Mean commit-to-durable latency, µs.
+    pub fn mean_latency_us(&self) -> f64 {
+        self.run.mean_latency_us()
     }
+}
 
-    /// Group the aggregate samples by `group` (one group per entry of
-    /// `sums`) and read each group's mean and p99 off its own range. The
-    /// selection carries the tags along, so a later query by the other tag
-    /// still finds every sample's.
-    fn latency_by(
-        &mut self,
-        sums: &[f64],
-        group: impl Fn(&Tags, usize) -> usize,
-    ) -> Vec<(f64, f64)> {
-        if sums.is_empty() {
-            return Vec::new();
+impl Instrument for DriverReport {
+    fn instrument(&self, out: &mut simkit::Scope<'_>) {
+        self.run.instrument(out);
+        let mut db = out.scope("db");
+        db.counter("ramp_excluded", self.ramp_excluded);
+        {
+            let mut mix = db.scope("mix");
+            for k in &self.per_kind {
+                let mut s = mix.scope(k.label);
+                s.counter("committed", k.committed);
+                s.counter("aborted", k.aborted);
+                s.gauge("mean_us", k.mean_us);
+                s.gauge("p99_us", k.p99_us);
+            }
         }
-        let samples = self.report.latency_us.samples_mut();
-        let tags = &mut self.tags;
-        let ranges = group_by(samples, tags, sums.len(), group);
-        ranges
-            .into_iter()
-            .zip(sums)
-            .map(|(range, &sum)| {
-                let n = range.len();
-                let mean = if n == 0 { 0.0 } else { sum / n as f64 };
-                let at = range.start;
-                let p99 = percentile_once(&mut samples[range], 99.0, |i, j| {
-                    tags.swap(at + i, at + j);
-                });
-                (mean, p99)
-            })
-            .collect()
-    }
-}
-
-/// What each sample of the aggregate series belongs to, index for index:
-/// its kind when a run has more than one, its time-series bucket when it
-/// has a series. An unused tag stays empty.
-#[derive(Debug, Default)]
-struct Tags {
-    kind: Vec<u8>,
-    bucket: Vec<u32>,
-}
-
-impl Tags {
-    fn swap(&mut self, i: usize, j: usize) {
-        if !self.kind.is_empty() {
-            self.kind.swap(i, j);
-        }
-        if !self.bucket.is_empty() {
-            self.bucket.swap(i, j);
-        }
-    }
-}
-
-/// Reorder `samples`, and `tags` with them, so that each of `groups`
-/// groups is contiguous and in group order; return the groups' ranges. A
-/// counting sort in place: one pass to count, then every sample not yet in
-/// its group's range is swapped straight into it.
-fn group_by(
-    samples: &mut [f64],
-    tags: &mut Tags,
-    groups: usize,
-    group: impl Fn(&Tags, usize) -> usize,
-) -> Vec<Range<usize>> {
-    let mut ranges = vec![0..0; groups];
-    for i in 0..samples.len() {
-        ranges[group(tags, i)].end += 1;
-    }
-    let mut start = 0;
-    for r in &mut ranges {
-        *r = start..start + r.end;
-        start = r.end;
-    }
-    // The first slot of each group not yet known to hold one of its own.
-    let mut next: Vec<usize> = ranges.iter().map(|r| r.start).collect();
-    for g in 0..groups {
-        while next[g] < ranges[g].end {
-            let i = next[g];
-            let h = group(tags, i);
-            if h == g {
-                next[g] += 1;
-            } else {
-                let j = next[h];
-                samples.swap(i, j);
-                tags.swap(i, j);
-                next[h] += 1;
+        if let Some(width) = self.series_bucket {
+            let mut series = db.scope("series");
+            series.counter("bucket_ns", width.as_nanos());
+            for (i, b) in self.series.iter().enumerate() {
+                // Zero-padded so the BTreeMap-sorted JSON keeps buckets
+                // in time order.
+                let mut s = series.scope(&format!("t{i:04}"));
+                s.counter("committed", b.committed);
+                s.gauge("mean_us", b.mean_us);
+                s.gauge("p99_us", b.p99_us);
             }
         }
     }
-    ranges
 }
 
-/// Drive `workers` simulated cores over `txn_fn` for the configured
-/// duration. `txn_fn` executes exactly one transaction against `db` and
-/// returns its log records.
-pub fn run_workload<B, F>(
+/// Drive `cfg.workers` simulated cores over `workload` for `ramp_up +
+/// measure` and report the measured window.
+///
+/// Each transaction draws, on its worker's RNG stream, its CPU jitter,
+/// then its kind — one `rng.uniform(1, total)` through the cumulative mix
+/// weights, only when the workload names more than one kind — and then
+/// whatever [`Workload::execute`] draws. For the TPC-C percentages the
+/// kind draw is the one `TpccWorkload::pick` makes.
+pub fn run<B, W>(
     db: &mut Database,
     wal: &mut WalManager<B>,
-    cfg: RunnerConfig,
-    mut txn_fn: F,
-) -> RunReport
+    workload: &mut W,
+    cfg: &DriverConfig,
+) -> DriverReport
 where
     B: LogBackend,
-    F: FnMut(&mut Database, &mut DetRng, usize) -> TxnOutcome,
+    W: Workload + ?Sized,
 {
-    run_observed(db, wal, cfg, ObserveConfig::default(), |db, rng, w, _t0| (0, txn_fn(db, rng, w)))
-        .report
+    observe(db, wal, workload, cfg).finish()
 }
 
-/// The kind-aware, ramp-aware generalization of [`run_workload`]. The
-/// closure additionally receives the transaction's start instant and
-/// returns `(kind, outcome)`; the execution schedule (worker timeline,
-/// RNG stream, flush cadence) is *identical* to [`run_workload`] — the
-/// observation settings only change what gets counted.
-pub fn run_observed<B, F>(
+/// The worker loop: [`run`] before the per-kind and per-bucket latencies
+/// are read off the aggregate.
+fn observe<B, W>(
     db: &mut Database,
     wal: &mut WalManager<B>,
-    cfg: RunnerConfig,
-    obs: ObserveConfig,
-    mut txn_fn: F,
-) -> ObservedRun
+    workload: &mut W,
+    cfg: &DriverConfig,
+) -> Observer
 where
     B: LogBackend,
-    F: FnMut(&mut Database, &mut DetRng, usize, SimTime) -> (usize, TxnOutcome),
+    W: Workload + ?Sized,
 {
     assert!(cfg.workers >= 1);
     assert!(cfg.log_pipeline_depth >= 1, "the log writer needs at least one slot");
-    assert!(obs.kinds >= 1, "a workload has at least one transaction kind");
-    assert!(obs.ramp_up <= cfg.duration, "ramp-up cannot exceed the run duration");
+    let labels = workload.kinds();
+    let mix = cfg.mix.clone().unwrap_or_else(|| workload.default_mix().to_vec());
+    assert_eq!(
+        mix.len(),
+        labels.len(),
+        "mix weights must align with the workload's kinds ({labels:?})"
+    );
+    let cum: Vec<u64> = mix
+        .iter()
+        .scan(0u64, |acc, &w| {
+            *acc += w as u64;
+            Some(*acc)
+        })
+        .collect();
+    let total = cum.last().copied().unwrap_or(0);
+    assert!(total > 0, "mix weights must not all be zero");
+    let per_kind = labels
+        .iter()
+        .zip(&mix)
+        .map(|(&label, &weight)| KindReport { label, weight, ..KindReport::default() })
+        .collect();
+    let mut observer = Observer::new(per_kind, cfg.ramp_up, cfg.series_bucket);
+
     let depth = cfg.log_pipeline_depth;
     let mut rng = DetRng::new(cfg.seed);
     let mut worker_rngs: Vec<DetRng> = (0..cfg.workers).map(|i| rng.fork(i as u64)).collect();
     let mut available: Vec<SimTime> = vec![SimTime::ZERO; cfg.workers];
     // Transactions whose batch is not yet durable: (start, lsn, kind).
     let mut waiting: Vec<(SimTime, Lsn, usize)> = Vec::new();
-    let mut observer = Observer::new(&obs);
     let mut reports: Vec<FlushReport> = Vec::new();
     let mut max_inflight = 0usize;
-    let end = SimTime::ZERO + cfg.duration;
+    let end = SimTime::ZERO + cfg.ramp_up + cfg.measure;
     let mut horizon = SimTime::ZERO;
 
     loop {
@@ -379,14 +371,21 @@ where
         // Resolved before this transaction joins `waiting`: a read-only
         // transaction's LSN equals the frontier a stale flush reports.
         resolve(&mut reports, &mut waiting, &mut observer, &mut horizon);
-        // Execute one transaction (the jitter draw precedes `txn_fn` on
-        // the worker's RNG stream).
-        let jitter = 1.0 + cfg.cpu_jitter * (worker_rngs[w].unit() * 2.0 - 1.0);
+        // Execute one transaction: jitter draw, kind draw, then the
+        // workload's own draws, all on the worker's RNG stream.
+        let rng = &mut worker_rngs[w];
+        let jitter = 1.0 + cfg.cpu_jitter * (rng.unit() * 2.0 - 1.0);
         let cpu =
             SimDuration::from_nanos((cfg.cpu_per_txn.as_nanos() as f64 * jitter).round() as u64);
         let t1 = t0 + cpu;
         horizon = horizon.max(t1);
-        let (kind, outcome) = txn_fn(db, &mut worker_rngs[w], w, t0);
+        let kind = if cum.len() > 1 {
+            let p = rng.uniform(1, total);
+            cum.partition_point(|&c| c < p)
+        } else {
+            0
+        };
+        let outcome = workload.execute(db, rng, kind, t0.as_nanos());
         available[w] = t1;
         match outcome {
             Ok(records) => {
@@ -437,56 +436,75 @@ where
     resolve(&mut reports, &mut waiting, &mut observer, &mut horizon);
     debug_assert!(waiting.is_empty(), "all transactions must resolve");
 
+    let run = &mut observer.report.run;
+    run.elapsed = horizon.saturating_since(observer.ramp_start);
+    run.log_bytes = wal.backend().bytes_written();
+    run.flushes = wal.flushes();
     // The serialized writer never overlaps groups: one in flight once it
     // has flushed anything.
-    let max_log_inflight = (max_inflight as u64).max(wal.flushes().min(1));
-    observer.finish(wal, horizon, max_log_inflight)
+    run.max_log_inflight = (max_inflight as u64).max(wal.flushes().min(1));
+    observer
 }
 
-/// Measured-window accounting: the [`ObservedRun`] under construction.
+/// Measured-window accounting: the [`DriverReport`] under construction.
 /// Each measured latency is stored once, in the report's series, with its
 /// tags beside it; per kind and per bucket only a count and a running sum
-/// are kept.
+/// are kept until [`Observer::finish`] reads each group's mean and p99.
 struct Observer {
     ramp_start: SimTime,
-    bucket: Option<SimDuration>,
-    run: ObservedRun,
+    report: DriverReport,
+    /// Each kind's latencies summed in recording order, µs.
+    kind_sums: Vec<f64>,
+    /// Each bucket's latencies summed in recording order, µs.
+    bucket_sums: Vec<f64>,
+    /// What each sample of `report.run.latency_us` belongs to.
+    tags: Tags,
+    /// The per-kind and per-bucket series the tags replaced.
+    #[cfg(test)]
+    reference: Reference,
 }
 
 impl Observer {
-    fn new(obs: &ObserveConfig) -> Self {
-        assert!(obs.kinds <= 1 << u8::BITS, "a kind tag is one byte: at most 256 kinds");
+    fn new(
+        per_kind: Vec<KindReport>,
+        ramp_up: SimDuration,
+        series_bucket: Option<SimDuration>,
+    ) -> Self {
+        let kinds = per_kind.len();
+        assert!(kinds <= 1 << u8::BITS, "a kind tag is one byte: at most 256 kinds");
         Observer {
-            ramp_start: SimTime::ZERO + obs.ramp_up,
-            bucket: obs.series_bucket,
-            run: ObservedRun {
-                report: RunReport::default(),
-                per_kind: (0..obs.kinds).map(|_| KindCounts::default()).collect(),
+            ramp_start: SimTime::ZERO + ramp_up,
+            report: DriverReport {
+                run: RunReport::default(),
+                per_kind,
                 series: Vec::new(),
+                series_bucket,
                 ramp_excluded: 0,
-                tags: Tags::default(),
-                #[cfg(test)]
-                reference: Reference {
-                    kinds: (0..obs.kinds).map(|_| SampleSeries::new()).collect(),
-                    buckets: Vec::new(),
-                },
+            },
+            kind_sums: vec![0.0; kinds],
+            bucket_sums: Vec::new(),
+            tags: Tags::default(),
+            #[cfg(test)]
+            reference: Reference {
+                kinds: (0..kinds).map(|_| SampleSeries::new()).collect(),
+                buckets: Vec::new(),
             },
         }
     }
 
     fn on_commit(&mut self, start: SimTime, kind: usize) {
         if start >= self.ramp_start {
-            self.run.report.committed += 1;
-            self.run.per_kind[kind].committed += 1;
+            self.report.run.committed += 1;
+            self.report.per_kind[kind].committed += 1;
         } else {
-            self.run.ramp_excluded += 1;
+            self.report.ramp_excluded += 1;
         }
     }
 
     fn on_abort(&mut self, start: SimTime, kind: usize) {
         if start >= self.ramp_start {
-            self.run.report.aborted += 1;
-            self.run.per_kind[kind].aborted += 1;
+            self.report.run.aborted += 1;
+            self.report.per_kind[kind].aborted += 1;
         }
     }
 
@@ -494,42 +512,145 @@ impl Observer {
         if start < self.ramp_start {
             return;
         }
-        let run = &mut self.run;
+        let report = &mut self.report;
         let us = at.saturating_since(start).as_micros_f64();
-        run.report.latency_us.record(us);
-        if run.per_kind.len() > 1 {
-            run.tags.kind.push(kind as u8);
+        report.run.latency_us.record(us);
+        if report.per_kind.len() > 1 {
+            self.tags.kind.push(kind as u8);
         }
-        run.per_kind[kind].latency_sum_us += us;
+        self.kind_sums[kind] += us;
         #[cfg(test)]
-        run.reference.kinds[kind].record(us);
-        if let Some(width) = self.bucket {
+        self.reference.kinds[kind].record(us);
+        if let Some(width) = report.series_bucket {
             let idx = at.saturating_since(self.ramp_start).as_nanos() / width.as_nanos();
-            run.tags.bucket.push(u32::try_from(idx).expect("a bucket tag is four bytes"));
+            self.tags.bucket.push(u32::try_from(idx).expect("a bucket tag is four bytes"));
             let idx = idx as usize;
-            if run.series.len() <= idx {
-                run.series.resize_with(idx + 1, SeriesBucket::default);
+            if report.series.len() <= idx {
+                report.series.resize_with(idx + 1, TimeBucket::default);
+                self.bucket_sums.resize(idx + 1, 0.0);
             }
-            run.series[idx].committed += 1;
-            run.series[idx].latency_sum_us += us;
+            report.series[idx].committed += 1;
+            self.bucket_sums[idx] += us;
             #[cfg(test)]
-            run.reference.bucket(idx).record(us);
+            self.reference.bucket(idx).record(us);
         }
     }
 
-    fn finish<B: LogBackend>(
-        self,
-        wal: &WalManager<B>,
-        horizon: SimTime,
-        max_log_inflight: u64,
-    ) -> ObservedRun {
-        let mut run = self.run;
-        run.report.elapsed = horizon.saturating_since(self.ramp_start);
-        run.report.log_bytes = wal.backend().bytes_written();
-        run.report.flushes = wal.flushes();
-        run.report.max_log_inflight = max_log_inflight;
-        run
+    /// Read each kind's and each bucket's mean and p99 off the aggregate —
+    /// what a series of the group's own samples gives for
+    /// [`SampleSeries::mean`] and [`SampleSeries::percentile`], bit for bit.
+    fn finish(mut self) -> DriverReport {
+        let report = &mut self.report;
+        let latency = &mut report.run.latency_us;
+        if let [only] = report.per_kind.as_mut_slice() {
+            // One kind holds every sample: read it through a copy, so the
+            // aggregate stays in recording order.
+            let summary = latency.summary();
+            (only.mean_us, only.p99_us) = (summary.mean, summary.p99);
+        } else {
+            let kinds = latency_by(latency, &mut self.tags, &self.kind_sums, |tags, i| {
+                tags.kind[i] as usize
+            });
+            for (k, (mean, p99)) in report.per_kind.iter_mut().zip(kinds) {
+                (k.mean_us, k.p99_us) = (mean, p99);
+            }
+        }
+        let buckets = latency_by(latency, &mut self.tags, &self.bucket_sums, |tags, i| {
+            tags.bucket[i] as usize
+        });
+        for (b, (mean, p99)) in report.series.iter_mut().zip(buckets) {
+            (b.mean_us, b.p99_us) = (mean, p99);
+        }
+        self.report
     }
+}
+
+/// What each sample of the aggregate series belongs to, index for index:
+/// its kind when a run has more than one, its time-series bucket when it
+/// has a series. An unused tag stays empty.
+#[derive(Debug, Default)]
+struct Tags {
+    kind: Vec<u8>,
+    bucket: Vec<u32>,
+}
+
+impl Tags {
+    fn swap(&mut self, i: usize, j: usize) {
+        if !self.kind.is_empty() {
+            self.kind.swap(i, j);
+        }
+        if !self.bucket.is_empty() {
+            self.bucket.swap(i, j);
+        }
+    }
+}
+
+/// Group the samples of `series` by `group` (one group per entry of
+/// `sums`, each group's latencies summed in recording order) and read each
+/// group's mean and p99 off its own range. The selection carries the tags
+/// along, so a later grouping by the other tag still finds every sample's.
+fn latency_by(
+    series: &mut SampleSeries,
+    tags: &mut Tags,
+    sums: &[f64],
+    group: impl Fn(&Tags, usize) -> usize,
+) -> Vec<(f64, f64)> {
+    if sums.is_empty() {
+        return Vec::new();
+    }
+    let samples = series.samples_mut();
+    let ranges = group_by(samples, tags, sums.len(), group);
+    ranges
+        .into_iter()
+        .zip(sums)
+        .map(|(range, &sum)| {
+            let n = range.len();
+            let mean = if n == 0 { 0.0 } else { sum / n as f64 };
+            let at = range.start;
+            let p99 = percentile_once(&mut samples[range], 99.0, |i, j| {
+                tags.swap(at + i, at + j);
+            });
+            (mean, p99)
+        })
+        .collect()
+}
+
+/// Reorder `samples`, and `tags` with them, so that each of `groups`
+/// groups is contiguous and in group order; return the groups' ranges. A
+/// counting sort in place: one pass to count, then every sample not yet in
+/// its group's range is swapped straight into it.
+fn group_by(
+    samples: &mut [f64],
+    tags: &mut Tags,
+    groups: usize,
+    group: impl Fn(&Tags, usize) -> usize,
+) -> Vec<Range<usize>> {
+    let mut ranges = vec![0..0; groups];
+    for i in 0..samples.len() {
+        ranges[group(tags, i)].end += 1;
+    }
+    let mut start = 0;
+    for r in &mut ranges {
+        *r = start..start + r.end;
+        start = r.end;
+    }
+    // The first slot of each group not yet known to hold one of its own.
+    let mut next: Vec<usize> = ranges.iter().map(|r| r.start).collect();
+    for g in 0..groups {
+        while next[g] < ranges[g].end {
+            let i = next[g];
+            let h = group(tags, i);
+            if h == g {
+                next[g] += 1;
+            } else {
+                let j = next[h];
+                samples.swap(i, j);
+                tags.swap(i, j);
+                next[h] += 1;
+            }
+        }
+    }
+    ranges
 }
 
 /// Record latency samples for every waiting transaction the flushes in
@@ -557,7 +678,7 @@ fn resolve(
 /// tags replaced — every measured sample stored again in its kind's series
 /// and in its bucket's.
 #[cfg(test)]
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Reference {
     kinds: Vec<SampleSeries>,
     buckets: Vec<SampleSeries>,
@@ -572,7 +693,7 @@ impl Reference {
         &mut self.buckets[idx]
     }
 
-    /// Each series' mean and p99, as the driver used to read them.
+    /// Each series' mean and p99, as the per-kind series used to give them.
     fn latency(series: &mut [SampleSeries]) -> Vec<(f64, f64)> {
         series.iter_mut().map(|s| (s.mean(), s.percentile(99.0))).collect()
     }
@@ -585,7 +706,7 @@ mod tests {
     use crate::wal::WalConfig;
 
     /// A trivial counter-bumping workload with ~200-byte log records.
-    fn bump_workload(db: &mut Database, rng: &mut DetRng, _w: usize) -> TxnOutcome {
+    fn bump_workload(db: &mut Database, rng: &mut DetRng) -> TxnOutcome {
         let t = 0;
         let mut ctx = db.begin();
         let key = crate::storage::keys::composite(&[rng.uniform(0, 999) as u32]);
@@ -600,26 +721,22 @@ mod tests {
         db.commit(ctx)
     }
 
-    fn run(workers: usize, dur_ms: u64) -> RunReport {
+    fn run_pm(workers: usize, dur_ms: u64) -> RunReport {
         let mut db = Database::new();
         db.create_table("counters");
         let mut wal = WalManager::new(PmLog::new(PmConfig::default()), WalConfig::default());
-        run_workload(
-            &mut db,
-            &mut wal,
-            RunnerConfig {
-                workers,
-                duration: SimDuration::from_millis(dur_ms),
-                ..RunnerConfig::default()
-            },
-            bump_workload,
-        )
+        let cfg = DriverConfig {
+            workers,
+            measure: SimDuration::from_millis(dur_ms),
+            ..DriverConfig::default()
+        };
+        run(&mut db, &mut wal, &mut bump_workload, &cfg).run
     }
 
     #[test]
     fn throughput_scales_with_workers() {
-        let one = run(1, 50);
-        let four = run(4, 50);
+        let one = run_pm(1, 50);
+        let four = run_pm(4, 50);
         assert!(one.committed > 100);
         let speedup = four.throughput_tps() / one.throughput_tps();
         assert!(speedup > 2.5, "4 workers only {speedup:.2}x over 1");
@@ -629,8 +746,8 @@ mod tests {
     fn latency_drops_with_more_workers() {
         // The paper's Fig. 9 latency effect: more workers fill the 16 KiB
         // group sooner, so commit-to-durable latency falls.
-        let one = run(1, 50);
-        let eight = run(8, 50);
+        let one = run_pm(1, 50);
+        let eight = run_pm(8, 50);
         assert!(
             eight.mean_latency_us() < one.mean_latency_us() * 0.6,
             "one={:.0}us eight={:.0}us",
@@ -641,7 +758,7 @@ mod tests {
 
     #[test]
     fn every_commit_gets_a_latency_sample() {
-        let r = run(3, 20);
+        let r = run_pm(3, 20);
         assert_eq!(r.committed as usize, r.latency_us.len());
         assert!(r.flushes > 0);
         assert!(r.log_bytes > 0);
@@ -652,12 +769,12 @@ mod tests {
         let mut db = Database::new();
         db.create_table("counters");
         let mut wal = WalManager::new(NoLog::new(), WalConfig::default());
-        let cfg = RunnerConfig {
+        let cfg = DriverConfig {
             workers: 2,
-            duration: SimDuration::from_millis(50),
-            ..RunnerConfig::default()
+            measure: SimDuration::from_millis(50),
+            ..DriverConfig::default()
         };
-        let r = run_workload(&mut db, &mut wal, cfg, bump_workload);
+        let r = run(&mut db, &mut wal, &mut bump_workload, &cfg).run;
         // 2 workers * 50ms / 27us ~ 3700 txns, modulo jitter.
         let expected = 2.0 * 0.05 / 27e-6;
         let ratio = r.committed as f64 / expected;
@@ -666,8 +783,8 @@ mod tests {
 
     #[test]
     fn deterministic_given_seed() {
-        let a = run(4, 20);
-        let b = run(4, 20);
+        let a = run_pm(4, 20);
+        let b = run_pm(4, 20);
         assert_eq!(a.committed, b.committed);
         assert_eq!(a.latency_us.samples(), b.latency_us.samples());
     }
@@ -682,13 +799,13 @@ mod tests {
             PmLog::new(pm),
             WalConfig { group_threshold: 2 << 10, ..WalConfig::default() },
         );
-        let cfg = RunnerConfig {
+        let cfg = DriverConfig {
             workers: 8,
-            duration: SimDuration::from_millis(50),
+            measure: SimDuration::from_millis(50),
             log_pipeline_depth: depth,
-            ..RunnerConfig::default()
+            ..DriverConfig::default()
         };
-        run_workload(&mut db, &mut wal, cfg, bump_workload)
+        run(&mut db, &mut wal, &mut bump_workload, &cfg).run
     }
 
     #[test]
@@ -714,55 +831,57 @@ mod tests {
 
     #[test]
     fn blocking_report_never_claims_overlap() {
-        let r = run(2, 20);
+        let r = run_pm(2, 20);
         assert_eq!(r.max_log_inflight, 1);
     }
 
-    /// Query `run` by kind and by bucket (`kind_first` picks the order) and
-    /// hold both answers to the reference series, bit for bit; the
-    /// aggregate keeps every sample once.
-    fn assert_matches_reference(mut run: ObservedRun, kind_first: bool, what: &str) {
+    /// Finish `observer` and hold each kind's and each bucket's mean and p99
+    /// to the reference series, bit for bit; the aggregate keeps every
+    /// sample once, in recording order when nothing groups it.
+    fn assert_matches_reference(mut observer: Observer, what: &str) -> DriverReport {
+        let mut reference = std::mem::take(&mut observer.reference);
         let mut recorded: Vec<u64> =
-            run.report.latency_us.samples().iter().map(|x| x.to_bits()).collect();
-        let (kinds, buckets) = if kind_first {
-            let kinds = run.kind_latency();
-            (kinds, run.bucket_latency())
-        } else {
-            let buckets = run.bucket_latency();
-            (run.kind_latency(), buckets)
-        };
-        let bits = |v: &[(f64, f64)]| -> Vec<(u64, u64)> {
-            v.iter().map(|(m, p)| (m.to_bits(), p.to_bits())).collect()
-        };
-        let reference = &mut run.reference;
-        assert_eq!(bits(&kinds), bits(&Reference::latency(&mut reference.kinds)), "{what}: kinds");
+            observer.report.run.latency_us.samples().iter().map(|x| x.to_bits()).collect();
+        let report = observer.finish();
+        fn bits(v: impl IntoIterator<Item = (f64, f64)>) -> Vec<(u64, u64)> {
+            v.into_iter().map(|(m, p)| (m.to_bits(), p.to_bits())).collect()
+        }
         assert_eq!(
-            bits(&buckets),
-            bits(&Reference::latency(&mut reference.buckets)),
+            bits(report.per_kind.iter().map(|k| (k.mean_us, k.p99_us))),
+            bits(Reference::latency(&mut reference.kinds)),
+            "{what}: kinds"
+        );
+        assert_eq!(
+            bits(report.series.iter().map(|b| (b.mean_us, b.p99_us))),
+            bits(Reference::latency(&mut reference.buckets)),
             "{what}: buckets"
         );
         let mut grouped: Vec<u64> =
-            run.report.latency_us.samples().iter().map(|x| x.to_bits()).collect();
+            report.run.latency_us.samples().iter().map(|x| x.to_bits()).collect();
+        if report.per_kind.len() == 1 && report.series_bucket.is_none() {
+            assert_eq!(grouped, recorded, "{what}: one kind and no series reordered the samples");
+        }
         recorded.sort_unstable();
         grouped.sort_unstable();
-        assert_eq!(grouped, recorded, "{what}: the queries lost or invented a sample");
+        assert_eq!(grouped, recorded, "{what}: the grouping lost or invented a sample");
+        report
     }
 
     /// The seeded property behind the one-copy recording: over random kind
-    /// and bucket patterns — empty kinds, a single-sample kind, empty
-    /// buckets, durability instants out of order, heavy ties — the
+    /// and bucket patterns — one kind, empty kinds, a single-sample kind,
+    /// empty buckets, durability instants out of order, heavy ties — the
     /// per-kind and per-bucket mean and p99 read off the tagged aggregate
-    /// equal the per-kind and per-bucket series', in either query order.
+    /// equal the per-kind and per-bucket series'.
     #[test]
     fn kind_and_bucket_latency_equal_the_reference_series_bit_for_bit() {
         let mut rng = DetRng::new(0x0B5E_77ED);
-        let wal = WalManager::new(NoLog::new(), WalConfig::default());
         for case in 0..240 {
             let kinds = [1usize, 2, 5, 256][case % 4];
             let series_bucket = (case % 3 != 0)
                 .then(|| SimDuration::from_nanos(rng.uniform(1, 20) * 1_000 + rng.uniform(0, 999)));
             let ramp_up = SimDuration::from_micros(rng.uniform(0, 20));
-            let mut observer = Observer::new(&ObserveConfig { kinds, ramp_up, series_bucket });
+            let per_kind = (0..kinds).map(|_| KindReport::default()).collect();
+            let mut observer = Observer::new(per_kind, ramp_up, series_bucket);
             // Kinds below `drawn` are drawn at random; with three or more,
             // kind `kinds - 2` is never drawn (empty) and the last kind gets
             // exactly one sample.
@@ -782,8 +901,24 @@ mod tests {
                 observer.on_commit(start, kinds - 1);
                 observer.on_durable(start, kinds - 1, start + SimDuration::from_nanos(1_234));
             }
-            let run = observer.finish(&wal, SimTime::from_micros(200), 1);
-            assert_matches_reference(run, case % 2 == 0, &format!("case {case}"));
+            assert_matches_reference(observer, &format!("case {case}"));
+        }
+    }
+
+    /// Three kinds, the third weighted out of the mix.
+    struct ThreeKinds;
+
+    impl Workload for ThreeKinds {
+        fn kinds(&self) -> &'static [&'static str] {
+            &["a", "b", "c"]
+        }
+
+        fn default_mix(&self) -> &'static [u32] {
+            &[1, 1, 0]
+        }
+
+        fn execute(&mut self, db: &mut Database, rng: &mut DetRng, _: usize, _: u64) -> TxnOutcome {
+            bump_workload(db, rng)
         }
     }
 
@@ -791,7 +926,7 @@ mod tests {
     /// blocking and the pipelined writer.
     #[test]
     fn observed_runs_match_the_reference_series() {
-        for (depth, kind_first) in [(1, true), (4, false)] {
+        for depth in [1, 4] {
             let mut db = Database::new();
             db.create_table("counters");
             let mut wal = WalManager::new(
@@ -801,24 +936,18 @@ mod tests {
                 }),
                 WalConfig { group_threshold: 2 << 10, ..WalConfig::default() },
             );
-            let cfg = RunnerConfig {
+            let cfg = DriverConfig {
                 workers: 4,
-                duration: SimDuration::from_millis(30),
-                log_pipeline_depth: depth,
-                ..RunnerConfig::default()
-            };
-            let obs = ObserveConfig {
-                kinds: 3,
                 ramp_up: SimDuration::from_millis(5),
+                measure: SimDuration::from_millis(25),
                 series_bucket: Some(SimDuration::from_millis(2)),
+                log_pipeline_depth: depth,
+                ..DriverConfig::default()
             };
-            let run = run_observed(&mut db, &mut wal, cfg, obs, |db, rng, w, _t0| {
-                let kind = rng.uniform(0, 1) as usize;
-                (kind, bump_workload(db, rng, w))
-            });
-            assert!(run.report.committed > 1_000 && run.series.len() >= 12);
-            assert_eq!(run.per_kind[2].committed, 0, "kind 2 is never drawn");
-            assert_matches_reference(run, kind_first, &format!("depth {depth}"));
+            let observer = observe(&mut db, &mut wal, &mut ThreeKinds, &cfg);
+            let report = assert_matches_reference(observer, &format!("depth {depth}"));
+            assert!(report.run.committed > 1_000 && report.series.len() >= 12);
+            assert_eq!(report.per_kind[2].committed, 0, "kind 2 is weighted out");
         }
     }
 }

@@ -37,7 +37,7 @@ pub fn setup(cfg: TpccConfig, seed: u64) -> (Database, TpccWorkload, DetRng) {
 #[cfg(test)]
 mod crate_tests {
     use super::*;
-    use memdb::{run_workload, NoLog, RunnerConfig, WalConfig, WalManager};
+    use memdb::{runner, DriverConfig, NoLog, WalConfig, WalManager};
     use simkit::SimDuration;
 
     /// End-to-end: the TPC-C mix runs under the group-commit runner.
@@ -45,16 +45,12 @@ mod crate_tests {
     fn tpcc_under_the_runner() {
         let (mut db, mut workload, _rng) = setup(TpccConfig::small(), 99);
         let mut wal = WalManager::new(NoLog::new(), WalConfig::default());
-        let report = run_workload(
-            &mut db,
-            &mut wal,
-            RunnerConfig {
-                workers: 4,
-                duration: SimDuration::from_millis(30),
-                ..RunnerConfig::default()
-            },
-            |db, rng, _w| workload.execute(db, rng, 0),
-        );
+        let cfg = DriverConfig {
+            workers: 4,
+            measure: SimDuration::from_millis(30),
+            ..DriverConfig::default()
+        };
+        let report = runner::run(&mut db, &mut wal, &mut workload, &cfg).run;
         assert!(report.committed > 500, "committed {}", report.committed);
         // Rollbacks + occasional validation conflicts only.
         assert!(

@@ -7,7 +7,7 @@
 use crate::codec::{get_money, get_u32, put_money, put_u32, put_u64, RowBuf, RowReader};
 use crate::gen::{customer_id, item_id, random_last_name, NurandC};
 use crate::schema::{key, Tables, TpccConfig};
-use memdb::{keys, Database, Key, Row, TxnError, TxnOutcome};
+use memdb::{keys, Database, Key, Row, TxnError, TxnOutcome, Workload};
 use simkit::DetRng;
 
 /// Which profile a draw selected.
@@ -23,6 +23,17 @@ pub enum TxnKind {
     Delivery,
     /// Count low-stock items for recent orders (4%, read-only).
     StockLevel,
+}
+
+impl TxnKind {
+    /// Every profile in declaration order: `ALL[k as usize] == k`.
+    const ALL: [TxnKind; 5] = [
+        TxnKind::NewOrder,
+        TxnKind::Payment,
+        TxnKind::OrderStatus,
+        TxnKind::Delivery,
+        TxnKind::StockLevel,
+    ];
 }
 
 /// Per-kind execution counters.
@@ -75,6 +86,36 @@ impl simkit::Instrument for TpccWorkload {
     }
 }
 
+/// The TPC-C mix as runner kinds: the index order is [`TxnKind::ALL`]'s
+/// and the weights are the spec percentages [`TpccWorkload::pick`]
+/// encodes, so the runner's pick reproduces the same `uniform(1, 100)` →
+/// kind mapping draw for draw.
+impl Workload for TpccWorkload {
+    fn kinds(&self) -> &'static [&'static str] {
+        &["new_order", "payment", "order_status", "delivery", "stock_level"]
+    }
+
+    fn default_mix(&self) -> &'static [u32] {
+        &[45, 43, 4, 4, 4]
+    }
+
+    fn execute(
+        &mut self,
+        db: &mut Database,
+        rng: &mut DetRng,
+        kind: usize,
+        now_ns: u64,
+    ) -> TxnOutcome {
+        match TxnKind::ALL[kind] {
+            TxnKind::NewOrder => self.new_order(db, rng, now_ns),
+            TxnKind::Payment => self.payment(db, rng, now_ns),
+            TxnKind::OrderStatus => self.order_status(db, rng),
+            TxnKind::Delivery => self.delivery(db, rng, now_ns),
+            TxnKind::StockLevel => self.stock_level(db, rng),
+        }
+    }
+}
+
 impl TpccWorkload {
     /// Wrap a loaded schema.
     pub fn new(tables: Tables, config: TpccConfig, nurand: NurandC) -> Self {
@@ -109,13 +150,8 @@ impl TpccWorkload {
 
     /// Execute one transaction of the standard mix against `db`.
     pub fn execute(&mut self, db: &mut Database, rng: &mut DetRng, now_ns: u64) -> TxnOutcome {
-        match self.pick(rng) {
-            TxnKind::NewOrder => self.new_order(db, rng, now_ns),
-            TxnKind::Payment => self.payment(db, rng, now_ns),
-            TxnKind::OrderStatus => self.order_status(db, rng),
-            TxnKind::Delivery => self.delivery(db, rng, now_ns),
-            TxnKind::StockLevel => self.stock_level(db, rng),
-        }
+        let kind = self.pick(rng) as usize;
+        Workload::execute(self, db, rng, kind, now_ns)
     }
 
     fn home_warehouse(&self, rng: &mut DetRng) -> u32 {

@@ -6,8 +6,9 @@
 //! workers against each logging setup — no-log, NVDIMM, conventional NVMe,
 //! Villars SRAM/DRAM — and prints throughput and commit latency.
 
+use xssd_suite::db::runner::run;
 use xssd_suite::db::{
-    run_workload, NoLog, NvmeLog, PmConfig, PmLog, RunnerConfig, WalConfig, WalManager, XssdLog,
+    DriverConfig, NoLog, NvmeLog, PmConfig, PmLog, WalConfig, WalManager, XssdLog,
 };
 use xssd_suite::sim::SimDuration;
 use xssd_suite::ssd::{ConventionalSsd, SsdConfig};
@@ -27,50 +28,48 @@ fn main() {
         "backend", "ktxn/s", "mean_lat_us", "log_MB", "flushes"
     );
 
-    let runner = RunnerConfig {
+    let cfg = DriverConfig {
         workers: 4,
-        duration: SimDuration::from_millis(100),
-        ..RunnerConfig::default()
+        measure: SimDuration::from_millis(100),
+        ..DriverConfig::default()
     };
 
     for backend_name in ["no-log", "pm-nvdimm", "nvme-block", "villars-sram", "villars-dram"] {
         // Fresh database per backend so every run starts from the same state.
         let (mut db, mut workload, _rng) = setup(TpccConfig::bench(), 1234);
-        let exec = |db: &mut xssd_suite::db::Database,
-                    rng: &mut xssd_suite::sim::DetRng,
-                    _w: usize| workload.execute(db, rng, 0);
 
         let report = match backend_name {
             "no-log" => {
                 let mut wal = WalManager::new(NoLog::new(), WalConfig::default());
-                run_workload(&mut db, &mut wal, runner, exec)
+                run(&mut db, &mut wal, &mut workload, &cfg)
             }
             "pm-nvdimm" => {
                 let mut wal =
                     WalManager::new(PmLog::new(PmConfig::default()), WalConfig::default());
-                run_workload(&mut db, &mut wal, runner, exec)
+                run(&mut db, &mut wal, &mut workload, &cfg)
             }
             "nvme-block" => {
                 let device = ConventionalSsd::new(SsdConfig::default());
                 let mut wal = WalManager::new(NvmeLog::new(device, 0, 8192), WalConfig::default());
-                run_workload(&mut db, &mut wal, runner, exec)
+                run(&mut db, &mut wal, &mut workload, &cfg)
             }
             "villars-sram" => {
                 let mut wal = WalManager::new(
                     XssdLog::new(villars(true), 0, "villars-sram"),
                     WalConfig::default(),
                 );
-                run_workload(&mut db, &mut wal, runner, exec)
+                run(&mut db, &mut wal, &mut workload, &cfg)
             }
             "villars-dram" => {
                 let mut wal = WalManager::new(
                     XssdLog::new(villars(false), 0, "villars-dram"),
                     WalConfig::default(),
                 );
-                run_workload(&mut db, &mut wal, runner, exec)
+                run(&mut db, &mut wal, &mut workload, &cfg)
             }
             _ => unreachable!(),
-        };
+        }
+        .run;
         println!(
             "{:<18} {:>12.1} {:>14.1} {:>12.2} {:>10}",
             backend_name,

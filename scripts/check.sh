@@ -84,16 +84,38 @@ fi
 echo "== one latency copy (the runner stores each measured commit's latency once)"
 # PERFORMANCE.md rule 10. memdb::runner keeps one `SampleSeries`, the
 # aggregate in `RunReport`; kinds and buckets are tags beside it, and their
-# mean and p99 are read off it (`ObservedRun::kind_latency`,
-# `bucket_latency`). A per-kind or per-bucket series does not come back
-# outside the `#[cfg(test)]` reference that follows the first column-0
-# `#[cfg(test)]` of the file.
+# mean and p99 are read off it when the run finishes (`latency_by`). A
+# per-kind or per-bucket series does not come back outside the
+# `#[cfg(test)]` reference that follows the first column-0 `#[cfg(test)]`
+# of the file.
 series_fields=$(awk '/^#\[cfg\(test\)\]/ { exit }
                      /^[[:space:]]+(pub )?[a-z_]+: [A-Za-z_:<]*SampleSeries>*,$/ { print FILENAME ":" FNR ": " $0 }' \
                   crates/memdb/src/runner.rs)
 if [ "$(printf '%s' "$series_fields" | grep -c .)" -gt 1 ]; then
   echo "$series_fields"
   echo "FAIL: crates/memdb/src/runner.rs declares more than one SampleSeries field (lines above)."
+  exit 1
+fi
+
+echo "== one workload runner (memdb::runner::run over a Workload is the only entry point)"
+# A closure is a one-kind workload; a harness names its kinds. The plain
+# loop, the observed loop and their configs and report do not come back as
+# second entry points into the worker loop.
+if grep -rnE 'run_workload|run_observed|RunnerConfig|ObserveConfig|ObservedRun' crates/ src/ tests/ examples/; then
+  echo "FAIL: a second entry point into the worker loop is back (lines above)."
+  exit 1
+fi
+
+echo "== panic-site ratchet (unwrap / expect / panic! / unreachable! in non-test crate code)"
+# ROADMAP item 5c: the count may only fall. Each file is read up to its
+# first column-0 `#[cfg(test)]`. Lower the ceiling when a PR removes sites.
+panic_ceiling=119
+panic_sites=$(find crates/*/src -name '*.rs' -print0 | xargs -0 awk '
+    FNR == 1 { live = 1 } /^#\[cfg\(test\)\]/ { live = 0 }
+    live { n += gsub(/\.unwrap\(\)|\.expect\(|panic!\(|unreachable!\(/, "&") }
+    END { print n + 0 }')
+if [ "$panic_sites" -gt "$panic_ceiling" ]; then
+  echo "FAIL: $panic_sites panic sites under crates/*/src outside tests, ceiling $panic_ceiling."
   exit 1
 fi
 
@@ -172,4 +194,4 @@ echo "== benchmark: its own tests, then every workload and check at 1/50 horizon
 (cd benchmark && cargo test --offline --quiet)
 benchmark/run.sh --quick > /dev/null
 
-echo "ok: fmt, clippy, reachability, gate self-test, tests, count, nudge, one-collector, one-latency-copy, one-intake, one-log, one-checksum, no-GC and buffer-scan gates, recovery smoke, chaos smoke, benchmark checks all clean"
+echo "ok: fmt, clippy, reachability, gate self-test, tests, count, nudge, one-collector, one-latency-copy, one-runner, panic-ratchet, one-intake, one-log, one-checksum, no-GC and buffer-scan gates, recovery smoke, chaos smoke, benchmark checks all clean"

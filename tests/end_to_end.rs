@@ -3,8 +3,8 @@
 //! and benches use it.
 
 use xssd_suite::db::{
-    encode_txn, recover, run_workload, Database, NoLog, Replica, RunnerConfig, WalConfig,
-    WalManager, XssdLog,
+    encode_txn, recover, runner, Database, DriverConfig, NoLog, Replica, WalConfig, WalManager,
+    XssdLog,
 };
 use xssd_suite::sim::{DetRng, SimDuration, SimTime};
 use xssd_suite::tpcc::{setup, TpccConfig};
@@ -30,16 +30,12 @@ fn tpcc_committed_work_survives_crash_and_recovery() {
         cl
     };
     let mut wal = WalManager::new(XssdLog::new(cluster, 0, "villars"), WalConfig::default());
-    let report = run_workload(
-        &mut db,
-        &mut wal,
-        RunnerConfig {
-            workers: 2,
-            duration: SimDuration::from_millis(10),
-            ..RunnerConfig::default()
-        },
-        |db, rng, _| workload.execute(db, rng, 0),
-    );
+    let cfg = DriverConfig {
+        workers: 2,
+        measure: SimDuration::from_millis(10),
+        ..DriverConfig::default()
+    };
+    let report = runner::run(&mut db, &mut wal, &mut workload, &cfg).run;
     assert!(report.committed > 100, "committed {}", report.committed);
 
     // Crash at the end of the run.
@@ -157,16 +153,12 @@ fn workload_runs_identically_with_and_without_facade() {
     let run = || {
         let (mut db, mut workload, _rng) = setup(TpccConfig::small(), 11);
         let mut wal = WalManager::new(NoLog::new(), WalConfig::default());
-        let r = run_workload(
-            &mut db,
-            &mut wal,
-            RunnerConfig {
-                workers: 3,
-                duration: SimDuration::from_millis(8),
-                ..RunnerConfig::default()
-            },
-            |db, rng, _| workload.execute(db, rng, 0),
-        );
+        let cfg = DriverConfig {
+            workers: 3,
+            measure: SimDuration::from_millis(8),
+            ..DriverConfig::default()
+        };
+        let r = runner::run(&mut db, &mut wal, &mut workload, &cfg).run;
         (r.committed, db.fingerprint())
     };
     let (c1, f1) = run();
