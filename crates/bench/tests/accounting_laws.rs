@@ -27,7 +27,11 @@
 //!   exactly one kind;
 //! - the counts balance: a cell's secondaries sent at least the shadow
 //!   updates its primary applied, and every port completed at most what was
-//!   submitted to it, the difference being its `port.inflight` gauge.
+//!   submitted to it, the difference being its `port.inflight` gauge;
+//! - bytes conserve across the NTB: a primary's
+//!   `core.transport.mirrored_bytes` = Σ `flowN.payload_bytes`, each flow
+//!   carries the primary's `core.cmb.lane0.bytes_in`, and each secondary
+//!   takes in that much, less what was still on the wire at the cut.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
@@ -255,4 +259,75 @@ fn counts_balance() {
     }
     // Every replicating cell and every port at the time this was written.
     assert!(shadow >= 19 && ports >= 159, "{shadow} cells sending shadow updates, {ports} ports");
+}
+
+#[test]
+fn bytes_conserve_across_the_ntb() {
+    let (mut primaries, mut secondaries) = (0, 0);
+    for (where_, cell) in cells() {
+        for primary in devices(&cell) {
+            let at = |path: &str| cell[&format!("{primary}{path}")];
+            let flow_prefix = format!("{primary}core.transport.flow");
+            let flows: Vec<(&str, f64)> = cell
+                .iter()
+                .filter_map(|(k, v)| {
+                    let dst = k.strip_prefix(&flow_prefix)?.strip_suffix(".payload_bytes")?;
+                    Some((dst, *v))
+                })
+                .collect();
+            if flows.is_empty() {
+                continue;
+            }
+            let what = format!("{where_}: {primary}");
+            let (mirrored, logged) =
+                (at("core.transport.mirrored_bytes"), at("core.cmb.lane0.bytes_in"));
+            // `mirrored_bytes` counts a write once per secondary it is sent
+            // to, so it is the flows' payload summed. Except in chaos_tpcc:
+            // its failover and its rejoin each reconfigure the primary, which
+            // rebuilds the flows and starts their counters again, while
+            // `mirrored_bytes` counts all three phases (the mirrors to the
+            // crashed secondary included).
+            let carried: f64 = flows.iter().map(|(_, payload)| payload).sum();
+            let reconfigured = where_.starts_with("chaos_tpcc.json");
+            if reconfigured {
+                assert!(
+                    carried < mirrored,
+                    "{what}: Σ flow payload {carried}, mirrored {mirrored}"
+                );
+            } else {
+                assert_eq!(carried, mirrored, "{what}: Σ flow payload vs mirrored_bytes");
+            }
+            for (dst, payload) in flows {
+                // Each flow carried every byte of the log since the last
+                // reconfiguration.
+                if !reconfigured {
+                    assert_eq!(payload, logged, "{what}: flow{dst} payload vs the primary's log");
+                }
+                // Each live secondary took in what its primary did, less what
+                // was still on the wire at the cut. Only the lazy policy cuts
+                // with a mirror in flight — its commit does not wait for the
+                // secondaries — and then it is the last 4 KiB group. (After a
+                // rejoin the re-sync supplied what the rebuilt flows did not.)
+                let cluster = primary.rfind("dev").map_or("", |i| &primary[..i]);
+                let device = format!("{cluster}dev{dst}.");
+                let received = cell[&format!("{device}core.cmb.lane0.bytes_in")];
+                let in_flight = logged - received;
+                if where_.contains(" / lazy.") {
+                    assert!(
+                        in_flight > 0.0 && in_flight <= 4096.0,
+                        "{what}: {device} trails the primary by {in_flight} B at the cut"
+                    );
+                } else {
+                    assert_eq!(received, logged, "{what}: {device}core.cmb.lane0.bytes_in");
+                }
+                secondaries += 1;
+            }
+            primaries += 1;
+        }
+    }
+    // Every replicated cell of the goldens at the time this was written.
+    assert!(
+        primaries >= 19 && secondaries >= 33,
+        "{primaries} primaries, {secondaries} secondaries"
+    );
 }

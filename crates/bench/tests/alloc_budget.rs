@@ -16,7 +16,8 @@
 //! The allocator also tracks the bytes live on the heap and their peak, and
 //! one test holds the peak growth of a whole driver run per measured commit
 //! under a budget: what the run keeps per commit is its latency sample and
-//! the sample's tags, once.
+//! the sample's tags, once. Another holds the destage pages of an eager
+//! triple to one copy of the ring, not one per replica.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -207,5 +208,50 @@ fn a_measured_commit_keeps_one_latency_sample_on_the_heap() {
     assert!(
         per_commit <= BUDGET,
         "a measured commit holds {per_commit:.2} live heap bytes at the peak (budget {BUDGET})"
+    );
+}
+
+#[test]
+fn eager_replicas_hold_one_copy_of_the_destage_ring() {
+    let _guard = MEASURE.lock().unwrap();
+    use simkit::{SimDuration, SimTime};
+    use xssd_core::{Cluster, VillarsConfig, XLogFile};
+    // A primary and two eager secondaries destage the same log onto a
+    // 256-page ring each, wrapped twice: the replicas' media hold the same
+    // page content, which the cluster keeps once.
+    let mut config = VillarsConfig::small();
+    config.destage.ring_lbas = 256;
+    // Room for two wraps on a device that never reclaims a page.
+    config.conventional.geometry.blocks_per_die = 32;
+    let ring_bytes = config.destage.ring_lbas * u64::from(config.conventional.geometry.page_bytes);
+    let mut cl = Cluster::new();
+    for _ in 0..3 {
+        cl.add_device(config.clone());
+    }
+    let mut now = cl.configure_replication(SimTime::ZERO, 0, &[1, 2]);
+    let mut file = XLogFile::open(0);
+    let payload: Vec<u8> = (0..6 << 10).map(|i: u32| (i * 7 + i / 251) as u8).collect();
+    let before = LIVE.load(Ordering::Relaxed);
+    PEAK.store(before, Ordering::Relaxed);
+    let mut i = 0usize;
+    while file.written() < 2 * ring_bytes {
+        // 1–6 KiB, each write's bytes different from the last's.
+        let data = &payload[i % 1024..][..1024 * (1 + i % 5)];
+        let t1 = file.x_pwrite(&mut cl, now, data).expect("x_pwrite");
+        // A think time that keeps the log slower than the flash programs
+        // it (four dies, 50 us a page): no backlog of queued pages.
+        now = file.x_fsync(&mut cl, t1).expect("x_fsync") + SimDuration::from_micros(10);
+        i += 1;
+    }
+    cl.advance(now + SimDuration::from_millis(5));
+    let growth = PEAK.load(Ordering::Relaxed) - before;
+    let per_ring = growth as f64 / ring_bytes as f64;
+    eprintln!("peak live heap growth: {growth} B, {per_ring:.3} destage rings of page content");
+    // Measured 1.122 rings (the rest is the devices' maps and the pages in
+    // flight); 3.155 with a copy of every page per device.
+    const BUDGET: f64 = 1.25;
+    assert!(
+        per_ring <= BUDGET,
+        "three replicas hold {per_ring:.3} rings of destage pages at the peak (budget {BUDGET})"
     );
 }

@@ -27,8 +27,9 @@
 
 use crate::cmb::CmbError;
 use crate::config::VillarsConfig;
+use crate::destage::PageStore;
 use crate::device::{vendor, CrashReport, VillarsDevice};
-use crate::transport::{DeviceIndex, MirrorWrite, Outbound, TlpRun};
+use crate::transport::{DeviceIndex, MirrorWrite, Outbound, Role, TlpRun};
 use nvme::{
     try_drive_to_completion, AdminCommand, CmdTag, CommandKind, Completion, IoPort, Status,
     VendorCommand,
@@ -93,6 +94,9 @@ pub struct Cluster {
     /// allocation for the cluster's lifetime instead of one per horizon
     /// step).
     drain_buf: Vec<Completion>,
+    /// Destage-page storage the devices share: replicas that destage the
+    /// same bytes keep one copy of each page.
+    pages: PageStore,
 }
 
 impl std::fmt::Debug for Cluster {
@@ -120,12 +124,13 @@ impl Cluster {
             #[cfg(test)]
             per_cycle_reference: false,
             drain_buf: Vec::new(),
+            pages: PageStore::default(),
         }
     }
 
     /// Add a device; returns its index.
     pub fn add_device(&mut self, config: VillarsConfig) -> DeviceIndex {
-        self.devices.push(VillarsDevice::new(config));
+        self.devices.push(VillarsDevice::with_pages(config, &self.pages));
         #[cfg(test)]
         {
             let transport = self.devices.last_mut().expect("just pushed").transport_mut();
@@ -405,6 +410,29 @@ impl Cluster {
         self.land_shadow_updates(t);
         for d in &mut self.devices {
             d.advance(t);
+        }
+        self.check();
+    }
+
+    /// The replication invariant, checked in debug builds after every
+    /// [`Cluster::advance`]: a primary's shadow of each live secondary is
+    /// no higher than that secondary's settled credit — a shadow value only
+    /// ever comes from the secondary's own counter, which never falls
+    /// (a reboot resumes it at the crash-destaged frontier).
+    fn check(&self) {
+        if cfg!(debug_assertions) {
+            for (p, primary) in self.devices.iter().enumerate() {
+                let Role::Primary { secondaries } = primary.transport().role() else { continue };
+                for &s in secondaries.iter().filter(|&&s| self.dead.get(s) == Some(&false)) {
+                    let (shadow, credit) =
+                        (primary.transport().shadow_of(s), self.devices[s].credit_settled());
+                    assert!(
+                        shadow.is_none_or(|shadow| shadow <= credit),
+                        "Cluster: primary {p}'s shadow of secondary {s} is {shadow:?}, past its \
+                         settled credit {credit}"
+                    );
+                }
+            }
         }
     }
 
@@ -921,6 +949,25 @@ mod tests {
         assert_eq!(report.durable_upto, [0]);
         // The cluster keeps running for the primary.
         cl.advance(t1 + SimDuration::from_micros(100));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(
+        expected = "Cluster: primary 0's shadow of secondary 1 is Some(4096), past its settled \
+                    credit 256"
+    )]
+    fn a_shadow_past_the_secondarys_credit_breaks_the_replication_invariant() {
+        let (mut cl, t0) = two_node_cluster();
+        let (_, t1) = cl
+            .fast_write(0, t0, 0, &[3u8; 256], MmioMode::WriteCombining)
+            .expect("fast write rejected on device 0");
+        let settled = t1 + SimDuration::from_micros(50);
+        cl.advance(settled);
+        assert_eq!(cl.device_mut(1).local_credit(settled), 256);
+        // A test-only corruption: a report the secondary never sent.
+        cl.device_mut(0).apply_shadow(1, 4096, settled, 1);
+        cl.advance(settled + SimDuration::from_micros(1));
     }
 
     // ---- shadow runs against the per-cycle reference ---------------------

@@ -523,10 +523,28 @@ impl CmbModule {
 
     /// Live ring content `[offset, offset + len)` as one shared buffer of
     /// `padded_len` bytes, zero-filled past `len` — a destage page with its
-    /// filler, copied out of the ring exactly once. Panics like
-    /// [`CmbModule::content`] on an out-of-window read.
-    pub fn content_padded(&self, offset: u64, len: usize, padded_len: usize) -> Bytes {
+    /// filler, copied out of the ring at most once. When `reuse` already
+    /// holds exactly those bytes (the content, then zeros, `padded_len` in
+    /// all) it is returned instead, a reference-count bump: another replica
+    /// destaged the same page. Panics like [`CmbModule::content`] on an
+    /// out-of-window read.
+    pub fn content_padded(
+        &self,
+        offset: u64,
+        len: usize,
+        padded_len: usize,
+        reuse: Option<&Bytes>,
+    ) -> Bytes {
         let (first, rest) = self.try_slices(offset, len).unwrap_or_else(|e| panic!("{e}"));
+        let equal = |page: &&Bytes| {
+            page.len() == padded_len
+                && page[..first.len()] == *first
+                && page[first.len()..len] == *rest
+                && page[len..].iter().all(|&z| z == 0)
+        };
+        if let Some(page) = reuse.filter(equal) {
+            return page.clone();
+        }
         if rest.is_empty() && len == padded_len {
             // A full page in one piece: nothing to zero, nothing to join.
             return Bytes::copy_from_slice(first);
@@ -878,10 +896,25 @@ mod tests {
         let payload: Vec<u8> = (0..100u8).collect();
         cmb.ingest(SimTime::from_micros(10), 200, &payload, |t, b| port.acquire(t, b))
             .expect("in-window CMB write rejected");
-        let page = cmb.content_padded(200, 100, 128);
+        let page = cmb.content_padded(200, 100, 128, None);
         assert_eq!(&page[..100], &payload[..]);
         assert_eq!(&page[100..], &[0u8; 28][..]);
-        assert_eq!(cmb.content_padded(210, 20, 20), cmb.content(210, 20));
+        assert_eq!(cmb.content_padded(210, 20, 20, None), cmb.content(210, 20));
+        // A byte-equal page built elsewhere is shared, not copied; both
+        // slices and the filler are compared.
+        let shared = cmb.content_padded(200, 100, 128, Some(&page));
+        assert_eq!(shared.as_ptr(), page.as_ptr());
+        // Anything else is copied: other content, other filler, other length.
+        let mut other = page.to_vec();
+        other[99] ^= 1;
+        let mut dirty_filler = page.to_vec();
+        dirty_filler[127] = 7;
+        for candidate in [other, dirty_filler, page[..120].to_vec(), [&page[..], &[0]].concat()] {
+            let candidate = Bytes::from(candidate);
+            let copy = cmb.content_padded(200, 100, 128, Some(&candidate));
+            assert_ne!(copy.as_ptr(), candidate.as_ptr());
+            assert_eq!(copy, page);
+        }
     }
 
     #[test]

@@ -9,9 +9,57 @@
 
 use crate::cmb::CmbModule;
 use crate::config::DestageConfig;
-use simkit::SimTime;
+use simkit::{Bytes, SimTime};
 use ssd::ConventionalSsd;
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::sync::{Arc, Mutex, PoisonError};
+
+/// A destage page's identity: first log offset, data bytes, page length.
+type PageKey = (u64, u64, u64);
+
+/// One device's slot: the page it submitted last, if any.
+type LastPage = Option<(PageKey, Bytes)>;
+
+/// The last destage page each device of one cluster submitted, shared by
+/// those devices. Under eager replication every copy of the log destages
+/// the same spans with the same bytes, so a device whose next page is
+/// byte-equal to one here takes that page's [`Bytes`] — a reference-count
+/// bump — instead of copying its ring into a new allocation: the replicas'
+/// media hold one copy of each page. The model cannot tell: `Bytes` is
+/// immutable, each device still maps its own LBAs, and a page whose key
+/// matches but whose bytes differ (a diverged replica, offsets reused
+/// after a reboot) is copied. Strong references: a page stays alive while
+/// it is some device's last.
+///
+/// A `Mutex` keeps a cluster `Send`. Each update is one push or one slot
+/// assignment, so a panic while the lock is held leaves the store valid
+/// and a poisoned lock is taken over as it stands.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct PageStore(Arc<Mutex<Vec<LastPage>>>);
+
+impl PageStore {
+    /// Register one more device; returns its slot.
+    fn join(&self) -> usize {
+        let mut pages = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        pages.push(None);
+        pages.len() - 1
+    }
+
+    /// The page for `key`: `build` is handed the page some device last
+    /// submitted under that key, if any, and what it returns becomes
+    /// `slot`'s last page.
+    fn page(
+        &self,
+        slot: usize,
+        key: PageKey,
+        build: impl FnOnce(Option<&Bytes>) -> Bytes,
+    ) -> Bytes {
+        let mut pages = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        let page = build(pages.iter().flatten().find(|(k, _)| *k == key).map(|(_, page)| page));
+        pages[slot] = Some((key, page.clone()));
+        page
+    }
+}
 
 /// One destaged (or in-flight) span of the log.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -116,13 +164,17 @@ pub struct DestageModule {
     /// When the oldest currently-unscheduled byte was first seen waiting.
     waiting_since: Option<SimTime>,
     stats: DestageStats,
+    /// The cluster's page store and this module's slot in it.
+    pages: (PageStore, usize),
 }
 
 impl DestageModule {
-    /// A fresh module for a device with `page_bytes` flash pages.
-    pub fn new(config: DestageConfig, page_bytes: u64) -> Self {
+    /// A fresh module for a device with `page_bytes` flash pages, sharing
+    /// page storage with the other modules of `pages`.
+    pub(crate) fn new(config: DestageConfig, page_bytes: u64, pages: &PageStore) -> Self {
         assert!(page_bytes > 0);
         DestageModule {
+            pages: (pages.clone(), pages.join()),
             ring: LbaRing::new(config.ring_base_lba, config.ring_lbas),
             config,
             page_bytes,
@@ -227,8 +279,11 @@ impl DestageModule {
         cmb: &mut CmbModule,
         conv: &mut ConventionalSsd,
     ) {
-        let content =
-            cmb.content_padded(self.scheduled, data_bytes as usize, (data_bytes + filler) as usize);
+        let (from, padded) = (self.scheduled, data_bytes + filler);
+        let (store, slot) = &self.pages;
+        let content = store.page(*slot, (from, data_bytes, padded), |twin| {
+            cmb.content_padded(from, data_bytes as usize, padded as usize, twin)
+        });
         let (page, lba) = self.ring.claim();
         let seg = Segment { log_from: self.scheduled, log_to: self.scheduled + data_bytes, lba };
         let token = conv.submit_destage_write(now, lba, content);
@@ -359,6 +414,7 @@ mod tests {
                         max_latency: SimDuration::from_micros(200),
                     },
                     page,
+                    &PageStore::default(),
                 ),
                 conv,
                 port: SerialResource::new(),

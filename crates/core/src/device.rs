@@ -7,7 +7,7 @@
 
 use crate::cmb::{CmbError, CmbModule};
 use crate::config::VillarsConfig;
-use crate::destage::DestageModule;
+use crate::destage::{DestageModule, PageStore, Segment};
 use crate::transport::{DeviceIndex, Outbound, Role, TlpRun, TransportModule, TransportStatus};
 use nvme::{
     AdminCommand, BackingClass, CmdTag, Command, CommandKind, Completion, CompletionEntry, IoPort,
@@ -103,8 +103,15 @@ impl std::fmt::Debug for VillarsDevice {
 }
 
 impl VillarsDevice {
-    /// Build a device from its configuration.
+    /// Build a stand-alone device from its configuration (it shares
+    /// destage-page storage with no other device).
     pub fn new(config: VillarsConfig) -> Self {
+        Self::with_pages(config, &PageStore::default())
+    }
+
+    /// Build a device whose destage pages join `pages`, the store of the
+    /// cluster it is added to.
+    pub(crate) fn with_pages(config: VillarsConfig, pages: &PageStore) -> Self {
         let conventional = ConventionalSsd::new(config.conventional.clone());
         let page_bytes = config.conventional.geometry.page_bytes as u64;
         let sram_port = match config.cmb.backing {
@@ -114,7 +121,7 @@ impl VillarsDevice {
         let backing_bw = config.cmb.backing_bandwidth();
         VillarsDevice {
             cmb: CmbModule::new(config.cmb),
-            destage: DestageModule::new(config.destage, page_bytes),
+            destage: DestageModule::new(config.destage, page_bytes, pages),
             transport: TransportModule::new(config.transport),
             config,
             conventional,
@@ -304,6 +311,12 @@ impl VillarsDevice {
         self.cmb.credit_at(now)
     }
 
+    /// The local credit as settled so far, without advancing drains
+    /// ([`CmbModule::credit_settled`]).
+    pub(crate) fn credit_settled(&self) -> u64 {
+        self.cmb.credit_settled()
+    }
+
     /// Policy-combined credit (replication-aware, like
     /// [`VillarsDevice::read_credit`]) but *without* the MMIO round trip —
     /// for host-side completion pollers that resolve already-issued
@@ -470,6 +483,12 @@ impl VillarsDevice {
     pub fn destage_readable_from(&self, lane: usize) -> Option<u64> {
         assert_eq!(lane, 0, "a Villars device holds one log");
         self.destage.readable_from()
+    }
+
+    /// The readable destage-ring span holding log offset `off`, with the
+    /// LBA its page sits at on the conventional side.
+    pub fn destaged_segment(&self, off: u64) -> Option<Segment> {
+        self.destage.segment_for(off)
     }
 
     /// Copy live CMB ring content `[offset, offset+len)` (panics with the

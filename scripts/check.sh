@@ -21,12 +21,13 @@ python3 scripts/results_diff.py --self-test
 echo "== cargo test"
 cargo test --workspace --quiet
 
-echo "== allocation budget (release hot path, live heap per measured commit)"
+echo "== allocation budget (release hot path, live heap per measured commit and per destage ring)"
 # The counting-allocator regression gate over the TPC-C / YCSB hot paths
-# (crates/bench/tests/alloc_budget.rs), and the peak live-heap growth of a
+# (crates/bench/tests/alloc_budget.rs), the peak live-heap growth of a
 # YCSB-A driver run per measured commit: one latency sample plus its kind
-# and bucket tags. Runs in release so the measured averages match the
-# configuration the wall-clock gate times.
+# and bucket tags, and of an eager triple that wraps its destage rings
+# twice: one copy of the ring's pages, not one per replica. Runs in release
+# so the measured averages match the configuration the wall-clock gate times.
 cargo test --release -p xssd-bench --test alloc_budget --quiet
 
 echo "== fast-side run intake (release: per-TLP equivalence, chunk-count pin)"

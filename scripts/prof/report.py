@@ -1,9 +1,13 @@
 #!/usr/bin/env python3
 """Resolve sigprof_preload.c sample files against `nm` symbol tables.
 
-usage: report.py [--top N] samples.out [samples.out ...]
+usage: report.py [--top N] [--callers PREFIX] samples.out [samples.out ...]
 
 Prints self and inclusive time per symbol as a percentage of all samples.
+With --callers, also prints who the samples whose leaf symbol starts with
+PREFIX ran under: their most common chains of the next three frames. A
+libc leaf (memcpy, malloc) keeps no frame of its own, so the first frame of
+its chain is its caller's caller; the chain is what gives it an owner.
 Addresses are mapped to files through the "map" lines (a file's load base is
 the start of its offset-0 mapping), then to the nearest preceding symbol of
 `nm -C --defined-only`. A frame inside a library built without frame
@@ -57,14 +61,19 @@ def load(path):
 
 
 def main(argv):
-    top = 30
-    if argv[:1] == ["--top"]:
-        top, argv = int(argv[1]), argv[2:]
+    top, callers = 30, None
+    while argv[:1] in (["--top"], ["--callers"]) and len(argv) > 1:
+        if argv[0] == "--top":
+            top = int(argv[1])
+        else:
+            callers = argv[1]
+        argv = argv[2:]
     if not argv:
         sys.exit(__doc__)
     # Address-space layout differs per process: resolve each file's samples
     # against its own maps.
     self_t, incl_t, total, dropped = collections.Counter(), collections.Counter(), 0, 0
+    chains = collections.Counter()
     tables = {}
     strip_hash = re.compile(r"::h[0-9a-f]{16}$")
     for path in argv:
@@ -90,6 +99,8 @@ def main(argv):
             self_t[names[0]] += 1
             for name in set(names):
                 incl_t[name] += 1
+            if callers is not None and names[0].startswith(callers):
+                chains[" <- ".join(names[1:4]) or "[no caller frames]"] += 1
     if total == 0:
         sys.exit("no samples")
     print(f"{total} samples from {len(argv)} run(s), {dropped} dropped (buffer full)")
@@ -97,6 +108,11 @@ def main(argv):
         print(f"\n-- {title} --")
         for name, n in table.most_common(top):
             print(f"{100.0 * n / total:6.2f}%  {n:7d}  {name}")
+    if callers is not None:
+        leaves = sum(chains.values())
+        print(f"\n-- callers of {callers}* ({leaves} samples, {100.0 * leaves / total:.2f}%) --")
+        for chain, n in chains.most_common(top):
+            print(f"{100.0 * n / max(leaves, 1):6.2f}%  {n:7d}  {chain}")
 
 
 if __name__ == "__main__":
