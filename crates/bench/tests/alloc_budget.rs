@@ -14,12 +14,15 @@
 //! (a few allocations from the runner itself) cannot tip the assertion.
 //!
 //! The allocator also tracks the bytes live on the heap and their peak, and
-//! one test holds the peak growth of a whole driver run per measured commit
-//! under a budget: what the run keeps per commit is its latency sample and
-//! the sample's tags, once. Another holds the destage pages of an eager
-//! triple to one copy of the ring, not one per replica.
-
+//! tests hold the peak growth of a whole driver run under a budget: per
+//! measured commit, what a YCSB run keeps is its latency sample and the
+//! sample's tags, once; per stored row, what a TPC-C run keeps is the row's
+//! image and its 40-byte index entry. Another holds the destage pages of an
+//! eager triple to one copy of the ring, not one per replica. Two more
+//! pin `simkit::Bytes`: one allocation per buffer, freed once however many
+//! threads drop clones of it, and none for an empty buffer.
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -31,6 +34,24 @@ static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 /// The largest `LIVE` since it was last reset.
 static PEAK: AtomicUsize = AtomicUsize::new(0);
+/// Allocations and frees of exactly `WATCHED` bytes (0: none watched).
+static WATCHED: AtomicUsize = AtomicUsize::new(0);
+static WATCHED_ALLOCS: AtomicU64 = AtomicU64::new(0);
+static WATCHED_FREES: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    /// Allocations made by the current thread (a const-initialized cell: no
+    /// allocation or destructor of its own).
+    static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_alloc(size: usize) {
+    ALLOCS.fetch_add(1, Ordering::Relaxed);
+    THREAD_ALLOCS.with(|n| n.set(n.get() + 1));
+    if size == WATCHED.load(Ordering::Relaxed) {
+        WATCHED_ALLOCS.fetch_add(1, Ordering::Relaxed);
+    }
+}
 
 fn grow(bytes: usize) {
     let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
@@ -43,7 +64,7 @@ fn shrink(bytes: usize) {
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc(layout.size());
         let ptr = unsafe { System.alloc(layout) };
         if !ptr.is_null() {
             grow(layout.size());
@@ -52,12 +73,15 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        if layout.size() == WATCHED.load(Ordering::Relaxed) {
+            WATCHED_FREES.fetch_add(1, Ordering::Relaxed);
+        }
         shrink(layout.size());
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc(new_size);
         let new = unsafe { System.realloc(ptr, layout, new_size) };
         if !new.is_null() {
             if new_size >= layout.size() {
@@ -70,7 +94,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc(layout.size());
         let ptr = unsafe { System.alloc_zeroed(layout) };
         if !ptr.is_null() {
             grow(layout.size());
@@ -109,6 +133,7 @@ fn tpcc_transactions_stay_within_allocation_budget() {
     let allocs = alloc_count() - before;
     drop(guard);
     let avg = allocs as f64 / committed.max(1) as f64;
+    eprintln!("TPC-C: {avg:.2} allocations per committed txn ({allocs} over {committed})");
     // Mixed-profile average. NewOrder writes ~15 rows (one image each),
     // Delivery ~30; plus the per-commit record vector, occasional BTreeMap
     // node splits, and the rare last-name String on the customer-selection
@@ -254,4 +279,107 @@ fn eager_replicas_hold_one_copy_of_the_destage_ring() {
         per_ring <= BUDGET,
         "three replicas hold {per_ring:.3} rings of destage pages at the peak (budget {BUDGET})"
     );
+}
+
+#[test]
+fn a_stored_tpcc_row_holds_its_image_and_a_40_byte_index_entry() {
+    let _guard = MEASURE.lock().unwrap();
+    use memdb::{Database, NoLog, TableId, WalConfig, WalManager};
+    use simkit::SimDuration;
+    use xssd_bench::driver::{self, DriverConfig};
+    // The benchmark's TPC-C scale with no log backend, so what the run
+    // keeps is the database's growth: each new row's image and its entry
+    // in the table's B-tree.
+    let (mut db, mut workload, _) = tpcc::setup(tpcc::TpccConfig::bench(), 19);
+    let rows = |db: &Database| -> usize {
+        (0..db.table_names().len()).filter_map(|t| db.table(t as TableId)).map(|t| t.len()).sum()
+    };
+    let mut wal = WalManager::new(NoLog::new(), WalConfig::default());
+    let cfg = DriverConfig {
+        workers: 4,
+        measure: SimDuration::from_millis(if cfg!(debug_assertions) { 20 } else { 400 }),
+        seed: 19,
+        ..DriverConfig::default()
+    };
+    let rows_before = rows(&db);
+    let before = LIVE.load(Ordering::Relaxed);
+    PEAK.store(before, Ordering::Relaxed);
+    let report = driver::run(&mut db, &mut wal, &mut workload, &cfg);
+    let growth = PEAK.load(Ordering::Relaxed) - before;
+    let stored = rows(&db) - rows_before;
+    let per_row = growth as f64 / stored as f64;
+    eprintln!(
+        "peak live heap growth: {growth} B over {stored} stored rows ({per_row:.2} B each, \
+         {} commits)",
+        report.run.committed
+    );
+    if cfg!(debug_assertions) {
+        // A smoke run: the budget holds for the release build's run length.
+        return;
+    }
+    assert!(stored >= 200_000, "only {stored} rows stored");
+    // Measured 135.26 B (358 639 rows, 59 046 commits) with a 24-byte key
+    // and an 8-byte row handle: 40-byte entries. With a 32-byte key and an
+    // `Arc<[u8]>` fat pointer (56-byte entries) it was 166.90 B.
+    const BUDGET: f64 = 150.0;
+    assert!(
+        per_row <= BUDGET,
+        "a stored row holds {per_row:.2} live heap bytes at the peak (budget {BUDGET})"
+    );
+}
+
+#[test]
+fn a_bytes_buffer_cloned_on_two_threads_is_freed_once() {
+    let _guard = MEASURE.lock().unwrap();
+    use simkit::Bytes;
+    // A data length no other allocation of this test has: the header's
+    // 16 B plus 12 345.
+    const LEN: usize = 12_345;
+    WATCHED.store(16 + LEN, Ordering::Relaxed);
+    let (allocs, frees) =
+        (WATCHED_ALLOCS.load(Ordering::Relaxed), WATCHED_FREES.load(Ordering::Relaxed));
+    const BUFFERS: u64 = 200;
+    for i in 0..BUFFERS {
+        let original = Bytes::from(vec![i as u8; LEN]);
+        let handles = [original.clone(), original];
+        // Both threads clone and drop concurrently, then drop their last
+        // handles together: one of the two final decrements frees.
+        let together = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for mine in handles {
+                let together = &together;
+                s.spawn(move || {
+                    for _ in 0..1_000 {
+                        let c = std::hint::black_box(mine.clone());
+                        assert_eq!(c[LEN - 1], i as u8);
+                    }
+                    together.wait();
+                    drop(mine);
+                });
+            }
+        });
+    }
+    let allocs = WATCHED_ALLOCS.load(Ordering::Relaxed) - allocs;
+    let frees = WATCHED_FREES.load(Ordering::Relaxed) - frees;
+    WATCHED.store(0, Ordering::Relaxed);
+    assert_eq!((allocs, frees), (BUFFERS, BUFFERS), "one allocation per buffer, freed once");
+}
+
+#[test]
+fn empty_bytes_buffers_allocate_nothing() {
+    let _guard = MEASURE.lock().unwrap();
+    use simkit::Bytes;
+    let before = THREAD_ALLOCS.with(Cell::get);
+    for _ in 0..1_000 {
+        let empties = [
+            Bytes::new(),
+            Bytes::default(),
+            Bytes::copy_from_slice(&[]),
+            Bytes::from([0u8; 0]),
+            Bytes::concat_zero_padded(&[&[], &[]], 0),
+        ];
+        let clones = std::hint::black_box(empties.clone());
+        assert!(clones.iter().chain(&empties).all(|e| e.is_empty()));
+    }
+    assert_eq!(THREAD_ALLOCS.with(Cell::get) - before, 0);
 }

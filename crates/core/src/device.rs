@@ -404,7 +404,8 @@ impl VillarsDevice {
     /// page is destaged only from credited bytes, and persists only once
     /// scheduled) and `head ≤ scheduled` (ring space is freed only by a
     /// destage submission). [`CmbModule`] checks its own `head ≤ credit ≤
-    /// tail`.
+    /// tail`, and the port's ledger `submitted − completed == in_flight()`
+    /// ([`PortAccounting::check`]).
     fn check(&self) {
         if cfg!(debug_assertions) {
             let (persisted, scheduled) = (self.destage.persisted(), self.destage.scheduled());
@@ -414,6 +415,7 @@ impl VillarsDevice {
                 "Villars log: persisted {persisted}, scheduled {scheduled}, credit {credit}, \
                  head {head}"
             );
+            self.port.check();
         }
     }
 

@@ -1,20 +1,25 @@
 //! Inline, order-preserving keys.
 //!
 //! Every hot-path TPC-C/YCSB key is a short big-endian composite (4–16
-//! bytes; the widest, the customer-name index entry, is 28). Storing them
-//! as `Vec<u8>` costs a heap allocation per stored row and per lookup
-//! probe. [`SmallKey`] keeps up to [`SmallKey::INLINE`] bytes inline and
-//! spills to a boxed slice only beyond that, while comparing and hashing
-//! exactly like the underlying byte slice — so `BTreeMap<SmallKey, _>`
-//! keeps its order-preserving semantics.
+//! bytes). Storing them as `Vec<u8>` costs a heap allocation per stored row
+//! and per lookup probe. [`SmallKey`] keeps up to [`SmallKey::INLINE`]
+//! (22) bytes inline and spills to a boxed slice only beyond that, while
+//! comparing and hashing exactly like the underlying byte slice — so
+//! `BTreeMap<SmallKey, _>` keeps its order-preserving semantics. The key is
+//! 24 bytes (a tag, a length byte and the 22 inline bytes; or the tag and
+//! a boxed slice), so a table entry with an 8-byte row handle and an
+//! 8-byte version is 40 bytes. The keys that spill are TPC-C's
+//! customer-name index entry (28 bytes), its 24-byte scan prefix and that
+//! prefix's successor: load-time and by-name paths only.
 //!
-//! Two inline keys compare as three big-endian `u64` words over the whole
-//! buffer plus a tie-break on length, not through `memcmp`. That equals
-//! slice order **because the inline bytes beyond `len` are always zero**:
-//! every constructor and mutator keeps that invariant and
-//! `debug_assert`s it. Ordered maps are therefore probed with a
-//! `SmallKey` (a 24-byte stack copy of the caller's slice), never with a
-//! borrowed `&[u8]`, so every comparison of a descent takes the word path.
+//! Two inline keys compare as three big-endian `u64` words plus a
+//! tie-break on length, not through `memcmp`; the third word reads bytes
+//! 16..22 followed by two zero bytes. That equals slice order **because
+//! the inline bytes beyond `len` are always zero**: every constructor and
+//! mutator keeps that invariant and `debug_assert`s it. Ordered maps are
+//! therefore probed with a `SmallKey` (a 24-byte stack copy of the
+//! caller's slice), never with a borrowed `&[u8]`, so every comparison of a
+//! descent takes the word path.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -35,7 +40,7 @@ pub struct SmallKey(Repr);
 
 impl SmallKey {
     /// Bytes stored without a heap allocation.
-    pub const INLINE: usize = 24;
+    pub const INLINE: usize = 22;
 
     /// An empty key.
     pub fn new() -> Self {
@@ -143,11 +148,18 @@ impl SmallKey {
     }
 }
 
+// A tag, a length byte and the inline bytes; or the tag and a boxed slice.
+const _: () = assert!(std::mem::size_of::<SmallKey>() == 24);
+
 /// Word `i` (of three) of an inline buffer, big-endian, so integer order is
-/// byte-lexicographic order.
+/// byte-lexicographic order. The last word holds bytes 16..22 and two zero
+/// bytes after them.
 #[inline(always)]
 fn be_word(buf: &[u8; SmallKey::INLINE], i: usize) -> u64 {
-    u64::from_be_bytes(buf[i * 8..i * 8 + 8].try_into().expect("8-byte window of 24"))
+    let mut word = [0u8; 8];
+    let bytes = &buf[i * 8..SmallKey::INLINE.min(i * 8 + 8)];
+    word[..bytes.len()].copy_from_slice(bytes);
+    u64::from_be_bytes(word)
 }
 
 impl Default for SmallKey {
@@ -301,6 +313,19 @@ mod tests {
         }
     }
 
+    #[test]
+    fn inline_up_to_22_bytes_then_spill() {
+        let spills = |k: &SmallKey| matches!(k.0, Repr::Spill(_));
+        assert!(!spills(&SmallKey::from_slice(&[7; 22])));
+        assert!(spills(&SmallKey::from_slice(&[7; 23])));
+        let mut k = SmallKey::from_slice(&[7; 20]);
+        k.push_bytes(&[8, 9]);
+        assert!(!spills(&k));
+        k.push_bytes(&[0]);
+        assert!(spills(&k));
+        assert_eq!(k.as_slice(), [&[7; 20][..], &[8, 9, 0]].concat());
+    }
+
     fn slice_hash<T: Hash + ?Sized>(v: &T) -> u64 {
         let mut h = DefaultHasher::new();
         v.hash(&mut h);
@@ -316,9 +341,10 @@ mod tests {
 
     /// Every byte string of length 0–3 over the bytes where signed/unsigned
     /// and zero-padding mistakes show, plus seeded random strings of 0–40
-    /// bytes with their zero-extended and truncated relatives, so the
-    /// 24/25-byte inline/spill boundary and pairs like `[1]` vs `[1, 0]`
-    /// are crossed.
+    /// bytes with their zero-extended and truncated relatives, plus 21-,
+    /// 22- and 23-byte keys around the inline/spill boundary, among them
+    /// keys that differ only in a trailing zero, so the boundary and pairs
+    /// like `[1]` vs `[1, 0]` are crossed.
     fn ordering_samples() -> Vec<Vec<u8>> {
         const ALPHABET: [u8; 5] = [0x00, 0x01, 0x7F, 0x80, 0xFF];
         let mut samples: Vec<Vec<u8>> = vec![vec![]];
@@ -330,7 +356,22 @@ mod tests {
                 .collect();
             samples.extend(last.iter().cloned());
         }
-        samples.extend([vec![0xFF; 24], vec![0xFF; 25], (0..30).collect()]);
+        samples.extend([vec![0xFF; 22], vec![0xFF; 23], (0..30).collect()]);
+        // Around the boundary: a 21-byte base, then with one and two more
+        // bytes, each either zero (a key and itself plus a trailing zero)
+        // or not, and the same with the last word's bytes (16..22) varied.
+        for base in [vec![0x00; 21], vec![0x7F; 21], (1..22).collect::<Vec<u8>>()] {
+            for last in [0x00, 0x01, 0xFF] {
+                let mut varied = base.clone();
+                varied[16] = last;
+                for b in [base.clone(), varied] {
+                    samples.push([b.as_slice(), &[last]].concat());
+                    samples.push([b.as_slice(), &[last, 0x00]].concat());
+                    samples.push([b.as_slice(), &[0x00, last]].concat());
+                    samples.push(b);
+                }
+            }
+        }
         let mut rng = simkit::DetRng::new(0x5EED_4B65);
         for _ in 0..60 {
             let len = rng.uniform(0, 40) as usize;

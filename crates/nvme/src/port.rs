@@ -172,6 +172,25 @@ impl PortAccounting {
         self.live.len()
     }
 
+    /// The ledger's invariant, `submitted − completed == in_flight()`:
+    /// every submission is either delivered or still live. Its owner runs
+    /// it in debug builds (`VillarsDevice` after every `advance`).
+    pub fn check(&self) {
+        assert!(
+            self.completed + self.live.len() as u64 == self.submitted,
+            "I/O port ledger: submitted {}, completed {}, in flight {}",
+            self.submitted,
+            self.completed,
+            self.live.len()
+        );
+    }
+
+    /// A test-only corruption: a completion counted for no live command.
+    #[cfg(test)]
+    fn count_phantom_completion(&mut self) {
+        self.completed += 1;
+    }
+
     /// Total commands submitted through this port.
     pub fn submitted(&self) -> u64 {
         self.submitted
@@ -343,13 +362,26 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "I/O port ledger: submitted 2, completed 2, in flight 1")]
+    fn a_phantom_completion_breaks_the_ledger() {
+        let mut acct = PortAccounting::new();
+        let a = acct.begin();
+        acct.begin();
+        acct.finish(a);
+        acct.count_phantom_completion();
+        acct.check();
+    }
+
+    #[test]
     fn finish_ignores_foreign_cids() {
         let mut acct = PortAccounting::new();
         let cid = acct.begin();
         assert!(!acct.finish(cid.wrapping_add(7)));
+        acct.check();
         assert!(acct.finish(cid));
         assert_eq!(acct.completed(), 1);
         assert_eq!(acct.submitted(), 1);
+        acct.check();
     }
 
     #[test]

@@ -92,9 +92,11 @@ pub const TABLE_NAMES: [&str; 11] = [
 ];
 
 /// Key builders. Every key is stack-built: the widest hot-path composite
-/// (order-line, 16 bytes) fits a [`memdb::SmallKey`] inline; only the
-/// 28-byte customer-name index entry spills, and that is built at load
-/// time and during ~1%-frequency payment-by-name insert paths.
+/// (order-line, 16 bytes) fits a [`memdb::SmallKey`] inline (22 bytes).
+/// The customer-name keys spill to the heap: the 28-byte index entry,
+/// built at load time, and the 24-byte scan prefix and its successor,
+/// built by the by-name lookups of Payment and Order-Status (40 % of
+/// each, about a fifth of all transactions).
 pub mod key {
     use memdb::keys::composite;
     use memdb::Key;

@@ -21,12 +21,15 @@ python3 scripts/results_diff.py --self-test
 echo "== cargo test"
 cargo test --workspace --quiet
 
-echo "== allocation budget (release hot path, live heap per measured commit and per destage ring)"
+echo "== allocation budget (release hot path, live heap per measured commit, per stored row and per destage ring)"
 # The counting-allocator regression gate over the TPC-C / YCSB hot paths
 # (crates/bench/tests/alloc_budget.rs), the peak live-heap growth of a
 # YCSB-A driver run per measured commit: one latency sample plus its kind
-# and bucket tags, and of an eager triple that wraps its destage rings
-# twice: one copy of the ring's pages, not one per replica. Runs in release
+# and bucket tags, of a TPC-C driver run per stored row: its image and a
+# 40-byte index entry (the full-length run is release only), and of an
+# eager triple that wraps its destage rings twice: one copy of the ring's
+# pages, not one per replica; plus one allocation per `simkit::Bytes`,
+# freed once across threads, and none for an empty one. Runs in release
 # so the measured averages match the configuration the wall-clock gate times.
 cargo test --release -p xssd-bench --test alloc_budget --quiet
 
@@ -110,13 +113,31 @@ fi
 echo "== panic-site ratchet (unwrap / expect / panic! / unreachable! in non-test crate code)"
 # ROADMAP item 5c: the count may only fall. Each file is read up to its
 # first column-0 `#[cfg(test)]`. Lower the ceiling when a PR removes sites.
-panic_ceiling=119
+panic_ceiling=118
 panic_sites=$(find crates/*/src -name '*.rs' -print0 | xargs -0 awk '
     FNR == 1 { live = 1 } /^#\[cfg\(test\)\]/ { live = 0 }
     live { n += gsub(/\.unwrap\(\)|\.expect\(|panic!\(|unreachable!\(/, "&") }
     END { print n + 0 }')
 if [ "$panic_sites" -gt "$panic_ceiling" ]; then
   echo "FAIL: $panic_sites panic sites under crates/*/src outside tests, ceiling $panic_ceiling."
+  exit 1
+fi
+
+echo "== unsafe code stays in simkit::bytes, each block and impl with its SAFETY comment"
+# `simkit::Bytes` (one pointer to a counted header and its data) is the one
+# place raw allocation pays: a stored row's handle is 8 B, not an
+# `Arc<[u8]>`'s 16. Nothing else under crates/*/src says `unsafe`. In
+# bytes.rs every `unsafe {` block and `unsafe impl` has a `// SAFETY:` line
+# in the comment block directly above it.
+if grep -rnw 'unsafe' crates/*/src | grep -v '^crates/simkit/src/bytes\.rs:'; then
+  echo "FAIL: unsafe code outside crates/simkit/src/bytes.rs (lines above)."
+  exit 1
+fi
+if awk '/^[[:space:]]*\/\// { if ($0 ~ /^[[:space:]]*\/\/ SAFETY:/) safety = 1; next }
+        /unsafe[[:space:]]*(\{|impl)/ && !safety { print FILENAME ":" FNR ": " $0; bad = 1 }
+        { safety = 0 }
+        END { exit !bad }' crates/simkit/src/bytes.rs; then
+  echo "FAIL: an unsafe block or impl in crates/simkit/src/bytes.rs has no // SAFETY: comment directly above it (lines above)."
   exit 1
 fi
 
@@ -195,4 +216,4 @@ echo "== benchmark: its own tests, then every workload and check at 1/50 horizon
 (cd benchmark && cargo test --offline --quiet)
 benchmark/run.sh --quick > /dev/null
 
-echo "ok: fmt, clippy, reachability, gate self-test, tests, count, nudge, one-collector, one-latency-copy, one-runner, panic-ratchet, one-intake, one-log, one-checksum, no-GC and buffer-scan gates, recovery smoke, chaos smoke, benchmark checks all clean"
+echo "ok: fmt, clippy, reachability, gate self-test, tests, count, nudge, one-collector, one-latency-copy, one-runner, panic-ratchet, unsafe-confinement, one-intake, one-log, one-checksum, no-GC and buffer-scan gates, recovery smoke, chaos smoke, benchmark checks all clean"
