@@ -429,6 +429,32 @@ fn bench_db_hot_path() {
             len
         },
     );
+    // The insert path under TPC-C's shape: 64 ascending runs (one per
+    // warehouse × district) appended round-robin, 400 000 rows into a fresh
+    // table (its drop included), every row sharing one image so the index
+    // is what is timed.
+    let image = simkit::Bytes::copy_from_slice(&[7u8; 100]);
+    bench(
+        "memdb/insert_interleaved_runs_400k",
+        None,
+        || {
+            let mut db = Database::new();
+            let t = db.create_table("runs");
+            (db, t)
+        },
+        |(mut db, t)| {
+            for seq in 0..400_000 / 64 {
+                for run in 0..64u32 {
+                    db.install_row(
+                        t,
+                        keys::composite(&[1 + run / 10, 1 + run % 10, seq]),
+                        image.clone(),
+                    );
+                }
+            }
+            db.table(t).map(|table| table.len())
+        },
+    );
     bench(
         "memdb/commit_8r4w_400k_rows",
         None,

@@ -1,0 +1,799 @@
+//! The ordered index a [`crate::storage::Table`] keeps its rows in: a B+tree
+//! whose appends fill its leaves.
+//!
+//! Nodes hold up to [`CAP`] (11) keys, as `std`'s B-tree does, and are
+//! searched linearly with the key's own `Ord` (for a [`crate::SmallKey`],
+//! three word compares). What differs from `std` is where a full node
+//! splits: at the insertion point when the new entry lands at the node's end
+//! or right after the node's previous insert, and in the middle otherwise.
+//! TPC-C's order lines, orders and new-orders arrive as one ascending run
+//! per district, 64 runs interleaved; a middle split leaves each run's
+//! leaves about 6/11 full, this rule about 11/11 (PostgreSQL's nbtree
+//! "split after new tuple" heuristic does the same for the same keys).
+//!
+//! Leaves are linked both ways, so a range walks the leaf chain from either
+//! end after one descent per end. A leaf that empties is unlinked and goes
+//! to the free list, where the next split takes it (there is no merging);
+//! an inner node that loses its last child goes with it, and a root with one
+//! child hands the root down. [`Index::edit`] finds a key once and lets its
+//! caller read, replace, insert or remove the entry in that one descent.
+//!
+//! Every node is one `Box`, addressed by a `u32` id through one table per
+//! node kind, so the heap the allocator counts is the memory the process
+//! holds. A debug build runs [`Index::check`] after every split and freed
+//! leaf (past 4 096 entries, after every power-of-two-th such change, so a
+//! bulk load stays O(n log n)).
+
+use std::cmp::Ordering;
+use std::fmt;
+use std::mem;
+
+/// Keys per node, as in `std`'s B-tree.
+const CAP: usize = 11;
+/// No leaf: either end of the leaf chain.
+const NIL: u32 = u32::MAX;
+/// No insert into this node yet.
+const NO_INSERT: u8 = u8::MAX;
+/// Up to this many entries a debug build checks the whole index after
+/// every split and freed leaf.
+const CHECK_EVERY_CHANGE_UP_TO: usize = 4096;
+
+struct Leaf<K, V> {
+    /// `keys[..len]` ascend strictly; the slots beyond hold defaults.
+    keys: [K; CAP],
+    vals: [V; CAP],
+    len: u8,
+    /// The slot the last insert into this leaf landed in.
+    last_insert: u8,
+    prev: u32,
+    next: u32,
+}
+
+struct Inner<K> {
+    /// `keys[i]` separates `children[i]` (keys below it) from
+    /// `children[i + 1]` (keys at or above it); `len - 1` are in use.
+    keys: [K; CAP],
+    children: [u32; CAP + 1],
+    /// Children in use.
+    len: u8,
+    /// The separator slot the last insert into this node landed in.
+    last_insert: u8,
+}
+
+impl<K: Default, V: Default> Leaf<K, V> {
+    fn new() -> Box<Self> {
+        Box::new(Leaf {
+            keys: std::array::from_fn(|_| K::default()),
+            vals: std::array::from_fn(|_| V::default()),
+            len: 0,
+            last_insert: NO_INSERT,
+            prev: NIL,
+            next: NIL,
+        })
+    }
+
+    fn keys(&self) -> &[K] {
+        &self.keys[..self.len as usize]
+    }
+}
+
+impl<K: Ord + Default> Inner<K> {
+    fn new() -> Box<Self> {
+        Box::new(Inner {
+            keys: std::array::from_fn(|_| K::default()),
+            children: [NIL; CAP + 1],
+            len: 0,
+            last_insert: NO_INSERT,
+        })
+    }
+
+    /// The slot of the child whose subtree holds `key`: the number of
+    /// separators at or below it.
+    fn slot_for(&self, key: &K) -> usize {
+        let (i, found) = search(&self.keys[..self.len as usize - 1], key);
+        i + usize::from(found)
+    }
+}
+
+/// The first position in `keys` not below `key`, and whether it holds `key`.
+#[inline]
+fn search<K: Ord>(keys: &[K], key: &K) -> (usize, bool) {
+    for (i, k) in keys.iter().enumerate() {
+        match key.cmp(k) {
+            Ordering::Greater => {}
+            Ordering::Equal => return (i, true),
+            Ordering::Less => return (i, false),
+        }
+    }
+    (keys.len(), false)
+}
+
+/// Put `x` at `at` in `slots`, whose last slot is a spare, shifting the
+/// rest one up.
+fn insert_at<T>(slots: &mut [T], at: usize, x: T) {
+    slots[at..].rotate_right(1);
+    slots[at] = x;
+}
+
+/// Take the item at `at` out of `slots[..len]`, shifting the rest one down
+/// and leaving a default in the freed last slot.
+fn remove_at<T: Default>(slots: &mut [T], at: usize, len: usize) -> T {
+    let x = mem::take(&mut slots[at]);
+    slots[at..len].rotate_left(1);
+    x
+}
+
+/// Two distinct nodes of one table, both mutable.
+fn pair<T>(nodes: &mut [Box<T>], a: u32, b: u32) -> (&mut T, &mut T) {
+    let (a, b) = (a as usize, b as usize);
+    debug_assert_ne!(a, b);
+    if a < b {
+        let (lo, hi) = nodes.split_at_mut(b);
+        (&mut lo[a], &mut hi[0])
+    } else {
+        let (lo, hi) = nodes.split_at_mut(a);
+        (&mut hi[0], &mut lo[b])
+    }
+}
+
+/// Where a full node splits for an insert landing at `at`: at `at` itself
+/// at the node's end and right after its previous insert, so the new entry
+/// ends the left half (an ascending run keeps filling the left half and
+/// leaves the right one full); in the middle anywhere else. A leaf keeps
+/// the entries below the point; an inner node sends the separator at the
+/// point up.
+fn split_point(at: usize, last_insert: u8) -> usize {
+    if at == CAP || at == last_insert as usize + 1 {
+        at
+    } else {
+        CAP / 2
+    }
+}
+
+/// What an edit of a subtree asks of the subtree's parent.
+enum Change<K> {
+    None,
+    /// The child split: the separator and the new right sibling.
+    Split(K, u32),
+    /// The child emptied and was freed: drop its edge.
+    Emptied,
+}
+
+/// An ordered map from `K` to `V` (see the module doc).
+pub struct Index<K, V> {
+    leaves: Vec<Box<Leaf<K, V>>>,
+    inners: Vec<Box<Inner<K>>>,
+    free_leaves: Vec<u32>,
+    free_inners: Vec<u32>,
+    /// A leaf when `height` is 0, an inner node above.
+    root: u32,
+    height: usize,
+    /// The ends of the leaf chain.
+    head: u32,
+    tail: u32,
+    len: usize,
+    /// The inner nodes and child slots of the current edit's descent, so a
+    /// split or a freed leaf climbs back without a second one (kept to
+    /// reuse its buffer).
+    path: Vec<(u32, usize)>,
+    /// Splits and freed leaves so far (the debug check's cadence).
+    changes: u64,
+}
+
+impl<K: Ord + Clone + Default, V: Default> Default for Index<K, V> {
+    fn default() -> Self {
+        Index::new()
+    }
+}
+
+impl<K: Ord + Clone + Default, V: Default> Index<K, V> {
+    /// An empty index: one empty root leaf.
+    pub fn new() -> Self {
+        Index {
+            leaves: vec![Leaf::new()],
+            inners: Vec::new(),
+            free_leaves: Vec::new(),
+            free_inners: Vec::new(),
+            root: 0,
+            height: 0,
+            head: 0,
+            tail: 0,
+            len: 0,
+            path: Vec::new(),
+            changes: 0,
+        }
+    }
+
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when the index holds no entry.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Entries per leaf slot over the leaves in use: 1.0 when every leaf
+    /// holds its 11.
+    pub fn leaf_fill(&self) -> f64 {
+        let leaves = self.leaves.len() - self.free_leaves.len();
+        self.len as f64 / (leaves * CAP) as f64
+    }
+
+    /// The leaf whose key range holds `key`.
+    #[inline]
+    fn leaf_for(&self, key: &K) -> u32 {
+        let mut id = self.root;
+        for _ in 0..self.height {
+            let node = &self.inners[id as usize];
+            id = node.children[node.slot_for(key)];
+        }
+        id
+    }
+
+    /// The value stored under `key`.
+    pub fn get(&self, key: &K) -> Option<&V> {
+        let leaf = &self.leaves[self.leaf_for(key) as usize];
+        match search(leaf.keys(), key) {
+            (i, true) => Some(&leaf.vals[i]),
+            _ => None,
+        }
+    }
+
+    /// Find `key` once and hand its entry to `f` as a slot: `Some` with the
+    /// stored value when the key is present, `None` when it is not. What
+    /// `f` leaves in the slot is stored: a value in a vacant slot inserts
+    /// (the key is cloned in), an emptied slot removes the entry. Returns
+    /// what `f` returns.
+    pub fn edit<R>(&mut self, key: &K, f: impl FnOnce(&mut Option<V>) -> R) -> R {
+        let changes = self.changes;
+        self.path.clear();
+        let mut id = self.root;
+        for _ in 0..self.height {
+            let node = &self.inners[id as usize];
+            let slot = node.slot_for(key);
+            self.path.push((id, slot));
+            id = node.children[slot];
+        }
+        let leaf = &mut self.leaves[id as usize];
+        let (at, found) = search(leaf.keys(), key);
+        let mut slot = if found { Some(mem::take(&mut leaf.vals[at])) } else { None };
+        let r = f(&mut slot);
+        let mut change = match slot {
+            Some(value) if found => {
+                leaf.vals[at] = value;
+                Change::None
+            }
+            Some(value) => self.leaf_insert(id, at, key.clone(), value),
+            None if found => self.leaf_remove(id, at),
+            None => Change::None,
+        };
+        // Carry a split or a freed child up the descent's path.
+        while let Some((parent, slot)) = self.path.pop() {
+            change = match change {
+                Change::None => break,
+                Change::Split(separator, right) => {
+                    self.inner_insert(parent, slot, separator, right)
+                }
+                Change::Emptied => self.inner_remove(parent, slot),
+            };
+        }
+        if let Change::Split(separator, right) = change {
+            let root = self.alloc_inner();
+            let node = &mut self.inners[root as usize];
+            node.keys[0] = separator;
+            node.children[..2].copy_from_slice(&[self.root, right]);
+            node.len = 2;
+            node.last_insert = 0;
+            self.root = root;
+            self.height += 1;
+        }
+        if self.changes != changes {
+            // The root keeps at least two children (so it never empties):
+            // one left with a single child hands the root down to it.
+            while self.height > 0 && self.inners[self.root as usize].len == 1 {
+                let old = self.root;
+                self.root = self.inners[old as usize].children[0];
+                self.free_inner(old);
+                self.height -= 1;
+            }
+            if cfg!(debug_assertions)
+                && (self.len <= CHECK_EVERY_CHANGE_UP_TO || self.changes.is_power_of_two())
+            {
+                self.check();
+            }
+        }
+        r
+    }
+
+    /// Store `value` under `key`; returns the value it replaced.
+    pub fn insert(&mut self, key: &K, value: V) -> Option<V> {
+        self.edit(key, |slot| slot.replace(value))
+    }
+
+    /// Remove `key`'s entry; returns its value.
+    pub fn remove(&mut self, key: &K) -> Option<V> {
+        self.edit(key, Option::take)
+    }
+
+    fn leaf_insert(&mut self, id: u32, at: usize, key: K, value: V) -> Change<K> {
+        self.len += 1;
+        let leaf = &mut self.leaves[id as usize];
+        let n = leaf.len as usize;
+        if n < CAP {
+            insert_at(&mut leaf.keys[..=n], at, key);
+            insert_at(&mut leaf.vals[..=n], at, value);
+            leaf.len += 1;
+            leaf.last_insert = at as u8;
+            return Change::None;
+        }
+        let t = split_point(at, leaf.last_insert);
+        let right = self.alloc_leaf();
+        let (l, r) = pair(&mut self.leaves, id, right);
+        for (j, i) in (t..CAP).enumerate() {
+            mem::swap(&mut l.keys[i], &mut r.keys[j]);
+            mem::swap(&mut l.vals[i], &mut r.vals[j]);
+        }
+        (l.len, r.len) = (t as u8, (CAP - t) as u8);
+        let (side, at) = if at < CAP && at <= t { (&mut *l, at) } else { (&mut *r, at - t) };
+        let n = side.len as usize;
+        insert_at(&mut side.keys[..=n], at, key);
+        insert_at(&mut side.vals[..=n], at, value);
+        side.len += 1;
+        side.last_insert = at as u8;
+        (r.prev, r.next, l.next) = (id, l.next, right);
+        let (next, separator) = (r.next, r.keys[0].clone());
+        match next {
+            NIL => self.tail = right,
+            next => self.leaves[next as usize].prev = right,
+        }
+        self.changes += 1;
+        Change::Split(separator, right)
+    }
+
+    fn leaf_remove(&mut self, id: u32, at: usize) -> Change<K> {
+        self.len -= 1;
+        let leaf = &mut self.leaves[id as usize];
+        let n = leaf.len as usize;
+        // The value slot already holds the default `edit` took it for.
+        remove_at(&mut leaf.keys, at, n);
+        leaf.vals[at..n].rotate_left(1);
+        leaf.len -= 1;
+        if leaf.last_insert != NO_INSERT && leaf.last_insert as usize >= at {
+            leaf.last_insert = leaf.last_insert.wrapping_sub(1);
+        }
+        if leaf.len > 0 || self.height == 0 {
+            return Change::None;
+        }
+        // Emptied: unlink it and free it.
+        let (prev, next) = (leaf.prev, leaf.next);
+        (leaf.prev, leaf.next, leaf.last_insert) = (NIL, NIL, NO_INSERT);
+        match prev {
+            NIL => self.head = next,
+            prev => self.leaves[prev as usize].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            next => self.leaves[next as usize].prev = prev,
+        }
+        self.free_leaves.push(id);
+        self.changes += 1;
+        Change::Emptied
+    }
+
+    /// Child `slot` of inner node `id` split off `right`, separated by
+    /// `separator`.
+    fn inner_insert(&mut self, id: u32, slot: usize, separator: K, right: u32) -> Change<K> {
+        let node = &mut self.inners[id as usize];
+        let n = node.len as usize;
+        if n <= CAP {
+            insert_at(&mut node.keys[..n], slot, separator);
+            insert_at(&mut node.children[..=n], slot + 1, right);
+            node.len += 1;
+            node.last_insert = slot as u8;
+            return Change::None;
+        }
+        let sibling = self.alloc_inner();
+        let (l, r) = pair(&mut self.inners, id, sibling);
+        if slot == CAP {
+            // The last child split: this node stays full and the new child
+            // starts the sibling, under the new separator.
+            r.children[0] = right;
+            r.len = 1;
+            return Change::Split(separator, sibling);
+        }
+        // Separator `t` goes up; the separators and children above it move
+        // to the sibling; then the new edge goes to its side.
+        let t = split_point(slot, l.last_insert);
+        for (j, i) in (t + 1..CAP).enumerate() {
+            mem::swap(&mut l.keys[i], &mut r.keys[j]);
+        }
+        r.children[..CAP - t].copy_from_slice(&l.children[t + 1..]);
+        let up = mem::take(&mut l.keys[t]);
+        (l.len, r.len) = (t as u8 + 1, (CAP - t) as u8);
+        let (side, slot) = if slot <= t { (l, slot) } else { (r, slot - t - 1) };
+        let n = side.len as usize;
+        insert_at(&mut side.keys[..n], slot, separator);
+        insert_at(&mut side.children[..=n], slot + 1, right);
+        side.len += 1;
+        side.last_insert = slot as u8;
+        Change::Split(up, sibling)
+    }
+
+    /// Child `slot` of inner node `id` emptied and was freed.
+    fn inner_remove(&mut self, id: u32, slot: usize) -> Change<K> {
+        let node = &mut self.inners[id as usize];
+        let n = node.len as usize;
+        if n == 1 {
+            self.free_inner(id);
+            return Change::Emptied;
+        }
+        // The separator on the child's left goes (for the first child, the
+        // one on its right): its range joins a neighbour's.
+        let gone = slot.saturating_sub(1);
+        remove_at(&mut node.keys, gone, n - 1);
+        node.children[slot..n].rotate_left(1);
+        node.len -= 1;
+        if node.last_insert != NO_INSERT && node.last_insert as usize >= gone {
+            node.last_insert = node.last_insert.wrapping_sub(1);
+        }
+        Change::None
+    }
+
+    fn alloc_leaf(&mut self) -> u32 {
+        self.free_leaves.pop().unwrap_or_else(|| {
+            self.leaves.push(Leaf::new());
+            (self.leaves.len() - 1) as u32
+        })
+    }
+
+    fn alloc_inner(&mut self) -> u32 {
+        self.free_inners.pop().unwrap_or_else(|| {
+            self.inners.push(Inner::new());
+            (self.inners.len() - 1) as u32
+        })
+    }
+
+    /// Return an inner node with no separators left to the free list.
+    fn free_inner(&mut self, id: u32) {
+        let node = &mut self.inners[id as usize];
+        (node.len, node.last_insert) = (0, NO_INSERT);
+        self.free_inners.push(id);
+    }
+
+    /// The gap before the first entry not below `key`: the leaf and slot of
+    /// that entry, or `(NIL, 0)` past the last one.
+    fn gap_before(&self, key: &K) -> (u32, usize) {
+        let id = self.leaf_for(key);
+        let leaf = &self.leaves[id as usize];
+        match search(leaf.keys(), key).0 {
+            at if at < leaf.len as usize => (id, at),
+            _ => (leaf.next, 0),
+        }
+    }
+
+    /// The entries with keys in `[from, to)`, in key order from either end.
+    pub fn range(&self, from: &K, to: K) -> Range<'_, K, V> {
+        let front = self.gap_before(from);
+        let back = (*from >= to).then_some(front);
+        Range { index: self, front, back, to }
+    }
+
+    /// Every entry, in key order.
+    pub fn iter(&self) -> Range<'_, K, V> {
+        let front = if self.len == 0 { (NIL, 0) } else { (self.head, 0) };
+        Range { index: self, front, back: Some((NIL, 0)), to: K::default() }
+    }
+
+    /// The index's invariants: keys ascend strictly along the leaf chain,
+    /// `prev` and `next` agree, only a root leaf is empty, every leaf not
+    /// on the free list is on the chain, separators bound their subtrees,
+    /// the tree reaches exactly the chain's leaves in chain order, and `len`
+    /// equals a recount.
+    pub fn check(&self) {
+        let (mut id, mut from, mut count, mut leaves) = (self.head, NIL, 0usize, 0usize);
+        let mut last: Option<&K> = None;
+        while id != NIL {
+            let leaf = &self.leaves[id as usize];
+            assert_eq!(leaf.prev, from, "index: leaf {id}'s prev is not the leaf before it");
+            assert!(leaf.len > 0 || self.height == 0, "index: empty leaf {id} on the chain");
+            for k in leaf.keys() {
+                assert!(
+                    last.is_none_or(|l| l < k),
+                    "index: keys do not ascend strictly along the leaf chain (leaf {id})"
+                );
+                last = Some(k);
+            }
+            (count, leaves) = (count + leaf.len as usize, leaves + 1);
+            (from, id) = (id, leaf.next);
+        }
+        assert_eq!(from, self.tail, "index: the chain does not end at the tail");
+        assert_eq!(
+            leaves + self.free_leaves.len(),
+            self.leaves.len(),
+            "index: leaves neither on the chain nor free"
+        );
+        assert_eq!(self.len, count, "index: len vs a recount of the leaves");
+        let mut next_leaf = self.head;
+        self.check_subtree(self.root, self.height, None, None, &mut next_leaf);
+        assert_eq!(next_leaf, NIL, "index: the tree does not reach the chain's last leaves");
+    }
+
+    fn check_subtree(
+        &self,
+        id: u32,
+        height: usize,
+        lo: Option<&K>,
+        hi: Option<&K>,
+        next_leaf: &mut u32,
+    ) {
+        let within = |k: &K| lo.is_none_or(|lo| lo <= k) && hi.is_none_or(|hi| k < hi);
+        if height == 0 {
+            assert_eq!(id, *next_leaf, "index: the tree and the leaf chain disagree");
+            let leaf = &self.leaves[id as usize];
+            assert!(leaf.keys().iter().all(within), "index: leaf {id} outside its separators");
+            *next_leaf = leaf.next;
+            return;
+        }
+        let node = &self.inners[id as usize];
+        let n = node.len as usize;
+        // The root keeps two children at least, any other inner node one.
+        let least = if height == self.height { 2 } else { 1 };
+        assert!(n >= least, "index: inner node {id} has {n} children");
+        let separators = &node.keys[..n - 1];
+        assert!(
+            separators.iter().all(within) && separators.windows(2).all(|w| w[0] < w[1]),
+            "index: inner node {id}'s separators do not ascend inside its range"
+        );
+        for (i, child) in node.children[..n].iter().enumerate() {
+            let lo = if i == 0 { lo } else { Some(&separators[i - 1]) };
+            let hi = if i == n - 1 { hi } else { Some(&separators[i]) };
+            self.check_subtree(*child, height - 1, lo, hi, next_leaf);
+        }
+    }
+}
+
+/// A range of an [`Index`]'s entries, walked along the leaf chain from
+/// either end.
+pub struct Range<'a, K, V> {
+    index: &'a Index<K, V>,
+    /// The gap before the next entry from the front.
+    front: (u32, usize),
+    /// The gap after the next entry from the back, once found; until then
+    /// the front stops at `to`.
+    back: Option<(u32, usize)>,
+    to: K,
+}
+
+impl<'a, K: Ord + Clone + Default, V: Default> Iterator for Range<'a, K, V> {
+    type Item = (&'a K, &'a V);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let (id, at) = self.front;
+        if id == NIL || self.back == Some(self.front) {
+            return None;
+        }
+        let leaf = &self.index.leaves[id as usize];
+        if self.back.is_none() && leaf.keys[at] >= self.to {
+            self.back = Some(self.front);
+            return None;
+        }
+        self.front = if at + 1 < leaf.len as usize { (id, at + 1) } else { (leaf.next, 0) };
+        Some((&leaf.keys[at], &leaf.vals[at]))
+    }
+}
+
+impl<K: Ord + Clone + Default, V: Default> DoubleEndedIterator for Range<'_, K, V> {
+    fn next_back(&mut self) -> Option<Self::Item> {
+        let back = *self.back.get_or_insert_with(|| self.index.gap_before(&self.to));
+        if back == self.front {
+            return None;
+        }
+        let leaves = &self.index.leaves;
+        let (id, at) = match back {
+            (id, at) if at > 0 => (id, at - 1),
+            (NIL, _) => (self.index.tail, leaves[self.index.tail as usize].len as usize - 1),
+            (id, _) => {
+                let prev = leaves[id as usize].prev;
+                (prev, leaves[prev as usize].len as usize - 1)
+            }
+        };
+        self.back = Some((id, at));
+        let leaf = &self.index.leaves[id as usize];
+        Some((&leaf.keys[at], &leaf.vals[at]))
+    }
+}
+
+impl<K, V> fmt::Debug for Index<K, V>
+where
+    K: Ord + Clone + Default + fmt::Debug,
+    V: Default + fmt::Debug,
+{
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::key::SmallKey;
+    use crate::storage::keys;
+    use simkit::DetRng;
+    use std::collections::BTreeMap;
+
+    type Model = BTreeMap<SmallKey, u64>;
+
+    /// A key of ascending run `run`; every 13th is 28 bytes long, so keys
+    /// that spill out of the inline buffer are compared and freed too.
+    fn key(run: u32, seq: u32) -> SmallKey {
+        if seq % 13 == 12 {
+            keys::composite(&[run, seq, 7, 7, 7, 7, 7])
+        } else {
+            keys::composite(&[run, seq])
+        }
+    }
+
+    /// The index holds what the model holds, read from both ends, and its
+    /// invariants hold.
+    fn assert_same(index: &Index<SmallKey, u64>, model: &Model) {
+        index.check();
+        assert_eq!(index.len(), model.len());
+        assert!(index.iter().eq(model.iter()), "forward walk differs");
+        assert!(index.iter().rev().eq(model.iter().rev()), "backward walk differs");
+    }
+
+    /// `runs` ascending runs appended round-robin, `per_run` keys each.
+    fn interleaved(runs: u32, per_run: u32) -> (Index<SmallKey, u64>, Model) {
+        let (mut index, mut model) = (Index::new(), Model::new());
+        for seq in 0..per_run {
+            for run in 0..runs {
+                let v = u64::from(run) << 32 | u64::from(seq);
+                assert_eq!(index.insert(&key(run, seq), v), None);
+                model.insert(key(run, seq), v);
+            }
+        }
+        (index, model)
+    }
+
+    #[test]
+    fn interleaved_ascending_runs_fill_their_leaves() {
+        for (runs, per_run, least) in [(64, 1_000, 0.98), (1, 5_000, 0.99)] {
+            let (index, model) = interleaved(runs, per_run);
+            assert_same(&index, &model);
+            let f = index.leaf_fill();
+            assert!(f > least, "{runs} runs: leaf fill {f:.4}");
+        }
+    }
+
+    #[test]
+    fn random_edits_match_the_model() {
+        for seed in 0..40u64 {
+            let mut rng = DetRng::new(0x1DE7 + seed);
+            let (mut index, mut model) = (Index::new(), Model::new());
+            let space = rng.uniform(8, 2_000) as u32;
+            for step in 0..3_000u64 {
+                let k = key(rng.uniform(0, 3) as u32, rng.uniform(0, u64::from(space)) as u32);
+                match rng.uniform(0, 9) {
+                    0..=4 => assert_eq!(index.insert(&k, step), model.insert(k, step)),
+                    5..=7 => assert_eq!(index.remove(&k), model.remove(&k)),
+                    8 => assert_eq!(index.get(&k), model.get(&k)),
+                    _ => {
+                        // An edit that looks and leaves the entry as it was.
+                        let seen = index.edit(&k, |slot| slot.as_ref().copied());
+                        assert_eq!(seen.as_ref(), model.get(&k));
+                    }
+                }
+            }
+            assert_same(&index, &model);
+        }
+    }
+
+    #[test]
+    fn deletes_from_run_heads_free_and_reuse_leaves() {
+        // The new-order pattern: each run appends at its tail while its
+        // head is deleted; the live window per run stays about 300 keys.
+        let mut rng = DetRng::new(0x0DE1);
+        let (mut index, mut model) = (Index::new(), Model::new());
+        let (mut head, mut tail) = ([0u32; 16], [0u32; 16]);
+        for step in 0..200_000u64 {
+            let run = rng.uniform(0, 15) as usize;
+            if rng.chance(0.5) {
+                index.insert(&key(run as u32, tail[run]), step);
+                model.insert(key(run as u32, tail[run]), step);
+                tail[run] += 1;
+            } else if tail[run] - head[run] > 300 {
+                let k = key(run as u32, head[run]);
+                assert_eq!(index.remove(&k), model.remove(&k));
+                head[run] += 1;
+            }
+        }
+        assert_same(&index, &model);
+        // Freed leaves went back into use: the index holds about what is
+        // live, not every leaf the runs ever filled.
+        let (leaves, free) = (index.leaves.len(), index.free_leaves.len());
+        assert!(free <= 16, "{free} of {leaves} leaves free");
+        let f = index.leaf_fill();
+        assert!(f > 0.9, "leaf fill {f:.3}");
+    }
+
+    #[test]
+    fn ranges_match_the_model_from_both_ends() {
+        let mut rng = DetRng::new(0x2A6E);
+        let (mut index, mut model) = (Index::new(), Model::new());
+        for step in 0..4_000u64 {
+            let k = key(rng.uniform(0, 5) as u32, rng.uniform(0, 400) as u32);
+            index.insert(&k, step);
+            model.insert(k, step);
+        }
+        for _ in 0..2_000 {
+            let bound =
+                |rng: &mut DetRng| key(rng.uniform(0, 6) as u32, rng.uniform(0, 410) as u32);
+            let (from, to) = (bound(&mut rng), bound(&mut rng));
+            if from > to {
+                assert_eq!(index.range(&from, to).count(), 0);
+                continue;
+            }
+            let expect = model.range(from.clone()..to.clone());
+            assert!(
+                index.range(&from, to.clone()).eq(expect.clone()),
+                "forward [{from:?}, {to:?})"
+            );
+            assert!(index.range(&from, to.clone()).rev().eq(expect.clone().rev()), "backward");
+            // Mixed: each step takes from a random end, until both meet.
+            let (mut got, mut want) = (index.range(&from, to), expect);
+            loop {
+                let back = rng.chance(0.5);
+                let (g, w) = if back {
+                    (got.next_back(), want.next_back())
+                } else {
+                    (got.next(), want.next())
+                };
+                assert_eq!(g, w, "mixed walk, {} end", if back { "back" } else { "front" });
+                if g.is_none() {
+                    assert_eq!((got.next(), got.next_back()), (None, None));
+                    break;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn draining_to_empty_and_refilling() {
+        let mut rng = DetRng::new(0xD8A1);
+        let (mut index, mut model) = interleaved(8, 400);
+        let mut order: Vec<SmallKey> = model.keys().cloned().collect();
+        for i in (1..order.len()).rev() {
+            order.swap(i, rng.uniform(0, i as u64) as usize);
+        }
+        for (n, k) in order.iter().enumerate() {
+            assert_eq!(index.remove(k), model.remove(k));
+            if n % 97 == 0 {
+                assert_same(&index, &model);
+            }
+        }
+        assert_same(&index, &model);
+        assert!(index.is_empty() && index.height == 0 && index.iter().next().is_none());
+        assert_eq!(index.range(&key(0, 0), key(9, 0)).next_back(), None);
+        for (n, k) in order.iter().enumerate() {
+            index.insert(k, n as u64);
+            model.insert(k.clone(), n as u64);
+        }
+        assert_same(&index, &model);
+    }
+
+    #[test]
+    #[should_panic(expected = "index: keys do not ascend strictly along the leaf chain")]
+    fn a_key_out_of_order_breaks_the_index_invariant() {
+        let (mut index, _) = interleaved(1, 100);
+        // A test-only corruption: the first leaf's first two keys swapped.
+        let head = index.head as usize;
+        index.leaves[head].keys.swap(0, 1);
+        // Appends split the last leaf, and a debug build checks the index.
+        for seq in 100..120 {
+            index.insert(&key(0, seq), 0);
+        }
+        index.check();
+    }
+}

@@ -25,6 +25,7 @@
 pub mod backend;
 pub mod checkpoint;
 pub mod failover;
+mod index;
 pub mod key;
 pub mod log;
 pub mod recovery;

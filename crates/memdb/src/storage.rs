@@ -3,9 +3,12 @@
 //! An ERMIA-class main-memory database keeps all data in DRAM and persists
 //! only the transaction log (paper §1); the storage engine is therefore
 //! ordered in-memory tables plus a transaction layer producing WAL records.
-//! Tables are `BTreeMap`s over order-preserving encoded keys, so TPC-C's
-//! range lookups (customer-by-last-name, latest order, oldest new-order)
-//! are native scans.
+//! A table is a [`crate::index::Index`] over order-preserving encoded keys,
+//! so TPC-C's range lookups (customer-by-last-name, latest order, oldest
+//! new-order) are native scans along its linked leaves. Its 11-key nodes
+//! split at the insertion point under an ascending run, so the 64
+//! interleaved district runs of TPC-C's order lines, orders and new-orders
+//! fill their leaves instead of leaving them about half full.
 //!
 //! The steady-state transaction loop is allocation-free on the read side:
 //! reads return borrowed `&[u8]` slices, range lookups go through visitor
@@ -20,32 +23,32 @@
 //! slice — so a descent compares words, not `memcmp` calls (see
 //! [`crate::key`]). A commit re-finds the rows it read only when the
 //! database-wide mutation stamp moved since the transaction began, and
-//! finds each row it writes once, keeping an undo list for atomicity.
+//! finds each row it writes once ([`Index::edit`]), keeping an undo list for
+//! atomicity.
 
+use crate::index::{self, Index};
 use crate::key::SmallKey;
 use crate::log::{LogOp, LogRecord, TableId};
-use std::collections::{btree_map, BTreeMap};
-use std::ops::Bound;
 
 /// A row image (refcounted; cloning shares the allocation).
 pub type Row = simkit::Bytes;
 /// An encoded, order-preserving key (inline up to 22 bytes).
 pub type Key = SmallKey;
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct Versioned {
     row: Row,
     version: u64,
 }
 
 // A stored row's index entry: a 24-byte key, an 8-byte row handle and an
-// 8-byte version. Each entry byte costs about 1.8 bytes of B-tree node.
+// 8-byte version. A full leaf holds 11 in 456 bytes.
 const _: () = assert!(std::mem::size_of::<(Key, Versioned)>() == 40);
 
 /// One table: ordered rows + a version per row for validation.
 #[derive(Debug, Default)]
 pub struct Table {
-    rows: BTreeMap<Key, Versioned>,
+    rows: Index<Key, Versioned>,
 }
 
 impl Table {
@@ -59,10 +62,15 @@ impl Table {
         self.rows.is_empty()
     }
 
+    /// Rows per leaf slot of the table's index: 1.0 when every leaf holds
+    /// its 11.
+    pub fn leaf_fill(&self) -> f64 {
+        self.rows.leaf_fill()
+    }
+
     /// Rows with keys in `[from, to)`, in key order.
-    fn range(&self, from: &[u8], to: &[u8]) -> btree_map::Range<'_, Key, Versioned> {
-        self.rows
-            .range((Bound::Included(&Key::from_slice(from)), Bound::Excluded(&Key::from_slice(to))))
+    fn range(&self, from: &[u8], to: &[u8]) -> index::Range<'_, Key, Versioned> {
+        self.rows.range(&Key::from_slice(from), Key::from_slice(to))
     }
 }
 
@@ -104,6 +112,14 @@ enum PendingWrite {
     Insert(Key, Row),
     Update(Key, Row),
     Delete(Key),
+}
+
+impl PendingWrite {
+    fn key(&self) -> &Key {
+        match self {
+            PendingWrite::Insert(k, _) | PendingWrite::Update(k, _) | PendingWrite::Delete(k) => k,
+        }
+    }
 }
 
 /// One validation-set entry: the read key lives as a span in the
@@ -275,34 +291,15 @@ impl Database {
     /// returned slice borrows the stored row image — decode what you need
     /// before the next operation on `ctx`.
     pub fn get<'a>(&'a self, ctx: &'a mut TxnCtx, table: TableId, key: &[u8]) -> Option<&'a [u8]> {
-        // Own writes first (read-your-writes). Resolve to an index first so
-        // the borrow returned below starts inside its own arm (NLL).
-        let mut own: Option<Option<usize>> = None;
-        for (i, (t, w)) in ctx.writes.iter().enumerate().rev() {
-            if *t != table {
-                continue;
-            }
-            match w {
-                PendingWrite::Insert(k, _) | PendingWrite::Update(k, _) if *k == *key => {
-                    own = Some(Some(i));
-                    break;
-                }
-                PendingWrite::Delete(k) if *k == *key => {
-                    own = Some(None);
-                    break;
-                }
-                _ => {}
-            }
-        }
-        match own {
-            Some(Some(i)) => match &ctx.writes[i].1 {
-                PendingWrite::Insert(_, v) | PendingWrite::Update(_, v) => {
-                    return Some(v.as_slice())
-                }
-                PendingWrite::Delete(_) => unreachable!("index resolved to a buffered image"),
-            },
-            Some(None) => return None,
-            None => {}
+        // Own writes first (read-your-writes): the last buffered write of
+        // the key decides. Resolve to its position first so the borrow
+        // returned below starts inside its own branch (NLL).
+        let own = ctx.writes.iter().rposition(|(t, w)| *t == table && w.key() == key);
+        if let Some(i) = own {
+            return match &ctx.writes[i].1 {
+                PendingWrite::Insert(_, v) | PendingWrite::Update(_, v) => Some(v.as_slice()),
+                PendingWrite::Delete(_) => None,
+            };
         }
         let slot = self.tables.get(table as usize)?.rows.get(&Key::from_slice(key));
         ctx.record_read(table, key, slot.map(|s| s.version));
@@ -454,11 +451,7 @@ impl Database {
         if let Err(e) = self.install_writes(ctx, &mut records) {
             for (rec, old) in records.iter().zip(ctx.undo.drain(..)).rev() {
                 self.write_probes += 1;
-                let rows = &mut self.tables[rec.table as usize].rows;
-                match old {
-                    Some(old) => rows.insert(rec.key.clone(), old),
-                    None => rows.remove(&rec.key),
-                };
+                self.tables[rec.table as usize].rows.edit(&rec.key, |slot| *slot = old);
             }
             return Err(e);
         }
@@ -471,8 +464,8 @@ impl Database {
         Ok(records)
     }
 
-    /// Install `ctx`'s writes in order through one `entry` descent each,
-    /// pushing a log record and an undo entry per write. Fails at the first
+    /// Install `ctx`'s writes in order through one [`Index::edit`] descent
+    /// each, pushing a log record and an undo entry per write. Fails at the first
     /// write a two-pass commit would reject — an `Insert` of a key that
     /// existed before the commit, an `Update`/`Delete` of a key that did
     /// not and that the write set never inserts — leaving the installed
@@ -500,46 +493,38 @@ impl Database {
                 PendingWrite::Delete(k) => (LogOp::Delete, k, Row::new()),
             };
             self.write_probes += 1;
-            let entry = t.rows.entry(k);
             // `Some(existed)` when an earlier write of this commit touched
             // the key: whether it existed before the commit.
             let before = || {
-                let key = entry.key();
                 records
                     .iter()
-                    .position(|r| r.table == table && r.key == *key)
+                    .position(|r| r.table == table && r.key == k)
                     .map(|i| undo[i].is_some())
             };
-            let occupied = matches!(entry, btree_map::Entry::Occupied(_));
-            let rejected = match op {
-                LogOp::Insert if occupied => before() != Some(false),
-                LogOp::Insert => removed && before() == Some(true),
-                _ if occupied => false,
-                _ => before().is_none() && !inserts(writes.as_slice(), table, entry.key()),
-            };
-            if rejected {
-                let key = entry.key().clone();
+            // `None`: rejected, nothing changed; `Some(old)`: installed.
+            let installed = t.rows.edit(&k, |slot| {
+                let rejected = match op {
+                    LogOp::Insert if slot.is_some() => before() != Some(false),
+                    LogOp::Insert => removed && before() == Some(true),
+                    _ if slot.is_some() => false,
+                    _ => before().is_none() && !inserts(writes.as_slice(), table, &k),
+                };
+                if rejected {
+                    return None;
+                }
+                Some(match op {
+                    LogOp::Delete => slot.take(),
+                    _ => slot.replace(Versioned { row: value.clone(), version: txn_id }),
+                })
+            });
+            let Some(old) = installed else {
                 return Err(match op {
-                    LogOp::Insert => TxnError::DuplicateKey(key),
-                    _ => TxnError::NotFound(key),
+                    LogOp::Insert => TxnError::DuplicateKey(k),
+                    _ => TxnError::NotFound(k),
                 });
-            }
-            let new = || Versioned { row: value.clone(), version: txn_id };
-            let (key, old) = match entry {
-                btree_map::Entry::Occupied(e) if op == LogOp::Delete => {
-                    removed = true;
-                    let (key, old) = e.remove_entry();
-                    (key, Some(old))
-                }
-                btree_map::Entry::Occupied(mut e) => (e.key().clone(), Some(e.insert(new()))),
-                btree_map::Entry::Vacant(e) if op == LogOp::Delete => (e.into_key(), None),
-                btree_map::Entry::Vacant(e) => {
-                    let key = e.key().clone();
-                    e.insert(new());
-                    (key, None)
-                }
             };
-            records.push(LogRecord { txn_id, op, table, key, value });
+            removed |= op == LogOp::Delete && old.is_some();
+            records.push(LogRecord { txn_id, op, table, key: k, value });
             undo.push(old);
         }
         Ok(())
@@ -555,12 +540,12 @@ impl Database {
             self.write_probes += 1;
             match w {
                 PendingWrite::Insert(k, _) => {
-                    if t.rows.contains_key(k) {
+                    if t.rows.get(k).is_some() {
                         return Err(TxnError::DuplicateKey(k.clone()));
                     }
                 }
                 PendingWrite::Update(k, _) | PendingWrite::Delete(k) => {
-                    if !t.rows.contains_key(k) && !inserts(&ctx.writes, *table, k) {
+                    if t.rows.get(k).is_none() && !inserts(&ctx.writes, *table, k) {
                         return Err(TxnError::NotFound(k.clone()));
                     }
                 }
@@ -583,7 +568,7 @@ impl Database {
             if op == LogOp::Delete {
                 rows.remove(&k);
             } else {
-                rows.insert(k, Versioned { row: value, version: txn_id });
+                rows.insert(&k, Versioned { row: value, version: txn_id });
             }
         }
         records.push(LogRecord::commit(txn_id));
@@ -603,10 +588,9 @@ impl Database {
                 while self.tables.len() <= table {
                     self.create_table(&format!("recovered_{}", self.tables.len()));
                 }
-                self.tables[table].rows.insert(
-                    rec.key.clone(),
-                    Versioned { row: rec.value.clone(), version: rec.txn_id },
-                );
+                self.tables[table]
+                    .rows
+                    .insert(&rec.key, Versioned { row: rec.value.clone(), version: rec.txn_id });
             }
             LogOp::Delete => {
                 self.mutations += 1;
@@ -634,7 +618,7 @@ impl Database {
         F: FnMut(&[u8], &[u8]),
     {
         if let Some(t) = self.tables.get(table as usize) {
-            for (k, v) in &t.rows {
+            for (k, v) in t.rows.iter() {
                 visit(k.as_slice(), v.row.as_slice());
             }
         }
@@ -644,7 +628,7 @@ impl Database {
     pub fn install_row(&mut self, table: TableId, key: impl Into<Key>, row: impl Into<Row>) {
         let t = self.tables.get_mut(table as usize).expect("install_row into missing table");
         self.mutations += 1;
-        t.rows.insert(key.into(), Versioned { row: row.into(), version: 0 });
+        t.rows.insert(&key.into(), Versioned { row: row.into(), version: 0 });
     }
 
     /// A stable fingerprint of all content (tables, keys, rows) for
@@ -659,7 +643,7 @@ impl Database {
         };
         for (i, t) in self.tables.iter().enumerate() {
             mix(&(i as u32).to_le_bytes());
-            for (k, v) in &t.rows {
+            for (k, v) in t.rows.iter() {
                 mix(k);
                 mix(&v.row);
             }
@@ -725,6 +709,7 @@ pub mod keys {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     fn db_with_table() -> (Database, TableId) {
         let mut db = Database::new();

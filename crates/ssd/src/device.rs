@@ -658,6 +658,30 @@ impl ConventionalSsd {
         }
     }
 
+    /// The op table's barrier counts, checked in debug builds after every
+    /// `advance_to`: `outstanding_host_programs` equals the host writes in
+    /// `ops`, and each pending flush waits for exactly the host writes in
+    /// `ops` whose id is below its barrier.
+    fn check(&self) {
+        if cfg!(debug_assertions) {
+            let host_writes =
+                || self.ops.iter().filter(|(_, op)| matches!(op, PendingOp::HostWrite { .. }));
+            assert_eq!(
+                self.outstanding_host_programs,
+                host_writes().count(),
+                "SSD op table: outstanding host programs vs the host writes in the table"
+            );
+            for f in &self.flushes {
+                let below = host_writes().filter(|(id, _)| **id < f.barrier).count();
+                assert_eq!(
+                    f.waiting, below,
+                    "SSD op table: flush {} waits for {} host writes, {} lie below its barrier {}",
+                    f.cid, f.waiting, below, f.barrier
+                );
+            }
+        }
+    }
+
     /// Power loss without fast-side rescue: volatile state is gone —
     /// unflushed host writes, queued conventional work, pending commands.
     /// Durable media and FTL state survive.
@@ -821,6 +845,7 @@ impl NvmeController for ConventionalSsd {
                 break;
             }
         }
+        self.check();
     }
 
     fn drain_completions_into(&mut self, t: SimTime, out: &mut Vec<Completion>) {
@@ -835,5 +860,25 @@ impl NvmeController for ConventionalSsd {
 
     fn namespace(&self) -> Namespace {
         self.ns
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    #[should_panic(
+        expected = "SSD op table: flush 2 waits for 2 host writes, 1 lie below its barrier 1"
+    )]
+    fn a_flush_waiting_for_a_write_it_never_saw_breaks_the_op_table_invariant() {
+        let mut ssd = ConventionalSsd::new(SsdConfig::small());
+        let io = |cid, io| Command { cid, kind: CommandKind::Io(io) };
+        ssd.submit(SimTime::ZERO, io(1, IoCommand::Write { lba: 0, blocks: 1 }));
+        ssd.submit(SimTime::ZERO, io(2, IoCommand::Flush));
+        // A test-only corruption: the flush counts one host write more than
+        // the op table holds below its barrier. The program is still queued.
+        ssd.flushes[0].waiting += 1;
+        ssd.advance_to(SimTime::from_nanos(1));
     }
 }
