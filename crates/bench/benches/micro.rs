@@ -358,7 +358,7 @@ fn bench_tpcc_txn() {
     );
 }
 
-/// The storage-engine hot path in isolation: commit/validate over a mixed
+/// The storage-engine hot path in isolation: a commit of a mixed
 /// read/write transaction, and the YCSB zipfian point-read path (chooser +
 /// borrowed get + commit marker). These are the loops the allocation budget
 /// in `crates/bench/tests/alloc_budget.rs` guards.
@@ -371,7 +371,7 @@ fn bench_db_hot_path() {
     }
     let mut i = 0u32;
     bench(
-        "memdb/commit_validate_8r4w",
+        "memdb/commit_8r4w_1k_rows",
         None,
         || (),
         |()| {
@@ -411,8 +411,8 @@ fn bench_db_hot_path() {
     for n in 0..400_000u32 {
         big.install_row(bt, order_line(n), vec![(n % 251) as u8; 100]);
     }
-    // Installing rows moves the mutation stamp; transactions begun after
-    // this point see a quiet database, as the workloads do.
+    // Transactions begin after the installs, one at a time, as the
+    // workloads run them.
     let mut n = 0u32;
     let mut next = move || {
         n = n.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);

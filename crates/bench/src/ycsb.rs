@@ -247,15 +247,8 @@ impl Workload for YcsbWorkload {
                 self.stats.scan += 1;
                 let len = rng.uniform(1, self.config.max_scan_len) as usize;
                 let from = self.choose_key(rng);
-                let mut ctx = db.begin();
-                db.scan_visit(
-                    &mut ctx,
-                    t,
-                    &encode_key(from),
-                    &encode_key(u64::MAX),
-                    len,
-                    |_k, _v| {},
-                );
+                let ctx = db.begin();
+                db.scan_visit(t, &encode_key(from), &encode_key(u64::MAX), len, |_k, _v| {});
                 db.commit(ctx)
             }
             // rmw: read the row, flip a byte, write it back.

@@ -32,6 +32,11 @@
 //!   `core.transport.mirrored_bytes` = Σ `flowN.payload_bytes`, each flow
 //!   carries the primary's `core.cmb.lane0.bytes_in`, and each secondary
 //!   takes in that much, less what was still on the wire at the cut.
+//! - on every SSD, `flash.array.programs × page_bytes` ≥ the destaged bytes
+//!   (`core.destage.lane0.persisted_offset` + `filler_bytes`) +
+//!   `ssd.served_conventional_bytes` — every log byte the destage module
+//!   calls persisted, its page padding, and every host page whose program
+//!   completed took a page program.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
@@ -329,5 +334,41 @@ fn bytes_conserve_across_the_ntb() {
     assert!(
         primaries >= 19 && secondaries >= 33,
         "{primaries} primaries, {secondaries} secondaries"
+    );
+}
+
+#[test]
+fn flash_programs_cover_every_destaged_and_conventional_byte() {
+    let (mut checked, mut with_fast_side) = (0, 0);
+    for (where_, cell) in cells() {
+        for device in cell.keys().filter_map(|k| k.strip_suffix("flash.array.programs")) {
+            let at = |path: &str| cell[&format!("{device}{path}")];
+            let what = format!("{where_}: {device}");
+            // Every scheduled flash op reads or programs one page.
+            let ops = at("flash.sched.conventional.ops") + at("flash.sched.destage.ops");
+            let bytes = at("flash.sched.conventional.bytes") + at("flash.sched.destage.bytes");
+            let page_bytes = if ops > 0.0 { bytes / ops } else { 0.0 };
+            assert_eq!(page_bytes.fract(), 0.0, "{what}: {bytes} B over {ops} flash ops");
+            let programmed = at("flash.array.programs") * page_bytes;
+            // A device without a fast side destages nothing.
+            let destage = |field: &str| {
+                cell.get(&format!("{device}core.destage.lane0.{field}")).copied().unwrap_or(0.0)
+            };
+            let destaged = destage("persisted_offset") + destage("filler_bytes");
+            let conventional = at("ssd.served_conventional_bytes");
+            assert!(
+                programmed >= destaged + conventional,
+                "{what}: {programmed} B programmed < {destaged} B destaged + {conventional} B \
+                 conventional"
+            );
+            with_fast_side +=
+                usize::from(cell.contains_key(&format!("{device}core.fast.bytes_in")));
+            checked += 1;
+        }
+    }
+    // Every SSD-cell of the goldens at the time this was written.
+    assert!(
+        checked >= 159 && with_fast_side >= 149,
+        "{checked} SSD-cells, {with_fast_side} Villars"
     );
 }

@@ -1,5 +1,5 @@
-//! Pins the shadow-run mechanism the way `bench/tests/validation_probes.rs`
-//! pins commit validation.
+//! Pins the shadow-run mechanism the way `bench/tests/commit_probes.rs`
+//! pins a commit's index descents.
 //!
 //! A secondary reports its credit counter every update period, but the
 //! cluster queues those updates as *runs* — one entry per stretch of cycles

@@ -4,8 +4,8 @@
 //! data in DRAM and persist only the transaction log, which therefore
 //! becomes their main bottleneck"):
 //!
-//! - [`storage`] — ordered in-memory tables, transactions with read
-//!   validation, order-preserving key encoding;
+//! - [`storage`] — ordered in-memory tables, serial transactions,
+//!   order-preserving key encoding;
 //! - [`log`] — self-framing WAL records with checksums;
 //! - [`backend`] — the pluggable log devices Fig. 9 compares ([`NoLog`],
 //!   [`PmLog`], [`NvmeLog`], [`XssdLog`]);

@@ -10,21 +10,23 @@
 //! interleaved district runs of TPC-C's order lines, orders and new-orders
 //! fill their leaves instead of leaving them about half full.
 //!
+//! Transactions are serializable by construction: one executes from
+//! `begin` to `commit` at a time, in host order, so there is nothing to
+//! validate. [`Database::commit`] asserts that contract — no row changed
+//! since the transaction began — and a stored row is its bare image.
+//!
 //! The steady-state transaction loop is allocation-free on the read side:
 //! reads return borrowed `&[u8]` slices, range lookups go through visitor
-//! APIs ([`Database::scan_visit`]), keys live inline in [`SmallKey`]s, the
-//! read validation set records `(offset, len)` spans into a per-[`TxnCtx`]
-//! bump arena, and finished contexts are recycled through a pool so their
-//! buffers are reused across transactions. Row images are refcounted
+//! APIs ([`Database::scan_visit`]), keys live inline in [`SmallKey`]s, and
+//! finished contexts are recycled through a pool so their buffers are
+//! reused across transactions. Row images are refcounted
 //! [`simkit::Bytes`], shared between the stored table image and the
 //! emitted [`LogRecord`]s.
 //!
 //! Every index probe goes through a [`Key`] — a stack copy of the caller's
 //! slice — so a descent compares words, not `memcmp` calls (see
-//! [`crate::key`]). A commit re-finds the rows it read only when the
-//! database-wide mutation stamp moved since the transaction began, and
-//! finds each row it writes once ([`Index::edit`]), keeping an undo list for
-//! atomicity.
+//! [`crate::key`]). A commit finds each row it writes once
+//! ([`Index::edit`]), keeping an undo list for atomicity.
 
 use crate::index::{self, Index};
 use crate::key::SmallKey;
@@ -35,20 +37,14 @@ pub type Row = simkit::Bytes;
 /// An encoded, order-preserving key (inline up to 22 bytes).
 pub type Key = SmallKey;
 
-#[derive(Debug, Clone, Default)]
-struct Versioned {
-    row: Row,
-    version: u64,
-}
+// A stored row's index entry: a 24-byte key and an 8-byte row handle. A
+// full leaf holds 11 in 368 bytes.
+const _: () = assert!(std::mem::size_of::<(Key, Row)>() == 32);
 
-// A stored row's index entry: a 24-byte key, an 8-byte row handle and an
-// 8-byte version. A full leaf holds 11 in 456 bytes.
-const _: () = assert!(std::mem::size_of::<(Key, Versioned)>() == 40);
-
-/// One table: ordered rows + a version per row for validation.
+/// One table: ordered rows.
 #[derive(Debug, Default)]
 pub struct Table {
-    rows: Index<Key, Versioned>,
+    rows: Index<Key, Row>,
 }
 
 impl Table {
@@ -69,7 +65,7 @@ impl Table {
     }
 
     /// Rows with keys in `[from, to)`, in key order.
-    fn range(&self, from: &[u8], to: &[u8]) -> index::Range<'_, Key, Versioned> {
+    fn range(&self, from: &[u8], to: &[u8]) -> index::Range<'_, Key, Row> {
         self.rows.range(&Key::from_slice(from), Key::from_slice(to))
     }
 }
@@ -77,13 +73,6 @@ impl Table {
 /// Why a transaction failed to commit.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TxnError {
-    /// A row read by the transaction changed before commit.
-    Conflict {
-        /// Table of the conflicting read.
-        table: TableId,
-        /// Key of the conflicting read.
-        key: Key,
-    },
     /// Insert of a key that already exists.
     DuplicateKey(Key),
     /// Update/delete of a missing key.
@@ -95,9 +84,6 @@ pub enum TxnError {
 impl std::fmt::Display for TxnError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            TxnError::Conflict { table, key } => {
-                write!(f, "validation conflict on table {table}, key {key:02X?}")
-            }
             TxnError::DuplicateKey(k) => write!(f, "duplicate key {k:02X?}"),
             TxnError::NotFound(k) => write!(f, "key not found {k:02X?}"),
             TxnError::NoSuchTable(t) => write!(f, "no such table {t}"),
@@ -122,33 +108,21 @@ impl PendingWrite {
     }
 }
 
-/// One validation-set entry: the read key lives as a span in the
-/// context's bump arena, not its own allocation.
-#[derive(Debug, Clone, Copy)]
-struct ReadEntry {
-    table: TableId,
-    start: u32,
-    len: u16,
-    version: Option<u64>,
-}
-
-/// An open transaction: buffered writes + read validation set.
+/// An open transaction: its buffered writes.
 ///
-/// Read keys are appended to an internal bump arena; the context itself is
-/// recycled through the database's pool on commit, so a steady-state
-/// transaction reuses the previous one's buffers instead of allocating.
+/// The context is recycled through the database's pool on commit, so a
+/// steady-state transaction reuses the previous one's buffers instead of
+/// allocating.
 #[derive(Debug, Default)]
 pub struct TxnCtx {
     id: u64,
-    reads: Vec<ReadEntry>,
     writes: Vec<(TableId, PendingWrite)>,
-    arena: Vec<u8>,
     /// The database's mutation stamp as of `begin`.
     begin_stamp: u64,
     /// Commit's undo list: entry `i` is the row the `i`-th installed write
     /// replaced (`None`: the key was vacant). The table and key are the
     /// `i`-th log record's.
-    undo: Vec<Option<Versioned>>,
+    undo: Vec<Option<Row>>,
 }
 
 impl TxnCtx {
@@ -162,28 +136,10 @@ impl TxnCtx {
         self.writes.len()
     }
 
-    /// Validation-set entry count.
-    pub fn read_count(&self) -> usize {
-        self.reads.len()
-    }
-
-    fn record_read(&mut self, table: TableId, key: &[u8], version: Option<u64>) {
-        debug_assert!(key.len() <= u16::MAX as usize);
-        let start = self.arena.len() as u32;
-        self.arena.extend_from_slice(key);
-        self.reads.push(ReadEntry { table, start, len: key.len() as u16, version });
-    }
-
-    fn read_key(&self, e: &ReadEntry) -> &[u8] {
-        &self.arena[e.start as usize..e.start as usize + e.len as usize]
-    }
-
     fn reset(&mut self, id: u64, begin_stamp: u64) {
         self.id = id;
         self.begin_stamp = begin_stamp;
-        self.reads.clear();
         self.writes.clear();
-        self.arena.clear();
         self.undo.clear();
     }
 }
@@ -201,16 +157,10 @@ pub struct Database {
     commits: u64,
     aborts: u64,
     /// Mutation stamp: bumped by every route that changes a row (a commit
-    /// that applies at least one write, `apply_record`, `install_row`). A
-    /// transaction whose `begin_stamp` still equals it read nothing that
-    /// can have changed, so its commit skips the by-key validation.
+    /// that applies at least one write, `apply_record`, `install_row`).
+    /// `commit` asserts it still equals the transaction's `begin_stamp`.
     mutations: u64,
-    validation_probes: u64,
     write_probes: u64,
-    /// Reference model for the tests: validate by key on every commit, as
-    /// if the stamp did not exist.
-    #[cfg(test)]
-    always_validate_by_key: bool,
     /// Reference model for the tests: find every written row twice — a
     /// pre-check pass, then the install — instead of once with an undo list.
     #[cfg(test)]
@@ -252,12 +202,6 @@ impl Database {
         self.aborts
     }
 
-    /// Reads re-probed by key at commit so far: 0 as long as no row
-    /// changed between any transaction's `begin` and its `commit`.
-    pub fn validation_probes(&self) -> u64 {
-        self.validation_probes
-    }
-
     /// Index descents `commit` made for buffered writes so far: one per
     /// written row, plus one per write it put back when a commit failed.
     pub fn write_probes(&self) -> u64 {
@@ -286,10 +230,9 @@ impl Database {
         }
     }
 
-    /// Transactional point read. Records the observed version for commit
-    /// validation. Sees the transaction's own buffered writes. The
-    /// returned slice borrows the stored row image — decode what you need
-    /// before the next operation on `ctx`.
+    /// Transactional point read: sees the transaction's own buffered
+    /// writes. The returned slice borrows the stored row image — decode
+    /// what you need before the next operation on `ctx`.
     pub fn get<'a>(&'a self, ctx: &'a mut TxnCtx, table: TableId, key: &[u8]) -> Option<&'a [u8]> {
         // Own writes first (read-your-writes): the last buffered write of
         // the key decides. Resolve to its position first so the borrow
@@ -301,18 +244,15 @@ impl Database {
                 PendingWrite::Delete(_) => None,
             };
         }
-        let slot = self.tables.get(table as usize)?.rows.get(&Key::from_slice(key));
-        ctx.record_read(table, key, slot.map(|s| s.version));
-        slot.map(|s| s.row.as_slice())
+        self.peek(table, key)
     }
 
-    /// Transactional range scan over `[from, to)`, visiting up to `limit`
-    /// `(key, row)` pairs in key order without cloning either. (Scans
-    /// validate at item granularity, not phantom-proof — adequate for the
-    /// workload model.) Returns the number of rows visited.
+    /// Range scan over `[from, to)`, visiting up to `limit` committed
+    /// `(key, row)` pairs in key order without cloning either; an open
+    /// transaction's buffered writes are not among them. Returns the number
+    /// of rows visited.
     pub fn scan_visit<F>(
         &self,
-        ctx: &mut TxnCtx,
         table: TableId,
         from: &[u8],
         to: &[u8],
@@ -328,8 +268,7 @@ impl Database {
             if n >= limit {
                 break;
             }
-            ctx.record_read(table, k.as_slice(), Some(v.version));
-            visit(k.as_slice(), v.row.as_slice());
+            visit(k.as_slice(), v.as_slice());
             n += 1;
         }
         n
@@ -337,49 +276,26 @@ impl Database {
 
     /// Allocating convenience form of [`scan_visit`](Database::scan_visit)
     /// for tests and cold paths: collects up to `limit` cloned pairs.
-    pub fn scan(
-        &self,
-        ctx: &mut TxnCtx,
-        table: TableId,
-        from: &[u8],
-        to: &[u8],
-        limit: usize,
-    ) -> Vec<(Key, Row)> {
+    pub fn scan(&self, table: TableId, from: &[u8], to: &[u8], limit: usize) -> Vec<(Key, Row)> {
         let mut out = Vec::new();
-        self.scan_visit(ctx, table, from, to, limit, |k, row| {
+        self.scan_visit(table, from, to, limit, |k, row| {
             out.push((Key::from_slice(k), Row::copy_from_slice(row)))
         });
         out
     }
 
-    /// First `(key, row)` in `[from, to)` (e.g. the oldest new-order),
-    /// borrowed.
-    pub fn first_in_range<'a>(
-        &'a self,
-        ctx: &'a mut TxnCtx,
-        table: TableId,
-        from: &[u8],
-        to: &[u8],
-    ) -> Option<(&'a [u8], &'a [u8])> {
-        let t = self.tables.get(table as usize)?;
-        let (k, v) = t.range(from, to).next()?;
-        ctx.record_read(table, k.as_slice(), Some(v.version));
-        Some((k.as_slice(), v.row.as_slice()))
+    /// First committed `(key, row)` in `[from, to)` (e.g. the oldest
+    /// new-order), borrowed.
+    pub fn first_in_range(&self, table: TableId, from: &[u8], to: &[u8]) -> Option<(&[u8], &[u8])> {
+        let (k, v) = self.tables.get(table as usize)?.range(from, to).next()?;
+        Some((k.as_slice(), v.as_slice()))
     }
 
-    /// Last `(key, row)` in `[from, to)` (e.g. a customer's latest order),
-    /// borrowed.
-    pub fn last_in_range<'a>(
-        &'a self,
-        ctx: &'a mut TxnCtx,
-        table: TableId,
-        from: &[u8],
-        to: &[u8],
-    ) -> Option<(&'a [u8], &'a [u8])> {
-        let t = self.tables.get(table as usize)?;
-        let (k, v) = t.range(from, to).next_back()?;
-        ctx.record_read(table, k.as_slice(), Some(v.version));
-        Some((k.as_slice(), v.row.as_slice()))
+    /// Last committed `(key, row)` in `[from, to)` (e.g. a customer's latest
+    /// order), borrowed.
+    pub fn last_in_range(&self, table: TableId, from: &[u8], to: &[u8]) -> Option<(&[u8], &[u8])> {
+        let (k, v) = self.tables.get(table as usize)?.range(from, to).next_back()?;
+        Some((k.as_slice(), v.as_slice()))
     }
 
     /// Buffer an insert.
@@ -409,11 +325,22 @@ impl Database {
         ctx.writes.push((table, PendingWrite::Delete(key.into())));
     }
 
-    /// Validate and apply the transaction. On success the buffered writes
-    /// are installed atomically and the WAL records (ending with a commit
-    /// marker) are returned for the log manager to persist. Row images in
-    /// the records share their allocation with the installed table rows.
+    /// Apply the transaction. On success the buffered writes are installed
+    /// atomically and the WAL records (ending with a commit marker) are
+    /// returned for the log manager to persist. Row images in the records
+    /// share their allocation with the installed table rows.
+    ///
+    /// # Panics
+    ///
+    /// When a row changed since `ctx` began — another transaction's commit,
+    /// an `apply_record` or an `install_row` landed inside it. Execution is
+    /// serial, so that is a caller bug, not a conflict to validate.
     pub fn commit(&mut self, mut ctx: TxnCtx) -> Result<Vec<LogRecord>, TxnError> {
+        assert_eq!(
+            ctx.begin_stamp, self.mutations,
+            "transaction {} overlapped a change to the database: execution is serial",
+            ctx.id
+        );
         let result = self.commit_inner(&mut ctx);
         if result.is_err() {
             self.aborts += 1;
@@ -423,23 +350,6 @@ impl Database {
     }
 
     fn commit_inner(&mut self, ctx: &mut TxnCtx) -> Result<Vec<LogRecord>, TxnError> {
-        // Validation: every read version unchanged. Nothing was installed
-        // since this transaction began when the stamps agree, so nothing it
-        // read has a different version and the rows need no re-finding.
-        let unchanged = ctx.begin_stamp == self.mutations;
-        #[cfg(test)]
-        let unchanged = unchanged && !self.always_validate_by_key;
-        if !unchanged {
-            for e in &ctx.reads {
-                let t = self.tables.get(e.table as usize).ok_or(TxnError::NoSuchTable(e.table))?;
-                let key = Key::from_slice(ctx.read_key(e));
-                self.validation_probes += 1;
-                let current = t.rows.get(&key).map(|s| s.version);
-                if current != e.version {
-                    return Err(TxnError::Conflict { table: e.table, key });
-                }
-            }
-        }
         #[cfg(test)]
         if self.two_pass_commit {
             return self.commit_two_pass(ctx);
@@ -514,7 +424,7 @@ impl Database {
                 }
                 Some(match op {
                     LogOp::Delete => slot.take(),
-                    _ => slot.replace(Versioned { row: value.clone(), version: txn_id }),
+                    _ => slot.replace(value.clone()),
                 })
             });
             let Some(old) = installed else {
@@ -568,7 +478,7 @@ impl Database {
             if op == LogOp::Delete {
                 rows.remove(&k);
             } else {
-                rows.insert(&k, Versioned { row: value, version: txn_id });
+                rows.insert(&k, value);
             }
         }
         records.push(LogRecord::commit(txn_id));
@@ -588,9 +498,7 @@ impl Database {
                 while self.tables.len() <= table {
                     self.create_table(&format!("recovered_{}", self.tables.len()));
                 }
-                self.tables[table]
-                    .rows
-                    .insert(&rec.key, Versioned { row: rec.value.clone(), version: rec.txn_id });
+                self.tables[table].rows.insert(&rec.key, rec.value.clone());
             }
             LogOp::Delete => {
                 self.mutations += 1;
@@ -603,7 +511,7 @@ impl Database {
 
     /// Raw (non-transactional) read, e.g. for verification.
     pub fn peek(&self, table: TableId, key: &[u8]) -> Option<&[u8]> {
-        self.tables.get(table as usize)?.rows.get(&Key::from_slice(key)).map(|v| v.row.as_slice())
+        self.tables.get(table as usize)?.rows.get(&Key::from_slice(key)).map(|v| v.as_slice())
     }
 
     /// The catalog's table names in id order (checkpoint encoding).
@@ -619,7 +527,7 @@ impl Database {
     {
         if let Some(t) = self.tables.get(table as usize) {
             for (k, v) in t.rows.iter() {
-                visit(k.as_slice(), v.row.as_slice());
+                visit(k.as_slice(), v.as_slice());
             }
         }
     }
@@ -628,7 +536,7 @@ impl Database {
     pub fn install_row(&mut self, table: TableId, key: impl Into<Key>, row: impl Into<Row>) {
         let t = self.tables.get_mut(table as usize).expect("install_row into missing table");
         self.mutations += 1;
-        t.rows.insert(&key.into(), Versioned { row: row.into(), version: 0 });
+        t.rows.insert(&key.into(), row.into());
     }
 
     /// A stable fingerprint of all content (tables, keys, rows) for
@@ -645,7 +553,7 @@ impl Database {
             mix(&(i as u32).to_le_bytes());
             for (k, v) in t.rows.iter() {
                 mix(k);
-                mix(&v.row);
+                mix(v);
             }
         }
         h
@@ -742,29 +650,41 @@ mod tests {
         assert_eq!(db.get(&mut ctx, t, b"k"), None);
     }
 
-    #[test]
-    fn conflict_detected_on_changed_read() {
+    /// A committed row `k`, then a transaction that has read it and is
+    /// about to commit an update of it.
+    fn reader_of_k() -> (Database, TableId, TxnCtx) {
         let (mut db, t) = db_with_table();
         let mut setup = db.begin();
         db.insert(&mut setup, t, b"k".to_vec(), b"v0".to_vec());
         db.commit(setup).unwrap();
-
-        // T1 reads; T2 updates and commits; T1's commit must fail.
         let mut t1 = db.begin();
         let _ = db.get(&mut t1, t, b"k");
         db.update(&mut t1, t, b"k".to_vec(), b"from-t1".to_vec());
+        (db, t, t1)
+    }
 
+    #[test]
+    #[should_panic(expected = "execution is serial")]
+    fn a_commit_inside_an_open_transaction_panics() {
+        let (mut db, t, t1) = reader_of_k();
         let mut t2 = db.begin();
-        let _ = db.get(&mut t2, t, b"k");
         db.update(&mut t2, t, b"k".to_vec(), b"from-t2".to_vec());
         db.commit(t2).unwrap();
+        let _ = db.commit(t1);
+    }
 
-        assert_eq!(db.validation_probes(), 0, "nothing interleaved so far");
-        let err = db.commit(t1).unwrap_err();
-        assert!(matches!(err, TxnError::Conflict { .. }));
-        assert!(db.validation_probes() > 0, "an interleaved commit validates by key");
-        assert_eq!(db.peek(t, b"k").unwrap(), b"from-t2");
-        assert_eq!(db.aborts(), 1);
+    #[test]
+    #[should_panic(expected = "execution is serial")]
+    fn an_apply_record_inside_an_open_transaction_panics() {
+        let (mut db, t, t1) = reader_of_k();
+        db.apply_record(&LogRecord {
+            txn_id: 77,
+            op: LogOp::Update,
+            table: t,
+            key: Key::from_slice(b"k"),
+            value: Row::from(*b"redo"),
+        });
+        let _ = db.commit(t1);
     }
 
     #[test]
@@ -819,11 +739,10 @@ mod tests {
             db.insert(&mut setup, t, keys::composite(&[i]), vec![i as u8]);
         }
         db.commit(setup).unwrap();
-        let mut ctx = db.begin();
-        let rows = db.scan(&mut ctx, t, &keys::composite(&[2]), &keys::composite(&[5]), 10);
+        let rows = db.scan(t, &keys::composite(&[2]), &keys::composite(&[5]), 10);
         let got: Vec<u8> = rows.iter().map(|(_, v)| v[0]).collect();
         assert_eq!(got, vec![2, 3, 4]);
-        let limited = db.scan(&mut ctx, t, &keys::composite(&[0]), &keys::composite(&[99]), 2);
+        let limited = db.scan(t, &keys::composite(&[0]), &keys::composite(&[99]), 2);
         assert_eq!(limited.len(), 2);
     }
 
@@ -835,16 +754,12 @@ mod tests {
             db.insert(&mut setup, t, keys::composite(&[i]), vec![i as u8; 4]);
         }
         db.commit(setup).unwrap();
-        let mut c1 = db.begin();
-        let cloned = db.scan(&mut c1, t, &keys::composite(&[2]), &keys::composite(&[8]), 4);
-        let mut c2 = db.begin();
+        let cloned = db.scan(t, &keys::composite(&[2]), &keys::composite(&[8]), 4);
         let mut visited = Vec::new();
-        let n =
-            db.scan_visit(&mut c2, t, &keys::composite(&[2]), &keys::composite(&[8]), 4, |k, v| {
-                visited.push((k.to_vec(), v.to_vec()))
-            });
+        let n = db.scan_visit(t, &keys::composite(&[2]), &keys::composite(&[8]), 4, |k, v| {
+            visited.push((k.to_vec(), v.to_vec()))
+        });
         assert_eq!(n, cloned.len());
-        assert_eq!(c1.read_count(), c2.read_count());
         for ((k1, v1), (k2, v2)) in cloned.iter().zip(&visited) {
             assert_eq!(k1.as_slice(), k2.as_slice());
             assert_eq!(v1.as_slice(), v2.as_slice());
@@ -860,12 +775,11 @@ mod tests {
         }
         db.insert(&mut setup, t, keys::composite(&[2, 1]), vec![0xFF]);
         db.commit(setup).unwrap();
-        let mut ctx = db.begin();
         let from = keys::composite(&[1]);
         let to = keys::successor(&from);
-        let (_, row) = db.last_in_range(&mut ctx, t, &from, &to).unwrap();
+        let (_, row) = db.last_in_range(t, &from, &to).unwrap();
         assert_eq!(row, [7u8].as_slice());
-        let (_, first) = db.first_in_range(&mut ctx, t, &from, &to).unwrap();
+        let (_, first) = db.first_in_range(t, &from, &to).unwrap();
         assert_eq!(first, [1u8].as_slice());
     }
 
@@ -924,7 +838,6 @@ mod tests {
         }
         // A recycled context must start clean.
         let ctx = db.begin();
-        assert_eq!(ctx.read_count(), 0);
         assert_eq!(ctx.write_count(), 0);
         assert_eq!(ctx.id(), 5);
     }
@@ -940,28 +853,25 @@ mod tests {
         assert_eq!(logged, stored, "log record and table row share one buffer");
     }
 
-    // ---- validation and install against the reference model -------------
+    // ---- serial schedules and install against the reference model -------
     //
-    // The reference is the same engine with `always_validate_by_key` and
-    // `two_pass_commit` set: every commit re-finds every row it read, as
-    // before the mutation stamp existed, and finds every row it writes
-    // twice, as before the undo list. Both run the same schedule of
-    // overlapping transactions and foreign installs; every observable
-    // result must agree. A mutating route that forgets to bump the stamp
-    // lets the stamped side skip a validation the reference fails.
+    // The reference is the same engine with `two_pass_commit` set: every
+    // commit finds every row it writes twice, as before the undo list. Both
+    // run the same serial schedule of transactions and foreign installs;
+    // every observable result must agree.
 
     #[derive(Debug, Clone)]
     enum Step {
-        Begin(usize),
-        Get(usize, TableId, Vec<u8>),
-        Scan(usize, TableId, Vec<u8>, Vec<u8>, usize),
-        First(usize, TableId, Vec<u8>, Vec<u8>),
-        Last(usize, TableId, Vec<u8>, Vec<u8>),
-        Insert(usize, TableId, Vec<u8>, u8),
-        Update(usize, TableId, Vec<u8>, u8),
-        Delete(usize, TableId, Vec<u8>),
-        Commit(usize),
-        Rollback(usize),
+        Begin,
+        Get(TableId, Vec<u8>),
+        Scan(TableId, Vec<u8>, Vec<u8>, usize),
+        First(TableId, Vec<u8>, Vec<u8>),
+        Last(TableId, Vec<u8>, Vec<u8>),
+        Insert(TableId, Vec<u8>, u8),
+        Update(TableId, Vec<u8>, u8),
+        Delete(TableId, Vec<u8>),
+        Commit,
+        Rollback,
         /// A foreign committed record (replica redo) with its own txn id.
         Apply(LogOp, TableId, Vec<u8>, u8, u64),
         Install(TableId, Vec<u8>, u8),
@@ -969,47 +879,44 @@ mod tests {
 
     const MODEL_TABLES: TableId = 2;
 
-    /// Run `steps` and return every observable result in order, then the
-    /// database for the end-state comparison.
+    /// Run `steps` — at most one transaction open at a time — and return
+    /// every observable result in order, then the database for the
+    /// end-state comparison.
     fn run_steps(steps: &[Step], reference: bool) -> (Vec<String>, Database) {
         let mut db = Database::new();
-        db.always_validate_by_key = reference;
         db.two_pass_commit = reference;
         for i in 0..MODEL_TABLES {
             db.create_table(&format!("t{i}"));
         }
-        let mut open: Vec<Option<TxnCtx>> = (0..4).map(|_| None).collect();
+        let mut open: Option<TxnCtx> = None;
         let mut trace = Vec::new();
         for step in steps {
             match step.clone() {
-                Step::Begin(i) => open[i] = Some(db.begin()),
-                Step::Get(i, t, k) => {
-                    let ctx = open[i].as_mut().expect("open");
+                Step::Begin => {
+                    assert!(open.is_none(), "one transaction at a time");
+                    open = Some(db.begin());
+                }
+                Step::Get(t, k) => {
+                    let ctx = open.as_mut().expect("open");
                     trace.push(format!("get {:?}", db.get(ctx, t, &k)));
                 }
-                Step::Scan(i, t, from, to, limit) => {
-                    let ctx = open[i].as_mut().expect("open");
-                    trace.push(format!("scan {:?}", db.scan(ctx, t, &from, &to, limit)));
+                Step::Scan(t, from, to, limit) => {
+                    trace.push(format!("scan {:?}", db.scan(t, &from, &to, limit)));
                 }
-                Step::First(i, t, from, to) => {
-                    let ctx = open[i].as_mut().expect("open");
-                    trace.push(format!("first {:?}", db.first_in_range(ctx, t, &from, &to)));
+                Step::First(t, from, to) => {
+                    trace.push(format!("first {:?}", db.first_in_range(t, &from, &to)));
                 }
-                Step::Last(i, t, from, to) => {
-                    let ctx = open[i].as_mut().expect("open");
-                    trace.push(format!("last {:?}", db.last_in_range(ctx, t, &from, &to)));
+                Step::Last(t, from, to) => {
+                    trace.push(format!("last {:?}", db.last_in_range(t, &from, &to)));
                 }
-                Step::Insert(i, t, k, v) => db.insert(open[i].as_mut().expect("open"), t, k, [v]),
-                Step::Update(i, t, k, v) => db.update(open[i].as_mut().expect("open"), t, k, [v]),
-                Step::Delete(i, t, k) => db.delete(open[i].as_mut().expect("open"), t, k),
-                Step::Commit(i) => {
-                    let ctx = open[i].take().expect("open");
+                Step::Insert(t, k, v) => db.insert(open.as_mut().expect("open"), t, k, [v]),
+                Step::Update(t, k, v) => db.update(open.as_mut().expect("open"), t, k, [v]),
+                Step::Delete(t, k) => db.delete(open.as_mut().expect("open"), t, k),
+                Step::Commit => {
+                    let ctx = open.take().expect("open");
                     trace.push(format!("commit {:?}", db.commit(ctx)));
                 }
-                Step::Rollback(i) => {
-                    let ctx = open[i].take().expect("open");
-                    db.rollback(ctx);
-                }
+                Step::Rollback => db.rollback(open.take().expect("open")),
                 Step::Apply(op, table, k, v, txn_id) => {
                     let value = if op == LogOp::Delete { Row::new() } else { Row::from([v]) };
                     db.apply_record(&LogRecord { txn_id, op, table, key: Key::from(k), value });
@@ -1020,16 +927,17 @@ mod tests {
         (trace, db)
     }
 
-    /// `(table, key, row, version)`.
-    type RowState = (usize, Vec<u8>, Vec<u8>, u64);
+    /// `(table, key, row)`.
+    type RowState = (usize, Vec<u8>, Vec<u8>);
 
-    /// Every row of every table with its version, then the mutation stamp
-    /// and the commit and abort counts.
-    fn state(db: &Database) -> (Vec<RowState>, [u64; 3]) {
-        let rows = db.tables.iter().enumerate().flat_map(|(i, t)| {
-            t.rows.iter().map(move |(k, v)| (i, k.to_vec(), v.row.to_vec(), v.version))
-        });
-        (rows.collect(), [db.mutations, db.commits, db.aborts])
+    /// Every row of every table, then the commit and abort counts.
+    fn state(db: &Database) -> (Vec<RowState>, [u64; 2]) {
+        let rows = db
+            .tables
+            .iter()
+            .enumerate()
+            .flat_map(|(i, t)| t.rows.iter().map(move |(k, v)| (i, k.to_vec(), v.to_vec())));
+        (rows.collect(), [db.commits, db.aborts])
     }
 
     /// Run on both sides, compare everything observable, return the trace.
@@ -1038,7 +946,6 @@ mod tests {
         let (ref_trace, ref_db) = run_steps(steps, true);
         assert_eq!(trace, ref_trace, "schedule: {steps:#?}");
         assert_eq!(state(&db), state(&ref_db), "schedule: {steps:#?}");
-        assert!(db.validation_probes() <= ref_db.validation_probes());
         trace
     }
 
@@ -1053,13 +960,11 @@ mod tests {
         }
     }
 
-    /// A seeded schedule of 2–4 overlapping transactions with foreign
-    /// `apply_record` / `install_row` calls landing between their `begin`s
-    /// and `commit`s.
+    /// A seeded serial schedule: one transaction at a time, with foreign
+    /// `apply_record` / `install_row` calls landing only between them.
     fn random_schedule(seed: u64) -> Vec<Step> {
         let mut rng = simkit::DetRng::new(seed);
-        let slots = rng.uniform(2, 4) as usize;
-        let mut is_open = vec![false; slots];
+        let mut open = false;
         let mut steps = Vec::new();
         for i in 0..8 {
             steps.push(Step::Install(rng.uniform(0, 1) as TableId, model_key(2 * i + 1), 0));
@@ -1068,102 +973,56 @@ mod tests {
             let t = rng.uniform(0, MODEL_TABLES as u64 - 1) as TableId;
             let k = model_key(rng.uniform(0, 15));
             let v = rng.uniform(1, 255) as u8;
-            if rng.chance(0.08) {
-                let op = *rng.pick(&[LogOp::Insert, LogOp::Update, LogOp::Delete, LogOp::Commit]);
-                steps.push(Step::Apply(op, t, k, v, 1_000_000 + n));
-                continue;
-            }
-            if rng.chance(0.03) {
-                steps.push(Step::Install(t, k, v));
-                continue;
-            }
-            let i = rng.uniform(0, slots as u64 - 1) as usize;
-            if !is_open[i] {
-                is_open[i] = true;
-                steps.push(Step::Begin(i));
+            if !open {
+                if rng.chance(0.3) {
+                    let op =
+                        *rng.pick(&[LogOp::Insert, LogOp::Update, LogOp::Delete, LogOp::Commit]);
+                    steps.push(Step::Apply(op, t, k, v, 1_000_000 + n));
+                } else if rng.chance(0.1) {
+                    steps.push(Step::Install(t, k, v));
+                } else {
+                    open = true;
+                    steps.push(Step::Begin);
+                }
                 continue;
             }
             let (a, b) = (rng.uniform(0, 15), rng.uniform(0, 15));
             let (from, to) = (model_key(a.min(b)), model_key(a.max(b)));
             steps.push(match rng.uniform(0, 11) {
-                0..=2 => Step::Get(i, t, k),
-                3 => Step::Scan(i, t, from, to, rng.uniform(0, 5) as usize),
-                4 => Step::First(i, t, from, to),
-                5 => Step::Last(i, t, from, to),
-                6 => Step::Insert(i, t, k, v),
-                7 => Step::Update(i, t, k, v),
-                8 => Step::Delete(i, t, k),
+                0..=2 => Step::Get(t, k),
+                3 => Step::Scan(t, from, to, rng.uniform(0, 5) as usize),
+                4 => Step::First(t, from, to),
+                5 => Step::Last(t, from, to),
+                6 => Step::Insert(t, k, v),
+                7 => Step::Update(t, k, v),
+                8 => Step::Delete(t, k),
                 9 | 10 => {
-                    is_open[i] = false;
-                    Step::Commit(i)
+                    open = false;
+                    Step::Commit
                 }
                 _ => {
-                    is_open[i] = false;
-                    Step::Rollback(i)
+                    open = false;
+                    Step::Rollback
                 }
             });
         }
-        // Whatever is still open commits at the end, after everyone else.
-        steps.extend((0..slots).filter(|i| is_open[*i]).map(Step::Commit));
+        if open {
+            steps.push(Step::Commit);
+        }
         steps
     }
 
     #[test]
-    fn stamped_validation_matches_the_reference_on_random_schedules() {
-        let mut conflicts = 0;
-        let mut commits = 0;
+    fn serial_schedules_match_the_two_pass_reference() {
+        let (mut committed, mut failed) = (0, 0);
         for seed in 0..400u64 {
-            let trace = check_against_reference(&random_schedule(0xC0FFEE + seed));
-            conflicts += trace.iter().filter(|l| l.starts_with("commit Err(Conflict")).count();
-            commits += trace.iter().filter(|l| l.starts_with("commit Ok")).count();
+            for line in check_against_reference(&random_schedule(0xC0FFEE + seed)) {
+                committed += usize::from(line.starts_with("commit Ok"));
+                failed += usize::from(line.starts_with("commit Err"));
+            }
         }
         // The schedules must actually exercise both outcomes.
-        assert!(conflicts > 100 && commits > 1000, "{conflicts} conflicts, {commits} commits");
-    }
-
-    /// `steps`, then slot 0's commit, must end in a conflict on `key` — on
-    /// both sides.
-    fn assert_reader_conflicts(mut steps: Vec<Step>, key: &[u8]) {
-        steps.push(Step::Commit(0));
-        let trace = check_against_reference(&steps);
-        let expect = format!(
-            "commit {:?}",
-            Err::<Vec<LogRecord>, _>(TxnError::Conflict { table: 0, key: Key::from_slice(key) })
-        );
-        assert_eq!(trace.last(), Some(&expect), "{trace:#?}");
-    }
-
-    #[test]
-    fn foreign_changes_between_begin_and_commit_conflict() {
-        let k = model_key(3);
-        let seeded =
-            vec![Step::Install(0, k.clone(), 1), Step::Begin(0), Step::Get(0, 0, k.clone())];
-        // read k -> foreign apply_record(update k) -> commit conflicts
-        let mut steps = seeded.clone();
-        steps.push(Step::Apply(LogOp::Update, 0, k.clone(), 2, 77));
-        assert_reader_conflicts(steps, &k);
-        // read k -> foreign apply_record(delete k) -> commit conflicts
-        let mut steps = seeded.clone();
-        steps.push(Step::Apply(LogOp::Delete, 0, k.clone(), 0, 77));
-        assert_reader_conflicts(steps, &k);
-        // read-miss k -> foreign insert k (another transaction) -> conflicts
-        let miss = vec![Step::Begin(0), Step::Get(0, 0, k.clone())];
-        let mut steps = miss.clone();
-        steps.extend([Step::Begin(1), Step::Insert(1, 0, k.clone(), 5), Step::Commit(1)]);
-        assert_reader_conflicts(steps, &k);
-        // read-miss k -> install_row(k) / apply_record(insert k) -> conflicts
-        let mut steps = miss.clone();
-        steps.push(Step::Install(0, k.clone(), 5));
-        assert_reader_conflicts(steps, &k);
-        let mut steps = miss;
-        steps.push(Step::Apply(LogOp::Insert, 0, k.clone(), 5, 77));
-        assert_reader_conflicts(steps, &k);
-        // read k -> a second transaction deletes k, a third re-inserts it
-        // with the same image -> the first reader still conflicts
-        let mut steps = seeded;
-        steps.extend([Step::Begin(1), Step::Delete(1, 0, k.clone()), Step::Commit(1)]);
-        steps.extend([Step::Begin(2), Step::Insert(2, 0, k.clone(), 1), Step::Commit(2)]);
-        assert_reader_conflicts(steps, &k);
+        assert!(committed > 2000 && failed > 1000, "{committed} committed, {failed} failed");
     }
 
     /// One transaction of `writes`, with rows `[0]` and `[1, 0]` in table 0
@@ -1171,9 +1030,9 @@ mod tests {
     /// one-descent commit and of the two-pass reference.
     fn write_set_case(writes: Vec<Step>) -> (String, u64, u64) {
         let mut steps = vec![Step::Install(0, model_key(0), 9), Step::Install(0, model_key(3), 9)];
-        steps.push(Step::Begin(0));
+        steps.push(Step::Begin);
         steps.extend(writes);
-        steps.push(Step::Commit(0));
+        steps.push(Step::Commit);
         let trace = check_against_reference(&steps);
         let probes = |reference| run_steps(&steps, reference).1.write_probes();
         (trace.last().expect("a commit").clone(), probes(false), probes(true))
@@ -1188,50 +1047,44 @@ mod tests {
             // Delete then Insert of a pre-existing key: the key existed
             // before the commit, so the Insert is a duplicate.
             (
-                vec![Step::Delete(0, 0, pre.clone()), Step::Insert(0, 0, pre.clone(), 1)],
+                vec![Step::Delete(0, pre.clone()), Step::Insert(0, pre.clone(), 1)],
                 Some(err(TxnError::DuplicateKey(key(&pre)))),
             ),
             // Insert twice of an absent key: both install, the second wins.
-            (
-                vec![Step::Insert(0, 0, absent.clone(), 1), Step::Insert(0, 0, absent.clone(), 2)],
-                None,
-            ),
+            (vec![Step::Insert(0, absent.clone(), 1), Step::Insert(0, absent.clone(), 2)], None),
             // Insert of a pre-existing key after an unrelated install.
             (
-                vec![Step::Insert(0, 1, absent.clone(), 1), Step::Insert(0, 0, pre2.clone(), 2)],
+                vec![Step::Insert(1, absent.clone(), 1), Step::Insert(0, pre2.clone(), 2)],
                 Some(err(TxnError::DuplicateKey(key(&pre2)))),
             ),
             // An Update whose own Insert comes later, then a Delete of it.
             (
                 vec![
-                    Step::Update(0, 0, absent.clone(), 1),
-                    Step::Insert(0, 0, absent.clone(), 2),
-                    Step::Delete(0, 0, absent.clone()),
-                    Step::Update(0, 0, absent.clone(), 3),
+                    Step::Update(0, absent.clone(), 1),
+                    Step::Insert(0, absent.clone(), 2),
+                    Step::Delete(0, absent.clone()),
+                    Step::Update(0, absent.clone(), 3),
                 ],
                 None,
             ),
             // An Update of a missing key, after writes that must be undone.
             (
                 vec![
-                    Step::Update(0, 0, pre.clone(), 1),
-                    Step::Delete(0, 0, pre2.clone()),
-                    Step::Insert(0, 0, absent.clone(), 2),
-                    Step::Update(0, 1, absent.clone(), 3),
+                    Step::Update(0, pre.clone(), 1),
+                    Step::Delete(0, pre2.clone()),
+                    Step::Insert(0, absent.clone(), 2),
+                    Step::Update(1, absent.clone(), 3),
                 ],
                 Some(err(TxnError::NotFound(key(&absent)))),
             ),
             // A Delete of a key only the other table inserts.
             (
-                vec![Step::Insert(0, 1, absent.clone(), 1), Step::Delete(0, 0, absent.clone())],
+                vec![Step::Insert(1, absent.clone(), 1), Step::Delete(0, absent.clone())],
                 Some(err(TxnError::NotFound(key(&absent)))),
             ),
             // An unknown table after installed writes.
             (
-                vec![
-                    Step::Delete(0, 0, pre.clone()),
-                    Step::Insert(0, MODEL_TABLES, pre.clone(), 1),
-                ],
+                vec![Step::Delete(0, pre.clone()), Step::Insert(MODEL_TABLES, pre.clone(), 1)],
                 Some(err(TxnError::NoSuchTable(MODEL_TABLES))),
             ),
         ];
@@ -1261,18 +1114,18 @@ mod tests {
             }
         }
         for _ in 0..rng.uniform(2, 8) {
-            steps.push(Step::Begin(0));
+            steps.push(Step::Begin);
             for _ in 0..rng.uniform(1, 8) {
                 let t = if rng.chance(0.03) { MODEL_TABLES } else { rng.uniform(0, 1) as TableId };
                 let k = model_key(rng.uniform(0, 3));
                 let v = rng.uniform(1, 255) as u8;
                 steps.push(match rng.uniform(0, 2) {
-                    0 => Step::Insert(0, t, k, v),
-                    1 => Step::Update(0, t, k, v),
-                    _ => Step::Delete(0, t, k),
+                    0 => Step::Insert(t, k, v),
+                    1 => Step::Update(t, k, v),
+                    _ => Step::Delete(t, k),
                 });
             }
-            steps.push(Step::Commit(0));
+            steps.push(Step::Commit);
         }
         steps
     }

@@ -304,7 +304,6 @@ impl TpccWorkload {
     fn select_customer(
         &self,
         db: &Database,
-        ctx: &mut memdb::TxnCtx,
         rng: &mut DetRng,
         w: u32,
         d: u32,
@@ -319,7 +318,7 @@ impl TpccWorkload {
             // median rule only needs the customer ids.
             let mut ids = [0u32; 100];
             let mut n = 0usize;
-            db.scan_visit(ctx, self.tables.customer_name, &from, &to, 100, |_k, row| {
+            db.scan_visit(self.tables.customer_name, &from, &to, 100, |_k, row| {
                 ids[n] = u32::from_le_bytes(row[..4].try_into().expect("c_id payload"));
                 n += 1;
             });
@@ -351,7 +350,7 @@ impl TpccWorkload {
         } else {
             (w, d)
         };
-        let c = self.select_customer(db, &mut ctx, rng, cw, cd)?;
+        let c = self.select_customer(db, rng, cw, cd)?;
 
         // Warehouse ytd. The name's raw bytes ride along on the stack for
         // the history row.
@@ -418,18 +417,18 @@ impl TpccWorkload {
         let t = self.tables;
         let w = self.home_warehouse(rng);
         let d = self.district(rng);
-        let mut ctx = db.begin();
-        let c = self.select_customer(db, &mut ctx, rng, w, d)?;
+        let ctx = db.begin();
+        let c = self.select_customer(db, rng, w, d)?;
         let from = key::order_customer(w, d, c, 0);
         let to = key::order_customer(w, d, c, u32::MAX);
         // Decode o_id from the tail of the index key; the borrow ends there.
-        let latest = db.last_in_range(&mut ctx, t.order_customer, &from, &to).map(|(okey, _)| {
+        let latest = db.last_in_range(t.order_customer, &from, &to).map(|(okey, _)| {
             u32::from_be_bytes(okey[okey.len() - 4..].try_into().expect("o_id suffix"))
         });
         if let Some(o_id) = latest {
             let lfrom = key::order_line(w, d, o_id, 0);
             let lto = key::order_line(w, d, o_id, u32::MAX);
-            db.scan_visit(&mut ctx, t.order_line, &lfrom, &lto, 20, |_k, _row| {});
+            db.scan_visit(t.order_line, &lfrom, &lto, 20, |_k, _row| {});
         }
         db.commit(ctx)
     }
@@ -447,7 +446,7 @@ impl TpccWorkload {
             // Oldest undelivered order; the key is copied out (inline, no
             // heap) so the borrow ends before the delete is buffered.
             let Some((o_id, nokey)) =
-                db.first_in_range(&mut ctx, t.new_order, &from, &to).map(|(nokey, _)| {
+                db.first_in_range(t.new_order, &from, &to).map(|(nokey, _)| {
                     let o_id = u32::from_be_bytes(
                         nokey[nokey.len() - 4..].try_into().expect("o_id suffix"),
                     );
@@ -525,7 +524,7 @@ impl TpccWorkload {
         self.line_items.clear();
         {
             let items = &mut self.line_items;
-            db.scan_visit(&mut ctx, t.order_line, &lfrom, &lto, 400, |_k, lrow| {
+            db.scan_visit(t.order_line, &lfrom, &lto, 400, |_k, lrow| {
                 items.push(get_u32(lrow, 0));
             });
         }

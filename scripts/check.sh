@@ -15,6 +15,16 @@ echo "== reachability (no pub mod that only its own file and tests mention)"
 # Its reading-aid list is long; show the output only when the step fails.
 reach=$(python3 scripts/reachability.py) || { echo "$reach"; exit 1; }
 
+echo "== CHANGES.md lines stay short (at most 1024 bytes; the detail goes to docs/perf-log)"
+# ROADMAP item 9: CHANGES.md is one line per PR for a reader with no other
+# context. A line that outgrows 1 KiB becomes a summary plus a pointer to
+# its PR's perf-log.
+if LC_ALL=C awk 'length($0) > 1024 { print FILENAME ":" FNR ": " length($0) " bytes"; long = 1 }
+                END { exit !long }' CHANGES.md; then
+  echo "FAIL: a CHANGES.md line is longer than 1024 bytes (lines above)."
+  exit 1
+fi
+
 echo "== results gate self-test (added path passes; changed value, removed path, changed row fail)"
 python3 scripts/results_diff.py --self-test
 
@@ -227,4 +237,4 @@ echo "== benchmark: its own tests, then every workload and check at 1/50 horizon
 (cd benchmark && cargo test --offline --quiet)
 benchmark/run.sh --quick > /dev/null
 
-echo "ok: fmt, clippy, reachability, gate self-test, tests, count, nudge, one-collector, one-latency-copy, one-runner, panic-ratchet, unsafe-confinement, one-intake, one-log, one-index, one-checksum, no-GC and buffer-scan gates, recovery smoke, chaos smoke, benchmark checks all clean"
+echo "ok: fmt, clippy, reachability, CHANGES.md line length, gate self-test, tests, count, nudge, one-collector, one-latency-copy, one-runner, panic-ratchet, unsafe-confinement, one-intake, one-log, one-index, one-checksum, no-GC and buffer-scan gates, recovery smoke, chaos smoke, benchmark checks all clean"

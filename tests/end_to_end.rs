@@ -66,8 +66,7 @@ fn tpcc_committed_work_survives_crash_and_recovery() {
     );
     // Spot-check: recovered rows byte-identical to the live database.
     let t = recovered.table_id("district").expect("table exists");
-    let mut probe_ctx = db.begin();
-    let rows = db.scan(&mut probe_ctx, t, &[], &[0xFF; 9], 50);
+    let rows = db.scan(t, &[], &[0xFF; 9], 50);
     assert!(!rows.is_empty());
     for (k, v) in rows {
         assert_eq!(recovered.peek(t, &k), Some(v.as_slice()), "district row diverged");
