@@ -6,8 +6,7 @@
 //! from the data with room to spare and say what they separate: "flat" from
 //! "scales", "holds" from "loses".
 //!
-//! Covered so far: Fig. 9, Fig. 12 and YCSB A–F — the figures whose
-//! conventional-side numbers PR 24 moved.
+//! Covered so far: Fig. 9, Fig. 10, Fig. 12, Fig. 13 and YCSB A–F.
 
 use std::path::Path;
 
@@ -18,11 +17,14 @@ struct Row {
     x: f64,
     y: f64,
     extra: f64,
+    /// The candlestick's smallest and largest sample (Fig. 13 rows).
+    min: f64,
+    max: f64,
 }
 
 /// The `rows` of `results/<name>.json`. The documents are written by this
-/// workspace's own pretty-printer — one `"key": value` per line, flat
-/// objects — so a line scanner reads them.
+/// workspace's own pretty-printer — one `"key": value` per line, objects
+/// flat but for a row's `candle` — so a line scanner reads them.
 fn rows(name: &str) -> Vec<Row> {
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results").join(name);
     let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path:?}: {e}"));
@@ -30,10 +32,13 @@ fn rows(name: &str) -> Vec<Row> {
     assert!(lines.next().is_some(), "{name}: no rows");
     let mut out = Vec::new();
     let mut row = Row::default();
+    let mut in_candle = false;
     for line in lines {
         match line.trim_end_matches(',') {
             "]" => break,
             "{" => row = Row::default(),
+            "\"candle\": {" => in_candle = true,
+            "}" if in_candle => in_candle = false,
             "}" => out.push(row.clone()),
             field => {
                 let (key, value) = field.split_once(": ").expect("a field line");
@@ -43,6 +48,8 @@ fn rows(name: &str) -> Vec<Row> {
                     "\"x\"" => row.x = number(),
                     "\"y\"" => row.y = number(),
                     "\"extra\"" => row.extra = number(),
+                    "\"min\"" if in_candle => row.min = number(),
+                    "\"max\"" if in_candle => row.max = number(),
                     _ => {}
                 }
             }
@@ -57,6 +64,14 @@ fn cell<'a>(rows: &'a [Row], series: &str, x: f64) -> &'a Row {
     rows.iter()
         .find(|r| r.series == series && r.x == x)
         .unwrap_or_else(|| panic!("no row for {series} at x = {x}"))
+}
+
+/// `series`' rows, by ascending `x`.
+fn by_x<'a>(rows: &'a [Row], series: &str) -> Vec<&'a Row> {
+    let mut out: Vec<&Row> = rows.iter().filter(|r| r.series == series).collect();
+    assert!(!out.is_empty(), "no rows for {series}");
+    out.sort_by(|a, b| a.x.total_cmp(&b.x));
+    out
 }
 
 /// Whether `a` and `b` are within `share` of the larger of each other.
@@ -110,6 +125,44 @@ fn fig09_nvme_flat(rows: &[Row]) {
     assert!(lat(8.0) > lat(1.0), "nvme latency fell with workers: {} -> {}", lat(1.0), lat(8.0));
 }
 
+// ---- Fig. 10: y = throughput normalized to the backing's best, x = write B
+
+/// "WC is faster than UC mode in all sizes we tested": write-combining is
+/// never below uncached, on either backing, at any size.
+fn fig10_wc_at_least_uc(rows: &[Row]) {
+    for backing in ["sram", "dram"] {
+        for wc in by_x(rows, &format!("{backing}-wc")) {
+            let uc = cell(rows, &format!("{backing}-uc"), wc.x);
+            assert!(wc.y >= uc.y, "{backing} at {} B: wc {} < uc {}", wc.x, wc.y, uc.y);
+        }
+    }
+}
+
+/// "For SRAM, the maximum throughput can only be achieved when sending 64
+/// bytes at once": `sram-wc` first reaches its best (1.0) at 64 B, the CPU's
+/// write-combining buffer, and holds it above.
+fn fig10_sram_peaks_at_64(rows: &[Row]) {
+    for r in by_x(rows, "sram-wc") {
+        if r.x < 64.0 {
+            assert!(r.y < 1.0, "sram-wc at {} B already at its best ({})", r.x, r.y);
+        } else {
+            assert_eq!(r.y, 1.0, "sram-wc at {} B below its best", r.x);
+        }
+    }
+}
+
+/// "For DRAM-backed CMB, the maximum throughput is reached with 16 bytes or
+/// more": `dram-wc` is within 1 % of its plateau from 16 B on (0.994 at
+/// 16 B) and well below it at 8 B (0.62), where TLP efficiency still binds.
+fn fig10_dram_plateaus_from_16(rows: &[Row]) {
+    let wc = by_x(rows, "dram-wc");
+    let plateau = wc.iter().map(|r| r.y).fold(0.0, f64::max);
+    for r in wc {
+        let on_plateau = within(r.y, plateau, 0.01);
+        assert_eq!(on_plateau, r.x >= 16.0, "dram-wc at {} B: {} of {plateau}", r.x, r.y);
+    }
+}
+
 // ---- Fig. 12: y = conventional MB/s, extra = fast MB/s, x = fast offered %
 
 /// Neutral scheduling serves both streams up to capacity (conventional
@@ -131,6 +184,47 @@ fn fig12_conventional_priority_holds(rows: &[Row]) {
     }
     let neutral = cell(rows, "neutral-conventional", 60.0);
     assert!(held(60.0).y > neutral.y && held(60.0).extra < neutral.extra);
+}
+
+// ---- Fig. 13: y = p50 refresh latency µs, extra = update bandwidth %,
+// x = update period µs, candle = the latency's five-number summary
+
+/// "Base (minimum) latency is period-independent": the same minimum
+/// (3.20 µs, the NTB hop) at every period.
+fn fig13_base_latency_flat(rows: &[Row]) {
+    let shadow = by_x(rows, "shadow-refresh");
+    for r in &shadow {
+        assert_eq!(r.min, shadow[0].min, "minimum at {} us: {} vs {}", r.x, r.min, shadow[0].min);
+    }
+}
+
+/// A write waits up to one full update cycle: the candle's height (max −
+/// min) rises strictly with the period (0.21 / 0.61 / 1.00 / 1.40 µs).
+fn fig13_candle_grows_with_period(rows: &[Row]) {
+    let shadow = by_x(rows, "shadow-refresh");
+    for pair in shadow.windows(2) {
+        let height = |r: &Row| r.max - r.min;
+        let (shorter, longer) = (pair[0], pair[1]);
+        assert!(
+            height(longer) > height(shorter),
+            "candle height {} at {} us vs {} at {} us",
+            height(longer),
+            longer.x,
+            height(shorter),
+            shorter.x
+        );
+    }
+}
+
+/// Update-bandwidth share ∝ 1/period: share × period constant within 1 %
+/// (0.812 % · µs).
+fn fig13_update_share_inverse_to_period(rows: &[Row]) {
+    let shadow = by_x(rows, "shadow-refresh");
+    let first = shadow[0].extra * shadow[0].x;
+    for r in &shadow {
+        let product = r.extra * r.x;
+        assert!(within(product, first, 0.01), "share x period {product} at {} us vs {first}", r.x);
+    }
 }
 
 // ---- YCSB: y = txn/s, extra = mean commit latency µs, series = <mix>-<backend>
@@ -189,10 +283,27 @@ fn fig09_shapes_hold() {
 }
 
 #[test]
+fn fig10_shapes_hold() {
+    let rows = rows("fig10_write_combining.json");
+    fig10_wc_at_least_uc(&rows);
+    fig10_sram_peaks_at_64(&rows);
+    fig10_dram_plateaus_from_16(&rows);
+}
+
+#[test]
 fn fig12_shapes_hold() {
     let rows = rows("fig12_destage_priority.json");
     fig12_neutral_loses_conventional_bandwidth_at_60(&rows);
     fig12_conventional_priority_holds(&rows);
+}
+
+#[test]
+fn fig13_shapes_hold() {
+    let rows = rows("fig13_replication_delay.json");
+    assert_eq!(rows.len(), 4, "one row per update period");
+    fig13_base_latency_flat(&rows);
+    fig13_candle_grows_with_period(&rows);
+    fig13_update_share_inverse_to_period(&rows);
 }
 
 #[test]

@@ -446,20 +446,36 @@ where
     observer
 }
 
+/// Slots in one kind-owned block of the observer's sample buffer.
+const BLOCK: usize = 1024;
+
 /// Measured-window accounting: the [`DriverReport`] under construction.
-/// Each measured latency is stored once, in the report's series, with its
-/// tags beside it; per kind and per bucket only a count and a running sum
-/// are kept until [`Observer::finish`] reads each group's mean and p99.
+/// Each measured latency is stored once, in a block of slots owned by its
+/// kind, with its bucket tag beside it; per kind and per bucket only a
+/// count and a running sum are kept until [`Observer::finish`] reads each
+/// group's mean and p99 and hands the samples to the report's series.
 struct Observer {
     ramp_start: SimTime,
     report: DriverReport,
+    /// Every measured latency, µs, in blocks of [`BLOCK`] slots that each
+    /// belong to one kind. A kind fills its blocks in recording order; the
+    /// slots after its last sample are holes.
+    samples: Vec<f64>,
+    /// The kind that owns each block of `samples`.
+    owners: Vec<usize>,
+    /// Each kind's next free slot in `samples`; a multiple of [`BLOCK`]
+    /// when it has no room (no block yet, or its last block is full).
+    next: Vec<usize>,
+    /// All measured latencies summed in recording order, µs.
+    sum: f64,
     /// Each kind's latencies summed in recording order, µs.
     kind_sums: Vec<f64>,
     /// Each bucket's latencies summed in recording order, µs.
     bucket_sums: Vec<f64>,
-    /// What each sample of `report.run.latency_us` belongs to.
-    tags: Tags,
-    /// The per-kind and per-bucket series the tags replaced.
+    /// The time-series bucket of each slot of `samples` (empty when the
+    /// run has no series). A hole's tag is never read.
+    buckets: Vec<u32>,
+    /// The per-kind and per-bucket series the blocks and tags replaced.
     #[cfg(test)]
     reference: Reference,
 }
@@ -471,7 +487,6 @@ impl Observer {
         series_bucket: Option<SimDuration>,
     ) -> Self {
         let kinds = per_kind.len();
-        assert!(kinds <= 1 << u8::BITS, "a kind tag is one byte: at most 256 kinds");
         Observer {
             ramp_start: SimTime::ZERO + ramp_up,
             report: DriverReport {
@@ -481,9 +496,13 @@ impl Observer {
                 series_bucket,
                 ramp_excluded: 0,
             },
+            samples: Vec::new(),
+            owners: Vec::new(),
+            next: vec![0; kinds],
+            sum: 0.0,
             kind_sums: vec![0.0; kinds],
             bucket_sums: Vec::new(),
-            tags: Tags::default(),
+            buckets: Vec::new(),
             #[cfg(test)]
             reference: Reference {
                 kinds: (0..kinds).map(|_| SampleSeries::new()).collect(),
@@ -512,18 +531,24 @@ impl Observer {
         if start < self.ramp_start {
             return;
         }
-        let report = &mut self.report;
         let us = at.saturating_since(start).as_micros_f64();
-        report.run.latency_us.record(us);
-        if report.per_kind.len() > 1 {
-            self.tags.kind.push(kind as u8);
+        let mut slot = self.next[kind];
+        if slot.is_multiple_of(BLOCK) {
+            slot = self.samples.len();
+            self.samples.resize(slot + BLOCK, 0.0);
+            self.owners.push(kind);
         }
+        self.next[kind] = slot + 1;
+        self.samples[slot] = us;
+        self.sum += us;
         self.kind_sums[kind] += us;
         #[cfg(test)]
         self.reference.kinds[kind].record(us);
-        if let Some(width) = report.series_bucket {
+        if let Some(width) = self.report.series_bucket {
+            let report = &mut self.report;
             let idx = at.saturating_since(self.ramp_start).as_nanos() / width.as_nanos();
-            self.tags.bucket.push(u32::try_from(idx).expect("a bucket tag is four bytes"));
+            self.buckets.resize(self.samples.len(), 0);
+            self.buckets[slot] = u32::try_from(idx).expect("a bucket tag is four bytes");
             let idx = idx as usize;
             if report.series.len() <= idx {
                 report.series.resize_with(idx + 1, TimeBucket::default);
@@ -536,98 +561,117 @@ impl Observer {
         }
     }
 
-    /// Read each kind's and each bucket's mean and p99 off the aggregate —
-    /// what a series of the group's own samples gives for
-    /// [`SampleSeries::mean`] and [`SampleSeries::percentile`], bit for bit.
-    fn finish(mut self) -> DriverReport {
-        let report = &mut self.report;
-        let latency = &mut report.run.latency_us;
-        if let [only] = report.per_kind.as_mut_slice() {
-            // One kind holds every sample: read it through a copy, so the
-            // aggregate stays in recording order.
-            let summary = latency.summary();
-            (only.mean_us, only.p99_us) = (summary.mean, summary.p99);
+    /// How many slots of block `b` hold a sample while the blocks are in
+    /// recording order: all of them but in its kind's unfilled last block.
+    fn filled(&self, b: usize) -> usize {
+        let next = self.next[self.owners[b]];
+        let fill = next % BLOCK;
+        if fill != 0 && next / BLOCK == b {
+            fill
         } else {
-            let kinds = latency_by(latency, &mut self.tags, &self.kind_sums, |tags, i| {
-                tags.kind[i] as usize
-            });
-            for (k, (mean, p99)) in report.per_kind.iter_mut().zip(kinds) {
-                (k.mean_us, k.p99_us) = (mean, p99);
+            BLOCK
+        }
+    }
+
+    /// Read each kind's and each bucket's mean and p99 off the samples —
+    /// what a series of the group's own samples gives for
+    /// [`SampleSeries::mean`] and [`SampleSeries::percentile`], bit for bit
+    /// — and hand them to the report's series, in place: the blocks are
+    /// grouped by kind, the holes squeezed out, and then the samples are
+    /// grouped by bucket.
+    fn finish(mut self) -> DriverReport {
+        // Group the blocks by kind, each kind's unfilled block after its
+        // full ones, so that dropping the holes leaves the kind contiguous.
+        let mut keys: Vec<usize> = (0..self.owners.len())
+            .map(|b| 2 * self.owners[b] + usize::from(self.filled(b) < BLOCK))
+            .collect();
+        let (samples, buckets) = (&mut self.samples, &mut self.buckets);
+        let blocks = group_by(
+            &mut keys,
+            2 * self.next.len(),
+            |k| k,
+            |i, j| {
+                swap_blocks(samples, i, j);
+                swap_blocks(buckets, i, j);
+            },
+        );
+        // Each kind's samples now run unbroken from its first block: move
+        // them down over the holes of the kinds before it, then select its
+        // p99 in place (later kinds lie beyond its range).
+        let tagged = !buckets.is_empty();
+        let keep_order = self.next.len() == 1 && !tagged;
+        let report = &mut self.report;
+        let mut len = 0;
+        for (kind, k) in report.per_kind.iter_mut().enumerate() {
+            let (full, unfilled) = (&blocks[2 * kind], &blocks[2 * kind + 1]);
+            let from = full.start * BLOCK;
+            let n = full.len() * BLOCK + unfilled.len() * (self.next[kind] % BLOCK);
+            samples.copy_within(from..from + n, len);
+            if tagged {
+                buckets.copy_within(from..from + n, len);
             }
+            let range = len..len + n;
+            len += n;
+            k.mean_us = mean(self.kind_sums[kind], n);
+            k.p99_us = if keep_order {
+                // One kind and no series: the samples stay in recording
+                // order, and the p99 is read through a copy.
+                percentile_once(&mut samples[range].to_vec(), 99.0, |_, _| {})
+            } else {
+                let at = range.start;
+                percentile_once(&mut samples[range], 99.0, |i, j| {
+                    if tagged {
+                        buckets.swap(at + i, at + j);
+                    }
+                })
+            };
         }
-        let buckets = latency_by(latency, &mut self.tags, &self.bucket_sums, |tags, i| {
-            tags.bucket[i] as usize
-        });
-        for (b, (mean, p99)) in report.series.iter_mut().zip(buckets) {
-            (b.mean_us, b.p99_us) = (mean, p99);
+        samples.truncate(len);
+        buckets.truncate(len);
+        let ranges =
+            group_by(buckets, report.series.len(), |b| b as usize, |i, j| samples.swap(i, j));
+        for ((b, range), &sum) in report.series.iter_mut().zip(ranges).zip(&self.bucket_sums) {
+            b.mean_us = mean(sum, range.len());
+            b.p99_us = percentile_once(&mut samples[range], 99.0, |_, _| {});
         }
+        report.run.latency_us = SampleSeries::from_recorded(std::mem::take(samples), self.sum);
         self.report
     }
 }
 
-/// What each sample of the aggregate series belongs to, index for index:
-/// its kind when a run has more than one, its time-series bucket when it
-/// has a series. An unused tag stays empty.
-#[derive(Debug, Default)]
-struct Tags {
-    kind: Vec<u8>,
-    bucket: Vec<u32>,
-}
-
-impl Tags {
-    fn swap(&mut self, i: usize, j: usize) {
-        if !self.kind.is_empty() {
-            self.kind.swap(i, j);
-        }
-        if !self.bucket.is_empty() {
-            self.bucket.swap(i, j);
-        }
+/// `sum / n`, 0 when `n` is 0.
+fn mean(sum: f64, n: usize) -> f64 {
+    if n == 0 {
+        0.0
+    } else {
+        sum / n as f64
     }
 }
 
-/// Group the samples of `series` by `group` (one group per entry of
-/// `sums`, each group's latencies summed in recording order) and read each
-/// group's mean and p99 off its own range. The selection carries the tags
-/// along, so a later grouping by the other tag still finds every sample's.
-fn latency_by(
-    series: &mut SampleSeries,
-    tags: &mut Tags,
-    sums: &[f64],
-    group: impl Fn(&Tags, usize) -> usize,
-) -> Vec<(f64, f64)> {
-    if sums.is_empty() {
-        return Vec::new();
+/// Exchange blocks `i` and `j` of `v` (a no-op on an unused, empty `v`).
+fn swap_blocks<T>(v: &mut [T], i: usize, j: usize) {
+    if v.is_empty() {
+        return;
     }
-    let samples = series.samples_mut();
-    let ranges = group_by(samples, tags, sums.len(), group);
-    ranges
-        .into_iter()
-        .zip(sums)
-        .map(|(range, &sum)| {
-            let n = range.len();
-            let mean = if n == 0 { 0.0 } else { sum / n as f64 };
-            let at = range.start;
-            let p99 = percentile_once(&mut samples[range], 99.0, |i, j| {
-                tags.swap(at + i, at + j);
-            });
-            (mean, p99)
-        })
-        .collect()
+    let (lo, hi) = (i.min(j), i.max(j));
+    let (head, tail) = v.split_at_mut(hi * BLOCK);
+    head[lo * BLOCK..][..BLOCK].swap_with_slice(&mut tail[..BLOCK]);
 }
 
-/// Reorder `samples`, and `tags` with them, so that each of `groups`
-/// groups is contiguous and in group order; return the groups' ranges. A
-/// counting sort in place: one pass to count, then every sample not yet in
-/// its group's range is swapped straight into it.
-fn group_by(
-    samples: &mut [f64],
-    tags: &mut Tags,
+/// Reorder `tags`, and whatever `swap` exchanges beside them, so that the
+/// tags of each of `groups` groups (`group(tag)`) are contiguous and in
+/// group order; return the groups' ranges. A counting sort in place: one
+/// pass to count, then every tag not yet in its group's range is swapped
+/// straight into it.
+fn group_by<T: Copy>(
+    tags: &mut [T],
     groups: usize,
-    group: impl Fn(&Tags, usize) -> usize,
+    group: impl Fn(T) -> usize,
+    mut swap: impl FnMut(usize, usize),
 ) -> Vec<Range<usize>> {
     let mut ranges = vec![0..0; groups];
-    for i in 0..samples.len() {
-        ranges[group(tags, i)].end += 1;
+    for &t in tags.iter() {
+        ranges[group(t)].end += 1;
     }
     let mut start = 0;
     for r in &mut ranges {
@@ -639,13 +683,13 @@ fn group_by(
     for g in 0..groups {
         while next[g] < ranges[g].end {
             let i = next[g];
-            let h = group(tags, i);
+            let h = group(tags[i]);
             if h == g {
                 next[g] += 1;
             } else {
                 let j = next[h];
-                samples.swap(i, j);
                 tags.swap(i, j);
+                swap(i, j);
                 next[h] += 1;
             }
         }
@@ -675,8 +719,8 @@ fn resolve(
 }
 
 /// Reference model for the tests: the per-kind and per-bucket recording the
-/// tags replaced — every measured sample stored again in its kind's series
-/// and in its bucket's.
+/// blocks and tags replaced — every measured sample stored again in its
+/// kind's series and in its bucket's.
 #[cfg(test)]
 #[derive(Debug, Default)]
 struct Reference {
@@ -837,11 +881,14 @@ mod tests {
 
     /// Finish `observer` and hold each kind's and each bucket's mean and p99
     /// to the reference series, bit for bit; the aggregate keeps every
-    /// sample once, in recording order when nothing groups it.
+    /// sample of the blocks once, holes excluded, in recording order when
+    /// nothing groups it.
     fn assert_matches_reference(mut observer: Observer, what: &str) -> DriverReport {
         let mut reference = std::mem::take(&mut observer.reference);
-        let mut recorded: Vec<u64> =
-            observer.report.run.latency_us.samples().iter().map(|x| x.to_bits()).collect();
+        let mut recorded: Vec<u64> = (0..observer.owners.len())
+            .flat_map(|b| &observer.samples[b * BLOCK..][..observer.filled(b)])
+            .map(|x| x.to_bits())
+            .collect();
         let report = observer.finish();
         fn bits(v: impl IntoIterator<Item = (f64, f64)>) -> Vec<(u64, u64)> {
             v.into_iter().map(|(m, p)| (m.to_bits(), p.to_bits())).collect()
@@ -902,6 +949,45 @@ mod tests {
                 observer.on_durable(start, kinds - 1, start + SimDuration::from_nanos(1_234));
             }
             assert_matches_reference(observer, &format!("case {case}"));
+        }
+    }
+
+    /// The block layout's edges: a kind that fills its blocks exactly, a
+    /// kind with no sample, and 256 kinds that each leave most of their one
+    /// block a hole — with and without a series.
+    #[test]
+    fn block_edges_match_the_reference_series() {
+        let cases: [(&str, usize, &[usize]); 3] = [
+            ("exact blocks", 2, &[2 * BLOCK, 5]),
+            ("an empty kind", 3, &[700, 0, 1_500]),
+            ("256 kinds", 256, &[3; 256]),
+        ];
+        let mut rng = DetRng::new(0xB10C);
+        for (what, kinds, counts) in cases {
+            for series_bucket in [None, Some(SimDuration::from_micros(7))] {
+                let per_kind = (0..kinds).map(|_| KindReport::default()).collect();
+                let mut observer = Observer::new(per_kind, SimDuration::ZERO, series_bucket);
+                let mut left = counts.to_vec();
+                // Kinds interleave: each step records one sample of a random
+                // kind that still has some to record.
+                while left.iter().any(|&n| n > 0) {
+                    let kind = loop {
+                        let k = rng.uniform(0, kinds as u64 - 1) as usize;
+                        if left[k] > 0 {
+                            break k;
+                        }
+                    };
+                    left[kind] -= 1;
+                    let start = SimTime::from_nanos(rng.uniform(0, 100_000));
+                    let at = start + SimDuration::from_nanos(rng.uniform(1, 1 << 20));
+                    observer.on_commit(start, kind);
+                    observer.on_durable(start, kind, at);
+                }
+                let report = assert_matches_reference(observer, what);
+                let committed: Vec<u64> = report.per_kind.iter().map(|k| k.committed).collect();
+                assert_eq!(committed, counts.iter().map(|&n| n as u64).collect::<Vec<_>>());
+                assert_eq!(report.run.latency_us.len(), counts.iter().sum::<usize>(), "{what}");
+            }
         }
     }
 

@@ -161,6 +161,14 @@ impl SampleSeries {
         Self::default()
     }
 
+    /// The series of `samples`, which a collector stored itself, and `sum`,
+    /// their sum in recording order: the mean is `sum / len`, so a sum
+    /// taken in another order could move its last bits.
+    pub fn from_recorded(samples: Vec<f64>, sum: f64) -> Self {
+        debug_assert!(samples.iter().all(|x| x.to_bits() != (-0.0f64).to_bits()), "a -0.0 sample");
+        SampleSeries { samples, sum, sorted: false }
+    }
+
     /// Record one sample.
     pub fn record(&mut self, x: f64) {
         // The one value whose order between equal samples shows in the
@@ -233,14 +241,6 @@ impl SampleSeries {
     /// after a percentile query).
     pub fn samples(&self) -> &[f64] {
         &self.samples
-    }
-
-    /// The samples, for a caller that reorders them in place (grouping them
-    /// by a tag it keeps beside the series, say). Count and mean do not
-    /// depend on the order; the series no longer counts as sorted.
-    pub fn samples_mut(&mut self) -> &mut [f64] {
-        self.sorted = false;
-        &mut self.samples
     }
 
     fn ensure_sorted(&mut self) {
@@ -349,6 +349,23 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_series_from_recorded_samples_keeps_the_recording_order_mean() {
+        // Summed in recording order each 1.0 is lost against 1e16; summed
+        // in reverse they are not.
+        let recorded = [1e16, 1.0, 1.0, 1.0, 1.0];
+        let mut series = SampleSeries::new();
+        recorded.iter().for_each(|&x| series.record(x));
+        let mut regrouped = recorded.to_vec();
+        regrouped.reverse();
+        let resummed: f64 = regrouped.iter().sum();
+        assert_ne!((resummed / 5.0).to_bits(), series.mean().to_bits());
+        let mut rebuilt = SampleSeries::from_recorded(regrouped, series.samples().iter().sum());
+        assert_eq!(rebuilt.mean().to_bits(), series.mean().to_bits());
+        assert_eq!(rebuilt.summary(), series.summary());
+        assert_eq!(rebuilt.percentile(99.0).to_bits(), series.percentile(99.0).to_bits());
     }
 
     #[test]

@@ -70,8 +70,9 @@ pub struct TpccWorkload {
     row_buf: Vec<u8>,
     /// StockLevel scratch: item ids of the scanned order lines.
     line_items: Vec<u32>,
-    /// StockLevel scratch: distinct low-stock item ids seen so far.
-    low_items: Vec<u32>,
+    /// StockLevel's answer on its last call: the distinct items of the
+    /// district's last 20 orders whose stock is below the threshold.
+    low_stock: usize,
 }
 
 impl simkit::Instrument for TpccWorkload {
@@ -127,7 +128,7 @@ impl TpccWorkload {
             stats: MixStats::default(),
             row_buf: Vec::new(),
             line_items: Vec::new(),
-            low_items: Vec::new(),
+            low_stock: 0,
         }
     }
 
@@ -518,9 +519,8 @@ impl TpccWorkload {
         let from_o = next_o.saturating_sub(20);
         let lfrom = key::order_line(w, d, from_o, 0);
         let lto = key::order_line(w, d, next_o, 0);
-        // Collect the line item ids into reusable scratch, then probe stock.
-        // Dedup is a linear scan over the low list — it stays tiny (distinct
-        // low-stock items), and it spares the per-call HashSet.
+        // Collect the line item ids into reusable scratch, then probe stock
+        // once per distinct item: the spec counts distinct items.
         self.line_items.clear();
         {
             let items = &mut self.line_items;
@@ -528,18 +528,16 @@ impl TpccWorkload {
                 items.push(get_u32(lrow, 0));
             });
         }
-        self.low_items.clear();
-        for idx in 0..self.line_items.len() {
-            let i = self.line_items[idx];
-            if self.low_items.contains(&i) {
-                continue;
-            }
-            if let Some(srow) = db.get(&mut ctx, t.stock, &key::stock(w, i)) {
-                if get_u32(srow, 0) < threshold {
-                    self.low_items.push(i);
-                }
-            }
-        }
+        self.line_items.sort_unstable();
+        self.line_items.dedup();
+        self.low_stock = self
+            .line_items
+            .iter()
+            .filter(|&&i| {
+                db.get(&mut ctx, t.stock, &key::stock(w, i))
+                    .is_some_and(|s| get_u32(s, 0) < threshold)
+            })
+            .count();
         db.commit(ctx)
     }
 }
@@ -613,6 +611,42 @@ mod tests {
         let recs2 = w.stock_level(&mut db, &mut rng).unwrap();
         assert_eq!(recs2.len(), 1);
         assert_eq!(db.fingerprint(), fp, "read-only profiles leave state intact");
+    }
+
+    #[test]
+    fn stock_level_counts_what_the_per_line_loop_counts() {
+        let (mut db, mut w, mut rng) = workload();
+        for _ in 0..500 {
+            let _ = w.new_order(&mut db, &mut rng, 0);
+        }
+        let t = w.tables;
+        let (mut repeated, mut low) = (0, 0);
+        for _ in 0..200 {
+            // StockLevel's own draws, replayed on a copy of its stream.
+            let mut draw = rng.clone();
+            let (wh, d) = (w.home_warehouse(&mut draw), w.district(&mut draw));
+            let threshold = draw.uniform(10, 20) as u32;
+            let next_o = get_u32(db.peek(t.district, &key::district(wh, d)).unwrap(), 12);
+            let (from, to) = (
+                key::order_line(wh, d, next_o.saturating_sub(20), 0),
+                key::order_line(wh, d, next_o, 0),
+            );
+            let mut lines = Vec::new();
+            db.scan_visit(t.order_line, &from, &to, 400, |_k, row| lines.push(get_u32(row, 0)));
+            // Every line probed; an item counted the first time it is low.
+            let mut low_items: Vec<u32> = Vec::new();
+            for &i in &lines {
+                let stock = db.peek(t.stock, &key::stock(wh, i)).map(|s| get_u32(s, 0));
+                if !low_items.contains(&i) && stock.is_some_and(|q| q < threshold) {
+                    low_items.push(i);
+                }
+            }
+            w.stock_level(&mut db, &mut rng).expect("StockLevel is read-only");
+            assert_eq!(w.low_stock, low_items.len());
+            repeated += usize::from(w.line_items.len() < lines.len());
+            low += w.low_stock;
+        }
+        assert!(repeated > 0 && low > 0, "{repeated} calls saw a repeated item, {low} low items");
     }
 
     #[test]

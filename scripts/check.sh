@@ -34,10 +34,10 @@ cargo test --workspace --quiet
 echo "== allocation budget (release hot path, live heap per measured commit, per stored row and per destage ring)"
 # The counting-allocator regression gate over the TPC-C / YCSB hot paths
 # (crates/bench/tests/alloc_budget.rs), the peak live-heap growth of a
-# YCSB-A driver run per measured commit: one latency sample plus its kind
-# and bucket tags, of a TPC-C driver run per stored row: its image and its
-# share of a filled index leaf (the full-length run is release only), and of an
-# eager triple that wraps its destage rings twice: one copy of the ring's
+# YCSB-A driver run per measured commit: one latency sample, plus its
+# bucket tag when the run has a series, of a TPC-C driver run per stored
+# row: its image and its share of a filled index leaf (the full-length run
+# is release only), and of an eager triple that wraps its destage rings twice: one copy of the ring's
 # pages, not one per replica; plus one allocation per `simkit::Bytes`,
 # freed once across threads, and none for an empty one. Runs in release
 # so the measured averages match the configuration the wall-clock gate times.
@@ -97,17 +97,26 @@ fi
 
 echo "== one latency copy (the runner stores each measured commit's latency once)"
 # PERFORMANCE.md rule 10. memdb::runner keeps one `SampleSeries`, the
-# aggregate in `RunReport`; kinds and buckets are tags beside it, and their
-# mean and p99 are read off it when the run finishes (`latency_by`). A
-# per-kind or per-bucket series does not come back outside the
-# `#[cfg(test)]` reference that follows the first column-0 `#[cfg(test)]`
-# of the file.
+# aggregate in `RunReport`; while the run lasts its samples sit in
+# kind-owned blocks with a bucket tag beside each, and each kind's and
+# bucket's mean and p99 are read off them when the run finishes
+# (`Observer::finish`). A per-kind or per-bucket series does not come back
+# outside the `#[cfg(test)]` reference that follows the first column-0
+# `#[cfg(test)]` of the file.
 series_fields=$(awk '/^#\[cfg\(test\)\]/ { exit }
                      /^[[:space:]]+(pub )?[a-z_]+: [A-Za-z_:<]*SampleSeries>*,$/ { print FILENAME ":" FNR ": " $0 }' \
                   crates/memdb/src/runner.rs)
 if [ "$(printf '%s' "$series_fields" | grep -c .)" -gt 1 ]; then
   echo "$series_fields"
   echo "FAIL: crates/memdb/src/runner.rs declares more than one SampleSeries field (lines above)."
+  exit 1
+fi
+# A sample's kind is the block it sits in (one owner per 1024 slots), not a
+# tag beside it: no byte per sample comes back as a `Vec<u8>` field.
+if awk '/^#\[cfg\(test\)\]/ { exit }
+        /^[[:space:]]+(pub )?[a-z_]+: Vec<u8>,$/ { print FILENAME ":" FNR ": " $0; found = 1 }
+        END { exit !found }' crates/memdb/src/runner.rs; then
+  echo "FAIL: crates/memdb/src/runner.rs declares a per-sample tag (a Vec<u8> field, lines above)."
   exit 1
 fi
 
