@@ -498,7 +498,6 @@ fn run_seed(seed: u64) -> ChaosOutcome {
             let s = cluster.device(d).flash_stats();
             acc.transient_read_retries += s.transient_read_retries;
             acc.transient_program_retries += s.transient_program_retries;
-            acc.injected_program_failures += s.injected_program_failures;
             acc.program_failures += s.program_failures;
         }
         acc
@@ -508,7 +507,7 @@ fn run_seed(seed: u64) -> ChaosOutcome {
         "flash transient faults retried in-device"
     );
     assert!(
-        flash_total.injected_program_failures >= 1,
+        flash_total.program_failures >= 1,
         "at least one block went bad and was retired by the FTL"
     );
 
@@ -554,7 +553,7 @@ fn run_seed(seed: u64) -> ChaosOutcome {
         recovered,
         flash_transient_retries: flash_total.transient_read_retries
             + flash_total.transient_program_retries,
-        flash_bad_blocks: flash_total.injected_program_failures,
+        flash_bad_blocks: flash_total.program_failures,
         ntb_replays: replays,
         ntb_deferrals: ntb_phase1.deferrals + ntb_phase2.deferrals + ntb_phase3.deferrals,
         nvme_retries,

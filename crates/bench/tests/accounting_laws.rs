@@ -18,6 +18,9 @@
 //! - on a database cell, `db.log.bytes_appended` = each device's
 //!   `core.cmb.lane0.bytes_in`, primary and secondaries alike — the bytes the
 //!   log codec emitted are the bytes every device took in;
+//! - on every SSD, `flash.array.program_failures` =
+//!   `flash.array.fault.program_permanent` — the fault plan is the one
+//!   source of program failures;
 //! - on every SSD with no failed program, `ssd.ftl.host_writes` =
 //!   `flash.array.programs` + `flash.sched.pending_ops` — the device
 //!   programs no page it was not asked to, and loses none the FTL handed out;
@@ -192,6 +195,30 @@ fn every_page_the_ftl_hands_out_is_programmed_or_queued() {
     // Every SSD-cell of the goldens without a program failure at the time
     // this was written (the others are chaos_tpcc's pre-crash cells).
     assert!(checked >= 156, "{checked} SSD-cells checked, {with_failures} with program failures");
+}
+
+#[test]
+fn every_program_failure_is_an_injected_one() {
+    let (mut checked, mut with_failures) = (0, 0);
+    for (where_, cell) in cells() {
+        for device in cell.keys().filter_map(|k| k.strip_suffix("flash.array.program_failures")) {
+            let at = |path: &str| cell[&format!("{device}flash.array.{path}")];
+            let failures = at("program_failures");
+            assert_eq!(
+                failures,
+                at("fault.program_permanent"),
+                "{where_}: {device}flash.array.program_failures"
+            );
+            with_failures += usize::from(failures > 0.0);
+            checked += 1;
+        }
+    }
+    // Every SSD-cell of the goldens at the time this was written; the ones
+    // with failures are chaos_tpcc's pre-crash cells.
+    assert!(
+        checked >= 159 && with_failures >= 3,
+        "{checked} SSD-cells, {with_failures} with program failures"
+    );
 }
 
 #[test]

@@ -4,9 +4,11 @@
 //! channel is a shared bus to several dies; a program moves the page over
 //! the bus and then occupies the die for `t_prog` (the bus is free to feed
 //! other dies meanwhile — the interleaving that gives NAND its aggregate
-//! bandwidth). Reliability (bad blocks, program failures, ECC) is modelled
-//! so the error paths of paper §7.1 are exercisable. The device is fresh:
-//! no block is ever erased, so there is no wear either.
+//! bandwidth). Factory bad blocks are sampled once at construction; program
+//! failures and read/program retries come from the fault plan
+//! (`simkit::faults`, see [`FlashArray::arm_faults`]), so the error paths of
+//! paper §7.1 are exercisable. The device is fresh: no block is ever erased,
+//! so there is no wear either.
 
 use crate::geometry::{BlockAddr, DieAddr, FlashGeometry, Ppa};
 use crate::timing::{FlashTiming, ReliabilityConfig};
@@ -31,8 +33,6 @@ pub enum FlashError {
     },
     /// Reading a page that was never programmed.
     ReadUnwritten(Ppa),
-    /// Raw bit errors exceeded ECC correction capability.
-    Uncorrectable(Ppa),
 }
 
 impl std::fmt::Display for FlashError {
@@ -45,7 +45,6 @@ impl std::fmt::Display for FlashError {
                 write!(f, "out-of-order program: page {got}, expected {expected}")
             }
             FlashError::ReadUnwritten(p) => write!(f, "read of unwritten page: {p:?}"),
-            FlashError::Uncorrectable(p) => write!(f, "uncorrectable ECC error: {p:?}"),
         }
     }
 }
@@ -57,8 +56,6 @@ impl std::error::Error for FlashError {}
 pub struct OpOutcome {
     /// Service window on the device.
     pub grant: Grant,
-    /// Bit errors the ECC corrected (reads only; 0 otherwise).
-    pub corrected_bits: u32,
 }
 
 #[derive(Debug, Clone, Copy, Default)]
@@ -74,19 +71,13 @@ pub struct FlashStats {
     pub programs: u64,
     /// Pages read.
     pub reads: u64,
-    /// Program failures (grown bad blocks).
+    /// Permanent program failures injected by the fault plan (grown bad
+    /// blocks).
     pub program_failures: u64,
-    /// Reads with uncorrectable errors.
-    pub uncorrectable_reads: u64,
-    /// Total ECC-corrected bits.
-    pub corrected_bits: u64,
     /// In-device retries of transiently failed reads (injected faults).
     pub transient_read_retries: u64,
     /// In-device retries of transiently failed programs (injected faults).
     pub transient_program_retries: u64,
-    /// Permanent program failures injected by the fault layer (a subset of
-    /// `program_failures`).
-    pub injected_program_failures: u64,
 }
 
 /// Armed fault-injection state for one array (see
@@ -106,11 +97,9 @@ struct FlashFaults {
 pub struct FlashArray {
     geometry: FlashGeometry,
     timing: FlashTiming,
-    reliability: ReliabilityConfig,
     dies: Vec<SerialResource>,
     buses: Vec<SerialResource>,
     blocks: Vec<BlockState>,
-    rng: DetRng,
     stats: FlashStats,
     /// Fault injection (None = inert, the default).
     faults: Option<FlashFaults>,
@@ -141,8 +130,6 @@ impl FlashArray {
             blocks,
             geometry,
             timing,
-            reliability,
-            rng,
             stats: FlashStats::default(),
             faults: None,
         }
@@ -199,19 +186,6 @@ impl FlashArray {
         self.dies[self.die_index(die)].busy_until()
     }
 
-    /// The earliest-free die on `channel` (where a striping FTL would place
-    /// the next page).
-    pub fn earliest_free_die(&self, channel: u32) -> DieAddr {
-        let mut best = DieAddr { channel, die: 0 };
-        for d in 1..self.geometry.dies_per_channel {
-            let cand = DieAddr { channel, die: d };
-            if self.die_busy_until(cand) < self.die_busy_until(best) {
-                best = cand;
-            }
-        }
-        best
-    }
-
     /// Whether `block` is marked bad.
     pub fn is_bad(&self, block: BlockAddr) -> bool {
         self.blocks[self.block_index(block)].bad
@@ -244,13 +218,6 @@ impl FlashArray {
         let die = self.dies[di].acquire(bus.end, self.timing.t_prog);
         self.blocks[bi].next_page += 1;
         self.stats.programs += 1;
-        if self.reliability.program_fail_rate > 0.0
-            && self.rng.chance(self.reliability.program_fail_rate)
-        {
-            self.blocks[bi].bad = true;
-            self.stats.program_failures += 1;
-            return Err(FlashError::ProgramFailed(ppa.block));
-        }
         let mut end = die.end;
         if let Some(f) = self.faults.as_mut() {
             if f.permanent.fire() {
@@ -258,7 +225,6 @@ impl FlashArray {
                 // the FTL must retire + remap + rewrite (paper §7.1).
                 self.blocks[bi].bad = true;
                 self.stats.program_failures += 1;
-                self.stats.injected_program_failures += 1;
                 return Err(FlashError::ProgramFailed(ppa.block));
             }
             // Transient program faults clear on retry; each in-device
@@ -270,7 +236,7 @@ impl FlashArray {
             }
             self.stats.transient_program_retries += u64::from(retries);
         }
-        Ok(OpOutcome { grant: Grant { start: bus.start, end }, corrected_bits: 0 })
+        Ok(OpOutcome { grant: Grant { start: bus.start, end } })
     }
 
     /// Read one page. `t_read` on the die, then the bus transfer out.
@@ -302,37 +268,7 @@ impl FlashArray {
         let xfer = self.timing.page_transfer(self.geometry.page_bytes);
         let bus = self.buses[ppa.channel() as usize].acquire(die.end, xfer);
         self.stats.reads += 1;
-
-        let errors = self.sample_bit_errors();
-        if errors > self.reliability.ecc_correctable_bits {
-            self.stats.uncorrectable_reads += 1;
-            return Err(FlashError::Uncorrectable(ppa));
-        }
-        self.stats.corrected_bits += errors as u64;
-        Ok(OpOutcome { grant: Grant { start: die_start, end: bus.end }, corrected_bits: errors })
-    }
-
-    /// Sample raw bit errors for a page read (Poisson via Knuth's method —
-    /// expected counts are tiny).
-    fn sample_bit_errors(&mut self) -> u32 {
-        let page_bits = (self.geometry.page_bytes as u64) * 8;
-        let lambda = self.reliability.expected_bit_errors(page_bits);
-        if lambda <= 0.0 {
-            return 0;
-        }
-        let l = (-lambda).exp();
-        let mut k = 0u32;
-        let mut p = 1.0;
-        loop {
-            p *= self.rng.unit();
-            if p <= l {
-                return k;
-            }
-            k += 1;
-            if k > 10_000 {
-                return k; // pathological lambda; cap rather than spin
-            }
-        }
+        Ok(OpOutcome { grant: Grant { start: die_start, end: bus.end } })
     }
 }
 
@@ -343,12 +279,16 @@ impl simkit::Instrument for FlashArray {
         // A constant: nothing erases (a fresh device). The path stays for
         // the goldens and the benchmark's layer metrics that read it.
         out.counter("erases", 0);
+        // Every program failure is an injected one: one count, two paths.
         out.counter("program_failures", self.stats.program_failures);
-        out.counter("uncorrectable_reads", self.stats.uncorrectable_reads);
-        out.counter("corrected_bits", self.stats.corrected_bits);
+        // Constants: there is no bit-error/ECC model, the fault plan is the
+        // one error source. The paths go at the goldens' single
+        // regeneration (ROADMAP item 16).
+        out.counter("uncorrectable_reads", 0);
+        out.counter("corrected_bits", 0);
         out.counter("retry.read_transient", self.stats.transient_read_retries);
         out.counter("retry.program_transient", self.stats.transient_program_retries);
-        out.counter("fault.program_permanent", self.stats.injected_program_failures);
+        out.counter("fault.program_permanent", self.stats.program_failures);
         // Aggregate die occupancy (tPROG/tR residency) plus
         // per-channel bus serialization time.
         let die_busy: u64 = self.dies.iter().map(|d| d.busy_time().as_nanos()).sum();
@@ -438,28 +378,6 @@ mod tests {
     }
 
     #[test]
-    fn uncorrectable_errors_at_high_wear() {
-        let rel = ReliabilityConfig {
-            initial_bad_block_rate: 0.0,
-            program_fail_rate: 0.0,
-            base_bit_error_rate: 1e-3, // absurdly high to force failure
-            ecc_correctable_bits: 2,
-        };
-        let mut a = FlashArray::new(FlashGeometry::tiny(), FlashTiming::fast(), rel, 7);
-        let ppa = Ppa::new(0, 0, 0, 0);
-        a.program(SimTime::ZERO, ppa).unwrap();
-        let mut saw_uncorrectable = false;
-        for _ in 0..20 {
-            if matches!(a.read(SimTime::ZERO, ppa), Err(FlashError::Uncorrectable(_))) {
-                saw_uncorrectable = true;
-                break;
-            }
-        }
-        assert!(saw_uncorrectable);
-        assert!(a.stats().uncorrectable_reads > 0);
-    }
-
-    #[test]
     fn out_of_bounds_rejected() {
         let mut a = array();
         assert!(matches!(
@@ -511,7 +429,6 @@ mod tests {
         let err = a.program(SimTime::ZERO, ppa).unwrap_err();
         assert_eq!(err, FlashError::ProgramFailed(ppa.block));
         assert!(a.is_bad(ppa.block));
-        assert_eq!(a.stats().injected_program_failures, 1);
         assert_eq!(a.stats().program_failures, 1);
     }
 
@@ -528,13 +445,5 @@ mod tests {
             let b = zero.program(SimTime::ZERO, ppa).unwrap().grant;
             assert_eq!(a, b);
         }
-    }
-
-    #[test]
-    fn earliest_free_die_balances() {
-        let mut a = array();
-        a.program(SimTime::ZERO, Ppa::new(0, 0, 0, 0)).unwrap();
-        let free = a.earliest_free_die(0);
-        assert_eq!(free, DieAddr { channel: 0, die: 1 });
     }
 }

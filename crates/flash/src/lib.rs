@@ -5,9 +5,10 @@
 //!
 //! - [`geometry`] — channels/dies/blocks/pages and physical addressing;
 //! - [`timing`] — `tPROG`/`tR` and channel-bus rates calibrated to the
-//!   Cosmos+ 2 GB/s envelope, plus reliability parameters;
+//!   Cosmos+ 2 GB/s envelope, plus the factory bad-block rate;
 //! - [`crate::array`] — the arrays themselves: bus/die contention, in-order page
-//!   programming, bad blocks, program failures, ECC;
+//!   programming, factory bad blocks; program failures and read/program
+//!   retries from the fault plan (`simkit::faults`);
 //! - [`scheduler`] — the priority-aware channel scheduler, the one component
 //!   the paper modifies for Opportunistic Destaging (§4.3).
 //!

@@ -1,4 +1,4 @@
-//! NAND operation timing and reliability parameters.
+//! NAND operation timing and the factory bad-block rate.
 
 use simkit::{Bandwidth, SimDuration};
 
@@ -61,47 +61,21 @@ impl FlashTiming {
     }
 }
 
-/// Reliability model parameters. The device is fresh and never erases a
+/// Factory reliability state. Runtime errors (read and program retries,
+/// program failures) come from the fault plan (`simkit::faults`, armed with
+/// [`crate::FlashArray::arm_faults`]); the device is fresh and never erases a
 /// block, so nothing here depends on wear.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReliabilityConfig {
     /// Fraction of blocks marked bad at manufacture.
     pub initial_bad_block_rate: f64,
-    /// Probability a program operation fails and turns its block bad
-    /// (grown bad block).
-    pub program_fail_rate: f64,
-    /// Raw bit-error rate per read.
-    pub base_bit_error_rate: f64,
-    /// Bit errors per page the ECC can correct.
-    pub ecc_correctable_bits: u32,
-}
-
-impl Default for ReliabilityConfig {
-    fn default() -> Self {
-        ReliabilityConfig {
-            initial_bad_block_rate: 0.002,
-            program_fail_rate: 1e-7,
-            base_bit_error_rate: 1e-8,
-            ecc_correctable_bits: 72,
-        }
-    }
 }
 
 impl ReliabilityConfig {
-    /// A perfectly reliable device (for experiments where error handling is
-    /// out of scope, like the throughput figures).
+    /// A device with no factory bad blocks (for experiments where error
+    /// handling is out of scope, like the throughput figures).
     pub fn perfect() -> Self {
-        ReliabilityConfig {
-            initial_bad_block_rate: 0.0,
-            program_fail_rate: 0.0,
-            base_bit_error_rate: 0.0,
-            ecc_correctable_bits: 72,
-        }
-    }
-
-    /// Expected raw bit errors in a page read.
-    pub fn expected_bit_errors(&self, page_bits: u64) -> f64 {
-        self.base_bit_error_rate * page_bits as f64
+        ReliabilityConfig { initial_bad_block_rate: 0.0 }
     }
 }
 
@@ -136,8 +110,6 @@ mod tests {
 
     #[test]
     fn perfect_reliability_is_error_free() {
-        let r = ReliabilityConfig::perfect();
-        assert_eq!(r.expected_bit_errors(1 << 20), 0.0);
-        assert_eq!(r.initial_bad_block_rate, 0.0);
+        assert_eq!(ReliabilityConfig::perfect().initial_bad_block_rate, 0.0);
     }
 }

@@ -144,7 +144,8 @@ impl Default for DriverConfig {
 pub struct RunReport {
     /// Committed transactions.
     pub committed: u64,
-    /// Aborted transactions (validation conflicts).
+    /// Aborted transactions: a structural error at commit (duplicate key,
+    /// missing key, unknown table) or an application rollback.
     pub aborted: u64,
     /// Simulated wall clock consumed.
     pub elapsed: SimDuration,

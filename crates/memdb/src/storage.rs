@@ -131,11 +131,6 @@ impl TxnCtx {
         self.id
     }
 
-    /// Buffered write count.
-    pub fn write_count(&self) -> usize {
-        self.writes.len()
-    }
-
     fn reset(&mut self, id: u64, begin_stamp: u64) {
         self.id = id;
         self.begin_stamp = begin_stamp;
@@ -838,7 +833,7 @@ mod tests {
         }
         // A recycled context must start clean.
         let ctx = db.begin();
-        assert_eq!(ctx.write_count(), 0);
+        assert!(ctx.writes.is_empty());
         assert_eq!(ctx.id(), 5);
     }
 

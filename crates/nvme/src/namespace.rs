@@ -35,11 +35,6 @@ impl Namespace {
     pub fn bytes_of(&self, blocks: u32) -> u64 {
         blocks as u64 * self.lba_bytes as u64
     }
-
-    /// Number of LBAs covering `bytes` (rounded up).
-    pub fn lbas_for_bytes(&self, bytes: u64) -> u64 {
-        bytes.div_ceil(self.lba_bytes as u64)
-    }
 }
 
 #[cfg(test)]
@@ -51,8 +46,6 @@ mod tests {
         let ns = Namespace::new(1, 4096, 1 << 20);
         assert_eq!(ns.capacity_bytes(), 4 << 30);
         assert_eq!(ns.bytes_of(8), 32768);
-        assert_eq!(ns.lbas_for_bytes(4097), 2);
-        assert_eq!(ns.lbas_for_bytes(4096), 1);
     }
 
     #[test]

@@ -115,11 +115,6 @@ impl MaxPayloadSize {
         }
         out
     }
-
-    /// Number of TLPs a transfer of `len` bytes needs.
-    pub fn packet_count(&self, len: u64) -> u64 {
-        len.div_ceil(self.0 as u64)
-    }
 }
 
 #[cfg(test)]
@@ -143,9 +138,6 @@ mod tests {
         assert_eq!(mps.split(512), vec![256, 256]);
         assert_eq!(mps.split(300), vec![256, 44]);
         assert_eq!(mps.split(0), Vec::<u32>::new());
-        assert_eq!(mps.packet_count(512), 2);
-        assert_eq!(mps.packet_count(513), 3);
-        assert_eq!(mps.packet_count(1), 1);
     }
 
     #[test]

@@ -62,9 +62,6 @@ pub mod site {
 pub struct FaultHook {
     rng: Option<DetRng>,
     prob: f64,
-    injected: u64,
-    /// Stop injecting after this many faults (None = unbounded).
-    budget: Option<u64>,
 }
 
 impl FaultHook {
@@ -76,19 +73,7 @@ impl FaultHook {
     /// An armed hook firing with probability `prob` per call, drawing from
     /// its own child stream.
     pub fn armed(rng: DetRng, prob: f64) -> Self {
-        FaultHook { rng: Some(rng), prob, injected: 0, budget: None }
-    }
-
-    /// Cap the number of injections (useful for "exactly one bad block"
-    /// style schedules).
-    pub fn with_budget(mut self, budget: u64) -> Self {
-        self.budget = Some(budget);
-        self
-    }
-
-    /// Whether this hook can ever fire.
-    pub fn is_armed(&self) -> bool {
-        self.rng.is_some() && self.prob > 0.0
+        FaultHook { rng: Some(rng), prob }
     }
 
     /// One Bernoulli draw. Disarmed hooks return `false` without drawing.
@@ -99,21 +84,7 @@ impl FaultHook {
         if self.prob <= 0.0 {
             return false;
         }
-        if let Some(b) = self.budget {
-            if self.injected >= b {
-                return false;
-            }
-        }
-        let hit = rng.chance(self.prob);
-        if hit {
-            self.injected += 1;
-        }
-        hit
-    }
-
-    /// Faults injected so far.
-    pub fn injected(&self) -> u64 {
-        self.injected
+        rng.chance(self.prob)
     }
 }
 
@@ -278,11 +249,10 @@ mod tests {
     #[test]
     fn disabled_hook_never_fires_and_never_draws() {
         let mut h = FaultHook::disabled();
-        assert!(!h.is_armed());
+        assert!(h.rng.is_none());
         for _ in 0..1000 {
             assert!(!h.fire());
         }
-        assert_eq!(h.injected(), 0);
     }
 
     #[test]
@@ -293,7 +263,7 @@ mod tests {
         let fa: Vec<bool> = (0..200).map(|_| a.fire()).collect();
         let fb: Vec<bool> = (0..200).map(|_| b.fire()).collect();
         assert_eq!(fa, fb);
-        assert!(a.injected() > 0, "a 30% hook fires within 200 draws");
+        assert!(fa.contains(&true), "a 30% hook fires within 200 draws");
     }
 
     #[test]
@@ -303,14 +273,6 @@ mod tests {
         let mut tlp = plan.rng_for(site::NTB_TLP);
         let same = (0..64).filter(|_| read.next_u64() == tlp.next_u64()).count();
         assert!(same < 4, "differently salted site streams must diverge");
-    }
-
-    #[test]
-    fn budget_caps_injections() {
-        let mut h = FaultHook::armed(DetRng::new(1), 1.0).with_budget(3);
-        let fired = (0..100).filter(|_| h.fire()).count();
-        assert_eq!(fired, 3);
-        assert_eq!(h.injected(), 3);
     }
 
     #[test]

@@ -30,7 +30,8 @@ pub struct SsdConfig {
     pub geometry: FlashGeometry,
     /// Flash timing.
     pub timing: FlashTiming,
-    /// Flash reliability.
+    /// Factory bad blocks (runtime flash errors come from the fault plan,
+    /// [`ConventionalSsd::arm_flash_faults`]).
     pub reliability: ReliabilityConfig,
     /// Host PCIe link.
     pub link: LinkConfig,
@@ -47,7 +48,7 @@ pub struct SsdConfig {
     pub write_cache: bool,
     /// Initial channel-scheduler policy.
     pub scheduling: SchedulingMode,
-    /// RNG seed for reliability sampling.
+    /// RNG seed for the factory bad-block sampling.
     pub seed: u64,
 }
 

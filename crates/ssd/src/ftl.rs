@@ -279,7 +279,7 @@ mod tests {
     #[test]
     fn ftl_skips_initially_bad_blocks() {
         let g = FlashGeometry::tiny();
-        let rel = ReliabilityConfig { initial_bad_block_rate: 0.3, ..ReliabilityConfig::perfect() };
+        let rel = ReliabilityConfig { initial_bad_block_rate: 0.3 };
         let array = FlashArray::new(g, FlashTiming::fast(), rel, 11);
         let ftl = Ftl::new(g, &array, 2);
         assert!(ftl.free_block_count() < g.total_blocks() as usize);

@@ -13,8 +13,7 @@ use std::collections::{HashMap, HashSet};
 /// manufacture, plus its good-block count per die.
 fn fresh(bad_rate: f64, seed: u64) -> (FlashGeometry, Ftl, Vec<u64>) {
     let g = FlashGeometry::tiny();
-    let rel =
-        ReliabilityConfig { initial_bad_block_rate: bad_rate, ..ReliabilityConfig::perfect() };
+    let rel = ReliabilityConfig { initial_bad_block_rate: bad_rate };
     let array = FlashArray::new(g, FlashTiming::fast(), rel, seed);
     let good = (0..g.total_dies())
         .map(|di| {

@@ -52,7 +52,7 @@ mod crate_tests {
         };
         let report = runner::run(&mut db, &mut wal, &mut workload, &cfg).run;
         assert!(report.committed > 500, "committed {}", report.committed);
-        // Rollbacks + occasional validation conflicts only.
+        // NewOrder's application rollbacks only.
         assert!(
             (report.aborted as f64) < (report.committed as f64) * 0.05,
             "aborted {} of {}",

@@ -15,6 +15,22 @@ echo "== reachability (no pub mod that only its own file and tests mention)"
 # Its reading-aid list is long; show the output only when the step fails.
 reach=$(python3 scripts/reachability.py) || { echo "$reach"; exit 1; }
 
+echo "== zero paths (every exported counter moves in some golden, or an allowlist entry says why)"
+# ROADMAP item 17: scripts/zero_paths.py folds the goldens' telemetry paths
+# and fails on one that is zero in every cell without a reason in its ALLOW
+# table (a result, the tests that execute it, or a constant until the goldens'
+# regeneration), and on an entry that no longer holds.
+python3 scripts/zero_paths.py
+
+echo "== one flash error source (the fault plan; no bit-error/ECC draw, no rate-based program failure)"
+# Runtime flash errors come from simkit::faults armed through
+# FlashArray::arm_faults; ReliabilityConfig holds only the factory bad-block
+# rate. The deleted stochastic model does not come back beside it.
+if grep -rnE 'program_fail_rate|base_bit_error_rate|ecc_correctable_bits|expected_bit_errors|sample_bit_errors|Uncorrectable' crates/ src/ tests/; then
+  echo "FAIL: a second flash error source is back (lines above)."
+  exit 1
+fi
+
 echo "== CHANGES.md lines stay short (at most 1024 bytes; the detail goes to docs/perf-log)"
 # ROADMAP item 9: CHANGES.md is one line per PR for a reader with no other
 # context. A line that outgrows 1 KiB becomes a summary plus a pointer to
@@ -246,4 +262,4 @@ echo "== benchmark: its own tests, then every workload and check at 1/50 horizon
 (cd benchmark && cargo test --offline --quiet)
 benchmark/run.sh --quick > /dev/null
 
-echo "ok: fmt, clippy, reachability, CHANGES.md line length, gate self-test, tests, count, nudge, one-collector, one-latency-copy, one-runner, panic-ratchet, unsafe-confinement, one-intake, one-log, one-index, one-checksum, no-GC and buffer-scan gates, recovery smoke, chaos smoke, benchmark checks all clean"
+echo "ok: fmt, clippy, reachability, zero paths, one flash error source, CHANGES.md line length, gate self-test, tests, count, nudge, one-collector, one-latency-copy, one-runner, panic-ratchet, unsafe-confinement, one-intake, one-log, one-index, one-checksum, no-GC and buffer-scan gates, recovery smoke, chaos smoke, benchmark checks all clean"

@@ -2,26 +2,31 @@
 //!
 //! The paper's error story (§7.1): destage failures are handled internally
 //! by picking a new block; conventional-side errors surface as status
-//! codes. These tests run the full logging path over flash with grown bad
-//! blocks and program failures and verify the durability contract is
-//! unaffected.
+//! codes. These tests run the full logging path over flash with factory bad
+//! blocks and program failures injected by the fault plan, see at least one
+//! failure each, and verify the durability contract is unaffected.
 
 use xssd_suite::db::{encode_txn, recover, Database};
 use xssd_suite::flash::ReliabilityConfig;
+use xssd_suite::sim::faults::FlashFaultConfig;
 use xssd_suite::sim::{DetRng, SimDuration, SimTime};
-use xssd_suite::xssd::{Cluster, VillarsConfig, XLogFile};
+use xssd_suite::xssd::{Cluster, DeviceIndex, VillarsConfig, XLogFile};
 
-/// A Villars whose NAND grows bad blocks aggressively.
-fn flaky_config(seed: u64) -> VillarsConfig {
+/// The share of page programs that fail. The crash and replication tests
+/// program only 4 and 6 pages, so their seeds are ones whose fault stream
+/// fails one of them; each test asserts that a program failed.
+const PERMANENT_PROGRAM: f64 = 0.2;
+
+/// Add a Villars whose NAND has factory bad blocks and whose programs fail
+/// permanently at a high rate, each failure growing a bad block.
+fn add_flaky_device(cl: &mut Cluster, seed: u64) -> DeviceIndex {
     let mut cfg = VillarsConfig::small();
-    cfg.conventional.reliability = ReliabilityConfig {
-        initial_bad_block_rate: 0.05,
-        program_fail_rate: 0.01, // 1% of programs grow a bad block
-        base_bit_error_rate: 1e-9,
-        ecc_correctable_bits: 72,
-    };
+    cfg.conventional.reliability = ReliabilityConfig { initial_bad_block_rate: 0.05 };
     cfg.conventional.seed = seed;
-    cfg
+    let dev = cl.add_device(cfg);
+    let faults = FlashFaultConfig { permanent_program: PERMANENT_PROGRAM, ..Default::default() };
+    cl.device_mut(dev).arm_flash_faults(faults, DetRng::new(seed));
+    dev
 }
 
 #[test]
@@ -30,7 +35,7 @@ fn destage_retries_through_program_failures() {
     // fail; the firmware retries onto fresh blocks and the log content is
     // still byte-exact.
     let mut cl = Cluster::new();
-    let dev = cl.add_device(flaky_config(0xBAD));
+    let dev = add_flaky_device(&mut cl, 0xBAD);
     let mut f = XLogFile::open(dev);
     let mut rng = DetRng::new(17);
     let mut payload = Vec::new();
@@ -48,12 +53,13 @@ fn destage_retries_through_program_failures() {
     let (_t, bytes) =
         cl.device_mut(dev).read_destaged(settle, 0, from, 8 << 10).expect("window readable");
     assert_eq!(&bytes[..], &payload[from as usize..from as usize + (8 << 10)]);
+    assert!(cl.device(dev).flash_stats().program_failures > 0, "a destage program failed");
 }
 
 #[test]
 fn crash_protocol_holds_on_flaky_nand() {
     let mut cl = Cluster::new();
-    let dev = cl.add_device(flaky_config(0xFA11));
+    let dev = add_flaky_device(&mut cl, 0xFA12);
     let mut f = XLogFile::open(dev);
     let mut db = Database::new();
     let tab = db.create_table("t");
@@ -76,13 +82,14 @@ fn crash_protocol_holds_on_flaky_nand() {
     let rec = recover(&mut recovered, &stream);
     assert_eq!(rec.txns_committed, 40, "every fsynced txn survives");
     assert_eq!(recovered.fingerprint(), db.fingerprint());
+    assert!(cl.device(dev).flash_stats().program_failures > 0, "a program failed");
 }
 
 #[test]
 fn replication_still_exact_with_flaky_secondary_nand() {
     let mut cl = Cluster::new();
     let p = cl.add_device(VillarsConfig::small());
-    let s = cl.add_device(flaky_config(0x5EC));
+    let s = add_flaky_device(&mut cl, 0x5ED);
     let t0 = cl.configure_replication(SimTime::ZERO, p, &[s]);
     let mut f = XLogFile::open(p);
     let mut now = t0;
@@ -101,4 +108,5 @@ fn replication_still_exact_with_flaky_secondary_nand() {
     let (_t, bytes) =
         cl.device_mut(s).read_destaged(settle, 0, 0, 700).expect("secondary log readable");
     assert_eq!(bytes, vec![0u8; 700]);
+    assert!(cl.device(s).flash_stats().program_failures > 0, "a secondary program failed");
 }
