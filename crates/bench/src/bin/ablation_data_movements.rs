@@ -131,9 +131,5 @@ fn main() {
         );
         report.telemetry(label, snap);
     }
-    println!();
-    println!("expected: the Villars path touches each logged byte once on the host");
-    println!("(3x less host memory-bus traffic), freeing bandwidth the paper argues");
-    println!("contributes back to database performance.");
     report.finish().expect("write results json");
 }

@@ -112,10 +112,5 @@ fn main() {
         );
         report.telemetry(format!("deadline{deadline_us}us"), snap);
     }
-    println!();
-    println!("expected: a short deadline destages eagerly — fresh tail reads but");
-    println!("pages dominated by filler; a long deadline amortizes full pages at the");
-    println!("cost of read staleness. The paper's 'meet a given latency threshold'");
-    println!("knob, quantified.");
     report.finish().expect("write results json");
 }

@@ -14,9 +14,9 @@
 //! blocking log path; after every `interval` chunks (except the last
 //! boundary, so a replay suffix always exists) it writes a ping-pong
 //! checkpoint through the conventional block interface and advances the
-//! WAL truncation horizon, retiring covered segments. Expected shape:
-//! at a fixed interval the replayed bytes stay flat as the run grows —
-//! only the `none` cadence replays total history.
+//! WAL truncation horizon, retiring covered segments. The claims its
+//! golden is held to are the `recovery_*` predicates in
+//! `crates/bench/tests/paper_shapes.rs`.
 
 use memdb::{replay_segments, Checkpointer, Lsn, SegmentConfig, WalConfig, WalManager, XssdLog};
 use simkit::{MetricsRegistry, SimDuration, Snapshot};
@@ -208,14 +208,5 @@ fn main() {
         report.telemetry(format!("{label}.len{len}"), o.snapshot);
         let _ = o.archived_bytes;
     }
-    println!();
-    println!("expected shape:");
-    println!("  - at a fixed checkpoint interval the replayed bytes are flat in the");
-    println!("    run length: recovery re-reads only the suffix since the last");
-    println!("    snapshot, and truncation retires everything older");
-    println!("  - the 'none' cadence replays total history: bytes grow linearly");
-    println!("    with the run length (the hazard the lifecycle removes)");
-    println!("  - restore time tracks the snapshot image size (conventional-side");
-    println!("    block reads), independent of the log length");
     report.finish().expect("write results json");
 }

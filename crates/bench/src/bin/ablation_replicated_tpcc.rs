@@ -90,10 +90,5 @@ fn main() {
         );
         report.telemetry(format!("{n}-secondaries"), snap);
     }
-    println!();
-    println!("expected: throughput stays CPU-bound (the mirror streams ride the");
-    println!("device, not the database); commit latency grows by the NTB round trip");
-    println!("plus the shadow-counter cycle per added secondary — the paper's");
-    println!("'equally fast results with a simpler, more robust data path' claim.");
     report.finish().expect("write results json");
 }

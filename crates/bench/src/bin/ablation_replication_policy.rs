@@ -104,10 +104,5 @@ fn main() {
             report.telemetry(format!("{label}.{}sec", i + 1), snap.clone());
         }
     }
-    println!();
-    println!("expected: lazy ~ local-only latency, independent of secondaries;");
-    println!("eager grows with the slowest secondary (mirror flows serialize on the");
-    println!("primary's NTB ports); quorum(2) sits between lazy and eager; chain");
-    println!("tracks the tail of the chain.");
     report.finish().expect("write results json");
 }

@@ -19,14 +19,13 @@ use std::time::{Duration, Instant};
 use xssd_bench::{cli, sweep};
 
 /// Every harness binary, in report order.
-const BINS: [&str; 13] = [
+const BINS: [&str; 12] = [
     "fig09_local_logging",
     "fig10_write_combining",
     "fig11_queue_size",
     "fig12_destage_priority",
     "fig13_replication_delay",
     "fig_ycsb",
-    "ablation_transport",
     "ablation_data_movements",
     "ablation_replication_policy",
     "ablation_replicated_tpcc",

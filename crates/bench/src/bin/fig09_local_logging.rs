@@ -117,11 +117,5 @@ fn main() {
         );
         report.telemetry(format!("{}.w{}", s.label(), w), snap);
     }
-    println!();
-    println!("expected shape (paper §6.1):");
-    println!("  - latency: no-log < memory ~ villars-sram < villars-dram << nvme (log scale)");
-    println!("  - latency decreases as workers increase (16 KiB group fills sooner)");
-    println!("  - throughput: setups comparable at low worker counts; the NVMe path");
-    println!("    saturates (queue depth 1 on the log) while the PM-class paths keep scaling");
     report.finish().expect("write results json");
 }

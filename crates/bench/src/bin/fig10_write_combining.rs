@@ -115,10 +115,5 @@ fn main() {
         }
         println!();
     }
-    println!("expected shape (paper §6.2):");
-    println!("  - WC >= UC at every size");
-    println!("  - SRAM: maximum throughput only at 64 B (the WC buffer size)");
-    println!("  - DRAM: plateau from ~16 B (the derated shared port becomes the");
-    println!("    bottleneck before TLP efficiency does)");
     report.finish().expect("write results json");
 }

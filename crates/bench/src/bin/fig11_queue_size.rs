@@ -70,9 +70,5 @@ fn main() {
             println!();
         }
     }
-    println!("expected shape (paper §6.3):");
-    println!("  - latency dominated by the write size once queue >= write size");
-    println!("  - queue < write size adds credit-check round trips (latency rises)");
-    println!("  - the 32 KiB queue achieves the best throughput across all sizes");
     report.finish().expect("write results json");
 }

@@ -164,10 +164,5 @@ fn main() {
             println!();
         }
     }
-    println!("expected shape (paper §6.4):");
-    println!("  - neutral: once conventional+fast demand exceeds the device, both");
-    println!("    streams lose bandwidth");
-    println!("  - conventional priority: the conventional stream holds its ~50%");
-    println!("    target; the fast stream absorbs the entire shortfall");
     report.finish().expect("write results json");
 }

@@ -128,12 +128,5 @@ fn main() {
         );
         report.telemetry(format!("period{period_us}us"), snap);
     }
-    println!();
-    println!("expected shape (paper §6.5):");
-    println!("  - median refresh latency roughly constant (~NTB base) at all periods");
-    println!("  - the candle height (variance) grows with the period: the write");
-    println!("    waits up to a full cycle for the next counter update");
-    println!("  - bandwidth share of counter updates scales ~1/period (paper: 2.35%");
-    println!("    at 0.4 us)");
     report.finish().expect("write results json");
 }

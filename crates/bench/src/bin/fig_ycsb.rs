@@ -131,14 +131,5 @@ fn main() {
             println!();
         }
     }
-    println!("expected shape:");
-    println!("  - throughput is CPU-bound in the closed loop: every (mix, backend)");
-    println!("    lands at the same txn/s; the log path moves latency, not throughput");
-    println!("  - commit latency tracks group-fill time: update-heavy A ships ~100 B");
-    println!("    per commit and fills the 4 KiB group fastest (lowest latency);");
-    println!("    read-mostly B/C ship only txn headers and wait the longest");
-    println!("  - the backend stacks its flush cost on top: memory-nvdimm ~");
-    println!("    villars-sram, while the NVMe path adds its program latency to");
-    println!("    every group (the small-append regime of Fig. 9's right side)");
     report.finish().expect("write results json");
 }

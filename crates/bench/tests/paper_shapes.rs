@@ -1,14 +1,132 @@
-//! The reproduction's claims as executable predicates (ROADMAP item 2a,
-//! first slice): the *shapes* EXPERIMENTS.md says "yes" to, evaluated on the
+//! The reproduction's claims as executable predicates (ROADMAP items 2 and
+//! 21): the *shapes* EXPERIMENTS.md says "yes" to, evaluated on the
 //! committed `results/*.json` rows. No simulation runs here — a golden that
 //! is regenerated on purpose (a model fix moves values) must still satisfy
 //! every predicate, and EXPERIMENTS.md cites them by name. Bounds are picked
 //! from the data with room to spare and say what they separate: "flat" from
 //! "scales", "holds" from "loses".
 //!
-//! Covered so far: Fig. 9, Fig. 10, Fig. 12, Fig. 13 and YCSB A–F.
+//! `CLAIMS` is the index: every golden and the predicates that read it, one
+//! `#[test]` per golden. `every_golden_states_a_claim` fails on a golden no
+//! entry reads and on an entry whose golden is gone.
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
+
+/// A predicate's name, for the failure report, and the predicate.
+type Claim = (&'static str, fn(&[Row]));
+
+/// Declares `CLAIMS` and, for each golden, a `#[test]` that runs its claims:
+/// the table is both the index of the claims and their runner.
+macro_rules! claims {
+    ($($test:ident: $golden:literal => [$($claim:ident),+ $(,)?],)+) => {
+        const CLAIMS: &[(&str, &[Claim])] =
+            &[$(($golden, &[$((stringify!($claim), $claim)),+])),+];
+        $(
+            #[test]
+            fn $test() {
+                hold($golden);
+            }
+        )+
+    };
+}
+
+claims! {
+    fig09_shapes_hold: "fig09_local_logging.json" => [
+        fig09_latency_ordering,
+        fig09_pm_class_scales,
+        fig09_nvme_flat,
+    ],
+    fig10_shapes_hold: "fig10_write_combining.json" => [
+        fig10_wc_at_least_uc,
+        fig10_sram_peaks_at_64,
+        fig10_dram_plateaus_from_16,
+    ],
+    fig11_shapes_hold: "fig11_queue_size.json" => [
+        fig11_latency_set_by_write_once_queue_holds_it,
+        fig11_small_queue_adds_round_trips,
+        fig11_32k_queue_best_throughput,
+        fig11_1k_queue_floor,
+    ],
+    fig12_shapes_hold: "fig12_destage_priority.json" => [
+        fig12_neutral_loses_conventional_bandwidth_at_60,
+        fig12_conventional_priority_holds,
+    ],
+    fig13_shapes_hold: "fig13_replication_delay.json" => [
+        fig13_one_row_per_period,
+        fig13_base_latency_flat,
+        fig13_candle_grows_with_period,
+        fig13_update_share_inverse_to_period,
+        fig13_median_is_min_plus_half_period,
+    ],
+    fig_ycsb_shapes_hold: "fig_ycsb.json" => [
+        ycsb_throughput_backend_independent,
+        ycsb_latency_ordered_by_bytes_per_commit,
+        ycsb_backend_stacks_flush_cost,
+    ],
+    data_movements_shapes_hold: "ablation_data_movements.json" => [
+        movements_villars_touches_each_byte_once,
+    ],
+    replication_policy_shapes_hold: "ablation_replication_policy.json" => [
+        policy_lazy_is_local_only,
+        policy_quorum_between_lazy_and_eager,
+        policy_chain_waits_for_its_tail,
+    ],
+    recovery_shapes_hold: "ablation_recovery.json" => [
+        recovery_replay_flat_with_checkpoints,
+        recovery_replay_grows_without_checkpoints,
+        recovery_restore_flat_in_run_length,
+    ],
+    destage_deadline_shapes_hold: "ablation_destage_deadline.json" => [
+        deadline_filler_falls,
+        deadline_staleness_rises,
+    ],
+    replicated_tpcc_shapes_hold: "ablation_replicated_tpcc.json" => [
+        replicated_tpcc_throughput_cpu_bound,
+        replicated_tpcc_latency_one_replication_delay,
+    ],
+    chaos_tpcc_shapes_hold: "chaos_tpcc.json" => [
+        chaos_every_logged_txn_recovered,
+        chaos_every_fault_class_fired,
+    ],
+}
+
+/// Runs every claim on `golden`'s rows, naming each first: the failing
+/// test's captured output says which claim broke.
+fn hold(golden: &str) {
+    let (_, claims) = CLAIMS.iter().find(|(g, _)| *g == golden).expect("a CLAIMS entry");
+    let rows = rows(golden);
+    for (name, claim) in claims.iter() {
+        println!("{golden}: {name}");
+        claim(&rows);
+    }
+}
+
+/// Every golden states a claim (ROADMAP item 21): a `results/*.json` no
+/// `CLAIMS` entry reads fails, and so does an entry whose golden is gone —
+/// the stale-entry rule of `scripts/zero_paths.py`.
+#[test]
+fn every_golden_states_a_claim() {
+    let dir = results_dir();
+    let goldens: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap_or_else(|e| panic!("{dir:?}: {e}"))
+        .map(|entry| entry.expect("a results entry").file_name().to_string_lossy().into_owned())
+        .filter(|name| name.ends_with(".json"))
+        .collect();
+    let unread: Vec<&String> =
+        goldens.iter().filter(|g| CLAIMS.iter().all(|(entry, _)| entry != g)).collect();
+    let stale: Vec<&str> = CLAIMS
+        .iter()
+        .map(|(entry, _)| *entry)
+        .filter(|entry| !goldens.iter().any(|g| g == entry))
+        .collect();
+    assert!(unread.is_empty(), "goldens no CLAIMS entry reads: {unread:?}");
+    assert!(stale.is_empty(), "CLAIMS entries with no golden: {stale:?}");
+}
+
+/// The committed goldens.
+fn results_dir() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results")
+}
 
 /// One `rows` entry of a results document.
 #[derive(Debug, Clone, Default)]
@@ -26,7 +144,7 @@ struct Row {
 /// workspace's own pretty-printer — one `"key": value` per line, objects
 /// flat but for a row's `candle` — so a line scanner reads them.
 fn rows(name: &str) -> Vec<Row> {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results").join(name);
+    let path = results_dir().join(name);
     let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path:?}: {e}"));
     let mut lines = text.lines().map(str::trim).skip_while(|l| *l != "\"rows\": [");
     assert!(lines.next().is_some(), "{name}: no rows");
@@ -163,6 +281,84 @@ fn fig10_dram_plateaus_from_16(rows: &[Row]) {
     }
 }
 
+// ---- Fig. 11: y = mean latency µs, extra = MB/s, x = write KiB,
+// series = queue-<q>KiB
+
+const QUEUES_KIB: [u32; 4] = [1, 4, 16, 32];
+const WRITES_KIB: [u32; 5] = [1, 4, 16, 32, 64];
+
+/// The `queue` KiB queue's row at `write` KiB.
+fn fig11_cell(rows: &[Row], queue: u32, write: u32) -> &Row {
+    cell(rows, &format!("queue-{queue}KiB"), f64::from(write))
+}
+
+/// "Latency is primarily dominated by the size of the writes, when the queue
+/// size is at least as big as the write size": at every write size, the
+/// queues that hold the write give one latency within 1 % (4 KiB writes:
+/// 3.144 µs through the 4, 16 and 32 KiB queues), where one queue-full less
+/// costs 8 % (12.58 vs 11.59 µs for 16 KiB writes).
+fn fig11_latency_set_by_write_once_queue_holds_it(rows: &[Row]) {
+    for w in WRITES_KIB {
+        let held: Vec<f64> =
+            QUEUES_KIB.iter().filter(|&&q| q >= w).map(|&q| fig11_cell(rows, q, w).y).collect();
+        for lat in &held {
+            assert!(within(*lat, held[0], 0.01), "{w} KiB writes: {lat} vs {} us", held[0]);
+        }
+    }
+}
+
+/// A queue smaller than the write adds credit-check round trips: at every
+/// write size latency never rises with the queue, and falls strictly with
+/// each larger queue while the queue is smaller than the write (64 KiB
+/// writes: 66.05 / 50.30 / 46.37 / 45.71 µs through 1 / 4 / 16 / 32 KiB).
+fn fig11_small_queue_adds_round_trips(rows: &[Row]) {
+    for w in WRITES_KIB {
+        for pair in QUEUES_KIB.windows(2) {
+            let (small, large) = (fig11_cell(rows, pair[0], w).y, fig11_cell(rows, pair[1], w).y);
+            let falls = if pair[0] < w { large < small } else { large <= small };
+            assert!(
+                falls,
+                "{w} KiB writes: {small} us at {} KiB, {large} at {} KiB",
+                pair[0], pair[1]
+            );
+        }
+    }
+}
+
+/// "A queue with 32 KB achieves the best throughput across all the group
+/// commit sizes we tested": the 32 KiB queue's MB/s dominates or ties every
+/// write size's column (1 434 MB/s at 32 and 64 KiB).
+fn fig11_32k_queue_best_throughput(rows: &[Row]) {
+    for w in WRITES_KIB {
+        let best = fig11_cell(rows, 32, w).extra;
+        for q in QUEUES_KIB {
+            let other = fig11_cell(rows, q, w).extra;
+            assert!(best >= other, "{w} KiB writes: 32 KiB queue {best} MB/s < {q} KiB's {other}");
+        }
+    }
+}
+
+/// The analytic anchor (ROADMAP item 2b): a 1 KiB queue pays one credit
+/// check per KiB, so every write size costs 1.032 µs per KiB — 16 WC TLPs of
+/// 64 + 24 B on the 2 GB/s host link (0.704 µs) plus the check (0.328 µs) —
+/// and moves 1024 B / 1.032 µs = 992.25 MB/s, within 1 %. That is the floor:
+/// no queue moves less at any write size.
+fn fig11_1k_queue_floor(rows: &[Row]) {
+    for w in WRITES_KIB {
+        let floor = fig11_cell(rows, 1, w);
+        let per_kib = floor.y / f64::from(w);
+        assert!(within(per_kib, 1.032, 0.01), "{w} KiB writes: {per_kib} us per KiB");
+        assert!(within(floor.extra, 992.25, 0.01), "{w} KiB writes: {} MB/s", floor.extra);
+        for q in QUEUES_KIB {
+            let mbps = fig11_cell(rows, q, w).extra;
+            assert!(
+                mbps >= floor.extra,
+                "{w} KiB writes: {q} KiB queue {mbps} MB/s below the floor"
+            );
+        }
+    }
+}
+
 // ---- Fig. 12: y = conventional MB/s, extra = fast MB/s, x = fast offered %
 
 /// Neutral scheduling serves both streams up to capacity (conventional
@@ -188,6 +384,15 @@ fn fig12_conventional_priority_holds(rows: &[Row]) {
 
 // ---- Fig. 13: y = p50 refresh latency µs, extra = update bandwidth %,
 // x = update period µs, candle = the latency's five-number summary
+
+/// The sweep covers the four update periods and nothing else: one
+/// `shadow-refresh` row each at 0.4, 0.8, 1.2 and 1.6 µs, so no predicate
+/// below passes on a golden that lost a period.
+fn fig13_one_row_per_period(rows: &[Row]) {
+    assert_eq!(rows.len(), 4, "one row per update period");
+    let periods: Vec<f64> = by_x(rows, "shadow-refresh").iter().map(|r| r.x).collect();
+    assert_eq!(periods, [0.4, 0.8, 1.2, 1.6], "update periods");
+}
 
 /// "Base (minimum) latency is period-independent": the same minimum
 /// (3.20 µs, the NTB hop) at every period.
@@ -224,6 +429,22 @@ fn fig13_update_share_inverse_to_period(rows: &[Row]) {
     for r in &shadow {
         let product = r.extra * r.x;
         assert!(within(product, first, 0.01), "share x period {product} at {} us vs {first}", r.x);
+    }
+}
+
+/// A write waits half an update cycle in the median: p50 = min + period / 2
+/// within 1 % at 0.8, 1.2 and 1.6 µs (3.60 / 3.80 / 4.00 µs over the 3.20 µs
+/// minimum). 0.4 µs is excluded, and its median is the minimum: each write
+/// is issued a whole number of µs (20 + i mod 7) after the previous
+/// confirmation, which lands on the secondary's update grid, and a whole µs
+/// is 2.5 periods of 0.4 µs, so writes arrive at only two phases of the
+/// cycle. The even delays (228 of the 400 writes) see 3.20 µs, the odd ones
+/// 3.40 µs.
+fn fig13_median_is_min_plus_half_period(rows: &[Row]) {
+    for period in [0.8, 1.2, 1.6] {
+        let r = cell(rows, "shadow-refresh", period);
+        let expected = r.min + period / 2.0;
+        assert!(within(r.y, expected, 0.01), "p50 {} at {period} us vs {expected}", r.y);
     }
 }
 
@@ -274,42 +495,194 @@ fn ycsb_backend_stacks_flush_cost(rows: &[Row]) {
     }
 }
 
-#[test]
-fn fig09_shapes_hold() {
-    let rows = rows("fig09_local_logging.json");
-    fig09_latency_ordering(&rows);
-    fig09_pm_class_scales(&rows);
-    fig09_nvme_flat(&rows);
+// ---- Ablation, data movements: y = host-bus bytes per logged byte,
+// extra = host-bus µs per MiB logged
+
+/// Paper §5.1: host-managed PM moves each logged byte over the host memory
+/// bus three times, Villars once — 3.0 vs 1.0 bytes per byte exactly, and
+/// bus time in the same ratio (393.2 vs 131.1 µs per MiB).
+fn movements_villars_touches_each_byte_once(rows: &[Row]) {
+    let (pm, villars) = (cell(rows, "host-managed-pm", 0.0), cell(rows, "villars", 1.0));
+    assert_eq!((pm.y, villars.y), (3.0, 1.0), "host-bus bytes per logged byte");
+    assert!(
+        within(pm.extra, 3.0 * villars.extra, 0.01),
+        "{} vs {} us/MiB",
+        pm.extra,
+        villars.extra
+    );
 }
 
-#[test]
-fn fig10_shapes_hold() {
-    let rows = rows("fig10_write_combining.json");
-    fig10_wc_at_least_uc(&rows);
-    fig10_sram_peaks_at_64(&rows);
-    fig10_dram_plateaus_from_16(&rows);
+// ---- Ablation, replication policy: y = mean commit µs with one secondary,
+// extra = with three, x = 1
+
+/// (one secondary, three secondaries) mean commit latency under `policy`.
+fn policy_latency(rows: &[Row], policy: &str) -> (f64, f64) {
+    let r = cell(rows, policy, 1.0);
+    (r.y, r.extra)
 }
 
-#[test]
-fn fig12_shapes_hold() {
-    let rows = rows("fig12_destage_priority.json");
-    fig12_neutral_loses_conventional_bandwidth_at_60(&rows);
-    fig12_conventional_priority_holds(&rows);
+/// Lazy is the local commit: the same latency at one and three secondaries
+/// (3.144 µs, within 1 %) and below every other policy at both counts.
+fn policy_lazy_is_local_only(rows: &[Row]) {
+    let lazy = policy_latency(rows, "lazy");
+    assert!(within(lazy.0, lazy.1, 0.01), "lazy {lazy:?}");
+    for policy in ["eager", "chain", "quorum2"] {
+        let other = policy_latency(rows, policy);
+        assert!(lazy.0 < other.0 && lazy.1 < other.1, "lazy {lazy:?} vs {policy} {other:?}");
+    }
 }
 
-#[test]
-fn fig13_shapes_hold() {
-    let rows = rows("fig13_replication_delay.json");
-    assert_eq!(rows.len(), 4, "one row per update period");
-    fig13_base_latency_flat(&rows);
-    fig13_candle_grows_with_period(&rows);
-    fig13_update_share_inverse_to_period(&rows);
+/// lazy < quorum(2) ≤ eager at both counts, and quorum(2) strictly below
+/// eager at three secondaries (7.81 vs 20.60 µs): it waits for the second
+/// counter, not the slowest.
+fn policy_quorum_between_lazy_and_eager(rows: &[Row]) {
+    let (lazy, quorum) = (policy_latency(rows, "lazy"), policy_latency(rows, "quorum2"));
+    let eager = policy_latency(rows, "eager");
+    assert!(lazy.0 < quorum.0 && quorum.0 <= eager.0, "one: {lazy:?} {quorum:?} {eager:?}");
+    assert!(lazy.1 < quorum.1 && quorum.1 < eager.1, "three: {lazy:?} {quorum:?} {eager:?}");
 }
 
-#[test]
-fn fig_ycsb_shapes_hold() {
-    let rows = rows("fig_ycsb.json");
-    ycsb_throughput_backend_independent(&rows);
-    ycsb_latency_ordered_by_bytes_per_commit(&rows);
-    ycsb_backend_stacks_flush_cost(&rows);
+/// Chain reports its tail, and the tail is the slowest secondary: chain
+/// equals eager within 1 % at one and at three secondaries.
+fn policy_chain_waits_for_its_tail(rows: &[Row]) {
+    let (chain, eager) = (policy_latency(rows, "chain"), policy_latency(rows, "eager"));
+    assert!(
+        within(chain.0, eager.0, 0.01) && within(chain.1, eager.1, 0.01),
+        "{chain:?} vs {eager:?}"
+    );
+}
+
+// ---- Ablation, recovery: y = replayed bytes, extra = restore µs,
+// x = run length in chunks, series = replay-<checkpoint cadence>
+
+/// A checkpoint bounds recovery: with one every chunk or every other chunk
+/// the replayed bytes are flat in run length, max/min ≤ 1.01 over 4 – 16
+/// chunks (55 656 – 55 808 B and 114 748 – 114 900 B).
+fn recovery_replay_flat_with_checkpoints(rows: &[Row]) {
+    for series in ["replay-every-1", "replay-every-2"] {
+        let bytes: Vec<f64> = by_x(rows, series).iter().map(|r| r.y).collect();
+        let (min, max) = (
+            bytes.iter().cloned().fold(f64::MAX, f64::min),
+            bytes.iter().cloned().fold(0.0, f64::max),
+        );
+        assert!(max / min <= 1.01, "{series}: {min} .. {max} B");
+    }
+}
+
+/// Without checkpoints recovery replays the whole history: bytes per chunk
+/// constant within 1 % (236 520 / 473 040 / 946 080 B for 4 / 8 / 16
+/// chunks), where a checkpointed run's fall by half with each doubling.
+fn recovery_replay_grows_without_checkpoints(rows: &[Row]) {
+    let none = by_x(rows, "replay-none");
+    let per_chunk = none[0].y / none[0].x;
+    for r in &none {
+        assert!(within(r.y / r.x, per_chunk, 0.01), "{} B over {} chunks", r.y, r.x);
+    }
+}
+
+/// Restore time tracks the snapshot images read, not the log: with a
+/// checkpoint every chunk it is the same at 4, 8 and 16 chunks (1 435.91 µs,
+/// both ping-pong slots hold an image), where the `none` cadence's replayed
+/// bytes grow 4 ×; every other chunk matches it once both slots are written
+/// (8 and 16 chunks; at 4 only one is, 907.27 µs). With no checkpoint there
+/// is nothing to restore (0 µs).
+fn recovery_restore_flat_in_run_length(rows: &[Row]) {
+    let every_1 = by_x(rows, "replay-every-1");
+    for r in &every_1 {
+        assert!(
+            within(r.extra, every_1[0].extra, 0.01),
+            "restore {} us at {} chunks",
+            r.extra,
+            r.x
+        );
+    }
+    for chunks in [8.0, 16.0] {
+        let every_2 = cell(rows, "replay-every-2", chunks).extra;
+        assert!(
+            within(every_2, every_1[0].extra, 0.01),
+            "every-2 restore {every_2} us at {chunks}"
+        );
+    }
+    for r in by_x(rows, "replay-none") {
+        assert_eq!(r.extra, 0.0, "replay-none restored {} us at {} chunks", r.extra, r.x);
+    }
+}
+
+// ---- Ablation, destage deadline: y = filler fraction of destaged pages,
+// extra = tail-read staleness µs, x = deadline µs
+
+/// A longer deadline waits for fuller pages: the filler fraction falls
+/// strictly from 50 µs to 5 ms (0.969 → 0.038).
+fn deadline_filler_falls(rows: &[Row]) {
+    for pair in by_x(rows, "destage-deadline").windows(2) {
+        assert!(
+            pair[1].y < pair[0].y,
+            "filler {} at {} us vs {} at {} us",
+            pair[1].y,
+            pair[1].x,
+            pair[0].y,
+            pair[0].x
+        );
+    }
+}
+
+/// … and the log's tail stays unreadable on flash longer: staleness rises
+/// strictly with the deadline (678 → 5 628 µs).
+fn deadline_staleness_rises(rows: &[Row]) {
+    for pair in by_x(rows, "destage-deadline").windows(2) {
+        assert!(
+            pair[1].extra > pair[0].extra,
+            "staleness {} at {} us vs {} at {} us",
+            pair[1].extra,
+            pair[1].x,
+            pair[0].extra,
+            pair[0].x
+        );
+    }
+}
+
+// ---- Ablation, replicated TPC-C: y = txn/s, extra = mean commit µs,
+// x = secondaries
+
+/// Log shipping rides the device, not the database: throughput with 0, 1
+/// and 2 secondaries within 0.1 % (147 484 / 147 479 / 147 479 txn/s) —
+/// the closed loop stays CPU-bound.
+fn replicated_tpcc_throughput_cpu_bound(rows: &[Row]) {
+    let base = cell(rows, "0-secondaries", 0.0).y;
+    for r in rows {
+        assert!(within(r.y, base, 0.001), "{}: {} vs {base} txn/s", r.series, r.y);
+    }
+}
+
+/// The first secondary costs one replication delay — latency rises, by
+/// under 10 % (81.11 → 84.51 µs) — and the second almost nothing (84.70 µs,
+/// under 1 % more): the mirror flows run in parallel.
+fn replicated_tpcc_latency_one_replication_delay(rows: &[Row]) {
+    let lat = |n: f64| cell(rows, &format!("{n}-secondaries"), n).extra;
+    let (zero, one, two) = (lat(0.0), lat(1.0), lat(2.0));
+    assert!(zero < one && one < 1.10 * zero, "first secondary: {zero} -> {one} us");
+    assert!(one <= two && two < 1.01 * one, "second secondary: {one} -> {two} us");
+}
+
+// ---- chaos_tpcc: one row per outcome, x = the fault seed
+
+/// Zero committed-transaction loss: recovery from each surviving secondary
+/// (`recovery.txns` y and extra) finds every logged transaction
+/// (`txns.logged`, 299).
+fn chaos_every_logged_txn_recovered(rows: &[Row]) {
+    let logged = rows.iter().find(|r| r.series == "txns.logged").expect("txns.logged").y;
+    let recovered = rows.iter().find(|r| r.series == "recovery.txns").expect("recovery.txns");
+    assert!(logged > 0.0, "nothing logged");
+    assert_eq!((recovered.y, recovered.extra), (logged, logged), "recovered vs {logged} logged");
+}
+
+/// The run survived every fault class it armed: each `fault.*` row counts
+/// both of its faults above zero (flash retries and retired blocks, NTB
+/// replays and link-down deferrals, NVMe retries and timeouts).
+fn chaos_every_fault_class_fired(rows: &[Row]) {
+    let faults: Vec<&Row> = rows.iter().filter(|r| r.series.starts_with("fault.")).collect();
+    assert_eq!(faults.len(), 3, "flash, NTB and NVMe fault rows");
+    for r in faults {
+        assert!(r.y > 0.0 && r.extra > 0.0, "{}: {} / {}", r.series, r.y, r.extra);
+    }
 }

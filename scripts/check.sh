@@ -41,6 +41,20 @@ if LC_ALL=C awk 'length($0) > 1024 { print FILENAME ":" FNR ": " length($0) " by
   exit 1
 fi
 
+echo "== one copy of each claim (a predicate over its golden; no harness prose, no RDMA model)"
+# ROADMAP item 21: a shape claim is a predicate in the CLAIMS table of
+# crates/bench/tests/paper_shapes.rs, which also fails on a golden no entry
+# reads. A harness does not print a second, unchecked copy as `expected`
+# prose, and the RDMA model, which stated no claim, does not come back.
+if grep -rn 'println!("expected' crates/bench/src/bin/; then
+  echo "FAIL: a harness prints its expected shape as prose; state it as a predicate in crates/bench/tests/paper_shapes.rs (lines above)."
+  exit 1
+fi
+if grep -rnE 'RdmaTransport|RdmaConfig|mod rdma' crates/ src/ tests/ examples/; then
+  echo "FAIL: the RDMA transport model is back (lines above)."
+  exit 1
+fi
+
 echo "== results gate self-test (added path passes; changed value, removed path, changed row fail)"
 python3 scripts/results_diff.py --self-test
 
@@ -262,4 +276,4 @@ echo "== benchmark: its own tests, then every workload and check at 1/50 horizon
 (cd benchmark && cargo test --offline --quiet)
 benchmark/run.sh --quick > /dev/null
 
-echo "ok: fmt, clippy, reachability, zero paths, one flash error source, CHANGES.md line length, gate self-test, tests, count, nudge, one-collector, one-latency-copy, one-runner, panic-ratchet, unsafe-confinement, one-intake, one-log, one-index, one-checksum, no-GC and buffer-scan gates, recovery smoke, chaos smoke, benchmark checks all clean"
+echo "ok: fmt, clippy, reachability, zero paths, one flash error source, CHANGES.md line length, one copy of each claim, gate self-test, tests, count, nudge, one-collector, one-latency-copy, one-runner, panic-ratchet, unsafe-confinement, one-intake, one-log, one-index, one-checksum, no-GC and buffer-scan gates, recovery smoke, chaos smoke, benchmark checks all clean"

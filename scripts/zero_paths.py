@@ -58,8 +58,6 @@ ALLOW = {
     "db.log.port.retry.resubmits": (TEST, PORT_FAULT_TESTS),
     "core.transport.flowN.fault.link_down_deferrals": (TEST, FLOW_LINK_DOWN_TESTS),
     "core.transport.upstream.fault.link_down_deferrals": (TEST, FLOW_LINK_DOWN_TESTS),
-    "pcie.ntb.fault.link_down_deferrals": (TEST, ("link_down_window_parks_traffic_until_retrain",)),
-    "pcie.ntb.retry.tlp_replays": (TEST, ("tlp_drop_pays_replay_timer_not_loss",)),
     # Verdict (e): the pipelined log writer; the benchmark's ycsb_nvme runs
     # it at depth 4, until item 7.
     "db.log.async_appends": (
