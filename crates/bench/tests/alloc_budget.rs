@@ -1,7 +1,7 @@
 //! Allocation-regression guard over the database hot path.
 //!
-//! A counting global allocator (hand-rolled; no crates.io access) wraps the
-//! system allocator and counts every `alloc`/`realloc`/`alloc_zeroed`. The
+//! A counting global allocator (`counting`, shared with `host_counts`) wraps
+//! the system allocator and counts every `alloc`/`realloc`/`alloc_zeroed`. The
 //! tests drive warmed-up TPC-C and YCSB workloads and assert the *average*
 //! allocation count per committed transaction stays under an explicit
 //! budget. The budgets are deliberately snug: the hot path pays one
@@ -17,96 +17,20 @@
 //! tests hold the peak growth of a whole driver run under a budget: per
 //! measured commit, what a YCSB run keeps is its latency sample, once, and
 //! its bucket tag when the run has a series; per stored row, what a TPC-C
-//! run keeps is the row's image and its 32-byte entry (key and row handle)
-//! in a filled index leaf.
+//! run keeps is the row's bytes in its table's arena and its 32-byte entry
+//! (key and arena place) in a filled index leaf.
 //! Another holds the destage pages of an eager triple to one copy of the
 //! ring, not one per replica. Two more pin `simkit::Bytes`: one allocation
 //! per buffer, freed once however many threads drop clones of it, and none
 //! for an empty buffer.
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+mod counting;
+
+use counting::{ALLOCS, LIVE, PEAK, WATCHED, WATCHED_ALLOCS, WATCHED_FREES};
+use std::sync::atomic::Ordering;
 use std::sync::Mutex;
 
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-/// Bytes allocated and not yet freed, as requested (not as the system
-/// allocator rounds them).
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-/// The largest `LIVE` since it was last reset.
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-/// Allocations and frees of exactly `WATCHED` bytes (0: none watched).
-static WATCHED: AtomicUsize = AtomicUsize::new(0);
-static WATCHED_ALLOCS: AtomicU64 = AtomicU64::new(0);
-static WATCHED_FREES: AtomicU64 = AtomicU64::new(0);
-
-thread_local! {
-    /// Allocations made by the current thread (a const-initialized cell: no
-    /// allocation or destructor of its own).
-    static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn count_alloc(size: usize) {
-    ALLOCS.fetch_add(1, Ordering::Relaxed);
-    THREAD_ALLOCS.with(|n| n.set(n.get() + 1));
-    if size == WATCHED.load(Ordering::Relaxed) {
-        WATCHED_ALLOCS.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-fn grow(bytes: usize) {
-    let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
-    PEAK.fetch_max(live, Ordering::Relaxed);
-}
-
-fn shrink(bytes: usize) {
-    LIVE.fetch_sub(bytes, Ordering::Relaxed);
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_alloc(layout.size());
-        let ptr = unsafe { System.alloc(layout) };
-        if !ptr.is_null() {
-            grow(layout.size());
-        }
-        ptr
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        if layout.size() == WATCHED.load(Ordering::Relaxed) {
-            WATCHED_FREES.fetch_add(1, Ordering::Relaxed);
-        }
-        shrink(layout.size());
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_alloc(new_size);
-        let new = unsafe { System.realloc(ptr, layout, new_size) };
-        if !new.is_null() {
-            if new_size >= layout.size() {
-                grow(new_size - layout.size());
-            } else {
-                shrink(layout.size() - new_size);
-            }
-        }
-        new
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_alloc(layout.size());
-        let ptr = unsafe { System.alloc_zeroed(layout) };
-        if !ptr.is_null() {
-            grow(layout.size());
-        }
-        ptr
-    }
-}
-
 #[global_allocator]
-static ALLOCATOR: CountingAlloc = CountingAlloc;
+static ALLOCATOR: counting::CountingAlloc = counting::CountingAlloc;
 
 /// Serializes the tests, setup included, so none counts another's
 /// allocations or live bytes.
@@ -351,14 +275,18 @@ fn a_stored_tpcc_row_holds_its_image_and_a_filled_leaf_slot() {
     // warehouse × district): the index's split rule keeps their leaves full.
     let order_lines = db.table_id("order_line").and_then(|t| db.table(t)).expect("order_line");
     assert!(order_lines.leaf_fill() >= 0.98, "order_line leaf fill {}", order_lines.leaf_fill());
-    // Measured 100.13 B (358 639 rows, 59 046 commits; order lines at
-    // 0.996 leaf fill) with 32-byte entries in leaves filled by the 64
-    // interleaved district runs; 100.31 B while each latency sample also
-    // had a kind tag, 109.19 B when each entry also held an 8-byte row
-    // version, 135.26 B with `std`'s B-tree, whose middle split
-    // left them about 6/11 full, and 166.90 B with 56-byte entries (a
-    // 32-byte key and an `Arc<[u8]>` fat pointer).
-    const BUDGET: f64 = 105.0;
+    // Measured 84.87 B (358 639 rows, 59 046 commits; order lines at
+    // 0.996 leaf fill): each row's bytes once, back to back in its table's
+    // arena pages, and a 32-byte entry (key and arena place) in index
+    // leaves that sit 64 to a chunk and are filled by the 64 interleaved
+    // district runs. It was 100.13 B with each row its own refcounted
+    // allocation (a 16-byte header before its bytes) and each node its own
+    // `Box`, 100.31 B while each latency sample also had a kind tag,
+    // 109.19 B when each entry also held an 8-byte row version, 135.26 B
+    // with `std`'s B-tree, whose middle split left them about 6/11 full,
+    // and 166.90 B with 56-byte entries (a 32-byte key and an `Arc<[u8]>`
+    // fat pointer).
+    const BUDGET: f64 = 89.0;
     assert!(
         per_row <= BUDGET,
         "a stored row holds {per_row:.2} live heap bytes at the peak (budget {BUDGET})"
@@ -406,7 +334,7 @@ fn a_bytes_buffer_cloned_on_two_threads_is_freed_once() {
 fn empty_bytes_buffers_allocate_nothing() {
     let _guard = MEASURE.lock().unwrap();
     use simkit::Bytes;
-    let before = THREAD_ALLOCS.with(Cell::get);
+    let before = counting::thread_counts().allocs;
     for _ in 0..1_000 {
         let empties = [
             Bytes::new(),
@@ -418,5 +346,5 @@ fn empty_bytes_buffers_allocate_nothing() {
         let clones = std::hint::black_box(empties.clone());
         assert!(clones.iter().chain(&empties).all(|e| e.is_empty()));
     }
-    assert_eq!(THREAD_ALLOCS.with(Cell::get) - before, 0);
+    assert_eq!(counting::thread_counts().allocs - before, 0);
 }

@@ -10,6 +10,7 @@
 //! `#[test]` per golden. `every_golden_states_a_claim` fails on a golden no
 //! entry reads and on an entry whose golden is gone.
 
+use pcie::StoreIssueModel;
 use std::path::{Path, PathBuf};
 
 /// A predicate's name, for the failure report, and the predicate.
@@ -40,6 +41,7 @@ claims! {
         fig10_wc_at_least_uc,
         fig10_sram_peaks_at_64,
         fig10_dram_plateaus_from_16,
+        fig10_dram_follows_tlp_efficiency,
     ],
     fig11_shapes_hold: "fig11_queue_size.json" => [
         fig11_latency_set_by_write_once_queue_holds_it,
@@ -278,6 +280,34 @@ fn fig10_dram_plateaus_from_16(rows: &[Row]) {
     for r in wc {
         let on_plateau = within(r.y, plateau, 0.01);
         assert_eq!(on_plateau, r.x >= 16.0, "dram-wc at {} B: {} of {plateau}", r.x, r.y);
+    }
+}
+
+/// The analytic anchor under the DRAM plateau (ROADMAP item 2(b)): every
+/// `dram-*` cell's MB/s is within 1 % of min(p / ⌈(p + 24 B) ÷ 2 GB/s⌉ ns,
+/// 800 MB/s), p the TLP payload — the write, at most one uncached word (or
+/// one WC buffer) — 24 B the per-TLP overhead, 2 GB/s the host link and
+/// 800 MB/s the DRAM port after its 0.4 share, all read from the
+/// configuration. The link charges whole nanoseconds per TLP
+/// (`Bandwidth::transfer_time`), so 1 B is 1 B / 13 ns = 76.92 MB/s
+/// (76.86 measured), not 1 B / 12.5 ns; 16 B is 16 / 20 = 800 MB/s.
+fn fig10_dram_follows_tlp_efficiency(rows: &[Row]) {
+    let config = xssd_core::VillarsConfig::villars_dram();
+    let link = config.conventional.link;
+    let port_mbps = config.cmb.backing_bandwidth().as_gbytes_per_sec() * 1e3;
+    for (series, mode) in [("dram-wc", StoreIssueModel::wc()), ("dram-uc", StoreIssueModel::uc())] {
+        for r in by_x(rows, series) {
+            let payload = (r.x as u64).min(mode.unit());
+            let wire = payload + link.overhead.per_tlp_bytes();
+            let tlp_ns = link.bandwidth().transfer_time(wire).as_nanos();
+            let expect = (payload as f64 / tlp_ns as f64 * 1e3).min(port_mbps);
+            assert!(
+                within(r.extra, expect, 0.01),
+                "{series} at {} B: {} MB/s, the TLP bound is {expect:.2}",
+                r.x,
+                r.extra
+            );
+        }
     }
 }
 

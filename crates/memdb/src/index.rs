@@ -18,11 +18,14 @@
 //! child hands the root down. [`Index::edit`] finds a key once and lets its
 //! caller read, replace, insert or remove the entry in that one descent.
 //!
-//! Every node is one `Box`, addressed by a `u32` id through one table per
-//! node kind, so the heap the allocator counts is the memory the process
-//! holds. A debug build runs [`Index::check`] after every split and freed
-//! leaf (past 4 096 entries, after every power-of-two-th such change, so a
-//! bulk load stays O(n log n)).
+//! Nodes sit in fixed chunks of [`CHUNK`] per node kind, addressed by a
+//! `u32` id. A chunk is allocated once at its full size and never grows, so
+//! a node never moves, there is no per-node allocation header, and the heap
+//! the allocator counts is the memory the process holds (no doubling slack,
+//! no reallocation that briefly holds two copies). A debug build runs
+//! [`Index::check`] after every split and freed leaf (past 4 096 entries,
+//! after every power-of-two-th such change, so a bulk load stays
+//! O(n log n)).
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -30,6 +33,8 @@ use std::mem;
 
 /// Keys per node, as in `std`'s B-tree.
 const CAP: usize = 11;
+/// Nodes per chunk.
+const CHUNK: usize = 64;
 /// No leaf: either end of the leaf chain.
 const NIL: u32 = u32::MAX;
 /// No insert into this node yet.
@@ -61,15 +66,15 @@ struct Inner<K> {
 }
 
 impl<K: Default, V: Default> Leaf<K, V> {
-    fn new() -> Box<Self> {
-        Box::new(Leaf {
+    fn new() -> Self {
+        Leaf {
             keys: std::array::from_fn(|_| K::default()),
             vals: std::array::from_fn(|_| V::default()),
             len: 0,
             last_insert: NO_INSERT,
             prev: NIL,
             next: NIL,
-        })
+        }
     }
 
     fn keys(&self) -> &[K] {
@@ -78,13 +83,13 @@ impl<K: Default, V: Default> Leaf<K, V> {
 }
 
 impl<K: Ord + Default> Inner<K> {
-    fn new() -> Box<Self> {
-        Box::new(Inner {
+    fn new() -> Self {
+        Inner {
             keys: std::array::from_fn(|_| K::default()),
             children: [NIL; CAP + 1],
             len: 0,
             last_insert: NO_INSERT,
-        })
+        }
     }
 
     /// The slot of the child whose subtree holds `key`: the number of
@@ -123,16 +128,72 @@ fn remove_at<T: Default>(slots: &mut [T], at: usize, len: usize) -> T {
     x
 }
 
-/// Two distinct nodes of one table, both mutable.
-fn pair<T>(nodes: &mut [Box<T>], a: u32, b: u32) -> (&mut T, &mut T) {
-    let (a, b) = (a as usize, b as usize);
+/// Two distinct items of one slice, both mutable.
+fn pair<T>(items: &mut [T], a: usize, b: usize) -> (&mut T, &mut T) {
     debug_assert_ne!(a, b);
     if a < b {
-        let (lo, hi) = nodes.split_at_mut(b);
+        let (lo, hi) = items.split_at_mut(b);
         (&mut lo[a], &mut hi[0])
     } else {
-        let (lo, hi) = nodes.split_at_mut(a);
+        let (lo, hi) = items.split_at_mut(a);
         (&mut hi[0], &mut lo[b])
+    }
+}
+
+/// The nodes of one kind, in chunks of [`CHUNK`]: node `id` is item
+/// `id % CHUNK` of chunk `id / CHUNK`.
+struct Nodes<T> {
+    /// Each allocated with room for [`CHUNK`] nodes and filled up to it.
+    chunks: Vec<Vec<T>>,
+    len: usize,
+}
+
+impl<T> Nodes<T> {
+    fn new() -> Self {
+        Nodes { chunks: Vec::new(), len: 0 }
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Add `node`; returns its id.
+    fn push(&mut self, node: T) -> u32 {
+        let id = self.len;
+        if id.is_multiple_of(CHUNK) {
+            self.chunks.push(Vec::with_capacity(CHUNK));
+        }
+        self.chunks[id / CHUNK].push(node);
+        self.len += 1;
+        id as u32
+    }
+
+    /// Two distinct nodes, both mutable.
+    fn pair(&mut self, a: u32, b: u32) -> (&mut T, &mut T) {
+        let (a, b) = (a as usize, b as usize);
+        if a / CHUNK == b / CHUNK {
+            return pair(&mut self.chunks[a / CHUNK], a % CHUNK, b % CHUNK);
+        }
+        let (l, r) = pair(&mut self.chunks, a / CHUNK, b / CHUNK);
+        (&mut l[a % CHUNK], &mut r[b % CHUNK])
+    }
+}
+
+impl<T> std::ops::Index<u32> for Nodes<T> {
+    type Output = T;
+
+    #[inline]
+    fn index(&self, id: u32) -> &T {
+        let id = id as usize;
+        &self.chunks[id / CHUNK][id % CHUNK]
+    }
+}
+
+impl<T> std::ops::IndexMut<u32> for Nodes<T> {
+    #[inline]
+    fn index_mut(&mut self, id: u32) -> &mut T {
+        let id = id as usize;
+        &mut self.chunks[id / CHUNK][id % CHUNK]
     }
 }
 
@@ -161,8 +222,8 @@ enum Change<K> {
 
 /// An ordered map from `K` to `V` (see the module doc).
 pub struct Index<K, V> {
-    leaves: Vec<Box<Leaf<K, V>>>,
-    inners: Vec<Box<Inner<K>>>,
+    leaves: Nodes<Leaf<K, V>>,
+    inners: Nodes<Inner<K>>,
     free_leaves: Vec<u32>,
     free_inners: Vec<u32>,
     /// A leaf when `height` is 0, an inner node above.
@@ -178,6 +239,8 @@ pub struct Index<K, V> {
     path: Vec<(u32, usize)>,
     /// Splits and freed leaves so far (the debug check's cadence).
     changes: u64,
+    /// Debug checks run by edits so far.
+    checks: u64,
 }
 
 impl<K: Ord + Clone + Default, V: Default> Default for Index<K, V> {
@@ -189,9 +252,11 @@ impl<K: Ord + Clone + Default, V: Default> Default for Index<K, V> {
 impl<K: Ord + Clone + Default, V: Default> Index<K, V> {
     /// An empty index: one empty root leaf.
     pub fn new() -> Self {
+        let mut leaves = Nodes::new();
+        leaves.push(Leaf::new());
         Index {
-            leaves: vec![Leaf::new()],
-            inners: Vec::new(),
+            leaves,
+            inners: Nodes::new(),
             free_leaves: Vec::new(),
             free_inners: Vec::new(),
             root: 0,
@@ -201,6 +266,7 @@ impl<K: Ord + Clone + Default, V: Default> Index<K, V> {
             len: 0,
             path: Vec::new(),
             changes: 0,
+            checks: 0,
         }
     }
 
@@ -226,7 +292,7 @@ impl<K: Ord + Clone + Default, V: Default> Index<K, V> {
     fn leaf_for(&self, key: &K) -> u32 {
         let mut id = self.root;
         for _ in 0..self.height {
-            let node = &self.inners[id as usize];
+            let node = &self.inners[id];
             id = node.children[node.slot_for(key)];
         }
         id
@@ -234,7 +300,7 @@ impl<K: Ord + Clone + Default, V: Default> Index<K, V> {
 
     /// The value stored under `key`.
     pub fn get(&self, key: &K) -> Option<&V> {
-        let leaf = &self.leaves[self.leaf_for(key) as usize];
+        let leaf = &self.leaves[self.leaf_for(key)];
         match search(leaf.keys(), key) {
             (i, true) => Some(&leaf.vals[i]),
             _ => None,
@@ -251,12 +317,12 @@ impl<K: Ord + Clone + Default, V: Default> Index<K, V> {
         self.path.clear();
         let mut id = self.root;
         for _ in 0..self.height {
-            let node = &self.inners[id as usize];
+            let node = &self.inners[id];
             let slot = node.slot_for(key);
             self.path.push((id, slot));
             id = node.children[slot];
         }
-        let leaf = &mut self.leaves[id as usize];
+        let leaf = &mut self.leaves[id];
         let (at, found) = search(leaf.keys(), key);
         let mut slot = if found { Some(mem::take(&mut leaf.vals[at])) } else { None };
         let r = f(&mut slot);
@@ -281,7 +347,7 @@ impl<K: Ord + Clone + Default, V: Default> Index<K, V> {
         }
         if let Change::Split(separator, right) = change {
             let root = self.alloc_inner();
-            let node = &mut self.inners[root as usize];
+            let node = &mut self.inners[root];
             node.keys[0] = separator;
             node.children[..2].copy_from_slice(&[self.root, right]);
             node.len = 2;
@@ -292,9 +358,9 @@ impl<K: Ord + Clone + Default, V: Default> Index<K, V> {
         if self.changes != changes {
             // The root keeps at least two children (so it never empties):
             // one left with a single child hands the root down to it.
-            while self.height > 0 && self.inners[self.root as usize].len == 1 {
+            while self.height > 0 && self.inners[self.root].len == 1 {
                 let old = self.root;
-                self.root = self.inners[old as usize].children[0];
+                self.root = self.inners[old].children[0];
                 self.free_inner(old);
                 self.height -= 1;
             }
@@ -302,24 +368,33 @@ impl<K: Ord + Clone + Default, V: Default> Index<K, V> {
                 && (self.len <= CHECK_EVERY_CHANGE_UP_TO || self.changes.is_power_of_two())
             {
                 self.check();
+                self.checks += 1;
             }
         }
         r
     }
 
+    /// How many times a debug build's edits have run [`Index::check`], so a
+    /// caller can check what it keeps beside the index on the same cadence.
+    pub fn checks(&self) -> u64 {
+        self.checks
+    }
+
     /// Store `value` under `key`; returns the value it replaced.
+    #[cfg(test)]
     pub fn insert(&mut self, key: &K, value: V) -> Option<V> {
         self.edit(key, |slot| slot.replace(value))
     }
 
     /// Remove `key`'s entry; returns its value.
+    #[cfg(test)]
     pub fn remove(&mut self, key: &K) -> Option<V> {
         self.edit(key, Option::take)
     }
 
     fn leaf_insert(&mut self, id: u32, at: usize, key: K, value: V) -> Change<K> {
         self.len += 1;
-        let leaf = &mut self.leaves[id as usize];
+        let leaf = &mut self.leaves[id];
         let n = leaf.len as usize;
         if n < CAP {
             insert_at(&mut leaf.keys[..=n], at, key);
@@ -330,7 +405,7 @@ impl<K: Ord + Clone + Default, V: Default> Index<K, V> {
         }
         let t = split_point(at, leaf.last_insert);
         let right = self.alloc_leaf();
-        let (l, r) = pair(&mut self.leaves, id, right);
+        let (l, r) = self.leaves.pair(id, right);
         for (j, i) in (t..CAP).enumerate() {
             mem::swap(&mut l.keys[i], &mut r.keys[j]);
             mem::swap(&mut l.vals[i], &mut r.vals[j]);
@@ -346,7 +421,7 @@ impl<K: Ord + Clone + Default, V: Default> Index<K, V> {
         let (next, separator) = (r.next, r.keys[0].clone());
         match next {
             NIL => self.tail = right,
-            next => self.leaves[next as usize].prev = right,
+            next => self.leaves[next].prev = right,
         }
         self.changes += 1;
         Change::Split(separator, right)
@@ -354,7 +429,7 @@ impl<K: Ord + Clone + Default, V: Default> Index<K, V> {
 
     fn leaf_remove(&mut self, id: u32, at: usize) -> Change<K> {
         self.len -= 1;
-        let leaf = &mut self.leaves[id as usize];
+        let leaf = &mut self.leaves[id];
         let n = leaf.len as usize;
         // The value slot already holds the default `edit` took it for.
         remove_at(&mut leaf.keys, at, n);
@@ -371,11 +446,11 @@ impl<K: Ord + Clone + Default, V: Default> Index<K, V> {
         (leaf.prev, leaf.next, leaf.last_insert) = (NIL, NIL, NO_INSERT);
         match prev {
             NIL => self.head = next,
-            prev => self.leaves[prev as usize].next = next,
+            prev => self.leaves[prev].next = next,
         }
         match next {
             NIL => self.tail = prev,
-            next => self.leaves[next as usize].prev = prev,
+            next => self.leaves[next].prev = prev,
         }
         self.free_leaves.push(id);
         self.changes += 1;
@@ -385,7 +460,7 @@ impl<K: Ord + Clone + Default, V: Default> Index<K, V> {
     /// Child `slot` of inner node `id` split off `right`, separated by
     /// `separator`.
     fn inner_insert(&mut self, id: u32, slot: usize, separator: K, right: u32) -> Change<K> {
-        let node = &mut self.inners[id as usize];
+        let node = &mut self.inners[id];
         let n = node.len as usize;
         if n <= CAP {
             insert_at(&mut node.keys[..n], slot, separator);
@@ -395,7 +470,7 @@ impl<K: Ord + Clone + Default, V: Default> Index<K, V> {
             return Change::None;
         }
         let sibling = self.alloc_inner();
-        let (l, r) = pair(&mut self.inners, id, sibling);
+        let (l, r) = self.inners.pair(id, sibling);
         if slot == CAP {
             // The last child split: this node stays full and the new child
             // starts the sibling, under the new separator.
@@ -423,7 +498,7 @@ impl<K: Ord + Clone + Default, V: Default> Index<K, V> {
 
     /// Child `slot` of inner node `id` emptied and was freed.
     fn inner_remove(&mut self, id: u32, slot: usize) -> Change<K> {
-        let node = &mut self.inners[id as usize];
+        let node = &mut self.inners[id];
         let n = node.len as usize;
         if n == 1 {
             self.free_inner(id);
@@ -442,22 +517,16 @@ impl<K: Ord + Clone + Default, V: Default> Index<K, V> {
     }
 
     fn alloc_leaf(&mut self) -> u32 {
-        self.free_leaves.pop().unwrap_or_else(|| {
-            self.leaves.push(Leaf::new());
-            (self.leaves.len() - 1) as u32
-        })
+        self.free_leaves.pop().unwrap_or_else(|| self.leaves.push(Leaf::new()))
     }
 
     fn alloc_inner(&mut self) -> u32 {
-        self.free_inners.pop().unwrap_or_else(|| {
-            self.inners.push(Inner::new());
-            (self.inners.len() - 1) as u32
-        })
+        self.free_inners.pop().unwrap_or_else(|| self.inners.push(Inner::new()))
     }
 
     /// Return an inner node with no separators left to the free list.
     fn free_inner(&mut self, id: u32) {
-        let node = &mut self.inners[id as usize];
+        let node = &mut self.inners[id];
         (node.len, node.last_insert) = (0, NO_INSERT);
         self.free_inners.push(id);
     }
@@ -466,7 +535,7 @@ impl<K: Ord + Clone + Default, V: Default> Index<K, V> {
     /// that entry, or `(NIL, 0)` past the last one.
     fn gap_before(&self, key: &K) -> (u32, usize) {
         let id = self.leaf_for(key);
-        let leaf = &self.leaves[id as usize];
+        let leaf = &self.leaves[id];
         match search(leaf.keys(), key).0 {
             at if at < leaf.len as usize => (id, at),
             _ => (leaf.next, 0),
@@ -495,7 +564,7 @@ impl<K: Ord + Clone + Default, V: Default> Index<K, V> {
         let (mut id, mut from, mut count, mut leaves) = (self.head, NIL, 0usize, 0usize);
         let mut last: Option<&K> = None;
         while id != NIL {
-            let leaf = &self.leaves[id as usize];
+            let leaf = &self.leaves[id];
             assert_eq!(leaf.prev, from, "index: leaf {id}'s prev is not the leaf before it");
             assert!(leaf.len > 0 || self.height == 0, "index: empty leaf {id} on the chain");
             for k in leaf.keys() {
@@ -531,12 +600,12 @@ impl<K: Ord + Clone + Default, V: Default> Index<K, V> {
         let within = |k: &K| lo.is_none_or(|lo| lo <= k) && hi.is_none_or(|hi| k < hi);
         if height == 0 {
             assert_eq!(id, *next_leaf, "index: the tree and the leaf chain disagree");
-            let leaf = &self.leaves[id as usize];
+            let leaf = &self.leaves[id];
             assert!(leaf.keys().iter().all(within), "index: leaf {id} outside its separators");
             *next_leaf = leaf.next;
             return;
         }
-        let node = &self.inners[id as usize];
+        let node = &self.inners[id];
         let n = node.len as usize;
         // The root keeps two children at least, any other inner node one.
         let least = if height == self.height { 2 } else { 1 };
@@ -574,7 +643,7 @@ impl<'a, K: Ord + Clone + Default, V: Default> Iterator for Range<'a, K, V> {
         if id == NIL || self.back == Some(self.front) {
             return None;
         }
-        let leaf = &self.index.leaves[id as usize];
+        let leaf = &self.index.leaves[id];
         if self.back.is_none() && leaf.keys[at] >= self.to {
             self.back = Some(self.front);
             return None;
@@ -593,14 +662,14 @@ impl<K: Ord + Clone + Default, V: Default> DoubleEndedIterator for Range<'_, K, 
         let leaves = &self.index.leaves;
         let (id, at) = match back {
             (id, at) if at > 0 => (id, at - 1),
-            (NIL, _) => (self.index.tail, leaves[self.index.tail as usize].len as usize - 1),
+            (NIL, _) => (self.index.tail, leaves[self.index.tail].len as usize - 1),
             (id, _) => {
-                let prev = leaves[id as usize].prev;
-                (prev, leaves[prev as usize].len as usize - 1)
+                let prev = leaves[id].prev;
+                (prev, leaves[prev].len as usize - 1)
             }
         };
         self.back = Some((id, at));
-        let leaf = &self.index.leaves[id as usize];
+        let leaf = &self.index.leaves[id];
         Some((&leaf.keys[at], &leaf.vals[at]))
     }
 }
@@ -788,7 +857,7 @@ mod tests {
     fn a_key_out_of_order_breaks_the_index_invariant() {
         let (mut index, _) = interleaved(1, 100);
         // A test-only corruption: the first leaf's first two keys swapped.
-        let head = index.head as usize;
+        let head = index.head;
         index.leaves[head].keys.swap(0, 1);
         // Appends split the last leaf, and a debug build checks the index.
         for seq in 100..120 {

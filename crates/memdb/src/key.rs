@@ -7,8 +7,8 @@
 //! comparing and hashing exactly like the underlying byte slice — so
 //! `BTreeMap<SmallKey, _>` keeps its order-preserving semantics. The key is
 //! 24 bytes (a tag, a length byte and the 22 inline bytes; or the tag and
-//! a boxed slice), so a table entry with its 8-byte row handle is 32
-//! bytes. The keys that spill are TPC-C's
+//! a boxed slice), so a table entry with its 8-byte place in the table's
+//! row arena is 32 bytes. The keys that spill are TPC-C's
 //! customer-name index entry (28 bytes), its 24-byte scan prefix and that
 //! prefix's successor: load-time and by-name paths only.
 //!

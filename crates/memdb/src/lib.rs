@@ -22,6 +22,7 @@
 
 #![warn(missing_docs)]
 
+mod arena;
 pub mod backend;
 pub mod checkpoint;
 pub mod failover;

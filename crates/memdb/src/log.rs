@@ -57,8 +57,8 @@ pub struct LogRecord {
     pub table: TableId,
     /// Row key (empty for commit markers; inline, no heap for ≤ 24 B).
     pub key: SmallKey,
-    /// Row image (empty for deletes/commits; refcounted, shared with the
-    /// stored table image).
+    /// Row image (empty for deletes/commits; refcounted). The record owns
+    /// the image it was built from; the table stores a copy of its own.
     pub value: Bytes,
 }
 

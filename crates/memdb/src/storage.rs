@@ -19,32 +19,38 @@
 //! reads return borrowed `&[u8]` slices, range lookups go through visitor
 //! APIs ([`Database::scan_visit`]), keys live inline in [`SmallKey`]s, and
 //! finished contexts are recycled through a pool so their buffers are
-//! reused across transactions. Row images are refcounted
-//! [`simkit::Bytes`], shared between the stored table image and the
-//! emitted [`LogRecord`]s.
+//! reused across transactions. A stored row lives once, in its table's
+//! [`crate::arena`]: a write copies the caller's [`Row`] in when it is
+//! installed, and the [`LogRecord`] keeps the `Row` it was built from, so a
+//! record owns its image and the table holds the only long-lived copy.
 //!
 //! Every index probe goes through a [`Key`] — a stack copy of the caller's
 //! slice — so a descent compares words, not `memcmp` calls (see
 //! [`crate::key`]). A commit finds each row it writes once
 //! ([`Index::edit`]), keeping an undo list for atomicity.
 
-use crate::index::{self, Index};
+use crate::arena::{RowArena, RowRef};
+use crate::index::Index;
 use crate::key::SmallKey;
 use crate::log::{LogOp, LogRecord, TableId};
 
-/// A row image (refcounted; cloning shares the allocation).
+/// A row image as a caller hands it in and a log record carries it
+/// (refcounted; cloning shares the allocation). The table stores a copy.
 pub type Row = simkit::Bytes;
 /// An encoded, order-preserving key (inline up to 22 bytes).
 pub type Key = SmallKey;
 
-// A stored row's index entry: a 24-byte key and an 8-byte row handle. A
-// full leaf holds 11 in 368 bytes.
-const _: () = assert!(std::mem::size_of::<(Key, Row)>() == 32);
+// A stored row's index entry: a 24-byte key and an 8-byte place in the
+// table's arena. A full leaf holds 11 in 368 bytes.
+const _: () = assert!(std::mem::size_of::<(Key, RowRef)>() == 32);
 
-/// One table: ordered rows.
+/// One table: ordered rows, their bytes in the table's arena.
 #[derive(Debug, Default)]
 pub struct Table {
-    rows: Index<Key, Row>,
+    rows: Index<Key, RowRef>,
+    arena: RowArena,
+    /// `rows.checks()` when the arena was last checked (debug builds).
+    arena_checked: u64,
 }
 
 impl Table {
@@ -64,9 +70,53 @@ impl Table {
         self.rows.leaf_fill()
     }
 
-    /// Rows with keys in `[from, to)`, in key order.
-    fn range(&self, from: &[u8], to: &[u8]) -> index::Range<'_, Key, Row> {
-        self.rows.range(&Key::from_slice(from), Key::from_slice(to))
+    /// Rows with keys in `[from, to)`, in key order from either end.
+    fn range<'a>(
+        &'a self,
+        from: &[u8],
+        to: &[u8],
+    ) -> impl DoubleEndedIterator<Item = (&'a [u8], &'a [u8])> {
+        let range = self.rows.range(&Key::from_slice(from), Key::from_slice(to));
+        range.map(|(k, r)| (k.as_slice(), self.arena.get(*r)))
+    }
+
+    /// Every row, in key order.
+    fn iter(&self) -> impl Iterator<Item = (&[u8], &[u8])> {
+        self.rows.iter().map(|(k, r)| (k.as_slice(), self.arena.get(*r)))
+    }
+
+    fn get(&self, key: &[u8]) -> Option<&[u8]> {
+        self.rows.get(&Key::from_slice(key)).map(|r| self.arena.get(*r))
+    }
+
+    /// Store a copy of `row` under `key` (replacing and freeing any row
+    /// there), or with `None` remove the key's row.
+    fn put(&mut self, key: &Key, row: Option<&[u8]>) {
+        let Table { rows, arena, .. } = self;
+        rows.edit(key, |slot| {
+            if let Some(old) = slot.take() {
+                arena.free(old);
+            }
+            *slot = row.map(|row| arena.alloc(row));
+        });
+        self.settle();
+    }
+
+    /// The index's and the arena's invariants.
+    #[cfg(test)]
+    pub(crate) fn check(&self) {
+        self.rows.check();
+        self.arena.check(self.rows.iter().map(|(_, r)| *r));
+    }
+
+    /// Check the arena in a debug build when the index checked itself since
+    /// the last time: on its cadence, once every row a change freed is back
+    /// in the arena.
+    fn settle(&mut self) {
+        if cfg!(debug_assertions) && self.rows.checks() != self.arena_checked {
+            self.arena_checked = self.rows.checks();
+            self.arena.check(self.rows.iter().map(|(_, r)| *r));
+        }
     }
 }
 
@@ -120,9 +170,9 @@ pub struct TxnCtx {
     /// The database's mutation stamp as of `begin`.
     begin_stamp: u64,
     /// Commit's undo list: entry `i` is the row the `i`-th installed write
-    /// replaced (`None`: the key was vacant). The table and key are the
-    /// `i`-th log record's.
-    undo: Vec<Option<Row>>,
+    /// replaced (`None`: the key was vacant), still in the arena until the
+    /// commit succeeds. The table and key are the `i`-th log record's.
+    undo: Vec<Option<RowRef>>,
 }
 
 impl TxnCtx {
@@ -259,11 +309,11 @@ impl Database {
     {
         let Some(t) = self.tables.get(table as usize) else { return 0 };
         let mut n = 0;
-        for (k, v) in t.range(from, to) {
+        for (k, row) in t.range(from, to) {
             if n >= limit {
                 break;
             }
-            visit(k.as_slice(), v.as_slice());
+            visit(k, row);
             n += 1;
         }
         n
@@ -282,15 +332,13 @@ impl Database {
     /// First committed `(key, row)` in `[from, to)` (e.g. the oldest
     /// new-order), borrowed.
     pub fn first_in_range(&self, table: TableId, from: &[u8], to: &[u8]) -> Option<(&[u8], &[u8])> {
-        let (k, v) = self.tables.get(table as usize)?.range(from, to).next()?;
-        Some((k.as_slice(), v.as_slice()))
+        self.tables.get(table as usize)?.range(from, to).next()
     }
 
     /// Last committed `(key, row)` in `[from, to)` (e.g. a customer's latest
     /// order), borrowed.
     pub fn last_in_range(&self, table: TableId, from: &[u8], to: &[u8]) -> Option<(&[u8], &[u8])> {
-        let (k, v) = self.tables.get(table as usize)?.range(from, to).next_back()?;
-        Some((k.as_slice(), v.as_slice()))
+        self.tables.get(table as usize)?.range(from, to).next_back()
     }
 
     /// Buffer an insert.
@@ -322,8 +370,9 @@ impl Database {
 
     /// Apply the transaction. On success the buffered writes are installed
     /// atomically and the WAL records (ending with a commit marker) are
-    /// returned for the log manager to persist. Row images in the records
-    /// share their allocation with the installed table rows.
+    /// returned for the log manager to persist. Each record owns the row it
+    /// was written with; the table holds a copy, and the rows the commit
+    /// replaced go back to their arenas only once it has succeeded.
     ///
     /// # Panics
     ///
@@ -351,16 +400,26 @@ impl Database {
         }
         // Install + emit log records, one descent per written row. A
         // structural error puts back what was installed, newest first, so
-        // the commit stays atomic.
+        // the commit stays atomic; only a commit that stands frees the rows
+        // it replaced.
         let mut records = Vec::with_capacity(ctx.writes.len() + 1);
-        if let Err(e) = self.install_writes(ctx, &mut records) {
-            for (rec, old) in records.iter().zip(ctx.undo.drain(..)).rev() {
+        let installed = self.install_writes(ctx, &mut records);
+        for (rec, old) in records.iter().zip(ctx.undo.drain(..)).rev() {
+            let Table { rows, arena, .. } = &mut self.tables[rec.table as usize];
+            if installed.is_err() {
+                // Put the replaced row back; the one written over it goes.
                 self.write_probes += 1;
-                self.tables[rec.table as usize].rows.edit(&rec.key, |slot| *slot = old);
+                if let Some(new) = rows.edit(&rec.key, |slot| std::mem::replace(slot, old)) {
+                    arena.free(new);
+                }
+            } else if let Some(old) = old {
+                arena.free(old);
             }
-            return Err(e);
         }
-        ctx.undo.clear();
+        for t in &mut self.tables {
+            t.settle();
+        }
+        installed?;
         if !records.is_empty() {
             self.mutations += 1;
         }
@@ -377,8 +436,8 @@ impl Database {
     /// prefix for the caller to undo. Only a key the write set touches
     /// twice can make the current entry disagree with the pre-commit state,
     /// so the records are searched only in the branches where that matters.
-    /// Inserted/updated images are installed and logged as the same
-    /// refcounted buffer.
+    /// Inserted/updated images are copied into the table's arena, and each
+    /// record keeps the `Row` it was written with.
     fn install_writes(
         &mut self,
         ctx: &mut TxnCtx,
@@ -391,7 +450,8 @@ impl Database {
         let mut removed = false;
         let mut writes = ctx.writes.drain(..);
         while let Some((table, w)) = writes.next() {
-            let t = self.tables.get_mut(table as usize).ok_or(TxnError::NoSuchTable(table))?;
+            let Table { rows, arena, .. } =
+                self.tables.get_mut(table as usize).ok_or(TxnError::NoSuchTable(table))?;
             let (op, k, value) = match w {
                 PendingWrite::Insert(k, v) => (LogOp::Insert, k, v),
                 PendingWrite::Update(k, v) => (LogOp::Update, k, v),
@@ -407,7 +467,7 @@ impl Database {
                     .map(|i| undo[i].is_some())
             };
             // `None`: rejected, nothing changed; `Some(old)`: installed.
-            let installed = t.rows.edit(&k, |slot| {
+            let installed = rows.edit(&k, |slot| {
                 let rejected = match op {
                     LogOp::Insert if slot.is_some() => before() != Some(false),
                     LogOp::Insert => removed && before() == Some(true),
@@ -419,7 +479,7 @@ impl Database {
                 }
                 Some(match op {
                     LogOp::Delete => slot.take(),
-                    _ => slot.replace(value.clone()),
+                    _ => slot.replace(arena.alloc(&value)),
                 })
             });
             let Some(old) = installed else {
@@ -462,19 +522,15 @@ impl Database {
             self.mutations += 1;
         }
         for (table, w) in ctx.writes.drain(..) {
-            let rows = &mut self.tables[table as usize].rows;
             self.write_probes += 1;
             let (op, k, value) = match w {
                 PendingWrite::Insert(k, v) => (LogOp::Insert, k, v),
                 PendingWrite::Update(k, v) => (LogOp::Update, k, v),
                 PendingWrite::Delete(k) => (LogOp::Delete, k, Row::new()),
             };
-            records.push(LogRecord { txn_id, op, table, key: k.clone(), value: value.clone() });
-            if op == LogOp::Delete {
-                rows.remove(&k);
-            } else {
-                rows.insert(&k, value);
-            }
+            let row = (op != LogOp::Delete).then_some(value.as_slice());
+            self.tables[table as usize].put(&k, row);
+            records.push(LogRecord { txn_id, op, table, key: k, value });
         }
         records.push(LogRecord::commit(txn_id));
         self.commits += 1;
@@ -483,7 +539,7 @@ impl Database {
 
     /// Apply one *committed* log record directly (recovery / replica redo).
     /// Record application is idempotent for inserts/updates; the record's
-    /// row image is installed by refcount bump, not copied.
+    /// row image is copied into the table's arena.
     pub fn apply_record(&mut self, rec: &LogRecord) {
         match rec.op {
             LogOp::Commit => {}
@@ -493,12 +549,12 @@ impl Database {
                 while self.tables.len() <= table {
                     self.create_table(&format!("recovered_{}", self.tables.len()));
                 }
-                self.tables[table].rows.insert(&rec.key, rec.value.clone());
+                self.tables[table].put(&rec.key, Some(rec.value.as_slice()));
             }
             LogOp::Delete => {
                 self.mutations += 1;
                 if let Some(t) = self.tables.get_mut(rec.table as usize) {
-                    t.rows.remove(&rec.key);
+                    t.put(&rec.key, None);
                 }
             }
         }
@@ -506,7 +562,7 @@ impl Database {
 
     /// Raw (non-transactional) read, e.g. for verification.
     pub fn peek(&self, table: TableId, key: &[u8]) -> Option<&[u8]> {
-        self.tables.get(table as usize)?.rows.get(&Key::from_slice(key)).map(|v| v.as_slice())
+        self.tables.get(table as usize)?.get(key)
     }
 
     /// The catalog's table names in id order (checkpoint encoding).
@@ -521,17 +577,18 @@ impl Database {
         F: FnMut(&[u8], &[u8]),
     {
         if let Some(t) = self.tables.get(table as usize) {
-            for (k, v) in t.rows.iter() {
-                visit(k.as_slice(), v.as_slice());
+            for (k, row) in t.iter() {
+                visit(k, row);
             }
         }
     }
 
-    /// Install a row directly (checkpoint restore); bypasses transactions.
-    pub fn install_row(&mut self, table: TableId, key: impl Into<Key>, row: impl Into<Row>) {
+    /// Install a copy of a row directly (checkpoint restore); bypasses
+    /// transactions.
+    pub fn install_row(&mut self, table: TableId, key: impl Into<Key>, row: impl AsRef<[u8]>) {
         let t = self.tables.get_mut(table as usize).expect("install_row into missing table");
         self.mutations += 1;
-        t.rows.insert(&key.into(), row.into());
+        t.put(&key.into(), Some(row.as_ref()));
     }
 
     /// A stable fingerprint of all content (tables, keys, rows) for
@@ -546,9 +603,9 @@ impl Database {
         };
         for (i, t) in self.tables.iter().enumerate() {
             mix(&(i as u32).to_le_bytes());
-            for (k, v) in t.rows.iter() {
+            for (k, row) in t.iter() {
                 mix(k);
-                mix(v);
+                mix(row);
             }
         }
         h
@@ -838,14 +895,24 @@ mod tests {
     }
 
     #[test]
-    fn shared_row_images_between_table_and_log() {
+    fn a_record_keeps_its_image_after_its_row_is_overwritten_or_deleted() {
         let (mut db, t) = db_with_table();
         let mut ctx = db.begin();
         db.insert(&mut ctx, t, b"k".to_vec(), vec![7u8; 64]);
-        let recs = db.commit(ctx).unwrap();
-        let logged = recs[0].value.as_slice().as_ptr();
+        let inserted = db.commit(ctx).unwrap();
         let stored = db.peek(t, b"k").unwrap().as_ptr();
-        assert_eq!(logged, stored, "log record and table row share one buffer");
+        assert_ne!(inserted[0].value.as_ptr(), stored, "the table holds a copy of its own");
+        let mut ctx = db.begin();
+        db.update(&mut ctx, t, b"k".to_vec(), vec![8u8; 64]);
+        let updated = db.commit(ctx).unwrap();
+        assert_ne!(updated[0].value.as_ptr(), db.peek(t, b"k").unwrap().as_ptr());
+        assert_eq!(db.peek(t, b"k").unwrap(), [8u8; 64]);
+        let mut ctx = db.begin();
+        db.delete(&mut ctx, t, b"k".to_vec());
+        db.commit(ctx).unwrap();
+        assert!(db.peek(t, b"k").is_none());
+        assert_eq!(inserted[0].value.as_slice(), [7u8; 64], "the insert's record, after both");
+        assert_eq!(updated[0].value.as_slice(), [8u8; 64], "the update's record, after the delete");
     }
 
     // ---- serial schedules and install against the reference model -------
@@ -931,7 +998,7 @@ mod tests {
             .tables
             .iter()
             .enumerate()
-            .flat_map(|(i, t)| t.rows.iter().map(move |(k, v)| (i, k.to_vec(), v.to_vec())));
+            .flat_map(|(i, t)| t.iter().map(move |(k, v)| (i, k.to_vec(), v.to_vec())));
         (rows.collect(), [db.commits, db.aborts])
     }
 

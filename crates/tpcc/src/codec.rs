@@ -51,8 +51,9 @@ impl RowWriter {
 
 /// Field writer over a borrowed scratch buffer: the hot path builds every
 /// row into the workload's reusable `Vec<u8>` and pays exactly one
-/// allocation per written row (the final refcounted image), instead of a
-/// `RowWriter` `Vec` plus per-field `String`s.
+/// allocation per written row (the image its log record carries; the table
+/// copies it into its arena), instead of a `RowWriter` `Vec` plus
+/// per-field `String`s.
 #[derive(Debug)]
 pub struct RowBuf<'a> {
     buf: &'a mut Vec<u8>,
@@ -93,7 +94,8 @@ impl<'a> RowBuf<'a> {
         self
     }
 
-    /// Freeze the scratch contents into a refcounted row image.
+    /// Freeze the scratch contents into the row image a write hands the
+    /// database and its log record keeps.
     pub fn finish(self) -> simkit::Bytes {
         simkit::Bytes::copy_from_slice(self.buf)
     }

@@ -66,7 +66,8 @@ pub struct TpccWorkload {
     history_seq: u32,
     stats: MixStats,
     /// Reusable row scratch: every written row is staged here and frozen
-    /// into one refcounted image, so steady state re-allocates nothing.
+    /// into one image for its log record (the table keeps a copy in its
+    /// arena), so the scratch itself is never re-allocated.
     row_buf: Vec<u8>,
     /// StockLevel scratch: item ids of the scanned order lines.
     line_items: Vec<u32>,

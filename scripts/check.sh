@@ -73,6 +73,13 @@ echo "== allocation budget (release hot path, live heap per measured commit, per
 # so the measured averages match the configuration the wall-clock gate times.
 cargo test --release -p xssd-bench --test alloc_budget --quiet
 
+echo "== host counts (release: exact allocation and live-heap counts against BENCH_counts.json)"
+# ROADMAP item 20: crates/bench/tests/host_counts.rs runs fixed, seeded slices
+# and fails on any difference from the committed BENCH_counts.json, printing
+# the file as the build counts it. A change that moves a count on purpose
+# commits the new file; its diff is that change's record.
+cargo test --release -p xssd-bench --test host_counts --quiet
+
 echo "== fast-side run intake (release: per-TLP equivalence, chunk-count pin)"
 # crates/core/tests/fast_write_runs.rs: fast_write against the per-TLP walk
 # on both backings, and the exact count of chunks a replicated log hands to
@@ -225,6 +232,16 @@ if awk '/^#\[cfg\(test\)\]/ { exit } /BTreeMap/ { print FILENAME ":" FNR ": " $0
   exit 1
 fi
 
+echo "== one copy per stored row (a table's rows live in its arena, not one Bytes each)"
+# PERFORMANCE.md rule 5. A table's index maps a key to its row's place in
+# the table's memdb::arena; a log record owns the `Row` it was built from.
+# The index does not go back to holding a refcounted `Row` per entry, whose
+# 16-byte header and allocator rounding cost ~15 B a TPC-C row.
+if grep -nE 'Index<Key, *Row>' crates/memdb/src/storage.rs; then
+  echo "FAIL: crates/memdb/src/storage.rs indexes rows as Bytes again; store them in the table's RowArena (lines above)."
+  exit 1
+fi
+
 echo "== one log checksum (records, snapshots and segment seals share memdb::log::checksum)"
 # The byte-at-a-time FNV-1a it replaced does not come back as a second
 # checksum for one of the three framings.
@@ -276,4 +293,4 @@ echo "== benchmark: its own tests, then every workload and check at 1/50 horizon
 (cd benchmark && cargo test --offline --quiet)
 benchmark/run.sh --quick > /dev/null
 
-echo "ok: fmt, clippy, reachability, zero paths, one flash error source, CHANGES.md line length, one copy of each claim, gate self-test, tests, count, nudge, one-collector, one-latency-copy, one-runner, panic-ratchet, unsafe-confinement, one-intake, one-log, one-index, one-checksum, no-GC and buffer-scan gates, recovery smoke, chaos smoke, benchmark checks all clean"
+echo "ok: fmt, clippy, reachability, zero paths, one flash error source, CHANGES.md line length, one copy of each claim, gate self-test, tests, count, host counts, nudge, one-collector, one-latency-copy, one-runner, panic-ratchet, unsafe-confinement, one-intake, one-log, one-index, one-row-copy, one-checksum, no-GC and buffer-scan gates, recovery smoke, chaos smoke, benchmark checks all clean"
