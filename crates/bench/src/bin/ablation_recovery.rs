@@ -1,24 +1,23 @@
 //! ablation_recovery — recovery cost vs. checkpoint interval vs. run
-//! length, on the segmented WAL lifecycle.
+//! length.
 //!
-//! The lifecycle claim (docs/ROBUSTNESS.md, "Log lifecycle"): with sealed
-//! segments and checkpoint-anchored truncation, crash recovery replays
-//! *latest snapshot + subsequent segments* — its cost is a function of
-//! the checkpoint interval, never of total history. This harness proves
-//! it by grid: YCSB-A runs of increasing length (run-length axis) under
-//! three checkpoint cadences (interval axis), each ending in a power
-//! failure and a timed restore + bounded segment replay that must
-//! reproduce the live database fingerprint exactly.
+//! The lifecycle claim (docs/ROBUSTNESS.md, "Log lifecycle"): crash
+//! recovery replays *latest snapshot + the device's log suffix after it*
+//! — its cost is a function of the checkpoint interval, never of total
+//! history. This harness proves it by grid: YCSB-A runs of increasing
+//! length (run-length axis) under three checkpoint cadences (interval
+//! axis), each ending in a power failure and a timed restore + suffix
+//! replay from the destage ring that must reproduce the live database
+//! fingerprint exactly.
 //!
 //! Each cell drives the declarative driver in fixed chunks on the
 //! blocking log path; after every `interval` chunks (except the last
 //! boundary, so a replay suffix always exists) it writes a ping-pong
-//! checkpoint through the conventional block interface and advances the
-//! WAL truncation horizon, retiring covered segments. The claims its
+//! checkpoint through the conventional block interface. The claims its
 //! golden is held to are the `recovery_*` predicates in
 //! `crates/bench/tests/paper_shapes.rs`.
 
-use memdb::{replay_segments, Checkpointer, Lsn, SegmentConfig, WalConfig, WalManager, XssdLog};
+use memdb::{durable_log_stream, recover, Checkpointer, WalConfig, WalManager, XssdLog};
 use simkit::{MetricsRegistry, SimDuration, Snapshot};
 use xssd_bench::driver::{self, DriverConfig};
 use xssd_bench::table::{Cell, Col, Table};
@@ -47,8 +46,6 @@ struct Outcome {
     committed: u64,
     log_bytes: u64,
     checkpoints: u64,
-    segments_retained: u64,
-    archived_bytes: u64,
     restore_us: f64,
     replay_bytes: u64,
     replay_records: u64,
@@ -63,7 +60,6 @@ fn run_cell(interval: usize, chunks: usize) -> Outcome {
         XssdLog::new(cluster, dev, "villars-sram"),
         WalConfig { group_threshold: 4 << 10, ..WalConfig::default() },
     );
-    wal.enable_segments(SegmentConfig { segment_bytes: 16 << 10 });
     // Ping-pong snapshot slots on the conventional side, clear of the
     // destage ring (LBAs 0..4096 on this config).
     let mut ck = Checkpointer::new(dev, 8192, 256);
@@ -92,7 +88,6 @@ fn run_cell(interval: usize, chunks: usize) -> Outcome {
             let now = wal.log_writer_free();
             let horizon = wal.durable_upto().0;
             let (_t, meta) = ck.checkpoint(wal.backend_mut().cluster_mut(), now, &db, horizon);
-            wal.truncate_below(Lsn(meta.log_offset));
             snap_offset = meta.log_offset;
             checkpoints += 1;
         }
@@ -101,7 +96,7 @@ fn run_cell(interval: usize, chunks: usize) -> Outcome {
     let durable = wal.durable_upto().0;
 
     // Power-fail the device, reboot, and recover: newest snapshot (when
-    // one exists) + bounded segment replay, against the live fingerprint.
+    // one exists) + the destaged log after it, against the live fingerprint.
     let crash_at = wal.log_writer_free() + SimDuration::from_millis(2);
     {
         let cl = wal.backend_mut().cluster_mut();
@@ -123,26 +118,27 @@ fn run_cell(interval: usize, chunks: usize) -> Outcome {
             (crash_at, ycsb::setup(YcsbConfig::default(), SEED).0, 0)
         }
     };
-    let seg = wal.segments().expect("segments enabled");
-    let replay = replay_segments(&mut recovered, from, &seg.views(), durable);
+    // The cell's device telemetry ends at the restore: the suffix read
+    // below is recovery's own flash traffic.
+    let mut reg = MetricsRegistry::new();
+    reg.collect("", &wal);
+    let suffix = durable_log_stream(wal.backend_mut().cluster_mut(), restore_done, dev, from);
+    let replay = recover(&mut recovered, &suffix);
+    assert_eq!(replay.bytes_consumed as u64, durable - from, "the device holds the whole suffix");
     assert_eq!(replay.torn_bytes, 0, "a drained log has no torn tail");
     assert_eq!(
         recovered.fingerprint(),
         db.fingerprint(),
-        "snapshot + segment replay reproduces the live database exactly"
+        "snapshot + suffix replay reproduces the live database exactly"
     );
-
-    let mut reg = MetricsRegistry::new();
-    reg.collect("", &wal);
     reg.collect("", &replay);
+
     Outcome {
         committed,
         log_bytes: durable,
         checkpoints,
-        segments_retained: seg.segment_count() as u64,
-        archived_bytes: seg.archived_bytes(),
         restore_us: (restore_done - crash_at).as_nanos() as f64 / 1e3,
-        replay_bytes: replay.replay_bytes,
+        replay_bytes: replay.bytes_consumed as u64,
         replay_records: replay.records_scanned as u64,
         snapshot: reg.snapshot(),
     }
@@ -151,13 +147,13 @@ fn run_cell(interval: usize, chunks: usize) -> Outcome {
 fn main() {
     cli::no_args(
         "ablation_recovery",
-        "recovery cost vs checkpoint interval vs run length on the segmented WAL",
+        "recovery cost vs checkpoint interval vs run length: snapshot + the destaged log suffix",
     );
     let mut report = Report::new(
         "ablation_recovery",
         "recovery",
         "replayed bytes and restore time vs checkpoint interval vs run length",
-        "ycsb-a, 8192 rows, 4 KiB group commit, 2 workers, 10 ms chunks, 16 KiB segments, ping-pong snapshots",
+        "ycsb-a, 8192 rows, 4 KiB group commit, 2 workers, 10 ms chunks, ping-pong snapshots",
     );
     let grid: Vec<(usize, usize, &str, usize)> = INTERVALS
         .iter()
@@ -174,7 +170,6 @@ fn main() {
         Col::right("txns", 10),
         Col::right("log_KiB", 9),
         Col::right("ckpts", 7),
-        Col::right("segs", 6),
         Col::right("replay_KiB", 12),
         Col::right("records", 9),
         Col::right("restore_us", 12),
@@ -188,7 +183,6 @@ fn main() {
                 Cell::Int(o.committed),
                 Cell::Float(o.log_bytes as f64 / 1024.0, 1),
                 Cell::Int(o.checkpoints),
-                Cell::Int(o.segments_retained),
                 Cell::Float(o.replay_bytes as f64 / 1024.0, 1),
                 Cell::Int(o.replay_records),
                 Cell::Float(o.restore_us, 1),
@@ -206,7 +200,6 @@ fn main() {
     }
     for (&(_i, _iv, label, len), o) in grid.iter().zip(outcomes) {
         report.telemetry(format!("{label}.len{len}"), o.snapshot);
-        let _ = o.archived_bytes;
     }
     report.finish().expect("write results json");
 }

@@ -15,9 +15,10 @@
 //! completions, lost completions → timeout/abort/backoff-retry) against the
 //! conventional SSD, since the Villars fast path bypasses the NVMe queue.
 //!
-//! Non-golden seeds additionally run the segmented-lifecycle crash arcs
-//! ([`lifecycle_arcs`]): a power cut mid-segment-rotation and one
-//! mid-checkpoint, proving zero committed-transaction loss across seal and
+//! Non-golden seeds additionally run the log-lifecycle crash arcs
+//! ([`lifecycle_arcs`]): a power cut after a log suffix that spans destage
+//! pages and one mid-checkpoint, each recovered as snapshot + the device's
+//! log suffix, proving zero committed-transaction loss across page and
 //! snapshot boundaries and ping-pong fallback to the surviving slot.
 //!
 //! Usage: `chaos_tpcc [seed...]` (default seed `0xC0C5` is the committed
@@ -29,8 +30,8 @@
 //! survives — exactly what running the seeds sequentially produced.
 
 use memdb::{
-    durable_log_stream, encode_txn, fail_over, recover, rejoin_secondary, replay_segments,
-    Checkpointer, Lsn, SegmentConfig, WalConfig, WalManager, XssdLog,
+    durable_log_stream, encode_txn, fail_over, recover, rejoin_secondary, Checkpointer, Lsn,
+    WalConfig, WalManager, XssdLog,
 };
 use nvme::{drive_to_completion, CommandKind, IoCommand, IoPort, NvmeDriver};
 use simkit::faults::{
@@ -48,7 +49,7 @@ const GROUP: usize = 4;
 const PHASES: [usize; 3] = [120, 120, 60];
 /// Workload seed — fixed, so the fault seed alone distinguishes runs.
 const WORKLOAD_SEED: u64 = 0xAB5;
-/// The committed-golden fault seed. The segmented-lifecycle crash arcs
+/// The committed-golden fault seed. The log-lifecycle crash arcs
 /// run (and report) only for other seeds, keeping the golden
 /// `results/chaos_tpcc.json` byte-identical to the pre-lifecycle runs.
 const GOLDEN_SEED: u64 = 0xC0C5;
@@ -173,18 +174,18 @@ fn nvme_fault_section(plan: &FaultPlan) -> (u64, u64, u64, u64) {
     (s.retries(), s.timeouts(), s.error_completions(), s.dropped_completions())
 }
 
-/// What the segmented-lifecycle crash arcs measured for one seed.
+/// What the log-lifecycle crash arcs measured for one seed.
 struct LifecycleOutcome {
-    /// Segment seals between the anchoring checkpoint and the rotation
-    /// crash (>= 1: the replayed range crosses a seal boundary).
-    rotation_seals: u64,
-    /// Bytes replayed after the rotation crash (snapshot -> durable).
-    rotation_replay_bytes: u64,
-    /// Transactions the rotation replay redid.
-    rotation_txns: u64,
+    /// Destage pages the replayed suffix spans (>= 2: it crosses a page
+    /// boundary).
+    suffix_pages: u64,
+    /// Bytes replayed after the first crash (snapshot -> durable).
+    suffix_replay_bytes: u64,
+    /// Transactions the suffix replay redid.
+    suffix_txns: u64,
     /// Committed-but-unflushed transactions the crash dropped (they must
     /// NOT resurrect — the recovery target is the last durable group).
-    rotation_unflushed: u64,
+    suffix_unflushed: u64,
     /// Torn-checkpoint prefix size (bytes of generation 2 that reached
     /// the slot before the power cut).
     torn_keep: u64,
@@ -195,7 +196,7 @@ struct LifecycleOutcome {
 }
 
 /// One single-device lifecycle world: TPC-C through `WalManager<XssdLog>`
-/// with 4 KiB segments, explicit group flushes, and a fingerprint ledger
+/// with explicit group flushes, and a fingerprint ledger
 /// at every durable boundary (the oracle for what a crash may recover).
 struct LifecycleWorld {
     db: memdb::Database,
@@ -214,9 +215,7 @@ impl LifecycleWorld {
         let (db, workload, wrng) = setup(TpccConfig::small(), WORKLOAD_SEED ^ seed);
         let mut cluster = Cluster::new();
         let dev = cluster.add_device(chaos_device());
-        let mut wal =
-            WalManager::new(XssdLog::new(cluster, dev, "lifecycle"), WalConfig::default());
-        wal.enable_segments(SegmentConfig { segment_bytes: 4 << 10 });
+        let wal = WalManager::new(XssdLog::new(cluster, dev, "lifecycle"), WalConfig::default());
         // Ping-pong snapshot slots above the 2048-LBA destage ring (the
         // conventional side is 4096 LBAs of 4 KiB).
         let ck = Checkpointer::new(dev, 2048, 1024);
@@ -253,14 +252,13 @@ impl LifecycleWorld {
         }
     }
 
-    /// Checkpoint at the durable frontier and advance the truncation
-    /// horizon. Returns the snapshot's log offset.
+    /// Checkpoint at the durable frontier. Returns the snapshot's log
+    /// offset.
     fn checkpoint(&mut self) -> u64 {
         let now = self.wal.log_writer_free();
         let horizon = self.wal.durable_upto().0;
         let (_t, meta) =
             self.ck.checkpoint(self.wal.backend_mut().cluster_mut(), now, &self.db, horizon);
-        self.wal.truncate_below(Lsn(meta.log_offset));
         meta.log_offset
     }
 
@@ -273,17 +271,32 @@ impl LifecycleWorld {
         cl.power_fail(dev, t);
         cl.reboot_device(dev);
     }
+
+    /// Restore the newest snapshot and replay the device's destaged log
+    /// after its offset: the whole recovery. Returns the snapshot's
+    /// metadata, the recovered database and the replay's report.
+    fn recover(&mut self) -> (memdb::CheckpointMeta, memdb::Database, memdb::RecoveryReport) {
+        let now = self.wal.log_writer_free();
+        let dev = self.dev;
+        let cl = self.wal.backend_mut().cluster_mut();
+        let (t, meta, mut restored) =
+            self.ck.restore(cl, now).expect("a completed checkpoint survives the power cut");
+        let suffix = durable_log_stream(cl, t, dev, meta.log_offset);
+        let report = recover(&mut restored, &suffix);
+        (meta, restored, report)
+    }
 }
 
-/// The segmented-lifecycle crash arcs: two independent single-device
-/// worlds, each ending in a power cut at a lifecycle-critical instant.
+/// The log-lifecycle crash arcs: two independent single-device worlds,
+/// each ending in a power cut at a lifecycle-critical instant and
+/// recovered as snapshot + the device's log suffix.
 ///
-/// **Mid-rotation**: the log crosses at least one segment seal after the
-/// anchoring checkpoint, then crashes with a committed-but-unflushed
-/// transaction in the open group. Recovery (snapshot + bounded segment
-/// replay, clamped to the durable frontier) must land exactly on the last
-/// group-flush fingerprint: every fsynced transaction survives the seal
-/// boundary, the unflushed tail never resurrects.
+/// **Multi-page suffix**: the durable log after the anchoring checkpoint
+/// spans at least two destage pages, then the power fails with a
+/// committed-but-unflushed transaction in the open group. Recovery must
+/// land exactly on the last group-flush fingerprint: every fsynced
+/// transaction survives the page boundary, the unflushed tail never
+/// resurrects.
 ///
 /// **Mid-checkpoint**: generation 2 tears partway into its slot
 /// ([`Checkpointer::checkpoint_partial`]) before the power cut. Restore
@@ -291,21 +304,22 @@ impl LifecycleWorld {
 /// from there must reproduce the live database with zero committed loss.
 fn lifecycle_arcs(seed: u64) -> LifecycleOutcome {
     let plan = FaultPlan { seed, ..FaultPlan::disabled() };
-    let mut rng = plan.rng_for(site::SEGMENT_TAIL);
+    let mut rng = plan.rng_for(site::LOG_TAIL);
 
-    // --- Arc 1: crash mid segment rotation -----------------------------
+    // --- Arc 1: crash after a multi-page suffix --------------------------
     let mut w = LifecycleWorld::new(seed);
     w.run_logged(24);
     w.flush_group();
     let snap_offset = w.checkpoint();
-    let seals_at_ckpt = w.wal.segments().expect("segments on").seals();
-    // Cross at least one seal boundary with durable transactions.
+    // A destage page holds at most one page of log, so a longer durable
+    // suffix spans two pages or more.
+    let page = chaos_device().conventional.geometry.page_bytes as u64;
     let mut rounds = 0;
-    while w.wal.segments().expect("segments on").seals() == seals_at_ckpt {
+    while w.wal.durable_upto().0 - snap_offset <= page {
         w.run_logged(GROUP);
         w.flush_group();
         rounds += 1;
-        assert!(rounds < 64, "4 KiB segments must seal within a few TPC-C groups");
+        assert!(rounds < 64, "a page of log fills within a few TPC-C groups");
     }
     let durable_fp = w.ledger.last().expect("flushed groups").1;
     // Leave committed-but-unflushed transactions in the open group: the
@@ -314,20 +328,22 @@ fn lifecycle_arcs(seed: u64) -> LifecycleOutcome {
     let unflushed = w.group as u64;
     assert!(unflushed > 0, "the tail group holds undurable transactions");
     w.crash();
-    let now = w.wal.log_writer_free();
-    let (_t, meta, mut restored) =
-        w.ck.restore(w.wal.backend_mut().cluster_mut(), now)
-            .expect("the completed checkpoint survives the power cut");
+    let (meta, restored, suffix) = w.recover();
     assert_eq!(meta.log_offset, snap_offset);
-    let durable = w.wal.durable_upto().0;
-    let views = w.wal.segments().expect("segments on").views();
-    let rotation = replay_segments(&mut restored, meta.log_offset, &views, durable);
     assert_eq!(
         restored.fingerprint(),
         durable_fp,
-        "seed {seed}: rotation crash recovers exactly the durable prefix"
+        "seed {seed}: a crash after a multi-page suffix recovers exactly the durable prefix"
     );
-    let rotation_seals = w.wal.segments().expect("segments on").seals() - seals_at_ckpt;
+    let durable = w.wal.durable_upto().0;
+    let device = w.wal.backend_mut().cluster_mut().device(w.dev);
+    let mut suffix_pages = 0;
+    let mut off = snap_offset;
+    while off < durable {
+        off = device.destaged_segment(off).expect("the suffix is on the destage ring").log_to;
+        suffix_pages += 1;
+    }
+    assert!(suffix_pages >= 2, "seed {seed}: the replayed suffix crosses a destage page");
 
     // --- Arc 2: crash mid checkpoint ------------------------------------
     let mut w = LifecycleWorld::new(seed ^ 0xC4A5);
@@ -350,15 +366,9 @@ fn lifecycle_arcs(seed: u64) -> LifecycleOutcome {
     );
     assert!(keep < torn_meta.bytes, "the torn prefix is a strict subset of the image");
     w.crash();
-    let now = w.wal.log_writer_free();
-    let (_t, meta, mut restored) =
-        w.ck.restore(w.wal.backend_mut().cluster_mut(), now)
-            .expect("generation 1 survives the torn generation 2");
+    let (meta, restored, ckpt) = w.recover();
     assert_eq!(meta.generation, 1, "seed {seed}: restore falls back to the surviving slot");
     assert_eq!(meta.log_offset, gen1_offset);
-    let durable = w.wal.durable_upto().0;
-    let views = w.wal.segments().expect("segments on").views();
-    let ckpt = replay_segments(&mut restored, meta.log_offset, &views, durable);
     assert_eq!(
         restored.fingerprint(),
         live_fp,
@@ -366,13 +376,13 @@ fn lifecycle_arcs(seed: u64) -> LifecycleOutcome {
     );
 
     LifecycleOutcome {
-        rotation_seals,
-        rotation_replay_bytes: rotation.replay_bytes,
-        rotation_txns: rotation.txns_committed as u64,
-        rotation_unflushed: unflushed,
+        suffix_pages,
+        suffix_replay_bytes: suffix.bytes_consumed as u64,
+        suffix_txns: suffix.txns_committed as u64,
+        suffix_unflushed: unflushed,
         torn_keep: keep,
         fallback_generation: meta.generation,
-        ckpt_replay_bytes: ckpt.replay_bytes,
+        ckpt_replay_bytes: ckpt.bytes_consumed as u64,
     }
 }
 
@@ -396,7 +406,7 @@ struct ChaosOutcome {
     nvme_errors: u64,
     nvme_dropped: u64,
     pre_crash: Snapshot,
-    /// Segmented-lifecycle crash arcs (non-golden seeds only).
+    /// Log-lifecycle crash arcs (non-golden seeds only).
     lifecycle: Option<LifecycleOutcome>,
 }
 
@@ -520,7 +530,7 @@ fn run_seed(seed: u64) -> ChaosOutcome {
     let live_fingerprint = db.fingerprint();
     let mut recovered = [0u64; 2];
     for (slot, dev) in [s1, s2].into_iter().enumerate() {
-        let stream = durable_log_stream(&mut cluster, settle, dev);
+        let stream = durable_log_stream(&mut cluster, settle, dev, 0);
         let (mut fresh, _, _) = setup(TpccConfig::small(), WORKLOAD_SEED);
         let rep = recover(&mut fresh, &stream);
         assert_eq!(
@@ -540,7 +550,7 @@ fn run_seed(seed: u64) -> ChaosOutcome {
     assert!(nvme_retries >= 1, "the NVMe retry machinery engaged");
     assert!(nvme_timeouts >= 1, "at least one lost completion timed out");
 
-    // --- Segmented-lifecycle crash arcs (non-golden seeds) --------------
+    // --- Log-lifecycle crash arcs (non-golden seeds) --------------------
     let lifecycle = (seed != GOLDEN_SEED).then(|| lifecycle_arcs(seed));
 
     ChaosOutcome {
@@ -660,22 +670,22 @@ fn emit(o: ChaosOutcome) {
         .with_extra(o.nvme_timeouts as f64),
     );
     if let Some(l) = &o.lifecycle {
-        section("lifecycle: crash mid-rotation and mid-checkpoint, bounded replay");
+        section("lifecycle: crash after a multi-page suffix and mid-checkpoint, suffix replay");
         report.row(
             &format!(
-                "rotation crash: {} seals crossed, {} txns replayed ({} B), \
+                "multi-page suffix crash: {} destage pages, {} txns replayed ({} B), \
                  {} unflushed txns dropped",
-                l.rotation_seals, l.rotation_txns, l.rotation_replay_bytes, l.rotation_unflushed
+                l.suffix_pages, l.suffix_txns, l.suffix_replay_bytes, l.suffix_unflushed
             ),
             Measurement::point(
                 "chaos",
-                "lifecycle.rotation_replay",
+                "lifecycle.suffix_replay",
                 sd,
                 "seed",
-                l.rotation_replay_bytes as f64,
+                l.suffix_replay_bytes as f64,
                 "bytes",
             )
-            .with_extra(l.rotation_seals as f64),
+            .with_extra(l.suffix_pages as f64),
         );
         report.row(
             &format!(

@@ -12,8 +12,8 @@
 //! runs `begin … commit` inside one `Workload::execute` call, so a workload
 //! or runner change that starts interleaving transactions panics here.
 
-use memdb::{decode_stream, LogOp, PmConfig, PmLog, SegmentConfig, WalConfig, WalManager};
-use simkit::SimDuration;
+use memdb::{decode_stream, AppendTag, LogBackend, LogOp, PmConfig, PmLog, WalConfig, WalManager};
+use simkit::{SimDuration, SimTime};
 use xssd_bench::driver::{self, DriverConfig, Workload};
 use xssd_bench::ycsb::{self, YcsbConfig, YcsbMix};
 
@@ -27,13 +27,54 @@ struct Counts {
     rows_written: u64,
 }
 
+/// PM logging that keeps a copy of every byte it persists, so a run's
+/// written rows are counted from the log the backend was handed.
+struct Persisted {
+    pm: PmLog,
+    log: Vec<u8>,
+}
+
+impl LogBackend for Persisted {
+    fn append(&mut self, now: SimTime, data: &[u8]) -> SimTime {
+        self.log.extend_from_slice(data);
+        self.pm.append(now, data)
+    }
+
+    fn sync(&mut self, now: SimTime) -> SimTime {
+        self.pm.sync(now)
+    }
+
+    fn append_submit(&mut self, now: SimTime, data: &[u8]) -> (AppendTag, SimTime) {
+        self.log.extend_from_slice(data);
+        self.pm.append_submit(now, data)
+    }
+
+    fn drain_completions(&mut self, now: SimTime, out: &mut Vec<(AppendTag, SimTime)>) {
+        self.pm.drain_completions(now, out);
+    }
+
+    fn appends_in_flight(&self) -> usize {
+        self.pm.appends_in_flight()
+    }
+
+    fn next_completion_at(&self) -> Option<SimTime> {
+        self.pm.next_completion_at()
+    }
+
+    fn bytes_written(&self) -> u64 {
+        self.pm.bytes_written()
+    }
+
+    fn name(&self) -> &'static str {
+        self.pm.name()
+    }
+}
+
 /// Warm for 5 simulated ms, measure for `measure_ms` on four workers, and
 /// count what the run did.
 fn drive(db: &mut memdb::Database, workload: &mut impl Workload, measure_ms: u64) -> Counts {
-    let mut wal = WalManager::new(PmLog::new(PmConfig::default()), WalConfig::default());
-    // Host-side retention of every record the run logs; nothing it does
-    // reaches the backend.
-    wal.enable_segments(SegmentConfig { segment_bytes: 1 << 20 });
+    let persisted = Persisted { pm: PmLog::new(PmConfig::default()), log: Vec::new() };
+    let mut wal = WalManager::new(persisted, WalConfig::default());
     let cfg = DriverConfig {
         workers: 4,
         ramp_up: SimDuration::from_millis(5),
@@ -43,16 +84,14 @@ fn drive(db: &mut memdb::Database, workload: &mut impl Workload, measure_ms: u64
     };
     let write_probes = db.write_probes();
     let report = driver::run(db, &mut wal, workload, &cfg);
-    let mut rows_written = 0;
-    for view in wal.segments().expect("segments enabled").views() {
-        let (records, used) = decode_stream(view.bytes);
-        assert_eq!(used, view.bytes.len(), "the log decodes whole");
-        rows_written += records.iter().filter(|r| r.op != LogOp::Commit).count() as u64;
-    }
+    assert_eq!(wal.pending_bytes(), 0, "the run hands every record to the backend");
+    let log = &wal.backend().log;
+    let (records, used) = decode_stream(log);
+    assert_eq!(used, log.len(), "the log decodes whole");
     Counts {
         committed: report.run.committed,
         write_probes: db.write_probes() - write_probes,
-        rows_written,
+        rows_written: records.iter().filter(|r| r.op != LogOp::Commit).count() as u64,
     }
 }
 

@@ -725,50 +725,6 @@ impl Cluster {
         }
     }
 
-    /// Stream a host-retained archived log range `[base, base +
-    /// bytes.len())` into `target`'s intake, starting at the
-    /// target's current tail (bytes it already holds are skipped). This is
-    /// the rejoin-from-archive leg: when the primary's destage ring has
-    /// recycled past the range a rebooted secondary missed,
-    /// [`Cluster::resync_secondary`] cannot serve it from live device
-    /// state, but the host's sealed-segment archive can. Delivery rides
-    /// the same intake flow-control window as live resync. Returns the
-    /// instant the last chunk was accepted.
-    ///
-    /// Panics if the range starts above the target's tail — the archive
-    /// was truncated past what the target needs, and replication cannot
-    /// paper over the gap.
-    pub fn deliver_archived(
-        &mut self,
-        now: SimTime,
-        target: DeviceIndex,
-        base: u64,
-        bytes: &[u8],
-    ) -> SimTime {
-        assert!(!self.dead[target], "reboot the target before archive delivery");
-        self.advance(now);
-        let mut t = now;
-        let end = base + bytes.len() as u64;
-        let mut cursor = self.devices[target].log_tail();
-        if cursor >= end {
-            return t; // everything here is already on the target
-        }
-        assert!(
-            cursor >= base,
-            "archived range starts at {base} but the target's tail is {cursor}: \
-             the archive no longer reaches back to the rejoining copy"
-        );
-        let chunk_cap = (self.devices[target].intake_queue_bytes() / 2).max(64);
-        while cursor < end {
-            let want = chunk_cap.min(end - cursor) as usize;
-            let off = (cursor - base) as usize;
-            t = self.deliver_chunk(target, t, cursor, &bytes[off..off + want]);
-            cursor += want as u64;
-        }
-        self.advance(t);
-        t
-    }
-
     /// Whether a device is currently powered off.
     pub fn is_dead(&self, dev: DeviceIndex) -> bool {
         self.dead[dev]

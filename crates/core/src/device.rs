@@ -477,8 +477,8 @@ impl VillarsDevice {
 
     /// Oldest log offset still readable from the destage ring — the ring
     /// recycles, so offsets below this are gone from the device and
-    /// recoverable only from a host-side archive. `None` when nothing has
-    /// been destaged yet.
+    /// recoverable only through a snapshot that covers them. `None` when
+    /// nothing has been destaged yet.
     ///
     /// `lane` must be 0: the device holds one log, and the argument stays
     /// only because `benchmark/` calls this with it.

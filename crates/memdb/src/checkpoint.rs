@@ -163,10 +163,26 @@ impl Checkpointer {
         self.base_lba + slot * self.slot_lbas
     }
 
+    /// A snapshot may only claim log the device has made durable: its
+    /// credit counter must have reached `log_offset` by `now`. Answered
+    /// from the drains already scheduled, without advancing the device.
+    fn assert_anchored(&self, cl: &Cluster, now: SimTime, log_offset: u64) {
+        let reached = cl.device(self.dev).credit_reaches(log_offset);
+        assert!(
+            reached.is_some_and(|at| at <= now),
+            "checkpoint log offset {log_offset} ahead of durable frontier at {now}: \
+             device {}'s credit reaches it at {reached:?}",
+            self.dev
+        );
+    }
+
     /// Write a checkpoint of `db` covering the log below `log_offset`.
     /// Returns the completion instant and the metadata. The write goes
     /// through the conventional block interface (Conventional-class flash
     /// traffic) and is durable (flushed) when this returns.
+    ///
+    /// Panics if `log_offset` is ahead of the device's durable credit at
+    /// `now`: recovery would replay from an offset the log never reached.
     pub fn checkpoint(
         &mut self,
         cl: &mut Cluster,
@@ -174,6 +190,7 @@ impl Checkpointer {
         db: &Database,
         log_offset: u64,
     ) -> (SimTime, CheckpointMeta) {
+        self.assert_anchored(cl, now, log_offset);
         self.generation += 1;
         let image = encode_snapshot(db, self.generation, log_offset);
         let slot = self.generation % 2;
@@ -213,6 +230,7 @@ impl Checkpointer {
         log_offset: u64,
         keep: usize,
     ) -> (SimTime, CheckpointMeta) {
+        self.assert_anchored(cl, now, log_offset);
         self.generation += 1;
         let image = encode_snapshot(db, self.generation, log_offset);
         let meta =
@@ -281,7 +299,18 @@ impl Checkpointer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xssd_core::VillarsConfig;
+    use xssd_core::{VillarsConfig, XLogFile};
+
+    /// A device whose log holds `bytes` durable bytes, and the instant they
+    /// became durable: a snapshot may claim any offset up to there.
+    fn logged_device(bytes: usize) -> (Cluster, DeviceIndex, SimTime) {
+        let mut cl = Cluster::new();
+        let dev = cl.add_device(VillarsConfig::small());
+        let mut file = XLogFile::open(dev);
+        let t = file.x_pwrite(&mut cl, SimTime::ZERO, &vec![0xAB; bytes]).unwrap();
+        let t = file.x_fsync(&mut cl, t).unwrap();
+        (cl, dev, t)
+    }
 
     fn sample_db() -> Database {
         let mut db = Database::new();
@@ -322,13 +351,12 @@ mod tests {
 
     #[test]
     fn checkpoint_restore_round_trip_through_device() {
-        let mut cl = Cluster::new();
-        let dev = cl.add_device(VillarsConfig::small());
+        let (mut cl, dev, t0) = logged_device(1024);
         let db = sample_db();
         // Keep the slot range clear of the small destage ring (64 LBAs).
         let mut ck = Checkpointer::new(dev, 128, 16);
-        let (t1, meta) = ck.checkpoint(&mut cl, SimTime::ZERO, &db, 777);
-        assert!(t1 > SimTime::ZERO);
+        let (t1, meta) = ck.checkpoint(&mut cl, t0, &db, 777);
+        assert!(t1 > t0);
         assert_eq!(meta.generation, 1);
         let (t2, meta2, restored) = ck.restore(&mut cl, t1).expect("snapshot present");
         assert!(t2 > t1);
@@ -338,11 +366,10 @@ mod tests {
 
     #[test]
     fn ping_pong_keeps_previous_generation() {
-        let mut cl = Cluster::new();
-        let dev = cl.add_device(VillarsConfig::small());
+        let (mut cl, dev, t0) = logged_device(1024);
         let mut ck = Checkpointer::new(dev, 128, 16);
         let db1 = sample_db();
-        let (t1, _) = ck.checkpoint(&mut cl, SimTime::ZERO, &db1, 100);
+        let (t1, _) = ck.checkpoint(&mut cl, t0, &db1, 100);
         // Mutate and checkpoint again (other slot).
         let mut db2 = sample_db();
         let t = db2.table_id("alpha").unwrap();
@@ -362,8 +389,7 @@ mod tests {
         // Regression: generation 3 writes a SMALLER image into the slot
         // generation 1 used; the stale non-zero tail pages of generation 1
         // must not confuse the reader (the framed length bounds the image).
-        let mut cl = Cluster::new();
-        let dev = cl.add_device(VillarsConfig::small());
+        let (mut cl, dev, t0) = logged_device(1024);
         let mut ck = Checkpointer::new(dev, 128, 32);
         let big = sample_db(); // ~50 rows
         let mut small = Database::new();
@@ -373,7 +399,7 @@ mod tests {
         small.insert(&mut ctx, t, b"only".to_vec(), b"row".to_vec());
         small.commit(ctx).unwrap();
 
-        let (t1, m1) = ck.checkpoint(&mut cl, SimTime::ZERO, &big, 10); // slot 1
+        let (t1, m1) = ck.checkpoint(&mut cl, t0, &big, 10); // slot 1
         let (t2, _m2) = ck.checkpoint(&mut cl, t1, &big, 20); // slot 0
         let (t3, m3) = ck.checkpoint(&mut cl, t2, &small, 30); // slot 1 again, smaller
         assert!(m3.bytes < m1.bytes, "test needs a shrinking image");
@@ -384,11 +410,10 @@ mod tests {
 
     #[test]
     fn checkpoint_survives_power_failure() {
-        let mut cl = Cluster::new();
-        let dev = cl.add_device(VillarsConfig::small());
+        let (mut cl, dev, t0) = logged_device(1024);
         let mut ck = Checkpointer::new(dev, 128, 16);
         let db = sample_db();
-        let (t1, _) = ck.checkpoint(&mut cl, SimTime::ZERO, &db, 42);
+        let (t1, _) = ck.checkpoint(&mut cl, t0, &db, 42);
         cl.power_fail(dev, t1);
         cl.reboot_device(dev);
         let (_t, meta, restored) = ck.restore(&mut cl, t1).expect("flushed checkpoint survives");
@@ -398,11 +423,10 @@ mod tests {
 
     #[test]
     fn torn_checkpoint_restores_the_surviving_slot() {
-        let mut cl = Cluster::new();
-        let dev = cl.add_device(VillarsConfig::small());
+        let (mut cl, dev, t0) = logged_device(1024);
         let mut ck = Checkpointer::new(dev, 128, 16);
         let db1 = sample_db();
-        let (t1, m1) = ck.checkpoint(&mut cl, SimTime::ZERO, &db1, 100);
+        let (t1, m1) = ck.checkpoint(&mut cl, t0, &db1, 100);
         // Generation 2 tears mid-image; the crash lands before the slot
         // is complete.
         let mut db2 = sample_db();
@@ -426,6 +450,16 @@ mod tests {
         let (_t, meta3, restored3) = ck.restore(&mut cl, t3).expect("snapshot");
         assert_eq!(meta3.generation, 3);
         assert_eq!(restored3.fingerprint(), db2.fingerprint());
+    }
+
+    #[test]
+    #[should_panic(expected = "checkpoint log offset 1025 ahead of durable frontier")]
+    fn a_checkpoint_cannot_outrun_durability() {
+        let (mut cl, dev, t0) = logged_device(1024);
+        let mut ck = Checkpointer::new(dev, 128, 16);
+        // One byte past the durable log: recovery would replay from an
+        // offset the log never reached.
+        ck.checkpoint(&mut cl, t0, &sample_db(), 1025);
     }
 
     #[test]

@@ -8,7 +8,6 @@
 //! re-ship the missed log suffix from the primary's surviving copy before
 //! restoring it to the secondary set.
 
-use crate::segment::SegmentView;
 use nvme::{Status, VendorCommand};
 use simkit::{SimDuration, SimTime};
 use xssd_core::{vendor, Cluster};
@@ -75,10 +74,9 @@ pub fn fail_over(
 /// reconfigure replication to `secondaries` (the full set including
 /// `target`). Returns the instant the new replica set is active.
 ///
-/// This is [`rejoin_secondary_from_archive`] with an empty archive: with
-/// nothing to stream it goes straight to the live resync (the `advance(now)`
-/// it makes first is the call `resync_secondary` begins with, so the
-/// schedule is the same).
+/// The primary's destage ring is the only source of the gap: a suffix
+/// that has fallen off it panics in `resync_secondary`, and the copy must
+/// then be rebuilt from a snapshot instead.
 pub fn rejoin_secondary(
     cluster: &mut Cluster,
     now: SimTime,
@@ -86,83 +84,32 @@ pub fn rejoin_secondary(
     target: usize,
     secondaries: &[usize],
 ) -> SimTime {
-    rejoin_secondary_from_archive(cluster, now, primary, target, secondaries, &[]).active_at
-}
-
-/// What a rejoin-from-archive round did: how much of the catch-up came
-/// from the host's sealed-segment archive versus live device state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RejoinReport {
-    /// The rejoining copy's durable tail at reboot.
-    pub tail_at_reboot: u64,
-    /// Bytes streamed from the archived segments.
-    pub archived_bytes: u64,
-    /// When the archive leg finished (live resync starts here).
-    pub archive_done: SimTime,
-    /// When the live three-zone resync caught the copy up to the
-    /// primary's tail.
-    pub resynced_at: SimTime,
-    /// When the reconfigured replica set went active.
-    pub active_at: SimTime,
-}
-
-/// Restore a rebooted secondary whose missed suffix may have fallen off
-/// the primary's destage ring: first stream the sealed segments the host
-/// archive retained for the gap (each verified against its seal CRC),
-/// then hand off to the live three-zone resync
-/// ([`Cluster::resync_secondary`]) for whatever the primary still serves,
-/// and finally reconfigure replication to `secondaries`.
-///
-/// The archive is the rejoining copy's only source for ranges the
-/// primary has recycled, so a segment failing its CRC — or an archive
-/// truncated past the target's tail — panics rather than rejoining a
-/// copy with a hole in its log.
-pub fn rejoin_secondary_from_archive(
-    cluster: &mut Cluster,
-    now: SimTime,
-    primary: usize,
-    target: usize,
-    secondaries: &[usize],
-    archive: &[SegmentView<'_>],
-) -> RejoinReport {
     assert!(secondaries.contains(&target), "the rejoined device must be in the new replica set");
     cluster.reboot_device(target);
-    cluster.advance(now);
-    let tail_at_reboot = cluster.device(target).log_tail();
-    let mut t = now;
-    for seg in archive {
-        if seg.base_lsn + seg.bytes.len() as u64 <= tail_at_reboot {
-            continue; // the target already holds this segment
-        }
-        assert!(
-            seg.verify(),
-            "archived segment at LSN {} failed its seal CRC during rejoin",
-            seg.base_lsn
-        );
-        t = cluster.deliver_archived(t, target, seg.base_lsn, seg.bytes);
-    }
-    let archived_bytes = cluster.device(target).log_tail() - tail_at_reboot;
-    let archive_done = t;
-    let resynced_at = cluster.resync_secondary(t, primary, target);
-    let active_at = cluster.configure_replication(resynced_at, primary, secondaries);
-    RejoinReport { tail_at_reboot, archived_bytes, archive_done, resynced_at, active_at }
+    let resynced_at = cluster.resync_secondary(now, primary, target);
+    cluster.configure_replication(resynced_at, primary, secondaries)
 }
 
-/// Read the full durable log stream `[0, destaged frontier)` of `dev` —
-/// the input `recover` replays after a crash (the rescue destage of
-/// [`Cluster::power_fail`] pushes every contiguously received byte below
-/// the frontier onto the conventional side first).
-pub fn durable_log_stream(cluster: &mut Cluster, now: SimTime, dev: usize) -> Vec<u8> {
+/// Read the durable log stream `[from, destaged frontier)` of `dev` — the
+/// input `recover` replays after a crash, from offset 0 or from a restored
+/// snapshot's log offset (the rescue destage of [`Cluster::power_fail`]
+/// pushes every contiguously received byte below the frontier onto the
+/// conventional side first).
+///
+/// Panics if `from` lies above the frontier (the snapshot claims log the
+/// device never persisted) or below what the destage ring still holds.
+pub fn durable_log_stream(cluster: &mut Cluster, now: SimTime, dev: usize, from: u64) -> Vec<u8> {
     cluster.advance(now);
     let upto = cluster.device(dev).destaged_upto();
-    if upto == 0 {
-        return Vec::new();
+    assert!(from <= upto, "log offset {from} ahead of device {dev}'s destaged frontier {upto}");
+    let device = cluster.device_mut(dev);
+    match device.read_destaged(now, 0, from, (upto - from) as usize) {
+        Some((_ready, bytes)) => bytes,
+        None => panic!(
+            "durable log [{from}, {upto}) fell off device {dev}'s destage ring (readable from {:?})",
+            device.destage_readable_from(0)
+        ),
     }
-    cluster
-        .device_mut(dev)
-        .read_destaged(now, 0, 0, upto as usize)
-        .map(|(_ready, bytes)| bytes)
-        .expect("durable log stream readable from offset 0 (destage ring not yet recycled)")
 }
 
 #[cfg(test)]
@@ -237,7 +184,7 @@ mod tests {
         cluster.power_fail(s2, settle);
         cluster.reboot_device(s2);
         // Recover from the *rejoined* copy: it must hold every commit.
-        let stream = durable_log_stream(&mut cluster, settle, s2);
+        let stream = durable_log_stream(&mut cluster, settle, s2, 0);
         let mut recovered = Database::new();
         recovered.create_table("t");
         let rep = recover(&mut recovered, &stream);
@@ -246,126 +193,55 @@ mod tests {
     }
 
     /// A secondary that stays down while the primary writes more than its
-    /// destage ring retains cannot be resynced from live device state —
-    /// the missed range has been recycled. The sealed-segment archive
-    /// fills the gap: rejoin streams archived segments first, then hands
-    /// off to the live three-zone resync, and a subsequent full-cluster
-    /// crash recovered from the rejoined copy alone loses nothing.
+    /// destage ring retains cannot be resynced from live device state: the
+    /// range it missed has been recycled, and the rejoin refuses to bring
+    /// back a copy with a hole in its log.
     #[test]
-    fn rejoin_from_archive_after_the_ring_recycles() {
-        use crate::segment::{SegmentConfig, SegmentedLog};
+    #[should_panic(expected = "fell off the primary's destage ring")]
+    fn rejoin_past_the_primarys_ring_panics() {
         let mut cluster = Cluster::new();
         let p = cluster.add_device(VillarsConfig::small());
         let s1 = cluster.add_device(VillarsConfig::small());
         let s2 = cluster.add_device(VillarsConfig::small());
-        let t0 = cluster.configure_replication(SimTime::ZERO, p, &[s1, s2]);
-
-        let mut db = Database::new();
-        let tab = db.create_table("t");
+        let mut now = cluster.configure_replication(SimTime::ZERO, p, &[s1, s2]);
         let mut file = XLogFile::open(p);
-        let mut seg = SegmentedLog::new(SegmentConfig { segment_bytes: 16 << 10 });
-        let mut now = t0;
-        let commit = |db: &mut Database,
-                      seg: &mut SegmentedLog,
-                      cluster: &mut Cluster,
-                      file: &mut XLogFile,
-                      now: SimTime,
-                      i: u32|
-         -> SimTime {
-            let mut ctx = db.begin();
-            db.insert(&mut ctx, tab, crate::storage::keys::composite(&[i]), vec![i as u8; 160]);
-            let recs = db.commit(ctx).expect("commit");
-            let mut bytes = Vec::new();
-            for r in &recs {
-                let start = bytes.len();
-                r.encode_into(&mut bytes);
-                seg.append_record_bytes(&bytes[start..]);
-            }
-            let t = file.x_pwrite(cluster, now, &bytes).expect("x_pwrite");
+        // The log's content does not matter here, only how far it runs.
+        let mut commit = |cluster: &mut Cluster, now: SimTime, i: u32| -> SimTime {
+            let t = file.x_pwrite(cluster, now, &[i as u8; 200]).expect("x_pwrite");
             file.x_fsync(cluster, t).expect("x_fsync")
         };
 
         for i in 0..8u32 {
-            now = commit(&mut db, &mut seg, &mut cluster, &mut file, now, i);
+            now = commit(&mut cluster, now, i);
         }
         cluster.power_fail(s2, now);
         let tail_at_crash = cluster.device(s2).log_tail();
-        let report = fail_over(&mut cluster, now, p, &[s1]);
-        now = report.reconfigured_at;
+        now = fail_over(&mut cluster, now, p, &[s1]).reconfigured_at;
         // Write far more than the small destage ring (64 LBAs) retains.
         for i in 8..2000u32 {
-            now = commit(&mut db, &mut seg, &mut cluster, &mut file, now, i);
+            now = commit(&mut cluster, now, i);
         }
         let settle = now + SimDuration::from_millis(2);
         cluster.advance(settle);
-        let recycled_from = cluster.device(p).destage_readable_from(0).expect("primary destaged");
+        let readable_from = cluster.device(p).destage_readable_from(0).expect("primary destaged");
         assert!(
-            recycled_from > tail_at_crash,
+            readable_from > tail_at_crash,
             "test premise: the range s2 missed ({tail_at_crash}..) must have fallen off \
-             the primary's ring (oldest readable {recycled_from})"
+             the primary's ring (oldest readable {readable_from})"
         );
-
-        let rejoin =
-            rejoin_secondary_from_archive(&mut cluster, settle, p, s2, &[s1, s2], &seg.views());
-        assert_eq!(rejoin.tail_at_reboot, tail_at_crash);
-        assert!(rejoin.archived_bytes > 0, "the archive leg must have shipped the gap");
-        assert!(rejoin.archive_done <= rejoin.resynced_at);
-        assert_eq!(
-            cluster.device(s2).log_tail(),
-            cluster.device(p).log_tail(),
-            "archive + live resync caught the rejoined copy up to the primary's tail"
-        );
-
-        // Total cluster loss: recovery from the rejoined copy's durable
-        // state alone must reproduce every committed transaction the ring
-        // still serves — nothing the archive delivered was corrupted.
-        let end = rejoin.active_at + SimDuration::from_millis(2);
-        cluster.advance(end);
-        cluster.power_fail(p, end);
-        cluster.power_fail(s1, end);
-        cluster.power_fail(s2, end);
-        cluster.reboot_device(s2);
-        let from = cluster.device(s2).destage_readable_from(0).expect("rejoined copy destaged");
-        let upto = cluster.device(s2).destaged_upto();
-        let (_ready, bytes) = cluster
-            .device_mut(s2)
-            .read_destaged(end, 0, from, (upto - from) as usize)
-            .expect("suffix readable");
-        let mut recovered = Database::new();
-        recovered.create_table("t");
-        // Bootstrap from the primary's log prefix (stands in for a
-        // snapshot), then replay the rejoined copy's readable suffix.
-        let mut prefix = Vec::new();
-        for v in seg.views() {
-            let end_lsn = v.base_lsn + v.bytes.len() as u64;
-            if end_lsn <= from {
-                prefix.extend_from_slice(v.bytes);
-            } else if v.base_lsn < from {
-                prefix.extend_from_slice(&v.bytes[..(from - v.base_lsn) as usize]);
-            }
-        }
-        prefix.extend_from_slice(&bytes);
-        recover(&mut recovered, &prefix);
-        assert_eq!(recovered.fingerprint(), db.fingerprint());
+        rejoin_secondary(&mut cluster, settle, p, s2, &[s1, s2]);
     }
 
-    /// The log lifecycle's retention rule: a checkpoint retires the WAL's
-    /// archived segments below its offset whatever the secondaries hold.
-    /// A secondary that was down while the primary checkpointed past its
-    /// tail then finds the archive starting above that tail, and the rejoin
-    /// should still bring it level with the primary. Today it panics in
-    /// `Cluster::deliver_archived`: "archived range starts at 7488 but the
-    /// target's tail is 1664: the archive no longer reaches back to the
-    /// rejoining copy" — although the primary's destage ring still holds
-    /// the whole gap, which the live resync after the archive leg would
-    /// have served.
+    /// A checkpoint never blocks a rejoin that the primary's ring still
+    /// serves: a secondary that was down while the primary checkpointed
+    /// past its tail comes back level with the primary, because the gap is
+    /// read from the primary's destage ring, not from a host copy that the
+    /// checkpoint could have retired.
     #[test]
-    #[ignore = "ROADMAP item 15: retention ignores the slowest secondary"]
-    fn rejoin_after_a_checkpoint_past_the_down_secondarys_tail() {
+    fn a_checkpoint_never_blocks_a_rejoin_the_primarys_ring_serves() {
         use crate::backend::XssdLog;
         use crate::checkpoint::Checkpointer;
-        use crate::segment::{SegmentConfig, SegmentView};
-        use crate::wal::{Lsn, WalConfig, WalManager};
+        use crate::wal::{WalConfig, WalManager};
 
         let mut cluster = Cluster::new();
         let p = cluster.add_device(VillarsConfig::small());
@@ -373,7 +249,6 @@ mod tests {
         let s2 = cluster.add_device(VillarsConfig::small());
         let mut now = cluster.configure_replication(SimTime::ZERO, p, &[s1, s2]);
         let mut wal = WalManager::new(XssdLog::new(cluster, p, "villars"), WalConfig::default());
-        wal.enable_segments(SegmentConfig { segment_bytes: 1 << 10 });
         let mut db = Database::new();
         let tab = db.create_table("t");
         // One transaction per group, durable on every live copy.
@@ -394,34 +269,20 @@ mod tests {
         for i in 8..40u32 {
             now = commit(&mut db, &mut wal, now, i);
         }
-        // Checkpoint everything durable, past the down copy's tail, and
-        // retire the segments below it.
+        // Checkpoint everything durable, past the down copy's tail.
         let durable = wal.durable_upto();
         assert!(durable.0 > tail_at_crash, "test premise: the checkpoint passes s2's tail");
         let mut ck = Checkpointer::new(p, 128, 16);
-        let (t, meta) = ck.checkpoint(wal.backend_mut().cluster_mut(), now, &db, durable.0);
+        let (t, _meta) = ck.checkpoint(wal.backend_mut().cluster_mut(), now, &db, durable.0);
         now = t;
-        assert!(wal.truncate_below(Lsn(meta.log_offset)) > 0, "the checkpoint retired segments");
 
-        let archive: Vec<(u64, Vec<u8>, Option<u32>)> = wal
-            .segments()
-            .expect("segments on")
-            .views()
-            .iter()
-            .map(|v| (v.base_lsn, v.bytes.to_vec(), v.crc))
-            .collect();
-        let views: Vec<SegmentView<'_>> = archive
-            .iter()
-            .map(|(base_lsn, bytes, crc)| SegmentView { base_lsn: *base_lsn, bytes, crc: *crc })
-            .collect();
         let cluster = wal.backend_mut().cluster_mut();
         cluster.advance(now);
         assert!(
             cluster.device(p).destage_readable_from(0).is_some_and(|from| from <= tail_at_crash),
             "test premise: the primary's ring still serves the range s2 missed"
         );
-        let rejoin = rejoin_secondary_from_archive(cluster, now, p, s2, &[s1, s2], &views);
-        assert_eq!(rejoin.tail_at_reboot, tail_at_crash);
+        rejoin_secondary(cluster, now, p, s2, &[s1, s2]);
         assert_eq!(cluster.device(s2).log_tail(), cluster.device(p).log_tail());
     }
 }

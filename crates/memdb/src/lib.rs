@@ -14,10 +14,10 @@
 //!   [`Workload`]'s weighted kinds on pinned workers through a
 //!   [`WalManager`] and returns a [`DriverReport`] (throughput, latency per
 //!   kind and per time bucket);
-//! - [`recovery`] — analysis+redo from the destaged log, bounded to
-//!   latest snapshot + subsequent segments when segmentation is on;
-//! - [`segment`] — sealed-segment archive with checkpoint-anchored
-//!   truncation (the log lifecycle, docs/ROBUSTNESS.md);
+//! - [`checkpoint`] — ping-pong snapshots on the conventional side;
+//! - [`recovery`] — analysis+redo over the device's destaged log: the
+//!   latest snapshot plus the log suffix after its offset
+//!   (docs/ROBUSTNESS.md, "Log lifecycle");
 //! - [`replica`] — hot-standby apply over a Villars secondary.
 
 #![warn(missing_docs)]
@@ -32,26 +32,21 @@ pub mod log;
 pub mod recovery;
 pub mod replica;
 pub mod runner;
-pub mod segment;
 pub mod storage;
 pub mod wal;
 
 pub use backend::{AppendTag, LogBackend, NoLog, NvmeLog, PmConfig, PmLog, XssdLog};
-pub use failover::{
-    durable_log_stream, fail_over, rejoin_secondary, rejoin_secondary_from_archive, FailoverReport,
-    RejoinReport,
-};
+pub use failover::{durable_log_stream, fail_over, rejoin_secondary, FailoverReport};
 
 pub use checkpoint::{
     decode_snapshot, encode_snapshot, CheckpointMeta, Checkpointer, SnapshotError,
 };
 pub use key::SmallKey;
 pub use log::{decode_one, decode_stream, DecodeError, LogOp, LogRecord, TableId};
-pub use recovery::{encode_txn, recover, replay_segments, RecoveryReport, SegmentReplayReport};
+pub use recovery::{encode_txn, recover, RecoveryReport};
 pub use replica::Replica;
 pub use runner::{
     DriverConfig, DriverReport, KindReport, RunReport, TimeBucket, TxnOutcome, Workload,
 };
-pub use segment::{SealedSegment, SegmentConfig, SegmentView, SegmentedLog};
 pub use storage::{keys, Database, Key, Row, Table, TxnCtx, TxnError};
 pub use wal::{FlushReport, Lsn, WalConfig, WalManager};

@@ -159,8 +159,8 @@ pub fn decode_stream(buf: &[u8]) -> (Vec<LogRecord>, usize) {
     (out, cursor)
 }
 
-/// The log's one checksum: record framing, snapshot framing
-/// ([`crate::checkpoint`]) and segment seals ([`crate::segment`]).
+/// The log's one checksum: record framing and snapshot framing
+/// ([`crate::checkpoint`]).
 ///
 /// Reads `data` as 8-byte little-endian words (the tail zero-padded) and
 /// folds each into a 64-bit state with an invertible step — xor, multiply

@@ -6,7 +6,6 @@
 //! in-memory tables — the log-shipping consumer side.
 
 use crate::log::{decode_one, DecodeError, LogOp};
-use crate::segment::SegmentView;
 use crate::storage::Database;
 use simkit::SimTime;
 use xssd_core::Cluster;
@@ -46,52 +45,6 @@ impl Replica {
         Replica { db, dev, cursor: 0, carry: Vec::new(), txns_applied: 0, staged: Vec::new() }
     }
 
-    /// A replica resuming from a restored snapshot: `db` is the decoded
-    /// snapshot state and `log_offset` its log offset — apply continues
-    /// from there instead of replaying total history. The lifecycle
-    /// counterpart of [`Replica::new`]: a standby that was down long
-    /// enough to need a snapshot bootstraps here, then consumes the
-    /// archive ([`Replica::apply_archived`]) and the live stream
-    /// ([`Replica::catch_up`]).
-    pub fn from_snapshot(dev: usize, db: Database, log_offset: u64) -> Self {
-        Replica {
-            db,
-            dev,
-            cursor: log_offset,
-            carry: Vec::new(),
-            txns_applied: 0,
-            staged: Vec::new(),
-        }
-    }
-
-    /// Apply host-archived segments from the replica's cursor onward —
-    /// the catch-up source for ranges the secondary device's destage ring
-    /// has already recycled. Sealed segments are verified against their
-    /// seal CRC; a gap between the cursor and the archive panics (the
-    /// archive was truncated past what this replica needs). Returns the
-    /// number of transactions applied.
-    pub fn apply_archived(&mut self, segments: &[SegmentView<'_>]) -> u64 {
-        let before = self.txns_applied;
-        for seg in segments {
-            let end = seg.base_lsn + seg.bytes.len() as u64;
-            if end <= self.cursor {
-                continue; // already consumed
-            }
-            assert!(
-                seg.base_lsn <= self.cursor,
-                "archive gap: segment starts at LSN {} but the replica cursor is {}",
-                seg.base_lsn,
-                self.cursor
-            );
-            assert!(seg.verify(), "archived segment at LSN {} failed its seal CRC", seg.base_lsn);
-            let start = (self.cursor - seg.base_lsn) as usize;
-            self.carry.extend_from_slice(&seg.bytes[start..]);
-            self.cursor = end;
-            self.drain_carry();
-        }
-        self.txns_applied - before
-    }
-
     /// Transactions fully applied.
     pub fn txns_applied(&self) -> u64 {
         self.txns_applied
@@ -105,6 +58,10 @@ impl Replica {
     /// Pull everything the secondary device has destaged and apply the
     /// complete transactions found. Returns the number of transactions
     /// applied in this pass.
+    ///
+    /// Panics if the device's destage ring has recycled past the cursor:
+    /// the standby fell behind by more than the ring holds and can never
+    /// catch up from it.
     pub fn catch_up(&mut self, cluster: &mut Cluster, now: SimTime) -> u64 {
         cluster.advance(now);
         let destaged = cluster.device(self.dev).destaged_upto();
@@ -112,10 +69,15 @@ impl Replica {
             return 0;
         }
         let want = (destaged - self.cursor) as usize;
-        let Some((_ready, bytes)) =
-            cluster.device_mut(self.dev).read_destaged(now, 0, self.cursor, want)
-        else {
-            return 0;
+        let device = cluster.device_mut(self.dev);
+        let Some((_ready, bytes)) = device.read_destaged(now, 0, self.cursor, want) else {
+            panic!(
+                "replica cursor {} fell off device {}'s destage ring (readable from {:?}, \
+                 destaged up to {destaged})",
+                self.cursor,
+                self.dev,
+                device.destage_readable_from(0)
+            )
         };
         self.cursor += bytes.len() as u64;
         self.carry.extend_from_slice(&bytes);
@@ -192,44 +154,6 @@ mod tests {
         assert_eq!(replica.db.fingerprint(), primary.fingerprint());
     }
 
-    /// A standby bootstrapped from a snapshot converges by consuming the
-    /// sealed-segment archive alone — no live device needed for ranges
-    /// the destage ring has recycled.
-    #[test]
-    fn replica_applies_archived_segments_from_a_snapshot() {
-        use crate::segment::{SegmentConfig, SegmentedLog};
-        let mut primary = Database::new();
-        let tab = primary.create_table("t");
-        let mut seg = SegmentedLog::new(SegmentConfig { segment_bytes: 128 });
-        let mut stream = Vec::new();
-        let mut boundaries = Vec::new();
-        for i in 0..20u32 {
-            let mut ctx = primary.begin();
-            primary.insert(&mut ctx, tab, crate::storage::keys::composite(&[i]), vec![i as u8; 24]);
-            for r in primary.commit(ctx).unwrap() {
-                let start = stream.len();
-                r.encode_into(&mut stream);
-                seg.append_record_bytes(&stream[start..]);
-            }
-            boundaries.push(stream.len() as u64);
-        }
-        // Snapshot after the 8th transaction; retention retires the
-        // archive below it.
-        let snap_offset = boundaries[7];
-        let mut snap_db = Database::new();
-        snap_db.create_table("t");
-        crate::recovery::recover(&mut snap_db, &stream[..snap_offset as usize]);
-        seg.truncate_below(snap_offset.min(seg.end_lsn()));
-
-        let mut replica = Replica::from_snapshot(0, snap_db, snap_offset);
-        let applied = replica.apply_archived(&seg.views());
-        assert_eq!(applied, 12, "the 12 post-snapshot transactions apply");
-        assert_eq!(replica.cursor(), seg.end_lsn());
-        assert_eq!(replica.db.fingerprint(), primary.fingerprint());
-        // Idempotent: a second pass over the same archive applies nothing.
-        assert_eq!(replica.apply_archived(&seg.views()), 0);
-    }
-
     /// Partial shipping: a transaction whose commit marker has not arrived
     /// must not be visible on the replica.
     #[test]
@@ -266,5 +190,27 @@ mod tests {
         let applied2 = replica.catch_up(&mut cluster, settle2);
         assert_eq!(applied2, 1);
         assert_eq!(replica.db.peek(tab, b"k").unwrap(), b"v");
+    }
+
+    /// A standby that falls behind by more than its device's destage ring
+    /// holds stops with the cursor and the ring's readable start named,
+    /// instead of returning 0 on every call and never advancing.
+    #[test]
+    #[should_panic(expected = "replica cursor 0 fell off device 1's destage ring")]
+    fn a_replica_behind_the_ring_panics() {
+        let mut cluster = Cluster::new();
+        let p = cluster.add_device(VillarsConfig::small());
+        let s = cluster.add_device(VillarsConfig::small());
+        let mut now = cluster.configure_replication(SimTime::ZERO, p, &[s]);
+        let mut file = XLogFile::open(p);
+        let mut replica = Replica::new(s, &["t"]);
+        // Far more than the small destage ring (64 LBAs) retains, with no
+        // catch-up in between.
+        for i in 0..2000u32 {
+            now = file.x_pwrite(&mut cluster, now, &[i as u8; 200]).unwrap();
+            now = file.x_fsync(&mut cluster, now).unwrap();
+        }
+        let settle = now + SimDuration::from_millis(2);
+        replica.catch_up(&mut cluster, settle);
     }
 }

@@ -19,7 +19,6 @@
 
 use crate::backend::{AppendTag, LogBackend};
 use crate::log::LogRecord;
-use crate::segment::{SegmentConfig, SegmentedLog};
 use simkit::{SimDuration, SimTime};
 
 /// A transaction's position in the log, used to wait for durability.
@@ -73,10 +72,6 @@ pub struct WalManager<B: LogBackend> {
     in_flight: Vec<PendingFlush>,
     /// Scratch for draining backend completions.
     scratch: Vec<(AppendTag, SimTime)>,
-    /// Segmented retention over the LSN byte stream
-    /// ([`enable_segments`](WalManager::enable_segments)). `None` keeps the
-    /// unbounded log and reports no segment telemetry.
-    segments: Option<SegmentedLog>,
 }
 
 /// One asynchronously submitted group commit awaiting durability.
@@ -101,42 +96,7 @@ impl<B: LogBackend> WalManager<B> {
             log_writer_free: SimTime::ZERO,
             in_flight: Vec::new(),
             scratch: Vec::new(),
-            segments: None,
         }
-    }
-
-    /// Turn on the segmented log lifecycle (sealed segments, archive,
-    /// checkpoint-anchored truncation — `crate::segment`). Must be called
-    /// before the first record is enqueued: segment bases are LSNs, and a
-    /// log with history would have an untracked prefix.
-    pub fn enable_segments(&mut self, config: SegmentConfig) {
-        assert_eq!(self.enqueued, 0, "enable_segments requires an empty log");
-        self.segments = Some(SegmentedLog::new(config));
-    }
-
-    /// The segmented log, when enabled.
-    pub fn segments(&self) -> Option<&SegmentedLog> {
-        self.segments.as_ref()
-    }
-
-    /// Advance the segmented log's truncation horizon to `horizon` (a
-    /// completed checkpoint's log offset) and retire fully covered
-    /// archived segments. Returns how many segments were retired.
-    ///
-    /// Panics if segmentation is not enabled or if the horizon runs ahead
-    /// of durability — a checkpoint can only anchor what the log device
-    /// actually persisted.
-    pub fn truncate_below(&mut self, horizon: Lsn) -> usize {
-        assert!(
-            horizon <= self.durable,
-            "truncation horizon {} ahead of durable frontier {}",
-            horizon.0,
-            self.durable.0
-        );
-        self.segments
-            .as_mut()
-            .expect("truncate_below requires enable_segments")
-            .truncate_below(horizon.0)
     }
 
     /// The backend (stats).
@@ -178,13 +138,7 @@ impl<B: LogBackend> WalManager<B> {
             self.batch_opened = Some(now);
         }
         for r in records {
-            let start = self.pending.len();
             r.encode_into(&mut self.pending);
-            if let Some(seg) = self.segments.as_mut() {
-                // Per-record feed: the segmented log seals on a boundary
-                // rather than letting a record span two segments.
-                seg.append_record_bytes(&self.pending[start..]);
-            }
         }
         self.enqueued += records.iter().map(|r| r.encoded_len() as u64).sum::<u64>();
         Lsn(self.enqueued)
@@ -353,15 +307,6 @@ impl<B: LogBackend + simkit::Instrument> simkit::Instrument for WalManager<B> {
         out.counter("db.wal.flushes", self.flushes);
         out.counter("db.wal.bytes_enqueued", self.enqueued);
         out.gauge("db.wal.pending_bytes", self.pending.len() as f64);
-        // Configuration, not history: no segment lifecycle without
-        // `enable_segments`.
-        if let Some(seg) = &self.segments {
-            out.gauge("db.wal.segments", seg.segment_count() as f64);
-            out.gauge("db.wal.archived_bytes", seg.archived_bytes() as f64);
-            out.counter("db.wal.seals", seg.seals());
-            out.counter("db.wal.retired_segments", seg.retired_segments());
-            out.counter("db.wal.retired_bytes", seg.retired_bytes());
-        }
         self.backend.instrument(out);
     }
 }
@@ -488,59 +433,6 @@ mod tests {
         assert_eq!(reports.len(), 1);
         assert_eq!(reports[0].at, t0);
         assert_eq!(wal.flushes_in_flight(), 0);
-    }
-
-    #[test]
-    fn segments_track_the_lsn_space() {
-        let mut wal = WalManager::new(NoLog::new(), WalConfig::default());
-        wal.enable_segments(crate::segment::SegmentConfig { segment_bytes: 1 << 10 });
-        let mut now = SimTime::ZERO;
-        let mut reports = Vec::new();
-        for i in 0..40 {
-            wal.append_records(now, &[rec(i, 100)]);
-            if wal.threshold_reached() {
-                wal.commit_group(now, 1, &mut reports);
-                now = reports.pop().expect("the serialized writer always reports").at;
-            }
-        }
-        wal.flush(now);
-        let seg = wal.segments().expect("enabled");
-        assert_eq!(seg.end_lsn(), wal.durable_upto().0, "segments cover every enqueued byte");
-        assert!(seg.seals() > 0, "1 KiB segments must have rotated");
-        // Truncating to the durable frontier retires the whole archive.
-        let retired = wal.truncate_below(wal.durable_upto());
-        assert_eq!(retired as u64, wal.segments().unwrap().seals());
-        assert_eq!(wal.segments().unwrap().archived_bytes(), 0);
-    }
-
-    #[test]
-    fn record_on_exact_segment_boundary_seals_clean() {
-        // Regression for the pending-group hazard: a record whose encoded
-        // length lands exactly on the segment boundary must seal a full
-        // segment, not span into the next one.
-        let record = rec(1, 100);
-        let len = record.encoded_len() as u64;
-        let mut wal = WalManager::new(NoLog::new(), WalConfig::default());
-        wal.enable_segments(crate::segment::SegmentConfig { segment_bytes: 3 * len });
-        for _ in 0..3 {
-            wal.append_records(SimTime::ZERO, std::slice::from_ref(&record));
-        }
-        let seg = wal.segments().unwrap();
-        assert_eq!(seg.seals(), 1);
-        let sealed = seg.sealed().next().unwrap();
-        assert_eq!(sealed.bytes.len() as u64, 3 * len, "exactly full, nothing spilled");
-        assert!(sealed.verify());
-        assert_eq!(seg.segment_count(), 1, "active segment is empty after the exact fill");
-    }
-
-    #[test]
-    #[should_panic(expected = "ahead of durable frontier")]
-    fn truncation_cannot_outrun_durability() {
-        let mut wal = WalManager::new(NoLog::new(), WalConfig::default());
-        wal.enable_segments(crate::segment::SegmentConfig::default());
-        wal.append_records(SimTime::ZERO, &[rec(1, 100)]);
-        // Enqueued but never flushed: the horizon may not pass Lsn(0).
-        wal.truncate_below(Lsn(1));
     }
 
     #[test]

@@ -48,9 +48,9 @@ pub mod site {
     pub const NTB_TLP: u64 = 0xFA17_0004;
     /// NVMe command fate (error completion / lost completion).
     pub const NVME_CMD: u64 = 0xFA17_0005;
-    /// WAL segment tail corruption (torn/garbled bytes past the last
-    /// durable record, exercised by the segment-recovery property tests).
-    pub const SEGMENT_TAIL: u64 = 0xFA17_0006;
+    /// WAL tail corruption (torn/garbled bytes past the last durable
+    /// record, exercised by the recovery property tests).
+    pub const LOG_TAIL: u64 = 0xFA17_0006;
 }
 
 /// A probabilistic fault injector for one site.
