@@ -31,11 +31,11 @@ use crate::destage::PageStore;
 use crate::device::{vendor, CrashReport, VillarsDevice};
 use crate::transport::{DeviceIndex, MirrorWrite, Outbound, Role, TlpRun};
 use nvme::{
-    try_drive_to_completion, AdminCommand, CmdTag, CommandKind, Completion, IoPort, Status,
+    drive_to_completion, AdminCommand, CmdTag, CommandKind, Completion, IoPort, Status,
     VendorCommand,
 };
 use pcie::MmioMode;
-use simkit::{DiagnosticSnapshot, EventQueue, FaultPlan, SimDuration, SimError, SimTime};
+use simkit::{EventQueue, FaultPlan, SimDuration, SimTime};
 use std::cmp::Reverse;
 
 /// Shadow-counter updates in flight to the primary: `count` updates of
@@ -182,33 +182,20 @@ impl Cluster {
 
     /// Event-driven blocking wait for `tag` on device `dev`, starting the
     /// horizon at `from`: the shared closed-loop adapter
-    /// ([`try_drive_to_completion`]) jumps virtual time straight to the
+    /// ([`drive_to_completion`]) jumps virtual time straight to the
     /// device's next pending event instead of stepping in fixed quanta,
-    /// and panics with the structured [`SimError::Stall`] report if the
-    /// device stalls. Fallible callers use
-    /// [`Cluster::try_wait_for_completion`].
+    /// and panics, naming the instant, the in-flight count and the CID, if
+    /// the device stalls.
     pub fn wait_for_completion(
         &mut self,
         dev: DeviceIndex,
         from: SimTime,
         tag: CmdTag,
     ) -> Completion {
-        self.try_wait_for_completion(dev, from, tag).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`Cluster::wait_for_completion`]: a stalled device
-    /// yields [`SimError::Stall`] carrying a diagnostic snapshot (horizon
-    /// instant, in-flight commands, pending CID) instead of unwinding.
-    pub fn try_wait_for_completion(
-        &mut self,
-        dev: DeviceIndex,
-        from: SimTime,
-        tag: CmdTag,
-    ) -> Result<Completion, Box<SimError>> {
         let mut drained = std::mem::take(&mut self.drain_buf);
-        let done = try_drive_to_completion(&mut self.devices[dev], from, tag, &mut drained);
+        let done = drive_to_completion(&mut self.devices[dev], from, tag, &mut drained);
         self.drain_buf = drained;
-        done.map_err(|e| self.enrich_with_domain_frontiers(e))
+        done
     }
 
     /// Execute a vendor-specific admin command against device `dev`,
@@ -451,10 +438,14 @@ impl Cluster {
                 // taken again at the event that can reopen the intake.
                 dev.advance(at);
                 let Some(retry) = dev.next_event_after(at) else {
-                    let what =
-                        format!("to {}: [{}, +{}): {refusal}", m.dst, m.offset, m.data.len());
-                    let snapshot = DiagnosticSnapshot::new(at, 1).detail(what);
-                    panic!("{}", SimError::stall("mirror flow", at, snapshot))
+                    panic!(
+                        "simulation stalled at mirror flow: t={}us, 1 in flight; to {}: [{}, \
+                         +{}): {refusal}",
+                        at.as_micros_f64(),
+                        m.dst,
+                        m.offset,
+                        m.data.len()
+                    )
                 };
                 for run in &mut m.landings {
                     *run = TlpRun { first: retry, period: SimDuration::ZERO, ..*run };
@@ -729,25 +720,6 @@ impl Cluster {
     pub fn is_dead(&self, dev: DeviceIndex) -> bool {
         self.dead[dev]
     }
-
-    /// Attach each device's next-event frontier to a failure's
-    /// [`simkit::DiagnosticSnapshot`] — the global frontier alone cannot
-    /// tell an idle cluster from a cross-device deadlock.
-    fn enrich_with_domain_frontiers(&self, mut e: Box<SimError>) -> Box<SimError> {
-        let (SimError::Stall { snapshot, .. } | SimError::Invariant { snapshot, .. }) = e.as_mut();
-        for (i, d) in self.devices.iter().enumerate() {
-            let mut frontier = d.next_event();
-            if let Some(u) = d.transport().next_update_at() {
-                frontier = Some(frontier.map_or(u, |n| n.min(u)));
-            }
-            *snapshot = std::mem::take(snapshot).domain_frontier(i, frontier);
-        }
-        if let Some(pending) = self.next_delivery() {
-            *snapshot = std::mem::take(snapshot)
-                .detail_suffix(format!("next cross-device delivery at {pending}"));
-        }
-        e
-    }
 }
 
 impl simkit::Instrument for Cluster {
@@ -883,13 +855,11 @@ mod tests {
     }
 
     #[test]
-    fn try_wait_surfaces_completions_without_panicking() {
+    fn wait_surfaces_a_flush_on_an_idle_device() {
         let mut cl = Cluster::new();
         cl.add_device(VillarsConfig::small());
         let tag = cl.submit(0, SimTime::ZERO, CommandKind::Io(nvme::IoCommand::Flush));
-        let done = cl
-            .try_wait_for_completion(0, SimTime::ZERO, tag)
-            .expect("flush completes on an idle device");
+        let done = cl.wait_for_completion(0, SimTime::ZERO, tag);
         assert!(done.entry.status.is_ok());
     }
 

@@ -9,10 +9,7 @@
 //! so destaging, replication, and crash recovery are verifiable end to end.
 
 use crate::config::CmbConfig;
-use simkit::{
-    Bandwidth, Bytes, DiagnosticSnapshot, Ends, Grant, SerialResource, SimDuration, SimError,
-    SimTime,
-};
+use simkit::{Bandwidth, Bytes, Ends, Grant, SerialResource, SimDuration, SimTime};
 use std::collections::{BTreeMap, VecDeque};
 
 /// Errors from CMB ingest.
@@ -505,20 +502,12 @@ impl CmbModule {
         }
     }
     /// Read `len` bytes of ring content starting at monotonic `offset`
-    /// (destage module / verification). Panics with the structured
-    /// [`SimError`] report on an out-of-window read; fallible callers use
-    /// [`CmbModule::try_content`].
+    /// (destage module / verification). Panics on a read outside the live
+    /// ring window `[head, tail)`, naming the ring's state: head, credit,
+    /// tail, pending drains and held chunks.
     pub fn content(&self, offset: u64, len: usize) -> Vec<u8> {
-        self.try_content(offset, len).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`CmbModule::content`]: a read outside the live
-    /// ring window `[head, tail)` yields [`SimError::Invariant`] carrying
-    /// the ring's full state (head/tail/credit, pending drains, held
-    /// chunks) instead of unwinding.
-    pub fn try_content(&self, offset: u64, len: usize) -> Result<Vec<u8>, Box<SimError>> {
-        let (first, rest) = self.try_slices(offset, len)?;
-        Ok([first, rest].concat())
+        let (first, rest) = self.slices(offset, len);
+        [first, rest].concat()
     }
 
     /// Live ring content `[offset, offset + len)` as one shared buffer of
@@ -535,7 +524,7 @@ impl CmbModule {
         padded_len: usize,
         reuse: Option<&Bytes>,
     ) -> Bytes {
-        let (first, rest) = self.try_slices(offset, len).unwrap_or_else(|e| panic!("{e}"));
+        let (first, rest) = self.slices(offset, len);
         let equal = |page: &&Bytes| {
             page.len() == padded_len
                 && page[..first.len()] == *first
@@ -554,27 +543,23 @@ impl CmbModule {
 
     /// Borrow live ring content `[offset, offset + len)`: two slices, the
     /// second non-empty only when the range wraps the end of the ring.
-    fn try_slices(&self, offset: u64, len: usize) -> Result<(&[u8], &[u8]), Box<SimError>> {
-        if offset < self.head || offset + len as u64 > self.tail {
-            let snapshot = DiagnosticSnapshot::new(
-                self.pending.back().map_or(SimTime::ZERO, |d| d.ends.last()),
-                0,
-            )
-            .queue("head", self.head)
-            .queue("credit", self.credit)
-            .queue("tail", self.tail)
-            .queue("pending_drains", self.pending.len() as u64)
-            .queue("held_chunks", self.held.values().map(|(u, b)| b.len() as u64 / u).sum())
-            .detail(format!(
-                "content read outside live ring: [{offset}, +{len}) vs [{}, {})",
-                self.head, self.tail
-            ));
-            return Err(Box::new(SimError::invariant("CMB ring", snapshot)));
+    fn slices(&self, offset: u64, len: usize) -> (&[u8], &[u8]) {
+        let (head, tail) = (self.head, self.tail);
+        if offset < head || offset + len as u64 > tail {
+            panic!(
+                "invariant violated at CMB ring [t={}us, head={head}, credit={}, tail={tail}, \
+                 pending_drains={}, held_chunks={}; content read outside live ring: \
+                 [{offset}, +{len}) vs [{head}, {tail})]",
+                self.pending.back().map_or(SimTime::ZERO, |d| d.ends.last()).as_micros_f64(),
+                self.credit,
+                self.pending.len(),
+                self.held.values().map(|(u, b)| b.len() as u64 / u).sum::<u64>()
+            );
         }
         let size = self.config.size as usize;
         let start = (offset % size as u64) as usize;
         let first = len.min(size - start);
-        Ok((&self.ring[start..start + first], &self.ring[..len - first]))
+        (&self.ring[start..start + first], &self.ring[..len - first])
     }
 
     /// Advance the destage head: bytes below `new_head` are freed for
@@ -917,24 +902,39 @@ mod tests {
         }
     }
 
-    #[test]
-    fn out_of_window_content_read_is_a_structured_error() {
+    /// A ring holding `[50, 100)`: 100 bytes written and credited, the
+    /// first 50 destaged.
+    fn ring_with_head_at_50() -> CmbModule {
         let mut cmb = CmbModule::new(cfg(4096, 8192));
         let mut port = Port::new();
         cmb.ingest(SimTime::ZERO, 0, &[1u8; 100], |t, b| port.acquire(t, b))
             .expect("in-window CMB write rejected");
         cmb.credit_at(SimTime::from_micros(1));
         cmb.advance_head(50);
-        // Below the head: freed bytes.
-        let err = cmb.try_content(0, 10).unwrap_err();
-        let msg = err.to_string();
+        cmb
+    }
+
+    /// Beyond the tail (unwritten bytes) the read panics with the ring's
+    /// state; in-window reads still work.
+    #[test]
+    fn out_of_window_content_read_is_a_structured_error() {
+        let cmb = ring_with_head_at_50();
+        let read = std::panic::AssertUnwindSafe(|| cmb.content(90, 20));
+        let panic = std::panic::catch_unwind(read).expect_err("a read past the tail panics");
+        let msg = panic.downcast_ref::<String>().expect("a formatted panic message");
         assert!(msg.contains("CMB ring"), "{msg}");
-        assert!(msg.contains("head=50"), "{msg}");
-        assert!(msg.contains("tail=100"), "{msg}");
-        // Beyond the tail: unwritten bytes.
-        assert!(cmb.try_content(90, 20).is_err());
-        // In-window reads still work.
-        assert_eq!(cmb.try_content(50, 50).unwrap(), vec![1u8; 50]);
+        assert!(msg.contains("head=50, credit=100, tail=100"), "{msg}");
+        assert!(msg.contains("[90, +20) vs [50, 100)"), "{msg}");
+        assert_eq!(cmb.content(50, 50), vec![1u8; 50]);
+    }
+
+    /// Below the head: freed bytes. The message names the ring's state.
+    #[test]
+    #[should_panic(expected = "invariant violated at CMB ring [t=0us, head=50, credit=100, \
+                               tail=100, pending_drains=0, held_chunks=0; content read \
+                               outside live ring: [0, +10) vs [50, 100)]")]
+    fn a_content_read_below_the_head_names_the_ring_state() {
+        ring_with_head_at_50().content(0, 10);
     }
 
     #[test]

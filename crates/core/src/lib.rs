@@ -42,9 +42,7 @@ pub use cmb::{CmbError, CmbModule, CmbStats};
 pub use config::{CmbConfig, DestageConfig, ReplicationPolicy, TransportConfig, VillarsConfig};
 pub use destage::{DestageModule, DestageStats, Segment};
 pub use device::{vendor, CrashReport, FastWrite, VillarsDevice};
-pub use port::{
-    drive_to_completion, try_drive_to_completion, CmdTag, Completion, IoPort, PortAccounting,
-};
+pub use port::{drive_to_completion, CmdTag, Completion, IoPort, PortAccounting};
 pub use transport::{
     DeviceIndex, MirrorWrite, Outbound, Role, TlpRun, TransportModule, TransportStatus,
 };

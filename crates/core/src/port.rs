@@ -20,6 +20,4 @@
 //! [`Cluster::wait_for_completion`](crate::Cluster::wait_for_completion);
 //! the `*_blocking` helpers are thin closed-loop adapters over them.
 
-pub use nvme::port::{
-    drive_to_completion, try_drive_to_completion, CmdTag, Completion, IoPort, PortAccounting,
-};
+pub use nvme::port::{drive_to_completion, CmdTag, Completion, IoPort, PortAccounting};

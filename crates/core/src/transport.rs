@@ -533,7 +533,7 @@ impl TransportModule {
 
     /// NTB wire statistics of the upstream (secondary → primary) flow, for
     /// the Fig. 13 bandwidth-overhead series.
-    pub fn upstream_stats(&self) -> Option<simkit::LinkStats> {
+    pub fn upstream_stats(&self) -> Option<pcie::LinkStats> {
         self.upstream.as_ref().map(|p| p.stats())
     }
 

@@ -274,11 +274,17 @@ impl std::fmt::Debug for NvmeLog {
 
 impl NvmeLog {
     /// Log into `ssd`, cycling over a ring of `ring_lbas` blocks at
-    /// `base_lba`.
+    /// `base_lba`. Panics unless the ring is non-empty and inside the
+    /// namespace: a write past it would complete with `LbaOutOfRange`.
     pub fn new(device: ssd::ConventionalSsd, base_lba: u64, ring_lbas: u64) -> Self {
-        assert!(ring_lbas > 0);
+        let driver = nvme::NvmeDriver::new(device);
+        let capacity = driver.namespace().capacity_lbas;
+        assert!(
+            ring_lbas > 0 && base_lba + ring_lbas <= capacity,
+            "log ring [{base_lba}, +{ring_lbas}) outside the namespace's {capacity} LBAs"
+        );
         NvmeLog {
-            driver: nvme::NvmeDriver::new(device),
+            driver,
             next_lba: 0,
             ring_lbas,
             base_lba,
@@ -314,7 +320,7 @@ impl NvmeLog {
         for c in &buf {
             if let Some(pos) = self.pending.iter().position(|&(_, ft)| ft.0 == c.entry.cid) {
                 let (tag, _) = self.pending.remove(pos);
-                debug_assert!(
+                assert!(
                     c.entry.status.is_ok(),
                     "log flush failed (cid {}): {:?}",
                     c.entry.cid,
@@ -358,7 +364,9 @@ impl LogBackend for NvmeLog {
             t = t.max(at);
         }
         if self.staged == 0 {
-            return self.driver.flush_blocking(t).completed_at;
+            let f = self.driver.flush_blocking(t);
+            assert!(f.status.is_ok(), "log flush failed: {:?}", f.status);
+            return f.completed_at;
         }
         let lba_bytes = self.lba_bytes();
         let blocks = self.staged.div_ceil(lba_bytes).max(1);
@@ -368,13 +376,13 @@ impl LogBackend for NvmeLog {
             let chunk = remaining.min(self.ring_lbas - self.next_lba);
             let lba = self.base_lba + self.next_lba;
             let r = self.driver.write_blocking(t, lba, chunk as u32);
-            debug_assert!(r.status.is_ok(), "log write failed: {:?}", r.status);
+            assert!(r.status.is_ok(), "log write failed: {:?}", r.status);
             t = r.completed_at;
             self.next_lba = (self.next_lba + chunk) % self.ring_lbas;
             remaining -= chunk;
         }
         let f = self.driver.flush_blocking(t);
-        debug_assert!(f.status.is_ok());
+        assert!(f.status.is_ok(), "log flush failed: {:?}", f.status);
         f.completed_at
     }
 
@@ -629,6 +637,12 @@ mod tests {
         // Two 4KiB blocks + flush: must include tPROG (fast timing 50us).
         assert!(t2.as_micros_f64() >= 50.0, "sync too fast: {t2}");
         assert_eq!(b.bytes_written(), 8192);
+    }
+
+    #[test]
+    #[should_panic(expected = "log ring [400, +64) outside the namespace's 448 LBAs")]
+    fn nvme_log_ring_must_fit_the_namespace() {
+        NvmeLog::new(ConventionalSsd::new(SsdConfig::small()), 400, 64);
     }
 
     #[test]

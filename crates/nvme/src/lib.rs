@@ -32,7 +32,5 @@ pub use command::{
 };
 pub use controller::{HostCosts, IoResult, NvmeController, NvmeDriver};
 pub use namespace::Namespace;
-pub use port::{
-    drive_to_completion, try_drive_to_completion, CmdTag, Completion, IoPort, PortAccounting,
-};
+pub use port::{drive_to_completion, CmdTag, Completion, IoPort, PortAccounting};
 pub use regions::{BackingClass, CmbDescriptor};

@@ -38,7 +38,7 @@
 //! (`docs/OBSERVABILITY.md`).
 
 use crate::command::{CommandId, CommandKind, CompletionEntry};
-use simkit::{DiagnosticSnapshot, SimError, SimTime, Summary};
+use simkit::{SimTime, Summary};
 use std::collections::HashSet;
 
 /// Identifies one in-flight submission on the port that issued it.
@@ -291,45 +291,34 @@ impl simkit::Instrument for PortAccounting {
 /// pre-port blocking helpers; pipelined callers drain the port themselves
 /// instead of using this adapter.
 ///
-/// Panics with the structured [`SimError::Stall`] report if the port goes
-/// idle before the tag completes (a stalled device model is a simulation
-/// bug); chaos harnesses that want the error instead use
-/// [`try_drive_to_completion`].
+/// Panics if the port goes idle before the tag completes (a stalled device
+/// model is a simulation bug); the message names the instant, the
+/// in-flight count and the waiting CID.
 pub fn drive_to_completion<P: IoPort + ?Sized>(
     port: &mut P,
     from: SimTime,
     tag: CmdTag,
     scratch: &mut Vec<Completion>,
 ) -> Completion {
-    try_drive_to_completion(port, from, tag, scratch).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible form of [`drive_to_completion`]: a port that goes idle with
-/// the tag still outstanding yields [`SimError::Stall`] carrying a
-/// diagnostic snapshot (virtual time, in-flight count, the waiting CID)
-/// instead of unwinding.
-pub fn try_drive_to_completion<P: IoPort + ?Sized>(
-    port: &mut P,
-    from: SimTime,
-    tag: CmdTag,
-    scratch: &mut Vec<Completion>,
-) -> Result<Completion, Box<SimError>> {
     let mut horizon = from;
     loop {
         port.poll(horizon);
         scratch.clear();
         port.completions_into(horizon, scratch);
         if let Some(done) = scratch.iter().find(|c| c.entry.cid == tag.0) {
-            return Ok(*done);
+            return *done;
         }
-        match port.next_port_event_at() {
-            Some(t) => horizon = t.max(horizon),
-            None => {
-                let snapshot = DiagnosticSnapshot::new(horizon, port.in_flight())
-                    .detail(format!("command cid={} never completed", tag.0));
-                return Err(Box::new(SimError::stall("I/O port", from, snapshot)));
-            }
-        }
+        let Some(t) = port.next_port_event_at() else {
+            panic!(
+                "simulation stalled at I/O port: waiting since t={}us [t={}us, {} in flight; \
+                 command cid={} never completed]",
+                from.as_micros_f64(),
+                horizon.as_micros_f64(),
+                port.in_flight(),
+                tag.0
+            );
+        };
+        horizon = t.max(horizon);
     }
 }
 
@@ -436,5 +425,32 @@ mod tests {
             assert_eq!(acct.depth_summary(), brute.summary(), "after {} submissions", step + 1);
         }
         assert_eq!(acct.max_in_flight(), 24);
+    }
+
+    /// A port that accepts commands and never completes one.
+    struct BlackHole(PortAccounting);
+
+    impl IoPort for BlackHole {
+        fn submit(&mut self, _now: SimTime, _kind: CommandKind) -> CmdTag {
+            CmdTag(self.0.begin())
+        }
+        fn poll(&mut self, _now: SimTime) {}
+        fn completions_into(&mut self, _now: SimTime, _out: &mut Vec<Completion>) {}
+        fn next_port_event_at(&self) -> Option<SimTime> {
+            None
+        }
+        fn in_flight(&self) -> usize {
+            self.0.in_flight()
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "2 in flight; command cid=1 never completed")]
+    fn a_port_that_goes_idle_names_the_waiting_cid() {
+        let mut port = BlackHole(PortAccounting::new());
+        let kind = CommandKind::Admin(crate::AdminCommand::Identify);
+        port.submit(SimTime::ZERO, kind);
+        let tag = port.submit(SimTime::ZERO, kind);
+        drive_to_completion(&mut port, SimTime::from_micros(3), tag, &mut Vec::new());
     }
 }

@@ -6,7 +6,7 @@
 //! generation/lane-width arithmetic and a [`PcieLink`] that serializes TLPs.
 
 use crate::tlp::{Tlp, TlpOverhead};
-use simkit::{Bandwidth, Grant, Link, LinkStats, SimDuration, SimTime};
+use simkit::{Bandwidth, Grant, SerialResource, SimDuration, SimTime};
 
 /// PCIe protocol generation; determines per-lane raw rate and line encoding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,25 +86,44 @@ impl LinkConfig {
     }
 }
 
+/// Cumulative traffic statistics of a [`PcieLink`].
+#[derive(Debug, Clone, Copy, Default)]
+pub struct LinkStats {
+    /// Data bytes carried.
+    pub payload_bytes: u64,
+    /// TLP header, framing and prefix bytes carried.
+    pub overhead_bytes: u64,
+    /// Number of TLPs.
+    pub messages: u64,
+}
+
 /// One direction of a PCIe link: a serializing wire carrying TLPs one way.
 /// A link is dual-simplex — a full-duplex port owns two of these, and a
-/// read's completion returns on the other one.
+/// read's completion returns on the other one. Each of the host link's two
+/// wires (which DMA and the host's CMB stores ride) and each NTB hop is one
+/// of these.
 ///
-/// Latency of a packet = queueing (FIFO behind in-flight TLPs)
-/// + serialization (wire bytes / bandwidth) + propagation.
+/// Each TLP occupies the wire for its wire bytes (payload plus the per-TLP
+/// overhead) over the link's bandwidth, and TLPs queue FIFO behind the
+/// wire's `busy_until` horizon. Latency of a packet = queueing +
+/// serialization + propagation.
 #[derive(Debug, Clone)]
 pub struct PcieLink {
     config: LinkConfig,
-    wire: Link,
+    bandwidth: Bandwidth,
+    wire: SerialResource,
+    stats: LinkStats,
 }
 
 impl PcieLink {
     /// Build a link from its static description.
     pub fn new(config: LinkConfig) -> Self {
-        // Overhead is accounted per-TLP by `send`, not per-message by the
-        // inner Link, so the inner link gets zero fixed overhead.
-        let wire = Link::new(config.bandwidth(), 0);
-        PcieLink { config, wire }
+        PcieLink {
+            config,
+            bandwidth: config.bandwidth(),
+            wire: SerialResource::new(),
+            stats: LinkStats::default(),
+        }
     }
 
     /// The static configuration.
@@ -117,8 +136,7 @@ impl PcieLink {
     /// propagation).
     pub fn send(&mut self, now: SimTime, tlp: &Tlp) -> Grant {
         let overhead = tlp.wire_bytes(&self.config.overhead) - tlp.payload_data_bytes();
-        let g = self.wire.transmit_with_overhead(now, tlp.payload_data_bytes(), overhead);
-        Grant { start: g.start, end: g.end + self.config.propagation }
+        self.transmit(now, tlp.payload_data_bytes(), overhead, 1)
     }
 
     /// Transmit one TLP that does not wait out the traffic ahead of it: the
@@ -144,9 +162,26 @@ impl PcieLink {
     /// simulator does not grow with the TLP count.
     pub fn send_write_burst(&mut self, now: SimTime, payload: u32, n: u64) -> Grant {
         assert!(n > 0, "burst must contain at least one TLP");
-        let per_tlp = self.config.overhead.per_tlp_bytes();
-        let g = self.wire.transmit_burst_with_overhead(now, payload as u64, per_tlp, n);
-        Grant { start: g.start, end: g.end + self.config.propagation }
+        self.transmit(now, payload as u64, self.config.overhead.per_tlp_bytes(), n)
+    }
+
+    /// `n` packets of `payload + overhead` wire bytes, back to back, the
+    /// next entering the wire as the previous one leaves it: the window
+    /// from the first packet's start to the last one's arrival, with the
+    /// statistics and wire occupancy of `n` single packets, in constant
+    /// time.
+    fn transmit(&mut self, now: SimTime, payload: u64, overhead: u64, n: u64) -> Grant {
+        let service = self.bandwidth.transfer_time(payload + overhead);
+        self.count(payload, overhead, n);
+        let start = now.max(self.wire.busy_until());
+        self.wire.acquire_run(now, SimDuration::ZERO, service, n);
+        Grant { start, end: self.wire.busy_until() + self.config.propagation }
+    }
+
+    fn count(&mut self, payload: u64, overhead: u64, n: u64) {
+        self.stats.payload_bytes += n * payload;
+        self.stats.overhead_bytes += n * overhead;
+        self.stats.messages += n;
     }
 
     /// What [`PcieLink::send_write_burst`]`(now, payload, n)` would do,
@@ -155,8 +190,8 @@ impl PcieLink {
     /// `first + (n−1)·per_tlp`. Lets a receiver that takes a whole burst at
     /// once decide whether it can before anything is sent.
     pub fn peek_write_burst(&self, now: SimTime, payload: u32) -> (SimTime, SimDuration) {
-        let per_tlp_bytes = self.wire.overhead_bytes() + self.config.overhead.per_tlp_bytes();
-        let per_tlp = self.wire.bandwidth().transfer_time(payload as u64 + per_tlp_bytes);
+        let per_tlp_bytes = self.config.overhead.per_tlp_bytes();
+        let per_tlp = self.bandwidth.transfer_time(payload as u64 + per_tlp_bytes);
         (now.max(self.wire.busy_until()) + per_tlp + self.config.propagation, per_tlp)
     }
 
@@ -173,15 +208,15 @@ impl PcieLink {
         period: SimDuration,
         n: u64,
     ) -> Option<Grant> {
-        let overhead = tlp.wire_bytes(&self.config.overhead) - tlp.payload_data_bytes();
-        let g = self.wire.transmit_periodic_with_overhead(
-            first,
-            period,
-            tlp.payload_data_bytes(),
-            overhead,
-            n,
-        )?;
-        Some(Grant { start: g.start, end: g.end + self.config.propagation })
+        let payload = tlp.payload_data_bytes();
+        let overhead = tlp.wire_bytes(&self.config.overhead) - payload;
+        let service = self.bandwidth.transfer_time(payload + overhead);
+        if self.wire.busy_until() > first || service > period {
+            return None;
+        }
+        self.wire.acquire_run(first, period, service, n);
+        self.count(payload, overhead, n);
+        Some(Grant { start: first, end: first + service + self.config.propagation })
     }
 
     /// The instant the wire next goes idle.
@@ -191,7 +226,7 @@ impl PcieLink {
 
     /// Cumulative traffic statistics.
     pub fn stats(&self) -> LinkStats {
-        self.wire.stats()
+        self.stats
     }
 
     /// Total time the wire has been occupied.
@@ -207,9 +242,10 @@ impl PcieLink {
 
 impl simkit::Instrument for PcieLink {
     fn instrument(&self, out: &mut simkit::Scope<'_>) {
-        // TLP payload/overhead/message counters plus wire occupancy, from
-        // the inner serializing link.
-        self.wire.instrument(out);
+        out.counter("payload_bytes", self.stats.payload_bytes);
+        out.counter("overhead_bytes", self.stats.overhead_bytes);
+        out.counter("messages", self.stats.messages);
+        out.counter("busy_ns", self.wire.busy_time().as_nanos());
     }
 }
 

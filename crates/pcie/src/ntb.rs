@@ -8,10 +8,10 @@
 //! a per-hop latency plus serialization on the inter-host link, with a small
 //! translation-prefix overhead per TLP.
 
-use crate::link::{LinkConfig, PcieLink};
+use crate::link::{LinkConfig, LinkStats, PcieLink};
 use crate::tlp::{BusAddr, Tlp};
 use simkit::faults::{FaultHook, LinkDownWindow, TransportFaultConfig};
-use simkit::{DetRng, Grant, LinkStats, SimDuration, SimTime};
+use simkit::{DetRng, Grant, SimDuration, SimTime};
 
 /// Identifies a host/fabric connected by NTB.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -54,11 +54,6 @@ pub struct NtbConfig {
     /// Extra bytes prepended per forwarded TLP (translation prefix /
     /// "minor formatting", paper §2.3).
     pub translation_overhead_bytes: u64,
-    /// Whether the adapter multicasts one ingress TLP to several peers in
-    /// hardware. The paper's prototype deliberately does NOT use multicast:
-    /// "for simplicity we chose not to use it" — the primary creates one
-    /// mirror flow per secondary.
-    pub hardware_multicast: bool,
 }
 
 impl Default for NtbConfig {
@@ -76,7 +71,6 @@ impl Default for NtbConfig {
             // path: adapter + cable + intermediate switch hops.
             hop_latency: SimDuration::from_nanos(1_400),
             translation_overhead_bytes: 4,
-            hardware_multicast: false,
         }
     }
 }
@@ -84,7 +78,10 @@ impl Default for NtbConfig {
 /// A point-to-point NTB connection from a local fabric to one peer fabric.
 ///
 /// Each secondary gets its own `NtbPort` on the primary (one mirror flow per
-/// secondary, paper §4.2), so per-secondary pacing is independent.
+/// secondary, paper §4.2), so per-secondary pacing is independent. The
+/// adapters could multicast one ingress TLP to several peers in hardware;
+/// the paper's prototype does not ("for simplicity we chose not to use
+/// it"), and neither does this model.
 #[derive(Debug, Clone)]
 pub struct NtbPort {
     config: NtbConfig,

@@ -318,16 +318,6 @@ impl Instrument for crate::resource::SerialResource {
     }
 }
 
-impl Instrument for crate::resource::Link {
-    fn instrument(&self, out: &mut Scope<'_>) {
-        let s = self.stats();
-        out.counter("payload_bytes", s.payload_bytes);
-        out.counter("overhead_bytes", s.overhead_bytes);
-        out.counter("messages", s.messages);
-        out.counter("busy_ns", self.busy_time().as_nanos());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

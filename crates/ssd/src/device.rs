@@ -24,6 +24,12 @@ use simkit::{Bandwidth, EventQueue, SimTime};
 use std::collections::HashMap;
 
 /// Device-wide configuration.
+///
+/// The device has one write mode: a host write completes once its pages
+/// are in the volatile data buffer, and a `Flush` completes when every
+/// program issued before it is on media — its durability point. The
+/// channel scheduler starts `Neutral`; [`ConventionalSsd::set_scheduling_mode`]
+/// (the `SET_SCHED_MODE` vendor command) is its one setter.
 #[derive(Debug, Clone)]
 pub struct SsdConfig {
     /// Flash shape.
@@ -43,11 +49,6 @@ pub struct SsdConfig {
     pub buffer_pages: usize,
     /// Device DRAM port bandwidth (shared with a DRAM-backed CMB).
     pub dram_bandwidth: Bandwidth,
-    /// Whether writes complete from the volatile cache (true for consumer
-    /// behaviour; an fsync/Flush is then required for durability).
-    pub write_cache: bool,
-    /// Initial channel-scheduler policy.
-    pub scheduling: SchedulingMode,
     /// RNG seed for the factory bad-block sampling.
     pub seed: u64,
 }
@@ -63,8 +64,6 @@ impl Default for SsdConfig {
             dma: DmaConfig::default(),
             buffer_pages: 2048,
             dram_bandwidth: Bandwidth::bus(64, 250.0).scaled(2.0), // DDR3 ctrl: 4 GB/s
-            write_cache: true,
-            scheduling: SchedulingMode::Neutral,
             seed: 0x55D,
         }
     }
@@ -85,9 +84,8 @@ impl SsdConfig {
 /// What an in-flight flash op is doing for the device.
 #[derive(Debug, Clone)]
 enum PendingOp {
-    /// Program for a host write page. `wait_cid` is set when the write
-    /// command completes only on durability (write cache disabled).
-    HostWrite { lpn: Lpn, data: Bytes, wait_cid: Option<CommandId> },
+    /// Program for a host write page.
+    HostWrite { lpn: Lpn, data: Bytes },
     /// Read for a host read command page.
     HostReadPage { cid: CommandId },
     /// Fast-side destage program.
@@ -106,13 +104,6 @@ struct ReadState {
     remaining: usize,
     ready_at: SimTime,
     bytes: u64,
-    status: Status,
-}
-
-#[derive(Debug)]
-struct WriteState {
-    remaining: usize,
-    last_at: SimTime,
     status: Status,
 }
 
@@ -158,7 +149,6 @@ pub struct ConventionalSsd {
     /// Host-write programs not yet on media (what a flush waits on).
     outstanding_host_programs: usize,
     reads: HashMap<CommandId, ReadState>,
-    writes_waiting: HashMap<CommandId, WriteState>,
     flushes: Vec<FlushState>,
     next_op: u64,
     next_token: u64,
@@ -194,7 +184,7 @@ impl ConventionalSsd {
         let array =
             FlashArray::new(config.geometry, config.timing, config.reliability, config.seed);
         let ftl = Ftl::new(config.geometry, &array, 0);
-        let sched = ChannelScheduler::new(config.geometry.channels, config.scheduling);
+        let sched = ChannelScheduler::new(config.geometry.channels, SchedulingMode::Neutral);
         let buffer =
             DataBuffer::new(config.buffer_pages, config.geometry.page_bytes, config.dram_bandwidth);
         let hic = Hic::new(config.hic, config.link, config.dma);
@@ -217,7 +207,6 @@ impl ConventionalSsd {
             ops: HashMap::new(),
             outstanding_host_programs: 0,
             reads: HashMap::new(),
-            writes_waiting: HashMap::new(),
             flushes: Vec::new(),
             next_op: 0,
             next_token: 0,
@@ -273,7 +262,7 @@ impl ConventionalSsd {
     }
 
     /// Host-link statistics, both directions together.
-    pub fn link_stats(&self) -> simkit::LinkStats {
+    pub fn link_stats(&self) -> pcie::LinkStats {
         self.hic.link_stats()
     }
 
@@ -399,15 +388,12 @@ impl ConventionalSsd {
     fn allocate(&mut self, at: SimTime, lpn: Lpn, stream: AllocStream) -> Ppa {
         let Some(ppa) = self.ftl.allocate(lpn, stream) else {
             panic!(
-                "{}",
-                simkit::SimError::invariant(
-                    "ssd allocation",
-                    simkit::DiagnosticSnapshot::new(at, self.ops.len()).detail(format!(
-                        "device full: no free page for lpn {lpn} ({stream:?}) among {} raw \
-                         pages; the FTL never reclaims",
-                        self.config.geometry.total_pages()
-                    )),
-                )
+                "invariant violated at ssd allocation [t={}us, {} in flight; device full: no \
+                 free page for lpn {lpn} ({stream:?}) among {} raw pages; the FTL never \
+                 reclaims]",
+                at.as_micros_f64(),
+                self.ops.len(),
+                self.config.geometry.total_pages()
             )
         };
         ppa
@@ -428,8 +414,6 @@ impl ConventionalSsd {
                 let page = self.ns.bytes_of(1);
                 let dma = self.hic.dma_in(fetch.end, bytes);
                 let mut last = dma.end;
-                let wait_cid = if self.config.write_cache { None } else { Some(cid) };
-                let mut programs = 0usize;
                 for i in 0..blocks as u64 {
                     let lpn = lba + i;
                     let data = self.staged.remove(&lpn).unwrap_or_else(|| self.zero_page.clone());
@@ -444,20 +428,12 @@ impl ConventionalSsd {
                         g.end,
                         OpKind::Program(ppa),
                         Priority::Conventional,
-                        PendingOp::HostWrite { lpn, data, wait_cid },
+                        PendingOp::HostWrite { lpn, data },
                     );
                     self.outstanding_host_programs += 1;
-                    programs += 1;
                 }
-                if self.config.write_cache {
-                    let at = last + self.hic.completion_post();
-                    self.events.schedule(at, SsdEvent::Complete { cid, status: Status::Success });
-                } else {
-                    self.writes_waiting.insert(
-                        cid,
-                        WriteState { remaining: programs, last_at: last, status: Status::Success },
-                    );
-                }
+                let at = last + self.hic.completion_post();
+                self.events.schedule(at, SsdEvent::Complete { cid, status: Status::Success });
             }
             IoCommand::Read { lba, blocks } => {
                 if !self.ns.range_ok(lba, blocks) {
@@ -538,15 +514,12 @@ impl ConventionalSsd {
     fn handle_flash(&mut self, c: flash::Completion) {
         let Some(op) = self.ops.remove(&c.id) else { return };
         match op {
-            PendingOp::HostWrite { lpn, data, wait_cid } => match c.result {
+            PendingOp::HostWrite { lpn, data } => match c.result {
                 Ok(_) => {
                     self.served_conventional_bytes += self.config.geometry.page_bytes as u64;
                     self.media.insert(lpn, data);
                     self.buffer.mark_clean(lpn);
                     self.settle_host_program(c.id, c.at);
-                    if let Some(cid) = wait_cid {
-                        self.settle_waiting_write(cid, c.at, Status::Success);
-                    }
                 }
                 Err(FlashError::ProgramFailed(b)) | Err(FlashError::BadBlock(b)) => {
                     self.ftl.retire_block(b);
@@ -556,20 +529,16 @@ impl ConventionalSsd {
                         c.at,
                         OpKind::Program(ppa),
                         Priority::Conventional,
-                        PendingOp::HostWrite { lpn, data, wait_cid },
+                        PendingOp::HostWrite { lpn, data },
                     );
                 }
                 Err(e) => panic!(
-                    "{}",
-                    simkit::SimError::invariant(
-                        "ssd host-write path",
-                        simkit::DiagnosticSnapshot::new(c.at, self.ops.len())
-                            .queue(
-                                "outstanding_host_programs",
-                                self.outstanding_host_programs as u64
-                            )
-                            .detail(format!("flash op {} (lpn {lpn}) failed: {e}", c.id)),
-                    )
+                    "invariant violated at ssd host-write path [t={}us, {} in flight, \
+                     outstanding_host_programs={}; flash op {} (lpn {lpn}) failed: {e}]",
+                    c.at.as_micros_f64(),
+                    self.ops.len(),
+                    self.outstanding_host_programs,
+                    c.id
                 ),
             },
             PendingOp::HostReadPage { cid } => {
@@ -605,39 +574,17 @@ impl ConventionalSsd {
                     );
                 }
                 Err(e) => panic!(
-                    "{}",
-                    simkit::SimError::invariant(
-                        "ssd destage path",
-                        simkit::DiagnosticSnapshot::new(c.at, self.ops.len())
-                            .queue("destage_done", self.destage_done.len() as u64)
-                            .detail(format!(
-                                "flash op {} (lpn {lpn}, token {token}) failed: {e}",
-                                c.id
-                            )),
-                    )
+                    "invariant violated at ssd destage path [t={}us, {} in flight, \
+                     destage_done={}; flash op {} (lpn {lpn}, token {token}) failed: {e}]",
+                    c.at.as_micros_f64(),
+                    self.ops.len(),
+                    self.destage_done.len(),
+                    c.id
                 ),
             },
             PendingOp::InternalRead { token } => {
                 self.internal_reads_done.schedule(c.at, token);
             }
-        }
-    }
-
-    fn settle_waiting_write(&mut self, cid: CommandId, at: SimTime, status: Status) {
-        let finished = if let Some(w) = self.writes_waiting.get_mut(&cid) {
-            w.remaining -= 1;
-            w.last_at = w.last_at.max(at);
-            if !status.is_ok() {
-                w.status = status;
-            }
-            w.remaining == 0
-        } else {
-            false
-        };
-        if finished {
-            let w = self.writes_waiting.remove(&cid).expect("just seen");
-            let when = w.last_at + self.hic.completion_post();
-            self.events.schedule(when, SsdEvent::Complete { cid, status: w.status });
         }
     }
 
@@ -693,7 +640,6 @@ impl ConventionalSsd {
         self.ops.clear();
         self.outstanding_host_programs = 0;
         self.reads.clear();
-        self.writes_waiting.clear();
         self.flushes.clear();
         self.events = EventQueue::new();
         self.out = EventQueue::new();
@@ -721,7 +667,6 @@ impl ConventionalSsd {
         self.buffer.crash();
         self.outstanding_host_programs = 0;
         self.reads.clear();
-        self.writes_waiting.clear();
         self.flushes.clear();
         self.out = EventQueue::new();
         self.staged.clear();

@@ -112,9 +112,9 @@ impl Hic {
     }
 
     /// Host-link statistics, both wires together.
-    pub fn link_stats(&self) -> simkit::LinkStats {
+    pub fn link_stats(&self) -> pcie::LinkStats {
         let (down, up) = (self.downstream.stats(), self.upstream.stats());
-        simkit::LinkStats {
+        pcie::LinkStats {
             payload_bytes: down.payload_bytes + up.payload_bytes,
             overhead_bytes: down.overhead_bytes + up.overhead_bytes,
             messages: down.messages + up.messages,

@@ -107,20 +107,6 @@ mod crate_tests {
     }
 
     #[test]
-    fn write_cache_off_waits_for_flash() {
-        let mut cfg = SsdConfig::small();
-        cfg.write_cache = false;
-        let mut drv = NvmeDriver::new(ConventionalSsd::new(cfg));
-        let w = drv.write_blocking(SimTime::ZERO, 0, 1);
-        assert!(w.status.is_ok());
-        assert!(
-            w.completed_at.as_micros_f64() >= 50.0,
-            "uncached write must include tPROG, got {}",
-            w.completed_at
-        );
-    }
-
-    #[test]
     fn destage_path_bypasses_buffer_and_lands_on_media() {
         let mut ssd = ConventionalSsd::new(SsdConfig::small());
         let data = Bytes::from(vec![0xDD; 4096]);
