@@ -35,12 +35,6 @@ const INTERVALS: [(usize, &str); 3] = [(1, "every-1"), (2, "every-2"), (0, "none
 /// Workload seed (fixed; the grid axes alone distinguish cells).
 const SEED: u64 = 0x4EC0;
 
-fn device() -> VillarsConfig {
-    let mut config = VillarsConfig::villars_sram();
-    config.cmb.intake_queue_bytes = 32 << 10;
-    config
-}
-
 /// What one grid cell produced.
 struct Outcome {
     committed: u64,
@@ -55,7 +49,7 @@ struct Outcome {
 fn run_cell(interval: usize, chunks: usize) -> Outcome {
     let (mut db, mut workload, _rng) = ycsb::setup(YcsbConfig::default(), SEED);
     let mut cluster = Cluster::new();
-    let dev = cluster.add_device(device());
+    let dev = cluster.add_device(VillarsConfig::villars_sram());
     let mut wal = WalManager::new(
         XssdLog::new(cluster, dev, "villars-sram"),
         WalConfig { group_threshold: 4 << 10, ..WalConfig::default() },

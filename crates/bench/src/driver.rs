@@ -32,11 +32,9 @@ pub fn log_ssd() -> ConventionalSsd {
 }
 
 /// A single Villars device (SRAM- or DRAM-backed CMB) with the paper's
-/// 32 KiB flow-control queue.
+/// 32 KiB flow-control queue (the [`xssd_core::CmbConfig`] default).
 pub fn villars_cluster(sram: bool) -> Cluster {
-    let mut config =
-        if sram { VillarsConfig::villars_sram() } else { VillarsConfig::villars_dram() };
-    config.cmb.intake_queue_bytes = 32 << 10;
+    let config = if sram { VillarsConfig::villars_sram() } else { VillarsConfig::villars_dram() };
     let mut cl = Cluster::new();
     cl.add_device(config);
     cl

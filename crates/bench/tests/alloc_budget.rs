@@ -297,10 +297,11 @@ fn a_stored_tpcc_row_holds_its_image_and_a_filled_leaf_slot() {
 fn a_bytes_buffer_cloned_on_two_threads_is_freed_once() {
     let _guard = MEASURE.lock().unwrap();
     use simkit::Bytes;
-    // A data length no other allocation of this test has: the header's
-    // 16 B plus 12 345.
+    // A data length no other allocation of this test has. An `Arc<[u8]>`
+    // allocates its two 8-byte counts, then the data, rounded up to the
+    // counts' alignment.
     const LEN: usize = 12_345;
-    WATCHED.store(16 + LEN, Ordering::Relaxed);
+    WATCHED.store((16 + LEN).next_multiple_of(8), Ordering::Relaxed);
     let (allocs, frees) =
         (WATCHED_ALLOCS.load(Ordering::Relaxed), WATCHED_FREES.load(Ordering::Relaxed));
     const BUFFERS: u64 = 200;

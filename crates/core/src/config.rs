@@ -38,16 +38,11 @@ impl CmbConfig {
         }
     }
 
-    /// The paper's DRAM configuration.
+    /// The paper's DRAM configuration: the SRAM one's window, derate and
+    /// reorder bound over the DRAM backing.
     pub fn dram() -> Self {
         let d = CmbDescriptor::villars_dram();
-        CmbConfig {
-            backing: d.backing,
-            size: d.size,
-            intake_queue_bytes: 32 << 10,
-            dram_share_factor: 0.4,
-            reorder_window_bytes: 64 << 10,
-        }
+        CmbConfig { backing: d.backing, size: d.size, ..CmbConfig::sram() }
     }
 
     /// Raw backing-memory bandwidth for this class (paper §6: 128-bit @

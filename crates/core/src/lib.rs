@@ -16,11 +16,12 @@
 //!   conformant NVMe interface with vendor-command setup;
 //! - [`cluster`] — [`Cluster`]: devices interconnected by NTB, routing
 //!   mirror and shadow-counter traffic deterministically;
-//! - [`port`] — the asynchronous [`IoPort`] command-lifecycle contract
-//!   (tagged submissions, event-driven completions) the Villars device
-//!   shares with the NVMe host driver, with the closed-loop
+//! - the asynchronous [`IoPort`] command-lifecycle contract (tagged
+//!   submissions, event-driven completions) the Villars device shares
+//!   with the NVMe host driver, with the closed-loop
 //!   [`drive_to_completion`] adapter the `*_blocking` helpers route
-//!   through;
+//!   through, re-exported from `nvme::port` (the protocol layer below
+//!   every device crate);
 //! - [`api`] — the drop-in host API: [`XLogFile`] (`x_pwrite`/`x_fsync`/
 //!   `x_pread`) and the advanced [`XAllocator`] (`x_alloc`/`x_free`)
 //!   (paper §5).
@@ -33,7 +34,6 @@ pub mod cmb;
 pub mod config;
 pub mod destage;
 pub mod device;
-pub mod port;
 pub mod transport;
 
 pub use api::{XAllocator, XApiError, XLogFile, XRegion};
@@ -42,7 +42,7 @@ pub use cmb::{CmbError, CmbModule, CmbStats};
 pub use config::{CmbConfig, DestageConfig, ReplicationPolicy, TransportConfig, VillarsConfig};
 pub use destage::{DestageModule, DestageStats, Segment};
 pub use device::{vendor, CrashReport, FastWrite, VillarsDevice};
-pub use port::{drive_to_completion, CmdTag, Completion, IoPort, PortAccounting};
+pub use nvme::port::{drive_to_completion, CmdTag, Completion, IoPort, PortAccounting};
 pub use transport::{
     DeviceIndex, MirrorWrite, Outbound, Role, TlpRun, TransportModule, TransportStatus,
 };

@@ -190,28 +190,7 @@ impl Checkpointer {
         db: &Database,
         log_offset: u64,
     ) -> (SimTime, CheckpointMeta) {
-        self.assert_anchored(cl, now, log_offset);
-        self.generation += 1;
-        let image = encode_snapshot(db, self.generation, log_offset);
-        let slot = self.generation % 2;
-        let page = cl.device(self.dev).config().conventional.geometry.page_bytes as usize;
-        let blocks_needed = image.len().div_ceil(page) as u64;
-        assert!(
-            blocks_needed <= self.slot_lbas,
-            "snapshot ({} B) exceeds the checkpoint slot ({} LBAs of {page} B)",
-            image.len(),
-            self.slot_lbas
-        );
-        // Stage content page by page, then issue one ranged block write.
-        let base = self.slot_base(slot);
-        for (i, chunk) in image.chunks(page).enumerate() {
-            cl.device_mut(self.dev)
-                .conventional_mut()
-                .stage_write_data(base + i as u64, simkit::bytes::Bytes::copy_from_slice(chunk));
-        }
-        let t = cl.block_write_blocking(self.dev, now, base, blocks_needed as u32);
-        let t = cl.block_flush_blocking(self.dev, t);
-        (t, CheckpointMeta { generation: self.generation, log_offset, bytes: image.len() as u64 })
+        self.write_slot(cl, now, db, log_offset, usize::MAX)
     }
 
     /// Crash-injection helper: begin a checkpoint of `db` but tear it —
@@ -230,21 +209,41 @@ impl Checkpointer {
         log_offset: u64,
         keep: usize,
     ) -> (SimTime, CheckpointMeta) {
+        self.write_slot(cl, now, db, log_offset, keep)
+    }
+
+    /// Take the next generation, encode `db`'s image and write its first
+    /// `keep` bytes (all of it when `keep` reaches past the end) into the
+    /// generation's slot: staged page by page, one ranged block write, then
+    /// a flush.
+    fn write_slot(
+        &mut self,
+        cl: &mut Cluster,
+        now: SimTime,
+        db: &Database,
+        log_offset: u64,
+        keep: usize,
+    ) -> (SimTime, CheckpointMeta) {
         self.assert_anchored(cl, now, log_offset);
         self.generation += 1;
         let image = encode_snapshot(db, self.generation, log_offset);
         let meta =
             CheckpointMeta { generation: self.generation, log_offset, bytes: image.len() as u64 };
-        let keep = keep.min(image.len());
-        if keep == 0 {
+        let written = &image[..keep.min(image.len())];
+        if written.is_empty() {
             return (now, meta);
         }
-        let slot = self.generation % 2;
         let page = cl.device(self.dev).config().conventional.geometry.page_bytes as usize;
-        let base = self.slot_base(slot);
-        let blocks = keep.div_ceil(page) as u64;
-        assert!(blocks <= self.slot_lbas, "torn prefix exceeds the checkpoint slot");
-        for (i, chunk) in image[..keep].chunks(page).enumerate() {
+        let blocks = written.len().div_ceil(page) as u64;
+        assert!(
+            blocks <= self.slot_lbas,
+            "{} B of a {}-byte snapshot exceed the checkpoint slot ({} LBAs of {page} B)",
+            written.len(),
+            image.len(),
+            self.slot_lbas
+        );
+        let base = self.slot_base(self.generation % 2);
+        for (i, chunk) in written.chunks(page).enumerate() {
             cl.device_mut(self.dev)
                 .conventional_mut()
                 .stage_write_data(base + i as u64, simkit::bytes::Bytes::copy_from_slice(chunk));
@@ -286,7 +285,6 @@ impl Checkpointer {
                 // Timing: one block read per page actually used.
                 let blocks = meta.bytes.div_ceil(page as u64) as u32;
                 let t = cl.block_read_blocking(self.dev, now, base, blocks);
-                let _ = page;
                 if best.as_ref().is_none_or(|(_, m, _)| meta.generation > m.generation) {
                     best = Some((t, meta, db));
                 }
@@ -450,6 +448,29 @@ mod tests {
         let (_t, meta3, restored3) = ck.restore(&mut cl, t3).expect("snapshot");
         assert_eq!(meta3.generation, 3);
         assert_eq!(restored3.fingerprint(), db2.fingerprint());
+    }
+
+    #[test]
+    fn a_partial_checkpoint_of_the_whole_image_is_a_checkpoint() {
+        let db = sample_db();
+        let mut restored = Vec::new();
+        for partial in [false, true] {
+            let (mut cl, dev, t0) = logged_device(1024);
+            let mut ck = Checkpointer::new(dev, 128, 16);
+            let (t1, meta) = if partial {
+                // `keep` covers the whole image of generation 1.
+                let len = encode_snapshot(&db, 1, 300).len();
+                ck.checkpoint_partial(&mut cl, t0, &db, 300, len)
+            } else {
+                ck.checkpoint(&mut cl, t0, &db, 300)
+            };
+            let (_t, back, got) = ck.restore(&mut cl, t1).expect("snapshot present");
+            assert_eq!(back, meta);
+            restored.push((t1, back, got.fingerprint()));
+        }
+        assert_eq!(restored[0], restored[1]);
+        assert_eq!(restored[0].1.generation, 1);
+        assert_eq!(restored[0].2, db.fingerprint());
     }
 
     #[test]

@@ -21,9 +21,9 @@
 //!
 //! 1. *Group boundaries.* The serialized writer (depth 1) seals every
 //!    group at the threshold and queues it behind the writer; workers are
-//!    held back only by [`DriverConfig::max_log_deficit`]. A pipelined
-//!    writer with no free slot leaves the batch open — it keeps growing —
-//!    and parks the filling worker. Group sizes differ.
+//!    held back only by `MAX_LOG_DEFICIT`. A pipelined writer with no
+//!    free slot leaves the batch open — it keeps growing — and parks the
+//!    filling worker. Group sizes differ.
 //! 2. *Device protocol.* `NvmeLog::sync` is write → wait → flush → wait
 //!    at queue depth 1, which *is* Fig. 9's "NVMe saturates" line;
 //!    `append_submit` queues the write and the flush together.
@@ -87,6 +87,15 @@ impl<F: FnMut(&mut Database, &mut DetRng) -> TxnOutcome> Workload for F {
     }
 }
 
+/// ±fractional jitter applied to each transaction's CPU time
+/// ([`DriverConfig::cpu_per_txn`]), drawn from the worker's RNG stream.
+const CPU_JITTER: f64 = 0.2;
+
+/// Workers stall when the log writer's completion horizon runs this far
+/// ahead of the simulation clock: the log-buffer back-pressure, where a
+/// full buffer parks workers until the device drains.
+const MAX_LOG_DEFICIT: SimDuration = SimDuration::from_micros(500);
+
 /// One run, declaratively.
 #[derive(Debug, Clone)]
 pub struct DriverConfig {
@@ -106,14 +115,9 @@ pub struct DriverConfig {
     /// per-simulated-second series).
     pub series_bucket: Option<SimDuration>,
     /// Mean CPU time to execute one transaction (ERMIA-class engines do
-    /// ~37 ktxn/s/core on TPC-C ⇒ ~27 µs/txn).
+    /// ~37 ktxn/s/core on TPC-C ⇒ ~27 µs/txn), jittered by the runner's
+    /// `CPU_JITTER`.
     pub cpu_per_txn: SimDuration,
-    /// ±fractional jitter applied to per-transaction CPU time.
-    pub cpu_jitter: f64,
-    /// Stall workers when the log writer's completion horizon runs this
-    /// far ahead of the simulation clock (the log-buffer back-pressure: a
-    /// full buffer parks workers until the device drains).
-    pub max_log_deficit: SimDuration,
     /// Maximum group commits the log writer may keep in flight at once.
     /// `1` (the default) is the serialized blocking path the paper's
     /// Fig. 9 measures; larger values pipeline groups through the
@@ -132,8 +136,6 @@ impl Default for DriverConfig {
             mix: None,
             series_bucket: None,
             cpu_per_txn: SimDuration::from_micros_f64(27.0),
-            cpu_jitter: 0.2,
-            max_log_deficit: SimDuration::from_micros(500),
             log_pipeline_depth: 1,
         }
     }
@@ -375,7 +377,7 @@ where
         // Execute one transaction: jitter draw, kind draw, then the
         // workload's own draws, all on the worker's RNG stream.
         let rng = &mut worker_rngs[w];
-        let jitter = 1.0 + cfg.cpu_jitter * (rng.unit() * 2.0 - 1.0);
+        let jitter = 1.0 + CPU_JITTER * (rng.unit() * 2.0 - 1.0);
         let cpu =
             SimDuration::from_nanos((cfg.cpu_per_txn.as_nanos() as f64 * jitter).round() as u64);
         let t1 = t0 + cpu;
@@ -412,7 +414,7 @@ where
                 // Bounded run-ahead: when the log writer's horizon runs
                 // too far ahead of the clock, the log buffer is full —
                 // park this worker until the device drains.
-                if wal.log_writer_free() > t1 + cfg.max_log_deficit {
+                if wal.log_writer_free() > t1 + MAX_LOG_DEFICIT {
                     available[w] = available[w].max(wal.log_writer_free());
                 }
             }

@@ -11,27 +11,18 @@ use simkit::{Bandwidth, Grant, SerialResource, SimDuration, SimTime};
 /// PCIe protocol generation; determines per-lane raw rate and line encoding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Generation {
-    /// 2.5 GT/s, 8b/10b encoding.
-    Gen1,
     /// 5.0 GT/s, 8b/10b encoding.
     Gen2,
     /// 8.0 GT/s, 128b/130b encoding.
     Gen3,
-    /// 16.0 GT/s, 128b/130b encoding.
-    Gen4,
-    /// 32.0 GT/s, 128b/130b encoding.
-    Gen5,
 }
 
 impl Generation {
     /// Effective (post-encoding) bandwidth per lane, decimal GB/s.
     pub fn gbytes_per_sec_per_lane(self) -> f64 {
         match self {
-            Generation::Gen1 => 2.5 / 10.0, // 0.25 GB/s
             Generation::Gen2 => 5.0 / 10.0, // 0.5 GB/s
             Generation::Gen3 => 8.0 * (128.0 / 130.0) / 8.0,
-            Generation::Gen4 => 16.0 * (128.0 / 130.0) / 8.0,
-            Generation::Gen5 => 32.0 * (128.0 / 130.0) / 8.0,
         }
     }
 }
@@ -41,14 +32,10 @@ impl Generation {
 pub struct LaneWidth(pub u8);
 
 impl LaneWidth {
-    /// ×1 link.
-    pub const X1: LaneWidth = LaneWidth(1);
     /// ×4 link (the Villars configuration).
     pub const X4: LaneWidth = LaneWidth(4);
     /// ×8 link (the unconstrained Cosmos+ configuration).
     pub const X8: LaneWidth = LaneWidth(8);
-    /// ×16 link.
-    pub const X16: LaneWidth = LaneWidth(16);
 }
 
 /// Static description of a link.
