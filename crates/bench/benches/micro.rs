@@ -1,10 +1,11 @@
 //! Microbenchmarks over the hot paths of the simulation stack: the CMB
 //! ingest path, the fast write path (fresh, per CMB backing, and with a
 //! wrapped destage ring), the replicated cluster's advance loop and fsync
-//! cycle, an NTB mirror burst, the flash channel scheduler (busy and
-//! idle), FTL allocation, WAL record encode/decode, TPC-C transactions, and
-//! the sim kernel itself. These guard the simulator's own performance (a slow
-//! simulator caps experiment scale).
+//! cycle, an NTB mirror burst, FTL allocation, WAL record encode/decode,
+//! TPC-C transactions, and the sim kernel itself. These guard the
+//! simulator's own performance (a slow simulator caps experiment scale).
+//! The flash scheduler's cases went when `host_counts.rs` began counting
+//! its window scans on a mixed-device slice.
 //!
 //! The harness is hand-rolled (`harness = false`; no crates.io access for
 //! criterion): each case is warmed up, then timed over enough iterations to
@@ -232,62 +233,6 @@ fn bench_ntb_mirror_burst() {
             let (first, spacing) = port.forward_stream(t, 0x8000_0000, 64, period, 256).unwrap();
             t = first.start + SimDuration::from_micros(17);
             first.end + spacing * 255
-        },
-    );
-}
-
-fn bench_flash_scheduler() {
-    use flash::{
-        ChannelScheduler, FlashArray, FlashGeometry, FlashTiming, OpKind, OpRequest, Ppa, Priority,
-        ReliabilityConfig, SchedulingMode,
-    };
-    bench(
-        "flash/schedule_512_programs",
-        None,
-        || {
-            let geometry = FlashGeometry::default();
-            let array =
-                FlashArray::new(geometry, FlashTiming::default(), ReliabilityConfig::perfect(), 1);
-            let mut sched = ChannelScheduler::new(geometry.channels, SchedulingMode::Neutral);
-            let mut id = 0u64;
-            for page in 0..8u32 {
-                for ch in 0..geometry.channels {
-                    for die in 0..geometry.dies_per_channel {
-                        sched.submit(OpRequest {
-                            id,
-                            kind: OpKind::Program(Ppa::new(ch, die, 0, page)),
-                            arrival: SimTime::ZERO,
-                            class: Priority::Conventional,
-                        });
-                        id += 1;
-                    }
-                }
-            }
-            (array, sched)
-        },
-        |(mut array, mut sched)| sched.pump(&mut array, SimTime::MAX).len(),
-    );
-}
-
-/// What every device step asks an idle scheduler: anything to start by
-/// now, and when could something start.
-fn bench_flash_scheduler_idle() {
-    use flash::{
-        ChannelScheduler, FlashArray, FlashGeometry, FlashTiming, ReliabilityConfig, SchedulingMode,
-    };
-    let geometry = FlashGeometry::default();
-    assert_eq!(geometry.channels, 8);
-    let mut array =
-        FlashArray::new(geometry, FlashTiming::default(), ReliabilityConfig::perfect(), 1);
-    let mut sched = ChannelScheduler::new(geometry.channels, SchedulingMode::Neutral);
-    let mut t = SimTime::ZERO;
-    bench(
-        "flash/pump_idle_8_channels",
-        None,
-        || (),
-        |()| {
-            t += SimDuration::from_micros(1);
-            (sched.pump(&mut array, t).len(), sched.next_start_hint(&array))
         },
     );
 }
@@ -577,8 +522,6 @@ fn main() {
     bench_cluster_advance_idle();
     bench_replicated_fsync();
     bench_ntb_mirror_burst();
-    bench_flash_scheduler();
-    bench_flash_scheduler_idle();
     bench_ftl();
     bench_log_codec();
     bench_tpcc_txn();

@@ -8,9 +8,12 @@
 //! heap, counted on the test's own thread by the `counting` allocator that
 //! `alloc_budget` also installs.
 //!
-//! The slice here is TPC-C at the benchmark's scale with no log backend:
-//! the driver's 400 simulated ms, whose growth is the database's (each new
-//! row and its index entry) and the runner's samples. Any difference fails
+//! Two slices. `tpcc_nolog` is TPC-C at the benchmark's scale with no log
+//! backend: the driver's 400 simulated ms, whose growth is the database's
+//! (each new row and its index entry) and the runner's samples.
+//! `mixed_device` is `destage_mixed` in small: one Villars-SRAM device
+//! taking 16 KiB `x_pwrite`s beside conventional writes and reads, which
+//! also counts the flash scheduler's window scans. Any difference fails
 //! and prints the file as this build counts it; a change that moves a count
 //! on purpose commits that file, so its diff is the change's record.
 //!
@@ -19,8 +22,10 @@
 mod counting;
 
 use memdb::{Database, NoLog, TableId, WalConfig, WalManager};
-use simkit::SimDuration;
+use nvme::{CommandKind, Completion, IoCommand};
+use simkit::{Bytes, DetRng, SimDuration, SimTime};
 use xssd_bench::driver::{self, DriverConfig};
+use xssd_core::{Cluster, VillarsConfig, XLogFile};
 
 #[global_allocator]
 static ALLOCATOR: counting::CountingAlloc = counting::CountingAlloc;
@@ -55,6 +60,79 @@ fn tpcc_nolog() -> Vec<(&'static str, u64)> {
     ]
 }
 
+/// One Villars-SRAM device for 40 simulated ms: a 16 KiB `x_pwrite` and a
+/// conventional command each at 30 % of the flash program envelope (two
+/// page writes, then a read of a page already written; LBAs uniform over a
+/// 1024-page window clear of the destage ring), submitted through
+/// `Cluster::submit` / `advance` / `completions_into` as the benchmark's
+/// `destage_mixed` does. Counted after the device is built.
+fn mixed_device() -> Vec<(&'static str, u64)> {
+    const SHARE: f64 = 0.30;
+    const WINDOW_BASE_LBA: u64 = 1 << 21;
+    const WINDOW_PAGES: u64 = 1024;
+    let config = VillarsConfig::villars_sram();
+    let geometry = config.conventional.geometry;
+    let page = geometry.page_bytes as usize;
+    let envelope_bps = config.conventional.timing.program_bandwidth_gbps(&geometry) * 1e9;
+    let interval = SimDuration::from_secs_f64(page as f64 / (envelope_bps * SHARE));
+    let end = SimTime::from_millis(40);
+    let mut cl = Cluster::new();
+    let dev = cl.add_device(config);
+    let mut file = XLogFile::open(dev);
+    let mut rng = DetRng::new(23);
+    let mut written: Vec<u64> = Vec::new();
+    let mut completions: Vec<Completion> = Vec::new();
+    let fast_page: Vec<u8> = (0..page).map(|i| i as u8).collect();
+    let (mut next_conv, mut next_fast) = (SimTime::ZERO, SimTime::ZERO);
+    let (mut conv_seq, mut ops) = (0u64, 0u64);
+
+    counting::reset_thread_peak();
+    let before = counting::thread_counts();
+    let visits_before = cl.device(dev).conventional().sched_window_visits();
+    while next_conv < end || next_fast < end {
+        let at = next_conv.min(next_fast);
+        if next_conv <= next_fast {
+            let kind = if conv_seq % 3 == 2 {
+                let lba = written[rng.uniform(0, written.len() as u64 - 1) as usize];
+                IoCommand::Read { lba, blocks: 1 }
+            } else {
+                let lba = WINDOW_BASE_LBA + rng.uniform(0, WINDOW_PAGES - 1);
+                let data = Bytes::from(vec![conv_seq as u8; page]);
+                cl.device_mut(dev).conventional_mut().stage_write_data(lba, data);
+                written.push(lba);
+                IoCommand::Write { lba, blocks: 1 }
+            };
+            conv_seq += 1;
+            cl.submit(dev, at, CommandKind::Io(kind));
+            next_conv =
+                if next_conv + interval < end { next_conv + interval } else { SimTime::MAX };
+        } else {
+            let t = file
+                .x_pwrite(&mut cl, at, &fast_page)
+                .expect("the fast stream stays below saturation");
+            ops += 1;
+            next_fast = (at + interval).max(t);
+            if next_fast >= end {
+                next_fast = SimTime::MAX;
+            }
+        }
+        let until = next_conv.min(next_fast).min(end);
+        cl.advance(until);
+        completions.clear();
+        cl.completions_into(dev, until, &mut completions);
+        ops += completions.len() as u64;
+    }
+    let after = counting::thread_counts();
+    let visits = cl.device(dev).conventional().sched_window_visits() - visits_before;
+    vec![
+        ("ops", ops),
+        ("sched_window_visits", visits),
+        ("allocations", after.allocs - before.allocs),
+        ("bytes_allocated", after.bytes - before.bytes),
+        ("peak_live_heap_bytes", (after.peak - before.live) as u64),
+    ]
+}
+
 /// The counts file: one object per slice, one integer per line.
 fn render(slices: &[(&str, Vec<(&str, u64)>)]) -> String {
     let mut out = String::from("{\n");
@@ -72,7 +150,7 @@ fn render(slices: &[(&str, Vec<(&str, u64)>)]) -> String {
 #[test]
 #[cfg_attr(debug_assertions, ignore = "counts are taken in release builds (scripts/check.sh)")]
 fn host_counts_match_the_committed_file() {
-    let counted = render(&[("tpcc_nolog", tpcc_nolog())]);
+    let counted = render(&[("tpcc_nolog", tpcc_nolog()), ("mixed_device", mixed_device())]);
     let committed = std::fs::read_to_string(COUNTS).unwrap_or_default();
     if counted != committed {
         eprintln!("BENCH_counts.json as this build counts it:\n{counted}");

@@ -9,9 +9,9 @@
 
 use crate::cmb::CmbModule;
 use crate::config::DestageConfig;
-use simkit::{Bytes, SimTime};
+use simkit::{Bytes, IntMap, SimTime};
 use ssd::ConventionalSsd;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// A destage page's identity: first log offset, data bytes, page length.
@@ -157,7 +157,7 @@ pub struct DestageModule {
     ring: LbaRing,
     /// In-flight destage writes by conventional-side token, stamped with
     /// their page number on the ring.
-    inflight: HashMap<u64, (Segment, u64)>,
+    inflight: IntMap<u64, (Segment, u64)>,
     /// Completed segments waiting for contiguous head advance, stamped
     /// with their page number on the ring.
     done: BTreeMap<u64, (Segment, u64)>,
@@ -180,7 +180,7 @@ impl DestageModule {
             page_bytes,
             scheduled: 0,
             persisted: 0,
-            inflight: HashMap::new(),
+            inflight: IntMap::default(),
             done: BTreeMap::new(),
             waiting_since: None,
             stats: DestageStats::default(),
@@ -384,6 +384,7 @@ mod tests {
     use crate::config::CmbConfig;
     use simkit::{Bandwidth, SerialResource, SimDuration};
     use ssd::{ConventionalSsd, SsdConfig};
+    use std::collections::HashMap;
 
     struct Rig {
         cmb: CmbModule,

@@ -11,6 +11,7 @@
 use crate::array::{FlashArray, FlashError, OpOutcome};
 use crate::geometry::Ppa;
 use simkit::SimTime;
+use std::cell::Cell;
 use std::collections::VecDeque;
 
 /// Traffic class of a request.
@@ -21,6 +22,19 @@ pub enum Priority {
     /// Fast-side destage traffic (CMB ring being moved to NAND).
     Destage,
 }
+
+impl Priority {
+    /// The class's slot in a channel's per-class arrays.
+    fn slot(self) -> usize {
+        match self {
+            Priority::Conventional => 0,
+            Priority::Destage => 1,
+        }
+    }
+}
+
+/// The classes in slot order.
+const CLASSES: [Priority; 2] = [Priority::Conventional, Priority::Destage];
 
 /// Scheduling policy (paper §4.3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,7 +89,7 @@ pub struct OpRequest {
 }
 
 /// A finished request.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Completion {
     /// Echo of the request id.
     pub id: u64,
@@ -88,22 +102,32 @@ pub struct Completion {
     pub result: Result<OpOutcome, FlashError>,
 }
 
-#[derive(Debug, Default)]
+/// What [`ChannelScheduler::best_in_window`] answers for one class queue:
+/// the index of the request that can start soonest and that start instant,
+/// `None` for an empty queue.
+type Best = Option<(usize, SimTime)>;
+
+/// One channel's class queues, in slot order, and what each one's window
+/// answered when it last changed.
+#[derive(Debug)]
 struct ChannelQueues {
-    conventional: VecDeque<OpRequest>,
-    destage: VecDeque<OpRequest>,
+    queues: [VecDeque<OpRequest>; 2],
+    /// Each queue's `best_in_window` as of the last change to the queue or
+    /// to this channel's bus and dies; `None` once a `submit` left it to be
+    /// recomputed against the array.
+    kept: [Cell<Option<Best>>; 2],
 }
 
 impl ChannelQueues {
-    fn queue(&mut self, class: Priority) -> &mut VecDeque<OpRequest> {
-        match class {
-            Priority::Conventional => &mut self.conventional,
-            Priority::Destage => &mut self.destage,
+    fn empty() -> Self {
+        ChannelQueues {
+            queues: [VecDeque::new(), VecDeque::new()],
+            kept: [Cell::new(Some(None)), Cell::new(Some(None))],
         }
     }
 
     fn len(&self) -> usize {
-        self.conventional.len() + self.destage.len()
+        self.queues[0].len() + self.queues[1].len()
     }
 }
 
@@ -119,13 +143,26 @@ pub struct ClassStats {
 /// The scheduler. Owns the per-channel queues; the flash arrays are passed
 /// into [`ChannelScheduler::pump`] so array and policy stay separately
 /// testable.
+///
+/// It answers from what changed. A queue's best start depends only on the
+/// queue and on its channel's bus and dies, so each channel keeps its two
+/// answers and the scheduler keeps their minimum. A `submit` or a drop
+/// changes a queue, and only `pump`, starting a request, touches a bus or a
+/// die; nothing else may drive the array a scheduler pumps, or the kept
+/// answers go stale. `set_mode` changes which answer wins, not the answers.
 #[derive(Debug)]
 pub struct ChannelScheduler {
     mode: SchedulingMode,
     channels: Vec<ChannelQueues>,
-    /// Requests queued across all channels: lets an idle scheduler answer
-    /// `pump` / `next_start_hint` / `pending` without visiting a channel.
+    /// Requests queued across all channels.
     queued: usize,
+    /// The earliest kept start over all channels, when `current`.
+    earliest: Cell<Option<SimTime>>,
+    /// Whether `earliest` and every kept answer are up to date.
+    current: Cell<bool>,
+    /// `best_in_window` calls on a non-empty queue: the host work
+    /// `crates/bench/tests/host_counts.rs` gates.
+    window_visits: Cell<u64>,
     conventional_stats: ClassStats,
     destage_stats: ClassStats,
 }
@@ -135,8 +172,11 @@ impl ChannelScheduler {
     pub fn new(channels: u32, mode: SchedulingMode) -> Self {
         ChannelScheduler {
             mode,
-            channels: (0..channels).map(|_| ChannelQueues::default()).collect(),
+            channels: (0..channels).map(|_| ChannelQueues::empty()).collect(),
             queued: 0,
+            earliest: Cell::new(None),
+            current: Cell::new(true),
+            window_visits: Cell::new(0),
             conventional_stats: ClassStats::default(),
             destage_stats: ClassStats::default(),
         }
@@ -158,33 +198,40 @@ impl ChannelScheduler {
     pub fn submit(&mut self, req: OpRequest) {
         let ch = req.kind.channel() as usize;
         assert!(ch < self.channels.len(), "channel {ch} out of range");
-        let q = self.channels[ch].queue(req.class);
+        let slot = req.class.slot();
+        let channel = &mut self.channels[ch];
+        let q = &mut channel.queues[slot];
         // Stable insert: after all entries with arrival <= req.arrival.
         let pos = q.partition_point(|r| r.arrival <= req.arrival);
         q.insert(pos, req);
+        channel.kept[slot].set(None);
+        self.current.set(false);
         self.queued += 1;
-        self.check();
+        self.check(None);
     }
 
     /// Drop every queued (not yet started) request. Used on power failure:
     /// queued work is volatile device state.
     pub fn drop_all(&mut self) {
         for ch in &mut self.channels {
-            ch.conventional.clear();
-            ch.destage.clear();
+            *ch = ChannelQueues::empty();
         }
         self.queued = 0;
-        self.check();
+        self.earliest.set(None);
+        self.current.set(true);
+        self.check(None);
     }
 
     /// Drop queued requests of one class (power failure with supercap
     /// rescue keeps the destage class).
     pub fn drop_class(&mut self, class: Priority) {
         for ch in &mut self.channels {
-            ch.queue(class).clear();
+            self.queued -= ch.queues[class.slot()].len();
+            ch.queues[class.slot()].clear();
+            ch.kept[class.slot()].set(Some(None));
         }
-        self.queued = self.channels.iter().map(ChannelQueues::len).sum();
-        self.check();
+        self.current.set(false);
+        self.check(None);
     }
 
     /// Number of queued requests across all channels.
@@ -200,27 +247,20 @@ impl ChannelScheduler {
         }
     }
 
+    /// How many times a queue's window has been scanned for its best start
+    /// (calls of `best_in_window` on a non-empty queue) since construction.
+    pub fn window_visits(&self) -> u64 {
+        self.window_visits.get()
+    }
+
     /// The earliest instant any queued request could begin service, using
     /// the same die-aware feasibility `pump` uses — advancing a device to
     /// this instant guarantees pumping makes progress. Lets a device event
     /// loop jump virtual time.
     pub fn next_start_hint(&self, array: &FlashArray) -> Option<SimTime> {
-        if self.queued == 0 {
-            return None;
-        }
-        let window = (4 * array.geometry().dies_per_channel as usize).max(8);
-        let mut best: Option<SimTime> = None;
-        for (ch, q) in self.channels.iter().enumerate() {
-            if q.len() == 0 {
-                continue;
-            }
-            for queue in [&q.conventional, &q.destage] {
-                if let Some((_, start)) = Self::best_in_window(queue, array, ch as u32, window) {
-                    best = Some(best.map_or(start, |b: SimTime| b.min(start)));
-                }
-            }
-        }
-        best
+        let earliest = self.earliest(array);
+        self.check(Some(array));
+        earliest
     }
 
     /// Drive all channels, starting every request whose service can begin at
@@ -236,51 +276,31 @@ impl ChannelScheduler {
     /// Destaging).
     pub fn pump(&mut self, array: &mut FlashArray, until: SimTime) -> Vec<Completion> {
         let mut done = Vec::new();
-        if self.queued == 0 {
-            self.check();
+        if self.earliest(array).is_none_or(|start| start > until) {
+            self.check(Some(array));
             return done;
         }
         let page_bytes = array.geometry().page_bytes as u64;
-        let window = (4 * array.geometry().dies_per_channel as usize).max(8);
+        let window = Self::window(array);
         for ch in 0..self.channels.len() {
-            if self.channels[ch].len() == 0 {
-                continue;
-            }
+            // A channel whose kept answers both start after `until` is
+            // passed over with two reads: the pick's start is their minimum.
             loop {
-                let conv =
-                    Self::best_in_window(&self.channels[ch].conventional, array, ch as u32, window);
-                let dest =
-                    Self::best_in_window(&self.channels[ch].destage, array, ch as u32, window);
-                let pick = match (conv, dest) {
-                    (None, None) => break,
-                    (Some(c), None) => (Priority::Conventional, c),
-                    (None, Some(d)) => (Priority::Destage, d),
-                    (Some(c), Some(d)) => match self.mode.preferred() {
-                        Some(Priority::Conventional) if c.1 <= d.1 => (Priority::Conventional, c),
-                        Some(Priority::Conventional) => (Priority::Destage, d),
-                        Some(Priority::Destage) if d.1 <= c.1 => (Priority::Destage, d),
-                        Some(Priority::Destage) => (Priority::Conventional, c),
-                        None => {
-                            // Neutral: earliest feasible start; tie-break by
-                            // arrival order (FIFO across classes).
-                            let (c_idx, c_start) = c;
-                            let (d_idx, d_start) = d;
-                            let c_arr = self.channels[ch].conventional[c_idx].arrival;
-                            let d_arr = self.channels[ch].destage[d_idx].arrival;
-                            if (c_start, c_arr) <= (d_start, d_arr) {
-                                (Priority::Conventional, c)
-                            } else {
-                                (Priority::Destage, d)
-                            }
-                        }
-                    },
+                let best = CLASSES.map(|class| self.best(ch, class.slot(), array, window));
+                let Some((class, idx, start)) =
+                    Self::choose(self.mode, &self.channels[ch].queues, best)
+                else {
+                    break;
                 };
-                let (class, (idx, start)) = pick;
                 if start > until {
                     break;
                 }
-                let req =
-                    self.channels[ch].queue(class).remove(idx).expect("candidate index valid");
+                let channel = &mut self.channels[ch];
+                let req = channel.queues[class.slot()].remove(idx).expect("candidate index valid");
+                // The start moves this channel's bus or a die: both class
+                // answers are recomputed.
+                channel.kept.iter().for_each(|k| k.set(None));
+                self.current.set(false);
                 self.queued -= 1;
                 let result = match req.kind {
                     OpKind::Program(p) => array.program(start, p),
@@ -302,17 +322,114 @@ impl ChannelScheduler {
             }
         }
         done.sort_by_key(|c| c.at);
-        self.check();
+        self.check(Some(array));
         done
     }
 
-    /// The queued count's invariant, checked in debug builds after every
-    /// call that can move it (`submit`, `pump`, `drop_class`, `drop_all`):
-    /// it equals a recount of the channel queues.
-    fn check(&self) {
-        if cfg!(debug_assertions) {
-            let recount: usize = self.channels.iter().map(ChannelQueues::len).sum();
-            assert_eq!(self.queued, recount, "flash scheduler: queued count vs the queues");
+    /// The request a channel serves next given its two class answers, as
+    /// (class, queue index, start); `None` when both queues are empty.
+    /// The start is always the earlier of the two answers' starts.
+    fn choose(
+        mode: SchedulingMode,
+        queues: &[VecDeque<OpRequest>; 2],
+        [conv, dest]: [Best; 2],
+    ) -> Option<(Priority, usize, SimTime)> {
+        let (class, (idx, start)) = match (conv, dest) {
+            (None, None) => return None,
+            (Some(c), None) => (Priority::Conventional, c),
+            (None, Some(d)) => (Priority::Destage, d),
+            (Some(c), Some(d)) => match mode.preferred() {
+                Some(Priority::Conventional) if c.1 <= d.1 => (Priority::Conventional, c),
+                Some(Priority::Conventional) => (Priority::Destage, d),
+                Some(Priority::Destage) if d.1 <= c.1 => (Priority::Destage, d),
+                Some(Priority::Destage) => (Priority::Conventional, c),
+                None => {
+                    // Neutral: earliest feasible start; tie-break by
+                    // arrival order (FIFO across classes).
+                    let c_arr = queues[0][c.0].arrival;
+                    let d_arr = queues[1][d.0].arrival;
+                    if (c.1, c_arr) <= (d.1, d_arr) {
+                        (Priority::Conventional, c)
+                    } else {
+                        (Priority::Destage, d)
+                    }
+                }
+            },
+        };
+        Some((class, idx, start))
+    }
+
+    /// The earliest start over every channel's kept answers, recomputing the
+    /// ones a `submit` left stale.
+    fn earliest(&self, array: &FlashArray) -> Option<SimTime> {
+        if !self.current.get() {
+            let window = Self::window(array);
+            let mut earliest = None;
+            for ch in 0..self.channels.len() {
+                for slot in 0..CLASSES.len() {
+                    let start = self.best(ch, slot, array, window).map(|(_, start)| start);
+                    earliest = SimTime::earliest(earliest, start);
+                }
+            }
+            self.earliest.set(earliest);
+            self.current.set(true);
+        }
+        self.earliest.get()
+    }
+
+    /// Queue `slot` of channel `ch`'s best start: the kept answer, or a
+    /// fresh scan that is kept from then on.
+    fn best(&self, ch: usize, slot: usize, array: &FlashArray, window: usize) -> Best {
+        let channel = &self.channels[ch];
+        if let Some(best) = channel.kept[slot].get() {
+            return best;
+        }
+        let q = &channel.queues[slot];
+        if !q.is_empty() {
+            self.window_visits.set(self.window_visits.get() + 1);
+        }
+        let best = Self::best_in_window(q, array, ch as u32, window);
+        channel.kept[slot].set(Some(best));
+        best
+    }
+
+    /// How deep into each class queue the scheduler looks for a request its
+    /// die can take sooner.
+    fn window(array: &FlashArray) -> usize {
+        (4 * array.geometry().dies_per_channel as usize).max(8)
+    }
+
+    /// The invariants, checked in debug builds after every call that can
+    /// move them: the queued count equals a recount of the queues, and,
+    /// given the array, every kept answer equals a fresh scan and the kept
+    /// earliest start is their minimum.
+    fn check(&self, array: Option<&FlashArray>) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
+        let recount: usize = self.channels.iter().map(ChannelQueues::len).sum();
+        assert_eq!(self.queued, recount, "flash scheduler: queued count vs the queues");
+        let Some(array) = array else { return };
+        let window = Self::window(array);
+        let mut earliest = None;
+        for (ch, channel) in self.channels.iter().enumerate() {
+            for (slot, q) in channel.queues.iter().enumerate() {
+                let fresh = Self::best_in_window(q, array, ch as u32, window);
+                if let Some(kept) = channel.kept[slot].get() {
+                    assert_eq!(
+                        kept, fresh,
+                        "flash scheduler: kept answer of channel {ch} queue {slot} vs a fresh scan"
+                    );
+                }
+                earliest = SimTime::earliest(earliest, fresh.map(|(_, start)| start));
+            }
+        }
+        if self.current.get() {
+            assert_eq!(
+                self.earliest.get(),
+                earliest,
+                "flash scheduler: kept earliest start vs the channels'"
+            );
         }
     }
 
@@ -325,14 +442,14 @@ impl ChannelScheduler {
         array: &FlashArray,
         channel: u32,
         window: usize,
-    ) -> Option<(usize, SimTime)> {
+    ) -> Best {
         if q.is_empty() {
             return None;
         }
         let bus_free = array.bus_busy_until(channel);
         // The same for every program in the window.
         let xfer = array.timing().page_transfer(array.geometry().page_bytes);
-        let mut best: Option<(usize, SimTime)> = None;
+        let mut best: Best = None;
         for (idx, req) in q.iter().take(window).enumerate() {
             // Queues are arrival-ordered, so once the best found start is at
             // or below every later entry's floor (max of bus-free and its
@@ -571,7 +688,7 @@ mod tests {
         // equals a recount of the queues after every step, and an empty
         // scheduler has no start hint and pumps nothing.
         let recount = |s: &ChannelScheduler| -> usize {
-            s.channels.iter().map(|c| c.conventional.len() + c.destage.len()).sum()
+            s.channels.iter().map(|c| c.queues[0].len() + c.queues[1].len()).sum()
         };
         let g = FlashGeometry::tiny();
         let mut rng = simkit::DetRng::new(0x9EED);
@@ -615,6 +732,171 @@ mod tests {
                     assert!(s.pump(&mut a, SimTime::MAX).is_empty());
                 }
             }
+        }
+    }
+
+    /// The scheduler before it kept its answers: every `pump` and
+    /// `next_start_hint` rescans the window of every queue. The kept
+    /// answers are held to it.
+    struct Rescanning {
+        mode: SchedulingMode,
+        queues: Vec<[VecDeque<OpRequest>; 2]>,
+    }
+
+    impl Rescanning {
+        fn submit(&mut self, req: OpRequest) {
+            let q = &mut self.queues[req.kind.channel() as usize][req.class.slot()];
+            let pos = q.partition_point(|r| r.arrival <= req.arrival);
+            q.insert(pos, req);
+        }
+
+        fn drop_class(&mut self, class: Priority) {
+            self.queues.iter_mut().for_each(|qs| qs[class.slot()].clear());
+        }
+
+        fn drop_all(&mut self) {
+            self.queues.iter_mut().for_each(|qs| qs.iter_mut().for_each(VecDeque::clear));
+        }
+
+        fn scan(&self, array: &FlashArray, ch: usize) -> [Best; 2] {
+            let window = ChannelScheduler::window(array);
+            [0, 1].map(|slot| {
+                ChannelScheduler::best_in_window(&self.queues[ch][slot], array, ch as u32, window)
+            })
+        }
+
+        fn next_start_hint(&self, array: &FlashArray) -> Option<SimTime> {
+            (0..self.queues.len()).flat_map(|ch| self.scan(array, ch)).flatten().map(|b| b.1).min()
+        }
+
+        fn pump(&mut self, array: &mut FlashArray, until: SimTime) -> Vec<Completion> {
+            let mut done = Vec::new();
+            for ch in 0..self.queues.len() {
+                loop {
+                    let best = self.scan(array, ch);
+                    let Some((class, idx, start)) =
+                        ChannelScheduler::choose(self.mode, &self.queues[ch], best)
+                    else {
+                        break;
+                    };
+                    if start > until {
+                        break;
+                    }
+                    let req = self.queues[ch][class.slot()].remove(idx).unwrap();
+                    let result = match req.kind {
+                        OpKind::Program(p) => array.program(start, p),
+                        OpKind::Read(p) => array.read(start, p),
+                    };
+                    let at = result.map_or(start, |o| o.grant.end);
+                    done.push(Completion { id: req.id, class: req.class, at, result });
+                }
+            }
+            done.sort_by_key(|c| c.at);
+            done
+        }
+    }
+
+    /// Random `submit`, `pump(until)`, `drop_class`, `drop_all` and
+    /// `set_mode` on `geometry`, against the rescanning reference on an
+    /// array of its own: every start hint and every pump's completions
+    /// agree. Debug builds also check every kept answer against a fresh
+    /// scan after each call. Returns how many requests completed.
+    fn against_the_reference(geometry: FlashGeometry, timing: FlashTiming, seed: u64) -> usize {
+        let mut rng = simkit::DetRng::new(seed);
+        let mut ours_array = FlashArray::new(geometry, timing, ReliabilityConfig::perfect(), 1);
+        let mut ref_array = ours_array.clone();
+        let mut ours = ChannelScheduler::new(geometry.channels, SchedulingMode::Neutral);
+        let mut reference = Rescanning {
+            mode: SchedulingMode::Neutral,
+            queues: (0..geometry.channels).map(|_| Default::default()).collect(),
+        };
+        // Two blocks per die, programmed in page order; reads go to pages
+        // already submitted (an early read of one fails the same way on
+        // both sides, as does a program a drop left out of order).
+        let dies = geometry.total_dies() as usize;
+        let mut next_page = vec![[0u32; 2]; dies];
+        let pick = |rng: &mut simkit::DetRng| {
+            if rng.chance(0.5) {
+                Priority::Conventional
+            } else {
+                Priority::Destage
+            }
+        };
+        let mut now = SimTime::ZERO;
+        let mut completed = 0;
+        for id in 0..2_000u64 {
+            now += SimDuration::from_nanos(rng.uniform(0, 60_000));
+            match rng.uniform(0, 99) {
+                0..=59 => {
+                    let die = rng.uniform(0, dies as u64 - 1) as usize;
+                    let (ch, d) = (
+                        die as u32 / geometry.dies_per_channel,
+                        die as u32 % geometry.dies_per_channel,
+                    );
+                    let block = rng.uniform(0, 1) as usize;
+                    let written = next_page[die][block];
+                    let kind = if written > 0 && rng.chance(0.3) {
+                        OpKind::Read(Ppa::new(
+                            ch,
+                            d,
+                            block as u32,
+                            rng.uniform(0, written as u64 - 1) as u32,
+                        ))
+                    } else if written < geometry.pages_per_block {
+                        next_page[die][block] += 1;
+                        OpKind::Program(Ppa::new(ch, d, block as u32, written))
+                    } else {
+                        continue;
+                    };
+                    // A firmware retry arrives before requests already queued.
+                    let early =
+                        SimDuration::from_nanos(rng.uniform(0, 1) * rng.uniform(0, 200_000));
+                    let arrival = now - early;
+                    let req = OpRequest { id, kind, arrival, class: pick(&mut rng) };
+                    ours.submit(req);
+                    reference.submit(req);
+                }
+                60..=89 => {
+                    let until = now + SimDuration::from_nanos(rng.uniform(0, 400_000));
+                    let done = ours.pump(&mut ours_array, until);
+                    assert_eq!(done, reference.pump(&mut ref_array, until), "step {id}");
+                    completed += done.len();
+                }
+                90..=93 => {
+                    let class = pick(&mut rng);
+                    ours.drop_class(class);
+                    reference.drop_class(class);
+                }
+                94 => {
+                    ours.drop_all();
+                    reference.drop_all();
+                }
+                _ => {
+                    let mode = [
+                        SchedulingMode::Neutral,
+                        SchedulingMode::DestagePriority,
+                        SchedulingMode::ConventionalPriority,
+                    ][rng.uniform(0, 2) as usize];
+                    ours.set_mode(mode);
+                    reference.mode = mode;
+                }
+            }
+            assert_eq!(
+                ours.next_start_hint(&ours_array),
+                reference.next_start_hint(&ref_array),
+                "step {id}"
+            );
+        }
+        completed
+    }
+
+    #[test]
+    fn kept_answers_match_a_rescan_on_the_tiny_and_default_geometry() {
+        for seed in 0..6 {
+            let tiny = against_the_reference(FlashGeometry::tiny(), FlashTiming::fast(), seed);
+            let default =
+                against_the_reference(FlashGeometry::default(), FlashTiming::default(), 100 + seed);
+            assert!(tiny > 300 && default > 300, "seed {seed}: {tiny} / {default} completions");
         }
     }
 

@@ -38,8 +38,7 @@
 //! (`docs/OBSERVABILITY.md`).
 
 use crate::command::{CommandId, CommandKind, CompletionEntry};
-use simkit::{SimTime, Summary};
-use std::collections::HashSet;
+use simkit::{IntSet, SimTime, Summary};
 
 /// Identifies one in-flight submission on the port that issued it.
 ///
@@ -97,7 +96,7 @@ pub trait IoPort {
 #[derive(Debug, Clone)]
 pub struct PortAccounting {
     next_cid: CommandId,
-    live: HashSet<CommandId>,
+    live: IntSet<CommandId>,
     submitted: u64,
     completed: u64,
     /// `depth[d]` submissions found `d` commands in flight, their own
@@ -118,7 +117,7 @@ impl PortAccounting {
     pub fn new() -> Self {
         PortAccounting {
             next_cid: 0,
-            live: HashSet::new(),
+            live: IntSet::default(),
             submitted: 0,
             completed: 0,
             depth: Vec::new(),
@@ -325,6 +324,7 @@ pub fn drive_to_completion<P: IoPort + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
     #[test]
     fn cid_allocation_skips_live_cids() {

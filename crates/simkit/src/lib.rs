@@ -12,6 +12,8 @@
 //! - [`stats`] — exact sample series, their summaries, candlesticks;
 //! - [`rng`] — explicitly seeded randomness for replayable workloads;
 //! - [`bytes`] — cheaply cloneable immutable payload buffers;
+//! - [`hash`] — the fixed integer hasher behind the device models' maps
+//!   ([`IntMap`], [`IntSet`]);
 //! - [`telemetry`] — the cross-stack metrics registry every device model
 //!   reports into, with snapshot/diff phase measurement and JSON export;
 //! - [`faults`] — deterministic fault injection ([`FaultPlan`],
@@ -34,6 +36,7 @@ pub mod bandwidth;
 pub mod bytes;
 pub mod events;
 pub mod faults;
+pub mod hash;
 pub mod resource;
 pub mod rng;
 pub mod stats;
@@ -44,6 +47,7 @@ pub use bandwidth::Bandwidth;
 pub use bytes::Bytes;
 pub use events::{EventId, EventQueue};
 pub use faults::{FaultHook, FaultPlan};
+pub use hash::{IntHasher, IntMap, IntSet};
 pub use resource::{Ends, Grant, SerialResource};
 pub use rng::{DetRng, Zipfian};
 pub use stats::{Candlestick, SampleSeries, Summary};

@@ -49,6 +49,7 @@ impl Ends {
     }
 
     /// How many of the instants are at or before `t`.
+    #[inline]
     pub fn by(&self, t: SimTime) -> u64 {
         if self.count == 0 || t < self.first {
             0
@@ -98,6 +99,7 @@ impl SerialResource {
     /// time, and where each request ends — back to back while they queue
     /// behind the resource, then on the arrivals' period once it has caught
     /// up (when `service < period`). Either piece may be empty.
+    #[inline]
     pub fn acquire_run(
         &mut self,
         first: SimTime,

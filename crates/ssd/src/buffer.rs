@@ -7,8 +7,8 @@
 //! sharing is what derates the DRAM-backed fast side in Fig. 9/10.
 
 use simkit::bytes::Bytes;
-use simkit::{Bandwidth, Grant, SerialResource, SimDuration, SimTime};
-use std::collections::{BTreeMap, HashMap};
+use simkit::{Bandwidth, Grant, IntMap, SerialResource, SimDuration, SimTime};
+use std::collections::BTreeMap;
 
 /// Logical page number (buffer key).
 pub type Lpn = u64;
@@ -58,7 +58,7 @@ pub struct BufferStats {
 pub struct DataBuffer {
     capacity_pages: usize,
     page_bytes: u32,
-    slots: HashMap<Lpn, Slot>,
+    slots: IntMap<Lpn, Slot>,
     /// The clean pages by last touch, least recent first: eviction order.
     /// Dirty pages are pinned until flushed and are not in here; a page
     /// cleaned later takes the place its last touch gave it, which may be
@@ -78,7 +78,7 @@ impl DataBuffer {
         DataBuffer {
             capacity_pages,
             page_bytes,
-            slots: HashMap::new(),
+            slots: IntMap::default(),
             clean: BTreeMap::new(),
             touches: 0,
             port: SerialResource::new(),
@@ -237,6 +237,7 @@ impl simkit::Instrument for DataBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     fn buffer(cap: usize) -> DataBuffer {
         DataBuffer::new(cap, 4096, Bandwidth::gbytes_per_sec(2.0))

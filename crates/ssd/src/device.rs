@@ -20,8 +20,7 @@ use nvme::{
 };
 use pcie::{DmaConfig, LinkConfig};
 use simkit::bytes::Bytes;
-use simkit::{Bandwidth, EventQueue, SimTime};
-use std::collections::HashMap;
+use simkit::{Bandwidth, EventQueue, IntMap, SimTime};
 
 /// Device-wide configuration.
 ///
@@ -138,17 +137,17 @@ pub struct ConventionalSsd {
     buffer: DataBuffer,
     hic: Hic,
     /// Durable content by logical page (what survives power loss).
-    media: HashMap<Lpn, Bytes>,
+    media: IntMap<Lpn, Bytes>,
     /// Host-staged write payloads awaiting the next write command.
-    staged: HashMap<Lpn, Bytes>,
+    staged: IntMap<Lpn, Bytes>,
     /// What a write without staged data stores: one page of zeros, shared
     /// by every such page in the buffer and on media.
     zero_page: Bytes,
     /// Every queued or in-flight flash op, by op id.
-    ops: HashMap<u64, PendingOp>,
+    ops: IntMap<u64, PendingOp>,
     /// Host-write programs not yet on media (what a flush waits on).
     outstanding_host_programs: usize,
-    reads: HashMap<CommandId, ReadState>,
+    reads: IntMap<CommandId, ReadState>,
     flushes: Vec<FlushState>,
     next_op: u64,
     next_token: u64,
@@ -201,12 +200,12 @@ impl ConventionalSsd {
             ftl,
             buffer,
             hic,
-            media: HashMap::new(),
-            staged: HashMap::new(),
+            media: IntMap::default(),
+            staged: IntMap::default(),
             zero_page,
-            ops: HashMap::new(),
+            ops: IntMap::default(),
             outstanding_host_programs: 0,
-            reads: HashMap::new(),
+            reads: IntMap::default(),
             flushes: Vec::new(),
             next_op: 0,
             next_token: 0,
@@ -249,6 +248,13 @@ impl ConventionalSsd {
     /// Per-class scheduler statistics (counted at grant time).
     pub fn class_stats(&self, class: Priority) -> flash::ClassStats {
         self.sched.class_stats(class)
+    }
+
+    /// How many queue windows the flash scheduler has scanned
+    /// ([`ChannelScheduler::window_visits`]): host work, not a telemetry
+    /// path.
+    pub fn sched_window_visits(&self) -> u64 {
+        self.sched.window_visits()
     }
 
     /// FTL statistics.

@@ -11,7 +11,8 @@
 //! capacity stops with `device full` once [`Ftl::allocate`] returns `None`.
 
 use flash::{BlockAddr, DieAddr, FlashArray, FlashGeometry, Ppa};
-use std::collections::{HashMap, VecDeque};
+use simkit::IntMap;
+use std::collections::VecDeque;
 
 /// Logical page number (namespace LBA when LBA size == flash page size).
 pub type Lpn = u64;
@@ -49,7 +50,7 @@ pub struct FtlStats {
 pub struct Ftl {
     geometry: FlashGeometry,
     /// lpn -> current physical page.
-    map: HashMap<Lpn, Ppa>,
+    map: IntMap<Lpn, Ppa>,
     /// Per-die free (never allocated from) blocks.
     free_blocks: Vec<VecDeque<u32>>,
     /// Per-die, per-stream block currently receiving writes.
@@ -83,7 +84,7 @@ impl Ftl {
         }
         Ftl {
             geometry,
-            map: HashMap::new(),
+            map: IntMap::default(),
             free_blocks,
             active: vec![[None; AllocStream::COUNT]; dies],
             filled: vec![0; geometry.total_blocks() as usize],

@@ -271,6 +271,20 @@ if grep -rnE 'plan_gc|GcPlan|run_gc|GcWrite|gc_threshold|needs_gc|block_erased|O
   exit 1
 fi
 
+echo "== one hasher for the device maps (simkit::IntMap / IntSet; std's SipHash maps in tests only)"
+# PERFORMANCE.md, "Device maps hash integers with one fixed hasher": the
+# SSD, NVMe, flash and destage maps are keyed by page numbers, op ids and
+# command ids the simulator hands out itself, so they hash with simkit's
+# fixed integer hasher. A std-hashed `HashMap` or
+# `HashSet` does not come back outside the `#[cfg(test)]` module that
+# follows each file's first column-0 `#[cfg(test)]`.
+if awk 'FNR == 1 { live = 1 } /^#\[cfg\(test\)\]/ { live = 0 }
+        live && /HashMap|HashSet/ { print FILENAME ":" FNR ": " $0; hit = 1 }
+        END { exit !hit }' crates/ssd/src/*.rs crates/nvme/src/*.rs crates/flash/src/*.rs crates/core/src/destage.rs; then
+  echo "FAIL: a std-hashed map is back in the device models; use simkit::IntMap / IntSet (lines above)."
+  exit 1
+fi
+
 echo "== no scan in the data buffer (rule 7: eviction order is kept, not searched for)"
 # The buffer holds its clean pages ordered by last touch; finding a page or a
 # victim by walking a queue (`.position(`) is the scanning version, which
@@ -305,4 +319,4 @@ echo "== benchmark: its own tests, then every workload and check at 1/50 horizon
 (cd benchmark && cargo test --offline --quiet)
 benchmark/run.sh --quick > /dev/null
 
-echo "ok: fmt, clippy, reachability, zero paths, one flash error source, CHANGES.md line length, one copy of each claim, gate self-test, tests, count, host counts, nudge, one-collector, one-latency-copy, one-runner, panic-ratchet, no-unsafe, one-intake, one-log, one-index, one-row-copy, one-checksum, one-log-copy, no-second-path, no-GC and buffer-scan gates, recovery smoke, chaos smoke, benchmark checks all clean"
+echo "ok: fmt, clippy, reachability, zero paths, one flash error source, CHANGES.md line length, one copy of each claim, gate self-test, tests, count, host counts, nudge, one-collector, one-latency-copy, one-runner, panic-ratchet, no-unsafe, one-intake, one-log, one-index, one-row-copy, one-checksum, one-log-copy, no-second-path, no-GC, one-hasher and buffer-scan gates, recovery smoke, chaos smoke, benchmark checks all clean"
