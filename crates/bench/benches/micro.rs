@@ -215,8 +215,8 @@ fn bench_replicated_fsync() {
 /// The primary's mirror of one 16 KiB write to one secondary: 256 64-byte
 /// TLPs forwarded over the NTB wire as one stream on the host link's period.
 fn bench_ntb_mirror_burst() {
-    use pcie::{HostId, NtbConfig, NtbPort, TranslationWindow};
-    let mut port = NtbPort::new(NtbConfig::default(), HostId(1));
+    use pcie::{HostId, NtbPort, TranslationWindow};
+    let mut port = NtbPort::new(HostId(1));
     port.add_window(TranslationWindow {
         local_base: 0x8000_0000,
         len: 1 << 32,

@@ -18,7 +18,7 @@ use xssd_core::{Cluster, DestageConfig, VillarsConfig, XLogFile};
 
 fn device(max_latency: SimDuration) -> (Cluster, usize) {
     let mut config = VillarsConfig::villars_sram();
-    config.destage = DestageConfig { ring_base_lba: 0, ring_lbas: 1 << 16, max_latency };
+    config.destage = DestageConfig { ring_lbas: 1 << 16, max_latency };
     let mut cl = Cluster::new();
     let dev = cl.add_device(config);
     (cl, dev)

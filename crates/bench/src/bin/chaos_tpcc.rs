@@ -85,11 +85,7 @@ fn chaos_plan(seed: u64, t0: SimTime) -> FaultPlan {
             tlp_drop: 0.05,
             replay_timeout: SimDuration::from_micros(5),
         },
-        nvme: NvmeFaultConfig {
-            error_completion: 0.15,
-            dropped_completion: 0.12,
-            ..NvmeFaultConfig::default()
-        },
+        nvme: NvmeFaultConfig { error_completion: 0.15, dropped_completion: 0.12 },
         schedule: vec![ScheduledFault {
             at: t0 + SimDuration::from_micros(50),
             kind: FaultKind::LinkDown {

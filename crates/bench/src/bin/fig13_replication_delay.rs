@@ -74,7 +74,7 @@ fn derive_bw_pct(snap: &Snapshot) -> f64 {
     let wire_bytes = (snap.counter("dev1.core.transport.upstream.payload_bytes")
         + snap.counter("dev1.core.transport.upstream.overhead_bytes")) as f64;
     let secs = snap.counter("bench.elapsed_ns") as f64 / 1e9;
-    let link_bps = pcie::NtbConfig::default().link.bandwidth().as_gbytes_per_sec() * 1e9;
+    let link_bps = pcie::NTB_LINK.bandwidth().as_gbytes_per_sec() * 1e9;
     if secs > 0.0 {
         wire_bytes / (link_bps * secs) * 100.0
     } else {

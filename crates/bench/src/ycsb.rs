@@ -1,9 +1,9 @@
 //! YCSB-style key-value workload over `memdb`.
 //!
 //! The standard A–F operation mixes over a single `usertable`, with a
-//! zipfian/uniform/latest key chooser, a read-ratio knob (any custom
-//! mix through [`YcsbConfig::mix`] / `DriverConfig::mix`), and a
-//! value-size knob. Where TPC-C fills 16 KiB commit groups with
+//! zipfian/uniform/latest key chooser and a read-ratio knob (any custom
+//! mix through [`YcsbConfig::mix`] / `DriverConfig::mix`), over values of
+//! YCSB's 100-byte field. Where TPC-C fills 16 KiB commit groups with
 //! multi-row transactions, YCSB commits one small random update at a
 //! time — the small-append regime of the log path.
 //!
@@ -67,33 +67,30 @@ impl YcsbMix {
     }
 }
 
+/// Value payload bytes per row: YCSB's default field length (its core
+/// workload writes 100-byte fields). At least 8: a value carries an 8-byte
+/// stamp.
+const VALUE_SIZE: usize = 100;
+/// Maximum rows returned by one scan (YCSB-E); the actual length is drawn
+/// uniformly in `[1, MAX_SCAN_LEN]`, YCSB's default `maxscanlength`.
+const MAX_SCAN_LEN: u64 = 100;
+
 /// YCSB knobs.
 #[derive(Debug, Clone)]
 pub struct YcsbConfig {
     /// Rows loaded before the run.
     pub records: u64,
-    /// Value payload bytes per row.
-    pub value_size: usize,
     /// Zipfian skew `theta` in `[0, 1)`; `0.0` selects the uniform
     /// chooser. YCSB's default is `0.99`.
     pub theta: f64,
     /// Which standard mix to run (the default mix; override per run via
     /// `DriverConfig::mix` for a custom read ratio).
     pub mix: YcsbMix,
-    /// Maximum rows returned by one scan (YCSB-E); the actual length is
-    /// drawn uniformly in `[1, max_scan_len]`.
-    pub max_scan_len: u64,
 }
 
 impl Default for YcsbConfig {
     fn default() -> Self {
-        YcsbConfig {
-            records: 8192,
-            value_size: 100,
-            theta: 0.8,
-            mix: YcsbMix::A,
-            max_scan_len: 100,
-        }
+        YcsbConfig { records: 8192, theta: 0.8, mix: YcsbMix::A }
     }
 }
 
@@ -224,7 +221,7 @@ impl Workload for YcsbWorkload {
             1 => {
                 self.stats.update += 1;
                 let key = encode_key(self.choose_key(rng));
-                fill_value(&mut self.val_buf, self.config.value_size, rng);
+                fill_value(&mut self.val_buf, VALUE_SIZE, rng);
                 let mut ctx = db.begin();
                 db.update(&mut ctx, t, key, Row::copy_from_slice(&self.val_buf));
                 db.commit(ctx)
@@ -233,7 +230,7 @@ impl Workload for YcsbWorkload {
             2 => {
                 self.stats.insert += 1;
                 let k = self.key_count;
-                fill_value(&mut self.val_buf, self.config.value_size, rng);
+                fill_value(&mut self.val_buf, VALUE_SIZE, rng);
                 let mut ctx = db.begin();
                 db.insert(&mut ctx, t, encode_key(k), Row::copy_from_slice(&self.val_buf));
                 let out = db.commit(ctx);
@@ -245,7 +242,7 @@ impl Workload for YcsbWorkload {
             // scan: a short key-ordered range, visited without cloning.
             3 => {
                 self.stats.scan += 1;
-                let len = rng.uniform(1, self.config.max_scan_len) as usize;
+                let len = rng.uniform(1, MAX_SCAN_LEN) as usize;
                 let from = self.choose_key(rng);
                 let ctx = db.begin();
                 db.scan_visit(t, &encode_key(from), &encode_key(u64::MAX), len, |_k, _v| {});
@@ -261,7 +258,7 @@ impl Workload for YcsbWorkload {
                         self.val_buf.clear();
                         self.val_buf.extend_from_slice(row);
                     }
-                    None => fill_value(&mut self.val_buf, self.config.value_size, rng),
+                    None => fill_value(&mut self.val_buf, VALUE_SIZE, rng),
                 }
                 self.val_buf[0] = self.val_buf[0].wrapping_add(1);
                 db.update(&mut ctx, t, key, Row::copy_from_slice(&self.val_buf));
@@ -289,12 +286,11 @@ impl simkit::Instrument for YcsbWorkload {
 /// the workload, and the loader RNG (mirrors `tpcc::setup`).
 pub fn setup(cfg: YcsbConfig, seed: u64) -> (Database, YcsbWorkload, DetRng) {
     assert!(cfg.records >= 1, "ycsb needs at least one loaded row");
-    assert!(cfg.value_size >= 8, "values carry an 8-byte stamp");
     let mut rng = DetRng::new(seed);
     let mut db = Database::new();
     let table = db.create_table("usertable");
     for k in 0..cfg.records {
-        let mut v = vec![0x59u8; cfg.value_size];
+        let mut v = vec![0x59u8; VALUE_SIZE];
         let stamp = rng.next_u64().to_be_bytes();
         v[..8].copy_from_slice(&stamp);
         db.install_row(table, encode_key(k), v);

@@ -298,7 +298,7 @@ fn fig10_dram_follows_tlp_efficiency(rows: &[Row]) {
     for (series, mode) in [("dram-wc", StoreIssueModel::wc()), ("dram-uc", StoreIssueModel::uc())] {
         for r in by_x(rows, series) {
             let payload = (r.x as u64).min(mode.unit());
-            let wire = payload + link.overhead.per_tlp_bytes();
+            let wire = payload + pcie::TLP_OVERHEAD_BYTES;
             let tlp_ns = link.bandwidth().transfer_time(wire).as_nanos();
             let expect = (payload as f64 / tlp_ns as f64 * 1e3).min(port_mbps);
             assert!(

@@ -1,9 +1,15 @@
 //! Villars device configuration.
 
 use nvme::{BackingClass, CmbDescriptor};
-use pcie::NtbConfig;
 use simkit::{Bandwidth, SimDuration};
 use ssd::SsdConfig;
+
+/// Derating of the shared DRAM port for CMB traffic: the fast side sees
+/// the DDR3 path's bandwidth × this factor because "the DRAM access is
+/// shared with the device's regular data buffering activity" (paper §6);
+/// calibrated to the Fig. 10 DRAM plateau (EXPERIMENTS.md calibration row
+/// "DRAM backing").
+const DRAM_SHARE_FACTOR: f64 = 0.4;
 
 /// Configuration of the fast side's CMB module (paper §4.1).
 #[derive(Debug, Clone, Copy)]
@@ -15,10 +21,6 @@ pub struct CmbConfig {
     /// Intake (SRAM) queue size in bytes — the flow-control window the
     /// database is told about. The paper evaluates 1–32 KiB (Fig. 11).
     pub intake_queue_bytes: u64,
-    /// Derating of the shared DRAM port for CMB traffic: the fast side sees
-    /// `dram_bandwidth × factor` because "the DRAM access is shared with the
-    /// device's regular data buffering activity" (paper §6).
-    pub dram_share_factor: f64,
     /// How far beyond the contiguous tail an out-of-order chunk may land
     /// (paper §4.1: writes are "mostly sequential" — reordering is
     /// tolerated only "within established bounds").
@@ -33,24 +35,24 @@ impl CmbConfig {
             backing: d.backing,
             size: d.size,
             intake_queue_bytes: 32 << 10,
-            dram_share_factor: 0.4,
             reorder_window_bytes: 64 << 10,
         }
     }
 
-    /// The paper's DRAM configuration: the SRAM one's window, derate and
-    /// reorder bound over the DRAM backing.
+    /// The paper's DRAM configuration: the SRAM one's window and reorder
+    /// bound over the DRAM backing.
     pub fn dram() -> Self {
         let d = CmbDescriptor::villars_dram();
         CmbConfig { backing: d.backing, size: d.size, ..CmbConfig::sram() }
     }
 
     /// Raw backing-memory bandwidth for this class (paper §6: 128-bit @
-    /// 250 MHz BlockRAM = 4 GB/s; 64-bit @ 250 MHz DDR3 path = 2 GB/s).
+    /// 250 MHz BlockRAM = 4 GB/s; 64-bit @ 250 MHz DDR3 path = 2 GB/s,
+    /// derated by `DRAM_SHARE_FACTOR`).
     pub fn backing_bandwidth(&self) -> Bandwidth {
         match self.backing {
             BackingClass::Sram => Bandwidth::bus(128, 250.0),
-            BackingClass::Dram => Bandwidth::bus(64, 250.0).scaled(self.dram_share_factor),
+            BackingClass::Dram => Bandwidth::bus(64, 250.0).scaled(DRAM_SHARE_FACTOR),
         }
     }
 }
@@ -58,8 +60,6 @@ impl CmbConfig {
 /// Configuration of the Destage module (paper §4.3).
 #[derive(Debug, Clone, Copy)]
 pub struct DestageConfig {
-    /// First LBA of the destage ring on the conventional side.
-    pub ring_base_lba: u64,
     /// Length of the destage ring in logical blocks ("much larger than the
     /// one on the fast side", Fig. 3).
     pub ring_lbas: u64,
@@ -70,11 +70,7 @@ pub struct DestageConfig {
 
 impl Default for DestageConfig {
     fn default() -> Self {
-        DestageConfig {
-            ring_base_lba: 0,
-            ring_lbas: 4096,
-            max_latency: SimDuration::from_millis(1),
-        }
+        DestageConfig { ring_lbas: 4096, max_latency: SimDuration::from_millis(1) }
     }
 }
 
@@ -84,21 +80,11 @@ pub struct TransportConfig {
     /// How often a secondary forwards its credit counter to the primary
     /// (Fig. 13 sweeps 0.4–1.6 µs).
     pub shadow_update_period: SimDuration,
-    /// Bytes of a shadow-counter update message (counter payload).
-    pub counter_payload_bytes: u32,
-    /// A primary reports `Degraded` when a secondary has not forwarded its
-    /// counter within this window (paper §7.1: replication errors surface
-    /// as an indeterminate delay; the host checks a status register).
-    pub staleness_window: SimDuration,
 }
 
 impl Default for TransportConfig {
     fn default() -> Self {
-        TransportConfig {
-            shadow_update_period: SimDuration::from_micros_f64(0.8),
-            counter_payload_bytes: 8,
-            staleness_window: SimDuration::from_micros(100),
-        }
+        TransportConfig { shadow_update_period: SimDuration::from_micros_f64(0.8) }
     }
 }
 
@@ -129,8 +115,6 @@ pub struct VillarsConfig {
     pub destage: DestageConfig,
     /// The Transport module.
     pub transport: TransportConfig,
-    /// NTB adapter parameters used when a role is configured.
-    pub ntb: NtbConfig,
     /// Counter-combination policy for replicated setups.
     pub replication: ReplicationPolicy,
 }
@@ -142,7 +126,6 @@ impl Default for VillarsConfig {
             cmb: CmbConfig::sram(),
             destage: DestageConfig::default(),
             transport: TransportConfig::default(),
-            ntb: NtbConfig::default(),
             replication: ReplicationPolicy::Eager,
         }
     }
@@ -155,13 +138,8 @@ impl VillarsConfig {
         VillarsConfig {
             conventional: SsdConfig::small(),
             cmb: CmbConfig { size: 64 << 10, intake_queue_bytes: 4 << 10, ..CmbConfig::sram() },
-            destage: DestageConfig {
-                ring_base_lba: 0,
-                ring_lbas: 64,
-                max_latency: SimDuration::from_micros(200),
-            },
+            destage: DestageConfig { ring_lbas: 64, max_latency: SimDuration::from_micros(200) },
             transport: TransportConfig::default(),
-            ntb: NtbConfig::default(),
             replication: ReplicationPolicy::Eager,
         }
     }
@@ -202,6 +180,6 @@ mod tests {
     fn small_config_ring_fits_namespace() {
         let c = VillarsConfig::small();
         let pages = c.conventional.geometry.total_pages() * 7 / 8;
-        assert!(c.destage.ring_base_lba + c.destage.ring_lbas <= pages);
+        assert!(c.destage.ring_lbas <= pages);
     }
 }

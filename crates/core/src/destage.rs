@@ -72,6 +72,10 @@ pub struct Segment {
     pub lba: u64,
 }
 
+/// First LBA of the destage ring on the conventional side: the ring starts
+/// at the namespace's first block (Fig. 3).
+const RING_BASE_LBA: u64 = 0;
+
 /// The ring of LBAs the log is destaged onto, and the window of the log
 /// still readable from it.
 ///
@@ -175,7 +179,7 @@ impl DestageModule {
         assert!(page_bytes > 0);
         DestageModule {
             pages: (pages.clone(), pages.join()),
-            ring: LbaRing::new(config.ring_base_lba, config.ring_lbas),
+            ring: LbaRing::new(RING_BASE_LBA, config.ring_lbas),
             config,
             page_bytes,
             scheduled: 0,
@@ -409,11 +413,7 @@ mod tests {
                     ..CmbConfig::sram()
                 }),
                 destage: DestageModule::new(
-                    DestageConfig {
-                        ring_base_lba: 0,
-                        ring_lbas,
-                        max_latency: SimDuration::from_micros(200),
-                    },
+                    DestageConfig { ring_lbas, max_latency: SimDuration::from_micros(200) },
                     page,
                     &PageStore::default(),
                 ),

@@ -626,11 +626,11 @@ impl VillarsDevice {
                 }
                 let secondaries: Vec<DeviceIndex> =
                     v.dwords[1..=n].iter().map(|d| *d as DeviceIndex).collect();
-                self.transport.set_primary(secondaries, self.config.ntb, now);
+                self.transport.set_primary(secondaries, now);
                 self.vendor_complete(now, cid, Status::Success, 0);
             }
             vendor::SET_SECONDARY => {
-                self.transport.set_secondary(v.dwords[0] as DeviceIndex, self.config.ntb, now);
+                self.transport.set_secondary(v.dwords[0] as DeviceIndex, now);
                 self.vendor_complete(now, cid, Status::Success, 0);
             }
             vendor::SET_SHADOW_PERIOD => {

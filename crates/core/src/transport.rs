@@ -22,7 +22,7 @@
 
 use crate::cmb::CmbModule;
 use crate::config::{ReplicationPolicy, TransportConfig};
-use pcie::{HostId, NtbConfig, NtbFaultStats, NtbPort, Tlp, TranslationWindow, WriteShape};
+use pcie::{HostId, NtbFaultStats, NtbPort, Tlp, TranslationWindow, WriteShape};
 use simkit::faults::{LinkDownWindow, TransportFaultConfig};
 use simkit::{Bytes, DetRng, SimDuration, SimTime};
 
@@ -53,7 +53,8 @@ pub enum Role {
 pub enum TransportStatus {
     /// Replication flows healthy.
     Ok,
-    /// A peer has not acknowledged within the staleness window.
+    /// A peer has not acknowledged within the staleness window
+    /// (`STALENESS_WINDOW`).
     Degraded,
     /// The module is off (stand-alone).
     Inactive,
@@ -167,6 +168,15 @@ pub struct TransportModule {
 const MIRROR_WINDOW_BASE: u64 = 0x100_0000_0000;
 const MIRROR_WINDOW_SIZE: u64 = 1 << 32;
 
+/// Bytes of a shadow-counter update message: the 8-byte credit counter
+/// (paper §4.2).
+const COUNTER_PAYLOAD_BYTES: u32 = 8;
+
+/// A primary reports `Degraded` when a secondary has not forwarded its
+/// counter within this window (paper §7.1: replication errors surface as an
+/// indeterminate delay; the host checks a status register).
+const STALENESS_WINDOW: SimDuration = SimDuration::from_micros(100);
+
 impl TransportModule {
     /// A stand-alone (inactive) transport.
     pub fn new(config: TransportConfig) -> Self {
@@ -211,7 +221,7 @@ impl TransportModule {
                 let stale = self
                     .peers
                     .iter()
-                    .any(|p| now.saturating_since(p.last_update_at) > self.config.staleness_window);
+                    .any(|p| now.saturating_since(p.last_update_at) > STALENESS_WINDOW);
                 if stale {
                     TransportStatus::Degraded
                 } else {
@@ -233,10 +243,10 @@ impl TransportModule {
     /// Become a primary mirroring to `secondaries` (vendor command
     /// `SetRolePrimary`). Resets previous flows; the staleness clock for
     /// each secondary starts at `now`.
-    pub fn set_primary(&mut self, secondaries: Vec<DeviceIndex>, ntb: NtbConfig, now: SimTime) {
+    pub fn set_primary(&mut self, secondaries: Vec<DeviceIndex>, now: SimTime) {
         self.peers.clear();
         for &s in &secondaries {
-            let mut port = NtbPort::new(ntb, HostId(s as u16));
+            let mut port = NtbPort::new(HostId(s as u16));
             port.add_window(Self::window_for(s));
             if let Some((cfg, rng)) = &mut self.flow_faults {
                 port.arm_faults(*cfg, rng.fork(s as u64));
@@ -253,8 +263,8 @@ impl TransportModule {
     }
 
     /// Become a secondary of `primary` (vendor command `SetRoleSecondary`).
-    pub fn set_secondary(&mut self, primary: DeviceIndex, ntb: NtbConfig, now: SimTime) {
-        let mut port = NtbPort::new(ntb, HostId(primary as u16));
+    pub fn set_secondary(&mut self, primary: DeviceIndex, now: SimTime) {
+        let mut port = NtbPort::new(HostId(primary as u16));
         port.add_window(Self::window_for(primary));
         if let Some((cfg, rng)) = &mut self.flow_faults {
             port.arm_faults(*cfg, rng.fork(u64::from(u32::MAX) + 1 + primary as u64));
@@ -423,8 +433,7 @@ impl TransportModule {
         };
         let period = self.config.shadow_update_period;
         let port = self.upstream.as_mut().expect("secondary has upstream flow");
-        let tlp =
-            Tlp::write(Self::window_for(primary).local_base, self.config.counter_payload_bytes);
+        let tlp = Tlp::write(Self::window_for(primary).local_base, COUNTER_PAYLOAD_BYTES);
         let mut out = Vec::new();
         while self.next_update_at <= now {
             let at = self.next_update_at;
@@ -606,7 +615,7 @@ mod tests {
 
     fn primary_of(secs: Vec<DeviceIndex>) -> TransportModule {
         let mut t = TransportModule::new(TransportConfig::default());
-        t.set_primary(secs, NtbConfig::default(), SimTime::ZERO);
+        t.set_primary(secs, SimTime::ZERO);
         t
     }
 
@@ -655,7 +664,7 @@ mod tests {
         assert_eq!(flow.counter("t.flow1.forwarded_tlps"), 3);
         // The wire carried exactly what three single TLPs of 64, 64 and 8
         // bytes carry.
-        let mut one_by_one = NtbPort::new(NtbConfig::default(), HostId(1));
+        let mut one_by_one = NtbPort::new(HostId(1));
         one_by_one.add_window(TransportModule::window_for(1));
         let base = TransportModule::window_for(1).local_base;
         for payload in [64, 64, 8] {
@@ -670,10 +679,8 @@ mod tests {
     fn secondary_emits_periodic_updates() {
         let mut t = TransportModule::new(TransportConfig {
             shadow_update_period: SimDuration::from_micros(1),
-            counter_payload_bytes: 8,
-            staleness_window: SimDuration::from_micros(100),
         });
-        t.set_secondary(0, NtbConfig::default(), SimTime::ZERO);
+        t.set_secondary(0, SimTime::ZERO);
         // Credit reaches 100 at 1 us — exactly the first cycle, which
         // already sees it — and 300 at 3.5 us, between two cycles.
         let mut cmb =
@@ -708,10 +715,9 @@ mod tests {
         let emit = |reference: bool, period_ns: u64| {
             let mut t = TransportModule::new(TransportConfig {
                 shadow_update_period: SimDuration::from_nanos(period_ns),
-                ..TransportConfig::default()
             });
             t.per_cycle_reference = reference;
-            t.set_secondary(0, NtbConfig::default(), SimTime::ZERO);
+            t.set_secondary(0, SimTime::ZERO);
             let mut cmb = cmb_with_credit(&steps);
             let mut updates = Vec::new();
             let mut runs = 0;
@@ -742,10 +748,8 @@ mod tests {
     fn catch_up_clock_bounds_idle_replay() {
         let mut t = TransportModule::new(TransportConfig {
             shadow_update_period: SimDuration::from_micros(1),
-            counter_payload_bytes: 8,
-            staleness_window: SimDuration::from_micros(100),
         });
-        t.set_secondary(0, NtbConfig::default(), SimTime::ZERO);
+        t.set_secondary(0, SimTime::ZERO);
         // A 100 ms idle gap is 100k periods; the catch-up clamp leaves only
         // the last ~10k cycles to replay, keeping the cycle phase.
         let far = SimTime::from_millis(100);
@@ -825,12 +829,12 @@ mod tests {
             TransportFaultConfig { tlp_drop: 1.0, replay_timeout: SimDuration::from_micros(10) },
             DetRng::new(7),
         );
-        t.set_primary(vec![1], NtbConfig::default(), SimTime::ZERO);
+        t.set_primary(vec![1], SimTime::ZERO);
         mirror_wc(&mut t, SimTime::ZERO, &[0u8; 64]);
         let first = t.flow_fault_stats().replays;
         assert!(first >= 1, "certain drop must replay");
         // Reconfigure: the rebuilt flow stays armed from the stored stream.
-        t.set_primary(vec![1, 2], NtbConfig::default(), SimTime::from_micros(50));
+        t.set_primary(vec![1, 2], SimTime::from_micros(50));
         mirror_wc(&mut t, SimTime::from_micros(50), &[0u8; 64]);
         assert!(t.flow_fault_stats().replays >= 2, "new flows re-armed");
     }
@@ -846,7 +850,7 @@ mod tests {
     fn role_transitions_reset_flows() {
         let mut t = primary_of(vec![1]);
         assert!(matches!(t.role(), Role::Primary { .. }));
-        t.set_secondary(0, NtbConfig::default(), SimTime::ZERO);
+        t.set_secondary(0, SimTime::ZERO);
         assert!(matches!(t.role(), Role::Secondary { primary: 0 }));
         assert!(t.upstream_stats().is_some());
         t.set_stand_alone();

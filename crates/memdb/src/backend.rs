@@ -134,26 +134,23 @@ impl LogBackend for NoLog {
     }
 }
 
+/// Effective store bandwidth to the NVDIMM with persist barriers in the
+/// loop: measured NVDIMM-N streams run near DRAM speed, persist
+/// instructions shave it (the paper's "Memory" baseline, §6).
+const PM_BANDWIDTH: Bandwidth = Bandwidth::gbytes_per_sec(8.0);
+/// Per-cache-line flush cost (`clwb`-class) of a [`PmLog`] store train.
+const PM_FLUSH_PER_LINE: SimDuration = SimDuration::from_nanos(20);
+
 /// NVDIMM parameters for [`PmLog`].
 #[derive(Debug, Clone, Copy)]
 pub struct PmConfig {
-    /// Effective store bandwidth to the DIMM with persist barriers in the
-    /// loop (measured NVDIMM-N streams run near DRAM speed; persist
-    /// instructions shave it).
-    pub bandwidth: Bandwidth,
-    /// Per-cache-line flush cost (`clwb`-class).
-    pub flush_per_line: SimDuration,
     /// Store fence at sync.
     pub fence: SimDuration,
 }
 
 impl Default for PmConfig {
     fn default() -> Self {
-        PmConfig {
-            bandwidth: Bandwidth::gbytes_per_sec(8.0),
-            flush_per_line: SimDuration::from_nanos(20),
-            fence: SimDuration::from_nanos(100),
-        }
+        PmConfig { fence: SimDuration::from_nanos(100) }
     }
 }
 
@@ -189,7 +186,7 @@ impl LogBackend for PmLog {
     fn append(&mut self, now: SimTime, data: &[u8]) -> SimTime {
         let len = data.len() as u64;
         let lines = len.div_ceil(64);
-        let cost = self.config.bandwidth.transfer_time(len) + self.config.flush_per_line * lines;
+        let cost = PM_BANDWIDTH.transfer_time(len) + PM_FLUSH_PER_LINE * lines;
         let g = self.dimm.acquire(now, cost);
         self.bytes += len;
         self.pending_done = self.pending_done.max(g.end);
@@ -207,7 +204,7 @@ impl LogBackend for PmLog {
     fn append_submit(&mut self, now: SimTime, data: &[u8]) -> (AppendTag, SimTime) {
         let len = data.len() as u64;
         let lines = len.div_ceil(64);
-        let cost = self.config.bandwidth.transfer_time(len) + self.config.flush_per_line * lines;
+        let cost = PM_BANDWIDTH.transfer_time(len) + PM_FLUSH_PER_LINE * lines;
         let g = self.dimm.acquire(now, cost);
         self.bytes += len;
         self.pending_done = self.pending_done.max(g.end);

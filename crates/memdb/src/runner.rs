@@ -87,8 +87,13 @@ impl<F: FnMut(&mut Database, &mut DetRng) -> TxnOutcome> Workload for F {
     }
 }
 
+/// Mean CPU time to execute one transaction: ERMIA-class engines do
+/// ~37 ktxn/s/core on TPC-C ⇒ ~27 µs/txn (EXPERIMENTS.md calibration row
+/// "Worker CPU", paper §6), jittered by `CPU_JITTER`.
+const CPU_PER_TXN: SimDuration = SimDuration::from_micros_f64(27.0);
+
 /// ±fractional jitter applied to each transaction's CPU time
-/// ([`DriverConfig::cpu_per_txn`]), drawn from the worker's RNG stream.
+/// (`CPU_PER_TXN`), drawn from the worker's RNG stream.
 const CPU_JITTER: f64 = 0.2;
 
 /// Workers stall when the log writer's completion horizon runs this far
@@ -114,10 +119,6 @@ pub struct DriverConfig {
     /// into windows of this width, offset from the end of the ramp (the
     /// per-simulated-second series).
     pub series_bucket: Option<SimDuration>,
-    /// Mean CPU time to execute one transaction (ERMIA-class engines do
-    /// ~37 ktxn/s/core on TPC-C ⇒ ~27 µs/txn), jittered by the runner's
-    /// `CPU_JITTER`.
-    pub cpu_per_txn: SimDuration,
     /// Maximum group commits the log writer may keep in flight at once.
     /// `1` (the default) is the serialized blocking path the paper's
     /// Fig. 9 measures; larger values pipeline groups through the
@@ -135,7 +136,6 @@ impl Default for DriverConfig {
             seed: 0xE121A,
             mix: None,
             series_bucket: None,
-            cpu_per_txn: SimDuration::from_micros_f64(27.0),
             log_pipeline_depth: 1,
         }
     }
@@ -378,8 +378,7 @@ where
         // workload's own draws, all on the worker's RNG stream.
         let rng = &mut worker_rngs[w];
         let jitter = 1.0 + CPU_JITTER * (rng.unit() * 2.0 - 1.0);
-        let cpu =
-            SimDuration::from_nanos((cfg.cpu_per_txn.as_nanos() as f64 * jitter).round() as u64);
+        let cpu = SimDuration::from_nanos((CPU_PER_TXN.as_nanos() as f64 * jitter).round() as u64);
         let t1 = t0 + cpu;
         horizon = horizon.max(t1);
         let kind = if cum.len() > 1 {
@@ -841,7 +840,7 @@ mod tests {
         db.create_table("counters");
         // A long fence makes each group's durability lag its hand-off, so
         // groups genuinely overlap on the device.
-        let pm = PmConfig { fence: SimDuration::from_micros(200), ..PmConfig::default() };
+        let pm = PmConfig { fence: SimDuration::from_micros(200) };
         let mut wal = WalManager::new(
             PmLog::new(pm),
             WalConfig { group_threshold: 2 << 10, ..WalConfig::default() },
@@ -1019,10 +1018,7 @@ mod tests {
             let mut db = Database::new();
             db.create_table("counters");
             let mut wal = WalManager::new(
-                PmLog::new(PmConfig {
-                    fence: SimDuration::from_micros(200),
-                    ..PmConfig::default()
-                }),
+                PmLog::new(PmConfig { fence: SimDuration::from_micros(200) }),
                 WalConfig { group_threshold: 2 << 10, ..WalConfig::default() },
             );
             let cfg = DriverConfig {

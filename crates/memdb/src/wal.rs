@@ -393,7 +393,7 @@ mod tests {
     fn pipelined_flushes_overlap_and_converge() {
         // A long fence makes durability lag the CPU hand-off, so two
         // submissions can genuinely be in flight at once.
-        let pm = PmConfig { fence: SimDuration::from_micros(50), ..PmConfig::default() };
+        let pm = PmConfig { fence: SimDuration::from_micros(50) };
         let mut wal = WalManager::new(
             PmLog::new(pm),
             WalConfig { group_threshold: 1000, group_timeout: SimDuration::from_millis(1) },

@@ -80,6 +80,17 @@ pub struct NvmeDriver<C: NvmeController> {
     faults: Option<CmdFaults>,
 }
 
+/// How long the driver waits for a completion rolled as lost before it
+/// declares the command timed out and aborts it. This and the two below
+/// are the recovery path's constants in docs/ROBUSTNESS.md's `nvme` rows,
+/// a model of a host driver's, not figures from the paper.
+const FAULT_TIMEOUT: SimDuration = SimDuration::from_micros(500);
+/// Driver retries per command; fate rolls stop once a command has consumed
+/// them, so every command eventually succeeds.
+const FAULT_MAX_RETRIES: u32 = 4;
+/// First retry backoff; doubles per attempt.
+const FAULT_BACKOFF_BASE: SimDuration = SimDuration::from_micros(10);
+
 /// Driver-side command-fault state: per-command fate draws, retry budgets,
 /// and abort deadlines. Armed via [`NvmeDriver::arm_faults`].
 #[derive(Debug)]
@@ -114,12 +125,12 @@ impl CmdFaults {
     /// Roll the fate of a (re)submission issued at `issue_at`. Draws stop
     /// once the retry budget is consumed.
     fn roll(&mut self, fate: &mut CmdFate, issue_at: SimTime) {
-        if fate.attempts >= self.cfg.max_retries {
+        if fate.attempts >= FAULT_MAX_RETRIES {
             return;
         }
         if self.rng.chance(self.cfg.dropped_completion) {
             fate.drop_next = true;
-            fate.deadline = Some(issue_at + self.cfg.timeout);
+            fate.deadline = Some(issue_at + FAULT_TIMEOUT);
         } else if self.rng.chance(self.cfg.error_completion) {
             fate.error_next = true;
         }
@@ -127,7 +138,7 @@ impl CmdFaults {
 
     /// Exponential backoff for retry number `attempt` (1-based).
     fn backoff(&self, attempt: u32) -> SimDuration {
-        self.cfg.backoff_base.saturating_mul(1u64 << (attempt - 1).min(16))
+        FAULT_BACKOFF_BASE.saturating_mul(1u64 << (attempt - 1).min(16))
     }
 
     /// Apply `cid`'s rolled fate to the completion the device posted at
@@ -518,11 +529,7 @@ mod tests {
         fn run(seed: u64) -> (f64, u64, u64) {
             let mut drv = NvmeDriver::new(FixedDelay::new(10));
             drv.arm_faults(
-                NvmeFaultConfig {
-                    error_completion: 0.2,
-                    dropped_completion: 0.2,
-                    ..Default::default()
-                },
+                NvmeFaultConfig { error_completion: 0.2, dropped_completion: 0.2 },
                 DetRng::new(seed),
             );
             let mut now = SimTime::ZERO;

@@ -9,20 +9,11 @@ use crate::link::PcieLink;
 use crate::tlp::MaxPayloadSize;
 use simkit::{SimDuration, SimTime};
 
-/// DMA engine parameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DmaConfig {
-    /// Largest payload per TLP.
-    pub mps: MaxPayloadSize,
-    /// Per-transfer setup cost (descriptor fetch, engine arbitration).
-    pub setup: SimDuration,
-}
-
-impl Default for DmaConfig {
-    fn default() -> Self {
-        DmaConfig { mps: MaxPayloadSize::default(), setup: SimDuration::from_nanos(300) }
-    }
-}
+/// Largest payload per TLP: the common server default of 256 B.
+const MPS: MaxPayloadSize = MaxPayloadSize(256);
+/// Per-transfer setup cost (descriptor fetch, engine arbitration): an
+/// estimate, the paper gives no figure.
+const SETUP: SimDuration = SimDuration::from_nanos(300);
 
 /// Direction of a DMA transfer, from the device's point of view.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,15 +60,14 @@ impl DmaTransfer {
 /// completions.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DmaEngine {
-    config: DmaConfig,
     transfers: u64,
     bytes: u64,
 }
 
 impl DmaEngine {
-    /// Engine with the given parameters.
-    pub fn new(config: DmaConfig) -> Self {
-        DmaEngine { config, transfers: 0, bytes: 0 }
+    /// An engine that has moved nothing yet.
+    pub fn new() -> Self {
+        DmaEngine::default()
     }
 
     /// Execute a transfer of `len` bytes on the wire of the host link that
@@ -101,13 +91,13 @@ impl DmaEngine {
         };
         self.transfers += 1;
         self.bytes += len;
-        let start = now + self.config.setup;
-        let unit = self.config.mps.0 as u64;
+        let start = now + SETUP;
+        let unit = MPS.0 as u64;
         let (full, tail) = (len / unit, (len % unit) as u32);
-        let (first, period) = link.peek_write_burst(start, self.config.mps.0);
+        let (first, period) = link.peek_write_burst(start, MPS.0);
         let mut end = start;
         if full > 0 {
-            end = link.send_write_burst(start, self.config.mps.0, full).end;
+            end = link.send_write_burst(start, MPS.0, full).end;
         }
         if tail > 0 {
             // Queued on the wire behind the full TLPs: `end` already counts
@@ -121,13 +111,13 @@ impl DmaEngine {
 
     /// Payload bytes of a full-size TLP.
     pub fn unit_bytes(&self) -> u64 {
-        self.config.mps.0 as u64
+        MPS.0 as u64
     }
 
     /// Wire time of one full-size TLP on `link`: the spacing a transfer's
     /// data arrives at.
     pub fn unit_time(&self, link: &PcieLink) -> SimDuration {
-        link.peek_write_burst(SimTime::ZERO, self.config.mps.0).1
+        link.peek_write_burst(SimTime::ZERO, MPS.0).1
     }
 
     /// Transfers executed.
@@ -156,7 +146,7 @@ mod tests {
     /// A host link's two wires, downstream first, and an engine.
     fn rig() -> (PcieLink, PcieLink, DmaEngine) {
         let wire = || PcieLink::new(LinkConfig::villars_host());
-        (wire(), wire(), DmaEngine::new(DmaConfig::default()))
+        (wire(), wire(), DmaEngine::new())
     }
 
     #[test]

@@ -21,10 +21,10 @@ pub mod ntb;
 pub mod tlp;
 pub mod wc;
 
-pub use dma::{DmaConfig, DmaDirection, DmaEngine, DmaTransfer};
+pub use dma::{DmaDirection, DmaEngine, DmaTransfer};
 pub use link::{Generation, LaneWidth, LinkConfig, LinkStats, PcieLink};
-pub use ntb::{HostId, NtbConfig, NtbFaultStats, NtbPort, TranslationWindow};
-pub use tlp::{BusAddr, MaxPayloadSize, Tlp, TlpKind, TlpOverhead};
+pub use ntb::{HostId, NtbFaultStats, NtbPort, TranslationWindow, NTB_LINK};
+pub use tlp::{BusAddr, MaxPayloadSize, Tlp, TlpKind, TLP_OVERHEAD_BYTES};
 pub use wc::{MmioMode, StoreIssueModel, WriteShape, UC_STORE_BYTES, WC_BUFFER_BYTES};
 
 #[cfg(test)]

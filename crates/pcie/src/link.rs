@@ -5,7 +5,7 @@
 //! available for CMB to consume" (paper §6). This module provides the
 //! generation/lane-width arithmetic and a [`PcieLink`] that serializes TLPs.
 
-use crate::tlp::{Tlp, TlpOverhead};
+use crate::tlp::{Tlp, TLP_OVERHEAD_BYTES};
 use simkit::{Bandwidth, Grant, SerialResource, SimDuration, SimTime};
 
 /// PCIe protocol generation; determines per-lane raw rate and line encoding.
@@ -45,8 +45,6 @@ pub struct LinkConfig {
     pub generation: Generation,
     /// Lane count.
     pub lanes: LaneWidth,
-    /// Per-TLP fixed overhead.
-    pub overhead: TlpOverhead,
     /// Propagation latency added to every packet (switch + flight time).
     pub propagation: SimDuration,
 }
@@ -57,7 +55,6 @@ impl LinkConfig {
         LinkConfig {
             generation: Generation::Gen2,
             lanes: LaneWidth::X4,
-            overhead: TlpOverhead::default(),
             propagation: SimDuration::from_nanos(150),
         }
     }
@@ -91,9 +88,9 @@ pub struct LinkStats {
 /// of these.
 ///
 /// Each TLP occupies the wire for its wire bytes (payload plus the per-TLP
-/// overhead) over the link's bandwidth, and TLPs queue FIFO behind the
-/// wire's `busy_until` horizon. Latency of a packet = queueing +
-/// serialization + propagation.
+/// overhead, [`TLP_OVERHEAD_BYTES`]) over the link's bandwidth, and TLPs
+/// queue FIFO behind the wire's `busy_until` horizon. Latency of a packet =
+/// queueing + serialization + propagation.
 #[derive(Debug, Clone)]
 pub struct PcieLink {
     config: LinkConfig,
@@ -122,7 +119,7 @@ impl PcieLink {
     /// packet has fully arrived at the far side (serialization done +
     /// propagation).
     pub fn send(&mut self, now: SimTime, tlp: &Tlp) -> Grant {
-        let overhead = tlp.wire_bytes(&self.config.overhead) - tlp.payload_data_bytes();
+        let overhead = tlp.wire_bytes() - tlp.payload_data_bytes();
         self.transmit(now, tlp.payload_data_bytes(), overhead, 1)
     }
 
@@ -149,7 +146,7 @@ impl PcieLink {
     /// simulator does not grow with the TLP count.
     pub fn send_write_burst(&mut self, now: SimTime, payload: u32, n: u64) -> Grant {
         assert!(n > 0, "burst must contain at least one TLP");
-        self.transmit(now, payload as u64, self.config.overhead.per_tlp_bytes(), n)
+        self.transmit(now, payload as u64, TLP_OVERHEAD_BYTES, n)
     }
 
     /// `n` packets of `payload + overhead` wire bytes, back to back, the
@@ -177,8 +174,7 @@ impl PcieLink {
     /// `first + (n−1)·per_tlp`. Lets a receiver that takes a whole burst at
     /// once decide whether it can before anything is sent.
     pub fn peek_write_burst(&self, now: SimTime, payload: u32) -> (SimTime, SimDuration) {
-        let per_tlp_bytes = self.config.overhead.per_tlp_bytes();
-        let per_tlp = self.bandwidth.transfer_time(payload as u64 + per_tlp_bytes);
+        let per_tlp = self.bandwidth.transfer_time(payload as u64 + TLP_OVERHEAD_BYTES);
         (now.max(self.wire.busy_until()) + per_tlp + self.config.propagation, per_tlp)
     }
 
@@ -196,7 +192,7 @@ impl PcieLink {
         n: u64,
     ) -> Option<Grant> {
         let payload = tlp.payload_data_bytes();
-        let overhead = tlp.wire_bytes(&self.config.overhead) - payload;
+        let overhead = tlp.wire_bytes() - payload;
         let service = self.bandwidth.transfer_time(payload + overhead);
         if self.wire.busy_until() > first || service > period {
             return None;
@@ -271,7 +267,6 @@ mod tests {
         let mut link = PcieLink::new(LinkConfig {
             generation: Generation::Gen2,
             lanes: LaneWidth::X4, // 2 B/ns
-            overhead: TlpOverhead::default(),
             propagation: SimDuration::from_nanos(100),
         });
         let g = link.send(SimTime::ZERO, &Tlp::write(0x0, 64));

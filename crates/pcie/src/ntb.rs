@@ -8,7 +8,7 @@
 //! a per-hop latency plus serialization on the inter-host link, with a small
 //! translation-prefix overhead per TLP.
 
-use crate::link::{LinkConfig, LinkStats, PcieLink};
+use crate::link::{Generation, LaneWidth, LinkConfig, LinkStats, PcieLink};
 use crate::tlp::{BusAddr, Tlp};
 use simkit::faults::{FaultHook, LinkDownWindow, TransportFaultConfig};
 use simkit::{DetRng, Grant, SimDuration, SimTime};
@@ -43,37 +43,24 @@ impl TranslationWindow {
     }
 }
 
-/// Timing characteristics of the NTB adapter pair.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct NtbConfig {
-    /// The inter-host cable/link (defaults to ×8 Gen3-class, the Dolphin
-    /// PXH830's envelope).
-    pub link: LinkConfig,
-    /// One-way latency added by the bridge pair (translation + retimers).
-    pub hop_latency: SimDuration,
-    /// Extra bytes prepended per forwarded TLP (translation prefix /
-    /// "minor formatting", paper §2.3).
-    pub translation_overhead_bytes: u64,
-}
+/// The inter-host link of one flow. The paper daisy-chains Dolphin PXH830
+/// adapters (§6); the effective per-flow share is ×4 Gen3 (~3.9 GB/s),
+/// the EXPERIMENTS.md calibration row "NTB hop".
+pub const NTB_LINK: LinkConfig = LinkConfig {
+    generation: Generation::Gen3,
+    lanes: LaneWidth::X4,
+    propagation: SimDuration::from_nanos(0),
+};
 
-impl Default for NtbConfig {
-    fn default() -> Self {
-        NtbConfig {
-            link: LinkConfig {
-                generation: crate::link::Generation::Gen3,
-                // The paper daisy-chains Dolphin PXH830 adapters; the
-                // effective per-flow share is x4 Gen3 (~3.9 GB/s).
-                lanes: crate::link::LaneWidth::X4,
-                overhead: crate::tlp::TlpOverhead::default(),
-                propagation: SimDuration::from_nanos(0),
-            },
-            // Application-level one-way latency of a daisy-chained NTB
-            // path: adapter + cable + intermediate switch hops.
-            hop_latency: SimDuration::from_nanos(1_400),
-            translation_overhead_bytes: 4,
-        }
-    }
-}
+/// One-way latency the bridge pair adds (translation + retimers): the
+/// application-level latency of a daisy-chained NTB path — adapter, cable
+/// and intermediate switch hops — the 1.4 µs of the EXPERIMENTS.md
+/// calibration row "NTB hop".
+const HOP_LATENCY: SimDuration = SimDuration::from_nanos(1_400);
+
+/// Extra bytes prepended per forwarded TLP (translation prefix / "minor
+/// formatting", paper §2.3).
+const TRANSLATION_OVERHEAD_BYTES: u64 = 4;
 
 /// A point-to-point NTB connection from a local fabric to one peer fabric.
 ///
@@ -84,7 +71,6 @@ impl Default for NtbConfig {
 /// it"), and neither does this model.
 #[derive(Debug, Clone)]
 pub struct NtbPort {
-    config: NtbConfig,
     peer: HostId,
     windows: Vec<TranslationWindow>,
     wire: PcieLink,
@@ -116,9 +102,9 @@ pub struct NtbFaultStats {
 
 impl NtbPort {
     /// Open a port towards `peer`.
-    pub fn new(config: NtbConfig, peer: HostId) -> Self {
-        let wire = PcieLink::new(config.link);
-        NtbPort { config, peer, windows: Vec::new(), wire, forwarded_tlps: 0, faults: None }
+    pub fn new(peer: HostId) -> Self {
+        let wire = PcieLink::new(NTB_LINK);
+        NtbPort { peer, windows: Vec::new(), wire, forwarded_tlps: 0, faults: None }
     }
 
     /// Arm deterministic transport-fault injection: each forwarded TLP (or
@@ -198,9 +184,8 @@ impl NtbPort {
     /// Where a TLP lands on the peer fabric, given its window on the wire:
     /// the hop latency plus the translation prefix, charged here for all.
     fn landed(&self, g: Grant) -> Grant {
-        let prefix =
-            self.config.link.bandwidth().transfer_time(self.config.translation_overhead_bytes);
-        Grant { start: g.start, end: g.end + self.config.hop_latency + prefix }
+        let prefix = NTB_LINK.bandwidth().transfer_time(TRANSLATION_OVERHEAD_BYTES);
+        Grant { start: g.start, end: g.end + HOP_LATENCY + prefix }
     }
 
     /// Forward one TLP to the peer. Returns the translated packet and the
@@ -285,11 +270,6 @@ impl NtbPort {
     pub fn utilization(&self, horizon: SimTime) -> f64 {
         self.wire.utilization(horizon)
     }
-
-    /// The configured hop latency (exposed for experiment reporting).
-    pub fn hop_latency(&self) -> SimDuration {
-        self.config.hop_latency
-    }
 }
 
 impl simkit::Instrument for NtbPort {
@@ -307,7 +287,7 @@ mod tests {
     use super::*;
 
     fn port() -> NtbPort {
-        let mut p = NtbPort::new(NtbConfig::default(), HostId(1));
+        let mut p = NtbPort::new(HostId(1));
         p.add_window(TranslationWindow {
             local_base: 0x8000_0000,
             len: 1 << 20,
@@ -359,7 +339,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "different peer")]
     fn window_peer_mismatch_panics() {
-        let mut p = NtbPort::new(NtbConfig::default(), HostId(1));
+        let mut p = NtbPort::new(HostId(1));
         p.add_window(TranslationWindow {
             local_base: 0,
             len: 4096,
@@ -378,7 +358,7 @@ mod tests {
     }
 
     /// A property of the link model: every cross-device delivery arrives
-    /// at least `hop_latency` after its emission instant, no matter what
+    /// at least `HOP_LATENCY` after its emission instant, no matter what
     /// faults or outages are armed — faults only ever *add* delay.
     #[test]
     fn every_delivery_takes_at_least_the_hop_latency() {
@@ -392,7 +372,7 @@ mod tests {
             from: SimTime::from_micros(20),
             until: SimTime::from_micros(60),
         });
-        let hop = p.hop_latency();
+        let hop = HOP_LATENCY;
         let mut now = SimTime::ZERO;
         for i in 0..500u64 {
             now += SimDuration::from_nanos(rng.uniform(0, 300));

@@ -57,49 +57,29 @@ impl Tlp {
 
     /// Bytes this packet puts on the wire *in the request direction*:
     /// header + framing + payload (read requests carry no data).
-    pub fn wire_bytes(&self, overhead: &TlpOverhead) -> u64 {
+    pub fn wire_bytes(&self) -> u64 {
         let data = match self.kind {
             TlpKind::MemRead => 0,
             _ => self.payload as u64,
         };
-        overhead.per_tlp_bytes() + data
+        TLP_OVERHEAD_BYTES + data
     }
 }
 
-/// Per-TLP fixed costs. Defaults follow the PCIe spec for a 3-DW header
-/// plus physical/data-link framing: 12 B header + 4 B ECRC-less framing +
-/// 8 B DLLP/sequence ≈ 24 B per packet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TlpOverhead {
-    /// Transaction-layer header bytes.
-    pub header_bytes: u64,
-    /// Data-link + physical framing bytes.
-    pub framing_bytes: u64,
-}
+/// Transaction-layer header bytes of a TLP. With [`FRAMING_BYTES`] this
+/// follows the PCIe spec for a 3-DW header plus physical/data-link
+/// framing: 12 B header + 4 B ECRC-less framing + 8 B DLLP/sequence.
+const HEADER_BYTES: u64 = 16;
+/// Data-link + physical framing bytes of a TLP.
+const FRAMING_BYTES: u64 = 8;
+/// Total fixed bytes each TLP pays on the wire whatever its payload, 24 B:
+/// the EXPERIMENTS.md calibration row "TLP fixed overhead".
+pub const TLP_OVERHEAD_BYTES: u64 = HEADER_BYTES + FRAMING_BYTES;
 
-impl Default for TlpOverhead {
-    fn default() -> Self {
-        TlpOverhead { header_bytes: 16, framing_bytes: 8 }
-    }
-}
-
-impl TlpOverhead {
-    /// Total fixed bytes each TLP pays on the wire.
-    pub fn per_tlp_bytes(&self) -> u64 {
-        self.header_bytes + self.framing_bytes
-    }
-}
-
-/// Maximum payload a single memory-write TLP may carry. 256 B is the common
-/// server default; large transfers split into `ceil(len / mps)` packets.
+/// Maximum payload a single memory-write TLP may carry; large transfers
+/// split into `ceil(len / mps)` packets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MaxPayloadSize(pub u32);
-
-impl Default for MaxPayloadSize {
-    fn default() -> Self {
-        MaxPayloadSize(256)
-    }
-}
 
 impl MaxPayloadSize {
     /// Split a transfer of `len` bytes into TLP payload sizes.
@@ -123,13 +103,12 @@ mod tests {
 
     #[test]
     fn wire_bytes_by_kind() {
-        let oh = TlpOverhead::default();
-        assert_eq!(oh.per_tlp_bytes(), 24);
-        assert_eq!(Tlp::write(0x1000, 64).wire_bytes(&oh), 88);
+        assert_eq!(TLP_OVERHEAD_BYTES, 24);
+        assert_eq!(Tlp::write(0x1000, 64).wire_bytes(), 88);
         // Read requests carry no data.
-        assert_eq!(Tlp::read(0x1000, 4096).wire_bytes(&oh), 24);
-        assert_eq!(Tlp::completion(0x1000, 8).wire_bytes(&oh), 32);
-        assert_eq!(Tlp::message(0x0).wire_bytes(&oh), 28);
+        assert_eq!(Tlp::read(0x1000, 4096).wire_bytes(), 24);
+        assert_eq!(Tlp::completion(0x1000, 8).wire_bytes(), 32);
+        assert_eq!(Tlp::message(0x0).wire_bytes(), 28);
     }
 
     #[test]
@@ -143,9 +122,8 @@ mod tests {
     #[test]
     fn small_payload_overhead_dominates() {
         // An 8-byte UC store pays 24 bytes of overhead: 25% efficiency.
-        let oh = TlpOverhead::default();
         let tlp = Tlp::write(0, 8);
-        let eff = 8.0 / tlp.wire_bytes(&oh) as f64;
+        let eff = 8.0 / tlp.wire_bytes() as f64;
         assert!((eff - 0.25).abs() < 1e-12);
     }
 }

@@ -15,25 +15,25 @@ pub struct Bandwidth {
 
 impl Bandwidth {
     /// From bytes per nanosecond (1 B/ns == ~0.93 GiB/s, exactly 1 GB/s).
-    pub fn bytes_per_ns(bpn: f64) -> Self {
+    pub const fn bytes_per_ns(bpn: f64) -> Self {
         assert!(bpn > 0.0 && bpn.is_finite(), "bandwidth must be positive");
         Bandwidth { ns_per_byte: 1.0 / bpn }
     }
 
     /// From decimal gigabytes per second.
-    pub fn gbytes_per_sec(gbps: f64) -> Self {
+    pub const fn gbytes_per_sec(gbps: f64) -> Self {
         Self::bytes_per_ns(gbps)
     }
 
     /// From decimal megabytes per second.
-    pub fn mbytes_per_sec(mbps: f64) -> Self {
+    pub const fn mbytes_per_sec(mbps: f64) -> Self {
         Self::bytes_per_ns(mbps / 1e3)
     }
 
     /// From a bus description: `width_bits` transferred per cycle at
     /// `mhz` megahertz. This is how the paper quotes the CMB backing
     /// memories (e.g. 128-bit @ 250 MHz = 4 GB/s).
-    pub fn bus(width_bits: u32, mhz: f64) -> Self {
+    pub const fn bus(width_bits: u32, mhz: f64) -> Self {
         let bytes_per_cycle = width_bits as f64 / 8.0;
         let cycles_per_ns = mhz / 1e3;
         Self::bytes_per_ns(bytes_per_cycle * cycles_per_ns)
@@ -62,7 +62,7 @@ impl Bandwidth {
 
     /// A rate scaled by `factor` (e.g. contention derating of a shared
     /// DRAM port).
-    pub fn scaled(&self, factor: f64) -> Bandwidth {
+    pub const fn scaled(&self, factor: f64) -> Bandwidth {
         assert!(factor > 0.0 && factor.is_finite(), "scale factor must be positive");
         Bandwidth { ns_per_byte: self.ns_per_byte / factor }
     }

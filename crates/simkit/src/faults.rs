@@ -147,8 +147,9 @@ impl TransportFaultConfig {
     }
 }
 
-/// NVMe command-level fault rates (injected in the host driver).
-#[derive(Debug, Clone, Copy)]
+/// NVMe command-level fault rates (injected in the host driver; its
+/// timeout, retry budget and backoff are constants of `nvme::controller`).
+#[derive(Debug, Clone, Copy, Default)]
 pub struct NvmeFaultConfig {
     /// Probability a command completes with an error status and is retried
     /// by the driver with exponential backoff.
@@ -156,25 +157,6 @@ pub struct NvmeFaultConfig {
     /// Probability a command's completion is lost (never posted to the
     /// host), forcing the driver's timeout → abort → retry path.
     pub dropped_completion: f64,
-    /// How long the driver waits before declaring a command timed out.
-    pub timeout: SimDuration,
-    /// Bound on driver retries per command; fate rolls stop once a command
-    /// has consumed its retry budget, so every command eventually succeeds.
-    pub max_retries: u32,
-    /// First retry backoff; doubles per attempt.
-    pub backoff_base: SimDuration,
-}
-
-impl Default for NvmeFaultConfig {
-    fn default() -> Self {
-        NvmeFaultConfig {
-            error_completion: 0.0,
-            dropped_completion: 0.0,
-            timeout: SimDuration::from_micros(500),
-            max_retries: 4,
-            backoff_base: SimDuration::from_micros(10),
-        }
-    }
 }
 
 impl NvmeFaultConfig {

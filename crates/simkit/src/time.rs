@@ -122,7 +122,7 @@ impl SimDuration {
     }
 
     /// Construct a span from fractional microseconds, rounding to nanoseconds.
-    pub fn from_micros_f64(us: f64) -> Self {
+    pub const fn from_micros_f64(us: f64) -> Self {
         assert!(us >= 0.0 && us.is_finite(), "duration must be finite and non-negative");
         SimDuration((us * 1e3).round() as u64)
     }

@@ -9,7 +9,7 @@
 
 use crate::buffer::{cut_through, DataBuffer};
 use crate::ftl::{AllocStream, Ftl, Lpn};
-use crate::hic::{Hic, HicConfig};
+use crate::hic::Hic;
 use flash::{
     ChannelScheduler, FlashArray, FlashError, FlashGeometry, FlashTiming, OpKind, OpRequest, Ppa,
     Priority, ReliabilityConfig, SchedulingMode,
@@ -18,9 +18,14 @@ use nvme::{
     AdminCommand, Command, CommandId, CommandKind, Completion, CompletionEntry, IoCommand,
     Namespace, NvmeController, Status,
 };
-use pcie::{DmaConfig, LinkConfig};
+use pcie::LinkConfig;
 use simkit::bytes::Bytes;
 use simkit::{Bandwidth, EventQueue, IntMap, SimTime};
+
+/// Device DRAM port bandwidth: the Cosmos+ DDR3 controller, 64-bit @
+/// 250 MHz double data rate = 4 GB/s (paper §6; a DRAM-backed CMB sees a
+/// share of the 64-bit path, `xssd_core`'s `DRAM_SHARE_FACTOR`).
+const DRAM_BANDWIDTH: Bandwidth = Bandwidth::bus(64, 250.0).scaled(2.0);
 
 /// Device-wide configuration.
 ///
@@ -40,14 +45,8 @@ pub struct SsdConfig {
     pub reliability: ReliabilityConfig,
     /// Host PCIe link.
     pub link: LinkConfig,
-    /// HIC timing.
-    pub hic: HicConfig,
-    /// DMA engine parameters.
-    pub dma: DmaConfig,
     /// Data-buffer capacity in pages.
     pub buffer_pages: usize,
-    /// Device DRAM port bandwidth (shared with a DRAM-backed CMB).
-    pub dram_bandwidth: Bandwidth,
     /// RNG seed for the factory bad-block sampling.
     pub seed: u64,
 }
@@ -59,10 +58,7 @@ impl Default for SsdConfig {
             timing: FlashTiming::default(),
             reliability: ReliabilityConfig::perfect(),
             link: LinkConfig::villars_host(),
-            hic: HicConfig::default(),
-            dma: DmaConfig::default(),
             buffer_pages: 2048,
-            dram_bandwidth: Bandwidth::bus(64, 250.0).scaled(2.0), // DDR3 ctrl: 4 GB/s
             seed: 0x55D,
         }
     }
@@ -185,8 +181,8 @@ impl ConventionalSsd {
         let ftl = Ftl::new(config.geometry, &array, 0);
         let sched = ChannelScheduler::new(config.geometry.channels, SchedulingMode::Neutral);
         let buffer =
-            DataBuffer::new(config.buffer_pages, config.geometry.page_bytes, config.dram_bandwidth);
-        let hic = Hic::new(config.hic, config.link, config.dma);
+            DataBuffer::new(config.buffer_pages, config.geometry.page_bytes, DRAM_BANDWIDTH);
+        let hic = Hic::new(config.link);
         // Export 7/8 of raw capacity. The eighth was GC headroom; with no GC
         // it is kept so that no namespace's LBA range moves.
         let capacity = config.geometry.total_pages() * 7 / 8;

@@ -6,27 +6,15 @@
 //! device's host-facing PCIe link and its DMA engine; CMB MMIO traffic (on a
 //! Villars device) shares the same link.
 
-use pcie::{DmaConfig, DmaDirection, DmaEngine, DmaTransfer, LinkConfig, PcieLink, Tlp};
+use pcie::{DmaDirection, DmaEngine, DmaTransfer, LinkConfig, PcieLink, Tlp};
 use simkit::{Grant, SerialResource, SimDuration, SimTime};
 
-/// HIC timing parameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HicConfig {
-    /// Doorbell-to-decoded command fetch cost (includes the SQ-entry read
-    /// over PCIe).
-    pub fetch: SimDuration,
-    /// Posting one completion entry + interrupt generation.
-    pub completion_post: SimDuration,
-}
-
-impl Default for HicConfig {
-    fn default() -> Self {
-        HicConfig {
-            fetch: SimDuration::from_micros(1),
-            completion_post: SimDuration::from_nanos(500),
-        }
-    }
-}
+/// Doorbell-to-decoded command fetch cost (includes the SQ-entry read over
+/// PCIe). This and the completion cost are estimates for the HIC of paper
+/// §2.2, which gives no figure for either.
+const FETCH: SimDuration = SimDuration::from_micros(1);
+/// Posting one completion entry + interrupt generation.
+const COMPLETION_POST: SimDuration = SimDuration::from_nanos(500);
 
 /// The host interface controller: command fetch engine + host link + DMA.
 ///
@@ -35,7 +23,6 @@ impl Default for HicConfig {
 /// DMA-out data and MMIO-read *completions* the upstream one.
 #[derive(Debug)]
 pub struct Hic {
-    config: HicConfig,
     downstream: PcieLink,
     upstream: PcieLink,
     dma: DmaEngine,
@@ -44,12 +31,11 @@ pub struct Hic {
 
 impl Hic {
     /// Build a HIC over a host link.
-    pub fn new(config: HicConfig, link: LinkConfig, dma: DmaConfig) -> Self {
+    pub fn new(link: LinkConfig) -> Self {
         Hic {
-            config,
             downstream: PcieLink::new(link),
             upstream: PcieLink::new(link),
-            dma: DmaEngine::new(dma),
+            dma: DmaEngine::new(),
             fetch_engine: SerialResource::new(),
         }
     }
@@ -57,7 +43,7 @@ impl Hic {
     /// Fetch and decode one command starting at `now`. Fetches serialize
     /// (one decode engine).
     pub fn fetch(&mut self, now: SimTime) -> Grant {
-        self.fetch_engine.acquire(now, self.config.fetch)
+        self.fetch_engine.acquire(now, FETCH)
     }
 
     /// DMA `bytes` from host memory into the device, on the downstream wire.
@@ -97,7 +83,7 @@ impl Hic {
 
     /// Cost of posting a completion entry.
     pub fn completion_post(&self) -> SimDuration {
-        self.config.completion_post
+        COMPLETION_POST
     }
 
     /// Borrow the downstream wire: what the host's stores ride (CMB MMIO
@@ -159,7 +145,7 @@ mod tests {
     use super::*;
 
     fn hic() -> Hic {
-        Hic::new(HicConfig::default(), LinkConfig::villars_host(), DmaConfig::default())
+        Hic::new(LinkConfig::villars_host())
     }
 
     #[test]
@@ -216,7 +202,7 @@ mod tests {
     #[test]
     fn read_round_trip_goes_down_and_comes_back_up() {
         let link = LinkConfig { propagation: SimDuration::ZERO, ..LinkConfig::villars_host() };
-        let mut h = Hic::new(HicConfig::default(), link, DmaConfig::default());
+        let mut h = Hic::new(link);
         let g = h.read_round_trip(SimTime::ZERO, 0x0, 8);
         // Request: 24B -> 12ns downstream. Completion: 32B -> 16ns upstream.
         assert_eq!(g.end.as_nanos(), 28);

@@ -24,7 +24,7 @@ pub mod hic;
 pub use buffer::{BufferStats, DataBuffer};
 pub use device::{ConventionalSsd, SsdConfig};
 pub use ftl::{AllocStream, Ftl, FtlStats, Lpn};
-pub use hic::{Hic, HicConfig};
+pub use hic::Hic;
 
 #[cfg(test)]
 mod crate_tests {

@@ -5,10 +5,11 @@
 //! NURand skew and name generators, and the five transaction profiles in
 //! the standard 45/43/4/4/4 mix.
 //!
-//! Scale note: [`TpccConfig::paper`] keeps the paper's 16 warehouses but
-//! scales item/customer cardinality down 10× — NURand preserves the access
-//! skew, and the log path (the system under test) sees the same record
-//! sizes and arrival pattern.
+//! Scale note: [`TpccConfig::bench`], the figure harnesses' scale, keeps the
+//! paper's 16 warehouses but cuts districts, customers, items and initial
+//! orders well below the spec's — NURand preserves the access skew, and the
+//! log path (the system under test) sees the same record sizes and arrival
+//! pattern.
 
 #![warn(missing_docs)]
 

@@ -5,8 +5,8 @@ use crate::gen::{astring, loader_last_name, NurandC};
 use memdb::{Database, Key, TableId};
 use simkit::DetRng;
 
-/// Scale parameters. The paper runs 16 warehouses; tests use
-/// [`TpccConfig::small`] to stay fast.
+/// Scale parameters. The paper runs 16 warehouses, as the harnesses'
+/// [`TpccConfig::bench`] does; tests use [`TpccConfig::small`] to stay fast.
 #[derive(Debug, Clone, Copy)]
 pub struct TpccConfig {
     /// Warehouses (the TPC-C scale unit).
@@ -22,26 +22,14 @@ pub struct TpccConfig {
 }
 
 impl TpccConfig {
-    /// The paper's configuration, with item/customer counts scaled down by
-    /// 10× to keep simulated runs tractable (access *skew* is preserved by
-    /// NURand; absolute cardinality only scales memory).
-    pub fn paper() -> Self {
-        TpccConfig {
-            warehouses: 16,
-            districts: 10,
-            customers: 300,
-            items: 10_000,
-            initial_orders: 30,
-        }
-    }
-
     /// Tiny configuration for unit tests.
     pub fn small() -> Self {
         TpccConfig { warehouses: 2, districts: 2, customers: 30, items: 100, initial_orders: 5 }
     }
 
     /// Figure-harness scale: the paper's 16 warehouses with cardinalities
-    /// cut further so a 5-backend × 4-worker-count sweep loads in seconds.
+    /// cut far below the spec's so a 5-backend × 4-worker-count sweep loads
+    /// in seconds.
     /// The log path — record sizes, NURand skew, group-commit cadence — is
     /// unaffected by the smaller catalogue.
     pub fn bench() -> Self {

@@ -22,6 +22,21 @@ echo "== zero paths (every exported counter moves in some golden, or an allowlis
 # regeneration), and on an entry that no longer holds.
 python3 scripts/zero_paths.py
 
+echo "== knob paths (every config field is set by some caller, or an allowlist entry says why)"
+# ROADMAP item 25: scripts/knob_paths.py fails on a `pub` field of a
+# `*Config` struct that nothing outside its `Default` impl sets to another
+# value, unless its ALLOW table gives a reason, and on a stale entry. Its
+# self-test runs the gate over fixture trees: a field set only to its
+# default and a stale ALLOW entry must each fail. The fixed hardware's
+# numbers are named constants beside the code that reads them, so the
+# structs that held only those do not come back.
+python3 scripts/knob_paths.py --self-test
+python3 scripts/knob_paths.py
+if grep -rnwE 'DmaConfig|HicConfig|NtbConfig' crates/; then
+  echo "FAIL: a config struct of fixed hardware constants is back under crates/ (lines above)."
+  exit 1
+fi
+
 echo "== one flash error source (the fault plan; no bit-error/ECC draw, no rate-based program failure)"
 # Runtime flash errors come from simkit::faults armed through
 # FlashArray::arm_faults; ReliabilityConfig holds only the factory bad-block
@@ -319,4 +334,4 @@ echo "== benchmark: its own tests, then every workload and check at 1/50 horizon
 (cd benchmark && cargo test --offline --quiet)
 benchmark/run.sh --quick > /dev/null
 
-echo "ok: fmt, clippy, reachability, zero paths, one flash error source, CHANGES.md line length, one copy of each claim, gate self-test, tests, count, host counts, nudge, one-collector, one-latency-copy, one-runner, panic-ratchet, no-unsafe, one-intake, one-log, one-index, one-row-copy, one-checksum, one-log-copy, no-second-path, no-GC, one-hasher and buffer-scan gates, recovery smoke, chaos smoke, benchmark checks all clean"
+echo "ok: fmt, clippy, reachability, zero paths, knob paths, one flash error source, CHANGES.md line length, one copy of each claim, gate self-test, tests, count, host counts, nudge, one-collector, one-latency-copy, one-runner, panic-ratchet, no-unsafe, one-intake, one-log, one-index, one-row-copy, one-checksum, one-log-copy, no-second-path, no-GC, one-hasher and buffer-scan gates, recovery smoke, chaos smoke, benchmark checks all clean"
