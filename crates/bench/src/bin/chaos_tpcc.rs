@@ -15,12 +15,6 @@
 //! completions, lost completions → timeout/abort/backoff-retry) against the
 //! conventional SSD, since the Villars fast path bypasses the NVMe queue.
 //!
-//! Non-golden seeds additionally run the log-lifecycle crash arcs
-//! ([`lifecycle_arcs`]): a power cut after a log suffix that spans destage
-//! pages and one mid-checkpoint, each recovered as snapshot + the device's
-//! log suffix, proving zero committed-transaction loss across page and
-//! snapshot boundaries and ping-pong fallback to the surviving slot.
-//!
 //! Usage: `chaos_tpcc [seed...]` (default seed `0xC0C5` is the committed
 //! golden). The same seed always produces the same faults at the same
 //! virtual instants and a byte-identical `results/chaos_tpcc.json`.
@@ -29,13 +23,10 @@
 //! overwrites `results/chaos_tpcc.json` in turn, so the last seed's file
 //! survives — exactly what running the seeds sequentially produced.
 
-use memdb::{
-    durable_log_stream, encode_txn, fail_over, recover, rejoin_secondary, Checkpointer, Lsn,
-    WalConfig, WalManager, XssdLog,
-};
+use memdb::{durable_log_stream, encode_txn, fail_over, recover, rejoin_secondary};
 use nvme::{drive_to_completion, CommandKind, IoCommand, IoPort, NvmeDriver};
 use simkit::faults::{
-    site, FaultKind, FlashFaultConfig, LinkDownWindow, NvmeFaultConfig, ScheduledFault,
+    FaultKind, FlashFaultConfig, LinkDownWindow, NvmeFaultConfig, ScheduledFault,
     TransportFaultConfig,
 };
 use simkit::{FaultPlan, MetricsRegistry, SimDuration, SimTime, Snapshot};
@@ -49,9 +40,7 @@ const GROUP: usize = 4;
 const PHASES: [usize; 3] = [120, 120, 60];
 /// Workload seed — fixed, so the fault seed alone distinguishes runs.
 const WORKLOAD_SEED: u64 = 0xAB5;
-/// The committed-golden fault seed. The log-lifecycle crash arcs
-/// run (and report) only for other seeds, keeping the golden
-/// `results/chaos_tpcc.json` byte-identical to the pre-lifecycle runs.
+/// The committed-golden fault seed, the one run without arguments.
 const GOLDEN_SEED: u64 = 0xC0C5;
 
 /// The replica device: the unit-test Villars config with a conventional
@@ -170,218 +159,6 @@ fn nvme_fault_section(plan: &FaultPlan) -> (u64, u64, u64, u64) {
     (s.retries(), s.timeouts(), s.error_completions(), s.dropped_completions())
 }
 
-/// What the log-lifecycle crash arcs measured for one seed.
-struct LifecycleOutcome {
-    /// Destage pages the replayed suffix spans (>= 2: it crosses a page
-    /// boundary).
-    suffix_pages: u64,
-    /// Bytes replayed after the first crash (snapshot -> durable).
-    suffix_replay_bytes: u64,
-    /// Transactions the suffix replay redid.
-    suffix_txns: u64,
-    /// Committed-but-unflushed transactions the crash dropped (they must
-    /// NOT resurrect — the recovery target is the last durable group).
-    suffix_unflushed: u64,
-    /// Torn-checkpoint prefix size (bytes of generation 2 that reached
-    /// the slot before the power cut).
-    torn_keep: u64,
-    /// Generation restore fell back to (must be 1, the surviving slot).
-    fallback_generation: u64,
-    /// Bytes replayed on top of the surviving snapshot.
-    ckpt_replay_bytes: u64,
-}
-
-/// One single-device lifecycle world: TPC-C through `WalManager<XssdLog>`
-/// with explicit group flushes, and a fingerprint ledger
-/// at every durable boundary (the oracle for what a crash may recover).
-struct LifecycleWorld {
-    db: memdb::Database,
-    workload: TpccWorkload,
-    wrng: simkit::DetRng,
-    wal: WalManager<XssdLog>,
-    dev: usize,
-    ck: Checkpointer,
-    /// `(durable frontier, db fingerprint)` after each group flush.
-    ledger: Vec<(Lsn, u64)>,
-    group: usize,
-}
-
-impl LifecycleWorld {
-    fn new(seed: u64) -> Self {
-        let (db, workload, wrng) = setup(TpccConfig::small(), WORKLOAD_SEED ^ seed);
-        let mut cluster = Cluster::new();
-        let dev = cluster.add_device(chaos_device());
-        let wal = WalManager::new(XssdLog::new(cluster, dev, "lifecycle"), WalConfig::default());
-        // Ping-pong snapshot slots above the 2048-LBA destage ring (the
-        // conventional side is 4096 LBAs of 4 KiB).
-        let ck = Checkpointer::new(dev, 2048, 1024);
-        LifecycleWorld { db, workload, wrng, wal, dev, ck, ledger: Vec::new(), group: 0 }
-    }
-
-    fn flush_group(&mut self) {
-        if self.group > 0 {
-            let now = self.wal.log_writer_free();
-            self.wal.flush(now);
-            self.ledger.push((self.wal.durable_upto(), self.db.fingerprint()));
-            self.group = 0;
-        }
-    }
-
-    /// Drive the workload until `logged` more write transactions are in
-    /// the log, flushing every [`GROUP`]; a partial trailing group stays
-    /// open (callers decide whether it becomes durable).
-    fn run_logged(&mut self, logged: usize) {
-        let mut done = 0;
-        while done < logged {
-            let now = self.wal.log_writer_free();
-            if let Ok(recs) = self.workload.execute(&mut self.db, &mut self.wrng, now.as_nanos()) {
-                if recs.is_empty() {
-                    continue;
-                }
-                self.wal.append_records(now, &recs);
-                done += 1;
-                self.group += 1;
-                if self.group == GROUP {
-                    self.flush_group();
-                }
-            }
-        }
-    }
-
-    /// Checkpoint at the durable frontier. Returns the snapshot's log
-    /// offset.
-    fn checkpoint(&mut self) -> u64 {
-        let now = self.wal.log_writer_free();
-        let horizon = self.wal.durable_upto().0;
-        let (_t, meta) =
-            self.ck.checkpoint(self.wal.backend_mut().cluster_mut(), now, &self.db, horizon);
-        meta.log_offset
-    }
-
-    /// Sudden power loss + reboot of the lone device.
-    fn crash(&mut self) {
-        let t = self.wal.log_writer_free() + SimDuration::from_millis(1);
-        let dev = self.dev;
-        let cl = self.wal.backend_mut().cluster_mut();
-        cl.advance(t);
-        cl.power_fail(dev, t);
-        cl.reboot_device(dev);
-    }
-
-    /// Restore the newest snapshot and replay the device's destaged log
-    /// after its offset: the whole recovery. Returns the snapshot's
-    /// metadata, the recovered database and the replay's report.
-    fn recover(&mut self) -> (memdb::CheckpointMeta, memdb::Database, memdb::RecoveryReport) {
-        let now = self.wal.log_writer_free();
-        let dev = self.dev;
-        let cl = self.wal.backend_mut().cluster_mut();
-        let (t, meta, mut restored) =
-            self.ck.restore(cl, now).expect("a completed checkpoint survives the power cut");
-        let suffix = durable_log_stream(cl, t, dev, meta.log_offset);
-        let report = recover(&mut restored, &suffix);
-        (meta, restored, report)
-    }
-}
-
-/// The log-lifecycle crash arcs: two independent single-device worlds,
-/// each ending in a power cut at a lifecycle-critical instant and
-/// recovered as snapshot + the device's log suffix.
-///
-/// **Multi-page suffix**: the durable log after the anchoring checkpoint
-/// spans at least two destage pages, then the power fails with a
-/// committed-but-unflushed transaction in the open group. Recovery must
-/// land exactly on the last group-flush fingerprint: every fsynced
-/// transaction survives the page boundary, the unflushed tail never
-/// resurrects.
-///
-/// **Mid-checkpoint**: generation 2 tears partway into its slot
-/// ([`Checkpointer::checkpoint_partial`]) before the power cut. Restore
-/// must fall back to generation 1's intact ping-pong slot, and replay
-/// from there must reproduce the live database with zero committed loss.
-fn lifecycle_arcs(seed: u64) -> LifecycleOutcome {
-    let plan = FaultPlan { seed, ..FaultPlan::disabled() };
-    let mut rng = plan.rng_for(site::LOG_TAIL);
-
-    // --- Arc 1: crash after a multi-page suffix --------------------------
-    let mut w = LifecycleWorld::new(seed);
-    w.run_logged(24);
-    w.flush_group();
-    let snap_offset = w.checkpoint();
-    // A destage page holds at most one page of log, so a longer durable
-    // suffix spans two pages or more.
-    let page = chaos_device().conventional.geometry.page_bytes as u64;
-    let mut rounds = 0;
-    while w.wal.durable_upto().0 - snap_offset <= page {
-        w.run_logged(GROUP);
-        w.flush_group();
-        rounds += 1;
-        assert!(rounds < 64, "a page of log fills within a few TPC-C groups");
-    }
-    let durable_fp = w.ledger.last().expect("flushed groups").1;
-    // Leave committed-but-unflushed transactions in the open group: the
-    // crash drops them, and recovery must not bring them back.
-    w.run_logged(2);
-    let unflushed = w.group as u64;
-    assert!(unflushed > 0, "the tail group holds undurable transactions");
-    w.crash();
-    let (meta, restored, suffix) = w.recover();
-    assert_eq!(meta.log_offset, snap_offset);
-    assert_eq!(
-        restored.fingerprint(),
-        durable_fp,
-        "seed {seed}: a crash after a multi-page suffix recovers exactly the durable prefix"
-    );
-    let durable = w.wal.durable_upto().0;
-    let device = w.wal.backend_mut().cluster_mut().device(w.dev);
-    let mut suffix_pages = 0;
-    let mut off = snap_offset;
-    while off < durable {
-        off = device.destaged_segment(off).expect("the suffix is on the destage ring").log_to;
-        suffix_pages += 1;
-    }
-    assert!(suffix_pages >= 2, "seed {seed}: the replayed suffix crosses a destage page");
-
-    // --- Arc 2: crash mid checkpoint ------------------------------------
-    let mut w = LifecycleWorld::new(seed ^ 0xC4A5);
-    w.run_logged(24);
-    w.flush_group();
-    let gen1_offset = w.checkpoint();
-    w.run_logged(12);
-    w.flush_group();
-    let live_fp = w.db.fingerprint();
-    // Generation 2 tears: only a prefix of its image reaches the slot.
-    let keep = rng.uniform(64, 2048);
-    let now = w.wal.log_writer_free();
-    let horizon = w.wal.durable_upto().0;
-    let (_t, torn_meta) = w.ck.checkpoint_partial(
-        w.wal.backend_mut().cluster_mut(),
-        now,
-        &w.db,
-        horizon,
-        keep as usize,
-    );
-    assert!(keep < torn_meta.bytes, "the torn prefix is a strict subset of the image");
-    w.crash();
-    let (meta, restored, ckpt) = w.recover();
-    assert_eq!(meta.generation, 1, "seed {seed}: restore falls back to the surviving slot");
-    assert_eq!(meta.log_offset, gen1_offset);
-    assert_eq!(
-        restored.fingerprint(),
-        live_fp,
-        "seed {seed}: mid-checkpoint crash loses no committed transaction"
-    );
-
-    LifecycleOutcome {
-        suffix_pages,
-        suffix_replay_bytes: suffix.bytes_consumed as u64,
-        suffix_txns: suffix.txns_committed as u64,
-        suffix_unflushed: unflushed,
-        torn_keep: keep,
-        fallback_generation: meta.generation,
-        ckpt_replay_bytes: ckpt.bytes_consumed as u64,
-    }
-}
-
 /// Everything one seed's run produces — the silent simulation half of the
 /// harness. `main` turns this into the printed sections, rows, and the
 /// results file, in seed order.
@@ -402,8 +179,6 @@ struct ChaosOutcome {
     nvme_errors: u64,
     nvme_dropped: u64,
     pre_crash: Snapshot,
-    /// Log-lifecycle crash arcs (non-golden seeds only).
-    lifecycle: Option<LifecycleOutcome>,
 }
 
 /// Run the full chaos scenario for one fault seed. This is a [`sweep`]
@@ -546,9 +321,6 @@ fn run_seed(seed: u64) -> ChaosOutcome {
     assert!(nvme_retries >= 1, "the NVMe retry machinery engaged");
     assert!(nvme_timeouts >= 1, "at least one lost completion timed out");
 
-    // --- Log-lifecycle crash arcs (non-golden seeds) --------------------
-    let lifecycle = (seed != GOLDEN_SEED).then(|| lifecycle_arcs(seed));
-
     ChaosOutcome {
         seed,
         tally,
@@ -567,7 +339,6 @@ fn run_seed(seed: u64) -> ChaosOutcome {
         nvme_errors,
         nvme_dropped,
         pre_crash: pre_crash_snapshot,
-        lifecycle,
     }
 }
 
@@ -665,41 +436,6 @@ fn emit(o: ChaosOutcome) {
         )
         .with_extra(o.nvme_timeouts as f64),
     );
-    if let Some(l) = &o.lifecycle {
-        section("lifecycle: crash after a multi-page suffix and mid-checkpoint, suffix replay");
-        report.row(
-            &format!(
-                "multi-page suffix crash: {} destage pages, {} txns replayed ({} B), \
-                 {} unflushed txns dropped",
-                l.suffix_pages, l.suffix_txns, l.suffix_replay_bytes, l.suffix_unflushed
-            ),
-            Measurement::point(
-                "chaos",
-                "lifecycle.suffix_replay",
-                sd,
-                "seed",
-                l.suffix_replay_bytes as f64,
-                "bytes",
-            )
-            .with_extra(l.suffix_pages as f64),
-        );
-        report.row(
-            &format!(
-                "torn checkpoint ({} B prefix): fell back to generation {}, \
-                 {} B replayed, zero committed loss",
-                l.torn_keep, l.fallback_generation, l.ckpt_replay_bytes
-            ),
-            Measurement::point(
-                "chaos",
-                "lifecycle.torn_ckpt_replay",
-                sd,
-                "seed",
-                l.ckpt_replay_bytes as f64,
-                "bytes",
-            )
-            .with_extra(l.torn_keep as f64),
-        );
-    }
     report.telemetry("pre_crash", o.pre_crash);
     report.finish().expect("write results");
 

@@ -7,7 +7,10 @@
 //! - a mutated record never decodes, so a stream decodes to exactly the
 //!   records before it, and a cut stream to exactly the whole records
 //!   before the cut;
-//! - a mutated or cut snapshot is always rejected.
+//! - a mutated or cut snapshot is always rejected;
+//! - garbage — random bytes, and a stream with a random tail — decodes
+//!   under every mutation to a prefix that re-encodes to exactly the bytes
+//!   `decode_stream` consumed.
 //!
 //! The corpus is small on purpose: the whole loop runs in well under a
 //! second in a debug build.
@@ -78,6 +81,26 @@ fn a_mutated_record_never_decodes_and_the_stream_stops_before_it() {
             let (decoded, used) = decode_stream(&buf[..cut]);
             assert_eq!(decoded, records[..whole], "seed {seed}, cut {cut}");
             assert_eq!(used, if whole == 0 { 0 } else { ends[whole - 1] });
+        }
+    }
+}
+
+#[test]
+fn garbage_decodes_to_a_prefix_that_re_encodes_to_the_bytes_consumed() {
+    for seed in 0..8 {
+        let mut rng = DetRng::new(0x0BAD_F00D + seed);
+        let noise: Vec<u8> = (0..rng.uniform(0, 512)).map(|_| rng.uniform(0, 255) as u8).collect();
+        let (_, mut tailed, _) = stream(0xF022_0000 + seed);
+        tailed.extend_from_slice(&noise[..noise.len().min(64)]);
+        for bytes in [noise, tailed] {
+            for (i, mutated) in mutations(&bytes) {
+                let (decoded, used) = decode_stream(&mutated);
+                let mut re = Vec::new();
+                for r in &decoded {
+                    r.encode_into(&mut re);
+                }
+                assert_eq!(re, mutated[..used], "seed {seed}, byte {i}");
+            }
         }
     }
 }

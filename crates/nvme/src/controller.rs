@@ -38,21 +38,6 @@ pub trait NvmeController {
     fn namespace(&self) -> Namespace;
 }
 
-/// Host-side costs of the conventional syscall data path.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HostCosts {
-    /// One kernel entry/exit + block-layer traversal (pwrite/pread/fsync).
-    pub syscall: SimDuration,
-    /// Interrupt handling + completion processing.
-    pub interrupt: SimDuration,
-}
-
-impl Default for HostCosts {
-    fn default() -> Self {
-        HostCosts { syscall: SimDuration::from_micros(2), interrupt: SimDuration::from_micros(1) }
-    }
-}
-
 /// Outcome of a blocking driver call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IoResult {
@@ -71,7 +56,6 @@ pub struct IoResult {
 #[derive(Debug)]
 pub struct NvmeDriver<C: NvmeController> {
     controller: C,
-    costs: HostCosts,
     port: PortAccounting,
     commands: u64,
     /// Reusable scratch for the blocking wait adapter.
@@ -79,6 +63,14 @@ pub struct NvmeDriver<C: NvmeController> {
     /// Command-level fault injection (None = inert, the default).
     faults: Option<CmdFaults>,
 }
+
+/// Host cost of one kernel entry/exit plus the block-layer traversal that
+/// `pwrite`/`pread`/`fsync` pay before a command reaches the submission
+/// queue: an estimate of the Linux NVMe path, the paper gives no figure.
+const SYSCALL: SimDuration = SimDuration::from_micros(2);
+/// Host cost of interrupt handling plus completion processing, paid on each
+/// delivered completion: an estimate, as for `SYSCALL`.
+const INTERRUPT: SimDuration = SimDuration::from_micros(1);
 
 /// How long the driver waits for a completion rolled as lost before it
 /// declares the command timed out and aborts it. This and the two below
@@ -187,16 +179,10 @@ impl CmdFaults {
 }
 
 impl<C: NvmeController> NvmeDriver<C> {
-    /// Wrap a controller with default host costs.
+    /// Wrap a controller.
     pub fn new(controller: C) -> Self {
-        Self::with_costs(controller, HostCosts::default())
-    }
-
-    /// Wrap a controller with explicit host costs.
-    pub fn with_costs(controller: C, costs: HostCosts) -> Self {
         NvmeDriver {
             controller,
-            costs,
             port: PortAccounting::new(),
             commands: 0,
             wait_buf: Vec::new(),
@@ -250,7 +236,7 @@ impl<C: NvmeController> NvmeDriver<C> {
     /// completes.
     pub fn execute_blocking(&mut self, now: SimTime, kind: CommandKind) -> IoResult {
         let tag = IoPort::submit(self, now, kind);
-        let from = now + self.costs.syscall;
+        let from = now + SYSCALL;
         let mut scratch = std::mem::take(&mut self.wait_buf);
         let done = drive_to_completion(self, from, tag, &mut scratch);
         self.wait_buf = scratch;
@@ -280,7 +266,7 @@ impl<C: NvmeController> IoPort for NvmeDriver<C> {
     fn submit(&mut self, now: SimTime, kind: CommandKind) -> CmdTag {
         let cid = self.port.begin();
         self.commands += 1;
-        let issue_at = now + self.costs.syscall;
+        let issue_at = now + SYSCALL;
         if let Some(f) = self.faults.as_mut() {
             let mut fate = CmdFate {
                 kind,
@@ -324,7 +310,7 @@ impl<C: NvmeController> IoPort for NvmeDriver<C> {
                 self.port.record_timeout();
                 self.port.record_dropped_completion();
                 self.port.record_retry();
-                let issue_at = now + f.backoff(fate.attempts) + self.costs.syscall;
+                let issue_at = now + f.backoff(fate.attempts) + SYSCALL;
                 f.roll(&mut fate, issue_at);
                 f.cmds.insert(cid, fate);
                 self.controller.submit(issue_at, Command { cid, kind: fate.kind });
@@ -342,19 +328,13 @@ impl<C: NvmeController> IoPort for NvmeDriver<C> {
         for i in start..out.len() {
             let Completion { at, entry } = out[i];
             if let Some(f) = self.faults.as_mut() {
-                if f.swallows(
-                    at,
-                    entry.cid,
-                    self.costs.syscall,
-                    &mut self.port,
-                    &mut self.controller,
-                ) {
+                if f.swallows(at, entry.cid, SYSCALL, &mut self.port, &mut self.controller) {
                     continue;
                 }
             }
             self.port.finish(entry.cid);
             // Delivery to the application pays the interrupt cost.
-            out[kept] = Completion { at: at + self.costs.interrupt, entry };
+            out[kept] = Completion { at: at + INTERRUPT, entry };
             kept += 1;
         }
         out.truncate(kept);

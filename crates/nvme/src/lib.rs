@@ -8,7 +8,7 @@
 //! - [`namespace`] — the logical-block address space;
 //! - [`regions`] — CMB/PMR descriptors (§2.3);
 //! - [`controller`] — the [`NvmeController`] device contract and the one
-//!   host driver, [`NvmeDriver`], with explicit syscall/interrupt costs
+//!   host driver, [`NvmeDriver`], with fixed syscall/interrupt costs
 //!   and the fault-retry path;
 //! - [`port`] — the asynchronous host-side [`IoPort`]
 //!   submission/completion contract ([`NvmeDriver`] and the Villars device
@@ -30,7 +30,7 @@ pub use command::{
     AdminCommand, Command, CommandId, CommandKind, CompletionEntry, IoCommand, Lba, Status,
     VendorCommand,
 };
-pub use controller::{HostCosts, IoResult, NvmeController, NvmeDriver};
+pub use controller::{IoResult, NvmeController, NvmeDriver};
 pub use namespace::Namespace;
 pub use port::{drive_to_completion, CmdTag, Completion, IoPort, PortAccounting};
 pub use regions::{BackingClass, CmbDescriptor};

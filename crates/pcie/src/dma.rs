@@ -6,11 +6,11 @@
 //! fixed setup/descriptor-fetch cost.
 
 use crate::link::PcieLink;
-use crate::tlp::MaxPayloadSize;
 use simkit::{SimDuration, SimTime};
 
-/// Largest payload per TLP: the common server default of 256 B.
-const MPS: MaxPayloadSize = MaxPayloadSize(256);
+/// Largest payload per TLP (Max Payload Size): the common server default
+/// of 256 B; a transfer splits into `ceil(len / MPS)` packets.
+const MPS: u32 = 256;
 /// Per-transfer setup cost (descriptor fetch, engine arbitration): an
 /// estimate, the paper gives no figure.
 const SETUP: SimDuration = SimDuration::from_nanos(300);
@@ -92,12 +92,12 @@ impl DmaEngine {
         self.transfers += 1;
         self.bytes += len;
         let start = now + SETUP;
-        let unit = MPS.0 as u64;
+        let unit = MPS as u64;
         let (full, tail) = (len / unit, (len % unit) as u32);
-        let (first, period) = link.peek_write_burst(start, MPS.0);
+        let (first, period) = link.peek_write_burst(start, MPS);
         let mut end = start;
         if full > 0 {
-            end = link.send_write_burst(start, MPS.0, full).end;
+            end = link.send_write_burst(start, MPS, full).end;
         }
         if tail > 0 {
             // Queued on the wire behind the full TLPs: `end` already counts
@@ -111,13 +111,13 @@ impl DmaEngine {
 
     /// Payload bytes of a full-size TLP.
     pub fn unit_bytes(&self) -> u64 {
-        MPS.0 as u64
+        MPS as u64
     }
 
     /// Wire time of one full-size TLP on `link`: the spacing a transfer's
     /// data arrives at.
     pub fn unit_time(&self, link: &PcieLink) -> SimDuration {
-        link.peek_write_burst(SimTime::ZERO, MPS.0).1
+        link.peek_write_burst(SimTime::ZERO, MPS).1
     }
 
     /// Transfers executed.

@@ -24,7 +24,7 @@ pub mod wc;
 pub use dma::{DmaDirection, DmaEngine, DmaTransfer};
 pub use link::{Generation, LaneWidth, LinkConfig, LinkStats, PcieLink};
 pub use ntb::{HostId, NtbFaultStats, NtbPort, TranslationWindow, NTB_LINK};
-pub use tlp::{BusAddr, MaxPayloadSize, Tlp, TlpKind, TLP_OVERHEAD_BYTES};
+pub use tlp::{BusAddr, Tlp, TlpKind, TLP_OVERHEAD_BYTES};
 pub use wc::{MmioMode, StoreIssueModel, WriteShape, UC_STORE_BYTES, WC_BUFFER_BYTES};
 
 #[cfg(test)]

@@ -76,27 +76,6 @@ const FRAMING_BYTES: u64 = 8;
 /// the EXPERIMENTS.md calibration row "TLP fixed overhead".
 pub const TLP_OVERHEAD_BYTES: u64 = HEADER_BYTES + FRAMING_BYTES;
 
-/// Maximum payload a single memory-write TLP may carry; large transfers
-/// split into `ceil(len / mps)` packets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MaxPayloadSize(pub u32);
-
-impl MaxPayloadSize {
-    /// Split a transfer of `len` bytes into TLP payload sizes.
-    pub fn split(&self, len: u64) -> Vec<u32> {
-        let mps = self.0 as u64;
-        assert!(mps > 0);
-        let mut out = Vec::with_capacity(len.div_ceil(mps) as usize);
-        let mut rem = len;
-        while rem > 0 {
-            let chunk = rem.min(mps);
-            out.push(chunk as u32);
-            rem -= chunk;
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -109,14 +88,6 @@ mod tests {
         assert_eq!(Tlp::read(0x1000, 4096).wire_bytes(), 24);
         assert_eq!(Tlp::completion(0x1000, 8).wire_bytes(), 32);
         assert_eq!(Tlp::message(0x0).wire_bytes(), 28);
-    }
-
-    #[test]
-    fn mps_split_exact_and_remainder() {
-        let mps = MaxPayloadSize(256);
-        assert_eq!(mps.split(512), vec![256, 256]);
-        assert_eq!(mps.split(300), vec![256, 44]);
-        assert_eq!(mps.split(0), Vec::<u32>::new());
     }
 
     #[test]

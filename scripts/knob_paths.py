@@ -3,11 +3,13 @@
 
     knob_paths.py              the gate (scripts/check.sh): exit 1 on a dead
                                knob ALLOW does not list, or on a stale entry
-    knob_paths.py --list       every `*Config` field with the values written
+    knob_paths.py --list       every knob with the values written
     knob_paths.py --self-test  the gate over fixture trees (scripts/check.sh)
 
-A *knob* is a `pub` field of a `pub struct ...Config` declared under
-`crates/*/src`. It is *live* when some write gives it a value other than
+A *knob* is a `pub` field of a `pub struct` declared under `crates/*/src`
+whose name ends in `Config` or that has a hand-written `impl Default`
+there (a struct of defaults is a configuration whatever its name). It is
+*live* when some write gives it a value other than
 its default: a struct literal (`Name { field: value, .. }`, `Self { .. }`
 inside the struct's impls) or an assignment (`.field = value`, `.field +=`)
 anywhere under crates/, src/, tests/, examples/ or benchmark/ — presets,
@@ -39,7 +41,8 @@ SCANNED = ("crates", "src", "tests", "examples", "benchmark")
 # "Struct.field" -> why the dead knob stays a field.
 ALLOW = {}
 
-STRUCT = re.compile(r"\bpub struct (\w+Config)\s*\{")
+STRUCT = re.compile(r"\bpub struct (\w+)\s*\{")
+DEFAULT_IMPL = re.compile(r"\bimpl\s+Default\s+for\s+(\w+)\s*\{")
 PUB_FIELD = re.compile(r"^\s*pub (\w+)\s*:\s*([\w:]+)", re.M)
 IMPL = re.compile(r"\bimpl\b([^{;]*?)\b(\w+)\s*\{")
 ASSIGN = re.compile(r"(\w+)(?:\[[^\]]*\])?\.(\w+)\s*([-+*/]?)=(?!=)\s*([^;]*);")
@@ -105,15 +108,20 @@ def sources(root):
 
 
 def knobs(srcs):
-    """`{struct: {pub field: declared type}}` for every `pub struct *Config`
-    under crates/*/src."""
+    """`{struct: {pub field: declared type}}` for every `pub struct` under
+    crates/*/src named `*Config` or with a hand-written `impl Default`."""
+    crate_srcs = [
+        src
+        for path, src in srcs.items()
+        if re.match(r"crates/[^/]+/src/", path.replace(os.sep, "/"))
+    ]
+    defaulted = {m.group(1) for src in crate_srcs for m in DEFAULT_IMPL.finditer(src)}
     out = {}
-    for path, src in srcs.items():
-        if not re.match(r"crates/[^/]+/src/", path.replace(os.sep, "/")):
-            continue
+    for src in crate_srcs:
         for m in STRUCT.finditer(src):
-            body, _ = block(src, m.end() - 1)
-            out[m.group(1)] = dict(PUB_FIELD.findall(body))
+            if m.group(1).endswith("Config") or m.group(1) in defaulted:
+                body, _ = block(src, m.end() - 1)
+                out[m.group(1)] = dict(PUB_FIELD.findall(body))
     return out
 
 
@@ -228,17 +236,35 @@ impl Default for DemoConfig {
         DemoConfig { rate: 0.5, depth: 4 }
     }
 }
+
+/// Planted defaults under a name that does not end in `Config`.
+pub struct DemoCosts {
+    /// The second planted field.
+    pub setup: u32,
+}
+
+impl Default for DemoCosts {
+    fn default() -> Self {
+        DemoCosts { setup: 7 }
+    }
+}
+
+/// A plain record, no `Default` impl: not scanned, so never dead.
+pub struct DemoReport {
+    pub count: u32,
+}
 """
 
 
 def self_test():
-    """The gate as a process over a fixture tree whose `DemoConfig.depth` a
-    test sets to `depth`: exit 1 when that is the default, 0 when it is not
-    or ALLOW lists the dead knob, 1 again with a stale ALLOW entry."""
+    """The gate as a process over a fixture tree whose `DemoConfig.depth` and
+    `DemoCosts.setup` a test sets to `depth` and `setup`: exit 1 when either
+    is its default, 0 when neither is or ALLOW lists the dead knob, 1 again
+    with a stale ALLOW entry."""
     import subprocess
     import tempfile
 
-    def run(depth, *allow):
+    def run(depth, setup, *allow):
         with tempfile.TemporaryDirectory() as root:
             for path, text in {
                 "crates/demo/src/lib.rs": FIXTURE_CONFIG,
@@ -247,6 +273,7 @@ def self_test():
                     fn planted() {{
                         let mut c = DemoConfig {{ rate: 0.25, ..DemoConfig::default() }};
                         c.depth = {depth};
+                        let costs = DemoCosts {{ setup: {setup} }};
                     }}
                 """,
             }.items():
@@ -259,11 +286,12 @@ def self_test():
             return subprocess.run(args, capture_output=True, text=True)
 
     cases = [
-        ("planted field set only to its default", run(4), 1, "dead knob, not in ALLOW"),
-        ("planted field set by a caller", run(8), 0, "0 dead, 0 failures"),
-        ("dead knob with an ALLOW entry", run(4, "DemoConfig.depth"), 0, "1 dead, 0 failures"),
-        ("stale ALLOW entry", run(8, "DemoConfig.depth"), 1, "stale entry, some caller"),
-        ("ALLOW entry for no knob", run(8, "DemoConfig.gone"), 1, "stale entry, no such knob"),
+        ("planted field set only to its default", run(4, 8), 1, "dead knob, not in ALLOW"),
+        ("planted fields set by a caller", run(8, 8), 0, "3 knobs, 0 dead, 0 failures"),
+        ("non-Config defaults set to them", run(8, 7), 1, "(make it a const): DemoCosts.setup"),
+        ("dead knob with an ALLOW entry", run(4, 8, "DemoConfig.depth"), 0, "1 dead, 0 failures"),
+        ("stale ALLOW entry", run(8, 8, "DemoConfig.depth"), 1, "stale entry, some caller"),
+        ("ALLOW entry for no knob", run(8, 8, "DemoConfig.gone"), 1, "stale entry, no such knob"),
     ]
     for what, got, code, says in cases:
         assert got.returncode == code and says in got.stdout, (what, got.returncode, got.stdout)
