@@ -2,10 +2,12 @@
 //! ingest path, the fast write path (fresh, per CMB backing, and with a
 //! wrapped destage ring), the replicated cluster's advance loop and fsync
 //! cycle, an NTB mirror burst, FTL allocation, WAL record encode/decode,
-//! TPC-C transactions, and the sim kernel itself. These guard the
+//! a YCSB point read, and the sim kernel itself. These guard the
 //! simulator's own performance (a slow simulator caps experiment scale).
 //! The flash scheduler's cases went when `host_counts.rs` began counting
-//! its window scans on a mixed-device slice.
+//! its window scans on a mixed-device slice, and the TPC-C transaction,
+//! key-compare, point-read, insert and commit cases when its TPC-C slice
+//! began counting index descents and node visits.
 //!
 //! The harness is hand-rolled (`harness = false`; no crates.io access for
 //! criterion): each case is warmed up, then timed over enough iterations to
@@ -289,133 +291,10 @@ fn bench_log_codec() {
     bench("wal_codec/decode_64_records", Some(bytes), || (), |()| decode_stream(&encoded).0.len());
 }
 
-fn bench_tpcc_txn() {
-    use tpcc::{setup, TpccConfig};
-    let (mut db, mut workload, mut rng) = setup(TpccConfig::small(), 5);
-    bench(
-        "tpcc/mixed_txn",
-        None,
-        || (),
-        |()| {
-            let _ = workload.execute(&mut db, &mut rng, 0);
-            db.commits()
-        },
-    );
-}
-
-/// The storage-engine hot path in isolation: a commit of a mixed
-/// read/write transaction, and the YCSB zipfian point-read path (chooser +
-/// borrowed get + commit marker). These are the loops the allocation budget
-/// in `crates/bench/tests/alloc_budget.rs` guards.
-fn bench_db_hot_path() {
-    use memdb::{keys, Database};
-    let mut db = Database::new();
-    let t = db.create_table("bench");
-    for i in 0..1024u32 {
-        db.install_row(t, keys::composite(&[i]), vec![(i % 251) as u8; 160]);
-    }
-    let mut i = 0u32;
-    bench(
-        "memdb/commit_8r4w_1k_rows",
-        None,
-        || (),
-        |()| {
-            let mut ctx = db.begin();
-            for j in 0..8u32 {
-                let k = keys::composite(&[i.wrapping_mul(13).wrapping_add(j * 97) % 1024]);
-                let _ = db.get(&mut ctx, t, &k);
-            }
-            for j in 0..4u32 {
-                let k = keys::composite(&[i.wrapping_mul(29).wrapping_add(j * 53) % 1024]);
-                db.update(&mut ctx, t, k, simkit::Bytes::copy_from_slice(&[i as u8; 160]));
-            }
-            i = i.wrapping_add(1);
-            db.commit(ctx).map(|recs| recs.len()).unwrap_or(0)
-        },
-    );
-
-    // What the tpcc_local profile found under `Workload::execute`: the key
-    // compare a B-tree descent makes ~40 times, a point read and a commit
-    // on a table too large for the cache (the 1 024-row table above is not).
-    // They say where a cost sits; the evidence is benchmark/run.sh.
-    let order_line =
-        |n: u32| keys::composite(&[1 + n / 30_000, 1 + n / 3000 % 10, n / 15 % 200, n % 15]);
-    let pairs: Vec<_> =
-        (0..1000u32).map(|n| (order_line(n.wrapping_mul(7919) % 400_000), order_line(n))).collect();
-    bench(
-        "memdb/key_cmp_inline_16b",
-        None,
-        || (),
-        |()| {
-            // 1000 compares per iteration (one is below the timer's reach).
-            pairs.iter().filter(|(a, b)| black_box(a) < black_box(b)).count()
-        },
-    );
-    let mut big = Database::new();
-    let bt = big.create_table("big");
-    for n in 0..400_000u32 {
-        big.install_row(bt, order_line(n), vec![(n % 251) as u8; 100]);
-    }
-    // Transactions begin after the installs, one at a time, as the
-    // workloads run them.
-    let mut n = 0u32;
-    let mut next = move || {
-        n = n.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
-        order_line(n % 400_000)
-    };
-    bench(
-        "memdb/get_hit_400k_rows",
-        None,
-        || (),
-        |()| {
-            let mut ctx = big.begin();
-            let len = big.get(&mut ctx, bt, &next()).map(<[u8]>::len);
-            big.rollback(ctx);
-            len
-        },
-    );
-    // The insert path under TPC-C's shape: 64 ascending runs (one per
-    // warehouse × district) appended round-robin, 400 000 rows into a fresh
-    // table (its drop included), every row sharing one image so the index
-    // is what is timed.
-    let image = simkit::Bytes::copy_from_slice(&[7u8; 100]);
-    bench(
-        "memdb/insert_interleaved_runs_400k",
-        None,
-        || {
-            let mut db = Database::new();
-            let t = db.create_table("runs");
-            (db, t)
-        },
-        |(mut db, t)| {
-            for seq in 0..400_000 / 64 {
-                for run in 0..64u32 {
-                    db.install_row(
-                        t,
-                        keys::composite(&[1 + run / 10, 1 + run % 10, seq]),
-                        image.clone(),
-                    );
-                }
-            }
-            db.table(t).map(|table| table.len())
-        },
-    );
-    bench(
-        "memdb/commit_8r4w_400k_rows",
-        None,
-        || (),
-        |()| {
-            let mut ctx = big.begin();
-            for _ in 0..8 {
-                let _ = big.get(&mut ctx, bt, &next());
-            }
-            for _ in 0..4 {
-                big.update(&mut ctx, bt, next(), simkit::Bytes::copy_from_slice(&[7u8; 100]));
-            }
-            big.commit(ctx).map(|recs| recs.len()).unwrap_or(0)
-        },
-    );
-
+/// The YCSB zipfian point-read path (chooser + borrowed get + commit
+/// marker), the read loop the allocation budget in
+/// `crates/bench/tests/alloc_budget.rs` guards.
+fn bench_ycsb_point_read() {
     use xssd_bench::driver::Workload;
     use xssd_bench::ycsb::{setup as ycsb_setup, YcsbConfig, YcsbMix};
     let cfg = YcsbConfig { mix: YcsbMix::C, theta: 0.99, ..YcsbConfig::default() };
@@ -524,8 +403,7 @@ fn main() {
     bench_ntb_mirror_burst();
     bench_ftl();
     bench_log_codec();
-    bench_tpcc_txn();
-    bench_db_hot_path();
+    bench_ycsb_point_read();
     bench_sim_kernel();
     bench_e2e_kernels();
 }

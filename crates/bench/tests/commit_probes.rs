@@ -1,10 +1,17 @@
 //! Pins the commit's index work the way `alloc_budget.rs` pins the
 //! allocation-free read path.
 //!
-//! A commit finds each row it writes exactly once:
-//! [`memdb::Database::write_probes`] equals the rows the run wrote, counted
-//! from the log the run left. The two-pass commit it replaced (a pre-check
-//! descent, then the install) made twice that.
+//! A commit finds each row it writes at most once, and a row its
+//! transaction read before updating it not at all: the update carries the
+//! read's position, and the install checks one key there.
+//! [`memdb::Database::positioned_writes`] counts those installs and
+//! [`memdb::Database::write_probes`] the descents the commit made, and the
+//! two split the rows the run wrote, counted from the log the run left.
+//! Every TPC-C update follows the read of its own row, so on that mix the
+//! updates are positioned and only inserts and deletes descend; YCSB-A's
+//! updates are blind, so each descends. The two-pass commit the undo list
+//! replaced (a pre-check descent, then the install) made two descents per
+//! written row.
 //!
 //! Both runs go through the real four-worker driver, and every commit in
 //! them also holds `memdb::Database::commit`'s serial contract: no row
@@ -23,8 +30,12 @@ struct Counts {
     committed: u64,
     /// Index descents commits made for writes over the whole run.
     write_probes: u64,
-    /// Insert, update and delete records the run logged.
-    rows_written: u64,
+    /// Updates commits installed at their read's position.
+    positioned_writes: u64,
+    /// Update records the run logged.
+    updates: u64,
+    /// Insert and delete records the run logged.
+    inserts_and_deletes: u64,
 }
 
 /// PM logging that keeps a copy of every byte it persists, so a run's
@@ -82,38 +93,53 @@ fn drive(db: &mut memdb::Database, workload: &mut impl Workload, measure_ms: u64
         seed: 0x57A3,
         ..DriverConfig::default()
     };
-    let write_probes = db.write_probes();
+    let (write_probes, positioned_writes) = (db.write_probes(), db.positioned_writes());
     let report = driver::run(db, &mut wal, workload, &cfg);
     assert_eq!(wal.pending_bytes(), 0, "the run hands every record to the backend");
     let log = &wal.backend().log;
     let (records, used) = decode_stream(log);
     assert_eq!(used, log.len(), "the log decodes whole");
-    Counts {
+    let logged = |op: LogOp| records.iter().filter(|r| r.op == op).count() as u64;
+    let counts = Counts {
         committed: report.run.committed,
         write_probes: db.write_probes() - write_probes,
-        rows_written: records.iter().filter(|r| r.op != LogOp::Commit).count() as u64,
-    }
-}
-
-/// The pins every workload must hold.
-fn check(counts: Counts, what: &str) {
+        positioned_writes: db.positioned_writes() - positioned_writes,
+        updates: logged(LogOp::Update),
+        inserts_and_deletes: logged(LogOp::Insert) + logged(LogOp::Delete),
+    };
     assert!(counts.committed >= 2000, "only {} transactions measured", counts.committed);
-    assert!(counts.rows_written >= 1000, "{what} wrote only {} rows", counts.rows_written);
-    assert_eq!(
-        counts.write_probes, counts.rows_written,
-        "{what}: a commit must find each row it writes exactly once"
-    );
+    assert!(counts.updates >= 1000, "only {} rows updated", counts.updates);
+    counts
 }
 
 #[test]
 fn tpcc_mix_finds_each_written_row_once() {
     let (mut db, mut workload, _) = tpcc::setup(tpcc::TpccConfig::small(), 11);
-    check(drive(&mut db, &mut workload, 20), "TPC-C");
+    let counts = drive(&mut db, &mut workload, 20);
+    assert!(
+        counts.inserts_and_deletes >= 1000,
+        "{} inserts and deletes",
+        counts.inserts_and_deletes
+    );
+    assert_eq!(
+        counts.positioned_writes, counts.updates,
+        "every TPC-C update follows the read of its row, so it installs where the read found it"
+    );
+    assert_eq!(
+        counts.write_probes, counts.inserts_and_deletes,
+        "a TPC-C commit descends once per row it inserts or deletes, and for nothing else"
+    );
 }
 
 #[test]
 fn ycsb_a_finds_each_written_row_once() {
     let (mut db, mut workload, _) =
         ycsb::setup(YcsbConfig { mix: YcsbMix::A, ..YcsbConfig::default() }, 13);
-    check(drive(&mut db, &mut workload, 20), "YCSB-A");
+    let counts = drive(&mut db, &mut workload, 20);
+    assert_eq!(counts.positioned_writes, 0, "YCSB-A's updates are blind: no read before them");
+    assert_eq!(
+        counts.write_probes,
+        counts.updates + counts.inserts_and_deletes,
+        "a commit must find each row it writes exactly once"
+    );
 }

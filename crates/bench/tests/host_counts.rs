@@ -10,7 +10,9 @@
 //!
 //! Two slices. `tpcc_nolog` is TPC-C at the benchmark's scale with no log
 //! backend: the driver's 400 simulated ms, whose growth is the database's
-//! (each new row and its index entry) and the runner's samples.
+//! (each new row and its index entry) and the runner's samples; it also
+//! counts the index's descents from the root and the nodes they and the
+//! positioned lookups visited (`memdb::index::Index::node_visits`).
 //! `mixed_device` is `destage_mixed` in small: one Villars-SRAM device
 //! taking 16 KiB `x_pwrite`s beside conventional writes and reads, which
 //! also counts the flash scheduler's window scans. Any difference fails
@@ -47,6 +49,7 @@ fn tpcc_nolog() -> Vec<(&'static str, u64)> {
         ..DriverConfig::default()
     };
     let rows_before = rows(&db);
+    let (descents, visits) = (db.index_descents(), db.index_node_visits());
     counting::reset_thread_peak();
     let before = counting::thread_counts();
     let report = driver::run(&mut db, &mut wal, &mut workload, &cfg);
@@ -54,6 +57,8 @@ fn tpcc_nolog() -> Vec<(&'static str, u64)> {
     vec![
         ("commits", report.run.committed),
         ("rows_stored", rows(&db) - rows_before),
+        ("index_descents", db.index_descents() - descents),
+        ("index_node_visits", db.index_node_visits() - visits),
         ("allocations", after.allocs - before.allocs),
         ("bytes_allocated", after.bytes - before.bytes),
         ("peak_live_heap_bytes", (after.peak - before.live) as u64),

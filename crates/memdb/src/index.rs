@@ -18,6 +18,13 @@
 //! child hands the root down. [`Index::edit`] finds a key once and lets its
 //! caller read, replace, insert or remove the entry in that one descent.
 //!
+//! A lookup answers with the entry's [`Pos`], its leaf and slot, and a
+//! later lookup or edit may start there. A position is a hint, never a
+//! handle: keys are unique and every leaf that holds a key is on the chain,
+//! so one compare of the key at the remembered slot proves the entry is
+//! still there, and a position that inserts, removals or splits have made
+//! stale falls back to a descent from the root. Nothing invalidates one.
+//!
 //! Nodes sit in fixed chunks of [`CHUNK`] per node kind, addressed by a
 //! `u32` id. A chunk is allocated once at its full size and never grows, so
 //! a node never moves, there is no per-node allocation header, and the heap
@@ -27,6 +34,7 @@
 //! after every power-of-two-th such change, so a bulk load stays
 //! O(n log n)).
 
+use std::cell::Cell;
 use std::cmp::Ordering;
 use std::fmt;
 use std::mem;
@@ -168,6 +176,12 @@ impl<T> Nodes<T> {
         id as u32
     }
 
+    /// Node `id`, if there is one.
+    fn get(&self, id: u32) -> Option<&T> {
+        let id = id as usize;
+        self.chunks.get(id / CHUNK)?.get(id % CHUNK)
+    }
+
     /// Two distinct nodes, both mutable.
     fn pair(&mut self, a: u32, b: u32) -> (&mut T, &mut T) {
         let (a, b) = (a as usize, b as usize);
@@ -220,6 +234,15 @@ enum Change<K> {
     Emptied,
 }
 
+/// Where a lookup found an entry: its leaf and its slot there. A hint for
+/// [`Index::find_from`] and [`Index::edit`], checked against the key on
+/// use (see the module doc).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Pos {
+    leaf: u32,
+    slot: u8,
+}
+
 /// An ordered map from `K` to `V` (see the module doc).
 pub struct Index<K, V> {
     leaves: Nodes<Leaf<K, V>>,
@@ -241,6 +264,10 @@ pub struct Index<K, V> {
     changes: u64,
     /// Debug checks run by edits so far.
     checks: u64,
+    /// Descents from the root so far (cells: lookups count through `&self`).
+    descents: Cell<u64>,
+    /// Nodes those descents and the positioned lookups and edits visited.
+    node_visits: Cell<u64>,
 }
 
 impl<K: Ord + Clone + Default, V: Default> Default for Index<K, V> {
@@ -267,6 +294,8 @@ impl<K: Ord + Clone + Default, V: Default> Index<K, V> {
             path: Vec::new(),
             changes: 0,
             checks: 0,
+            descents: Cell::new(0),
+            node_visits: Cell::new(0),
         }
     }
 
@@ -287,7 +316,30 @@ impl<K: Ord + Clone + Default, V: Default> Index<K, V> {
         self.len as f64 / (leaves * CAP) as f64
     }
 
-    /// The leaf whose key range holds `key`.
+    /// Descents from the root so far: lookups, range ends and edits that
+    /// no position answered.
+    pub fn descents(&self) -> u64 {
+        self.descents.get()
+    }
+
+    /// Nodes visited so far: every node of every descent, and each leaf a
+    /// position pointed a lookup or an edit at.
+    pub fn node_visits(&self) -> u64 {
+        self.node_visits.get()
+    }
+
+    fn visit(&self, nodes: u64) {
+        self.node_visits.set(self.node_visits.get() + nodes);
+    }
+
+    /// Count one descent from the root.
+    fn descended(&self) {
+        self.descents.set(self.descents.get() + 1);
+        self.visit(self.height as u64 + 1);
+    }
+
+    /// The leaf whose key range holds `key` (uncounted: the debug checks
+    /// call it too).
     #[inline]
     fn leaf_for(&self, key: &K) -> u32 {
         let mut id = self.root;
@@ -298,13 +350,56 @@ impl<K: Ord + Clone + Default, V: Default> Index<K, V> {
         id
     }
 
-    /// The value stored under `key`.
-    pub fn get(&self, key: &K) -> Option<&V> {
-        let leaf = &self.leaves[self.leaf_for(key)];
+    /// `key`'s entry in leaf `id`, with its position.
+    fn find_in(&self, id: u32, key: &K) -> Option<(Pos, &V)> {
+        let leaf = &self.leaves[id];
         match search(leaf.keys(), key) {
-            (i, true) => Some(&leaf.vals[i]),
+            (i, true) => Some((Pos { leaf: id, slot: i as u8 }, &leaf.vals[i])),
             _ => None,
         }
+    }
+
+    /// The value stored under `key`, and where it sits.
+    pub fn find(&self, key: &K) -> Option<(Pos, &V)> {
+        self.descended();
+        self.find_in(self.leaf_for(key), key)
+    }
+
+    /// [`Index::find`], answered without a descent when `key` lies between
+    /// the first and last keys of `pos`'s leaf or of the next leaf on the
+    /// chain (a key between the two is absent); any other key descends.
+    /// `pos` may be stale: only the keys the leaves hold now decide.
+    pub fn find_from(&self, pos: Pos, key: &K) -> Option<(Pos, &V)> {
+        // A leaf with no key is free (or the empty root), and the tail's
+        // `next` is `NIL`, no leaf: both descend.
+        let mut id = pos.leaf;
+        for step in 0..2 {
+            let Some(leaf) = self.leaves.get(id) else { break };
+            let (Some(first), Some(last)) = (leaf.keys().first(), leaf.keys().last()) else {
+                break;
+            };
+            self.visit(1);
+            if key > last {
+                id = leaf.next;
+            } else if key >= first {
+                return self.find_in(id, key);
+            } else if step == 1 {
+                // Past the last key of the leaf before, short of this one's
+                // first: the leaves are neighbours, so the key is absent.
+                return None;
+            } else {
+                break;
+            }
+        }
+        self.find(key)
+    }
+
+    /// Whether `pos` holds `key`'s entry now: its leaf holds a key in that
+    /// slot, and it is `key`. Keys are unique, so that is where `key` is.
+    fn holds(&self, pos: Pos, key: &K) -> bool {
+        self.leaves
+            .get(pos.leaf)
+            .is_some_and(|leaf| pos.slot < leaf.len && leaf.keys[pos.slot as usize] == *key)
     }
 
     /// Find `key` once and hand its entry to `f` as a slot: `Some` with the
@@ -312,21 +407,40 @@ impl<K: Ord + Clone + Default, V: Default> Index<K, V> {
     /// `f` leaves in the slot is stored: a value in a vacant slot inserts
     /// (the key is cloned in), an emptied slot removes the entry. Returns
     /// what `f` returns.
-    pub fn edit<R>(&mut self, key: &K, f: impl FnOnce(&mut Option<V>) -> R) -> R {
-        let changes = self.changes;
-        self.path.clear();
-        let mut id = self.root;
-        for _ in 0..self.height {
-            let node = &self.inners[id];
-            let slot = node.slot_for(key);
-            self.path.push((id, slot));
-            id = node.children[slot];
+    ///
+    /// With `at` a position that still holds `key`, a value `f` leaves is
+    /// stored in place with no descent; a removal, and a position that
+    /// does not hold `key` (stale, or the key is absent), descend as
+    /// without one.
+    pub fn edit<R>(&mut self, at: Option<Pos>, key: &K, f: impl FnOnce(&mut Option<V>) -> R) -> R {
+        if let Some(pos) = at.filter(|pos| self.holds(*pos, key)) {
+            debug_assert_eq!(
+                self.leaf_for(key),
+                pos.leaf,
+                "index: a position holds its key but the tree leads elsewhere"
+            );
+            self.visit(1);
+            let (id, at) = (pos.leaf, pos.slot as usize);
+            let mut slot = Some(mem::take(&mut self.leaves[id].vals[at]));
+            let r = f(&mut slot);
+            match slot {
+                Some(value) => self.leaves[id].vals[at] = value,
+                None => {
+                    let changes = self.changes;
+                    let id = self.descend(key);
+                    let change = self.leaf_remove(id, at);
+                    self.climb(changes, change);
+                }
+            }
+            return r;
         }
+        let changes = self.changes;
+        let id = self.descend(key);
         let leaf = &mut self.leaves[id];
         let (at, found) = search(leaf.keys(), key);
         let mut slot = if found { Some(mem::take(&mut leaf.vals[at])) } else { None };
         let r = f(&mut slot);
-        let mut change = match slot {
+        let change = match slot {
             Some(value) if found => {
                 leaf.vals[at] = value;
                 Change::None
@@ -335,7 +449,29 @@ impl<K: Ord + Clone + Default, V: Default> Index<K, V> {
             None if found => self.leaf_remove(id, at),
             None => Change::None,
         };
-        // Carry a split or a freed child up the descent's path.
+        self.climb(changes, change);
+        r
+    }
+
+    /// Descend to `key`'s leaf, keeping the inner nodes and child slots on
+    /// the way in `path`; returns the leaf.
+    fn descend(&mut self, key: &K) -> u32 {
+        self.descended();
+        self.path.clear();
+        let mut id = self.root;
+        for _ in 0..self.height {
+            let node = &self.inners[id];
+            let slot = node.slot_for(key);
+            self.path.push((id, slot));
+            id = node.children[slot];
+        }
+        id
+    }
+
+    /// Carry a split or a freed child up the descent's path, then fix the
+    /// root and, in a debug build, check the index on its cadence when the
+    /// edit split or freed a node (`changes`: the count before it).
+    fn climb(&mut self, changes: u64, mut change: Change<K>) {
         while let Some((parent, slot)) = self.path.pop() {
             change = match change {
                 Change::None => break,
@@ -371,7 +507,6 @@ impl<K: Ord + Clone + Default, V: Default> Index<K, V> {
                 self.checks += 1;
             }
         }
-        r
     }
 
     /// How many times a debug build's edits have run [`Index::check`], so a
@@ -383,13 +518,13 @@ impl<K: Ord + Clone + Default, V: Default> Index<K, V> {
     /// Store `value` under `key`; returns the value it replaced.
     #[cfg(test)]
     pub fn insert(&mut self, key: &K, value: V) -> Option<V> {
-        self.edit(key, |slot| slot.replace(value))
+        self.edit(None, key, |slot| slot.replace(value))
     }
 
     /// Remove `key`'s entry; returns its value.
     #[cfg(test)]
     pub fn remove(&mut self, key: &K) -> Option<V> {
-        self.edit(key, Option::take)
+        self.edit(None, key, Option::take)
     }
 
     fn leaf_insert(&mut self, id: u32, at: usize, key: K, value: V) -> Change<K> {
@@ -534,6 +669,7 @@ impl<K: Ord + Clone + Default, V: Default> Index<K, V> {
     /// The gap before the first entry not below `key`: the leaf and slot of
     /// that entry, or `(NIL, 0)` past the last one.
     fn gap_before(&self, key: &K) -> (u32, usize) {
+        self.descended();
         let id = self.leaf_for(key);
         let leaf = &self.leaves[id];
         match search(leaf.keys(), key).0 {
@@ -690,7 +826,7 @@ mod tests {
     use crate::key::SmallKey;
     use crate::storage::keys;
     use simkit::DetRng;
-    use std::collections::BTreeMap;
+    use std::collections::{BTreeMap, HashMap};
 
     type Model = BTreeMap<SmallKey, u64>;
 
@@ -747,16 +883,145 @@ mod tests {
                 match rng.uniform(0, 9) {
                     0..=4 => assert_eq!(index.insert(&k, step), model.insert(k, step)),
                     5..=7 => assert_eq!(index.remove(&k), model.remove(&k)),
-                    8 => assert_eq!(index.get(&k), model.get(&k)),
+                    8 => assert_eq!(index.find(&k).map(|(_, v)| v), model.get(&k)),
                     _ => {
                         // An edit that looks and leaves the entry as it was.
-                        let seen = index.edit(&k, |slot| slot.as_ref().copied());
+                        let seen = index.edit(None, &k, |slot| slot.as_ref().copied());
                         assert_eq!(seen.as_ref(), model.get(&k));
                     }
                 }
             }
             assert_same(&index, &model);
         }
+    }
+
+    /// How a remembered position stood when it was used.
+    #[derive(Debug, Default)]
+    struct Stale {
+        /// It held its key: answered in place.
+        held: usize,
+        /// Its key sits in the same leaf, at another slot.
+        shifted: usize,
+        /// Its key moved to another leaf, which a split made.
+        split: usize,
+        /// Its leaf was freed since, and a split took it again.
+        reused: usize,
+    }
+
+    #[test]
+    fn positioned_lookups_and_edits_match_the_model() {
+        let mut stale = Stale::default();
+        for seed in 0..40u64 {
+            let mut rng = DetRng::new(0x9051 + seed);
+            let (mut index, mut model) = (Index::new(), Model::new());
+            let space = rng.uniform(20, 300);
+            // Positions that lookups answered: the step, the position, its key.
+            let mut seen: Vec<(u64, Pos, SmallKey)> = Vec::new();
+            // The last step each leaf was on the free list.
+            let mut freed_at = HashMap::<u32, u64>::new();
+            for step in 0..4_000u64 {
+                // Phases of 500 steps alternate growing and draining, so
+                // leaves empty, go free and come back.
+                let grow = step / 500 % 2 == 0;
+                let fresh =
+                    |rng: &mut DetRng| key(rng.uniform(0, 3) as u32, rng.uniform(0, space) as u32);
+                let (pos, k) = match seen.len() {
+                    0 => (None, fresh(&mut rng)),
+                    n => {
+                        let (at, pos, k) = seen[rng.uniform(0, n as u64 - 1) as usize].clone();
+                        if !rng.chance(0.6) {
+                            // A position, and another key.
+                            (Some(pos), fresh(&mut rng))
+                        } else {
+                            let leaf = index.leaf_for(&k);
+                            let kind = match search(index.leaves[leaf].keys(), &k) {
+                                _ if index.holds(pos, &k) => Some(&mut stale.held),
+                                (_, false) => None,
+                                _ if leaf == pos.leaf => Some(&mut stale.shifted),
+                                _ if freed_at.get(&pos.leaf).is_some_and(|f| *f > at) => {
+                                    Some(&mut stale.reused)
+                                }
+                                _ => Some(&mut stale.split),
+                            };
+                            if let Some(n) = kind {
+                                *n += 1;
+                            }
+                            (Some(pos), k)
+                        }
+                    }
+                };
+                let held = pos.is_some_and(|pos| index.holds(pos, &k));
+                let descents = index.descents();
+                match rng.uniform(0, 9) {
+                    0..=2 if grow => {
+                        let old = index.edit(pos, &k, |slot| slot.replace(step));
+                        assert_eq!(old, model.insert(k.clone(), step));
+                    }
+                    3 | 4 => {
+                        // An update: a present entry's value replaced.
+                        let old = index
+                            .edit(pos, &k, |slot| slot.as_mut().map(|v| mem::replace(v, step)));
+                        assert_eq!(old, model.get_mut(&k).map(|v| mem::replace(v, step)));
+                        assert_eq!(
+                            index.descents() == descents,
+                            held,
+                            "in place exactly when held"
+                        );
+                    }
+                    5..=8 => {
+                        let found = match pos {
+                            Some(pos) => index.find_from(pos, &k),
+                            None => index.find(&k),
+                        };
+                        assert_eq!(found.map(|(_, v)| v), model.get(&k), "step {step}");
+                        if let Some((now, _)) = found {
+                            assert!(index.holds(now, &k));
+                            seen.push((step, now, k.clone()));
+                        }
+                    }
+                    _ => {
+                        // A removal: the rest of a draining step's draws, and 9.
+                        let old = index.edit(pos, &k, Option::take);
+                        assert_eq!(old, model.remove(&k));
+                    }
+                }
+                for id in &index.free_leaves {
+                    freed_at.insert(*id, step);
+                }
+                if seen.len() > 64 {
+                    seen.drain(..32);
+                }
+            }
+            assert_same(&index, &model);
+        }
+        // Every kind of position must actually occur, each many times.
+        let Stale { held, shifted, split, reused } = stale;
+        assert!([held, shifted, split, reused].iter().all(|n| *n > 50), "{stale:?}");
+    }
+
+    #[test]
+    fn find_from_walks_forward_without_descending() {
+        let mut index = Index::new();
+        for seq in (0..2_000).step_by(2) {
+            index.insert(&key(0, seq), u64::from(seq));
+        }
+        let (mut pos, _) = index.find(&key(0, 0)).expect("the first key");
+        let (descents, visits) = (index.descents(), index.node_visits());
+        // Every key up to the last, ascending: the even ones are present,
+        // each in the position's leaf or the next; an odd one is absent,
+        // inside a leaf or between two.
+        for seq in 1..1_999 {
+            match index.find_from(pos, &key(0, seq)) {
+                Some((now, v)) => {
+                    assert_eq!((seq % 2, *v), (0, u64::from(seq)));
+                    pos = now;
+                }
+                None => assert_eq!(seq % 2, 1),
+            }
+        }
+        assert_eq!(index.descents(), descents, "no descent along an ascending walk");
+        let visits = index.node_visits() - visits;
+        assert!(visits < 2 * 2_000, "{visits} leaves visited");
     }
 
     #[test]

@@ -27,10 +27,14 @@
 //! Every index probe goes through a [`Key`] — a stack copy of the caller's
 //! slice — so a descent compares words, not `memcmp` calls (see
 //! [`crate::key`]). A commit finds each row it writes once
-//! ([`Index::edit`]), keeping an undo list for atomicity.
+//! ([`Index::edit`]), keeping an undo list for atomicity, and a row the
+//! transaction read before it updated it not even once: the read's
+//! [`Pos`] rides in the buffered update, and the install checks one key
+//! there. A read starts at the transaction's last read in the same table
+//! ([`Index::find_from`]), so sorted probes walk the leaf chain.
 
 use crate::arena::{RowArena, RowRef};
-use crate::index::Index;
+use crate::index::{Index, Pos};
 use crate::key::SmallKey;
 use crate::log::{LogOp, LogRecord, TableId};
 
@@ -85,15 +89,21 @@ impl Table {
         self.rows.iter().map(|(k, r)| (k.as_slice(), self.arena.get(*r)))
     }
 
-    fn get(&self, key: &[u8]) -> Option<&[u8]> {
-        self.rows.get(&Key::from_slice(key)).map(|r| self.arena.get(*r))
+    /// `key`'s row and where its entry sits, looked for from `from` when
+    /// there is one.
+    fn find(&self, from: Option<Pos>, key: &Key) -> Option<(Pos, &[u8])> {
+        let found = match from {
+            Some(pos) => self.rows.find_from(pos, key),
+            None => self.rows.find(key),
+        };
+        found.map(|(pos, r)| (pos, self.arena.get(*r)))
     }
 
     /// Store a copy of `row` under `key` (replacing and freeing any row
     /// there), or with `None` remove the key's row.
     fn put(&mut self, key: &Key, row: Option<&[u8]>) {
         let Table { rows, arena, .. } = self;
-        rows.edit(key, |slot| {
+        rows.edit(None, key, |slot| {
             if let Some(old) = slot.take() {
                 arena.free(old);
             }
@@ -146,14 +156,18 @@ impl std::error::Error for TxnError {}
 #[derive(Debug, Clone)]
 enum PendingWrite {
     Insert(Key, Row),
-    Update(Key, Row),
+    /// With the position of the transaction's last read in the table: the
+    /// row's own when the update follows the read of its row.
+    Update(Key, Row, Option<Pos>),
     Delete(Key),
 }
 
 impl PendingWrite {
     fn key(&self) -> &Key {
         match self {
-            PendingWrite::Insert(k, _) | PendingWrite::Update(k, _) | PendingWrite::Delete(k) => k,
+            PendingWrite::Insert(k, _)
+            | PendingWrite::Update(k, _, _)
+            | PendingWrite::Delete(k) => k,
         }
     }
 }
@@ -173,6 +187,8 @@ pub struct TxnCtx {
     /// replaced (`None`: the key was vacant), still in the arena until the
     /// commit succeeds. The table and key are the `i`-th log record's.
     undo: Vec<Option<RowRef>>,
+    /// Where the last read that found a row found it.
+    last_read: Option<(TableId, Pos)>,
 }
 
 impl TxnCtx {
@@ -186,6 +202,12 @@ impl TxnCtx {
         self.begin_stamp = begin_stamp;
         self.writes.clear();
         self.undo.clear();
+        self.last_read = None;
+    }
+
+    /// The last read's position when it was in `table`.
+    fn read_in(&self, table: TableId) -> Option<Pos> {
+        self.last_read.filter(|(t, _)| *t == table).map(|(_, pos)| pos)
     }
 }
 
@@ -206,10 +228,19 @@ pub struct Database {
     /// `commit` asserts it still equals the transaction's `begin_stamp`.
     mutations: u64,
     write_probes: u64,
+    positioned_writes: u64,
     /// Reference model for the tests: find every written row twice — a
     /// pre-check pass, then the install — instead of once with an undo list.
     #[cfg(test)]
     two_pass_commit: bool,
+    /// Reference model for the tests: every read and every write descends
+    /// from the root; no position is kept or used.
+    #[cfg(test)]
+    descend_always: bool,
+    /// Positioned writes whose position no longer held their key, so they
+    /// descended (the tests' evidence that the fallback ran).
+    #[cfg(test)]
+    stale_positions: u64,
     ctx_pool: Vec<TxnCtx>,
 }
 
@@ -248,9 +279,36 @@ impl Database {
     }
 
     /// Index descents `commit` made for buffered writes so far: one per
-    /// written row, plus one per write it put back when a commit failed.
+    /// written row no position answered, plus one per write it put back
+    /// when a commit failed.
     pub fn write_probes(&self) -> u64 {
         self.write_probes
+    }
+
+    /// Updates `commit` installed at the position of the read before them,
+    /// with no descent.
+    pub fn positioned_writes(&self) -> u64 {
+        self.positioned_writes
+    }
+
+    /// Descents from the root over every table's index so far.
+    pub fn index_descents(&self) -> u64 {
+        self.tables.iter().map(|t| t.rows.descents()).sum()
+    }
+
+    /// Index nodes visited over every table so far (see
+    /// [`Index::node_visits`]).
+    pub fn index_node_visits(&self) -> u64 {
+        self.tables.iter().map(|t| t.rows.node_visits()).sum()
+    }
+
+    /// `pos`, unless the tests' reference switch turns positions off.
+    fn hint(&self, pos: Option<Pos>) -> Option<Pos> {
+        #[cfg(test)]
+        if self.descend_always {
+            return None;
+        }
+        pos
     }
 
     /// Begin a transaction (reusing a pooled context when available).
@@ -277,19 +335,32 @@ impl Database {
 
     /// Transactional point read: sees the transaction's own buffered
     /// writes. The returned slice borrows the stored row image — decode
-    /// what you need before the next operation on `ctx`.
+    /// what you need before the next operation on `ctx`. A row found is
+    /// looked for from the transaction's last read in the same table, and
+    /// becomes its last read.
     pub fn get<'a>(&'a self, ctx: &'a mut TxnCtx, table: TableId, key: &[u8]) -> Option<&'a [u8]> {
+        let key = Key::from_slice(key);
         // Own writes first (read-your-writes): the last buffered write of
         // the key decides. Resolve to its position first so the borrow
         // returned below starts inside its own branch (NLL).
-        let own = ctx.writes.iter().rposition(|(t, w)| *t == table && w.key() == key);
+        let own = ctx.writes.iter().rposition(|(t, w)| *t == table && *w.key() == key);
         if let Some(i) = own {
             return match &ctx.writes[i].1 {
-                PendingWrite::Insert(_, v) | PendingWrite::Update(_, v) => Some(v.as_slice()),
+                PendingWrite::Update(_, v, pos) => {
+                    // The update's position is the row's when it has one.
+                    if let Some(pos) = pos {
+                        ctx.last_read = Some((table, *pos));
+                    }
+                    Some(v.as_slice())
+                }
+                PendingWrite::Insert(_, v) => Some(v.as_slice()),
                 PendingWrite::Delete(_) => None,
             };
         }
-        self.peek(table, key)
+        let from = self.hint(ctx.read_in(table));
+        let (pos, row) = self.tables.get(table as usize)?.find(from, &key)?;
+        ctx.last_read = Some((table, pos));
+        Some(row)
     }
 
     /// Range scan over `[from, to)`, visiting up to `limit` committed
@@ -352,7 +423,8 @@ impl Database {
         ctx.writes.push((table, PendingWrite::Insert(key.into(), row.into())));
     }
 
-    /// Buffer an update.
+    /// Buffer an update, with the position of the transaction's last read
+    /// in `table` (the install checks whether it holds the key).
     pub fn update(
         &self,
         ctx: &mut TxnCtx,
@@ -360,7 +432,8 @@ impl Database {
         key: impl Into<Key>,
         row: impl Into<Row>,
     ) {
-        ctx.writes.push((table, PendingWrite::Update(key.into(), row.into())));
+        let pos = self.hint(ctx.read_in(table));
+        ctx.writes.push((table, PendingWrite::Update(key.into(), row.into(), pos)));
     }
 
     /// Buffer a delete.
@@ -409,7 +482,7 @@ impl Database {
             if installed.is_err() {
                 // Put the replaced row back; the one written over it goes.
                 self.write_probes += 1;
-                if let Some(new) = rows.edit(&rec.key, |slot| std::mem::replace(slot, old)) {
+                if let Some(new) = rows.edit(None, &rec.key, |slot| std::mem::replace(slot, old)) {
                     arena.free(new);
                 }
             } else if let Some(old) = old {
@@ -428,8 +501,10 @@ impl Database {
         Ok(records)
     }
 
-    /// Install `ctx`'s writes in order through one [`Index::edit`] descent
-    /// each, pushing a log record and an undo entry per write. Fails at the first
+    /// Install `ctx`'s writes in order through one [`Index::edit`] each —
+    /// in place at an update's position when it still holds the key, one
+    /// descent otherwise — pushing a log record and an undo entry per
+    /// write. Fails at the first
     /// write a two-pass commit would reject — an `Insert` of a key that
     /// existed before the commit, an `Update`/`Delete` of a key that did
     /// not and that the write set never inserts — leaving the installed
@@ -452,12 +527,11 @@ impl Database {
         while let Some((table, w)) = writes.next() {
             let Table { rows, arena, .. } =
                 self.tables.get_mut(table as usize).ok_or(TxnError::NoSuchTable(table))?;
-            let (op, k, value) = match w {
-                PendingWrite::Insert(k, v) => (LogOp::Insert, k, v),
-                PendingWrite::Update(k, v) => (LogOp::Update, k, v),
-                PendingWrite::Delete(k) => (LogOp::Delete, k, Row::new()),
+            let (op, k, value, pos) = match w {
+                PendingWrite::Insert(k, v) => (LogOp::Insert, k, v, None),
+                PendingWrite::Update(k, v, pos) => (LogOp::Update, k, v, pos),
+                PendingWrite::Delete(k) => (LogOp::Delete, k, Row::new(), None),
             };
-            self.write_probes += 1;
             // `Some(existed)` when an earlier write of this commit touched
             // the key: whether it existed before the commit.
             let before = || {
@@ -467,7 +541,8 @@ impl Database {
                     .map(|i| undo[i].is_some())
             };
             // `None`: rejected, nothing changed; `Some(old)`: installed.
-            let installed = rows.edit(&k, |slot| {
+            let descents = rows.descents();
+            let installed = rows.edit(pos, &k, |slot| {
                 let rejected = match op {
                     LogOp::Insert if slot.is_some() => before() != Some(false),
                     LogOp::Insert => removed && before() == Some(true),
@@ -482,6 +557,13 @@ impl Database {
                     _ => slot.replace(arena.alloc(&value)),
                 })
             });
+            let descended = rows.descents() - descents;
+            self.write_probes += descended;
+            self.positioned_writes += u64::from(descended == 0);
+            #[cfg(test)]
+            {
+                self.stale_positions += u64::from(pos.is_some() && descended > 0);
+            }
             let Some(old) = installed else {
                 return Err(match op {
                     LogOp::Insert => TxnError::DuplicateKey(k),
@@ -505,12 +587,12 @@ impl Database {
             self.write_probes += 1;
             match w {
                 PendingWrite::Insert(k, _) => {
-                    if t.rows.get(k).is_some() {
+                    if t.rows.find(k).is_some() {
                         return Err(TxnError::DuplicateKey(k.clone()));
                     }
                 }
-                PendingWrite::Update(k, _) | PendingWrite::Delete(k) => {
-                    if t.rows.get(k).is_none() && !inserts(&ctx.writes, *table, k) {
+                PendingWrite::Update(k, _, _) | PendingWrite::Delete(k) => {
+                    if t.rows.find(k).is_none() && !inserts(&ctx.writes, *table, k) {
                         return Err(TxnError::NotFound(k.clone()));
                     }
                 }
@@ -525,7 +607,7 @@ impl Database {
             self.write_probes += 1;
             let (op, k, value) = match w {
                 PendingWrite::Insert(k, v) => (LogOp::Insert, k, v),
-                PendingWrite::Update(k, v) => (LogOp::Update, k, v),
+                PendingWrite::Update(k, v, _) => (LogOp::Update, k, v),
                 PendingWrite::Delete(k) => (LogOp::Delete, k, Row::new()),
             };
             let row = (op != LogOp::Delete).then_some(value.as_slice());
@@ -562,7 +644,8 @@ impl Database {
 
     /// Raw (non-transactional) read, e.g. for verification.
     pub fn peek(&self, table: TableId, key: &[u8]) -> Option<&[u8]> {
-        self.tables.get(table as usize)?.get(key)
+        let (_, row) = self.tables.get(table as usize)?.find(None, &Key::from_slice(key))?;
+        Some(row)
     }
 
     /// The catalog's table names in id order (checkpoint encoding).
@@ -915,12 +998,14 @@ mod tests {
         assert_eq!(updated[0].value.as_slice(), [8u8; 64], "the update's record, after the delete");
     }
 
-    // ---- serial schedules and install against the reference model -------
+    // ---- serial schedules and install against the reference models ------
     //
-    // The reference is the same engine with `two_pass_commit` set: every
-    // commit finds every row it writes twice, as before the undo list. Both
-    // run the same serial schedule of transactions and foreign installs;
-    // every observable result must agree.
+    // The references are the same engine with a switch set:
+    // `two_pass_commit` finds every row a commit writes twice, as before
+    // the undo list; `descend_always` keeps no position, so every read and
+    // every write descends from the root. All three run the same serial
+    // schedule of transactions and foreign installs; every observable
+    // result must agree.
 
     #[derive(Debug, Clone)]
     enum Step {
@@ -941,12 +1026,21 @@ mod tests {
 
     const MODEL_TABLES: TableId = 2;
 
+    /// The engine under test, or one of its references.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Engine {
+        Positioned,
+        TwoPass,
+        Descending,
+    }
+
     /// Run `steps` — at most one transaction open at a time — and return
     /// every observable result in order, then the database for the
     /// end-state comparison.
-    fn run_steps(steps: &[Step], reference: bool) -> (Vec<String>, Database) {
+    fn run_steps(steps: &[Step], engine: Engine) -> (Vec<String>, Database) {
         let mut db = Database::new();
-        db.two_pass_commit = reference;
+        db.two_pass_commit = engine == Engine::TwoPass;
+        db.descend_always = engine == Engine::Descending;
         for i in 0..MODEL_TABLES {
             db.create_table(&format!("t{i}"));
         }
@@ -1002,13 +1096,18 @@ mod tests {
         (rows.collect(), [db.commits, db.aborts])
     }
 
-    /// Run on both sides, compare everything observable, return the trace.
-    fn check_against_reference(steps: &[Step]) -> Vec<String> {
-        let (trace, db) = run_steps(steps, false);
-        let (ref_trace, ref_db) = run_steps(steps, true);
-        assert_eq!(trace, ref_trace, "schedule: {steps:#?}");
-        assert_eq!(state(&db), state(&ref_db), "schedule: {steps:#?}");
-        trace
+    /// Run on all three engines, compare everything observable (rows,
+    /// counts, every read, and each commit's records or error), return
+    /// the trace and the engine under test.
+    fn check_against_reference(steps: &[Step]) -> (Vec<String>, Database) {
+        let (trace, db) = run_steps(steps, Engine::Positioned);
+        for reference in [Engine::TwoPass, Engine::Descending] {
+            let (ref_trace, ref_db) = run_steps(steps, reference);
+            assert_eq!(trace, ref_trace, "{reference:?}, schedule: {steps:#?}");
+            assert_eq!(state(&db), state(&ref_db), "{reference:?}, schedule: {steps:#?}");
+            assert_eq!(ref_db.positioned_writes(), 0, "{reference:?} installs no write in place");
+        }
+        (trace, db)
     }
 
     /// The 16-key space: `[n]` and `[n, 0]` for n < 8, so neighbours differ
@@ -1078,7 +1177,7 @@ mod tests {
     fn serial_schedules_match_the_two_pass_reference() {
         let (mut committed, mut failed) = (0, 0);
         for seed in 0..400u64 {
-            for line in check_against_reference(&random_schedule(0xC0FFEE + seed)) {
+            for line in check_against_reference(&random_schedule(0xC0FFEE + seed)).0 {
                 committed += usize::from(line.starts_with("commit Ok"));
                 failed += usize::from(line.starts_with("commit Err"));
             }
@@ -1095,9 +1194,13 @@ mod tests {
         steps.push(Step::Begin);
         steps.extend(writes);
         steps.push(Step::Commit);
-        let trace = check_against_reference(&steps);
-        let probes = |reference| run_steps(&steps, reference).1.write_probes();
-        (trace.last().expect("a commit").clone(), probes(false), probes(true))
+        let (trace, _) = check_against_reference(&steps);
+        let probes = |engine| run_steps(&steps, engine).1.write_probes();
+        (
+            trace.last().expect("a commit").clone(),
+            probes(Engine::Positioned),
+            probes(Engine::TwoPass),
+        )
     }
 
     #[test]
@@ -1196,7 +1299,7 @@ mod tests {
     fn one_descent_commit_matches_the_two_pass_reference_on_random_write_sets() {
         let mut outcomes = BTreeMap::<String, usize>::new();
         for seed in 0..1500u64 {
-            for line in check_against_reference(&random_write_sets(0x0DE5_CE00 + seed)) {
+            for line in check_against_reference(&random_write_sets(0x0DE5_CE00 + seed)).0 {
                 let kind = match line.strip_prefix("commit Err(") {
                     Some(err) => err.split('(').next().unwrap_or(err),
                     None => "Ok",
@@ -1208,5 +1311,55 @@ mod tests {
         for kind in ["Ok", "DuplicateKey", "NotFound", "NoSuchTable"] {
             assert!(outcomes.get(kind).is_some_and(|n| *n > 100), "{outcomes:?}");
         }
+    }
+
+    /// A seeded schedule over 64 keys a table, the even ones there before
+    /// it starts, whose transactions read rows and then update them (a
+    /// `Get` and an `Update` of one key) among inserts of odd keys and
+    /// deletes of even ones. An insert or a delete that comes earlier in
+    /// the same table, or the split an insert makes, moves an updated row
+    /// from the slot its read found by the time the commit installs it.
+    fn stale_position_schedule(seed: u64) -> Vec<Step> {
+        let mut rng = simkit::DetRng::new(seed);
+        let key = |i: u64| keys::composite(&[i as u32]).to_vec();
+        let mut steps = Vec::new();
+        for t in 0..MODEL_TABLES {
+            steps.extend((0..32).map(|i| Step::Install(t, key(2 * i), 0)));
+        }
+        for _ in 0..rng.uniform(4, 12) {
+            steps.push(Step::Begin);
+            for _ in 0..rng.uniform(1, 10) {
+                let t = rng.uniform(0, MODEL_TABLES as u64 - 1) as TableId;
+                let (i, v) = (rng.uniform(0, 31), rng.uniform(1, 255) as u8);
+                match rng.uniform(0, 5) {
+                    0..=2 => {
+                        let k = key(rng.uniform(0, 63));
+                        steps.extend([Step::Get(t, k.clone()), Step::Update(t, k, v)]);
+                    }
+                    3 => steps.push(Step::Insert(t, key(2 * i + 1), v)),
+                    4 => steps.push(Step::Delete(t, key(2 * i))),
+                    _ => steps.push(Step::Get(t, key(rng.uniform(0, 63)))),
+                }
+            }
+            steps.push(if rng.chance(0.9) { Step::Commit } else { Step::Rollback });
+        }
+        steps
+    }
+
+    #[test]
+    fn positioned_installs_match_the_references_when_positions_go_stale() {
+        let (mut positioned, mut stale, mut committed) = (0, 0, 0);
+        for seed in 0..300u64 {
+            let (trace, db) = check_against_reference(&stale_position_schedule(0x5A1E + seed));
+            db.tables.iter().for_each(Table::check);
+            committed += trace.iter().filter(|l| l.starts_with("commit Ok")).count();
+            (positioned, stale) = (positioned + db.positioned_writes, stale + db.stale_positions);
+        }
+        // Both branches must actually run, each many times: an update
+        // installed at its read's slot, and one whose slot went stale.
+        assert!(
+            positioned > 500 && stale > 100 && committed > 400,
+            "{positioned} positioned, {stale} stale, {committed} committed"
+        );
     }
 }
