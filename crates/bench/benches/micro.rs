@@ -2,12 +2,13 @@
 //! ingest path, the fast write path (fresh, per CMB backing, and with a
 //! wrapped destage ring), the replicated cluster's advance loop and fsync
 //! cycle, an NTB mirror burst, FTL allocation, WAL record encode/decode,
-//! a YCSB point read, and the sim kernel itself. These guard the
-//! simulator's own performance (a slow simulator caps experiment scale).
-//! The flash scheduler's cases went when `host_counts.rs` began counting
-//! its window scans on a mixed-device slice, and the TPC-C transaction,
-//! key-compare, point-read, insert and commit cases when its TPC-C slice
-//! began counting index descents and node visits.
+//! and the sim kernel itself. These guard the simulator's own performance
+//! (a slow simulator caps experiment scale). The flash scheduler's cases
+//! went when `host_counts.rs` began counting its window scans on a
+//! mixed-device slice; the TPC-C transaction, key-compare, point-read,
+//! insert and commit cases when its TPC-C slice began counting index
+//! descents and node visits; and the YCSB point read when its YCSB-A slice
+//! began counting the same.
 //!
 //! The harness is hand-rolled (`harness = false`; no crates.io access for
 //! criterion): each case is warmed up, then timed over enough iterations to
@@ -291,25 +292,6 @@ fn bench_log_codec() {
     bench("wal_codec/decode_64_records", Some(bytes), || (), |()| decode_stream(&encoded).0.len());
 }
 
-/// The YCSB zipfian point-read path (chooser + borrowed get + commit
-/// marker), the read loop the allocation budget in
-/// `crates/bench/tests/alloc_budget.rs` guards.
-fn bench_ycsb_point_read() {
-    use xssd_bench::driver::Workload;
-    use xssd_bench::ycsb::{setup as ycsb_setup, YcsbConfig, YcsbMix};
-    let cfg = YcsbConfig { mix: YcsbMix::C, theta: 0.99, ..YcsbConfig::default() };
-    let (mut ydb, mut ywl, mut yrng) = ycsb_setup(cfg, 9);
-    bench(
-        "ycsb/zipfian_point_read",
-        None,
-        || (),
-        |()| {
-            let _ = ywl.execute(&mut ydb, &mut yrng, 0, 0);
-            ydb.commits()
-        },
-    );
-}
-
 fn bench_sim_kernel() {
     bench("simkit/event_queue_1k_cycle", None, simkit::EventQueue::<u64>::new, |mut q| {
         for i in 0..1000u64 {
@@ -403,7 +385,6 @@ fn main() {
     bench_ntb_mirror_burst();
     bench_ftl();
     bench_log_codec();
-    bench_ycsb_point_read();
     bench_sim_kernel();
     bench_e2e_kernels();
 }

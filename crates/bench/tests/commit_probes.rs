@@ -4,14 +4,17 @@
 //! A commit finds each row it writes at most once, and a row its
 //! transaction read before updating it not at all: the update carries the
 //! read's position, and the install checks one key there.
-//! [`memdb::Database::positioned_writes`] counts those installs and
+//! [`memdb::Database::positioned_writes`] counts the installs that made no
+//! descent (at the read's position, or at the key's hint) and
 //! [`memdb::Database::write_probes`] the descents the commit made, and the
 //! two split the rows the run wrote, counted from the log the run left.
 //! Every TPC-C update follows the read of its own row, so on that mix the
-//! updates are positioned and only inserts and deletes descend; YCSB-A's
-//! updates are blind, so each descends. The two-pass commit the undo list
-//! replaced (a pre-check descent, then the install) made two descents per
-//! written row.
+//! updates are positioned and only inserts and deletes descend. YCSB-A's
+//! updates are blind, and find their row through the index's hint for the
+//! key when an earlier read or update left one that still holds it, by a
+//! descent otherwise. The two-pass commit the undo list replaced (a
+//! pre-check descent, then the install) made two descents per written
+//! row.
 //!
 //! Both runs go through the real four-worker driver, and every commit in
 //! them also holds `memdb::Database::commit`'s serial contract: no row
@@ -30,7 +33,7 @@ struct Counts {
     committed: u64,
     /// Index descents commits made for writes over the whole run.
     write_probes: u64,
-    /// Updates commits installed at their read's position.
+    /// Updates commits installed with no descent.
     positioned_writes: u64,
     /// Update records the run logged.
     updates: u64,
@@ -136,10 +139,10 @@ fn ycsb_a_finds_each_written_row_once() {
     let (mut db, mut workload, _) =
         ycsb::setup(YcsbConfig { mix: YcsbMix::A, ..YcsbConfig::default() }, 13);
     let counts = drive(&mut db, &mut workload, 20);
-    assert_eq!(counts.positioned_writes, 0, "YCSB-A's updates are blind: no read before them");
+    assert!(counts.positioned_writes > 0, "no blind update found its row through a hint");
     assert_eq!(
-        counts.write_probes,
+        counts.positioned_writes + counts.write_probes,
         counts.updates + counts.inserts_and_deletes,
-        "a commit must find each row it writes exactly once"
+        "a commit must find each row it writes exactly once: by its hint or by one descent"
     );
 }

@@ -8,12 +8,17 @@
 //! heap, counted on the test's own thread by the `counting` allocator that
 //! `alloc_budget` also installs.
 //!
-//! Two slices. `tpcc_nolog` is TPC-C at the benchmark's scale with no log
+//! Three slices. `tpcc_nolog` is TPC-C at the benchmark's scale with no log
 //! backend: the driver's 400 simulated ms, whose growth is the database's
 //! (each new row and its index entry) and the runner's samples; it also
 //! counts the index's descents from the root and the nodes they and the
-//! positioned lookups visited (`memdb::index::Index::node_visits`).
-//! `mixed_device` is `destage_mixed` in small: one Villars-SRAM device
+//! positioned and hinted lookups visited (`Database::index_node_visits`).
+//! `ycsb_a_nvme` is the benchmark's `ycsb_nvme` in small: YCSB-A over
+//! 8 192 rows at θ 0.8, `NvmeLog` on a conventional SSD, the pipelined log
+//! path at depth 4, 300 simulated ms measured; the same counts, whose
+//! growth is the runner's samples and the log path's, since YCSB-A's reads
+//! and updates add no row. `mixed_device` is `destage_mixed` in small: one
+//! Villars-SRAM device
 //! taking 16 KiB `x_pwrite`s beside conventional writes and reads, which
 //! also counts the flash scheduler's window scans. Any difference fails
 //! and prints the file as this build counts it; a change that moves a count
@@ -23,10 +28,12 @@
 //! whose allocations are not the program's. `scripts/check.sh` runs it.
 mod counting;
 
-use memdb::{Database, NoLog, TableId, WalConfig, WalManager};
+use memdb::{Database, NoLog, NvmeLog, TableId, WalConfig, WalManager};
 use nvme::{CommandKind, Completion, IoCommand};
 use simkit::{Bytes, DetRng, SimDuration, SimTime};
-use xssd_bench::driver::{self, DriverConfig};
+use ssd::{ConventionalSsd, SsdConfig};
+use xssd_bench::driver::{self, DriverConfig, Workload};
+use xssd_bench::ycsb::{self, YcsbConfig, YcsbMix};
 use xssd_core::{Cluster, VillarsConfig, XLogFile};
 
 #[global_allocator]
@@ -34,13 +41,37 @@ static ALLOCATOR: counting::CountingAlloc = counting::CountingAlloc;
 
 const COUNTS: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_counts.json");
 
-/// `"name": value` lines of one slice, in a fixed order.
-fn tpcc_nolog() -> Vec<(&'static str, u64)> {
-    let (mut db, mut workload, _) = tpcc::setup(tpcc::TpccConfig::bench(), 19);
+/// `"name": value` lines of one database slice, in a fixed order: a driver
+/// run of `workload` over `db` through `wal`, counted from the run's start.
+fn database_slice<B: memdb::LogBackend>(
+    db: &mut Database,
+    wal: &mut WalManager<B>,
+    workload: &mut impl Workload,
+    cfg: &DriverConfig,
+) -> Vec<(&'static str, u64)> {
     let rows = |db: &Database| -> u64 {
         let tables = (0..db.table_names().len()).filter_map(|t| db.table(t as TableId));
         tables.map(|t| t.len() as u64).sum()
     };
+    let rows_before = rows(db);
+    let (descents, visits) = (db.index_descents(), db.index_node_visits());
+    counting::reset_thread_peak();
+    let before = counting::thread_counts();
+    let report = driver::run(db, wal, workload, cfg);
+    let after = counting::thread_counts();
+    vec![
+        ("commits", report.run.committed),
+        ("rows_stored", rows(db) - rows_before),
+        ("index_descents", db.index_descents() - descents),
+        ("index_node_visits", db.index_node_visits() - visits),
+        ("allocations", after.allocs - before.allocs),
+        ("bytes_allocated", after.bytes - before.bytes),
+        ("peak_live_heap_bytes", (after.peak - before.live) as u64),
+    ]
+}
+
+fn tpcc_nolog() -> Vec<(&'static str, u64)> {
+    let (mut db, mut workload, _) = tpcc::setup(tpcc::TpccConfig::bench(), 19);
     let mut wal = WalManager::new(NoLog::new(), WalConfig::default());
     let cfg = DriverConfig {
         workers: 4,
@@ -48,21 +79,28 @@ fn tpcc_nolog() -> Vec<(&'static str, u64)> {
         seed: 19,
         ..DriverConfig::default()
     };
-    let rows_before = rows(&db);
-    let (descents, visits) = (db.index_descents(), db.index_node_visits());
-    counting::reset_thread_peak();
-    let before = counting::thread_counts();
-    let report = driver::run(&mut db, &mut wal, &mut workload, &cfg);
-    let after = counting::thread_counts();
-    vec![
-        ("commits", report.run.committed),
-        ("rows_stored", rows(&db) - rows_before),
-        ("index_descents", db.index_descents() - descents),
-        ("index_node_visits", db.index_node_visits() - visits),
-        ("allocations", after.allocs - before.allocs),
-        ("bytes_allocated", after.bytes - before.bytes),
-        ("peak_live_heap_bytes", (after.peak - before.live) as u64),
-    ]
+    database_slice(&mut db, &mut wal, &mut workload, &cfg)
+}
+
+/// The benchmark's `ycsb_nvme` shape (`benchmark/src/workloads/ycsb_nvme.rs`)
+/// with a 20 ms ramp-up and a 300 ms measured window.
+fn ycsb_a_nvme() -> Vec<(&'static str, u64)> {
+    let (mut db, mut workload, _) =
+        ycsb::setup(YcsbConfig { mix: YcsbMix::A, ..YcsbConfig::default() }, 29);
+    let mut ssd_cfg = SsdConfig::default();
+    ssd_cfg.timing.t_prog = SimDuration::from_micros(200);
+    let backend = NvmeLog::new(ConventionalSsd::new(ssd_cfg), 0, 8192);
+    let mut wal =
+        WalManager::new(backend, WalConfig { group_threshold: 4 << 10, ..WalConfig::default() });
+    let cfg = DriverConfig {
+        workers: 4,
+        ramp_up: SimDuration::from_millis(20),
+        measure: SimDuration::from_millis(300),
+        seed: 29,
+        log_pipeline_depth: 4,
+        ..DriverConfig::default()
+    };
+    database_slice(&mut db, &mut wal, &mut workload, &cfg)
 }
 
 /// One Villars-SRAM device for 40 simulated ms: a 16 KiB `x_pwrite` and a
@@ -155,7 +193,11 @@ fn render(slices: &[(&str, Vec<(&str, u64)>)]) -> String {
 #[test]
 #[cfg_attr(debug_assertions, ignore = "counts are taken in release builds (scripts/check.sh)")]
 fn host_counts_match_the_committed_file() {
-    let counted = render(&[("tpcc_nolog", tpcc_nolog()), ("mixed_device", mixed_device())]);
+    let counted = render(&[
+        ("tpcc_nolog", tpcc_nolog()),
+        ("ycsb_a_nvme", ycsb_a_nvme()),
+        ("mixed_device", mixed_device()),
+    ]);
     let committed = std::fs::read_to_string(COUNTS).unwrap_or_default();
     if counted != committed {
         eprintln!("BENCH_counts.json as this build counts it:\n{counted}");

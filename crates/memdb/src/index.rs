@@ -25,6 +25,16 @@
 //! still there, and a position that inserts, removals or splits have made
 //! stale falls back to a descent from the root. Nothing invalidates one.
 //!
+//! The first point read also gives the index a hint array: a direct-mapped
+//! table from a key's hash to the position a lookup last found the key at,
+//! with 24 bits of the hash as a tag. [`Index::find`], [`Index::find_from`]
+//! and [`Index::edit`] probe it before any descent and check the hint as
+//! they check a position, by one key compare; a lookup that finds its key
+//! by other means writes it back. A hint made stale by a shifted slot, a
+//! split or a freed and reused leaf fails the tag or the compare and takes
+//! the descent, so the hints change how a key is found, never what is
+//! found. An index only scanned or appended to allocates no array.
+//!
 //! Nodes sit in fixed chunks of [`CHUNK`] per node kind, addressed by a
 //! `u32` id. A chunk is allocated once at its full size and never grows, so
 //! a node never moves, there is no per-node allocation header, and the heap
@@ -34,9 +44,11 @@
 //! after every power-of-two-th such change, so a bulk load stays
 //! O(n log n)).
 
-use std::cell::Cell;
+use simkit::IntHasher;
+use std::cell::{Cell, OnceCell};
 use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::mem;
 
 /// Keys per node, as in `std`'s B-tree.
@@ -50,6 +62,16 @@ const NO_INSERT: u8 = u8::MAX;
 /// Up to this many entries a debug build checks the whole index after
 /// every split and freed leaf.
 const CHECK_EVERY_CHANGE_UP_TO: usize = 4096;
+/// The hint array holds one slot per entry at the first point read, rounded
+/// up to a power of two, and at least and at most these many. Two slots an
+/// entry served 94 % of `ycsb_nvme`'s lookups against one slot's 87 %, and
+/// cost its live heap a byte per commit more than `alloc_budget` allows.
+const HINTS_MIN: usize = 1 << 10;
+const HINTS_MAX: usize = 1 << 16;
+/// A hint word keeps its key's tag, the top bits of the key's hash, above
+/// this bit; the slot sits in the byte below it and the leaf in the low
+/// 32 bits.
+const TAG_SHIFT: u32 = 40;
 
 struct Leaf<K, V> {
     /// `keys[..len]` ascend strictly; the slots beyond hold defaults.
@@ -243,6 +265,51 @@ pub struct Pos {
     slot: u8,
 }
 
+/// How the hint probes of an [`Index`] went (see the module doc).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct HintCounts {
+    /// The hint held its key: answered with no descent.
+    pub hits: u64,
+    /// The tag matched but the slot no longer held the key.
+    pub stale: u64,
+    /// The tag did not match: no hint for the key, or another key's.
+    pub misses: u64,
+}
+
+impl std::ops::Add for HintCounts {
+    type Output = HintCounts;
+
+    fn add(self, o: HintCounts) -> HintCounts {
+        HintCounts {
+            hits: self.hits + o.hits,
+            stale: self.stale + o.stale,
+            misses: self.misses + o.misses,
+        }
+    }
+}
+
+/// `key`'s hash: the hint slot is picked by its low bits, the tag is its
+/// top bits. [`IntHasher`] has no per-process key, so every run probes the
+/// same slots.
+fn hash_of<K: Hash>(key: &K) -> u64 {
+    let mut h = IntHasher::default();
+    key.hash(&mut h);
+    h.finish()
+}
+
+/// Hint slot `hash` picks, if the array has any.
+fn hint_slot(hints: &[Cell<u64>], hash: u64) -> Option<&Cell<u64>> {
+    hints.get(hash as usize & hints.len().wrapping_sub(1))
+}
+
+/// Remember that `hash`'s key sits at `pos`.
+fn fill(hints: &[Cell<u64>], hash: u64, pos: Pos) {
+    if let Some(slot) = hint_slot(hints, hash) {
+        let tag = hash >> TAG_SHIFT << TAG_SHIFT;
+        slot.set(tag | u64::from(pos.slot) << 32 | u64::from(pos.leaf));
+    }
+}
+
 /// An ordered map from `K` to `V` (see the module doc).
 pub struct Index<K, V> {
     leaves: Nodes<Leaf<K, V>>,
@@ -268,15 +335,19 @@ pub struct Index<K, V> {
     descents: Cell<u64>,
     /// Nodes those descents and the positioned lookups and edits visited.
     node_visits: Cell<u64>,
+    /// The hint array, allocated by the first point read: a word per slot,
+    /// see [`fill`].
+    hints: OnceCell<Box<[Cell<u64>]>>,
+    hint_counts: Cell<HintCounts>,
 }
 
-impl<K: Ord + Clone + Default, V: Default> Default for Index<K, V> {
+impl<K: Ord + Clone + Default + Hash, V: Default> Default for Index<K, V> {
     fn default() -> Self {
         Index::new()
     }
 }
 
-impl<K: Ord + Clone + Default, V: Default> Index<K, V> {
+impl<K: Ord + Clone + Default + Hash, V: Default> Index<K, V> {
     /// An empty index: one empty root leaf.
     pub fn new() -> Self {
         let mut leaves = Nodes::new();
@@ -296,7 +367,17 @@ impl<K: Ord + Clone + Default, V: Default> Index<K, V> {
             checks: 0,
             descents: Cell::new(0),
             node_visits: Cell::new(0),
+            hints: OnceCell::new(),
+            hint_counts: Cell::new(HintCounts::default()),
         }
+    }
+
+    /// Give the index a hint array of `slots` slots (a power of two) now;
+    /// with 0 it keeps none and every lookup descends.
+    #[cfg(test)]
+    pub(crate) fn set_hint_slots(&mut self, slots: usize) {
+        assert!(slots == 0 || slots.is_power_of_two());
+        self.hints = OnceCell::from((0..slots).map(|_| Cell::new(0)).collect::<Box<[_]>>());
     }
 
     /// Number of entries.
@@ -326,6 +407,11 @@ impl<K: Ord + Clone + Default, V: Default> Index<K, V> {
     /// position pointed a lookup or an edit at.
     pub fn node_visits(&self) -> u64 {
         self.node_visits.get()
+    }
+
+    /// How the hint probes have gone so far.
+    pub fn hint_counts(&self) -> HintCounts {
+        self.hint_counts.get()
     }
 
     fn visit(&self, nodes: u64) {
@@ -359,17 +445,26 @@ impl<K: Ord + Clone + Default, V: Default> Index<K, V> {
         }
     }
 
-    /// The value stored under `key`, and where it sits.
+    /// The value stored under `key`, and where it sits: from the key's
+    /// hint when it holds the key, else by a descent.
     pub fn find(&self, key: &K) -> Option<(Pos, &V)> {
-        self.descended();
-        self.find_in(self.leaf_for(key), key)
+        let (hints, hash) = (self.hint_array(), hash_of(key));
+        if let Some(pos) = self.hinted(hints, hash, key) {
+            return Some(self.entry(pos));
+        }
+        self.find_descending(hints, hash, key)
     }
 
-    /// [`Index::find`], answered without a descent when `key` lies between
-    /// the first and last keys of `pos`'s leaf or of the next leaf on the
-    /// chain (a key between the two is absent); any other key descends.
-    /// `pos` may be stale: only the keys the leaves hold now decide.
+    /// [`Index::find`], answered without a descent when the key's hint
+    /// holds it, or when `key` lies between the first and last keys of
+    /// `pos`'s leaf or of the next leaf on the chain (a key between the two
+    /// is absent); any other key descends. `pos` may be stale: only the
+    /// keys the leaves hold now decide.
     pub fn find_from(&self, pos: Pos, key: &K) -> Option<(Pos, &V)> {
+        let (hints, hash) = (self.hint_array(), hash_of(key));
+        if let Some(pos) = self.hinted(hints, hash, key) {
+            return Some(self.entry(pos));
+        }
         // A leaf with no key is free (or the empty root), and the tail's
         // `next` is `NIL`, no leaf: both descend.
         let mut id = pos.leaf;
@@ -382,7 +477,11 @@ impl<K: Ord + Clone + Default, V: Default> Index<K, V> {
             if key > last {
                 id = leaf.next;
             } else if key >= first {
-                return self.find_in(id, key);
+                let found = self.find_in(id, key);
+                if let Some((pos, _)) = found {
+                    fill(hints, hash, pos);
+                }
+                return found;
             } else if step == 1 {
                 // Past the last key of the leaf before, short of this one's
                 // first: the leaves are neighbours, so the key is absent.
@@ -391,7 +490,62 @@ impl<K: Ord + Clone + Default, V: Default> Index<K, V> {
                 break;
             }
         }
-        self.find(key)
+        self.find_descending(hints, hash, key)
+    }
+
+    /// The entry at `pos`, which holds one.
+    fn entry(&self, pos: Pos) -> (Pos, &V) {
+        (pos, &self.leaves[pos.leaf].vals[pos.slot as usize])
+    }
+
+    /// `key`'s entry by a descent, remembered in its hint when found.
+    fn find_descending(&self, hints: &[Cell<u64>], hash: u64, key: &K) -> Option<(Pos, &V)> {
+        self.descended();
+        let found = self.find_in(self.leaf_for(key), key);
+        if let Some((pos, _)) = found {
+            fill(hints, hash, pos);
+        }
+        found
+    }
+
+    /// The hint array, allocated now if this is the first point read: one
+    /// slot per entry, rounded up to a power of two, within
+    /// [`HINTS_MIN`]..=[`HINTS_MAX`].
+    fn hint_array(&self) -> &[Cell<u64>] {
+        self.hints.get_or_init(|| {
+            let slots = self.len.next_power_of_two().clamp(HINTS_MIN, HINTS_MAX);
+            (0..slots).map(|_| Cell::new(0)).collect()
+        })
+    }
+
+    /// Where `key`'s hint says it is, when its tag matches and the slot
+    /// holds the key now (counted either way).
+    #[inline]
+    fn hinted(&self, hints: &[Cell<u64>], hash: u64, key: &K) -> Option<Pos> {
+        let word = hint_slot(hints, hash)?.get();
+        let mut counts = self.hint_counts.get();
+        let held = if word >> TAG_SHIFT != hash >> TAG_SHIFT {
+            counts.misses += 1;
+            None
+        } else {
+            self.visit(1);
+            let pos = Pos { leaf: word as u32, slot: (word >> 32) as u8 };
+            let held = self.holds(pos, key).then_some(pos);
+            match held {
+                Some(pos) => {
+                    counts.hits += 1;
+                    debug_assert_eq!(
+                        self.leaf_for(key),
+                        pos.leaf,
+                        "index: a hint holds its key but the tree leads elsewhere"
+                    );
+                }
+                None => counts.stale += 1,
+            }
+            held
+        };
+        self.hint_counts.set(counts);
+        held
     }
 
     /// Whether `pos` holds `key`'s entry now: its leaf holds a key in that
@@ -408,18 +562,30 @@ impl<K: Ord + Clone + Default, V: Default> Index<K, V> {
     /// (the key is cloned in), an emptied slot removes the entry. Returns
     /// what `f` returns.
     ///
-    /// With `at` a position that still holds `key`, a value `f` leaves is
-    /// stored in place with no descent; a removal, and a position that
-    /// does not hold `key` (stale, or the key is absent), descend as
-    /// without one.
+    /// With `at` a position that still holds `key`, or else with the key's
+    /// hint holding it, a value `f` leaves is stored in place with no
+    /// descent; a removal, and a key neither holds (stale, or the key is
+    /// absent), descend as without them. A descent that finds the key and
+    /// keeps it remembers it in its hint.
     pub fn edit<R>(&mut self, at: Option<Pos>, key: &K, f: impl FnOnce(&mut Option<V>) -> R) -> R {
-        if let Some(pos) = at.filter(|pos| self.holds(*pos, key)) {
-            debug_assert_eq!(
-                self.leaf_for(key),
-                pos.leaf,
-                "index: a position holds its key but the tree leads elsewhere"
-            );
-            self.visit(1);
+        // The hash, once a probe of the hint array (if there is one) took it.
+        let mut hash = None;
+        let held = match at.filter(|pos| self.holds(*pos, key)) {
+            Some(pos) => {
+                debug_assert_eq!(
+                    self.leaf_for(key),
+                    pos.leaf,
+                    "index: a position holds its key but the tree leads elsewhere"
+                );
+                self.visit(1);
+                Some(pos)
+            }
+            None => self.hints.get().and_then(|hints| {
+                let h = *hash.insert(hash_of(key));
+                self.hinted(hints, h, key)
+            }),
+        };
+        if let Some(pos) = held {
             let (id, at) = (pos.leaf, pos.slot as usize);
             let mut slot = Some(mem::take(&mut self.leaves[id].vals[at]));
             let r = f(&mut slot);
@@ -443,6 +609,10 @@ impl<K: Ord + Clone + Default, V: Default> Index<K, V> {
         let change = match slot {
             Some(value) if found => {
                 leaf.vals[at] = value;
+                if let Some(hints) = self.hints.get() {
+                    let hash = hash.unwrap_or_else(|| hash_of(key));
+                    fill(hints, hash, Pos { leaf: id, slot: at as u8 });
+                }
                 Change::None
             }
             Some(value) => self.leaf_insert(id, at, key.clone(), value),
@@ -771,7 +941,7 @@ pub struct Range<'a, K, V> {
     to: K,
 }
 
-impl<'a, K: Ord + Clone + Default, V: Default> Iterator for Range<'a, K, V> {
+impl<'a, K: Ord + Clone + Default + Hash, V: Default> Iterator for Range<'a, K, V> {
     type Item = (&'a K, &'a V);
 
     fn next(&mut self) -> Option<Self::Item> {
@@ -789,7 +959,7 @@ impl<'a, K: Ord + Clone + Default, V: Default> Iterator for Range<'a, K, V> {
     }
 }
 
-impl<K: Ord + Clone + Default, V: Default> DoubleEndedIterator for Range<'_, K, V> {
+impl<K: Ord + Clone + Default + Hash, V: Default> DoubleEndedIterator for Range<'_, K, V> {
     fn next_back(&mut self) -> Option<Self::Item> {
         let back = *self.back.get_or_insert_with(|| self.index.gap_before(&self.to));
         if back == self.front {
@@ -812,7 +982,7 @@ impl<K: Ord + Clone + Default, V: Default> DoubleEndedIterator for Range<'_, K, 
 
 impl<K, V> fmt::Debug for Index<K, V>
 where
-    K: Ord + Clone + Default + fmt::Debug,
+    K: Ord + Clone + Default + Hash + fmt::Debug,
     V: Default + fmt::Debug,
 {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -914,6 +1084,8 @@ mod tests {
         for seed in 0..40u64 {
             let mut rng = DetRng::new(0x9051 + seed);
             let (mut index, mut model) = (Index::new(), Model::new());
+            // Positions alone: no hint rescues a stale one.
+            index.set_hint_slots(0);
             let space = rng.uniform(20, 300);
             // Positions that lookups answered: the step, the position, its key.
             let mut seen: Vec<(u64, Pos, SmallKey)> = Vec::new();
@@ -997,6 +1169,149 @@ mod tests {
         // Every kind of position must actually occur, each many times.
         let Stale { held, shifted, split, reused } = stale;
         assert!([held, shifted, split, reused].iter().all(|n| *n > 50), "{stale:?}");
+    }
+
+    /// How a key's hint stood when a lookup or an edit probed it.
+    #[derive(Debug, Default)]
+    struct Hinted {
+        /// It held its key: answered in place.
+        held: usize,
+        /// The tag did not match: the slot held another key's hint, or none.
+        missed: usize,
+        /// Its key sits in the same leaf, at another slot.
+        shifted: usize,
+        /// Its key moved to another leaf, which a split made.
+        split: usize,
+        /// Its leaf was freed since the hint was written, and a split took
+        /// it again (its key may be gone too).
+        reused: usize,
+        /// Its key was removed since, and its leaf is not a reused one.
+        gone: usize,
+    }
+
+    /// Whether `key`'s hint holds it now.
+    fn hint_holds(index: &Index<SmallKey, u64>, key: &SmallKey) -> bool {
+        let hash = hash_of(key);
+        let word = hint_slot(index.hints.get().expect("an array"), hash).expect("a slot").get();
+        let pos = Pos { leaf: word as u32, slot: (word >> 32) as u8 };
+        word >> TAG_SHIFT == hash >> TAG_SHIFT && index.holds(pos, key)
+    }
+
+    #[test]
+    fn hinted_lookups_and_edits_match_the_model() {
+        const SLOTS: usize = 16;
+        let mut kinds = Hinted::default();
+        for seed in 0..40u64 {
+            let mut rng = DetRng::new(0x4147 + seed);
+            let (mut index, mut model) = (Index::new(), Model::new());
+            // Sixteen slots for up to 1 200 keys: slots collide all the
+            // time, and a hint lives about sixteen lookups.
+            index.set_hint_slots(SLOTS);
+            let space = rng.uniform(20, 300);
+            // Keys lookups found lately, so some probes find a live hint.
+            let mut recent: Vec<SmallKey> = Vec::new();
+            // The step each hint slot was last written at, and each leaf
+            // last on the free list at.
+            let mut written_at = [0u64; SLOTS];
+            let mut freed_at = HashMap::<u32, u64>::new();
+            for step in 0..4_000u64 {
+                // Phases of 500 steps alternate growing and draining; a
+                // drain takes keys from the front too, so whole leaves
+                // empty, go free and come back.
+                let grow = step / 500 % 2 == 0;
+                let k = match (recent.len(), model.first_key_value()) {
+                    (_, Some((first, _))) if !grow && rng.chance(0.3) => first.clone(),
+                    (n, _) if n > 0 && rng.chance(0.6) => {
+                        recent[rng.uniform(0, n as u64 - 1) as usize].clone()
+                    }
+                    _ => key(rng.uniform(0, 3) as u32, rng.uniform(0, space) as u32),
+                };
+                let hash = hash_of(&k);
+                let at = hash as usize % SLOTS;
+                let words: Vec<u64> =
+                    index.hints.get().expect("an array").iter().map(Cell::get).collect();
+                let pos = Pos { leaf: words[at] as u32, slot: (words[at] >> 32) as u8 };
+                let held = hint_holds(&index, &k);
+                let kind = match () {
+                    _ if words[at] >> TAG_SHIFT != hash >> TAG_SHIFT => &mut kinds.missed,
+                    _ if held => &mut kinds.held,
+                    _ if freed_at.get(&pos.leaf).is_some_and(|f| *f > written_at[at])
+                        && !index.free_leaves.contains(&pos.leaf) =>
+                    {
+                        &mut kinds.reused
+                    }
+                    _ if !model.contains_key(&k) => &mut kinds.gone,
+                    _ if index.leaf_for(&k) == pos.leaf => &mut kinds.shifted,
+                    _ => &mut kinds.split,
+                };
+                *kind += 1;
+                let (counts, descents) = (index.hint_counts(), index.descents());
+                let found = match rng.uniform(0, 9) {
+                    0..=2 if grow => {
+                        let old = index.edit(None, &k, |slot| slot.replace(step));
+                        assert_eq!(old, model.insert(k.clone(), step));
+                        false
+                    }
+                    3 | 4 => {
+                        // An update: a present entry's value replaced.
+                        let old = index
+                            .edit(None, &k, |slot| slot.as_mut().map(|v| mem::replace(v, step)));
+                        assert_eq!(old, model.get_mut(&k).map(|v| mem::replace(v, step)));
+                        assert_eq!(
+                            index.descents() == descents,
+                            held,
+                            "in place exactly when held"
+                        );
+                        old.is_some()
+                    }
+                    5..=8 => {
+                        let found = index.find(&k);
+                        assert_eq!(found.map(|(_, v)| v), model.get(&k), "step {step}");
+                        assert_eq!(
+                            index.descents() == descents,
+                            held,
+                            "no descent exactly when held"
+                        );
+                        found.is_some()
+                    }
+                    _ => {
+                        // A removal: the rest of a draining step's draws, and 9.
+                        let old = index.edit(None, &k, Option::take);
+                        assert_eq!(old, model.remove(&k));
+                        false
+                    }
+                };
+                let now = index.hint_counts();
+                assert_eq!(
+                    now.hits + now.stale + now.misses,
+                    counts.hits + counts.stale + counts.misses + 1,
+                    "one probe"
+                );
+                assert_eq!(now.hits - counts.hits, u64::from(held), "a hit exactly when held");
+                if found {
+                    // A lookup or an update that found its key leaves its
+                    // hint holding it.
+                    assert!(hint_holds(&index, &k), "step {step}: hint not refilled");
+                    recent.push(k);
+                    if recent.len() > 32 {
+                        recent.remove(0);
+                    }
+                }
+                let hints = index.hints.get().expect("an array");
+                for (i, word) in hints.iter().enumerate() {
+                    if word.get() != words[i] {
+                        written_at[i] = step;
+                    }
+                }
+                for id in &index.free_leaves {
+                    freed_at.insert(*id, step);
+                }
+            }
+            assert_same(&index, &model);
+        }
+        // Every kind of hint must actually occur, each many times.
+        let Hinted { held, missed, shifted, split, reused, gone } = kinds;
+        assert!([held, missed, shifted, split, reused, gone].iter().all(|n| *n > 50), "{kinds:?}");
     }
 
     #[test]

@@ -41,6 +41,7 @@ pub use failover::{durable_log_stream, fail_over, rejoin_secondary, FailoverRepo
 pub use checkpoint::{
     decode_snapshot, encode_snapshot, CheckpointMeta, Checkpointer, SnapshotError,
 };
+pub use index::HintCounts;
 pub use key::SmallKey;
 pub use log::{decode_one, decode_stream, DecodeError, LogOp, LogRecord, TableId};
 pub use recovery::{encode_txn, recover, RecoveryReport};

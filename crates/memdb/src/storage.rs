@@ -31,10 +31,13 @@
 //! transaction read before it updated it not even once: the read's
 //! [`Pos`] rides in the buffered update, and the install checks one key
 //! there. A read starts at the transaction's last read in the same table
-//! ([`Index::find_from`]), so sorted probes walk the leaf chain.
+//! ([`Index::find_from`]), so sorted probes walk the leaf chain. Behind
+//! both, each table's index remembers where it last found every key it was
+//! asked for (its hint array), so a point read of a row found before, and a
+//! blind update of one, check one key there before they descend.
 
 use crate::arena::{RowArena, RowRef};
-use crate::index::{Index, Pos};
+use crate::index::{HintCounts, Index, Pos};
 use crate::key::SmallKey;
 use crate::log::{LogOp, LogRecord, TableId};
 
@@ -234,7 +237,7 @@ pub struct Database {
     #[cfg(test)]
     two_pass_commit: bool,
     /// Reference model for the tests: every read and every write descends
-    /// from the root; no position is kept or used.
+    /// from the root; no position is kept or used, and no index keeps hints.
     #[cfg(test)]
     descend_always: bool,
     /// Positioned writes whose position no longer held their key, so they
@@ -254,6 +257,10 @@ impl Database {
     pub fn create_table(&mut self, name: &str) -> TableId {
         assert!(self.tables.len() < u16::MAX as usize);
         self.tables.push(Table::default());
+        #[cfg(test)]
+        if let Some(table) = self.tables.last_mut().filter(|_| self.descend_always) {
+            table.rows.set_hint_slots(0);
+        }
         self.names.push(name.to_string());
         (self.tables.len() - 1) as TableId
     }
@@ -285,8 +292,8 @@ impl Database {
         self.write_probes
     }
 
-    /// Updates `commit` installed at the position of the read before them,
-    /// with no descent.
+    /// Updates `commit` installed with no descent: at the position of the
+    /// read before them, or at their key's hint.
     pub fn positioned_writes(&self) -> u64 {
         self.positioned_writes
     }
@@ -300,6 +307,11 @@ impl Database {
     /// [`Index::node_visits`]).
     pub fn index_node_visits(&self) -> u64 {
         self.tables.iter().map(|t| t.rows.node_visits()).sum()
+    }
+
+    /// How the hint probes went over every table's index so far.
+    pub fn index_hints(&self) -> HintCounts {
+        self.tables.iter().map(|t| t.rows.hint_counts()).fold(HintCounts::default(), |a, b| a + b)
     }
 
     /// `pos`, unless the tests' reference switch turns positions off.
@@ -1002,10 +1014,10 @@ mod tests {
     //
     // The references are the same engine with a switch set:
     // `two_pass_commit` finds every row a commit writes twice, as before
-    // the undo list; `descend_always` keeps no position, so every read and
-    // every write descends from the root. All three run the same serial
-    // schedule of transactions and foreign installs; every observable
-    // result must agree.
+    // the undo list; `descend_always` keeps no position and no hint, so
+    // every read and every write descends from the root. All three run the
+    // same serial schedule of transactions and foreign installs; every
+    // observable result must agree.
 
     #[derive(Debug, Clone)]
     enum Step {
@@ -1175,15 +1187,20 @@ mod tests {
 
     #[test]
     fn serial_schedules_match_the_two_pass_reference() {
-        let (mut committed, mut failed) = (0, 0);
+        let (mut committed, mut failed, mut hints) = (0, 0, HintCounts::default());
         for seed in 0..400u64 {
-            for line in check_against_reference(&random_schedule(0xC0FFEE + seed)).0 {
+            let (trace, db) = check_against_reference(&random_schedule(0xC0FFEE + seed));
+            for line in trace {
                 committed += usize::from(line.starts_with("commit Ok"));
                 failed += usize::from(line.starts_with("commit Err"));
             }
+            hints = hints + db.index_hints();
         }
-        // The schedules must actually exercise both outcomes.
+        // The schedules must actually exercise both outcomes, and every
+        // branch of a hint probe: it held its key, its slot went stale, its
+        // tag missed.
         assert!(committed > 2000 && failed > 1000, "{committed} committed, {failed} failed");
+        assert!(hints.hits > 500 && hints.stale > 100 && hints.misses > 500, "{hints:?}");
     }
 
     /// One transaction of `writes`, with rows `[0]` and `[1, 0]` in table 0
@@ -1349,14 +1366,18 @@ mod tests {
     #[test]
     fn positioned_installs_match_the_references_when_positions_go_stale() {
         let (mut positioned, mut stale, mut committed) = (0, 0, 0);
+        let mut hints = HintCounts::default();
         for seed in 0..300u64 {
             let (trace, db) = check_against_reference(&stale_position_schedule(0x5A1E + seed));
             db.tables.iter().for_each(Table::check);
             committed += trace.iter().filter(|l| l.starts_with("commit Ok")).count();
             (positioned, stale) = (positioned + db.positioned_writes, stale + db.stale_positions);
+            hints = hints + db.index_hints();
         }
         // Both branches must actually run, each many times: an update
-        // installed at its read's slot, and one whose slot went stale.
+        // installed at its read's slot, and one whose slot went stale; and
+        // so must each branch of a hint probe.
+        assert!(hints.hits > 500 && hints.stale > 100 && hints.misses > 500, "{hints:?}");
         assert!(
             positioned > 500 && stale > 100 && committed > 400,
             "{positioned} positioned, {stale} stale, {committed} committed"

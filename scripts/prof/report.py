@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
 """Resolve sigprof_preload.c sample files against `nm` symbol tables.
 
-usage: report.py [--top N] [--callers PREFIX] samples.out [samples.out ...]
-
 Prints self and inclusive time per symbol as a percentage of all samples.
 With --callers, also prints who the samples whose leaf symbol starts with
 PREFIX ran under: their most common chains of the next three frames. A
 libc leaf (memcpy, malloc) keeps no frame of its own, so the first frame of
 its chain is its caller's caller; the chain is what gives it an owner.
+With --under, takes the samples with a frame whose symbol starts with FRAME
+on their stack and prints, as shares of those samples, the frame's direct
+callees (at its innermost occurrence; "[self]" when it is the leaf) and the
+leaf symbols they ended in: where the time under one function goes.
 Addresses are mapped to files through the "map" lines (a file's load base is
 the start of its offset-0 mapping), then to the nearest preceding symbol of
 `nm -C --defined-only`. A frame inside a library built without frame
@@ -15,6 +17,7 @@ pointers or with local symbols stripped resolves to the nearest exported
 symbol before it, so libc-internal memcpy/malloc variants can carry a
 neighbour's name.
 """
+import argparse
 import bisect
 import collections
 import re
@@ -61,22 +64,23 @@ def load(path):
 
 
 def main(argv):
-    top, callers = 30, None
-    while argv[:1] in (["--top"], ["--callers"]) and len(argv) > 1:
-        if argv[0] == "--top":
-            top = int(argv[1])
-        else:
-            callers = argv[1]
-        argv = argv[2:]
-    if not argv:
-        sys.exit(__doc__)
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
+    parser.add_argument("--top", type=int, default=30, metavar="N", help="rows per table")
+    parser.add_argument("--callers", metavar="PREFIX", help="caller chains of these leaves")
+    parser.add_argument("--under", metavar="FRAME", help="callees and leaves below this frame")
+    parser.add_argument("files", nargs="+", metavar="samples.out")
+    args = parser.parse_args(argv)
+    top, callers, under = args.top, args.callers, args.under
     # Address-space layout differs per process: resolve each file's samples
     # against its own maps.
     self_t, incl_t, total, dropped = collections.Counter(), collections.Counter(), 0, 0
     chains = collections.Counter()
+    callees, leaves_under = collections.Counter(), collections.Counter()
     tables = {}
     strip_hash = re.compile(r"::h[0-9a-f]{16}$")
-    for path in argv:
+    for path in args.files:
         bases, ranges, stacks, d = load(path)
         dropped += d
 
@@ -101,9 +105,14 @@ def main(argv):
                 incl_t[name] += 1
             if callers is not None and names[0].startswith(callers):
                 chains[" <- ".join(names[1:4]) or "[no caller frames]"] += 1
+            if under is not None:
+                at = next((i for i, n in enumerate(names) if n.startswith(under)), None)
+                if at is not None:
+                    callees[names[at - 1] if at > 0 else "[self]"] += 1
+                    leaves_under[names[0]] += 1
     if total == 0:
         sys.exit("no samples")
-    print(f"{total} samples from {len(argv)} run(s), {dropped} dropped (buffer full)")
+    print(f"{total} samples from {len(args.files)} run(s), {dropped} dropped (buffer full)")
     for title, table in (("self", self_t), ("inclusive", incl_t)):
         print(f"\n-- {title} --")
         for name, n in table.most_common(top):
@@ -113,6 +122,13 @@ def main(argv):
         print(f"\n-- callers of {callers}* ({leaves} samples, {100.0 * leaves / total:.2f}%) --")
         for chain, n in chains.most_common(top):
             print(f"{100.0 * n / max(leaves, 1):6.2f}%  {n:7d}  {chain}")
+    if under is not None:
+        held = sum(leaves_under.values())
+        print(f"\n-- under {under}* ({held} samples, {100.0 * held / total:.2f}%) --")
+        for title, table in (("direct callees", callees), ("leaves", leaves_under)):
+            print(f"  {title}:")
+            for name, n in table.most_common(top):
+                print(f"{100.0 * n / max(held, 1):6.2f}%  {n:7d}  {name}")
 
 
 if __name__ == "__main__":
