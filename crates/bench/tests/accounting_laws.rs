@@ -40,73 +40,17 @@
 //!   `ssd.served_conventional_bytes` — every log byte the destage module
 //!   calls persisted, its page padding, and every host page whose program
 //!   completed took a page program.
+//!
+//! And every exported counter moves in some golden, or an `ALLOW` entry
+//! says why not (ROADMAP item 17): the zero-path gate at the end of this
+//! file.
 
+mod golden;
+
+use golden::{cells, Cell};
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::Write as _;
 use std::path::Path;
-
-/// One cell's flat counters: `path → value`.
-type Cell = BTreeMap<String, f64>;
-
-/// Every cell of every results document, as `("document / label", cell)`.
-/// The documents are written by this workspace's own pretty-printer — one
-/// `"key": value` per line — so a line scanner reads them: a cell is an
-/// object two levels inside `"telemetry"`, and a nested object (a latency
-/// summary) is read as `path.field`.
-fn cells() -> Vec<(String, Cell)> {
-    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
-    let mut paths: Vec<_> = std::fs::read_dir(&dir)
-        .unwrap_or_else(|e| panic!("{dir:?}: {e}"))
-        .map(|entry| entry.expect("a directory entry").path())
-        .filter(|p| p.extension().is_some_and(|ext| ext == "json"))
-        .collect();
-    paths.sort();
-    let mut out = Vec::new();
-    for path in paths {
-        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path:?}: {e}"));
-        let name = path.file_name().expect("a file name").to_string_lossy().into_owned();
-        let (mut depth, mut telemetry) = (0, None);
-        let mut cell: Option<(String, Cell)> = None;
-        let mut nested: Option<String> = None;
-        for line in text.lines().map(str::trim) {
-            if line.starts_with('}') || line.starts_with(']') {
-                depth -= 1;
-                nested = None;
-                if telemetry == Some(depth) {
-                    telemetry = None;
-                }
-                if depth == telemetry.map_or(0, |t| t + 1) {
-                    out.extend(cell.take());
-                }
-                continue;
-            }
-            let (key, value) = line.split_once(": ").unwrap_or((line, ""));
-            let key = key.trim_matches('"');
-            if line.ends_with('{') || line.ends_with('[') {
-                depth += 1;
-                if key == "telemetry" && depth == 2 {
-                    telemetry = Some(1);
-                } else if telemetry.is_some_and(|t| depth == t + 2) {
-                    cell = Some((format!("{name} / {key}"), Cell::new()));
-                } else if telemetry.is_some_and(|t| depth == t + 3) {
-                    nested = Some(key.to_string());
-                }
-                continue;
-            }
-            let path = match (telemetry.map(|t| depth - t), &nested) {
-                (Some(2), _) => key.to_string(),
-                (Some(3), Some(object)) => format!("{object}.{key}"),
-                _ => continue,
-            };
-            if let Some((_, counters)) = cell.as_mut() {
-                if let Ok(v) = value.trim_end_matches(',').parse::<f64>() {
-                    counters.insert(path, v);
-                }
-            }
-        }
-        assert_eq!(depth, 0, "{name}: unbalanced document");
-    }
-    out
-}
 
 /// The devices of a cell: the prefixes of its `core.fast.bytes_in` paths.
 fn devices(cell: &Cell) -> Vec<String> {
@@ -127,11 +71,11 @@ fn lane_groups<'a>(cell: &'a Cell, device: &str, module: &str) -> BTreeSet<&'a s
 fn the_fast_side_accounts_for_every_byte_chunk_and_offset() {
     let (mut checked, mut with_sram_port) = (0, 0);
     for (where_, cell) in cells() {
-        for device in devices(&cell) {
+        for device in devices(cell) {
             let at = |path: &str| cell[&format!("{device}{path}")];
             let what = format!("{where_}: {device}");
             for module in ["cmb", "destage"] {
-                let groups = lane_groups(&cell, &device, module);
+                let groups = lane_groups(cell, &device, module);
                 assert_eq!(groups, BTreeSet::from(["lane0"]), "{what}: core.{module} groups");
             }
             let lane = |field: &str| at(&format!("core.cmb.lane0.{field}"));
@@ -160,7 +104,7 @@ fn every_log_byte_the_database_appends_reaches_every_device() {
         let Some(appended) = cell.get("db.log.bytes_appended") else { continue };
         // A database cell on a Villars backend: the primary and every
         // secondary take in exactly the bytes the log codec emitted.
-        let devices = devices(&cell);
+        let devices = devices(cell);
         for device in &devices {
             let bytes_in = cell[&format!("{device}core.cmb.lane0.bytes_in")];
             assert_eq!(bytes_in, *appended, "{where_}: {device}core.cmb.lane0.bytes_in");
@@ -297,7 +241,7 @@ fn counts_balance() {
 fn bytes_conserve_across_the_ntb() {
     let (mut primaries, mut secondaries) = (0, 0);
     for (where_, cell) in cells() {
-        for primary in devices(&cell) {
+        for primary in devices(cell) {
             let at = |path: &str| cell[&format!("{primary}{path}")];
             let flow_prefix = format!("{primary}core.transport.flow");
             let flows: Vec<(&str, f64)> = cell
@@ -398,4 +342,223 @@ fn flash_programs_cover_every_destaged_and_conventional_byte() {
         checked >= 159 && with_fast_side >= 149,
         "{checked} SSD-cells, {with_fast_side} Villars"
     );
+}
+
+// ---- Every exported counter moves in some golden, or says why not -------
+//
+// A telemetry path is folded: the `devN.` prefix goes, and lane, flow, die,
+// bus and series-bucket indices become `N`. It is *zero* when its value is 0
+// in every cell that holds it, and then needs an `ALLOW` entry with a
+// reason. An entry whose path is nonzero somewhere, or no longer exported,
+// is stale and fails: the reason no longer holds, so the entry goes.
+
+/// Why a folded path may be zero in every cell: the zero is the measured
+/// outcome (a gauge that ends drained, a count the workloads cannot
+/// produce); the model path runs, just not in a golden (the tests that
+/// execute it, each a `fn` under `crates/` or `tests/`); or it is an
+/// exported constant a golden or the benchmark still reads, until its
+/// single regeneration (ROADMAP items 8 and 16).
+enum Reason {
+    Result(&'static str),
+    Test(&'static [&'static str]),
+    Constant(&'static str),
+}
+
+const PORT_FAULTS: Reason = Reason::Test(&[
+    "injected_error_completions_are_retried_transparently",
+    "lost_completions_time_out_abort_and_retry",
+]);
+const LINK_DOWN: Reason = Reason::Test(&[
+    "runs_match_the_reference_with_faults_and_link_outages",
+    "the_bound_based_wait_equals_the_brute_force_one",
+]);
+const BUFFER_HITS: Reason = Reason::Test(&[
+    "write_then_read_hits",
+    "buffered_read_completes_one_unit_after_its_dma_could_start",
+]);
+const NO_COMMAND: Reason = Reason::Result("no command in flight at the cut");
+const NEVER_ABORTS: Reason =
+    Reason::Result("only TPC-C NewOrder rolls back (1 % invalid item); no other kind aborts");
+const NO_ECC: Reason = Reason::Constant("no ECC model; goes at item 16's regeneration");
+
+/// The zero paths and their reasons (ROADMAP item 17).
+const ALLOW: &[(&str, Reason)] = &[
+    // Verdict (c): runs held above the tail, until item 13 decides.
+    (
+        "core.cmb.laneN.held_chunks",
+        Reason::Test(&["out_of_order_chunks_hold_credits_until_gap_fills"]),
+    ),
+    // Verdict (d): the port fault and retry paths and the NTB link faults.
+    ("core.port.fault.dropped_completions", PORT_FAULTS),
+    ("core.port.fault.error_completions", PORT_FAULTS),
+    ("core.port.fault.timeouts", PORT_FAULTS),
+    ("core.port.retry.resubmits", PORT_FAULTS),
+    ("db.log.port.fault.dropped_completions", PORT_FAULTS),
+    ("db.log.port.fault.error_completions", PORT_FAULTS),
+    ("db.log.port.fault.timeouts", PORT_FAULTS),
+    ("db.log.port.retry.resubmits", PORT_FAULTS),
+    ("core.transport.flowN.fault.link_down_deferrals", LINK_DOWN),
+    ("core.transport.upstream.fault.link_down_deferrals", LINK_DOWN),
+    // Verdict (e): the pipelined log writer; the benchmark's ycsb_nvme runs
+    // it at depth 4, until item 7.
+    (
+        "db.log.async_appends",
+        Reason::Test(&[
+            "pipelined_flushes_overlap_and_converge",
+            "pipelined_poll_delivers_in_completion_order",
+        ]),
+    ),
+    // Verdict (a), kept: the benchmark's destage_mixed serves every read
+    // from the buffer (691 of 691 in a quick run).
+    ("ssd.buffer.read_hits", BUFFER_HITS),
+    ("ssd.buffer.hit_rate_pct", BUFFER_HITS),
+    // Gauges that end drained: every cell stops after its work completed.
+    ("core.port.inflight", NO_COMMAND),
+    ("db.log.port.inflight", NO_COMMAND),
+    ("db.log.appends_in_flight", Reason::Result("no log append in flight at the cut")),
+    ("db.wal.pending_bytes", Reason::Result("the WAL is flushed at the cut")),
+    ("recovery.torn_bytes", Reason::Result("recovery finds no torn record")),
+    ("db.mix.delivery.aborted", NEVER_ABORTS),
+    ("db.mix.order_status.aborted", NEVER_ABORTS),
+    ("db.mix.payment.aborted", NEVER_ABORTS),
+    ("db.mix.stock_level.aborted", NEVER_ABORTS),
+    ("db.mix.insert.aborted", NEVER_ABORTS),
+    ("db.mix.read.aborted", NEVER_ABORTS),
+    ("db.mix.rmw.aborted", NEVER_ABORTS),
+    ("db.mix.scan.aborted", NEVER_ABORTS),
+    ("db.mix.update.aborted", NEVER_ABORTS),
+    // Constants of deleted models (the GC, PR 29; the bit-error/ECC draw).
+    ("flash.array.erases", Reason::Constant("no erase model; the benchmark reads it (item 8)")),
+    ("flash.array.corrected_bits", NO_ECC),
+    ("flash.array.uncorrectable_reads", NO_ECC),
+    ("ssd.ftl.gc_erases", Reason::Constant("no GC; goes with item 8's shims")),
+    ("ssd.ftl.gc_writes", Reason::Constant("no GC; the benchmark reads it (item 8)")),
+];
+
+/// `dev1.core.transport.flow2.payload_bytes` -> `core.transport.flowN.payload_bytes`.
+fn fold(path: &str) -> String {
+    let indexed = |segment: &str, prefix: &str| {
+        let digits = segment.strip_prefix(prefix).unwrap_or_default();
+        !digits.is_empty() && digits.bytes().all(|b| b.is_ascii_digit())
+    };
+    let path = path.split_once('.').filter(|(dev, _)| indexed(dev, "dev")).map_or(path, |(_, p)| p);
+    let segments = path.split('.').map(|segment| {
+        let prefix = ["lane", "flow", "die", "bus", "t"].into_iter().find(|p| indexed(segment, p));
+        prefix.map_or(segment.to_string(), |p| format!("{p}N"))
+    });
+    segments.collect::<Vec<_>>().join(".")
+}
+
+/// The folded paths that are 0 in every cell, in order.
+fn zero_paths(values: &BTreeMap<String, Vec<f64>>) -> Vec<&str> {
+    values.iter().filter(|(_, vs)| vs.iter().all(|v| *v == 0.0)).map(|(p, _)| p.as_str()).collect()
+}
+
+/// The names `fn name(` and `fn name<` declare in `text`.
+fn declared_fns(text: &str) -> impl Iterator<Item = &str> {
+    text.match_indices("fn ").filter_map(|(at, _)| {
+        let glued = text[..at].ends_with(|c: char| c.is_alphanumeric() || c == '_');
+        let rest = &text[at + 3..];
+        let len = rest.find(|c: char| !matches!(c, 'a'..='z' | '0'..='9' | '_'))?;
+        let opens = rest[len..].trim_start().starts_with(['(', '<']);
+        (!glued && len > 0 && opens).then(|| &rest[..len])
+    })
+}
+
+/// Every `fn` name in the `.rs` files under `crates/` and `tests/`.
+fn fn_names() -> BTreeSet<String> {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let (mut dirs, mut names) = (vec![root.join("crates"), root.join("tests")], BTreeSet::new());
+    while let Some(dir) = dirs.pop() {
+        for path in std::fs::read_dir(dir).unwrap().map(|entry| entry.unwrap().path()) {
+            if path.is_dir() {
+                dirs.push(path);
+            } else if path.extension().is_some_and(|ext| ext == "rs") {
+                let text = std::fs::read_to_string(&path).unwrap();
+                names.extend(declared_fns(&text).map(str::to_string));
+            }
+        }
+    }
+    names
+}
+
+/// The zero-path rule over the folded `values`, `allow` and the workspace's
+/// `fn` names: a zero path `allow` does not list, an entry whose path is
+/// unexported or nonzero somewhere, and a test an entry names that `names`
+/// lacks each fail.
+fn zero_path_failures(
+    values: &BTreeMap<String, Vec<f64>>,
+    allow: &[(&str, Reason)],
+    names: &BTreeSet<String>,
+) -> Vec<String> {
+    let zero = zero_paths(values);
+    let unlisted = zero.iter().filter(|path| allow.iter().all(|(entry, _)| entry != *path));
+    let mut failures: Vec<String> =
+        unlisted.map(|path| format!("zero in every cell, not in ALLOW: {path}")).collect();
+    let mut entries: Vec<_> = allow.iter().collect();
+    entries.sort_by_key(|(path, _)| *path);
+    for (path, reason) in entries {
+        if !values.contains_key(*path) {
+            failures.push(format!("stale entry, no golden exports it: {path}"));
+        } else if !zero.contains(path) {
+            failures.push(format!("stale entry, nonzero in some cell: {path}"));
+        }
+        if let Reason::Test(tests) = reason {
+            let missing = tests.iter().filter(|t| !names.contains(**t));
+            failures.extend(missing.map(|t| format!("{path}: no test `{t}`")));
+        }
+    }
+    failures
+}
+
+#[test]
+fn every_exported_counter_moves_in_some_golden_or_says_why_not() {
+    let mut values: BTreeMap<String, Vec<f64>> = BTreeMap::new();
+    for (path, value) in cells().flat_map(|(_, cell)| cell) {
+        values.entry(fold(path)).or_default().push(*value);
+    }
+    // The listing: each zero path, the cells that hold it and its reason.
+    let zero = zero_paths(&values);
+    let mut report = String::new();
+    for path in &zero {
+        let reason = match ALLOW.iter().find(|(entry, _)| entry == path) {
+            None => "UNLISTED".to_string(),
+            Some((_, Reason::Result(why))) => format!("result: {why}"),
+            Some((_, Reason::Test(tests))) => format!("test: {}", tests.join(", ")),
+            Some((_, Reason::Constant(why))) => format!("constant: {why}"),
+        };
+        let _ = writeln!(report, "{path}  ({} cells, {reason})", values[*path].len());
+    }
+    let _ =
+        write!(report, "{} of {} folded paths are zero in every cell", zero.len(), values.len());
+    println!("{report}");
+    let failures = zero_path_failures(&values, ALLOW, &fn_names());
+    assert!(failures.is_empty(), "{report}\n  ! {}", failures.join("\n  ! "));
+}
+
+#[test]
+fn the_zero_path_rule_names_each_failure() {
+    let values = BTreeMap::from(
+        [("a.unlisted", vec![0.0, 0.0]), ("b.moves", vec![0.0, 3.0]), ("c.tested", vec![0.0])]
+            .map(|(path, vs)| (path.to_string(), vs)),
+    );
+    let allow = [
+        ("e.gone", Reason::Constant("no longer exported")),
+        ("b.moves", Reason::Result("moves in the second cell")),
+        ("c.tested", Reason::Test(&["a_test_that_exists", "a_renamed_test"])),
+    ];
+    let names = BTreeSet::from(["a_test_that_exists".to_string()]);
+    assert_eq!(
+        zero_path_failures(&values, &allow, &names),
+        [
+            "zero in every cell, not in ALLOW: a.unlisted",
+            "stale entry, nonzero in some cell: b.moves",
+            "c.tested: no test `a_renamed_test`",
+            "stale entry, no golden exports it: e.gone",
+        ]
+    );
+    let path = "dev12.core.lane0.flow2.die3.bus0.t0007.dev1.lanes2.t.x";
+    assert_eq!(fold(path), "core.laneN.flowN.dieN.busN.tN.dev1.lanes2.t.x");
+    let text = "fn a() {}\npub fn b_2<T>() {}\nfn c\n  (x: fn(u8)) {}\nxfn d() {}\nfn E() {}";
+    assert_eq!(declared_fns(text).collect::<Vec<_>>(), ["a", "b_2", "c"]);
 }

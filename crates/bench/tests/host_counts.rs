@@ -30,6 +30,7 @@ mod counting;
 
 use memdb::{Database, NoLog, NvmeLog, TableId, WalConfig, WalManager};
 use nvme::{CommandKind, Completion, IoCommand};
+use simkit::telemetry::json::Json;
 use simkit::{Bytes, DetRng, SimDuration, SimTime};
 use ssd::{ConventionalSsd, SsdConfig};
 use xssd_bench::driver::{self, DriverConfig, Workload};
@@ -176,18 +177,11 @@ fn mixed_device() -> Vec<(&'static str, u64)> {
     ]
 }
 
-/// The counts file: one object per slice, one integer per line.
+/// The counts file, one object per slice, as simkit's JSON writer prints it.
 fn render(slices: &[(&str, Vec<(&str, u64)>)]) -> String {
-    let mut out = String::from("{\n");
-    for (i, (slice, counts)) in slices.iter().enumerate() {
-        out += &format!("  \"{slice}\": {{\n");
-        for (j, (name, value)) in counts.iter().enumerate() {
-            let comma = if j + 1 < counts.len() { "," } else { "" };
-            out += &format!("    \"{name}\": {value}{comma}\n");
-        }
-        out += if i + 1 < slices.len() { "  },\n" } else { "  }\n" };
-    }
-    out + "}\n"
+    let slice =
+        |counts: &[(&str, u64)]| Json::object(counts.iter().map(|&(k, v)| (k, Json::U64(v))));
+    Json::object(slices.iter().map(|(name, counts)| (*name, slice(counts)))).pretty() + "\n"
 }
 
 #[test]

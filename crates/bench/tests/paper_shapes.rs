@@ -8,10 +8,14 @@
 //!
 //! `CLAIMS` is the index: every golden and the predicates that read it, one
 //! `#[test]` per golden. `every_golden_states_a_claim` fails on a golden no
-//! entry reads and on an entry whose golden is gone.
+//! entry reads and on an entry whose golden is gone. The rows come from
+//! `golden`, the one reader of the results documents;
+//! `every_golden_re_renders_byte_for_byte` holds that reader to the writer.
 
+mod golden;
+
+use golden::Row;
 use pcie::StoreIssueModel;
-use std::path::{Path, PathBuf};
 
 /// A predicate's name, for the failure report, and the predicate.
 type Claim = (&'static str, fn(&[Row]));
@@ -96,87 +100,35 @@ claims! {
 /// test's captured output says which claim broke.
 fn hold(golden: &str) {
     let (_, claims) = CLAIMS.iter().find(|(g, _)| *g == golden).expect("a CLAIMS entry");
-    let rows = rows(golden);
+    let rows = &golden::get(golden).rows;
     for (name, claim) in claims.iter() {
         println!("{golden}: {name}");
-        claim(&rows);
+        claim(rows);
     }
 }
 
 /// Every golden states a claim (ROADMAP item 21): a `results/*.json` no
 /// `CLAIMS` entry reads fails, and so does an entry whose golden is gone —
-/// the stale-entry rule of `scripts/zero_paths.py`.
+/// the stale-entry rule of the zero-path gate in `accounting_laws.rs`.
 #[test]
 fn every_golden_states_a_claim() {
-    let dir = results_dir();
-    let goldens: Vec<String> = std::fs::read_dir(&dir)
-        .unwrap_or_else(|e| panic!("{dir:?}: {e}"))
-        .map(|entry| entry.expect("a results entry").file_name().to_string_lossy().into_owned())
-        .filter(|name| name.ends_with(".json"))
-        .collect();
-    let unread: Vec<&String> =
-        goldens.iter().filter(|g| CLAIMS.iter().all(|(entry, _)| entry != g)).collect();
-    let stale: Vec<&str> = CLAIMS
-        .iter()
-        .map(|(entry, _)| *entry)
-        .filter(|entry| !goldens.iter().any(|g| g == entry))
-        .collect();
+    let goldens: Vec<&str> = golden::all().iter().map(|g| g.name.as_str()).collect();
+    let unread: Vec<&str> =
+        goldens.iter().copied().filter(|g| CLAIMS.iter().all(|(entry, _)| entry != g)).collect();
+    let stale: Vec<&str> =
+        CLAIMS.iter().map(|(entry, _)| *entry).filter(|entry| !goldens.contains(entry)).collect();
     assert!(unread.is_empty(), "goldens no CLAIMS entry reads: {unread:?}");
     assert!(stale.is_empty(), "CLAIMS entries with no golden: {stale:?}");
 }
 
-/// The committed goldens.
-fn results_dir() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results")
-}
-
-/// One `rows` entry of a results document.
-#[derive(Debug, Clone, Default)]
-struct Row {
-    series: String,
-    x: f64,
-    y: f64,
-    extra: f64,
-    /// The candlestick's smallest and largest sample (Fig. 13 rows).
-    min: f64,
-    max: f64,
-}
-
-/// The `rows` of `results/<name>.json`. The documents are written by this
-/// workspace's own pretty-printer — one `"key": value` per line, objects
-/// flat but for a row's `candle` — so a line scanner reads them.
-fn rows(name: &str) -> Vec<Row> {
-    let path = results_dir().join(name);
-    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path:?}: {e}"));
-    let mut lines = text.lines().map(str::trim).skip_while(|l| *l != "\"rows\": [");
-    assert!(lines.next().is_some(), "{name}: no rows");
-    let mut out = Vec::new();
-    let mut row = Row::default();
-    let mut in_candle = false;
-    for line in lines {
-        match line.trim_end_matches(',') {
-            "]" => break,
-            "{" => row = Row::default(),
-            "\"candle\": {" => in_candle = true,
-            "}" if in_candle => in_candle = false,
-            "}" => out.push(row.clone()),
-            field => {
-                let (key, value) = field.split_once(": ").expect("a field line");
-                let number = || value.parse::<f64>().unwrap_or_else(|e| panic!("{field}: {e}"));
-                match key {
-                    "\"series\"" => row.series = value.trim_matches('"').to_string(),
-                    "\"x\"" => row.x = number(),
-                    "\"y\"" => row.y = number(),
-                    "\"extra\"" => row.extra = number(),
-                    "\"min\"" if in_candle => row.min = number(),
-                    "\"max\"" if in_candle => row.max = number(),
-                    _ => {}
-                }
-            }
-        }
+/// Every golden is what the writer prints for its parsed tree: a hand-edited
+/// golden fails, and the reader and the writer agree on every byte.
+#[test]
+fn every_golden_re_renders_byte_for_byte() {
+    for golden in golden::all() {
+        let same = golden.doc.pretty() + "\n" == golden.text;
+        assert!(same, "{}: the parsed document re-renders differently", golden.name);
     }
-    assert!(!out.is_empty(), "{name}: empty rows");
-    out
 }
 
 /// `series`' row at `x`.

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # The full local gate: formatting, lints as errors, module reachability, the
 # results gate's self-test, the test suite, and the benchmark's correctness checks.
-# Run from anywhere inside the repository; CI runs exactly this.
+# The zero-path gate (every exported counter moves in some golden, or says
+# why not) is a test in crates/bench/tests/accounting_laws.rs, so the test
+# suite runs it. Run from anywhere inside the repository; CI runs exactly this.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -14,13 +16,6 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== reachability (no pub mod that only its own file and tests mention)"
 # Its reading-aid list is long; show the output only when the step fails.
 reach=$(python3 scripts/reachability.py) || { echo "$reach"; exit 1; }
-
-echo "== zero paths (every exported counter moves in some golden, or an allowlist entry says why)"
-# ROADMAP item 17: scripts/zero_paths.py folds the goldens' telemetry paths
-# and fails on one that is zero in every cell without a reason in its ALLOW
-# table (a result, the tests that execute it, or a constant until the goldens'
-# regeneration), and on an entry that no longer holds.
-python3 scripts/zero_paths.py
 
 echo "== knob paths (every config field is set by some caller, or an allowlist entry says why)"
 # ROADMAP item 25: scripts/knob_paths.py fails on a `pub` field of a
@@ -68,6 +63,16 @@ if grep -rn 'println!("expected' crates/bench/src/bin/; then
 fi
 if grep -rnE 'RdmaTransport|RdmaConfig|mod rdma' crates/ src/ tests/ examples/; then
   echo "FAIL: the RDMA transport model is back (lines above)."
+  exit 1
+fi
+
+echo "== one golden reader (results/*.json are read through crates/bench/tests/golden/mod.rs)"
+# ROADMAP item 29: the goldens are parsed once, by simkit's JSON parser, in
+# the test-support module that hands out their rows and telemetry cells.
+# paper_shapes.rs and accounting_laws.rs read through it; a test that opens
+# the results directory itself brings back a second reader of their layout.
+if grep -rnF '../../results' crates/*/tests tests/ | grep -v '^crates/bench/tests/golden/mod.rs:'; then
+  echo "FAIL: a test reads results/ without crates/bench/tests/golden/mod.rs (lines above)."
   exit 1
 fi
 
@@ -344,4 +349,4 @@ echo "== benchmark: its own tests, then every workload and check at 1/50 horizon
 (cd benchmark && cargo test --offline --quiet)
 benchmark/run.sh --quick > /dev/null
 
-echo "ok: fmt, clippy, reachability, zero paths, knob paths, one flash error source, CHANGES.md line length, one copy of each claim, gate self-test, tests, count, host counts, nudge, one-collector, one-latency-copy, one-runner, panic-ratchet, no-unsafe, one-intake, one-log, one-index, one-row-copy, one-checksum, one-log-copy, no-second-path, no-GC, one-hasher and buffer-scan gates, recovery smoke, crash explorer, chaos smoke, benchmark checks all clean"
+echo "ok: fmt, clippy, reachability, knob paths, one flash error source, CHANGES.md line length, one copy of each claim, one golden reader, gate self-test, tests (zero paths among them), count, host counts, nudge, one-collector, one-latency-copy, one-runner, panic-ratchet, no-unsafe, one-intake, one-log, one-index, one-row-copy, one-checksum, one-log-copy, no-second-path, no-GC, one-hasher and buffer-scan gates, recovery smoke, crash explorer, chaos smoke, benchmark checks all clean"
