@@ -11,8 +11,9 @@
 //! Three slices. `tpcc_nolog` is TPC-C at the benchmark's scale with no log
 //! backend: the driver's 400 simulated ms, whose growth is the database's
 //! (each new row and its index entry) and the runner's samples; it also
-//! counts the index's descents from the root and the nodes they and the
-//! positioned and hinted lookups visited (`Database::index_node_visits`).
+//! counts the index's descents from the root, the nodes they and the
+//! positioned and hinted lookups visited (`Database::index_node_visits`)
+//! and how the hint probes went (`Database::index_hints`).
 //! `ycsb_a_nvme` is the benchmark's `ycsb_nvme` in small: YCSB-A over
 //! 8 192 rows at θ 0.8, `NvmeLog` on a conventional SSD, the pipelined log
 //! path at depth 4, 300 simulated ms measured; the same counts, whose
@@ -80,7 +81,15 @@ fn tpcc_nolog() -> Vec<(&'static str, u64)> {
         seed: 19,
         ..DriverConfig::default()
     };
-    database_slice(&mut db, &mut wal, &mut workload, &cfg)
+    let hints = db.index_hints();
+    let mut counts = database_slice(&mut db, &mut wal, &mut workload, &cfg);
+    let after = db.index_hints();
+    counts.extend([
+        ("index_hint_hits", after.hits - hints.hits),
+        ("index_hint_stale", after.stale - hints.stale),
+        ("index_hint_misses", after.misses - hints.misses),
+    ]);
+    counts
 }
 
 /// The benchmark's `ycsb_nvme` shape (`benchmark/src/workloads/ycsb_nvme.rs`)
