@@ -3,10 +3,9 @@
 //! One binary per paper figure (`fig09_*` … `fig13_*`, plus the ablation
 //! studies DESIGN.md lists, the `chaos_tpcc` fault capstone, and the
 //! `all_figures` driver that runs everything). Each prints the series the
-//! paper plots — as an aligned table on stdout and as JSON rows (one
-//! object per line, prefixed `JSON `) — and, through [`Report`], writes a
-//! machine-readable `results/<name>.json` that bundles every row with the
-//! telemetry [`Snapshot`]s the numbers were derived from.
+//! paper plots as an aligned table on stdout and, through [`Report`],
+//! writes a machine-readable `results/<name>.json` that bundles every row
+//! with the telemetry [`Snapshot`]s the numbers were derived from.
 //! `docs/OBSERVABILITY.md` documents the schema and a worked example;
 //! `docs/HARNESSES.md` documents every harness, every environment knob,
 //! and the goldens workflow.
@@ -151,12 +150,10 @@ impl Report {
         Report { name, rows: Vec::new(), telemetry: Vec::new() }
     }
 
-    /// Emit one row: aligned human-readable columns on stdout, a
-    /// machine-readable `JSON `-prefixed line, and an entry in the results
-    /// document.
+    /// Emit one row: aligned human-readable columns on stdout and an entry
+    /// in the results document.
     pub fn row(&mut self, human: &str, record: Measurement) {
         println!("{human}");
-        println!("JSON {}", record.to_json());
         self.rows.push(record);
     }
 

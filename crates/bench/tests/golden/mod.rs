@@ -17,8 +17,12 @@ pub struct Row {
     pub x: f64,
     pub y: f64,
     pub extra: f64,
-    /// The candlestick's smallest and largest sample (Fig. 13 rows).
+    /// The candlestick's smallest sample, quartiles and largest sample
+    /// (Fig. 13 rows; 0 in a row without one).
     pub min: f64,
+    pub p25: f64,
+    pub p50: f64,
+    pub p75: f64,
     pub max: f64,
 }
 
@@ -79,7 +83,8 @@ fn read(dir: &Path, name: String) -> Golden {
             let candle =
                 |key: &str| field(row, "candle").map_or(0.0, |c| number(field(c, key), key));
             let (x, y, extra) = (at("x"), at("y"), at("extra"));
-            Row { series: series.clone(), x, y, extra, min: candle("min"), max: candle("max") }
+            let [min, p25, p50, p75, max] = ["min", "p25", "p50", "p75", "max"].map(candle);
+            Row { series: series.clone(), x, y, extra, min, p25, p50, p75, max }
         })
         .collect();
     assert!(!rows.is_empty(), "{name}: empty rows");

@@ -14,7 +14,7 @@
 //! - A frozen [`Snapshot`] supports [`Snapshot::diff`] so a phase (warmup vs.
 //!   measurement window) can be measured exactly, and [`Snapshot::to_json`]
 //!   exports the whole tree as a stable, machine-readable document — the
-//!   `results/*.json` files next to each figure's `.txt` output.
+//!   telemetry of each figure's `results/*.json`.
 //!
 //! # Naming convention
 //!

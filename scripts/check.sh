@@ -2,8 +2,10 @@
 # The full local gate: formatting, lints as errors, module reachability, the
 # results gate's self-test, the test suite, and the benchmark's correctness checks.
 # The zero-path gate (every exported counter moves in some golden, or says
-# why not) is a test in crates/bench/tests/accounting_laws.rs, so the test
-# suite runs it. Run from anywhere inside the repository; CI runs exactly this.
+# why not) is a test in crates/bench/tests/accounting_laws.rs, and the check
+# that EXPERIMENTS.md's tables are what the goldens render is one in
+# crates/bench/tests/experiments_tables.rs, so the test suite runs both.
+# Run from anywhere inside the repository; CI runs exactly this.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -73,6 +75,16 @@ echo "== one golden reader (results/*.json are read through crates/bench/tests/g
 # the results directory itself brings back a second reader of their layout.
 if grep -rnF '../../results' crates/*/tests tests/ | grep -v '^crates/bench/tests/golden/mod.rs:'; then
   echo "FAIL: a test reads results/ without crates/bench/tests/golden/mod.rs (lines above)."
+  exit 1
+fi
+
+echo "== one copy of each figure number (results/ holds only the *.json goldens)"
+# ROADMAP item 24: a golden's row is the only copy of a figure number, and
+# EXPERIMENTS.md's tables are rendered from the goldens by
+# crates/bench/tests/experiments_tables.rs. A stdout capture or any other
+# file under results/ is an unchecked second copy.
+if git ls-files results | grep -v '\.json$'; then
+  echo "FAIL: results/ tracks a file that is not a *.json golden (lines above)."
   exit 1
 fi
 
@@ -349,4 +361,4 @@ echo "== benchmark: its own tests, then every workload and check at 1/50 horizon
 (cd benchmark && cargo test --offline --quiet)
 benchmark/run.sh --quick > /dev/null
 
-echo "ok: fmt, clippy, reachability, knob paths, one flash error source, CHANGES.md line length, one copy of each claim, one golden reader, gate self-test, tests (zero paths among them), count, host counts, nudge, one-collector, one-latency-copy, one-runner, panic-ratchet, no-unsafe, one-intake, one-log, one-index, one-row-copy, one-checksum, one-log-copy, no-second-path, no-GC, one-hasher and buffer-scan gates, recovery smoke, crash explorer, chaos smoke, benchmark checks all clean"
+echo "ok: fmt, clippy, reachability, knob paths, one flash error source, CHANGES.md line length, one copy of each claim, one golden reader, goldens-only results, gate self-test, tests (zero paths and rendered tables among them), count, host counts, nudge, one-collector, one-latency-copy, one-runner, panic-ratchet, no-unsafe, one-intake, one-log, one-index, one-row-copy, one-checksum, one-log-copy, no-second-path, no-GC, one-hasher and buffer-scan gates, recovery smoke, crash explorer, chaos smoke, benchmark checks all clean"
