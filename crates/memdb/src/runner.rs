@@ -346,7 +346,8 @@ where
     let mut rng = DetRng::new(cfg.seed);
     let mut worker_rngs: Vec<DetRng> = (0..cfg.workers).map(|i| rng.fork(i as u64)).collect();
     let mut available: Vec<SimTime> = vec![SimTime::ZERO; cfg.workers];
-    // Transactions whose batch is not yet durable: (start, lsn, kind).
+    // Transactions whose batch is not yet durable: (start, lsn, kind), in
+    // LSN order.
     let mut waiting: Vec<(SimTime, Lsn, usize)> = Vec::new();
     let mut reports: Vec<FlushReport> = Vec::new();
     let mut max_inflight = 0usize;
@@ -393,6 +394,10 @@ where
             Ok(records) => {
                 observer.on_commit(t0, kind);
                 let lsn = wal.append_records(t1, &records);
+                debug_assert!(
+                    waiting.last().is_none_or(|&(_, last, _)| last <= lsn),
+                    "waiting transactions are held in LSN order"
+                );
                 waiting.push((t0, lsn, kind));
                 // The dedicated log writer takes a full group and the
                 // filling worker moves straight on — unless every pipeline
@@ -701,6 +706,7 @@ fn group_by<T: Copy>(
 
 /// Record latency samples for every waiting transaction the flushes in
 /// `reports` covered, in the order the reports were produced, and empty it.
+/// `waiting` is in LSN order, so what a report covers is its prefix.
 fn resolve(
     reports: &mut Vec<FlushReport>,
     waiting: &mut Vec<(SimTime, Lsn, usize)>,
@@ -709,14 +715,10 @@ fn resolve(
 ) {
     for report in reports.drain(..) {
         *horizon = (*horizon).max(report.at);
-        waiting.retain(|(start, lsn, kind)| {
-            if *lsn <= report.durable_upto {
-                observer.on_durable(*start, *kind, report.at);
-                false
-            } else {
-                true
-            }
-        });
+        let durable = waiting.partition_point(|&(_, lsn, _)| lsn <= report.durable_upto);
+        for (start, _, kind) in waiting.drain(..durable) {
+            observer.on_durable(start, kind, report.at);
+        }
     }
 }
 
