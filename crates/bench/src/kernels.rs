@@ -3,12 +3,10 @@
 //! The inner loops of two figure harnesses — one Fig. 9 TPC-C/Villars-SRAM
 //! cell (through the same `driver::run_cell` as the harness) and the
 //! Fig. 11 `x_pwrite`+`x_fsync` cycle (the harness calls this one) —
-//! factored out so that
-//!
-//! - `cargo bench -p xssd-bench` can time whole-stack simulation throughput
-//!   (not just isolated components) at scaled-down sizes, and
-//! - the determinism regression test can run the same cell twice with the
-//!   same seed and assert bit-identical telemetry and completion times.
+//! factored out so that the determinism regression test can run the same
+//! cell twice with the same seed and assert bit-identical telemetry and
+//! completion times, and the telemetry layout test can read a cell's
+//! paths.
 
 use crate::driver::{self, DriverConfig};
 use memdb::{WalConfig, XssdLog};

@@ -31,15 +31,17 @@ pub struct AppendTag(pub u64);
 ///   lets the WAL group-commit loop keep several groups in flight.
 ///
 /// The pairs are not two spellings of one operation, so `append`/`sync`
-/// are not provided methods over submit/drain. Only [`NoLog`] and
-/// [`PmLog`] time a single group identically on both. [`NvmeLog::sync`]
-/// waits for the write before issuing the flush (queue depth 1 — the
-/// Fig. 9 "NVMe saturates" line) where `append_submit` queues both at
-/// once; [`XssdLog::sync`] is `x_fsync` with its MMIO credit reads and an
-/// exact completion instant where `drain_completions` reads the
-/// host-cached credit and stamps the poll instant. Measured in PR 17 by
-/// forcing depth 1 through the asynchronous path: fig09's NVMe cell at
-/// 8 workers goes 40.4 → 246.2 ktxn/s (`crate::runner` docs, ROADMAP.md).
+/// are not provided methods over submit/drain, but they differ only when
+/// units overlap. [`NvmeLog::sync`] waits for the write before issuing
+/// the flush where `append_submit` queues both at once; [`XssdLog::sync`]
+/// is `x_fsync` with its MMIO credit reads and an exact completion instant
+/// where `drain_completions` reads the host-cached credit and stamps the
+/// poll instant. A lone unit on an idle device is durable at the same
+/// instant on both paths of every backend, except that `x_fsync`'s credit
+/// read puts [`XssdLog::sync`] a little after its drain (the
+/// `a_lone_unit_is_durable_at_the_same_instant_on_both_paths` test). The
+/// Fig. 9 NVMe cap is the serialized writer's rule, not this protocol
+/// (ROADMAP.md item 31, `crate::runner` docs).
 pub trait LogBackend {
     /// Hand `data` to the device; returns when the append call returns to
     /// the caller (durability NOT implied).
@@ -665,6 +667,53 @@ mod tests {
         assert_eq!(b.bytes_written(), 4096);
         // A Villars sync is persistence-on-PM: far faster than flash tPROG.
         assert!(t2.as_micros_f64() < 50.0, "fast side too slow: {t2}");
+    }
+
+    /// One unit on an idle device through `append` + `sync`, and on a
+    /// fresh copy of the device through `append_submit` + the drain a
+    /// poller runs: `(sync instant, drain instant)`.
+    fn lone_unit<B: LogBackend>(fresh: impl Fn() -> B, len: usize) -> (SimTime, SimTime) {
+        let data = vec![0u8; len];
+        let mut b = fresh();
+        let appended = b.append(SimTime::ZERO, &data);
+        let synced = b.sync(appended);
+        let mut b = fresh();
+        let (tag, mut now) = b.append_submit(SimTime::ZERO, &data);
+        let mut out = Vec::new();
+        loop {
+            b.drain_completions(now, &mut out);
+            if let Some(&(done, at)) = out.first() {
+                assert_eq!(done, tag);
+                return (synced, at);
+            }
+            now = now.max(b.next_completion_at().expect("a unit in flight is bounded"));
+        }
+    }
+
+    #[test]
+    fn a_lone_unit_is_durable_at_the_same_instant_on_both_paths() {
+        // The two paths differ only when units overlap: `NvmeLog::sync`
+        // waits for the write before it issues the flush, `append_submit`
+        // queues both, and on an idle device the flush is fetched after
+        // the write completes either way (61.45 us at 4 KiB). Only
+        // `x_fsync`'s MMIO credit read puts Villars' sync after its drain.
+        for kib in [4, 8, 16, 17, 32, 64, 240] {
+            let len = kib << 10;
+            let (synced, drained) = lone_unit(NoLog::new, len);
+            assert_eq!(synced, drained, "no-log, {kib} KiB");
+            let (synced, drained) = lone_unit(|| PmLog::new(PmConfig::default()), len);
+            assert_eq!(synced, drained, "pm, {kib} KiB");
+            let nvme = || NvmeLog::new(ConventionalSsd::new(SsdConfig::small()), 0, 64);
+            let (synced, drained) = lone_unit(nvme, len);
+            assert_eq!(synced, drained, "nvme, {kib} KiB");
+            let xssd = || {
+                let mut cluster = Cluster::new();
+                let dev = cluster.add_device(VillarsConfig::small());
+                XssdLog::new(cluster, dev, "villars-sram")
+            };
+            let (synced, drained) = lone_unit(xssd, len);
+            assert!(synced >= drained, "villars, {kib} KiB: sync {synced} before drain {drained}");
+        }
     }
 
     #[test]

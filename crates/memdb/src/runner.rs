@@ -24,16 +24,20 @@
 //!    held back only by `MAX_LOG_DEFICIT`. A pipelined writer with no
 //!    free slot leaves the batch open — it keeps growing — and parks the
 //!    filling worker. Group sizes differ.
-//! 2. *Device protocol.* `NvmeLog::sync` is write → wait → flush → wait
-//!    at queue depth 1, which *is* Fig. 9's "NVMe saturates" line;
-//!    `append_submit` queues the write and the flush together.
+//! 2. *Device protocol.* `NvmeLog::sync` is write → wait → flush → wait;
+//!    `append_submit` queues the write and the flush together. The two
+//!    time a lone unit on an idle device identically; they differ only
+//!    when units overlap.
 //! 3. *Durability instant.* `XssdLog::sync` is `x_fsync` — MMIO credit
 //!    reads and an exact completion instant; `drain_completions` reads
 //!    the host-cached credit and stamps the poll instant.
 //!
 //! Forcing depth 1 through the pipelined path therefore moves the goldens
-//! (fig09 NVMe at 8 workers: 40.4 → 246.2 ktxn/s; measured in PR 17, table
-//! in ROADMAP.md). Do not merge the two without a model proposal;
+//! (fig09 NVMe at 8 workers: 40.4 → 246.2 ktxn/s, ROADMAP.md). The cause
+//! is point 1, not point 2 (ROADMAP.md item 31): the serialized
+//! writer queues each 16 KiB group behind the previous flush, so Fig. 9's
+//! NVMe cap is one group per device round trip. Do not merge the two
+//! without a model proposal;
 //! `tests/runner_schedule.rs` pins both schedules.
 
 use crate::backend::LogBackend;
